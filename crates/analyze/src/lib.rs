@@ -3,7 +3,7 @@
 //! The runtime's correctness rests on conventions no compiler checks: a
 //! global mutex acquisition order, the transport contract's "no silent
 //! loss" (a dying [`Parcel`] must route through `kill_parcel`), documented
-//! `unsafe` in the one crate allowed to have any, justified
+//! `unsafe` in the two modules allowed to have any, justified
 //! `Ordering::Relaxed`, and wire-code/stats-counter completeness. This
 //! crate lexes the workspace sources (hand-rolled lexer — the build is
 //! offline, there is no `syn`) and enforces those conventions as six
@@ -216,7 +216,8 @@ pub fn analyze_files(files: &[(String, String)]) -> Vec<Finding> {
 /// Directories under the workspace root whose `.rs` files are analyzed.
 /// Vendored stand-ins are excluded by construction (they reproduce
 /// third-party crates and are pinned by their own tests); everything the
-/// project authored — `px-poll`'s unsafe included — is in scope.
+/// project authored — the unsafe in `px-poll` and px-core's `queue`
+/// included — is in scope.
 const SCAN_DIRS: &[&str] = &["crates", "src", "examples"];
 
 /// Skip list *within* the scanned tree.

@@ -1,9 +1,10 @@
 //! `unsafe-hygiene`: every `unsafe` block, fn, impl, and trait must be
 //! preceded by a `// SAFETY:` comment.
 //!
-//! Why: the workspace policy is that `px-poll` is the *single* audited
-//! unsafe boundary (every other product crate carries
-//! `#![forbid(unsafe_code)]`). An audit is only as good as its notes — an
+//! Why: the workspace policy is that `unsafe` lives behind two audited
+//! boundaries — `px-poll` (system calls) and px-core's `queue` module
+//! (the worker rings' slots); everything else denies or forbids
+//! `unsafe_code`. An audit is only as good as its notes — an
 //! `unsafe` whose soundness argument lives in someone's head rots the
 //! moment the surrounding code changes. The rule accepts a `SAFETY:`
 //! comment ending at most [`MAX_GAP`] lines above the `unsafe` token (or

@@ -27,12 +27,13 @@ fn workspace_has_zero_findings() {
 #[test]
 fn scan_covers_the_product_crates() {
     // The zero-findings gate is only meaningful if the scan actually sees
-    // the code it guards: the unsafe boundary (px-poll), the scheduler,
-    // and the transports must all be in scope, and the vendored tree must
-    // not be.
+    // the code it guards: the unsafe boundaries (px-poll, px-core's
+    // queue module), the scheduler, and the transports must all be in
+    // scope, and the vendored tree must not be.
     let root = workspace_root();
     for must_exist in [
         "crates/poll/src/lib.rs",
+        "crates/core/src/queue.rs",
         "crates/core/src/sched.rs",
         "crates/core/src/net/tcp.rs",
         "crates/core/src/net/inproc.rs",

@@ -42,7 +42,6 @@ use crate::runtime::RuntimeInner;
 use crate::sched::{sys, Task, Work};
 use crate::stats::bump;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use crossbeam::deque::Steal;
 use px_balance::{BalanceConfig, LoadSample, PlacementQuery, ShedQuery};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -95,7 +94,9 @@ fn sample_all(rt: &Arc<RuntimeInner>, round: u64, last_parks: &mut [u64]) {
         let parks_now = loc.counters.parks.load(Ordering::Relaxed);
         let sample = LoadSample {
             queue_depth: loc.queue_depth() as u64,
-            parks: parks_now.saturating_sub(last_parks[i]),
+            // Parks are untimed: a worker starved for the whole round
+            // parks zero times in it, and is counted as parked instead.
+            parks: parks_now.saturating_sub(last_parks[i]) + loc.sleep.sleeping(),
             backlog: loc.staging_depth() as u64,
         };
         last_parks[i] = parks_now;
@@ -213,7 +214,7 @@ pub(crate) fn shed_tasks(
     let mut putback: Vec<Task> = Vec::new();
     while shed < max && putback.len() < PUTBACK_LIMIT {
         match loc.injector.steal() {
-            Steal::Success(task) => {
+            Some(task) => {
                 if cross_rank {
                     let sheddable = matches!(
                         &task.work,
@@ -259,8 +260,7 @@ pub(crate) fn shed_tasks(
                     putback.push(task);
                 }
             }
-            Steal::Empty => break,
-            Steal::Retry => continue,
+            None => break,
         }
     }
     for t in putback {

@@ -53,7 +53,9 @@
 //! data) or *suspends* by depositing its continuation in an LCO (a
 //! "depleted thread" in the paper's terminology).
 
-#![forbid(unsafe_code)]
+// `queue` — the lock-free worker rings — is the one module that opts
+// back in (`allow(unsafe_code)` at its top); everything else stays safe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod action;
@@ -70,6 +72,7 @@ pub mod net;
 pub mod parcel;
 pub mod percolation;
 pub mod process;
+pub(crate) mod queue;
 pub mod runtime;
 pub mod sched;
 pub mod stats;

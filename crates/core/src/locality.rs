@@ -12,7 +12,8 @@
 //!   per-object locks, valid precisely because the objects never escape
 //!   the locality except by explicit migration;
 //! * **run queues**: a general injector, a percolation staging queue, and
-//!   one work-stealing deque per worker;
+//!   one work-stealing ring per worker, plus the eventcount its idle
+//!   workers sleep on (the crate-private `queue` module);
 //! * a pool of **worker threads** executing ephemeral PX-threads;
 //! * the locality's GID allocator and instrumentation counters.
 //!
@@ -23,14 +24,13 @@ use crate::error::{PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidAllocator, GidKind, LocalityId};
 use crate::lco::LcoCore;
+use crate::queue::{Injector, Local, Sleep, Stealer};
 use crate::sched::Task;
 use crate::stats::LocalityCounters;
-use crossbeam::deque::{Injector, Stealer};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A first-class object resident in a locality's store.
 #[derive(Clone)]
@@ -64,43 +64,6 @@ pub struct DataObject {
     pub bytes: Vec<u8>,
     /// Write count.
     pub version: u64,
-}
-
-/// Sleep/wake control for a locality's workers.
-#[derive(Debug, Default)]
-pub(crate) struct SleepCtl {
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl SleepCtl {
-    /// Park the calling worker until notified or `timeout` elapses.
-    pub(crate) fn park(&self, timeout: Duration) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut g = self.lock.lock();
-            // Re-check is the caller's job (they loop); bounded park keeps
-            // shutdown and racy pushes safe without a wake protocol.
-            self.cv.wait_for(&mut g, timeout);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Wake one parked worker, if any.
-    #[inline]
-    pub(crate) fn wake_one(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.lock.lock();
-            self.cv.notify_one();
-        }
-    }
-
-    /// Wake every parked worker (shutdown).
-    pub(crate) fn wake_all(&self) {
-        let _g = self.lock.lock();
-        self.cv.notify_all();
-    }
 }
 
 /// Per-locality balancer state (present only when `Config::balance` is
@@ -151,14 +114,16 @@ pub struct Locality {
     /// Percolation staging buffer: prestaged tasks whose data travelled
     /// with them; drained at higher priority than the injector.
     pub(crate) staging: Injector<Task>,
-    /// Stealers for each worker's deque (fixed after boot).
-    pub(crate) stealers: RwLock<Vec<Stealer<Task>>>,
+    /// A stealer onto each worker's ring, set once by the builder before
+    /// the locality is shared (empty where no workers run).
+    pub(crate) stealers: Box<[Stealer<Task>]>,
     store: RwLock<FxHashMap<Gid, Stored>>,
     /// GID allocator for objects born here.
     pub alloc: GidAllocator,
     /// Instrumentation.
     pub counters: LocalityCounters,
-    pub(crate) sleep: SleepCtl,
+    /// The eventcount this locality's idle workers sleep on.
+    pub(crate) sleep: Sleep,
     /// Workers prefer the staging queue (precious-resource policy, E4).
     pub staged_priority: bool,
     /// Balancer state; `None` unless `Config::balance` is set.
@@ -191,17 +156,27 @@ impl Locality {
             id,
             injector: Injector::new(),
             staging: Injector::new(),
-            stealers: RwLock::new(Vec::new()),
+            stealers: Box::default(),
             store: RwLock::new(FxHashMap::default()),
             alloc: GidAllocator::new(id),
             counters: LocalityCounters::default(),
-            sleep: SleepCtl::default(),
+            sleep: Sleep::new(0),
             staged_priority,
             balance: None,
             trace: None,
             metrics: None,
             remote_stub: false,
         }
+    }
+
+    /// Create this locality's worker rings (called by the builder, before
+    /// the locality is shared): the stealers stay here, the owner ends go
+    /// to the worker threads.
+    pub(crate) fn attach_workers(&mut self, workers: usize) -> Vec<Local<Task>> {
+        let rings: Vec<Local<Task>> = (0..workers).map(|_| Local::new()).collect();
+        self.stealers = rings.iter().map(Local::stealer).collect();
+        self.sleep = Sleep::new(workers);
+        rings
     }
 
     /// Attach balancer state (called by the builder, before the locality
@@ -271,8 +246,8 @@ impl Locality {
     }
 
     /// Tasks waiting in the general run queue (balancer telemetry; the
-    /// per-worker deques are not observable from outside, which is fine —
-    /// a deep deque implies a busy worker feeding it).
+    /// per-worker rings are not counted, which is fine — a deep ring
+    /// implies a busy worker feeding it).
     pub fn queue_depth(&self) -> usize {
         self.injector.len()
     }
@@ -284,18 +259,28 @@ impl Locality {
 
     // ---- task ingress ----------------------------------------------------
 
-    /// Enqueue a task on the general run queue and wake a worker.
+    /// True when any of this locality's queues holds a task: what an idle
+    /// worker polls while it spins and re-checks before it parks.
+    pub(crate) fn has_work(&self) -> bool {
+        self.balance.as_ref().is_some_and(|b| !b.control.is_empty())
+            || !self.staging.is_empty()
+            || !self.injector.is_empty()
+            || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
+    /// Enqueue a task on the general run queue and wake a worker if one
+    /// is parked.
     pub(crate) fn push_task(&self, mut task: Task) {
         task.enqueued = self.metrics_now();
         self.injector.push(task);
-        self.sleep.wake_one();
+        self.sleep.notify_one();
     }
 
     /// Enqueue a prestaged task on the staging buffer.
     pub(crate) fn push_staged(&self, mut task: Task) {
         task.enqueued = self.metrics_now();
         self.staging.push(task);
-        self.sleep.wake_one();
+        self.sleep.notify_one();
     }
 
     /// Enqueue a control-plane task (balancer gossip, metrics pulls),
@@ -309,7 +294,7 @@ impl Locality {
                 let mut task = task;
                 task.enqueued = self.metrics_now();
                 b.control.push(task);
-                self.sleep.wake_one();
+                self.sleep.notify_one();
             }
             None => self.push_task(task),
         }
@@ -440,20 +425,5 @@ mod tests {
         let gid = loc.new_future_lco();
         assert_eq!(gid.birthplace(), LocalityId(9));
         assert_eq!(gid.kind(), GidKind::Lco);
-    }
-
-    #[test]
-    fn sleep_ctl_wakes_parked_worker() {
-        let ctl = Arc::new(SleepCtl::default());
-        let c2 = ctl.clone();
-        let start = std::time::Instant::now();
-        let h = std::thread::spawn(move || {
-            c2.park(Duration::from_secs(5));
-        });
-        // Give the thread time to park, then wake it well before timeout.
-        std::thread::sleep(Duration::from_millis(20));
-        ctl.wake_all();
-        h.join().unwrap();
-        assert!(start.elapsed() < Duration::from_secs(4));
     }
 }

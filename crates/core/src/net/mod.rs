@@ -658,7 +658,7 @@ mod tests {
         // (tasks, parcels) delivered to the general injector.
         let mut tasks = 0;
         let mut parcels = 0;
-        while let crossbeam::deque::Steal::Success(t) = loc.injector.steal() {
+        while let Some(t) = loc.injector.steal() {
             tasks += 1;
             parcels += t.parcel_records();
         }
@@ -812,7 +812,7 @@ mod tests {
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1), "plain frame in the injector");
         let mut staged_tasks = 0;
-        while let crossbeam::deque::Steal::Success(t) = locs[1].staging.steal() {
+        while let Some(t) = locs[1].staging.steal() {
             staged_tasks += t.parcel_records();
         }
         assert_eq!(staged_tasks, 1, "staged frame in the staging buffer");
@@ -866,7 +866,7 @@ mod tests {
         }
         let expected = expected.take();
         let mut frames = 0;
-        while let crossbeam::deque::Steal::Success(t) = locs[1].injector.steal() {
+        while let Some(t) = locs[1].injector.steal() {
             frames += 1;
             assert_eq!(
                 t.frame_bytes().expect("frame task"),

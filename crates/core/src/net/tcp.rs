@@ -1499,7 +1499,6 @@ mod tests {
     use super::*;
     use crate::action::Value;
     use crate::parcel::Continuation;
-    use crossbeam::deque::Steal;
 
     fn test_localities(n: usize) -> Arc<Vec<Arc<Locality>>> {
         Arc::new(
@@ -1604,7 +1603,7 @@ mod tests {
         let mut tasks = 0usize;
         wait_for(
             || {
-                while let Steal::Success(t) = own.injector.steal() {
+                while let Some(t) = own.injector.steal() {
                     tasks += 1;
                     records += t.parcel_records();
                 }
@@ -1614,10 +1613,7 @@ mod tests {
         );
         assert_eq!(tasks, 3, "parcel + frame + control");
         assert_eq!(records, 4, "1 + 2 + 1 records");
-        wait_for(
-            || matches!(own.staging.steal(), Steal::Success(_)).then_some(()),
-            "staged parcel",
-        );
+        wait_for(|| own.staging.steal().map(drop), "staged parcel");
         wait_for(
             || {
                 let stats = a.transport_stats();
@@ -1718,8 +1714,27 @@ mod tests {
 
     /// The tentpole invariant at transport level: the whole backend adds
     /// exactly ONE thread per rank, however many peers the mesh has.
+    ///
+    /// `/proc/self/task` is process-wide and sibling tests run transports
+    /// of their own, so the count is taken in a child: this test binary
+    /// re-executed with only this test selected.
     #[test]
     fn io_thread_count_is_flat_in_peers() {
+        const IN_CHILD: &str = "PX_TCP_THREAD_COUNT_CHILD";
+        if std::env::var_os(IN_CHILD).is_none() {
+            let status = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "net::tcp::tests::io_thread_count_is_flat_in_peers",
+                    "--exact",
+                    "--nocapture",
+                ])
+                .env(IN_CHILD, "1")
+                .stdout(std::process::Stdio::null())
+                .status()
+                .expect("re-execute the test binary");
+            assert!(status.success(), "thread count check failed in the child");
+            return;
+        }
         fn count_px_tcp_threads() -> usize {
             let tasks = std::fs::read_dir("/proc/self/task").expect("linux procfs");
             tasks

@@ -25,9 +25,9 @@ use crate::locality::{DataObject, Locality, Stored};
 use crate::net::{BatchPolicy, TcpConfig, Wire, WireModel};
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
+use crate::queue::Local;
 use crate::sched::{sys, Task};
 use crossbeam::channel::Sender;
-use crossbeam::deque::Worker as WorkerDeque;
 use parking_lot::{Mutex, RwLock};
 use px_balance::BalanceConfig;
 use serde::{de::DeserializeOwned, Serialize};
@@ -553,6 +553,10 @@ impl RuntimeBuilder {
         // timestamps are comparable.
         let trace_epoch = self.config.trace.enabled().then(std::time::Instant::now);
         let trace_capacity = self.config.trace.ring_capacity;
+        // The owner end of every worker ring, per locality: created with
+        // the locality (its stealer set is immutable once shared) and
+        // handed to the worker threads below.
+        let mut rings: Vec<Vec<Local<Task>>> = Vec::with_capacity(n);
         let localities: Arc<Vec<Arc<Locality>>> = Arc::new(
             (0..n)
                 .map(|i| {
@@ -584,6 +588,9 @@ impl RuntimeBuilder {
                     // would mint GIDs another process also mints.
                     if owned.is_some_and(|o| o != id) {
                         loc.mark_remote_stub();
+                        rings.push(Vec::new());
+                    } else {
+                        rings.push(loc.attach_workers(self.config.workers_per_locality));
                     }
                     Arc::new(loc)
                 })
@@ -632,25 +639,17 @@ impl RuntimeBuilder {
         // messages can be killed loudly (fault to continuation).
         inner.wire.bind(&inner);
 
-        // Boot workers: deques and stealers are wired before any thread
-        // starts, so `Locality::stealers` is effectively immutable after.
-        // In a multi-process system only the owned rank gets workers;
-        // the other locality structs are reached via the transport.
+        // Boot workers. In a multi-process system only the owned rank has
+        // rings (see `attach_workers` above); the other locality structs
+        // are reached via the transport.
         let mut joins = Vec::new();
-        for (li, loc) in inner.localities.iter().enumerate() {
-            if !inner.owns(LocalityId(li as u16)) {
-                continue;
-            }
-            let deques: Vec<WorkerDeque<Task>> = (0..inner.config.workers_per_locality)
-                .map(|_| WorkerDeque::new_lifo())
-                .collect();
-            *loc.stealers.write() = deques.iter().map(|d| d.stealer()).collect();
-            for (wi, deque) in deques.into_iter().enumerate() {
+        for (li, rings) in rings.into_iter().enumerate() {
+            for (wi, ring) in rings.into_iter().enumerate() {
                 let rt = inner.clone();
                 joins.push(
                     std::thread::Builder::new()
                         .name(format!("px-L{li}-w{wi}"))
-                        .spawn(move || crate::sched::worker_main(rt, li, wi, deque))
+                        .spawn(move || crate::sched::worker_main(rt, li, wi, ring))
                         .expect("spawn worker"),
                 );
             }
@@ -714,7 +713,14 @@ impl Runtime {
                 .inner
                 .localities
                 .iter()
-                .map(|l| l.counters.snapshot())
+                .map(|l| {
+                    // Searching is counted by the workers; parked time
+                    // is read off the sleep clocks, so a worker that is
+                    // starved for the whole run still shows as idle.
+                    let mut s = l.counters.snapshot();
+                    s.idle_ns += l.sleep.parked_ns();
+                    s
+                })
                 .collect(),
             migrations_manual,
             migrations_balancer,
@@ -958,9 +964,11 @@ impl Runtime {
         }
         let joins = self.joins.lock().take();
         if let Some(joins) = joins {
-            self.inner.shutdown.store(true, Ordering::Release);
+            // SeqCst, then notify: a worker either is found announced by
+            // `notify_all` or reads the flag at its own re-check.
+            self.inner.shutdown.store(true, Ordering::SeqCst);
             for loc in self.inner.localities.iter() {
-                loc.sleep.wake_all();
+                loc.sleep.notify_all();
             }
             for j in joins {
                 let _ = j.join();
@@ -1286,7 +1294,7 @@ impl Drop for Runtime {
 pub struct Ctx<'a> {
     rt: &'a Arc<RuntimeInner>,
     loc: &'a Arc<Locality>,
-    local: Option<&'a WorkerDeque<Task>>,
+    local: &'a Local<Task>,
     pub(crate) process: Option<Gid>,
     pub(crate) trace: Option<u64>,
 }
@@ -1295,7 +1303,7 @@ impl<'a> Ctx<'a> {
     pub(crate) fn new(
         rt: &'a Arc<RuntimeInner>,
         loc: &'a Arc<Locality>,
-        local: Option<&'a WorkerDeque<Task>>,
+        local: &'a Local<Task>,
         process: Option<Gid>,
         trace: Option<u64>,
     ) -> Self {
@@ -1352,7 +1360,7 @@ impl<'a> Ctx<'a> {
 
     // ---- spawning ----------------------------------------------------------
 
-    /// Spawn a PX-thread on this locality (LIFO on the local deque — the
+    /// Spawn a PX-thread on this locality (LIFO on the local ring — the
     /// cache-friendly fast path). Inherits the current process.
     ///
     /// When the balancer is on and this locality is overloaded, every
@@ -1386,13 +1394,9 @@ impl<'a> Ctx<'a> {
         if let Some(p) = self.process {
             self.rt.process_task_started(p, self.here());
         }
-        match self.local {
-            Some(deque) => {
-                deque.push(task);
-                self.loc.sleep.wake_one();
-            }
-            None => self.loc.push_task(task),
-        }
+        self.local.push(task, &self.loc.injector);
+        // A sibling may be parked while this worker fills its ring.
+        self.loc.sleep.notify_one();
     }
 
     /// Spawn a PX-thread at another locality (closure transfer paying

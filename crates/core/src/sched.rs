@@ -11,8 +11,9 @@
 //!
 //! A [`Task`] is one PX-thread activation: a fresh closure, a resumed
 //! depleted thread, or a parcel (decoded lazily on a worker). Workers pull
-//! from, in priority order: the staging buffer (on percolation-priority
-//! localities), their own deque, the locality injector, sibling deques
+//! from, in priority order: the control lane (when balancing is on), the
+//! staging buffer (on percolation-priority localities), their own ring,
+//! the locality injector, sibling rings
 //! (work stealing — *within* the locality only; cross-locality balancing is
 //! done with parcels, which is the model's point), and finally the staging
 //! buffer.
@@ -23,12 +24,12 @@ use crate::gid::{Gid, LocalityId};
 use crate::lco::{DepletedThread, LcoCore, Waiter};
 use crate::locality::Locality;
 use crate::parcel::{ContStep, Continuation, Parcel};
+use crate::queue::{Idle, Local};
 use crate::runtime::{Ctx, RuntimeInner};
 use crate::stats::bump;
-use crossbeam::deque::{Steal, Worker};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// System action identifiers. These dispatch inside the scheduler (no
 /// registry lookup) and use raw payload framing; user actions must not
@@ -125,10 +126,6 @@ pub mod sys {
 /// Maximum forward hops before a parcel is declared dead (covers races
 /// between migration and in-flight parcels; real losses are user bugs).
 const MAX_HOPS: u8 = 16;
-
-/// How long an idle worker sleeps before re-polling (bounds shutdown and
-/// racy-push latency; explicit wakes make the common case prompt).
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
 pub(crate) enum Work {
     /// Fresh PX-thread.
@@ -261,13 +258,22 @@ pub(crate) fn worker_main(
     rt: Arc<RuntimeInner>,
     loc_idx: usize,
     worker_idx: usize,
-    local: Worker<Task>,
+    local: Local<Task>,
 ) {
     let loc = rt.localities[loc_idx].clone();
     let mut search_started = Instant::now();
+    // Set when this worker went idle: the next task it finds ends a
+    // search, and the searcher passes the search on (below).
+    let mut was_idle = false;
     loop {
         match find_task(&loc, &local, worker_idx) {
             Some(task) => {
+                // Producers skip the wake while a worker spins, trusting
+                // it to find their task. It found one; if that was not
+                // all, the rest needs another pair of hands.
+                if std::mem::take(&mut was_idle) && loc.has_work() {
+                    loc.sleep.notify_one();
+                }
                 let found = Instant::now();
                 bump!(
                     loc.counters.idle_ns,
@@ -282,78 +288,72 @@ pub(crate) fn worker_main(
                 search_started = done;
             }
             None => {
-                if rt.shutdown.load(Ordering::Acquire) {
+                // SeqCst: the re-check inside `idle` must see a shutdown
+                // flag stored before `Runtime::shutdown` notified.
+                let stop = || rt.shutdown.load(Ordering::SeqCst);
+                if stop() {
                     return;
                 }
-                bump!(loc.counters.parks);
-                loc.sleep.park(PARK_TIMEOUT);
-                // Flush idle incrementally so starved workers (no further
-                // tasks before shutdown) still report their idle time.
-                let now = Instant::now();
-                bump!(
-                    loc.counters.idle_ns,
-                    now.duration_since(search_started).as_nanos() as u64
+                was_idle = true;
+                let parked = loc.sleep.idle(
+                    worker_idx,
+                    || loc.has_work() || stop(),
+                    || {
+                        bump!(loc.counters.parks);
+                        // The search ends here. The park is timed by
+                        // `sleep`, whose clock can be read while this
+                        // worker is still parked (a starved worker never
+                        // wakes to report it).
+                        bump!(
+                            loc.counters.idle_ns,
+                            search_started.elapsed().as_nanos() as u64
+                        );
+                    },
                 );
-                search_started = now;
+                if parked == Idle::Parked {
+                    search_started = Instant::now();
+                }
             }
         }
     }
 }
 
 /// Pull the next task according to the locality's queue discipline.
-fn find_task(loc: &Locality, local: &Worker<Task>, worker_idx: usize) -> Option<Task> {
+fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize) -> Option<Task> {
+    use crate::metrics::Instrument::{ControlLane, QueueWait};
     // Control plane first: balancer gossip must not starve behind the
     // data backlog it exists to measure. The queue exists only when
     // balancing is on, so the default discipline is untouched.
-    if let Some(b) = &loc.balance {
-        if let Steal::Success(t) = b.control.steal() {
-            return Some(dequeued(loc, crate::metrics::Instrument::ControlLane, t));
-        }
+    if let Some(t) = loc.balance.as_ref().and_then(|b| b.control.steal()) {
+        return Some(dequeued(loc, ControlLane, t));
     }
     // Precious-resource localities drain prestaged work first (§2.2
     // percolation: the staged queue is what keeps the expensive unit busy).
     if loc.staged_priority {
-        if let Steal::Success(t) = loc.staging.steal() {
-            return Some(dequeued(loc, crate::metrics::Instrument::QueueWait, t));
+        if let Some(t) = loc.staging.steal() {
+            return Some(dequeued(loc, QueueWait, t));
         }
     }
     if let Some(t) = local.pop() {
-        return Some(dequeued(loc, crate::metrics::Instrument::QueueWait, t));
+        return Some(dequeued(loc, QueueWait, t));
     }
     // Injector: batch-steal amortizes queue contention.
-    loop {
-        match loc.injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => {
-                return Some(dequeued(loc, crate::metrics::Instrument::QueueWait, t))
-            }
-            Steal::Empty => break,
-            Steal::Retry => continue,
+    if let Some(t) = loc.injector.steal_batch_and_pop(local) {
+        return Some(dequeued(loc, QueueWait, t));
+    }
+    // Steal from siblings within the locality, starting after our own
+    // index so victims rotate.
+    let n = loc.stealers.len();
+    for k in 1..n {
+        if let Some(t) = loc.stealers[(worker_idx + k) % n].steal() {
+            bump!(loc.counters.steals);
+            return Some(dequeued(loc, QueueWait, t));
         }
     }
-    // Steal from siblings within the locality.
-    let stealers = loc.stealers.read();
-    let n = stealers.len();
-    if n > 1 {
-        // Start after our own index so victims rotate.
-        for k in 1..n {
-            let victim = (worker_idx + k) % n;
-            loop {
-                match stealers[victim].steal() {
-                    Steal::Success(t) => {
-                        bump!(loc.counters.steals);
-                        return Some(dequeued(loc, crate::metrics::Instrument::QueueWait, t));
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-    }
-    drop(stealers);
     // Staging last for ordinary localities.
     if !loc.staged_priority {
-        if let Steal::Success(t) = loc.staging.steal() {
-            return Some(dequeued(loc, crate::metrics::Instrument::QueueWait, t));
+        if let Some(t) = loc.staging.steal() {
+            return Some(dequeued(loc, QueueWait, t));
         }
     }
     None
@@ -373,7 +373,7 @@ fn dequeued(loc: &Locality, inst: crate::metrics::Instrument, mut t: Task) -> Ta
 pub(crate) fn execute(
     rt: &Arc<RuntimeInner>,
     loc: &Arc<Locality>,
-    local: &Worker<Task>,
+    local: &Local<Task>,
     task: Task,
 ) {
     let process = task.process;
@@ -399,7 +399,7 @@ pub(crate) fn execute(
     }
     match task.work {
         Work::Thread(f) => {
-            let mut ctx = Ctx::new(rt, loc, Some(local), process, trace);
+            let mut ctx = Ctx::new(rt, loc, local, process, trace);
             // A closure thread has no continuation to notify; the panic
             // counter and dead-letter hook are its only observers.
             if let Err(msg) = run_guarded(loc, || f(&mut ctx)) {
@@ -408,7 +408,7 @@ pub(crate) fn execute(
             bump!(loc.counters.threads_executed);
         }
         Work::Resume(f, v) => {
-            let mut ctx = Ctx::new(rt, loc, Some(local), process, trace);
+            let mut ctx = Ctx::new(rt, loc, local, process, trace);
             if let Err(msg) = run_guarded(loc, || f(&mut ctx, v)) {
                 report_thread_panic(rt, loc, msg);
             }
@@ -479,12 +479,7 @@ pub(crate) fn execute(
 /// Decode and run one wire-delivered parcel record. Wire deliveries carry
 /// the process tag inside the parcel (`Task::process` is `None`); the
 /// completion is accounted here.
-fn run_wire_parcel(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    local: &Worker<Task>,
-    bytes: &[u8],
-) {
+fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, bytes: &[u8]) {
     match Parcel::decode(bytes) {
         Ok(p) => {
             let proc_gid = p.process;
@@ -590,7 +585,7 @@ pub(crate) fn kill_parcel(
 
 /// Execute a parcel: ownership check (with forwarding), then system or
 /// registry dispatch, then continuation application.
-fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Worker<Task>, p: Parcel) {
+fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, p: Parcel) {
     bump!(loc.counters.parcels_recv);
     loc.trace_event(
         p.trace,
@@ -689,7 +684,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Worker<Task>,
     // User action via the registry.
     match rt.registry.get(a) {
         Ok(handler) => {
-            let mut ctx = Ctx::new(rt, loc, Some(local), p.process, p.trace);
+            let mut ctx = Ctx::new(rt, loc, local, p.process, p.trace);
             let handler = handler.clone();
             let exec_start = loc.metrics_now();
             let result = run_guarded(loc, || handler(&mut ctx, p.dest, p.payload.bytes()));
@@ -1671,6 +1666,7 @@ impl RuntimeInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn sys_ids_distinct() {

@@ -112,6 +112,9 @@ fn dist_child_entry() {
     let Ok(mode) = std::env::var("PX_DIST_MODE") else {
         return;
     };
+    if mode == "thread-count" {
+        return count_threads_as_rank_zero();
+    }
     let addrs: Vec<String> = std::env::var("PX_DIST_ADDRS")
         .expect("child needs PX_DIST_ADDRS")
         .split(',')
@@ -315,8 +318,24 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 /// OS processes: this rank's thread count is **flat** as the mesh grows
 /// from 1 peer to 7 — the transport always runs exactly one I/O thread,
 /// never a thread (pair) per peer.
+///
+/// `/proc/self/task` is process-wide and sibling tests in this binary
+/// run TCP runtimes of their own, so rank 0 of the measured meshes is a
+/// child too (`dist_child_entry` in `thread-count` mode): a process that
+/// runs nothing else.
 #[test]
 fn thread_count_stays_flat_from_one_peer_to_seven() {
+    let mut child = spawn_child_at("thread-count", &[], 0);
+    drop(child.stdin.take());
+    assert!(
+        child.wait().unwrap().success(),
+        "thread count check failed in the child (its panic is on stderr)"
+    );
+}
+
+/// Body of the `thread-count` child: rank 0 of a 2-rank and then an
+/// 8-rank mesh, counting its own threads with every connection live.
+fn count_threads_as_rank_zero() {
     fn total_threads() -> usize {
         std::fs::read_dir("/proc/self/task")
             .expect("linux procfs")
