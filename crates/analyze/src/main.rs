@@ -25,7 +25,7 @@ fn main() -> ExitCode {
                     "px-analyze [--workspace] [--root <dir>]\n\
                      Checks the workspace against the parallex invariant rules\n\
                      (lock-order, unsafe-hygiene, atomic-ordering, no-silent-loss,\n\
-                     wire-stats, guard-unwrap, allow-syntax); see crates/analyze."
+                     guard-unwrap, allow-syntax); see crates/analyze."
                 );
                 return ExitCode::SUCCESS;
             }

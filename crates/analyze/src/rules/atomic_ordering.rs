@@ -60,15 +60,36 @@ const EXTRA_COUNTERS: &[&str] = &[
     "spawn_seq",
 ];
 
-/// Collect the allowlist: every field declared `: AtomicU64`/`AtomicUsize`
-/// inside a `struct` whose name ends in `Counters`, across all files.
+/// Collect the allowlist, across all files: every field declared
+/// `: AtomicU64`/`AtomicUsize` inside a `struct` whose name ends in
+/// `Counters`, and every row of a `counters! { … }` table (px-core's
+/// `stats.rs` generates `LocalityCounters` from one, so the field names
+/// exist only as its rows).
 fn counter_fields(ctxs: &[FileCtx]) -> HashSet<String> {
     let mut out: HashSet<String> = EXTRA_COUNTERS.iter().map(|s| s.to_string()).collect();
     for ctx in ctxs {
         let toks = &ctx.toks;
         let mut i = 0usize;
         while i < toks.len() {
-            if toks[i].is_ident("struct") {
+            if toks[i].is_ident("counters") {
+                // `counters ! { row, row, … }` — the invocation, not the
+                // `macro_rules! counters` definition (no `!` after it).
+                let bang = next_sig(toks, i + 1).filter(|&b| toks[b].is_punct('!'));
+                let open = bang
+                    .and_then(|b| next_sig(toks, b + 1))
+                    .filter(|&o| toks[o].is_punct('{'));
+                if let Some(open) = open {
+                    let close = matching_brace(toks, open);
+                    for j in open + 1..close {
+                        if toks[j].kind == crate::lexer::TokKind::Ident
+                            && next_sig(toks, j + 1).is_some_and(|n| toks[n].is_punct(','))
+                        {
+                            out.insert(toks[j].text.clone());
+                        }
+                    }
+                    i = close;
+                }
+            } else if toks[i].is_ident("struct") {
                 if let Some(n) = next_sig(toks, i + 1) {
                     if toks[n].kind == crate::lexer::TokKind::Ident
                         && toks[n].text.ends_with("Counters")
@@ -409,6 +430,25 @@ mod tests {
 struct FooCounters { pub parcels_sent: AtomicU64 }
 fn f(c: &FooCounters) { c.parcels_sent.fetch_add(1, Ordering::Relaxed); }";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn counters_table_rows_allowlisted() {
+        let src = "\
+macro_rules! counters { ($($name:ident,)*) => { struct C { $($name: AtomicU64,)* } }; }
+counters! {
+    /// Times a worker went to sleep.
+    parks,
+    steals,
+}
+fn f(c: &C, other: &AtomicU64) {
+    c.parks.load(Ordering::Relaxed);
+    c.steals.fetch_add(1, Ordering::Relaxed);
+    other.load(Ordering::Relaxed);
+}";
+        let found = run(src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("other.load"));
     }
 
     #[test]

@@ -9,4 +9,3 @@ pub mod guard_unwrap;
 pub mod lock_order;
 pub mod silent_loss;
 pub mod unsafe_hygiene;
-pub mod wire_stats;

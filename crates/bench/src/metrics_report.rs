@@ -1,12 +1,5 @@
 //! `--metrics` reporting: percentile tables, BENCH JSON rows, and the
 //! exposition-format checker the CI smoke leg runs.
-//!
-//! The row builder spells out every [`Instrument`] variant explicitly
-//! (no `Instrument::ALL` loop) on purpose: the px-analyze `wire-stats`
-//! rule cross-checks this function and px-core's `render_instruments`
-//! against the `Instrument` enum, so adding an instrument without
-//! carrying it into the bench artifacts fails `cargo run -p px-analyze`
-//! instead of silently dropping the new histogram from `BENCH_*.json`.
 
 use crate::table::print_table;
 use px_core::prelude::{Instrument, MetricsSnapshot};
@@ -31,31 +24,23 @@ pub struct MetricsRow {
     pub p999_ns: u64,
 }
 
-fn row(snap: &MetricsSnapshot, inst: Instrument) -> MetricsRow {
-    let h = snap.get(inst);
-    MetricsRow {
-        instrument: inst.name().to_string(),
-        count: h.count,
-        mean_ns: h.mean_ns(),
-        p50_ns: h.quantile(0.50),
-        p90_ns: h.quantile(0.90),
-        p99_ns: h.quantile(0.99),
-        p999_ns: h.quantile(0.999),
-    }
-}
-
-/// One row per instrument, in registry order. Explicit variant list —
-/// see the module docs for why this is not a loop over `Instrument::ALL`.
+/// One row per instrument, in registry order.
 pub fn metrics_rows(snap: &MetricsSnapshot) -> Vec<MetricsRow> {
-    vec![
-        row(snap, Instrument::QueueWait),
-        row(snap, Instrument::ExecuteUser),
-        row(snap, Instrument::ExecuteSys),
-        row(snap, Instrument::SpawnResolve),
-        row(snap, Instrument::NetRtt),
-        row(snap, Instrument::ControlLane),
-        row(snap, Instrument::DirLookup),
-    ]
+    Instrument::ALL
+        .iter()
+        .map(|&inst| {
+            let h = snap.get(inst);
+            MetricsRow {
+                instrument: inst.name().to_string(),
+                count: h.count,
+                mean_ns: h.mean_ns(),
+                p50_ns: h.quantile(0.50),
+                p90_ns: h.quantile(0.90),
+                p99_ns: h.quantile(0.99),
+                p999_ns: h.quantile(0.999),
+            }
+        })
+        .collect()
 }
 
 /// Print the percentile table for one runtime's (or a merged cluster's)

@@ -3,81 +3,102 @@
 
 use crate::action::ActionId;
 use crate::gid::Gid;
+use crate::stats::{bump, LocalityCounters, LocalityStats};
 use std::fmt;
 
 /// Result alias for runtime operations.
 pub type PxResult<T> = Result<T, PxError>;
 
-/// Why a parcel (or an LCO it was feeding) died. The kill paths of the
-/// scheduler, mirrored one-to-one by the by-cause dead-parcel counters
-/// in [`crate::stats::LocalityStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultCause {
+/// The one definition of the fault causes. Each row — variant, stable
+/// wire code (see [`px_wire::WireFault::cause`]), `Display` text, by-cause
+/// death counter — expands to the [`FaultCause`] enum, `ALL`, `code`,
+/// `from_code`, `Display`, `LocalityCounters::count_death` and
+/// [`LocalityStats::deaths_by_cause_total`]: a new kill path is one row
+/// here plus its counter's row in the `counters!` table.
+macro_rules! fault_causes {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal, $text:literal, $counter:ident;)*) => {
+        /// Why a parcel (or an LCO it was feeding) died. The kill paths of
+        /// the scheduler, mirrored one-to-one by the by-cause dead-parcel
+        /// counters in [`LocalityStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FaultCause {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl FaultCause {
+            /// Every cause, in wire-code order.
+            pub const ALL: [FaultCause; [$($code),*].len()] = [$(FaultCause::$variant),*];
+
+            /// Stable wire code (see [`px_wire::WireFault::cause`]).
+            pub fn code(self) -> u8 {
+                match self {
+                    $(FaultCause::$variant => $code,)*
+                }
+            }
+
+            /// Decode a wire code; unknown codes (newer peer) map to
+            /// [`FaultCause::HandlerError`], the most generic cause.
+            pub fn from_code(code: u8) -> FaultCause {
+                match code {
+                    $($code => FaultCause::$variant,)*
+                    _ => FaultCause::HandlerError,
+                }
+            }
+        }
+
+        impl fmt::Display for FaultCause {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $(FaultCause::$variant => $text,)*
+                })
+            }
+        }
+
+        impl LocalityCounters {
+            /// Count `n` parcel deaths: the total plus the by-cause
+            /// counter (mirroring the AGAS migrations-by-cause breakdown).
+            pub(crate) fn count_death(&self, cause: FaultCause, n: u64) {
+                bump!(self.dead_parcels, n);
+                match cause {
+                    $(FaultCause::$variant => bump!(self.$counter, n),)*
+                }
+            }
+        }
+
+        impl LocalityStats {
+            /// Parcel deaths summed over the by-cause counters. Always
+            /// equals [`LocalityStats::dead_parcels`] (the invariant
+            /// tested in the fault integration suite).
+            pub fn deaths_by_cause_total(&self) -> u64 {
+                0 $(+ self.$counter)*
+            }
+        }
+    };
+}
+
+fault_causes! {
     /// The forwarding/retry hop budget was exhausted chasing a migrating
     /// or freed object.
-    HopCap,
+    HopCap = 0, "hop-cap exhausted", dead_hop_cap;
     /// The parcel named an action absent from the registry.
-    UnknownAction,
+    UnknownAction = 1, "unknown action", dead_unknown_action;
     /// The action handler (user or system) returned an error — including
     /// LCO protocol violations such as double-triggering a future.
-    HandlerError,
+    HandlerError = 2, "handler error", dead_handler_error;
     /// The action handler panicked (the worker survived; the panic
     /// message rides in the fault).
-    Panic,
+    Panic = 3, "panicked action", dead_panic;
     /// The parcel payload (or frame record) could not be decoded.
-    Decode,
+    Decode = 4, "undecodable payload", dead_decode;
     /// The parcel's owning parallel process was cancelled: the parcel was
     /// killed at dispatch (or an LCO it fed was poisoned) by
     /// [`crate::process::ProcessRef::cancel`].
-    Cancelled,
+    Cancelled = 5, "process cancelled", dead_cancelled;
     /// The transport could not deliver: the peer's connection dropped (or
     /// a closure task was addressed to a locality owned by another OS
     /// process). Raised by the TCP backend so waiters on the lost work
     /// resolve instead of hanging.
-    Transport,
-}
-
-impl FaultCause {
-    /// Stable wire code (see [`px_wire::WireFault::cause`]).
-    pub fn code(self) -> u8 {
-        match self {
-            FaultCause::HopCap => 0,
-            FaultCause::UnknownAction => 1,
-            FaultCause::HandlerError => 2,
-            FaultCause::Panic => 3,
-            FaultCause::Decode => 4,
-            FaultCause::Cancelled => 5,
-            FaultCause::Transport => 6,
-        }
-    }
-
-    /// Decode a wire code; unknown codes (newer peer) map to
-    /// [`FaultCause::HandlerError`], the most generic cause.
-    pub fn from_code(code: u8) -> FaultCause {
-        match code {
-            0 => FaultCause::HopCap,
-            1 => FaultCause::UnknownAction,
-            3 => FaultCause::Panic,
-            4 => FaultCause::Decode,
-            5 => FaultCause::Cancelled,
-            6 => FaultCause::Transport,
-            _ => FaultCause::HandlerError,
-        }
-    }
-}
-
-impl fmt::Display for FaultCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FaultCause::HopCap => "hop-cap exhausted",
-            FaultCause::UnknownAction => "unknown action",
-            FaultCause::HandlerError => "handler error",
-            FaultCause::Panic => "panicked action",
-            FaultCause::Decode => "undecodable payload",
-            FaultCause::Cancelled => "process cancelled",
-            FaultCause::Transport => "transport failure",
-        })
-    }
+    Transport = 6, "transport failure", dead_transport;
 }
 
 /// A first-class failure value: created where a parcel dies, delivered
@@ -214,5 +235,40 @@ impl std::error::Error for PxError {}
 impl From<px_wire::WireError> for PxError {
     fn from(e: px_wire::WireError) -> Self {
         PxError::Wire(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_codes_are_distinct_and_round_trip() {
+        let codes: std::collections::HashSet<u8> =
+            FaultCause::ALL.iter().map(|c| c.code()).collect();
+        assert_eq!(codes.len(), FaultCause::ALL.len());
+        for c in FaultCause::ALL {
+            assert_eq!(FaultCause::from_code(c.code()), c);
+            assert!(!c.to_string().is_empty());
+        }
+        // A code from a newer peer degrades to the most generic cause.
+        assert_eq!(FaultCause::from_code(u8::MAX), FaultCause::HandlerError);
+    }
+
+    #[test]
+    fn every_cause_has_its_own_death_counter() {
+        let c = LocalityCounters::default();
+        for (i, cause) in FaultCause::ALL.into_iter().enumerate() {
+            let before = c.snapshot();
+            c.count_death(cause, i as u64 + 1);
+            let d = c.snapshot().delta_from(&before);
+            // Exactly two counters move: the total and one by-cause row.
+            let mut moved = 0;
+            d.for_each(|_, v| moved += u32::from(v != 0));
+            assert_eq!(moved, 2, "{cause}");
+            assert_eq!(d.dead_parcels, i as u64 + 1);
+            // Two causes sharing a counter would be summed twice here.
+            assert_eq!(d.deaths_by_cause_total(), d.dead_parcels);
+        }
     }
 }

@@ -354,11 +354,17 @@ impl Locality {
         self.store.read().len()
     }
 
+    /// Create an LCO here: `build` receives the fresh GID and returns
+    /// the core to store under it.
+    pub(crate) fn new_lco(&self, build: impl FnOnce(Gid) -> LcoCore) -> Gid {
+        self.insert(GidKind::Lco, |gid| {
+            Stored::Lco(Arc::new(Mutex::new(build(gid))))
+        })
+    }
+
     /// Create a future LCO here.
     pub fn new_future_lco(&self) -> Gid {
-        self.insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_future(gid))))
-        })
+        self.new_lco(LcoCore::new_future)
     }
 
     /// Look up an LCO, with kind checking.

@@ -60,75 +60,65 @@ pub fn bucket_bound(idx: usize) -> u64 {
     lower.saturating_add(width - 1)
 }
 
-/// One runtime phase whose latency distribution is recorded. The
-/// registry is fixed at compile time: adding an instrument means adding a
-/// variant here, a line in the exposition renderer, and a row in the
-/// bench emitter — the px-analyze `wire-stats` rule fails the build if
-/// the last two are forgotten.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instrument {
-    /// Parcel/task wait in a run queue: enqueue → dequeue by a worker.
-    QueueWait,
-    /// Registered (user) action handler execution time.
-    ExecuteUser,
-    /// System action (`__sys/*`) execution time.
-    ExecuteSys,
-    /// LCO lifetime to resolution: creation → fire (the
-    /// spawn→continuation-resolution latency of a split-phase request).
-    SpawnResolve,
-    /// Transport submit → drain onto the wire (TCP send-queue residence;
-    /// delay-line residence in-process). Local clock only.
-    NetRtt,
-    /// Control-lane delivery: control-queue push → priority drain.
-    ControlLane,
-    /// Remote directory lookup: `__sys/dir_lookup` request sent → owner
-    /// resolved at the asking rank. Local clock only.
-    DirLookup,
+/// The one definition of the instrument registry. Each row — variant,
+/// exposition name, help line — expands to the [`Instrument`] enum,
+/// `ALL`, `name` and `help`; the exposition page, the cluster merge and
+/// the bench rows all loop over `ALL`, so adding an instrument is adding
+/// a row here and a `record` where the phase ends.
+macro_rules! instruments {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $help:literal;)*) => {
+        /// One runtime phase whose latency distribution is recorded. The
+        /// registry is fixed at compile time.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Instrument {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Instrument {
+            /// Every instrument, in registry order.
+            pub const ALL: [Instrument; [$($name),*].len()] = [$(Instrument::$variant),*];
+
+            /// Registry slot of this instrument.
+            #[inline]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Exposition metric name (nanosecond-valued histogram).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Instrument::$variant => $name,)*
+                }
+            }
+
+            /// One-line help text for the exposition page.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $(Instrument::$variant => $help,)*
+                }
+            }
+        }
+    };
 }
 
-impl Instrument {
-    /// Every instrument, in registry order.
-    pub const ALL: [Instrument; 7] = [
-        Instrument::QueueWait,
-        Instrument::ExecuteUser,
-        Instrument::ExecuteSys,
-        Instrument::SpawnResolve,
-        Instrument::NetRtt,
-        Instrument::ControlLane,
-        Instrument::DirLookup,
-    ];
-
-    /// Registry slot of this instrument.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Exposition metric name (nanosecond-valued histogram).
-    pub fn name(self) -> &'static str {
-        match self {
-            Instrument::QueueWait => "px_queue_wait_ns",
-            Instrument::ExecuteUser => "px_execute_user_ns",
-            Instrument::ExecuteSys => "px_execute_sys_ns",
-            Instrument::SpawnResolve => "px_spawn_resolve_ns",
-            Instrument::NetRtt => "px_net_rtt_ns",
-            Instrument::ControlLane => "px_control_lane_ns",
-            Instrument::DirLookup => "px_dir_lookup_ns",
-        }
-    }
-
-    /// One-line help text for the exposition page.
-    pub fn help(self) -> &'static str {
-        match self {
-            Instrument::QueueWait => "parcel/task wait in a run queue, enqueue to dequeue",
-            Instrument::ExecuteUser => "registered action handler execution time",
-            Instrument::ExecuteSys => "system action execution time",
-            Instrument::SpawnResolve => "LCO creation to resolution (spawn to continuation)",
-            Instrument::NetRtt => "transport submit to wire drain",
-            Instrument::ControlLane => "control-lane delivery, push to priority drain",
-            Instrument::DirLookup => "remote directory lookup, request to owner resolution",
-        }
-    }
+instruments! {
+    /// Parcel/task wait in a run queue: enqueue → dequeue by a worker.
+    QueueWait = "px_queue_wait_ns", "parcel/task wait in a run queue, enqueue to dequeue";
+    /// Registered (user) action handler execution time.
+    ExecuteUser = "px_execute_user_ns", "registered action handler execution time";
+    /// System action (`__sys/*`) execution time.
+    ExecuteSys = "px_execute_sys_ns", "system action execution time";
+    /// LCO lifetime to resolution: creation → fire (the
+    /// spawn→continuation-resolution latency of a split-phase request).
+    SpawnResolve = "px_spawn_resolve_ns", "LCO creation to resolution (spawn to continuation)";
+    /// Transport submit → drain onto the wire (TCP send-queue residence;
+    /// delay-line residence in-process). Local clock only.
+    NetRtt = "px_net_rtt_ns", "transport submit to wire drain";
+    /// Control-lane delivery: control-queue push → priority drain.
+    ControlLane = "px_control_lane_ns", "control-lane delivery, push to priority drain";
+    /// Remote directory lookup: `__sys/dir_lookup` request sent → owner
+    /// resolved at the asking rank. Local clock only.
+    DirLookup = "px_dir_lookup_ns", "remote directory lookup, request to owner resolution";
 }
 
 /// One lock-free histogram: dense atomic cells plus count/sum totals.
@@ -416,19 +406,9 @@ fn render_histogram(name: &str, help: &str, h: &HistogramSnapshot, out: &mut Str
     }
 }
 
-/// Render every instrument into `out`. Instruments are listed explicitly
-/// — not via [`Instrument::ALL`] — so the px-analyze `wire-stats` rule
-/// can verify each registry entry reaches the exposition page.
+/// Render every instrument into `out`, in registry order.
 pub fn render_instruments(snap: &MetricsSnapshot, out: &mut String) {
-    for inst in [
-        Instrument::QueueWait,
-        Instrument::ExecuteUser,
-        Instrument::ExecuteSys,
-        Instrument::SpawnResolve,
-        Instrument::NetRtt,
-        Instrument::ControlLane,
-        Instrument::DirLookup,
-    ] {
+    for inst in Instrument::ALL {
         render_histogram(inst.name(), inst.help(), snap.get(inst), out);
     }
 }

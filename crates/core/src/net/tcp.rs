@@ -301,12 +301,13 @@ impl TcpShared {
                 // mistake is visible instead of a silent hang.
                 self.own().counters.count_death(FaultCause::Transport, 1);
                 if let Some(rt) = self.rt() {
-                    rt.notify_dead_letter(&Fault::new(
+                    let fault = Fault::new(
                         FaultCause::Transport,
                         ActionId(0),
                         Gid::locality_root(dest),
                         "closure task cannot cross an OS-process boundary; use action parcels",
-                    ));
+                    );
+                    rt.notify_dead_letter(&fault, None);
                 }
             }
             WireMsg::Parcel {
@@ -433,12 +434,13 @@ impl TcpShared {
                 u64::from(peer),
             );
             if let Some(rt) = self.rt() {
-                rt.notify_dead_letter(&Fault::new(
+                let fault = Fault::new(
                     FaultCause::Transport,
                     ActionId(0),
                     Gid::locality_root(LocalityId(peer)),
                     format!("peer locality {peer} unreachable: {why}"),
-                ));
+                );
+                rt.notify_dead_letter(&fault, None);
             }
         }
         drained

@@ -494,11 +494,9 @@ impl ProcessRef {
         let home = self.gid.birthplace();
         let seed = Value::encode(seed)?;
         let n = locs.len() as u64;
-        let red = inner.locality(home).insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(parking_lot::Mutex::new(LcoCore::new_reduce(
-                gid, n, seed, fold,
-            ))))
-        });
+        let red = inner
+            .locality(home)
+            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
         if me.note_owned_lco(red).is_none() {
             // Cancelled while we were setting up: poison the fresh
             // reduction so the caller's waiters resolve.
@@ -560,7 +558,7 @@ fn finish_root_inner(rt: &Arc<RuntimeInner>, gid: Gid) {
 fn reject_if_cancelled(rt: &Arc<RuntimeInner>, gid: Gid, dest: LocalityId) -> bool {
     if let Some(fault) = rt.process_cancel_fault(gid) {
         bump!(rt.locality(dest).counters.tasks_cancelled);
-        rt.notify_dead_letter(&fault);
+        rt.notify_dead_letter(&fault, None);
         return true;
     }
     false
@@ -693,7 +691,7 @@ pub(crate) fn cancel_process(rt: &Arc<RuntimeInner>, gid: Gid) {
         gid.0,
         0,
     );
-    rt.notify_dead_letter(&fault);
+    rt.notify_dead_letter(&fault, None);
     // 1. Poison the done-future first: `wait` and `done_future` waiters
     //    resolve immediately, before the subtree teardown begins.
     poison_lco(rt, p.done, &fault);

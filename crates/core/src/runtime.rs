@@ -174,12 +174,6 @@ impl Config {
         self
     }
 
-    /// Full control over the transport backend (builder style).
-    pub fn with_transport(mut self, transport: TransportKind) -> Config {
-        self.transport = transport;
-        self
-    }
-
     /// True when this configuration spans multiple OS processes.
     pub fn is_distributed(&self) -> bool {
         matches!(self.transport, TransportKind::Tcp(_))
@@ -207,24 +201,6 @@ impl Config {
         self.balance
             .get_or_insert_with(BalanceConfig::adaptive)
             .gossip_interval = interval;
-        self
-    }
-
-    /// Set the shed overload ratio (builder style; enables the adaptive
-    /// balancer if off, like [`Config::with_gossip_interval`]).
-    pub fn with_shed_ratio(mut self, ratio: f64) -> Config {
-        self.balance
-            .get_or_insert_with(BalanceConfig::adaptive)
-            .shed_ratio = ratio;
-        self
-    }
-
-    /// Set the per-round heat threshold for balancer migrations (builder
-    /// style; enables the adaptive balancer if off).
-    pub fn with_heat_threshold(mut self, accesses_per_round: u64) -> Config {
-        self.balance
-            .get_or_insert_with(BalanceConfig::adaptive)
-            .heat_threshold = accesses_per_round;
         self
     }
 
@@ -412,23 +388,12 @@ impl RuntimeInner {
         &self.localities[id.0 as usize]
     }
 
-    /// Report a fault to the dead-letter hook, if one is registered.
-    #[inline]
-    pub(crate) fn notify_dead_letter(&self, fault: &Fault) {
-        if let Some(hook) = &self.dead_letter {
-            hook(fault);
-        }
-        if let Some(hook) = &self.dead_letter_traced {
-            hook(fault, &crate::trace::TraceDump::default());
-        }
-    }
-
-    /// Report a fault raised by a *traced* parcel: the plain hook sees
-    /// the fault as usual; the traced hook additionally receives the
-    /// trace's captured event slice (what `trace_dump_for` would return
-    /// at this instant). Falls back to [`RuntimeInner::notify_dead_letter`]
-    /// when no trace id is attached.
-    pub(crate) fn notify_dead_letter_traced(&self, fault: &Fault, trace: Option<u64>) {
+    /// Report a fault to the dead-letter hooks, if any are registered.
+    /// `trace` is the dying parcel's trace id, when it had one: the
+    /// traced hook then also receives the trace's captured event slice
+    /// (what `trace_dump_for` would return at this instant), and an
+    /// empty dump otherwise.
+    pub(crate) fn notify_dead_letter(&self, fault: &Fault, trace: Option<u64>) {
         if let Some(hook) = &self.dead_letter {
             hook(fault);
         }
@@ -466,6 +431,43 @@ impl RuntimeInner {
             }
         }
         merged
+    }
+
+    /// Block the calling (driver, never worker) thread until LCO `gid`
+    /// resolves, for at most `timeout` when one is given. `Ok(None)` is
+    /// the timeout; a poisoned LCO surfaces as [`PxError::Fault`].
+    pub(crate) fn wait_lco(
+        self: &Arc<Self>,
+        gid: Gid,
+        timeout: Option<Duration>,
+    ) -> PxResult<Option<Value>> {
+        let loc = self.locality(gid.birthplace());
+        let lco = loc.get_lco(gid)?;
+        let slot = Arc::new(ExtSlot::default());
+        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
+        self.schedule_activations(loc, acts, None);
+        match timeout {
+            None => slot.wait().map(Some),
+            Some(t) => slot.wait_timeout(t),
+        }
+    }
+
+    /// [`RuntimeInner::wait_lco`] on the reply future of a driver-side
+    /// RPC, which nothing else references: once the reply (value or
+    /// fault) has been taken the future is freed, so a driver looping
+    /// over `read_data` does not grow its locality's store. On a timeout
+    /// it stays, so a late reply still finds its target instead of dying
+    /// as `NoSuchObject`.
+    pub(crate) fn take_reply(
+        self: &Arc<Self>,
+        fut: Gid,
+        timeout: Option<Duration>,
+    ) -> PxResult<Option<Value>> {
+        let reply = self.wait_lco(fut, timeout);
+        if !matches!(reply, Ok(None)) {
+            self.locality(fut.birthplace()).remove(fut);
+        }
+        reply
     }
 
     /// True when locality `id`'s workers run in this OS process.
@@ -764,8 +766,18 @@ impl Runtime {
         cont: Continuation,
         trace: u64,
     ) -> PxResult<()> {
+        self.send_action_inner::<A>(target, args, cont, Some(trace))
+    }
+
+    fn send_action_inner<A: Action>(
+        &self,
+        target: Gid,
+        args: A::Args,
+        cont: Continuation,
+        trace: Option<u64>,
+    ) -> PxResult<()> {
         let mut p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
-        p.trace = Some(trace);
+        p.trace = trace;
         self.inner.send_parcel(self.inner.origin, p);
         Ok(())
     }
@@ -824,28 +836,19 @@ impl Runtime {
                 if id == own {
                     continue;
                 }
-                let gid = self.inner.locality(own).new_future_lco();
+                let fut = self.inner.locality(own).new_future_lco();
                 let p = Parcel::new(
                     Gid::locality_root(id),
                     sys::METRICS_PULL,
                     Value::from_bytes(Vec::new()),
-                    Continuation::set(gid),
+                    Continuation::set(fut),
                 );
                 self.inner.send_parcel(own, p);
-                pending.push((id, gid));
+                pending.push((id, fut));
             }
-            for (id, gid) in pending {
-                let loc = self.inner.locality(own);
-                let lco = loc.get_lco(gid)?;
-                let slot = Arc::new(ExtSlot::default());
-                let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-                self.inner.schedule_activations(loc, acts);
-                let v = match timeout {
-                    None => slot.wait()?,
-                    Some(t) => match slot.wait_timeout(t)? {
-                        Some(v) => v,
-                        None => return Ok(None),
-                    },
+            for (id, fut) in pending {
+                let Some(v) = self.inner.take_reply(fut, timeout)? else {
+                    return Ok(None);
                 };
                 per_rank.push((id.0, crate::metrics::MetricsSnapshot::decode(v.bytes())?));
             }
@@ -879,56 +882,12 @@ impl Runtime {
         let stats = self.stats();
         let t = stats.total();
         let mut out = String::new();
-        // Counter totals. The `{{}}` renders as a literal empty label set
-        // so every line parses uniformly as `name{labels} value`.
-        macro_rules! counter {
-            ($field:ident) => {
-                let _ = writeln!(out, concat!("px_", stringify!($field), "{{}} {}"), t.$field);
-            };
-        }
-        counter!(parcels_sent);
-        counter!(parcels_recv);
-        counter!(parcels_forwarded);
-        counter!(bytes_sent);
-        counter!(threads_executed);
-        counter!(resumes);
-        counter!(steals);
-        counter!(parks);
-        counter!(busy_ns);
-        counter!(idle_ns);
-        counter!(lco_events);
-        counter!(staged_executed);
-        counter!(agas_cache_hits);
-        counter!(agas_cache_misses);
-        counter!(agas_directory_lookups);
-        counter!(frames_sent);
-        counter!(frames_recv);
-        counter!(coalesced_parcels);
-        counter!(batch_flush_full);
-        counter!(batch_flush_timer);
-        counter!(dead_parcels);
-        counter!(dead_hop_cap);
-        counter!(dead_unknown_action);
-        counter!(dead_handler_error);
-        counter!(dead_panic);
-        counter!(dead_decode);
-        counter!(dead_cancelled);
-        counter!(dead_transport);
-        counter!(tasks_cancelled);
-        counter!(panics);
-        counter!(gossip_rounds);
-        counter!(gossip_parcels);
-        counter!(tasks_shed);
-        counter!(balance_pulls);
-        counter!(chase_hops_total);
-        counter!(chased_parcels);
-        counter!(chase_cap_violations);
-        counter!(trace_events_recorded);
-        counter!(trace_events_dropped);
-        counter!(dir_lookups_local);
-        counter!(dir_lookups_remote);
-        counter!(dir_forwards);
-        counter!(dir_repairs);
+        // Counter totals, one line per `counters!` row. The `{{}}` renders
+        // as a literal empty label set so every line parses uniformly as
+        // `name{labels} value`.
+        t.for_each(|name, value| {
+            let _ = writeln!(out, "px_{name}{{}} {value}");
+        });
         let _ = writeln!(out, "px_migrations_manual{{}} {}", stats.migrations_manual);
         let _ = writeln!(
             out,
@@ -991,9 +950,7 @@ impl Runtime {
         args: A::Args,
         cont: Continuation,
     ) -> PxResult<()> {
-        let p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
-        self.inner.send_parcel(self.inner.origin, p);
-        Ok(())
+        self.send_action_inner::<A>(target, args, cont, None)
     }
 
     /// Run a closure inside a PX-thread at `dest` and block for its
@@ -1020,9 +977,9 @@ impl Runtime {
 
     /// Create an and-gate expecting `n` triggers at `loc`.
     pub fn new_and_gate(&self, loc: LocalityId, n: u64) -> Gid {
-        self.inner.locality(loc).insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_and_gate(gid, n))))
-        })
+        self.inner
+            .locality(loc)
+            .new_lco(|gid| LcoCore::new_and_gate(gid, n))
     }
 
     /// Create a reduction LCO at `loc` over `n` contributions.
@@ -1034,27 +991,25 @@ impl Runtime {
         fold: ReduceFn,
     ) -> PxResult<FutureRef<T>> {
         let seed = Value::encode(seed)?;
-        let gid = self.inner.locality(loc).insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_reduce(
-                gid, n, seed, fold,
-            ))))
-        });
+        let gid = self
+            .inner
+            .locality(loc)
+            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
         Ok(FutureRef::from_gid(gid))
     }
 
     /// Create a counting semaphore at `loc`.
     pub fn new_semaphore(&self, loc: LocalityId, permits: u64) -> Gid {
-        self.inner.locality(loc).insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_semaphore(gid, permits))))
-        })
+        self.inner
+            .locality(loc)
+            .new_lco(|gid| LcoCore::new_semaphore(gid, permits))
     }
 
     /// Trigger any LCO with an encoded value, routed like a parcel.
     pub fn trigger<T: Serialize>(&self, gid: Gid, value: &T) -> PxResult<()> {
         let v = Value::encode(value)?;
         let from = self.inner.locality(self.inner.origin);
-        self.inner
-            .lco_route_traced(from, gid, sys::LCO_SET, v, None);
+        self.inner.lco_route(from, gid, sys::LCO_SET, v, None);
         Ok(())
     }
 
@@ -1071,12 +1026,8 @@ impl Runtime {
     /// becomes) *poisoned* — a parcel feeding it died — this returns
     /// [`PxError::Fault`] instead of blocking forever.
     pub fn wait_value(&self, gid: Gid) -> PxResult<Value> {
-        let loc = self.inner.locality(gid.birthplace());
-        let lco = loc.get_lco(gid)?;
-        let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        slot.wait()
+        let v = self.inner.wait_lco(gid, None)?;
+        Ok(v.expect("an unbounded wait cannot time out"))
     }
 
     /// Block until a typed future fires. A poisoned future surfaces as
@@ -1092,13 +1043,7 @@ impl Runtime {
         fut: FutureRef<T>,
         timeout: Duration,
     ) -> PxResult<Option<T>> {
-        let gid = fut.gid();
-        let loc = self.inner.locality(gid.birthplace());
-        let lco = loc.get_lco(gid)?;
-        let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        match slot.wait_timeout(timeout)? {
+        match self.inner.wait_lco(fut.gid(), Some(timeout))? {
             Some(v) => Ok(Some(v.decode()?)),
             None => Ok(None),
         }
@@ -1156,8 +1101,7 @@ impl Runtime {
         payload: Vec<u8>,
     ) -> PxResult<Value> {
         let own = self.inner.origin;
-        let loc = self.inner.locality(own);
-        let fut = loc.new_future_lco();
+        let fut = self.inner.locality(own).new_future_lco();
         let mut p = Parcel::new(
             gid,
             action,
@@ -1166,11 +1110,8 @@ impl Runtime {
         );
         p.src = own;
         self.inner.send_parcel(own, p);
-        let lco = loc.get_lco(fut)?;
-        let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        slot.wait()
+        let v = self.inner.take_reply(fut, None)?;
+        Ok(v.expect("an unbounded wait cannot time out"))
     }
 
     /// Migrate a data object to `to`. In-process, the object is inserted
@@ -1423,7 +1364,7 @@ impl<'a> Ctx<'a> {
                 None => false,
                 Some(fault) => {
                     crate::stats::bump!(self.rt.locality(dest).counters.tasks_cancelled);
-                    self.rt.notify_dead_letter(&fault);
+                    self.rt.notify_dead_letter(&fault, None);
                     true
                 }
             },
@@ -1511,9 +1452,7 @@ impl<'a> Ctx<'a> {
     /// Create a local and-gate over `n` events (process-owned inside a
     /// process, like [`Ctx::new_future`]).
     pub fn new_and_gate(&mut self, n: u64) -> Gid {
-        let gid = self.loc.insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_and_gate(gid, n))))
-        });
+        let gid = self.loc.new_lco(|gid| LcoCore::new_and_gate(gid, n));
         self.own_lco(gid);
         gid
     }
@@ -1521,9 +1460,9 @@ impl<'a> Ctx<'a> {
     /// Create a local dataflow template with `n` slots (process-owned
     /// inside a process).
     pub fn new_dataflow(&mut self, n: usize, combine: CombineFn) -> Gid {
-        let gid = self.loc.insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_dataflow(gid, n, combine))))
-        });
+        let gid = self
+            .loc
+            .new_lco(|gid| LcoCore::new_dataflow(gid, n, combine));
         self.own_lco(gid);
         gid
     }
@@ -1536,11 +1475,9 @@ impl<'a> Ctx<'a> {
         fold: ReduceFn,
     ) -> PxResult<FutureRef<T>> {
         let seed = Value::encode(seed)?;
-        let gid = self.loc.insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_reduce(
-                gid, n, seed, fold,
-            ))))
-        });
+        let gid = self
+            .loc
+            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
         self.own_lco(gid);
         Ok(FutureRef::from_gid(gid))
     }
@@ -1548,9 +1485,7 @@ impl<'a> Ctx<'a> {
     /// Create a local counting semaphore (process-owned inside a
     /// process).
     pub fn new_semaphore(&mut self, permits: u64) -> Gid {
-        let gid = self.loc.insert(GidKind::Lco, |gid| {
-            Stored::Lco(Arc::new(Mutex::new(LcoCore::new_semaphore(gid, permits))))
-        });
+        let gid = self.loc.new_lco(|gid| LcoCore::new_semaphore(gid, permits));
         self.own_lco(gid);
         gid
     }
@@ -1561,14 +1496,14 @@ impl<'a> Ctx<'a> {
     pub fn trigger<T: Serialize>(&mut self, gid: Gid, value: &T) -> PxResult<()> {
         let v = Value::encode(value)?;
         self.rt
-            .lco_route_traced(self.loc, gid, sys::LCO_SET, v, self.trace);
+            .lco_route(self.loc, gid, sys::LCO_SET, v, self.trace);
         Ok(())
     }
 
     /// Trigger an LCO with an already-encoded value.
     pub fn trigger_value(&mut self, gid: Gid, value: Value) {
         self.rt
-            .lco_route_traced(self.loc, gid, sys::LCO_SET, value, self.trace);
+            .lco_route(self.loc, gid, sys::LCO_SET, value, self.trace);
     }
 
     /// Fill a typed future.
@@ -1607,7 +1542,7 @@ impl<'a> Ctx<'a> {
     pub fn contribute<T: Serialize>(&mut self, gid: Gid, value: &T) -> PxResult<()> {
         let v = Value::encode(value)?;
         self.rt
-            .lco_route_traced(self.loc, gid, sys::LCO_CONTRIBUTE, v, self.trace);
+            .lco_route(self.loc, gid, sys::LCO_CONTRIBUTE, v, self.trace);
         Ok(())
     }
 
@@ -1642,8 +1577,7 @@ impl<'a> Ctx<'a> {
                         }
                     },
                 )));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
+                self.rt.schedule_activations(self.loc, acts, self.trace);
             } else if let Some(trace) = self.trace {
                 // The suspended continuation belongs to this trace even
                 // though the eventual trigger may be untraced.
@@ -1653,12 +1587,10 @@ impl<'a> Ctx<'a> {
                         f(ctx, v);
                     },
                 )));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
+                self.rt.schedule_activations(self.loc, acts, self.trace);
             } else {
                 let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
+                self.rt.schedule_activations(self.loc, acts, self.trace);
             }
         } else {
             let proxy = self.loc.new_future_lco();
@@ -1716,12 +1648,15 @@ impl<'a> Ctx<'a> {
         ) {
             match v.fault() {
                 None => f(ctx),
-                Some(fault) => ctx.rt.notify_dead_letter(&Fault::new(
-                    fault.cause,
-                    fault.action,
-                    sem,
-                    format!("acquire continuation dropped at poisoned semaphore: {fault}"),
-                )),
+                Some(fault) => ctx.rt.notify_dead_letter(
+                    &Fault::new(
+                        fault.cause,
+                        fault.action,
+                        sem,
+                        format!("acquire continuation dropped at poisoned semaphore: {fault}"),
+                    ),
+                    None,
+                ),
             }
         }
         if sem.birthplace() == self.here() && self.loc.contains(sem) {
@@ -1735,8 +1670,7 @@ impl<'a> Ctx<'a> {
                     run_or_report(ctx, sem, v, f)
                 })))
                 .unwrap_or_default();
-            self.rt
-                .schedule_activations_traced(self.loc, acts, self.trace);
+            self.rt.schedule_activations(self.loc, acts, self.trace);
         } else {
             let proxy = self.loc.new_future_lco();
             self.own_lco(proxy);
@@ -1865,10 +1799,16 @@ mod tests {
         let cluster = rt.cluster_metrics().unwrap();
         assert_eq!(cluster.per_rank.len(), 2);
         assert_eq!(cluster.merged.total_count(), 0);
-        // The page still shows every instrument (all-zero blocks) and no
-        // line is NaN.
+        // The page still shows every counter row (once) and every
+        // instrument (all-zero blocks), and no line is NaN.
         let text = rt.metrics_text();
-        assert!(text.contains("px_queue_wait_ns_bucket{le=\"+Inf\"} 0"));
+        rt.stats().total().for_each(|name, _| {
+            let line = format!("px_{name}{{}} ");
+            assert_eq!(text.lines().filter(|l| l.starts_with(&line)).count(), 1);
+        });
+        for inst in crate::metrics::Instrument::ALL {
+            assert!(text.contains(&format!("{}_bucket{{le=\"+Inf\"}} 0", inst.name())));
+        }
         assert!(!text.contains("NaN"));
         rt.shutdown();
     }

@@ -37,89 +37,101 @@ use std::time::Instant;
 pub mod sys {
     use crate::action::ActionId;
 
-    /// Trigger an LCO with the payload value.
-    pub const LCO_SET: ActionId = ActionId::of("__sys/lco_set");
-    /// Fill a dataflow slot: payload = `u32` index ++ value bytes.
-    pub const LCO_SET_SLOT: ActionId = ActionId::of("__sys/lco_set_slot");
-    /// Contribute the payload to a reduction LCO.
-    pub const LCO_CONTRIBUTE: ActionId = ActionId::of("__sys/lco_contribute");
-    /// Register the parcel's continuation as a waiter for the LCO value.
-    pub const LCO_GET: ActionId = ActionId::of("__sys/lco_get");
-    /// Semaphore acquire; continuation runs when a permit is granted.
-    pub const LCO_ACQUIRE: ActionId = ActionId::of("__sys/lco_acquire");
-    /// Semaphore release.
-    pub const LCO_RELEASE: ActionId = ActionId::of("__sys/lco_release");
-    /// Read a data object; continuation receives `Vec<u8>`.
-    pub const DATA_GET: ActionId = ActionId::of("__sys/data_get");
-    /// Overwrite a data object; payload = encoded `Vec<u8>`.
-    pub const DATA_PUT: ActionId = ActionId::of("__sys/data_put");
-    /// Reply the payload to the continuation (round-trip measurements).
-    pub const PING: ActionId = ActionId::of("__sys/ping");
-    /// Do nothing (parcel-overhead measurements).
-    pub const NOOP: ActionId = ActionId::of("__sys/noop");
-    /// Echo-tree update (see [`crate::echo`]).
-    pub const ECHO_UPDATE: ActionId = ActionId::of("__sys/echo_update");
-    /// Echo-tree downward propagation.
-    pub const ECHO_PROP: ActionId = ActionId::of("__sys/echo_prop");
-    /// Echo split-phase validation request.
-    pub const ECHO_VALIDATE: ActionId = ActionId::of("__sys/echo_validate");
-    /// Balancer gossip: payload = encoded peer-load view (see
-    /// [`px_balance::PeerView::encode_gossip`]); merged into the
-    /// destination locality's view. Rides the ordinary (batched)
-    /// transport like any other parcel.
-    pub const BALANCE_GOSSIP: ActionId = ActionId::of("__sys/balance_gossip");
-    /// Metrics pull: reply the locality's encoded
-    /// [`crate::metrics::MetricsSnapshot`] to the continuation. Rides the
-    /// control priority lane (like gossip) so a saturated rank still
-    /// answers `Runtime::cluster_metrics` promptly.
-    pub const METRICS_PULL: ActionId = ActionId::of("__sys/metrics_pull");
-    /// Migrate the target data object: payload = `u16` destination
-    /// locality ++ `u8` cause code (0 manual, 1 balancer). Addressed at
-    /// the *object* (not a locality root) so the ordinary chase delivers
-    /// it to the current resident rank; continuation receives unit on
-    /// completion.
-    pub const AGAS_MIGRATE: ActionId = ActionId::of("__sys/agas_migrate");
-    /// Install a migrating object's bytes at the destination rank:
-    /// payload = `u64` gid ++ `u64` version ++ length-prefixed bytes.
-    /// Carries object payload, so it rides the *data* lane.
-    pub const DIR_INSTALL: ActionId = ActionId::of("__sys/dir_install");
-    /// Flip a GID's authoritative home-directory entry: payload =
-    /// `u64` gid ++ `u16` owner ++ `u8` cause code. Control lane.
-    pub const DIR_UPDATE: ActionId = ActionId::of("__sys/dir_update");
-    /// Ask a GID's home rank for its authoritative owner: payload =
-    /// `u64` gid; continuation receives the owner as 2 LE bytes.
-    /// Control lane — lookups must outrun data-lane backpressure.
-    pub const DIR_LOOKUP: ActionId = ActionId::of("__sys/dir_lookup");
-    /// Advisory cache-repair hint for a rank that sent through a stale
-    /// resolution: payload = `u64` gid ++ `u16` owner. Fire-and-forget,
-    /// control lane.
-    pub const DIR_REPAIR: ActionId = ActionId::of("__sys/dir_repair");
-    /// Migration epilogue at the destination rank: payload = `u64` gid ++
-    /// `u8` keep ++ `u16` owner. `keep = 1` (the source finished its
-    /// remove) releases the install-time pin and drains parcels parked
-    /// under it; `keep = 0` (the protocol failed mid-flight) additionally
-    /// discards the provisionally installed copy and repoints the local
-    /// directory at `owner` — the source, which never removed its copy.
-    pub const DIR_COMMIT: ActionId = ActionId::of("__sys/dir_commit");
-    /// Resolve a symbolic name in the receiving rank's table: payload =
-    /// the UTF-8 name bytes; continuation receives the bound gid as
-    /// 8 LE bytes, or a `HandlerError` fault when unbound. Routed to a
-    /// process's home rank by [`crate::runtime::Runtime::lookup_name`],
-    /// making `/proc/...` names cluster-visible. Control lane.
-    pub const NAME_LOOKUP: ActionId = ActionId::of("__sys/name_lookup");
+    /// The one definition of the system actions. Each row — const,
+    /// `"__sys/…"` name, wire lane — expands to the `ActionId` const, an
+    /// entry of [`ALL`] and (for `control` rows) a term of
+    /// [`is_control`].
+    macro_rules! sys_actions {
+        (@control control) => { true };
+        (@control data) => { false };
+        ($($(#[$doc:meta])* $name:ident = $string:literal, $lane:ident;)*) => {
+            $($(#[$doc])* pub const $name: ActionId = ActionId::of($string);)*
 
-    /// Whether `a` rides the control priority lane (see the transport
-    /// contract in `net/mod.rs`): balancer gossip, metrics pulls, and
-    /// the small directory ops. [`DIR_INSTALL`] is excluded — it carries
-    /// object bytes and belongs under data-lane backpressure.
-    pub fn is_control(a: ActionId) -> bool {
-        a == BALANCE_GOSSIP
-            || a == METRICS_PULL
-            || a == DIR_LOOKUP
-            || a == DIR_UPDATE
-            || a == DIR_REPAIR
-            || a == DIR_COMMIT
-            || a == NAME_LOOKUP
+            /// Every system action id.
+            pub const ALL: [ActionId; [$($string),*].len()] = [$($name),*];
+
+            /// Whether `a` rides the control priority lane (see the
+            /// transport contract in `net/mod.rs`): balancer gossip,
+            /// metrics pulls, and the small directory ops.
+            /// [`DIR_INSTALL`] is a `data` row — it carries object bytes
+            /// and belongs under data-lane backpressure.
+            pub fn is_control(a: ActionId) -> bool {
+                $((sys_actions!(@control $lane) && a == $name))||*
+            }
+        };
+    }
+
+    sys_actions! {
+        /// Trigger an LCO with the payload value.
+        LCO_SET = "__sys/lco_set", data;
+        /// Fill a dataflow slot: payload = `u32` index ++ value bytes.
+        LCO_SET_SLOT = "__sys/lco_set_slot", data;
+        /// Contribute the payload to a reduction LCO.
+        LCO_CONTRIBUTE = "__sys/lco_contribute", data;
+        /// Register the parcel's continuation as a waiter for the LCO value.
+        LCO_GET = "__sys/lco_get", data;
+        /// Semaphore acquire; continuation runs when a permit is granted.
+        LCO_ACQUIRE = "__sys/lco_acquire", data;
+        /// Semaphore release.
+        LCO_RELEASE = "__sys/lco_release", data;
+        /// Read a data object; continuation receives `Vec<u8>`.
+        DATA_GET = "__sys/data_get", data;
+        /// Overwrite a data object; payload = encoded `Vec<u8>`.
+        DATA_PUT = "__sys/data_put", data;
+        /// Reply the payload to the continuation (round-trip measurements).
+        PING = "__sys/ping", data;
+        /// Do nothing (parcel-overhead measurements).
+        NOOP = "__sys/noop", data;
+        /// Echo-tree update (see [`crate::echo`]).
+        ECHO_UPDATE = "__sys/echo_update", data;
+        /// Echo-tree downward propagation.
+        ECHO_PROP = "__sys/echo_prop", data;
+        /// Echo split-phase validation request.
+        ECHO_VALIDATE = "__sys/echo_validate", data;
+        /// Balancer gossip: payload = encoded peer-load view (see
+        /// [`px_balance::PeerView::encode_gossip`]); merged into the
+        /// destination locality's view. Control lane: it must outrun
+        /// the backlog it reports.
+        BALANCE_GOSSIP = "__sys/balance_gossip", control;
+        /// Metrics pull: reply the locality's encoded
+        /// [`crate::metrics::MetricsSnapshot`] to the continuation. Rides the
+        /// control priority lane (like gossip) so a saturated rank still
+        /// answers `Runtime::cluster_metrics` promptly.
+        METRICS_PULL = "__sys/metrics_pull", control;
+        /// Migrate the target data object: payload = `u16` destination
+        /// locality ++ `u8` cause code (0 manual, 1 balancer). Addressed at
+        /// the *object* (not a locality root) so the ordinary chase delivers
+        /// it to the current resident rank; continuation receives unit on
+        /// completion.
+        AGAS_MIGRATE = "__sys/agas_migrate", data;
+        /// Install a migrating object's bytes at the destination rank:
+        /// payload = `u64` gid ++ `u64` version ++ length-prefixed bytes.
+        /// Carries object payload, so it rides the *data* lane.
+        DIR_INSTALL = "__sys/dir_install", data;
+        /// Flip a GID's authoritative home-directory entry: payload =
+        /// `u64` gid ++ `u16` owner ++ `u8` cause code. Control lane.
+        DIR_UPDATE = "__sys/dir_update", control;
+        /// Ask a GID's home rank for its authoritative owner: payload =
+        /// `u64` gid; continuation receives the owner as 2 LE bytes.
+        /// Control lane — lookups must outrun data-lane backpressure.
+        DIR_LOOKUP = "__sys/dir_lookup", control;
+        /// Advisory cache-repair hint for a rank that sent through a stale
+        /// resolution: payload = `u64` gid ++ `u16` owner. Fire-and-forget,
+        /// control lane.
+        DIR_REPAIR = "__sys/dir_repair", control;
+        /// Migration epilogue at the destination rank: payload = `u64` gid ++
+        /// `u8` keep ++ `u16` owner. `keep = 1` (the source finished its
+        /// remove) releases the install-time pin and drains parcels parked
+        /// under it; `keep = 0` (the protocol failed mid-flight) additionally
+        /// discards the provisionally installed copy and repoints the local
+        /// directory at `owner` — the source, which never removed its copy.
+        DIR_COMMIT = "__sys/dir_commit", control;
+        /// Resolve a symbolic name in the receiving rank's table: payload =
+        /// the UTF-8 name bytes; continuation receives the bound gid as
+        /// 8 LE bytes, or a `HandlerError` fault when unbound. Routed to a
+        /// process's home rank by [`crate::runtime::Runtime::lookup_name`],
+        /// making `/proc/...` names cluster-visible. Control lane.
+        NAME_LOOKUP = "__sys/name_lookup", control;
     }
 }
 
@@ -391,7 +403,7 @@ pub(crate) fn execute(
         if matches!(task.work, Work::Thread(_)) {
             if let Some(fault) = rt.process_cancel_fault(pgid) {
                 bump!(loc.counters.tasks_cancelled);
-                rt.notify_dead_letter(&fault);
+                rt.notify_dead_letter(&fault, None);
                 rt.process_task_done(pgid);
                 return;
             }
@@ -427,12 +439,13 @@ pub(crate) fn execute(
                             Ok(rec) => run_wire_parcel(rt, loc, local, rec),
                             Err(e) => {
                                 loc.counters.count_death(FaultCause::Decode, 1);
-                                rt.notify_dead_letter(&Fault::new(
+                                let fault = Fault::new(
                                     FaultCause::Decode,
                                     ActionId(0),
                                     Gid::locality_root(loc.id),
                                     format!("corrupt frame record: {e}"),
-                                ));
+                                );
+                                rt.notify_dead_letter(&fault, None);
                             }
                         }
                     }
@@ -454,18 +467,19 @@ pub(crate) fn execute(
                             format!("record hidden behind a corrupt frame prefix ({lost} lost)"),
                         );
                         for _ in 0..lost {
-                            rt.notify_dead_letter(&fault);
+                            rt.notify_dead_letter(&fault, None);
                         }
                     }
                 }
                 Err(e) => {
                     loc.counters.count_death(FaultCause::Decode, 1);
-                    rt.notify_dead_letter(&Fault::new(
+                    let fault = Fault::new(
                         FaultCause::Decode,
                         ActionId(0),
                         Gid::locality_root(loc.id),
                         format!("corrupt frame: {e}"),
-                    ));
+                    );
+                    rt.notify_dead_letter(&fault, None);
                 }
             }
         }
@@ -499,12 +513,13 @@ fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Ta
             // An undecodable parcel cannot name its continuation, so the
             // fault cannot be delivered — count it and tell the hook.
             loc.counters.count_death(FaultCause::Decode, 1);
-            rt.notify_dead_letter(&Fault::new(
+            let fault = Fault::new(
                 FaultCause::Decode,
                 ActionId(0),
                 Gid::locality_root(loc.id),
                 format!("undecodable parcel: {e}"),
-            ));
+            );
+            rt.notify_dead_letter(&fault, None);
         }
     }
 }
@@ -533,12 +548,13 @@ fn run_guarded<T>(loc: &Locality, f: impl FnOnce() -> T) -> Result<T, String> {
 /// Report a panicked closure thread (no parcel, no continuation) to the
 /// dead-letter hook; the `panics` counter was bumped by `run_guarded`.
 fn report_thread_panic(rt: &Arc<RuntimeInner>, loc: &Locality, msg: String) {
-    rt.notify_dead_letter(&Fault::new(
+    let fault = Fault::new(
         FaultCause::Panic,
         ActionId(0),
         Gid::locality_root(loc.id),
         msg,
-    ));
+    );
+    rt.notify_dead_letter(&fault, None);
 }
 
 /// Map a runtime error to the fault cause recorded in the by-cause stats.
@@ -577,7 +593,7 @@ pub(crate) fn kill_parcel(
         p.dest.0,
         u64::from(cause.code()),
     );
-    rt.notify_dead_letter_traced(&fault, p.trace);
+    rt.notify_dead_letter(&fault, p.trace);
     // Unconditional handoff: an empty continuation applies as a no-op,
     // and every other one resolves its waiters with the fault.
     apply_continuation(rt, loc, p.cont, Value::error(&fault), p.trace);
@@ -1001,7 +1017,7 @@ fn when_lco_ready(
     let fut = loc.new_future_lco();
     let lco = loc.get_lco(fut).expect("future LCO just created");
     let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-    rt.schedule_activations(loc, acts);
+    rt.schedule_activations(loc, acts, None);
     fut
 }
 
@@ -1406,7 +1422,7 @@ pub(crate) fn lco_sys_op(
             acts.len() as u64,
         );
     }
-    rt.schedule_activations_traced(loc, acts, trace);
+    rt.schedule_activations(loc, acts, trace);
     Ok(())
 }
 
@@ -1422,9 +1438,9 @@ pub(crate) fn apply_continuation(
 ) {
     for step in cont.steps {
         match step {
-            ContStep::SetLco(g) => rt.lco_route_traced(loc, g, sys::LCO_SET, value.clone(), trace),
+            ContStep::SetLco(g) => rt.lco_route(loc, g, sys::LCO_SET, value.clone(), trace),
             ContStep::Contribute(g) => {
-                rt.lco_route_traced(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace)
+                rt.lco_route(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace)
             }
             ContStep::Call { action, target } => {
                 let mut p = Parcel::new(target, action, value.clone(), Continuation::none());
@@ -1439,7 +1455,7 @@ impl RuntimeInner {
     /// Route an LCO event: local objects are handled in place, remote ones
     /// become system parcels (carrying `trace`, so the chain survives the
     /// hop).
-    pub(crate) fn lco_route_traced(
+    pub(crate) fn lco_route(
         self: &Arc<Self>,
         from: &Arc<Locality>,
         gid: Gid,
@@ -1471,7 +1487,7 @@ impl RuntimeInner {
                         gid.0,
                         u64::from(fault.cause.code()),
                     );
-                    self.notify_dead_letter_traced(&fault, trace);
+                    self.notify_dead_letter(&fault, trace);
                 }
             }
         } else {
@@ -1481,19 +1497,10 @@ impl RuntimeInner {
         }
     }
 
-    /// Schedule LCO waiter activations at `loc` (the LCO's locality).
-    /// Untraced convenience wrapper.
+    /// Schedule LCO waiter activations at `loc` (the LCO's locality)
+    /// under the trace of the releasing event, when it had one: resumed
+    /// depleted threads and fired continuations inherit it.
     pub(crate) fn schedule_activations(
-        self: &Arc<Self>,
-        loc: &Arc<Locality>,
-        acts: crate::lco::Activations,
-    ) {
-        self.schedule_activations_traced(loc, acts, None);
-    }
-
-    /// Schedule activations under the trace of the releasing event:
-    /// resumed depleted threads and fired continuations inherit it.
-    pub(crate) fn schedule_activations_traced(
         self: &Arc<Self>,
         loc: &Arc<Locality>,
         acts: crate::lco::Activations,
@@ -1608,12 +1615,13 @@ impl RuntimeInner {
             let own = self.locality(self.origin);
             own.counters
                 .count_death(crate::error::FaultCause::Transport, 1);
-            self.notify_dead_letter(&Fault::new(
+            let fault = Fault::new(
                 crate::error::FaultCause::Transport,
                 ActionId(0),
                 Gid::locality_root(dest),
                 "closure task cannot cross an OS-process boundary; use action parcels",
-            ));
+            );
+            self.notify_dead_letter(&fault, None);
             return;
         }
         if let Some(pg) = task.process {
@@ -1670,32 +1678,13 @@ mod tests {
 
     #[test]
     fn sys_ids_distinct() {
-        let ids = [
-            sys::LCO_SET,
-            sys::LCO_SET_SLOT,
-            sys::LCO_CONTRIBUTE,
-            sys::LCO_GET,
-            sys::LCO_ACQUIRE,
-            sys::LCO_RELEASE,
-            sys::DATA_GET,
-            sys::DATA_PUT,
-            sys::PING,
-            sys::NOOP,
-            sys::ECHO_UPDATE,
-            sys::ECHO_PROP,
-            sys::ECHO_VALIDATE,
-            sys::BALANCE_GOSSIP,
-            sys::METRICS_PULL,
-            sys::AGAS_MIGRATE,
-            sys::DIR_INSTALL,
-            sys::DIR_UPDATE,
-            sys::DIR_LOOKUP,
-            sys::DIR_REPAIR,
-            sys::DIR_COMMIT,
-            sys::NAME_LOOKUP,
-        ];
-        let set: std::collections::HashSet<u64> = ids.iter().map(|i| i.0).collect();
-        assert_eq!(set.len(), ids.len());
+        let set: std::collections::HashSet<u64> = sys::ALL.iter().map(|i| i.0).collect();
+        assert_eq!(set.len(), sys::ALL.len());
+        // The lane column: small directory ops ride the control lane, the
+        // object-bearing install does not, and no user action ever does.
+        assert!(sys::is_control(sys::DIR_LOOKUP));
+        assert!(!sys::is_control(sys::DIR_INSTALL));
+        assert!(!sys::is_control(ActionId::of("user/action")));
     }
 
     #[test]

@@ -8,119 +8,173 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-locality counters (all monotone).
-#[derive(Debug, Default)]
-pub struct LocalityCounters {
+/// The one definition of the per-locality counter set. Each row (doc
+/// comment + name) becomes an `AtomicU64` field of [`LocalityCounters`],
+/// a `u64` field of [`LocalityStats`], and a term of `snapshot`,
+/// `delta_from`, `total` and `for_each` — adding a counter is adding a
+/// row here and a `bump!` where the event happens.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Per-locality counters (all monotone).
+        #[derive(Debug, Default)]
+        pub struct LocalityCounters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Plain-data copy of [`LocalityCounters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+        pub struct LocalityStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl LocalityCounters {
+            /// Copy current values.
+            pub fn snapshot(&self) -> LocalityStats {
+                // Relaxed: monotonic stats counters — each value is exact,
+                // and a snapshot tolerates bounded cross-counter skew.
+                LocalityStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        #[cfg(test)]
+        impl LocalityCounters {
+            /// Every counter cell, in table order.
+            fn cells(&self) -> Vec<&AtomicU64> {
+                vec![$(&self.$name),*]
+            }
+        }
+
+        impl LocalityStats {
+            /// Element-wise difference (for interval measurements).
+            pub fn delta_from(&self, earlier: &LocalityStats) -> LocalityStats {
+                LocalityStats { $($name: self.$name - earlier.$name,)* }
+            }
+
+            /// Element-wise sum into `self` (behind [`StatsSnapshot::total`]).
+            fn add(&mut self, other: &LocalityStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Visit every counter as `(name, value)`, in table order (the
+            /// exposition page and anything else that lists them all).
+            pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
+                $(f(stringify!($name), self.$name);)*
+            }
+        }
+    };
+}
+
+counters! {
     /// Parcels sent from this locality (including forwarded ones).
-    pub parcels_sent: AtomicU64,
+    parcels_sent,
     /// Parcels received and executed here.
-    pub parcels_recv: AtomicU64,
+    parcels_recv,
     /// Parcels that arrived here but had to be forwarded after migration.
-    pub parcels_forwarded: AtomicU64,
+    parcels_forwarded,
     /// Payload + header bytes sent. On the batched path this includes
     /// each record's length prefix (what the wire delay model charges);
     /// only the fixed per-frame header is unattributed.
-    pub bytes_sent: AtomicU64,
+    bytes_sent,
     /// PX-threads executed (fresh threads + parcel-spawned threads).
-    pub threads_executed: AtomicU64,
+    threads_executed,
     /// Depleted threads resumed (suspensions that completed).
-    pub resumes: AtomicU64,
+    resumes,
     /// Tasks stolen from a sibling worker within the locality.
-    pub steals: AtomicU64,
+    steals,
     /// Times a worker went to sleep with no work (starvation events).
-    pub parks: AtomicU64,
+    parks,
     /// Nanoseconds workers spent executing tasks.
-    pub busy_ns: AtomicU64,
+    busy_ns,
     /// Nanoseconds workers spent idle (searching or parked).
-    pub idle_ns: AtomicU64,
+    idle_ns,
     /// LCO events processed (triggers, contributions, slot fills).
-    pub lco_events: AtomicU64,
+    lco_events,
     /// Percolated (prestaged) tasks executed.
-    pub staged_executed: AtomicU64,
+    staged_executed,
     /// AGAS resolutions served from the local cache.
-    pub agas_cache_hits: AtomicU64,
+    agas_cache_hits,
     /// AGAS resolutions *not* served from the local cache (directory
     /// lookups plus birthplace fallbacks).
-    pub agas_cache_misses: AtomicU64,
+    agas_cache_misses,
     /// AGAS resolutions that consulted the directory.
-    pub agas_directory_lookups: AtomicU64,
+    agas_directory_lookups,
     /// Parcel frames flushed toward this locality by the coalescing ports
     /// (sender side, aggregated over all senders).
-    pub frames_sent: AtomicU64,
+    frames_sent,
     /// Parcel frames received and executed here.
-    pub frames_recv: AtomicU64,
+    frames_recv,
     /// Parcels that shared a port frame with at least one earlier parcel
     /// (destination-attributed; the batching win in message counts).
-    pub coalesced_parcels: AtomicU64,
+    coalesced_parcels,
     /// Frames flushed because they hit `max_batch_parcels`/`max_batch_bytes`.
-    pub batch_flush_full: AtomicU64,
+    batch_flush_full,
     /// Frames flushed by the interval flusher or a shutdown drain.
-    pub batch_flush_timer: AtomicU64,
+    batch_flush_timer,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the
     /// parcel's continuation — see the "Failure semantics" README section.
-    pub dead_parcels: AtomicU64,
+    dead_parcels,
     /// Deaths: forwarding/retry hop budget exhausted (migration storm or
     /// freed object).
-    pub dead_hop_cap: AtomicU64,
+    dead_hop_cap,
     /// Deaths: action absent from the registry.
-    pub dead_unknown_action: AtomicU64,
+    dead_unknown_action,
     /// Deaths: handler returned an error (including LCO protocol
     /// violations such as double-triggering).
-    pub dead_handler_error: AtomicU64,
+    dead_handler_error,
     /// Deaths: action handler panicked.
-    pub dead_panic: AtomicU64,
+    dead_panic,
     /// Deaths: undecodable parcel, frame record, or payload.
-    pub dead_decode: AtomicU64,
+    dead_decode,
     /// Deaths: parcel belonged to a cancelled parallel process and was
     /// killed at dispatch.
-    pub dead_cancelled: AtomicU64,
+    dead_cancelled,
     /// Deaths: the transport could not deliver (peer connection dropped,
     /// or a closure task addressed across an OS-process boundary).
-    pub dead_transport: AtomicU64,
+    dead_transport,
     /// Closure/resume PX-thread tasks dropped because their owning
     /// process was cancelled (not parcels, so not in `dead_parcels`;
     /// mirrors how thread panics live beside the parcel death counters).
-    pub tasks_cancelled: AtomicU64,
+    tasks_cancelled,
     /// PX-threads that panicked (isolated; the worker survives).
-    pub panics: AtomicU64,
+    panics,
     /// Balancer rounds in which this locality was sampled and gossiped.
-    pub gossip_rounds: AtomicU64,
+    gossip_rounds,
     /// Gossip parcels received and merged here.
-    pub gossip_parcels: AtomicU64,
+    gossip_parcels,
     /// Queued tasks shed from here to a less-loaded peer (work diffusion).
-    pub tasks_shed: AtomicU64,
+    tasks_shed,
     /// Objects migrated *to* here by the balancer (heat-driven pulls).
-    pub balance_pulls: AtomicU64,
+    balance_pulls,
     /// Hops accumulated by parcels that ultimately executed here — both
     /// forward hops after a stale resolution and owner-but-absent retry
     /// hops during a migration window (every hop is a routing cost paid
     /// to find the object). AGAS chase length numerator; divide by
     /// [`LocalityStats::chased_parcels`].
-    pub chase_hops_total: AtomicU64,
+    chase_hops_total,
     /// Parcels executed here after at least one forward or retry hop.
-    pub chased_parcels: AtomicU64,
+    chased_parcels,
     /// Parcels killed here by the forwarding hop cap (chase budget
     /// exhausted: migration storm or a freed object).
-    pub chase_cap_violations: AtomicU64,
+    chase_cap_violations,
     /// Causal-trace events recorded into this locality's ring (zero
     /// unless `Config::trace` is enabled).
-    pub trace_events_recorded: AtomicU64,
+    trace_events_recorded,
     /// Trace events lost to ring overwrite — a non-zero value means the
     /// ring is too small for the sampling rate and dump cadence.
-    pub trace_events_dropped: AtomicU64,
+    trace_events_dropped,
     /// Directory lookups answered by this rank's own home shards (the
     /// queried GID was born here, so no wire round-trip was needed).
-    pub dir_lookups_local: AtomicU64,
+    dir_lookups_local,
     /// Directory lookups sent to a remote home rank as `__sys/dir_lookup`
     /// parcels (request counted at the asking rank).
-    pub dir_lookups_remote: AtomicU64,
+    dir_lookups_remote,
     /// Parcels forwarded because the local resolution named a rank that
     /// was not this one (the cross-rank share of `parcels_forwarded`).
-    pub dir_forwards: AtomicU64,
+    dir_forwards,
     /// Cache-repair hints applied here (`__sys/dir_repair` deliveries
     /// plus in-process chase repairs).
-    pub dir_repairs: AtomicU64,
+    dir_repairs,
 }
 
 macro_rules! bump {
@@ -136,136 +190,7 @@ macro_rules! bump {
 }
 pub(crate) use bump;
 
-impl LocalityCounters {
-    /// Count one parcel death: the total plus its by-cause counter
-    /// (mirroring the AGAS migrations-by-cause breakdown).
-    pub(crate) fn count_death(&self, cause: crate::error::FaultCause, n: u64) {
-        use crate::error::FaultCause;
-        bump!(self.dead_parcels, n);
-        match cause {
-            FaultCause::HopCap => bump!(self.dead_hop_cap, n),
-            FaultCause::UnknownAction => bump!(self.dead_unknown_action, n),
-            FaultCause::HandlerError => bump!(self.dead_handler_error, n),
-            FaultCause::Panic => bump!(self.dead_panic, n),
-            FaultCause::Decode => bump!(self.dead_decode, n),
-            FaultCause::Cancelled => bump!(self.dead_cancelled, n),
-            FaultCause::Transport => bump!(self.dead_transport, n),
-        }
-    }
-
-    /// Copy current values.
-    pub fn snapshot(&self) -> LocalityStats {
-        LocalityStats {
-            parcels_sent: self.parcels_sent.load(Ordering::Relaxed),
-            parcels_recv: self.parcels_recv.load(Ordering::Relaxed),
-            parcels_forwarded: self.parcels_forwarded.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            threads_executed: self.threads_executed.load(Ordering::Relaxed),
-            resumes: self.resumes.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            idle_ns: self.idle_ns.load(Ordering::Relaxed),
-            lco_events: self.lco_events.load(Ordering::Relaxed),
-            staged_executed: self.staged_executed.load(Ordering::Relaxed),
-            agas_cache_hits: self.agas_cache_hits.load(Ordering::Relaxed),
-            agas_cache_misses: self.agas_cache_misses.load(Ordering::Relaxed),
-            agas_directory_lookups: self.agas_directory_lookups.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_recv: self.frames_recv.load(Ordering::Relaxed),
-            coalesced_parcels: self.coalesced_parcels.load(Ordering::Relaxed),
-            batch_flush_full: self.batch_flush_full.load(Ordering::Relaxed),
-            batch_flush_timer: self.batch_flush_timer.load(Ordering::Relaxed),
-            dead_parcels: self.dead_parcels.load(Ordering::Relaxed),
-            dead_hop_cap: self.dead_hop_cap.load(Ordering::Relaxed),
-            dead_unknown_action: self.dead_unknown_action.load(Ordering::Relaxed),
-            dead_handler_error: self.dead_handler_error.load(Ordering::Relaxed),
-            dead_panic: self.dead_panic.load(Ordering::Relaxed),
-            dead_decode: self.dead_decode.load(Ordering::Relaxed),
-            dead_cancelled: self.dead_cancelled.load(Ordering::Relaxed),
-            dead_transport: self.dead_transport.load(Ordering::Relaxed),
-            tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            gossip_rounds: self.gossip_rounds.load(Ordering::Relaxed),
-            gossip_parcels: self.gossip_parcels.load(Ordering::Relaxed),
-            tasks_shed: self.tasks_shed.load(Ordering::Relaxed),
-            balance_pulls: self.balance_pulls.load(Ordering::Relaxed),
-            chase_hops_total: self.chase_hops_total.load(Ordering::Relaxed),
-            chased_parcels: self.chased_parcels.load(Ordering::Relaxed),
-            chase_cap_violations: self.chase_cap_violations.load(Ordering::Relaxed),
-            trace_events_recorded: self.trace_events_recorded.load(Ordering::Relaxed),
-            trace_events_dropped: self.trace_events_dropped.load(Ordering::Relaxed),
-            dir_lookups_local: self.dir_lookups_local.load(Ordering::Relaxed),
-            dir_lookups_remote: self.dir_lookups_remote.load(Ordering::Relaxed),
-            dir_forwards: self.dir_forwards.load(Ordering::Relaxed),
-            dir_repairs: self.dir_repairs.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of [`LocalityCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-#[allow(missing_docs)]
-pub struct LocalityStats {
-    pub parcels_sent: u64,
-    pub parcels_recv: u64,
-    pub parcels_forwarded: u64,
-    pub bytes_sent: u64,
-    pub threads_executed: u64,
-    pub resumes: u64,
-    pub steals: u64,
-    pub parks: u64,
-    pub busy_ns: u64,
-    pub idle_ns: u64,
-    pub lco_events: u64,
-    pub staged_executed: u64,
-    pub agas_cache_hits: u64,
-    pub agas_cache_misses: u64,
-    pub agas_directory_lookups: u64,
-    pub frames_sent: u64,
-    pub frames_recv: u64,
-    pub coalesced_parcels: u64,
-    pub batch_flush_full: u64,
-    pub batch_flush_timer: u64,
-    pub dead_parcels: u64,
-    pub dead_hop_cap: u64,
-    pub dead_unknown_action: u64,
-    pub dead_handler_error: u64,
-    pub dead_panic: u64,
-    pub dead_decode: u64,
-    pub dead_cancelled: u64,
-    pub dead_transport: u64,
-    pub tasks_cancelled: u64,
-    pub panics: u64,
-    pub gossip_rounds: u64,
-    pub gossip_parcels: u64,
-    pub tasks_shed: u64,
-    pub balance_pulls: u64,
-    pub chase_hops_total: u64,
-    pub chased_parcels: u64,
-    pub chase_cap_violations: u64,
-    pub trace_events_recorded: u64,
-    pub trace_events_dropped: u64,
-    pub dir_lookups_local: u64,
-    pub dir_lookups_remote: u64,
-    pub dir_forwards: u64,
-    pub dir_repairs: u64,
-}
-
 impl LocalityStats {
-    /// Parcel deaths summed over the by-cause counters. Always equals
-    /// [`LocalityStats::dead_parcels`] (the invariant tested in the
-    /// fault integration suite).
-    pub fn deaths_by_cause_total(&self) -> u64 {
-        self.dead_hop_cap
-            + self.dead_unknown_action
-            + self.dead_handler_error
-            + self.dead_panic
-            + self.dead_decode
-            + self.dead_cancelled
-            + self.dead_transport
-    }
-
     /// Fraction of worker time spent executing (1.0 = no starvation).
     pub fn busy_fraction(&self) -> f64 {
         let total = self.busy_ns + self.idle_ns;
@@ -307,55 +232,6 @@ impl LocalityStats {
             0.0
         } else {
             self.agas_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Element-wise difference (for interval measurements).
-    pub fn delta_from(&self, earlier: &LocalityStats) -> LocalityStats {
-        LocalityStats {
-            parcels_sent: self.parcels_sent - earlier.parcels_sent,
-            parcels_recv: self.parcels_recv - earlier.parcels_recv,
-            parcels_forwarded: self.parcels_forwarded - earlier.parcels_forwarded,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            threads_executed: self.threads_executed - earlier.threads_executed,
-            resumes: self.resumes - earlier.resumes,
-            steals: self.steals - earlier.steals,
-            parks: self.parks - earlier.parks,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-            idle_ns: self.idle_ns - earlier.idle_ns,
-            lco_events: self.lco_events - earlier.lco_events,
-            staged_executed: self.staged_executed - earlier.staged_executed,
-            agas_cache_hits: self.agas_cache_hits - earlier.agas_cache_hits,
-            agas_cache_misses: self.agas_cache_misses - earlier.agas_cache_misses,
-            agas_directory_lookups: self.agas_directory_lookups - earlier.agas_directory_lookups,
-            frames_sent: self.frames_sent - earlier.frames_sent,
-            frames_recv: self.frames_recv - earlier.frames_recv,
-            coalesced_parcels: self.coalesced_parcels - earlier.coalesced_parcels,
-            batch_flush_full: self.batch_flush_full - earlier.batch_flush_full,
-            batch_flush_timer: self.batch_flush_timer - earlier.batch_flush_timer,
-            dead_parcels: self.dead_parcels - earlier.dead_parcels,
-            dead_hop_cap: self.dead_hop_cap - earlier.dead_hop_cap,
-            dead_unknown_action: self.dead_unknown_action - earlier.dead_unknown_action,
-            dead_handler_error: self.dead_handler_error - earlier.dead_handler_error,
-            dead_panic: self.dead_panic - earlier.dead_panic,
-            dead_decode: self.dead_decode - earlier.dead_decode,
-            dead_cancelled: self.dead_cancelled - earlier.dead_cancelled,
-            dead_transport: self.dead_transport - earlier.dead_transport,
-            tasks_cancelled: self.tasks_cancelled - earlier.tasks_cancelled,
-            panics: self.panics - earlier.panics,
-            gossip_rounds: self.gossip_rounds - earlier.gossip_rounds,
-            gossip_parcels: self.gossip_parcels - earlier.gossip_parcels,
-            tasks_shed: self.tasks_shed - earlier.tasks_shed,
-            balance_pulls: self.balance_pulls - earlier.balance_pulls,
-            chase_hops_total: self.chase_hops_total - earlier.chase_hops_total,
-            chased_parcels: self.chased_parcels - earlier.chased_parcels,
-            chase_cap_violations: self.chase_cap_violations - earlier.chase_cap_violations,
-            trace_events_recorded: self.trace_events_recorded - earlier.trace_events_recorded,
-            trace_events_dropped: self.trace_events_dropped - earlier.trace_events_dropped,
-            dir_lookups_local: self.dir_lookups_local - earlier.dir_lookups_local,
-            dir_lookups_remote: self.dir_lookups_remote - earlier.dir_lookups_remote,
-            dir_forwards: self.dir_forwards - earlier.dir_forwards,
-            dir_repairs: self.dir_repairs - earlier.dir_repairs,
         }
     }
 }
@@ -427,49 +303,7 @@ impl StatsSnapshot {
     pub fn total(&self) -> LocalityStats {
         let mut t = LocalityStats::default();
         for l in &self.localities {
-            t.parcels_sent += l.parcels_sent;
-            t.parcels_recv += l.parcels_recv;
-            t.parcels_forwarded += l.parcels_forwarded;
-            t.bytes_sent += l.bytes_sent;
-            t.threads_executed += l.threads_executed;
-            t.resumes += l.resumes;
-            t.steals += l.steals;
-            t.parks += l.parks;
-            t.busy_ns += l.busy_ns;
-            t.idle_ns += l.idle_ns;
-            t.lco_events += l.lco_events;
-            t.staged_executed += l.staged_executed;
-            t.agas_cache_hits += l.agas_cache_hits;
-            t.agas_cache_misses += l.agas_cache_misses;
-            t.agas_directory_lookups += l.agas_directory_lookups;
-            t.frames_sent += l.frames_sent;
-            t.frames_recv += l.frames_recv;
-            t.coalesced_parcels += l.coalesced_parcels;
-            t.batch_flush_full += l.batch_flush_full;
-            t.batch_flush_timer += l.batch_flush_timer;
-            t.dead_parcels += l.dead_parcels;
-            t.dead_hop_cap += l.dead_hop_cap;
-            t.dead_unknown_action += l.dead_unknown_action;
-            t.dead_handler_error += l.dead_handler_error;
-            t.dead_panic += l.dead_panic;
-            t.dead_decode += l.dead_decode;
-            t.dead_cancelled += l.dead_cancelled;
-            t.dead_transport += l.dead_transport;
-            t.tasks_cancelled += l.tasks_cancelled;
-            t.panics += l.panics;
-            t.gossip_rounds += l.gossip_rounds;
-            t.gossip_parcels += l.gossip_parcels;
-            t.tasks_shed += l.tasks_shed;
-            t.balance_pulls += l.balance_pulls;
-            t.chase_hops_total += l.chase_hops_total;
-            t.chased_parcels += l.chased_parcels;
-            t.chase_cap_violations += l.chase_cap_violations;
-            t.trace_events_recorded += l.trace_events_recorded;
-            t.trace_events_dropped += l.trace_events_dropped;
-            t.dir_lookups_local += l.dir_lookups_local;
-            t.dir_lookups_remote += l.dir_lookups_remote;
-            t.dir_forwards += l.dir_forwards;
-            t.dir_repairs += l.dir_repairs;
+            t.add(l);
         }
         t
     }
@@ -537,6 +371,45 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.parcels_sent, 2);
         assert_eq!(s.bytes_sent, 100);
+    }
+
+    #[test]
+    fn every_table_row_reaches_every_generated_path() {
+        // Give each counter a distinct value; a row the macro dropped from
+        // any expansion shows up as a missing or wrong value below. The
+        // row count is cross-checked against the struct's size, which no
+        // repetition in the macro can get wrong the same way.
+        let rows = std::mem::size_of::<LocalityStats>() / std::mem::size_of::<u64>();
+        let c = LocalityCounters::default();
+        assert_eq!(c.cells().len(), rows);
+        for (i, cell) in c.cells().into_iter().enumerate() {
+            cell.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let listed = |s: &LocalityStats| {
+            let (mut names, mut values) = (Vec::new(), Vec::new());
+            s.for_each(|name, value| {
+                names.push(name);
+                values.push(value);
+            });
+            (names, values)
+        };
+        let snap = c.snapshot();
+        let (names, values) = listed(&snap);
+        assert_eq!(values, (1..=rows as u64).collect::<Vec<_>>());
+        assert_eq!(names[0], "parcels_sent");
+        let distinct: std::collections::HashSet<_> = names.iter().collect();
+        assert_eq!(distinct.len(), rows);
+
+        let twice = StatsSnapshot {
+            localities: vec![snap, snap],
+            ..Default::default()
+        }
+        .total();
+        assert_eq!(
+            listed(&twice).1,
+            values.iter().map(|v| 2 * v).collect::<Vec<_>>()
+        );
+        assert_eq!(twice.delta_from(&snap), snap);
     }
 
     #[test]

@@ -88,8 +88,18 @@ pub mod parcel_flags {
     /// so a request can be replayed end to end across localities and
     /// ranks. Untraced parcels carry zero bytes for it.
     pub const HAS_TRACE: u8 = 1 << 3;
-    /// Mask of bits a decoder of this version understands.
-    pub const KNOWN: u8 = STAGED | FAULT | HAS_PID | HAS_TRACE;
+    /// Every flag a decoder of this version understands.
+    pub const ALL: [u8; 4] = [STAGED, FAULT, HAS_PID, HAS_TRACE];
+    /// Mask of [`ALL`]: a decoder rejects any bit outside it.
+    pub const KNOWN: u8 = {
+        let mut mask = 0;
+        let mut i = 0;
+        while i < ALL.len() {
+            mask |= ALL[i];
+            i += 1;
+        }
+        mask
+    };
 }
 
 /// Serialize a value and report the encoded size without keeping the bytes.
@@ -105,6 +115,17 @@ mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
     use std::collections::BTreeMap;
+
+    #[test]
+    fn parcel_flags_are_distinct_single_bits() {
+        let mut seen = 0u8;
+        for flag in parcel_flags::ALL {
+            assert_eq!(flag.count_ones(), 1, "{flag:#010b} is not a single bit");
+            assert_eq!(seen & flag, 0, "{flag:#010b} is assigned twice");
+            seen |= flag;
+        }
+        assert_eq!(parcel_flags::KNOWN, seen);
+    }
 
     fn roundtrip<T>(v: &T) -> T
     where

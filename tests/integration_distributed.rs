@@ -466,6 +466,30 @@ fn cross_rank_migrate_data_round_trip() {
     rt.shutdown();
 }
 
+/// Driver-side RPCs (`read_data`, `migrate_data`, `lookup_name` over TCP)
+/// park their reply on a fresh future at the origin locality; that
+/// future is freed once the reply is taken, so a driver polling a remote
+/// object does not grow its own store.
+#[test]
+fn remote_reads_leave_the_origin_store_flat() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("serve", &addrs);
+    let rt = build_rt(0, addrs, false, false, false);
+    let payload = vec![0xC3; 64];
+    let gid = rt.new_data_at(LocalityId(0), payload.clone());
+    rt.migrate_data(gid, LocalityId(1))
+        .expect("outbound migration");
+    let objects = || rt.run_blocking(LocalityId(0), |ctx| ctx.locality().object_count());
+    let before = objects();
+    for _ in 0..1000 {
+        assert_eq!(rt.read_data(gid).expect("remote read"), payload);
+    }
+    assert_eq!(objects(), before, "one reply future leaked per round trip");
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+    rt.shutdown();
+}
+
 /// Process-scoped names are cluster-visible: the child registers a gid
 /// under its own process's `/proc/...` prefix, and the parent resolves
 /// the full path from the other rank — the local miss routes a
