@@ -13,7 +13,7 @@
 //! | `lock-order`     | the global lock-order graph is acyclic |
 //! | `unsafe-hygiene` | every `unsafe` is preceded by `// SAFETY:` |
 //! | `atomic-ordering`| `Relaxed` only on counters or with justification; seqlock pairing structurally intact |
-//! | `no-silent-loss` | Parcel bindings in scheduler/transport files reach a kill/delivery sink |
+//! | `no-silent-loss` | Parcel bindings in scheduler/`__sys` handler/transport files reach a kill/delivery sink |
 //! | `guard-unwrap`   | no `.lock().unwrap()`-style guard unwraps in non-test code |
 //!
 //! Findings print as `file:line: rule-id: message`. Suppression is

@@ -1,5 +1,5 @@
-//! `no-silent-loss`: in the scheduler and the transports, a
-//! `Parcel`-typed binding may not go out of scope silently — every path
+//! `no-silent-loss`: in the scheduler, the `__sys` handlers and the
+//! transports, a `Parcel`-typed binding may not go out of scope silently — every path
 //! must hand it onward (queue push, continuation delivery, field
 //! handoff) or kill it loudly via `kill_parcel`. Intentional drops carry
 //! a line-level `// px-analyze: allow(no-silent-loss): why`.
@@ -36,11 +36,18 @@ use crate::lexer::{TokKind, Token};
 use crate::segment::{matching_brace, next_sig, prev_sig};
 use crate::{FileCtx, Finding};
 
-/// Files whose functions own parcels in flight.
-const TARGET_SUFFIXES: &[&str] = &["src/sched.rs", "src/net/tcp.rs", "src/net/inproc.rs"];
+/// Files whose functions own parcels in flight: the scheduler, the
+/// transports, and every `__sys` handler (all of `src/sys/`, plus the
+/// echo rows' `echo::handle_sys`).
+const TARGET_SUFFIXES: &[&str] = &[
+    "src/sched.rs",
+    "src/echo.rs",
+    "src/net/tcp.rs",
+    "src/net/inproc.rs",
+];
 
 pub fn check(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    if !TARGET_SUFFIXES.iter().any(|s| ctx.rel.ends_with(s)) {
+    if !(ctx.rel.contains("src/sys/") || TARGET_SUFFIXES.iter().any(|s| ctx.rel.ends_with(s))) {
         return;
     }
     let closures = crate::segment::closure_ranges(&ctx.toks);
@@ -662,6 +669,23 @@ fn f(p: Parcel) {
         // The allow sits on the line above the `return` line… the finding
         // is on line 3, allow on line 2 → suppressed.
         assert!(run(src).is_empty(), "{:?}", run(src));
+    }
+
+    #[test]
+    fn sys_handlers_are_in_scope() {
+        // Handlers left `sched.rs` for `src/sys/`; the net went with them.
+        let src = "\
+fn dir_update(rt: &R, loc: &L, p: Parcel, m: DirUpdate) {
+    if m.owner == loc.id {
+        return;
+    }
+    apply_continuation(rt, loc, p.cont, unit(), p.trace);
+}";
+        for file in ["crates/core/src/sys/agas.rs", "crates/core/src/echo.rs"] {
+            let found = analyze_files(&[(file.into(), src.into())]);
+            assert_eq!(found.len(), 1, "{file}: {found:?}");
+            assert!(found[0].to_string().contains(":3:"), "{found:?}");
+        }
     }
 
     #[test]

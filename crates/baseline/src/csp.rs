@@ -1,11 +1,11 @@
 //! Ranks, blocking message passing, barriers, and the remote store.
 
-use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Condvar, Mutex, RwLock};
 use px_core::net::{DelayLine, WireModel};
 use serde::{de::DeserializeOwned, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,7 +113,7 @@ impl World {
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::default())).collect();
         // Responder channel: store requests are diverted to the responder
         // thread instead of the rank mailbox.
-        let (req_tx, req_rx) = bounded::<Envelope>(65536);
+        let (req_tx, req_rx) = sync_channel::<Envelope>(65536);
         let sink_mailboxes = mailboxes.clone();
         let sink: Arc<dyn Fn(Routed) + Send + Sync> = Arc::new(move |r| {
             if r.env.tag == TAG_STORE_REQ {

@@ -250,17 +250,13 @@ pub fn run() -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn overheads_are_micro_not_milli() {
+    fn every_construct_runs_its_op_count() {
         let _gate = crate::TIMING_GATE.lock();
-        // Each construct should cost microseconds at worst on an instant
-        // wire — the §2.1 granularity argument fails otherwise.
-        for row in super::all(2_000) {
-            assert!(
-                row.per_op < std::time::Duration::from_micros(200),
-                "{} costs {:?}/op",
-                row.construct,
-                row.per_op
-            );
-        }
+        // Each bench returns only once its completion gate or future has
+        // seen every op, so returning at all is the claim; what an op
+        // costs is `px-bench e9`'s table and pxmark's probes.
+        let rows = super::all(2_000);
+        assert_eq!(rows.len(), 7);
+        assert!(rows.iter().all(|r| r.ops == 2_000), "{rows:?}");
     }
 }

@@ -42,7 +42,7 @@ impl fmt::Debug for ActionId {
 /// (see [`crate::error::Fault`]). Fault-ness is a flag beside the bytes,
 /// not inside them, so an ordinary payload can never be mistaken for a
 /// fault; the parcel header preserves the flag across the wire.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Value {
     bytes: Arc<[u8]>,
     fault: bool,

@@ -39,11 +39,12 @@ use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{Locality, NO_SPAWN_TARGET};
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::RuntimeInner;
-use crate::sched::{sys, Task, Work};
+use crate::sched::{Task, Work};
 use crate::stats::bump;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crate::sys;
 use px_balance::{BalanceConfig, LoadSample, PlacementQuery, ShedQuery};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 
 /// When shedding, give up after putting back this many non-sheddable
@@ -318,17 +319,13 @@ fn pull_hot(
             // run the split-phase migration protocol toward us. The
             // parcel chases the object like any other, so a stale owner
             // here still finds it.
-            let mut w = px_wire::WireWriter::new();
-            w.put_u16(loc.id.0);
-            w.put_u8(1); // cause: balancer
-            let p = Parcel::new(
-                gid,
-                sys::AGAS_MIGRATE,
-                Value::from_bytes(w.into_bytes()),
-                Continuation::none(),
-            );
-            // px-analyze: allow(no-silent-loss): the pull request is advisory fire-and-forget — a lost or refused pull only means the object stays put and heat re-accumulates next round.
-            rt.send_parcel(loc.id, p);
+            // Fire-and-forget: a lost or refused pull only means the
+            // object stays put and heat re-accumulates next round.
+            let pull = sys::msg::Migrate {
+                to: loc.id,
+                cause: MigrationCause::Balancer,
+            };
+            rt.send_parcel(loc.id, pull.parcel(gid, None));
             bump!(loc.counters.balance_pulls);
             pulls += 1;
         }

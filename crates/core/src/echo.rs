@@ -35,7 +35,7 @@ use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{Locality, Stored};
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::{Ctx, Runtime, RuntimeInner};
-use crate::sched::sys;
+use crate::sys;
 use parking_lot::Mutex;
 use px_wire::{WireReader, WireWriter};
 use serde::{de::DeserializeOwned, Serialize};
@@ -270,9 +270,10 @@ fn decode_validation<T: DeserializeOwned>(v: &Value) -> PxResult<CommitOutcome<T
     }
 }
 
-/// System-parcel handler for echo operations (called from the scheduler).
+/// System-parcel handler for the three echo rows of `sys_actions!`.
 /// Dead paths kill the parcel loudly (see [`crate::sched::kill_parcel`])
 /// so a blocked [`commit_blocking`] caller gets a fault, not a hang.
+// px-analyze: allow(no-silent-loss): update and propagation parcels are fire-and-forget — `update` and `propagate` build them without a continuation, and a stale propagation is superseded, not lost; validations reply and dead paths kill.
 pub(crate) fn handle_sys(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     let node = match loc.get(p.dest) {
         Some(Stored::Echo(n)) => n,

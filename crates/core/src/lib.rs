@@ -76,6 +76,7 @@ pub(crate) mod queue;
 pub mod runtime;
 pub mod sched;
 pub mod stats;
+pub mod sys;
 pub mod trace;
 
 /// Commonly used items, for glob import.

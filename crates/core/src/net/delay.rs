@@ -18,9 +18,9 @@
 //! transport implementations.
 
 use super::WireModel;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,7 +57,7 @@ impl<T> Ord for Pending<T> {
 /// after their remaining delay, then the thread exits.
 pub struct DelayLine<T: Send + 'static> {
     model: WireModel,
-    tx: Option<Sender<Pending<T>>>,
+    tx: Option<SyncSender<Pending<T>>>,
     handle: Option<JoinHandle<()>>,
     sink: Arc<dyn Fn(T) + Send + Sync + 'static>,
 }
@@ -74,7 +74,7 @@ impl<T: Send + 'static> std::fmt::Debug for DelayLine<T> {
 /// the in-process transport's submitter so background threads share
 /// `DelayLine`'s delay arithmetic instead of re-implementing it).
 pub(crate) struct LineSender<T: Send + 'static> {
-    tx: Sender<Pending<T>>,
+    tx: SyncSender<Pending<T>>,
     model: WireModel,
 }
 
@@ -110,7 +110,7 @@ impl<T: Send + 'static> DelayLine<T> {
                 sink,
             };
         }
-        let (tx, rx) = bounded::<Pending<T>>(65536);
+        let (tx, rx) = sync_channel::<Pending<T>>(65536);
         let thread_sink = sink.clone();
         let handle = std::thread::Builder::new()
             .name("px-delay-line".into())

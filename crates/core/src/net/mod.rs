@@ -49,7 +49,7 @@
 //!    data lane is saturated are exactly the moments the observability
 //!    plane must still answer. The distributed AGAS directory rides the
 //!    same lane (`__sys/dir_lookup`, `dir_update`, `dir_repair`,
-//!    `dir_commit` — see `sched::sys`): a chase that must ask an
+//!    `dir_commit` — see `crate::sys`): a chase that must ask an
 //!    object's home rank, the departure write that repoints the home
 //!    entry mid-migration, and the commit that unpins the destination
 //!    copy are all on the critical path of every parcel *stuck behind*
@@ -137,9 +137,9 @@ use crate::locality::Locality;
 use crate::parcel::Parcel;
 use crate::sched::Task;
 use crate::stats::{bump, TransportStats};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use px_wire::FrameBuf;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -386,7 +386,7 @@ pub(crate) struct Wire {
     transport: Box<dyn Transport>,
     ports: Option<Arc<PortSet>>,
     localities: Arc<Vec<Arc<Locality>>>,
-    flusher_stop: Option<Sender<()>>,
+    flusher_stop: Option<SyncSender<()>>,
     flusher: Option<JoinHandle<()>>,
 }
 
@@ -410,7 +410,7 @@ impl Wire {
         let (flusher_stop, flusher) = match &ports {
             None => (None, None),
             Some(ports) => {
-                let (stop_tx, stop_rx) = bounded::<()>(1);
+                let (stop_tx, stop_rx) = sync_channel::<()>(1);
                 let handle = {
                     let ports = ports.clone();
                     let localities = localities.clone();
@@ -648,7 +648,7 @@ mod tests {
     fn noop_parcel(dest: LocalityId) -> Parcel {
         Parcel::new(
             Gid::locality_root(dest),
-            crate::sched::sys::NOOP,
+            crate::sys::NOOP,
             Value::unit(),
             Continuation::none(),
         )

@@ -105,6 +105,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -602,7 +603,7 @@ impl TcpTransport {
             poller,
         });
 
-        let (barrier_tx, barrier_rx) = crossbeam::channel::bounded::<Result<(), String>>(1);
+        let (barrier_tx, barrier_rx) = std::sync::mpsc::sync_channel::<Result<(), String>>(1);
         let io = {
             let sh = shared.clone();
             let deadline = Instant::now() + cfg.bootstrap_timeout;
@@ -798,7 +799,7 @@ struct IoLoop {
     /// Barrier state: which peers have handshaked in.
     seen_in: Vec<bool>,
     heard: usize,
-    barrier_tx: Option<crossbeam::channel::Sender<Result<(), String>>>,
+    barrier_tx: Option<SyncSender<Result<(), String>>>,
     bootstrap_deadline: Instant,
     /// Until the barrier resolves, connect retries are unlimited.
     bootstrapping: bool,
@@ -810,7 +811,7 @@ impl IoLoop {
         shared: Arc<TcpShared>,
         listener: TcpListener,
         bootstrap_deadline: Instant,
-        barrier_tx: crossbeam::channel::Sender<Result<(), String>>,
+        barrier_tx: SyncSender<Result<(), String>>,
     ) -> IoLoop {
         let n = shared.localities.len();
         let peers = (0..n as u16)
@@ -1541,7 +1542,7 @@ mod tests {
     fn noop_parcel(dest: LocalityId) -> Vec<u8> {
         Parcel::new(
             Gid::locality_root(dest),
-            crate::sched::sys::NOOP,
+            crate::sys::NOOP,
             Value::unit(),
             Continuation::none(),
         )

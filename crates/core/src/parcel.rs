@@ -136,6 +136,12 @@ impl Parcel {
         }
     }
 
+    /// Put the parcel under `trace` (builder style).
+    pub(crate) fn with_trace(mut self, trace: Option<u64>) -> Parcel {
+        self.trace = trace;
+        self
+    }
+
     /// Encode to wire bytes (header + continuation + payload).
     ///
     /// Hand-rolled framing rather than serde: this is the per-message hot
@@ -399,7 +405,7 @@ mod tests {
         );
         let p = Parcel::new(
             Gid::new(LocalityId(1), GidKind::Lco, 7),
-            crate::sched::sys::LCO_SET,
+            crate::sys::LCO_SET,
             Value::error(&f),
             Continuation::none(),
         );

@@ -138,8 +138,9 @@ impl ProcessInner {
             // on a quiesce/re-activate cycle are tolerated by the LCO, and
             // a cancel-poisoned done future rejects the trigger (fine: its
             // waiters already hold the fault).
-            let _ =
-                crate::sched::lco_sys_op(rt, home, self.done, None, |l| l.trigger(Value::unit()));
+            let _ = crate::sys::lco::lco_sys_op(rt, home, self.done, None, |l| {
+                l.trigger(Value::unit())
+            });
             self.first_exit(rt);
         }
     }
@@ -669,7 +670,7 @@ fn poison_lco(rt: &Arc<RuntimeInner>, gid: Gid, fault: &Fault) {
     let f = fault.clone();
     // Missing objects (already freed) are fine to skip; poison itself is
     // idempotent.
-    let _ = crate::sched::lco_sys_op(rt, loc, gid, None, move |l| Ok(l.poison(f)));
+    let _ = crate::sys::lco::lco_sys_op(rt, loc, gid, None, move |l| Ok(l.poison(f)));
 }
 
 /// Cancel `gid` and its whole subtree (idempotent, depth-first).

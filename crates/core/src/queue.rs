@@ -78,14 +78,23 @@ const BATCH_LIMIT: usize = 32;
 /// How long the one spinning worker of a locality polls the queues before
 /// it announces itself and parks. A park plus the unpark that ends it is
 /// two futex calls and a cold wake-up, 10 µs and more end to end on the
-/// reference box: spinning for as long as that costs at most what the
-/// park would have cost and saves all of it whenever the next item is
-/// closer than that. Much longer and an idle locality burns CPU a busy
-/// one could have used.
+/// reference box: spinning for about as long as that costs what the park
+/// would have cost and saves all of it whenever the next item is closer
+/// than that. Much longer and an idle locality burns CPU a busy one could
+/// have used.
 ///
-/// It is also the pace of those spins: over any stretch, a worker begins
-/// to poll at most once per `SPIN` (see [`Sleep::idle`]).
-const SPIN: Duration = Duration::from_micros(10);
+/// It is also the period of those spins' pace: over any stretch, a worker
+/// begins to poll at most [`POLLS_PER_SPIN`] times per `SPIN` (see
+/// [`Sleep::idle`]) — which is why it cannot be shorter: the partner of a
+/// paced worker waits for most of a period and must not park meanwhile.
+const SPIN: Duration = Duration::from_micros(20);
+
+/// The polls of one [`SPIN`] are due together, when it begins. Two, so
+/// that a paced exchange is three prompt hand-offs and one that waits for
+/// the period to end: with one poll per period every other hand-off
+/// waited, and the median hand-off was whichever kind a preemption or two
+/// had just made the majority — 2 µs over one stretch, 4 µs over the next.
+const POLLS_PER_SPIN: u64 = 2;
 
 /// How far a worker's polling schedule may fall behind the clock: the
 /// spins a worker did not need, or could not take because something kept
@@ -633,20 +642,19 @@ impl Sleep {
     /// here runs, and on a small box that may be the very producer this
     /// worker waits for.
     ///
-    /// And it is paced. A worker's spins are due one [`SPIN`] apart, and a
-    /// spin looks at nothing until it is due. A worker that has been busy
-    /// or asleep is behind that schedule (by [`MAX_LAG`] at most) and
-    /// polls at once, spin after spin, until it has caught up; the one
-    /// that waits is a worker that keeps running dry faster than once per
-    /// `SPIN` — two workers handing single items back and forth. Each of
-    /// them then takes an item, answers it, and looks for the next one a
-    /// `SPIN` after it looked for the last, so the exchange has this
-    /// constant for its period, not a sum of cache-line transfers that
-    /// moves by several percent with thread placement and the neighbours'
-    /// load; and what it loses to a timer tick or a preemption it makes up
-    /// at memory speed. The price is latency: a hand-off in such an
-    /// exchange takes half a `SPIN` on average where polling flat out
-    /// needs a fifth of one.
+    /// And it is paced. A worker's spins are due [`POLLS_PER_SPIN`] per
+    /// [`SPIN`], all at its start, and a spin looks at nothing until it is
+    /// due. A worker that has been busy or asleep is behind that schedule
+    /// (by [`MAX_LAG`] at most) and polls at once, spin after spin, until
+    /// it has caught up; the one that waits is a worker that keeps running
+    /// dry faster than that — two workers handing single items back and
+    /// forth. Each of them then answers `POLLS_PER_SPIN` items as they
+    /// come and looks for the next one when the period ends, so the
+    /// exchange has these constants for its rate, not a sum of cache-line
+    /// transfers that moves by several percent with thread placement and
+    /// the neighbours' load; and what it loses to a timer tick or a
+    /// preemption it makes up at memory speed. The price is latency: one
+    /// hand-off in four of such an exchange waits out the period.
     pub(crate) fn idle(
         &self,
         w: usize,
@@ -658,10 +666,12 @@ impl Sleep {
             let spin = SPIN.as_nanos() as u64;
             let now = self.now_ns();
             // Relaxed: only this thread touches its schedule.
-            let due = (me.spin_due_ns.load(Ordering::Relaxed) + spin)
+            let slot = (me.spin_due_ns.load(Ordering::Relaxed) + spin / POLLS_PER_SPIN)
                 .max(now.saturating_sub(MAX_LAG.as_nanos() as u64));
             // Relaxed: as above.
-            me.spin_due_ns.store(due, Ordering::Relaxed);
+            me.spin_due_ns.store(slot, Ordering::Relaxed);
+            // The slots of one `SPIN` are all due when it begins.
+            let due = slot - slot % spin;
             let deadline = due.max(now) + spin;
             let found = loop {
                 let now = self.now_ns();
@@ -1561,8 +1571,8 @@ mod tests {
     }
 
     /// The spin is paced: a worker that keeps running dry uses up the lag
-    /// its schedule had and then starts to poll once per `SPIN`, however
-    /// early the item is there.
+    /// its schedule had and then starts to poll `POLLS_PER_SPIN` times per
+    /// `SPIN`, however early the item is there.
     #[test]
     fn a_worker_that_keeps_running_dry_is_paced() {
         let sleep = Sleep {
@@ -1571,14 +1581,17 @@ mod tests {
         };
         // Long enough for the schedule to be `MAX_LAG` behind.
         std::thread::sleep(2 * MAX_LAG);
-        let credit = (MAX_LAG.as_nanos() / SPIN.as_nanos()) as u32;
+        let slot = SPIN / POLLS_PER_SPIN as u32;
+        let credit = (MAX_LAG.as_nanos() / slot.as_nanos()) as u32;
         let spins = 3 * credit;
         let start = Instant::now();
         for _ in 0..spins {
             let found = sleep.idle(0, || true, || panic!("the item is there: no park"));
             assert_eq!(found, Idle::Ready);
         }
-        assert!(start.elapsed() >= (spins - credit - 1) * SPIN);
+        // The last poll was due when its period began, up to a `SPIN`
+        // before its slot.
+        assert!(start.elapsed() >= (spins - credit - 1 - POLLS_PER_SPIN as u32) * slot);
     }
 
     fn parks(rt: &crate::runtime::Runtime) -> u64 {

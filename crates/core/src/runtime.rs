@@ -26,12 +26,13 @@ use crate::net::{BatchPolicy, TcpConfig, Wire, WireModel};
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
 use crate::queue::Local;
-use crate::sched::{sys, Task};
-use crossbeam::channel::Sender;
+use crate::sched::Task;
+use crate::sys::{self, lco::lco_sys_op};
 use parking_lot::{Mutex, RwLock};
 use px_balance::BalanceConfig;
 use serde::{de::DeserializeOwned, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -452,24 +453,6 @@ impl RuntimeInner {
         }
     }
 
-    /// [`RuntimeInner::wait_lco`] on the reply future of a driver-side
-    /// RPC, which nothing else references: once the reply (value or
-    /// fault) has been taken the future is freed, so a driver looping
-    /// over `read_data` does not grow its locality's store. On a timeout
-    /// it stays, so a late reply still finds its target instead of dying
-    /// as `NoSuchObject`.
-    pub(crate) fn take_reply(
-        self: &Arc<Self>,
-        fut: Gid,
-        timeout: Option<Duration>,
-    ) -> PxResult<Option<Value>> {
-        let reply = self.wait_lco(fut, timeout);
-        if !matches!(reply, Ok(None)) {
-            self.locality(fut.birthplace()).remove(fut);
-        }
-        reply
-    }
-
     /// True when locality `id`'s workers run in this OS process.
     #[inline]
     pub(crate) fn owns(&self, id: LocalityId) -> bool {
@@ -660,7 +643,7 @@ impl RuntimeBuilder {
         // loop for all localities (decisions still read only per-locality
         // gossip state; see `crate::balance`).
         let balancer = if inner.config.balance.is_some() {
-            let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
+            let (stop_tx, stop_rx) = sync_channel::<()>(1);
             let rt = inner.clone();
             let handle = std::thread::Builder::new()
                 .name("px-balancer".into())
@@ -682,7 +665,7 @@ impl RuntimeBuilder {
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     joins: Mutex<Option<Vec<JoinHandle<()>>>>,
-    balancer: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
+    balancer: Mutex<Option<(SyncSender<()>, JoinHandle<()>)>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -830,26 +813,21 @@ impl Runtime {
             // Issue every pull before waiting on any reply so the pulls
             // fan out concurrently: the total wait is one round trip,
             // not one per rank.
-            let mut pending = Vec::new();
-            for i in 0..self.inner.localities.len() {
-                let id = LocalityId(i as u16);
-                if id == own {
-                    continue;
-                }
-                let fut = self.inner.locality(own).new_future_lco();
-                let p = Parcel::new(
-                    Gid::locality_root(id),
-                    sys::METRICS_PULL,
-                    Value::from_bytes(Vec::new()),
-                    Continuation::set(fut),
-                );
-                self.inner.send_parcel(own, p);
-                pending.push((id, fut));
-            }
-            for (id, fut) in pending {
-                let Some(v) = self.inner.take_reply(fut, timeout)? else {
-                    return Ok(None);
-                };
+            let peers: Vec<LocalityId> = (0..self.inner.localities.len() as u16)
+                .map(LocalityId)
+                .filter(|&id| id != own)
+                .collect();
+            let from = self.inner.locality(own);
+            let pull = |&id: &LocalityId| {
+                let dest = Gid::locality_root(id);
+                let p = Parcel::new(dest, sys::METRICS_PULL, Value::unit(), Continuation::none());
+                self.inner.request(from, p)
+            };
+            let pending: Vec<Gid> = peers.iter().map(pull).collect();
+            let Some(replies) = self.inner.take_replies(&pending, timeout)? else {
+                return Ok(None);
+            };
+            for (id, v) in peers.iter().zip(replies) {
                 per_rank.push((id.0, crate::metrics::MetricsSnapshot::decode(v.bytes())?));
             }
             per_rank.sort_by_key(|&(r, _)| r);
@@ -961,7 +939,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce(&mut Ctx<'_>) -> T + Send + 'static,
     {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.spawn_at(dest, move |ctx| {
             let _ = tx.send(f(ctx));
         });
@@ -1080,8 +1058,8 @@ impl Runtime {
                 // Re-homed between the two lookups: fall through to the
                 // parcel path (guard dropped first).
             }
-            let v = self.sys_rpc(gid, sys::DATA_GET, Vec::new())?;
-            return v.decode::<Vec<u8>>();
+            let get = Parcel::new(gid, sys::DATA_GET, Value::unit(), Continuation::none());
+            return self.sys_rpc(get)?.decode::<Vec<u8>>();
         }
         let _guard = self.inner.agas.migration_guard();
         let owner = self.inner.agas.authoritative_owner(gid);
@@ -1090,26 +1068,13 @@ impl Runtime {
         Ok(g.bytes.clone())
     }
 
-    /// Driver-side split-phase round trip: send a system parcel at `gid`
-    /// with a fresh future continuation and block the *driver* thread
-    /// (never a worker) on the reply. A dead peer resolves the future as
-    /// `Err(PxError::Fault)` through the transport dead-letter path.
-    fn sys_rpc(
-        &self,
-        gid: Gid,
-        action: crate::action::ActionId,
-        payload: Vec<u8>,
-    ) -> PxResult<Value> {
-        let own = self.inner.origin;
-        let fut = self.inner.locality(own).new_future_lco();
-        let mut p = Parcel::new(
-            gid,
-            action,
-            Value::from_bytes(payload),
-            Continuation::set(fut),
-        );
-        p.src = own;
-        self.inner.send_parcel(own, p);
+    /// Driver-side split-phase round trip: `RuntimeInner::request` from
+    /// the origin locality, blocking the *driver* thread (never a worker)
+    /// on the reply. A dead peer resolves it as `Err(PxError::Fault)`
+    /// through the transport dead-letter path.
+    fn sys_rpc(&self, p: Parcel) -> PxResult<Value> {
+        let from = self.inner.locality(self.inner.origin);
+        let fut = self.inner.request(from, p);
         let v = self.inner.take_reply(fut, None)?;
         Ok(v.expect("an unbounded wait cannot time out"))
     }
@@ -1133,10 +1098,8 @@ impl Runtime {
             return Err(PxError::NotMigratable(gid));
         }
         if self.inner.distributed() {
-            let mut w = px_wire::WireWriter::new();
-            w.put_u16(to.0);
-            w.put_u8(0); // cause: manual
-            self.sys_rpc(gid, sys::AGAS_MIGRATE, w.into_bytes())?;
+            let cause = crate::agas::MigrationCause::Manual;
+            self.sys_rpc(sys::msg::Migrate { to, cause }.parcel(gid, None))?;
             return Ok(());
         }
         let from = self.inner.agas.authoritative_owner(gid);
@@ -1177,15 +1140,15 @@ impl Runtime {
         if self.inner.owns(home) {
             return local;
         }
-        let v = self.sys_rpc(
-            Gid::locality_root(home),
-            crate::sched::sys::NAME_LOOKUP,
-            name.as_bytes().to_vec(),
-        )?;
-        match v.bytes().try_into() {
-            Ok(raw) => Ok(Gid(u64::from_le_bytes(raw))),
-            Err(_) => local,
-        }
+        let name = Value::from_bytes(name.as_bytes().to_vec());
+        let root = Gid::locality_root(home);
+        let v = self.sys_rpc(Parcel::new(
+            root,
+            sys::NAME_LOOKUP,
+            name,
+            Continuation::none(),
+        ))?;
+        <Gid as sys::msg::Wire>::decode(v.bytes()).or(local)
     }
 
     /// Create a (root) parallel process homed at `home`. Subprocesses are
@@ -1385,9 +1348,7 @@ impl<'a> Ctx<'a> {
                         let fault = p.cancel_fault();
                         let loc = self.rt.locality(gid.birthplace());
                         let trace = self.trace;
-                        let _ = crate::sched::lco_sys_op(self.rt, loc, gid, trace, move |l| {
-                            Ok(l.poison(fault))
-                        });
+                        let _ = lco_sys_op(self.rt, loc, gid, trace, move |l| Ok(l.poison(fault)));
                     }
                     // Periodic compaction: drop entries whose LCO already
                     // fired (or left its store) so a long-lived process —
@@ -1430,6 +1391,18 @@ impl<'a> Ctx<'a> {
         let fut = self.new_future::<A::Out>();
         self.send::<A>(target, args, Continuation::set(fut.gid()))?;
         Ok(fut)
+    }
+
+    /// Send a system parcel under this thread's trace.
+    fn send_sys(
+        &self,
+        dest: Gid,
+        action: crate::action::ActionId,
+        payload: Value,
+        cont: Continuation,
+    ) {
+        let p = Parcel::new(dest, action, payload, cont).with_trace(self.trace);
+        self.rt.send_parcel(self.here(), p);
     }
 
     /// Send a raw parcel (advanced; normal code uses [`Ctx::send`]).
@@ -1519,21 +1492,13 @@ impl<'a> Ctx<'a> {
     pub fn set_slot<T: Serialize>(&mut self, gid: Gid, idx: u32, value: &T) -> PxResult<()> {
         let v = Value::encode(value)?;
         if gid.birthplace() == self.here() && self.loc.contains(gid) {
-            crate::sched::lco_sys_op(self.rt, self.loc, gid, self.trace, |l| {
-                l.trigger_slot(idx as usize, v.clone())
+            lco_sys_op(self.rt, self.loc, gid, self.trace, |l| {
+                l.trigger_slot(idx as usize, v)
             })?;
         } else {
-            let mut w = px_wire::WireWriter::with_capacity(4 + v.len());
-            w.put_u32(idx);
-            w.put_bytes(v.bytes());
-            let mut p = Parcel::new(
-                gid,
-                sys::LCO_SET_SLOT,
-                Value::from_bytes(w.into_bytes()),
-                Continuation::none(),
-            );
-            p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
+            let fill = sys::msg::SetSlot { idx, value: v };
+            self.rt
+                .send_parcel(self.here(), fill.parcel(gid, self.trace));
         }
         Ok(())
     }
@@ -1595,9 +1560,7 @@ impl<'a> Ctx<'a> {
         } else {
             let proxy = self.loc.new_future_lco();
             self.own_lco(proxy);
-            let mut p = Parcel::new(gid, sys::LCO_GET, Value::unit(), Continuation::set(proxy));
-            p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
+            self.send_sys(gid, sys::LCO_GET, Value::unit(), Continuation::set(proxy));
             self.when_ready(proxy, f);
         }
     }
@@ -1674,14 +1637,12 @@ impl<'a> Ctx<'a> {
         } else {
             let proxy = self.loc.new_future_lco();
             self.own_lco(proxy);
-            let mut p = Parcel::new(
+            self.send_sys(
                 sem,
                 sys::LCO_ACQUIRE,
                 Value::unit(),
                 Continuation::set(proxy),
             );
-            p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
             self.when_ready(proxy, move |ctx, v| run_or_report(ctx, sem, v, f));
         }
     }
@@ -1691,12 +1652,9 @@ impl<'a> Ctx<'a> {
         if sem.birthplace() == self.here() && self.loc.contains(sem) {
             // Releasing a missing/poisoned semaphore has no observer to
             // tell; the release is simply lost (as before).
-            let _ =
-                crate::sched::lco_sys_op(self.rt, self.loc, sem, self.trace, |l| Ok(l.release()));
+            let _ = lco_sys_op(self.rt, self.loc, sem, self.trace, |l| Ok(l.release()));
         } else {
-            let mut p = Parcel::new(sem, sys::LCO_RELEASE, Value::unit(), Continuation::none());
-            p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
+            self.send_sys(sem, sys::LCO_RELEASE, Value::unit(), Continuation::none());
         }
     }
 
@@ -1729,14 +1687,12 @@ impl<'a> Ctx<'a> {
     /// (data-to-work movement; the comparison point for E6).
     pub fn fetch_data(&mut self, gid: Gid) -> FutureRef<Vec<u8>> {
         let fut = self.new_future::<Vec<u8>>();
-        let mut p = Parcel::new(
+        self.send_sys(
             gid,
             sys::DATA_GET,
             Value::unit(),
             Continuation::set(fut.gid()),
         );
-        p.trace = self.trace;
-        self.rt.send_parcel(self.here(), p);
         fut
     }
 
@@ -1744,14 +1700,12 @@ impl<'a> Ctx<'a> {
     /// (unit) when the write is applied.
     pub fn store_data(&mut self, gid: Gid, bytes: &[u8]) -> PxResult<FutureRef<()>> {
         let fut = self.new_future::<()>();
-        let mut p = Parcel::new(
+        self.send_sys(
             gid,
             sys::DATA_PUT,
             Value::encode(&bytes)?,
             Continuation::set(fut.gid()),
         );
-        p.trace = self.trace;
-        self.rt.send_parcel(self.here(), p);
         Ok(fut)
     }
 

@@ -21,119 +21,16 @@
 use crate::action::{ActionId, Value};
 use crate::error::{Fault, FaultCause, PxError};
 use crate::gid::{Gid, LocalityId};
-use crate::lco::{DepletedThread, LcoCore, Waiter};
+use crate::lco::{DepletedThread, Waiter};
 use crate::locality::Locality;
 use crate::parcel::{ContStep, Continuation, Parcel};
 use crate::queue::{Idle, Local};
 use crate::runtime::{Ctx, RuntimeInner};
 use crate::stats::bump;
+use crate::sys;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// System action identifiers. These dispatch inside the scheduler (no
-/// registry lookup) and use raw payload framing; user actions must not
-/// reuse these names.
-pub mod sys {
-    use crate::action::ActionId;
-
-    /// The one definition of the system actions. Each row — const,
-    /// `"__sys/…"` name, wire lane — expands to the `ActionId` const, an
-    /// entry of [`ALL`] and (for `control` rows) a term of
-    /// [`is_control`].
-    macro_rules! sys_actions {
-        (@control control) => { true };
-        (@control data) => { false };
-        ($($(#[$doc:meta])* $name:ident = $string:literal, $lane:ident;)*) => {
-            $($(#[$doc])* pub const $name: ActionId = ActionId::of($string);)*
-
-            /// Every system action id.
-            pub const ALL: [ActionId; [$($string),*].len()] = [$($name),*];
-
-            /// Whether `a` rides the control priority lane (see the
-            /// transport contract in `net/mod.rs`): balancer gossip,
-            /// metrics pulls, and the small directory ops.
-            /// [`DIR_INSTALL`] is a `data` row — it carries object bytes
-            /// and belongs under data-lane backpressure.
-            pub fn is_control(a: ActionId) -> bool {
-                $((sys_actions!(@control $lane) && a == $name))||*
-            }
-        };
-    }
-
-    sys_actions! {
-        /// Trigger an LCO with the payload value.
-        LCO_SET = "__sys/lco_set", data;
-        /// Fill a dataflow slot: payload = `u32` index ++ value bytes.
-        LCO_SET_SLOT = "__sys/lco_set_slot", data;
-        /// Contribute the payload to a reduction LCO.
-        LCO_CONTRIBUTE = "__sys/lco_contribute", data;
-        /// Register the parcel's continuation as a waiter for the LCO value.
-        LCO_GET = "__sys/lco_get", data;
-        /// Semaphore acquire; continuation runs when a permit is granted.
-        LCO_ACQUIRE = "__sys/lco_acquire", data;
-        /// Semaphore release.
-        LCO_RELEASE = "__sys/lco_release", data;
-        /// Read a data object; continuation receives `Vec<u8>`.
-        DATA_GET = "__sys/data_get", data;
-        /// Overwrite a data object; payload = encoded `Vec<u8>`.
-        DATA_PUT = "__sys/data_put", data;
-        /// Reply the payload to the continuation (round-trip measurements).
-        PING = "__sys/ping", data;
-        /// Do nothing (parcel-overhead measurements).
-        NOOP = "__sys/noop", data;
-        /// Echo-tree update (see [`crate::echo`]).
-        ECHO_UPDATE = "__sys/echo_update", data;
-        /// Echo-tree downward propagation.
-        ECHO_PROP = "__sys/echo_prop", data;
-        /// Echo split-phase validation request.
-        ECHO_VALIDATE = "__sys/echo_validate", data;
-        /// Balancer gossip: payload = encoded peer-load view (see
-        /// [`px_balance::PeerView::encode_gossip`]); merged into the
-        /// destination locality's view. Control lane: it must outrun
-        /// the backlog it reports.
-        BALANCE_GOSSIP = "__sys/balance_gossip", control;
-        /// Metrics pull: reply the locality's encoded
-        /// [`crate::metrics::MetricsSnapshot`] to the continuation. Rides the
-        /// control priority lane (like gossip) so a saturated rank still
-        /// answers `Runtime::cluster_metrics` promptly.
-        METRICS_PULL = "__sys/metrics_pull", control;
-        /// Migrate the target data object: payload = `u16` destination
-        /// locality ++ `u8` cause code (0 manual, 1 balancer). Addressed at
-        /// the *object* (not a locality root) so the ordinary chase delivers
-        /// it to the current resident rank; continuation receives unit on
-        /// completion.
-        AGAS_MIGRATE = "__sys/agas_migrate", data;
-        /// Install a migrating object's bytes at the destination rank:
-        /// payload = `u64` gid ++ `u64` version ++ length-prefixed bytes.
-        /// Carries object payload, so it rides the *data* lane.
-        DIR_INSTALL = "__sys/dir_install", data;
-        /// Flip a GID's authoritative home-directory entry: payload =
-        /// `u64` gid ++ `u16` owner ++ `u8` cause code. Control lane.
-        DIR_UPDATE = "__sys/dir_update", control;
-        /// Ask a GID's home rank for its authoritative owner: payload =
-        /// `u64` gid; continuation receives the owner as 2 LE bytes.
-        /// Control lane — lookups must outrun data-lane backpressure.
-        DIR_LOOKUP = "__sys/dir_lookup", control;
-        /// Advisory cache-repair hint for a rank that sent through a stale
-        /// resolution: payload = `u64` gid ++ `u16` owner. Fire-and-forget,
-        /// control lane.
-        DIR_REPAIR = "__sys/dir_repair", control;
-        /// Migration epilogue at the destination rank: payload = `u64` gid ++
-        /// `u8` keep ++ `u16` owner. `keep = 1` (the source finished its
-        /// remove) releases the install-time pin and drains parcels parked
-        /// under it; `keep = 0` (the protocol failed mid-flight) additionally
-        /// discards the provisionally installed copy and repoints the local
-        /// directory at `owner` — the source, which never removed its copy.
-        DIR_COMMIT = "__sys/dir_commit", control;
-        /// Resolve a symbolic name in the receiving rank's table: payload =
-        /// the UTF-8 name bytes; continuation receives the bound gid as
-        /// 8 LE bytes, or a `HandlerError` fault when unbound. Routed to a
-        /// process's home rank by [`crate::runtime::Runtime::lookup_name`],
-        /// making `/proc/...` names cluster-visible. Control lane.
-        NAME_LOOKUP = "__sys/name_lookup", control;
-    }
-}
 
 /// Maximum forward hops before a parcel is declared dead (covers races
 /// between migration and in-flight parcels; real losses are user bugs).
@@ -558,7 +455,7 @@ fn report_thread_panic(rt: &Arc<RuntimeInner>, loc: &Locality, msg: String) {
 }
 
 /// Map a runtime error to the fault cause recorded in the by-cause stats.
-fn cause_of(e: &PxError) -> FaultCause {
+pub(crate) fn cause_of(e: &PxError) -> FaultCause {
     match e {
         PxError::UnknownAction(_) => FaultCause::UnknownAction,
         PxError::Wire(_) => FaultCause::Decode,
@@ -645,8 +542,10 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
             } else {
                 // The sender lives in another OS process: its cache is not
                 // writable from here, so ship the hint as a control-lane
-                // parcel instead.
-                send_dir_repair(rt, loc, p.src, p.dest, owner);
+                // parcel instead (fire-and-forget: a lost hint only costs
+                // another chase).
+                let hint = sys::msg::DirRepair { gid: p.dest, owner };
+                rt.send_parcel(loc.id, hint.parcel(Gid::locality_root(p.src), None));
             }
             if !rt.owns(owner) {
                 bump!(loc.counters.dir_forwards);
@@ -689,7 +588,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     // framing. The stamp is recorded only when a sys arm consumed the
     // parcel; user actions fall through to their own instrument.
     let sys_start = loc.metrics_now();
-    let p = match try_run_sys(rt, loc, p) {
+    let p = match sys::dispatch(rt, loc, p) {
         None => {
             loc.metric_elapsed(crate::metrics::Instrument::ExecuteSys, sys_start);
             return;
@@ -723,707 +622,44 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     }
 }
 
-/// Dispatch a system action (`__sys/*`), which bypasses the registry and
-/// uses raw payload framing. Returns `None` when the parcel was consumed
-/// here; gives the parcel back for registry dispatch otherwise.
-fn try_run_sys(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) -> Option<Parcel> {
-    let a = p.action;
-    if a == sys::NOOP {
-        // px-analyze: allow(no-silent-loss): a NOOP parcel carries no payload or continuation — being dropped after dispatch accounting is its entire contract.
-        return None;
-    } else if a == sys::PING {
-        apply_continuation(rt, loc, p.cont, p.payload, p.trace);
-        return None;
-    } else if a == sys::LCO_SET {
-        // The ack must be honest: a rejected trigger (double-trigger of a
-        // single-assignment LCO, wrong kind, missing object) sends the
-        // error back instead of a unit "success".
-        match lco_sys_op(rt, loc, p.dest, p.trace, |l| l.trigger(p.payload.clone())) {
-            Ok(()) => {
-                record_lco_event(loc, p.trace, p.dest, &p.payload);
-                apply_continuation(rt, loc, p.cont, Value::unit(), p.trace)
-            }
-            Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-        }
-        return None;
-    } else if a == sys::LCO_SET_SLOT {
-        let bytes = p.payload.bytes();
-        if bytes.len() >= 4 {
-            let idx = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-            let v = Value::from_bytes(bytes[4..].to_vec());
-            match lco_sys_op(rt, loc, p.dest, p.trace, |l| l.trigger_slot(idx, v.clone())) {
-                Ok(()) => {
-                    record_lco_event(loc, p.trace, p.dest, &p.payload);
-                    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace)
-                }
-                Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-            }
-        } else {
-            kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "LCO_SET_SLOT payload shorter than the slot index".into(),
-            );
-        }
-        return None;
-    } else if a == sys::LCO_CONTRIBUTE {
-        match lco_sys_op(rt, loc, p.dest, p.trace, |l| {
-            l.contribute(p.payload.clone())
-        }) {
-            Ok(()) => record_lco_event(loc, p.trace, p.dest, &p.payload),
-            Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-        }
-        // px-analyze: allow(no-silent-loss): contributions are fire-and-forget by contract — the payload was delivered to the LCO (or the parcel killed) above; there is no ack continuation to resolve.
-        return None;
-    } else if a == sys::LCO_GET {
-        if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, |l| {
-            Ok(l.add_waiter(Waiter::Cont(p.cont.clone())))
-        }) {
-            kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
-        }
-        // px-analyze: allow(no-silent-loss): on success the continuation lives on as the LCO's registered waiter — a handoff, not a loss; on error the parcel was killed above.
-        return None;
-    } else if a == sys::LCO_ACQUIRE {
-        if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, |l| {
-            l.acquire(Waiter::Cont(p.cont.clone()))
-        }) {
-            kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
-        }
-        // px-analyze: allow(no-silent-loss): on success the continuation is queued as the semaphore's waiter (released or resumed later) — a handoff; on error the parcel was killed above.
-        return None;
-    } else if a == sys::LCO_RELEASE {
-        match lco_sys_op(rt, loc, p.dest, p.trace, |l| Ok(l.release())) {
-            Ok(()) => apply_continuation(rt, loc, p.cont, Value::unit(), p.trace),
-            Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-        }
-        return None;
-    } else if a == sys::DATA_GET {
-        match loc.get_data(p.dest) {
-            Ok(d) => {
-                let bytes = d.read().bytes.clone();
-                let v = Value::encode(&bytes).expect("Vec<u8> encodes");
-                apply_continuation(rt, loc, p.cont, v, p.trace);
-            }
-            // The object left between the residency check and the store
-            // access (a migration's final remove interleaved): chase it
-            // rather than stranding the continuation. Wrong-kind targets
-            // are a user bug and fail fast — retrying cannot fix them.
-            Err(PxError::NoSuchObject(_)) => retry_after_migration(rt, loc, p),
-            Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-        }
-        return None;
-    } else if a == sys::DATA_PUT {
-        match p.payload.decode::<Vec<u8>>() {
-            Err(e) => {
-                let msg = e.to_string();
-                kill_parcel(rt, loc, p, FaultCause::Decode, msg);
-            }
-            Ok(bytes) => match loc.get_data(p.dest) {
-                Ok(d) => {
-                    let mut g = d.write();
-                    // Write freeze, checked under the object's write lock:
-                    // a cross-rank migration pins the GID *before* reading
-                    // its snapshot, and that read blocks on this lock — so
-                    // an unfrozen put seen here is ordered before the
-                    // snapshot, never silently after it. A frozen put is
-                    // parked and re-sent toward the new owner on drain.
-                    if rt.distributed() && rt.agas.migration_in_flight(p.dest) {
-                        drop(g);
-                        let dest = p.dest;
-                        if let Some(back) = rt.agas.defer_during_migration(dest, p) {
-                            // The protocol settled between the two checks:
-                            // chase the object to wherever it landed.
-                            retry_after_migration(rt, loc, back);
-                        }
-                        // px-analyze: allow(no-silent-loss): the parked parcel lives in the migration-sync map — `end_migration` drains and re-sends it; a handoff, not a loss.
-                        return None;
-                    }
-                    g.bytes = bytes;
-                    g.version += 1;
-                    drop(g);
-                    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
-                }
-                Err(PxError::NoSuchObject(_)) => retry_after_migration(rt, loc, p),
-                Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-            },
-        }
-        return None;
-    } else if a == sys::ECHO_UPDATE || a == sys::ECHO_PROP || a == sys::ECHO_VALIDATE {
-        crate::echo::handle_sys(rt, loc, p);
-        return None;
-    } else if a == sys::BALANCE_GOSSIP {
-        bump!(loc.counters.gossip_parcels);
-        if let Some(b) = &loc.balance {
-            match px_balance::decode_gossip(p.payload.bytes()) {
-                Ok(entries) => b.peers.lock().merge(&entries),
-                Err(e) => {
-                    let msg = format!("undecodable gossip: {e}");
-                    kill_parcel(rt, loc, p, FaultCause::Decode, msg);
-                }
-            }
-        }
-        // Without balance state (possible only if a user forges the
-        // action name) the parcel is dropped by design: gossip is
-        // advisory, carries no continuation, and was counted above.
-        // px-analyze: allow(no-silent-loss): gossip is advisory control traffic with no continuation — on the decode path it merged or was killed above; the forged-action path drops a counted parcel by design.
-        return None;
-    } else if a == sys::METRICS_PULL {
-        // Reply this locality's histograms to the continuation. A rank
-        // with metrics off answers with empty histograms rather than
-        // stalling the requester's merge gate.
-        let snap = match &loc.metrics {
-            Some(reg) => reg.snapshot(),
-            None => crate::metrics::MetricsSnapshot::default(),
-        };
-        let v = Value::from_bytes(snap.encode());
-        apply_continuation(rt, loc, p.cont, v, p.trace);
-        return None;
-    } else if a == sys::AGAS_MIGRATE {
-        handle_agas_migrate(rt, loc, p);
-        return None;
-    } else if a == sys::DIR_INSTALL {
-        handle_dir_install(rt, loc, p);
-        return None;
-    } else if a == sys::DIR_UPDATE {
-        let mut r = px_wire::WireReader::new(p.payload.bytes());
-        match (r.get_u64(), r.get_u16()) {
-            (Ok(raw), Ok(owner)) => {
-                let gid = Gid(raw);
-                let owner = LocalityId(owner);
-                rt.agas.note_owner(gid, owner);
-                rt.agas.repair_cache(loc.id, gid, owner);
-                bump!(loc.counters.dir_repairs);
-                apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
-            }
-            _ => kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "undecodable dir_update payload".into(),
-            ),
-        }
-        return None;
-    } else if a == sys::DIR_LOOKUP {
-        let mut r = px_wire::WireReader::new(p.payload.bytes());
-        match r.get_u64() {
-            Ok(raw) => {
-                bump!(loc.counters.dir_lookups_local);
-                let owner = rt.agas.authoritative_owner(Gid(raw));
-                let v = Value::from_bytes(owner.0.to_le_bytes().to_vec());
-                apply_continuation(rt, loc, p.cont, v, p.trace);
-            }
-            Err(_) => kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "undecodable dir_lookup payload".into(),
-            ),
-        }
-        return None;
-    } else if a == sys::DIR_REPAIR {
-        let mut r = px_wire::WireReader::new(p.payload.bytes());
-        if let (Ok(raw), Ok(owner)) = (r.get_u64(), r.get_u16()) {
-            rt.agas.repair_cache(loc.id, Gid(raw), LocalityId(owner));
-            bump!(loc.counters.dir_repairs);
-        }
-        // px-analyze: allow(no-silent-loss): repair hints are advisory fire-and-forget control traffic with no continuation — a lost or garbled hint only costs the sender another bounded chase.
-        return None;
-    } else if a == sys::DIR_COMMIT {
-        let mut r = px_wire::WireReader::new(p.payload.bytes());
-        match (r.get_u64(), r.get_u8(), r.get_u16()) {
-            (Ok(raw), Ok(keep), Ok(owner)) => {
-                let gid = Gid(raw);
-                if keep == 0 {
-                    // The migration failed after our provisional install:
-                    // drop the orphan copy and point back at the source,
-                    // which never removed its own.
-                    loc.remove(gid);
-                    rt.agas.note_owner(gid, LocalityId(owner));
-                    rt.agas.repair_cache(loc.id, gid, LocalityId(owner));
-                }
-                if rt.agas.migration_in_flight(gid) {
-                    for dp in rt.agas.end_migration(gid) {
-                        rt.send_parcel(loc.id, dp);
-                    }
-                }
-                apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
-            }
-            _ => kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "undecodable dir_commit payload".into(),
-            ),
-        }
-        return None;
-    } else if a == sys::NAME_LOOKUP {
-        let resolved = std::str::from_utf8(p.payload.bytes())
-            .map_err(|_| "non-UTF-8 name_lookup payload".to_string())
-            .and_then(|name| {
-                rt.agas
-                    .lookup_name(name)
-                    .map_err(|_| format!("name not bound at this rank: {name}"))
-            });
-        match resolved {
-            Ok(gid) => {
-                let v = Value::from_bytes(gid.0.to_le_bytes().to_vec());
-                apply_continuation(rt, loc, p.cont, v, p.trace);
-            }
-            Err(why) => kill_parcel(rt, loc, p, FaultCause::HandlerError, why),
-        }
-        return None;
-    }
-
-    Some(p)
-}
-
-/// Ship a cache-repair hint to a remote rank whose stale resolution made
-/// this rank forward a parcel: `__sys/dir_repair`, control lane,
-/// fire-and-forget (a lost hint only costs another chase).
-fn send_dir_repair(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    at: LocalityId,
-    gid: Gid,
-    owner: LocalityId,
-) {
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    w.put_u16(owner.0);
-    let p = Parcel::new(
-        Gid::locality_root(at),
-        sys::DIR_REPAIR,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::none(),
-    );
-    rt.send_parcel(loc.id, p);
-}
-
-/// Create a future LCO at `loc` and register a depleted-thread waiter:
-/// `f` runs on a worker with the LCO's value once it fires (or with the
-/// fault once it is poisoned — transport kills poison the LCO through the
-/// dead parcel's continuation). This is the split-phase backbone of the
-/// directory protocols: no worker thread ever blocks on a remote ack.
-fn when_lco_ready(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
-) -> Gid {
-    let fut = loc.new_future_lco();
-    let lco = loc.get_lco(fut).expect("future LCO just created");
-    let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-    rt.schedule_activations(loc, acts, None);
-    fut
-}
-
-/// `__sys/agas_migrate` at the object's current resident rank. Same-rank
-/// destinations reduce to the in-process move; cross-rank destinations run
-/// the split-phase protocol: pin the GID (write freeze) → snapshot bytes →
-/// `DIR_INSTALL` at dest → `DIR_UPDATE` at the home rank → remove the
-/// source copy → unpin and drain parked writes. No lock is held across any
-/// RTT; each ack resumes as a depleted thread.
-fn handle_agas_migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let mut r = px_wire::WireReader::new(p.payload.bytes());
-    let (to, cause) = match (r.get_u16(), r.get_u8()) {
-        (Ok(t), Ok(c)) => (
-            LocalityId(t),
-            if c == 1 {
-                crate::agas::MigrationCause::Balancer
-            } else {
-                crate::agas::MigrationCause::Manual
-            },
-        ),
-        _ => {
-            kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "undecodable agas_migrate payload".into(),
-            );
-            return;
-        }
-    };
-    if to.0 as usize >= rt.localities.len() {
-        let msg = format!("migrate destination {to} out of range");
-        kill_parcel(rt, loc, p, FaultCause::HandlerError, msg);
-        return;
-    }
-    let gid = p.dest;
-    if to == loc.id {
-        // Already here: the move is a no-op, ack immediately.
-        apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
-        return;
-    }
-    if rt.owns(to) {
-        // Destination shares this OS process: the serialized in-process
-        // move suffices (no RTT, so holding `migrate_lock` is fine).
-        match crate::balance::migrate_object(rt, gid, loc.id, to, cause) {
-            Ok(()) => apply_continuation(rt, loc, p.cont, Value::unit(), p.trace),
-            Err(PxError::NoSuchObject(_)) => retry_after_migration(rt, loc, p),
-            Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
-        }
-        return;
-    }
-    if !rt.agas.begin_migration(gid) {
-        // Another migration of this object is mid-protocol: park the
-        // request; the drain re-sends it once the store settles (it then
-        // chases to wherever the object landed).
-        if let Some(back) = rt.agas.defer_during_migration(gid, p) {
-            // The race resolved before we could park: just retry.
-            retry_after_migration(rt, loc, back);
-        }
-        return;
-    }
-    // Snapshot under the pin: parked DATA_PUTs can no longer change the
-    // bytes, so the installed copy is the authoritative image.
-    let (bytes, version) = match loc.get_data(gid) {
-        Ok(d) => {
-            let g = d.read();
-            (g.bytes.clone(), g.version)
-        }
-        Err(PxError::NoSuchObject(_)) => {
-            for dp in rt.agas.end_migration(gid) {
-                rt.send_parcel(loc.id, dp);
-            }
-            retry_after_migration(rt, loc, p);
-            return;
-        }
-        Err(e) => {
-            for dp in rt.agas.end_migration(gid) {
-                rt.send_parcel(loc.id, dp);
-            }
-            kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
-            return;
-        }
-    };
-    let Parcel { cont, trace, .. } = p;
-    let install_ack = when_lco_ready(rt, loc, move |ctx, v| {
-        let rt = ctx.rt_inner().clone();
-        let loc = ctx.locality().clone();
-        if v.is_fault() {
-            fail_cross_rank_migration(&rt, &loc, gid, to, cont, v, trace);
-            return;
-        }
-        // The destination holds the object; flip the authoritative
-        // home-directory entry before removing the source copy (the PR 2
-        // no-window ordering: at every instant at least one rank serves
-        // the GID).
-        let home = gid.birthplace();
-        if rt.owns(home) {
-            finalize_cross_rank_migration(&rt, &loc, gid, to, cause, cont, trace);
-            return;
-        }
-        let update_ack = when_lco_ready(&rt, &loc, move |ctx, v| {
-            let rt = ctx.rt_inner().clone();
-            let loc = ctx.locality().clone();
-            if v.is_fault() {
-                fail_cross_rank_migration(&rt, &loc, gid, to, cont, v, trace);
-            } else {
-                finalize_cross_rank_migration(&rt, &loc, gid, to, cause, cont, trace);
-            }
-        });
-        let mut w = px_wire::WireWriter::new();
-        w.put_u64(gid.0);
-        w.put_u16(to.0);
-        w.put_u8(u8::from(cause == crate::agas::MigrationCause::Balancer));
-        let mut up = Parcel::new(
-            Gid::locality_root(home),
-            sys::DIR_UPDATE,
-            Value::from_bytes(w.into_bytes()),
-            Continuation::set(update_ack),
-        );
-        up.trace = trace;
-        rt.send_parcel(loc.id, up);
-    });
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    w.put_u64(version);
-    w.put_len_bytes(&bytes);
-    let mut install = Parcel::new(
-        Gid::locality_root(to),
-        sys::DIR_INSTALL,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(install_ack),
-    );
-    install.trace = trace;
-    rt.send_parcel(loc.id, install);
-}
-
-/// A cross-rank migration step died (transport fault to the destination
-/// or the home rank): unpin the GID, release parked writes, tell the
-/// destination to discard any provisionally installed copy, and deliver
-/// the fault to the original `migrate` continuation. The parked writes
-/// re-resolve against the unchanged directory — the source copy was never
-/// removed, so the object stays served.
-fn fail_cross_rank_migration(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    gid: Gid,
-    to: LocalityId,
-    cont: Continuation,
-    fault: Value,
-    trace: Option<u64>,
-) {
-    for dp in rt.agas.end_migration(gid) {
-        rt.send_parcel(loc.id, dp);
-    }
-    // Usually the destination is the dead peer and this dead-letters
-    // quietly; when the *home* rank died instead, the discard unpins the
-    // destination and removes its orphan copy.
-    send_dir_commit(rt, loc, gid, to, 0, loc.id);
-    apply_continuation(rt, loc, cont, fault, trace);
-}
-
-/// Fire the migration epilogue at the destination rank (see
-/// [`sys::DIR_COMMIT`]). `keep = 1` releases the install-time pin;
-/// `keep = 0` also discards the installed copy and repoints the
-/// destination's directory at `owner`.
-fn send_dir_commit(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    gid: Gid,
-    to: LocalityId,
-    keep: u8,
-    owner: LocalityId,
-) {
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    w.put_u8(keep);
-    w.put_u16(owner.0);
-    let c = Parcel::new(
-        Gid::locality_root(to),
-        sys::DIR_COMMIT,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::none(),
-    );
-    rt.send_parcel(loc.id, c);
-}
-
-/// Both remote acks landed: retire the source copy, repair the local
-/// cache, unpin, release parked writes (they chase to the new owner), and
-/// ack the migration.
-fn finalize_cross_rank_migration(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    gid: Gid,
-    to: LocalityId,
-    cause: crate::agas::MigrationCause,
-    cont: Continuation,
-    trace: Option<u64>,
-) {
-    // Counted at the initiating rank only; the destination and home
-    // ranks wrote their directories via `note_owner` (no tallies).
-    rt.agas.record_migration_caused(gid, to, cause);
-    loc.remove(gid);
-    rt.agas.repair_cache(loc.id, gid, to);
-    for dp in rt.agas.end_migration(gid) {
-        rt.send_parcel(loc.id, dp);
-    }
-    // The source copy is gone: release the destination's install-time
-    // pin so it drains parked writes and migration requests.
-    send_dir_commit(rt, loc, gid, to, 1, to);
-    loc.trace_event(
-        trace,
-        crate::trace::TraceEventKind::Migrate,
-        gid.0,
-        u64::from(to.0),
-    );
-    apply_continuation(rt, loc, cont, Value::unit(), trace);
-}
-
-/// `__sys/dir_install` at a migration's destination rank: decode the
-/// object image, adopt it into the local store, and point the local
-/// directory shard at ourselves before acking (a parcel arriving between
-/// the ack and the home update must already find the object here).
-fn handle_dir_install(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let mut r = px_wire::WireReader::new(p.payload.bytes());
-    let decoded = match (r.get_u64(), r.get_u64(), r.get_len_bytes()) {
-        (Ok(raw), Ok(version), Ok(bytes)) => (Gid(raw), version, bytes.to_vec()),
-        _ => {
-            kill_parcel(
-                rt,
-                loc,
-                p,
-                FaultCause::Decode,
-                "undecodable dir_install payload".into(),
-            );
-            return;
-        }
-    };
-    let (gid, version, bytes) = decoded;
-    // Pin the GID *before* the copy becomes visible: until the source's
-    // `DIR_COMMIT` arrives, this rank may serve reads from the installed
-    // image but must park writes and — crucially — migration requests.
-    // Without the pin, a second migration could start here while the
-    // source is still finalizing the first, and the source's
-    // remove-at-source would then delete the copy the second migration
-    // just installed: the object would vanish with both directories
-    // pointing at each other.
-    rt.agas.begin_migration(gid);
-    loc.insert_at(
-        gid,
-        crate::locality::Stored::Data(Arc::new(parking_lot::RwLock::new(
-            crate::locality::DataObject { bytes, version },
-        ))),
-    );
-    rt.agas.note_owner(gid, loc.id);
-    rt.agas.repair_cache(loc.id, gid, loc.id);
-    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
-}
-
 /// Re-route a parcel whose target object is absent from the locality the
 /// directory pointed at — mid-migration (including the final remove
 /// interleaving with a check-then-get in a data handler). The directory
 /// already knows the current owner, so this is the ordinary bounded
 /// chase; a genuinely freed object exhausts the hop budget and dies.
-fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
+pub(crate) fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     if p.hops >= MAX_HOPS {
         bump!(loc.counters.chase_cap_violations);
         let msg = format!("retry budget exhausted after {MAX_HOPS} hops (object absent — freed?)");
         kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
         return;
     }
+    // When the GID's home is another rank, this rank's directory claims
+    // ownership but the object is gone — our view is stale and only the
+    // home rank's entry is authoritative: ask it where the object went
+    // (control lane) and re-route on the answer.
     let home = p.dest.birthplace();
-    if rt.distributed() && !rt.owns(home) {
-        // This rank's directory claims ownership but the object is gone —
-        // our view is stale and only the home rank's entry is
-        // authoritative. Ask it where the object went (control lane) and
-        // re-route on the answer.
-        bump!(loc.counters.dir_lookups_remote);
-        remote_dir_lookup(rt, loc, p);
-        return;
-    }
-    bump!(loc.counters.dir_lookups_local);
-    let owner = rt.agas.authoritative_owner(p.dest);
+    let ask_home = rt.distributed() && !rt.owns(home);
+    let next = if ask_home {
+        home
+    } else {
+        rt.agas.authoritative_owner(p.dest)
+    };
     let mut retry = p;
     retry.hops += 1;
     loc.trace_event(
         retry.trace,
         crate::trace::TraceEventKind::Chase,
         retry.dest.0,
-        u64::from(owner.0),
+        u64::from(next.0),
     );
-    rt.route_parcel(loc.id, owner, retry);
-}
-
-/// Split-phase remote directory lookup: send `__sys/dir_lookup` to the
-/// GID's home rank, park the stranded parcel on a future LCO, and re-route
-/// it when the authoritative owner comes back. A dead home rank poisons
-/// the future through the transport dead-letter path, which resolves the
-/// parcel as a counted `Transport` fault in bounded time.
-fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let home = p.dest.birthplace();
-    let gid = p.dest;
-    let trace = p.trace;
-    let stamp = loc.metrics_now();
-    let mut retry = p;
-    retry.hops += 1;
-    loc.trace_event(
-        trace,
-        crate::trace::TraceEventKind::Chase,
-        gid.0,
-        u64::from(home.0),
-    );
-    let ack = when_lco_ready(rt, loc, move |ctx, v| {
-        let rt = ctx.rt_inner().clone();
-        let loc = ctx.locality().clone();
-        loc.metric_elapsed(crate::metrics::Instrument::DirLookup, stamp);
-        if v.is_fault() {
-            let msg = format!("directory home {home} unreachable");
-            kill_parcel(&rt, &loc, retry, FaultCause::Transport, msg);
-            return;
-        }
-        let raw: [u8; 2] = match v.bytes().try_into() {
-            Ok(r) => r,
-            Err(_) => {
-                kill_parcel(
-                    &rt,
-                    &loc,
-                    retry,
-                    FaultCause::Decode,
-                    "short dir_lookup reply".into(),
-                );
-                return;
-            }
-        };
-        let owner = LocalityId(u16::from_le_bytes(raw));
-        rt.agas.repair_cache(loc.id, gid, owner);
-        bump!(loc.counters.dir_repairs);
-        rt.route_parcel(loc.id, owner, retry);
-    });
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    let mut lk = Parcel::new(
-        Gid::locality_root(home),
-        sys::DIR_LOOKUP,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(ack),
-    );
-    lk.trace = trace;
-    rt.send_parcel(loc.id, lk);
-}
-
-/// Record the trace event for a *successful* LCO trigger/contribute: a
-/// fault value poisons the object, anything else triggers it. One branch
-/// when the parcel is untraced.
-fn record_lco_event(loc: &Locality, trace: Option<u64>, gid: Gid, payload: &Value) {
-    if trace.is_some() {
-        let (kind, aux) = match payload.fault() {
-            Some(f) => (
-                crate::trace::TraceEventKind::LcoPoison,
-                u64::from(f.cause.code()),
-            ),
-            None => (crate::trace::TraceEventKind::LcoTrigger, 0),
-        };
-        loc.trace_event(trace, kind, gid.0, aux);
+    if ask_home {
+        bump!(loc.counters.dir_lookups_remote);
+        sys::agas::remote_dir_lookup(rt, loc, retry);
+    } else {
+        bump!(loc.counters.dir_lookups_local);
+        rt.route_parcel(loc.id, next, retry);
     }
-}
-
-/// Run an LCO operation on a local object and schedule any released
-/// waiters. The closure runs under the object lock and must not call back
-/// into the runtime; activations run after unlock, inheriting `trace` —
-/// the causality of a released waiter flows from the event that released
-/// it. Errors (missing object, wrong kind, protocol violations like
-/// double-trigger) are returned so the caller can deliver them — a
-/// parcel-driven caller kills the parcel with the error, an API-driven
-/// caller returns it.
-pub(crate) fn lco_sys_op(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    gid: Gid,
-    trace: Option<u64>,
-    op: impl FnOnce(&mut LcoCore) -> crate::error::PxResult<crate::lco::Activations>,
-) -> crate::error::PxResult<()> {
-    bump!(loc.counters.lco_events);
-    let lco = loc.get_lco(gid)?;
-    let (acts, resolved) = {
-        let mut g = lco.lock();
-        let r = op(&mut g);
-        // Harvest the creation stamp exactly once, at the event that
-        // resolved the LCO (fire or poison) — the spawn→resolution
-        // latency, on this locality's clock.
-        (r, g.take_resolve_latency())
-    };
-    if let (Some(reg), Some(d)) = (&loc.metrics, resolved) {
-        reg.record_elapsed(crate::metrics::Instrument::SpawnResolve, d);
-    }
-    let acts = acts?;
-    if !acts.is_empty() {
-        loc.trace_event(
-            trace,
-            crate::trace::TraceEventKind::LcoRelease,
-            gid.0,
-            acts.len() as u64,
-        );
-    }
-    rt.schedule_activations(loc, acts, trace);
-    Ok(())
 }
 
 /// Apply a continuation specifier with the result value. Local LCO steps
@@ -1443,8 +679,8 @@ pub(crate) fn apply_continuation(
                 rt.lco_route(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace)
             }
             ContStep::Call { action, target } => {
-                let mut p = Parcel::new(target, action, value.clone(), Continuation::none());
-                p.trace = trace;
+                let p = Parcel::new(target, action, value.clone(), Continuation::none())
+                    .with_trace(trace);
                 rt.send_parcel(loc.id, p);
             }
         }
@@ -1465,34 +701,22 @@ impl RuntimeInner {
     ) {
         let owner = self.agas.resolve_counted(from, gid);
         if owner == from.id && from.contains(gid) {
-            let op_action = action;
-            let r = lco_sys_op(self, from, gid, trace, |l| {
-                if op_action == sys::LCO_SET {
-                    l.trigger(value.clone())
-                } else {
-                    l.contribute(value.clone())
-                }
-            });
-            match r {
-                Ok(()) => record_lco_event(from, trace, gid, &value),
-                Err(e) => {
-                    // Local LCO event with no parcel continuation to notify:
-                    // the error dead-ends here. Count it like the parcel path
-                    // would and let the dead-letter hook see it.
-                    let fault = Fault::new(cause_of(&e), action, gid, e.to_string());
-                    from.counters.count_death(fault.cause, 1);
-                    from.trace_event(
-                        trace,
-                        crate::trace::TraceEventKind::ParcelKill,
-                        gid.0,
-                        u64::from(fault.cause.code()),
-                    );
-                    self.notify_dead_letter(&fault, trace);
-                }
+            if let Err(e) = sys::lco::deliver(self, from, gid, action, &value, trace) {
+                // Local LCO event with no parcel continuation to notify:
+                // the error dead-ends here. Count it like the parcel path
+                // would and let the dead-letter hook see it.
+                let fault = Fault::new(cause_of(&e), action, gid, e.to_string());
+                from.counters.count_death(fault.cause, 1);
+                from.trace_event(
+                    trace,
+                    crate::trace::TraceEventKind::ParcelKill,
+                    gid.0,
+                    u64::from(fault.cause.code()),
+                );
+                self.notify_dead_letter(&fault, trace);
             }
         } else {
-            let mut p = Parcel::new(gid, action, value, Continuation::none());
-            p.trace = trace;
+            let p = Parcel::new(gid, action, value, Continuation::none()).with_trace(trace);
             self.send_parcel(from.id, p);
         }
     }
@@ -1675,17 +899,6 @@ impl RuntimeInner {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn sys_ids_distinct() {
-        let set: std::collections::HashSet<u64> = sys::ALL.iter().map(|i| i.0).collect();
-        assert_eq!(set.len(), sys::ALL.len());
-        // The lane column: small directory ops ride the control lane, the
-        // object-bearing install does not, and no user action ever does.
-        assert!(sys::is_control(sys::DIR_LOOKUP));
-        assert!(!sys::is_control(sys::DIR_INSTALL));
-        assert!(!sys::is_control(ActionId::of("user/action")));
-    }
 
     #[test]
     fn corrupt_frame_counts_every_lost_record() {

@@ -469,9 +469,11 @@ fn cross_rank_migrate_data_round_trip() {
 /// Driver-side RPCs (`read_data`, `migrate_data`, `lookup_name` over TCP)
 /// park their reply on a fresh future at the origin locality; that
 /// future is freed once the reply is taken, so a driver polling a remote
-/// object does not grow its own store.
+/// object does not grow its own store. Neither does the migration
+/// protocol it drives: the source rank's install/update acks are
+/// one-shot reply futures too, freed when they fire.
 #[test]
-fn remote_reads_leave_the_origin_store_flat() {
+fn remote_reads_and_migrations_leave_the_origin_store_flat() {
     let addrs = free_addrs(2);
     let mut child = spawn_child("serve", &addrs);
     let rt = build_rt(0, addrs, false, false, false);
@@ -485,6 +487,11 @@ fn remote_reads_leave_the_origin_store_flat() {
         assert_eq!(rt.read_data(gid).expect("remote read"), payload);
     }
     assert_eq!(objects(), before, "one reply future leaked per round trip");
+    for _ in 0..200 {
+        rt.migrate_data(gid, LocalityId(0)).expect("inbound leg");
+        rt.migrate_data(gid, LocalityId(1)).expect("outbound leg");
+    }
+    assert_eq!(objects(), before, "one install ack leaked per outbound leg");
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success());
     rt.shutdown();

@@ -141,7 +141,7 @@ fn double_trigger_ack_carries_the_error() {
     rt.run_blocking(LocalityId(0), move |ctx| {
         ctx.send_parcel(Parcel::new(
             fut_gid,
-            parallex::core::sched::sys::LCO_SET,
+            parallex::core::sys::LCO_SET,
             Value::encode(&2u64).unwrap(),
             Continuation::set(ack_gid),
         ));
