@@ -344,18 +344,6 @@ impl Rank {
         env.payload
     }
 
-    /// Direct (unmeasured) store write to any shard — setup/verification
-    /// only, not part of timed sections.
-    pub fn store_put_at(&mut self, owner: usize, key: u64, value: Vec<u8>) {
-        self.inner.store[owner].write().insert(key, value);
-    }
-
-    /// Messages sent world-wide so far.
-    pub fn world_messages(&self) -> u64 {
-        // Relaxed: counter read for reporting, not synchronization.
-        self.inner.messages.load(Ordering::Relaxed)
-    }
-
     /// Sleep helper for tests.
     pub fn sleep(&self, d: Duration) {
         std::thread::sleep(d);

@@ -1,6 +1,4 @@
-//! E12 bench target: adaptive cross-locality load balancing. Prints both
-//! policy-comparison tables and writes `BENCH_balance.json`.
-
+//! Regenerates the e12_balance experiment tables (see DESIGN.md §4, EXPERIMENTS.md).
 fn main() {
     px_bench::e12_balance::run();
 }

@@ -27,9 +27,6 @@
 //! workers overlap on any host, so the comparison is meaningful even with
 //! fewer physical cores than simulated localities (unlike the spin-grain
 //! experiments, which gate on core count).
-//!
-//! `run()` prints the table and writes `BENCH_balance.json` at the
-//! workspace root.
 
 use crate::table::{f2, ms, print_table};
 use px_core::prelude::*;
@@ -66,7 +63,7 @@ impl Setting {
         Setting::Adaptive,
     ];
 
-    /// Table / JSON label.
+    /// Table label.
     pub fn label(self) -> &'static str {
         match self {
             Setting::Off => "off",
@@ -104,7 +101,7 @@ pub struct Params {
     pub grain_ns: u64,
 }
 
-/// Full-size parameters (the JSON run).
+/// Full-size parameters.
 pub const FULL: Params = Params {
     tasks: 1200,
     grain_ns: 250_000,
@@ -153,7 +150,7 @@ fn collect_row(setting: Setting, makespan: Duration, stats: &StatsSnapshot) -> R
 /// trigger parcel back to the gate — the balanced runs carry that cost
 /// honestly and win anyway.
 pub fn run_skewed_spawn(setting: Setting, p: Params) -> Row {
-    let rt = RuntimeBuilder::new(crate::apply_trace(setting.config(p.tasks)))
+    let rt = RuntimeBuilder::new(setting.config(p.tasks))
         .build()
         .unwrap();
     let homes = zipf_assign(p.tasks, LOCALITIES, SKEW, 0xe12);
@@ -170,7 +167,6 @@ pub fn run_skewed_spawn(setting: Setting, p: Params) -> Row {
     rt.wait_future(fut).unwrap();
     let makespan = t0.elapsed();
     let stats = rt.stats();
-    crate::print_slowest_trace(&format!("e12/skewed-spawn/{}", setting.label()), &rt);
     rt.shutdown();
     collect_row(setting, makespan, &stats)
 }
@@ -191,7 +187,7 @@ impl Action for Touch {
 /// 0, caller affinity `object k ↔ locality k mod L`. Every touch rides a
 /// parcel with a continuation contributing to one completion gate.
 pub fn run_hot_objects(setting: Setting, p: Params) -> Row {
-    let rt = RuntimeBuilder::new(crate::apply_trace(setting.config(p.tasks)))
+    let rt = RuntimeBuilder::new(setting.config(p.tasks))
         .register::<Touch>()
         .build()
         .unwrap();
@@ -217,7 +213,6 @@ pub fn run_hot_objects(setting: Setting, p: Params) -> Row {
     rt.wait_future(fut).unwrap();
     let makespan = t0.elapsed();
     let stats = rt.stats();
-    crate::print_slowest_trace(&format!("e12/hot-objects/{}", setting.label()), &rt);
     rt.shutdown();
     collect_row(setting, makespan, &stats)
 }
@@ -261,76 +256,7 @@ fn print_rows(title: &str, rows: &[Row]) {
     );
 }
 
-/// JSON shape of one measured row (field names are the committed-artifact
-/// schema; emitted through the derived `Serialize`).
-#[derive(serde::Serialize)]
-struct RowJson {
-    policy: String,
-    makespan_ms: f64,
-    speedup_vs_off: f64,
-    tasks_shed: u64,
-    migrations_balancer: u64,
-    parcels_forwarded: u64,
-    gossip_parcels: u64,
-    parcels_recv: u64,
-}
-
-#[derive(serde::Serialize)]
-struct WorkloadsJson {
-    skewed_spawn: Vec<RowJson>,
-    hot_objects: Vec<RowJson>,
-}
-
-#[derive(serde::Serialize)]
-struct BalanceJson {
-    bench: String,
-    localities: u64,
-    tasks: u64,
-    grain_ns: u64,
-    zipf_skew: f64,
-    hot_objects: u64,
-    workloads: WorkloadsJson,
-}
-
-fn json_rows(rows: &[Row]) -> Vec<RowJson> {
-    rows.iter()
-        .map(|r| RowJson {
-            policy: r.setting.label().to_string(),
-            makespan_ms: r.makespan.as_secs_f64() * 1e3,
-            speedup_vs_off: speedup(rows, r),
-            tasks_shed: r.tasks_shed,
-            migrations_balancer: r.migrations_balancer,
-            parcels_forwarded: r.parcels_forwarded,
-            gossip_parcels: r.gossip_parcels,
-            parcels_recv: r.parcels_recv,
-        })
-        .collect()
-}
-
-/// Write `BENCH_balance.json` at the workspace root through the derived
-/// `Serialize` impls (see [`crate::json`]).
-fn write_json(p: Params, skewed: &[Row], hot: &[Row]) {
-    let doc = BalanceJson {
-        bench: "e12_balance".into(),
-        localities: LOCALITIES as u64,
-        tasks: p.tasks as u64,
-        grain_ns: p.grain_ns,
-        zipf_skew: SKEW,
-        hot_objects: HOT_OBJECTS as u64,
-        workloads: WorkloadsJson {
-            skewed_spawn: json_rows(skewed),
-            hot_objects: json_rows(hot),
-        },
-    };
-    let json = crate::json::to_json_pretty(&doc);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_balance.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn run_with(p: Params, write: bool) -> (Vec<Row>, Vec<Row>) {
+fn run_with(p: Params) -> (Vec<Row>, Vec<Row>) {
     println!(
         "\n[E12] {} × {} µs blocking tasks over {LOCALITIES} single-worker localities",
         p.tasks,
@@ -346,21 +272,17 @@ fn run_with(p: Params, write: bool) -> (Vec<Row>, Vec<Row>) {
         "E12b — hot objects born on one locality: heat-driven migration",
         &hot,
     );
-    if write {
-        write_json(p, &skewed, &hot);
-    }
     (skewed, hot)
 }
 
-/// Full experiment: print both tables and write `BENCH_balance.json`.
+/// Full experiment: print both tables.
 pub fn run() -> (Vec<Row>, Vec<Row>) {
-    run_with(FULL, true)
+    run_with(FULL)
 }
 
-/// CI smoke: scaled-down run, no JSON (the committed JSON tracks the
-/// full-size numbers).
+/// CI smoke: the same tables, scaled down.
 pub fn smoke() -> (Vec<Row>, Vec<Row>) {
-    run_with(SMOKE, false)
+    run_with(SMOKE)
 }
 
 #[cfg(test)]

@@ -22,26 +22,14 @@
 //!   goes local: the win is *latency elimination*, not load splitting,
 //!   and lands well above 2x.
 //!
-//! The rows ride into `BENCH_dist.json` (see [`crate::e14_distributed`],
-//! which owns that artifact); `--smoke e12tcp` runs the 2-rank pair in
-//! CI without writing JSON.
+//! `px-bench e12tcp` prints the table at 2 and 4 ranks (the full E14
+//! run prints it too); `--smoke e12tcp` runs the 2-rank pair in CI.
 
+use crate::mesh::{join_peers, reserve_addrs, spawn_peers};
 use crate::table::{f2, ms, print_table};
 use px_core::prelude::*;
 use px_workloads::synth::{sleep_for_ns, zipf_assign};
-use serde::Serialize;
-use std::io::Read;
-use std::net::TcpListener;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// The environment variable that turns a `px-bench` invocation into a
-/// serving rank of the e12tcp mesh.
-pub const RANK_ENV: &str = "PX_E12TCP_RANK";
-const ADDRS_ENV: &str = "PX_E12TCP_ADDRS";
-/// `"adaptive"` enables the balancer on the child rank (the mesh must
-/// agree: shedding and pulling are rank-local decisions).
-const POLICY_ENV: &str = "PX_E12TCP_POLICY";
 
 /// Zipf skew of the spawn homes (same shape as the in-process E12).
 pub const SKEW: f64 = 3.0;
@@ -62,7 +50,7 @@ pub struct Params {
     pub hot_grain_ns: u64,
 }
 
-/// Full-size parameters (the JSON run).
+/// Full-size parameters.
 pub const FULL: Params = Params {
     tasks: 1200,
     grain_ns: 250_000,
@@ -162,86 +150,44 @@ fn config(rank: u16, addrs: Vec<String>, adaptive: bool, p: &Params) -> Config {
     cfg.with_balance(balance)
 }
 
-fn build_rank0(addrs: Vec<String>, adaptive: bool, p: &Params) -> Runtime {
-    RuntimeBuilder::new(crate::apply_trace(config(0, addrs, adaptive, p)))
+fn build(rank: u16, addrs: Vec<String>, adaptive: bool, p: &Params) -> Runtime {
+    RuntimeBuilder::new(config(rank, addrs, adaptive, p))
         .register::<Sleep>()
         .register::<Hop>()
         .register::<Relay>()
         .build()
-        .expect("rank 0 bootstrap")
+        .expect("mesh rank bootstrap")
 }
 
-/// If this process was spawned as an e12tcp mesh peer, serve and exit —
-/// call first from `main`. Serves until the parent closes stdin.
-pub fn maybe_child() {
-    let Ok(rank) = std::env::var(RANK_ENV) else {
-        return;
-    };
-    let rank: u16 = rank.parse().expect("numeric rank");
-    let addrs: Vec<String> = std::env::var(ADDRS_ENV)
-        .expect("mesh peers need the address list")
-        .split(',')
-        .map(String::from)
-        .collect();
-    let adaptive = std::env::var(POLICY_ENV).is_ok_and(|v| v == "adaptive");
+/// Runtime of a spawned rank (see [`crate::mesh::maybe_child`]); the
+/// mesh must agree on `adaptive`: shedding and pulling are rank-local
+/// decisions.
+pub(crate) fn peer(rank: u16, addrs: Vec<String>, adaptive: bool) -> Runtime {
     // The caps in `FULL` are generous for every leg; shedding and
     // pulling self-limit through gossip, so the exact parent params do
     // not need to cross the process boundary.
-    let rt = RuntimeBuilder::new(config(rank, addrs, adaptive, &FULL))
-        .register::<Sleep>()
-        .register::<Hop>()
-        .register::<Relay>()
-        .build()
-        .expect("mesh peer bootstrap");
-    let mut sink = String::new();
-    let _ = std::io::stdin().read_to_string(&mut sink);
-    rt.shutdown();
-    std::process::exit(0);
+    build(rank, addrs, adaptive, &FULL)
 }
 
-/// Reserve `n` loopback listen addresses.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-        })
-        .collect()
+/// Reserve a `ranks`-wide mesh, spawn ranks 1..n and build rank 0.
+fn launch(
+    ranks: usize,
+    adaptive: bool,
+    p: &Params,
+    child_args: &[&str],
+) -> (Runtime, Vec<std::process::Child>) {
+    let addrs = reserve_addrs(ranks);
+    let role = if adaptive {
+        "e12tcp-adaptive"
+    } else {
+        "e12tcp-off"
+    };
+    let peers = spawn_peers(&addrs, role, child_args);
+    (build(0, addrs, adaptive, p), peers)
 }
 
-/// Re-execute this binary as ranks 1..n with the given balancer policy.
-fn spawn_peers(addrs: &[String], adaptive: bool, child_args: &[&str]) -> Vec<std::process::Child> {
-    let exe = std::env::current_exe().expect("own path");
-    (1..addrs.len())
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args(child_args)
-                .env(RANK_ENV, rank.to_string())
-                .env(ADDRS_ENV, addrs.join(","))
-                .stdin(Stdio::piped())
-                .stdout(Stdio::null());
-            if adaptive {
-                cmd.env(POLICY_ENV, "adaptive");
-            }
-            cmd.spawn().expect("spawn mesh peer")
-        })
-        .collect()
-}
-
-/// Close the peers' stdin (their exit signal) and reap them.
-fn join_peers(peers: Vec<std::process::Child>) {
-    let mut peers = peers;
-    for child in &mut peers {
-        drop(child.stdin.take());
-    }
-    for mut child in peers {
-        let status = child.wait().expect("join mesh peer");
-        assert!(status.success(), "mesh peer failed: {status:?}");
-    }
-}
-
-/// One measured leg — the `BENCH_dist.json` row schema.
-#[derive(Debug, Clone, Serialize)]
+/// One measured leg.
+#[derive(Debug, Clone)]
 pub struct Row {
     /// `"skewed-spawn"` or `"hot-objects"`.
     pub workload: String,
@@ -262,8 +208,6 @@ pub struct Row {
     pub dir_lookups_remote: u64,
     /// Directory repairs applied at rank 0.
     pub dir_repairs: u64,
-    /// Parcels forwarded by AGAS chases at rank 0.
-    pub parcels_forwarded: u64,
 }
 
 fn collect_row(
@@ -285,7 +229,6 @@ fn collect_row(
         migrations_balancer: stats.migrations_balancer,
         dir_lookups_remote: t.dir_lookups_remote,
         dir_repairs: t.dir_repairs,
-        parcels_forwarded: t.parcels_forwarded,
     }
 }
 
@@ -293,9 +236,7 @@ fn collect_row(
 /// addressed at its home rank's locality root, one completion gate on
 /// rank 0.
 pub fn run_skewed_spawn(ranks: usize, adaptive: bool, p: &Params, child_args: &[&str]) -> Row {
-    let addrs = reserve_addrs(ranks);
-    let peers = spawn_peers(&addrs, adaptive, child_args);
-    let rt = build_rank0(addrs, adaptive, p);
+    let (rt, peers) = launch(ranks, adaptive, p, child_args);
     let homes = zipf_assign(p.tasks, ranks, SKEW, 0xe12);
     let gate = rt.new_and_gate(LocalityId(0), p.tasks as u64);
     let fut: FutureRef<()> = FutureRef::from_gid(gate);
@@ -321,9 +262,7 @@ pub fn run_skewed_spawn(ranks: usize, adaptive: bool, p: &Params, child_args: &[
 /// ranks. Balancer-off pays two wire crossings per hop on every remote
 /// chain's critical path; adaptive migrates each object to its caller.
 pub fn run_hot_objects(ranks: usize, adaptive: bool, p: &Params, child_args: &[&str]) -> Row {
-    let addrs = reserve_addrs(ranks);
-    let peers = spawn_peers(&addrs, adaptive, child_args);
-    let rt = build_rank0(addrs, adaptive, p);
+    let (rt, peers) = launch(ranks, adaptive, p, child_args);
     let objects: Vec<Gid> = (0..p.objects)
         .map(|_| rt.new_data_at(LocalityId(0), vec![0u8; 64]))
         .collect();
@@ -393,7 +332,6 @@ fn print_rows(title: &str, rows: &[Row]) {
 }
 
 /// Run both workloads at each mesh size, balancer-off vs adaptive.
-/// Returns all rows (the `BENCH_dist.json` payload — E14 owns the file).
 pub fn legs(rank_counts: &[usize], p: &Params, child_args: &[&str]) -> Vec<Row> {
     let mut rows = Vec::new();
     for &ranks in rank_counts {
@@ -411,14 +349,12 @@ pub fn legs(rank_counts: &[usize], p: &Params, child_args: &[&str]) -> Vec<Row> 
     rows
 }
 
-/// Full experiment: both workloads at 2 and 4 ranks. The rows are
-/// embedded in `BENCH_dist.json` by the E14 full run; invoked standalone
-/// this prints the table only.
+/// Full experiment: both workloads at 2 and 4 ranks.
 pub fn run() -> Vec<Row> {
     legs(&[2, 4], &FULL, &[])
 }
 
-/// CI smoke: the 2-rank pair, scaled down, no JSON. Asserts the
+/// CI smoke: the 2-rank pair, scaled down. Asserts the
 /// balancer actually engaged across the process boundary (counters, not
 /// wall-clock: CI boxes are noisy).
 pub fn smoke() -> Vec<Row> {
@@ -442,19 +378,7 @@ pub fn smoke() -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Child entry for the re-executed *test* binary: a no-op unless
-    /// `PX_E12TCP_RANK` is set (then it serves its rank and exits there).
-    #[test]
-    fn e12tcp_child_entry() {
-        maybe_child();
-    }
-
-    const CHILD: &[&str] = &[
-        "e12_tcp::tests::e12tcp_child_entry",
-        "--exact",
-        "--nocapture",
-    ];
+    use crate::mesh::TEST_CHILD as CHILD;
 
     /// The distributed hot-objects leg is the acceptance claim: adaptive
     /// pulls the hot objects to their callers and beats off by ≥2x at

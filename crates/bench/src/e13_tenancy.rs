@@ -23,15 +23,10 @@
 //! the same cost, and the deadline bounds how much a straggler can drag
 //! everyone's wall clock. Healthy runs (a deadline no tenant misses)
 //! must report **zero** cancellations — the subsystem is free until used.
-//!
-//! `run()` prints the table and writes `BENCH_tenancy.json` (through the
-//! derived-`Serialize` JSON emitter in [`crate::json`]) at the workspace
-//! root.
 
 use crate::table::{f2, ms, print_table};
 use px_core::prelude::*;
 use px_workloads::synth::{sleep_for_ns, zipf_assign};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,7 +50,7 @@ pub struct Params {
     pub deadline: Duration,
 }
 
-/// Full-size parameters (the JSON run).
+/// Full-size parameters.
 pub const FULL: Params = Params {
     tenants: 12,
     tasks: 1600,
@@ -72,7 +67,7 @@ pub const SMOKE: Params = Params {
 };
 
 /// One measurement: the tenant fleet under one deadline policy.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// `"run-to-completion"` or `"deadline-cancel"`.
     pub mode: String,
@@ -92,49 +87,12 @@ pub struct Row {
     pub faults_observed: u64,
 }
 
-/// The committed JSON artifact.
-#[derive(Debug, Clone, Serialize)]
-pub struct TenancyJson {
-    /// Bench name (`"e13_tenancy"`).
-    pub bench: String,
-    /// Localities simulated.
-    pub localities: u64,
-    /// Tenant processes.
-    pub tenants: u64,
-    /// Total tasks across tenants.
-    pub tasks: u64,
-    /// Per-task blocking grain, ns.
-    pub grain_ns: u64,
-    /// Zipf skew of request sizes.
-    pub zipf_skew: f64,
-    /// Cancellation deadline, ms.
-    pub deadline_ms: f64,
-    /// Makespan ratio: run-to-completion / deadline-cancel.
-    pub isolation_win: f64,
-    /// Both modes.
-    pub rows: Vec<Row>,
-    /// Final runtime counters of the deadline-cancel run (totals over
-    /// localities), emitted straight through `StatsSnapshot`'s derived
-    /// `Serialize`.
-    pub cancel_run_stats: px_core::stats::LocalityStats,
-}
-
 /// Run the tenant fleet once. `deadline = None` lets stragglers run.
 pub fn run_fleet(p: Params, deadline: Option<Duration>) -> Row {
-    run_fleet_with_stats(p, deadline).0
-}
-
-/// As [`run_fleet`], also returning the run's final counter totals.
-pub fn run_fleet_with_stats(
-    p: Params,
-    deadline: Option<Duration>,
-) -> (Row, px_core::stats::LocalityStats) {
     let rt = Arc::new(
-        RuntimeBuilder::new(crate::apply_trace(
-            Config::small(LOCALITIES, 1).with_latency(Duration::from_micros(20)),
-        ))
-        .build()
-        .unwrap(),
+        RuntimeBuilder::new(Config::small(LOCALITIES, 1).with_latency(Duration::from_micros(20)))
+            .build()
+            .unwrap(),
     );
     // Zipf-split the task budget over tenants.
     let assignment = zipf_assign(p.tasks, p.tenants, SKEW, 0xe13);
@@ -213,13 +171,12 @@ pub fn run_fleet_with_stats(
     if let Some(k) = killer {
         k.join().unwrap();
     }
-    crate::print_slowest_trace("e13", &rt);
     // Snapshot after shutdown: the workers have fully drained (and
     // counted) the cancelled tenants' queued tasks by then.
     rt.shutdown();
     let stats = rt.stats();
     let total = stats.total();
-    let row = Row {
+    Row {
         mode: if deadline.is_some() {
             "deadline-cancel".into()
         } else {
@@ -233,8 +190,7 @@ pub fn run_fleet_with_stats(
         tasks_cancelled: total.tasks_cancelled + total.dead_cancelled,
         processes_cancelled: stats.processes_cancelled,
         faults_observed: faults,
-    };
-    (row, total)
+    }
 }
 
 fn print_rows(title: &str, rows: &[Row]) {
@@ -266,7 +222,7 @@ fn print_rows(title: &str, rows: &[Row]) {
     );
 }
 
-fn run_with(p: Params, write: bool) -> Vec<Row> {
+fn run_with(p: Params) -> Vec<Row> {
     println!(
         "\n[E13] {} tenants, {} × {} µs Zipf(s={SKEW}) tasks over {LOCALITIES} localities, \
          deadline {:?}",
@@ -284,39 +240,17 @@ fn run_with(p: Params, write: bool) -> Vec<Row> {
     );
     let win = rows[0].makespan_ms / rows[1].makespan_ms;
     println!("isolation win (makespan ratio): {}", f2(win));
-    if write {
-        let (_, cancel_stats) = run_fleet_with_stats(p, Some(p.deadline));
-        let doc = TenancyJson {
-            bench: "e13_tenancy".into(),
-            localities: LOCALITIES as u64,
-            tenants: p.tenants as u64,
-            tasks: p.tasks as u64,
-            grain_ns: p.grain_ns,
-            zipf_skew: SKEW,
-            deadline_ms: p.deadline.as_secs_f64() * 1e3,
-            isolation_win: win,
-            rows: rows.clone(),
-            cancel_run_stats: cancel_stats,
-        };
-        let json = crate::json::to_json_pretty(&doc);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenancy.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
     rows
 }
 
-/// Full experiment: print the table and write `BENCH_tenancy.json`.
+/// Full experiment: print the table.
 pub fn run() -> Vec<Row> {
-    run_with(FULL, true)
+    run_with(FULL)
 }
 
-/// CI smoke: scaled-down run, no JSON (the committed JSON tracks the
-/// full-size numbers).
+/// CI smoke: the same table, scaled down.
 pub fn smoke() -> Vec<Row> {
-    run_with(SMOKE, false)
+    run_with(SMOKE)
 }
 
 #[cfg(test)]

@@ -30,30 +30,14 @@
 //! 64-rank meshes on one box feasible at all (the per-peer
 //! thread-pair design needed 2(N−1) transport threads per rank).
 //!
-//! `run()` prints the tables and writes `BENCH_dist.json` (per-peer
-//! transport counters and mesh rows included) at the workspace root.
+//! `run()` prints the transport table, the 8- and 16-rank mesh table and
+//! the E12-over-TCP table ([`crate::e12_tcp`]).
 
+use crate::mesh::{join_peers, reserve_addrs, spawn_peers};
 use crate::table::{f2, print_table};
 use px_core::prelude::*;
 use px_core::stats::TransportStats;
-use serde::Serialize;
-use std::io::Read;
-use std::net::TcpListener;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// The environment variable that turns a `px-bench` invocation into
-/// rank 1 of the E14 mesh.
-pub const RANK_ENV: &str = "PX_E14_RANK";
-const ADDRS_ENV: &str = "PX_E14_ADDRS";
-/// Set on mesh children when the parent runs with `--trace`, so every
-/// rank of the mesh records (a cross-rank trace is only as complete as
-/// the rings of the ranks it crossed).
-const TRACE_ENV: &str = "PX_E14_TRACE";
-/// Set on mesh children when the parent runs with `--metrics`, so the
-/// cluster pull has per-rank histograms to merge (a rank with metrics
-/// off answers the pull with empty histograms).
-const METRICS_ENV: &str = "PX_E14_METRICS";
 
 /// Experiment sizes (shrunk by `smoke`).
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +48,7 @@ pub struct Params {
     pub serial: u64,
 }
 
-/// Full-size parameters (the JSON run).
+/// Full-size parameters.
 pub const FULL: Params = Params {
     msgs: 20_000,
     serial: 1_000,
@@ -87,7 +71,7 @@ impl Action for Sq {
 }
 
 /// Report the executing process's OS thread count — the mesh legs send
-/// this to every peer so `BENCH_dist.json` can show per-rank threads.
+/// this to every peer so the table can show per-rank threads.
 struct Threads;
 impl Action for Threads {
     const NAME: &'static str = "e14/threads";
@@ -106,7 +90,7 @@ pub fn count_threads() -> u64 {
 }
 
 /// One measurement row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Transport under test.
     pub transport: String,
@@ -117,7 +101,7 @@ pub struct Row {
 }
 
 /// One N-rank mesh measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MeshRow {
     /// Mesh size (OS processes, rank 0 included).
     pub ranks: u64,
@@ -130,66 +114,17 @@ pub struct MeshRow {
     pub threads_max_peer: u64,
 }
 
-/// The committed JSON artifact.
-#[derive(Debug, Clone, Serialize)]
-pub struct DistJson {
-    /// Bench name (`"e14_distributed"`).
-    pub bench: String,
-    /// Parcels in the pipelined phase.
-    pub msgs: u64,
-    /// Round trips in the serial phase.
-    pub serial: u64,
-    /// All transports.
-    pub rows: Vec<Row>,
-    /// Throughput ratio: inproc-instant / tcp-2proc (the real cost of
-    /// leaving the address space, after pipelining).
-    pub tcp_pipelined_penalty: f64,
-    /// Per-peer counters of the TCP run (rank 0's view).
-    pub tcp_transport: TransportStats,
-    /// Cluster-merged latency percentiles of the TCP run, one row per
-    /// instrument (empty unless `--metrics`).
-    pub metrics: Vec<crate::metrics_report::MetricsRow>,
-    /// N-rank mesh scaling (thread counts flat by design).
-    pub mesh: Vec<MeshRow>,
-    /// E12-over-TCP: the balancer across OS processes, adaptive vs off
-    /// at 2 and 4 ranks (see [`crate::e12_tcp`]).
-    pub e12_tcp: Vec<crate::e12_tcp::Row>,
-}
-
-/// If this process was spawned as a mesh peer (any rank ≥ 1), serve and
-/// exit — call first from `main`. Serves until the parent closes stdin.
-pub fn maybe_child() {
-    let Ok(rank) = std::env::var(RANK_ENV) else {
-        return;
-    };
-    let rank: u16 = rank.parse().expect("numeric rank");
-    let addrs: Vec<String> = std::env::var(ADDRS_ENV)
-        .expect("mesh peers need the address list")
-        .split(',')
-        .map(String::from)
-        .collect();
-    if std::env::var(TRACE_ENV).is_ok() {
-        // Relaxed: flag set during single-threaded child startup.
-        crate::TRACE.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    if std::env::var(METRICS_ENV).is_ok() {
-        // Relaxed: flag set during single-threaded child startup.
-        crate::METRICS.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    let cfg = crate::apply_metrics(crate::apply_trace(
-        Config::small(addrs.len(), 1)
-            .with_tcp(rank, addrs)
-            .with_max_batch_parcels(16),
-    ));
-    let rt = RuntimeBuilder::new(cfg)
+/// This experiment's runtime at `rank` of the mesh at `addrs`: rank 0
+/// in the measuring process, ranks 1..n via [`crate::mesh::maybe_child`].
+pub(crate) fn rank_runtime(rank: u16, addrs: Vec<String>) -> Runtime {
+    let cfg = Config::small(addrs.len(), 1)
+        .with_tcp(rank, addrs)
+        .with_max_batch_parcels(16);
+    RuntimeBuilder::new(cfg)
         .register::<Sq>()
         .register::<Threads>()
         .build()
-        .expect("mesh peer bootstrap");
-    let mut sink = String::new();
-    let _ = std::io::stdin().read_to_string(&mut sink);
-    rt.shutdown();
-    std::process::exit(0);
+        .expect("mesh rank bootstrap")
 }
 
 /// Run the workload against an already-built runtime.
@@ -213,41 +148,19 @@ fn measure(rt: &Runtime, transport: &str, p: Params) -> Row {
     }
     let pipelined = t0.elapsed();
 
-    // Serial: one in flight. Under `--trace` every round trip carries an
-    // explicit trace id so the slowest one can be replayed afterwards.
-    let mut slowest: Option<(Duration, u64)> = None;
+    // Serial: one in flight.
     let t0 = Instant::now();
     for i in 0..p.serial {
         let fut = rt.new_future::<u64>(LocalityId(0));
-        let trace = crate::trace_enabled().then(|| rt.new_trace_id()).flatten();
-        let r0 = Instant::now();
-        let (target, cont) = (
+        rt.send_action::<Sq>(
             Gid::locality_root(LocalityId(1)),
+            i,
             Continuation::set(fut.gid()),
-        );
-        match trace {
-            Some(t) => rt.send_action_traced::<Sq>(target, i, cont, t).unwrap(),
-            None => rt.send_action::<Sq>(target, i, cont).unwrap(),
-        }
+        )
+        .unwrap();
         assert_eq!(fut.wait(rt).unwrap(), i * i);
-        if let Some(t) = trace {
-            let rtt = r0.elapsed();
-            if slowest.is_none_or(|(d, _)| rtt > d) {
-                slowest = Some((rtt, t));
-            }
-        }
     }
     let serial = t0.elapsed();
-    if let Some((rtt, t)) = slowest {
-        // Over TCP this timeline is rank 0's half of the causal chain
-        // (the peer's slice lives in its own process); in-proc it is the
-        // whole request.
-        println!(
-            "[trace] {transport}: slowest traced serial round trip {t:#018x} took {:.1} us:",
-            rtt.as_secs_f64() * 1e6
-        );
-        print!("{}", rt.trace_dump_for(t).render());
-    }
 
     Row {
         transport: transport.to_string(),
@@ -261,77 +174,15 @@ fn inproc_rt(latency: Duration) -> Runtime {
     if !latency.is_zero() {
         cfg = cfg.with_latency(latency);
     }
-    RuntimeBuilder::new(crate::apply_metrics(crate::apply_trace(cfg)))
-        .register::<Sq>()
-        .build()
-        .unwrap()
-}
-
-/// Reserve `n` loopback listen addresses.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-        })
-        .collect()
-}
-
-/// Re-execute this binary as mesh ranks 1..n (they serve until their
-/// stdin closes). `child_args` lets a libtest caller route the
-/// re-execution to its `maybe_child`-calling test (the `px-bench`
-/// binary needs none).
-fn spawn_peers(addrs: &[String], child_args: &[&str]) -> Vec<std::process::Child> {
-    let exe = std::env::current_exe().expect("own path");
-    (1..addrs.len())
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args(child_args)
-                .env(RANK_ENV, rank.to_string())
-                .env(ADDRS_ENV, addrs.join(","))
-                .stdin(Stdio::piped())
-                .stdout(Stdio::null());
-            if crate::trace_enabled() {
-                cmd.env(TRACE_ENV, "1");
-            }
-            if crate::metrics_enabled() {
-                cmd.env(METRICS_ENV, "1");
-            }
-            cmd.spawn().expect("spawn mesh peer")
-        })
-        .collect()
-}
-
-/// Close the peers' stdin (their exit signal) and reap them.
-fn join_peers(peers: Vec<std::process::Child>) {
-    let mut peers = peers;
-    for child in &mut peers {
-        drop(child.stdin.take());
-    }
-    for mut child in peers {
-        let status = child.wait().expect("join mesh peer");
-        assert!(status.success(), "mesh peer failed: {status:?}");
-    }
+    RuntimeBuilder::new(cfg).register::<Sq>().build().unwrap()
 }
 
 /// Run the TCP leg: reserve ports, re-execute ourselves as rank 1,
-/// measure, tear down. Returns the row, rank 0's transport stats, and
-/// the cluster-merged percentile rows (empty unless `--metrics`).
-fn tcp_leg(
-    p: Params,
-    child_args: &[&str],
-) -> (Row, TransportStats, Vec<crate::metrics_report::MetricsRow>) {
+/// measure, tear down. Returns the row and rank 0's transport stats.
+fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, TransportStats) {
     let addrs = reserve_addrs(2);
-    let peers = spawn_peers(&addrs, child_args);
-    let cfg = crate::apply_metrics(crate::apply_trace(
-        Config::small(2, 1)
-            .with_tcp(0, addrs)
-            .with_max_batch_parcels(16),
-    ));
-    let rt = RuntimeBuilder::new(cfg)
-        .register::<Sq>()
-        .build()
-        .expect("rank 0 bootstrap");
+    let peers = spawn_peers(&addrs, "e14", child_args);
+    let rt = rank_runtime(0, addrs);
     let row = measure(&rt, "tcp-2proc", p);
     let stats = rt.stats();
     assert_eq!(
@@ -339,30 +190,9 @@ fn tcp_leg(
         0,
         "healthy distributed run must lose nothing"
     );
-    // Pull while the peer is still serving: the merged histograms are
-    // the observability story of this experiment, and the pull itself
-    // exercises `__sys/metrics_pull` over a real socket.
-    let metrics = if crate::metrics_enabled() {
-        let cluster = rt
-            .cluster_metrics()
-            .expect("metrics pull over the control lane");
-        let per_rank_total: u64 = cluster.per_rank.iter().map(|(_, s)| s.total_count()).sum();
-        assert_eq!(
-            cluster.merged.total_count(),
-            per_rank_total,
-            "merge must be lossless across ranks"
-        );
-        let rows = crate::metrics_report::metrics_rows(&cluster.merged);
-        crate::metrics_report::print_metrics_table("tcp-2proc cluster-merged", &rows);
-        crate::metrics_report::check_metrics_text(&rt.metrics_text())
-            .expect("exposition page must stay machine-parseable");
-        rows
-    } else {
-        Vec::new()
-    };
     join_peers(peers);
     rt.shutdown();
-    (row, stats.transport, metrics)
+    (row, stats.transport)
 }
 
 /// Run one N-rank mesh leg: rank 0 (this process) plus `ranks - 1`
@@ -370,17 +200,8 @@ fn tcp_leg(
 /// thread counts collected in-band via the `Threads` action.
 fn mesh_leg(ranks: usize, p: Params, child_args: &[&str]) -> MeshRow {
     let addrs = reserve_addrs(ranks);
-    let peers = spawn_peers(&addrs, child_args);
-    let cfg = crate::apply_metrics(crate::apply_trace(
-        Config::small(ranks, 1)
-            .with_tcp(0, addrs)
-            .with_max_batch_parcels(16),
-    ));
-    let rt = RuntimeBuilder::new(cfg)
-        .register::<Sq>()
-        .register::<Threads>()
-        .build()
-        .expect("rank 0 bootstrap");
+    let peers = spawn_peers(&addrs, "e14", child_args);
+    let rt = rank_runtime(0, addrs);
 
     // Pipelined: every parcel in flight at once, spread over all peers.
     let t0 = Instant::now();
@@ -430,7 +251,8 @@ fn mesh_leg(ranks: usize, p: Params, child_args: &[&str]) -> MeshRow {
     row
 }
 
-fn run_with(p: Params, write: bool) -> Vec<Row> {
+/// The three-transport table at size `p`.
+fn transports(p: Params) -> Vec<Row> {
     println!(
         "\n[E14] spawn/await over transports: {} pipelined + {} serial parcels",
         p.msgs, p.serial
@@ -444,8 +266,7 @@ fn run_with(p: Params, write: bool) -> Vec<Row> {
         rows.push(measure(&rt, name, p));
         rt.shutdown();
     }
-    let (tcp_row, tcp_stats, tcp_metrics) = tcp_leg(p, &[]);
-    rows.push(tcp_row);
+    rows.push(tcp_leg(p, &[]).0);
     print_table(
         "E14 — distributed transport: spawn/await throughput and latency",
         &["transport", "pipelined/s", "serial RTT µs"],
@@ -462,31 +283,6 @@ fn run_with(p: Params, write: bool) -> Vec<Row> {
     );
     let penalty = rows[0].pipelined_per_s / rows[2].pipelined_per_s;
     println!("tcp pipelined penalty vs in-proc instant: {}x", f2(penalty));
-    if write {
-        let mesh = [8usize, 16]
-            .iter()
-            .map(|&ranks| mesh_leg(ranks, p, &[]))
-            .collect::<Vec<_>>();
-        print_mesh_table(&mesh);
-        let e12_tcp = crate::e12_tcp::run();
-        let doc = DistJson {
-            bench: "e14_distributed".into(),
-            msgs: p.msgs,
-            serial: p.serial,
-            rows: rows.clone(),
-            tcp_pipelined_penalty: penalty,
-            tcp_transport: tcp_stats,
-            metrics: tcp_metrics,
-            mesh,
-            e12_tcp,
-        };
-        let json = crate::json::to_json_pretty(&doc);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dist.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
     rows
 }
 
@@ -508,14 +304,18 @@ fn print_mesh_table(mesh: &[MeshRow]) {
     );
 }
 
-/// Full experiment: print the tables and write `BENCH_dist.json`.
+/// Full experiment: the transport table, the 8- and 16-rank mesh legs
+/// and E12-over-TCP at 2 and 4 ranks.
 pub fn run() -> Vec<Row> {
-    run_with(FULL, true)
+    let rows = transports(FULL);
+    print_mesh_table(&[8, 16].map(|ranks| mesh_leg(ranks, FULL, &[])));
+    crate::e12_tcp::run();
+    rows
 }
 
-/// CI smoke: scaled down, no JSON.
+/// CI smoke: the transport table, scaled down.
 pub fn smoke() -> Vec<Row> {
-    let rows = run_with(SMOKE, false);
+    let rows = transports(SMOKE);
     assert_eq!(rows.len(), 3);
     for r in &rows {
         assert!(
@@ -542,29 +342,19 @@ pub fn mesh_smoke() -> MeshRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Child entry for the re-executed *test* binary: a no-op unless
-    /// `PX_E14_RANK` is set (then it serves rank 1 and exits there).
-    #[test]
-    fn e14_child_entry() {
-        maybe_child();
-    }
+    use crate::mesh::TEST_CHILD;
 
     /// The TCP leg completes a healthy spawn/await workload end-to-end
     /// and reports per-peer traffic (the E14 smoke in miniature).
     #[test]
     fn tcp_leg_completes_and_counts() {
         let _gate = crate::TIMING_GATE.lock();
-        let (row, stats, _) = tcp_leg(
+        let (row, stats) = tcp_leg(
             Params {
                 msgs: 300,
                 serial: 20,
             },
-            &[
-                "e14_distributed::tests::e14_child_entry",
-                "--exact",
-                "--nocapture",
-            ],
+            TEST_CHILD,
         );
         assert!(row.pipelined_per_s > 0.0);
         let peer = stats.peers.iter().find(|p| p.peer == 1).unwrap();
@@ -583,11 +373,7 @@ mod tests {
                 msgs: 300,
                 serial: 0,
             },
-            &[
-                "e14_distributed::tests::e14_child_entry",
-                "--exact",
-                "--nocapture",
-            ],
+            TEST_CHILD,
         );
         assert_eq!(row.ranks, 4);
         assert!(row.pipelined_per_s > 0.0);

@@ -26,8 +26,8 @@
 //!
 //! All experiments are functions returning plain row structs so tests can
 //! assert the qualitative shapes (who wins, where crossovers fall) that
-//! EXPERIMENTS.md records. `BENCH_*.json` artifacts are emitted through
-//! derived `Serialize` impls by the [`json`] module.
+//! EXPERIMENTS.md records. Nothing here is a committed number: speeds
+//! are measured by `pxmark` (`benchmark/`), the repo's one harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,97 +47,13 @@ pub mod e6_work_to_data;
 pub mod e7_modality;
 pub mod e8_irregular;
 pub mod e9_litlx_overhead;
-pub mod json;
-pub mod metrics_report;
+pub mod mesh;
 pub mod table;
 
 /// Serializes wall-clock experiments: unit tests run concurrently by
 /// default and would contend for cores, inverting timing comparisons.
 /// Every timing-sensitive test takes this lock first.
 pub static TIMING_GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-/// The global `--trace` switch, set by `main` (or a mesh child's
-/// environment) before any experiment builds a runtime.
-pub static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// True when `--trace` was passed: experiments enable sampled causal
-/// tracing and print the slowest traced request's timeline.
-pub fn trace_enabled() -> bool {
-    // Relaxed: a boolean flag written once during startup.
-    TRACE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Apply the bench tracing policy to a config when `--trace` is on:
-/// sample one root parcel in 64 into 64Ki-event per-locality rings —
-/// cheap enough to leave on for a whole run, dense enough that every
-/// phase of an experiment catches several requests.
-pub fn apply_trace(cfg: px_core::prelude::Config) -> px_core::prelude::Config {
-    if trace_enabled() {
-        cfg.with_trace_sampling(64)
-            .with_trace_ring_capacity(1 << 16)
-    } else {
-        cfg
-    }
-}
-
-/// The global `--metrics` switch, set by `main` (or a mesh child's
-/// environment) before any experiment builds a runtime.
-pub static METRICS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// True when `--metrics` was passed: experiments enable the latency
-/// histograms, print percentile tables, and carry the rows into their
-/// `BENCH_*.json` artifacts.
-pub fn metrics_enabled() -> bool {
-    // Relaxed: a boolean flag written once during startup.
-    METRICS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Enable the metrics plane on a config when `--metrics` is on
-/// (`apply_trace`'s sibling — the off path stays the untouched config).
-pub fn apply_metrics(cfg: px_core::prelude::Config) -> px_core::prelude::Config {
-    if metrics_enabled() {
-        cfg.with_metrics(true)
-    } else {
-        cfg
-    }
-}
-
-/// Print the slowest traced request's causal timeline (the trace id
-/// whose recorded events span the longest wall-clock interval in this
-/// process) plus the ring counters. No-op unless `--trace` is on.
-pub fn print_slowest_trace(label: &str, rt: &px_core::prelude::Runtime) {
-    if !trace_enabled() {
-        return;
-    }
-    let total = rt.stats().total();
-    println!(
-        "[trace] {label}: {} events recorded, {} dropped",
-        total.trace_events_recorded, total.trace_events_dropped
-    );
-    let dump = rt.trace_dump();
-    let slowest = dump
-        .trace_ids()
-        .into_iter()
-        .filter(|&t| t != 0) // id 0 carries parcel-less runtime events
-        .map(|t| {
-            let d = dump.filter(t);
-            let span = d.events.iter().map(|e| e.at_ns).max().unwrap_or(0)
-                - d.events.iter().map(|e| e.at_ns).min().unwrap_or(0);
-            (span, t, d)
-        })
-        .max_by_key(|&(span, t, _)| (span, t));
-    match slowest {
-        Some((span, t, d)) => {
-            println!(
-                "[trace] {label}: slowest traced request {t:#018x} spans {:.1} us over {} events:",
-                span as f64 / 1e3,
-                d.events.len()
-            );
-            print!("{}", d.render());
-        }
-        None => println!("[trace] {label}: no traced requests captured"),
-    }
-}
 
 /// True when the host exposes at least `n` hardware threads. Comparative
 /// wall-clock experiments (barrier vs dataflow, static vs work-queue)

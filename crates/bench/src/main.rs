@@ -1,52 +1,31 @@
 //! `px-bench` binary: run experiments outside the `cargo bench` harness.
 //!
 //! ```text
-//! px-bench e12            # full E12 run (writes BENCH_balance.json)
-//! px-bench --smoke e12    # scaled-down E12 (CI smoke; no JSON)
-//! px-bench e13            # full E13 run (writes BENCH_tenancy.json)
-//! px-bench --smoke e13    # scaled-down E13 (CI smoke; no JSON)
-//! px-bench e14            # full E14 run (writes BENCH_dist.json)
-//! px-bench --smoke e14    # scaled-down E14 (CI smoke; no JSON)
-//! px-bench --smoke e14mesh # 8-rank mesh smoke (CI; no JSON)
-//! px-bench e12tcp         # balancer over TCP, 2+4 ranks (table only)
-//! px-bench --smoke e12tcp # 2-rank balancer-on vs off (CI; no JSON)
+//! px-bench e12            # full E12 run
+//! px-bench --smoke e12    # scaled-down E12 (CI smoke)
+//! px-bench e13            # full E13 run
+//! px-bench --smoke e13    # scaled-down E13 (CI smoke)
+//! px-bench e14            # full E14 run: transports, 8/16-rank mesh, E12tcp
+//! px-bench --smoke e14    # scaled-down transport table (CI smoke)
+//! px-bench --smoke e14mesh # 8-rank mesh smoke (CI)
+//! px-bench e12tcp         # balancer over TCP, 2+4 ranks
+//! px-bench --smoke e12tcp # 2-rank balancer-on vs off (CI)
 //! ```
 //!
-//! `--trace` (combinable with `--smoke`; e12/e13/e14) enables sampled
-//! causal tracing and prints the slowest traced request's timeline.
-//!
-//! `--metrics` (combinable with `--smoke`; e14) enables the latency
-//! histograms: percentile tables are printed, the rows ride into the
-//! BENCH JSON artifact on full runs, and the smoke validates the
-//! `metrics_text` exposition format.
-//!
 //! E14 and E12tcp re-execute this binary as the other ranks of a TCP
-//! mesh (`PX_E14_RANK` / `PX_E12TCP_RANK`); the `maybe_child` calls
-//! route those invocations. The full E14 run embeds the E12tcp rows in
-//! `BENCH_dist.json`.
+//! mesh; `mesh::maybe_child` routes those invocations.
 
 fn usage() -> ! {
     eprintln!(
-        "usage: px-bench [--smoke] [--trace] [--metrics] <experiment>\n\
+        "usage: px-bench [--smoke] <experiment>\n\
          experiments: e11, e12, e12tcp, e13, e14, e14mesh"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    px_bench::e14_distributed::maybe_child();
-    px_bench::e12_tcp::maybe_child();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--trace") {
-        args.retain(|a| a != "--trace");
-        // Relaxed: flag set in main before any runtime thread exists.
-        px_bench::TRACE.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        args.retain(|a| a != "--metrics");
-        // Relaxed: flag set in main before any runtime thread exists.
-        px_bench::METRICS.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
+    px_bench::mesh::maybe_child();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let (smoke, name) = match args.as_slice() {
         [name] => (false, name.as_str()),
         [flag, name] if flag == "--smoke" => (true, name.as_str()),

@@ -232,11 +232,6 @@ impl ActionRegistry {
             .ok_or(PxError::UnknownAction(id))
     }
 
-    /// Human-readable name for diagnostics.
-    pub fn name_of(&self, id: ActionId) -> Option<&'static str> {
-        self.handlers.get(&id.0).map(|(n, _)| *n)
-    }
-
     /// Number of registered actions.
     pub fn len(&self) -> usize {
         self.handlers.len()

@@ -522,8 +522,10 @@ impl LcoCore {
 
     /// Semaphore acquire: runs (or queues) the waiter when a permit is
     /// available. On a poisoned semaphore the waiter is released
-    /// immediately with the fault instead of queueing forever.
-    pub fn acquire(&mut self, w: Waiter) -> PxResult<Activations> {
+    /// immediately with the fault instead of queueing forever; on an LCO
+    /// that is not a semaphore the waiter is handed back with the error,
+    /// so the caller can still tell it.
+    pub fn acquire(&mut self, w: Waiter) -> Result<Activations, (PxError, Waiter)> {
         match &mut self.state {
             LcoState::Pending {
                 body: LcoBody::Semaphore { permits, queue },
@@ -538,7 +540,7 @@ impl LcoCore {
                 }
             }
             LcoState::Poisoned(f) => Ok(vec![(w, Value::error(f))]),
-            _ => Err(PxError::WrongObjectKind(self.gid)),
+            _ => Err((PxError::WrongObjectKind(self.gid), w)),
         }
     }
 

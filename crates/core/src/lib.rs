@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::gid::{Gid, GidKind, LocalityId};
     pub use crate::lco::FutureRef;
     pub use crate::metrics::{ClusterMetrics, Instrument, MetricsSnapshot};
-    pub use crate::net::{BatchPolicy, TcpConfig, WireModel};
+    pub use crate::net::{TcpConfig, WireModel};
     pub use crate::parcel::{Continuation, Parcel};
     pub use crate::process::ProcessRef;
     pub use crate::runtime::{Config, Ctx, DeadLetterHook, Runtime, RuntimeBuilder, TransportKind};
@@ -99,6 +99,6 @@ pub use action::{Action, ActionId, Value};
 pub use error::{Fault, FaultCause, PxError, PxResult};
 pub use gid::{Gid, GidKind, LocalityId};
 pub use lco::FutureRef;
-pub use net::{BatchPolicy, TcpConfig, WireModel};
+pub use net::{TcpConfig, WireModel};
 pub use parcel::{Continuation, Parcel};
 pub use runtime::{Config, Ctx, DeadLetterHook, Runtime, RuntimeBuilder, TransportKind};

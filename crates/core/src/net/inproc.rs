@@ -117,10 +117,6 @@ impl Transport for InProcTransport {
         }
     }
 
-    fn model(&self) -> WireModel {
-        self.line.model()
-    }
-
     fn supports_batching(&self) -> bool {
         // Batching an instant wire would only add latency (there is no
         // per-message transport cost to amortize, and no delay thread to

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Everything above the `Transport` trait — `WireMsg` submission, the
-//! control-plane priority lane, [`BatchPolicy`] coalescing ports, flush
+//! control-plane priority lane, `BatchPolicy` coalescing ports, flush
 //! accounting — is backend-independent. Two backends exist:
 //!
 //! * `inproc::InProcTransport` (default): all localities share one OS
@@ -84,7 +84,7 @@
 //!    bit-identical at the destination; a backend that wants to observe
 //!    it peeks ([`Parcel::peek_trace`]) rather than decodes.
 //!
-//! ## Batching ([`BatchPolicy`], `PortSet`)
+//! ## Batching (`BatchPolicy`, `PortSet`)
 //!
 //! Per-parcel transport overhead — a `Vec` allocation, a channel or
 //! socket submission, an injector push, and a worker wakeup for every
@@ -93,8 +93,8 @@
 //! sender-visible destination gets a **port**: a coalescing
 //! [`px_wire::FrameBuf`] into which parcels are encoded *in place*. A
 //! port flushes its frame as one wire message when it reaches
-//! `max_batch_parcels` records or `max_batch_bytes` bytes, or when the
-//! background flusher finds records older than `flush_interval`. The
+//! `max_batch_parcels` records or [`MAX_BATCH_BYTES`] bytes, or when the
+//! background flusher finds records older than [`FLUSH_INTERVAL`]. The
 //! in-process delay model is applied per frame (`delay_for(frame_bytes)`),
 //! so the latency and bandwidth arithmetic stays honest while the fixed
 //! per-message costs amortize across the batch.
@@ -110,7 +110,7 @@
 //!   boundary (the old wire had the same property per *parcel*);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
 //!   ports — a task sent after a still-coalescing parcel can arrive up
-//!   to `flush_interval` earlier. Code that needs a parcel's effects
+//!   to [`FLUSH_INTERVAL`] earlier. Code that needs a parcel's effects
 //!   visible to a subsequently spawned closure must sequence through an
 //!   LCO, not through submission order.
 //!
@@ -183,15 +183,22 @@ impl WireModel {
     }
 }
 
+/// Byte budget of a coalesced frame: a port flushes on reaching it.
+pub const MAX_BATCH_BYTES: usize = 32 * 1024;
+/// Longest a parcel may wait in a port before the background flusher
+/// ships it.
+pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
+
 /// Flush policy for the per-destination coalescing ports.
 ///
-/// The default is **batching off** (`max_batch_parcels == 1`): every
-/// parcel ships in its own message, exactly like the pre-batching wire,
-/// so latency-sensitive request/response chains see no added delay.
-/// Throughput-oriented workloads opt in with [`BatchPolicy::batched`] or
-/// the [`crate::runtime::Config`] builders.
+/// The runtime sets one value, [`crate::runtime::Config::max_batch_parcels`]
+/// (default 1: batching off, every parcel ships in its own message, so
+/// latency-sensitive request/response chains see no added delay); the
+/// byte budget and the hold time are [`MAX_BATCH_BYTES`] and
+/// [`FLUSH_INTERVAL`]. They are fields so the port unit tests can
+/// isolate one flush cause by disabling the other two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
+pub(crate) struct BatchPolicy {
     /// Flush a port when its frame holds this many parcels (1 disables
     /// batching).
     pub max_batch_parcels: usize,
@@ -202,44 +209,19 @@ pub struct BatchPolicy {
     pub flush_interval: Duration,
 }
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::single()
-    }
-}
-
 impl BatchPolicy {
-    /// Batching disabled: one parcel per wire message (the pre-batching
-    /// behavior). Byte budget and flush interval keep their tuned values
-    /// so later raising `max_batch_parcels` is the only switch to flip.
-    pub fn single() -> BatchPolicy {
+    /// The runtime's policy: up to `max_batch_parcels` per frame under
+    /// the fixed byte budget and hold time.
+    pub(crate) fn new(max_batch_parcels: usize) -> BatchPolicy {
         BatchPolicy {
-            max_batch_parcels: 1,
-            ..BatchPolicy::batched()
+            max_batch_parcels,
+            max_batch_bytes: MAX_BATCH_BYTES,
+            flush_interval: FLUSH_INTERVAL,
         }
     }
 
-    /// The tuned coalescing configuration: up to 32 parcels or 32 KiB per
-    /// frame, 100 µs maximum hold.
-    pub fn batched() -> BatchPolicy {
-        BatchPolicy {
-            max_batch_parcels: 32,
-            max_batch_bytes: 32 * 1024,
-            flush_interval: Duration::from_micros(100),
-        }
-    }
-
-    /// Batch up to `n` parcels per frame (other limits from
-    /// [`BatchPolicy::batched`]).
-    pub fn with_max_parcels(n: usize) -> BatchPolicy {
-        BatchPolicy {
-            max_batch_parcels: n.max(1),
-            ..BatchPolicy::batched()
-        }
-    }
-
-    /// True when coalescing is enabled. `max_batch_parcels` is the single
-    /// on/off switch: a byte budget or flush interval alone never batches.
+    /// True when coalescing is enabled: `max_batch_parcels` is the
+    /// on/off switch.
     #[inline]
     pub fn is_batching(&self) -> bool {
         self.max_batch_parcels > 1
@@ -304,10 +286,6 @@ pub(crate) trait Transport: Send + Sync {
     /// A cloneable submission handle for background threads. Must remain
     /// harmless (silent no-op) if used after `shutdown`.
     fn submitter(&self) -> TransportSubmitter;
-
-    /// The injected latency/bandwidth model ([`WireModel::instant`] for
-    /// backends with real physics, i.e. TCP).
-    fn model(&self) -> WireModel;
 
     /// True when the coalescing ports may engage. The in-process backend
     /// requires a delay thread (batching an instant wire would only add
@@ -479,11 +457,6 @@ impl Wire {
     #[inline]
     pub(crate) fn send(&self, msg: WireMsg, bytes: usize) {
         self.transport.submit(msg, bytes);
-    }
-
-    /// The active model.
-    pub(crate) fn model(&self) -> WireModel {
-        self.transport.model()
     }
 
     /// Late-bind the runtime for transport-level fault delivery.
@@ -824,7 +797,7 @@ mod tests {
         let mut wire = test_wire(
             WireModel::with_latency(Duration::from_micros(10)),
             &locs,
-            BatchPolicy::single(),
+            BatchPolicy::new(1),
         );
         let p = noop_parcel(LocalityId(1));
         let n = wire.send_parcel(LocalityId(1), &p);

@@ -88,7 +88,7 @@
 //! submission with the same transport fault; distributed work moves via
 //! action parcels, as the model intends.
 
-use super::{Transport, TransportSubmitter, WireModel, WireMsg};
+use super::{Transport, TransportSubmitter, WireMsg};
 use crate::action::ActionId;
 use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
@@ -643,11 +643,6 @@ impl Transport for TcpTransport {
     fn submitter(&self) -> TransportSubmitter {
         let shared = self.shared.clone();
         Arc::new(move |msg, _bytes| shared.submit(msg))
-    }
-
-    fn model(&self) -> WireModel {
-        // The network's physics are real; nothing is injected.
-        WireModel::instant()
     }
 
     fn supports_batching(&self) -> bool {

@@ -81,11 +81,6 @@ pub fn percolate_from_ctx<A: Action>(
     percolate::<A>(ctx.rt_inner(), here, dest, target, args, cont)
 }
 
-/// Number of tasks currently waiting in a locality's staging buffer.
-pub fn staged_pending(rt: &Runtime, loc: LocalityId) -> usize {
-    rt.inner().locality(loc).staging.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

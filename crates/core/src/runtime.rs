@@ -15,12 +15,12 @@
 //! * [`Runtime`] — the external driver view; may block
 //!   ([`Runtime::wait_future`], [`crate::lco::FutureRef::wait`]).
 
-use crate::action::{Action, ActionRegistry, Value};
+use crate::action::{Action, ActionId, ActionRegistry, Value};
 use crate::agas::Agas;
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::lco::{CombineFn, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
+use crate::lco::{Activations, CombineFn, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
 use crate::locality::{DataObject, Locality, Stored};
 use crate::net::{BatchPolicy, TcpConfig, Wire, WireModel};
 use crate::parcel::{Continuation, Parcel};
@@ -62,11 +62,10 @@ pub struct Config {
     pub wire: WireModel,
     /// Transport backend selection (defaults to [`TransportKind::InProc`]).
     pub transport: TransportKind,
-    /// Per-destination parcel coalescing policy. Defaults to
-    /// [`BatchPolicy::single`] (one parcel per wire message — no added
-    /// latency); throughput-oriented deployments enable
-    /// [`BatchPolicy::batched`] via [`Config::with_batching`].
-    pub batch: BatchPolicy,
+    /// Parcels coalesced per wire message and destination (see
+    /// [`Config::with_max_batch_parcels`]). Defaults to 1: one parcel per
+    /// message, no added latency.
+    pub max_batch_parcels: usize,
     /// Localities that drain their percolation staging buffer at top
     /// priority (the "precious resources" of §2.2).
     pub accelerators: Vec<LocalityId>,
@@ -94,7 +93,7 @@ impl Default for Config {
             workers_per_locality: 1,
             wire: WireModel::instant(),
             transport: TransportKind::InProc,
-            batch: BatchPolicy::single(),
+            max_batch_parcels: 1,
             accelerators: Vec::new(),
             balance: None,
             trace: crate::trace::TraceConfig::default(),
@@ -131,36 +130,12 @@ impl Config {
         self
     }
 
-    /// Set the full coalescing policy (builder style).
-    pub fn with_batching(mut self, batch: BatchPolicy) -> Config {
-        self.batch = batch;
-        self
-    }
-
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
-    /// disables batching). Composes with the other batch builders: only
-    /// this knob changes.
+    /// disables batching). A coalescing port also flushes at
+    /// [`crate::net::MAX_BATCH_BYTES`] and after
+    /// [`crate::net::FLUSH_INTERVAL`]; neither is configurable.
     pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
-        self.batch.max_batch_parcels = n.max(1);
-        self
-    }
-
-    /// Set the byte budget per coalesced frame (builder style). Batching
-    /// needs `max_batch_parcels > 1` to engage, so if it is still at the
-    /// disabled default this also raises it to [`BatchPolicy::batched`]'s
-    /// parcel cap — asking for a byte budget means asking for batching.
-    pub fn with_max_batch_bytes(mut self, bytes: usize) -> Config {
-        self.batch.max_batch_bytes = bytes;
-        if !self.batch.is_batching() {
-            self.batch.max_batch_parcels = BatchPolicy::batched().max_batch_parcels;
-        }
-        self
-    }
-
-    /// Set the maximum hold time for a coalescing port (builder style).
-    /// A pure tuning knob: it does not by itself enable batching.
-    pub fn with_flush_interval(mut self, interval: Duration) -> Config {
-        self.batch.flush_interval = interval;
+        self.max_batch_parcels = n.max(1);
         self
     }
 
@@ -173,11 +148,6 @@ impl Config {
         self.localities = addrs.len();
         self.transport = TransportKind::Tcp(TcpConfig::new(rank, addrs));
         self
-    }
-
-    /// True when this configuration spans multiple OS processes.
-    pub fn is_distributed(&self) -> bool {
-        matches!(self.transport, TransportKind::Tcp(_))
     }
 
     /// Mark a locality as a percolation-priority accelerator.
@@ -196,8 +166,7 @@ impl Config {
 
     /// Set the balancer pulse interval (builder style). Asking for a
     /// gossip cadence means asking for balancing, so if the balancer is
-    /// still off this enables the [`BalanceConfig::adaptive`] policy —
-    /// mirroring how [`Config::with_max_batch_bytes`] engages batching.
+    /// still off this enables the [`BalanceConfig::adaptive`] policy.
     pub fn with_gossip_interval(mut self, interval: Duration) -> Config {
         self.balance
             .get_or_insert_with(BalanceConfig::adaptive)
@@ -248,17 +217,9 @@ impl Config {
                 return Err(PxError::BadConfig(format!("accelerator {a} out of range")));
             }
         }
-        if self.batch.max_batch_parcels == 0 {
+        if self.max_batch_parcels == 0 {
             return Err(PxError::BadConfig(
                 "max_batch_parcels must be ≥ 1 (1 disables batching)".into(),
-            ));
-        }
-        if self.batch.max_batch_bytes == 0 {
-            return Err(PxError::BadConfig("max_batch_bytes must be ≥ 1".into()));
-        }
-        if self.batch.is_batching() && self.batch.flush_interval.is_zero() {
-            return Err(PxError::BadConfig(
-                "flush_interval must be nonzero when batching".into(),
             ));
         }
         if let TransportKind::Tcp(tcp) = &self.transport {
@@ -357,8 +318,9 @@ pub struct RuntimeInner {
 /// deaths and dead-ended LCO errors (counted by cause), plus two
 /// uncounted classes with no parcel to count — panics in closure
 /// threads ([`Ctx::spawn`]/[`Ctx::when_ready`] bodies, visible in the
-/// `panics` counter only) and [`Ctx::acquire`] continuations dropped at
-/// a poisoned semaphore.
+/// `panics` counter only) and [`Ctx::acquire`] continuations dropped
+/// because no permit can be granted (a poisoned semaphore, or a target
+/// that is not a semaphore — that error is itself counted first).
 pub type DeadLetterHook = Arc<dyn Fn(&Fault) + Send + Sync + 'static>;
 
 /// Trace-aware dead-letter observer, registered via
@@ -591,7 +553,8 @@ impl RuntimeBuilder {
                 localities.clone(),
             )?),
         };
-        let wire = Wire::new(transport, localities.clone(), self.config.batch);
+        let policy = BatchPolicy::new(self.config.max_batch_parcels);
+        let wire = Wire::new(transport, localities.clone(), policy);
         let track_heat = self
             .config
             .balance
@@ -683,11 +646,6 @@ impl Runtime {
     /// Number of localities.
     pub fn num_localities(&self) -> usize {
         self.inner.localities.len()
-    }
-
-    /// The active wire model.
-    pub fn wire_model(&self) -> WireModel {
-        self.inner.wire.model()
     }
 
     /// Snapshot all locality counters.
@@ -1517,13 +1475,11 @@ impl<'a> Ctx<'a> {
     /// the LCO's value. For a *remote* LCO a local proxy future is created
     /// and the remote value is pulled with a `__sys/lco_get` parcel — the
     /// thread itself still suspends locally (threads serve one locality).
+    /// If `gid` is not an LCO, `f` is resumed with the fault that killed
+    /// the request, from the local and the remote arm alike.
     pub fn when_ready(&mut self, gid: Gid, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) {
         if gid.birthplace() == self.here() && self.loc.contains(gid) {
-            let lco = match self.loc.get_lco(gid) {
-                Ok(l) => l,
-                Err(_) => return,
-            };
-            if let Some(p) = self.process {
+            let w = if let Some(p) = self.process {
                 // The suspended continuation is still process work. The
                 // matching completion must be issued by the continuation
                 // itself: when the LCO fires later, the generic waiter
@@ -1531,38 +1487,59 @@ impl<'a> Ctx<'a> {
                 self.rt.process_task_started(p, self.here());
                 let proc = self.process;
                 let trace = self.trace;
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(
-                    move |ctx: &mut Ctx<'_>, v: Value| {
-                        ctx.process = proc;
-                        ctx.trace = trace.or(ctx.trace);
-                        f(ctx, v);
-                        if let Some(pg) = proc {
-                            let rt = ctx.rt.clone();
-                            rt.process_task_done(pg);
-                        }
-                    },
-                )));
-                self.rt.schedule_activations(self.loc, acts, self.trace);
+                Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
+                    ctx.process = proc;
+                    ctx.trace = trace.or(ctx.trace);
+                    f(ctx, v);
+                    if let Some(pg) = proc {
+                        let rt = ctx.rt.clone();
+                        rt.process_task_done(pg);
+                    }
+                }))
             } else if let Some(trace) = self.trace {
                 // The suspended continuation belongs to this trace even
                 // though the eventual trigger may be untraced.
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(
-                    move |ctx: &mut Ctx<'_>, v: Value| {
-                        ctx.trace = Some(trace);
-                        f(ctx, v);
-                    },
-                )));
-                self.rt.schedule_activations(self.loc, acts, self.trace);
+                Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
+                    ctx.trace = Some(trace);
+                    f(ctx, v);
+                }))
             } else {
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-                self.rt.schedule_activations(self.loc, acts, self.trace);
-            }
+                Waiter::Depleted(Box::new(f))
+            };
+            self.suspend_local(gid, sys::LCO_GET, w, |l, w| Ok(l.add_waiter(w)));
         } else {
             let proxy = self.loc.new_future_lco();
             self.own_lco(proxy);
             self.send_sys(gid, sys::LCO_GET, Value::unit(), Continuation::set(proxy));
             self.when_ready(proxy, f);
         }
+    }
+
+    /// Deposit `w` on the local LCO `gid` through `op`. When `gid` turns
+    /// out not to be an LCO `op` accepts (a data object, a future handed
+    /// to `acquire`, an object removed since the residency check) the
+    /// event dies as a killed parcel does ([`RuntimeInner::record_death`])
+    /// and `w` is resumed with the fault — what the remote arm's killed
+    /// parcel delivers through the proxy — instead of being lost.
+    fn suspend_local(
+        &mut self,
+        gid: Gid,
+        action: ActionId,
+        w: Waiter,
+        op: impl FnOnce(&mut LcoCore, Waiter) -> Result<Activations, (PxError, Waiter)>,
+    ) {
+        let deposited = match self.loc.get_lco(gid) {
+            Ok(lco) => op(&mut lco.lock(), w),
+            Err(e) => Err((e, w)),
+        };
+        let acts = deposited.unwrap_or_else(|(e, w)| {
+            let (cause, msg) = (crate::sched::cause_of(&e), e.to_string());
+            let fault = self
+                .rt
+                .record_death(self.loc, gid, action, cause, msg, self.trace);
+            vec![(w, Value::error(&fault))]
+        });
+        self.rt.schedule_activations(self.loc, acts, self.trace);
     }
 
     /// Typed suspension on a future. The continuation runs only on
@@ -1596,12 +1573,13 @@ impl<'a> Ctx<'a> {
     /// Acquire a semaphore LCO (anywhere); `f` runs when a permit is
     /// granted. Pair with [`Ctx::release`].
     ///
-    /// If the semaphore is (or becomes) *poisoned*, `f` is dropped
-    /// rather than run — releasing waiters into their critical sections
-    /// without a permit would silently break the mutual exclusion the
-    /// semaphore exists to provide — and the drop is reported to the
-    /// dead-letter hook. Raw `LCO_ACQUIRE` parcels observe the fault
-    /// through their continuations instead.
+    /// If the semaphore is (or becomes) *poisoned*, or `sem` is not a
+    /// semaphore at all, `f` is dropped rather than run — releasing
+    /// waiters into their critical sections without a permit would
+    /// silently break the mutual exclusion the semaphore exists to
+    /// provide — and the drop is reported to the dead-letter hook. Raw
+    /// `LCO_ACQUIRE` parcels observe the fault through their
+    /// continuations instead.
     pub fn acquire(&mut self, sem: Gid, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
         fn run_or_report(
             ctx: &mut Ctx<'_>,
@@ -1616,24 +1594,17 @@ impl<'a> Ctx<'a> {
                         fault.cause,
                         fault.action,
                         sem,
-                        format!("acquire continuation dropped at poisoned semaphore: {fault}"),
+                        format!("acquire continuation dropped, no permit granted: {fault}"),
                     ),
                     None,
                 ),
             }
         }
         if sem.birthplace() == self.here() && self.loc.contains(sem) {
-            let lco = match self.loc.get_lco(sem) {
-                Ok(l) => l,
-                Err(_) => return,
-            };
-            let acts = lco
-                .lock()
-                .acquire(Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v| {
-                    run_or_report(ctx, sem, v, f)
-                })))
-                .unwrap_or_default();
-            self.rt.schedule_activations(self.loc, acts, self.trace);
+            let w = Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v| {
+                run_or_report(ctx, sem, v, f)
+            }));
+            self.suspend_local(sem, sys::LCO_ACQUIRE, w, |l, w| l.acquire(w));
         } else {
             let proxy = self.loc.new_future_lco();
             self.own_lco(proxy);
@@ -1839,11 +1810,7 @@ mod tests {
     fn batched_transport_delivers_everything() {
         let cfg = Config::small(2, 1)
             .with_latency(Duration::from_micros(200))
-            .with_batching(crate::net::BatchPolicy {
-                max_batch_parcels: 8,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_micros(100),
-            });
+            .with_max_batch_parcels(8);
         let rt = RuntimeBuilder::new(cfg).build().unwrap();
         // 20 triggers cross the wire to an and-gate at locality 1: two
         // full frames of 8 plus a timer-flushed straggler frame of 4.
@@ -1866,45 +1833,6 @@ mod tests {
             "batching should have coalesced something"
         );
         rt.shutdown();
-    }
-
-    #[test]
-    fn batch_builders_compose() {
-        // A byte budget alone must actually engage batching…
-        let c = Config::small(2, 1).with_max_batch_bytes(4096);
-        assert!(c.batch.is_batching());
-        assert_eq!(c.batch.max_batch_bytes, 4096);
-        // …and later knob changes must not reset earlier ones.
-        let c = c
-            .with_max_batch_parcels(16)
-            .with_flush_interval(Duration::from_micros(250));
-        assert_eq!(c.batch.max_batch_parcels, 16);
-        assert_eq!(c.batch.max_batch_bytes, 4096);
-        assert_eq!(c.batch.flush_interval, Duration::from_micros(250));
-        // Dropping back to 1 disables batching without touching the rest.
-        let c = c.with_max_batch_parcels(1);
-        assert!(!c.batch.is_batching());
-        assert_eq!(c.batch.max_batch_bytes, 4096);
-    }
-
-    #[test]
-    fn batch_config_validation() {
-        let bad = Config::small(1, 1).with_batching(crate::net::BatchPolicy {
-            max_batch_parcels: 4,
-            max_batch_bytes: 0,
-            flush_interval: Duration::from_micros(100),
-        });
-        assert!(bad.validate().is_err());
-        let bad = Config::small(1, 1).with_batching(crate::net::BatchPolicy {
-            max_batch_parcels: 4,
-            max_batch_bytes: 1024,
-            flush_interval: Duration::ZERO,
-        });
-        assert!(bad.validate().is_err());
-        assert!(Config::small(1, 1)
-            .with_max_batch_parcels(16)
-            .validate()
-            .is_ok());
     }
 
     #[test]

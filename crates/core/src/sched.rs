@@ -480,17 +480,7 @@ pub(crate) fn kill_parcel(
     cause: FaultCause,
     message: String,
 ) {
-    let fault = Fault::new(cause, p.action, p.dest, message);
-    loc.counters.count_death(cause, 1);
-    // Record the death before notifying, so a traced dead-letter hook's
-    // captured slice includes this very event.
-    loc.trace_event(
-        p.trace,
-        crate::trace::TraceEventKind::ParcelKill,
-        p.dest.0,
-        u64::from(cause.code()),
-    );
-    rt.notify_dead_letter(&fault, p.trace);
+    let fault = rt.record_death(loc, p.dest, p.action, cause, message, p.trace);
     // Unconditional handoff: an empty continuation applies as a no-op,
     // and every other one resolves its waiters with the fault.
     apply_continuation(rt, loc, p.cont, Value::error(&fault), p.trace);
@@ -702,23 +692,40 @@ impl RuntimeInner {
         let owner = self.agas.resolve_counted(from, gid);
         if owner == from.id && from.contains(gid) {
             if let Err(e) = sys::lco::deliver(self, from, gid, action, &value, trace) {
-                // Local LCO event with no parcel continuation to notify:
-                // the error dead-ends here. Count it like the parcel path
-                // would and let the dead-letter hook see it.
-                let fault = Fault::new(cause_of(&e), action, gid, e.to_string());
-                from.counters.count_death(fault.cause, 1);
-                from.trace_event(
-                    trace,
-                    crate::trace::TraceEventKind::ParcelKill,
-                    gid.0,
-                    u64::from(fault.cause.code()),
-                );
-                self.notify_dead_letter(&fault, trace);
+                // No continuation to notify: the error ends here.
+                self.record_death(from, gid, action, cause_of(&e), e.to_string(), trace);
             }
         } else {
             let p = Parcel::new(gid, action, value, Continuation::none()).with_trace(trace);
             self.send_parcel(from.id, p);
         }
+    }
+
+    /// Record the death of `action` addressed at `dest`: count it (total
+    /// and by cause), trace it, tell the dead-letter hook, and return the
+    /// fault for whoever can still be told — a killed parcel's
+    /// continuation, a waiter handed back by a failed local LCO event.
+    pub(crate) fn record_death(
+        &self,
+        at: &Locality,
+        dest: Gid,
+        action: ActionId,
+        cause: FaultCause,
+        message: String,
+        trace: Option<u64>,
+    ) -> Fault {
+        let fault = Fault::new(cause, action, dest, message);
+        at.counters.count_death(cause, 1);
+        // Record the death before notifying, so a traced dead-letter
+        // hook's captured slice includes this very event.
+        at.trace_event(
+            trace,
+            crate::trace::TraceEventKind::ParcelKill,
+            dest.0,
+            u64::from(cause.code()),
+        );
+        self.notify_dead_letter(&fault, trace);
+        fault
     }
 
     /// Schedule LCO waiter activations at `loc` (the LCO's locality)

@@ -120,7 +120,8 @@ pub(super) fn get(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
 // px-analyze: allow(no-silent-loss): on success the continuation is queued as the semaphore's waiter (released or resumed later) — a handoff; on error the parcel is killed.
 pub(super) fn acquire(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     let waiter = Waiter::Cont(p.cont.clone());
-    if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, |l| l.acquire(waiter)) {
+    let op = |l: &mut LcoCore| l.acquire(waiter).map_err(|(e, _)| e);
+    if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, op) {
         kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
     }
 }

@@ -40,13 +40,6 @@ impl AtomicRegion {
         }
     }
 
-    /// Create from inside a PX-thread (homed at the calling locality).
-    pub fn new_ctx(ctx: &mut Ctx<'_>) -> AtomicRegion {
-        AtomicRegion {
-            sem: ctx.new_semaphore(1),
-        }
-    }
-
     /// The underlying semaphore LCO.
     pub fn gid(&self) -> Gid {
         self.sem
@@ -155,13 +148,6 @@ impl<T: Serialize + DeserializeOwned + Send + 'static> LcCell<T> {
                 });
             });
         });
-    }
-
-    /// Unsynchronized read: whatever the home currently holds. May be
-    /// stale relative to in-flight atomic sections — the LC contract for
-    /// reads outside acquire/release pairs.
-    pub fn read_weak(&self, ctx: &mut Ctx<'_>) -> px_core::lco::FutureRef<Vec<u8>> {
-        ctx.fetch_data(self.home)
     }
 
     /// Driver-side blocking read (test/verification use).

@@ -111,13 +111,6 @@ impl<E> Simulator<E> {
         id
     }
 
-    /// Register a boxed component (for heterogeneous construction loops).
-    pub fn add_boxed(&mut self, comp: Box<dyn Component<E>>) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Some(comp));
-        id
-    }
-
     /// Schedule an initial event from outside any component.
     pub fn send_at(&mut self, at: Time, dst: CompId, payload: E) {
         self.queue.push(at, dst, payload);
@@ -147,13 +140,6 @@ impl<E> Simulator<E> {
     pub fn component(&self, id: CompId) -> &dyn Component<E> {
         self.components[id.0 as usize]
             .as_deref()
-            .expect("component is mid-dispatch")
-    }
-
-    /// Mutable access to a component.
-    pub fn component_mut(&mut self, id: CompId) -> &mut (dyn Component<E> + 'static) {
-        self.components[id.0 as usize]
-            .as_deref_mut()
             .expect("component is mid-dispatch")
     }
 

@@ -203,6 +203,32 @@ mod tests {
         });
     }
 
+    /// A derived struct is its fields back to back, nothing else: the
+    /// bytes equal a hand-written layout.
+    #[test]
+    fn derived_struct_layout_is_positional() {
+        #[derive(Serialize)]
+        struct Row {
+            policy: String,
+            makespan_ms: f64,
+            shed: u64,
+            on_time: bool,
+        }
+        let bytes = to_bytes(&Row {
+            policy: "x".into(),
+            makespan_ms: 1.5,
+            shed: 2,
+            on_time: true,
+        })
+        .unwrap();
+        let mut expected = vec![1u8]; // "x" length varint
+        expected.extend_from_slice(b"x");
+        expected.extend_from_slice(&1.5f64.to_le_bytes());
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        expected.push(1);
+        assert_eq!(bytes, expected);
+    }
+
     #[test]
     fn trailing_bytes_rejected() {
         let mut bytes = to_bytes(&5u32).unwrap();

@@ -6,7 +6,7 @@
 //!
 //! Pushes the same parcel stream through an injected-latency wire with
 //! batching off (`max_batch_parcels = 1`, the classic one-message-per-
-//! parcel path) and on (`BatchPolicy::batched`), and prints the frame /
+//! parcel path) and on (`max_batch_parcels = 32`), and prints the frame /
 //! coalescing counters so the mechanism is visible, not just faster.
 
 use parallex::core::prelude::*;
@@ -15,10 +15,10 @@ use std::time::{Duration, Instant};
 const PARCELS: u64 = 4096;
 const WIRE_LATENCY: Duration = Duration::from_micros(50);
 
-fn run(label: &str, batch: BatchPolicy) -> f64 {
+fn run(label: &str, max_batch_parcels: usize) -> f64 {
     let cfg = Config::small(2, 1)
         .with_latency(WIRE_LATENCY)
-        .with_batching(batch);
+        .with_max_batch_parcels(max_batch_parcels);
     let rt = RuntimeBuilder::new(cfg).build().expect("boot");
     // Every trigger crosses the wire as one parcel into an and-gate LCO
     // born on locality 1; the gate fires when all have arrived.
@@ -45,7 +45,7 @@ fn run(label: &str, batch: BatchPolicy) -> f64 {
 
 fn main() {
     println!("wire latency {WIRE_LATENCY:?}, 2 localities, 1 worker each\n");
-    let single = run("unbatched", BatchPolicy::single());
-    let batched = run("batched", BatchPolicy::batched());
+    let single = run("unbatched", 1);
+    let batched = run("batched", 32);
     println!("\nspeedup: {:.2}x", batched / single);
 }

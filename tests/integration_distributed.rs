@@ -57,7 +57,6 @@ fn build_rt(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered:
         // exercises the control-plane priority lane.
         cfg = cfg
             .with_max_batch_parcels(16)
-            .with_flush_interval(Duration::from_micros(500))
             .with_gossip_interval(Duration::from_millis(5));
     }
     if traced {

@@ -241,10 +241,35 @@ fn dead_letter_hook_observes_every_fault() {
     rt.shutdown();
 }
 
+/// A runtime whose dead-letter hook forwards every fault to a channel,
+/// so a test can wait for the report instead of sleeping.
+fn rt_reporting(locs: usize) -> (Runtime, std::sync::mpsc::Receiver<Fault>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = Mutex::new(tx);
+    let rt = RuntimeBuilder::new(Config::small(locs, 1))
+        .register::<Boom>()
+        .on_dead_letter(move |f| {
+            let _ = tx.lock().unwrap().send(f.clone());
+        })
+        .build()
+        .unwrap();
+    (rt, rx)
+}
+
+/// The next reported fault addressed at `dest` (`BOUND` is a hang guard).
+fn next_fault_at(rx: &std::sync::mpsc::Receiver<Fault>, dest: Gid) -> Fault {
+    loop {
+        let f = rx.recv_timeout(BOUND).expect("fault was never reported");
+        if f.dest == dest {
+            return f;
+        }
+    }
+}
+
 #[test]
 fn poisoned_semaphore_never_grants_its_critical_section() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let rt = rt(1);
+    let (rt, reports) = rt_reporting(1);
     // Zero permits: every acquire queues.
     let sem = rt.new_semaphore(LocalityId(0), 0);
     let ran = Arc::new(AtomicBool::new(false));
@@ -267,13 +292,68 @@ fn poisoned_semaphore_never_grants_its_critical_section() {
     });
     assert_eq!(f.cause, FaultCause::Panic);
     // …while the queued acquirer's critical section must NOT run as if a
-    // permit were granted (that would break mutual exclusion silently).
-    std::thread::sleep(Duration::from_millis(100));
+    // permit were granted (that would break mutual exclusion silently):
+    // its continuation is dropped, and the drop is reported.
+    let dropped = next_fault_at(&reports, sem);
+    assert_eq!(dropped.cause, FaultCause::Panic);
     assert!(
         !ran.load(Ordering::SeqCst),
         "poison must not admit a critical section"
     );
     rt.shutdown();
+}
+
+/// `when_resolved` promises the continuation always runs. Asked about a
+/// gid that is not an LCO, the local arm used to drop it silently while
+/// the remote arm delivered a fault; both must deliver the same one.
+#[test]
+fn when_resolved_on_a_data_object_faults_from_either_side() {
+    let rt = rt(2);
+    let data = rt.new_data_at(LocalityId(0), vec![1, 2, 3]);
+    for (at, deaths) in [(LocalityId(0), 1), (LocalityId(1), 2)] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        rt.run_blocking(at, move |ctx| {
+            ctx.when_resolved(FutureRef::<u64>::from_gid(data), move |_, r| {
+                let _ = tx.send(r);
+            });
+        });
+        let r = rx.recv_timeout(BOUND).expect("continuation never ran");
+        let f = expect_fault(r.map(Some));
+        assert_eq!(f.cause, FaultCause::HandlerError, "from {at:?}: {f}");
+        assert_eq!(f.dest, data);
+        assert!(f.message.contains("wrong kind"), "from {at:?}: {f}");
+        let total = rt.stats().total();
+        assert_eq!(total.dead_parcels, deaths, "from {at:?}");
+        assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
+    }
+    rt.shutdown();
+}
+
+/// `acquire` on an LCO that is not a semaphore grants nothing: the body
+/// never runs, one death is counted, and the hook hears of the death and
+/// of the dropped continuation.
+#[test]
+fn acquire_on_a_future_never_runs_the_body() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (rt, reports) = rt_reporting(1);
+    let fut = rt.new_future::<u64>(LocalityId(0)).gid();
+    let ran = Arc::new(AtomicBool::new(false));
+    let flag = ran.clone();
+    rt.run_blocking(LocalityId(0), move |ctx| {
+        ctx.acquire(fut, move |_| flag.store(true, Ordering::SeqCst));
+    });
+    let death = next_fault_at(&reports, fut);
+    assert_eq!(death.cause, FaultCause::HandlerError);
+    assert!(death.message.contains("wrong kind"), "{death}");
+    let dropped = next_fault_at(&reports, fut);
+    assert!(dropped.message.contains("dropped"), "{dropped}");
+    assert!(
+        !ran.load(Ordering::SeqCst),
+        "no permit, no critical section"
+    );
+    assert_eq!(rt.stats().total().dead_parcels, 1);
+    rt.shutdown();
+    assert!(reports.try_recv().is_err(), "exactly two reports");
 }
 
 #[test]

@@ -104,6 +104,70 @@ fn subprocess_of_cancelled_parent_is_rejected() {
     rt.shutdown();
 }
 
+/// The in-thread twins of the driver-side process calls: a PX-thread of
+/// `root` builds two subprocesses, fills them, releases one and a sibling
+/// thread cancels the other.
+#[test]
+fn px_threads_build_finish_and_cancel_subprocesses() {
+    use std::sync::atomic::AtomicBool;
+    let rt = rt(2);
+    let root = rt.create_process(LocalityId(0));
+    let ran = Arc::new(AtomicU64::new(0));
+    let late_ran = Arc::new(AtomicBool::new(false));
+    // Fires once both of `doomed`'s threads are running at locality 1:
+    // a cancel after that finds nothing of theirs left to drop in a
+    // queue, so the one `tasks_cancelled` below is the late spawn's.
+    let started = rt.new_and_gate(LocalityId(1), 2);
+    let (procs_tx, procs_rx) = std::sync::mpsc::channel();
+    let (ran2, late) = (ran.clone(), late_ran.clone());
+    root.spawn_at(&rt, LocalityId(0), move |ctx| {
+        let kept = root.create_subprocess_ctx(ctx, LocalityId(0)).unwrap();
+        let doomed = root.create_subprocess_ctx(ctx, LocalityId(1)).unwrap();
+        for l in 0..2u16 {
+            let ran = ran2.clone();
+            ctx.spawn_in_process(kept, LocalityId(l), move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            ctx.spawn_in_process(doomed, LocalityId(1), move |ctx| {
+                ctx.trigger_value(started, Value::unit());
+            });
+        }
+        // `kept` may quiesce; `doomed` keeps its root token, so only the
+        // cancellation can resolve it.
+        kept.finish_root_ctx(ctx);
+        ctx.spawn_at(LocalityId(1), move |ctx| {
+            ctx.when_ready(started, move |ctx, _| {
+                doomed.cancel_ctx(ctx);
+                ctx.spawn_in_process(doomed, LocalityId(0), move |_| {
+                    late.store(true, Ordering::SeqCst);
+                });
+            });
+        });
+        procs_tx.send((kept, doomed)).unwrap();
+    });
+    root.finish_root(&rt);
+    // The parent's quiescence covers everything above: its own threads,
+    // the sibling's suspended continuation and both subprocesses.
+    root.done_future()
+        .wait_timeout(&rt, BOUND)
+        .unwrap()
+        .expect("root quiesced");
+    let (kept, doomed) = procs_rx.try_recv().expect("the root thread ran");
+    assert_eq!(ran.load(Ordering::SeqCst), 2, "wait covered `kept`");
+    assert_eq!(
+        kept.done_future().wait_timeout(&rt, BOUND).unwrap(),
+        Some(())
+    );
+    expect_cancelled(doomed.done_future().wait_timeout(&rt, BOUND));
+    let kids: Vec<Gid> = root.children(&rt).iter().map(|c| c.gid()).collect();
+    assert_eq!(kids, [kept.gid(), doomed.gid()]);
+    assert!(!late_ran.load(Ordering::SeqCst), "late spawn was rejected");
+    let stats = rt.stats();
+    assert_eq!(stats.total().tasks_cancelled, 1, "the rejected late spawn");
+    assert_eq!(stats.processes_cancelled, 1);
+    rt.shutdown();
+}
+
 // ---- cancellation -----------------------------------------------------------
 
 #[test]
