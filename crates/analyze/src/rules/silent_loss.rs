@@ -36,11 +36,13 @@ use crate::lexer::{TokKind, Token};
 use crate::segment::{matching_brace, next_sig, prev_sig};
 use crate::{FileCtx, Finding};
 
-/// Files whose functions own parcels in flight: the scheduler, the
-/// transports, and every `__sys` handler (all of `src/sys/`, plus the
-/// echo rows' `echo::handle_sys`).
+/// Files whose functions own parcels in flight: the scheduler, the one
+/// sender (`origin.rs`), the transports (the TCP backend's I/O loop
+/// handles stream messages, not parcels), every `__sys` handler (all of
+/// `src/sys/`) and the echo client calls.
 const TARGET_SUFFIXES: &[&str] = &[
     "src/sched.rs",
+    "src/origin.rs",
     "src/echo.rs",
     "src/net/tcp.rs",
     "src/net/inproc.rs",

@@ -108,7 +108,7 @@ pub fn run_percolation() -> Row {
     for _ in 0..TASKS {
         Directive::<Kernel>::block(ACCEL, block.clone())
             .with_continuation(Continuation::set(gate))
-            .issue_from_driver(&rt)
+            .issue(&rt)
             .unwrap();
     }
     rt.wait_future(gate_fut).unwrap();

@@ -118,7 +118,7 @@ pub fn run_echo() -> Row {
                 return;
             }
             spin_for_ns(200_000); // every 200 µs
-            let _ = px_core::echo::update_ctx(ctx, root, &(k as u64));
+            let _ = px_core::echo::update(ctx, root, &(k as u64));
             ctx.spawn(move |ctx| tick(ctx, root, k - 1));
         }
         tick(ctx, writer_root, rt_inner_updates);

@@ -204,7 +204,7 @@ pub fn bench_percolation(ops: u64) -> Row {
         for _ in 0..ops {
             Directive::<Noop>::block(LocalityId(1), ())
                 .with_continuation(Continuation::set(gate))
-                .issue_from_driver(&rt)
+                .issue(&rt)
                 .unwrap();
         }
         rt.wait_future(gate_fut).unwrap();

@@ -37,6 +37,7 @@ use crate::agas::MigrationCause;
 use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{Locality, NO_SPAWN_TARGET};
+use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::RuntimeInner;
 use crate::sched::{Task, Work};
@@ -128,7 +129,7 @@ fn gossip_round(rt: &Arc<RuntimeInner>, round: u64, n: usize) {
             Value::from_bytes(payload),
             Continuation::none(),
         );
-        rt.send_parcel(loc.id, p);
+        Origin::at(rt, loc).send(p);
     }
 }
 
@@ -325,7 +326,7 @@ fn pull_hot(
                 to: loc.id,
                 cause: MigrationCause::Balancer,
             };
-            rt.send_parcel(loc.id, pull.parcel(gid, None));
+            Origin::at(rt, loc).send(pull.parcel(gid, None));
             bump!(loc.counters.balance_pulls);
             pulls += 1;
         }

@@ -30,14 +30,14 @@
 //!   overlap the paper claims, and experiment E5 measures it.
 
 use crate::action::Value;
-use crate::error::{FaultCause, PxError, PxResult};
+use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{Locality, Stored};
+use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
-use crate::runtime::{Ctx, Runtime, RuntimeInner};
-use crate::sys;
+use crate::runtime::{Ctx, Runtime};
+use crate::sys::{self, msg::EchoValidate, msg::EchoVerdict, msg::Wire};
 use parking_lot::Mutex;
-use px_wire::{WireReader, WireWriter};
 use serde::{de::DeserializeOwned, Serialize};
 use std::sync::Arc;
 
@@ -80,7 +80,8 @@ impl EchoTreeRef {
 
 /// Build an echo tree rooted at `root_loc` spanning all localities, with
 /// fan-out `arity` (a binary tree for `arity = 2`). Control-plane
-/// operation: inserts nodes directly into the stores.
+/// operation: inserts nodes directly into the stores, so every locality
+/// must live in this OS process ([`PxError::BadConfig`] over TCP).
 pub fn create_tree<T: Serialize>(
     rt: &Runtime,
     root_loc: LocalityId,
@@ -88,6 +89,11 @@ pub fn create_tree<T: Serialize>(
     initial: &T,
 ) -> PxResult<EchoTreeRef> {
     let inner = rt.inner();
+    if inner.distributed() {
+        return Err(PxError::BadConfig(
+            "echo trees need every locality in this OS process".into(),
+        ));
+    }
     let n = inner.localities.len();
     let value = Value::encode(initial)?;
     assert!(arity >= 1, "echo tree arity must be >= 1");
@@ -144,39 +150,19 @@ pub fn create_tree<T: Serialize>(
 /// Read the local replica: `(value, version)`. Never blocks, never
 /// communicates; staleness is bounded by propagation delay.
 pub fn read_local<T: DeserializeOwned>(loc: &Locality, node: Gid) -> PxResult<(T, u64)> {
-    match loc.get(node) {
-        Some(Stored::Echo(n)) => {
-            let g = n.lock();
-            Ok((g.value.decode()?, g.version))
-        }
-        Some(_) => Err(PxError::WrongObjectKind(node)),
-        None => Err(PxError::NoSuchObject(node)),
-    }
+    let node = loc.get_echo(node)?;
+    let g = node.lock();
+    Ok((g.value.decode()?, g.version))
 }
 
 /// Issue an update: route the new value to the root, which assigns the
 /// next version and propagates down the tree. Fire-and-forget; use
 /// [`commit`] when the writer needs the split-phase acknowledgement.
-pub fn update<T: Serialize>(
-    rt: &Arc<RuntimeInner>,
-    from: LocalityId,
-    root: Gid,
-    value: &T,
-) -> PxResult<()> {
-    let p = Parcel::new(
-        root,
-        sys::ECHO_UPDATE,
-        Value::encode(value)?,
-        Continuation::none(),
-    );
-    rt.send_parcel(from, p);
+pub fn update<T: Serialize>(from: &impl Caller, root: Gid, value: &T) -> PxResult<()> {
+    let payload = Value::encode(value)?;
+    let p = Parcel::new(root, sys::ECHO_UPDATE, payload, Continuation::none());
+    from.origin().send_sys(p);
     Ok(())
-}
-
-/// [`update`] from inside a PX-thread.
-pub fn update_ctx<T: Serialize>(ctx: &mut Ctx<'_>, root: Gid, value: &T) -> PxResult<()> {
-    let here = ctx.here();
-    update(ctx.rt_inner(), here, root, value)
 }
 
 /// The outcome of a split-phase validation.
@@ -208,208 +194,84 @@ where
     T: DeserializeOwned + 'static,
     K: FnOnce(&mut Ctx<'_>, PxResult<CommitOutcome<T>>) + Send + 'static,
 {
-    // Local future receives the root's reply.
-    let reply = ctx.locality().new_future_lco();
-    let mut w = WireWriter::with_capacity(8);
-    w.put_u64(used_version);
-    let p = Parcel::new(
-        root,
-        sys::ECHO_VALIDATE,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(reply),
-    );
-    ctx.rt_inner().send_parcel(ctx.here(), p);
-    ctx.when_ready(reply, move |ctx, v| {
-        let outcome = match v.fault() {
-            // The validation parcel died; the death was counted and
-            // dead-lettered where it was raised, and k observes it here.
-            Some(f) => Err(PxError::Fault(f)),
-            None => decode_validation::<T>(&v),
-        };
-        k(ctx, outcome);
-    });
+    let ask = EchoValidate { used: used_version }.parcel(root, None);
+    // A dead validation parcel was counted and dead-lettered where it
+    // was raised; its fault is the reply, and k observes it here.
+    ctx.origin()
+        .request_then(ask, move |ctx, v| k(ctx, outcome_of(&v)));
     Ok(())
 }
 
 /// Blocking variant of [`commit`] for external driver threads.
 pub fn commit_blocking<T: DeserializeOwned + 'static>(
     rt: &Runtime,
-    from: LocalityId,
     root: Gid,
     used_version: u64,
 ) -> PxResult<CommitOutcome<T>> {
-    let inner = rt.inner();
-    let reply = inner.locality(from).new_future_lco();
-    let mut w = WireWriter::with_capacity(8);
-    w.put_u64(used_version);
-    let p = Parcel::new(
-        root,
-        sys::ECHO_VALIDATE,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(reply),
-    );
-    inner.send_parcel(from, p);
-    let v: Value = rt.wait_value(reply)?;
-    decode_validation::<T>(&v)
+    let ask = EchoValidate { used: used_version }.parcel(root, None);
+    outcome_of(&rt.sys_rpc(ask)?)
 }
 
-// Reply framing: u8 tag (1 = valid, 0 = stale) ++ u64 version ++ value
-// bytes (stale only).
-fn decode_validation<T: DeserializeOwned>(v: &Value) -> PxResult<CommitOutcome<T>> {
-    let mut r = WireReader::new(v.bytes());
-    let tag = r.get_u8()?;
-    let version = r.get_u64()?;
-    if tag == 1 {
-        Ok(CommitOutcome::Valid)
-    } else {
-        let rest = r.get_bytes(r.remaining())?;
-        Ok(CommitOutcome::Stale {
-            version,
-            value: Value::from_bytes(rest.to_vec()).decode()?,
-        })
+/// The root's verdict as the committing thread sees it.
+fn outcome_of<T: DeserializeOwned>(reply: &Value) -> PxResult<CommitOutcome<T>> {
+    if let Some(f) = reply.fault() {
+        return Err(PxError::Fault(f));
     }
-}
-
-/// System-parcel handler for the three echo rows of `sys_actions!`.
-/// Dead paths kill the parcel loudly (see [`crate::sched::kill_parcel`])
-/// so a blocked [`commit_blocking`] caller gets a fault, not a hang.
-// px-analyze: allow(no-silent-loss): update and propagation parcels are fire-and-forget — `update` and `propagate` build them without a continuation, and a stale propagation is superseded, not lost; validations reply and dead paths kill.
-pub(crate) fn handle_sys(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let node = match loc.get(p.dest) {
-        Some(Stored::Echo(n)) => n,
-        other => {
-            let msg = match other {
-                Some(_) => format!("{} is not an echo node", p.dest),
-                None => format!("no echo node {} here", p.dest),
-            };
-            crate::sched::kill_parcel(rt, loc, p, FaultCause::HandlerError, msg);
-            return;
-        }
-    };
-    if p.action == sys::ECHO_UPDATE {
-        // Root: assign next version, apply, propagate.
-        let (version, value, children) = {
-            let mut g = node.lock();
-            debug_assert_eq!(g.root, g.gid, "updates must arrive at the root");
-            g.version += 1;
-            g.value = p.payload.clone();
-            (g.version, g.value.clone(), g.children.clone())
-        };
-        propagate(rt, loc, version, &value, &children);
-    } else if p.action == sys::ECHO_PROP {
-        // Child: apply if newer, keep propagating.
-        let mut r = WireReader::new(p.payload.bytes());
-        let Ok(version) = r.get_u64() else {
-            let msg = "echo propagation missing version".to_string();
-            crate::sched::kill_parcel(rt, loc, p, FaultCause::Decode, msg);
-            return;
-        };
-        let Ok(rest) = r.get_bytes(r.remaining()) else {
-            let msg = "echo propagation payload truncated".to_string();
-            crate::sched::kill_parcel(rt, loc, p, FaultCause::Decode, msg);
-            return;
-        };
-        let value = Value::from_bytes(rest.to_vec());
-        let children = {
-            let mut g = node.lock();
-            if version <= g.version {
-                // Out-of-order propagation: an older update arrived late.
-                // Newer value already applied; stop this branch.
-                return;
-            }
-            g.version = version;
-            g.value = value.clone();
-            g.children.clone()
-        };
-        propagate(rt, loc, version, &value, &children);
-    } else {
-        // ECHO_VALIDATE: root answers valid/stale against current version.
-        let mut r = WireReader::new(p.payload.bytes());
-        let Ok(used) = r.get_u64() else {
-            let msg = "echo validation missing version".to_string();
-            crate::sched::kill_parcel(rt, loc, p, FaultCause::Decode, msg);
-            return;
-        };
-        let reply = {
-            let mut g = node.lock();
-            let mut w = WireWriter::with_capacity(16 + g.value.len());
-            if used == g.version {
-                g.ok_validations += 1;
-                w.put_u8(1);
-                w.put_u64(g.version);
-            } else {
-                g.stale_validations += 1;
-                w.put_u8(0);
-                w.put_u64(g.version);
-                w.put_bytes(g.value.bytes());
-            }
-            Value::from_bytes(w.into_bytes())
-        };
-        crate::sched::apply_continuation(rt, loc, p.cont, reply, p.trace);
+    let verdict = EchoVerdict::decode(reply.bytes())?;
+    if verdict.valid {
+        return Ok(CommitOutcome::Valid);
     }
-}
-
-fn propagate(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    version: u64,
-    value: &Value,
-    children: &[Gid],
-) {
-    for &child in children {
-        let mut w = WireWriter::with_capacity(8 + value.len());
-        w.put_u64(version);
-        w.put_bytes(value.bytes());
-        let p = Parcel::new(
-            child,
-            sys::ECHO_PROP,
-            Value::from_bytes(w.into_bytes()),
-            Continuation::none(),
-        );
-        rt.send_parcel(loc.id, p);
-    }
+    Ok(CommitOutcome::Stale {
+        version: verdict.version,
+        value: verdict.value.decode()?,
+    })
 }
 
 /// Root-side validation statistics `(ok, stale)` for experiment output.
 pub fn validation_stats(rt: &Runtime, root: Gid) -> PxResult<(u64, u64)> {
-    let loc = rt.inner().locality(root.birthplace());
-    match loc.get(root) {
-        Some(Stored::Echo(n)) => {
-            let g = n.lock();
-            Ok((g.ok_validations, g.stale_validations))
-        }
-        Some(_) => Err(PxError::WrongObjectKind(root)),
-        None => Err(PxError::NoSuchObject(root)),
-    }
+    let node = rt.inner().locality(root.birthplace()).get_echo(root)?;
+    let g = node.lock();
+    Ok((g.ok_validations, g.stale_validations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{Config, RuntimeBuilder};
 
     #[test]
-    fn validation_reply_framing() {
-        // valid
-        let mut w = WireWriter::new();
-        w.put_u8(1);
-        w.put_u64(5);
-        let v = Value::from_bytes(w.into_bytes());
-        match decode_validation::<u64>(&v).unwrap() {
-            CommitOutcome::Valid => {}
-            other => panic!("expected Valid, got {other:?}"),
-        }
-        // stale with payload
-        let mut w = WireWriter::new();
-        w.put_u8(0);
-        w.put_u64(9);
-        w.put_bytes(Value::encode(&123u64).unwrap().bytes());
-        let v = Value::from_bytes(w.into_bytes());
-        match decode_validation::<u64>(&v).unwrap() {
-            CommitOutcome::Stale { version, value } => {
-                assert_eq!(version, 9);
-                assert_eq!(value, 123);
-            }
+    fn verdicts_decode_to_outcomes() {
+        let verdict = |valid, value: &Value| {
+            let value = value.clone();
+            let v = EchoVerdict {
+                valid,
+                version: 9,
+                value,
+            };
+            outcome_of::<u64>(&v.encode()).unwrap()
+        };
+        assert!(matches!(
+            verdict(true, &Value::unit()),
+            CommitOutcome::Valid
+        ));
+        match verdict(false, &Value::encode(&123u64).unwrap()) {
+            CommitOutcome::Stale { version, value } => assert_eq!((version, value), (9, 123)),
             other => panic!("expected Stale, got {other:?}"),
         }
+    }
+
+    /// `create_tree` writes into every locality's store and allocator:
+    /// on a rank of a multi-process system that would mint GIDs on
+    /// stubs, so it is refused. (A one-rank TCP "mesh" boots alone.)
+    #[test]
+    fn trees_are_refused_on_a_distributed_runtime() {
+        let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = format!("127.0.0.1:{}", port.local_addr().unwrap().port());
+        drop(port);
+        let cfg = Config::small(1, 1).with_tcp(0, vec![addr]);
+        let rt = RuntimeBuilder::new(cfg).build().unwrap();
+        let refused = create_tree(&rt, LocalityId(0), 2, &0u64);
+        assert!(matches!(refused, Err(PxError::BadConfig(_))), "{refused:?}");
+        rt.shutdown();
     }
 }

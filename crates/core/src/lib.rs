@@ -8,12 +8,17 @@
 //! |---|---|
 //! | **Localities** — synchronous domains with compound atomic operations | [`locality`] |
 //! | **Global name space** — first-class named data *and* actions | [`gid`], [`agas`] |
-//! | **Multithreading** — ephemeral PX-threads; suspend→LCO, terminate→parcel | [`runtime::Ctx`], [`sched`] |
+//! | **Multithreading** — ephemeral PX-threads; suspend→LCO, terminate→parcel | [`ctx::Ctx`], [`sched`] |
 //! | **Parcels** — message-driven computation with continuation specifiers | [`parcel`], [`net`] |
 //! | **Local Control Objects** — futures, dataflow, gates, depleted threads | [`lco`] |
 //! | **Percolation** — prestaging work+data at precious resources | [`percolation`] |
 //! | **Echo** — split-phase copy semantics without global cache coherence | [`echo`] |
 //! | **Parallel processes** — processes spanning localities, quiescence | [`process`] |
+//!
+//! Every client call is made *from somewhere*: [`origin::Origin`] — the
+//! runtime, an owned locality, the owning process, the trace — is the
+//! one implementation behind the driver's [`runtime::Runtime`] and the
+//! thread's [`ctx::Ctx`]; [`config::Config`] is what a builder boots.
 //!
 //! The runtime maps each *locality* onto a private object store plus a pool
 //! of worker OS threads; localities interact **only** through parcels
@@ -61,6 +66,8 @@
 pub mod action;
 pub mod agas;
 pub(crate) mod balance;
+pub mod config;
+pub mod ctx;
 pub mod echo;
 pub mod error;
 pub mod fxmap;
@@ -69,6 +76,7 @@ pub mod lco;
 pub mod locality;
 pub mod metrics;
 pub mod net;
+pub mod origin;
 pub mod parcel;
 pub mod percolation;
 pub mod process;

@@ -105,6 +105,32 @@ impl BalanceState {
     }
 }
 
+/// Which of a locality's queues a task lands in: the one switch every
+/// producer — the scheduler's local short-circuit, both transports'
+/// delivery sides — goes through ([`Locality::deliver`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// The general run queue.
+    Run,
+    /// The percolation staging buffer.
+    Staged,
+    /// The control-plane queue (balancer gossip, metrics pulls, the
+    /// directory protocol), drained ahead of all others.
+    Control,
+}
+
+impl Lane {
+    /// The lane of a data parcel: staging when percolated.
+    #[inline]
+    pub(crate) fn of_parcel(staged: bool) -> Lane {
+        if staged {
+            Lane::Staged
+        } else {
+            Lane::Run
+        }
+    }
+}
+
 /// One ParalleX locality.
 pub struct Locality {
     /// This locality's id.
@@ -268,36 +294,25 @@ impl Locality {
             || self.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Enqueue a task on the general run queue and wake a worker if one
-    /// is parked.
-    pub(crate) fn push_task(&self, mut task: Task) {
+    /// Enqueue a task on `lane` and wake a worker if one is parked. The
+    /// control queue exists only when balancing is on; without it
+    /// control traffic shares the general queue (and its wait is
+    /// accounted to the queue-wait instrument rather than the control
+    /// lane, matching the queue it actually waited in).
+    pub(crate) fn deliver(&self, lane: Lane, mut task: Task) {
         task.enqueued = self.metrics_now();
-        self.injector.push(task);
-        self.sleep.notify_one();
-    }
-
-    /// Enqueue a prestaged task on the staging buffer.
-    pub(crate) fn push_staged(&self, mut task: Task) {
-        task.enqueued = self.metrics_now();
-        self.staging.push(task);
-        self.sleep.notify_one();
-    }
-
-    /// Enqueue a control-plane task (balancer gossip, metrics pulls),
-    /// drained ahead of all other queues. Falls back to the general queue
-    /// if balancing is off here (then its wait is accounted to the
-    /// queue-wait instrument rather than the control lane, matching the
-    /// queue it actually waited in).
-    pub(crate) fn push_control(&self, task: Task) {
-        match &self.balance {
-            Some(b) => {
-                let mut task = task;
-                task.enqueued = self.metrics_now();
-                b.control.push(task);
-                self.sleep.notify_one();
-            }
-            None => self.push_task(task),
+        match (lane, &self.balance) {
+            (Lane::Staged, _) => self.staging.push(task),
+            (Lane::Control, Some(b)) => b.control.push(task),
+            (Lane::Run | Lane::Control, _) => self.injector.push(task),
         }
+        self.sleep.notify_one();
+    }
+
+    /// [`Locality::deliver`] on the general run queue.
+    #[inline]
+    pub(crate) fn push_task(&self, task: Task) {
+        self.deliver(Lane::Run, task);
     }
 
     // ---- object store ----------------------------------------------------
@@ -380,6 +395,15 @@ impl Locality {
     pub fn get_data(&self, gid: Gid) -> PxResult<Arc<RwLock<DataObject>>> {
         match self.get(gid) {
             Some(Stored::Data(d)) => Ok(d),
+            Some(_) => Err(PxError::WrongObjectKind(gid)),
+            None => Err(PxError::NoSuchObject(gid)),
+        }
+    }
+
+    /// Look up an echo-tree node, with kind checking.
+    pub fn get_echo(&self, gid: Gid) -> PxResult<Arc<Mutex<crate::echo::EchoNode>>> {
+        match self.get(gid) {
+            Some(Stored::Echo(n)) => Ok(n),
             Some(_) => Err(PxError::WrongObjectKind(gid)),
             None => Err(PxError::NoSuchObject(gid)),
         }

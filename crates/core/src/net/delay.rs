@@ -70,35 +70,6 @@ impl<T: Send + 'static> std::fmt::Debug for DelayLine<T> {
     }
 }
 
-/// A cheap cloneable submit handle onto a running delay line (used by
-/// the in-process transport's submitter so background threads share
-/// `DelayLine`'s delay arithmetic instead of re-implementing it).
-pub(crate) struct LineSender<T: Send + 'static> {
-    tx: SyncSender<Pending<T>>,
-    model: WireModel,
-}
-
-impl<T: Send + 'static> Clone for LineSender<T> {
-    fn clone(&self) -> Self {
-        LineSender {
-            tx: self.tx.clone(),
-            model: self.model,
-        }
-    }
-}
-
-impl<T: Send + 'static> LineSender<T> {
-    /// Submit a message of logical size `bytes`.
-    pub(crate) fn send(&self, msg: T, bytes: usize) {
-        let at = Instant::now() + self.model.delay_for(bytes);
-        // seq is assigned by the delay thread; simultaneous messages are
-        // unordered by design (like a real network).
-        if self.tx.send(Pending { at, seq: 0, msg }).is_err() {
-            // Delay line already shut down (runtime teardown).
-        }
-    }
-}
-
 impl<T: Send + 'static> DelayLine<T> {
     /// Build a delay line delivering into `sink`.
     pub fn new(model: WireModel, sink: Arc<dyn Fn(T) + Send + Sync + 'static>) -> DelayLine<T> {
@@ -137,25 +108,6 @@ impl<T: Send + 'static> DelayLine<T> {
                 }
             }
         }
-    }
-
-    /// Submit handle bound to the delay thread (`None` on instant lines,
-    /// which deliver inline and have no thread).
-    ///
-    /// A live `LineSender` keeps the delay thread's channel open, so
-    /// every clone must be dropped before [`DelayLine::shutdown`] can
-    /// join — the in-process transport guarantees this by joining the
-    /// port flusher (the only holder) first.
-    pub(crate) fn sender(&self) -> Option<LineSender<T>> {
-        self.tx.as_ref().map(|tx| LineSender {
-            tx: tx.clone(),
-            model: self.model,
-        })
-    }
-
-    /// The sink messages are delivered into.
-    pub(crate) fn sink(&self) -> Arc<dyn Fn(T) + Send + Sync + 'static> {
-        self.sink.clone()
     }
 
     /// The active model.

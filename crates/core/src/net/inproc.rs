@@ -9,9 +9,9 @@
 //! identical queue discipline, zero added bytes.
 
 use super::delay::DelayLine;
-use super::{Transport, TransportSubmitter, WireModel, WireMsg};
-use crate::locality::Locality;
-use crate::sched::Task;
+use super::{Transport, WireModel, WireMsg};
+use crate::locality::{Lane, Locality};
+use crate::sched::{Task, Work};
 use std::sync::Arc;
 
 /// A wire message plus its submit-time stamp for the `NetRtt`
@@ -36,85 +36,30 @@ impl InProcTransport {
     pub(crate) fn new(model: WireModel, localities: Arc<Vec<Arc<Locality>>>) -> InProcTransport {
         let metrics_on = localities.iter().any(|l| l.metrics.is_some());
         let sink: Arc<dyn Fn(Stamped) + Send + Sync> = Arc::new(move |s| {
-            let Stamped { msg, submitted } = s;
-            match msg {
-                WireMsg::Parcel {
-                    dest,
-                    staged,
-                    bytes,
-                } => {
-                    let loc = &localities[dest.0 as usize];
-                    loc.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
-                    let task = Task::parcel_bytes(bytes);
-                    if staged {
-                        loc.push_staged(task);
-                    } else {
-                        loc.push_task(task);
-                    }
+            let (dest, lane, task) = match s.msg {
+                WireMsg::Parcel { dest, lane, bytes } => {
+                    (dest, lane, Task::new(Work::ParcelBytes(bytes)))
                 }
-                WireMsg::Frame {
-                    dest,
-                    staged,
-                    bytes,
-                } => {
-                    let loc = &localities[dest.0 as usize];
-                    loc.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
-                    let task = Task::parcel_frame(bytes);
-                    if staged {
-                        loc.push_staged(task);
-                    } else {
-                        loc.push_task(task);
-                    }
+                WireMsg::Frame { dest, lane, bytes } => {
+                    (dest, lane, Task::new(Work::ParcelFrame(bytes)))
                 }
-                WireMsg::Task { dest, task } => {
-                    let loc = &localities[dest.0 as usize];
-                    loc.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
-                    loc.push_task(task);
-                }
-                WireMsg::Control { dest, bytes } => {
-                    let loc = &localities[dest.0 as usize];
-                    loc.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
-                    loc.push_control(Task::parcel_bytes(bytes));
-                }
-            }
+                WireMsg::Task { dest, task } => (dest, Lane::Run, task),
+            };
+            let loc = &localities[dest.0 as usize];
+            loc.metric_elapsed(crate::metrics::Instrument::NetRtt, s.submitted);
+            loc.deliver(lane, task);
         });
         InProcTransport {
             line: DelayLine::new(model, sink),
             metrics_on,
         }
     }
-
-    #[inline]
-    fn stamp(metrics_on: bool) -> Option<std::time::Instant> {
-        metrics_on.then(std::time::Instant::now)
-    }
 }
 
 impl Transport for InProcTransport {
     fn submit(&self, msg: WireMsg, bytes: usize) {
-        let submitted = Self::stamp(self.metrics_on);
+        let submitted = self.metrics_on.then(std::time::Instant::now);
         self.line.send(Stamped { msg, submitted }, bytes);
-    }
-
-    fn submitter(&self) -> TransportSubmitter {
-        // Bind directly to the delay thread (or the inline sink on an
-        // instant model) so the flusher shares the line's delay
-        // arithmetic. The `LineSender` keeps the delay channel open; the
-        // wire joins the flusher — the only holder — before `shutdown`.
-        let metrics_on = self.metrics_on;
-        match self.line.sender() {
-            Some(sender) => Arc::new(move |msg, bytes| {
-                let submitted = Self::stamp(metrics_on);
-                sender.send(Stamped { msg, submitted }, bytes)
-            }) as TransportSubmitter,
-            None => {
-                let sink = self.line.sink();
-                Arc::new(move |msg, _bytes| {
-                    let submitted = Self::stamp(metrics_on);
-                    sink(Stamped { msg, submitted })
-                }) as TransportSubmitter
-            }
-        }
     }
 
     fn supports_batching(&self) -> bool {

@@ -38,9 +38,9 @@
 //!    fault to each dead parcel's continuation so downstream waiters
 //!    resolve with `PxError::Fault` instead of hanging.
 //! 2. **Queue discipline at the destination.** `WireMsg::Parcel`/`Frame`
-//!    land in the destination's general run queue (staging buffer when
-//!    `staged`); `WireMsg::Control` lands in the priority control queue,
-//!    never coalesced and never behind data backlog; `WireMsg::Task` is
+//!    land in the queue their `Lane` names: the general run queue, the
+//!    staging buffer, or — single parcels only, never coalesced and never
+//!    behind data backlog — the priority control queue; `WireMsg::Task` is
 //!    an in-memory closure handoff — backends that cross address spaces
 //!    must reject it loudly rather than pretend. The control lane
 //!    carries balancer gossip *and* `__sys/metrics_pull` requests: both
@@ -133,7 +133,7 @@ pub use delay::DelayLine;
 pub use tcp::TcpConfig;
 
 use crate::gid::LocalityId;
-use crate::locality::Locality;
+use crate::locality::{Lane, Locality};
 use crate::parcel::Parcel;
 use crate::sched::Task;
 use crate::stats::{bump, TransportStats};
@@ -230,13 +230,13 @@ impl BatchPolicy {
 
 /// A message in flight between localities.
 pub(crate) enum WireMsg {
-    /// Single encoded parcel (unbatched path; staged parcels land in the
-    /// staging buffer).
+    /// Single encoded parcel: the unbatched data path, and all control
+    /// traffic — latency-sensitive by nature, so never coalesced.
     Parcel {
         /// Destination locality.
         dest: LocalityId,
-        /// Deliver into the staging buffer instead of the run queue.
-        staged: bool,
+        /// The destination queue it lands in.
+        lane: Lane,
         /// Encoded parcel bytes.
         bytes: Vec<u8>,
     },
@@ -244,8 +244,8 @@ pub(crate) enum WireMsg {
     Frame {
         /// Destination locality.
         dest: LocalityId,
-        /// Deliver into the staging buffer instead of the run queue.
-        staged: bool,
+        /// The destination queue it lands in (never the control lane).
+        lane: Lane,
         /// Encoded frame bytes (see [`px_wire::FrameBuf`]).
         bytes: Vec<u8>,
     },
@@ -258,22 +258,7 @@ pub(crate) enum WireMsg {
         /// The task to enqueue.
         task: Task,
     },
-    /// Control-plane parcel (balancer gossip, metrics pulls): delivered into the
-    /// destination's control queue, drained ahead of all other work so a
-    /// saturated locality still learns about idle peers promptly. Never
-    /// coalesced — control traffic is latency-sensitive by nature.
-    Control {
-        /// Destination locality.
-        dest: LocalityId,
-        /// Encoded parcel bytes.
-        bytes: Vec<u8>,
-    },
 }
-
-/// Cloneable submission handle onto a transport, handed to background
-/// threads (the port flusher) so they can ship frames without owning the
-/// backend. Dropped before the transport shuts down.
-pub(crate) type TransportSubmitter = Arc<dyn Fn(WireMsg, usize) + Send + Sync + 'static>;
 
 /// The backend seam of the wire layer. See the module docs for the full
 /// contract (loud failure, queue discipline, deferred fault delivery,
@@ -282,10 +267,6 @@ pub(crate) trait Transport: Send + Sync {
     /// Deliver `msg` toward its destination, charging `bytes` logical
     /// bytes to whatever latency/bandwidth physics the backend has.
     fn submit(&self, msg: WireMsg, bytes: usize);
-
-    /// A cloneable submission handle for background threads. Must remain
-    /// harmless (silent no-op) if used after `shutdown`.
-    fn submitter(&self) -> TransportSubmitter;
 
     /// True when the coalescing ports may engage. The in-process backend
     /// requires a delay thread (batching an instant wire would only add
@@ -309,7 +290,8 @@ pub(crate) trait Transport: Send + Sync {
     }
 
     /// Stop background threads, flushing or loudly killing pending
-    /// messages first. Called with the port flusher already joined.
+    /// messages first. Called with the port flusher — the one other
+    /// holder of the transport — already joined.
     fn shutdown(&mut self);
 }
 
@@ -328,9 +310,9 @@ struct Port {
     opened_at: Option<Instant>,
 }
 
-/// Per-destination coalescing ports. Index = `dest * 2 + staged`, so
-/// percolation traffic batches separately from general parcels and a
-/// frame is homogeneous in its delivery queue.
+/// Per-destination coalescing ports, one per data lane (index =
+/// `dest * 2 + staged`), so percolation traffic batches separately from
+/// general parcels and a frame is homogeneous in its delivery queue.
 pub(crate) struct PortSet {
     policy: BatchPolicy,
     ports: Vec<Mutex<Port>>,
@@ -352,8 +334,8 @@ impl PortSet {
     }
 
     #[inline]
-    fn port(&self, dest: LocalityId, staged: bool) -> &Mutex<Port> {
-        &self.ports[dest.0 as usize * 2 + staged as usize]
+    fn port(&self, dest: LocalityId, lane: Lane) -> &Mutex<Port> {
+        &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
     }
 }
 
@@ -361,7 +343,7 @@ impl PortSet {
 /// backend sinking into locality run queues (directly in-process, over
 /// sockets across OS processes).
 pub(crate) struct Wire {
-    transport: Box<dyn Transport>,
+    transport: Arc<dyn Transport>,
     ports: Option<Arc<PortSet>>,
     localities: Arc<Vec<Arc<Locality>>>,
     flusher_stop: Option<SyncSender<()>>,
@@ -373,7 +355,7 @@ impl Wire {
     /// `policy`. Batching engages only when the backend supports it and
     /// the policy asks for more than one parcel per message.
     pub(crate) fn new(
-        transport: Box<dyn Transport>,
+        transport: Arc<dyn Transport>,
         localities: Arc<Vec<Arc<Locality>>>,
         policy: BatchPolicy,
     ) -> Wire {
@@ -392,10 +374,10 @@ impl Wire {
                 let handle = {
                     let ports = ports.clone();
                     let localities = localities.clone();
-                    let submit = transport.submitter();
+                    let transport = transport.clone();
                     std::thread::Builder::new()
                         .name("px-port-flusher".into())
-                        .spawn(move || flusher_loop(ports, localities, submit, stop_rx))
+                        .spawn(move || flusher_loop(ports, localities, transport, stop_rx))
                         .expect("spawn port-flusher thread")
                 };
                 (Some(stop_tx), Some(handle))
@@ -413,22 +395,17 @@ impl Wire {
     /// Encode and submit one parcel toward `dest`, batching according to
     /// the policy. Returns the parcel's encoded size for accounting.
     pub(crate) fn send_parcel(&self, dest: LocalityId, p: &Parcel) -> usize {
+        let lane = Lane::of_parcel(p.staged);
         let Some(ports) = &self.ports else {
             // Unbatched path: identical to the pre-batching wire.
             let bytes = p.encode();
             let n = bytes.len();
-            self.transport.submit(
-                WireMsg::Parcel {
-                    dest,
-                    staged: p.staged,
-                    bytes,
-                },
-                n,
-            );
+            self.transport
+                .submit(WireMsg::Parcel { dest, lane, bytes }, n);
             return n;
         };
         let dest_loc = &self.localities[dest.0 as usize];
-        let mut port = ports.port(dest, p.staged).lock();
+        let mut port = ports.port(dest, lane).lock();
         if port.frame.is_empty() {
             port.opened_at = Some(Instant::now());
         }
@@ -443,7 +420,7 @@ impl Wire {
             flush_port(
                 &mut port,
                 dest,
-                p.staged,
+                lane,
                 FlushCause::Full,
                 dest_loc,
                 |msg, bytes| self.transport.submit(msg, bytes),
@@ -485,7 +462,10 @@ impl Wire {
             let _ = h.join();
         }
         self.flush_all();
-        self.transport.shutdown();
+        // The flusher held the only other reference and is joined.
+        if let Some(transport) = Arc::get_mut(&mut self.transport) {
+            transport.shutdown();
+        }
     }
 }
 
@@ -499,7 +479,7 @@ impl Drop for Wire {
 fn flush_port(
     port: &mut Port,
     dest: LocalityId,
-    staged: bool,
+    lane: Lane,
     cause: FlushCause,
     dest_loc: &Locality,
     submit: impl FnOnce(WireMsg, usize),
@@ -519,14 +499,7 @@ fn flush_port(
         FlushCause::Timer => bump!(dest_loc.counters.batch_flush_timer),
     }
     let n = bytes.len();
-    submit(
-        WireMsg::Frame {
-            dest,
-            staged,
-            bytes,
-        },
-        n,
-    );
+    submit(WireMsg::Frame { dest, lane, bytes }, n);
 }
 
 /// Flush every port whose oldest record is older than `min_age`.
@@ -538,14 +511,14 @@ fn flush_aged(
 ) {
     for (idx, slot) in ports.ports.iter().enumerate() {
         let dest = LocalityId((idx / 2) as u16);
-        let staged = idx % 2 == 1;
+        let lane = Lane::of_parcel(idx % 2 == 1);
         let mut port = slot.lock();
         let aged = port.opened_at.is_some_and(|t0| t0.elapsed() >= min_age);
         if aged {
             flush_port(
                 &mut port,
                 dest,
-                staged,
+                lane,
                 FlushCause::Timer,
                 &localities[dest.0 as usize],
                 &mut submit,
@@ -559,7 +532,7 @@ fn flush_aged(
 fn flusher_loop(
     ports: Arc<PortSet>,
     localities: Arc<Vec<Arc<Locality>>>,
-    submit: TransportSubmitter,
+    transport: Arc<dyn Transport>,
     stop_rx: Receiver<()>,
 ) {
     let interval = ports.policy.flush_interval;
@@ -568,7 +541,7 @@ fn flusher_loop(
         match stop_rx.recv_timeout(tick) {
             Err(RecvTimeoutError::Timeout) => {
                 flush_aged(&ports, &localities, interval, |msg, bytes| {
-                    submit(msg, bytes)
+                    transport.submit(msg, bytes)
                 });
             }
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
@@ -612,7 +585,7 @@ mod tests {
 
     fn test_wire(model: WireModel, locs: &Arc<Vec<Arc<Locality>>>, policy: BatchPolicy) -> Wire {
         Wire::new(
-            Box::new(InProcTransport::new(model, locs.clone())),
+            Arc::new(InProcTransport::new(model, locs.clone())),
             locs.clone(),
             policy,
         )

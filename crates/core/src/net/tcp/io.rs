@@ -1,0 +1,802 @@
+//! The I/O loop of the TCP backend: everything here runs on the single
+//! `px-tcp-io` thread — the listener, every outbound and inbound
+//! connection, connect retries and handshake deadlines, multiplexed in
+//! one `epoll_wait` loop (see the parent module's docs for the thread
+//! model, the bootstrap barrier and the failure semantics).
+
+use super::TcpShared;
+use crate::error::FaultCause;
+use px_poll::{Interest, WAKE_TOKEN};
+use px_wire::stream::{self, msg_kind, StreamAssembler, WriteBatch};
+use std::collections::BinaryHeap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::SyncSender;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// I/O slices per `write_vectored` call (well under any `IOV_MAX`).
+const MAX_WRITE_SLICES: usize = 64;
+/// Read chunk size for inbound connections.
+const READ_CHUNK: usize = 64 * 1024;
+/// Spacing between connect attempts (a poller timer, never a sleep).
+const CONNECT_RETRY: Duration = Duration::from_millis(25);
+/// Deadline for one nonblocking connect attempt to become writable.
+const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Deadline for an accepted connection to produce its handshake — a
+/// silent stranger (port scanner, health checker) is dropped then.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long shutdown keeps the loop alive to flush pending writes
+/// before counting the leftovers as transport deaths.
+const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
+
+/// Poll token namespaces (`u64::MAX` is the poller's wake token).
+const TOKEN_LISTENER: u64 = u64::MAX - 1;
+const TOKEN_OUT_BASE: u64 = 1 << 32;
+const TOKEN_IN_BASE: u64 = 2 << 32;
+
+/// Outbound connection state for one peer.
+enum Conn {
+    /// Nonblocking connect in flight (completion = writability).
+    Connecting(TcpStream),
+    /// Connected; handshake and queued messages flow.
+    Up(TcpStream),
+    /// Retry timer pending.
+    Backoff,
+    /// Permanently dead (attempts spent) — or torn down at shutdown.
+    Down,
+}
+
+/// Loop-owned per-peer state (the submit side lives in [`PeerSlot`]).
+struct PeerIo {
+    conn: Conn,
+    /// Queued wire bytes with partial-write carry-over.
+    batch: WriteBatch,
+    /// Unsent prefix of the connection handshake (empty once flushed).
+    hello: Vec<u8>,
+    /// Interest currently registered for the outbound socket.
+    registered: Option<Interest>,
+    /// Reconnect attempts left in the current failure episode
+    /// (unlimited during bootstrap — the barrier deadline bounds it).
+    attempts_left: u32,
+    /// Guards stale `ConnectTimeout` timers across attempts.
+    attempt_seq: u64,
+    /// Outbound half of the bootstrap barrier: hello fully flushed once.
+    hello_done: bool,
+}
+
+/// One accepted inbound connection (peer unknown until its handshake).
+struct InConn {
+    stream: TcpStream,
+    peer: Option<u16>,
+    asm: StreamAssembler,
+    hello: [u8; stream::HANDSHAKE_LEN],
+    hello_got: usize,
+    /// Guards stale `HelloTimeout` timers across slab-slot reuse.
+    seq: u64,
+}
+
+/// Timed work folded into the poll timeout (never a sleep).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum TimerKind {
+    /// Retry the outbound connect to a peer.
+    Retry(u16),
+    /// A connect attempt (identified by seq) ran out of time.
+    ConnectTimeout(u16, u64),
+    /// An inbound connection (slab idx, seq) never sent its handshake.
+    HelloTimeout(usize, u64),
+    /// The bootstrap barrier ran out of time.
+    Bootstrap,
+    /// Shutdown stops draining and counts the leftovers.
+    Drain,
+}
+
+pub(super) struct IoLoop {
+    shared: Arc<TcpShared>,
+    listener: TcpListener,
+    peers: Vec<Option<PeerIo>>,
+    inbound: Vec<Option<InConn>>,
+    inbound_seq: u64,
+    timers: BinaryHeap<std::cmp::Reverse<(Instant, TimerKind)>>,
+    /// Barrier state: which peers have handshaked in.
+    seen_in: Vec<bool>,
+    heard: usize,
+    barrier_tx: Option<SyncSender<Result<(), String>>>,
+    bootstrap_deadline: Instant,
+    /// Until the barrier resolves, connect retries are unlimited.
+    bootstrapping: bool,
+    drain_deadline: Option<Instant>,
+}
+
+impl IoLoop {
+    pub(super) fn new(
+        shared: Arc<TcpShared>,
+        listener: TcpListener,
+        bootstrap_deadline: Instant,
+        barrier_tx: SyncSender<Result<(), String>>,
+    ) -> IoLoop {
+        let n = shared.localities.len();
+        let peers = (0..n as u16)
+            .map(|j| {
+                (j != shared.rank).then(|| PeerIo {
+                    conn: Conn::Backoff,
+                    batch: WriteBatch::new(),
+                    hello: Vec::new(),
+                    registered: None,
+                    attempts_left: 0,
+                    attempt_seq: 0,
+                    hello_done: false,
+                })
+            })
+            .collect();
+        IoLoop {
+            shared,
+            listener,
+            peers,
+            inbound: Vec::new(),
+            inbound_seq: 0,
+            timers: BinaryHeap::new(),
+            seen_in: vec![false; n],
+            heard: 0,
+            barrier_tx: Some(barrier_tx),
+            bootstrap_deadline,
+            bootstrapping: true,
+            drain_deadline: None,
+        }
+    }
+
+    pub(super) fn run(mut self) {
+        if self
+            .shared
+            .poller
+            .register(
+                self.listener.as_raw_fd(),
+                TOKEN_LISTENER,
+                Interest::READABLE,
+            )
+            .is_err()
+        {
+            self.fail_bootstrap("tcp: registering the listener failed".into());
+            return;
+        }
+        self.arm_timer(self.bootstrap_deadline, TimerKind::Bootstrap);
+        // Kick off the outbound mesh: every peer starts connecting now.
+        for j in 0..self.peers.len() as u16 {
+            if self.peers[j as usize].is_some() {
+                self.start_connect(j);
+            }
+        }
+        self.check_barrier();
+
+        let mut events = Vec::new();
+        loop {
+            if self.observe_shutdown() {
+                return;
+            }
+            let timeout = self
+                .timers
+                .peek()
+                .map(|std::cmp::Reverse((at, _))| at.saturating_duration_since(Instant::now()));
+            if self.shared.poller.wait(&mut events, timeout).is_err() {
+                // A broken poller cannot make progress; fail loudly if
+                // the barrier still waits, then stop.
+                self.fail_bootstrap("tcp: poller wait failed".into());
+                return;
+            }
+            for ev in &events {
+                match ev.token {
+                    WAKE_TOKEN => {} // queues scanned below
+                    TOKEN_LISTENER => self.accept_ready(),
+                    t if t >= TOKEN_IN_BASE => self.inbound_ready((t - TOKEN_IN_BASE) as usize),
+                    t if t >= TOKEN_OUT_BASE => {
+                        self.outbound_ready((t - TOKEN_OUT_BASE) as u16, ev.writable())
+                    }
+                    _ => {}
+                }
+            }
+            self.fire_due_timers();
+            self.pump_sends();
+        }
+    }
+
+    // -- timers -------------------------------------------------------------
+
+    fn arm_timer(&mut self, at: Instant, kind: TimerKind) {
+        self.timers.push(std::cmp::Reverse((at, kind)));
+    }
+
+    fn fire_due_timers(&mut self) {
+        let now = Instant::now();
+        while let Some(std::cmp::Reverse((at, _))) = self.timers.peek() {
+            if *at > now {
+                break;
+            }
+            let std::cmp::Reverse((_, kind)) = self.timers.pop().expect("peeked");
+            match kind {
+                TimerKind::Retry(j) => {
+                    if matches!(self.peer_io(j).conn, Conn::Backoff) {
+                        self.start_connect(j);
+                    }
+                }
+                TimerKind::ConnectTimeout(j, seq) => {
+                    let io = self.peer_io(j);
+                    if io.attempt_seq == seq && matches!(io.conn, Conn::Connecting(_)) {
+                        self.connect_attempt_failed(j, "connect timed out");
+                    }
+                }
+                TimerKind::HelloTimeout(idx, seq) => {
+                    let stale = match self.inbound.get(idx).and_then(Option::as_ref) {
+                        Some(c) => c.seq != seq || c.peer.is_some(),
+                        None => true,
+                    };
+                    if !stale {
+                        // Silent stranger: drop before it touches any
+                        // runtime state (we never learned who it was).
+                        self.drop_inbound(idx);
+                    }
+                }
+                TimerKind::Bootstrap => {
+                    if self.barrier_tx.is_some() {
+                        let n = self.shared.localities.len();
+                        self.fail_bootstrap(format!(
+                            "tcp bootstrap barrier timed out: {} of {} peers handshaked",
+                            self.heard,
+                            n - 1
+                        ));
+                    }
+                }
+                TimerKind::Drain => {
+                    // Handled by observe_shutdown on the next iteration.
+                }
+            }
+        }
+    }
+
+    // -- bootstrap barrier --------------------------------------------------
+
+    fn fail_bootstrap(&mut self, why: String) {
+        if let Some(tx) = self.barrier_tx.take() {
+            let _ = tx.send(Err(why));
+        }
+        self.bootstrapping = false;
+    }
+
+    fn check_barrier(&mut self) {
+        if self.barrier_tx.is_none() {
+            return;
+        }
+        let n = self.shared.localities.len();
+        let out_ready = self.peers.iter().flatten().filter(|p| p.hello_done).count();
+        if self.heard == n - 1 && out_ready == n - 1 {
+            if let Some(tx) = self.barrier_tx.take() {
+                let _ = tx.send(Ok(()));
+            }
+            self.bootstrapping = false;
+        }
+    }
+
+    // -- outbound -----------------------------------------------------------
+
+    fn peer_io(&mut self, j: u16) -> &mut PeerIo {
+        self.peers[j as usize]
+            .as_mut()
+            .expect("peer io exists for every non-self locality")
+    }
+
+    fn out_token(j: u16) -> u64 {
+        TOKEN_OUT_BASE + u64::from(j)
+    }
+
+    /// Begin a nonblocking connect attempt toward `j`.
+    fn start_connect(&mut self, j: u16) {
+        let addr = self.shared.resolved[j as usize].expect("peer addr resolved at bootstrap");
+        let io = self.peer_io(j);
+        io.attempt_seq += 1;
+        let seq = io.attempt_seq;
+        match px_poll::connect_nonblocking(&addr) {
+            Ok(stream) => {
+                let register = self.shared.poller.register(
+                    stream.as_raw_fd(),
+                    Self::out_token(j),
+                    Interest::WRITABLE,
+                );
+                let io = self.peer_io(j);
+                match register {
+                    Ok(()) => {
+                        io.conn = Conn::Connecting(stream);
+                        io.registered = Some(Interest::WRITABLE);
+                        self.arm_timer(
+                            Instant::now() + CONNECT_ATTEMPT_TIMEOUT,
+                            TimerKind::ConnectTimeout(j, seq),
+                        );
+                    }
+                    Err(_) => {
+                        drop(stream);
+                        self.connect_attempt_failed(j, "poller registration failed");
+                    }
+                }
+            }
+            Err(_) => self.connect_attempt_failed(j, "connect failed"),
+        }
+    }
+
+    /// One connect attempt failed: schedule a retry or give the peer up.
+    fn connect_attempt_failed(&mut self, j: u16, why: &str) {
+        let bootstrapping = self.bootstrapping;
+        let io = self.peer_io(j);
+        io.registered = None;
+        if bootstrapping {
+            // The barrier deadline bounds bootstrap; retries are free.
+            io.conn = Conn::Backoff;
+            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
+            return;
+        }
+        if io.attempts_left > 0 {
+            io.attempts_left -= 1;
+            io.conn = Conn::Backoff;
+            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
+        } else {
+            io.conn = Conn::Down;
+            self.give_up_peer(j, why);
+        }
+    }
+
+    /// The outbound connection to `j` failed mid-episode (write error,
+    /// hang-up): start the bounded reconnect cycle, or give up.
+    fn connection_lost(&mut self, j: u16, why: &str) {
+        let io = self.peer_io(j);
+        io.conn = Conn::Down;
+        io.registered = None;
+        io.batch.rewind(); // at-least-once: re-send from the front message
+        io.hello.clear();
+        if self.shared.shutting_down.load(Ordering::Acquire) {
+            // Shutdown drains what it can; a lost connection now just
+            // counts its leftovers.
+            let io = self.peer_io(j);
+            let leftovers = io.batch.drain_msgs();
+            self.shared.count_deaths(&leftovers);
+            return;
+        }
+        let attempts = self.shared.reconnect_attempts;
+        let bootstrapping = self.bootstrapping;
+        if bootstrapping || attempts > 0 {
+            let io = self.peer_io(j);
+            if !bootstrapping {
+                io.attempts_left = attempts - 1;
+            }
+            io.conn = Conn::Backoff;
+            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
+        } else {
+            self.give_up_peer(j, why);
+        }
+    }
+
+    /// Declare `j` dead: close its queue, kill everything queued or
+    /// batched, loudly.
+    fn give_up_peer(&mut self, j: u16, why: &str) {
+        let io = self.peer_io(j);
+        io.conn = Conn::Down;
+        io.registered = None;
+        let mut dead = io.batch.drain_msgs();
+        dead.extend(self.shared.close_peer(j, why));
+        self.shared.kill_undeliverable(j, dead);
+    }
+
+    /// Readiness on the outbound socket of peer `j`.
+    fn outbound_ready(&mut self, j: u16, writable: bool) {
+        match &self.peer_io(j).conn {
+            Conn::Connecting(stream) => {
+                if !writable {
+                    return;
+                }
+                match px_poll::take_socket_error(stream) {
+                    Ok(()) => {
+                        // Connected: queue the handshake and (on a
+                        // reconnect) count the re-establishment.
+                        let rank = self.shared.rank;
+                        let io = self.peer_io(j);
+                        io.hello = stream::encode_handshake(rank).to_vec();
+                        let Conn::Connecting(stream) = std::mem::replace(&mut io.conn, Conn::Down)
+                        else {
+                            unreachable!("matched Connecting above");
+                        };
+                        io.conn = Conn::Up(stream);
+                        if io.hello_done {
+                            self.shared
+                                .peer(j)
+                                .counters
+                                .reconnects
+                                .fetch_add(1, Ordering::Relaxed);
+                            self.shared.own().trace_event(
+                                Some(0),
+                                crate::trace::TraceEventKind::NetReconnect,
+                                0,
+                                u64::from(j),
+                            );
+                            // Reconnect revives a dead-marked peer (the
+                            // queue reopens only if it was closed by a
+                            // *failed episode*, never after shutdown).
+                            if !self.shared.shutting_down.load(Ordering::Acquire) {
+                                let slot = self.shared.peer(j);
+                                slot.queue.lock().closed = false;
+                                slot.dead.store(false, Ordering::Release);
+                            }
+                        }
+                        self.flush_peer(j);
+                    }
+                    Err(_) => {
+                        let io = self.peer_io(j);
+                        io.conn = Conn::Down;
+                        io.registered = None;
+                        self.connect_attempt_failed(j, "connect refused");
+                    }
+                }
+            }
+            Conn::Up(_) => {
+                if writable {
+                    self.flush_peer(j);
+                }
+                self.drain_outbound_read(j);
+            }
+            Conn::Backoff | Conn::Down => {}
+        }
+    }
+
+    /// The peer never writes on our outbound (simplex) connection, so
+    /// any read readiness is EOF/RST — the only way to notice a dropped
+    /// peer between writes.
+    fn drain_outbound_read(&mut self, j: u16) {
+        let mut probe = [0u8; 512];
+        let lost = {
+            let Conn::Up(stream) = &mut self.peer_io(j).conn else {
+                return;
+            };
+            loop {
+                match stream.read(&mut probe) {
+                    Ok(0) => break true,
+                    Ok(_) => continue, // protocol garbage; discard
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => break true,
+                }
+            }
+        };
+        if lost {
+            self.connection_lost(j, "connection closed by peer");
+        }
+    }
+
+    /// Write the hello and batched messages toward `j` until done or the
+    /// socket fills; adjust epoll interest to match what remains.
+    fn flush_peer(&mut self, j: u16) {
+        let shared = self.shared.clone();
+        let io = self.peer_io(j);
+        let Conn::Up(stream) = &mut io.conn else {
+            return;
+        };
+        let mut failed = false;
+        // Handshake bytes go first, unvectored (seven bytes, once).
+        while !io.hello.is_empty() {
+            match stream.write(&io.hello) {
+                Ok(n) => {
+                    io.hello.drain(..n);
+                    if io.hello.is_empty() {
+                        io.hello_done = true;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
+            }
+        }
+        let c = &shared.peer(j).counters;
+        while !failed && io.hello.is_empty() && !io.batch.is_empty() {
+            let mut slices = Vec::with_capacity(MAX_WRITE_SLICES);
+            io.batch.unwritten_slices(&mut slices, MAX_WRITE_SLICES);
+            match stream.write_vectored(&slices) {
+                Ok(n) => {
+                    drop(slices);
+                    c.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    io.batch.advance_with(n, |kind| {
+                        c.msgs_sent.fetch_add(1, Ordering::Relaxed);
+                        if kind == msg_kind::FRAME || kind == msg_kind::FRAME_STAGED {
+                            c.frames_sent.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => failed = true,
+            }
+        }
+        if failed {
+            self.connection_lost(j, "write failed");
+            return;
+        }
+        self.update_interest(j);
+        self.check_barrier();
+    }
+
+    /// Keep the outbound socket's epoll interest in sync: writable only
+    /// while there are bytes to push (level-triggered OUT on an idle
+    /// socket would spin the loop).
+    fn update_interest(&mut self, j: u16) {
+        let shared = self.shared.clone();
+        let io = self.peer_io(j);
+        let Conn::Up(stream) = &io.conn else { return };
+        let want = if io.hello.is_empty() && io.batch.is_empty() {
+            Interest::READABLE
+        } else {
+            Interest::BOTH
+        };
+        if io.registered != Some(want) {
+            let fd = stream.as_raw_fd();
+            let res = match io.registered {
+                Some(_) => shared.poller.reregister(fd, Self::out_token(j), want),
+                None => shared.poller.register(fd, Self::out_token(j), want),
+            };
+            if res.is_ok() {
+                io.registered = Some(want);
+            }
+        }
+    }
+
+    /// Move queued messages into per-peer write batches and flush.
+    fn pump_sends(&mut self) {
+        for j in 0..self.peers.len() as u16 {
+            let Some(slot) = &self.shared.peers[j as usize] else {
+                continue;
+            };
+            let pulled = {
+                let mut q = slot.queue.lock();
+                if q.control.is_empty() && q.data.is_empty() {
+                    false
+                } else {
+                    let io = self.peers[j as usize].as_mut().expect("peer io");
+                    // Drain time closes the NetRtt window opened at
+                    // submit — both stamps from this rank's clock.
+                    let own = self.shared.own();
+                    for m in q.control.drain(..) {
+                        own.metric_elapsed(crate::metrics::Instrument::NetRtt, m.submitted);
+                        io.batch.push(m.kind, m.bytes);
+                    }
+                    for m in q.data.drain(..) {
+                        own.metric_elapsed(crate::metrics::Instrument::NetRtt, m.submitted);
+                        io.batch.push(m.kind, m.bytes);
+                    }
+                    q.queued_bytes = 0;
+                    true
+                }
+            };
+            if pulled {
+                slot.room.notify_all();
+                if matches!(self.peer_io(j).conn, Conn::Up(_)) {
+                    self.flush_peer(j);
+                } else if matches!(self.peer_io(j).conn, Conn::Down)
+                    && !self.shared.shutting_down.load(Ordering::Acquire)
+                {
+                    // Raced a dying peer: the queue was closed after
+                    // these were enqueued. Kill them loudly now.
+                    let dead = self.peer_io(j).batch.drain_msgs();
+                    self.shared.kill_undeliverable(j, dead);
+                }
+            }
+        }
+    }
+
+    // -- inbound ------------------------------------------------------------
+
+    fn accept_ready(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let fd = stream.as_raw_fd();
+                    self.inbound_seq += 1;
+                    let conn = InConn {
+                        stream,
+                        peer: None,
+                        asm: StreamAssembler::new(),
+                        hello: [0u8; stream::HANDSHAKE_LEN],
+                        hello_got: 0,
+                        seq: self.inbound_seq,
+                    };
+                    let idx = match self.inbound.iter().position(Option::is_none) {
+                        Some(i) => {
+                            self.inbound[i] = Some(conn);
+                            i
+                        }
+                        None => {
+                            self.inbound.push(Some(conn));
+                            self.inbound.len() - 1
+                        }
+                    };
+                    if self
+                        .shared
+                        .poller
+                        .register(fd, TOKEN_IN_BASE + idx as u64, Interest::READABLE)
+                        .is_err()
+                    {
+                        self.inbound[idx] = None;
+                        continue;
+                    }
+                    self.arm_timer(
+                        Instant::now() + HANDSHAKE_TIMEOUT,
+                        TimerKind::HelloTimeout(idx, self.inbound_seq),
+                    );
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn drop_inbound(&mut self, idx: usize) {
+        // Dropping the stream closes the fd, which deregisters it.
+        self.inbound[idx] = None;
+    }
+
+    /// Readiness on inbound connection `idx`: finish the handshake if
+    /// pending, then drain stream messages into the local queues.
+    fn inbound_ready(&mut self, idx: usize) {
+        let Some(conn) = self.inbound.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        // Handshake phase: read exactly the hello, never beyond.
+        while conn.peer.is_none() {
+            match conn.stream.read(&mut conn.hello[conn.hello_got..]) {
+                Ok(0) => {
+                    self.drop_inbound(idx);
+                    return;
+                }
+                Ok(n) => {
+                    conn.hello_got += n;
+                    if conn.hello_got < stream::HANDSHAKE_LEN {
+                        continue;
+                    }
+                    let peer = match stream::decode_handshake(&conn.hello) {
+                        Ok(p)
+                            if (p as usize) < self.shared.localities.len()
+                                && p != self.shared.rank =>
+                        {
+                            p
+                        }
+                        // Stranger, bad hello, or impossible id: drop it
+                        // before it touches any runtime state.
+                        _ => {
+                            self.drop_inbound(idx);
+                            return;
+                        }
+                    };
+                    conn.peer = Some(peer);
+                    if !self.seen_in[peer as usize] {
+                        self.seen_in[peer as usize] = true;
+                        self.heard += 1;
+                        self.check_barrier();
+                    }
+                    // Re-borrow (check_barrier needed &mut self).
+                    let Some(c) = self.inbound.get_mut(idx).and_then(Option::as_mut) else {
+                        return;
+                    };
+                    let _ = c.stream.set_nodelay(true);
+                    return self.inbound_ready(idx);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.drop_inbound(idx);
+                    return;
+                }
+            }
+        }
+        let peer = conn.peer.expect("handshaked above");
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let why: &str;
+        'conn: loop {
+            let n = match conn.stream.read(&mut chunk) {
+                Ok(0) => {
+                    why = "connection closed";
+                    break 'conn;
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    why = "read failed";
+                    break 'conn;
+                }
+            };
+            let c = &self.shared.peer(peer).counters;
+            c.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
+            conn.asm.feed(&chunk[..n]);
+            loop {
+                match conn.asm.next_msg() {
+                    Ok(Some((kind, body))) => {
+                        c.msgs_recv.fetch_add(1, Ordering::Relaxed);
+                        self.shared.trace_stream_msg(
+                            crate::trace::TraceEventKind::NetRecv,
+                            kind,
+                            &body,
+                            peer,
+                        );
+                        self.shared.deliver_local(kind, body);
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Desynchronized stream: unrecoverable for a
+                        // length-prefixed protocol. Count it and drop the
+                        // connection; the peer's loop will reconnect.
+                        self.shared
+                            .own()
+                            .counters
+                            .count_death(FaultCause::Decode, 1);
+                        why = "stream desynchronized";
+                        break 'conn;
+                    }
+                }
+            }
+        }
+        self.drop_inbound(idx);
+        if !self.shared.shutting_down.load(Ordering::Acquire) {
+            // The peer's sending half died. Mark it dead for *our* sends
+            // (its inbound connection to us is handled independently) —
+            // same transition the per-peer reader threads used to make.
+            let drained = self.shared.close_peer(peer, why);
+            let mut dead = drained;
+            let io = self.peer_io(peer);
+            dead.extend(io.batch.drain_msgs());
+            self.shared.kill_undeliverable(peer, dead);
+        }
+    }
+
+    // -- shutdown -----------------------------------------------------------
+
+    /// During shutdown: keep the loop alive while useful flushing
+    /// remains, then count leftovers and stop. Returns true to exit.
+    fn observe_shutdown(&mut self) -> bool {
+        if !self.shared.shutting_down.load(Ordering::Acquire) {
+            return false;
+        }
+        if self.barrier_tx.is_some() {
+            self.fail_bootstrap("tcp bootstrap aborted by shutdown".into());
+        }
+        let deadline = match self.drain_deadline {
+            Some(d) => d,
+            None => {
+                let d = Instant::now() + SHUTDOWN_DRAIN;
+                self.drain_deadline = Some(d);
+                self.arm_timer(d, TimerKind::Drain);
+                // Pull whatever was queued before the queues closed.
+                self.pump_sends();
+                d
+            }
+        };
+        let mut pending = false;
+        for j in 0..self.peers.len() as u16 {
+            let Some(io) = &self.peers[j as usize] else {
+                continue;
+            };
+            if matches!(io.conn, Conn::Up(_)) && !(io.hello.is_empty() && io.batch.is_empty()) {
+                pending = true;
+            }
+        }
+        if pending && Instant::now() < deadline {
+            return false;
+        }
+        // Count what never made it out (no runtime task: the scheduler
+        // may already be gone at teardown).
+        for io in self.peers.iter_mut().flatten() {
+            let leftovers = io.batch.drain_msgs();
+            self.shared.count_deaths(&leftovers);
+        }
+        true
+    }
+}

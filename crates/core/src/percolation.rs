@@ -27,13 +27,15 @@
 use crate::action::{Action, Value};
 use crate::error::PxResult;
 use crate::gid::{Gid, LocalityId};
+use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
-use crate::runtime::{Ctx, Runtime, RuntimeInner};
-use std::sync::Arc;
 
 /// Send a percolated task: action `A` on `target` with `args`, prestaged
 /// into `dest`'s staging buffer. The payload travels with the task, so
-/// execution is purely local at the destination.
+/// execution is purely local at the destination. `from` is the driver's
+/// [`crate::runtime::Runtime`] or the calling thread's
+/// [`crate::runtime::Ctx`]: the task is that caller's work (its locality
+/// pays the marshalling, its process and trace ride along).
 ///
 /// # Failure semantics
 ///
@@ -43,8 +45,7 @@ use std::sync::Arc;
 /// [`crate::error::PxError::Fault`] instead of hanging while the
 /// accelerator's staging buffer silently swallows the task.
 pub fn percolate<A: Action>(
-    rt: &Arc<RuntimeInner>,
-    from: LocalityId,
+    from: &impl Caller,
     dest: LocalityId,
     target: Gid,
     args: &A::Args,
@@ -54,31 +55,8 @@ pub fn percolate<A: Action>(
     p.staged = true;
     // Route explicitly to the staging destination: percolation targets
     // *hardware* (the locality), not the object's home.
-    rt.route_parcel(from, dest, p);
+    from.origin().send_toward(Some(dest), p);
     Ok(())
-}
-
-/// [`percolate`] from an external driver thread.
-pub fn percolate_from_driver<A: Action>(
-    rt: &Runtime,
-    dest: LocalityId,
-    target: Gid,
-    args: &A::Args,
-    cont: Continuation,
-) -> PxResult<()> {
-    percolate::<A>(rt.inner(), LocalityId(0), dest, target, args, cont)
-}
-
-/// [`percolate`] from inside a PX-thread.
-pub fn percolate_from_ctx<A: Action>(
-    ctx: &mut Ctx<'_>,
-    dest: LocalityId,
-    target: Gid,
-    args: &A::Args,
-    cont: Continuation,
-) -> PxResult<()> {
-    let here = ctx.here();
-    percolate::<A>(ctx.rt_inner(), here, dest, target, args, cont)
 }
 
 #[cfg(test)]

@@ -48,10 +48,9 @@ use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::lco::{FutureRef, LcoCore, ReduceFn};
 use crate::locality::Stored;
+use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::{Ctx, Runtime, RuntimeInner};
-use crate::sched::Task;
-use crate::stats::bump;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -274,7 +273,10 @@ fn prefix_of(gid: Gid) -> String {
     format!("/proc/{:x}", gid.0)
 }
 
-/// Handle to a parallel process.
+/// Handle to a parallel process. Every call takes the caller's handle as
+/// `from` — the driver's [`Runtime`] or, inside a PX-thread, its [`Ctx`]
+/// — except the two that block ([`ProcessRef::wait`],
+/// [`ProcessRef::lookup_name`]), which are the driver's alone.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcessRef {
     gid: Gid,
@@ -298,15 +300,19 @@ impl ProcessRef {
         FutureRef::from_gid(self.done)
     }
 
-    /// Release the root token. Call after the initial work is spawned;
-    /// until then quiescence cannot trigger. Idempotent.
-    pub fn finish_root(&self, rt: &Runtime) {
-        finish_root_inner(rt.inner(), self.gid);
+    /// This process's record, while the table still holds it.
+    fn record(&self, from: &impl Caller) -> Option<Arc<ProcessInner>> {
+        from.origin().rt().process(self.gid)
     }
 
-    /// As [`ProcessRef::finish_root`] from inside a PX-thread.
-    pub fn finish_root_ctx(&self, ctx: &mut Ctx<'_>) {
-        finish_root_inner(ctx.rt_inner(), self.gid);
+    /// Release the root token. Call after the initial work is spawned;
+    /// until then quiescence cannot trigger. Idempotent.
+    pub fn finish_root(&self, from: &impl Caller) {
+        if let Some(p) = self.record(from) {
+            if !p.root_released.swap(true, Ordering::AcqRel) {
+                p.task_done(from.origin().rt());
+            }
+        }
     }
 
     /// Spawn a PX-thread at `dest` accounted to this process. If the
@@ -315,35 +321,28 @@ impl ProcessRef {
     /// the dead-letter hook observes the fault.
     pub fn spawn_at(
         &self,
-        rt: &Runtime,
+        from: &impl Caller,
         dest: LocalityId,
         f: impl FnOnce(&mut Ctx<'_>) + Send + 'static,
     ) {
-        let inner = rt.inner();
-        if reject_if_cancelled(inner, self.gid, dest) {
-            return;
-        }
-        let task = Task::thread(f).with_process(Some(self.gid));
-        inner.send_task(dest, dest, task);
+        let into = from.origin().with_process(Some(self.gid));
+        into.spawn_at(dest, f)
     }
 
     /// Send an action parcel accounted to this process. Errors with the
     /// cancellation fault if the process has been cancelled.
     pub fn send_action<A: Action>(
         &self,
-        rt: &Runtime,
+        from: &impl Caller,
         target: Gid,
         args: A::Args,
         cont: Continuation,
     ) -> PxResult<()> {
-        let inner = rt.inner();
-        if let Some(fault) = inner.process_cancel_fault(self.gid) {
+        let from = from.origin().with_process(Some(self.gid));
+        if let Some(fault) = from.rt().process_cancel_fault(self.gid) {
             return Err(PxError::Fault(fault));
         }
-        let mut p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
-        p.process = Some(self.gid);
-        inner.send_parcel(LocalityId(0), p);
-        Ok(())
+        from.send_action::<A>(target, &args, cont)
     }
 
     /// Block the calling OS thread until the process quiesces. Resolves
@@ -360,33 +359,38 @@ impl ProcessRef {
     /// cancellation), so [`ProcessRef::wait`] on the parent also waits
     /// for the entire subtree. Fails with the cancellation fault if this
     /// process is already cancelled.
-    pub fn create_subprocess(&self, rt: &Runtime, home: LocalityId) -> PxResult<ProcessRef> {
-        create_subprocess_inner(rt.inner(), self.gid, home)
-    }
-
-    /// As [`ProcessRef::create_subprocess`] from inside a PX-thread.
-    pub fn create_subprocess_ctx(
-        &self,
-        ctx: &mut Ctx<'_>,
-        home: LocalityId,
-    ) -> PxResult<ProcessRef> {
-        create_subprocess_inner(ctx.rt_inner(), self.gid, home)
+    pub fn create_subprocess(&self, from: &impl Caller, home: LocalityId) -> PxResult<ProcessRef> {
+        let rt = from.origin().rt();
+        let Some(pi) = self.record(from) else {
+            return Err(PxError::NoSuchObject(self.gid));
+        };
+        if pi.is_cancelled() {
+            return Err(PxError::Fault(pi.cancel_fault()));
+        }
+        // The child's existence is parent activity (Dijkstra–Scholten
+        // token), taken *before* the child can dispatch anything.
+        pi.task_started();
+        let child = create_process(rt, home, Some(self.gid));
+        if !pi.note_child(child.gid) {
+            // Parent was cancelled concurrently: the subtree must die
+            // with it.
+            cancel_process(rt, child.gid);
+            return Err(PxError::Fault(pi.cancel_fault()));
+        }
+        Ok(child)
     }
 
     /// This process's parent, if it is a subprocess.
-    pub fn parent(&self, rt: &Runtime) -> Option<ProcessRef> {
-        let inner = rt.inner();
-        let table = inner.process_table.read();
-        let me = table.get(&self.gid)?;
-        let pgid = me.parent?;
+    pub fn parent(&self, from: &impl Caller) -> Option<ProcessRef> {
+        let table = from.origin().rt().process_table.read();
+        let pgid = table.get(&self.gid)?.parent?;
         let p = table.get(&pgid)?;
         Some(ProcessRef::new(pgid, p.done))
     }
 
     /// Direct children, in creation order.
-    pub fn children(&self, rt: &Runtime) -> Vec<ProcessRef> {
-        let inner = rt.inner();
-        let table = inner.process_table.read();
+    pub fn children(&self, from: &impl Caller) -> Vec<ProcessRef> {
+        let table = from.origin().rt().process_table.read();
         let Some(me) = table.get(&self.gid) else {
             return Vec::new();
         };
@@ -397,23 +401,14 @@ impl ProcessRef {
     }
 
     /// Outstanding activations (diagnostics; includes held root tokens).
-    pub fn active(&self, rt: &Runtime) -> u64 {
-        rt.inner()
-            .process_table
-            .read()
-            .get(&self.gid)
-            .map(|p| p.active())
-            .unwrap_or(0)
+    pub fn active(&self, from: &impl Caller) -> u64 {
+        self.record(from).map_or(0, |p| p.active())
     }
 
     /// True once [`ProcessRef::cancel`] has run on this process (or an
     /// ancestor).
-    pub fn is_cancelled(&self, rt: &Runtime) -> bool {
-        rt.inner()
-            .process_table
-            .read()
-            .get(&self.gid)
-            .is_some_and(|p| p.is_cancelled())
+    pub fn is_cancelled(&self, from: &impl Caller) -> bool {
+        self.record(from).is_some_and(|p| p.is_cancelled())
     }
 
     // ---- cancellation ------------------------------------------------------
@@ -424,14 +419,8 @@ impl ProcessRef {
     /// and future waiters), queued and in-flight work is killed loudly at
     /// dispatch, new spawns are rejected, and the process namespace is
     /// unregistered.
-    pub fn cancel(&self, rt: &Runtime) {
-        cancel_process(rt.inner(), self.gid);
-    }
-
-    /// As [`ProcessRef::cancel`] from inside a PX-thread.
-    pub fn cancel_ctx(&self, ctx: &mut Ctx<'_>) {
-        let rt = ctx.rt_inner().clone();
-        cancel_process(&rt, self.gid);
+    pub fn cancel(&self, from: &impl Caller) {
+        cancel_process(from.origin().rt(), self.gid);
     }
 
     // ---- process-scoped namespace ------------------------------------------
@@ -445,9 +434,9 @@ impl ProcessRef {
     /// Bind `name` under the process namespace prefix. The full path is
     /// returned (it is also resolvable through the global
     /// [`Runtime::lookup_name`]).
-    pub fn register_name(&self, rt: &Runtime, name: &str, gid: Gid) -> PxResult<String> {
+    pub fn register_name(&self, from: &impl Caller, name: &str, gid: Gid) -> PxResult<String> {
         let full = self.scoped(name);
-        rt.inner().agas.register_name(&full, gid)?;
+        from.origin().rt().agas.register_name(&full, gid)?;
         Ok(full)
     }
 
@@ -460,8 +449,9 @@ impl ProcessRef {
     }
 
     /// All names currently registered under this process's prefix.
-    pub fn names(&self, rt: &Runtime) -> Vec<(String, Gid)> {
-        rt.inner().agas.names_under(&format!("{}/", self.prefix()))
+    pub fn names(&self, from: &impl Caller) -> Vec<(String, Gid)> {
+        let under = format!("{}/", self.prefix());
+        from.origin().rt().agas.names_under(&under)
     }
 
     fn scoped(&self, name: &str) -> String {
@@ -478,100 +468,50 @@ impl ProcessRef {
     /// [`ProcessRef::cancel`] poisons it).
     pub fn broadcast<A: Action>(
         &self,
-        rt: &Runtime,
+        from: &impl Caller,
         args: &A::Args,
         seed: &A::Out,
         fold: ReduceFn,
     ) -> PxResult<FutureRef<A::Out>> {
-        let inner = rt.inner();
-        let Some(me) = inner.process_table.read().get(&self.gid).cloned() else {
+        let Some(me) = self.record(from) else {
             return Err(PxError::NoSuchObject(self.gid));
         };
         if me.is_cancelled() {
             return Err(PxError::Fault(me.cancel_fault()));
         }
+        let from = from.origin().with_process(Some(self.gid));
         let locs = me.touched_localities();
         debug_assert!(!locs.is_empty(), "home is touched at creation");
-        let home = self.gid.birthplace();
-        let seed = Value::encode(seed)?;
+        let (seed, payload) = (Value::encode(seed)?, Value::encode(args)?);
         let n = locs.len() as u64;
-        let red = inner
-            .locality(home)
-            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
-        if me.note_owned_lco(red).is_none() {
-            // Cancelled while we were setting up: poison the fresh
-            // reduction so the caller's waiters resolve.
-            poison_lco(inner, red, &me.cancel_fault());
+        // Owned by the process from birth: a cancel racing this setup
+        // poisons the fresh reduction, so the caller's waiters resolve.
+        let red = from.new_lco(self.gid.birthplace(), |gid| {
+            LcoCore::new_reduce(gid, n, seed, fold)
+        });
+        if me.is_cancelled() {
             return Err(PxError::Fault(me.cancel_fault()));
         }
-        let payload = Value::encode(args)?;
         for l in locs {
-            let mut p = Parcel::new(
+            let leg = Continuation::contribute(red);
+            from.send(Parcel::new(
                 Gid::locality_root(l),
                 A::id(),
                 payload.clone(),
-                Continuation::contribute(red),
-            );
-            p.process = Some(self.gid);
-            inner.send_parcel(home, p);
+                leg,
+            ));
         }
         Ok(FutureRef::from_gid(red))
     }
 }
 
-/// Ctx-side process operations (used by PX-threads inside the process).
-impl<'a> Ctx<'a> {
-    /// The process the current PX-thread is accounted to, if any.
-    pub fn current_process(&self) -> Option<Gid> {
-        self.process
-    }
-
-    /// Spawn a PX-thread at `dest` accounted to process `proc` (commonly
-    /// `self.current_process()`; spawns from process threads inherit
-    /// automatically via [`Ctx::spawn`]). Rejected loudly if `proc` is
-    /// cancelled.
-    pub fn spawn_in_process(
-        &mut self,
-        proc: ProcessRef,
-        dest: LocalityId,
-        f: impl FnOnce(&mut Ctx<'_>) + Send + 'static,
-    ) {
-        if reject_if_cancelled(self.rt_inner(), proc.gid, dest) {
-            return;
-        }
-        let task = Task::thread(f).with_process(Some(proc.gid));
-        self.rt_inner().send_task(self.here(), dest, task);
-    }
-}
-
-/// Release the root token exactly once.
-fn finish_root_inner(rt: &Arc<RuntimeInner>, gid: Gid) {
-    let p = rt.process_table.read().get(&gid).cloned();
-    if let Some(p) = p {
-        if !p.root_released.swap(true, Ordering::AcqRel) {
-            p.task_done(rt);
-        }
-    }
-}
-
-/// If `gid` is cancelled: count + report the rejected spawn at `dest` and
-/// return true.
-fn reject_if_cancelled(rt: &Arc<RuntimeInner>, gid: Gid, dest: LocalityId) -> bool {
-    if let Some(fault) = rt.process_cancel_fault(gid) {
-        bump!(rt.locality(dest).counters.tasks_cancelled);
-        rt.notify_dead_letter(&fault, None);
-        return true;
-    }
-    false
-}
-
-/// Create a process homed at `home`. Registered in the runtime's process
-/// table and the home locality's store.
 /// Sweep the process table every this many creations, so a server that
 /// makes one process per request stays bounded without anyone calling
 /// [`Runtime::reap_processes`] by hand.
 const REAP_EVERY: u64 = 64;
 
+/// Create a process homed at `home`. Registered in the runtime's process
+/// table and the home locality's store.
 pub(crate) fn create_process(
     rt: &Arc<RuntimeInner>,
     home: LocalityId,
@@ -639,31 +579,6 @@ pub(crate) fn reap_processes(rt: &Arc<RuntimeInner>) -> usize {
     reaped
 }
 
-/// Create a subprocess of `parent` homed at `home`, wiring the hierarchy:
-/// the child holds one activity token in the parent until its first exit.
-pub(crate) fn create_subprocess_inner(
-    rt: &Arc<RuntimeInner>,
-    parent: Gid,
-    home: LocalityId,
-) -> PxResult<ProcessRef> {
-    let Some(pi) = rt.process_table.read().get(&parent).cloned() else {
-        return Err(PxError::NoSuchObject(parent));
-    };
-    if pi.is_cancelled() {
-        return Err(PxError::Fault(pi.cancel_fault()));
-    }
-    // The child's existence is parent activity (Dijkstra–Scholten token),
-    // taken *before* the child can dispatch anything.
-    pi.task_started();
-    let child = create_process(rt, home, Some(parent));
-    if !pi.note_child(child.gid) {
-        // Parent was cancelled concurrently: the subtree must die with it.
-        cancel_process(rt, child.gid);
-        return Err(PxError::Fault(pi.cancel_fault()));
-    }
-    Ok(child)
-}
-
 /// Poison one process-owned LCO at its home locality.
 fn poison_lco(rt: &Arc<RuntimeInner>, gid: Gid, fault: &Fault) {
     let loc = rt.locality(gid.birthplace());
@@ -675,9 +590,7 @@ fn poison_lco(rt: &Arc<RuntimeInner>, gid: Gid, fault: &Fault) {
 
 /// Cancel `gid` and its whole subtree (idempotent, depth-first).
 pub(crate) fn cancel_process(rt: &Arc<RuntimeInner>, gid: Gid) {
-    let Some(p) = rt.process_table.read().get(&gid).cloned() else {
-        return;
-    };
+    let Some(p) = rt.process(gid) else { return };
     if p.cancelled.swap(true, Ordering::AcqRel) {
         return;
     }

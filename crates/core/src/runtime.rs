@@ -1,5 +1,4 @@
-//! The runtime: configuration, boot, the PX-thread context API, and the
-//! external driver API.
+//! The runtime: boot, shared state, and the external driver API.
 //!
 //! A [`Runtime`] owns `localities × workers` OS threads plus (when the
 //! wire model is not instant) one delay-line thread. It is built once via
@@ -7,7 +6,8 @@
 //! dispatch never locks — and torn down with [`Runtime::shutdown`] (or on
 //! drop).
 //!
-//! Two views of the same machinery:
+//! Two views of the same machinery, each an [`crate::origin::Origin`]
+//! with a handle around it:
 //!
 //! * [`Ctx`] — handed to every PX-thread; split-phase only (never
 //!   blocks): spawns, parcels, LCO events, suspension via depleted
@@ -15,257 +15,30 @@
 //! * [`Runtime`] — the external driver view; may block
 //!   ([`Runtime::wait_future`], [`crate::lco::FutureRef::wait`]).
 
-use crate::action::{Action, ActionId, ActionRegistry, Value};
+pub use crate::config::{Config, TransportKind};
+pub use crate::ctx::Ctx;
+
+use crate::action::{Action, ActionRegistry, Value};
 use crate::agas::Agas;
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::lco::{Activations, CombineFn, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
-use crate::locality::{DataObject, Locality, Stored};
-use crate::net::{BatchPolicy, TcpConfig, Wire, WireModel};
+use crate::lco::{ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
+use crate::locality::Locality;
+use crate::net::{BatchPolicy, Wire};
+use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
 use crate::queue::Local;
 use crate::sched::Task;
-use crate::sys::{self, lco::lco_sys_op};
+use crate::sys;
 use parking_lot::{Mutex, RwLock};
-use px_balance::BalanceConfig;
 use serde::{de::DeserializeOwned, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Which transport backend carries inter-locality traffic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportKind {
-    /// All localities share this OS process; messages are queue pushes
-    /// routed through a delay line with the configured [`WireModel`]
-    /// (the default, and the seed runtime's behavior, bit-for-bit).
-    InProc,
-    /// Each OS process owns one locality and peers over TCP sockets
-    /// ([`crate::net::tcp`]). The [`WireModel`] is ignored — the
-    /// network's latency is real — and `RuntimeBuilder::build` blocks on
-    /// the bootstrap barrier until all N processes are connected.
-    Tcp(TcpConfig),
-}
-
-/// Runtime configuration.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Number of localities (≥ 1).
-    pub localities: usize,
-    /// Worker OS threads per locality (≥ 1).
-    pub workers_per_locality: usize,
-    /// Inter-locality wire model.
-    pub wire: WireModel,
-    /// Transport backend selection (defaults to [`TransportKind::InProc`]).
-    pub transport: TransportKind,
-    /// Parcels coalesced per wire message and destination (see
-    /// [`Config::with_max_batch_parcels`]). Defaults to 1: one parcel per
-    /// message, no added latency.
-    pub max_batch_parcels: usize,
-    /// Localities that drain their percolation staging buffer at top
-    /// priority (the "precious resources" of §2.2).
-    pub accelerators: Vec<LocalityId>,
-    /// Adaptive cross-locality load balancing (heat-driven AGAS migration
-    /// plus parcel-based work diffusion). `None` (the default) disables
-    /// every balancer hook: no gossip, no heat tracking, no shedding —
-    /// runtime behavior and parcel counts are identical to a build
-    /// without the subsystem.
-    pub balance: Option<BalanceConfig>,
-    /// Causal tracing (off by default: no ids sampled, no events
-    /// recorded, untraced parcels bit-identical on the wire). See
-    /// [`crate::trace`] and the README's "Tracing & debugging".
-    pub trace: crate::trace::TraceConfig,
-    /// Latency-histogram metrics (off by default: no registries
-    /// allocated, every hook is one `Option` check, task and parcel
-    /// encodings bit-identical). See [`crate::metrics`] and the README's
-    /// "Metrics & percentiles".
-    pub metrics: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            localities: 4,
-            workers_per_locality: 1,
-            wire: WireModel::instant(),
-            transport: TransportKind::InProc,
-            max_batch_parcels: 1,
-            accelerators: Vec::new(),
-            balance: None,
-            trace: crate::trace::TraceConfig::default(),
-            metrics: false,
-        }
-    }
-}
-
-impl Config {
-    /// Compact constructor for tests and examples.
-    pub fn small(localities: usize, workers_per_locality: usize) -> Config {
-        Config {
-            localities,
-            workers_per_locality,
-            ..Config::default()
-        }
-    }
-
-    /// Set the wire latency (builder style).
-    pub fn with_latency(mut self, latency: Duration) -> Config {
-        self.wire = WireModel {
-            latency,
-            ..self.wire
-        };
-        self
-    }
-
-    /// Set the wire bandwidth cost in ns/byte (builder style).
-    pub fn with_ns_per_byte(mut self, ns: u64) -> Config {
-        self.wire = WireModel {
-            ns_per_byte: ns,
-            ..self.wire
-        };
-        self
-    }
-
-    /// Coalesce up to `n` parcels per wire message (builder style; `1`
-    /// disables batching). A coalescing port also flushes at
-    /// [`crate::net::MAX_BATCH_BYTES`] and after
-    /// [`crate::net::FLUSH_INTERVAL`]; neither is configurable.
-    pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
-        self.max_batch_parcels = n.max(1);
-        self
-    }
-
-    /// Run over TCP as one locality of a multi-process system (builder
-    /// style): this process owns locality `rank`; `addrs[i]` is the
-    /// listen address of locality `i`. `localities` is set to
-    /// `addrs.len()` — one process per locality. See the README's
-    /// "Distributed deployment".
-    pub fn with_tcp(mut self, rank: u16, addrs: Vec<String>) -> Config {
-        self.localities = addrs.len();
-        self.transport = TransportKind::Tcp(TcpConfig::new(rank, addrs));
-        self
-    }
-
-    /// Mark a locality as a percolation-priority accelerator.
-    pub fn with_accelerator(mut self, loc: LocalityId) -> Config {
-        self.accelerators.push(loc);
-        self
-    }
-
-    /// Enable the cross-locality balancer with the given configuration
-    /// (builder style). See [`BalanceConfig::adaptive`],
-    /// [`BalanceConfig::work_to_data`], [`BalanceConfig::data_to_work`].
-    pub fn with_balance(mut self, balance: BalanceConfig) -> Config {
-        self.balance = Some(balance);
-        self
-    }
-
-    /// Set the balancer pulse interval (builder style). Asking for a
-    /// gossip cadence means asking for balancing, so if the balancer is
-    /// still off this enables the [`BalanceConfig::adaptive`] policy.
-    pub fn with_gossip_interval(mut self, interval: Duration) -> Config {
-        self.balance
-            .get_or_insert_with(BalanceConfig::adaptive)
-            .gossip_interval = interval;
-        self
-    }
-
-    /// Enable causal tracing, sampling one in `n` untraced root parcels
-    /// (builder style; `1` traces everything, `0` turns tracing off).
-    /// Parcels given an explicit id — [`Runtime::send_action_traced`] —
-    /// are always recorded regardless of the sampling rate.
-    pub fn with_trace_sampling(mut self, n: u64) -> Config {
-        self.trace.sample_every = n;
-        self
-    }
-
-    /// Set the per-locality trace ring capacity in events (builder
-    /// style). Asking for a ring size does not by itself enable tracing.
-    pub fn with_trace_ring_capacity(mut self, events: usize) -> Config {
-        self.trace.ring_capacity = events;
-        self
-    }
-
-    /// Enable (or disable) the latency-histogram metrics plane (builder
-    /// style): per-locality lock-free histograms for queue wait, action
-    /// execute time, spawn→resolution latency, transport drain, and
-    /// control-lane delivery — queryable via [`Runtime::metrics_text`]
-    /// and merged cluster-wide by [`Runtime::cluster_metrics`].
-    pub fn with_metrics(mut self, enabled: bool) -> Config {
-        self.metrics = enabled;
-        self
-    }
-
-    fn validate(&self) -> PxResult<()> {
-        if self.localities == 0 || self.localities > u16::MAX as usize {
-            return Err(PxError::BadConfig(format!(
-                "localities must be in 1..=65535, got {}",
-                self.localities
-            )));
-        }
-        if self.workers_per_locality == 0 {
-            return Err(PxError::BadConfig(
-                "workers_per_locality must be ≥ 1".into(),
-            ));
-        }
-        for a in &self.accelerators {
-            if a.0 as usize >= self.localities {
-                return Err(PxError::BadConfig(format!("accelerator {a} out of range")));
-            }
-        }
-        if self.max_batch_parcels == 0 {
-            return Err(PxError::BadConfig(
-                "max_batch_parcels must be ≥ 1 (1 disables batching)".into(),
-            ));
-        }
-        if let TransportKind::Tcp(tcp) = &self.transport {
-            if tcp.addrs.len() != self.localities {
-                return Err(PxError::BadConfig(format!(
-                    "tcp transport needs one address per locality: {} addrs for {} localities",
-                    tcp.addrs.len(),
-                    self.localities
-                )));
-            }
-            if tcp.rank as usize >= self.localities {
-                return Err(PxError::BadConfig(format!(
-                    "tcp rank {} out of range for {} localities",
-                    tcp.rank, self.localities
-                )));
-            }
-            if tcp.bootstrap_timeout.is_zero() {
-                return Err(PxError::BadConfig(
-                    "tcp bootstrap_timeout must be nonzero".into(),
-                ));
-            }
-        }
-        if self.trace.enabled() && self.trace.ring_capacity == 0 {
-            return Err(PxError::BadConfig(
-                "trace ring_capacity must be ≥ 1 when tracing is enabled".into(),
-            ));
-        }
-        if let Some(b) = &self.balance {
-            if b.gossip_interval.is_zero() {
-                return Err(PxError::BadConfig(
-                    "balance gossip_interval must be nonzero".into(),
-                ));
-            }
-            if b.window == 0 {
-                return Err(PxError::BadConfig("balance window must be ≥ 1".into()));
-            }
-            if b.shed_ratio.is_nan() || b.shed_ratio < 1.0 {
-                return Err(PxError::BadConfig(format!(
-                    "balance shed_ratio must be ≥ 1.0, got {}",
-                    b.shed_ratio
-                )));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Shared runtime state (everything workers need).
 pub struct RuntimeInner {
@@ -543,12 +316,12 @@ impl RuntimeBuilder {
                 })
                 .collect(),
         );
-        let transport: Box<dyn crate::net::Transport> = match &self.config.transport {
-            TransportKind::InProc => Box::new(crate::net::inproc::InProcTransport::new(
+        let transport: Arc<dyn crate::net::Transport> = match &self.config.transport {
+            TransportKind::InProc => Arc::new(crate::net::inproc::InProcTransport::new(
                 self.config.wire,
                 localities.clone(),
             )),
-            TransportKind::Tcp(tcp) => Box::new(crate::net::tcp::TcpTransport::bootstrap(
+            TransportKind::Tcp(tcp) => Arc::new(crate::net::tcp::TcpTransport::bootstrap(
                 tcp,
                 localities.clone(),
             )?),
@@ -707,20 +480,8 @@ impl Runtime {
         cont: Continuation,
         trace: u64,
     ) -> PxResult<()> {
-        self.send_action_inner::<A>(target, args, cont, Some(trace))
-    }
-
-    fn send_action_inner<A: Action>(
-        &self,
-        target: Gid,
-        args: A::Args,
-        cont: Continuation,
-        trace: Option<u64>,
-    ) -> PxResult<()> {
-        let mut p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
-        p.trace = trace;
-        self.inner.send_parcel(self.inner.origin, p);
-        Ok(())
+        let traced = self.origin().with_trace(Some(trace));
+        traced.send_action::<A>(target, &args, cont)
     }
 
     // ---- metrics -----------------------------------------------------------
@@ -775,11 +536,9 @@ impl Runtime {
                 .map(LocalityId)
                 .filter(|&id| id != own)
                 .collect();
-            let from = self.inner.locality(own);
             let pull = |&id: &LocalityId| {
-                let dest = Gid::locality_root(id);
-                let p = Parcel::new(dest, sys::METRICS_PULL, Value::unit(), Continuation::none());
-                self.inner.request(from, p)
+                let ask = sys::bare(Gid::locality_root(id), sys::METRICS_PULL);
+                self.origin().request(ask)
             };
             let pending: Vec<Gid> = peers.iter().map(pull).collect();
             let Some(replies) = self.inner.take_replies(&pending, timeout)? else {
@@ -875,7 +634,7 @@ impl Runtime {
 
     /// Spawn a PX-thread at `dest`.
     pub fn spawn_at(&self, dest: LocalityId, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
-        self.inner.send_task(dest, dest, Task::thread(f));
+        self.origin().spawn_at(dest, f);
     }
 
     /// Send an action parcel (origin is locality 0 by driver convention;
@@ -886,7 +645,7 @@ impl Runtime {
         args: A::Args,
         cont: Continuation,
     ) -> PxResult<()> {
-        self.send_action_inner::<A>(target, args, cont, None)
+        self.origin().send_action::<A>(target, &args, cont)
     }
 
     /// Run a closure inside a PX-thread at `dest` and block for its
@@ -908,14 +667,13 @@ impl Runtime {
 
     /// Create a future LCO at `loc`.
     pub fn new_future<T: Serialize + DeserializeOwned>(&self, loc: LocalityId) -> FutureRef<T> {
-        FutureRef::from_gid(self.inner.locality(loc).new_future_lco())
+        FutureRef::from_gid(self.origin().new_lco(loc, LcoCore::new_future))
     }
 
     /// Create an and-gate expecting `n` triggers at `loc`.
     pub fn new_and_gate(&self, loc: LocalityId, n: u64) -> Gid {
-        self.inner
-            .locality(loc)
-            .new_lco(|gid| LcoCore::new_and_gate(gid, n))
+        self.origin()
+            .new_lco(loc, |gid| LcoCore::new_and_gate(gid, n))
     }
 
     /// Create a reduction LCO at `loc` over `n` contributions.
@@ -928,24 +686,21 @@ impl Runtime {
     ) -> PxResult<FutureRef<T>> {
         let seed = Value::encode(seed)?;
         let gid = self
-            .inner
-            .locality(loc)
-            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
+            .origin()
+            .new_lco(loc, |gid| LcoCore::new_reduce(gid, n, seed, fold));
         Ok(FutureRef::from_gid(gid))
     }
 
     /// Create a counting semaphore at `loc`.
     pub fn new_semaphore(&self, loc: LocalityId, permits: u64) -> Gid {
-        self.inner
-            .locality(loc)
-            .new_lco(|gid| LcoCore::new_semaphore(gid, permits))
+        self.origin()
+            .new_lco(loc, |gid| LcoCore::new_semaphore(gid, permits))
     }
 
     /// Trigger any LCO with an encoded value, routed like a parcel.
     pub fn trigger<T: Serialize>(&self, gid: Gid, value: &T) -> PxResult<()> {
-        let v = Value::encode(value)?;
-        let from = self.inner.locality(self.inner.origin);
-        self.inner.lco_route(from, gid, sys::LCO_SET, v, None);
+        self.origin()
+            .lco_event(gid, sys::LCO_SET, Value::encode(value)?);
         Ok(())
     }
 
@@ -989,9 +744,7 @@ impl Runtime {
 
     /// Create a data object at `loc`.
     pub fn new_data_at(&self, loc: LocalityId, bytes: Vec<u8>) -> Gid {
-        self.inner.locality(loc).insert(GidKind::Data, |_| {
-            Stored::Data(Arc::new(RwLock::new(DataObject { bytes, version: 0 })))
-        })
+        self.origin().new_data(loc, bytes)
     }
 
     /// Read a data object wherever it lives (driver-side shortcut; inside
@@ -1003,36 +756,30 @@ impl Runtime {
     /// the RTT, and the bounded chase (not the guard) absorbs races with
     /// concurrent migrations.
     pub fn read_data(&self, gid: Gid) -> PxResult<Vec<u8>> {
-        if self.inner.distributed() {
+        // In-process every owner is owned: the parcel path below is the
+        // distributed runtime's alone.
+        let rt = &self.inner;
+        if !rt.distributed() || rt.owns(rt.agas.authoritative_owner(gid)) {
+            let _guard = self.inner.agas.migration_guard();
             let owner = self.inner.agas.authoritative_owner(gid);
             if self.inner.owns(owner) {
-                let _guard = self.inner.agas.migration_guard();
-                let owner = self.inner.agas.authoritative_owner(gid);
-                if self.inner.owns(owner) {
-                    let d = self.inner.locality(owner).get_data(gid)?;
-                    let g = d.read();
-                    return Ok(g.bytes.clone());
-                }
-                // Re-homed between the two lookups: fall through to the
-                // parcel path (guard dropped first).
+                let d = self.inner.locality(owner).get_data(gid)?;
+                let g = d.read();
+                return Ok(g.bytes.clone());
             }
-            let get = Parcel::new(gid, sys::DATA_GET, Value::unit(), Continuation::none());
-            return self.sys_rpc(get)?.decode::<Vec<u8>>();
+            // Re-homed between the two lookups: fall through to the
+            // parcel path (guard dropped first).
         }
-        let _guard = self.inner.agas.migration_guard();
-        let owner = self.inner.agas.authoritative_owner(gid);
-        let d = self.inner.locality(owner).get_data(gid)?;
-        let g = d.read();
-        Ok(g.bytes.clone())
+        self.sys_rpc(sys::bare(gid, sys::DATA_GET))?
+            .decode::<Vec<u8>>()
     }
 
-    /// Driver-side split-phase round trip: `RuntimeInner::request` from
-    /// the origin locality, blocking the *driver* thread (never a worker)
-    /// on the reply. A dead peer resolves it as `Err(PxError::Fault)`
-    /// through the transport dead-letter path.
-    fn sys_rpc(&self, p: Parcel) -> PxResult<Value> {
-        let from = self.inner.locality(self.inner.origin);
-        let fut = self.inner.request(from, p);
+    /// Driver-side split-phase round trip: a request from the driver's
+    /// origin, blocking the *driver* thread (never a worker) on the
+    /// reply. A dead peer resolves it as `Err(PxError::Fault)` through
+    /// the transport dead-letter path.
+    pub(crate) fn sys_rpc(&self, p: Parcel) -> PxResult<Value> {
+        let fut = self.origin().request(p);
         let v = self.inner.take_reply(fut, None)?;
         Ok(v.expect("an unbounded wait cannot time out"))
     }
@@ -1147,566 +894,9 @@ impl Drop for Runtime {
     }
 }
 
-/// Per-activation context handed to every PX-thread.
-///
-/// All operations are split-phase: nothing here blocks. A thread needing a
-/// value that is not yet available either *suspends* ([`Ctx::when_ready`] —
-/// its continuation becomes a depleted-thread LCO waiter) or *terminates*
-/// into a parcel ([`Ctx::send`] with a continuation).
-pub struct Ctx<'a> {
-    rt: &'a Arc<RuntimeInner>,
-    loc: &'a Arc<Locality>,
-    local: &'a Local<Task>,
-    pub(crate) process: Option<Gid>,
-    pub(crate) trace: Option<u64>,
-}
-
-impl<'a> Ctx<'a> {
-    pub(crate) fn new(
-        rt: &'a Arc<RuntimeInner>,
-        loc: &'a Arc<Locality>,
-        local: &'a Local<Task>,
-        process: Option<Gid>,
-        trace: Option<u64>,
-    ) -> Self {
-        Ctx {
-            rt,
-            loc,
-            local,
-            process,
-            trace,
-        }
-    }
-
-    /// The trace id this thread runs under (`Some` when the parcel or
-    /// spawn chain that caused it was traced). Inherited by everything
-    /// this context sends or spawns.
-    #[inline]
-    pub fn trace_id(&self) -> Option<u64> {
-        self.trace
-    }
-
-    /// This rank's merged trace dump (empty when tracing is off) — the
-    /// same view as [`Runtime::trace_dump`], available from inside an
-    /// action so a peer can fetch another rank's slice *in-band*: send an
-    /// action that returns `ctx.trace_dump().filter(id).events` and merge
-    /// the reply with the local dump.
-    pub fn trace_dump(&self) -> crate::trace::TraceDump {
-        self.rt.local_trace_dump()
-    }
-
-    /// The locality this thread serves (threads are ephemeral and serve a
-    /// single locality, §2.2).
-    #[inline]
-    pub fn here(&self) -> LocalityId {
-        self.loc.id
-    }
-
-    /// Number of localities in the system.
-    #[inline]
-    pub fn num_localities(&self) -> usize {
-        self.rt.localities.len()
-    }
-
-    /// The current locality object (object store access).
-    #[inline]
-    pub fn locality(&self) -> &Arc<Locality> {
-        self.loc
-    }
-
-    /// Crate-internal runtime access.
-    #[inline]
-    pub(crate) fn rt_inner(&self) -> &Arc<RuntimeInner> {
-        self.rt
-    }
-
-    // ---- spawning ----------------------------------------------------------
-
-    /// Spawn a PX-thread on this locality (LIFO on the local ring — the
-    /// cache-friendly fast path). Inherits the current process.
-    ///
-    /// When the balancer is on and this locality is overloaded, every
-    /// other spawn is diffused to the least-loaded gossip peer instead
-    /// (the target is republished each balancer round by the balancer
-    /// pulse; see the `balance` module).
-    pub fn spawn(&mut self, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
-        if let Some(b) = &self.loc.balance {
-            // Relaxed: advisory redirect hint republished every balancer
-            // round; a stale read routes one spawn suboptimally.
-            let t = b.spawn_target.load(std::sync::atomic::Ordering::Relaxed);
-            // Closures do not serialize, so a redirect may only target a
-            // locality in this OS process; the balancer publishes only
-            // owned targets, but the hint is advisory and re-checked here.
-            if t != crate::locality::NO_SPAWN_TARGET
-                && self.rt.owns(LocalityId(t as u16))
-                && b.spawn_seq
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    & 1
-                    == 0
-            {
-                return self.spawn_at(LocalityId(t as u16), f);
-            }
-        }
-        if self.process_spawn_rejected(self.here()) {
-            return;
-        }
-        let task = Task::thread(f)
-            .with_process(self.process)
-            .with_trace(self.trace);
-        if let Some(p) = self.process {
-            self.rt.process_task_started(p, self.here());
-        }
-        self.local.push(task, &self.loc.injector);
-        // A sibling may be parked while this worker fills its ring.
-        self.loc.sleep.notify_one();
-    }
-
-    /// Spawn a PX-thread at another locality (closure transfer paying
-    /// wire latency; for data-bearing work prefer actions + parcels).
-    /// Inherits the current process.
-    pub fn spawn_at(&mut self, dest: LocalityId, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
-        if self.process_spawn_rejected(dest) {
-            return;
-        }
-        let task = Task::thread(f)
-            .with_process(self.process)
-            .with_trace(self.trace);
-        self.rt.send_task(self.here(), dest, task);
-    }
-
-    /// Cancellation gate for spawns inheriting the current process: when
-    /// the process is cancelled the spawn is rejected loudly (counted at
-    /// `dest`, reported to the dead-letter hook) and true is returned.
-    /// One `Option` branch when no process is attached.
-    fn process_spawn_rejected(&self, dest: LocalityId) -> bool {
-        match self.process {
-            None => false,
-            Some(pg) => match self.rt.process_cancel_fault(pg) {
-                None => false,
-                Some(fault) => {
-                    crate::stats::bump!(self.rt.locality(dest).counters.tasks_cancelled);
-                    self.rt.notify_dead_letter(&fault, None);
-                    true
-                }
-            },
-        }
-    }
-
-    /// Record an LCO created by a process thread in the owning process so
-    /// cancellation can poison it. No-op outside a process.
-    fn own_lco(&self, gid: Gid) {
-        const PRUNE_EVERY: usize = 1024;
-        if let Some(pg) = self.process {
-            let p = self.rt.process_table.read().get(&pg).cloned();
-            if let Some(p) = p {
-                match p.note_owned_lco(gid) {
-                    None => {
-                        // The process was cancelled concurrently — poison
-                        // the fresh LCO now so its waiters cannot hang.
-                        let fault = p.cancel_fault();
-                        let loc = self.rt.locality(gid.birthplace());
-                        let trace = self.trace;
-                        let _ = lco_sys_op(self.rt, loc, gid, trace, move |l| Ok(l.poison(fault)));
-                    }
-                    // Periodic compaction: drop entries whose LCO already
-                    // fired (or left its store) so a long-lived process —
-                    // the multi-tenant parent — tracks only LCOs a cancel
-                    // could still affect, not every future it ever made.
-                    Some(len) if len.is_multiple_of(PRUNE_EVERY) => {
-                        p.prune_owned_lcos(|g| match self.rt.locality(g.birthplace()).get(*g) {
-                            Some(crate::locality::Stored::Lco(l)) => {
-                                let l = l.lock();
-                                !l.is_ready() && !l.is_poisoned()
-                            }
-                            _ => false,
-                        });
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-
-    // ---- parcels -----------------------------------------------------------
-
-    /// Send an action parcel: terminate-into-parcel style control
-    /// migration (§2.2: work moves to the data).
-    pub fn send<A: Action>(
-        &mut self,
-        target: Gid,
-        args: A::Args,
-        cont: Continuation,
-    ) -> PxResult<()> {
-        let mut p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
-        p.process = self.process;
-        p.trace = self.trace;
-        self.rt.send_parcel(self.here(), p);
-        Ok(())
-    }
-
-    /// Send an action and obtain a local future for its result.
-    pub fn call<A: Action>(&mut self, target: Gid, args: A::Args) -> PxResult<FutureRef<A::Out>> {
-        let fut = self.new_future::<A::Out>();
-        self.send::<A>(target, args, Continuation::set(fut.gid()))?;
-        Ok(fut)
-    }
-
-    /// Send a system parcel under this thread's trace.
-    fn send_sys(
-        &self,
-        dest: Gid,
-        action: crate::action::ActionId,
-        payload: Value,
-        cont: Continuation,
-    ) {
-        let p = Parcel::new(dest, action, payload, cont).with_trace(self.trace);
-        self.rt.send_parcel(self.here(), p);
-    }
-
-    /// Send a raw parcel (advanced; normal code uses [`Ctx::send`]).
-    pub fn send_parcel(&mut self, mut p: Parcel) {
-        p.process = p.process.or(self.process);
-        p.trace = p.trace.or(self.trace);
-        self.rt.send_parcel(self.here(), p);
-    }
-
-    // ---- LCO creation -------------------------------------------------------
-
-    /// Create a local future. Inside a process, the future is
-    /// process-owned: cancelling the process poisons it.
-    pub fn new_future<T: Serialize + DeserializeOwned>(&mut self) -> FutureRef<T> {
-        let gid = self.loc.new_future_lco();
-        self.own_lco(gid);
-        FutureRef::from_gid(gid)
-    }
-
-    /// Create a local and-gate over `n` events (process-owned inside a
-    /// process, like [`Ctx::new_future`]).
-    pub fn new_and_gate(&mut self, n: u64) -> Gid {
-        let gid = self.loc.new_lco(|gid| LcoCore::new_and_gate(gid, n));
-        self.own_lco(gid);
-        gid
-    }
-
-    /// Create a local dataflow template with `n` slots (process-owned
-    /// inside a process).
-    pub fn new_dataflow(&mut self, n: usize, combine: CombineFn) -> Gid {
-        let gid = self
-            .loc
-            .new_lco(|gid| LcoCore::new_dataflow(gid, n, combine));
-        self.own_lco(gid);
-        gid
-    }
-
-    /// Create a local reduction LCO (process-owned inside a process).
-    pub fn new_reduce<T: Serialize + DeserializeOwned>(
-        &mut self,
-        n: u64,
-        seed: &T,
-        fold: ReduceFn,
-    ) -> PxResult<FutureRef<T>> {
-        let seed = Value::encode(seed)?;
-        let gid = self
-            .loc
-            .new_lco(|gid| LcoCore::new_reduce(gid, n, seed, fold));
-        self.own_lco(gid);
-        Ok(FutureRef::from_gid(gid))
-    }
-
-    /// Create a local counting semaphore (process-owned inside a
-    /// process).
-    pub fn new_semaphore(&mut self, permits: u64) -> Gid {
-        let gid = self.loc.new_lco(|gid| LcoCore::new_semaphore(gid, permits));
-        self.own_lco(gid);
-        gid
-    }
-
-    // ---- LCO events ----------------------------------------------------------
-
-    /// Trigger an LCO (anywhere) with a typed value.
-    pub fn trigger<T: Serialize>(&mut self, gid: Gid, value: &T) -> PxResult<()> {
-        let v = Value::encode(value)?;
-        self.rt
-            .lco_route(self.loc, gid, sys::LCO_SET, v, self.trace);
-        Ok(())
-    }
-
-    /// Trigger an LCO with an already-encoded value.
-    pub fn trigger_value(&mut self, gid: Gid, value: Value) {
-        self.rt
-            .lco_route(self.loc, gid, sys::LCO_SET, value, self.trace);
-    }
-
-    /// Fill a typed future.
-    pub fn set_future<T: Serialize + DeserializeOwned>(
-        &mut self,
-        fut: FutureRef<T>,
-        value: &T,
-    ) -> PxResult<()> {
-        self.trigger(fut.gid(), value)
-    }
-
-    /// Fill dataflow slot `idx` of an LCO (anywhere).
-    pub fn set_slot<T: Serialize>(&mut self, gid: Gid, idx: u32, value: &T) -> PxResult<()> {
-        let v = Value::encode(value)?;
-        if gid.birthplace() == self.here() && self.loc.contains(gid) {
-            lco_sys_op(self.rt, self.loc, gid, self.trace, |l| {
-                l.trigger_slot(idx as usize, v)
-            })?;
-        } else {
-            let fill = sys::msg::SetSlot { idx, value: v };
-            self.rt
-                .send_parcel(self.here(), fill.parcel(gid, self.trace));
-        }
-        Ok(())
-    }
-
-    /// Contribute to a reduction LCO (anywhere).
-    pub fn contribute<T: Serialize>(&mut self, gid: Gid, value: &T) -> PxResult<()> {
-        let v = Value::encode(value)?;
-        self.rt
-            .lco_route(self.loc, gid, sys::LCO_CONTRIBUTE, v, self.trace);
-        Ok(())
-    }
-
-    // ---- suspension (depleted threads) ---------------------------------------
-
-    /// Suspend on an LCO: deposit `f` as a depleted thread, resumed with
-    /// the LCO's value. For a *remote* LCO a local proxy future is created
-    /// and the remote value is pulled with a `__sys/lco_get` parcel — the
-    /// thread itself still suspends locally (threads serve one locality).
-    /// If `gid` is not an LCO, `f` is resumed with the fault that killed
-    /// the request, from the local and the remote arm alike.
-    pub fn when_ready(&mut self, gid: Gid, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) {
-        if gid.birthplace() == self.here() && self.loc.contains(gid) {
-            let w = if let Some(p) = self.process {
-                // The suspended continuation is still process work. The
-                // matching completion must be issued by the continuation
-                // itself: when the LCO fires later, the generic waiter
-                // scheduling path has no process context.
-                self.rt.process_task_started(p, self.here());
-                let proc = self.process;
-                let trace = self.trace;
-                Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
-                    ctx.process = proc;
-                    ctx.trace = trace.or(ctx.trace);
-                    f(ctx, v);
-                    if let Some(pg) = proc {
-                        let rt = ctx.rt.clone();
-                        rt.process_task_done(pg);
-                    }
-                }))
-            } else if let Some(trace) = self.trace {
-                // The suspended continuation belongs to this trace even
-                // though the eventual trigger may be untraced.
-                Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
-                    ctx.trace = Some(trace);
-                    f(ctx, v);
-                }))
-            } else {
-                Waiter::Depleted(Box::new(f))
-            };
-            self.suspend_local(gid, sys::LCO_GET, w, |l, w| Ok(l.add_waiter(w)));
-        } else {
-            let proxy = self.loc.new_future_lco();
-            self.own_lco(proxy);
-            self.send_sys(gid, sys::LCO_GET, Value::unit(), Continuation::set(proxy));
-            self.when_ready(proxy, f);
-        }
-    }
-
-    /// Deposit `w` on the local LCO `gid` through `op`. When `gid` turns
-    /// out not to be an LCO `op` accepts (a data object, a future handed
-    /// to `acquire`, an object removed since the residency check) the
-    /// event dies as a killed parcel does ([`RuntimeInner::record_death`])
-    /// and `w` is resumed with the fault — what the remote arm's killed
-    /// parcel delivers through the proxy — instead of being lost.
-    fn suspend_local(
-        &mut self,
-        gid: Gid,
-        action: ActionId,
-        w: Waiter,
-        op: impl FnOnce(&mut LcoCore, Waiter) -> Result<Activations, (PxError, Waiter)>,
-    ) {
-        let deposited = match self.loc.get_lco(gid) {
-            Ok(lco) => op(&mut lco.lock(), w),
-            Err(e) => Err((e, w)),
-        };
-        let acts = deposited.unwrap_or_else(|(e, w)| {
-            let (cause, msg) = (crate::sched::cause_of(&e), e.to_string());
-            let fault = self
-                .rt
-                .record_death(self.loc, gid, action, cause, msg, self.trace);
-            vec![(w, Value::error(&fault))]
-        });
-        self.rt.schedule_activations(self.loc, acts, self.trace);
-    }
-
-    /// Typed suspension on a future. The continuation runs only on
-    /// success; a fault or a type mismatch silently drops it — use
-    /// [`Ctx::when_resolved`] when the thread must observe failure.
-    pub fn when_future<T, F>(&mut self, fut: FutureRef<T>, f: F)
-    where
-        T: Serialize + DeserializeOwned + 'static,
-        F: FnOnce(&mut Ctx<'_>, T) + Send + 'static,
-    {
-        self.when_ready(fut.gid(), move |ctx, v| {
-            if let Ok(t) = v.decode::<T>() {
-                f(ctx, t);
-            }
-        });
-    }
-
-    /// Fault-aware typed suspension: the continuation always runs, with
-    /// `Ok(value)` when the future fired or `Err(PxError::Fault)` when
-    /// the parcel that was to fill it died (hop-cap, panic, unknown
-    /// action, handler error). The split-phase counterpart of
-    /// [`crate::lco::FutureRef::wait`]'s error return.
-    pub fn when_resolved<T, F>(&mut self, fut: FutureRef<T>, f: F)
-    where
-        T: Serialize + DeserializeOwned + 'static,
-        F: FnOnce(&mut Ctx<'_>, PxResult<T>) + Send + 'static,
-    {
-        self.when_ready(fut.gid(), move |ctx, v| f(ctx, v.decode::<T>()));
-    }
-
-    /// Acquire a semaphore LCO (anywhere); `f` runs when a permit is
-    /// granted. Pair with [`Ctx::release`].
-    ///
-    /// If the semaphore is (or becomes) *poisoned*, or `sem` is not a
-    /// semaphore at all, `f` is dropped rather than run — releasing
-    /// waiters into their critical sections without a permit would
-    /// silently break the mutual exclusion the semaphore exists to
-    /// provide — and the drop is reported to the dead-letter hook. Raw
-    /// `LCO_ACQUIRE` parcels observe the fault through their
-    /// continuations instead.
-    pub fn acquire(&mut self, sem: Gid, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
-        fn run_or_report(
-            ctx: &mut Ctx<'_>,
-            sem: Gid,
-            v: Value,
-            f: impl FnOnce(&mut Ctx<'_>) + Send + 'static,
-        ) {
-            match v.fault() {
-                None => f(ctx),
-                Some(fault) => ctx.rt.notify_dead_letter(
-                    &Fault::new(
-                        fault.cause,
-                        fault.action,
-                        sem,
-                        format!("acquire continuation dropped, no permit granted: {fault}"),
-                    ),
-                    None,
-                ),
-            }
-        }
-        if sem.birthplace() == self.here() && self.loc.contains(sem) {
-            let w = Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v| {
-                run_or_report(ctx, sem, v, f)
-            }));
-            self.suspend_local(sem, sys::LCO_ACQUIRE, w, |l, w| l.acquire(w));
-        } else {
-            let proxy = self.loc.new_future_lco();
-            self.own_lco(proxy);
-            self.send_sys(
-                sem,
-                sys::LCO_ACQUIRE,
-                Value::unit(),
-                Continuation::set(proxy),
-            );
-            self.when_ready(proxy, move |ctx, v| run_or_report(ctx, sem, v, f));
-        }
-    }
-
-    /// Release a semaphore LCO (anywhere).
-    pub fn release(&mut self, sem: Gid) {
-        if sem.birthplace() == self.here() && self.loc.contains(sem) {
-            // Releasing a missing/poisoned semaphore has no observer to
-            // tell; the release is simply lost (as before).
-            let _ = lco_sys_op(self.rt, self.loc, sem, self.trace, |l| Ok(l.release()));
-        } else {
-            self.send_sys(sem, sys::LCO_RELEASE, Value::unit(), Continuation::none());
-        }
-    }
-
-    // ---- data objects ---------------------------------------------------------
-
-    /// Create a local data object.
-    pub fn new_data(&mut self, bytes: Vec<u8>) -> Gid {
-        self.loc.insert(GidKind::Data, |_| {
-            Stored::Data(Arc::new(RwLock::new(DataObject { bytes, version: 0 })))
-        })
-    }
-
-    /// Read a *local* data object.
-    pub fn read_local_data(&self, gid: Gid) -> PxResult<Vec<u8>> {
-        let d = self.loc.get_data(gid)?;
-        let g = d.read();
-        Ok(g.bytes.clone())
-    }
-
-    /// Overwrite a *local* data object.
-    pub fn write_local_data(&mut self, gid: Gid, bytes: Vec<u8>) -> PxResult<()> {
-        let d = self.loc.get_data(gid)?;
-        let mut g = d.write();
-        g.bytes = bytes;
-        g.version += 1;
-        Ok(())
-    }
-
-    /// Fetch a possibly-remote data object into a local future
-    /// (data-to-work movement; the comparison point for E6).
-    pub fn fetch_data(&mut self, gid: Gid) -> FutureRef<Vec<u8>> {
-        let fut = self.new_future::<Vec<u8>>();
-        self.send_sys(
-            gid,
-            sys::DATA_GET,
-            Value::unit(),
-            Continuation::set(fut.gid()),
-        );
-        fut
-    }
-
-    /// Overwrite a possibly-remote data object; the returned future fires
-    /// (unit) when the write is applied.
-    pub fn store_data(&mut self, gid: Gid, bytes: &[u8]) -> PxResult<FutureRef<()>> {
-        let fut = self.new_future::<()>();
-        self.send_sys(
-            gid,
-            sys::DATA_PUT,
-            Value::encode(&bytes)?,
-            Continuation::set(fut.gid()),
-        );
-        Ok(fut)
-    }
-
-    // ---- names ------------------------------------------------------------------
-
-    /// Bind a symbolic name.
-    pub fn register_name(&mut self, name: &str, gid: Gid) -> PxResult<()> {
-        self.rt.agas.register_name(name, gid)
-    }
-
-    /// Resolve a symbolic name.
-    pub fn lookup_name(&self, name: &str) -> PxResult<Gid> {
-        self.rt.agas.lookup_name(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_validation() {
-        assert!(Config::small(0, 1).validate().is_err());
-        assert!(Config::small(1, 0).validate().is_err());
-        assert!(Config::small(2, 1)
-            .with_accelerator(LocalityId(5))
-            .validate()
-            .is_err());
-        assert!(Config::small(2, 1).validate().is_ok());
-    }
 
     #[test]
     fn boot_and_shutdown() {

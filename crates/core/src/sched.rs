@@ -22,7 +22,8 @@ use crate::action::{ActionId, Value};
 use crate::error::{Fault, FaultCause, PxError};
 use crate::gid::{Gid, LocalityId};
 use crate::lco::{DepletedThread, Waiter};
-use crate::locality::Locality;
+use crate::locality::{Lane, Locality};
+use crate::origin::Origin;
 use crate::parcel::{ContStep, Continuation, Parcel};
 use crate::queue::{Idle, Local};
 use crate::runtime::{Ctx, RuntimeInner};
@@ -78,40 +79,10 @@ impl std::fmt::Debug for Task {
 }
 
 impl Task {
-    /// Fresh PX-thread from a closure.
-    pub(crate) fn thread(f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) -> Task {
+    /// One activation of `work`, outside any process or trace.
+    pub(crate) fn new(work: Work) -> Task {
         Task {
-            work: Work::Thread(Box::new(f)),
-            process: None,
-            trace: None,
-            enqueued: None,
-        }
-    }
-
-    /// Depleted-thread resumption.
-    pub(crate) fn resume(f: DepletedThread, v: Value) -> Task {
-        Task {
-            work: Work::Resume(f, v),
-            process: None,
-            trace: None,
-            enqueued: None,
-        }
-    }
-
-    /// Encoded parcel (from the wire).
-    pub(crate) fn parcel_bytes(bytes: Vec<u8>) -> Task {
-        Task {
-            work: Work::ParcelBytes(bytes),
-            process: None,
-            trace: None,
-            enqueued: None,
-        }
-    }
-
-    /// Encoded multi-parcel frame (from a coalescing port).
-    pub(crate) fn parcel_frame(bytes: Vec<u8>) -> Task {
-        Task {
-            work: Work::ParcelFrame(bytes),
+            work,
             process: None,
             trace: None,
             enqueued: None,
@@ -136,16 +107,6 @@ impl Task {
         match &self.work {
             Work::ParcelFrame(bytes) => Some(bytes),
             _ => None,
-        }
-    }
-
-    /// Decoded parcel (local short-circuit).
-    pub(crate) fn parcel(p: Parcel) -> Task {
-        Task {
-            work: Work::Parcel(p),
-            process: None,
-            trace: None,
-            enqueued: None,
         }
     }
 
@@ -294,7 +255,7 @@ pub(crate) fn execute(
     // `run_parcel` can deliver the fault to their continuations, and
     // resumes always run because they ARE the fault-delivery path (a
     // poisoned LCO resumes its depleted waiters with the fault, and the
-    // process accounting lives inside that closure — `Task::resume`
+    // process accounting lives inside that closure — a resume task
     // never carries a process tag).
     if let Some(pgid) = process {
         if matches!(task.work, Work::Thread(_)) {
@@ -334,50 +295,22 @@ pub(crate) fn execute(
                         seen += 1;
                         match record {
                             Ok(rec) => run_wire_parcel(rt, loc, local, rec),
-                            Err(e) => {
-                                loc.counters.count_death(FaultCause::Decode, 1);
-                                let fault = Fault::new(
-                                    FaultCause::Decode,
-                                    ActionId(0),
-                                    Gid::locality_root(loc.id),
-                                    format!("corrupt frame record: {e}"),
-                                );
-                                rt.notify_dead_letter(&fault, None);
-                            }
+                            Err(e) => undecodable(rt, loc, 1, format!("corrupt frame record: {e}")),
                         }
                     }
                     // A corrupt length prefix ends iteration early; the
                     // records it hid are lost with it — account every one
                     // (their process tags and continuations are unreadable,
                     // like any corrupt parcel's, so neither quiescence nor
-                    // fault delivery can be repaired for them). The hook
-                    // is notified once per lost record so its fault count
-                    // stays a superset of `dead_parcels`.
+                    // fault delivery can be repaired for them).
                     let lost = view.record_count().saturating_sub(seen);
                     if lost > 0 {
-                        loc.counters
-                            .count_death(FaultCause::Decode, u64::from(lost));
-                        let fault = Fault::new(
-                            FaultCause::Decode,
-                            ActionId(0),
-                            Gid::locality_root(loc.id),
-                            format!("record hidden behind a corrupt frame prefix ({lost} lost)"),
-                        );
-                        for _ in 0..lost {
-                            rt.notify_dead_letter(&fault, None);
-                        }
+                        let msg =
+                            format!("record hidden behind a corrupt frame prefix ({lost} lost)");
+                        undecodable(rt, loc, lost, msg);
                     }
                 }
-                Err(e) => {
-                    loc.counters.count_death(FaultCause::Decode, 1);
-                    let fault = Fault::new(
-                        FaultCause::Decode,
-                        ActionId(0),
-                        Gid::locality_root(loc.id),
-                        format!("corrupt frame: {e}"),
-                    );
-                    rt.notify_dead_letter(&fault, None);
-                }
+                Err(e) => undecodable(rt, loc, 1, format!("corrupt frame: {e}")),
             }
         }
         Work::Parcel(p) => run_parcel(rt, loc, local, p),
@@ -406,18 +339,21 @@ fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Ta
                 }
             }
         }
-        Err(e) => {
-            // An undecodable parcel cannot name its continuation, so the
-            // fault cannot be delivered — count it and tell the hook.
-            loc.counters.count_death(FaultCause::Decode, 1);
-            let fault = Fault::new(
-                FaultCause::Decode,
-                ActionId(0),
-                Gid::locality_root(loc.id),
-                format!("undecodable parcel: {e}"),
-            );
-            rt.notify_dead_letter(&fault, None);
-        }
+        Err(e) => undecodable(rt, loc, 1, format!("undecodable parcel: {e}")),
+    }
+}
+
+/// The death of `records` parcel records that could not be decoded. They
+/// cannot name their continuations, so no fault can be delivered: count
+/// them and tell the hook — once per record, so its fault count stays a
+/// superset of `dead_parcels`.
+fn undecodable(rt: &RuntimeInner, loc: &Locality, records: u32, msg: String) {
+    loc.counters
+        .count_death(FaultCause::Decode, u64::from(records));
+    let root = Gid::locality_root(loc.id);
+    let fault = Fault::new(FaultCause::Decode, ActionId(0), root, msg);
+    for _ in 0..records {
+        rt.notify_dead_letter(&fault, None);
     }
 }
 
@@ -535,7 +471,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
                 // parcel instead (fire-and-forget: a lost hint only costs
                 // another chase).
                 let hint = sys::msg::DirRepair { gid: p.dest, owner };
-                rt.send_parcel(loc.id, hint.parcel(Gid::locality_root(p.src), None));
+                Origin::at(rt, loc).send(hint.parcel(Gid::locality_root(p.src), None));
             }
             if !rt.owns(owner) {
                 bump!(loc.counters.dir_forwards);
@@ -669,9 +605,8 @@ pub(crate) fn apply_continuation(
                 rt.lco_route(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace)
             }
             ContStep::Call { action, target } => {
-                let p = Parcel::new(target, action, value.clone(), Continuation::none())
-                    .with_trace(trace);
-                rt.send_parcel(loc.id, p);
+                let p = Parcel::new(target, action, value.clone(), Continuation::none());
+                Origin::at(rt, loc).with_trace(trace).send(p);
             }
         }
     }
@@ -696,8 +631,8 @@ impl RuntimeInner {
                 self.record_death(from, gid, action, cause_of(&e), e.to_string(), trace);
             }
         } else {
-            let p = Parcel::new(gid, action, value, Continuation::none()).with_trace(trace);
-            self.send_parcel(from.id, p);
+            let p = Parcel::new(gid, action, value, Continuation::none());
+            Origin::at(self, from).with_trace(trace).send(p);
         }
     }
 
@@ -739,43 +674,13 @@ impl RuntimeInner {
     ) {
         for (w, v) in acts {
             match w {
-                Waiter::Depleted(f) => loc.push_task(Task::resume(f, v).with_trace(trace)),
+                Waiter::Depleted(f) => {
+                    loc.push_task(Task::new(Work::Resume(f, v)).with_trace(trace))
+                }
                 Waiter::Cont(c) => apply_continuation(self, loc, c, v, trace),
                 Waiter::External(slot) => slot.fill(v),
             }
         }
-    }
-
-    /// Send a parcel from `from`, resolving the destination and paying the
-    /// wire cost when it crosses localities.
-    pub(crate) fn send_parcel(self: &Arc<Self>, from: LocalityId, p: Parcel) {
-        let from_loc = &self.localities[from.0 as usize];
-        let mut p = p;
-        // Trace sampler: an untraced parcel entering the send path is a
-        // root; one in `sample_every` gets a fresh id here. One `Option`
-        // branch when tracing is off.
-        if p.trace.is_none() {
-            if let Some(ts) = &self.trace {
-                p.trace = ts.maybe_sample();
-            }
-        }
-        let owner = self.agas.resolve_counted(from_loc, p.dest);
-        // Balancer heat hook: remember that we keep addressing this
-        // remote object, so the balancer can pull it toward us (heat is
-        // drained every gossip round; see `crate::balance`). Gated on
-        // `track_heat` so the default send path — and any policy that
-        // never migrates — skips the lock entirely.
-        if self.track_heat && owner != from && p.dest.kind() == crate::gid::GidKind::Data {
-            self.agas.note_access(from, p.dest);
-        }
-        from_loc.trace_event(
-            p.trace,
-            crate::trace::TraceEventKind::ParcelSend,
-            p.dest.0,
-            u64::from(owner.0),
-        );
-        p.src = from;
-        self.route_parcel(from, owner, p);
     }
 
     /// Route a parcel to a known owner locality.
@@ -786,17 +691,12 @@ impl RuntimeInner {
         if owner == from {
             // Same locality: no wire, no encoding; direct enqueue.
             bump!(from_loc.counters.bytes_sent, 0);
-            let staged = p.staged;
-            let process = p.process;
-            let task = Task::parcel(p).with_process(process);
+            let (lane, process) = (Lane::of_parcel(p.staged), p.process);
+            let task = Task::new(Work::Parcel(p)).with_process(process);
             if let Some(pg) = process {
                 self.process_task_started(pg, owner);
             }
-            if staged {
-                from_loc.push_staged(task);
-            } else {
-                from_loc.push_task(task);
-            }
+            from_loc.deliver(lane, task);
             return;
         }
         // Process activity tokens never cross an OS-process boundary:
@@ -819,8 +719,9 @@ impl RuntimeInner {
         if sys::is_control(p.action) {
             let bytes = p.encode();
             let n = bytes.len();
+            let (dest, lane) = (owner, Lane::Control);
             self.wire
-                .send(crate::net::WireMsg::Control { dest: owner, bytes }, n);
+                .send(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
             bump!(from_loc.counters.bytes_sent, n as u64);
             // px-analyze: allow(no-silent-loss): the encoded control-lane frame is already on the wire (accounted above) — the in-memory parcel is spent, not lost.
             return;
@@ -894,9 +795,13 @@ impl RuntimeInner {
             .map(|p| p.cancel_fault())
     }
 
+    /// The record of process `gid`, while the table still holds it.
+    pub(crate) fn process(&self, gid: Gid) -> Option<Arc<crate::process::ProcessInner>> {
+        self.process_table.read().get(&gid).cloned()
+    }
+
     pub(crate) fn process_task_done(self: &Arc<Self>, gid: Gid) {
-        let p = self.process_table.read().get(&gid).cloned();
-        if let Some(p) = p {
+        if let Some(p) = self.process(gid) {
             p.task_done(self);
         }
     }
@@ -930,7 +835,7 @@ mod tests {
             px_wire::FRAME_HEADER_LEN + 2 * (px_wire::RECORD_HEADER_LEN + record.len()) + 2,
         );
         let loc = rt.inner().localities[0].clone();
-        loc.push_task(Task::parcel_frame(bytes));
+        loc.push_task(Task::new(Work::ParcelFrame(bytes)));
         let t0 = Instant::now();
         loop {
             let dead = loc.counters.dead_parcels.load(Ordering::Relaxed);
@@ -949,10 +854,9 @@ mod tests {
 
     #[test]
     fn task_debug_names() {
-        assert_eq!(format!("{:?}", Task::thread(|_| {})), "Task::Thread");
-        assert_eq!(
-            format!("{:?}", Task::parcel_bytes(vec![])),
-            "Task::ParcelBytes"
-        );
+        let thread = Task::new(Work::Thread(Box::new(|_| {})));
+        assert_eq!(format!("{thread:?}"), "Task::Thread");
+        let bytes = Task::new(Work::ParcelBytes(vec![]));
+        assert_eq!(format!("{bytes:?}"), "Task::ParcelBytes");
     }
 }

@@ -4,7 +4,7 @@
 //! commit), the home-directory lookups and repairs that keep the chase
 //! bounded, and cluster-visible names. No lock is held across a round
 //! trip and no worker blocks on one: each ack resumes as a depleted
-//! thread (`RuntimeInner::request_then`).
+//! thread (`Origin::request_then`).
 
 use super::msg::{DirCommit, DirInstall, DirLookup, DirRepair, DirUpdate, Migrate, Wire};
 use super::reply;
@@ -13,6 +13,7 @@ use crate::agas::MigrationCause;
 use crate::error::{FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
 use crate::locality::{DataObject, Locality, Stored};
+use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::{Ctx, RuntimeInner};
 use crate::sched::{apply_continuation, kill_parcel, retry_after_migration};
@@ -78,7 +79,7 @@ fn park_during_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel)
 /// re-resolve against the directory as it now stands.
 fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
     for parked in rt.agas.end_migration(gid) {
-        rt.send_parcel(loc.id, parked);
+        Origin::at(rt, loc).send(parked);
     }
 }
 
@@ -136,8 +137,7 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
         cont,
         trace,
     };
-    rt.request_then(
-        loc,
+    Origin::at(rt, loc).request_then(
         install.parcel(Gid::locality_root(to), trace),
         move |ctx, ack| migration.installed(ctx, ack),
     );
@@ -169,9 +169,7 @@ impl Migration {
             owner: self.to,
             cause: self.cause,
         };
-        let (rt, loc) = (ctx.rt_inner().clone(), ctx.locality().clone());
-        rt.request_then(
-            &loc,
+        Origin::at(ctx.rt_inner(), ctx.locality()).request_then(
             update.parcel(Gid::locality_root(home), self.trace),
             move |ctx, ack| self.updated(ctx, ack),
         );
@@ -196,7 +194,7 @@ impl Migration {
                 keep: false,
                 owner: loc.id,
             };
-            rt.send_parcel(loc.id, discard.parcel(Gid::locality_root(to), None));
+            Origin::at(rt, loc).send(discard.parcel(Gid::locality_root(to), None));
             return apply_continuation(rt, loc, self.cont, ack, self.trace);
         }
         // Retire the source copy, repair the local cache, unpin and
@@ -214,7 +212,7 @@ impl Migration {
             keep: true,
             owner: to,
         };
-        rt.send_parcel(loc.id, keep.parcel(Gid::locality_root(to), None));
+        Origin::at(rt, loc).send(keep.parcel(Gid::locality_root(to), None));
         loc.trace_event(self.trace, TraceEventKind::Migrate, gid.0, u64::from(to.0));
         apply_continuation(rt, loc, self.cont, Value::unit(), self.trace);
     }
@@ -309,7 +307,7 @@ pub(crate) fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, ret
     let home = gid.birthplace();
     let stamp = loc.metrics_now();
     let ask = DirLookup { gid }.parcel(Gid::locality_root(home), retry.trace);
-    rt.request_then(loc, ask, move |ctx, v| {
+    Origin::at(rt, loc).request_then(ask, move |ctx, v| {
         let (rt, loc) = (ctx.rt_inner(), ctx.locality());
         loc.metric_elapsed(crate::metrics::Instrument::DirLookup, stamp);
         if v.is_fault() {

@@ -11,8 +11,9 @@
 //!   dispatcher the scheduler calls — static calls on id equality, no
 //!   registry, no `dyn`, no allocation.
 //! * `msg` — each payload layout, written once and used by both ends.
-//! * `RuntimeInner::request` — the split-phase "ask a rank, resume on
-//!   the ack" primitive every protocol here is built from.
+//! * `Origin::request` — the split-phase "ask a rank, resume on the
+//!   ack" primitive every protocol here, and every client-side
+//!   suspension on a remote object, is built from.
 //!
 //! Adding an op is one table row, one message type and one handler fn.
 //! User actions must not reuse the `__sys/` names.
@@ -27,6 +28,7 @@ use crate::stats::bump;
 use std::sync::Arc;
 
 pub(crate) mod agas;
+mod echo;
 pub(crate) mod lco;
 pub(crate) mod msg;
 mod request;
@@ -109,12 +111,14 @@ sys_actions! {
     PING = "__sys/ping", data, ping;
     /// Do nothing (parcel-overhead measurements).
     NOOP = "__sys/noop", data, noop;
-    /// Echo-tree update (see [`crate::echo`]).
-    ECHO_UPDATE = "__sys/echo_update", data, crate::echo::handle_sys;
-    /// Echo-tree downward propagation.
-    ECHO_PROP = "__sys/echo_prop", data, crate::echo::handle_sys;
-    /// Echo split-phase validation request.
-    ECHO_VALIDATE = "__sys/echo_validate", data, crate::echo::handle_sys;
+    /// Echo-tree update (see [`crate::echo`]): payload = the new value.
+    ECHO_UPDATE = "__sys/echo_update", data, echo::update;
+    /// Echo-tree downward propagation: payload = `u64` version ++ value
+    /// bytes.
+    ECHO_PROP = "__sys/echo_prop", data, echo::prop, msg::EchoProp;
+    /// Echo split-phase validation request: payload = the `u64` version
+    /// the thread used; continuation receives the verdict.
+    ECHO_VALIDATE = "__sys/echo_validate", data, echo::validate, msg::EchoValidate;
     /// Balancer gossip: payload = encoded peer-load view (see
     /// [`px_balance::PeerView::encode_gossip`]); merged into the
     /// destination locality's view. Control lane: it must outrun
@@ -159,6 +163,16 @@ sys_actions! {
     /// process's home rank by [`crate::runtime::Runtime::lookup_name`],
     /// making `/proc/...` names cluster-visible. Control lane.
     NAME_LOOKUP = "__sys/name_lookup", control, agas::name_lookup;
+}
+
+/// A payload-less system parcel for `dest`, fire-and-forget as built.
+pub(crate) fn bare(dest: crate::gid::Gid, action: ActionId) -> Parcel {
+    Parcel::new(
+        dest,
+        action,
+        Value::unit(),
+        crate::parcel::Continuation::none(),
+    )
 }
 
 /// The common handler tail: the op's value goes to the parcel's
@@ -210,7 +224,6 @@ fn metrics_pull(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
 mod tests {
     use super::*;
     use crate::gid::{Gid, LocalityId};
-    use crate::parcel::Continuation;
     use crate::runtime::{Config, RuntimeBuilder};
 
     #[test]
@@ -228,7 +241,7 @@ mod tests {
         let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
         let loc = rt.inner().locality(LocalityId(0));
         let root = Gid::locality_root(loc.id);
-        let at_root = |a| Parcel::new(root, a, Value::unit(), Continuation::none());
+        let at_root = |a| bare(root, a);
         for a in ALL {
             assert!(dispatch(rt.inner(), loc, at_root(a)).is_none(), "{a:?}");
         }

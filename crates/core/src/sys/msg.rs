@@ -69,10 +69,10 @@ wire! {
 
 /// One message per row: `Type = ACTION { fields }`. The fields, in order,
 /// *are* the payload layout of that action, and `parcel` is the only way
-/// such a parcel is built.
+/// such a parcel is built. A row without an action is a reply's layout.
 macro_rules! messages {
-    ($($name:ident = $action:ident { $($field:ident: $ty:ty),* })*) => {$(
-        #[doc = concat!("Payload of [`super::", stringify!($action), "`].")]
+    ($($name:ident $(= $action:ident)? { $($field:ident: $ty:ty),* })*) => {$(
+        $(#[doc = concat!("Payload of [`super::", stringify!($action), "`].")])?
         #[derive(Debug, Clone, PartialEq)]
         pub(crate) struct $name {
             $(pub $field: $ty,)*
@@ -87,15 +87,15 @@ macro_rules! messages {
             }
         }
 
-        impl $name {
+        $(impl $name {
             /// The parcel carrying this message to `dest` under `trace`
-            /// (fire-and-forget as built; `RuntimeInner::request`
-            /// attaches a reply future).
+            /// (fire-and-forget as built; `Origin::request` attaches a
+            /// reply future).
             pub(crate) fn parcel(&self, dest: Gid, trace: Option<u64>) -> Parcel {
                 let cont = Continuation::none();
                 Parcel::new(dest, super::$action, self.encode(), cont).with_trace(trace)
             }
-        }
+        })?
     )*};
 }
 
@@ -107,6 +107,10 @@ messages! {
     DirLookup = DIR_LOOKUP { gid: Gid }
     DirRepair = DIR_REPAIR { gid: Gid, owner: LocalityId }
     DirCommit = DIR_COMMIT { gid: Gid, keep: bool, owner: LocalityId }
+    EchoProp = ECHO_PROP { version: u64, value: Value }
+    EchoValidate = ECHO_VALIDATE { used: u64 }
+    // `ECHO_VALIDATE`'s reply: the value rides along only when stale.
+    EchoVerdict { valid: bool, version: u64, value: Value }
 }
 
 #[cfg(test)]
@@ -167,6 +171,20 @@ mod tests {
             &cat(&[&g, &[0x0B, 0x0A]]),
             10,
         );
+        let value = Value::from_bytes(vec![7, 7]);
+        let v9 = [9, 0, 0, 0, 0, 0, 0, 0];
+        let prop = EchoProp { version: 9, value };
+        check(prop, &cat(&[&v9, &[7, 7]]), 8);
+        check(EchoValidate { used: 9 }, &v9, 8);
+        // `1 ++ version` when valid; `0 ++ version ++ value` when stale.
+        for (valid, tail) in [(true, &[][..]), (false, &[7, 7][..])] {
+            let verdict = EchoVerdict {
+                valid,
+                version: 9,
+                value: Value::from_bytes(tail.to_vec()),
+            };
+            check(verdict, &cat(&[&[u8::from(valid)], &v9, tail]), 9);
+        }
         for keep in [true, false] {
             let commit = DirCommit {
                 gid,

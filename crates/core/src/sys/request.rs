@@ -1,6 +1,7 @@
 //! The split-phase request: send a parcel, get its reply — the one "ask a
 //! rank, await the ack" mechanism behind the migration and directory
-//! protocols (worker side, never blocking) and the driver's RPCs.
+//! protocols, a thread's suspension on a remote LCO and its echo commits
+//! (worker side, never blocking) and the driver's RPCs.
 //!
 //! The reply lands in a one-shot future at the asking locality. Nothing
 //! but the request's continuation ever learns that future's gid, so
@@ -8,54 +9,54 @@
 //! grow by an ack per round trip.
 
 use crate::action::Value;
+use crate::ctx::Ctx;
 use crate::error::PxResult;
 use crate::gid::Gid;
-use crate::lco::Waiter;
-use crate::locality::Locality;
+use crate::lco::LcoCore;
+use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
-use crate::runtime::{Ctx, RuntimeInner};
+use crate::runtime::RuntimeInner;
 use std::sync::Arc;
 use std::time::Duration;
 
-impl RuntimeInner {
-    /// Send `p` from `from` with a fresh reply future as its
-    /// continuation, and return that future. It resolves with the
-    /// action's value, or with the fault that killed the parcel anywhere
-    /// along the way (a dead peer poisons it through the transport's
-    /// dead-letter path). The caller owns it: a driver thread blocks in
-    /// [`RuntimeInner::take_reply`]; a worker uses
-    /// [`RuntimeInner::request_then`] instead.
-    pub(crate) fn request(self: &Arc<Self>, from: &Arc<Locality>, mut p: Parcel) -> Gid {
-        let fut = from.new_future_lco();
+impl Origin<'_> {
+    /// Send the system parcel `p` with a fresh reply future at this
+    /// origin's locality as its continuation, and return that future. It
+    /// resolves with the action's value, or with the fault that killed
+    /// the parcel anywhere along the way (a dead peer poisons it through
+    /// the transport's dead-letter path; so does the cancellation of the
+    /// origin's process, which owns it). The caller owns it: a driver
+    /// thread blocks in [`RuntimeInner::take_reply`]; a worker uses
+    /// [`Origin::request_then`] instead.
+    pub(crate) fn request(self, mut p: Parcel) -> Gid {
+        let fut = self.new_lco(self.loc().id, LcoCore::new_future);
         p.cont = Continuation::set(fut);
-        self.send_parcel(from.id, p);
+        self.send_sys(p);
         fut
     }
 
-    /// [`RuntimeInner::request`] from a worker: no thread ever blocks on
-    /// a remote ack, the protocol resumes in `on_reply` — a depleted
-    /// thread on one of `from`'s workers, run with the reply once the
-    /// reply future is freed.
+    /// [`Origin::request`] from a worker: no thread ever blocks on a
+    /// remote ack, the caller resumes in `on_reply` — a depleted thread
+    /// of this origin (its process, its trace) on one of its locality's
+    /// workers, run with the reply once the reply future is freed.
     pub(crate) fn request_then(
-        self: &Arc<Self>,
-        from: &Arc<Locality>,
+        self,
         p: Parcel,
         on_reply: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
     ) {
-        let fut = self.request(from, p);
-        let resume = move |ctx: &mut Ctx<'_>, v: Value| {
-            ctx.locality().remove(fut);
-            on_reply(ctx, v)
-        };
+        let fut = self.request(p);
         // Nothing else removes the future, so it is there — fired already
         // or not (then the waiter is activated here).
-        let lco = from.get_lco(fut).expect("reply future just created");
-        let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(resume)));
-        self.schedule_activations(from, acts, None);
+        self.suspend_on(fut, move |ctx: &mut Ctx<'_>, v: Value| {
+            ctx.locality().remove(fut);
+            on_reply(ctx, v)
+        });
     }
+}
 
+impl RuntimeInner {
     /// Block the calling (driver, never worker) thread on the reply
-    /// future of a [`RuntimeInner::request`] and free it once the reply —
+    /// future of an [`Origin::request`] and free it once the reply —
     /// value or fault — is taken. On a timeout (`Ok(None)`) the future
     /// stays, so a late reply still finds its target instead of dying as
     /// `NoSuchObject`.
@@ -103,6 +104,7 @@ mod tests {
     use crate::action::ActionId;
     use crate::error::{Fault, FaultCause, PxError};
     use crate::gid::LocalityId;
+    use crate::origin::Caller;
     use crate::runtime::{Config, Runtime, RuntimeBuilder};
     use crate::sys;
 
@@ -118,20 +120,19 @@ mod tests {
     #[test]
     fn every_reply_path_frees_its_future_and_a_timeout_keeps_it() {
         let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
-        let inner = rt.inner();
-        let loc = inner.locality(LocalityId(0));
+        let (inner, from) = (rt.inner(), rt.origin());
         let initial = store_size(&rt);
 
         // Value reply, taken by the driver.
         let ping = Value::encode(&7u64).unwrap();
-        let fut = inner.request(loc, at_rank_1(sys::PING, ping.clone()));
+        let fut = from.request(at_rank_1(sys::PING, ping.clone()));
         let v = inner.take_reply(fut, None).unwrap().unwrap();
         assert_eq!(v.decode::<u64>().unwrap(), 7);
         assert_eq!(store_size(&rt), initial);
 
         // Fault reply: the parcel is dead-lettered at rank 1 and its
         // fault poisons the reply future.
-        let fut = inner.request(loc, at_rank_1(ActionId::of("no/such"), Value::unit()));
+        let fut = from.request(at_rank_1(ActionId::of("no/such"), Value::unit()));
         match inner.take_reply(fut, None) {
             Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::UnknownAction),
             other => panic!("expected the fault, got {other:?}"),
@@ -140,7 +141,7 @@ mod tests {
 
         // Depleted-waiter reply: freed before the waiter runs.
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        inner.request_then(loc, at_rank_1(sys::PING, ping), move |ctx, v| {
+        from.request_then(at_rank_1(sys::PING, ping), move |ctx, v| {
             let _ = tx.send((v.decode::<u64>(), ctx.locality().object_count()));
         });
         let (v, size_in_waiter) = rx.recv().unwrap();
@@ -155,7 +156,7 @@ mod tests {
             Value::unit(),
             Continuation::none(),
         );
-        let fut = inner.request(loc, get);
+        let fut = from.request(get);
         let waited = inner.take_reply(fut, Some(Duration::from_millis(20)));
         assert!(matches!(waited, Ok(None)), "{waited:?}");
         assert_eq!(store_size(&rt), initial + 1);
@@ -165,6 +166,50 @@ mod tests {
         assert_eq!(store_size(&rt), initial);
         // The one death so far is the unknown action's.
         assert_eq!(rt.stats().total().dead_parcels, 1);
+        rt.shutdown();
+    }
+
+    /// Every client-side round trip is a request: a thread suspending on
+    /// a remote future or semaphore, an echo commit from a thread or
+    /// from the driver. A thousand of each leave the asking locality's
+    /// store where it was (the parent commit: one dead proxy each).
+    #[test]
+    fn remote_suspensions_and_echo_commits_leave_the_store_flat() {
+        use crate::echo;
+        const N: u64 = 1000;
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let l1 = LocalityId(1);
+        let futs: Vec<_> = (0..N).map(|_| rt.new_future::<u64>(l1)).collect();
+        let sem = rt.new_semaphore(l1, 1);
+        let root = echo::create_tree(&rt, l1, 2, &0u64).unwrap().root;
+        let done = rt.new_and_gate(l1, 2 * N);
+        let initial = store_size(&rt);
+        for fut in futs {
+            rt.set_future(fut, &1).unwrap();
+            rt.spawn_at(LocalityId(0), move |ctx| {
+                ctx.when_future(fut, move |ctx, _| {
+                    ctx.acquire(sem, move |ctx| {
+                        ctx.release(sem);
+                        ctx.trigger_value(done, Value::unit());
+                    });
+                });
+                echo::commit::<u64, _>(ctx, root, 1, move |ctx, verdict| {
+                    assert!(matches!(verdict, Ok(echo::CommitOutcome::Valid)));
+                    ctx.trigger_value(done, Value::unit());
+                })
+                .unwrap();
+            });
+        }
+        rt.wait_value(done).unwrap();
+        for _ in 0..N {
+            let stale = echo::commit_blocking::<u64>(&rt, root, 0).unwrap();
+            assert!(matches!(
+                stale,
+                echo::CommitOutcome::Stale { version: 1, .. }
+            ));
+        }
+        assert_eq!(store_size(&rt), initial);
+        assert_eq!(rt.stats().total().dead_parcels, 0);
         rt.shutdown();
     }
 

@@ -60,98 +60,83 @@ impl TraceConfig {
     }
 }
 
-/// What happened (the discriminant of a [`TraceEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEventKind {
-    /// A parcel entered the runtime's send path (`aux` = dest locality).
-    ParcelSend,
-    /// A parcel began executing at its destination.
-    ParcelDispatch,
-    /// A parcel was forwarded after a stale AGAS resolution
-    /// (`aux` = hops so far).
-    ParcelForward,
-    /// A parcel was killed (`aux` = [`crate::error::FaultCause`] wire
-    /// code).
-    ParcelKill,
-    /// An LCO was triggered with a value (`gid` = the LCO).
-    LcoTrigger,
-    /// An LCO was poisoned with a fault (`aux` = cause wire code).
-    LcoPoison,
-    /// An LCO released a waiter (resumed thread or fired continuation).
-    LcoRelease,
-    /// A parallel process was cancelled (`gid` = the process).
-    ProcessCancel,
-    /// An object migrated between localities (`aux` = new home).
-    Migrate,
-    /// An AGAS chase hop: a resolution was stale and repaired
-    /// (`aux` = the corrected locality).
-    Chase,
-    /// The balancer shed queued work to a less-loaded peer
-    /// (`aux` = the receiving locality).
-    BalanceShed,
-    /// The transport accepted a traced message for a peer
-    /// (`aux` = destination rank).
-    NetSubmit,
-    /// The transport received a traced message from a peer
-    /// (`aux` = source rank).
-    NetRecv,
-    /// The transport reconnected to a peer; queued traced messages will
-    /// be resent (`aux` = peer rank).
-    NetReconnect,
-    /// The transport declared a traced message undeliverable
-    /// (`aux` = peer rank).
-    NetFault,
+/// The one definition of the trace event kinds. Each row — variant, ring
+/// code, label — expands to the enum variant (declared in code order, so
+/// the serde variant index a shipped [`TraceEvent`] carries is the code),
+/// an arm of [`TraceEventKind::from_code`] and an arm of
+/// [`TraceEventKind::label`].
+macro_rules! trace_events {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal, $label:literal;)*) => {
+        /// What happened (the discriminant of a [`TraceEvent`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum TraceEventKind {
+            $($(#[$doc])* $variant = $code,)*
+        }
+
+        impl TraceEventKind {
+            /// Compact code for in-ring packing (see [`TraceRing`]);
+            /// inverse of [`TraceEventKind::from_code`].
+            pub fn code(self) -> u16 {
+                self as u16
+            }
+
+            /// Decode a packed kind; `None` for codes no variant carries.
+            pub fn from_code(code: u16) -> Option<TraceEventKind> {
+                match code {
+                    $($code => Some(TraceEventKind::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// Short lowercase label for rendering.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(TraceEventKind::$variant => $label,)*
+                }
+            }
+        }
+    };
 }
 
-impl TraceEventKind {
-    /// Compact code for in-ring packing (see [`TraceRing`]); inverse of
-    /// [`TraceEventKind::from_code`].
-    pub fn code(self) -> u16 {
-        self as u16
-    }
-
-    /// Decode a packed kind; `None` for codes no variant carries.
-    pub fn from_code(code: u16) -> Option<TraceEventKind> {
-        Some(match code {
-            0 => TraceEventKind::ParcelSend,
-            1 => TraceEventKind::ParcelDispatch,
-            2 => TraceEventKind::ParcelForward,
-            3 => TraceEventKind::ParcelKill,
-            4 => TraceEventKind::LcoTrigger,
-            5 => TraceEventKind::LcoPoison,
-            6 => TraceEventKind::LcoRelease,
-            7 => TraceEventKind::ProcessCancel,
-            8 => TraceEventKind::Migrate,
-            9 => TraceEventKind::Chase,
-            10 => TraceEventKind::BalanceShed,
-            11 => TraceEventKind::NetSubmit,
-            12 => TraceEventKind::NetRecv,
-            13 => TraceEventKind::NetReconnect,
-            14 => TraceEventKind::NetFault,
-            _ => return None,
-        })
-    }
-
-    /// Short lowercase label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceEventKind::ParcelSend => "parcel-send",
-            TraceEventKind::ParcelDispatch => "parcel-dispatch",
-            TraceEventKind::ParcelForward => "parcel-forward",
-            TraceEventKind::ParcelKill => "parcel-kill",
-            TraceEventKind::LcoTrigger => "lco-trigger",
-            TraceEventKind::LcoPoison => "lco-poison",
-            TraceEventKind::LcoRelease => "lco-release",
-            TraceEventKind::ProcessCancel => "process-cancel",
-            TraceEventKind::Migrate => "migrate",
-            TraceEventKind::Chase => "chase",
-            TraceEventKind::BalanceShed => "balance-shed",
-            TraceEventKind::NetSubmit => "net-submit",
-            TraceEventKind::NetRecv => "net-recv",
-            TraceEventKind::NetReconnect => "net-reconnect",
-            TraceEventKind::NetFault => "net-fault",
-        }
-    }
+trace_events! {
+    /// A parcel entered the runtime's send path (`aux` = dest locality).
+    ParcelSend = 0, "parcel-send";
+    /// A parcel began executing at its destination.
+    ParcelDispatch = 1, "parcel-dispatch";
+    /// A parcel was forwarded after a stale AGAS resolution
+    /// (`aux` = hops so far).
+    ParcelForward = 2, "parcel-forward";
+    /// A parcel was killed (`aux` = [`crate::error::FaultCause`] wire
+    /// code).
+    ParcelKill = 3, "parcel-kill";
+    /// An LCO was triggered with a value (`gid` = the LCO).
+    LcoTrigger = 4, "lco-trigger";
+    /// An LCO was poisoned with a fault (`aux` = cause wire code).
+    LcoPoison = 5, "lco-poison";
+    /// An LCO released a waiter (resumed thread or fired continuation).
+    LcoRelease = 6, "lco-release";
+    /// A parallel process was cancelled (`gid` = the process).
+    ProcessCancel = 7, "process-cancel";
+    /// An object migrated between localities (`aux` = new home).
+    Migrate = 8, "migrate";
+    /// An AGAS chase hop: a resolution was stale and repaired
+    /// (`aux` = the corrected locality).
+    Chase = 9, "chase";
+    /// The balancer shed queued work to a less-loaded peer
+    /// (`aux` = the receiving locality).
+    BalanceShed = 10, "balance-shed";
+    /// The transport accepted a traced message for a peer
+    /// (`aux` = destination rank).
+    NetSubmit = 11, "net-submit";
+    /// The transport received a traced message from a peer
+    /// (`aux` = source rank).
+    NetRecv = 12, "net-recv";
+    /// The transport reconnected to a peer; queued traced messages will
+    /// be resent (`aux` = peer rank).
+    NetReconnect = 13, "net-reconnect";
+    /// The transport declared a traced message undeliverable
+    /// (`aux` = peer rank).
+    NetFault = 14, "net-fault";
 }
 
 /// One recorded event. Compact and `Copy`: six words.
@@ -527,11 +512,18 @@ mod tests {
         assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
+    /// Codes, labels and the serde variant index are on the wire (a
+    /// shipped `TraceEvent`, a rendered dump): the table must keep what
+    /// the hand-written enum, `from_code` and `label` had.
     #[test]
     fn kind_codes_round_trip() {
-        for code in 0..=14u16 {
-            let k = TraceEventKind::from_code(code).expect("code in range");
-            assert_eq!(k.code(), code);
+        let labels = "parcel-send parcel-dispatch parcel-forward parcel-kill lco-trigger \
+                      lco-poison lco-release process-cancel migrate chase balance-shed \
+                      net-submit net-recv net-reconnect net-fault";
+        for (code, label) in labels.split_whitespace().enumerate() {
+            let k = TraceEventKind::from_code(code as u16).expect("code in range");
+            assert_eq!((k.code(), k.label()), (code as u16, label));
+            assert_eq!(px_wire::to_bytes(&k).unwrap(), [code as u8]);
         }
         assert!(TraceEventKind::from_code(15).is_none());
     }

@@ -8,16 +8,17 @@
 //! A [`Directive`] bundles the pieces the HTMT-style percolation model
 //! prestages: the *task* (an action), its *data* (the serialized
 //! arguments, carried in the parcel), and the *site* (an accelerator
-//! locality). Issue it with [`Directive::issue`] and the destination's
-//! staging buffer takes delivery; the precious resource executes without
-//! a single remote access.
+//! locality). Issue it with [`Directive::issue`] — from the driver or
+//! from inside a PX-thread — and the destination's staging buffer takes
+//! delivery; the precious resource executes without a single remote
+//! access.
 
 use px_core::action::Action;
 use px_core::error::PxResult;
 use px_core::gid::{Gid, LocalityId};
+use px_core::origin::Caller;
 use px_core::parcel::Continuation;
 use px_core::percolation;
-use px_core::runtime::{Ctx, Runtime};
 
 /// A percolation directive: stage action `A` at a site before execution.
 #[derive(Debug, Clone)]
@@ -49,14 +50,10 @@ impl<A: Action> Directive<A> {
         self
     }
 
-    /// Issue from inside a PX-thread.
-    pub fn issue(self, ctx: &mut Ctx<'_>) -> PxResult<()> {
-        percolation::percolate_from_ctx::<A>(ctx, self.site, self.target, &self.args, self.cont)
-    }
-
-    /// Issue from the external driver.
-    pub fn issue_from_driver(self, rt: &Runtime) -> PxResult<()> {
-        percolation::percolate_from_driver::<A>(rt, self.site, self.target, &self.args, self.cont)
+    /// Issue as `from`'s work: the driver's `Runtime` or, inside a
+    /// PX-thread, its `Ctx`.
+    pub fn issue(self, from: &impl Caller) -> PxResult<()> {
+        percolation::percolate::<A>(from, self.site, self.target, &self.args, self.cont)
     }
 }
 
@@ -86,7 +83,7 @@ mod tests {
         let out = rt.new_future::<u64>(LocalityId(0));
         Directive::<HeavyKernel>::block(LocalityId(1), vec![1, 2, 3, 4])
             .with_continuation(Continuation::set(out.gid()))
-            .issue_from_driver(&rt)
+            .issue(&rt)
             .unwrap();
         assert_eq!(out.wait(&rt).unwrap(), 10);
         // The task executed from the staging buffer.

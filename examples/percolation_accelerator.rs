@@ -76,7 +76,7 @@ fn main() {
     for _ in 0..TASKS {
         Directive::<Kernel>::block(ACCEL, vec![9u8; BLOCK])
             .with_continuation(Continuation::set(gate))
-            .issue_from_driver(&rt)
+            .issue(&rt)
             .unwrap();
     }
     rt.wait_future(gate_fut).unwrap();

@@ -83,7 +83,7 @@ fn main() {
 
     // 7. Percolation: prestage a task + its data at locality 3.
     let staged = rt.new_future::<u64>(LocalityId(0));
-    percolation::percolate_from_driver::<SquareSum>(
+    percolation::percolate::<SquareSum>(
         &rt,
         LocalityId(3),
         Gid::locality_root(LocalityId(3)),

@@ -6,6 +6,7 @@
 //! the bootstrap barrier, and — in the kill test — a peer that vanishes
 //! mid-flight.
 
+use parallex::core::percolation::percolate;
 use parallex::core::prelude::*;
 use std::io::Read;
 use std::net::TcpListener;
@@ -151,6 +152,10 @@ fn dist_child_entry() {
             let _ = std::io::stdin().read_to_string(&mut sink);
             rt.shutdown();
         }
+        "drive" => {
+            drive_from_rank_one(&rt);
+            rt.shutdown();
+        }
         // Serve parcels until the parent closes our stdin.
         _ => {
             let mut sink = String::new();
@@ -158,6 +163,53 @@ fn dist_child_entry() {
             rt.shutdown();
         }
     }
+}
+
+/// Rank 1's driver, in the child: a process homed at rank 1 sends an
+/// action and percolates a task toward rank 0 *and* toward its own rank,
+/// every continuation a rank-1 future. Every reply arrives, the process
+/// quiesces, nothing dies, and every send is booked on the locality this
+/// rank owns — none on its stub of locality 0, whose queues no worker
+/// drains.
+fn drive_from_rank_one(rt: &Runtime) {
+    let me = LocalityId(1);
+    let p = rt.create_process(me);
+    let mut replies = Vec::new();
+    for dest in [LocalityId(0), me] {
+        let root = Gid::locality_root(dest);
+        let sent = rt.new_future::<u64>(me);
+        p.send_action::<Square>(rt, root, 6, Continuation::set(sent.gid()))
+            .unwrap();
+        let staged = rt.new_future::<u64>(me);
+        percolate::<Square>(rt, dest, root, &7, Continuation::set(staged.gid())).unwrap();
+        replies.extend([(sent, 36), (staged, 49)]);
+    }
+    p.finish_root(rt);
+    for (fut, want) in replies {
+        assert_eq!(fut.wait_timeout(rt, BOUND).unwrap(), Some(want));
+    }
+    let quiesced = p.done_future().wait_timeout(rt, BOUND).unwrap();
+    assert_eq!(quiesced, Some(()), "active = {}", p.active(rt));
+    let stats = rt.stats();
+    assert_eq!(stats.total().dead_parcels, 0);
+    assert_eq!(stats.localities[1].parcels_sent, 4);
+    assert_eq!(stats.localities[0].parcels_sent, 0, "booked on a stub");
+}
+
+/// The contract holds from every rank: calls made by a nonzero rank's
+/// driver originate at the rank it owns (the parent commit sent
+/// `ProcessRef::send_action` and driver-side percolation "from locality
+/// 0" everywhere, which on rank 1 is a stub: no reply, no death, a
+/// process that never quiesces). This rank only serves; the assertions
+/// run in the child.
+#[test]
+fn calls_from_a_nonzero_ranks_driver_are_delivered() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("drive", &addrs);
+    let rt = build_rt(0, addrs, false, false, false);
+    let status = child.wait().unwrap();
+    assert!(status.success(), "rank 1's driver lost a call: {status:?}");
+    rt.shutdown();
 }
 
 /// Acceptance: a 2-process TCP run completes a spawn/await workload

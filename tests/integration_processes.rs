@@ -4,7 +4,7 @@
 //! first-class exit, every one of them would hang.
 
 use parallex::core::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,10 +31,27 @@ impl Action for Slow {
     }
 }
 
+/// Holds its worker until the test that owns the flags lets go.
+struct Hold;
+static HELD: AtomicBool = AtomicBool::new(false);
+static LET_GO: AtomicBool = AtomicBool::new(false);
+impl Action for Hold {
+    const NAME: &'static str = "procs/hold";
+    type Args = ();
+    type Out = ();
+    fn execute(_ctx: &mut Ctx<'_>, _t: Gid, _: ()) {
+        HELD.store(true, Ordering::SeqCst);
+        while !LET_GO.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    }
+}
+
 fn rt(locs: usize) -> Runtime {
     RuntimeBuilder::new(Config::small(locs, 1))
         .register::<CountHere>()
         .register::<Slow>()
+        .register::<Hold>()
         .build()
         .unwrap()
 }
@@ -104,12 +121,11 @@ fn subprocess_of_cancelled_parent_is_rejected() {
     rt.shutdown();
 }
 
-/// The in-thread twins of the driver-side process calls: a PX-thread of
-/// `root` builds two subprocesses, fills them, releases one and a sibling
-/// thread cancels the other.
+/// The process calls made from inside PX-threads (the thread's `Ctx` is
+/// the caller): a thread of `root` builds two subprocesses, fills them,
+/// releases one and a sibling thread cancels the other.
 #[test]
 fn px_threads_build_finish_and_cancel_subprocesses() {
-    use std::sync::atomic::AtomicBool;
     let rt = rt(2);
     let root = rt.create_process(LocalityId(0));
     let ran = Arc::new(AtomicU64::new(0));
@@ -121,24 +137,24 @@ fn px_threads_build_finish_and_cancel_subprocesses() {
     let (procs_tx, procs_rx) = std::sync::mpsc::channel();
     let (ran2, late) = (ran.clone(), late_ran.clone());
     root.spawn_at(&rt, LocalityId(0), move |ctx| {
-        let kept = root.create_subprocess_ctx(ctx, LocalityId(0)).unwrap();
-        let doomed = root.create_subprocess_ctx(ctx, LocalityId(1)).unwrap();
+        let kept = root.create_subprocess(ctx, LocalityId(0)).unwrap();
+        let doomed = root.create_subprocess(ctx, LocalityId(1)).unwrap();
         for l in 0..2u16 {
             let ran = ran2.clone();
-            ctx.spawn_in_process(kept, LocalityId(l), move |_| {
+            kept.spawn_at(ctx, LocalityId(l), move |_| {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
-            ctx.spawn_in_process(doomed, LocalityId(1), move |ctx| {
+            doomed.spawn_at(ctx, LocalityId(1), move |ctx| {
                 ctx.trigger_value(started, Value::unit());
             });
         }
         // `kept` may quiesce; `doomed` keeps its root token, so only the
         // cancellation can resolve it.
-        kept.finish_root_ctx(ctx);
+        kept.finish_root(ctx);
         ctx.spawn_at(LocalityId(1), move |ctx| {
             ctx.when_ready(started, move |ctx, _| {
-                doomed.cancel_ctx(ctx);
-                ctx.spawn_in_process(doomed, LocalityId(0), move |_| {
+                doomed.cancel(ctx);
+                doomed.spawn_at(ctx, LocalityId(0), move |_| {
                     late.store(true, Ordering::SeqCst);
                 });
             });
@@ -225,26 +241,26 @@ fn cancel_resolves_every_waiter_kind_in_bounded_time() {
 fn cancel_kills_in_flight_parcels_loudly() {
     let rt = rt(2);
     let proc = rt.create_process(LocalityId(0));
-    // Saturate the single worker at locality 1 with slow process parcels,
-    // then cancel: parcels still queued die at dispatch with Cancelled.
+    // 64 process parcels for the single worker at locality 1. The first
+    // holds that worker until the cancel has landed, so the other 63 are
+    // still queued then and die at dispatch with Cancelled.
     let gates: Vec<FutureRef<()>> = (0..64)
         .map(|_| {
             let fut = rt.new_future::<()>(LocalityId(0));
-            proc.send_action::<Slow>(
-                &rt,
-                Gid::locality_root(LocalityId(1)),
-                500_000,
-                Continuation::set(fut.gid()),
-            )
-            .unwrap();
+            let at_1 = Gid::locality_root(LocalityId(1));
+            proc.send_action::<Hold>(&rt, at_1, (), Continuation::set(fut.gid()))
+                .unwrap();
             fut
         })
         .collect();
     proc.finish_root(&rt);
-    std::thread::sleep(Duration::from_millis(3));
+    while !HELD.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
     proc.cancel(&rt);
-    // Every continuation resolves: executed legs with unit, killed legs
-    // with the fault — none hang.
+    LET_GO.store(true, Ordering::SeqCst);
+    // Every continuation resolves: the executed leg with unit, killed
+    // legs with the fault — none hang.
     let mut killed = 0u64;
     for fut in gates {
         match fut.wait_timeout(&rt, BOUND) {
@@ -257,7 +273,7 @@ fn cancel_kills_in_flight_parcels_loudly() {
             Err(e) => panic!("unexpected error {e}"),
         }
     }
-    assert!(killed > 0, "cancel arrived after all 64 slow parcels ran?");
+    assert_eq!(killed, 63, "all but the parcel that held the worker");
     // Bounded drain: the process counter reaches zero.
     let t0 = std::time::Instant::now();
     while proc.active(&rt) > 0 {
@@ -278,6 +294,46 @@ fn cancel_kills_in_flight_parcels_loudly() {
         ),
         Err(PxError::Fault(_))
     ));
+    rt.shutdown();
+}
+
+/// Cancel while suspended remotely: a process thread suspends on a
+/// future that is *not* the process's, at the other locality. The cancel
+/// resumes the continuation — once, with the cancellation fault — through
+/// the pending reply, which the process owns; the reply is freed, and the
+/// remote future's late trigger finds nothing to fill and dies counted.
+#[test]
+fn cancel_resumes_a_thread_suspended_on_a_remote_future_once() {
+    let rt = rt(2);
+    let store = |rt: &Runtime| rt.run_blocking(LocalityId(0), |ctx| ctx.locality().object_count());
+    let remote = rt.new_future::<u64>(LocalityId(1));
+    let proc = rt.create_process(LocalityId(0));
+    let initial = store(&rt);
+    let (suspended_tx, suspended_rx) = std::sync::mpsc::channel();
+    let (resumed_tx, resumed_rx) = std::sync::mpsc::channel();
+    proc.spawn_at(&rt, LocalityId(0), move |ctx| {
+        ctx.when_resolved(remote, move |_ctx, out| resumed_tx.send(out).unwrap());
+        suspended_tx.send(()).unwrap();
+    });
+    proc.finish_root(&rt);
+    suspended_rx.recv_timeout(BOUND).unwrap();
+    proc.cancel(&rt);
+    expect_cancelled(resumed_rx.recv_timeout(BOUND).unwrap().map(Some));
+    expect_cancelled(proc.done_future().wait_timeout(&rt, BOUND));
+    assert_eq!(store(&rt), initial, "the pending reply was freed");
+    // The late trigger's continuation chases the freed reply future to
+    // the hop cap and is dead-lettered: counted, not lost, not re-run.
+    rt.set_future(remote, &5).unwrap();
+    let t0 = std::time::Instant::now();
+    while rt.stats().total().dead_parcels == 0 {
+        assert!(t0.elapsed() < BOUND, "the late reply vanished uncounted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let total = rt.stats().total();
+    assert_eq!((total.dead_parcels, total.dead_hop_cap), (1, 1));
+    assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
+    assert!(resumed_rx.try_recv().is_err(), "the continuation ran twice");
+    assert_eq!(store(&rt), initial);
     rt.shutdown();
 }
 

@@ -161,7 +161,7 @@ fn echo_tree_propagates_updates_over_wire() {
     // Update through the root.
     let root = tree.root;
     rt.spawn_at(LocalityId(3), move |ctx| {
-        echo::update_ctx(ctx, root, &99u64).unwrap();
+        echo::update(ctx, root, &99u64).unwrap();
     });
     // Every replica must converge to version 2 value 99.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
