@@ -24,8 +24,8 @@ fn main() -> ExitCode {
                 println!(
                     "px-analyze [--workspace] [--root <dir>]\n\
                      Checks the workspace against the parallex invariant rules\n\
-                     (lock-order, unsafe-hygiene, atomic-ordering, no-silent-loss,\n\
-                     guard-unwrap, allow-syntax); see crates/analyze."
+                     (lock-order, atomic-ordering, no-silent-loss, allow-syntax);\n\
+                     see crates/analyze."
                 );
                 return ExitCode::SUCCESS;
             }

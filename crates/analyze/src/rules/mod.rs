@@ -5,7 +5,5 @@
 
 pub mod allow_syntax;
 pub mod atomic_ordering;
-pub mod guard_unwrap;
 pub mod lock_order;
 pub mod silent_loss;
-pub mod unsafe_hygiene;

@@ -38,8 +38,9 @@ pub mod monitor;
 pub mod policy;
 pub mod view;
 
-pub use monitor::{LoadMonitor, LoadSample};
+pub use monitor::{LoadMonitor, LoadSample, MONITOR_WINDOW};
 pub use policy::{
     Adaptive, BalanceConfig, BalancePolicy, DataToWork, PlacementQuery, ShedQuery, WorkToData,
+    SHED_RATIO,
 };
 pub use view::{decode_gossip, GossipEntry, PeerView};

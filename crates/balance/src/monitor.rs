@@ -20,6 +20,9 @@ pub struct LoadSample {
     pub backlog: u64,
 }
 
+/// Rounds of samples the runtime's per-locality monitors keep.
+pub const MONITOR_WINDOW: usize = 8;
+
 /// Sliding-window reduction of [`LoadSample`]s.
 #[derive(Debug, Clone)]
 pub struct LoadMonitor {

@@ -23,6 +23,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Overload factor against the least-loaded peer before shedding engages.
+pub const SHED_RATIO: f64 = 2.0;
+
 /// Inputs to a heat-driven migration decision: should *this* locality
 /// pull the object toward itself?
 #[derive(Debug, Clone, Copy)]
@@ -47,18 +50,16 @@ pub struct ShedQuery {
     pub least_score: f64,
     /// Instantaneous run-queue depth (tasks available to shed).
     pub queue_depth: u64,
-    /// Configured overload ratio ([`BalanceConfig::shed_ratio`]).
-    pub shed_ratio: f64,
     /// Configured per-round shed cap ([`BalanceConfig::max_shed_per_round`]).
     pub max_shed: u64,
 }
 
 impl ShedQuery {
-    /// The shared overload test: local load exceeds `shed_ratio` times the
+    /// The shared overload test: local load exceeds [`SHED_RATIO`] times the
     /// least-loaded peer (with +1 smoothing so a zero-load peer does not
     /// make every nonzero queue "overloaded").
     pub fn overloaded(&self) -> bool {
-        self.local_score > self.shed_ratio * (self.least_score + 1.0)
+        self.local_score > SHED_RATIO * (self.least_score + 1.0)
     }
 
     /// The shared shed amount: half the load difference, capped by the
@@ -177,11 +178,6 @@ pub struct BalanceConfig {
     /// Balancer pulse: one load sample + one gossip parcel per locality
     /// per interval.
     pub gossip_interval: Duration,
-    /// Sliding-window capacity of each locality's [`crate::LoadMonitor`],
-    /// in gossip rounds.
-    pub window: usize,
-    /// Overload factor vs the least-loaded peer before shedding engages.
-    pub shed_ratio: f64,
     /// Cap on tasks shed per locality per round.
     pub max_shed_per_round: u64,
     /// Accesses per *gossip round* before an object counts as hot (heat
@@ -197,8 +193,6 @@ impl fmt::Debug for BalanceConfig {
         f.debug_struct("BalanceConfig")
             .field("policy", &self.policy.name())
             .field("gossip_interval", &self.gossip_interval)
-            .field("window", &self.window)
-            .field("shed_ratio", &self.shed_ratio)
             .field("max_shed_per_round", &self.max_shed_per_round)
             .field("heat_threshold", &self.heat_threshold)
             .field("max_pulls_per_round", &self.max_pulls_per_round)
@@ -212,8 +206,6 @@ impl BalanceConfig {
         BalanceConfig {
             policy,
             gossip_interval: Duration::from_millis(1),
-            window: 8,
-            shed_ratio: 2.0,
             max_shed_per_round: 32,
             heat_threshold: 16,
             max_pulls_per_round: 4,
@@ -246,7 +238,6 @@ mod tests {
             local_score: local,
             least_score: least,
             queue_depth: depth,
-            shed_ratio: 2.0,
             max_shed: 32,
         }
     }

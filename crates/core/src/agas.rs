@@ -204,11 +204,6 @@ impl Agas {
         self.caches[at.0 as usize].write().insert(gid, owner);
     }
 
-    /// Drop a cache entry (used by tests and by explicit frees).
-    pub fn invalidate_cache(&self, at: LocalityId, gid: Gid) {
-        self.caches[at.0 as usize].write().remove(&gid);
-    }
-
     /// Total migrations recorded.
     pub fn migrations(&self) -> u64 {
         // Relaxed: counter read for reporting.

@@ -61,7 +61,6 @@ pub(crate) fn balancer_main(rt: Arc<RuntimeInner>, stop: Receiver<()>) {
         .clone()
         .expect("balancer thread spawned without balance config");
     let n = rt.localities.len();
-    let debug = std::env::var_os("PX_BALANCE_DEBUG").is_some();
     let mut round: u64 = 0;
     let mut last_parks = vec![0u64; n];
     loop {
@@ -80,7 +79,7 @@ pub(crate) fn balancer_main(rt: Arc<RuntimeInner>, stop: Receiver<()>) {
             // publish only owned targets, and heat pulls go through the
             // split-phase `__sys/agas_migrate` protocol against the
             // distributed home directory.
-            act_round(&rt, &cfg, debug);
+            act_round(&rt, &cfg);
         }
     }
 }
@@ -134,7 +133,7 @@ fn gossip_round(rt: &Arc<RuntimeInner>, round: u64, n: usize) {
 }
 
 /// Run the policy for every locality: spawn redirect, shed, pulls.
-fn act_round(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, debug: bool) {
+fn act_round(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig) {
     for (i, loc) in rt.localities.iter().enumerate() {
         if !rt.owns(LocalityId(i as u16)) {
             // Another OS process's balancer decides for that locality.
@@ -162,7 +161,6 @@ fn act_round(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, debug: bool) {
             local_score: my_score.min(inst),
             least_score,
             queue_depth: loc.queue_depth() as u64,
-            shed_ratio: cfg.shed_ratio,
             max_shed: cfg.max_shed_per_round,
         };
         // Redirected spawns are closures, so the published target must
@@ -176,12 +174,6 @@ fn act_round(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, debug: bool) {
         // Relaxed: advisory hint, republished every round (see above).
         b.spawn_target.store(target, Ordering::Relaxed);
         let want = cfg.policy.shed(&sq);
-        if debug {
-            eprintln!(
-                "[balance] L{i} my={my_score:.1} least=L{least_idx}@{least_score:.1} depth={} want={want}",
-                sq.queue_depth,
-            );
-        }
         if want > 0 {
             let shed = shed_tasks(rt, loc, LocalityId(least_idx as u16), want);
             if shed > 0 {

@@ -133,16 +133,6 @@ impl Config {
         self
     }
 
-    /// Set the balancer pulse interval (builder style). Asking for a
-    /// gossip cadence means asking for balancing, so if the balancer is
-    /// still off this enables the [`BalanceConfig::adaptive`] policy.
-    pub fn with_gossip_interval(mut self, interval: Duration) -> Config {
-        self.balance
-            .get_or_insert_with(BalanceConfig::adaptive)
-            .gossip_interval = interval;
-        self
-    }
-
     /// Enable causal tracing, sampling one in `n` untraced root parcels
     /// (builder style; `1` traces everything, `0` turns tracing off).
     /// Parcels given an explicit id
@@ -150,13 +140,6 @@ impl Config {
     /// recorded regardless of the sampling rate.
     pub fn with_trace_sampling(mut self, n: u64) -> Config {
         self.trace.sample_every = n;
-        self
-    }
-
-    /// Set the per-locality trace ring capacity in events (builder
-    /// style). Asking for a ring size does not by itself enable tracing.
-    pub fn with_trace_ring_capacity(mut self, events: usize) -> Config {
-        self.trace.ring_capacity = events;
         self
     }
 
@@ -213,25 +196,11 @@ impl Config {
                 ));
             }
         }
-        if self.trace.enabled() && self.trace.ring_capacity == 0 {
-            return Err(PxError::BadConfig(
-                "trace ring_capacity must be ≥ 1 when tracing is enabled".into(),
-            ));
-        }
         if let Some(b) = &self.balance {
             if b.gossip_interval.is_zero() {
                 return Err(PxError::BadConfig(
                     "balance gossip_interval must be nonzero".into(),
                 ));
-            }
-            if b.window == 0 {
-                return Err(PxError::BadConfig("balance window must be ≥ 1".into()));
-            }
-            if b.shed_ratio.is_nan() || b.shed_ratio < 1.0 {
-                return Err(PxError::BadConfig(format!(
-                    "balance shed_ratio must be ≥ 1.0, got {}",
-                    b.shed_ratio
-                )));
             }
         }
         Ok(())

@@ -40,19 +40,6 @@ impl<'a> Ctx<'a> {
         Ctx { from, local }
     }
 
-    /// The trace id this thread runs under (`Some` when the parcel or
-    /// spawn chain that caused it was traced). Inherited by everything
-    /// this context sends or spawns.
-    #[inline]
-    pub fn trace_id(&self) -> Option<u64> {
-        self.from.trace
-    }
-
-    /// The process the current PX-thread is accounted to, if any.
-    pub fn current_process(&self) -> Option<Gid> {
-        self.from.process
-    }
-
     /// This rank's merged trace dump (empty when tracing is off) — the
     /// same view as [`crate::runtime::Runtime::trace_dump`], available
     /// from inside an action so a peer can fetch another rank's slice
@@ -356,15 +343,6 @@ impl<'a> Ctx<'a> {
         let d = self.locality().get_data(gid)?;
         let g = d.read();
         Ok(g.bytes.clone())
-    }
-
-    /// Overwrite a *local* data object.
-    pub fn write_local_data(&mut self, gid: Gid, bytes: Vec<u8>) -> PxResult<()> {
-        let d = self.locality().get_data(gid)?;
-        let mut g = d.write();
-        g.bytes = bytes;
-        g.version += 1;
-        Ok(())
     }
 
     /// Fetch a possibly-remote data object into a local future

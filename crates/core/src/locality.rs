@@ -11,9 +11,10 @@
 //!   LCOs, echo nodes, processes) — compound atomic operations are
 //!   per-object locks, valid precisely because the objects never escape
 //!   the locality except by explicit migration;
-//! * **run queues**: a general injector, a percolation staging queue, and
-//!   one work-stealing ring per worker, plus the eventcount its idle
-//!   workers sleep on (the crate-private `queue` module);
+//! * **run queues**: a control-plane queue, a general injector, a
+//!   percolation staging queue, and one work-stealing ring per worker,
+//!   plus the eventcount its idle workers sleep on (the crate-private
+//!   `queue` module);
 //! * a pool of **worker threads** executing ephemeral PX-threads;
 //! * the locality's GID allocator and instrumentation counters.
 //!
@@ -70,11 +71,6 @@ pub struct DataObject {
 /// set, so the balanced and un-balanced runtimes differ by one `Option`
 /// check on the hot paths).
 pub(crate) struct BalanceState {
-    /// Control-plane queue: gossip parcels land here and are drained
-    /// ahead of all other work. Without this, a saturated locality would
-    /// execute gossip only after its entire data backlog — exactly the
-    /// moment it most needs to learn its peers are idle.
-    pub(crate) control: Injector<Task>,
     /// Sliding-window load monitor, sampled by the balancer pulse.
     pub(crate) monitor: Mutex<LoadMonitor>,
     /// What this locality believes about every locality's load (filled by
@@ -94,10 +90,9 @@ pub(crate) struct BalanceState {
 pub(crate) const NO_SPAWN_TARGET: u32 = u32::MAX;
 
 impl BalanceState {
-    pub(crate) fn new(n_localities: usize, window: usize) -> BalanceState {
+    pub(crate) fn new(n_localities: usize) -> BalanceState {
         BalanceState {
-            control: Injector::new(),
-            monitor: Mutex::new(LoadMonitor::new(window)),
+            monitor: Mutex::new(LoadMonitor::new(px_balance::MONITOR_WINDOW)),
             peers: Mutex::new(PeerView::new(n_localities)),
             spawn_target: AtomicU32::new(NO_SPAWN_TARGET),
             spawn_seq: AtomicU64::new(0),
@@ -140,6 +135,12 @@ pub struct Locality {
     /// Percolation staging buffer: prestaged tasks whose data travelled
     /// with them; drained at higher priority than the injector.
     pub(crate) staging: Injector<Task>,
+    /// Control-plane queue: balancer gossip, metrics pulls and the
+    /// directory protocol land here and are drained ahead of all other
+    /// work. Without it a saturated locality would answer them only
+    /// after its entire data backlog — exactly when a peer most needs
+    /// the answer.
+    pub(crate) control: Injector<Task>,
     /// A stealer onto each worker's ring, set once by the builder before
     /// the locality is shared (empty where no workers run).
     pub(crate) stealers: Box<[Stealer<Task>]>,
@@ -182,6 +183,7 @@ impl Locality {
             id,
             injector: Injector::new(),
             staging: Injector::new(),
+            control: Injector::new(),
             stealers: Box::default(),
             store: RwLock::new(FxHashMap::default()),
             alloc: GidAllocator::new(id),
@@ -207,8 +209,8 @@ impl Locality {
 
     /// Attach balancer state (called by the builder, before the locality
     /// is shared).
-    pub(crate) fn enable_balance(&mut self, n_localities: usize, window: usize) {
-        self.balance = Some(BalanceState::new(n_localities, window));
+    pub(crate) fn enable_balance(&mut self, n_localities: usize) {
+        self.balance = Some(BalanceState::new(n_localities));
     }
 
     /// Mark this struct as a stub for a locality owned by another OS
@@ -288,23 +290,19 @@ impl Locality {
     /// True when any of this locality's queues holds a task: what an idle
     /// worker polls while it spins and re-checks before it parks.
     pub(crate) fn has_work(&self) -> bool {
-        self.balance.as_ref().is_some_and(|b| !b.control.is_empty())
+        !self.control.is_empty()
             || !self.staging.is_empty()
             || !self.injector.is_empty()
             || self.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Enqueue a task on `lane` and wake a worker if one is parked. The
-    /// control queue exists only when balancing is on; without it
-    /// control traffic shares the general queue (and its wait is
-    /// accounted to the queue-wait instrument rather than the control
-    /// lane, matching the queue it actually waited in).
+    /// Enqueue a task on `lane` and wake a worker if one is parked.
     pub(crate) fn deliver(&self, lane: Lane, mut task: Task) {
         task.enqueued = self.metrics_now();
-        match (lane, &self.balance) {
-            (Lane::Staged, _) => self.staging.push(task),
-            (Lane::Control, Some(b)) => b.control.push(task),
-            (Lane::Run | Lane::Control, _) => self.injector.push(task),
+        match lane {
+            Lane::Run => self.injector.push(task),
+            Lane::Staged => self.staging.push(task),
+            Lane::Control => self.control.push(task),
         }
         self.sleep.notify_one();
     }

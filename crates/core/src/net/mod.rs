@@ -36,11 +36,20 @@
 //!    *loudly*: count the death (`FaultCause::Transport`
 //!    / `dead_transport`), notify the dead-letter hook, and deliver the
 //!    fault to each dead parcel's continuation so downstream waiters
-//!    resolve with `PxError::Fault` instead of hanging.
+//!    resolve with `PxError::Fault` instead of hanging. A lost
+//!    connection is a dead peer: it kills everything still queued toward
+//!    that peer and everything submitted afterwards, and a backend never
+//!    re-establishes it on its own — a resend cannot tell what the peer
+//!    already consumed, and whoever answers at the old address need not
+//!    be the peer. Still open: a message handed to the kernel in full
+//!    before the loss counts as sent, whether or not the peer read it;
+//!    that in-flight window is for the deterministic-simulation item's
+//!    accounting to check, not for the transport to guess at.
 //! 2. **Queue discipline at the destination.** `WireMsg::Parcel`/`Frame`
 //!    land in the queue their `Lane` names: the general run queue, the
 //!    staging buffer, or — single parcels only, never coalesced and never
-//!    behind data backlog — the priority control queue; `WireMsg::Task` is
+//!    behind data backlog — the priority control queue, which every
+//!    locality has whether or not the balancer runs; `WireMsg::Task` is
 //!    an in-memory closure handoff — backends that cross address spaces
 //!    must reject it loudly rather than pretend. The control lane
 //!    carries balancer gossip *and* `__sys/metrics_pull` requests: both

@@ -16,7 +16,7 @@
 //! regardless of mesh size: every socket is nonblocking and registered
 //! with an epoll-based poller ([`px_poll::Poller`] — vendored direct
 //! libc declarations, like the other offline stand-ins). The listener,
-//! all outbound connections, all inbound connections, connect/reconnect
+//! all outbound connections, all inbound connections, bootstrap connect
 //! retries, and handshake deadlines are all multiplexed in the same
 //! `epoll_wait` loop; retries are *timers* (poll timeouts), not
 //! sleep-loops, so an idle mesh makes zero wakeups. A 64-rank mesh
@@ -53,30 +53,29 @@
 //!
 //! ## Failure semantics
 //!
-//! A dropped peer connection is detected by readiness: EOF/error on an
-//! inbound connection, or error/hang-up on the outbound one. The peer
-//! is marked **dead**, the dead-letter hook observes a
-//! `FaultCause::Transport` fault, and every undeliverable message —
-//! queued, batched, or submitted later — is killed *loudly* in
-//! `kill_parcel` style: counted under `dead_transport`, with the fault
-//! delivered to each parcel's continuation so waiters resolve with
-//! `PxError::Fault` in bounded time instead of hanging. Fault delivery
-//! is deferred to a scheduler task on the own locality because `submit`
-//! may be called under a coalescing-port lock that a fault continuation
-//! would need to re-take.
+//! **A lost connection is a dead peer.** After bootstrap there is one
+//! failure transition, `IoLoop::peer_lost`, and both ways of noticing a
+//! loss take it: EOF, error or a desynchronized stream on the inbound
+//! connection from the peer, and a write error or hang-up on the
+//! outbound one. It closes the peer's send queue, drops the outbound
+//! socket, marks the peer **dead** (the dead-letter hook observes one
+//! `FaultCause::Transport` fault for the transition), and kills every
+//! message still queued or batched — and every one submitted later —
+//! *loudly* in `kill_parcel` style: counted under `dead_transport`, with
+//! the fault delivered to each parcel's continuation so waiters resolve
+//! with `PxError::Fault` in bounded time instead of hanging. Fault
+//! delivery is deferred to a scheduler task on the own locality because
+//! `submit` may be called under a coalescing-port lock that a fault
+//! continuation would need to re-take.
 //!
-//! Reconnection is an I/O-loop timer and bounded: on an outbound
-//! connection failure the loop re-dials up to
-//! `TcpConfig::reconnect_attempts` times (spaced by a retry timer) and
-//! re-sends the unacknowledged write batch from the front message's
-//! first byte — **at-least-once across a reconnect**: messages the peer
-//! had already consumed from the failed connection can be delivered
-//! twice, so actions crossing TCP should be idempotent, or set
-//! `reconnect_attempts = 0` for at-most-once (failed batches are then
-//! killed loudly instead). Once the attempts are spent, the peer is
-//! permanently dead to this process — a later inbound connection from
-//! it is still *read* (its parcels execute), but nothing is sent back;
-//! rejoin-after-restart needs the distributed AGAS first (see ROADMAP).
+//! The loop never re-dials: whoever answers on a dead peer's address
+//! later is not the process whose state the queued parcels were
+//! addressed to. A later inbound connection from the peer is still
+//! *read* (its parcels execute), but nothing is sent back;
+//! rejoin-after-restart is membership, which the ROADMAP parks. What a
+//! loss cannot account for is a message the kernel had already accepted
+//! in full: it counts as sent, and whether the peer read it before the
+//! connection died is unknown to this side.
 //!
 //! Process accounting: activity tokens never cross an OS-process
 //! boundary (see `route_parcel`), so a cross-rank parcel carries its
@@ -129,20 +128,16 @@ pub struct TcpConfig {
     /// How long `RuntimeBuilder::build` may wait for the full mesh
     /// (connects out + handshakes in) before failing loudly.
     pub bootstrap_timeout: Duration,
-    /// Reconnection attempts the I/O loop makes after an outbound
-    /// connection failure before declaring the peer dead.
-    pub reconnect_attempts: u32,
 }
 
 impl TcpConfig {
     /// Config for `rank` in a system whose localities listen at `addrs`
-    /// (default 30 s bootstrap timeout, 1 reconnect attempt).
+    /// (default 30 s bootstrap timeout).
     pub fn new(rank: u16, addrs: Vec<String>) -> TcpConfig {
         TcpConfig {
             rank,
             addrs,
             bootstrap_timeout: Duration::from_secs(30),
-            reconnect_attempts: 1,
         }
     }
 }
@@ -155,7 +150,6 @@ struct PeerCounters {
     frames_sent: AtomicU64,
     msgs_recv: AtomicU64,
     bytes_recv: AtomicU64,
-    reconnects: AtomicU64,
 }
 
 /// One message queued toward a peer.
@@ -200,7 +194,6 @@ struct PeerSlot {
 struct TcpShared {
     rank: u16,
     resolved: Vec<Option<SocketAddr>>,
-    reconnect_attempts: u32,
     localities: Arc<Vec<Arc<Locality>>>,
     /// Indexed by locality id; `None` at `rank` (no self-peering).
     peers: Vec<Option<PeerSlot>>,
@@ -256,20 +249,15 @@ impl TcpShared {
         peer: u16,
     ) {
         let loc = self.own();
-        if loc.trace.is_none() {
+        // Gossip is never traced.
+        if loc.trace.is_none() || msg == msg_kind::CONTROL {
             return;
         }
-        match msg {
-            msg_kind::FRAME | msg_kind::FRAME_STAGED => {
-                if let Ok(view) = px_wire::FrameView::parse(body) {
-                    for rec in view.records().flatten() {
-                        trace_record(loc, kind, rec, peer);
-                    }
-                }
+        for_each_record(msg, body, |rec| {
+            if let Some(rec) = rec {
+                trace_record(loc, kind, rec, peer);
             }
-            msg_kind::CONTROL => {} // gossip is never traced
-            _ => trace_record(loc, kind, body, peer),
-        }
+        });
     }
 
     fn submit(&self, msg: WireMsg) {
@@ -438,7 +426,9 @@ impl TcpShared {
             Some(_) => {
                 let kill = move |ctx: &mut crate::runtime::Ctx<'_>| {
                     for (kind, body) in msgs {
-                        kill_stream_msg(ctx.rt_inner(), ctx.locality(), kind, &body, &why);
+                        for_each_record(kind, &body, |rec| {
+                            kill_record(ctx.rt_inner(), ctx.locality(), rec, &why)
+                        });
                     }
                 };
                 self.own()
@@ -450,12 +440,33 @@ impl TcpShared {
     /// Count per-parcel transport deaths without a runtime (no
     /// continuations to fault).
     fn count_deaths(&self, msgs: &[(u8, Vec<u8>)]) {
-        let loc = self.own();
+        let mut records = 0;
         for (kind, body) in msgs {
-            loc.counters
-                .count_death(FaultCause::Transport, count_records(*kind, body));
+            for_each_record(*kind, body, |_| records += 1);
         }
+        self.own()
+            .counters
+            .count_death(FaultCause::Transport, records);
     }
+}
+
+/// The one reading of "a stream message is one parcel record or a frame
+/// of them": call `f` once per record the message carries — `None` for a
+/// frame that does not parse, a record whose length prefix is corrupt,
+/// and each record the header counted behind that prefix.
+fn for_each_record(kind: u8, body: &[u8], mut f: impl FnMut(Option<&[u8]>)) {
+    if !matches!(kind, msg_kind::FRAME | msg_kind::FRAME_STAGED) {
+        return f(Some(body));
+    }
+    let Ok(view) = px_wire::FrameView::parse(body) else {
+        return f(None);
+    };
+    let mut seen = 0;
+    for rec in view.records() {
+        seen += 1;
+        f(rec.ok());
+    }
+    (seen..view.record_count()).for_each(|_| f(None));
 }
 
 /// Record one transport event for a single encoded parcel record, if the
@@ -470,38 +481,11 @@ fn trace_record(loc: &Locality, kind: crate::trace::TraceEventKind, bytes: &[u8]
     }
 }
 
-/// Parcel records inside one stream message (for counting deaths when no
-/// runtime is bound).
-fn count_records(kind: u8, body: &[u8]) -> u64 {
-    match kind {
-        msg_kind::FRAME | msg_kind::FRAME_STAGED => px_wire::FrameView::parse(body)
-            .map(|v| u64::from(v.record_count()))
-            .unwrap_or(1),
-        _ => 1,
-    }
-}
-
-/// Kill every parcel inside one undeliverable stream message.
-fn kill_stream_msg(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, kind: u8, body: &[u8], why: &str) {
-    match kind {
-        msg_kind::FRAME | msg_kind::FRAME_STAGED => match px_wire::FrameView::parse(body) {
-            Ok(view) => {
-                for rec in view.records() {
-                    match rec {
-                        Ok(bytes) => kill_record(rt, loc, bytes, why),
-                        Err(_) => loc.counters.count_death(FaultCause::Decode, 1),
-                    }
-                }
-            }
-            Err(_) => loc.counters.count_death(FaultCause::Decode, 1),
-        },
-        _ => kill_record(rt, loc, body, why),
-    }
-}
-
-fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, bytes: &[u8], why: &str) {
-    match Parcel::decode(bytes) {
-        Ok(p) => {
+/// Kill one parcel record of an undeliverable stream message (`None`: a
+/// record [`for_each_record`] could not read — counted, nothing to fault).
+fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Option<&[u8]>, why: &str) {
+    match rec.map(Parcel::decode) {
+        Some(Ok(p)) => {
             // The transport flavor of this death, under the parcel's own
             // trace id (kill_parcel adds the ParcelKill right after).
             loc.trace_event(p.trace, crate::trace::TraceEventKind::NetFault, p.dest.0, 0);
@@ -512,7 +496,7 @@ fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, bytes: &[u8], why: &
             // rank.
             crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why.to_string());
         }
-        Err(_) => loc.counters.count_death(FaultCause::Decode, 1),
+        _ => loc.counters.count_death(FaultCause::Decode, 1),
     }
 }
 
@@ -569,7 +553,6 @@ impl TcpTransport {
         let shared = Arc::new(TcpShared {
             rank,
             resolved,
-            reconnect_attempts: cfg.reconnect_attempts,
             localities,
             peers,
             rt: OnceLock::new(),
@@ -647,7 +630,7 @@ impl Transport for TcpTransport {
                         frames_sent: c.frames_sent.load(Ordering::Relaxed),
                         msgs_recv: c.msgs_recv.load(Ordering::Relaxed),
                         bytes_recv: c.bytes_recv.load(Ordering::Relaxed),
-                        reconnects: c.reconnects.load(Ordering::Relaxed),
+                        reconnects: 0,
                         queue_depth: depth,
                         queue_bytes_hwm: bytes_hwm,
                     })
@@ -791,8 +774,9 @@ mod tests {
             },
             bytes.len(),
         );
-        // No balance state on the test locality: control falls back to
-        // the general queue, so injector expects parcel + frame + control.
+        // Each lane's queue gets its own: parcel + frame on the general
+        // queue, the control parcel on the control queue (no balance
+        // state on the test locality — the lane does not need one).
         let own = &locs_b[1];
         let mut records = 0usize;
         let mut tasks = 0usize;
@@ -802,12 +786,14 @@ mod tests {
                     tasks += 1;
                     records += t.parcel_records();
                 }
-                (tasks >= 3 && records >= 4).then_some(())
+                (tasks >= 2 && records >= 3).then_some(())
             },
             "general-queue messages",
         );
-        assert_eq!(tasks, 3, "parcel + frame + control");
-        assert_eq!(records, 4, "1 + 2 + 1 records");
+        assert_eq!(tasks, 2, "parcel + frame");
+        assert_eq!(records, 3, "1 + 2 records");
+        let control = wait_for(|| own.control.steal(), "control parcel");
+        assert_eq!(control.parcel_records(), 1);
         wait_for(|| own.staging.steal().map(drop), "staged parcel");
         wait_for(
             || {
@@ -839,9 +825,9 @@ mod tests {
         let (a, mut b, _locs_b) = boot_pair();
         b.shutdown();
         drop(b);
-        // A's loop observes the EOF/refusal and (after the bounded
-        // reconnect) marks peer 1 dead; submissions are then killed
-        // loudly (counted inline: no runtime is bound in this unit test).
+        // A's loop observes the EOF and marks peer 1 dead; submissions
+        // are then killed loudly (counted inline: no runtime is bound in
+        // this unit test).
         let own = a.shared.own().clone();
         let t0 = Instant::now();
         loop {
@@ -870,6 +856,41 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         drop(a);
+    }
+
+    /// After rank 1 goes away and something else takes its address, rank
+    /// 0 must not find it: the peer is dead, nothing dials, and every
+    /// later submission dies loudly instead of landing in a stranger's
+    /// socket.
+    #[test]
+    fn a_lost_connection_is_a_dead_peer() {
+        let (a, mut b, _locs_b) = boot_pair();
+        let addr = a.shared.resolved[1].expect("peer address");
+        b.shutdown();
+        drop(b);
+        let impostor = TcpListener::bind(addr).expect("take the dead rank's address");
+        impostor.set_nonblocking(true).unwrap();
+        let peer = a.shared.peer(1);
+        wait_for(
+            || peer.dead.load(Ordering::Acquire).then_some(()),
+            "rank 0 to declare rank 1 dead",
+        );
+        let own = a.shared.own();
+        let dead_transport = || own.counters.dead_transport.load(Ordering::Relaxed);
+        let before = dead_transport();
+        for _ in 0..50 {
+            let bytes = noop_parcel(LocalityId(1));
+            let (dest, lane, n) = (LocalityId(1), Lane::Run, bytes.len());
+            a.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+        }
+        assert_eq!(dead_transport() - before, 50, "each dies loudly");
+        let t0 = Instant::now();
+        while t0.elapsed() < 10 * io::CONNECT_RETRY {
+            assert!(impostor.accept().is_err(), "rank 0 dialled a dead peer");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let p1 = a.transport_stats().peers[0];
+        assert_eq!((p1.reconnects, p1.msgs_sent), (0, 0));
     }
 
     #[test]

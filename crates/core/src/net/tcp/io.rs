@@ -1,8 +1,8 @@
 //! The I/O loop of the TCP backend: everything here runs on the single
 //! `px-tcp-io` thread — the listener, every outbound and inbound
-//! connection, connect retries and handshake deadlines, multiplexed in
-//! one `epoll_wait` loop (see the parent module's docs for the thread
-//! model, the bootstrap barrier and the failure semantics).
+//! connection, bootstrap connect retries and handshake deadlines,
+//! multiplexed in one `epoll_wait` loop (see the parent module's docs for
+//! the thread model, the bootstrap barrier and the failure semantics).
 
 use super::TcpShared;
 use crate::error::FaultCause;
@@ -21,8 +21,9 @@ use std::time::{Duration, Instant};
 const MAX_WRITE_SLICES: usize = 64;
 /// Read chunk size for inbound connections.
 const READ_CHUNK: usize = 64 * 1024;
-/// Spacing between connect attempts (a poller timer, never a sleep).
-const CONNECT_RETRY: Duration = Duration::from_millis(25);
+/// Spacing between bootstrap connect attempts (a poller timer, never a
+/// sleep).
+pub(super) const CONNECT_RETRY: Duration = Duration::from_millis(25);
 /// Deadline for one nonblocking connect attempt to become writable.
 const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Deadline for an accepted connection to produce its handshake — a
@@ -37,15 +38,17 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 const TOKEN_OUT_BASE: u64 = 1 << 32;
 const TOKEN_IN_BASE: u64 = 2 << 32;
 
-/// Outbound connection state for one peer.
+/// Outbound connection state for one peer. `Connecting` and `Backoff`
+/// exist only while the mesh bootstraps; afterwards a connection is `Up`
+/// until it is lost, and `Down` for good.
 enum Conn {
     /// Nonblocking connect in flight (completion = writability).
     Connecting(TcpStream),
     /// Connected; handshake and queued messages flow.
     Up(TcpStream),
-    /// Retry timer pending.
+    /// Bootstrap retry timer pending.
     Backoff,
-    /// Permanently dead (attempts spent) — or torn down at shutdown.
+    /// The peer is dead to this process (see `IoLoop::peer_lost`).
     Down,
 }
 
@@ -58,9 +61,6 @@ struct PeerIo {
     hello: Vec<u8>,
     /// Interest currently registered for the outbound socket.
     registered: Option<Interest>,
-    /// Reconnect attempts left in the current failure episode
-    /// (unlimited during bootstrap — the barrier deadline bounds it).
-    attempts_left: u32,
     /// Guards stale `ConnectTimeout` timers across attempts.
     attempt_seq: u64,
     /// Outbound half of the bootstrap barrier: hello fully flushed once.
@@ -81,7 +81,7 @@ struct InConn {
 /// Timed work folded into the poll timeout (never a sleep).
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
-    /// Retry the outbound connect to a peer.
+    /// Retry the outbound connect to a peer (bootstrap only).
     Retry(u16),
     /// A connect attempt (identified by seq) ran out of time.
     ConnectTimeout(u16, u64),
@@ -105,9 +105,13 @@ pub(super) struct IoLoop {
     heard: usize,
     barrier_tx: Option<SyncSender<Result<(), String>>>,
     bootstrap_deadline: Instant,
-    /// Until the barrier resolves, connect retries are unlimited.
+    /// Until the barrier resolves, connect attempts retry (the barrier
+    /// deadline bounds them); afterwards nothing dials.
     bootstrapping: bool,
     drain_deadline: Option<Instant>,
+    /// Read buffer shared by every inbound connection (one is drained at
+    /// a time).
+    read_chunk: Vec<u8>,
 }
 
 impl IoLoop {
@@ -125,7 +129,6 @@ impl IoLoop {
                     batch: WriteBatch::new(),
                     hello: Vec::new(),
                     registered: None,
-                    attempts_left: 0,
                     attempt_seq: 0,
                     hello_done: false,
                 })
@@ -144,6 +147,7 @@ impl IoLoop {
             bootstrap_deadline,
             bootstrapping: true,
             drain_deadline: None,
+            read_chunk: vec![0u8; READ_CHUNK],
         }
     }
 
@@ -216,7 +220,7 @@ impl IoLoop {
             let std::cmp::Reverse((_, kind)) = self.timers.pop().expect("peeked");
             match kind {
                 TimerKind::Retry(j) => {
-                    if matches!(self.peer_io(j).conn, Conn::Backoff) {
+                    if self.bootstrapping && matches!(self.peer_io(j).conn, Conn::Backoff) {
                         self.start_connect(j);
                     }
                 }
@@ -322,66 +326,39 @@ impl IoLoop {
         }
     }
 
-    /// One connect attempt failed: schedule a retry or give the peer up.
+    /// One connect attempt failed. While the mesh bootstraps that is a
+    /// peer not up yet: retry on a timer, bounded by the barrier deadline.
     fn connect_attempt_failed(&mut self, j: u16, why: &str) {
-        let bootstrapping = self.bootstrapping;
+        if !self.bootstrapping {
+            // Only a failed bootstrap leaves an attempt in flight (the
+            // barrier resolves with every connection up).
+            return self.peer_lost(j, why);
+        }
         let io = self.peer_io(j);
         io.registered = None;
-        if bootstrapping {
-            // The barrier deadline bounds bootstrap; retries are free.
-            io.conn = Conn::Backoff;
-            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
-            return;
-        }
-        if io.attempts_left > 0 {
-            io.attempts_left -= 1;
-            io.conn = Conn::Backoff;
-            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
-        } else {
-            io.conn = Conn::Down;
-            self.give_up_peer(j, why);
-        }
+        io.conn = Conn::Backoff;
+        self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
     }
 
-    /// The outbound connection to `j` failed mid-episode (write error,
-    /// hang-up): start the bounded reconnect cycle, or give up.
-    fn connection_lost(&mut self, j: u16, why: &str) {
+    /// The one failure transition: a connection to or from `j` is gone,
+    /// so `j` is dead to this process. Close its send queue and the
+    /// outbound socket, kill everything batched or queued loudly, and
+    /// never dial again — whoever listens on that address later is not
+    /// the peer these parcels were addressed to.
+    fn peer_lost(&mut self, j: u16, why: &str) {
         let io = self.peer_io(j);
         io.conn = Conn::Down;
         io.registered = None;
-        io.batch.rewind(); // at-least-once: re-send from the front message
         io.hello.clear();
-        if self.shared.shutting_down.load(Ordering::Acquire) {
-            // Shutdown drains what it can; a lost connection now just
-            // counts its leftovers.
-            let io = self.peer_io(j);
-            let leftovers = io.batch.drain_msgs();
-            self.shared.count_deaths(&leftovers);
-            return;
-        }
-        let attempts = self.shared.reconnect_attempts;
-        let bootstrapping = self.bootstrapping;
-        if bootstrapping || attempts > 0 {
-            let io = self.peer_io(j);
-            if !bootstrapping {
-                io.attempts_left = attempts - 1;
-            }
-            io.conn = Conn::Backoff;
-            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
-        } else {
-            self.give_up_peer(j, why);
-        }
-    }
-
-    /// Declare `j` dead: close its queue, kill everything queued or
-    /// batched, loudly.
-    fn give_up_peer(&mut self, j: u16, why: &str) {
-        let io = self.peer_io(j);
-        io.conn = Conn::Down;
-        io.registered = None;
         let mut dead = io.batch.drain_msgs();
         dead.extend(self.shared.close_peer(j, why));
-        self.shared.kill_undeliverable(j, dead);
+        if self.shared.shutting_down.load(Ordering::Acquire) {
+            // No runtime task at teardown (the scheduler may be gone):
+            // a connection lost now just counts its leftovers.
+            self.shared.count_deaths(&dead);
+        } else {
+            self.shared.kill_undeliverable(j, dead);
+        }
     }
 
     /// Readiness on the outbound socket of peer `j`.
@@ -393,8 +370,7 @@ impl IoLoop {
                 }
                 match px_poll::take_socket_error(stream) {
                     Ok(()) => {
-                        // Connected: queue the handshake and (on a
-                        // reconnect) count the re-establishment.
+                        // Connected: queue the handshake.
                         let rank = self.shared.rank;
                         let io = self.peer_io(j);
                         io.hello = stream::encode_handshake(rank).to_vec();
@@ -403,35 +379,9 @@ impl IoLoop {
                             unreachable!("matched Connecting above");
                         };
                         io.conn = Conn::Up(stream);
-                        if io.hello_done {
-                            self.shared
-                                .peer(j)
-                                .counters
-                                .reconnects
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.shared.own().trace_event(
-                                Some(0),
-                                crate::trace::TraceEventKind::NetReconnect,
-                                0,
-                                u64::from(j),
-                            );
-                            // Reconnect revives a dead-marked peer (the
-                            // queue reopens only if it was closed by a
-                            // *failed episode*, never after shutdown).
-                            if !self.shared.shutting_down.load(Ordering::Acquire) {
-                                let slot = self.shared.peer(j);
-                                slot.queue.lock().closed = false;
-                                slot.dead.store(false, Ordering::Release);
-                            }
-                        }
                         self.flush_peer(j);
                     }
-                    Err(_) => {
-                        let io = self.peer_io(j);
-                        io.conn = Conn::Down;
-                        io.registered = None;
-                        self.connect_attempt_failed(j, "connect refused");
-                    }
+                    Err(_) => self.connect_attempt_failed(j, "connect refused"),
                 }
             }
             Conn::Up(_) => {
@@ -464,7 +414,7 @@ impl IoLoop {
             }
         };
         if lost {
-            self.connection_lost(j, "connection closed by peer");
+            self.peer_lost(j, "connection closed by peer");
         }
     }
 
@@ -515,7 +465,7 @@ impl IoLoop {
             }
         }
         if failed {
-            self.connection_lost(j, "write failed");
+            self.peer_lost(j, "write failed");
             return;
         }
         self.update_interest(j);
@@ -575,16 +525,11 @@ impl IoLoop {
             };
             if pulled {
                 slot.room.notify_all();
-                if matches!(self.peer_io(j).conn, Conn::Up(_)) {
-                    self.flush_peer(j);
-                } else if matches!(self.peer_io(j).conn, Conn::Down)
-                    && !self.shared.shutting_down.load(Ordering::Acquire)
-                {
-                    // Raced a dying peer: the queue was closed after
-                    // these were enqueued. Kill them loudly now.
-                    let dead = self.peer_io(j).batch.drain_msgs();
-                    self.shared.kill_undeliverable(j, dead);
-                }
+                // A dead peer's queue is closed and drained in one
+                // critical section (`close_peer`), so outside shutdown
+                // only a live connection has anything to pull; what
+                // shutdown pulls toward a dead one is counted at exit.
+                self.flush_peer(j);
             }
         }
     }
@@ -698,25 +643,17 @@ impl IoLoop {
             }
         }
         let peer = conn.peer.expect("handshaked above");
-        let mut chunk = vec![0u8; READ_CHUNK];
-        let why: &str;
-        'conn: loop {
-            let n = match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    why = "connection closed";
-                    break 'conn;
-                }
+        let why = 'conn: loop {
+            let n = match conn.stream.read(&mut self.read_chunk) {
+                Ok(0) => break "connection closed",
                 Ok(n) => n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    why = "read failed";
-                    break 'conn;
-                }
+                Err(_) => break "read failed",
             };
             let c = &self.shared.peer(peer).counters;
             c.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
-            conn.asm.feed(&chunk[..n]);
+            conn.asm.feed(&self.read_chunk[..n]);
             loop {
                 match conn.asm.next_msg() {
                     Ok(Some((kind, body))) => {
@@ -732,28 +669,22 @@ impl IoLoop {
                     Ok(None) => break,
                     Err(_) => {
                         // Desynchronized stream: unrecoverable for a
-                        // length-prefixed protocol. Count it and drop the
-                        // connection; the peer's loop will reconnect.
+                        // length-prefixed protocol. Count it; the peer
+                        // is lost like any other dropped connection.
                         self.shared
                             .own()
                             .counters
                             .count_death(FaultCause::Decode, 1);
-                        why = "stream desynchronized";
-                        break 'conn;
+                        break 'conn "stream desynchronized";
                     }
                 }
             }
-        }
+        };
         self.drop_inbound(idx);
+        // During shutdown the peer closing its sending half is the
+        // cluster stopping, not a failure: keep flushing toward it.
         if !self.shared.shutting_down.load(Ordering::Acquire) {
-            // The peer's sending half died. Mark it dead for *our* sends
-            // (its inbound connection to us is handled independently) —
-            // same transition the per-peer reader threads used to make.
-            let drained = self.shared.close_peer(peer, why);
-            let mut dead = drained;
-            let io = self.peer_io(peer);
-            dead.extend(io.batch.drain_msgs());
-            self.shared.kill_undeliverable(peer, dead);
+            self.peer_lost(peer, why);
         }
     }
 

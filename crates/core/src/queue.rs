@@ -57,6 +57,7 @@
 //! the crate stays under `deny(unsafe_code)`.
 
 #![allow(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
@@ -235,11 +236,12 @@ impl<T, const CAP: usize> Ring<T, CAP> {
     // SAFETY: (contract above; upheld by `try_push`, the one caller)
     unsafe fn put(&self, index: u32, item: T) {
         let slot = &self.slots[index as usize % CAP];
-        // SAFETY: the slot's previous tenant had index `index - CAP`,
-        // which is below `done`: it has been copied out, and the
-        // `Acquire` load that showed us `done` ordered that copy before
-        // this write. Thieves never touch indices at or above `bottom`.
         sched(|| {
+            // SAFETY: the slot's previous tenant had index `index - CAP`,
+            // which is below `done`: it has been copied out, and the
+            // `Acquire` load that showed us `done` ordered that copy
+            // before this write. Thieves never touch indices at or above
+            // `bottom`.
             unsafe { (*slot.get()).write(item) };
         })
     }
@@ -458,7 +460,11 @@ impl<T: Send, const CAP: usize> Stealer<T, CAP> {
     }
 }
 
-/// A locality's shared FIFO run queue.
+/// A locality's shared FIFO run queue. It owns its cache line: every
+/// searching worker polls `len`, so an injector that is never pushed to
+/// (the control lane of most runs) must not share a line with one that
+/// is, nor with the store's lock word.
+#[repr(align(64))]
 pub(crate) struct Injector<T> {
     queue: Mutex<VecDeque<T>>,
     /// `queue.len()`, stored under the lock and read without it.

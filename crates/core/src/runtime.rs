@@ -265,14 +265,12 @@ impl RuntimeBuilder {
             TransportKind::InProc => None,
             TransportKind::Tcp(tcp) => Some(LocalityId(tcp.rank)),
         };
-        let balance_window = self.config.balance.as_ref().map(|b| b.window);
         // One causality domain per OS process: in-process runs are domain
         // 0; over TCP each rank is its own domain (clocks incomparable).
         let domain = owned.map_or(0, |o| o.0);
         // One epoch shared by every ring of this runtime, so in-process
         // timestamps are comparable.
         let trace_epoch = self.config.trace.enabled().then(std::time::Instant::now);
-        let trace_capacity = self.config.trace.ring_capacity;
         // The owner end of every worker ring, per locality: created with
         // the locality (its stealer set is immutable once shared) and
         // handed to the worker threads below.
@@ -283,15 +281,15 @@ impl RuntimeBuilder {
                     let id = LocalityId(i as u16);
                     let accel = self.config.accelerators.contains(&id);
                     let mut loc = Locality::new(id, accel);
-                    if let Some(window) = balance_window {
-                        loc.enable_balance(n, window);
+                    if self.config.balance.is_some() {
+                        loc.enable_balance(n);
                     }
                     // Rings only where workers will run: a remote stub
                     // never executes anything worth recording.
                     if let Some(epoch) = trace_epoch {
                         if owned.is_none_or(|o| o == id) {
                             loc.enable_trace(Arc::new(crate::trace::TraceRing::new(
-                                trace_capacity,
+                                crate::trace::RING_CAPACITY,
                                 id,
                                 domain,
                                 epoch,
@@ -525,37 +523,29 @@ impl Runtime {
         &self,
         timeout: Option<Duration>,
     ) -> PxResult<Option<crate::metrics::ClusterMetrics>> {
+        // One row per locality: read the registry of one whose workers
+        // run here, pull from one that lives on another rank. Every pull
+        // is issued before any reply is awaited, so the pulls fan out
+        // concurrently: the total wait is one round trip, not one per
+        // rank.
         let mut per_rank: Vec<(u16, crate::metrics::MetricsSnapshot)> = Vec::new();
-        if self.inner.distributed() {
-            let own = self.inner.origin;
-            per_rank.push((own.0, self.inner.local_metrics_snapshot()));
-            // Issue every pull before waiting on any reply so the pulls
-            // fan out concurrently: the total wait is one round trip,
-            // not one per rank.
-            let peers: Vec<LocalityId> = (0..self.inner.localities.len() as u16)
-                .map(LocalityId)
-                .filter(|&id| id != own)
-                .collect();
-            let pull = |&id: &LocalityId| {
-                let ask = sys::bare(Gid::locality_root(id), sys::METRICS_PULL);
-                self.origin().request(ask)
-            };
-            let pending: Vec<Gid> = peers.iter().map(pull).collect();
-            let Some(replies) = self.inner.take_replies(&pending, timeout)? else {
-                return Ok(None);
-            };
-            for (id, v) in peers.iter().zip(replies) {
-                per_rank.push((id.0, crate::metrics::MetricsSnapshot::decode(v.bytes())?));
+        let mut pulls: Vec<(usize, Gid)> = Vec::new();
+        for loc in self.inner.localities.iter() {
+            let mut snap = crate::metrics::MetricsSnapshot::default();
+            if !self.inner.owns(loc.id) {
+                let ask = sys::bare(Gid::locality_root(loc.id), sys::METRICS_PULL);
+                pulls.push((per_rank.len(), self.origin().request(ask)));
+            } else if let Some(reg) = &loc.metrics {
+                snap = reg.snapshot();
             }
-            per_rank.sort_by_key(|&(r, _)| r);
-        } else {
-            for (i, loc) in self.inner.localities.iter().enumerate() {
-                let snap = match &loc.metrics {
-                    Some(reg) => reg.snapshot(),
-                    None => crate::metrics::MetricsSnapshot::default(),
-                };
-                per_rank.push((i as u16, snap));
-            }
+            per_rank.push((loc.id.0, snap));
+        }
+        let pending: Vec<Gid> = pulls.iter().map(|&(_, fut)| fut).collect();
+        let Some(replies) = self.inner.take_replies(&pending, timeout)? else {
+            return Ok(None);
+        };
+        for (&(row, _), v) in pulls.iter().zip(replies) {
+            per_rank[row].1 = crate::metrics::MetricsSnapshot::decode(v.bytes())?;
         }
         let mut merged = crate::metrics::MetricsSnapshot::default();
         for (_, s) in &per_rank {
@@ -759,7 +749,7 @@ impl Runtime {
         // In-process every owner is owned: the parcel path below is the
         // distributed runtime's alone.
         let rt = &self.inner;
-        if !rt.distributed() || rt.owns(rt.agas.authoritative_owner(gid)) {
+        if rt.owns(rt.agas.authoritative_owner(gid)) {
             let _guard = self.inner.agas.migration_guard();
             let owner = self.inner.agas.authoritative_owner(gid);
             if self.inner.owns(owner) {

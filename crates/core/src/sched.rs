@@ -11,9 +11,9 @@
 //!
 //! A [`Task`] is one PX-thread activation: a fresh closure, a resumed
 //! depleted thread, or a parcel (decoded lazily on a worker). Workers pull
-//! from, in priority order: the control lane (when balancing is on), the
-//! staging buffer (on percolation-priority localities), their own ring,
-//! the locality injector, sibling rings
+//! from, in priority order: the control lane, the staging buffer (on
+//! percolation-priority localities), their own ring, the locality
+//! injector, sibling rings
 //! (work stealing — *within* the locality only; cross-locality balancing is
 //! done with parcels, which is the model's point), and finally the staging
 //! buffer.
@@ -191,10 +191,9 @@ pub(crate) fn worker_main(
 /// Pull the next task according to the locality's queue discipline.
 fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize) -> Option<Task> {
     use crate::metrics::Instrument::{ControlLane, QueueWait};
-    // Control plane first: balancer gossip must not starve behind the
-    // data backlog it exists to measure. The queue exists only when
-    // balancing is on, so the default discipline is untouched.
-    if let Some(t) = loc.balance.as_ref().and_then(|b| b.control.steal()) {
+    // Control plane first: gossip, metrics pulls and directory traffic
+    // must not starve behind the data backlog they measure or repair.
+    if let Some(t) = loc.control.steal() {
         return Some(dequeued(loc, ControlLane, t));
     }
     // Precious-resource localities drain prestaged work first (§2.2
@@ -850,6 +849,35 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         rt.shutdown();
+    }
+
+    /// Contract point 2 of `net/mod.rs` with no balancer: a control-lane
+    /// task delivered behind a data backlog is the next one a worker
+    /// finds, and its wait is charged to the control-lane instrument. A
+    /// bare locality — no runtime, no worker thread — so nothing is timed.
+    #[test]
+    fn control_outruns_data_with_the_balancer_off() {
+        use crate::metrics::Instrument::{ControlLane, QueueWait};
+        let mut loc = Locality::new(LocalityId(0), false);
+        let reg = Arc::new(crate::metrics::MetricsRegistry::default());
+        loc.enable_metrics(reg.clone());
+        assert!(loc.balance.is_none());
+        for _ in 0..8 {
+            loc.deliver(Lane::Run, Task::new(Work::Thread(Box::new(|_| {}))));
+        }
+        loc.deliver(Lane::Control, Task::new(Work::ParcelBytes(vec![])));
+        let local = Local::new();
+        let first = find_task(&loc, &local, 0).expect("nine tasks queued");
+        assert_eq!(format!("{first:?}"), "Task::ParcelBytes", "control first");
+        let waits = |inst| reg.snapshot().get(inst).count;
+        assert_eq!((waits(ControlLane), waits(QueueWait)), (1, 0));
+        let mut data = 0;
+        while let Some(t) = find_task(&loc, &local, 0) {
+            assert_eq!(format!("{t:?}"), "Task::Thread");
+            data += 1;
+        }
+        assert_eq!((data, waits(QueueWait)), (8, 8));
+        assert!(!loc.has_work());
     }
 
     #[test]

@@ -253,8 +253,9 @@ pub struct PeerStats {
     pub msgs_recv: u64,
     /// Raw bytes read from the peer's connection.
     pub bytes_recv: u64,
-    /// Times the outgoing connection to the peer was re-established
-    /// after a write failure.
+    /// Always 0: a lost connection is a dead peer, never re-established
+    /// (see [`crate::net::tcp`]). The field stays because pxmark reads it
+    /// (`net.reconnects`) until a `benchmark` issue drops that row.
     pub reconnects: u64,
     /// Messages currently waiting in the peer's outbound send queue —
     /// a *gauge*, sampled at snapshot time (deltas keep the newer

@@ -32,24 +32,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Tracing knobs ([`crate::runtime::Config::trace`]; off by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Assign a fresh trace id to one in this many untraced root parcels
     /// (`0` = tracing off, `1` = trace everything). Parcels that already
     /// carry a trace id — inherited or explicit — are always recorded.
     pub sample_every: u64,
-    /// Events per locality ring; the oldest events are overwritten when
-    /// full (counted in `trace_events_dropped`).
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            sample_every: 0,
-            ring_capacity: 4096,
-        }
-    }
 }
 
 impl TraceConfig {
@@ -61,16 +49,30 @@ impl TraceConfig {
 }
 
 /// The one definition of the trace event kinds. Each row — variant, ring
-/// code, label — expands to the enum variant (declared in code order, so
-/// the serde variant index a shipped [`TraceEvent`] carries is the code),
-/// an arm of [`TraceEventKind::from_code`] and an arm of
-/// [`TraceEventKind::label`].
+/// code, label — expands to the enum variant, an arm of
+/// [`TraceEventKind::from_code`] and an arm of [`TraceEventKind::label`];
+/// the serde variant index a shipped [`TraceEvent`] carries *is* the
+/// code, so retiring a row renumbers nothing.
 macro_rules! trace_events {
     ($($(#[$doc:meta])* $variant:ident = $code:literal, $label:literal;)*) => {
         /// What happened (the discriminant of a [`TraceEvent`]).
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum TraceEventKind {
             $($(#[$doc])* $variant = $code,)*
+        }
+
+        impl Serialize for TraceEventKind {
+            fn serialize<S: serde::Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+                s.put_variant(u32::from(self.code()))
+            }
+        }
+
+        impl<'de> Deserialize<'de> for TraceEventKind {
+            fn deserialize<D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
+                let code = d.take_variant()?;
+                let kind = u16::try_from(code).ok().and_then(TraceEventKind::from_code);
+                kind.ok_or_else(|| serde::de::Error::custom(format!("no trace event kind {code}")))
+            }
         }
 
         impl TraceEventKind {
@@ -131,11 +133,9 @@ trace_events! {
     /// The transport received a traced message from a peer
     /// (`aux` = source rank).
     NetRecv = 12, "net-recv";
-    /// The transport reconnected to a peer; queued traced messages will
-    /// be resent (`aux` = peer rank).
-    NetReconnect = 13, "net-reconnect";
     /// The transport declared a traced message undeliverable
-    /// (`aux` = peer rank).
+    /// (`aux` = peer rank). Code 13 was the reconnect event of a transport
+    /// that re-dialled; it stays unassigned.
     NetFault = 14, "net-fault";
 }
 
@@ -172,6 +172,10 @@ struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; 6],
 }
+
+/// Events per locality ring in a runtime; the oldest events are
+/// overwritten when full (counted in `trace_events_dropped`).
+pub const RING_CAPACITY: usize = 4096;
 
 /// Fixed-size, lock-free per-locality event ring.
 ///
@@ -519,11 +523,18 @@ mod tests {
     fn kind_codes_round_trip() {
         let labels = "parcel-send parcel-dispatch parcel-forward parcel-kill lco-trigger \
                       lco-poison lco-release process-cancel migrate chase balance-shed \
-                      net-submit net-recv net-reconnect net-fault";
+                      net-submit net-recv - net-fault";
         for (code, label) in labels.split_whitespace().enumerate() {
-            let k = TraceEventKind::from_code(code as u16).expect("code in range");
+            let bytes = [code as u8];
+            let Some(k) = TraceEventKind::from_code(code as u16) else {
+                // The reconnect event: retired, its code never reassigned.
+                assert_eq!(code, 13);
+                assert!(px_wire::from_bytes::<TraceEventKind>(&bytes).is_err());
+                continue;
+            };
             assert_eq!((k.code(), k.label()), (code as u16, label));
-            assert_eq!(px_wire::to_bytes(&k).unwrap(), [code as u8]);
+            assert_eq!(px_wire::to_bytes(&k).unwrap(), bytes);
+            assert_eq!(px_wire::from_bytes::<TraceEventKind>(&bytes).unwrap(), k);
         }
         assert!(TraceEventKind::from_code(15).is_none());
     }

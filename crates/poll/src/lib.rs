@@ -33,6 +33,8 @@
 //! }
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 /// The token [`Poller::wait`] reports when another thread called
 /// [`Poller::wake`]. Reserved: user registrations must not use it.
 pub const WAKE_TOKEN: u64 = u64::MAX;
@@ -223,19 +225,21 @@ mod imp {
     }
 
     // SAFETY: Poller holds two raw fds (plain integers, no interior
-    // state); epoll_ctl/epoll_wait/eventfd syscalls are documented
-    // thread-safe, so the type may move and be shared across threads.
+    // state): moving it to another thread moves nothing thread-bound.
     unsafe impl Send for Poller {}
+    // SAFETY: the epoll_ctl/epoll_wait/eventfd syscalls are documented
+    // thread-safe, so a `&Poller` may be used from several threads.
     unsafe impl Sync for Poller {}
 
     impl Poller {
         /// Create the epoll instance and its wake eventfd.
         pub fn new() -> io::Result<Poller> {
-            // SAFETY: epoll_create1 and eventfd take flag integers, no
-            // pointers; a failed return is surfaced by `cvt`.
+            // SAFETY: epoll_create1 takes flag integers, no pointers; a
+            // failed return is surfaced by `cvt`.
             let epfd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-            let wakefd = match cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })
-            {
+            // SAFETY: eventfd likewise: two integers in, an fd or -1 out.
+            let wakefd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
+            let wakefd = match cvt(wakefd) {
                 Ok(fd) => fd,
                 Err(e) => {
                     // SAFETY: epfd was created above, is not shared yet,

@@ -1,6 +1,4 @@
-//! Measurement helpers: latency histograms and rate meters.
-
-use crate::Time;
+//! Measurement helper: a latency histogram.
 
 /// Power-of-two bucketed histogram for latency-like quantities.
 ///
@@ -144,45 +142,6 @@ fn bucket_bounds(i: usize) -> (f64, f64) {
     }
 }
 
-/// Counts completions over simulated time to report a rate.
-#[derive(Debug, Clone, Default)]
-pub struct RateMeter {
-    events: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl RateMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an event at simulated time `t`.
-    #[inline]
-    pub fn record(&mut self, t: Time) {
-        if self.first.is_none() {
-            self.first = Some(t);
-        }
-        self.last = self.last.max(t);
-        self.events += 1;
-    }
-
-    /// Events recorded.
-    #[inline]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per tick over the observed interval (0 if fewer than 2 events).
-    pub fn rate(&self) -> f64 {
-        match self.first {
-            Some(f) if self.last > f => self.events as f64 / (self.last - f) as f64,
-            _ => 0.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,23 +201,5 @@ mod tests {
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 30);
         assert!((a.mean() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_meter() {
-        let mut r = RateMeter::new();
-        r.record(100);
-        r.record(200);
-        r.record(300);
-        assert_eq!(r.events(), 3);
-        assert!((r.rate() - 3.0 / 200.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_meter_degenerate() {
-        let mut r = RateMeter::new();
-        assert_eq!(r.rate(), 0.0);
-        r.record(5);
-        assert_eq!(r.rate(), 0.0);
     }
 }

@@ -9,11 +9,8 @@
 //!   given seed,
 //! * components addressed by [`CompId`] exchanging user-defined event
 //!   payloads,
-//! * occupancy-tracking [`Link`]s that model latency + bandwidth +
-//!   serialization (the standard `arrival = max(now, next_free) + L + S/B`
-//!   store-and-forward model),
-//! * measurement helpers ([`Histogram`], [`RateMeter`]) shared by the
-//!   architecture experiments.
+//! * a log-bucketed latency [`Histogram`] shared by the architecture
+//!   experiments.
 //!
 //! ```
 //! use px_sim::{Component, SimCtx, Simulator};
@@ -42,12 +39,10 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod link;
 mod queue;
 mod sim;
 
-pub use hist::{Histogram, RateMeter};
-pub use link::Link;
+pub use hist::Histogram;
 pub use queue::{EventQueue, QueuedEvent};
 pub use sim::{CompId, Component, SimCtx, Simulator};
 

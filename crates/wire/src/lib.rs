@@ -102,14 +102,6 @@ pub mod parcel_flags {
     };
 }
 
-/// Serialize a value and report the encoded size without keeping the bytes.
-///
-/// Used by instrumentation that needs payload sizes (e.g. the work-to-data
-/// crossover experiment E6) without double-buffering.
-pub fn encoded_size<T: serde::Serialize>(value: &T) -> WireResult<usize> {
-    Ok(to_bytes(value)?.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,12 +234,6 @@ mod tests {
         let bytes = to_bytes(&"a longer string".to_string()).unwrap();
         let r: WireResult<String> = from_bytes(&bytes[..bytes.len() - 2]);
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn encoded_size_matches() {
-        let v = vec![1u64, 2, 3];
-        assert_eq!(encoded_size(&v).unwrap(), to_bytes(&v).unwrap().len());
     }
 
     #[test]

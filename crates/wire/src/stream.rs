@@ -185,10 +185,8 @@ impl StreamAssembler {
 /// writes reassembles to the same messages.
 ///
 /// On a connection loss the unwritten tail is still here:
-/// [`WriteBatch::rewind`] restarts the front message from byte 0 for a
-/// reconnect re-send (at-least-once), and [`WriteBatch::drain_msgs`]
-/// surrenders the messages for loud per-parcel kills when the peer is
-/// declared dead.
+/// [`WriteBatch::drain_msgs`] surrenders it — a partly written front
+/// message included, whole — for loud per-parcel kills.
 #[derive(Debug, Default)]
 pub struct WriteBatch {
     msgs: std::collections::VecDeque<([u8; MSG_HEADER_LEN], Vec<u8>)>,
@@ -286,15 +284,6 @@ impl WriteBatch {
                 n = 0;
             }
         }
-    }
-
-    /// Restart the front message from byte 0 (reconnect re-send). Bytes
-    /// already written to the dead connection are written again on the
-    /// new one: at-least-once across a reconnect, as documented by the
-    /// TCP backend.
-    pub fn rewind(&mut self) {
-        self.remaining += self.offset;
-        self.offset = 0;
     }
 
     /// Surrender every queued message (peer declared dead; the transport
@@ -414,27 +403,6 @@ mod tests {
         batch.advance(n);
         assert_eq!(batch.msg_count(), 8);
         assert_eq!(batch.remaining_bytes(), 8 * (MSG_HEADER_LEN + 3));
-    }
-
-    #[test]
-    fn write_batch_rewind_resends_partial_front() {
-        let mut batch = WriteBatch::new();
-        batch.push(msg_kind::PARCEL, b"hello".to_vec());
-        batch.advance(MSG_HEADER_LEN + 2); // "he" written
-        batch.rewind();
-        assert_eq!(batch.remaining_bytes(), MSG_HEADER_LEN + 5);
-        let mut slices = Vec::new();
-        let mut wire = Vec::new();
-        batch.unwritten_slices(&mut slices, 64);
-        for s in &slices {
-            wire.extend_from_slice(s);
-        }
-        let mut asm = StreamAssembler::new();
-        asm.feed(&wire);
-        assert_eq!(
-            asm.next_msg().unwrap(),
-            Some((msg_kind::PARCEL, b"hello".to_vec()))
-        );
     }
 
     #[test]

@@ -112,37 +112,4 @@ proptest! {
             .collect();
         prop_assert_eq!(decoded, records);
     }
-
-    /// A rewind (reconnect re-send) at an arbitrary partial-write point
-    /// still yields a stream whose *tail* from the front message on is
-    /// intact: the fresh connection sees complete messages only.
-    #[test]
-    fn rewind_at_any_point_restarts_on_a_message_boundary(
-        msgs in arb_msgs(),
-        cut in any::<usize>(),
-    ) {
-        let mut batch = WriteBatch::new();
-        for (kind, body) in &msgs {
-            batch.push(*kind, body.clone());
-        }
-        let total = batch.remaining_bytes();
-        batch.advance(cut % (total + 1));
-        let survivors = batch.msg_count();
-        batch.rewind();
-        let mut wire = Vec::new();
-        while !batch.is_empty() {
-            let n = {
-                let mut slices = Vec::new();
-                let n = batch.unwritten_slices(&mut slices, 4);
-                for s in &slices {
-                    wire.extend_from_slice(s);
-                }
-                n
-            };
-            batch.advance(n);
-        }
-        let got = reassemble(&wire);
-        prop_assert_eq!(got.len(), survivors);
-        prop_assert_eq!(got, msgs[msgs.len() - survivors..].to_vec());
-    }
 }

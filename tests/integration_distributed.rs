@@ -56,9 +56,9 @@ fn build_rt(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered:
         // Batching exercises coalesced checksummed frames over the
         // socket; the balancer (telemetry-only across processes)
         // exercises the control-plane priority lane.
-        cfg = cfg
-            .with_max_batch_parcels(16)
-            .with_gossip_interval(Duration::from_millis(5));
+        let mut balance = BalanceConfig::adaptive();
+        balance.gossip_interval = Duration::from_millis(5);
+        cfg = cfg.with_max_batch_parcels(16).with_balance(balance);
     }
     if traced {
         cfg = cfg.with_trace_sampling(1);
@@ -361,6 +361,17 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
     };
     assert_eq!(fault.cause, FaultCause::Transport, "{fault}");
     assert!(rt.stats().total().dead_transport > 0);
+    // The peer stays dead: a request issued after the loss dies the same
+    // loud way, and nothing has dialled the vanished rank again.
+    let fut = rt.new_future::<u64>(LocalityId(0));
+    let late = Continuation::set(fut.gid());
+    rt.send_action::<Square>(Gid::locality_root(LocalityId(1)), 7, late)
+        .unwrap();
+    match rt.wait_future_timeout(fut, BOUND) {
+        Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::Transport, "{f}"),
+        other => panic!("a request to a dead peer must fault: {other:?}"),
+    }
+    assert_eq!(rt.stats().transport.peers[0].reconnects, 0);
     let _ = child.wait();
     rt.shutdown();
 }

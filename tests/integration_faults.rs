@@ -5,7 +5,8 @@
 
 use parallex::core::parcel::ContStep;
 use parallex::core::prelude::*;
-use std::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Generous bound: a genuine hang hits this, a delivered fault never does.
@@ -223,7 +224,7 @@ fn dead_letter_hook_observes_every_fault() {
     let sink = seen.clone();
     let rt = RuntimeBuilder::new(Config::small(2, 1))
         .register::<Boom>()
-        .on_dead_letter(move |f| sink.lock().unwrap().push(f.clone()))
+        .on_dead_letter(move |f| sink.lock().push(f.clone()))
         .build()
         .unwrap();
     let fut = rt.new_future::<u64>(LocalityId(0));
@@ -234,7 +235,7 @@ fn dead_letter_hook_observes_every_fault() {
     )
     .unwrap();
     expect_fault(rt.wait_future_timeout(fut, BOUND));
-    let faults = seen.lock().unwrap().clone();
+    let faults = seen.lock().clone();
     assert_eq!(faults.len(), 1, "exactly one dead letter: {faults:?}");
     assert_eq!(faults[0].cause, FaultCause::Panic);
     assert_eq!(faults[0].action, Boom::id());
@@ -249,7 +250,7 @@ fn rt_reporting(locs: usize) -> (Runtime, std::sync::mpsc::Receiver<Fault>) {
     let rt = RuntimeBuilder::new(Config::small(locs, 1))
         .register::<Boom>()
         .on_dead_letter(move |f| {
-            let _ = tx.lock().unwrap().send(f.clone());
+            let _ = tx.lock().send(f.clone());
         })
         .build()
         .unwrap();
@@ -385,7 +386,7 @@ fn traced_hop_cap_death_reports_its_chase_history() {
     let rt = RuntimeBuilder::new(Config::small(2, 1).with_trace_sampling(1))
         .on_dead_letter_traced(move |f, d| {
             if f.cause == FaultCause::HopCap {
-                *sink.lock().unwrap() = Some((f.clone(), d.clone()));
+                *sink.lock() = Some((f.clone(), d.clone()));
             }
         })
         .build()
@@ -395,7 +396,6 @@ fn traced_hop_cap_death_reports_its_chase_history() {
     expect_fault(rt.wait_future_timeout(fut, BOUND));
     let (fault, dump) = captured
         .lock()
-        .unwrap()
         .take()
         .expect("traced dead-letter hook observed the hop-cap death");
     assert_eq!(fault.cause, FaultCause::HopCap);

@@ -317,7 +317,7 @@ proptest! {
         let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
         let finished = Arc::new(AtomicU64::new(0));
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+        let release_rx = Arc::new(parking_lot::Mutex::new(release_rx));
 
         // Build a chain-of-subprocess tree: level i has `fanouts[i]`
         // children per node is overkill at proptest scale, so each level
@@ -351,7 +351,7 @@ proptest! {
         let hostage_holder = chain[hostage_depth_pick % chain.len()];
         let rx = release_rx.clone();
         hostage_holder.spawn_at(&rt, LocalityId(0), move |_ctx| {
-            rx.lock().unwrap().recv().unwrap();
+            rx.lock().recv().unwrap();
         });
         for proc in &chain {
             proc.finish_root(&rt);
