@@ -34,8 +34,8 @@
 use crate::error::{PxError, PxResult};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::gid::{Gid, LocalityId};
+use crate::stats::Counter;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const DIR_SHARDS: usize = 16;
 
@@ -89,18 +89,17 @@ pub struct Agas {
     /// never held across a wire operation.
     migration_sync: Mutex<MigrationSync>,
     /// Monotone count of migrations (diagnostics).
-    migrations: AtomicU64,
+    migrations: Counter,
     /// Migrations recorded with [`MigrationCause::Manual`].
-    migrations_manual: AtomicU64,
+    migrations_manual: Counter,
     /// Migrations recorded with [`MigrationCause::Balancer`].
-    migrations_balancer: AtomicU64,
+    migrations_balancer: Counter,
 }
 
 impl std::fmt::Debug for Agas {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Agas")
-            // Relaxed: debug snapshot of a stat counter.
-            .field("migrations", &self.migrations.load(Ordering::Relaxed))
+            .field("migrations", &self.migrations.get())
             .field("names", &self.names.read().len())
             .finish()
     }
@@ -118,9 +117,9 @@ impl Agas {
             names: RwLock::new(FxHashMap::default()),
             migrate_lock: Mutex::new(()),
             migration_sync: Mutex::new(MigrationSync::default()),
-            migrations: AtomicU64::new(0),
-            migrations_manual: AtomicU64::new(0),
-            migrations_balancer: AtomicU64::new(0),
+            migrations: Counter::default(),
+            migrations_manual: Counter::default(),
+            migrations_balancer: Counter::default(),
         }
     }
 
@@ -173,13 +172,12 @@ impl Agas {
 
     /// Record a migration with an explicit cause.
     pub fn record_migration_caused(&self, gid: Gid, to: LocalityId, cause: MigrationCause) {
-        // Relaxed: migration tallies are monotonic stat counters; the
-        // directory write below is what synchronizes the move itself.
-        self.migrations.fetch_add(1, Ordering::Relaxed);
+        // Tallies only: the directory write below is what synchronizes
+        // the move itself.
+        self.migrations.add(1);
         match cause {
-            // Relaxed: same counter discipline as the total above.
-            MigrationCause::Manual => self.migrations_manual.fetch_add(1, Ordering::Relaxed),
-            MigrationCause::Balancer => self.migrations_balancer.fetch_add(1, Ordering::Relaxed),
+            MigrationCause::Manual => self.migrations_manual.add(1),
+            MigrationCause::Balancer => self.migrations_balancer.add(1),
         };
         self.note_owner(gid, to);
     }
@@ -206,8 +204,7 @@ impl Agas {
 
     /// Total migrations recorded.
     pub fn migrations(&self) -> u64 {
-        // Relaxed: counter read for reporting.
-        self.migrations.load(Ordering::Relaxed)
+        self.migrations.get()
     }
 
     /// Hold the migration lock for the duration of a store move +
@@ -265,11 +262,7 @@ impl Agas {
 
     /// Migrations split by cause: `(manual, balancer)`.
     pub fn migrations_by_cause(&self) -> (u64, u64) {
-        (
-            // Relaxed: counter reads for reporting.
-            self.migrations_manual.load(Ordering::Relaxed),
-            self.migrations_balancer.load(Ordering::Relaxed),
-        )
+        (self.migrations_manual.get(), self.migrations_balancer.get())
     }
 
     // ---- access heat -------------------------------------------------------
@@ -465,26 +458,22 @@ mod tests {
 
     #[test]
     fn resolve_counted_tracks_hits_and_misses() {
-        use std::sync::atomic::Ordering;
         let agas = Agas::new(4);
         let loc = crate::locality::Locality::new(LocalityId(0), false);
         let g = gid_at(2, 5);
         // Birthplace resolution: a miss (no cache entry exists).
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(loc.counters.agas_cache_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(loc.counters.agas_cache_hits.get(), 0);
+        assert_eq!(loc.counters.agas_cache_misses.get(), 1);
         // Migrated object: first resolve consults the directory (miss),
         // second hits the freshly filled cache.
         agas.record_migration(g, LocalityId(3));
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_misses.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            loc.counters.agas_directory_lookups.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(loc.counters.agas_cache_misses.get(), 2);
+        assert_eq!(loc.counters.agas_directory_lookups.get(), 1);
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(loc.counters.agas_cache_misses.load(Ordering::Relaxed), 2);
+        assert_eq!(loc.counters.agas_cache_hits.get(), 1);
+        assert_eq!(loc.counters.agas_cache_misses.get(), 2);
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn sample_all(rt: &Arc<RuntimeInner>, round: u64, last_parks: &mut [u64]) {
             continue;
         }
         let Some(b) = &loc.balance else { continue };
-        let parks_now = loc.counters.parks.load(Ordering::Relaxed);
+        let parks_now = loc.counters.parks.get();
         let sample = LoadSample {
             queue_depth: loc.queue_depth() as u64,
             // Parks are untimed: a worker starved for the whole round
@@ -227,7 +227,7 @@ pub(crate) fn shed_tasks(
                             0,
                             u64::from(dest.0),
                         );
-                        let n = rt.wire.send_parcel(dest, &p);
+                        let n = rt.wire.send_parcel(dest, p);
                         bump!(loc.counters.bytes_sent, n as u64);
                         shed += 1;
                     } else {

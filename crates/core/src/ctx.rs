@@ -101,10 +101,7 @@ impl<'a> Ctx<'a> {
             // owned targets, but the hint is advisory and re-checked here.
             if t != crate::locality::NO_SPAWN_TARGET
                 && rt.owns(LocalityId(t as u16))
-                && b.spawn_seq
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    & 1
-                    == 0
+                && b.spawn_seq.add(1) & 1 == 0
             {
                 return self.spawn_at(LocalityId(t as u16), f);
             }

@@ -160,6 +160,9 @@ impl GidAllocator {
     /// Allocate a fresh GID of `kind`.
     #[inline]
     pub fn alloc(&self, kind: GidKind) -> Gid {
+        // Relaxed: a ticket. A fresh GID needs to be unique, which the
+        // atomic add gives; whatever hands the GID to another thread is
+        // what publishes the object behind it.
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(seq <= SEQ_MASK, "GID sequence space exhausted");
         Gid::new(self.locality, kind, seq)

@@ -30,7 +30,7 @@ use crate::sched::Task;
 use crate::stats::LocalityCounters;
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 /// A first-class object resident in a locality's store.
@@ -83,7 +83,7 @@ pub(crate) struct BalanceState {
     pub(crate) spawn_target: AtomicU32,
     /// Round-robin counter so only every other spawn is redirected
     /// (full redirection would just move the hotspot).
-    pub(crate) spawn_seq: AtomicU64,
+    pub(crate) spawn_seq: crate::stats::Counter,
 }
 
 /// Sentinel for "no spawn redirect this round".
@@ -95,7 +95,7 @@ impl BalanceState {
             monitor: Mutex::new(LoadMonitor::new(px_balance::MONITOR_WINDOW)),
             peers: Mutex::new(PeerView::new(n_localities)),
             spawn_target: AtomicU32::new(NO_SPAWN_TARGET),
-            spawn_seq: AtomicU64::new(0),
+            spawn_seq: crate::stats::Counter::default(),
         }
     }
 }

@@ -24,8 +24,8 @@
 //! [`CELLS`] = 976 cells, so `u64::MAX` is representable and a merge
 //! never clips.
 
+use crate::stats::Counter;
 use px_wire::{WireHistogram, WireReader, WireWriter};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two octave (as a shift: 2^4 = 16).
 const LINEAR_BITS: u32 = 4;
@@ -121,19 +121,21 @@ instruments! {
     DirLookup = "px_dir_lookup_ns", "remote directory lookup, request to owner resolution";
 }
 
-/// One lock-free histogram: dense atomic cells plus count/sum totals.
+/// One lock-free histogram: dense atomic cells plus count/sum totals,
+/// each a [`Counter`] — read only by snapshots, which tolerate bounded
+/// skew between cells.
 pub struct Histogram {
-    cells: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
+    cells: Vec<Counter>,
+    count: Counter,
+    sum: Counter,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            cells: (0..CELLS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            cells: (0..CELLS).map(|_| Counter::default()).collect(),
+            count: Counter::default(),
+            sum: Counter::default(),
         }
     }
 }
@@ -142,31 +144,17 @@ impl Histogram {
     /// Record one sample (nanoseconds). Wait-free: three `fetch_add`s.
     #[inline]
     pub fn record(&self, value_ns: u64) {
-        // Relaxed: monotonic metric cells, read only by snapshots that
-        // tolerate bounded cross-cell skew — never a synchronization
-        // point (same contract as the stats counters).
-        self.cells[bucket_index(value_ns)].fetch_add(1, Ordering::Relaxed);
-        // Relaxed: see above — count/sum are the same kind of counter.
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Relaxed: see above.
-        self.sum.fetch_add(value_ns, Ordering::Relaxed);
+        self.cells[bucket_index(value_ns)].add(1);
+        self.count.add(1);
+        self.sum.add(value_ns);
     }
 
     /// Copy current cell values into a plain snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            // Relaxed: snapshot reads of monotonic metric cells — a
-            // point-in-time percentile tolerates bounded cross-cell
-            // skew, so no acquire pairing is needed.
-            count: self.count.load(Ordering::Relaxed),
-            // Relaxed: see above.
-            sum: self.sum.load(Ordering::Relaxed),
-            cells: self
-                .cells
-                .iter()
-                // Relaxed: see above.
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            count: self.count.get(),
+            sum: self.sum.get(),
+            cells: self.cells.iter().map(Counter::get).collect(),
         }
     }
 }

@@ -36,8 +36,14 @@
 //!    *loudly*: count the death (`FaultCause::Transport`
 //!    / `dead_transport`), notify the dead-letter hook, and deliver the
 //!    fault to each dead parcel's continuation so downstream waiters
-//!    resolve with `PxError::Fault` instead of hanging. A lost
-//!    connection is a dead peer: it kills everything still queued toward
+//!    resolve with `PxError::Fault` instead of hanging. A parcel has
+//!    three ends and no others — `sched::complete` (its value goes to its
+//!    continuation), `sched::kill_parcel` (a counted fault goes there),
+//!    or a by-value encode onto the wire (`Wire::send_parcel`,
+//!    `Parcel::into_wire`) that makes it the next rank's — and debug
+//!    builds fail the driver of a runtime that drops one it had taken
+//!    charge of anywhere else (the spend obligation, [`crate::parcel`]).
+//!    A lost connection is a dead peer: it kills everything still queued toward
 //!    that peer and everything submitted afterwards, and a backend never
 //!    re-establishes it on its own — a resend cannot tell what the peer
 //!    already consumed, and whoever answers at the old address need not
@@ -81,9 +87,21 @@
 //!    destination a fault continuation routes back to. Peer-loss faults
 //!    therefore surface *after* `submit` returns, in bounded time — not
 //!    as a submit error.
-//! 4. **Shutdown flushes.** Pending messages are delivered (or killed
-//!    loudly) before `shutdown` returns; afterwards `submit` is a silent
-//!    no-op so teardown races stay benign.
+//! 4. **Shutdown flushes the wire and abandons the rest.** Pending
+//!    messages are delivered (or killed loudly) before the transport's
+//!    `shutdown` returns; afterwards `submit` is a silent no-op so
+//!    teardown races stay benign. *Delivered* means queued at the
+//!    destination, and a queue is only as good as its workers:
+//!    `Runtime::shutdown` lets every worker run its queues dry before it
+//!    exits, so what was queued before a locality's last look runs; a
+//!    task that arrives later — from a locality still draining, a driver
+//!    that keeps sending, the wire's teardown flush — is **abandoned by
+//!    decision**: not run, not dead-lettered, its continuation not
+//!    applied, dropped with the queue that holds it. Whoever needs the
+//!    answer waits for it before shutting down. The debug-build spend
+//!    check knows this one exemption, in one place: its log closes when
+//!    `Runtime::shutdown` has joined the workers
+//!    (`shutdown_runs_what_is_queued_and_abandons_what_arrives_after`).
 //! 5. **Parcel bytes are opaque — including trace extensions.** A
 //!    backend carries encoded parcels and frame records verbatim: it
 //!    must not strip, reorder, or re-encode the flags byte or the
@@ -402,12 +420,13 @@ impl Wire {
     }
 
     /// Encode and submit one parcel toward `dest`, batching according to
-    /// the policy. Returns the parcel's encoded size for accounting.
-    pub(crate) fn send_parcel(&self, dest: LocalityId, p: &Parcel) -> usize {
+    /// the policy. The parcel ends here, by value: its bytes are the
+    /// transport's from now on. Returns the encoded size for accounting.
+    pub(crate) fn send_parcel(&self, dest: LocalityId, p: Parcel) -> usize {
         let lane = Lane::of_parcel(p.staged);
         let Some(ports) = &self.ports else {
             // Unbatched path: identical to the pre-batching wire.
-            let bytes = p.encode();
+            let bytes = p.into_wire();
             let n = bytes.len();
             self.transport
                 .submit(WireMsg::Parcel { dest, lane, bytes }, n);
@@ -421,7 +440,7 @@ impl Wire {
         // Report the record's full wire footprint (parcel + length
         // prefix) so `bytes_sent` tracks what the delay model charges; of
         // the frame, only the fixed 5-byte header goes unattributed.
-        let n = port.frame.push_record_with(|w| p.encode_into(w)) + px_wire::RECORD_HEADER_LEN;
+        let n = port.frame.push_record_with(|w| p.ship_into(w)) + px_wire::RECORD_HEADER_LEN;
         let policy = &ports.policy;
         if port.frame.record_count() as usize >= policy.max_batch_parcels
             || port.frame.len() >= policy.max_batch_bytes
@@ -565,7 +584,6 @@ mod tests {
     use crate::action::Value;
     use crate::gid::Gid;
     use crate::parcel::Continuation;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn model_delay_arithmetic() {
@@ -634,7 +652,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..8 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(1), p.clone());
         }
         // Two full frames of four parcels each. Accumulate across polls:
         // the delay thread may deliver the frames on either side of a
@@ -653,10 +671,10 @@ mod tests {
         }
         assert_eq!(tasks, 2, "expected two frames");
         assert_eq!(parcels, 8, "expected all parcels");
-        assert_eq!(locs[1].counters.frames_sent.load(Ordering::Relaxed), 2);
-        assert_eq!(locs[1].counters.batch_flush_full.load(Ordering::Relaxed), 2);
+        assert_eq!(locs[1].counters.frames_sent.get(), 2);
+        assert_eq!(locs[1].counters.batch_flush_full.get(), 2);
         assert_eq!(
-            locs[1].counters.coalesced_parcels.load(Ordering::Relaxed),
+            locs[1].counters.coalesced_parcels.get(),
             6,
             "three of each four shared a frame"
         );
@@ -676,7 +694,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..4 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(1), p.clone());
         }
         let t0 = Instant::now();
         loop {
@@ -687,7 +705,7 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(5));
             std::thread::sleep(Duration::from_micros(200));
         }
-        assert!(locs[1].counters.batch_flush_full.load(Ordering::Relaxed) >= 1);
+        assert!(locs[1].counters.batch_flush_full.get() >= 1);
     }
 
     #[test]
@@ -703,7 +721,7 @@ mod tests {
             },
         );
         let p = noop_parcel(LocalityId(1));
-        wire.send_parcel(LocalityId(1), &p);
+        wire.send_parcel(LocalityId(1), p.clone());
         let t0 = Instant::now();
         loop {
             let (tasks, parcels) = drain_count(&locs[1]);
@@ -717,10 +735,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_micros(100));
         }
-        assert_eq!(
-            locs[1].counters.batch_flush_timer.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(locs[1].counters.batch_flush_timer.get(), 1);
         drop(wire);
     }
 
@@ -738,7 +753,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(1), p.clone());
         }
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
@@ -761,8 +776,8 @@ mod tests {
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
-        wire.send_parcel(LocalityId(1), &plain);
-        wire.send_parcel(LocalityId(1), &staged);
+        wire.send_parcel(LocalityId(1), plain);
+        wire.send_parcel(LocalityId(1), staged);
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1), "plain frame in the injector");
@@ -782,13 +797,13 @@ mod tests {
             BatchPolicy::new(1),
         );
         let p = noop_parcel(LocalityId(1));
-        let n = wire.send_parcel(LocalityId(1), &p);
+        let n = wire.send_parcel(LocalityId(1), p.clone());
         assert_eq!(n, p.encode().len());
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1));
         assert_eq!(
-            locs[1].counters.frames_sent.load(Ordering::Relaxed),
+            locs[1].counters.frames_sent.get(),
             0,
             "no frames on the single-parcel path"
         );
@@ -812,7 +827,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(1), p.clone());
         }
         wire.shutdown();
         let mut expected = px_wire::FrameBuf::new();

@@ -97,13 +97,13 @@ use crate::locality::{Lane, Locality};
 use crate::parcel::Parcel;
 use crate::runtime::RuntimeInner;
 use crate::sched::{Task, Work};
-use crate::stats::{PeerStats, TransportStats};
+use crate::stats::{Counter, PeerStats, TransportStats};
 use parking_lot::{Condvar, Mutex};
 use px_poll::Poller;
 use px_wire::stream::msg_kind;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -145,11 +145,11 @@ impl TcpConfig {
 /// Send/receive counters for one peer.
 #[derive(Default)]
 struct PeerCounters {
-    msgs_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    frames_sent: AtomicU64,
-    msgs_recv: AtomicU64,
-    bytes_recv: AtomicU64,
+    msgs_sent: Counter,
+    bytes_sent: Counter,
+    frames_sent: Counter,
+    msgs_recv: Counter,
+    bytes_recv: Counter,
 }
 
 /// One message queued toward a peer.
@@ -485,7 +485,8 @@ fn trace_record(loc: &Locality, kind: crate::trace::TraceEventKind, bytes: &[u8]
 /// record [`for_each_record`] could not read — counted, nothing to fault).
 fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Option<&[u8]>, why: &str) {
     match rec.map(Parcel::decode) {
-        Some(Ok(p)) => {
+        Some(Ok(mut p)) => {
+            p.arm(rt);
             // The transport flavor of this death, under the parcel's own
             // trace id (kill_parcel adds the ParcelKill right after).
             loc.trace_event(p.trace, crate::trace::TraceEventKind::NetFault, p.dest.0, 0);
@@ -625,11 +626,11 @@ impl Transport for TcpTransport {
                     };
                     Some(PeerStats {
                         peer: id as u16,
-                        msgs_sent: c.msgs_sent.load(Ordering::Relaxed),
-                        bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-                        frames_sent: c.frames_sent.load(Ordering::Relaxed),
-                        msgs_recv: c.msgs_recv.load(Ordering::Relaxed),
-                        bytes_recv: c.bytes_recv.load(Ordering::Relaxed),
+                        msgs_sent: c.msgs_sent.get(),
+                        bytes_sent: c.bytes_sent.get(),
+                        frames_sent: c.frames_sent.get(),
+                        msgs_recv: c.msgs_recv.get(),
+                        bytes_recv: c.bytes_recv.get(),
                         reconnects: 0,
                         queue_depth: depth,
                         queue_bytes_hwm: bytes_hwm,
@@ -694,6 +695,34 @@ mod tests {
                 format!("127.0.0.1:{}", l.local_addr().unwrap().port())
             })
             .collect()
+    }
+
+    /// The spend check on the other shape the lexical rule declared out
+    /// of scope: a parcel bound by a pattern (`Ok(mut p) =>`), as
+    /// [`kill_record`] binds the ones it decodes, with an arm that lets it
+    /// fall out of scope. An in-process runtime: the check is the type's,
+    /// not the transport's.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "parcel lost: ")]
+    fn a_pattern_bound_parcel_dropped_on_one_arm_fails_shutdown() {
+        use crate::runtime::{Config, RuntimeBuilder};
+        fn kill_unless_traced(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: &[u8]) {
+            match Parcel::decode(rec) {
+                Ok(mut p) => {
+                    p.arm(rt);
+                    if p.trace.is_some() {
+                        let why = "peer lost".to_string();
+                        crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why);
+                    } // the bug: an untraced `p` is dropped here
+                }
+                Err(_) => loc.counters.count_death(FaultCause::Decode, 1),
+            }
+        }
+        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
+        let rec = crate::sys::bare(Gid::locality_root(LocalityId(0)), crate::sys::NOOP).encode();
+        kill_unless_traced(rt.inner(), rt.inner().locality(LocalityId(0)), &rec);
+        rt.shutdown();
     }
 
     fn boot_pair() -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
@@ -841,12 +870,7 @@ mod tests {
                 },
                 n,
             );
-            if own
-                .counters
-                .dead_transport
-                .load(std::sync::atomic::Ordering::Relaxed)
-                > 0
-            {
+            if own.counters.dead_transport.get() > 0 {
                 break;
             }
             assert!(
@@ -876,7 +900,7 @@ mod tests {
             "rank 0 to declare rank 1 dead",
         );
         let own = a.shared.own();
-        let dead_transport = || own.counters.dead_transport.load(Ordering::Relaxed);
+        let dead_transport = || own.counters.dead_transport.get();
         let before = dead_transport();
         for _ in 0..50 {
             let bytes = noop_parcel(LocalityId(1));
@@ -916,11 +940,7 @@ mod tests {
             64,
         );
         assert_eq!(
-            a.shared
-                .own()
-                .counters
-                .dead_transport
-                .load(std::sync::atomic::Ordering::Relaxed),
+            a.shared.own().counters.dead_transport.get(),
             1,
             "closure transfer must die loudly"
         );

@@ -451,11 +451,11 @@ impl IoLoop {
             match stream.write_vectored(&slices) {
                 Ok(n) => {
                     drop(slices);
-                    c.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    c.bytes_sent.add(n as u64);
                     io.batch.advance_with(n, |kind| {
-                        c.msgs_sent.fetch_add(1, Ordering::Relaxed);
+                        c.msgs_sent.add(1);
                         if kind == msg_kind::FRAME || kind == msg_kind::FRAME_STAGED {
-                            c.frames_sent.fetch_add(1, Ordering::Relaxed);
+                            c.frames_sent.add(1);
                         }
                     });
                 }
@@ -652,12 +652,12 @@ impl IoLoop {
                 Err(_) => break "read failed",
             };
             let c = &self.shared.peer(peer).counters;
-            c.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
+            c.bytes_recv.add(n as u64);
             conn.asm.feed(&self.read_chunk[..n]);
             loop {
                 match conn.asm.next_msg() {
                     Ok(Some((kind, body))) => {
-                        c.msgs_recv.fetch_add(1, Ordering::Relaxed);
+                        c.msgs_recv.add(1);
                         self.shared.trace_stream_msg(
                             crate::trace::TraceEventKind::NetRecv,
                             kind,

@@ -136,6 +136,7 @@ impl<'a> Origin<'a> {
     /// home).
     pub(crate) fn send_toward(self, site: Option<LocalityId>, mut p: Parcel) {
         let (rt, here) = (self.rt, self.loc.id);
+        p.arm(rt);
         p.src = here;
         p.process = p.process.or(self.process);
         p.trace = p.trace.or(self.trace);

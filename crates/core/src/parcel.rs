@@ -11,6 +11,32 @@
 //! A parcel therefore has four parts: destination, action, arguments, and
 //! continuation. The continuation is a small program: a list of steps each
 //! consuming the action's result value.
+//!
+//! ## The spend obligation
+//!
+//! Because a parcel names what happens next, one that vanishes strands
+//! every future, gate and waiter downstream of it. So a parcel the runtime
+//! has taken charge of has three ends and no others: `sched::complete`
+//! (the action's value goes to the continuation), `sched::kill_parcel` (a
+//! counted, reported fault goes there instead), or a by-value encode onto
+//! the wire (`Parcel::into_wire`, `Parcel::ship_into`) that makes it the
+//! next rank's. In between it only changes hands: a run queue, the
+//! migration park, a protocol step that keeps it until its ack.
+//!
+//! Debug builds (`cfg(debug_assertions)`; nothing else selects it) hold
+//! every executed path to that. A parcel is *unarmed* as built by
+//! [`Parcel::new`], [`Parcel::decode`] or `clone` — its owner may drop it
+//! — and *armed* where the runtime takes ownership: `Origin::send_toward`,
+//! the one sender, and a worker's decode of a wire delivery. Only the
+//! three ends (and the LCO waiter handoff, which moves the continuation
+//! into the LCO) disarm it. An armed parcel dropped anywhere else — any
+//! file, binding shape or control flow — is reported with destination,
+//! action and arming site, and its runtime's driver fails with the report
+//! at its next blocking wait (instead of hanging on the answer) or at
+//! [`crate::runtime::Runtime::shutdown`]; what is still queued when that
+//! returns is abandoned by decision (`net/mod.rs`, contract point 4).
+//! Release builds carry no field and no check. The blind spot is a branch
+//! nothing executes.
 
 use crate::action::{ActionId, Value};
 use crate::gid::{Gid, LocalityId};
@@ -118,6 +144,91 @@ pub struct Parcel {
     /// percolation "is a variation of parcels but used with hardware as the
     /// target").
     pub staged: bool,
+    /// The spend obligation (see the module docs); unarmed as built.
+    #[cfg(debug_assertions)]
+    spend: Obligation,
+}
+
+// The obligation must cost the measured build nothing, layout included:
+// the parent commit's `Parcel` is 104 bytes.
+#[cfg(all(not(debug_assertions), target_pointer_width = "64"))]
+const _: () = assert!(size_of::<Parcel>() == 104);
+
+/// Where and for whom a parcel was armed.
+#[cfg(debug_assertions)]
+#[derive(Debug)]
+struct Armed {
+    log: std::sync::Arc<LostLog>,
+    dest: Gid,
+    action: ActionId,
+    at: &'static std::panic::Location<'static>,
+}
+
+/// A parcel's spend obligation: `Some` while armed. Its `Drop` is the
+/// check — `Parcel` itself has none, so handlers may still move fields
+/// out of one.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct Obligation(Option<Armed>);
+
+#[cfg(debug_assertions)]
+impl Clone for Obligation {
+    /// A copy is a new value nobody has taken charge of: unarmed.
+    fn clone(&self) -> Obligation {
+        Obligation(None)
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Obligation {
+    fn drop(&mut self) {
+        if let Some(a) = self.0.take() {
+            a.log.lost(format!(
+                "parcel lost: {:?} for {} was armed at {} and dropped without \
+                 complete, kill_parcel or a wire encode",
+                a.action, a.dest, a.at
+            ));
+        }
+    }
+}
+
+/// One runtime's record of the armed parcels it dropped. The drop itself
+/// never panics — it may be on a worker, whose silent death reports
+/// nothing, or mid-unwind: the loss is printed, kept here, and raised on
+/// the driver thread by [`LostLog::fail_if_any`].
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+pub(crate) struct LostLog {
+    lost: parking_lot::Mutex<Vec<String>>,
+    /// Set once `shutdown` has stopped the workers: what is dropped from
+    /// then on was abandoned with the runtime, not lost by it.
+    closed: std::sync::atomic::AtomicBool,
+}
+
+#[cfg(debug_assertions)]
+impl LostLog {
+    fn lost(&self, what: String) {
+        // SeqCst: pairs with `close`; the workers are joined by then.
+        if !self.closed.load(std::sync::atomic::Ordering::SeqCst) {
+            eprintln!("{what}");
+            self.lost.lock().push(what);
+        }
+    }
+
+    /// Stop recording: the runtime is down.
+    pub(crate) fn close(&self) {
+        self.closed.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// Panic on the calling (driver) thread with every loss recorded so
+    /// far — unless it is already unwinding.
+    #[track_caller]
+    pub(crate) fn fail_if_any(&self) {
+        let lost = std::mem::take(&mut *self.lost.lock());
+        if !lost.is_empty() && !std::thread::panicking() {
+            panic!("{}", lost.join("\n"));
+        }
+    }
 }
 
 impl Parcel {
@@ -133,7 +244,51 @@ impl Parcel {
             trace: None,
             hops: 0,
             staged: false,
+            #[cfg(debug_assertions)]
+            spend: Obligation::default(),
         }
+    }
+
+    /// The runtime takes charge of this parcel: from here it must reach
+    /// one of its three ends (see the module docs). Re-arming moves the
+    /// recorded place.
+    #[inline]
+    #[track_caller]
+    pub(crate) fn arm(&mut self, rt: &crate::runtime::RuntimeInner) {
+        #[cfg(debug_assertions)]
+        {
+            self.spend.0 = Some(Armed {
+                log: rt.lost.clone(),
+                dest: self.dest,
+                action: self.action,
+                at: std::panic::Location::caller(),
+            });
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = rt;
+    }
+
+    /// This parcel has reached an end. Only `complete`, `kill_parcel`,
+    /// the by-value encodes below and the LCO waiter handoff call it.
+    #[inline]
+    pub(crate) fn spend(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.spend.0 = None;
+        }
+    }
+
+    /// Encode onto the wire, ending the parcel here: the next rank
+    /// decodes and arms its own.
+    pub(crate) fn into_wire(mut self) -> Vec<u8> {
+        self.spend();
+        self.encode()
+    }
+
+    /// [`Parcel::into_wire`] into a coalescing port's frame.
+    pub(crate) fn ship_into(mut self, w: &mut WireWriter) {
+        self.spend();
+        self.encode_into(w);
     }
 
     /// Put the parcel under `trace` (builder style).
@@ -260,6 +415,8 @@ impl Parcel {
             trace,
             hops,
             staged,
+            #[cfg(debug_assertions)]
+            spend: Obligation::default(),
         })
     }
 

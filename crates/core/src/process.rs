@@ -65,7 +65,7 @@ pub struct ProcessInner {
     /// Future triggered (with unit) at quiescence; poisoned at cancel.
     done: Gid,
     /// Total activations ever accounted (diagnostics).
-    spawned: AtomicU64,
+    spawned: crate::stats::Counter,
     /// Parent process, if this is a subprocess.
     parent: Option<Gid>,
     /// Direct children (subprocess GIDs), in creation order.
@@ -92,7 +92,7 @@ impl std::fmt::Debug for ProcessInner {
             .field("gid", &self.gid)
             // Relaxed: debug snapshot; exactness is not required.
             .field("active", &self.active.load(Ordering::Relaxed))
-            .field("spawned", &self.spawned.load(Ordering::Relaxed))
+            .field("spawned", &self.spawned.get())
             .field("parent", &self.parent)
             .field("children", &self.children.lock().len())
             // Relaxed: debug snapshot; exactness is not required.
@@ -108,7 +108,7 @@ impl ProcessInner {
             // 1 = the root token held by the creator.
             active: AtomicU64::new(1),
             done,
-            spawned: AtomicU64::new(0),
+            spawned: crate::stats::Counter::default(),
             parent,
             children: Mutex::new(Vec::new()),
             owned_lcos: Mutex::new(Vec::new()),
@@ -124,8 +124,7 @@ impl ProcessInner {
     /// Account one dispatched activation.
     pub(crate) fn task_started(&self) {
         self.active.fetch_add(1, Ordering::AcqRel);
-        // Relaxed: lifetime tally; `active` above carries the ordering.
-        self.spawned.fetch_add(1, Ordering::Relaxed);
+        self.spawned.add(1);
     }
 
     /// Account one completed activation; at zero, triggers the
@@ -254,8 +253,7 @@ impl ProcessInner {
 
     /// Total activations accounted over the process lifetime.
     pub fn spawned(&self) -> u64 {
-        // Relaxed: counter read for reporting.
-        self.spawned.load(Ordering::Relaxed)
+        self.spawned.get()
     }
 
     /// True once the record is only history: the process has exited
@@ -524,7 +522,7 @@ pub(crate) fn create_process(
     inner.note_touched(home);
     loc.insert_at(gid, Stored::Process(inner.clone()));
     rt.process_table.write().insert(gid, inner);
-    let created = rt.processes_created.fetch_add(1, Ordering::Relaxed) + 1;
+    let created = rt.processes_created.add(1) + 1;
     if created.is_multiple_of(REAP_EVERY) {
         reap_processes(rt);
     }
@@ -573,8 +571,7 @@ pub(crate) fn reap_processes(rt: &Arc<RuntimeInner>) -> usize {
         reaped += 1;
     }
     if reaped > 0 {
-        rt.processes_reaped
-            .fetch_add(reaped as u64, Ordering::Relaxed);
+        rt.processes_reaped.add(reaped as u64);
     }
     reaped
 }
@@ -594,7 +591,7 @@ pub(crate) fn cancel_process(rt: &Arc<RuntimeInner>, gid: Gid) {
     if p.cancelled.swap(true, Ordering::AcqRel) {
         return;
     }
-    rt.processes_cancelled.fetch_add(1, Ordering::Relaxed);
+    rt.processes_cancelled.add(1);
     let fault = p.cancel_fault();
     // Cancellation has no parcel to carry a trace id, so the event is
     // recorded unconditionally under the never-sampled id 0 when tracing
@@ -653,6 +650,35 @@ mod tests {
         p.task_started();
         assert_eq!(p.active(), 3);
         assert_eq!(p.spawned(), 2);
+    }
+
+    /// The two nestings the lexical lock-order rule knew of, on the
+    /// dynamic check's record once they have run: a directory shard over
+    /// a resolution cache (`Agas::resolve`), the process table over a
+    /// child list (`ProcessRef::children`). A class is where its lock is
+    /// built.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_known_lock_nestings_are_on_record() {
+        use crate::runtime::{Config, RuntimeBuilder};
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let data = rt.new_data_at(LocalityId(0), vec![1]);
+        rt.migrate_data(data, LocalityId(1)).unwrap();
+        rt.inner().agas.resolve(LocalityId(0), data);
+        let parent = rt.create_process(LocalityId(0));
+        parent.create_subprocess(&rt, LocalityId(1)).unwrap();
+        assert_eq!(parent.children(&rt).len(), 1);
+        let nested = |held: &str, taken: &str| {
+            parking_lot::acquired_before()
+                .iter()
+                .any(|(h, t)| h != t && h.file().ends_with(held) && t.file().ends_with(taken))
+        };
+        assert!(nested("agas.rs", "agas.rs"), "shard -> caches");
+        assert!(
+            nested("runtime.rs", "process.rs"),
+            "process_table -> children"
+        );
+        rt.shutdown();
     }
 
     #[test]

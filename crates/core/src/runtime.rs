@@ -31,10 +31,11 @@ use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
 use crate::queue::Local;
 use crate::sched::Task;
+use crate::stats::Counter;
 use crate::sys;
 use parking_lot::{Mutex, RwLock};
 use serde::{de::DeserializeOwned, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,11 +55,11 @@ pub struct RuntimeInner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) process_table: RwLock<FxHashMap<Gid, Arc<ProcessInner>>>,
     /// Parallel processes created (roots + subprocesses).
-    pub(crate) processes_created: AtomicU64,
+    pub(crate) processes_created: Counter,
     /// Parallel processes cancelled (each subtree member counts once).
-    pub(crate) processes_cancelled: AtomicU64,
+    pub(crate) processes_cancelled: Counter,
     /// Exited-and-unreferenced process records reaped from the table.
-    pub(crate) processes_reaped: AtomicU64,
+    pub(crate) processes_reaped: Counter,
     /// The locality driver-level sends originate from: locality 0
     /// in-process (the seed convention), this process's rank over TCP.
     pub(crate) origin: LocalityId,
@@ -81,6 +82,9 @@ pub struct RuntimeInner {
     /// Trace sampler and id allocator (`Some` iff `config.trace` is
     /// enabled).
     pub(crate) trace: Option<crate::trace::TraceState>,
+    /// Armed parcels this runtime dropped (see [`crate::parcel`]).
+    #[cfg(debug_assertions)]
+    pub(crate) lost: Arc<crate::parcel::LostLog>,
 }
 
 /// Observer invoked (synchronously, on the worker that raised it) for
@@ -183,8 +187,18 @@ impl RuntimeInner {
         let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
         self.schedule_activations(loc, acts, None);
         match timeout {
-            None => slot.wait().map(Some),
             Some(t) => slot.wait_timeout(t),
+            #[cfg(not(debug_assertions))]
+            None => slot.wait().map(Some),
+            // Sliced so that a wait whose answer was lost with a dropped
+            // parcel fails here, with the loss, instead of hanging.
+            #[cfg(debug_assertions)]
+            None => loop {
+                if let Some(v) = slot.wait_timeout(Duration::from_millis(50))? {
+                    return Ok(Some(v));
+                }
+                self.lost.fail_if_any();
+            },
         }
     }
 
@@ -338,9 +352,9 @@ impl RuntimeBuilder {
             wire,
             shutdown: AtomicBool::new(false),
             process_table: RwLock::new(FxHashMap::default()),
-            processes_created: AtomicU64::new(0),
-            processes_cancelled: AtomicU64::new(0),
-            processes_reaped: AtomicU64::new(0),
+            processes_created: Counter::default(),
+            processes_cancelled: Counter::default(),
+            processes_reaped: Counter::default(),
             origin,
             owned,
             track_heat,
@@ -353,6 +367,8 @@ impl RuntimeBuilder {
                 .then(|| crate::trace::TraceState::new(self.config.trace.sample_every, domain)),
             localities,
             config: self.config,
+            #[cfg(debug_assertions)]
+            lost: Arc::default(),
         });
         // Late-bind the runtime into the transport so undeliverable
         // messages can be killed loudly (fault to continuation).
@@ -438,9 +454,9 @@ impl Runtime {
                 .collect(),
             migrations_manual,
             migrations_balancer,
-            processes_created: self.inner.processes_created.load(Ordering::Relaxed),
-            processes_cancelled: self.inner.processes_cancelled.load(Ordering::Relaxed),
-            processes_reaped: self.inner.processes_reaped.load(Ordering::Relaxed),
+            processes_created: self.inner.processes_created.get(),
+            processes_cancelled: self.inner.processes_cancelled.get(),
+            processes_reaped: self.inner.processes_reaped.get(),
             transport: self.inner.wire.transport_stats(),
         }
     }
@@ -597,7 +613,10 @@ impl Runtime {
     }
 
     /// Stop accepting work, wake and join all workers, stop the wire.
-    /// Idempotent; also invoked on drop.
+    /// Idempotent; also invoked on drop. Workers run their queues dry
+    /// before they exit; what arrives later is abandoned (`net/mod.rs`,
+    /// contract point 4). A debug build panics here if the runtime
+    /// dropped a parcel it had taken charge of ([`crate::parcel`]).
     pub fn shutdown(&self) {
         // Stop the balancer first so no new gossip/shed traffic races the
         // worker teardown (closing the channel stops the thread).
@@ -617,6 +636,11 @@ impl Runtime {
             for j in joins {
                 let _ = j.join();
             }
+        }
+        #[cfg(debug_assertions)]
+        {
+            self.inner.lost.close();
+            self.inner.lost.fail_if_any();
         }
     }
 
@@ -1012,6 +1036,49 @@ mod tests {
             total.coalesced_parcels > 0,
             "batching should have coalesced something"
         );
+        rt.shutdown();
+    }
+
+    /// The spend check on a seeded violation, in a shape and a file the
+    /// lexical rule never looked at: a parcel the runtime has taken
+    /// charge of, dropped by a quiet `return`. A driver waiting on an
+    /// answer fails with the loss instead of hanging, and so does
+    /// `shutdown`.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_armed_parcel_dropped_by_a_quiet_return_fails_its_driver() {
+        fn deliver_unless_busy(p: Parcel, busy: bool) {
+            if busy {
+                return; // the bug: `p` falls out of scope here
+            }
+            unreachable!("{p:?}");
+        }
+        let said = |f: &dyn Fn()| {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("the loss must fail the driver");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
+        let root = Gid::locality_root(LocalityId(0));
+        let lose_one = || {
+            let mut p = sys::bare(root, sys::PING);
+            p.arm(rt.inner());
+            deliver_unless_busy(p, true);
+        };
+        lose_one();
+        let never_set = rt.new_future::<u8>(LocalityId(0));
+        let at_wait = said(&|| drop(rt.wait_future(never_set)));
+        let what = format!(
+            "parcel lost: {:?} for {root} was armed at {}",
+            sys::PING,
+            file!()
+        );
+        assert!(at_wait.starts_with(&what), "{at_wait}");
+        // Reported once: the next loss is the next failure, at shutdown.
+        lose_one();
+        assert_eq!(said(&|| rt.shutdown()).matches("parcel lost").count(), 1);
+        // And after shutdown nothing is the runtime's charge any more.
+        lose_one();
         rt.shutdown();
     }
 

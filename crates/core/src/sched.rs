@@ -324,7 +324,8 @@ pub(crate) fn execute(
 /// completion is accounted here.
 fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, bytes: &[u8]) {
     match Parcel::decode(bytes) {
-        Ok(p) => {
+        Ok(mut p) => {
+            p.arm(rt);
             let proc_gid = p.process;
             run_parcel(rt, loc, local, p);
             // Mirror of the send-side gate in `route_parcel`: in a
@@ -416,9 +417,17 @@ pub(crate) fn kill_parcel(
     message: String,
 ) {
     let fault = rt.record_death(loc, p.dest, p.action, cause, message, p.trace);
-    // Unconditional handoff: an empty continuation applies as a no-op,
-    // and every other one resolves its waiters with the fault.
-    apply_continuation(rt, loc, p.cont, Value::error(&fault), p.trace);
+    complete(rt, loc, p, Value::error(&fault));
+}
+
+/// The good end of a parcel: its action is done and `value` — the result,
+/// or a fault passing through — goes to its continuation. Unconditional:
+/// an empty continuation applies as a no-op, every other one resolves its
+/// waiters, so a handler has no "this one carries no continuation" case
+/// to get wrong.
+pub(crate) fn complete(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parcel, value: Value) {
+    p.spend();
+    apply_continuation(rt, loc, p.cont, value, p.trace);
 }
 
 /// Execute a parcel: ownership check (with forwarding), then system or
@@ -505,8 +514,8 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     // *delivering* the fault to them is how an LCO gets poisoned.
     let a = p.action;
     if p.payload.is_fault() && a != sys::LCO_SET && a != sys::LCO_CONTRIBUTE {
-        apply_continuation(rt, loc, p.cont, p.payload, p.trace);
-        return;
+        let fault = p.payload.clone();
+        return complete(rt, loc, p, fault);
     }
 
     // System actions first: they bypass the registry and use raw payload
@@ -531,7 +540,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
             loc.metric_elapsed(crate::metrics::Instrument::ExecuteUser, exec_start);
             bump!(loc.counters.threads_executed);
             match result {
-                Ok(Ok(v)) => apply_continuation(rt, loc, p.cont, v, p.trace),
+                Ok(Ok(v)) => complete(rt, loc, p, v),
                 Ok(Err(e)) => {
                     let cause = cause_of(&e);
                     kill_parcel(rt, loc, p, cause, e.to_string());
@@ -590,7 +599,7 @@ pub(crate) fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>,
 /// Apply a continuation specifier with the result value. Local LCO steps
 /// run immediately; remote steps and calls become parcels. The causing
 /// parcel's trace id rides along every step.
-pub(crate) fn apply_continuation(
+fn apply_continuation(
     rt: &Arc<RuntimeInner>,
     loc: &Arc<Locality>,
     cont: Continuation,
@@ -683,7 +692,6 @@ impl RuntimeInner {
     }
 
     /// Route a parcel to a known owner locality.
-    // px-analyze: allow(no-silent-loss): the tail path hands the parcel to `Wire::send_parcel`, which encodes it onto the wire — the local copy is spent, not lost.
     pub(crate) fn route_parcel(self: &Arc<Self>, from: LocalityId, owner: LocalityId, p: Parcel) {
         let from_loc = &self.localities[from.0 as usize];
         bump!(from_loc.counters.parcels_sent);
@@ -716,13 +724,12 @@ impl RuntimeInner {
         // very backlog it reports on or repairs, and may not be dropped
         // or delayed under data-lane backpressure.
         if sys::is_control(p.action) {
-            let bytes = p.encode();
+            let bytes = p.into_wire();
             let n = bytes.len();
             let (dest, lane) = (owner, Lane::Control);
             self.wire
                 .send(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
             bump!(from_loc.counters.bytes_sent, n as u64);
-            // px-analyze: allow(no-silent-loss): the encoded control-lane frame is already on the wire (accounted above) — the in-memory parcel is spent, not lost.
             return;
         }
         // Parcel-borne process accounting: the receiving worker decrements
@@ -730,7 +737,7 @@ impl RuntimeInner {
         // the parcel alone or coalesces it into the destination's port
         // frame (see `net::BatchPolicy`); either way it reports the
         // encoded size for accounting.
-        let n = self.wire.send_parcel(owner, &p);
+        let n = self.wire.send_parcel(owner, p);
         bump!(from_loc.counters.bytes_sent, n as u64);
     }
 
@@ -837,8 +844,8 @@ mod tests {
         loc.push_task(Task::new(Work::ParcelFrame(bytes)));
         let t0 = Instant::now();
         loop {
-            let dead = loc.counters.dead_parcels.load(Ordering::Relaxed);
-            let recv = loc.counters.parcels_recv.load(Ordering::Relaxed);
+            let dead = loc.counters.dead_parcels.get();
+            let recv = loc.counters.parcels_recv.get();
             if dead == 3 && recv == 2 {
                 break;
             }

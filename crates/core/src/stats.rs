@@ -6,10 +6,44 @@
 //! (individual counters are exact; cross-counter skew is bounded by the
 //! snapshot interval, which is fine for the ratios the experiments report).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+/// A monotone statistic: an event count, a running total, or a ticket
+/// dispenser. Every `counters!` row, histogram cell, AGAS, process and
+/// TCP-peer tally and trace or balancer ticket is one, so the runtime's
+/// statistics are relaxed by construction and nothing else is: anywhere
+/// else `Ordering::Relaxed` needs a comment saying why (held by the root
+/// package's `tests/source_conventions.rs`).
+///
+/// Relaxed, once, for all of them: a counter publishes no other memory.
+/// Each `add` is atomic, so no increment is lost and no two callers draw
+/// one ticket; a reader sums or prints the value and decides nothing
+/// about other data from it, so it needs no happens-before edge, and a
+/// snapshot tolerates the bounded skew between two counters read apart.
+#[repr(transparent)]
+#[derive(Debug, Default)]
+pub struct Counter(std::sync::atomic::AtomicU64);
+
+// `repr(transparent)`: a `Counter` is laid out as the atomic it wraps.
+const _: () = assert!(size_of::<Counter>() == size_of::<std::sync::atomic::AtomicU64>());
+
+impl Counter {
+    /// Add `n`; returns the value before the add (the caller's ticket,
+    /// when the counter is a dispenser).
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        // Relaxed: a statistic publishes nothing (see the type's docs).
+        self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        // Relaxed: as in `add`.
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
 
 /// The one definition of the per-locality counter set. Each row (doc
-/// comment + name) becomes an `AtomicU64` field of [`LocalityCounters`],
+/// comment + name) becomes a [`Counter`] field of [`LocalityCounters`],
 /// a `u64` field of [`LocalityStats`], and a term of `snapshot`,
 /// `delta_from`, `total` and `for_each` — adding a counter is adding a
 /// row here and a `bump!` where the event happens.
@@ -18,7 +52,7 @@ macro_rules! counters {
         /// Per-locality counters (all monotone).
         #[derive(Debug, Default)]
         pub struct LocalityCounters {
-            $($(#[$doc])* pub $name: AtomicU64,)*
+            $($(#[$doc])* pub $name: Counter,)*
         }
 
         /// Plain-data copy of [`LocalityCounters`].
@@ -30,16 +64,14 @@ macro_rules! counters {
         impl LocalityCounters {
             /// Copy current values.
             pub fn snapshot(&self) -> LocalityStats {
-                // Relaxed: monotonic stats counters — each value is exact,
-                // and a snapshot tolerates bounded cross-counter skew.
-                LocalityStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+                LocalityStats { $($name: self.$name.get(),)* }
             }
         }
 
         #[cfg(test)]
         impl LocalityCounters {
             /// Every counter cell, in table order.
-            fn cells(&self) -> Vec<&AtomicU64> {
+            fn cells(&self) -> Vec<&Counter> {
                 vec![$(&self.$name),*]
             }
         }
@@ -179,13 +211,10 @@ counters! {
 
 macro_rules! bump {
     ($field:expr) => {{
-        // Relaxed: every bump! target is a monotonic stats counter,
-        // never a synchronization point.
-        let _ = $field.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+        let _ = $field.add(1);
     }};
     ($field:expr, $n:expr) => {{
-        // Relaxed: see the single-increment arm above — counters only.
-        let _ = $field.fetch_add($n, ::std::sync::atomic::Ordering::Relaxed);
+        let _ = $field.add($n);
     }};
 }
 pub(crate) use bump;
@@ -384,7 +413,7 @@ mod tests {
         let c = LocalityCounters::default();
         assert_eq!(c.cells().len(), rows);
         for (i, cell) in c.cells().into_iter().enumerate() {
-            cell.store(i as u64 + 1, Ordering::Relaxed);
+            cell.add(i as u64 + 1);
         }
         let listed = |s: &LocalityStats| {
             let (mut names, mut values) = (Vec::new(), Vec::new());

@@ -14,9 +14,9 @@ use crate::error::{FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
 use crate::locality::{DataObject, Locality, Stored};
 use crate::origin::Origin;
-use crate::parcel::{Continuation, Parcel};
+use crate::parcel::Parcel;
 use crate::runtime::{Ctx, RuntimeInner};
-use crate::sched::{apply_continuation, kill_parcel, retry_after_migration};
+use crate::sched::{complete, kill_parcel, retry_after_migration};
 use crate::stats::bump;
 use crate::trace::TraceEventKind;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     g.bytes = bytes;
     g.version += 1;
     drop(g);
-    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
+    complete(rt, loc, p, Value::unit());
 }
 
 /// Park `p` against its target's in-flight migration: it lives in the
@@ -97,7 +97,7 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
     let gid = p.dest;
     if to == loc.id {
         // Already here: the move is a no-op, ack immediately.
-        return apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
+        return complete(rt, loc, p, Value::unit());
     }
     if rt.owns(to) {
         // Destination shares this OS process: the serialized in-process
@@ -124,18 +124,16 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
             return reply_or_chase(rt, loc, p, Err(e));
         }
     };
-    let Parcel { cont, trace, .. } = p;
     let install = DirInstall {
         gid,
         version,
         bytes,
     };
+    let trace = p.trace;
     let migration = Migration {
-        gid,
+        request: p,
         to,
         cause,
-        cont,
-        trace,
     };
     Origin::at(rt, loc).request_then(
         install.parcel(Gid::locality_root(to), trace),
@@ -145,12 +143,12 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
 
 /// A cross-rank migration between its acks, at the source rank.
 struct Migration {
-    gid: Gid,
+    /// The `migrate` request itself — addressed at the object, carrying
+    /// the requester's continuation and trace — kept until the protocol
+    /// can complete it.
+    request: Parcel,
     to: LocalityId,
     cause: MigrationCause,
-    /// The original `migrate` request's continuation and trace.
-    cont: Continuation,
-    trace: Option<u64>,
 }
 
 impl Migration {
@@ -160,17 +158,18 @@ impl Migration {
     /// no-window ordering: at every instant at least one rank serves the
     /// GID).
     fn installed(self, ctx: &mut Ctx<'_>, ack: Value) {
-        let home = self.gid.birthplace();
+        let gid = self.request.dest;
+        let home = gid.birthplace();
         if ack.is_fault() || ctx.rt_inner().owns(home) {
             return self.updated(ctx, ack);
         }
         let update = DirUpdate {
-            gid: self.gid,
+            gid,
             owner: self.to,
             cause: self.cause,
         };
         Origin::at(ctx.rt_inner(), ctx.locality()).request_then(
-            update.parcel(Gid::locality_root(home), self.trace),
+            update.parcel(Gid::locality_root(home), self.request.trace),
             move |ctx, ack| self.updated(ctx, ack),
         );
     }
@@ -178,7 +177,7 @@ impl Migration {
     /// The last ack landed (or a step died, and `ack` is its fault).
     fn updated(self, ctx: &mut Ctx<'_>, ack: Value) {
         let (rt, loc) = (ctx.rt_inner(), ctx.locality());
-        let Migration { gid, to, .. } = self;
+        let (gid, to) = (self.request.dest, self.to);
         if ack.is_fault() {
             // Transport fault to the destination or the home rank: unpin,
             // release parked writes — they re-resolve against the
@@ -195,7 +194,7 @@ impl Migration {
                 owner: loc.id,
             };
             Origin::at(rt, loc).send(discard.parcel(Gid::locality_root(to), None));
-            return apply_continuation(rt, loc, self.cont, ack, self.trace);
+            return complete(rt, loc, self.request, ack);
         }
         // Retire the source copy, repair the local cache, unpin and
         // release parked writes (they chase to the new owner). Counted at
@@ -213,8 +212,13 @@ impl Migration {
             owner: to,
         };
         Origin::at(rt, loc).send(keep.parcel(Gid::locality_root(to), None));
-        loc.trace_event(self.trace, TraceEventKind::Migrate, gid.0, u64::from(to.0));
-        apply_continuation(rt, loc, self.cont, Value::unit(), self.trace);
+        loc.trace_event(
+            self.request.trace,
+            TraceEventKind::Migrate,
+            gid.0,
+            u64::from(to.0),
+        );
+        complete(rt, loc, self.request, Value::unit());
     }
 }
 
@@ -243,27 +247,28 @@ pub(super) fn dir_install(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
     );
     rt.agas.note_owner(gid, loc.id);
     rt.agas.repair_cache(loc.id, gid, loc.id);
-    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
+    complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_update(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirUpdate) {
     rt.agas.note_owner(m.gid, m.owner);
     rt.agas.repair_cache(loc.id, m.gid, m.owner);
     bump!(loc.counters.dir_repairs);
-    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
+    complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirLookup) {
     bump!(loc.counters.dir_lookups_local);
     let owner = rt.agas.authoritative_owner(m.gid);
-    apply_continuation(rt, loc, p.cont, owner.encode(), p.trace);
+    complete(rt, loc, p, owner.encode());
 }
 
-/// Repair hints are advisory fire-and-forget control traffic with no
-/// continuation: a lost hint only costs the sender another bounded chase.
-pub(super) fn dir_repair(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, _: Parcel, m: DirRepair) {
+/// Repair hints are advisory control traffic, sent fire-and-forget: a
+/// lost hint only costs the sender another bounded chase.
+pub(super) fn dir_repair(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirRepair) {
     rt.agas.repair_cache(loc.id, m.gid, m.owner);
     bump!(loc.counters.dir_repairs);
+    complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_commit(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirCommit) {
@@ -279,7 +284,7 @@ pub(super) fn dir_commit(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel,
     if rt.agas.migration_in_flight(gid) {
         end_migration(rt, loc, gid);
     }
-    apply_continuation(rt, loc, p.cont, Value::unit(), p.trace);
+    complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn name_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
@@ -291,7 +296,7 @@ pub(super) fn name_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
                 .map_err(|_| format!("name not bound at this rank: {name}"))
         });
     match resolved {
-        Ok(gid) => apply_continuation(rt, loc, p.cont, gid.encode(), p.trace),
+        Ok(gid) => complete(rt, loc, p, gid.encode()),
         Err(why) => kill_parcel(rt, loc, p, FaultCause::HandlerError, why),
     }
 }

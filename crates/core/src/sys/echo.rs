@@ -13,7 +13,7 @@ use crate::locality::Locality;
 use crate::origin::Origin;
 use crate::parcel::Parcel;
 use crate::runtime::RuntimeInner;
-use crate::sched::{apply_continuation, kill_parcel};
+use crate::sched::{complete, kill_parcel};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -45,26 +45,29 @@ pub(super) fn update(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         g.value = p.payload.clone();
         (g.version, g.children.clone())
     };
-    propagate(rt, loc, version, p.payload, &children);
+    propagate(rt, loc, version, p.payload.clone(), &children);
+    complete(rt, loc, p, Value::unit());
 }
 
 /// Child: apply if newer, keep propagating.
 pub(super) fn prop(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: EchoProp) {
-    let Some((node, _)) = node_of(rt, loc, p) else {
+    let Some((node, p)) = node_of(rt, loc, p) else {
         return;
     };
-    let children = {
+    let newer = {
         let mut g = node.lock();
-        if m.version <= g.version {
-            // Out-of-order propagation: an older update arrived late.
-            // Newer value already applied; stop this branch.
-            return;
-        }
-        g.version = m.version;
-        g.value = m.value.clone();
-        g.children.clone()
+        // An older update that arrived late stops here: the newer value
+        // is already applied, and went down this branch.
+        (m.version > g.version).then(|| {
+            g.version = m.version;
+            g.value = m.value.clone();
+            g.children.clone()
+        })
     };
-    propagate(rt, loc, m.version, m.value, &children);
+    if let Some(children) = newer {
+        propagate(rt, loc, m.version, m.value, &children);
+    }
+    complete(rt, loc, p, Value::unit());
 }
 
 /// Root: answer valid/stale against the current version.
@@ -90,7 +93,7 @@ pub(super) fn validate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m
             },
         }
     };
-    apply_continuation(rt, loc, p.cont, verdict.encode(), p.trace);
+    complete(rt, loc, p, verdict.encode());
 }
 
 fn propagate(

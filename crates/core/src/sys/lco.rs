@@ -5,7 +5,7 @@
 use super::msg::SetSlot;
 use super::reply;
 use crate::action::{ActionId, Value};
-use crate::error::PxResult;
+use crate::error::{PxError, PxResult};
 use crate::gid::Gid;
 use crate::lco::{Activations, LcoCore, Waiter};
 use crate::locality::Locality;
@@ -102,28 +102,45 @@ pub(super) fn set_slot(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m
     reply(rt, loc, p, r.map(|()| Value::unit()));
 }
 
-// px-analyze: allow(no-silent-loss): contributions are fire-and-forget by contract — the payload was delivered to the LCO or the parcel killed; there is no ack continuation to resolve.
 pub(super) fn contribute(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    if let Err(e) = deliver(rt, loc, p.dest, p.action, &p.payload, p.trace) {
-        kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
+    let r = deliver(rt, loc, p.dest, p.action, &p.payload, p.trace);
+    reply(rt, loc, p, r.map(|()| Value::unit()));
+}
+
+/// The waiter handoff behind `get` and `acquire`: the parcel's
+/// continuation *moves* into the LCO as a [`Waiter::Cont`], to be applied
+/// when the LCO fires or grants — the one end of a parcel that is neither
+/// `complete` nor a kill, because what it carried lives on. When there is
+/// no such LCO here, or `op` hands the waiter back, the continuation
+/// returns to the parcel and the parcel is killed with the error.
+fn hand_off(
+    rt: &Arc<RuntimeInner>,
+    loc: &Arc<Locality>,
+    mut p: Parcel,
+    op: impl FnOnce(&mut LcoCore, Waiter) -> Result<Activations, (PxError, Waiter)>,
+) {
+    let mut waiter = Some(Waiter::Cont(std::mem::take(&mut p.cont)));
+    let handed = lco_sys_op(rt, loc, p.dest, p.trace, |l| {
+        op(l, waiter.take().expect("taken once")).map_err(|(e, w)| {
+            waiter = Some(w);
+            e
+        })
+    });
+    match (handed, waiter) {
+        (Err(e), Some(Waiter::Cont(cont))) => {
+            p.cont = cont;
+            kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
+        }
+        _ => p.spend(),
     }
 }
 
-// px-analyze: allow(no-silent-loss): on success the continuation lives on as the LCO's registered waiter — a handoff, not a loss; on error the parcel is killed.
 pub(super) fn get(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let waiter = Waiter::Cont(p.cont.clone());
-    if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, |l| Ok(l.add_waiter(waiter))) {
-        kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
-    }
+    hand_off(rt, loc, p, |l, w| Ok(l.add_waiter(w)));
 }
 
-// px-analyze: allow(no-silent-loss): on success the continuation is queued as the semaphore's waiter (released or resumed later) — a handoff; on error the parcel is killed.
 pub(super) fn acquire(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let waiter = Waiter::Cont(p.cont.clone());
-    let op = |l: &mut LcoCore| l.acquire(waiter).map_err(|(e, _)| e);
-    if let Err(e) = lco_sys_op(rt, loc, p.dest, p.trace, op) {
-        kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
-    }
+    hand_off(rt, loc, p, LcoCore::acquire);
 }
 
 pub(super) fn release(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {

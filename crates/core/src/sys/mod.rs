@@ -23,7 +23,7 @@ use crate::error::{FaultCause, PxResult};
 use crate::locality::Locality;
 use crate::parcel::Parcel;
 use crate::runtime::RuntimeInner;
-use crate::sched::{apply_continuation, cause_of, kill_parcel};
+use crate::sched::{cause_of, complete, kill_parcel};
 use crate::stats::bump;
 use std::sync::Arc;
 
@@ -181,20 +181,24 @@ pub(crate) fn bare(dest: crate::gid::Gid, action: ActionId) -> Parcel {
 /// a unit "success").
 fn reply(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, r: PxResult<Value>) {
     match r {
-        Ok(v) => apply_continuation(rt, loc, p.cont, v, p.trace),
+        Ok(v) => complete(rt, loc, p, v),
         Err(e) => kill_parcel(rt, loc, p, cause_of(&e), e.to_string()),
     }
 }
 
-/// A NOOP parcel carries no payload or continuation: being dropped
-/// after dispatch accounting is its entire contract.
-fn noop(_rt: &Arc<RuntimeInner>, _loc: &Arc<Locality>, _p: Parcel) {}
-
-fn ping(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    apply_continuation(rt, loc, p.cont, p.payload, p.trace);
+/// Dispatch accounting is a NOOP's whole action; it completes with unit
+/// like any other.
+fn noop(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
+    complete(rt, loc, p, Value::unit());
 }
 
-// px-analyze: allow(no-silent-loss): gossip is advisory control traffic with no continuation — it merged or was killed; without balance state (a forged action name) the counted parcel is dropped by design.
+fn ping(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
+    let echo = p.payload.clone();
+    complete(rt, loc, p, echo);
+}
+
+/// Merge a peer's load view. With the balancer off there is nothing to
+/// merge into, and the (counted) parcel completes all the same.
 fn balance_gossip(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     bump!(loc.counters.gossip_parcels);
     if let Some(b) = &loc.balance {
@@ -202,10 +206,11 @@ fn balance_gossip(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
             Ok(entries) => b.peers.lock().merge(&entries),
             Err(e) => {
                 let msg = format!("undecodable gossip: {e}");
-                kill_parcel(rt, loc, p, FaultCause::Decode, msg);
+                return kill_parcel(rt, loc, p, FaultCause::Decode, msg);
             }
         }
     }
+    complete(rt, loc, p, Value::unit());
 }
 
 /// Reply this locality's histograms to the continuation. A rank with
@@ -217,7 +222,7 @@ fn metrics_pull(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         None => crate::metrics::MetricsSnapshot::default(),
     };
     let v = Value::from_bytes(snap.encode());
-    apply_continuation(rt, loc, p.cont, v, p.trace);
+    complete(rt, loc, p, v);
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! parcels so production runs can keep it always-on.
 
 use crate::gid::LocalityId;
+use crate::stats::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,7 +193,7 @@ pub struct TraceRing {
     locality: u16,
     domain: u16,
     epoch: Instant,
-    cursor: AtomicU64,
+    cursor: Counter,
     slots: Vec<Slot>,
 }
 
@@ -205,7 +206,7 @@ impl TraceRing {
             locality: locality.0,
             domain,
             epoch,
-            cursor: AtomicU64::new(0),
+            cursor: Counter::default(),
             slots: (0..capacity.max(1))
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
@@ -219,9 +220,9 @@ impl TraceRing {
     /// lost — either an older one overwritten (the ring wrapped) or this
     /// one dropped after losing the slot-claim race.
     pub fn record(&self, trace: u64, kind: TraceEventKind, gid: u64, aux: u64) -> bool {
-        // Relaxed ticket: it only picks a slot; the claim CAS below is
-        // what orders the write.
-        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
+        // The ticket only picks a slot; the claim CAS below is what
+        // orders the write.
+        let ticket = self.cursor.add(1);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         let seq = &slot.seq;
         let seq0 = seq.load(Ordering::Acquire);
@@ -255,8 +256,7 @@ impl TraceRing {
     /// Total events ever recorded (including overwritten and dropped
     /// ones).
     pub fn recorded(&self) -> u64 {
-        // Relaxed: a monotonic counter read for reporting.
-        self.cursor.load(Ordering::Relaxed)
+        self.cursor.get()
     }
 
     /// Copy out the surviving events, in recording order. Slots a writer
@@ -443,9 +443,9 @@ pub(crate) struct TraceState {
     /// `Config::trace.sample_every` (non-zero: tracing on).
     sample_every: u64,
     /// Untraced root parcels seen by the sampler.
-    seen: AtomicU64,
+    seen: Counter,
     /// Ids handed out (the low bits of the next id).
-    next: AtomicU64,
+    next: Counter,
     /// This rank, baked into the id's high bits so ids never collide
     /// across ranks without coordination.
     domain: u16,
@@ -455,8 +455,8 @@ impl TraceState {
     pub(crate) fn new(sample_every: u64, domain: u16) -> TraceState {
         TraceState {
             sample_every,
-            seen: AtomicU64::new(0),
-            next: AtomicU64::new(0),
+            seen: Counter::default(),
+            next: Counter::default(),
             domain,
         }
     }
@@ -467,7 +467,7 @@ impl TraceState {
         if self.sample_every == 0 {
             return None;
         }
-        let n = self.seen.fetch_add(1, Ordering::Relaxed);
+        let n = self.seen.add(1);
         if n.is_multiple_of(self.sample_every) {
             Some(self.fresh_id())
         } else {
@@ -478,7 +478,7 @@ impl TraceState {
     /// Allocate a fresh, never-zero trace id unique to this rank:
     /// `(rank + 1) << 48 | counter`.
     pub(crate) fn fresh_id(&self) -> u64 {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next.add(1);
         ((self.domain as u64 + 1) << 48) | (seq & 0xffff_ffff_ffff)
     }
 }

@@ -65,6 +65,32 @@ fn hop_cap_exhausted_chase_faults_the_waiter() {
     rt.shutdown();
 }
 
+/// The other hop-cap site: a parcel whose budget is spent reaches a rank
+/// that a stale cache still names, and dies there instead of forwarding.
+#[test]
+fn a_parcel_out_of_hops_dies_at_the_stale_owner() {
+    let rt = rt(3);
+    let (l0, l1, l2) = (LocalityId(0), LocalityId(1), LocalityId(2));
+    let x = rt.new_data_at(l0, vec![1]);
+    rt.migrate_data(x, l1).unwrap();
+    // Locality 2 learns "x is at 1", and the object moves back home.
+    let read = rt.run_blocking(l2, move |ctx| ctx.fetch_data(x));
+    assert_eq!(rt.wait_future_timeout(read, BOUND).unwrap(), Some(vec![1]));
+    rt.migrate_data(x, l0).unwrap();
+    let fut = rt.new_future::<Vec<u8>>(l0);
+    let cont = Continuation::set(fut.gid());
+    rt.run_blocking(l2, move |ctx| {
+        let mut p = Parcel::new(x, ActionId::of("__sys/data_get"), Value::unit(), cont);
+        p.hops = u8::MAX;
+        ctx.send_parcel(p)
+    });
+    let f = expect_fault(rt.wait_future_timeout(fut, BOUND));
+    assert_eq!((f.cause, f.dest), (FaultCause::HopCap, x));
+    assert!(f.message.contains("chase exhausted"), "{}", f.message);
+    assert_eq!(rt.stats().localities[1].chase_cap_violations, 1);
+    rt.shutdown();
+}
+
 #[test]
 fn panicking_action_faults_the_waiter() {
     let rt = rt(2);
@@ -152,6 +178,10 @@ fn double_trigger_ack_carries_the_error() {
     assert!(f.message.contains("already triggered"), "{f:?}");
     // The future's observed value is untouched by the failed overwrite.
     assert_eq!(fut.wait(&rt).unwrap(), 1);
+    // The same violation delivered in place — the LCO lives where the
+    // caller is, so there is no parcel and nobody to tell — is counted.
+    rt.set_future(fut, &3).unwrap();
+    assert_eq!(rt.stats().total().dead_handler_error, 2);
     rt.shutdown();
 }
 
@@ -433,6 +463,127 @@ fn traced_hop_cap_death_reports_its_chase_history() {
         u64::from(FaultCause::HopCap.code()),
         "the kill carries the cause code"
     );
+    rt.shutdown();
+}
+
+/// Send a raw system parcel from a PX-thread at locality 0, its
+/// continuation filling a fresh future there.
+fn sys_request(rt: &Runtime, dest: Gid, action: &'static str, payload: Value) -> FutureRef<()> {
+    let fut = rt.new_future::<()>(LocalityId(0));
+    let cont = Continuation::set(fut.gid());
+    rt.run_blocking(LocalityId(0), move |ctx| {
+        ctx.send_parcel(Parcel::new(dest, ActionId::of(action), payload, cont))
+    });
+    fut
+}
+
+/// A parcel's continuation is applied whatever its action: the handlers
+/// that used to assume "this kind carries none" — `noop`, gossip with the
+/// balancer off and after a merge, a successful contribution — dropped
+/// it, and a future behind it hung with `dead_parcels` still 0.
+#[test]
+fn every_system_action_resolves_the_continuation_it_carries() {
+    let rt = rt(2);
+    let l1 = Gid::locality_root(LocalityId(1));
+    for action in ["__sys/noop", "__sys/balance_gossip"] {
+        let fut = sys_request(&rt, l1, action, Value::unit());
+        let got = rt.wait_future_timeout(fut, BOUND).unwrap();
+        assert_eq!(got, Some(()), "{action}: continuation dropped");
+    }
+    let sum = rt
+        .new_reduce::<u64>(LocalityId(1), 1, &0, Box::new(|_, b| b))
+        .unwrap();
+    let seven = Value::encode(&7u64).unwrap();
+    let acked = sys_request(&rt, sum.gid(), "__sys/lco_contribute", seven);
+    assert_eq!(rt.wait_future_timeout(acked, BOUND).unwrap(), Some(()));
+    assert_eq!(rt.wait_future_timeout(sum, BOUND).unwrap(), Some(7));
+    assert_eq!(rt.stats().total().dead_parcels, 0);
+    rt.shutdown();
+
+    // With the balancer on, a gossip parcel that merges completes too
+    // (`[0]`: a view of zero peers), and one that does not decode dies.
+    let cfg = Config::small(2, 1).with_balance(BalanceConfig::adaptive());
+    let rt = RuntimeBuilder::new(cfg).build().unwrap();
+    let merged = sys_request(&rt, l1, "__sys/balance_gossip", Value::from_bytes(vec![0]));
+    assert_eq!(rt.wait_future_timeout(merged, BOUND).unwrap(), Some(()));
+    let torn = sys_request(&rt, l1, "__sys/balance_gossip", Value::unit());
+    let f = expect_fault(rt.wait_future_timeout(torn, BOUND));
+    assert_eq!(f.cause, FaultCause::Decode);
+    rt.shutdown();
+}
+
+/// Every `__sys` action with a structured payload kills a parcel it
+/// cannot decode under `Decode`, and the fault reaches the continuation.
+#[test]
+fn undecodable_system_payloads_fault_the_waiter() {
+    let rt = rt(2);
+    let l1 = Gid::locality_root(LocalityId(1));
+    let structured = [
+        "__sys/lco_set_slot",
+        "__sys/echo_prop",
+        "__sys/echo_validate",
+        "__sys/agas_migrate",
+        "__sys/dir_install",
+        "__sys/dir_update",
+        "__sys/dir_lookup",
+        "__sys/dir_repair",
+        "__sys/dir_commit",
+    ];
+    for action in structured {
+        let fut = sys_request(&rt, l1, action, Value::unit());
+        let f = expect_fault(rt.wait_future_timeout(fut, BOUND));
+        assert_eq!(f.cause, FaultCause::Decode, "{action}");
+        assert_eq!(f.action, ActionId::of(action));
+    }
+    // `data_put` decodes its own payload, once the object is found.
+    let data = rt.new_data_at(LocalityId(1), vec![1, 2, 3]);
+    let fut = sys_request(&rt, data, "__sys/data_put", Value::unit());
+    let f = expect_fault(rt.wait_future_timeout(fut, BOUND));
+    assert_eq!(f.cause, FaultCause::Decode);
+    assert_eq!(rt.read_data(data).unwrap(), vec![1, 2, 3]);
+    // A migration to a rank that does not exist is a handler error.
+    let nowhere = Value::from_bytes(vec![9, 0, 0]);
+    let fut = sys_request(&rt, data, "__sys/agas_migrate", nowhere);
+    let f = expect_fault(rt.wait_future_timeout(fut, BOUND));
+    assert_eq!(f.cause, FaultCause::HandlerError);
+    let total = rt.stats().total();
+    assert_eq!(total.dead_decode, structured.len() as u64 + 1);
+    assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
+    rt.shutdown();
+}
+
+/// Transport contract point 4, for the run queues: `shutdown` lets the
+/// workers run dry — what was queued before their last look runs — and
+/// what reaches a locality afterwards is abandoned: not run, not
+/// dead-lettered, and no complaint from the debug-build spend check when
+/// the queues are torn down with the parcels still in them.
+#[test]
+fn shutdown_runs_what_is_queued_and_abandons_what_arrives_after() {
+    let rt = Arc::new(rt(1));
+    let here = Gid::locality_root(LocalityId(0));
+    let fire = |n: u64| {
+        for _ in 0..n {
+            rt.send_action::<Add>(here, (1, 2), Continuation::none())
+                .unwrap();
+        }
+    };
+    // Hold the one worker, queue five parcels behind it, start the
+    // shutdown, then let the worker go: it drains before it exits.
+    let (hold, held) = std::sync::mpsc::channel::<()>();
+    rt.spawn_at(LocalityId(0), move |_| held.recv().unwrap());
+    fire(5);
+    let stopper = {
+        let rt = rt.clone();
+        std::thread::spawn(move || rt.shutdown())
+    };
+    hold.send(()).unwrap();
+    stopper.join().unwrap();
+    assert_eq!(rt.stats().total().parcels_recv, 5);
+    // Nobody is left to run these.
+    fire(3);
+    let total = rt.stats().total();
+    assert_eq!(total.parcels_sent, 8);
+    assert_eq!((total.parcels_recv, total.dead_parcels), (5, 0));
     rt.shutdown();
 }
 
