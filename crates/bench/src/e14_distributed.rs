@@ -17,9 +17,9 @@
 //! Two figures per transport: **pipelined throughput** (all parcels in
 //! flight at once — what latency *hiding* buys, §2.2) and **serial
 //! round-trip time** (one in flight — what latency *costs*). The model
-//! prediction: TCP loses badly on serial RTT (real wire + batching
-//! hold), but pipelining recovers most of the throughput gap — which is
-//! exactly the split-phase story the paper tells.
+//! prediction: TCP loses on serial RTT (a real wire and two thread
+//! wakes per direction), but pipelining recovers most of the throughput
+//! gap — which is exactly the split-phase story the paper tells.
 //!
 //! The **mesh legs** scale the same workload to N-rank meshes (rank 0
 //! spawns ranks 1..N as real OS processes and round-robins the

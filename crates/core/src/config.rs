@@ -100,9 +100,11 @@ impl Config {
     }
 
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
-    /// disables batching). A coalescing port also flushes at
-    /// [`crate::net::MAX_BATCH_BYTES`] and after
-    /// [`crate::net::FLUSH_INTERVAL`]; neither is configurable.
+    /// disables batching). `n` is the cap: a coalescing port also flushes
+    /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
+    /// leaves as soon as the TCP I/O thread has been woken for it — or,
+    /// in-process, after [`crate::net::FLUSH_INTERVAL`]. None of that is
+    /// configurable.
     pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
         self.max_batch_parcels = n.max(1);
         self

@@ -9,7 +9,7 @@
 //! identical queue discipline, zero added bytes.
 
 use super::delay::DelayLine;
-use super::{Transport, WireModel, WireMsg};
+use super::{FlushCause, PortSet, Transport, WireModel, WireMsg};
 use crate::locality::{Lane, Locality};
 use crate::sched::{Task, Work};
 use std::sync::Arc;
@@ -62,11 +62,12 @@ impl Transport for InProcTransport {
         self.line.send(Stamped { msg, submitted }, bytes);
     }
 
-    fn supports_batching(&self) -> bool {
+    fn adopt_ports(&self, _ports: &Arc<PortSet>) -> Option<FlushCause> {
         // Batching an instant wire would only add latency (there is no
         // per-message transport cost to amortize, and no delay thread to
-        // ride); the policy check upstream keeps the pre-refactor gating.
-        !self.line.model().is_instant()
+        // ride). A delay line has no thread that could pull the ports
+        // either: the wire's timer flusher ships what does not fill.
+        (!self.line.model().is_instant()).then_some(FlushCause::Timer)
     }
 
     fn shutdown(&mut self) {

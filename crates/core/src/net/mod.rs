@@ -5,17 +5,22 @@
 //!
 //! ```text
 //!  send_parcel ──► PortSet (per-dest coalescing) ──► Transport::submit
-//!                       ▲                                 │
-//!                  flusher thread                  ┌──────┴───────┐
-//!                                                  ▼              ▼
-//!                                           InProcTransport  TcpTransport
-//!                                           (DelayLine +     (sockets, one
-//!                                            queue pushes)    peer/process)
+//!                    ▲    ▲     full frames               │
+//!                    │    │                        ┌──────┴───────┐
+//!                    │    │                        ▼              ▼
+//!                    │    │                 InProcTransport  TcpTransport
+//!                    │    │                 (DelayLine +     (sockets, one
+//!                    │    │                  queue pushes)    peer/process)
+//!                    │    └─ flusher thread ───────┘              │
+//!                    │       (timer, while a port is open)        │
+//!                    └────── I/O thread pulls on a sender's kick ─┘
 //! ```
 //!
 //! Everything above the `Transport` trait — `WireMsg` submission, the
 //! control-plane priority lane, `BatchPolicy` coalescing ports, flush
-//! accounting — is backend-independent. Two backends exist:
+//! accounting — is backend-independent; who ships a frame that did not
+//! fill is the backend's answer to `Transport::adopt_ports`. Two backends
+//! exist:
 //!
 //! * `inproc::InProcTransport` (default): all localities share one OS
 //!   process; messages are queue pushes routed through a [`DelayLine`]
@@ -120,11 +125,30 @@
 //! sender-visible destination gets a **port**: a coalescing
 //! [`px_wire::FrameBuf`] into which parcels are encoded *in place*. A
 //! port flushes its frame as one wire message when it reaches
-//! `max_batch_parcels` records or [`MAX_BATCH_BYTES`] bytes, or when the
-//! background flusher finds records older than [`FLUSH_INTERVAL`]. The
-//! in-process delay model is applied per frame (`delay_for(frame_bytes)`),
-//! so the latency and bandwidth arithmetic stays honest while the fixed
-//! per-message costs amortize across the batch.
+//! `max_batch_parcels` records or [`MAX_BATCH_BYTES`] bytes (the sender
+//! does that itself). A frame that does not fill leaves by the backend's
+//! own means, and the sender whose record lands in an *empty* port kicks
+//! whoever that is:
+//!
+//! * **TCP: the I/O thread pulls.** The kick is one `Poller::wake`; at
+//!   the top of its send pass the I/O thread takes whatever both lanes'
+//!   ports toward each peer hold and queues it, under the port lock
+//!   (port → peer queue, the nesting a sender's full flush takes — so
+//!   same-peer order holds across both). No timer: batching is paid for
+//!   by load. An idle port ships its first record at once; a burst rides
+//!   one frame; a backlog fills frames to the cap while the thread is
+//!   busy writing. What it costs is frames about half the size a 100 µs
+//!   hold collected, and a thread wake per frame.
+//! * **In-process: a timer flusher.** A delay line has no thread that
+//!   could pull, so the wire runs `px-port-flusher`: blocked until the
+//!   kick, then shipping records older than [`FLUSH_INTERVAL`] on a
+//!   half-interval tick for as long as some port holds one. An idle
+//!   runtime makes no wakeups on either backend.
+//!
+//! The in-process delay model is applied per frame
+//! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
+//! stays honest while the fixed per-message costs amortize across the
+//! batch.
 //!
 //! Ordering: under a pure-latency model, parcels to the same destination
 //! stay in submission order within and across frames (frames ride the
@@ -137,14 +161,17 @@
 //!   boundary (the old wire had the same property per *parcel*);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
 //!   ports — a task sent after a still-coalescing parcel can arrive up
-//!   to [`FLUSH_INTERVAL`] earlier. Code that needs a parcel's effects
+//!   to [`FLUSH_INTERVAL`] earlier (in-process; closures do not cross
+//!   the TCP backend at all). Code that needs a parcel's effects
 //!   visible to a subsequently spawned closure must sequence through an
 //!   LCO, not through submission order.
 //!
 //! Over TCP both relaxations hold trivially (the network reorders
 //! nothing per connection, but frames and single parcels share one
 //! ordered byte stream per peer, so same-peer order is in fact *stronger*
-//! than the delay-line's).
+//! than the delay-line's). What is ordered is *delivery* into the
+//! destination's queue; a worker's batch-steal runs what it takes newest
+//! first, on either backend.
 //!
 //! Messages are encoded parcels (the normal case — they pay the
 //! serialization cost honestly), multi-parcel frames, or boxed tasks
@@ -212,8 +239,9 @@ impl WireModel {
 
 /// Byte budget of a coalesced frame: a port flushes on reaching it.
 pub const MAX_BATCH_BYTES: usize = 32 * 1024;
-/// Longest a parcel may wait in a port before the background flusher
-/// ships it.
+/// Longest a parcel may wait in a port before the in-process wire's
+/// timer flusher ships it. The TCP backend has no such hold: its I/O
+/// thread pulls the ports as soon as a sender's kick wakes it.
 pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Flush policy for the per-destination coalescing ports.
@@ -221,7 +249,7 @@ pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 /// The runtime sets one value, [`crate::runtime::Config::max_batch_parcels`]
 /// (default 1: batching off, every parcel ships in its own message, so
 /// latency-sensitive request/response chains see no added delay); the
-/// byte budget and the hold time are [`MAX_BATCH_BYTES`] and
+/// byte budget and the in-process hold time are [`MAX_BATCH_BYTES`] and
 /// [`FLUSH_INTERVAL`]. They are fields so the port unit tests can
 /// isolate one flush cause by disabling the other two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,8 +259,8 @@ pub(crate) struct BatchPolicy {
     pub max_batch_parcels: usize,
     /// Flush a port when its frame reaches this many bytes.
     pub max_batch_bytes: usize,
-    /// Maximum time a parcel may wait in a port before the background
-    /// flusher ships it.
+    /// Maximum time a parcel may wait in a port before the timer flusher
+    /// ships it (in-process backend; nothing reads it over TCP).
     pub flush_interval: Duration,
 }
 
@@ -295,10 +323,19 @@ pub(crate) trait Transport: Send + Sync {
     /// bytes to whatever latency/bandwidth physics the backend has.
     fn submit(&self, msg: WireMsg, bytes: usize);
 
-    /// True when the coalescing ports may engage. The in-process backend
-    /// requires a delay thread (batching an instant wire would only add
-    /// latency); socket backends always benefit.
-    fn supports_batching(&self) -> bool;
+    /// Offer the backend the wire's coalescing ports. The answer is how a
+    /// record that does not fill its frame leaves: `None` — this backend
+    /// gains nothing from coalescing, the wire drops the ports (an
+    /// instant in-process wire: no per-message cost to amortize);
+    /// [`FlushCause::Timer`] — the wire runs its timer flusher over them;
+    /// [`FlushCause::Pulled`] — the backend kept a clone and ships them
+    /// from its own thread whenever it is [kicked](Transport::kick).
+    fn adopt_ports(&self, ports: &Arc<PortSet>) -> Option<FlushCause>;
+
+    /// A record landed in an empty port: a backend that answered
+    /// [`FlushCause::Pulled`] must pull its ports soon. Many kicks before
+    /// the pull count as one; never blocks.
+    fn kick(&self) {}
 
     /// Frame format version the ports should encode with
     /// ([`px_wire::FRAME_VERSION`] in-process — bit-identical frames —
@@ -317,24 +354,56 @@ pub(crate) trait Transport: Send + Sync {
     }
 
     /// Stop background threads, flushing or loudly killing pending
-    /// messages first. Called with the port flusher — the one other
-    /// holder of the transport — already joined.
+    /// messages first. Called with the ports drained and the timer
+    /// flusher — the one other holder of the transport — already joined.
     fn shutdown(&mut self);
 }
 
 /// Why a port's frame was flushed (drives stats attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushCause {
+pub(crate) enum FlushCause {
     /// Hit `max_batch_parcels` or `max_batch_bytes`.
     Full,
-    /// Aged out by the background flusher (or a shutdown drain).
+    /// Aged out by the wire's timer flusher (in-process backend only).
     Timer,
+    /// Pulled by the backend's own thread after a kick (TCP).
+    Pulled,
 }
 
-/// One coalescing queue: pending frame plus the age of its oldest record.
+/// One coalescing queue: pending frame plus when its oldest record landed.
 struct Port {
     frame: FrameBuf,
+    /// Stamped when a record lands in the empty port — always where the
+    /// timer flusher needs an age, otherwise only with metrics on (it is
+    /// then the `NetRtt` stamp of a pulled frame).
     opened_at: Option<Instant>,
+}
+
+impl Port {
+    /// Take the pending frame and its stamp (`None` when empty), booked
+    /// under `cause`. The caller ships it while still holding the port
+    /// lock, so frames reach the backend in the order their records
+    /// reached the port.
+    fn take(
+        &mut self,
+        cause: FlushCause,
+        dest_loc: &Locality,
+    ) -> Option<(Vec<u8>, Option<Instant>)> {
+        if self.frame.is_empty() {
+            return None;
+        }
+        let records = u64::from(self.frame.record_count());
+        bump!(dest_loc.counters.frames_sent);
+        // Counted at flush, under the port lock, so coalesced_parcels and
+        // frames_sent advance together and their ratio never exceeds the cap.
+        bump!(dest_loc.counters.coalesced_parcels, records - 1);
+        match cause {
+            FlushCause::Full => bump!(dest_loc.counters.batch_flush_full),
+            FlushCause::Timer => bump!(dest_loc.counters.batch_flush_timer),
+            FlushCause::Pulled => bump!(dest_loc.counters.batch_flush_pulled),
+        }
+        Some((self.frame.take(), self.opened_at.take()))
+    }
 }
 
 /// Per-destination coalescing ports, one per data lane (index =
@@ -364,6 +433,59 @@ impl PortSet {
     fn port(&self, dest: LocalityId, lane: Lane) -> &Mutex<Port> {
         &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
     }
+
+    /// The pulling backend's half: hand `ship` whatever both lanes' ports
+    /// toward `dest` hold, with the stamp of each frame's oldest record.
+    /// `ship` runs under the port lock (port → peer queue, the nesting a
+    /// sender's `Full` flush takes), so same-peer order holds across
+    /// pulls and `Full` flushes. Never waits for a port: a sender may
+    /// hold one while blocked on the very queue the puller drains.
+    /// Returns `false` when a held port was skipped — the caller pulls
+    /// again once it has drained.
+    pub(crate) fn pull(
+        &self,
+        dest: LocalityId,
+        dest_loc: &Locality,
+        mut ship: impl FnMut(Lane, Vec<u8>, Option<Instant>),
+    ) -> bool {
+        let mut all = true;
+        for lane in [Lane::Run, Lane::Staged] {
+            let Some(mut port) = self.port(dest, lane).try_lock() else {
+                all = false;
+                continue;
+            };
+            if let Some((bytes, opened_at)) = port.take(FlushCause::Pulled, dest_loc) {
+                ship(lane, bytes, opened_at);
+            }
+        }
+        all
+    }
+
+    /// Flush every port whose oldest record has waited `min_age` (zero:
+    /// every port that holds anything). Returns whether a record is left
+    /// waiting in some port.
+    fn flush_aged(
+        &self,
+        localities: &[Arc<Locality>],
+        min_age: Duration,
+        cause: FlushCause,
+        transport: &dyn Transport,
+    ) -> bool {
+        let mut waiting = false;
+        for (idx, slot) in self.ports.iter().enumerate() {
+            let dest = LocalityId((idx / 2) as u16);
+            let lane = Lane::of_parcel(idx % 2 == 1);
+            let mut port = slot.lock();
+            if min_age.is_zero() || port.opened_at.is_some_and(|t0| t0.elapsed() >= min_age) {
+                if let Some((bytes, _)) = port.take(cause, &localities[dest.0 as usize]) {
+                    let n = bytes.len();
+                    transport.submit(WireMsg::Frame { dest, lane, bytes }, n);
+                }
+            }
+            waiting |= !port.frame.is_empty();
+        }
+        waiting
+    }
 }
 
 /// The runtime's wire: coalescing ports in front of a `Transport`
@@ -371,50 +493,62 @@ impl PortSet {
 /// sockets across OS processes).
 pub(crate) struct Wire {
     transport: Arc<dyn Transport>,
-    ports: Option<Arc<PortSet>>,
+    /// The ports, and how a record that does not fill its frame leaves
+    /// one ([`Transport::adopt_ports`]).
+    ports: Option<(Arc<PortSet>, FlushCause)>,
+    /// Stamp `Port::opened_at`: the timer flusher ages records by it, the
+    /// `NetRtt` instrument reads it off a pulled frame.
+    stamp_ports: bool,
     localities: Arc<Vec<Arc<Locality>>>,
-    flusher_stop: Option<SyncSender<()>>,
+    /// Kicks the timer flusher; dropping it stops the thread.
+    flusher_kick: Option<SyncSender<()>>,
     flusher: Option<JoinHandle<()>>,
 }
 
 impl Wire {
     /// Build the wire over `transport` for `localities`, coalescing per
-    /// `policy`. Batching engages only when the backend supports it and
-    /// the policy asks for more than one parcel per message.
+    /// `policy`. Batching engages only when the policy asks for more than
+    /// one parcel per message and the backend adopts the ports.
     pub(crate) fn new(
         transport: Arc<dyn Transport>,
         localities: Arc<Vec<Arc<Locality>>>,
         policy: BatchPolicy,
     ) -> Wire {
-        let batching = policy.is_batching() && transport.supports_batching();
-        let ports = batching.then(|| {
+        let ports = policy.is_batching().then(|| {
             Arc::new(PortSet::new(
                 policy,
                 localities.len(),
                 transport.frame_version(),
             ))
         });
-        let (flusher_stop, flusher) = match &ports {
-            None => (None, None),
-            Some(ports) => {
-                let (stop_tx, stop_rx) = sync_channel::<()>(1);
+        let ports = ports.and_then(|ports| {
+            let lazy = transport.adopt_ports(&ports)?;
+            Some((ports, lazy))
+        });
+        let (flusher_kick, flusher) = match &ports {
+            Some((ports, FlushCause::Timer)) => {
+                // Capacity one: kicks coalesce, and one sent before the
+                // flusher blocks is still there when it does.
+                let (kick_tx, kick_rx) = sync_channel::<()>(1);
                 let handle = {
                     let ports = ports.clone();
                     let localities = localities.clone();
                     let transport = transport.clone();
                     std::thread::Builder::new()
                         .name("px-port-flusher".into())
-                        .spawn(move || flusher_loop(ports, localities, transport, stop_rx))
+                        .spawn(move || flusher_loop(&ports, &localities, &*transport, &kick_rx))
                         .expect("spawn port-flusher thread")
                 };
-                (Some(stop_tx), Some(handle))
+                (Some(kick_tx), Some(handle))
             }
+            _ => (None, None),
         };
         Wire {
             transport,
+            stamp_ports: flusher.is_some() || localities.iter().any(|l| l.metrics.is_some()),
             ports,
             localities,
-            flusher_stop,
+            flusher_kick,
             flusher,
         }
     }
@@ -424,7 +558,7 @@ impl Wire {
     /// transport's from now on. Returns the encoded size for accounting.
     pub(crate) fn send_parcel(&self, dest: LocalityId, p: Parcel) -> usize {
         let lane = Lane::of_parcel(p.staged);
-        let Some(ports) = &self.ports else {
+        let Some((ports, _)) = &self.ports else {
             // Unbatched path: identical to the pre-batching wire.
             let bytes = p.into_wire();
             let n = bytes.len();
@@ -434,8 +568,9 @@ impl Wire {
         };
         let dest_loc = &self.localities[dest.0 as usize];
         let mut port = ports.port(dest, lane).lock();
-        if port.frame.is_empty() {
-            port.opened_at = Some(Instant::now());
+        let was_empty = port.frame.is_empty();
+        if was_empty {
+            port.opened_at = self.stamp_ports.then(Instant::now);
         }
         // Report the record's full wire footprint (parcel + length
         // prefix) so `bytes_sent` tracks what the delay model charges; of
@@ -445,14 +580,23 @@ impl Wire {
         if port.frame.record_count() as usize >= policy.max_batch_parcels
             || port.frame.len() >= policy.max_batch_bytes
         {
-            flush_port(
-                &mut port,
-                dest,
-                lane,
-                FlushCause::Full,
-                dest_loc,
-                |msg, bytes| self.transport.submit(msg, bytes),
-            );
+            if let Some((bytes, _)) = port.take(FlushCause::Full, dest_loc) {
+                let len = bytes.len();
+                self.transport
+                    .submit(WireMsg::Frame { dest, lane, bytes }, len);
+            }
+        } else if was_empty {
+            // The first record of an idle port: whoever flushes it hears
+            // of it now, outside the port lock. Later records ride on this
+            // kick — the port stays non-empty until the flush it causes.
+            drop(port);
+            match &self.flusher_kick {
+                // A full channel is a kick already on its way.
+                Some(flusher) => {
+                    let _ = flusher.try_send(());
+                }
+                None => self.transport.kick(),
+            }
         }
         n
     }
@@ -474,23 +618,19 @@ impl Wire {
         self.transport.transport_stats()
     }
 
-    /// Drain every port (shutdown, or tests that need determinism).
-    pub(crate) fn flush_all(&self) {
-        if let Some(ports) = &self.ports {
-            flush_aged(ports, &self.localities, Duration::ZERO, |msg, bytes| {
-                self.transport.submit(msg, bytes)
-            });
-        }
-    }
-
     /// Stop the flusher, drain the ports, stop the transport.
     pub(crate) fn shutdown(&mut self) {
-        self.flusher_stop = None; // closing the channel stops the flusher
+        self.flusher_kick = None; // closing the channel stops the flusher
         if let Some(h) = self.flusher.take() {
             let _ = h.join();
         }
-        self.flush_all();
-        // The flusher held the only other reference and is joined.
+        if let Some((ports, lazy)) = &self.ports {
+            // From this thread, through `submit`, while the backend still
+            // takes messages: the drain is booked as the lazy flush it
+            // stands in for.
+            ports.flush_aged(&self.localities, Duration::ZERO, *lazy, &*self.transport);
+        }
+        // Any flusher held the only other reference and is joined.
         if let Some(transport) = Arc::get_mut(&mut self.transport) {
             transport.shutdown();
         }
@@ -503,76 +643,27 @@ impl Drop for Wire {
     }
 }
 
-/// Flush one port's frame as a wire message (no-op when empty).
-fn flush_port(
-    port: &mut Port,
-    dest: LocalityId,
-    lane: Lane,
-    cause: FlushCause,
-    dest_loc: &Locality,
-    submit: impl FnOnce(WireMsg, usize),
-) {
-    if port.frame.is_empty() {
-        return;
-    }
-    let records = u64::from(port.frame.record_count());
-    let bytes = port.frame.take();
-    port.opened_at = None;
-    bump!(dest_loc.counters.frames_sent);
-    // Counted at flush, under the port lock, so coalesced_parcels and
-    // frames_sent advance together and their ratio never exceeds the cap.
-    bump!(dest_loc.counters.coalesced_parcels, records - 1);
-    match cause {
-        FlushCause::Full => bump!(dest_loc.counters.batch_flush_full),
-        FlushCause::Timer => bump!(dest_loc.counters.batch_flush_timer),
-    }
-    let n = bytes.len();
-    submit(WireMsg::Frame { dest, lane, bytes }, n);
-}
-
-/// Flush every port whose oldest record is older than `min_age`.
-fn flush_aged(
+/// The in-process backend's flusher (a delay line has no thread that
+/// could pull): blocked, untimed, until a sender kicks; then ticking at
+/// half `flush_interval`, shipping any frame whose oldest record has
+/// waited that long, for as long as some port holds a record.
+fn flusher_loop(
     ports: &PortSet,
     localities: &[Arc<Locality>],
-    min_age: Duration,
-    mut submit: impl FnMut(WireMsg, usize),
-) {
-    for (idx, slot) in ports.ports.iter().enumerate() {
-        let dest = LocalityId((idx / 2) as u16);
-        let lane = Lane::of_parcel(idx % 2 == 1);
-        let mut port = slot.lock();
-        let aged = port.opened_at.is_some_and(|t0| t0.elapsed() >= min_age);
-        if aged {
-            flush_port(
-                &mut port,
-                dest,
-                lane,
-                FlushCause::Timer,
-                &localities[dest.0 as usize],
-                &mut submit,
-            );
-        }
-    }
-}
-
-/// Background flusher honoring `flush_interval`: wakes at half the
-/// interval and ships any frame whose oldest parcel has waited too long.
-fn flusher_loop(
-    ports: Arc<PortSet>,
-    localities: Arc<Vec<Arc<Locality>>>,
-    transport: Arc<dyn Transport>,
-    stop_rx: Receiver<()>,
+    transport: &dyn Transport,
+    kicks: &Receiver<()>,
 ) {
     let interval = ports.policy.flush_interval;
     let tick = (interval / 2).clamp(Duration::from_micros(20), Duration::from_millis(10));
-    loop {
-        match stop_rx.recv_timeout(tick) {
-            Err(RecvTimeoutError::Timeout) => {
-                flush_aged(&ports, &localities, interval, |msg, bytes| {
-                    transport.submit(msg, bytes)
-                });
+    while kicks.recv().is_ok() {
+        // A kick that arrives mid-tick only shortens that tick.
+        while !matches!(
+            kicks.recv_timeout(tick),
+            Err(RecvTimeoutError::Disconnected)
+        ) {
+            if !ports.flush_aged(localities, interval, FlushCause::Timer, transport) {
+                break;
             }
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }

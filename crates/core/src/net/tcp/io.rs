@@ -496,13 +496,23 @@ impl IoLoop {
         }
     }
 
-    /// Move queued messages into per-peer write batches and flush.
+    /// Pull the coalescing ports into the per-peer send queues, move
+    /// queued messages into per-peer write batches, and flush. Whatever
+    /// gathered in a port while this thread was waking or busy rides one
+    /// frame: batching is paid for by load.
     fn pump_sends(&mut self) {
         for j in 0..self.peers.len() as u16 {
             let Some(slot) = &self.shared.peers[j as usize] else {
                 continue;
             };
-            let pulled = {
+            if !self.shared.pull_ports(crate::gid::LocalityId(j)) {
+                // A sender holds the port — pushing a record, or blocked
+                // on this peer's queue bound with a full frame in hand.
+                // Drain first (that is the room it waits for) and come
+                // straight back for what it leaves behind.
+                self.shared.poller.wake();
+            }
+            let drained = {
                 let mut q = slot.queue.lock();
                 if q.control.is_empty() && q.data.is_empty() {
                     false
@@ -523,12 +533,12 @@ impl IoLoop {
                     true
                 }
             };
-            if pulled {
+            if drained {
                 slot.room.notify_all();
                 // A dead peer's queue is closed and drained in one
                 // critical section (`close_peer`), so outside shutdown
-                // only a live connection has anything to pull; what
-                // shutdown pulls toward a dead one is counted at exit.
+                // only a live connection has anything to drain; what
+                // shutdown drains toward a dead one is counted at exit.
                 self.flush_peer(j);
             }
         }
