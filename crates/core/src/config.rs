@@ -103,8 +103,9 @@ impl Config {
     /// disables batching). `n` is the cap: a coalescing port also flushes
     /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
     /// leaves as soon as the TCP I/O thread has been woken for it — or,
-    /// in-process, after [`crate::net::FLUSH_INTERVAL`]. None of that is
-    /// configurable.
+    /// in-process, when the deadline its first record put on the delay
+    /// line's heap falls due, [`crate::net::FLUSH_INTERVAL`] later. None
+    /// of that is configurable.
     pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
         self.max_batch_parcels = n.max(1);
         self

@@ -6,7 +6,9 @@
 //! to access remote data or services"). On one host we *inject* that
 //! latency: every cross-locality message is routed through a
 //! [`DelayLine`] thread that holds it until `now + latency +
-//! bytes·per_byte` before delivering it to the sink.
+//! bytes·per_byte` before delivering it to the sink; with nothing
+//! pending it blocks, so an idle line makes no wakeups. The in-process
+//! wire also puts its ports' deadlines on the line's heap.
 //!
 //! With a zero latency model the sink is invoked inline by the sender
 //! and no thread is spawned — the "same box" configuration unit tests
@@ -23,9 +25,9 @@ use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-pub(crate) struct Pending<T> {
+struct Pending<T> {
     at: Instant,
     seq: u64,
     msg: T,
@@ -49,6 +51,11 @@ impl<T> Ord for Pending<T> {
     }
 }
 
+/// Where a line hands each message that falls due. The second argument
+/// puts a message on the line's own heap to fall due at the given
+/// instant — from the line's thread, never through its channel.
+pub(crate) type Sink<T> = dyn Fn(T, &mut dyn FnMut(T, Instant)) + Send + Sync;
+
 /// A generic software delay line: messages submitted with a byte size are
 /// delivered to the sink after `model.delay_for(bytes)`.
 ///
@@ -57,9 +64,9 @@ impl<T> Ord for Pending<T> {
 /// after their remaining delay, then the thread exits.
 pub struct DelayLine<T: Send + 'static> {
     model: WireModel,
-    tx: Option<SyncSender<Pending<T>>>,
+    tx: Option<SyncSender<(T, Instant)>>,
     handle: Option<JoinHandle<()>>,
-    sink: Arc<dyn Fn(T) + Send + Sync + 'static>,
+    sink: Arc<Sink<T>>,
 }
 
 impl<T: Send + 'static> std::fmt::Debug for DelayLine<T> {
@@ -73,6 +80,12 @@ impl<T: Send + 'static> std::fmt::Debug for DelayLine<T> {
 impl<T: Send + 'static> DelayLine<T> {
     /// Build a delay line delivering into `sink`.
     pub fn new(model: WireModel, sink: Arc<dyn Fn(T) + Send + Sync + 'static>) -> DelayLine<T> {
+        DelayLine::with_sink(model, Arc::new(move |msg, _| sink(msg)))
+    }
+
+    /// Build a delay line whose sink may schedule more messages on the
+    /// line's heap (the in-process wire's port deadlines).
+    pub(crate) fn with_sink(model: WireModel, sink: Arc<Sink<T>>) -> DelayLine<T> {
         if model.is_instant() {
             return DelayLine {
                 model,
@@ -81,11 +94,11 @@ impl<T: Send + 'static> DelayLine<T> {
                 sink,
             };
         }
-        let (tx, rx) = sync_channel::<Pending<T>>(65536);
+        let (tx, rx) = sync_channel::<(T, Instant)>(65536);
         let thread_sink = sink.clone();
         let handle = std::thread::Builder::new()
             .name("px-delay-line".into())
-            .spawn(move || delay_loop(rx, thread_sink))
+            .spawn(move || delay_loop(rx, &*thread_sink))
             .expect("spawn delay-line thread");
         DelayLine {
             model,
@@ -98,15 +111,17 @@ impl<T: Send + 'static> DelayLine<T> {
     /// Submit a message of logical size `bytes`.
     pub fn send(&self, msg: T, bytes: usize) {
         match &self.tx {
-            None => (self.sink)(msg),
-            Some(tx) => {
-                let at = Instant::now() + self.model.delay_for(bytes);
-                // seq is assigned by the delay thread; simultaneous
-                // messages are unordered by design (like a real network).
-                if tx.send(Pending { at, seq: 0, msg }).is_err() {
-                    // Delay line already shut down (runtime teardown).
-                }
-            }
+            None => deliver_inline(&*self.sink, msg),
+            Some(_) => self.send_at(msg, Instant::now() + self.model.delay_for(bytes)),
+        }
+    }
+
+    /// Put `msg` on the heap to fall due at `at` (no-op on an instant
+    /// line). Simultaneous messages are unordered, like a real network.
+    pub(crate) fn send_at(&self, msg: T, at: Instant) {
+        if let Some(tx) = &self.tx {
+            // An error is a line already shut down (runtime teardown).
+            let _ = tx.send((msg, at));
         }
     }
 
@@ -130,43 +145,52 @@ impl<T: Send + 'static> Drop for DelayLine<T> {
     }
 }
 
-fn delay_loop<T: Send>(rx: Receiver<Pending<T>>, sink: Arc<dyn Fn(T) + Send + Sync>) {
+/// An instant line's delivery: whatever the sink schedules is due now.
+fn deliver_inline<T>(sink: &Sink<T>, msg: T) {
+    sink(msg, &mut |msg, _| deliver_inline(sink, msg));
+}
+
+fn delay_loop<T: Send>(rx: Receiver<(T, Instant)>, sink: &Sink<T>) {
     let mut heap: BinaryHeap<Pending<T>> = BinaryHeap::new();
     let mut seq = 0u64;
+    let mut schedule = |heap: &mut BinaryHeap<Pending<T>>, msg, at| {
+        seq += 1;
+        heap.push(Pending { at, seq, msg });
+    };
     loop {
-        // Deliver everything due.
+        // Deliver everything due by `now`. What the sink schedules is
+        // stamped after it, so it waits for the next pass — after the
+        // channel is drained.
         let now = Instant::now();
         while heap.peek().is_some_and(|p| p.at <= now) {
             let p = heap.pop().unwrap();
-            sink(p.msg);
+            sink(p.msg, &mut |msg, at| schedule(&mut heap, msg, at));
         }
-        // Wait for the next due time or the next submission.
-        let wait = heap
-            .peek()
-            .map(|p| p.at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(mut p) => {
-                seq += 1;
-                p.seq = seq;
-                heap.push(p);
+        // Wait for the next due time or the next submission; with
+        // nothing pending, block until a submission (idle is quiet).
+        let next = match heap.peek() {
+            Some(p) => rx.recv_timeout(p.at.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok((msg, at)) => {
+                schedule(&mut heap, msg, at);
                 // Drain any backlog without sleeping.
-                while let Ok(mut p) = rx.try_recv() {
-                    seq += 1;
-                    p.seq = seq;
-                    heap.push(p);
+                while let Ok((msg, at)) = rx.try_recv() {
+                    schedule(&mut heap, msg, at);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
-                // Flush what remains (delivery beats dropping work on
-                // shutdown races), then exit.
+                // Flush what remains, and what the sink schedules
+                // meanwhile (delivery beats dropping work on shutdown
+                // races), then exit.
                 while let Some(p) = heap.pop() {
                     let rem = p.at.saturating_duration_since(Instant::now());
                     if !rem.is_zero() {
                         std::thread::sleep(rem);
                     }
-                    sink(p.msg);
+                    sink(p.msg, &mut |msg, at| schedule(&mut heap, msg, at));
                 }
                 return;
             }
@@ -178,6 +202,7 @@ fn delay_loop<T: Send>(rx: Receiver<Pending<T>>, sink: Arc<dyn Fn(T) + Send + Sy
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn instant_line_delivers_inline() {

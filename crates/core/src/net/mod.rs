@@ -11,16 +11,16 @@
 //!                    │    │                 InProcTransport  TcpTransport
 //!                    │    │                 (DelayLine +     (sockets, one
 //!                    │    │                  queue pushes)    peer/process)
-//!                    │    └─ flusher thread ───────┘              │
-//!                    │       (timer, while a port is open)        │
+//!                    │    └─ delay-line thread ────┘              │
+//!                    │       (a deadline on its heap, per kick)   │
 //!                    └────── I/O thread pulls on a sender's kick ─┘
 //! ```
 //!
 //! Everything above the `Transport` trait — `WireMsg` submission, the
 //! control-plane priority lane, `BatchPolicy` coalescing ports, flush
-//! accounting — is backend-independent; who ships a frame that did not
-//! fill is the backend's answer to `Transport::adopt_ports`. Two backends
-//! exist:
+//! accounting — is backend-independent; a frame that did not fill is
+//! shipped by the backend's own thread, the one that adopted the ports
+//! (`Transport::adopt_ports`). Two backends exist:
 //!
 //! * `inproc::InProcTransport` (default): all localities share one OS
 //!   process; messages are queue pushes routed through a [`DelayLine`]
@@ -139,11 +139,15 @@
 //!   one frame; a backlog fills frames to the cap while the thread is
 //!   busy writing. What it costs is frames about half the size a 100 µs
 //!   hold collected, and a thread wake per frame.
-//! * **In-process: a timer flusher.** A delay line has no thread that
-//!   could pull, so the wire runs `px-port-flusher`: blocked until the
-//!   kick, then shipping records older than [`FLUSH_INTERVAL`] on a
-//!   half-interval tick for as long as some port holds one. An idle
-//!   runtime makes no wakeups on either backend.
+//! * **In-process: the delay line pulls at a deadline.** The kick puts
+//!   one [`FLUSH_INTERVAL`] out on the line's `(time, seq)` heap; when it
+//!   falls due the line's thread pulls that destination's ports, taking
+//!   only a port that still holds the records that armed it, and puts
+//!   the frame on the same heap. The hold is what gathers a frame: a
+//!   pull at the kick would ship one per record.
+//!
+//! Either way the backend's one thread is the wire's one clock, and an
+//! idle runtime makes no wakeups. The shutdown drain pulls every port.
 //!
 //! The in-process delay model is applied per frame
 //! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
@@ -193,9 +197,7 @@ use crate::sched::Task;
 use crate::stats::{bump, TransportStats};
 use parking_lot::Mutex;
 use px_wire::FrameBuf;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Latency/bandwidth model for the in-process wire.
@@ -239,9 +241,9 @@ impl WireModel {
 
 /// Byte budget of a coalesced frame: a port flushes on reaching it.
 pub const MAX_BATCH_BYTES: usize = 32 * 1024;
-/// Longest a parcel may wait in a port before the in-process wire's
-/// timer flusher ships it. The TCP backend has no such hold: its I/O
-/// thread pulls the ports as soon as a sender's kick wakes it.
+/// How long the in-process wire holds a port open: the deadline a kick
+/// puts on the delay line's heap. The TCP backend has no such hold: its
+/// I/O thread pulls the ports as soon as a sender's kick wakes it.
 pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Flush policy for the per-destination coalescing ports.
@@ -249,9 +251,8 @@ pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 /// The runtime sets one value, [`crate::runtime::Config::max_batch_parcels`]
 /// (default 1: batching off, every parcel ships in its own message, so
 /// latency-sensitive request/response chains see no added delay); the
-/// byte budget and the in-process hold time are [`MAX_BATCH_BYTES`] and
-/// [`FLUSH_INTERVAL`]. They are fields so the port unit tests can
-/// isolate one flush cause by disabling the other two.
+/// byte budget is [`MAX_BATCH_BYTES`]. Both are fields so the port unit
+/// tests can isolate one `Full` cause by disabling the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BatchPolicy {
     /// Flush a port when its frame holds this many parcels (1 disables
@@ -259,19 +260,15 @@ pub(crate) struct BatchPolicy {
     pub max_batch_parcels: usize,
     /// Flush a port when its frame reaches this many bytes.
     pub max_batch_bytes: usize,
-    /// Maximum time a parcel may wait in a port before the timer flusher
-    /// ships it (in-process backend; nothing reads it over TCP).
-    pub flush_interval: Duration,
 }
 
 impl BatchPolicy {
     /// The runtime's policy: up to `max_batch_parcels` per frame under
-    /// the fixed byte budget and hold time.
+    /// the fixed byte budget.
     pub(crate) fn new(max_batch_parcels: usize) -> BatchPolicy {
         BatchPolicy {
             max_batch_parcels,
             max_batch_bytes: MAX_BATCH_BYTES,
-            flush_interval: FLUSH_INTERVAL,
         }
     }
 
@@ -323,19 +320,19 @@ pub(crate) trait Transport: Send + Sync {
     /// bytes to whatever latency/bandwidth physics the backend has.
     fn submit(&self, msg: WireMsg, bytes: usize);
 
-    /// Offer the backend the wire's coalescing ports. The answer is how a
-    /// record that does not fill its frame leaves: `None` — this backend
-    /// gains nothing from coalescing, the wire drops the ports (an
-    /// instant in-process wire: no per-message cost to amortize);
-    /// [`FlushCause::Timer`] — the wire runs its timer flusher over them;
-    /// [`FlushCause::Pulled`] — the backend kept a clone and ships them
-    /// from its own thread whenever it is [kicked](Transport::kick).
-    fn adopt_ports(&self, ports: &Arc<PortSet>) -> Option<FlushCause>;
+    /// Offer the backend the wire's coalescing ports. `false`: this
+    /// backend gains nothing from coalescing, and the wire drops them (an
+    /// instant in-process wire: no per-message cost to amortize). `true`:
+    /// the backend kept a clone, and its own thread ships what does not
+    /// fill whenever it is [kicked](Transport::kick).
+    fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool;
 
-    /// A record landed in an empty port: a backend that answered
-    /// [`FlushCause::Pulled`] must pull its ports soon. Many kicks before
-    /// the pull count as one; never blocks.
-    fn kick(&self) {}
+    /// A record landed in an empty port toward `dest`; the adopting
+    /// backend's thread must pull it. TCP wakes its I/O thread now (many
+    /// kicks before the pull count as one); in-process puts a deadline
+    /// [`FLUSH_INTERVAL`] out on the delay line. Called outside the port
+    /// lock; never waits for a port.
+    fn kick(&self, dest: LocalityId);
 
     /// Frame format version the ports should encode with
     /// ([`px_wire::FRAME_VERSION`] in-process — bit-identical frames —
@@ -354,8 +351,8 @@ pub(crate) trait Transport: Send + Sync {
     }
 
     /// Stop background threads, flushing or loudly killing pending
-    /// messages first. Called with the ports drained and the timer
-    /// flusher — the one other holder of the transport — already joined.
+    /// messages first. Called with the ports drained, by the wire — the
+    /// transport's one holder.
     fn shutdown(&mut self);
 }
 
@@ -364,18 +361,19 @@ pub(crate) trait Transport: Send + Sync {
 pub(crate) enum FlushCause {
     /// Hit `max_batch_parcels` or `max_batch_bytes`.
     Full,
-    /// Aged out by the wire's timer flusher (in-process backend only).
+    /// The in-process hold expired: the delay line's thread pulled the
+    /// port at its deadline.
     Timer,
-    /// Pulled by the backend's own thread after a kick (TCP).
+    /// Pulled by the TCP I/O thread after a kick, or by the shutdown
+    /// drain (either backend).
     Pulled,
 }
 
 /// One coalescing queue: pending frame plus when its oldest record landed.
 struct Port {
     frame: FrameBuf,
-    /// Stamped when a record lands in the empty port — always where the
-    /// timer flusher needs an age, otherwise only with metrics on (it is
-    /// then the `NetRtt` stamp of a pulled frame).
+    /// Stamped when a record lands in the empty port: the in-process
+    /// deadline checks it, and it is the `NetRtt` stamp of a pulled frame.
     opened_at: Option<Instant>,
 }
 
@@ -434,18 +432,20 @@ impl PortSet {
         &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
     }
 
-    /// The pulling backend's half: hand `ship` whatever both lanes' ports
-    /// toward `dest` hold, with the stamp of each frame's oldest record.
-    /// `ship` runs under the port lock (port → peer queue, the nesting a
-    /// sender's `Full` flush takes), so same-peer order holds across
-    /// pulls and `Full` flushes. Never waits for a port: a sender may
-    /// hold one while blocked on the very queue the puller drains.
-    /// Returns `false` when a held port was skipped — the caller pulls
-    /// again once it has drained.
+    /// The backend thread's half: hand `ship` whatever both lanes' ports
+    /// toward `dest` hold, with the stamp of each frame's oldest record,
+    /// booked `Pulled` — or, for an in-process deadline armed at `hold`,
+    /// booked `Timer` and only if that record landed by then. `ship` runs
+    /// under the port lock (the nesting a sender's `Full` flush takes),
+    /// so same-destination order holds across both. Never waits for a
+    /// port: a sender may hold one while blocked on the very queue the
+    /// puller drains. Returns `false` when a held port was skipped — the
+    /// caller pulls again once it has drained.
     pub(crate) fn pull(
         &self,
         dest: LocalityId,
         dest_loc: &Locality,
+        hold: Option<Instant>,
         mut ship: impl FnMut(Lane, Vec<u8>, Option<Instant>),
     ) -> bool {
         let mut all = true;
@@ -454,37 +454,16 @@ impl PortSet {
                 all = false;
                 continue;
             };
-            if let Some((bytes, opened_at)) = port.take(FlushCause::Pulled, dest_loc) {
+            let cause = match hold {
+                None => FlushCause::Pulled,
+                Some(armed) if port.opened_at.is_some_and(|t| t <= armed) => FlushCause::Timer,
+                Some(_) => continue,
+            };
+            if let Some((bytes, opened_at)) = port.take(cause, dest_loc) {
                 ship(lane, bytes, opened_at);
             }
         }
         all
-    }
-
-    /// Flush every port whose oldest record has waited `min_age` (zero:
-    /// every port that holds anything). Returns whether a record is left
-    /// waiting in some port.
-    fn flush_aged(
-        &self,
-        localities: &[Arc<Locality>],
-        min_age: Duration,
-        cause: FlushCause,
-        transport: &dyn Transport,
-    ) -> bool {
-        let mut waiting = false;
-        for (idx, slot) in self.ports.iter().enumerate() {
-            let dest = LocalityId((idx / 2) as u16);
-            let lane = Lane::of_parcel(idx % 2 == 1);
-            let mut port = slot.lock();
-            if min_age.is_zero() || port.opened_at.is_some_and(|t0| t0.elapsed() >= min_age) {
-                if let Some((bytes, _)) = port.take(cause, &localities[dest.0 as usize]) {
-                    let n = bytes.len();
-                    transport.submit(WireMsg::Frame { dest, lane, bytes }, n);
-                }
-            }
-            waiting |= !port.frame.is_empty();
-        }
-        waiting
     }
 }
 
@@ -493,16 +472,10 @@ impl PortSet {
 /// sockets across OS processes).
 pub(crate) struct Wire {
     transport: Arc<dyn Transport>,
-    /// The ports, and how a record that does not fill its frame leaves
-    /// one ([`Transport::adopt_ports`]).
-    ports: Option<(Arc<PortSet>, FlushCause)>,
-    /// Stamp `Port::opened_at`: the timer flusher ages records by it, the
-    /// `NetRtt` instrument reads it off a pulled frame.
-    stamp_ports: bool,
+    /// The ports, when the backend adopted them
+    /// ([`Transport::adopt_ports`]).
+    ports: Option<Arc<PortSet>>,
     localities: Arc<Vec<Arc<Locality>>>,
-    /// Kicks the timer flusher; dropping it stops the thread.
-    flusher_kick: Option<SyncSender<()>>,
-    flusher: Option<JoinHandle<()>>,
 }
 
 impl Wire {
@@ -521,35 +494,10 @@ impl Wire {
                 transport.frame_version(),
             ))
         });
-        let ports = ports.and_then(|ports| {
-            let lazy = transport.adopt_ports(&ports)?;
-            Some((ports, lazy))
-        });
-        let (flusher_kick, flusher) = match &ports {
-            Some((ports, FlushCause::Timer)) => {
-                // Capacity one: kicks coalesce, and one sent before the
-                // flusher blocks is still there when it does.
-                let (kick_tx, kick_rx) = sync_channel::<()>(1);
-                let handle = {
-                    let ports = ports.clone();
-                    let localities = localities.clone();
-                    let transport = transport.clone();
-                    std::thread::Builder::new()
-                        .name("px-port-flusher".into())
-                        .spawn(move || flusher_loop(&ports, &localities, &*transport, &kick_rx))
-                        .expect("spawn port-flusher thread")
-                };
-                (Some(kick_tx), Some(handle))
-            }
-            _ => (None, None),
-        };
         Wire {
+            ports: ports.filter(|ports| transport.adopt_ports(ports)),
             transport,
-            stamp_ports: flusher.is_some() || localities.iter().any(|l| l.metrics.is_some()),
-            ports,
             localities,
-            flusher_kick,
-            flusher,
         }
     }
 
@@ -558,7 +506,7 @@ impl Wire {
     /// transport's from now on. Returns the encoded size for accounting.
     pub(crate) fn send_parcel(&self, dest: LocalityId, p: Parcel) -> usize {
         let lane = Lane::of_parcel(p.staged);
-        let Some((ports, _)) = &self.ports else {
+        let Some(ports) = &self.ports else {
             // Unbatched path: identical to the pre-batching wire.
             let bytes = p.into_wire();
             let n = bytes.len();
@@ -570,7 +518,7 @@ impl Wire {
         let mut port = ports.port(dest, lane).lock();
         let was_empty = port.frame.is_empty();
         if was_empty {
-            port.opened_at = self.stamp_ports.then(Instant::now);
+            port.opened_at = Some(Instant::now());
         }
         // Report the record's full wire footprint (parcel + length
         // prefix) so `bytes_sent` tracks what the delay model charges; of
@@ -586,17 +534,11 @@ impl Wire {
                     .submit(WireMsg::Frame { dest, lane, bytes }, len);
             }
         } else if was_empty {
-            // The first record of an idle port: whoever flushes it hears
-            // of it now, outside the port lock. Later records ride on this
+            // The first record of an idle port: the backend hears of it
+            // now, outside the port lock. Later records ride on this
             // kick — the port stays non-empty until the flush it causes.
             drop(port);
-            match &self.flusher_kick {
-                // A full channel is a kick already on its way.
-                Some(flusher) => {
-                    let _ = flusher.try_send(());
-                }
-                None => self.transport.kick(),
-            }
+            self.transport.kick(dest);
         }
         n
     }
@@ -618,19 +560,22 @@ impl Wire {
         self.transport.transport_stats()
     }
 
-    /// Stop the flusher, drain the ports, stop the transport.
+    /// Drain the ports, stop the transport.
     pub(crate) fn shutdown(&mut self) {
-        self.flusher_kick = None; // closing the channel stops the flusher
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
+        if let Some(ports) = &self.ports {
+            // A pull of every port, through `submit`; the backend's
+            // thread holds one only for a moment.
+            for (dest, dest_loc) in self.localities.iter().enumerate() {
+                let dest = LocalityId(dest as u16);
+                while !ports.pull(dest, dest_loc, None, |lane, bytes, _| {
+                    let n = bytes.len();
+                    self.transport
+                        .submit(WireMsg::Frame { dest, lane, bytes }, n);
+                }) {
+                    std::thread::yield_now();
+                }
+            }
         }
-        if let Some((ports, lazy)) = &self.ports {
-            // From this thread, through `submit`, while the backend still
-            // takes messages: the drain is booked as the lazy flush it
-            // stands in for.
-            ports.flush_aged(&self.localities, Duration::ZERO, *lazy, &*self.transport);
-        }
-        // Any flusher held the only other reference and is joined.
         if let Some(transport) = Arc::get_mut(&mut self.transport) {
             transport.shutdown();
         }
@@ -640,31 +585,6 @@ impl Wire {
 impl Drop for Wire {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The in-process backend's flusher (a delay line has no thread that
-/// could pull): blocked, untimed, until a sender kicks; then ticking at
-/// half `flush_interval`, shipping any frame whose oldest record has
-/// waited that long, for as long as some port holds a record.
-fn flusher_loop(
-    ports: &PortSet,
-    localities: &[Arc<Locality>],
-    transport: &dyn Transport,
-    kicks: &Receiver<()>,
-) {
-    let interval = ports.policy.flush_interval;
-    let tick = (interval / 2).clamp(Duration::from_micros(20), Duration::from_millis(10));
-    while kicks.recv().is_ok() {
-        // A kick that arrives mid-tick only shortens that tick.
-        while !matches!(
-            kicks.recv_timeout(tick),
-            Err(RecvTimeoutError::Disconnected)
-        ) {
-            if !ports.flush_aged(localities, interval, FlushCause::Timer, transport) {
-                break;
-            }
-        }
     }
 }
 
@@ -729,39 +649,58 @@ mod tests {
         (tasks, parcels)
     }
 
-    #[test]
-    fn batch_flushes_on_parcel_count() {
-        let locs = test_localities(2);
-        let wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(50)),
-            &locs,
-            BatchPolicy {
-                max_batch_parcels: 4,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_secs(10), // timer disabled
-            },
-        );
-        let p = noop_parcel(LocalityId(1));
-        for _ in 0..8 {
-            wire.send_parcel(LocalityId(1), p.clone());
-        }
-        // Two full frames of four parcels each. Accumulate across polls:
-        // the delay thread may deliver the frames on either side of a
-        // drain.
+    /// Drain `loc`'s injector until `parcels` have arrived: the delay
+    /// thread may deliver frames on either side of a drain.
+    fn await_parcels(loc: &Locality, parcels: usize) -> (usize, usize) {
         let t0 = Instant::now();
-        let (mut tasks, mut parcels) = (0, 0);
-        while parcels < 8 {
-            let (t, p) = drain_count(&locs[1]);
-            tasks += t;
-            parcels += p;
+        let mut got = (0, 0);
+        while got.1 < parcels {
+            let (t, p) = drain_count(loc);
+            got = (got.0 + t, got.1 + p);
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
-                "frames never arrived"
+                "parcels never arrived"
             );
-            std::thread::sleep(Duration::from_micros(200));
+            std::thread::sleep(Duration::from_micros(50));
         }
-        assert_eq!(tasks, 2, "expected two frames");
-        assert_eq!(parcels, 8, "expected all parcels");
+        got
+    }
+
+    /// Ports with no cap but `max_batch_parcels`.
+    fn cap(max_batch_parcels: usize) -> BatchPolicy {
+        BatchPolicy {
+            max_batch_parcels,
+            max_batch_bytes: usize::MAX,
+        }
+    }
+
+    /// A fresh wire over a 10 µs line with `n` parcels sent toward
+    /// locality 1 inside one hold. The hold is a constant, so a test
+    /// thread preempted mid-burst — a deadline may have cut the burst —
+    /// reruns it on a fresh wire instead.
+    fn burst(policy: BatchPolicy, n: usize) -> (Arc<Vec<Arc<Locality>>>, Wire) {
+        let p = noop_parcel(LocalityId(1));
+        loop {
+            let locs = test_localities(2);
+            let wire = test_wire(
+                WireModel::with_latency(Duration::from_micros(10)),
+                &locs,
+                policy,
+            );
+            let t0 = Instant::now();
+            for _ in 0..n {
+                wire.send_parcel(LocalityId(1), p.clone());
+            }
+            if t0.elapsed() < FLUSH_INTERVAL {
+                return (locs, wire);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_flushes_on_parcel_count() {
+        let (locs, _wire) = burst(cap(4), 8);
+        assert_eq!(await_parcels(&locs[1], 8), (2, 8), "two frames of four");
         assert_eq!(locs[1].counters.frames_sent.get(), 2);
         assert_eq!(locs[1].counters.batch_flush_full.get(), 2);
         assert_eq!(
@@ -780,76 +719,102 @@ mod tests {
             BatchPolicy {
                 max_batch_parcels: usize::MAX,
                 max_batch_bytes: 64,
-                flush_interval: Duration::from_secs(10),
             },
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..4 {
             wire.send_parcel(LocalityId(1), p.clone());
         }
-        let t0 = Instant::now();
-        loop {
-            let (tasks, _) = drain_count(&locs[1]);
-            if tasks > 0 {
-                break;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(5));
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        await_parcels(&locs[1], 1);
         assert!(locs[1].counters.batch_flush_full.get() >= 1);
     }
 
     #[test]
-    fn flusher_ships_stragglers() {
+    fn a_deadline_ships_stragglers() {
         let locs = test_localities(2);
         let wire = test_wire(
             WireModel::with_latency(Duration::from_micros(10)),
             &locs,
-            BatchPolicy {
-                max_batch_parcels: 1000,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_micros(200),
-            },
+            cap(1000),
         );
-        let p = noop_parcel(LocalityId(1));
-        wire.send_parcel(LocalityId(1), p.clone());
         let t0 = Instant::now();
-        loop {
-            let (tasks, parcels) = drain_count(&locs[1]);
-            if tasks > 0 {
-                assert_eq!(parcels, 1);
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "straggler never flushed"
-            );
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+        assert_eq!(await_parcels(&locs[1], 1), (1, 1));
+        assert!(t0.elapsed() >= FLUSH_INTERVAL, "shipped before the hold");
         assert_eq!(locs[1].counters.batch_flush_timer.get(), 1);
-        drop(wire);
     }
 
+    /// A deadline ships only the records that armed it. The shape of
+    /// `examples/batched_transport` — 4 096 parcels, cap 32, a 50 µs
+    /// line — from a sender that fills a frame well inside the hold:
+    /// every frame's opening arms a deadline that falls due among
+    /// younger records, and a deadline that shipped those would cut
+    /// most frames short.
     #[test]
-    fn shutdown_drains_ports() {
+    fn a_deadline_ships_only_the_records_that_armed_it() {
         let locs = test_localities(2);
         let mut wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
+            WireModel::with_latency(Duration::from_micros(50)),
             &locs,
-            BatchPolicy {
-                max_batch_parcels: 1000,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_secs(10),
-            },
+            BatchPolicy::new(32),
         );
         let p = noop_parcel(LocalityId(1));
-        for _ in 0..3 {
+        for _ in 0..4096 {
             wire.send_parcel(LocalityId(1), p.clone());
         }
         wire.shutdown();
-        let (tasks, parcels) = drain_count(&locs[1]);
-        assert_eq!(tasks, 1, "one shutdown frame");
-        assert_eq!(parcels, 3, "all pending parcels delivered");
+        assert_eq!(drain_count(&locs[1]).1, 4096);
+        let c = &locs[1].counters;
+        let (frames, full) = (c.frames_sent.get(), c.batch_flush_full.get());
+        assert!(4 * full >= 3 * frames, "{full} of {frames} frames full");
+    }
+
+    /// `NetRtt` means the same on both backends: a frame a deadline
+    /// pulled is timed from its oldest record's landing in the port, so
+    /// a straggler alone in its port reads at least the hold plus the
+    /// line's latency.
+    #[test]
+    fn a_pulled_frame_is_timed_from_its_oldest_record() {
+        let locs: Arc<Vec<Arc<Locality>>> = Arc::new(
+            (0..2)
+                .map(|i| {
+                    let mut loc = Locality::new(LocalityId(i), false);
+                    loc.enable_metrics(Arc::default());
+                    Arc::new(loc)
+                })
+                .collect(),
+        );
+        let latency = Duration::from_micros(50);
+        let wire = test_wire(
+            WireModel::with_latency(latency),
+            &locs,
+            BatchPolicy::new(16),
+        );
+        for _ in 0..50 {
+            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+            await_parcels(&locs[1], 1);
+        }
+        let metrics = locs[1].metrics.as_ref().unwrap().snapshot();
+        let rtt = metrics.get(crate::metrics::Instrument::NetRtt);
+        assert_eq!(rtt.count, 50);
+        let floor = (FLUSH_INTERVAL + latency).as_nanos() as u64;
+        assert!(rtt.quantile(0.5) >= floor, "p50 {} ns", rtt.quantile(0.5));
+    }
+
+    /// The drain is a pull of every port: what the ports hold at
+    /// shutdown leaves in one frame each, booked `Pulled`.
+    #[test]
+    fn shutdown_drains_ports() {
+        for _ in 0..100 {
+            let (locs, mut wire) = burst(cap(1000), 3);
+            wire.shutdown();
+            assert_eq!(drain_count(&locs[1]), (1, 3), "one frame, every parcel");
+            // Rerun when the deadline beat the drain to it.
+            if locs[1].counters.batch_flush_pulled.get() == 1 {
+                return;
+            }
+        }
+        panic!("the deadline shipped the port every time: the drain never ran");
     }
 
     #[test]
@@ -858,11 +823,7 @@ mod tests {
         let mut wire = test_wire(
             WireModel::with_latency(Duration::from_micros(10)),
             &locs,
-            BatchPolicy {
-                max_batch_parcels: 1000,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_secs(10),
-            },
+            cap(1000),
         );
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
@@ -906,21 +867,9 @@ mod tests {
     /// in-process wire.
     #[test]
     fn inproc_frames_are_bit_identical_to_frame_buf() {
-        let locs = test_localities(2);
-        let mut wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
-            &locs,
-            BatchPolicy {
-                max_batch_parcels: 1000,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_secs(10),
-            },
-        );
-        let p = noop_parcel(LocalityId(1));
-        for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), p.clone());
-        }
+        let (locs, mut wire) = burst(cap(1000), 3);
         wire.shutdown();
+        let p = noop_parcel(LocalityId(1));
         let mut expected = px_wire::FrameBuf::new();
         for _ in 0..3 {
             expected.push_record(&p.encode());

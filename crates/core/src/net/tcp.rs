@@ -99,7 +99,7 @@
 
 mod io;
 
-use super::{FlushCause, PortSet, Transport, WireMsg};
+use super::{PortSet, Transport, WireMsg};
 use crate::action::ActionId;
 use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
@@ -330,7 +330,7 @@ impl TcpShared {
             return true;
         };
         let dest_loc = &self.localities[dest.0 as usize];
-        ports.pull(dest, dest_loc, |lane, bytes, opened_at| {
+        ports.pull(dest, dest_loc, None, |lane, bytes, opened_at| {
             self.send_to_peer(dest, frame_kind(lane), bytes, By::Puller(opened_at));
         })
     }
@@ -645,12 +645,12 @@ impl Transport for TcpTransport {
         self.shared.submit(msg);
     }
 
-    fn adopt_ports(&self, ports: &Arc<PortSet>) -> Option<FlushCause> {
+    fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool {
         let _ = self.shared.ports.set(ports.clone());
-        Some(FlushCause::Pulled)
+        true
     }
 
-    fn kick(&self) {
+    fn kick(&self, _dest: LocalityId) {
         self.shared.poller.wake();
     }
 
@@ -1031,6 +1031,9 @@ mod tests {
     #[test]
     fn the_puller_never_waits_on_the_queue_it_drains() {
         let (a, mut b, _locs_b) = boot_pair();
+        // Let the I/O thread finish the pass that completed bootstrap: it
+        // would drain the message below and so release the sender early.
+        std::thread::sleep(Duration::from_millis(50));
         let shared = a.shared.clone();
         let dest = LocalityId(1);
         // Full by the books while holding nothing: the loop resets the

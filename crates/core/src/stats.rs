@@ -140,12 +140,13 @@ counters! {
     coalesced_parcels,
     /// Frames flushed because they hit `max_batch_parcels`/`max_batch_bytes`.
     batch_flush_full,
-    /// Frames flushed by the in-process wire's interval flusher (or that
-    /// wire's shutdown drain). No timer runs over TCP: zero there.
+    /// Frames the in-process hold shipped: the delay line's thread pulled
+    /// the port at the deadline its first record armed. No hold over
+    /// TCP: zero there.
     batch_flush_timer,
     /// Frames the TCP I/O thread pulled out of a port after a sender's
-    /// kick (or that wire's shutdown drain): whatever gathered while the
-    /// thread was waking or busy.
+    /// kick — whatever gathered while the thread was waking or busy — or
+    /// that the shutdown drain took (either backend).
     batch_flush_pulled,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the

@@ -401,8 +401,7 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 /// OS processes: this rank's thread count is **flat** as the mesh grows
 /// from 1 peer to 7 — the transport always runs exactly one I/O thread,
 /// never a thread (pair) per peer — and a batched TCP rank runs no
-/// `px-port-flusher`: the I/O thread pulls the ports, so the runtime's
-/// own threads are one fewer than when a timer did.
+/// thread for its coalescing ports: the I/O thread pulls them.
 ///
 /// `/proc/self/task` is process-wide and sibling tests in this binary
 /// run TCP runtimes of their own, so rank 0 of the measured meshes is a
@@ -421,16 +420,6 @@ fn thread_count_stays_flat_from_one_peer_to_seven() {
 /// Body of the `thread-count` child: rank 0 of a 2-rank and then an
 /// 8-rank mesh, counting its own threads with every connection live.
 fn count_threads_as_rank_zero() {
-    /// Every thread the runtime started (all of them are named `px-…`).
-    fn px_threads() -> Vec<String> {
-        let mut names: Vec<String> = threads()
-            .into_iter()
-            .map(|(_, name)| name)
-            .filter(|name| name.starts_with("px-"))
-            .collect();
-        names.sort();
-        names
-    }
     // Run one mesh of each size, pushing a round of real traffic to
     // every peer so all connections are live when we count.
     let mut counts = Vec::new();
@@ -457,8 +446,8 @@ fn count_threads_as_rank_zero() {
         assert_eq!(
             px_threads(),
             ["px-L0-w0", "px-balancer", "px-tcp-io"],
-            "one worker, the balancer, one transport I/O thread and no \
-             port flusher at {ranks} ranks"
+            "one worker, the balancer, one transport I/O thread and \
+             nothing for the ports at {ranks} ranks"
         );
         counts.push(threads().len());
         for child in &mut children {
@@ -473,6 +462,17 @@ fn count_threads_as_rank_zero() {
         counts[0], counts[1],
         "process thread count must not grow with peers: {counts:?}"
     );
+}
+
+/// Every thread the runtime started (all of them are named `px-…`).
+fn px_threads() -> Vec<String> {
+    let mut names: Vec<String> = threads()
+        .into_iter()
+        .map(|(_, name)| name)
+        .filter(|name| name.starts_with("px-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// This process's threads: each one's `/proc` directory and name.
@@ -548,13 +548,13 @@ fn idle_as_rank_zero() {
     rt.shutdown();
 }
 
-/// Idle is quiet for the in-process flusher too. A delay line has no
-/// thread that could pull the ports, so that wire keeps a timer — which
-/// ticks only while some port holds a record and otherwise blocks until
-/// a sender kicks it. Here because the count needs a process of its own
-/// (`idle-inproc` mode), like the thread counts above.
+/// Idle is quiet in-process too, on one thread: the delay line is that
+/// wire's only clock — a port's hold is a deadline on its heap — and with
+/// nothing pending it blocks until a submission. Here because the counts
+/// need a process of their own (`idle-inproc` mode), like the thread
+/// counts above.
 #[test]
-fn an_idle_in_process_flusher_makes_no_wakeups() {
+fn an_idle_in_process_wire_makes_no_wakeups() {
     let mut child = spawn_child_at("idle-inproc", &[], 0);
     drop(child.stdin.take());
     assert!(
@@ -570,17 +570,28 @@ fn idle_in_process() {
         .with_latency(Duration::from_micros(5))
         .with_max_batch_parcels(16);
     let rt = build(cfg);
-    let woke = wakeups_while_idle("px-port-flusher");
-    assert!(woke < 10, "woke {woke} times before any traffic");
-    // One parcel in an otherwise empty port: only the timer ships it.
+    // Thread start-up blocks a time or two (the allocator, the first
+    // look at the channel): let it settle before the window opens.
+    std::thread::sleep(Duration::from_millis(100));
+    let woke = wakeups_while_idle("px-delay-line");
+    assert!(woke <= 1, "woke {woke} times before any traffic");
+    // One parcel in an otherwise empty port: only its deadline ships it.
     let fut = rt.new_future::<u64>(LocalityId(0));
     let to = Gid::locality_root(LocalityId(1));
     rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
         .unwrap();
     assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(25));
     assert!(rt.stats().total().batch_flush_timer >= 1);
-    let woke = wakeups_while_idle("px-port-flusher");
-    assert!(woke < 10, "woke {woke} times after the ports emptied");
+    // Counted after the round trip, which every thread took part in (a
+    // thread names itself once it runs).
+    assert_eq!(
+        px_threads(),
+        ["px-L0-w0", "px-L1-w0", "px-delay-line"],
+        "one worker per locality and the delay line: the wire runs no \
+         thread of its own"
+    );
+    let woke = wakeups_while_idle("px-delay-line");
+    assert!(woke <= 1, "woke {woke} times after the ports emptied");
     rt.shutdown();
 }
 
