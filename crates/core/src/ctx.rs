@@ -158,7 +158,7 @@ impl<'a> Ctx<'a> {
     /// Create a local future. Inside a process, the future is
     /// process-owned: cancelling the process poisons it.
     pub fn new_future<T: Serialize + DeserializeOwned>(&mut self) -> FutureRef<T> {
-        FutureRef::from_gid(self.from.new_lco(self.here(), LcoCore::new_future))
+        FutureRef::from_gid(self.from.new_one_shot(self.here(), LcoCore::new_future))
     }
 
     /// Create a local and-gate over `n` events (process-owned inside a
@@ -187,7 +187,7 @@ impl<'a> Ctx<'a> {
         let here = self.here();
         let gid = self
             .from
-            .new_lco(here, |gid| LcoCore::new_reduce(gid, n, seed, fold));
+            .new_one_shot(here, |gid| LcoCore::new_reduce(gid, n, seed, fold));
         Ok(FutureRef::from_gid(gid))
     }
 

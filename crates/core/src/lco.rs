@@ -103,7 +103,7 @@ impl ExtSlot {
 }
 
 /// Turn a fault value into the error it carries; pass payloads through.
-fn surface_fault(v: Value) -> PxResult<Value> {
+pub(crate) fn surface_fault(v: Value) -> PxResult<Value> {
     match v.fault() {
         Some(f) => Err(PxError::Fault(f)),
         None => Ok(v),
@@ -215,6 +215,11 @@ pub struct LcoCore {
     /// the locality store at insert time only when metrics are on (`None`
     /// otherwise), consumed once at resolution.
     born: Option<std::time::Instant>,
+    /// Set at creation for an LCO with one reader ([`FutureRef`]).
+    one_shot: bool,
+    /// A one-shot LCO has handed its value to its reader: it is done and
+    /// leaves the store ([`crate::locality::Locality::lco_op`]).
+    read: bool,
 }
 
 impl std::fmt::Debug for LcoCore {
@@ -241,15 +246,36 @@ impl std::fmt::Debug for LcoCore {
 }
 
 impl LcoCore {
-    fn pending(gid: Gid, body: LcoBody) -> Self {
+    fn with_state(gid: Gid, state: LcoState) -> Self {
         LcoCore {
             gid,
-            state: LcoState::Pending {
+            state,
+            born: None,
+            one_shot: false,
+            read: false,
+        }
+    }
+
+    fn pending(gid: Gid, body: LcoBody) -> Self {
+        Self::with_state(
+            gid,
+            LcoState::Pending {
                 waiters: Vec::new(),
                 body,
             },
-            born: None,
-        }
+        )
+    }
+
+    /// Mark this LCO one-shot: the first waiter it hands its value (or
+    /// fault) to is its reader, and the read frees it ([`FutureRef`]).
+    pub(crate) fn one_shot(mut self) -> Self {
+        self.one_shot = true;
+        self
+    }
+
+    /// True once a one-shot LCO has been read.
+    pub(crate) fn is_read(&self) -> bool {
+        self.read
     }
 
     /// Stamp the creation time (metrics on; called by the locality store
@@ -278,11 +304,7 @@ impl LcoCore {
     /// registration, holding unit).
     pub fn new_and_gate(gid: Gid, n: u64) -> Self {
         if n == 0 {
-            LcoCore {
-                gid,
-                state: LcoState::Ready(Value::unit()),
-                born: None,
-            }
+            Self::with_state(gid, LcoState::Ready(Value::unit()))
         } else {
             Self::pending(gid, LcoBody::AndGate { remaining: n })
         }
@@ -299,11 +321,7 @@ impl LcoCore {
     /// template could never fire and would hang its waiters).
     pub fn new_dataflow(gid: Gid, n: usize, combine: CombineFn) -> Self {
         if n == 0 {
-            return LcoCore {
-                gid,
-                state: LcoState::Ready(combine(&mut [])),
-                born: None,
-            };
+            return Self::with_state(gid, LcoState::Ready(combine(&mut [])));
         }
         Self::pending(
             gid,
@@ -318,11 +336,7 @@ impl LcoCore {
     /// New reduction over `n` contributions starting from `seed`.
     pub fn new_reduce(gid: Gid, n: u64, seed: Value, fold: ReduceFn) -> Self {
         if n == 0 {
-            LcoCore {
-                gid,
-                state: LcoState::Ready(seed),
-                born: None,
-            }
+            Self::with_state(gid, LcoState::Ready(seed))
         } else {
             Self::pending(
                 gid,
@@ -384,6 +398,13 @@ impl LcoCore {
             LcoState::Ready(_) | LcoState::Poisoned(_) => Vec::new(),
         };
         self.state = LcoState::Ready(value.clone());
+        self.hand_out(waiters, &value)
+    }
+
+    /// Release `waiters` with `value` (or a fault) as the LCO resolves:
+    /// for a one-shot LCO with a waiter, its read.
+    fn hand_out(&mut self, waiters: Vec<Waiter>, value: &Value) -> Activations {
+        self.read |= self.one_shot && !waiters.is_empty();
         waiters.into_iter().map(|w| (w, value.clone())).collect()
     }
 
@@ -403,7 +424,7 @@ impl LcoCore {
                 }
                 let v = Value::error(&fault);
                 self.state = LcoState::Poisoned(fault);
-                all.into_iter().map(|w| (w, v.clone())).collect()
+                self.hand_out(all, &v)
             }
         }
     }
@@ -510,14 +531,39 @@ impl LcoCore {
     /// the activation is returned immediately; if it is poisoned, the
     /// waiter is released immediately with the fault.
     pub fn add_waiter(&mut self, w: Waiter) -> Activations {
-        match &mut self.state {
-            LcoState::Ready(v) => vec![(w, v.clone())],
-            LcoState::Poisoned(f) => vec![(w, Value::error(f))],
-            LcoState::Pending { waiters, .. } => {
+        let Some(v) = self.read_now() else {
+            if let LcoState::Pending { waiters, .. } = &mut self.state {
                 waiters.push(w);
-                Vec::new()
             }
+            return Vec::new();
+        };
+        vec![(w, v)]
+    }
+
+    /// Read a resolved LCO in place, as a waiter would be handed it: its
+    /// value, or its fault — for a one-shot LCO, the read. `None` while
+    /// pending.
+    pub(crate) fn read_now(&mut self) -> Option<Value> {
+        let v = match &self.state {
+            LcoState::Ready(v) => v.clone(),
+            LcoState::Poisoned(f) => Value::error(f),
+            LcoState::Pending { .. } => return None,
+        };
+        self.read |= self.one_shot;
+        Some(v)
+    }
+
+    /// Withdraw the external waiter `slot`, whose wait timed out: a later
+    /// firing then hands the value to nobody and leaves it here for a
+    /// retry. `None` when the LCO is still pending. When it resolved
+    /// first, `slot` was among the waiters it released and the outcome is
+    /// returned from here — the slot itself may not be filled yet, since
+    /// activations run after the lock.
+    pub(crate) fn withdraw(&mut self, slot: &Arc<ExtSlot>) -> Option<Value> {
+        if let LcoState::Pending { waiters, .. } = &mut self.state {
+            waiters.retain(|w| !matches!(w, Waiter::External(s) if Arc::ptr_eq(s, slot)));
         }
+        self.read_now()
     }
 
     /// Semaphore acquire: runs (or queues) the waiter when a permit is
@@ -579,8 +625,29 @@ fn self_body_tolerates_retrigger(state: &LcoState) -> bool {
 
 /// Typed handle to a future LCO holding a `T`.
 ///
-/// The handle is `Copy`-cheap (a GID plus phantom type) and can be passed
-/// freely; the value lives at the future's locality.
+/// **A one-shot future has one reader, and the read frees it.** Every
+/// constructor that hands out a `FutureRef` — `new_future`, `new_reduce`,
+/// [`Ctx::call`], [`Ctx::fetch_data`], [`Ctx::store_data`],
+/// `ProcessRef::broadcast` — makes a one-shot LCO, and the first waiter it
+/// releases is its reader: a driver wait that returns a value or a fault
+/// ([`FutureRef::wait`], [`FutureRef::wait_timeout`]), a depleted thread's
+/// resumption ([`Ctx::when_ready`], `when_future`, `when_resolved`), or a
+/// remote `LCO_GET` whose continuation is applied. That release removes
+/// the future from its locality's store, so the store stays bounded by
+/// what is in flight (§2.2). A second read finds nothing
+/// ([`PxError::NoSuchObject`]), and so does a late `set_future`. GIDs are
+/// never reused, so a stale event cannot reach a newer object.
+///
+/// A wait that times out is not a read: it withdraws its waiter, and a
+/// later firing leaves the value for the retry. A future nobody reads —
+/// one abandoned after a timeout — stays in the store; cancelling its
+/// process poisons it (a late reader gets the fault) but does not free
+/// it. Gates, dataflows, semaphores and a process's done future are
+/// shared: reading them frees nothing, including through a
+/// [`FutureRef::from_gid`] wrapper.
+///
+/// The handle is `Copy` (a GID plus phantom type); the value lives at the
+/// future's locality.
 pub struct FutureRef<T> {
     gid: Gid,
     _t: PhantomData<fn() -> T>,

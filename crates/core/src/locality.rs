@@ -27,7 +27,7 @@ use crate::gid::{Gid, GidAllocator, GidKind, LocalityId};
 use crate::lco::LcoCore;
 use crate::queue::{Injector, Local, Sleep, Stealer};
 use crate::sched::Task;
-use crate::stats::LocalityCounters;
+use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
 use std::sync::atomic::AtomicU32;
@@ -273,6 +273,17 @@ impl Locality {
         }
     }
 
+    /// This locality's counters, with what is sampled rather than counted
+    /// filled in: searching is counted by the workers, but parked time is
+    /// read off the sleep clock (a worker starved for the whole run still
+    /// shows as idle), and the gauges are read now.
+    pub(crate) fn stats(&self) -> LocalityStats {
+        let mut s = self.counters.snapshot();
+        s.idle_ns += self.sleep.parked_ns();
+        s.objects = self.object_count() as u64;
+        s
+    }
+
     /// Tasks waiting in the general run queue (balancer telemetry; the
     /// per-worker rings are not counted, which is fine — a deep ring
     /// implies a busy worker feeding it).
@@ -375,7 +386,24 @@ impl Locality {
         })
     }
 
-    /// Create a future LCO here.
+    /// Run `op` on a local LCO under its lock — the one way an event,
+    /// a waiter or a withdrawal reaches one. A one-shot LCO that `op` made
+    /// hand its value to a waiter has been read ([`crate::lco::FutureRef`]):
+    /// it leaves the store here, before the caller schedules that
+    /// activation, so nothing the reader does can find it again.
+    pub(crate) fn lco_op<R>(&self, lco: &Mutex<LcoCore>, op: impl FnOnce(&mut LcoCore) -> R) -> R {
+        let mut g = lco.lock();
+        let r = op(&mut g);
+        let (read, gid) = (g.is_read(), g.gid());
+        drop(g);
+        if read {
+            self.remove(gid);
+        }
+        r
+    }
+
+    /// Create a future LCO here: a shared one (a process's done future),
+    /// which no read frees.
     pub fn new_future_lco(&self) -> Gid {
         self.new_lco(LcoCore::new_future)
     }

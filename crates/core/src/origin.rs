@@ -222,12 +222,20 @@ impl<'a> Origin<'a> {
 
     // ---- objects -----------------------------------------------------------
 
-    /// Create an LCO at `at` and record it in the owning process, if
-    /// there is one, so cancellation can poison it.
+    /// Create a shared LCO at `at` (a gate, dataflow or semaphore: reading
+    /// it frees nothing) and record it in the owning process, if there is
+    /// one, so cancellation can poison it.
     pub(crate) fn new_lco(self, at: LocalityId, build: impl FnOnce(Gid) -> LcoCore) -> Gid {
         let gid = self.rt.locality(at).new_lco(build);
         self.own_lco(gid);
         gid
+    }
+
+    /// [`Origin::new_lco`] for a one-shot LCO, whose one read frees it
+    /// ([`crate::lco::FutureRef`]): every constructor that hands out a
+    /// `FutureRef`, and [`Origin::request`], creates through here.
+    pub(crate) fn new_one_shot(self, at: LocalityId, build: impl FnOnce(Gid) -> LcoCore) -> Gid {
+        self.new_lco(at, |gid| build(gid).one_shot())
     }
 
     /// Create a data object at `at`.
@@ -330,7 +338,7 @@ impl<'a> Origin<'a> {
         op: impl FnOnce(&mut LcoCore, Waiter) -> Result<Activations, (PxError, Waiter)>,
     ) {
         let deposited = match self.loc.get_lco(gid) {
-            Ok(lco) => op(&mut lco.lock(), w),
+            Ok(lco) => self.loc.lco_op(&lco, |l| op(l, w)),
             Err(e) => Err((e, w)),
         };
         let acts = deposited.unwrap_or_else(|(e, w)| {

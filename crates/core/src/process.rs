@@ -484,7 +484,7 @@ impl ProcessRef {
         let n = locs.len() as u64;
         // Owned by the process from birth: a cancel racing this setup
         // poisons the fresh reduction, so the caller's waiters resolve.
-        let red = from.new_lco(self.gid.birthplace(), |gid| {
+        let red = from.new_one_shot(self.gid.birthplace(), |gid| {
             LcoCore::new_reduce(gid, n, seed, fold)
         });
         if me.is_cancelled() {

@@ -23,7 +23,7 @@ use crate::agas::Agas;
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::lco::{ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
+use crate::lco::{surface_fault, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
 use crate::locality::Locality;
 use crate::net::{BatchPolicy, Wire};
 use crate::origin::Caller;
@@ -175,7 +175,10 @@ impl RuntimeInner {
 
     /// Block the calling (driver, never worker) thread until LCO `gid`
     /// resolves, for at most `timeout` when one is given. `Ok(None)` is
-    /// the timeout; a poisoned LCO surfaces as [`PxError::Fault`].
+    /// the timeout; a poisoned LCO surfaces as [`PxError::Fault`]. A wait
+    /// that returns either reads a one-shot LCO and so frees it
+    /// ([`FutureRef`]); a timeout withdraws the waiter instead, so the
+    /// LCO stays for a retry however late it fires.
     pub(crate) fn wait_lco(
         self: &Arc<Self>,
         gid: Gid,
@@ -183,11 +186,22 @@ impl RuntimeInner {
     ) -> PxResult<Option<Value>> {
         let loc = self.locality(gid.birthplace());
         let lco = loc.get_lco(gid)?;
+        // Resolved already: read it here. Only a pending LCO needs a slot
+        // to park on.
+        if let Some(v) = loc.lco_op(&lco, LcoCore::read_now) {
+            return surface_fault(v).map(Some);
+        }
         let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
+        let acts = loc.lco_op(&lco, |l| l.add_waiter(Waiter::External(slot.clone())));
         self.schedule_activations(loc, acts, None);
         match timeout {
-            Some(t) => slot.wait_timeout(t),
+            Some(t) => match slot.wait_timeout(t)? {
+                Some(v) => Ok(Some(v)),
+                None => loc
+                    .lco_op(&lco, |l| l.withdraw(&slot))
+                    .map(surface_fault)
+                    .transpose(),
+            },
             #[cfg(not(debug_assertions))]
             None => slot.wait().map(Some),
             // Sliced so that a wait whose answer was lost with a dropped
@@ -439,19 +453,7 @@ impl Runtime {
     pub fn stats(&self) -> crate::stats::StatsSnapshot {
         let (migrations_manual, migrations_balancer) = self.inner.agas.migrations_by_cause();
         crate::stats::StatsSnapshot {
-            localities: self
-                .inner
-                .localities
-                .iter()
-                .map(|l| {
-                    // Searching is counted by the workers; parked time
-                    // is read off the sleep clocks, so a worker that is
-                    // starved for the whole run still shows as idle.
-                    let mut s = l.counters.snapshot();
-                    s.idle_ns += l.sleep.parked_ns();
-                    s
-                })
-                .collect(),
+            localities: self.inner.localities.iter().map(|l| l.stats()).collect(),
             migrations_manual,
             migrations_balancer,
             processes_created: self.inner.processes_created.get(),
@@ -681,7 +683,7 @@ impl Runtime {
 
     /// Create a future LCO at `loc`.
     pub fn new_future<T: Serialize + DeserializeOwned>(&self, loc: LocalityId) -> FutureRef<T> {
-        FutureRef::from_gid(self.origin().new_lco(loc, LcoCore::new_future))
+        FutureRef::from_gid(self.origin().new_one_shot(loc, LcoCore::new_future))
     }
 
     /// Create an and-gate expecting `n` triggers at `loc`.
@@ -701,7 +703,7 @@ impl Runtime {
         let seed = Value::encode(seed)?;
         let gid = self
             .origin()
-            .new_lco(loc, |gid| LcoCore::new_reduce(gid, n, seed, fold));
+            .new_one_shot(loc, |gid| LcoCore::new_reduce(gid, n, seed, fold));
         Ok(FutureRef::from_gid(gid))
     }
 
@@ -729,7 +731,8 @@ impl Runtime {
 
     /// Block until an LCO fires; returns the raw value. If the LCO is (or
     /// becomes) *poisoned* — a parcel feeding it died — this returns
-    /// [`PxError::Fault`] instead of blocking forever.
+    /// [`PxError::Fault`] instead of blocking forever. Either way a
+    /// one-shot LCO has been read and is freed ([`FutureRef`]).
     pub fn wait_value(&self, gid: Gid) -> PxResult<Value> {
         let v = self.inner.wait_lco(gid, None)?;
         Ok(v.expect("an unbounded wait cannot time out"))
@@ -742,7 +745,8 @@ impl Runtime {
     }
 
     /// Block with a timeout; `Ok(None)` on timeout, [`PxError::Fault`] if
-    /// the future was poisoned.
+    /// the future was poisoned. A timeout keeps the future for a retry
+    /// ([`FutureRef`]).
     pub fn wait_future_timeout<T: Serialize + DeserializeOwned>(
         &self,
         fut: FutureRef<T>,
@@ -793,9 +797,7 @@ impl Runtime {
     /// reply. A dead peer resolves it as `Err(PxError::Fault)` through
     /// the transport dead-letter path.
     pub(crate) fn sys_rpc(&self, p: Parcel) -> PxResult<Value> {
-        let fut = self.origin().request(p);
-        let v = self.inner.take_reply(fut, None)?;
-        Ok(v.expect("an unbounded wait cannot time out"))
+        self.wait_value(self.origin().request(p))
     }
 
     /// Migrate a data object to `to`. In-process, the object is inserted
@@ -939,6 +941,17 @@ mod tests {
             assert!(text.contains(&format!("{}_bucket{{le=\"+Inf\"}} 0", inst.name())));
         }
         assert!(!text.contains("NaN"));
+        // The store-size gauge, sampled as the page is built: of two new
+        // futures, the one that was read is gone.
+        let before = rt.stats().total().objects;
+        let (read, _unread) = (
+            rt.new_future::<u8>(LocalityId(0)),
+            rt.new_future::<u8>(LocalityId(1)),
+        );
+        rt.set_future(read, &1).unwrap();
+        assert_eq!(read.wait(&rt).unwrap(), 1);
+        let line = format!("px_objects{{}} {}\n", before + 1);
+        assert!(rt.metrics_text().contains(&line), "{line}");
         rt.shutdown();
     }
 

@@ -623,7 +623,9 @@ fn apply_continuation(
 impl RuntimeInner {
     /// Route an LCO event: local objects are handled in place, remote ones
     /// become system parcels (carrying `trace`, so the chain survives the
-    /// hop).
+    /// hop). LCOs never migrate, so one owned here but absent was freed —
+    /// a one-shot future already read — and the event dies in place as a
+    /// counted `NoSuchObject` instead of chasing it to the hop cap.
     pub(crate) fn lco_route(
         self: &Arc<Self>,
         from: &Arc<Locality>,
@@ -633,7 +635,7 @@ impl RuntimeInner {
         trace: Option<u64>,
     ) {
         let owner = self.agas.resolve_counted(from, gid);
-        if owner == from.id && from.contains(gid) {
+        if owner == from.id {
             if let Err(e) = sys::lco::deliver(self, from, gid, action, &value, trace) {
                 // No continuation to notify: the error ends here.
                 self.record_death(from, gid, action, cause_of(&e), e.to_string(), trace);

@@ -42,29 +42,41 @@ impl Counter {
     }
 }
 
-/// The one definition of the per-locality counter set. Each row (doc
-/// comment + name) becomes a [`Counter`] field of [`LocalityCounters`],
-/// a `u64` field of [`LocalityStats`], and a term of `snapshot`,
-/// `delta_from`, `total` and `for_each` — adding a counter is adding a
-/// row here and a `bump!` where the event happens.
+/// The one definition of the per-locality statistics. Each counter row
+/// (doc comment + name) becomes a [`Counter`] field of
+/// [`LocalityCounters`], a `u64` field of [`LocalityStats`], and a term of
+/// `snapshot`, `delta_from`, `total` and `for_each` — adding a counter is
+/// adding a row here and a `bump!` where the event happens. A gauge row
+/// is live state, not an event count: it has no cell, is sampled when the
+/// snapshot is taken (`Locality::stats`), and a delta keeps the newer
+/// sample.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
+    (
+        $($(#[$doc:meta])* $name:ident,)*
+        ; gauges:
+        $($(#[$gdoc:meta])* $gauge:ident,)*
+    ) => {
         /// Per-locality counters (all monotone).
         #[derive(Debug, Default)]
         pub struct LocalityCounters {
             $($(#[$doc])* pub $name: Counter,)*
         }
 
-        /// Plain-data copy of [`LocalityCounters`].
+        /// Plain-data copy of [`LocalityCounters`], plus the gauges
+        /// sampled beside it.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
         pub struct LocalityStats {
             $($(#[$doc])* pub $name: u64,)*
+            $($(#[$gdoc])* pub $gauge: u64,)*
         }
 
         impl LocalityCounters {
-            /// Copy current values.
+            /// Copy current values (gauges read 0 until sampled).
             pub fn snapshot(&self) -> LocalityStats {
-                LocalityStats { $($name: self.$name.get(),)* }
+                LocalityStats {
+                    $($name: self.$name.get(),)*
+                    $($gauge: 0,)*
+                }
             }
         }
 
@@ -77,20 +89,27 @@ macro_rules! counters {
         }
 
         impl LocalityStats {
-            /// Element-wise difference (for interval measurements).
+            /// Element-wise difference (for interval measurements); a
+            /// gauge keeps the newer sample.
             pub fn delta_from(&self, earlier: &LocalityStats) -> LocalityStats {
-                LocalityStats { $($name: self.$name - earlier.$name,)* }
+                LocalityStats {
+                    $($name: self.$name - earlier.$name,)*
+                    $($gauge: self.$gauge,)*
+                }
             }
 
             /// Element-wise sum into `self` (behind [`StatsSnapshot::total`]).
             fn add(&mut self, other: &LocalityStats) {
                 $(self.$name += other.$name;)*
+                $(self.$gauge += other.$gauge;)*
             }
 
-            /// Visit every counter as `(name, value)`, in table order (the
-            /// exposition page and anything else that lists them all).
+            /// Visit every counter, then every gauge, as `(name, value)`,
+            /// in table order (the exposition page and anything else that
+            /// lists them all).
             pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
                 $(f(stringify!($name), self.$name);)*
+                $(f(stringify!($gauge), self.$gauge);)*
             }
         }
     };
@@ -213,6 +232,12 @@ counters! {
     /// Cache-repair hints applied here (`__sys/dir_repair` deliveries
     /// plus in-process chase repairs).
     dir_repairs,
+    ; gauges:
+    /// Objects resident in this locality's store — data, LCOs, echo
+    /// nodes, process records — sampled at snapshot time. What is in
+    /// flight, plus what lives on purpose: a one-shot future leaves when
+    /// it is read, so a steady workload holds this flat.
+    objects,
 }
 
 macro_rules! bump {
@@ -417,7 +442,8 @@ mod tests {
         // repetition in the macro can get wrong the same way.
         let rows = std::mem::size_of::<LocalityStats>() / std::mem::size_of::<u64>();
         let c = LocalityCounters::default();
-        assert_eq!(c.cells().len(), rows);
+        // One gauge row, last: `objects`.
+        assert_eq!(c.cells().len() + 1, rows);
         for (i, cell) in c.cells().into_iter().enumerate() {
             cell.add(i as u64 + 1);
         }
@@ -429,10 +455,13 @@ mod tests {
             });
             (names, values)
         };
-        let snap = c.snapshot();
+        let mut snap = c.snapshot();
+        assert_eq!(snap.objects, 0, "a gauge is sampled, not counted");
+        snap.objects = rows as u64;
         let (names, values) = listed(&snap);
         assert_eq!(values, (1..=rows as u64).collect::<Vec<_>>());
         assert_eq!(names[0], "parcels_sent");
+        assert_eq!(names[rows - 1], "objects");
         let distinct: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(distinct.len(), rows);
 
@@ -445,7 +474,11 @@ mod tests {
             listed(&twice).1,
             values.iter().map(|v| 2 * v).collect::<Vec<_>>()
         );
-        assert_eq!(twice.delta_from(&snap), snap);
+        // Counters subtract; the gauge keeps the newer sample.
+        let mut delta = twice.delta_from(&snap);
+        assert_eq!(delta.objects, twice.objects);
+        delta.objects = snap.objects;
+        assert_eq!(delta, snap);
     }
 
     #[test]

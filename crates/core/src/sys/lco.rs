@@ -33,14 +33,10 @@ pub(crate) fn lco_sys_op(
 ) -> PxResult<()> {
     bump!(loc.counters.lco_events);
     let lco = loc.get_lco(gid)?;
-    let (acts, resolved) = {
-        let mut g = lco.lock();
-        let r = op(&mut g);
-        // Harvest the creation stamp exactly once, at the event that
-        // resolved the LCO (fire or poison) — the spawn→resolution
-        // latency, on this locality's clock.
-        (r, g.take_resolve_latency())
-    };
+    // Harvest the creation stamp exactly once, at the event that resolved
+    // the LCO (fire or poison) — the spawn→resolution latency, on this
+    // locality's clock.
+    let (acts, resolved) = loc.lco_op(&lco, |g| (op(g), g.take_resolve_latency()));
     if let (Some(reg), Some(d)) = (&loc.metrics, resolved) {
         reg.record_elapsed(crate::metrics::Instrument::SpawnResolve, d);
     }

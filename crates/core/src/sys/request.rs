@@ -3,10 +3,11 @@
 //! protocols, a thread's suspension on a remote LCO and its echo commits
 //! (worker side, never blocking) and the driver's RPCs.
 //!
-//! The reply lands in a one-shot future at the asking locality. Nothing
-//! but the request's continuation ever learns that future's gid, so
-//! whoever takes the reply also removes the future: the store does not
-//! grow by an ack per round trip.
+//! The reply lands in a one-shot future at the asking locality, and the
+//! request is one user of the rule every `FutureRef` follows
+//! ([`crate::lco::FutureRef`]): its one reader — the blocked driver, or
+//! the depleted thread of [`Origin::request_then`] — frees it by reading
+//! it, so the store does not grow by an ack per round trip.
 
 use crate::action::Value;
 use crate::ctx::Ctx;
@@ -25,11 +26,11 @@ impl Origin<'_> {
     /// resolves with the action's value, or with the fault that killed
     /// the parcel anywhere along the way (a dead peer poisons it through
     /// the transport's dead-letter path; so does the cancellation of the
-    /// origin's process, which owns it). The caller owns it: a driver
-    /// thread blocks in [`RuntimeInner::take_reply`]; a worker uses
+    /// origin's process, which owns it). The caller is its one reader: a
+    /// driver thread blocks in [`RuntimeInner::wait_lco`]; a worker uses
     /// [`Origin::request_then`] instead.
     pub(crate) fn request(self, mut p: Parcel) -> Gid {
-        let fut = self.new_lco(self.loc().id, LcoCore::new_future);
+        let fut = self.new_one_shot(self.loc().id, LcoCore::new_future);
         p.cont = Continuation::set(fut);
         self.send_sys(p);
         fut
@@ -38,44 +39,21 @@ impl Origin<'_> {
     /// [`Origin::request`] from a worker: no thread ever blocks on a
     /// remote ack, the caller resumes in `on_reply` — a depleted thread
     /// of this origin (its process, its trace) on one of its locality's
-    /// workers, run with the reply once the reply future is freed.
+    /// workers, run with the reply once reading it has freed the future.
     pub(crate) fn request_then(
         self,
         p: Parcel,
         on_reply: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
     ) {
-        let fut = self.request(p);
-        // Nothing else removes the future, so it is there — fired already
-        // or not (then the waiter is activated here).
-        self.suspend_on(fut, move |ctx: &mut Ctx<'_>, v: Value| {
-            ctx.locality().remove(fut);
-            on_reply(ctx, v)
-        });
+        self.suspend_on(self.request(p), on_reply);
     }
 }
 
 impl RuntimeInner {
-    /// Block the calling (driver, never worker) thread on the reply
-    /// future of an [`Origin::request`] and free it once the reply —
-    /// value or fault — is taken. On a timeout (`Ok(None)`) the future
-    /// stays, so a late reply still finds its target instead of dying as
-    /// `NoSuchObject`.
-    pub(crate) fn take_reply(
-        self: &Arc<Self>,
-        fut: Gid,
-        timeout: Option<Duration>,
-    ) -> PxResult<Option<Value>> {
-        let reply = self.wait_lco(fut, timeout);
-        if !matches!(reply, Ok(None)) {
-            self.locality(fut.birthplace()).remove(fut);
-        }
-        reply
-    }
-
-    /// [`RuntimeInner::take_reply`] on every future of a fan-out, in
-    /// order. All of them are taken even when one fails — each is then
-    /// freed, or left on purpose by the timeout rule — and the first
-    /// failure (fault, or `Ok(None)` for a timeout) is what is returned.
+    /// [`RuntimeInner::wait_lco`] on every reply future of a fan-out, in
+    /// order. All of them are read even when one fails — each is then
+    /// freed, or kept on purpose by a timeout — and the first failure
+    /// (fault, or `Ok(None)` for a timeout) is what is returned.
     pub(crate) fn take_replies(
         self: &Arc<Self>,
         futs: &[Gid],
@@ -84,7 +62,7 @@ impl RuntimeInner {
         let mut values = Vec::with_capacity(futs.len());
         let mut failure = None;
         for &fut in futs {
-            match self.take_reply(fut, timeout) {
+            match self.wait_lco(fut, timeout) {
                 Ok(Some(v)) => values.push(v),
                 failed => {
                     failure.get_or_insert(failed);
@@ -113,6 +91,11 @@ mod tests {
         Parcel::new(root, action, payload, Continuation::none())
     }
 
+    /// Every locality's store size, read off the `objects` gauge.
+    fn store_sizes(rt: &Runtime) -> Vec<u64> {
+        rt.stats().localities.iter().map(|l| l.objects).collect()
+    }
+
     fn store_size(rt: &Runtime) -> usize {
         rt.inner().locality(LocalityId(0)).object_count()
     }
@@ -123,17 +106,17 @@ mod tests {
         let (inner, from) = (rt.inner(), rt.origin());
         let initial = store_size(&rt);
 
-        // Value reply, taken by the driver.
+        // Value reply, read by the driver.
         let ping = Value::encode(&7u64).unwrap();
         let fut = from.request(at_rank_1(sys::PING, ping.clone()));
-        let v = inner.take_reply(fut, None).unwrap().unwrap();
+        let v = inner.wait_lco(fut, None).unwrap().unwrap();
         assert_eq!(v.decode::<u64>().unwrap(), 7);
         assert_eq!(store_size(&rt), initial);
 
         // Fault reply: the parcel is dead-lettered at rank 1 and its
         // fault poisons the reply future.
         let fut = from.request(at_rank_1(ActionId::of("no/such"), Value::unit()));
-        match inner.take_reply(fut, None) {
+        match inner.wait_lco(fut, None) {
             Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::UnknownAction),
             other => panic!("expected the fault, got {other:?}"),
         }
@@ -148,7 +131,7 @@ mod tests {
         assert_eq!((v.unwrap(), size_in_waiter), (7, initial));
 
         // Driver timeout: the future stays, so the late reply lands in
-        // it (nobody dies of `NoSuchObject`) and the next take frees it.
+        // it (nobody dies of `NoSuchObject`) and the next read frees it.
         let slow = rt.new_future::<u64>(LocalityId(1));
         let get = Parcel::new(
             slow.gid(),
@@ -157,13 +140,44 @@ mod tests {
             Continuation::none(),
         );
         let fut = from.request(get);
-        let waited = inner.take_reply(fut, Some(Duration::from_millis(20)));
+        let waited = inner.wait_lco(fut, Some(Duration::from_millis(20)));
         assert!(matches!(waited, Ok(None)), "{waited:?}");
         assert_eq!(store_size(&rt), initial + 1);
         rt.set_future(slow, &9).unwrap();
-        let v = inner.take_reply(fut, None).unwrap().unwrap();
+        let v = inner.wait_lco(fut, None).unwrap().unwrap();
         assert_eq!(v.decode::<u64>().unwrap(), 9);
         assert_eq!(store_size(&rt), initial);
+
+        // The user's `wait_timeout` is the same rule: the timed-out wait
+        // withdraws its waiter, the late set leaves the value for the
+        // retry, and the retry's read frees the future.
+        let all = store_sizes(&rt);
+        let user = rt.new_future::<u64>(LocalityId(0));
+        assert_eq!(
+            user.wait_timeout(&rt, Duration::from_millis(20)).unwrap(),
+            None
+        );
+        rt.set_future(user, &11).unwrap();
+        assert_eq!(store_sizes(&rt)[0], all[0] + 1, "a timeout is not a read");
+        assert_eq!(
+            user.wait_timeout(&rt, Duration::from_secs(10)).unwrap(),
+            Some(11)
+        );
+        assert_eq!(store_sizes(&rt), all);
+        // And the firing racing the timeout, from either side of it: a
+        // retry never finds the future gone, whoever won.
+        for i in 0..200u64 {
+            let fut = rt.new_future::<u64>(LocalityId(1));
+            rt.spawn_at(LocalityId(1), move |ctx| ctx.set_future(fut, &i).unwrap());
+            let short = Duration::from_micros(i % 50);
+            let got = loop {
+                if let Some(v) = fut.wait_timeout(&rt, short).unwrap() {
+                    break v;
+                }
+            };
+            assert_eq!(got, i);
+        }
+        assert_eq!(store_sizes(&rt), all);
         // The one death so far is the unknown action's.
         assert_eq!(rt.stats().total().dead_parcels, 1);
         rt.shutdown();
@@ -219,7 +233,9 @@ mod tests {
         let inner = rt.inner();
         let loc = inner.locality(LocalityId(0));
         let initial = store_size(&rt);
-        let futs: Vec<Gid> = (0..4).map(|_| loc.new_future_lco()).collect();
+        let futs: Vec<Gid> = (0..4)
+            .map(|_| rt.origin().new_one_shot(loc.id, LcoCore::new_future))
+            .collect();
         let fault = Fault::new(
             FaultCause::Transport,
             sys::METRICS_PULL,

@@ -8,6 +8,7 @@
 
 use parallex::core::percolation::percolate;
 use parallex::core::prelude::*;
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -24,6 +25,71 @@ impl Action for Square {
     fn execute(_ctx: &mut Ctx<'_>, _t: Gid, n: u64) -> u64 {
         n * n
     }
+}
+
+/// pxmark's `agas_mix` client: at the locality it was sent to, read
+/// (`fetch_data`) or overwrite (`store_data`) the object wherever it
+/// lives, resume on that future, and fill the driver's with the number of
+/// bytes read or written (`u64::MAX` on a fault).
+struct Access;
+impl Action for Access {
+    const NAME: &'static str = "dist/access";
+    /// Object, a byte to fill it with (`None` reads), the driver's future.
+    type Args = (Gid, Option<u8>, Gid);
+    type Out = ();
+    fn execute(ctx: &mut Ctx<'_>, _t: Gid, (obj, write, done): Self::Args) {
+        let reply = move |ctx: &mut Ctx<'_>, n: Option<usize>| {
+            let n = n.map_or(u64::MAX, |n| n as u64);
+            ctx.trigger(done, &n).expect("integers encode");
+        };
+        match write {
+            None => {
+                let read = ctx.fetch_data(obj);
+                ctx.when_resolved(read, move |ctx, r| reply(ctx, r.ok().map(|b| b.len())));
+            }
+            Some(b) => {
+                let bytes = [b; OBJECT_BYTES];
+                let written = ctx.store_data(obj, &bytes).expect("bytes encode");
+                ctx.when_resolved(written, move |ctx, r| {
+                    reply(ctx, r.ok().map(|()| OBJECT_BYTES))
+                });
+            }
+        }
+    }
+}
+
+const OBJECT_BYTES: usize = 64;
+
+/// Requests per soak run: 10⁶ in release (CI's soak leg); a tenth in
+/// the debug profile tier-1 runs, where every request also pays the
+/// spend obligation and the lock-order check.
+const SOAK: u64 = if cfg!(debug_assertions) {
+    100_000
+} else {
+    1_000_000
+};
+
+/// Issue `n` requests with 32 in flight (pxmark's window), reading each
+/// request's future once, oldest first. `issue(i)` sends request `i` and
+/// returns its future and the value it must resolve to.
+fn pipelined(rt: &Runtime, n: u64, mut issue: impl FnMut(u64) -> (FutureRef<u64>, u64)) {
+    const WINDOW: usize = 32;
+    let check = |(fut, want): (FutureRef<u64>, u64)| {
+        assert_eq!(fut.wait_timeout(rt, BOUND).unwrap(), Some(want));
+    };
+    let mut window = VecDeque::with_capacity(WINDOW);
+    for i in 0..n {
+        if window.len() == WINDOW {
+            check(window.pop_front().expect("window is full"));
+        }
+        window.push_back(issue(i));
+    }
+    window.into_iter().for_each(check);
+}
+
+/// Every locality's store size, read off the `objects` gauge.
+fn store_sizes(rt: &Runtime) -> Vec<u64> {
+    rt.stats().localities.iter().map(|l| l.objects).collect()
 }
 
 /// Reserve loopback addresses by binding ephemeral ports and dropping
@@ -84,6 +150,7 @@ fn build(cfg: Config) -> Runtime {
     RuntimeBuilder::new(cfg)
         .register::<Square>()
         .register::<Slice>()
+        .register::<Access>()
         .build()
         .unwrap()
 }
@@ -142,7 +209,7 @@ fn dist_child_entry() {
         .map(|r| r.parse().expect("numeric rank"))
         .unwrap_or(1);
     let rt = match mode.as_str() {
-        "quiet" => build_batched(rank, addrs, 16),
+        "quiet" | "soak" => build_batched(rank, addrs, 16),
         _ => build_rt(
             rank,
             addrs,
@@ -175,6 +242,16 @@ fn dist_child_entry() {
         }
         "drive" => {
             drive_from_rank_one(&rt);
+            rt.shutdown();
+        }
+        // Serve the soak, then check this rank's store came back to
+        // where it started (the exit status tells the parent).
+        "soak" => {
+            let here = usize::from(rank);
+            let initial = store_sizes(&rt)[here];
+            let mut sink = String::new();
+            let _ = std::io::stdin().read_to_string(&mut sink);
+            assert_eq!(store_sizes(&rt)[here], initial, "rank {rank}'s store grew");
             rt.shutdown();
         }
         // Serve parcels until the parent closes our stdin.
@@ -738,6 +815,69 @@ fn remote_reads_and_migrations_leave_the_origin_store_flat() {
     assert_eq!(objects(), before, "one install ack leaked per outbound leg");
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success());
+    rt.shutdown();
+}
+
+/// Soak, in one process: pxmark's `agas_mix` shape, `SOAK` times. A
+/// client at either locality reads or writes a data object through its
+/// own future and fills the driver's — three one-shot futures per
+/// request, each freed by its one read — with a migration every 64. Once
+/// the objects are sent home, every locality's `objects` gauge is back
+/// where it began: the store holds what is in flight, not what has been.
+#[test]
+fn soak_in_process_accesses_leave_every_store_flat() {
+    let rt = build(Config::small(2, 1));
+    let home = |i: usize| LocalityId((i % 2) as u16);
+    let objs: Vec<Gid> = (0..16)
+        .map(|i| rt.new_data_at(home(i), vec![0; OBJECT_BYTES]))
+        .collect();
+    let initial = store_sizes(&rt);
+    pipelined(&rt, SOAK, |i| {
+        let o = i as usize % objs.len();
+        if i % 64 == 63 {
+            rt.migrate_data(objs[o], home(o + 1)).unwrap();
+        }
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        let write = (i % 10 == 0).then_some(i as u8);
+        let client = Gid::locality_root(home(i as usize / 2));
+        rt.send_action::<Access>(client, (objs[o], write, fut.gid()), Continuation::none())
+            .unwrap();
+        (fut, OBJECT_BYTES as u64)
+    });
+    for (o, &obj) in objs.iter().enumerate() {
+        rt.migrate_data(obj, home(o)).unwrap();
+    }
+    assert_eq!(store_sizes(&rt), initial, "a locality's store grew");
+    assert_eq!(rt.stats().total().dead_parcels, 0);
+    rt.shutdown();
+}
+
+/// Soak, across two OS processes: pxmark's `tcp_open` shape, `SOAK`
+/// times — a driver future at rank 0, filled by a `Square` at rank 1
+/// whose reply crosses the socket back. Rank 0's `objects` gauge ends
+/// where it began, and so does rank 1's (checked in the child, which
+/// fails its exit status otherwise).
+#[test]
+fn soak_two_process_requests_leave_every_store_flat() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("soak", &addrs);
+    let rt = build_batched(0, addrs, 16);
+    let initial = store_sizes(&rt)[0];
+    let to = Gid::locality_root(LocalityId(1));
+    pipelined(&rt, SOAK, |i| {
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        let n = i % 1000;
+        rt.send_action::<Square>(to, n, Continuation::set(fut.gid()))
+            .unwrap();
+        (fut, n * n)
+    });
+    assert_eq!(store_sizes(&rt)[0], initial, "rank 0's store grew");
+    assert_eq!(rt.stats().total().dead_parcels, 0);
+    drop(child.stdin.take());
+    assert!(
+        child.wait().unwrap().success(),
+        "rank 1's soak check failed (its panic is on stderr)"
+    );
     rt.shutdown();
 }
 

@@ -155,12 +155,14 @@ fn undecodable_args_fault_the_waiter() {
     rt.shutdown();
 }
 
+/// Single assignment, then one reader: a second trigger before the read
+/// is nacked; the read frees the future, so a second read finds nothing
+/// and a late trigger dies as a counted `NoSuchObject`.
 #[test]
 fn double_trigger_ack_carries_the_error() {
-    let rt = rt(1);
+    let (rt, reports) = rt_reporting(1);
     let fut = rt.new_future::<u64>(LocalityId(0));
     rt.set_future(fut, &1).unwrap();
-    assert_eq!(fut.wait(&rt).unwrap(), 1);
     // A second (data-carrying) LCO_SET violates single assignment. The
     // ack continuation must receive the error, not a unit "success".
     let ack = rt.new_future::<()>(LocalityId(0));
@@ -176,12 +178,23 @@ fn double_trigger_ack_carries_the_error() {
     let f = expect_fault(rt.wait_future_timeout(ack, BOUND));
     assert_eq!(f.cause, FaultCause::HandlerError);
     assert!(f.message.contains("already triggered"), "{f:?}");
-    // The future's observed value is untouched by the failed overwrite.
+    assert!(next_fault_at(&reports, fut.gid())
+        .message
+        .contains("already triggered"));
+    // The future's observed value is untouched by the failed overwrite,
+    // and reading it frees it: the second read finds nothing.
     assert_eq!(fut.wait(&rt).unwrap(), 1);
-    // The same violation delivered in place — the LCO lives where the
+    match fut.wait(&rt) {
+        Err(PxError::NoSuchObject(g)) => assert_eq!(g, fut.gid()),
+        other => panic!("a second read must find nothing, got {other:?}"),
+    }
+    // A late trigger delivered in place — the LCO's home is where the
     // caller is, so there is no parcel and nobody to tell — is counted.
     rt.set_future(fut, &3).unwrap();
-    assert_eq!(rt.stats().total().dead_handler_error, 2);
+    let late = next_fault_at(&reports, fut.gid());
+    assert!(late.message.contains("no such object"), "{late}");
+    let total = rt.stats().total();
+    assert_eq!((total.dead_parcels, total.dead_handler_error), (2, 2));
     rt.shutdown();
 }
 
@@ -356,6 +369,10 @@ fn when_resolved_on_a_data_object_faults_from_either_side() {
         let total = rt.stats().total();
         assert_eq!(total.dead_parcels, deaths, "from {at:?}");
         assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
+        // Only a one-shot LCO is freed by its read: the data object the
+        // failed read named is still resident where it lives.
+        let local = rt.run_blocking(LocalityId(0), move |ctx| ctx.read_local_data(data));
+        assert_eq!(local.unwrap(), vec![1, 2, 3], "from {at:?}");
     }
     rt.shutdown();
 }

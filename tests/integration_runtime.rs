@@ -99,6 +99,61 @@ fn migration_forwards_in_flight_parcels() {
     rt.shutdown();
 }
 
+/// Reads its target in place: the parcel is addressed at a data object,
+/// so the scheduler dispatches it where the object is resident, and the
+/// handler reads that locality's store. Replies 0 for a read, 1 for
+/// `NoSuchObject` naming the target, 2 for anything else.
+struct ReadHere;
+impl Action for ReadHere {
+    const NAME: &'static str = "it/read_here";
+    type Args = ();
+    type Out = u8;
+    fn execute(ctx: &mut Ctx<'_>, target: Gid, (): ()) -> u8 {
+        match ctx.read_local_data(target) {
+            Ok(_) => 0,
+            Err(PxError::NoSuchObject(g)) if g == target => 1,
+            Err(_) => 2,
+        }
+    }
+}
+
+/// The race `benchmark/README.md` warns about (do not drive `agas_mix`
+/// with `read_local_data`): a parcel passes the residency check at
+/// dispatch, then a concurrent migration removes its object before the
+/// handler reads it in place. Here the driver migrates the object right
+/// after sending each read, while a worker dispatches it — one move per
+/// read, so no chase outruns the hop cap. What can go missing is the
+/// migrating *data object*, which the handler reports as its own
+/// `NoSuchObject`; the request's future — one-shot, read once by the
+/// driver — never does: every wait returns a reply, no parcel dies, and
+/// the stores end where they began.
+#[test]
+fn read_local_data_races_migration_but_no_future_goes_missing() {
+    const READS: u64 = 20_000;
+    let rt = RuntimeBuilder::new(Config::small(2, 1))
+        .register::<ReadHere>()
+        .build()
+        .unwrap();
+    let data = rt.new_data_at(LocalityId(0), vec![7; 64]);
+    let sizes = || -> Vec<u64> { rt.stats().localities.iter().map(|l| l.objects).collect() };
+    let initial = sizes();
+    let mut replies = [0u64; 3];
+    for i in 0..READS {
+        let fut = rt.new_future::<u8>(LocalityId(0));
+        rt.send_action::<ReadHere>(data, (), Continuation::set(fut.gid()))
+            .unwrap();
+        rt.migrate_data(data, LocalityId((i % 2) as u16 ^ 1))
+            .unwrap();
+        let code = fut.wait_timeout(&rt, Duration::from_secs(10)).unwrap();
+        replies[usize::from(code.expect("a reply within the bound"))] += 1;
+    }
+    eprintln!("read_local_data under migration (read, NoSuchObject, other): {replies:?}");
+    assert_eq!(replies[2], 0);
+    assert_eq!(rt.stats().total().dead_parcels, 0);
+    assert_eq!(sizes(), initial);
+    rt.shutdown();
+}
+
 #[test]
 fn process_quiescence_spans_wire_latency() {
     let rt = rt_with_latency(3, 40);
