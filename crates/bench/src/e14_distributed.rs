@@ -17,18 +17,19 @@
 //! Two figures per transport: **pipelined throughput** (all parcels in
 //! flight at once — what latency *hiding* buys, §2.2) and **serial
 //! round-trip time** (one in flight — what latency *costs*). The model
-//! prediction: TCP loses on serial RTT (a real wire and two thread
-//! wakes per direction), but pipelining recovers most of the throughput
+//! prediction: TCP loses on serial RTT (a real wire and a thread wake
+//! per direction), but pipelining recovers most of the throughput
 //! gap — which is exactly the split-phase story the paper tells.
 //!
 //! The **mesh legs** scale the same workload to N-rank meshes (rank 0
 //! spawns ranks 1..N as real OS processes and round-robins the
 //! spawn/await traffic across all of them) and report each rank's OS
 //! thread count alongside throughput. With the event-loop transport the
-//! thread count is *flat* in mesh size — one `px-tcp-io` thread per
-//! rank whether it peers with 1 or 63 others — which is what makes
-//! 64-rank meshes on one box feasible at all (the per-peer
-//! thread-pair design needed 2(N−1) transport threads per rank).
+//! thread count is *flat* in mesh size — the transport runs no thread
+//! at all, each rank's workers read and write its sockets, whether it
+//! peers with 1 or 63 others — which is what makes 64-rank meshes on one
+//! box feasible at all (the per-peer thread-pair design needed 2(N−1)
+//! transport threads per rank).
 //!
 //! `run()` prints the transport table, the 8- and 16-rank mesh table and
 //! the E12-over-TCP table ([`crate::e12_tcp`]).

@@ -102,7 +102,7 @@ impl Config {
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
     /// disables batching). `n` is the cap: a coalescing port also flushes
     /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
-    /// leaves as soon as the TCP I/O thread has been woken for it — or,
+    /// leaves at the next pass of the TCP event loop — or,
     /// in-process, when the deadline its first record put on the delay
     /// line's heap falls due, [`crate::net::FLUSH_INTERVAL`] later. None
     /// of that is configurable.

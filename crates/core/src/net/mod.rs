@@ -13,14 +13,14 @@
 //!                    │    │                  queue pushes)    peer/process)
 //!                    │    └─ delay-line thread ────┘              │
 //!                    │       (a deadline on its heap, per kick)   │
-//!                    └────── I/O thread pulls on a sender's kick ─┘
+//!                    └── the event loop's next pass (a worker's) ─┘
 //! ```
 //!
 //! Everything above the `Transport` trait — `WireMsg` submission, the
 //! control-plane priority lane, `BatchPolicy` coalescing ports, flush
 //! accounting — is backend-independent; a frame that did not fill is
-//! shipped by the backend's own thread, the one that adopted the ports
-//! (`Transport::adopt_ports`). Two backends exist:
+//! shipped by the backend's own means, the backend that adopted the
+//! ports (`Transport::adopt_ports`). Two backends exist:
 //!
 //! * `inproc::InProcTransport` (default): all localities share one OS
 //!   process; messages are queue pushes routed through a [`DelayLine`]
@@ -81,12 +81,15 @@
 //!    chase, but only if the loss is *visible* (counted, continuation
 //!    faulted) rather than silent.
 //! 3. **Submission is non-blocking-ish.** `submit` hands the message to
-//!    the backend and returns — it never performs I/O on the caller's
-//!    thread (the TCP backend queues and wakes its event loop; socket
-//!    writes happen on the I/O thread). It may block briefly for
-//!    backpressure (a bounded peer queue in *bytes*; the control lane is
-//!    exempt so gossip never waits behind the backlog it reports) but
-//!    must never deadlock against the port locks: fault delivery
+//!    the backend and returns. Over TCP it queues the message and wakes
+//!    the event loop's holder; socket I/O happens on whichever thread
+//!    runs the loop — a worker that ran out of work, a busy one every
+//!    few dozen tasks — and on a sender that is blocked on room: a
+//!    submit may block for backpressure (a bounded peer queue in
+//!    *bytes*; the control lane is exempt so gossip never waits behind
+//!    the backlog it reports), and while it does, it runs the loop
+//!    itself if nobody else is, because it is the thread that makes the
+//!    room. It must never deadlock against the port locks: fault delivery
 //!    triggered *inside* `submit` is deferred to a scheduler task,
 //!    because the caller may hold the coalescing-port lock of the very
 //!    destination a fault continuation routes back to. Peer-loss faults
@@ -130,15 +133,16 @@
 //! own means, and the sender whose record lands in an *empty* port kicks
 //! whoever that is:
 //!
-//! * **TCP: the I/O thread pulls.** The kick is one `Poller::wake`; at
-//!   the top of its send pass the I/O thread takes whatever both lanes'
-//!   ports toward each peer hold and queues it, under the port lock
-//!   (port → peer queue, the nesting a sender's full flush takes — so
-//!   same-peer order holds across both). No timer: batching is paid for
-//!   by load. An idle port ships its first record at once; a burst rides
-//!   one frame; a backlog fills frames to the cap while the thread is
-//!   busy writing. What it costs is frames about half the size a 100 µs
-//!   hold collected, and a thread wake per frame.
+//! * **TCP: the event loop pulls.** The kick wakes the loop's holder
+//!   (one `Poller::wake`, skipped when nobody holds it: whoever takes the
+//!   loop next pulls first); at the top of every send pass the loop takes
+//!   whatever both lanes' ports toward each peer hold and queues it,
+//!   under the port lock (port → peer queue, the nesting a sender's full
+//!   flush takes — so same-peer order holds across both). No timer:
+//!   batching is paid for by load. An idle port ships its first record
+//!   at the next pass — a worker's own replies at the one before it
+//!   parks; a burst rides one frame; a backlog fills frames to the cap
+//!   while the workers are busy.
 //! * **In-process: the delay line pulls at a deadline.** The kick puts
 //!   one [`FLUSH_INTERVAL`] out on the line's `(time, seq)` heap; when it
 //!   falls due the line's thread pulls that destination's ports, taking
@@ -146,8 +150,9 @@
 //!   the frame on the same heap. The hold is what gathers a frame: a
 //!   pull at the kick would ship one per record.
 //!
-//! Either way the backend's one thread is the wire's one clock, and an
-//! idle runtime makes no wakeups. The shutdown drain pulls every port.
+//! Either way the backend keeps the wire's one clock without a thread
+//! of the wire's own, and an idle runtime makes no wakeups. The shutdown
+//! drain pulls every port.
 //!
 //! The in-process delay model is applied per frame
 //! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
@@ -243,7 +248,7 @@ impl WireModel {
 pub const MAX_BATCH_BYTES: usize = 32 * 1024;
 /// How long the in-process wire holds a port open: the deadline a kick
 /// puts on the delay line's heap. The TCP backend has no such hold: its
-/// I/O thread pulls the ports as soon as a sender's kick wakes it.
+/// event loop pulls the ports at its next pass.
 pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Flush policy for the per-destination coalescing ports.
@@ -323,15 +328,15 @@ pub(crate) trait Transport: Send + Sync {
     /// Offer the backend the wire's coalescing ports. `false`: this
     /// backend gains nothing from coalescing, and the wire drops them (an
     /// instant in-process wire: no per-message cost to amortize). `true`:
-    /// the backend kept a clone, and its own thread ships what does not
-    /// fill whenever it is [kicked](Transport::kick).
+    /// the backend kept a clone, and ships what does not fill whenever it
+    /// is [kicked](Transport::kick).
     fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool;
 
     /// A record landed in an empty port toward `dest`; the adopting
-    /// backend's thread must pull it. TCP wakes its I/O thread now (many
-    /// kicks before the pull count as one); in-process puts a deadline
-    /// [`FLUSH_INTERVAL`] out on the delay line. Called outside the port
-    /// lock; never waits for a port.
+    /// backend must pull it. TCP wakes the thread holding its event loop,
+    /// if one does (many kicks before the pull count as one);
+    /// in-process puts a deadline [`FLUSH_INTERVAL`] out on the delay
+    /// line. Called outside the port lock; never waits for a port.
     fn kick(&self, dest: LocalityId);
 
     /// Frame format version the ports should encode with
@@ -350,11 +355,26 @@ pub(crate) trait Transport: Send + Sync {
         TransportStats::default()
     }
 
-    /// Stop background threads, flushing or loudly killing pending
-    /// messages first. Called with the ports drained, by the wire — the
-    /// transport's one holder.
+    /// Run one pass of the backend's event loop on the calling thread —
+    /// handle what is ready, fire due timers, pull the ports and write
+    /// what is queued — unless another thread is running it. With `park`,
+    /// the pass then hands `park` the loop's blocking wait: a caller with
+    /// nothing else to do runs it, and what arrives meanwhile is handled
+    /// before this returns. `false`: there is no loop here (in-process),
+    /// or another thread holds it.
+    fn drive(&self, _park: Option<Park<'_>>) -> bool {
+        false
+    }
+
+    /// Stop the backend — the delay line's thread in-process; over TCP
+    /// the event loop, which flushes on the calling thread — flushing or
+    /// loudly killing pending messages first. Called with the ports
+    /// drained, by the wire — the transport's one holder.
     fn shutdown(&mut self);
 }
+
+/// What [`Transport::drive`] hands the loop's blocking wait to.
+pub(crate) type Park<'a> = &'a mut dyn FnMut(&mut dyn FnMut());
 
 /// Why a port's frame was flushed (drives stats attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,8 +384,8 @@ pub(crate) enum FlushCause {
     /// The in-process hold expired: the delay line's thread pulled the
     /// port at its deadline.
     Timer,
-    /// Pulled by the TCP I/O thread after a kick, or by the shutdown
-    /// drain (either backend).
+    /// Pulled by a pass of the TCP event loop after a kick, or by the
+    /// shutdown drain (either backend).
     Pulled,
 }
 
@@ -560,11 +580,17 @@ impl Wire {
         self.transport.transport_stats()
     }
 
+    /// Drive the backend's event loop on this thread
+    /// ([`Transport::drive`]).
+    pub(crate) fn drive(&self, park: Option<Park<'_>>) -> bool {
+        self.transport.drive(park)
+    }
+
     /// Drain the ports, stop the transport.
     pub(crate) fn shutdown(&mut self) {
         if let Some(ports) = &self.ports {
-            // A pull of every port, through `submit`; the backend's
-            // thread holds one only for a moment.
+            // A pull of every port, through `submit`; the backend holds
+            // one only for a moment.
             for (dest, dest_loc) in self.localities.iter().enumerate() {
                 let dest = LocalityId(dest as u16);
                 while !ports.pull(dest, dest_loc, None, |lane, bytes, _| {

@@ -1,5 +1,6 @@
 //! The TCP transport backend: localities as separate OS processes,
-//! driven by **one readiness-driven I/O thread per rank**.
+//! each rank's sockets **read and written by its own workers** — the
+//! backend runs no thread.
 //!
 //! Each process owns exactly one locality (its *rank*) and peers with
 //! every other over plain TCP sockets. The byte protocol is
@@ -10,41 +11,66 @@
 //! control-plane lane all sit above the `Transport` seam and work
 //! unchanged.
 //!
-//! ## Thread model: flat in peer count
+//! ## Thread model: zero transport threads, flat in peer count
 //!
-//! The whole backend runs on **one** I/O thread (`px-tcp-io`),
-//! regardless of mesh size: every socket is nonblocking and registered
-//! with an epoll-based poller ([`px_poll::Poller`] — vendored direct
-//! libc declarations, like the other offline stand-ins). The listener,
-//! all outbound connections, all inbound connections, bootstrap connect
-//! retries, and handshake deadlines are all multiplexed in the same
-//! `epoll_wait` loop; retries are *timers* (poll timeouts), not
-//! sleep-loops, so an idle mesh makes zero wakeups, batched or not
-//! (`an_idle_batched_mesh_makes_no_wakeups`). A 64-rank mesh
-//! costs this process exactly the same thread count as a 2-rank mesh —
-//! thread cost scales with *ranks you run*, never with *peers you
-//! have* (asserted by integration test; the predecessor spawned a
-//! writer plus a reader thread per peer, capping mesh size at 2N+
-//! threads per rank).
+//! Every socket is nonblocking and registered with one epoll-based
+//! poller ([`px_poll::Poller`] — vendored direct libc declarations, like
+//! the other offline stand-ins). The listener, all outbound and inbound
+//! connections, bootstrap connect retries and handshake deadlines are
+//! multiplexed in one event loop (`io::IoLoop`), and the loop is a value,
+//! not a thread: at most one thread at a time holds it (the own
+//! locality's poller, `Sleep::try_poll`) and runs a *pass* — wait for
+//! readiness, handle it, fire due timers, pull the ports and drain the
+//! queues into writes. Retries are *timers* (poll timeouts), not
+//! sleep-loops, and once the mesh is up nothing is timed, so an idle
+//! mesh makes zero wakeups, batched or not
+//! (`an_idle_batched_mesh_makes_no_wakeups`). A 64-rank mesh costs this
+//! process the same threads as a 2-rank mesh — none of the transport's
+//! own (asserted by integration test).
 //!
-//! Senders never touch sockets: `submit` appends to a per-peer
-//! `SendQueue` (control lane ahead of data, bounded bytes for
-//! backpressure) and wakes the poller via its eventfd. The I/O thread
-//! drains queues into a [`px_wire::stream::WriteBatch`] per peer and
-//! ships it with **vectored writes** (`write_vectored` over
-//! header/body slices) with explicit partial-write carry-over — the
-//! kernel can cut a write mid-header or mid-body and the batch resumes
-//! at exactly that byte (proptested in
+//! Who reads and writes, and when:
+//!
+//! * **Bootstrap and shutdown** run the loop on their caller's thread:
+//!   `RuntimeBuilder::build` until the barrier below resolves, and the
+//!   wire's teardown until what is queued is flushed or
+//!   `SHUTDOWN_DRAIN` passes.
+//! * **An idle worker.** A worker that finds no task takes the loop if
+//!   nobody holds it and runs a nonblocking pass (pull, write, read); if
+//!   that brings it nothing to run, it blocks in `epoll_wait` *as its
+//!   park*. A frame that arrives is read, delivered and run by the thread
+//!   the kernel woke, and the replies it sends leave in the pass before
+//!   that worker parks again. The other idle workers park as usual; the
+//!   holder gives the loop back before it runs what it read, and a worker
+//!   that parked while the loop was held is woken to take it over, so it
+//!   is attended whenever any worker is idle.
+//! * **A busy worker** runs a nonblocking pass every 61 tasks
+//!   (`sched::EVENT_INTERVAL`), so a rank that never runs dry still
+//!   reads and writes.
+//! * **A sender blocked on a peer's byte bound** (below) drives the loop
+//!   itself when nobody holds it: it is what makes the room, and what
+//!   reads the peer's bytes meanwhile — two single-worker ranks flooding
+//!   each other from inside a task would otherwise wait on each other for
+//!   good.
+//!
+//! A sender (a worker, the driver, the balancer) does not touch sockets:
+//! `submit` appends to a per-peer `SendQueue` (control lane ahead of
+//! data, bounded bytes for backpressure) and wakes the loop's holder
+//! through the poller's eventfd on an empty→non-empty transition — or
+//! skips the wake when nobody holds the loop, since whoever takes it next
+//! pulls and drains before it blocks. A pass drains queues into a
+//! [`px_wire::stream::WriteBatch`] per peer and ships it with **vectored
+//! writes** (`write_vectored` over header/body slices) with explicit
+//! partial-write carry-over — the kernel can cut a write mid-header or
+//! mid-body and the batch resumes at exactly that byte (proptested in
 //! `crates/wire/tests/write_proptest.rs`).
 //!
-//! The same thread ships what the coalescing ports hold, so a batched
-//! rank runs no thread of its own for that and no timer: a sender whose
-//! record lands in an empty port *kicks* (the same eventfd wake), and at
-//! the top of every send pass the I/O thread pulls both lanes' ports
-//! toward each peer into that peer's queue — under the port lock, never
-//! waiting for one (`PortSet::pull`) and never for room in a queue only
-//! it can drain. Whatever gathered while it was waking or busy rides one
-//! frame.
+//! Every pass also ships what the coalescing ports hold, so a batched
+//! rank runs no thread for that and no timer: a sender whose record
+//! lands in an empty port *kicks* (the same wake), and at the top of
+//! every send pass the loop pulls both lanes' ports toward each peer into
+//! that peer's queue — under the port lock, never waiting for one
+//! (`PortSet::pull`) and never for room in a queue only it can drain.
+//! Whatever gathered since the last pass rides one frame.
 //!
 //! ## Topology and bootstrap barrier
 //!
@@ -99,7 +125,7 @@
 
 mod io;
 
-use super::{PortSet, Transport, WireMsg};
+use super::{Park, PortSet, Transport, WireMsg};
 use crate::action::ActionId;
 use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
@@ -113,16 +139,17 @@ use px_poll::Poller;
 use px_wire::stream::msg_kind;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-peer outbound queue bound in bytes: a data-lane submit toward a
-/// peer with this much already queued blocks (briefly, re-checked) until
-/// the I/O thread drains room — backpressure instead of unbounded
-/// memory. The control lane is exempt: gossip must never wait behind
-/// the backlog it reports.
+/// Per-peer outbound bound in bytes, twice over: a data-lane submit
+/// toward a peer with this much already queued blocks until a pass of the
+/// loop drains room — driving the loop itself when nobody else does — and
+/// a pass moves no more data into the peer's write batch than this. A
+/// peer that stops reading costs this side two bounds of memory, not
+/// everything sent to it. The control lane is exempt: gossip must never
+/// wait behind the backlog it reports.
 const SEND_QUEUE_BYTES: usize = 4 * 1024 * 1024;
 
 /// Configuration of the TCP backend: which locality this process *is*
@@ -175,16 +202,16 @@ struct OutMsg {
 /// Who is queueing a message toward a peer.
 enum By {
     /// A sender thread: stamps the message now, waits for room on the
-    /// data lane, wakes the I/O thread.
+    /// data lane, wakes the loop's holder.
     Sender,
-    /// The I/O thread, pulling a port whose oldest record landed at the
-    /// stamp. It is the thread that makes room, so it never waits for
-    /// any, and it needs no wake.
+    /// A pass of the loop, pulling a port whose oldest record landed at
+    /// the stamp. It is what makes room, so it never waits for any, and
+    /// it needs no wake.
     Puller(Option<Instant>),
 }
 
 /// The submit-side half of a peer: two queue lanes plus backpressure
-/// accounting, drained by the I/O thread.
+/// accounting, drained by the loop's passes.
 #[derive(Default)]
 struct SendQueue {
     /// Control lane: drained ahead of data, never backpressured.
@@ -193,25 +220,37 @@ struct SendQueue {
     data: VecDeque<OutMsg>,
     /// Bytes across both lanes (bodies only; headers are a fixed tax).
     queued_bytes: usize,
-    /// High-watermark of `queued_bytes` (backpressure visibility).
+    /// High-watermark of `queued_bytes` plus the write batch's unwritten
+    /// bytes: all this side holds toward the peer (backpressure
+    /// visibility).
     bytes_hwm: u64,
     /// Closed: peer declared dead or transport shutting down. Submits
     /// must not enqueue — the closing code drained the queues already.
     closed: bool,
 }
 
-/// Per-peer send state shared between submitters and the I/O thread.
+/// Per-peer send state shared between submitters and the loop.
 struct PeerSlot {
     queue: Mutex<SendQueue>,
-    /// Signalled when the I/O thread drains room (or closes the queue).
+    /// Signalled when a pass drains room (or the queue closes).
     room: Condvar,
     /// Peer declared unreachable (fast-path mirror of `queue.closed`
     /// outside shutdown).
     dead: AtomicBool,
+    /// The write batch's unwritten bytes as the loop last left them, for
+    /// `bytes_hwm`.
+    unwritten: AtomicUsize,
     counters: PeerCounters,
 }
 
-/// State shared between submitters and the I/O thread.
+impl PeerSlot {
+    fn set_unwritten(&self, bytes: usize) {
+        // Relaxed: a gauge for the high-watermark; it publishes nothing.
+        self.unwritten.store(bytes, Ordering::Relaxed);
+    }
+}
+
+/// State shared between submitters and the loop.
 struct TcpShared {
     rank: u16,
     resolved: Vec<Option<SocketAddr>>,
@@ -221,10 +260,14 @@ struct TcpShared {
     /// Late-bound runtime for fault delivery.
     rt: OnceLock<Weak<RuntimeInner>>,
     shutting_down: AtomicBool,
-    /// The I/O thread's poller; submitters only `wake` it.
-    poller: Poller,
-    /// The wire's coalescing ports, once adopted: the I/O thread pulls
-    /// them (see [`TcpShared::pull_ports`]).
+    /// The loop's poller; a thread that does not hold the loop only
+    /// `wake`s it.
+    poller: Arc<Poller>,
+    /// The event loop, run by whoever holds the own locality's poller
+    /// (`Sleep::try_poll`); taken out at shutdown.
+    io: Mutex<Option<io::IoLoop>>,
+    /// The wire's coalescing ports, once adopted: every pass pulls them
+    /// (see [`TcpShared::pull_ports`]).
     ports: OnceLock<Arc<PortSet>>,
 }
 
@@ -322,8 +365,8 @@ impl TcpShared {
         }
     }
 
-    /// The I/O thread's pull: move whatever the coalescing ports toward
-    /// `dest` hold into its send queue, ahead of the drain that follows.
+    /// A pass's pull: move whatever the coalescing ports toward `dest`
+    /// hold into its send queue, ahead of the drain that follows.
     /// Returns `false` when a port was held by a sender and skipped.
     fn pull_ports(&self, dest: LocalityId) -> bool {
         let Some(ports) = self.ports.get() else {
@@ -335,10 +378,10 @@ impl TcpShared {
         })
     }
 
-    /// Queue one message toward `dest` and, from a sender, wake the I/O
-    /// thread. A sender's data-lane message blocks (bounded re-check)
-    /// when the peer's queue is at its byte bound; the control lane and
-    /// the I/O thread's own pulls never do.
+    /// Queue one message toward `dest` and, from a sender, wake the
+    /// loop's holder. A sender's data-lane message blocks while the
+    /// peer's queue is at its byte bound; the control lane and a pass's
+    /// own pulls never do.
     fn send_to_peer(&self, dest: LocalityId, kind: u8, bytes: Vec<u8>, by: By) {
         if dest.0 == self.rank {
             // Defensive: same-locality traffic short-circuits upstream.
@@ -367,12 +410,28 @@ impl TcpShared {
             By::Sender => (self.own().metrics_now(), true),
             By::Puller(opened_at) => (opened_at, false),
         };
-        let was_empty = {
+        let full = |q: &SendQueue| !q.closed && q.queued_bytes >= SEND_QUEUE_BYTES;
+        let was_empty = loop {
             let mut q = slot.queue.lock();
-            if from_sender && !control {
-                while !q.closed && q.queued_bytes >= SEND_QUEUE_BYTES {
-                    slot.room.wait_for(&mut q, Duration::from_millis(100));
+            if from_sender && !control && full(&q) {
+                drop(q);
+                // This thread is the one that makes room when nobody runs
+                // the loop (a rank whose workers are all busy, this one
+                // included): drive it until there is room. Otherwise wait
+                // for whoever does.
+                let room = || !full(&slot.queue.lock());
+                let drove = self.drive(Some(&mut |wait| {
+                    if !room() {
+                        wait();
+                    }
+                }));
+                if !drove {
+                    let mut q = slot.queue.lock();
+                    if full(&q) {
+                        slot.room.wait_for(&mut q, Duration::from_millis(100));
+                    }
                 }
+                continue;
             }
             if q.closed {
                 // Peer died (or shutdown raced) between the dead check
@@ -387,22 +446,53 @@ impl TcpShared {
             }
             let was_empty = q.control.is_empty() && q.data.is_empty();
             q.queued_bytes += bytes.len();
-            q.bytes_hwm = q.bytes_hwm.max(q.queued_bytes as u64);
+            // Relaxed: the gauge the loop keeps for this high-watermark.
+            let held = q.queued_bytes + slot.unwritten.load(Ordering::Relaxed);
+            q.bytes_hwm = q.bytes_hwm.max(held as u64);
             let lane = if control { &mut q.control } else { &mut q.data };
             lane.push_back(OutMsg {
                 kind,
                 bytes,
                 submitted,
             });
-            was_empty
+            break was_empty;
         };
-        // One wake per empty→non-empty transition, not per message: the
-        // I/O thread drains whole queues per iteration, so a non-empty
-        // queue already has a wake in flight (the eventfd coalesces) or
-        // is being drained under this same lock right now.
+        // One wake per empty→non-empty transition, not per message: a
+        // pass drains whole queues, so a non-empty queue already has a
+        // wake in flight (the eventfd coalesces) or is being drained
+        // under this same lock right now.
         if was_empty && from_sender {
+            self.wake_poller();
+        }
+    }
+
+    /// Wake the thread that holds the loop, if one does: it may be
+    /// blocked in the poller's wait. With nobody holding it there is
+    /// nobody to wake, and whoever takes it next pulls and drains before
+    /// it blocks — the look [`crate::queue::Sleep::poller_held`] orders
+    /// after the caller's publication.
+    fn wake_poller(&self) {
+        if self.own().sleep.poller_held() {
             self.poller.wake();
         }
+    }
+
+    /// [`Transport::drive`]. The own locality's poller says who holds the
+    /// loop; giving it back (the guard's drop, after the loop's lock's)
+    /// hands it over to a worker that parked while it was held.
+    fn drive(&self, park: Option<Park<'_>>) -> bool {
+        let Some(_held) = self.own().sleep.try_poll() else {
+            return false;
+        };
+        let mut io = self
+            .io
+            .try_lock()
+            .expect("holding the poller is holding the loop");
+        let Some(io) = io.as_mut() else {
+            return false; // shut down
+        };
+        io.drive(park);
+        true
     }
 
     /// Mark `peer` unreachable: close its queue (draining is the
@@ -552,13 +642,13 @@ fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Option<&[u8]>, 
 /// and failure semantics.
 pub(crate) struct TcpTransport {
     shared: Arc<TcpShared>,
-    io: Option<JoinHandle<()>>,
 }
 
 impl TcpTransport {
-    /// Bind, spawn the I/O thread, and block until the full mesh exists
-    /// (connected + handshake flushed to every peer, handshake accepted
-    /// from every peer). Fails loudly after `cfg.bootstrap_timeout`.
+    /// Bind and run the event loop on this thread until the full mesh
+    /// exists (connected + handshake flushed to every peer, handshake
+    /// accepted from every peer). Fails loudly after
+    /// `cfg.bootstrap_timeout`.
     pub(crate) fn bootstrap(
         cfg: &TcpConfig,
         localities: Arc<Vec<Arc<Locality>>>,
@@ -593,6 +683,7 @@ impl TcpTransport {
                     queue: Mutex::new(SendQueue::default()),
                     room: Condvar::new(),
                     dead: AtomicBool::new(false),
+                    unwritten: AtomicUsize::new(0),
                     counters: PeerCounters::default(),
                 })
             })
@@ -604,37 +695,24 @@ impl TcpTransport {
             peers,
             rt: OnceLock::new(),
             shutting_down: AtomicBool::new(false),
-            poller,
+            poller: Arc::new(poller),
+            io: Mutex::new(None),
             ports: OnceLock::new(),
         });
-
-        let (barrier_tx, barrier_rx) = std::sync::mpsc::sync_channel::<Result<(), String>>(1);
-        let io = {
-            let sh = shared.clone();
-            let deadline = Instant::now() + cfg.bootstrap_timeout;
-            std::thread::Builder::new()
-                .name("px-tcp-io".into())
-                .spawn(move || io::IoLoop::new(sh, listener, deadline, barrier_tx).run())
-                .expect("spawn tcp I/O thread")
-        };
-        let mut transport = TcpTransport {
-            shared,
-            io: Some(io),
-        };
-        // The loop enforces the deadline itself; the grace covers a
-        // wedged thread, not a slow peer.
-        let grace = cfg.bootstrap_timeout + Duration::from_secs(5);
-        match barrier_rx.recv_timeout(grace) {
-            Ok(Ok(())) => Ok(transport),
-            Ok(Err(why)) => {
+        // The rank's idle workers run the loop; one parked in it is woken
+        // through the poller.
+        let poller = shared.poller.clone();
+        shared.own().sleep.drive_poller(move || poller.wake());
+        let deadline = Instant::now() + cfg.bootstrap_timeout;
+        let mut io = io::IoLoop::new(shared.clone(), listener, deadline);
+        let barrier = io.bootstrap();
+        *shared.io.lock() = Some(io);
+        let mut transport = TcpTransport { shared };
+        match barrier {
+            Ok(()) => Ok(transport),
+            Err(why) => {
                 transport.shutdown();
                 Err(PxError::BadConfig(why))
-            }
-            Err(_) => {
-                transport.shutdown();
-                Err(PxError::BadConfig(
-                    "tcp bootstrap: I/O thread unresponsive".into(),
-                ))
             }
         }
     }
@@ -651,7 +729,7 @@ impl Transport for TcpTransport {
     }
 
     fn kick(&self, _dest: LocalityId) {
-        self.shared.poller.wake();
+        self.shared.wake_poller();
     }
 
     fn frame_version(&self) -> u8 {
@@ -692,28 +770,37 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn drive(&self, park: Option<Park<'_>>) -> bool {
+        self.shared.drive(park)
+    }
+
     fn shutdown(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
+        let sh = &self.shared;
+        sh.shutting_down.store(true, Ordering::Release);
         // Close the queues so blocked submitters exit; messages already
-        // queued are drained by the I/O loop before it stops.
-        for slot in self.shared.peers.iter().flatten() {
+        // queued are drained below, before this returns.
+        for slot in sh.peers.iter().flatten() {
             slot.queue.lock().closed = true;
             slot.room.notify_all();
         }
-        self.shared.poller.wake();
-        if let Some(h) = self.io.take() {
-            // The I/O thread itself can be the one tearing the runtime
-            // down: `kill_undeliverable` upgrades the runtime weak, and
-            // when a peer dies during shutdown that temporary can be the
-            // *last* strong reference — its drop runs `Wire::drop` (and
-            // this shutdown) on the I/O thread. Joining would self-join
-            // and panic; skip it — the loop observes `shutting_down` and
-            // exits on its own (it only borrows `TcpShared`, which the
-            // detached thread keeps alive).
-            if h.thread().id() == std::thread::current().id() {
-                return;
+        // The drain runs on this thread. Only a sender just let out of
+        // its backpressure wait can still hold the loop: wake it and wait
+        // for it to let go.
+        let held = loop {
+            if let Some(held) = sh.own().sleep.try_poll() {
+                break held;
             }
-            let _ = h.join();
+            sh.poller.wake();
+            std::thread::yield_now();
+        };
+        let io = sh
+            .io
+            .try_lock()
+            .expect("holding the poller is holding the loop")
+            .take();
+        drop(held);
+        if let Some(io) = io {
+            io.shut_down();
         }
     }
 }
@@ -804,9 +891,15 @@ mod tests {
         .encode()
     }
 
-    fn wait_for<T>(mut poll: impl FnMut() -> Option<T>, what: &str) -> T {
+    /// Poll until `poll` answers, running a nonblocking pass of each of
+    /// `drive`'s loops from this thread first each time — the call an
+    /// idle worker makes, without the park.
+    fn wait_for<T>(drive: &[&dyn Transport], mut poll: impl FnMut() -> Option<T>, what: &str) -> T {
         let t0 = Instant::now();
         loop {
+            for t in drive {
+                t.drive(None);
+            }
             if let Some(v) = poll() {
                 return v;
             }
@@ -861,7 +954,9 @@ mod tests {
         let own = &locs_b[1];
         let mut records = 0usize;
         let mut tasks = 0usize;
+        let both: [&dyn Transport; 2] = [&a, &b];
         wait_for(
+            &both,
             || {
                 while let Some(t) = own.injector.steal() {
                     tasks += 1;
@@ -873,30 +968,18 @@ mod tests {
         );
         assert_eq!(tasks, 2, "parcel + frame");
         assert_eq!(records, 3, "1 + 2 records");
-        let control = wait_for(|| own.control.steal(), "control parcel");
+        let control = wait_for(&both, || own.control.steal(), "control parcel");
         assert_eq!(control.parcel_records(), 1);
-        wait_for(|| own.staging.steal().map(drop), "staged parcel");
-        wait_for(
-            || {
-                let stats = a.transport_stats();
-                let p1 = stats.peers.iter().find(|p| p.peer == 1).unwrap();
-                (p1.msgs_sent == 4).then_some(())
-            },
-            "send counters",
-        );
+        wait_for(&both, || own.staging.steal().map(drop), "staged parcel");
         let stats = a.transport_stats();
         let p1 = stats.peers.iter().find(|p| p.peer == 1).unwrap();
-        assert_eq!(p1.frames_sent, 1);
+        assert_eq!((p1.msgs_sent, p1.frames_sent), (4, 1));
         assert!(p1.bytes_sent > 0);
         assert!(p1.queue_bytes_hwm > 0, "messages were queued");
         // Receive-side counters live on B.
-        wait_for(
-            || (b.transport_stats().peers[0].msgs_recv == 4).then_some(()),
-            "recv counters",
-        );
         let bstats = b.transport_stats();
         let p0 = bstats.peers.iter().find(|p| p.peer == 0).unwrap();
-        assert!(p0.reconnects == 0);
+        assert_eq!((p0.msgs_recv, p0.reconnects), (4, 0));
         b.shutdown();
         drop(a);
     }
@@ -910,27 +993,13 @@ mod tests {
         // are then killed loudly (counted inline: no runtime is bound in
         // this unit test).
         let own = a.shared.own().clone();
-        let t0 = Instant::now();
-        loop {
+        let submit = || {
             let bytes = noop_parcel(LocalityId(1));
-            let n = bytes.len();
-            a.submit(
-                WireMsg::Parcel {
-                    dest: LocalityId(1),
-                    lane: Lane::Run,
-                    bytes,
-                },
-                n,
-            );
-            if own.counters.dead_transport.get() > 0 {
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "peer death never resolved submissions"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
+            let (dest, lane, n) = (LocalityId(1), Lane::Run, bytes.len());
+            a.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+            (own.counters.dead_transport.get() > 0).then_some(())
+        };
+        wait_for(&[&a], submit, "peer death resolving submissions");
         drop(a);
     }
 
@@ -948,6 +1017,7 @@ mod tests {
         impostor.set_nonblocking(true).unwrap();
         let peer = a.shared.peer(1);
         wait_for(
+            &[&a],
             || peer.dead.load(Ordering::Acquire).then_some(()),
             "rank 0 to declare rank 1 dead",
         );
@@ -962,6 +1032,7 @@ mod tests {
         assert_eq!(dead_transport() - before, 50, "each dies loudly");
         let t0 = Instant::now();
         while t0.elapsed() < 10 * io::CONNECT_RETRY {
+            a.drive(None);
             assert!(impostor.accept().is_err(), "rank 0 dialled a dead peer");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -970,13 +1041,13 @@ mod tests {
     }
 
     /// Same-peer submission order holds across the two ways a frame
-    /// leaves a port: a sender's `Full` flush and the I/O thread's pull
-    /// both hand the frame to the peer's queue under the port lock. A cap
-    /// of 4, 20 000 numbered parcels from one sender, and a pause every
-    /// 1 001 — no multiple of the cap, so what is left in the port can
-    /// only leave by a pull. The order is read where the contract
-    /// promises it, off the destination's queue (a worker's batch-steal
-    /// runs what it takes newest first).
+    /// leaves a port: a sender's `Full` flush and a pass's pull both hand
+    /// the frame to the peer's queue under the port lock. A cap of 4,
+    /// 20 000 numbered parcels from one sender, and a pause every 1 001 —
+    /// no multiple of the cap, so what is left in the port can only
+    /// leave by a pull. The order is read where the contract promises it,
+    /// off the destination's queue (a worker's batch-steal runs what it
+    /// takes newest first).
     #[test]
     fn full_flushes_and_pulls_keep_submission_order() {
         use crate::net::{BatchPolicy, Wire};
@@ -988,7 +1059,9 @@ mod tests {
         let mut next = 0u64;
         let mut arrived_through = |sent: u64| {
             wait_for(
+                &[&b],
                 || {
+                    wire.drive(None);
                     while let Some(task) = locs_b[1].injector.steal() {
                         let frame = task.frame_bytes().expect("batched: frames only");
                         let view = px_wire::FrameView::parse(frame).expect("intact frame");
@@ -1025,24 +1098,23 @@ mod tests {
         b.shutdown();
     }
 
-    /// The puller never waits on its own queue. With a peer's queue at
-    /// its byte bound a sender blocks; the I/O thread's side of
-    /// `send_to_peer` must not — it is the thread that makes the room.
+    /// The puller never waits on its own queue, and a sender blocked on
+    /// the bound runs the loop itself when nobody else does. With a
+    /// peer's queue at its byte bound a sender blocks; a pass's side of
+    /// `send_to_peer` must not — it is what makes the room — and the
+    /// blocked sender's own passes write what was queued.
     #[test]
     fn the_puller_never_waits_on_the_queue_it_drains() {
         let (a, mut b, _locs_b) = boot_pair();
-        // Let the I/O thread finish the pass that completed bootstrap: it
-        // would drain the message below and so release the sender early.
-        std::thread::sleep(Duration::from_millis(50));
         let shared = a.shared.clone();
         let dest = LocalityId(1);
-        // Full by the books while holding nothing: the loop resets the
-        // count only when it drains a message, and nothing wakes it here.
+        // Full by the books while holding nothing: a drain subtracts only
+        // what it moves.
         shared.peer(1).queue.lock().queued_bytes = SEND_QUEUE_BYTES;
         let t0 = Instant::now();
         let bytes = noop_parcel(dest);
         shared.send_to_peer(dest, msg_kind::PARCEL, bytes, By::Puller(None));
-        // A sender's wait re-checks every 100 ms and never gives up.
+        // A blocked sender never gives up.
         assert!(
             t0.elapsed() < Duration::from_millis(50),
             "the puller waited"
@@ -1051,15 +1123,31 @@ mod tests {
             let shared = shared.clone();
             move || shared.send_to_peer(dest, msg_kind::PARCEL, noop_parcel(dest), By::Sender)
         });
-        std::thread::sleep(Duration::from_millis(150));
+        // Nobody else runs rank 0's loop: the blocked sender does, and its
+        // pass writes the pulled message.
+        wait_for(
+            &[&b],
+            || (b.transport_stats().peers[0].msgs_recv == 1).then_some(()),
+            "the pulled message",
+        );
+        std::thread::sleep(Duration::from_millis(100));
         assert!(!sender.is_finished(), "a sender passed a full queue");
-        // The pull's message needed no wake of its own (the loop drains
-        // right after pulling); stand in for that here. The drain is the
-        // room the sender waits for.
+        assert!(
+            shared.own().sleep.poller_held(),
+            "the blocked sender runs the loop"
+        );
+        // Make the room the books withheld, and wake the sender out of the
+        // loop's wait.
+        shared.peer(1).queue.lock().queued_bytes -= SEND_QUEUE_BYTES;
         shared.poller.wake();
-        wait_for(|| sender.is_finished().then_some(()), "the blocked sender");
+        wait_for(
+            &[],
+            || sender.is_finished().then_some(()),
+            "the blocked sender",
+        );
         sender.join().unwrap();
         wait_for(
+            &[&a, &b],
             || (b.transport_stats().peers[0].msgs_recv == 2).then_some(()),
             "both messages",
         );
@@ -1098,19 +1186,20 @@ mod tests {
         drop(b);
     }
 
-    /// The tentpole invariant at transport level: the whole backend adds
-    /// exactly ONE thread per rank, however many peers the mesh has.
+    /// The TCP backend starts no thread: a rank's sockets are read and
+    /// written by whoever runs its loop — the bootstrapping thread, then
+    /// the workers — however many peers the mesh has.
     ///
     /// `/proc/self/task` is process-wide and sibling tests run transports
     /// of their own, so the count is taken in a child: this test binary
     /// re-executed with only this test selected.
     #[test]
-    fn io_thread_count_is_flat_in_peers() {
+    fn the_tcp_backend_starts_no_thread() {
         const IN_CHILD: &str = "PX_TCP_THREAD_COUNT_CHILD";
         if std::env::var_os(IN_CHILD).is_none() {
             let status = std::process::Command::new(std::env::current_exe().unwrap())
                 .args([
-                    "net::tcp::tests::io_thread_count_is_flat_in_peers",
+                    "net::tcp::tests::the_tcp_backend_starts_no_thread",
                     "--exact",
                     "--nocapture",
                 ])
@@ -1121,36 +1210,43 @@ mod tests {
             assert!(status.success(), "thread count check failed in the child");
             return;
         }
-        fn count_px_tcp_threads() -> usize {
-            let tasks = std::fs::read_dir("/proc/self/task").expect("linux procfs");
-            tasks
-                .filter_map(|t| {
-                    let comm = t.ok()?.path().join("comm");
-                    let name = std::fs::read_to_string(comm).ok()?;
-                    name.starts_with("px-tcp").then_some(())
-                })
+        let threads = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("linux procfs")
                 .count()
-        }
-        // 4-rank mesh, all in this process (4 transports x 1 I/O thread).
+        };
+        let before = threads();
+        // A 4-rank mesh, all in this process: each rank bootstraps on a
+        // thread of this test's own, joined before the count.
         let n = 4;
         let addrs = free_addrs(n);
-        let mut handles = Vec::new();
-        for rank in 1..n as u16 {
-            let addrs = addrs.clone();
-            handles.push(std::thread::spawn(move || {
-                TcpTransport::bootstrap(&TcpConfig::new(rank, addrs), test_localities(n)).unwrap()
-            }));
-        }
+        let handles: Vec<_> = (1..n as u16)
+            .map(|rank| {
+                let addrs = addrs.clone();
+                std::thread::spawn(move || {
+                    TcpTransport::bootstrap(&TcpConfig::new(rank, addrs), test_localities(n))
+                        .unwrap()
+                })
+            })
+            .collect();
         let t0 = TcpTransport::bootstrap(&TcpConfig::new(0, addrs), test_localities(n)).unwrap();
         let mut transports = vec![t0];
-        for h in handles {
-            transports.push(h.join().unwrap());
+        transports.extend(handles.into_iter().map(|h| h.join().unwrap()));
+        // Traffic on every connection, carried by this thread's passes.
+        for (i, t) in transports.iter().enumerate() {
+            for j in (0..n).filter(|&j| j != i) {
+                let (dest, lane) = (LocalityId(j as u16), Lane::Run);
+                let bytes = noop_parcel(dest);
+                t.submit(WireMsg::Parcel { dest, lane, bytes }, 0);
+            }
         }
-        assert_eq!(
-            count_px_tcp_threads(),
-            n,
-            "one I/O thread per rank, zero per peer"
-        );
+        let all: Vec<&dyn Transport> = transports.iter().map(|t| t as &dyn Transport).collect();
+        let delivered = || {
+            let got = transports.iter().map(|t| t.shared.own().injector.len());
+            (got.sum::<usize>() == n * (n - 1)).then_some(())
+        };
+        wait_for(&all, delivered, "a message on every connection");
+        assert_eq!(threads(), before, "the backend started a thread");
         for mut t in transports {
             t.shutdown();
         }

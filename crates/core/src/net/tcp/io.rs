@@ -1,19 +1,21 @@
-//! The I/O loop of the TCP backend: everything here runs on the single
-//! `px-tcp-io` thread — the listener, every outbound and inbound
-//! connection, bootstrap connect retries and handshake deadlines,
-//! multiplexed in one `epoll_wait` loop (see the parent module's docs for
-//! the thread model, the bootstrap barrier and the failure semantics).
+//! The event loop of the TCP backend: the listener, every outbound and
+//! inbound connection, bootstrap connect retries and handshake
+//! deadlines, multiplexed on one poller. It is a value, not a thread:
+//! whoever holds it runs [`IoLoop::pass`] — bootstrap and shutdown on
+//! their caller's thread, and in between ([`IoLoop::drive`]) an idle
+//! worker, a busy one every few dozen tasks, or a sender blocked on a
+//! peer's byte bound (see the parent module's docs for the thread model,
+//! the bootstrap barrier and the failure semantics).
 
-use super::TcpShared;
+use super::{Park, TcpShared, SEND_QUEUE_BYTES};
 use crate::error::FaultCause;
-use px_poll::{Interest, WAKE_TOKEN};
+use px_poll::{Event, Interest, WAKE_TOKEN};
 use px_wire::stream::{self, msg_kind, StreamAssembler, WriteBatch};
 use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,6 +23,10 @@ use std::time::{Duration, Instant};
 const MAX_WRITE_SLICES: usize = 64;
 /// Read chunk size for inbound connections.
 const READ_CHUNK: usize = 64 * 1024;
+/// Reads of one connection per pass: a worker that holds the loop goes
+/// back to running what it read, and a peer that keeps sending is read
+/// again on the next pass (the poller is level-triggered).
+const READS_PER_PASS: usize = 16;
 /// Spacing between bootstrap connect attempts (a poller timer, never a
 /// sleep).
 pub(super) const CONNECT_RETRY: Duration = Duration::from_millis(25);
@@ -48,7 +54,7 @@ enum Conn {
     Up(TcpStream),
     /// Bootstrap retry timer pending.
     Backoff,
-    /// The peer is dead to this process (see `IoLoop::peer_lost`).
+    /// The peer is dead to this process (see [`IoLoop::peer_lost`]).
     Down,
 }
 
@@ -103,23 +109,27 @@ pub(super) struct IoLoop {
     /// Barrier state: which peers have handshaked in.
     seen_in: Vec<bool>,
     heard: usize,
-    barrier_tx: Option<SyncSender<Result<(), String>>>,
-    bootstrap_deadline: Instant,
-    /// Until the barrier resolves, connect attempts retry (the barrier
-    /// deadline bounds them); afterwards nothing dials.
-    bootstrapping: bool,
-    drain_deadline: Option<Instant>,
+    /// The bootstrap barrier: `None` while the mesh comes up, then how
+    /// that went. Until it resolves, connect attempts retry (its deadline
+    /// bounds them); afterwards nothing dials.
+    barrier: Option<Result<(), String>>,
+    /// What the last wait reported ready.
+    events: Vec<Event>,
+    /// A sender held a port this loop pulled: the next wait does not
+    /// block, so what the sender leaves there is pulled without a wake.
+    again: bool,
     /// Read buffer shared by every inbound connection (one is drained at
     /// a time).
     read_chunk: Vec<u8>,
 }
 
 impl IoLoop {
+    /// The loop for `shared`'s rank, already at work: the listener
+    /// registered, every peer being dialled, the barrier's deadline armed.
     pub(super) fn new(
         shared: Arc<TcpShared>,
         listener: TcpListener,
         bootstrap_deadline: Instant,
-        barrier_tx: SyncSender<Result<(), String>>,
     ) -> IoLoop {
         let n = shared.localities.len();
         let peers = (0..n as u16)
@@ -134,7 +144,7 @@ impl IoLoop {
                 })
             })
             .collect();
-        IoLoop {
+        let mut io = IoLoop {
             shared,
             listener,
             peers,
@@ -143,65 +153,103 @@ impl IoLoop {
             timers: BinaryHeap::new(),
             seen_in: vec![false; n],
             heard: 0,
-            barrier_tx: Some(barrier_tx),
-            bootstrap_deadline,
-            bootstrapping: true,
-            drain_deadline: None,
+            barrier: None,
+            events: Vec::new(),
+            again: false,
             read_chunk: vec![0u8; READ_CHUNK],
+        };
+        let listener = io.listener.as_raw_fd();
+        if (io.shared.poller)
+            .register(listener, TOKEN_LISTENER, Interest::READABLE)
+            .is_err()
+        {
+            io.fail_bootstrap("tcp: registering the listener failed".into());
+            return io;
+        }
+        io.arm_timer(bootstrap_deadline, TimerKind::Bootstrap);
+        // Kick off the outbound mesh: every peer starts connecting now.
+        for j in 0..io.peers.len() as u16 {
+            if io.peers[j as usize].is_some() {
+                io.start_connect(j);
+            }
+        }
+        io.check_barrier();
+        io
+    }
+
+    /// Run the loop until the bootstrap barrier resolves, and say how.
+    pub(super) fn bootstrap(&mut self) -> Result<(), String> {
+        loop {
+            if let Some(barrier) = &self.barrier {
+                return barrier.clone();
+            }
+            self.pass(true);
         }
     }
 
-    pub(super) fn run(mut self) {
-        if self
-            .shared
-            .poller
-            .register(
-                self.listener.as_raw_fd(),
-                TOKEN_LISTENER,
-                Interest::READABLE,
-            )
-            .is_err()
-        {
-            self.fail_bootstrap("tcp: registering the listener failed".into());
-            return;
-        }
-        self.arm_timer(self.bootstrap_deadline, TimerKind::Bootstrap);
-        // Kick off the outbound mesh: every peer starts connecting now.
-        for j in 0..self.peers.len() as u16 {
-            if self.peers[j as usize].is_some() {
-                self.start_connect(j);
-            }
-        }
-        self.check_barrier();
-
-        let mut events = Vec::new();
-        loop {
-            if self.observe_shutdown() {
-                return;
-            }
-            let timeout = self
-                .timers
-                .peek()
-                .map(|std::cmp::Reverse((at, _))| at.saturating_duration_since(Instant::now()));
-            if self.shared.poller.wait(&mut events, timeout).is_err() {
-                // A broken poller cannot make progress; fail loudly if
-                // the barrier still waits, then stop.
-                self.fail_bootstrap("tcp: poller wait failed".into());
-                return;
-            }
-            for ev in &events {
-                match ev.token {
-                    WAKE_TOKEN => {} // queues scanned below
-                    TOKEN_LISTENER => self.accept_ready(),
-                    t if t >= TOKEN_IN_BASE => self.inbound_ready((t - TOKEN_IN_BASE) as usize),
-                    t if t >= TOKEN_OUT_BASE => {
-                        self.outbound_ready((t - TOKEN_OUT_BASE) as u16, ev.writable())
-                    }
-                    _ => {}
-                }
-            }
-            self.fire_due_timers();
+    /// One step of the loop: [`IoLoop::wait`], then [`IoLoop::handle`].
+    /// A pass that does not block pulls and writes first: what the
+    /// caller's own tasks sent leaves before it reads.
+    fn pass(&mut self, block: bool) {
+        if !block {
             self.pump_sends();
+        }
+        self.wait(block);
+        self.handle();
+    }
+
+    /// Wait for readiness: with `block`, until something is ready or the
+    /// next timer falls due (untimed when none is armed); else not at
+    /// all.
+    fn wait(&mut self, block: bool) {
+        let timeout = if block && !self.again {
+            let next = self.timers.peek();
+            next.map(|std::cmp::Reverse((at, _))| at.saturating_duration_since(Instant::now()))
+        } else {
+            Some(Duration::ZERO)
+        };
+        if self.shared.poller.wait(&mut self.events, timeout).is_err() {
+            // A broken poller cannot make progress: fail loudly if the
+            // barrier still waits.
+            self.fail_bootstrap("tcp: poller wait failed".into());
+        }
+    }
+
+    /// Handle what the last wait reported, fire due timers, then pull the
+    /// ports and drain the queues into writes.
+    fn handle(&mut self) {
+        let events = std::mem::take(&mut self.events);
+        for ev in &events {
+            match ev.token {
+                WAKE_TOKEN => {} // queues scanned below
+                TOKEN_LISTENER => self.accept_ready(),
+                t if t >= TOKEN_IN_BASE => self.inbound_ready((t - TOKEN_IN_BASE) as usize),
+                t if t >= TOKEN_OUT_BASE => {
+                    self.outbound_ready((t - TOKEN_OUT_BASE) as u16, ev.writable())
+                }
+                _ => {}
+            }
+        }
+        self.events = events;
+        self.fire_due_timers();
+        self.pump_sends();
+    }
+
+    /// What a thread that took the loop runs (`Transport::drive`): a
+    /// nonblocking pass, then — given `park` — the blocking wait, handed
+    /// to `park`, and a pass over what it brought. With a port left held
+    /// there is no park: the caller comes straight back to pull it.
+    pub(super) fn drive(&mut self, park: Option<Park<'_>>) {
+        self.pass(false);
+        if let Some(park) = park.filter(|_| !self.again) {
+            let mut woke = false;
+            park(&mut || {
+                self.wait(true);
+                woke = true;
+            });
+            if woke {
+                self.handle();
+            }
         }
     }
 
@@ -220,7 +268,7 @@ impl IoLoop {
             let std::cmp::Reverse((_, kind)) = self.timers.pop().expect("peeked");
             match kind {
                 TimerKind::Retry(j) => {
-                    if self.bootstrapping && matches!(self.peer_io(j).conn, Conn::Backoff) {
+                    if self.barrier.is_none() && matches!(self.peer_io(j).conn, Conn::Backoff) {
                         self.start_connect(j);
                     }
                 }
@@ -242,7 +290,7 @@ impl IoLoop {
                     }
                 }
                 TimerKind::Bootstrap => {
-                    if self.barrier_tx.is_some() {
+                    if self.barrier.is_none() {
                         let n = self.shared.localities.len();
                         self.fail_bootstrap(format!(
                             "tcp bootstrap barrier timed out: {} of {} peers handshaked",
@@ -252,7 +300,7 @@ impl IoLoop {
                     }
                 }
                 TimerKind::Drain => {
-                    // Handled by observe_shutdown on the next iteration.
+                    // Ends the blocking wait of `shut_down`'s drain.
                 }
             }
         }
@@ -261,23 +309,22 @@ impl IoLoop {
     // -- bootstrap barrier --------------------------------------------------
 
     fn fail_bootstrap(&mut self, why: String) {
-        if let Some(tx) = self.barrier_tx.take() {
-            let _ = tx.send(Err(why));
-        }
-        self.bootstrapping = false;
+        self.barrier.get_or_insert(Err(why));
     }
 
     fn check_barrier(&mut self) {
-        if self.barrier_tx.is_none() {
+        if self.barrier.is_some() {
             return;
         }
         let n = self.shared.localities.len();
         let out_ready = self.peers.iter().flatten().filter(|p| p.hello_done).count();
         if self.heard == n - 1 && out_ready == n - 1 {
-            if let Some(tx) = self.barrier_tx.take() {
-                let _ = tx.send(Ok(()));
-            }
-            self.bootstrapping = false;
+            self.barrier = Some(Ok(()));
+            // Every connection is up: what is left on the heap for
+            // dialling and for the barrier is moot, and a loop with
+            // nothing to time blocks untimed.
+            self.timers
+                .retain(|std::cmp::Reverse((_, kind))| matches!(kind, TimerKind::HelloTimeout(..)));
         }
     }
 
@@ -329,7 +376,7 @@ impl IoLoop {
     /// One connect attempt failed. While the mesh bootstraps that is a
     /// peer not up yet: retry on a timer, bounded by the barrier deadline.
     fn connect_attempt_failed(&mut self, j: u16, why: &str) {
-        if !self.bootstrapping {
+        if self.barrier.is_some() {
             // Only a failed bootstrap leaves an attempt in flight (the
             // barrier resolves with every connection up).
             return self.peer_lost(j, why);
@@ -351,6 +398,7 @@ impl IoLoop {
         io.registered = None;
         io.hello.clear();
         let mut dead = io.batch.drain_msgs();
+        self.shared.peer(j).set_unwritten(0);
         dead.extend(self.shared.close_peer(j, why));
         if self.shared.shutting_down.load(Ordering::Acquire) {
             // No runtime task at teardown (the scheduler may be gone):
@@ -468,6 +516,8 @@ impl IoLoop {
             self.peer_lost(j, "write failed");
             return;
         }
+        let unwritten = io.batch.remaining_bytes();
+        shared.peer(j).set_unwritten(unwritten);
         self.update_interest(j);
         self.check_barrier();
     }
@@ -498,48 +548,61 @@ impl IoLoop {
 
     /// Pull the coalescing ports into the per-peer send queues, move
     /// queued messages into per-peer write batches, and flush. Whatever
-    /// gathered in a port while this thread was waking or busy rides one
-    /// frame: batching is paid for by load.
+    /// gathered in a port while no pass ran rides one frame: batching is
+    /// paid for by load.
+    ///
+    /// A batch takes data while it holds less than [`SEND_QUEUE_BYTES`]:
+    /// toward a peer that stops reading, what waits here and in the queue
+    /// stays under two bounds, and senders block at the queue's.
     fn pump_sends(&mut self) {
+        self.again = false;
         for j in 0..self.peers.len() as u16 {
             let Some(slot) = &self.shared.peers[j as usize] else {
                 continue;
             };
-            if !self.shared.pull_ports(crate::gid::LocalityId(j)) {
-                // A sender holds the port — pushing a record, or blocked
-                // on this peer's queue bound with a full frame in hand.
-                // Drain first (that is the room it waits for) and come
-                // straight back for what it leaves behind.
-                self.shared.poller.wake();
-            }
-            let drained = {
+            let pulled_all = self.shared.pull_ports(crate::gid::LocalityId(j));
+            let (moved, under_bound) = {
                 let mut q = slot.queue.lock();
-                if q.control.is_empty() && q.data.is_empty() {
-                    false
-                } else {
-                    let io = self.peers[j as usize].as_mut().expect("peer io");
-                    // Drain time closes the NetRtt window opened at
-                    // submit — both stamps from this rank's clock.
-                    let own = self.shared.own();
-                    for m in q.control.drain(..) {
-                        own.metric_elapsed(crate::metrics::Instrument::NetRtt, m.submitted);
-                        io.batch.push(m.kind, m.bytes);
-                    }
-                    for m in q.data.drain(..) {
-                        own.metric_elapsed(crate::metrics::Instrument::NetRtt, m.submitted);
-                        io.batch.push(m.kind, m.bytes);
-                    }
-                    q.queued_bytes = 0;
-                    true
+                let io = self.peers[j as usize].as_mut().expect("peer io");
+                // Drain time closes the NetRtt window opened at submit —
+                // both stamps from this rank's clock.
+                let own = self.shared.own();
+                let mut moved = 0;
+                let mut push = |batch: &mut WriteBatch, m: super::OutMsg| {
+                    own.metric_elapsed(crate::metrics::Instrument::NetRtt, m.submitted);
+                    moved += m.bytes.len();
+                    batch.push(m.kind, m.bytes);
+                };
+                // Control first, and never held back.
+                for m in q.control.drain(..) {
+                    push(&mut io.batch, m);
                 }
+                while let Some(next) = q.data.front() {
+                    let fits = io.batch.remaining_bytes() + next.bytes.len() <= SEND_QUEUE_BYTES;
+                    if !(fits || io.batch.is_empty()) {
+                        break;
+                    }
+                    let m = q.data.pop_front().expect("looked at the front");
+                    push(&mut io.batch, m);
+                }
+                q.queued_bytes -= moved;
+                (moved > 0, io.batch.remaining_bytes() < SEND_QUEUE_BYTES)
             };
-            if drained {
+            if moved {
                 slot.room.notify_all();
                 // A dead peer's queue is closed and drained in one
                 // critical section (`close_peer`), so outside shutdown
                 // only a live connection has anything to drain; what
                 // shutdown drains toward a dead one is counted at exit.
                 self.flush_peer(j);
+            }
+            if !pulled_all && under_bound {
+                // A sender holds the port — pushing a record, or blocked
+                // on this peer's queue bound with a full frame in hand
+                // and released by the drain above. Come straight back for
+                // what it leaves behind. (With the batch full, the
+                // socket's writability brings the next pass.)
+                self.again = true;
             }
         }
     }
@@ -653,7 +716,12 @@ impl IoLoop {
             }
         }
         let peer = conn.peer.expect("handshaked above");
+        let mut reads = 0;
         let why = 'conn: loop {
+            if reads == READS_PER_PASS {
+                return;
+            }
+            reads += 1;
             let n = match conn.stream.read(&mut self.read_chunk) {
                 Ok(0) => break "connection closed",
                 Ok(n) => n,
@@ -700,44 +768,29 @@ impl IoLoop {
 
     // -- shutdown -----------------------------------------------------------
 
-    /// During shutdown: keep the loop alive while useful flushing
-    /// remains, then count leftovers and stop. Returns true to exit.
-    fn observe_shutdown(&mut self) -> bool {
-        if !self.shared.shutting_down.load(Ordering::Acquire) {
-            return false;
+    /// Shutdown, on the caller's thread: stop a barrier that still
+    /// waits, keep passing while useful flushing remains (up to
+    /// [`SHUTDOWN_DRAIN`]), then count what never made it out. No runtime
+    /// task: the scheduler may already be gone at teardown.
+    pub(super) fn shut_down(mut self) {
+        self.fail_bootstrap("tcp bootstrap aborted by shutdown".into());
+        let deadline = Instant::now() + SHUTDOWN_DRAIN;
+        self.arm_timer(deadline, TimerKind::Drain);
+        // Pull whatever was queued before the queues closed.
+        self.pump_sends();
+        while self.pending() && Instant::now() < deadline {
+            self.pass(true);
         }
-        if self.barrier_tx.is_some() {
-            self.fail_bootstrap("tcp bootstrap aborted by shutdown".into());
-        }
-        let deadline = match self.drain_deadline {
-            Some(d) => d,
-            None => {
-                let d = Instant::now() + SHUTDOWN_DRAIN;
-                self.drain_deadline = Some(d);
-                self.arm_timer(d, TimerKind::Drain);
-                // Pull whatever was queued before the queues closed.
-                self.pump_sends();
-                d
-            }
-        };
-        let mut pending = false;
-        for j in 0..self.peers.len() as u16 {
-            let Some(io) = &self.peers[j as usize] else {
-                continue;
-            };
-            if matches!(io.conn, Conn::Up(_)) && !(io.hello.is_empty() && io.batch.is_empty()) {
-                pending = true;
-            }
-        }
-        if pending && Instant::now() < deadline {
-            return false;
-        }
-        // Count what never made it out (no runtime task: the scheduler
-        // may already be gone at teardown).
         for io in self.peers.iter_mut().flatten() {
             let leftovers = io.batch.drain_msgs();
             self.shared.count_deaths(&leftovers);
         }
-        true
+    }
+
+    /// Bytes still to write toward a live peer.
+    fn pending(&self) -> bool {
+        let live = self.peers.iter().flatten();
+        live.filter(|io| matches!(io.conn, Conn::Up(_)))
+            .any(|io| !(io.hello.is_empty() && io.batch.is_empty()))
     }
 }

@@ -27,6 +27,14 @@
 //!   this module sets, not the cache — so an item that arrives within a
 //!   hop's service time costs neither side a futex call.
 //!
+//!   Where the workers drive a poller (the TCP backend's event loop), the
+//!   same word carries who holds it. One idle worker at a time takes it
+//!   and parks *in* it: its park is the poller's blocking wait, and a
+//!   notifier that picks it wakes the poller instead of unparking the
+//!   thread. The others park as above, and a free poller is a reason for
+//!   them to be awake; whoever gives it back wakes one that parked while
+//!   it was held, so it is attended whenever anybody is idle.
+//!
 //! # How a thief reads a slot without racing the owner
 //!
 //! Items live in the slots themselves (a task is ~160 bytes; boxing each
@@ -542,8 +550,10 @@ impl<T: Send> Injector<T> {
 
 /// Set in [`Sleep::state`] while one worker spins.
 const SPINNING: u32 = 1;
+/// Set in [`Sleep::state`] while a thread holds the locality's poller.
+const POLLER: u32 = 2;
 /// One announced worker in [`Sleep::state`].
-const SLEEPER: u32 = 2;
+const SLEEPER: u32 = 4;
 
 /// A worker is running or searching.
 const AWAKE: u32 = 0;
@@ -551,6 +561,8 @@ const AWAKE: u32 = 0;
 const SLEEPING: u32 = 1;
 /// A notifier picked this worker; it must not park (or must wake).
 const NOTIFIED: u32 = 2;
+/// A worker announced that it is about to block in the poller (or has).
+const POLLING: u32 = 3;
 
 struct Sleeper {
     state: AtomicU32,
@@ -577,16 +589,33 @@ pub(crate) enum Idle {
     Parked,
 }
 
+/// The locality's poller, held ([`Sleep::try_poll`]). Dropping it gives
+/// the poller back: a worker that announced while it was held parked
+/// because it could not take it, and one is woken to take it over.
+pub(crate) struct PollerHeld<'a>(&'a Sleep);
+
+impl Drop for PollerHeld<'_> {
+    fn drop(&mut self) {
+        let sleep = self.0;
+        if sleep.state.fetch_and(!POLLER, Ordering::SeqCst) >= SLEEPER {
+            sleep.wake(1);
+        }
+    }
+}
+
 /// The eventcount a locality's workers sleep on.
 pub(crate) struct Sleep {
-    /// `announced workers * SLEEPER | SPINNING`: the one word a producer
-    /// reads to decide whether anybody needs waking.
+    /// `announced workers * SLEEPER | POLLER | SPINNING`: the one word a
+    /// producer reads to decide whether anybody needs waking.
     state: AtomicU32,
     workers: Box<[Sleeper]>,
     /// Spinning only pays when the producer can run at the same time.
     spin: bool,
     /// Zero of the `parked_ns` clocks.
     epoch: Instant,
+    /// How a notifier ends a park in the poller: set once when this
+    /// locality's workers drive one ([`Sleep::drive_poller`]).
+    poll_wake: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl Sleep {
@@ -605,7 +634,46 @@ impl Sleep {
                 .collect(),
             spin: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             epoch: Instant::now(),
+            poll_wake: OnceLock::new(),
         }
+    }
+
+    /// Make this locality's idle workers drive a poller: one at a time
+    /// holds it ([`Sleep::try_poll`]) and parks in its blocking wait
+    /// ([`Sleep::idle_polling`]), which `wake` ends. Set once, before the
+    /// workers run.
+    pub(crate) fn drive_poller(&self, wake: impl Fn() + Send + Sync + 'static) {
+        let _ = self.poll_wake.set(Box::new(wake));
+    }
+
+    /// True when this locality's workers drive a poller.
+    pub(crate) fn polls(&self) -> bool {
+        self.poll_wake.get().is_some()
+    }
+
+    /// Take the poller, held until the guard drops; `None` when another
+    /// thread holds it. The fence orders the claim before the holder's
+    /// look at what it must carry: a producer that published, fenced and
+    /// then found nobody holding the poller is seen by that look
+    /// ([`Sleep::poller_held`]).
+    pub(crate) fn try_poll(&self) -> Option<PollerHeld<'_>> {
+        let took = self.state.fetch_or(POLLER, Ordering::SeqCst) & POLLER == 0;
+        fence(Ordering::SeqCst);
+        took.then(|| PollerHeld(self))
+    }
+
+    /// True while some thread holds the poller. Called after publishing
+    /// what the holder must carry: with nobody holding it, whoever takes
+    /// it next looks first, and a wake would have nobody to wake.
+    pub(crate) fn poller_held(&self) -> bool {
+        fence(Ordering::SeqCst);
+        self.state.load(Ordering::SeqCst) & POLLER != 0
+    }
+
+    /// True when this locality's workers drive a poller and nobody holds
+    /// it: a reason for an idle worker to be awake.
+    pub(crate) fn poller_free(&self) -> bool {
+        self.polls() && self.state.load(Ordering::SeqCst) & POLLER == 0
     }
 
     fn now_ns(&self) -> u64 {
@@ -638,7 +706,9 @@ impl Sleep {
 
     /// Called by worker `w` when it found no work. `ready` says whether
     /// there is a reason to be awake (any queue non-empty, or shutdown);
-    /// `on_park` runs just before the thread blocks.
+    /// `on_park` runs just before the thread blocks. Where the workers
+    /// drive a poller, a free one is a reason too: this worker could not
+    /// take it, and comes back to.
     ///
     /// Spins for at most [`SPIN`] if no other worker here is spinning,
     /// then announces, re-checks `ready`, and parks — untimed — until a
@@ -667,6 +737,7 @@ impl Sleep {
         mut ready: impl FnMut() -> bool,
         on_park: impl FnOnce(),
     ) -> Idle {
+        let mut ready = || ready() || self.poller_free();
         let me = &self.workers[w];
         if self.spin && self.state.fetch_or(SPINNING, Ordering::SeqCst) & SPINNING == 0 {
             let spin = SPIN.as_nanos() as u64;
@@ -694,26 +765,56 @@ impl Sleep {
                 return Idle::Ready;
             }
         }
+        self.park(w, SLEEPING, ready, on_park, |me| {
+            // A stale unpark token or a spurious return ends `park` early;
+            // only the notifier's state change ends the sleep.
+            while me.state.load(Ordering::SeqCst) != NOTIFIED {
+                std::thread::park();
+            }
+            me.state.store(AWAKE, Ordering::SeqCst);
+        })
+    }
+
+    /// [`Sleep::idle`] for the worker that holds the poller. It does not
+    /// spin — it would not see the sockets — and its park is `wait`, the
+    /// poller's blocking wait, which a notifier ends through the waker
+    /// [`Sleep::drive_poller`] installed. The worker is awake again once
+    /// `wait` returns, whatever ended it.
+    pub(crate) fn idle_polling(
+        &self,
+        w: usize,
+        ready: impl FnMut() -> bool,
+        on_park: impl FnOnce(),
+        wait: impl FnOnce(),
+    ) -> Idle {
+        self.park(w, POLLING, ready, on_park, |me| {
+            wait();
+            self.unannounce(me, POLLING);
+        })
+    }
+
+    /// Announce worker `w` as `how` (parking on its thread, or in the
+    /// poller), re-check `ready`, and unless it turned true, run `block`
+    /// as the park: it returns with the worker awake and out of the count.
+    fn park(
+        &self,
+        w: usize,
+        how: u32,
+        mut ready: impl FnMut() -> bool,
+        on_park: impl FnOnce(),
+        block: impl FnOnce(&Sleeper),
+    ) -> Idle {
+        let me = &self.workers[w];
         me.thread.get_or_init(std::thread::current);
         // Announce, then re-check. A producer publishes, fences, then
         // reads `state`; we write `state`, fence, then read the queues.
         // Whichever fence comes second sees the other side's write: the
         // producer finds this worker, or the re-check finds its item.
-        me.state.store(SLEEPING, Ordering::SeqCst);
+        me.state.store(how, Ordering::SeqCst);
         self.state.fetch_add(SLEEPER, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if ready() {
-            if me
-                .state
-                .compare_exchange(SLEEPING, AWAKE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.state.fetch_sub(SLEEPER, Ordering::SeqCst);
-            } else {
-                // A notifier picked us meanwhile (and took us out of the
-                // count). We are awake, which is all it wanted.
-                me.state.store(AWAKE, Ordering::SeqCst);
-            }
+            self.unannounce(me, how);
             return Idle::Ready;
         }
         on_park();
@@ -722,15 +823,25 @@ impl Sleep {
         let parked_at = self.now_ns();
         let running = (total.wrapping_sub(parked_at) << 1) | 1;
         me.parked_ns.store(running, Ordering::Release);
-        // A stale unpark token or a spurious return ends `park` early;
-        // only the notifier's state change ends the sleep.
-        while me.state.load(Ordering::SeqCst) != NOTIFIED {
-            std::thread::park();
-        }
-        me.state.store(AWAKE, Ordering::SeqCst);
+        block(me);
         let total = total + (self.now_ns() - parked_at);
         me.parked_ns.store(total << 1, Ordering::Release);
         Idle::Parked
+    }
+
+    /// Take an announced worker out of the count, awake.
+    fn unannounce(&self, me: &Sleeper, how: u32) {
+        if me
+            .state
+            .compare_exchange(how, AWAKE, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            self.state.fetch_sub(SLEEPER, Ordering::SeqCst);
+        } else {
+            // A notifier picked us meanwhile (and took us out of the
+            // count). We are awake, which is all it wanted.
+            me.state.store(AWAKE, Ordering::SeqCst);
+        }
     }
 
     /// Called after publishing an item: wake one announced worker, unless
@@ -754,22 +865,35 @@ impl Sleep {
 
     #[cold]
     fn wake(&self, mut n: usize) {
-        for worker in self.workers.iter() {
-            if n == 0 {
-                return;
-            }
-            if worker
-                .state
-                .compare_exchange(SLEEPING, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.state.fetch_sub(SLEEPER, Ordering::SeqCst);
-                worker
-                    .thread
-                    .get()
-                    .expect("a worker registers its thread before it announces")
-                    .unpark();
-                n -= 1;
+        // Workers parked on their threads first: the one blocked in the
+        // poller keeps polling unless nobody else is left to wake.
+        let kinds: &[u32] = if self.polls() {
+            &[SLEEPING, POLLING]
+        } else {
+            &[SLEEPING]
+        };
+        for &kind in kinds {
+            for worker in self.workers.iter() {
+                if n == 0 {
+                    return;
+                }
+                if worker
+                    .state
+                    .compare_exchange(kind, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    self.state.fetch_sub(SLEEPER, Ordering::SeqCst);
+                    if kind == POLLING {
+                        (self.poll_wake.get().expect("a poller has a waker"))();
+                    } else {
+                        worker
+                            .thread
+                            .get()
+                            .expect("a worker registers its thread before it announces")
+                            .unpark();
+                    }
+                    n -= 1;
+                }
             }
         }
     }
@@ -1459,12 +1583,53 @@ mod tests {
     /// and park race every time.
     #[test]
     fn no_wake_up_is_lost_between_announce_and_commit() {
+        lost_wake_up_stress(false);
+    }
+
+    /// The same stress where the workers drive a poller, as a TCP rank's
+    /// do: whoever takes it parks in its blocking wait (a stand-in that
+    /// only the poll waker ends) and gives it back when it wakes; the
+    /// others park on their threads. Half the pushes notify the
+    /// eventcount, which must reach the worker in the poller too; the
+    /// other half wake the poller only if somebody holds it, as a TCP
+    /// send does, which must be enough because a worker that could not
+    /// take the poller is handed it when it comes free.
+    #[test]
+    fn no_wake_up_is_lost_by_a_worker_parked_in_the_poller() {
+        lost_wake_up_stress(true);
+    }
+
+    /// A poller's blocking wait, ended by `wake` as an eventfd ends
+    /// `epoll_wait`.
+    #[derive(Default)]
+    struct StandInPoller {
+        woken: Mutex<bool>,
+        cv: parking_lot::Condvar,
+    }
+
+    impl StandInPoller {
+        fn wait(&self) {
+            let mut woken = self.woken.lock();
+            while !*woken {
+                self.cv.wait(&mut woken);
+            }
+            *woken = false;
+        }
+
+        fn wake(&self) {
+            *self.woken.lock() = true;
+            self.cv.notify_one();
+        }
+    }
+
+    fn lost_wake_up_stress(poll: bool) {
         const PRODUCERS: u64 = 2;
         const WORKERS: usize = 3;
         const PUSHES: u64 = 100_000;
         struct Shared {
             inj: Injector<u64>,
             sleep: Sleep,
+            poller: Arc<StandInPoller>,
             /// Bumped by a worker after a re-check that found nothing.
             rechecks: AtomicU64,
             taken: AtomicU64,
@@ -1476,10 +1641,15 @@ mod tests {
                 spin: false,
                 ..Sleep::new(WORKERS)
             },
+            poller: Arc::default(),
             rechecks: AtomicU64::new(0),
             taken: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         });
+        if poll {
+            let poller = shared.poller.clone();
+            shared.sleep.drive_poller(move || poller.wake());
+        }
         let (exited, exits) = mpsc::channel();
         for w in 0..WORKERS {
             let (shared, exited) = (shared.clone(), exited.clone());
@@ -1502,7 +1672,14 @@ mod tests {
                         }
                         ready
                     };
-                    shared.sleep.idle(w, ready, || {});
+                    let held = poll.then(|| shared.sleep.try_poll()).flatten();
+                    if held.is_some() {
+                        shared
+                            .sleep
+                            .idle_polling(w, ready, || {}, || shared.poller.wait());
+                    } else {
+                        shared.sleep.idle(w, ready, || {});
+                    }
                 }
                 exited.send(()).unwrap();
             });
@@ -1522,7 +1699,13 @@ mod tests {
                             std::thread::yield_now();
                         }
                         shared.inj.push(p * PUSHES + i);
-                        shared.sleep.notify_one();
+                        if poll && i % 2 == 1 {
+                            if shared.sleep.poller_held() {
+                                shared.poller.wake();
+                            }
+                        } else {
+                            shared.sleep.notify_one();
+                        }
                     }
                 })
             })
@@ -1574,6 +1757,62 @@ mod tests {
         assert_eq!(outcome, Idle::Ready);
         assert_eq!(sleep.state.load(Ordering::SeqCst), 0);
         assert_eq!(sleep.workers[0].state.load(Ordering::SeqCst), AWAKE);
+    }
+
+    /// The poller's side of the protocol, one rule at a time: a free
+    /// poller keeps an idle worker awake; a notify reaches the worker
+    /// parked in the poller through the poll waker; and a worker that
+    /// parked because the poller was held is woken to take it over when
+    /// it is given back.
+    #[test]
+    fn the_poller_is_free_woken_and_handed_over() {
+        // One worker slot per thread: a slot keeps the thread it first
+        // parked on.
+        let sleep = Arc::new(Sleep {
+            spin: false,
+            ..Sleep::new(3)
+        });
+        let poller = Arc::new(StandInPoller::default());
+        let waker = poller.clone();
+        sleep.drive_poller(move || waker.wake());
+        let park = || panic!("a free poller is a reason to be awake");
+        assert_eq!(sleep.idle(2, || false, park), Idle::Ready);
+
+        let parked_in_poller = std::thread::spawn({
+            let (sleep, poller) = (sleep.clone(), poller.clone());
+            move || {
+                let _held = sleep.try_poll().expect("nobody holds it");
+                sleep.idle_polling(0, || false, || {}, || poller.wait())
+            }
+        });
+        while sleep.sleeping() == 0 {
+            std::thread::yield_now();
+        }
+        sleep.notify_one();
+        assert_eq!(joined(parked_in_poller, "the notify"), Idle::Parked);
+
+        let held = sleep.try_poll().expect("given back");
+        let parked_on_thread = std::thread::spawn({
+            let sleep = sleep.clone();
+            move || sleep.idle(1, || false, || {})
+        });
+        while sleep.sleeping() == 0 {
+            std::thread::yield_now();
+        }
+        drop(held);
+        assert_eq!(joined(parked_on_thread, "the hand-over"), Idle::Parked);
+        assert!(sleep.poller_free());
+    }
+
+    /// `thread`'s result, once it has returned: parks are untimed, so a
+    /// lost wake-up fails here instead of hanging the run.
+    fn joined<T>(thread: std::thread::JoinHandle<T>, what: &str) -> T {
+        let t0 = Instant::now();
+        while !thread.is_finished() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "{what} was lost");
+            std::thread::yield_now();
+        }
+        thread.join().unwrap()
     }
 
     /// The spin is paced: a worker that keeps running dry uses up the lag

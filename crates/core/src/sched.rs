@@ -123,6 +123,12 @@ impl Task {
     }
 }
 
+/// Tasks a busy worker runs between two passes of the rank's event loop
+/// (TCP, `net/tcp.rs`): a rank whose workers never run dry still reads
+/// its sockets and writes its queues. A constant, as in other runtimes
+/// whose workers drive their I/O.
+const EVENT_INTERVAL: u32 = 61;
+
 /// Worker thread body. One per `(locality, worker index)`.
 pub(crate) fn worker_main(
     rt: Arc<RuntimeInner>,
@@ -131,6 +137,10 @@ pub(crate) fn worker_main(
     local: Local<Task>,
 ) {
     let loc = rt.localities[loc_idx].clone();
+    // Over TCP the rank's sockets are read and written by its workers: an
+    // idle one runs the event loop and parks in it (`net/tcp.rs`).
+    let drives = loc.sleep.polls();
+    let mut since_pass = 0u32;
     let mut search_started = Instant::now();
     // Set when this worker went idle: the next task it finds ends a
     // search, and the searcher passes the search on (below).
@@ -140,8 +150,9 @@ pub(crate) fn worker_main(
             Some(task) => {
                 // Producers skip the wake while a worker spins, trusting
                 // it to find their task. It found one; if that was not
-                // all, the rest needs another pair of hands.
-                if std::mem::take(&mut was_idle) && loc.has_work() {
+                // all, the rest needs another pair of hands — and a
+                // poller this worker left behind needs an idle one.
+                if std::mem::take(&mut was_idle) && (loc.has_work() || loc.sleep.poller_free()) {
                     loc.sleep.notify_one();
                 }
                 let found = Instant::now();
@@ -156,6 +167,13 @@ pub(crate) fn worker_main(
                     done.duration_since(found).as_nanos() as u64
                 );
                 search_started = done;
+                if drives {
+                    since_pass += 1;
+                    if since_pass == EVENT_INTERVAL {
+                        since_pass = 0;
+                        rt.wire.drive(None);
+                    }
+                }
             }
             None => {
                 // SeqCst: the re-check inside `idle` must see a shutdown
@@ -165,21 +183,31 @@ pub(crate) fn worker_main(
                     return;
                 }
                 was_idle = true;
-                let parked = loc.sleep.idle(
-                    worker_idx,
-                    || loc.has_work() || stop(),
-                    || {
-                        bump!(loc.counters.parks);
-                        // The search ends here. The park is timed by
-                        // `sleep`, whose clock can be read while this
-                        // worker is still parked (a starved worker never
-                        // wakes to report it).
-                        bump!(
-                            loc.counters.idle_ns,
-                            search_started.elapsed().as_nanos() as u64
-                        );
-                    },
-                );
+                let mut ready = || loc.has_work() || stop();
+                let on_park = || {
+                    bump!(loc.counters.parks);
+                    // The search ends here. The park is timed by `sleep`,
+                    // whose clock can be read while this worker is still
+                    // parked (a starved worker never wakes to report it).
+                    bump!(
+                        loc.counters.idle_ns,
+                        search_started.elapsed().as_nanos() as u64
+                    );
+                };
+                // The poller, when nobody holds it: a pass that reads,
+                // pulls and writes, then its blocking wait as the park.
+                let mut parked = Idle::Ready;
+                let polled = drives
+                    && rt.wire.drive(Some(&mut |wait| {
+                        parked = loc
+                            .sleep
+                            .idle_polling(worker_idx, &mut ready, on_park, wait);
+                    }));
+                if polled {
+                    since_pass = 0;
+                } else {
+                    parked = loc.sleep.idle(worker_idx, &mut ready, on_park);
+                }
                 if parked == Idle::Parked {
                     search_started = Instant::now();
                 }

@@ -163,9 +163,9 @@ counters! {
     /// the port at the deadline its first record armed. No hold over
     /// TCP: zero there.
     batch_flush_timer,
-    /// Frames the TCP I/O thread pulled out of a port after a sender's
-    /// kick — whatever gathered while the thread was waking or busy — or
-    /// that the shutdown drain took (either backend).
+    /// Frames a pass of the TCP event loop pulled out of a port after a
+    /// sender's kick — whatever gathered since the last pass — or that
+    /// the shutdown drain took (either backend).
     batch_flush_pulled,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the

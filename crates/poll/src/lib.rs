@@ -5,7 +5,7 @@
 //! a nonblocking `connect(2)` — as direct `extern "C"` declarations
 //! against the platform libc, the same way the other stand-ins under
 //! `vendor/` replace their crates.io originals. It is deliberately not
-//! a general mio: one [`Poller`] per I/O thread, level-triggered
+//! a general mio: one [`Poller`] per event loop, level-triggered
 //! readiness, `u64` tokens chosen by the caller, and a thread-safe
 //! [`Poller::wake`] so other threads can interrupt a blocking
 //! [`Poller::wait`].

@@ -60,6 +60,64 @@ impl Action for Access {
 
 const OBJECT_BYTES: usize = 64;
 
+/// Run for `ms` milliseconds on the worker that took it, after telling
+/// `started` (if given) that it began. Returns `ms`.
+struct Busy;
+impl Action for Busy {
+    const NAME: &'static str = "dist/busy";
+    type Args = (u64, Option<Gid>);
+    type Out = u64;
+    fn execute(ctx: &mut Ctx<'_>, _t: Gid, (ms, started): Self::Args) -> u64 {
+        if let Some(started) = started {
+            ctx.trigger(started, &()).expect("unit encodes");
+        }
+        std::thread::sleep(Duration::from_millis(ms));
+        ms
+    }
+}
+
+/// Swallow a chunk of bytes.
+struct Sink;
+impl Action for Sink {
+    const NAME: &'static str = "dist/sink";
+    type Args = Vec<u8>;
+    type Out = ();
+    fn execute(_ctx: &mut Ctx<'_>, _t: Gid, _bytes: Vec<u8>) {}
+}
+
+/// Bulk bytes per `Sink` parcel.
+const CHUNK: usize = 64 * 1024;
+
+/// From inside one task, send `n` chunks to the `Sink` at `to`, each
+/// reply setting the and-gate `done`.
+struct Flood;
+impl Action for Flood {
+    const NAME: &'static str = "dist/flood";
+    type Args = (Gid, u64, Gid);
+    type Out = ();
+    fn execute(ctx: &mut Ctx<'_>, _t: Gid, (to, n, done): Self::Args) {
+        for _ in 0..n {
+            let cont = Continuation::set(done);
+            ctx.send::<Sink>(to, vec![0x5A; CHUNK], cont)
+                .expect("bytes encode");
+        }
+    }
+}
+
+/// This process's runtime threads' voluntary context switches so far.
+struct Switches;
+impl Action for Switches {
+    const NAME: &'static str = "dist/switches";
+    type Args = ();
+    type Out = u64;
+    fn execute(_ctx: &mut Ctx<'_>, _t: Gid, (): ()) -> u64 {
+        let px = threads()
+            .into_iter()
+            .filter(|(_, name)| name.starts_with("px-"));
+        px.map(|(task, _)| voluntary_switches_of(&task)).sum()
+    }
+}
+
 /// Requests per soak run: 10⁶ in release (CI's soak leg); a tenth in
 /// the debug profile tier-1 runs, where every request also pays the
 /// spend obligation and the lock-order check.
@@ -151,6 +209,10 @@ fn build(cfg: Config) -> Runtime {
         .register::<Square>()
         .register::<Slice>()
         .register::<Access>()
+        .register::<Busy>()
+        .register::<Sink>()
+        .register::<Flood>()
+        .register::<Switches>()
         .build()
         .unwrap()
 }
@@ -209,7 +271,8 @@ fn dist_child_entry() {
         .map(|r| r.parse().expect("numeric rank"))
         .unwrap_or(1);
     let rt = match mode.as_str() {
-        "quiet" | "soak" => build_batched(rank, addrs, 16),
+        "quiet" | "soak" | "switches" => build_batched(rank, addrs, 16),
+        "two-workers" => build(Config::small(addrs.len(), 2).with_tcp(rank, addrs)),
         _ => build_rt(
             rank,
             addrs,
@@ -242,6 +305,14 @@ fn dist_child_entry() {
         }
         "drive" => {
             drive_from_rank_one(&rt);
+            rt.shutdown();
+        }
+        // Flood rank 0 from inside one task while it floods this rank,
+        // then serve until the parent is done too.
+        "flood" => {
+            flood(&rt, LocalityId(rank), LocalityId(0));
+            let mut sink = String::new();
+            let _ = std::io::stdin().read_to_string(&mut sink);
             rt.shutdown();
         }
         // Serve the soak, then check this rank's store came back to
@@ -476,9 +547,9 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 
 /// The event-loop transport's headline invariant, measured across real
 /// OS processes: this rank's thread count is **flat** as the mesh grows
-/// from 1 peer to 7 — the transport always runs exactly one I/O thread,
-/// never a thread (pair) per peer — and a batched TCP rank runs no
-/// thread for its coalescing ports: the I/O thread pulls them.
+/// from 1 peer to 7 — the transport runs no thread at all, the rank's
+/// workers read and write its sockets — and a batched TCP rank runs no
+/// thread for its coalescing ports either: the loop's passes pull them.
 ///
 /// `/proc/self/task` is process-wide and sibling tests in this binary
 /// run TCP runtimes of their own, so rank 0 of the measured meshes is a
@@ -522,9 +593,9 @@ fn count_threads_as_rank_zero() {
         }
         assert_eq!(
             px_threads(),
-            ["px-L0-w0", "px-balancer", "px-tcp-io"],
-            "one worker, the balancer, one transport I/O thread and \
-             nothing for the ports at {ranks} ranks"
+            ["px-L0-w0", "px-balancer"],
+            "one worker, the balancer, and nothing for the transport or \
+             the ports at {ranks} ranks"
         );
         counts.push(threads().len());
         for child in &mut children {
@@ -578,7 +649,15 @@ fn voluntary_switches(name: &str) -> u64 {
         assert!(t0.elapsed() < BOUND, "no thread named {name}");
         std::thread::sleep(Duration::from_millis(1));
     };
-    let status = std::fs::read_to_string(task.join("status")).expect("thread status");
+    voluntary_switches_of(&task)
+}
+
+/// Voluntary context switches so far of the thread at `task`
+/// (`/proc/self/task/<tid>`); 0 once it has exited.
+fn voluntary_switches_of(task: &std::path::Path) -> u64 {
+    let Ok(status) = std::fs::read_to_string(task.join("status")) else {
+        return 0;
+    };
     let line = status
         .lines()
         .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
@@ -595,9 +674,9 @@ fn wakeups_while_idle(name: &str) -> u64 {
 }
 
 /// "An idle mesh makes zero wakeups" (`net/tcp.rs`), with batching on:
-/// the I/O thread blocks in `epoll_wait` until a socket or a sender's
-/// kick has something for it — no timer ticks over the ports. Measured
-/// in a child that runs nothing but rank 0 (`idle-tcp` mode).
+/// the idle worker blocks in `epoll_wait`, untimed, until a socket or a
+/// sender's kick has something for it — no timer ticks over the ports.
+/// Measured in a child that runs nothing but rank 0 (`idle-tcp` mode).
 #[test]
 fn an_idle_batched_mesh_makes_no_wakeups() {
     let mut child = spawn_child_at("idle-tcp", &[], 0);
@@ -618,8 +697,8 @@ fn idle_as_rank_zero() {
     rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
         .unwrap();
     assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(25));
-    let woke = wakeups_while_idle("px-tcp-io");
-    assert!(woke < 10, "px-tcp-io woke {woke} times in 300 idle ms");
+    let woke = wakeups_while_idle("px-L0-w0");
+    assert!(woke < 10, "the worker woke {woke} times in 300 idle ms");
     drop(peer.stdin.take());
     assert!(peer.wait().unwrap().success());
     rt.shutdown();
@@ -675,8 +754,9 @@ fn idle_in_process() {
 /// Nothing strands in a port. With the peer known dead, K parcels —
 /// fewer than the cap, so no `Full` flush will take them — sit in a
 /// coalescing port that no timer visits: the first one's kick has to
-/// bring the I/O thread, whose pull finds the peer dead and kills each
-/// of them loudly. Every waiter faults, and exactly K deaths are counted.
+/// bring the worker parked in the loop, whose pull finds the peer dead
+/// and kills each of them loudly. Every waiter faults, and exactly K
+/// deaths are counted.
 #[test]
 fn parcels_left_in_a_port_toward_a_dead_peer_all_die_loudly() {
     const K: u64 = 5;
@@ -1156,5 +1236,141 @@ fn killed_peer_leaves_a_causally_ordered_cross_rank_trace() {
         merged.events.iter().all(|e| e.trace == trace),
         "one request, one id, both ranks"
     );
+    rt.shutdown();
+}
+
+/// Send `CHUNKS` chunks from inside one task at `me` toward `peer`, and
+/// wait until every one has been run there.
+fn flood(rt: &Runtime, me: LocalityId, peer: LocalityId) {
+    const CHUNKS: u64 = 128; // 8 MiB: twice the queue bound
+    let done = rt.new_and_gate(me, CHUNKS);
+    let args = (Gid::locality_root(peer), CHUNKS, done);
+    rt.send_action::<Flood>(Gid::locality_root(me), args, Continuation::none())
+        .unwrap();
+    let done = FutureRef::<()>::from_gid(done);
+    assert_eq!(
+        done.wait_timeout(rt, BOUND).unwrap(),
+        Some(()),
+        "{me} flooded"
+    );
+}
+
+/// A sender blocked on a peer's byte bound runs the loop itself: two
+/// single-worker ranks each send 8 MiB to the other from inside one task.
+/// Each task stops at the queue bound with nobody else to write its
+/// queue or read the peer's bytes — its own passes do both.
+#[test]
+fn single_worker_ranks_flooding_each_other_both_complete() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("flood", &addrs);
+    let rt = build_rt(0, addrs, false, false, false);
+    flood(&rt, LocalityId(0), LocalityId(1));
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success(), "rank 1's flood failed");
+    assert_eq!(rt.stats().total().dead_parcels, 0);
+    rt.shutdown();
+}
+
+/// The poller is attended whenever a worker is idle: on a two-worker
+/// rank, while one worker runs a 300 ms task, the other takes the loop,
+/// and a request to that rank is answered before the task ends.
+#[test]
+fn a_remote_request_is_answered_while_a_sibling_worker_is_busy() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("two-workers", &addrs);
+    let rt = build_rt(0, addrs, false, false, false);
+    let root = Gid::locality_root(LocalityId(1));
+    let started = rt.new_future::<()>(LocalityId(0));
+    let busy = rt.new_future::<u64>(LocalityId(0));
+    let args = (300, Some(started.gid()));
+    rt.send_action::<Busy>(root, args, Continuation::set(busy.gid()))
+        .unwrap();
+    // Sent from inside the busy task: the other worker wrote it.
+    assert_eq!(started.wait_timeout(&rt, BOUND).unwrap(), Some(()));
+    let square = rt.new_future::<u64>(LocalityId(0));
+    rt.send_action::<Square>(root, 7, Continuation::set(square.gid()))
+        .unwrap();
+    assert_eq!(square.wait_timeout(&rt, BOUND).unwrap(), Some(49));
+    assert_eq!(
+        busy.wait_timeout(&rt, Duration::ZERO).unwrap(),
+        None,
+        "answered only once the busy task ended"
+    );
+    assert_eq!(busy.wait_timeout(&rt, BOUND).unwrap(), Some(300));
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+    rt.shutdown();
+}
+
+/// What this side holds toward a peer that stops reading is bounded:
+/// rank 1's only worker runs a 1 s task while rank 0 submits 64 MiB to
+/// it. The queue and the write batch each stop at the byte bound, so the
+/// high-watermark of both together reaches the bound (the sender blocked
+/// there) and stays under two bounds and a message; afterwards every
+/// chunk arrives.
+#[test]
+fn a_peer_that_stops_reading_is_held_to_two_byte_bounds() {
+    /// `net::tcp`'s per-peer byte bound.
+    const SEND_QUEUE_BYTES: u64 = 4 << 20;
+    const CHUNKS: u64 = 1024; // 64 MiB
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("plain", &addrs);
+    let rt = build_rt(0, addrs, false, false, false);
+    let root = Gid::locality_root(LocalityId(1));
+    rt.send_action::<Busy>(root, (1000, None), Continuation::none())
+        .unwrap();
+    let done = rt.new_and_gate(LocalityId(0), CHUNKS);
+    for _ in 0..CHUNKS {
+        rt.send_action::<Sink>(root, vec![0xA5; CHUNK], Continuation::set(done))
+            .unwrap();
+    }
+    let done = FutureRef::<()>::from_gid(done);
+    assert_eq!(done.wait_timeout(&rt, BOUND).unwrap(), Some(()));
+    let hwm = rt.stats().transport.peers[0].queue_bytes_hwm;
+    eprintln!("held at most {hwm} bytes toward the busy peer");
+    let message = CHUNK as u64 + 64;
+    assert!(
+        (SEND_QUEUE_BYTES..=2 * SEND_QUEUE_BYTES + message).contains(&hwm),
+        "held {hwm} bytes toward a peer that stopped reading"
+    );
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+    rt.shutdown();
+}
+
+/// Counts, not times: a request served by an idle TCP rank costs that
+/// rank one block, in the poller, on the thread that then runs it. 2 000
+/// serial requests, the serving rank's runtime threads' voluntary
+/// context switches counted around them.
+#[test]
+fn a_served_request_costs_the_serving_rank_one_block() {
+    const REQUESTS: u64 = 2_000;
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("switches", &addrs);
+    let rt = build_batched(0, addrs, 16);
+    let root = Gid::locality_root(LocalityId(1));
+    let ask = |n: u64| {
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        rt.send_action::<Square>(root, n, Continuation::set(fut.gid()))
+            .unwrap();
+        assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(n * n));
+    };
+    let switches = || {
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        rt.send_action::<Switches>(root, (), Continuation::set(fut.gid()))
+            .unwrap();
+        fut.wait_timeout(&rt, BOUND).unwrap().expect("a count")
+    };
+    (0..200).for_each(ask);
+    let before = switches();
+    (0..REQUESTS).for_each(ask);
+    let per_request = (switches() - before) as f64 / REQUESTS as f64;
+    eprintln!("serving rank: {per_request:.3} voluntary switches per request");
+    assert!(
+        per_request < 1.5,
+        "{per_request:.3} blocks per served request"
+    );
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
     rt.shutdown();
 }
