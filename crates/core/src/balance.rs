@@ -27,13 +27,14 @@
 //!      owners, via the same store-move + directory-update + bounded
 //!      forwarding chase as a manual `migrate_data`.
 //!
-//! One pulse thread serves all localities of the (simulated) machine, but
+//! One pulse line serves all localities of the (simulated) machine, but
 //! every *decision* reads only the deciding locality's own monitor and
 //! gossip view — the information flow between localities is parcels, so
 //! the design transplants directly onto a distributed AGAS.
 
 use crate::action::Value;
 use crate::agas::MigrationCause;
+use crate::clock::{Clock, Later, Line, Thread};
 use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{Locality, NO_SPAWN_TARGET};
@@ -45,7 +46,6 @@ use crate::stats::bump;
 use crate::sys;
 use px_balance::{BalanceConfig, LoadSample, PlacementQuery, ShedQuery};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 
 /// When shedding, give up after putting back this many non-sheddable
@@ -53,22 +53,20 @@ use std::sync::Arc;
 /// cheap instead of trawling the whole injector).
 const PUTBACK_LIMIT: usize = 32;
 
-/// Balancer thread body. Exits when `stop` closes (runtime shutdown).
-pub(crate) fn balancer_main(rt: Arc<RuntimeInner>, stop: Receiver<()>) {
-    let cfg = rt
-        .config
-        .balance
-        .clone()
-        .expect("balancer thread spawned without balance config");
-    let n = rt.localities.len();
-    let mut round: u64 = 0;
-    let mut last_parks = vec![0u64; n];
-    loop {
-        match stop.recv_timeout(cfg.gossip_interval) {
-            Err(RecvTimeoutError::Timeout) => {}
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
+/// The pulse line's one item: the last round run and the park counts it
+/// saw. Each round re-arms it one gossip interval on.
+pub(crate) type Pulse = (u64, Vec<u64>);
+
+/// The balancer pulse, when configured: a line whose round re-arms itself
+/// until the line closes (`Runtime::shutdown`, before the workers stop).
+pub(crate) fn pulse(rt: &Arc<RuntimeInner>, clock: &Clock) -> Option<Line<Pulse>> {
+    let cfg = rt.config.balance.clone()?;
+    let (n, every, rt) = (rt.localities.len(), cfg.gossip_interval, rt.clone());
+    let round = move |(round, mut last_parks): Pulse, later: &mut Later<'_, Pulse>| {
+        if later.closing {
+            return; // stopping: no round, and no re-arm for the flush to chase
         }
-        round += 1;
+        let round = round + 1;
         sample_all(&rt, round, &mut last_parks);
         if n > 1 {
             gossip_round(&rt, round, n);
@@ -81,7 +79,11 @@ pub(crate) fn balancer_main(rt: Arc<RuntimeInner>, stop: Receiver<()>) {
             // distributed home directory.
             act_round(&rt, &cfg);
         }
-    }
+        (later.after)(every, (round, last_parks));
+    };
+    let line = Line::new(clock, Thread::Balancer, Arc::new(round));
+    line.send_in((0, vec![0; n]), every);
+    Some(line)
 }
 
 /// Record one load sample per locality and self-observe the new score.
@@ -378,9 +380,11 @@ mod tests {
     use crate::prelude::*;
     use std::time::{Duration, Instant};
 
+    const GOSSIP: Duration = Duration::from_micros(500);
+
     fn balanced_config(localities: usize, cfg: BalanceConfig) -> Config {
         Config::small(localities, 1).with_balance(BalanceConfig {
-            gossip_interval: Duration::from_micros(500),
+            gossip_interval: GOSSIP,
             ..cfg
         })
     }
@@ -396,20 +400,22 @@ mod tests {
         ok()
     }
 
+    /// On a stepped clock: each advance of one gossip interval runs
+    /// exactly one round — a sample at each of the three localities — and
+    /// no test sleeps to let rounds pass.
     #[test]
     fn gossip_fills_peer_views() {
+        let clock = crate::clock::stepped::Stepper::default();
         let rt = RuntimeBuilder::new(balanced_config(3, BalanceConfig::adaptive()))
+            .stepped(&clock)
             .build()
             .unwrap();
-        assert!(
-            wait_until(Duration::from_secs(5), || {
-                let s = rt.stats().total();
-                s.gossip_parcels >= 6 && s.gossip_rounds >= 6
-            }),
-            "gossip never circulated: {:?}",
-            rt.stats().total()
-        );
-        // Every locality should have heard about every other.
+        for k in 1..=4 {
+            clock.advance(GOSSIP);
+            assert_eq!(rt.stats().total().gossip_rounds, 3 * k);
+        }
+        // Two rounds sent each view to both peers; every locality has
+        // heard about every other once its worker merged them.
         for loc in rt.inner().localities.iter() {
             let b = loc.balance.as_ref().unwrap();
             assert!(

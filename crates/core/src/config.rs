@@ -102,10 +102,8 @@ impl Config {
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
     /// disables batching). `n` is the cap: a coalescing port also flushes
     /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
-    /// leaves at the next pass of the TCP event loop — or,
-    /// in-process, when the deadline its first record put on the delay
-    /// line's heap falls due, [`crate::net::FLUSH_INTERVAL`] later. None
-    /// of that is configurable.
+    /// leaves at the backend's next pass: the TCP event loop's, or
+    /// in-process the delay line's. None of that is configurable.
     pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
         self.max_batch_parcels = n.max(1);
         self

@@ -66,6 +66,7 @@
 pub mod action;
 pub mod agas;
 pub(crate) mod balance;
+pub(crate) mod clock;
 pub mod config;
 pub mod ctx;
 pub mod echo;

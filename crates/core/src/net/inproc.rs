@@ -8,17 +8,19 @@
 //! pinned against: version-1 frames, identical delay arithmetic,
 //! identical queue discipline, zero added bytes.
 //!
-//! With batching on, the line's heap also holds the coalescing ports'
-//! deadlines (`super`, Batching): the line is this wire's one clock and
-//! one thread, and it blocks while nothing is pending.
+//! With batching on, a kick puts a pull of the coalescing ports on the
+//! line, due at once (`super`, Batching): the line's thread pulls at its
+//! next pass, as the TCP event loop does at its own. The line is this
+//! wire's one thread, and it blocks while nothing is pending.
 
-use super::delay::{DelayLine, Sink};
-use super::{PortSet, Transport, WireModel, WireMsg, FLUSH_INTERVAL};
+use super::delay::DelayLine;
+use super::{PortSet, Transport, WireModel, WireMsg};
+use crate::clock::{Clock, Sink};
 use crate::gid::LocalityId;
 use crate::locality::{Lane, Locality};
 use crate::sched::{Task, Work};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What rides the delay line.
 enum Line {
@@ -29,9 +31,11 @@ enum Line {
         msg: WireMsg,
         submitted: Option<Instant>,
     },
-    /// A port deadline: ship what the ports toward `dest` still hold of
-    /// records that landed by `armed`.
-    Hold { dest: LocalityId, armed: Instant },
+    /// A kick at `kicked`: pull the ports toward `dest` if they still hold
+    /// the frame opened by then. A later frame has a kick of its own, so a
+    /// pull that waited out a busy port does not chase the sender into it
+    /// and ship it one record at a time.
+    Pull { dest: LocalityId, kicked: Instant },
 }
 
 /// Queue-push transport with injectable latency (the default backend).
@@ -40,13 +44,18 @@ pub(crate) struct InProcTransport {
     /// Sampled once at build (registries are attached pre-share), so the
     /// metrics-off submit path pays a single bool check.
     metrics_on: bool,
-    /// The wire's ports, once adopted: pulled at their deadlines.
+    /// The wire's ports, once adopted: pulled when kicked.
     ports: Arc<OnceLock<Arc<PortSet>>>,
 }
 
 impl InProcTransport {
-    /// Build the backend for `localities` under `model`.
-    pub(crate) fn new(model: WireModel, localities: Arc<Vec<Arc<Locality>>>) -> InProcTransport {
+    /// Build the backend for `localities` under `model`, its line on
+    /// `clock`.
+    pub(crate) fn new(
+        model: WireModel,
+        localities: Arc<Vec<Arc<Locality>>>,
+        clock: &Clock,
+    ) -> InProcTransport {
         let metrics_on = localities.iter().any(|l| l.metrics.is_some());
         let ports = Arc::new(OnceLock::<Arc<PortSet>>::new());
         let adopted = ports.clone();
@@ -65,26 +74,25 @@ impl InProcTransport {
                 loc.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
                 loc.deliver(lane, task);
             }
-            Line::Hold { dest, armed } => {
-                let ports = adopted
-                    .get()
-                    .expect("a deadline is armed by an adopted port");
+            Line::Pull { dest, kicked } => {
+                let ports = adopted.get().expect("a kick comes from an adopted port");
                 let dest_loc = &localities[dest.0 as usize];
-                let took_all = ports.pull(dest, dest_loc, Some(armed), |lane, bytes, submitted| {
-                    let at = Instant::now() + model.delay_for(bytes.len());
-                    let msg = WireMsg::Frame { dest, lane, bytes };
-                    later(Line::Msg { msg, submitted }, at);
-                });
+                let took_all =
+                    ports.pull(dest, dest_loc, Some(kicked), |lane, bytes, submitted| {
+                        let delay = model.delay_for(bytes.len());
+                        let msg = WireMsg::Frame { dest, lane, bytes };
+                        (later.after)(delay, Line::Msg { msg, submitted });
+                    });
                 if !took_all {
                     // A sender holds a port, perhaps blocked on this
                     // line's full channel: look again once the thread
                     // has drained it.
-                    later(Line::Hold { dest, armed }, Instant::now());
+                    (later.after)(Duration::ZERO, Line::Pull { dest, kicked });
                 }
             }
         });
         InProcTransport {
-            line: DelayLine::with_sink(model, sink),
+            line: DelayLine::with_sink(model, sink, clock),
             metrics_on,
             ports,
         }
@@ -99,8 +107,7 @@ impl Transport for InProcTransport {
 
     fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool {
         // Batching an instant wire would only add latency: there is no
-        // per-message transport cost to amortize, and no thread to keep
-        // a port's deadline.
+        // per-message transport cost to amortize, and no thread to pull.
         if self.line.model().is_instant() {
             return false;
         }
@@ -109,9 +116,9 @@ impl Transport for InProcTransport {
     }
 
     fn kick(&self, dest: LocalityId) {
-        let armed = Instant::now();
+        let kicked = Instant::now();
         self.line
-            .send_at(Line::Hold { dest, armed }, armed + FLUSH_INTERVAL);
+            .send_in(Line::Pull { dest, kicked }, Duration::ZERO);
     }
 
     fn shutdown(&mut self) {

@@ -11,8 +11,7 @@
 //!                    │    │                 InProcTransport  TcpTransport
 //!                    │    │                 (DelayLine +     (sockets, one
 //!                    │    │                  queue pushes)    peer/process)
-//!                    │    └─ delay-line thread ────┘              │
-//!                    │       (a deadline on its heap, per kick)   │
+//!                    │    └─ the delay line's next pass ┘         │
 //!                    └── the event loop's next pass (a worker's) ─┘
 //! ```
 //!
@@ -129,30 +128,21 @@
 //! [`px_wire::FrameBuf`] into which parcels are encoded *in place*. A
 //! port flushes its frame as one wire message when it reaches
 //! `max_batch_parcels` records or [`MAX_BATCH_BYTES`] bytes (the sender
-//! does that itself). A frame that does not fill leaves by the backend's
-//! own means, and the sender whose record lands in an *empty* port kicks
-//! whoever that is:
-//!
-//! * **TCP: the event loop pulls.** The kick wakes the loop's holder
-//!   (one `Poller::wake`, skipped when nobody holds it: whoever takes the
-//!   loop next pulls first); at the top of every send pass the loop takes
-//!   whatever both lanes' ports toward each peer hold and queues it,
-//!   under the port lock (port → peer queue, the nesting a sender's full
-//!   flush takes — so same-peer order holds across both). No timer:
-//!   batching is paid for by load. An idle port ships its first record
-//!   at the next pass — a worker's own replies at the one before it
-//!   parks; a burst rides one frame; a backlog fills frames to the cap
-//!   while the workers are busy.
-//! * **In-process: the delay line pulls at a deadline.** The kick puts
-//!   one [`FLUSH_INTERVAL`] out on the line's `(time, seq)` heap; when it
-//!   falls due the line's thread pulls that destination's ports, taking
-//!   only a port that still holds the records that armed it, and puts
-//!   the frame on the same heap. The hold is what gathers a frame: a
-//!   pull at the kick would ship one per record.
-//!
-//! Either way the backend keeps the wire's one clock without a thread
-//! of the wire's own, and an idle runtime makes no wakeups. The shutdown
-//! drain pulls every port.
+//! does that itself). A frame that does not fill leaves by one rule on
+//! both backends: the sender whose record lands in an *empty* port kicks
+//! the backend, which pulls the port at its next pass — whatever gathered
+//! there meanwhile rides one frame. No timer: batching is paid for by
+//! load. Over TCP the kick wakes the event loop's holder (skipped when
+//! nobody holds it: whoever takes the loop next pulls first), and every
+//! send pass pulls both lanes' ports toward each peer under the port lock
+//! (port → peer queue, the nesting a sender's full flush takes, so
+//! same-peer order holds across both). In-process the kick puts a pull
+//! due at once on the delay line, whose thread ships the frame that
+//! kicked — if a sender holds the port it looks again, but never ships a
+//! later frame, which has a kick of its own — on the same `(time, seq)`
+//! queue after the wire's delay. Either way the wire
+//! runs no thread of its own, an idle runtime makes no wakeups, and the
+//! shutdown drain pulls every port.
 //!
 //! The in-process delay model is applied per frame
 //! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
@@ -161,7 +151,7 @@
 //!
 //! Ordering: under a pure-latency model, parcels to the same destination
 //! stay in submission order within and across frames (frames ride the
-//! same `(time, seq)` min-heap the single-parcel path used). Two
+//! same `(time, seq)` queue the single-parcel path uses). Two
 //! relaxations, both of the "simultaneous messages are unordered, like a
 //! real network" kind the pre-batching wire already documented:
 //!
@@ -169,9 +159,9 @@
 //!   small frame submitted after a large one can overtake it at a frame
 //!   boundary (the old wire had the same property per *parcel*);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
-//!   ports — a task sent after a still-coalescing parcel can arrive up
-//!   to [`FLUSH_INTERVAL`] earlier (in-process; closures do not cross
-//!   the TCP backend at all). Code that needs a parcel's effects
+//!   ports — a task sent after a still-coalescing parcel can overtake it
+//!   while it waits for the line's next pass (in-process; closures do not
+//!   cross the TCP backend at all). Code that needs a parcel's effects
 //!   visible to a subsequently spawned closure must sequence through an
 //!   LCO, not through submission order.
 //!
@@ -199,7 +189,7 @@ use crate::gid::LocalityId;
 use crate::locality::{Lane, Locality};
 use crate::parcel::Parcel;
 use crate::sched::Task;
-use crate::stats::{bump, TransportStats};
+use crate::stats::{bump, Counter, TransportStats};
 use parking_lot::Mutex;
 use px_wire::FrameBuf;
 use std::sync::Arc;
@@ -246,10 +236,6 @@ impl WireModel {
 
 /// Byte budget of a coalesced frame: a port flushes on reaching it.
 pub const MAX_BATCH_BYTES: usize = 32 * 1024;
-/// How long the in-process wire holds a port open: the deadline a kick
-/// puts on the delay line's heap. The TCP backend has no such hold: its
-/// event loop pulls the ports at its next pass.
-pub const FLUSH_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Flush policy for the per-destination coalescing ports.
 ///
@@ -333,10 +319,10 @@ pub(crate) trait Transport: Send + Sync {
     fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool;
 
     /// A record landed in an empty port toward `dest`; the adopting
-    /// backend must pull it. TCP wakes the thread holding its event loop,
-    /// if one does (many kicks before the pull count as one);
-    /// in-process puts a deadline [`FLUSH_INTERVAL`] out on the delay
-    /// line. Called outside the port lock; never waits for a port.
+    /// backend must pull it at its next pass. TCP wakes the thread holding
+    /// its event loop, if one does (many kicks before the pull count as
+    /// one); in-process puts a pull due at once on the delay line. Called
+    /// outside the port lock; never waits for a port.
     fn kick(&self, dest: LocalityId);
 
     /// Frame format version the ports should encode with
@@ -376,37 +362,21 @@ pub(crate) trait Transport: Send + Sync {
 /// What [`Transport::drive`] hands the loop's blocking wait to.
 pub(crate) type Park<'a> = &'a mut dyn FnMut(&mut dyn FnMut());
 
-/// Why a port's frame was flushed (drives stats attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlushCause {
-    /// Hit `max_batch_parcels` or `max_batch_bytes`.
-    Full,
-    /// The in-process hold expired: the delay line's thread pulled the
-    /// port at its deadline.
-    Timer,
-    /// Pulled by a pass of the TCP event loop after a kick, or by the
-    /// shutdown drain (either backend).
-    Pulled,
-}
-
 /// One coalescing queue: pending frame plus when its oldest record landed.
 struct Port {
     frame: FrameBuf,
-    /// Stamped when a record lands in the empty port: the in-process
-    /// deadline checks it, and it is the `NetRtt` stamp of a pulled frame.
+    /// Stamped when a record lands in the empty port: the frame's identity
+    /// to an in-process pull, and the `NetRtt` stamp of a pulled frame.
     opened_at: Option<Instant>,
 }
 
 impl Port {
     /// Take the pending frame and its stamp (`None` when empty), booked
-    /// under `cause`. The caller ships it while still holding the port
-    /// lock, so frames reach the backend in the order their records
-    /// reached the port.
-    fn take(
-        &mut self,
-        cause: FlushCause,
-        dest_loc: &Locality,
-    ) -> Option<(Vec<u8>, Option<Instant>)> {
+    /// under `cause`: `batch_flush_full` (the sender, at the cap) or
+    /// `batch_flush_pulled` (a backend's pass, or the shutdown drain). The
+    /// caller ships it while still holding the port lock, so frames reach
+    /// the backend in the order their records reached the port.
+    fn take(&mut self, cause: &Counter, dest_loc: &Locality) -> Option<(Vec<u8>, Option<Instant>)> {
         if self.frame.is_empty() {
             return None;
         }
@@ -415,11 +385,7 @@ impl Port {
         // Counted at flush, under the port lock, so coalesced_parcels and
         // frames_sent advance together and their ratio never exceeds the cap.
         bump!(dest_loc.counters.coalesced_parcels, records - 1);
-        match cause {
-            FlushCause::Full => bump!(dest_loc.counters.batch_flush_full),
-            FlushCause::Timer => bump!(dest_loc.counters.batch_flush_timer),
-            FlushCause::Pulled => bump!(dest_loc.counters.batch_flush_pulled),
-        }
+        bump!(cause);
         Some((self.frame.take(), self.opened_at.take()))
     }
 }
@@ -452,34 +418,31 @@ impl PortSet {
         &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
     }
 
-    /// The backend thread's half: hand `ship` whatever both lanes' ports
-    /// toward `dest` hold, with the stamp of each frame's oldest record,
-    /// booked `Pulled` — or, for an in-process deadline armed at `hold`,
-    /// booked `Timer` and only if that record landed by then. `ship` runs
-    /// under the port lock (the nesting a sender's `Full` flush takes),
-    /// so same-destination order holds across both. Never waits for a
-    /// port: a sender may hold one while blocked on the very queue the
-    /// puller drains. Returns `false` when a held port was skipped — the
-    /// caller pulls again once it has drained.
+    /// The backend's half: hand `ship` whatever both lanes' ports toward
+    /// `dest` hold — only a frame opened by `opened_by`, when given — with
+    /// the stamp of each frame's oldest record, booked
+    /// `batch_flush_pulled`. `ship` runs under the port lock (the nesting
+    /// a sender's full flush takes), so same-destination order holds.
+    /// Never waits for a port: a sender may hold one while blocked on the
+    /// very queue the puller drains. Returns `false` when a held port was
+    /// skipped — the caller pulls again once it has drained.
     pub(crate) fn pull(
         &self,
         dest: LocalityId,
         dest_loc: &Locality,
-        hold: Option<Instant>,
+        opened_by: Option<Instant>,
         mut ship: impl FnMut(Lane, Vec<u8>, Option<Instant>),
     ) -> bool {
-        let mut all = true;
+        let (mut all, pulled) = (true, &dest_loc.counters.batch_flush_pulled);
         for lane in [Lane::Run, Lane::Staged] {
             let Some(mut port) = self.port(dest, lane).try_lock() else {
                 all = false;
                 continue;
             };
-            let cause = match hold {
-                None => FlushCause::Pulled,
-                Some(armed) if port.opened_at.is_some_and(|t| t <= armed) => FlushCause::Timer,
-                Some(_) => continue,
-            };
-            if let Some((bytes, opened_at)) = port.take(cause, dest_loc) {
+            if opened_by.is_some_and(|by| port.opened_at.is_none_or(|t| t > by)) {
+                continue;
+            }
+            if let Some((bytes, opened_at)) = port.take(pulled, dest_loc) {
                 ship(lane, bytes, opened_at);
             }
         }
@@ -548,7 +511,7 @@ impl Wire {
         if port.frame.record_count() as usize >= policy.max_batch_parcels
             || port.frame.len() >= policy.max_batch_bytes
         {
-            if let Some((bytes, _)) = port.take(FlushCause::Full, dest_loc) {
+            if let Some((bytes, _)) = port.take(&dest_loc.counters.batch_flush_full, dest_loc) {
                 let len = bytes.len();
                 self.transport
                     .submit(WireMsg::Frame { dest, lane, bytes }, len);
@@ -619,6 +582,7 @@ mod tests {
     use super::inproc::InProcTransport;
     use super::*;
     use crate::action::Value;
+    use crate::clock::{stepped::Stepper, Clock};
     use crate::gid::Gid;
     use crate::parcel::Continuation;
 
@@ -647,12 +611,40 @@ mod tests {
         )
     }
 
-    fn test_wire(model: WireModel, locs: &Arc<Vec<Arc<Locality>>>, policy: BatchPolicy) -> Wire {
-        Wire::new(
-            Arc::new(InProcTransport::new(model, locs.clone())),
-            locs.clone(),
-            policy,
-        )
+    fn test_wire(
+        latency: Duration,
+        locs: &Arc<Vec<Arc<Locality>>>,
+        policy: BatchPolicy,
+        clock: &Clock,
+    ) -> Wire {
+        let model = WireModel::with_latency(latency);
+        let transport = InProcTransport::new(model, locs.clone(), clock);
+        Wire::new(Arc::new(transport), locs.clone(), policy)
+    }
+
+    /// A wire whose line runs on a stepped clock: nothing moves until the
+    /// test advances it.
+    fn stepped_wire(
+        latency: Duration,
+        locs: &Arc<Vec<Arc<Locality>>>,
+        policy: BatchPolicy,
+    ) -> (Stepper, Wire) {
+        let clock = Stepper::default();
+        let wire = test_wire(latency, locs, policy, &Clock::Stepped(clock.clone()));
+        (clock, wire)
+    }
+
+    const LATENCY: Duration = Duration::from_micros(10);
+
+    /// A stepped wire over a 10 µs line with `n` parcels sent toward
+    /// locality 1, all before the line's next pass.
+    fn burst(policy: BatchPolicy, n: usize) -> (Arc<Vec<Arc<Locality>>>, Stepper, Wire) {
+        let locs = test_localities(2);
+        let (clock, wire) = stepped_wire(LATENCY, &locs, policy);
+        for _ in 0..n {
+            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+        }
+        (locs, clock, wire)
     }
 
     fn noop_parcel(dest: LocalityId) -> Parcel {
@@ -675,23 +667,6 @@ mod tests {
         (tasks, parcels)
     }
 
-    /// Drain `loc`'s injector until `parcels` have arrived: the delay
-    /// thread may deliver frames on either side of a drain.
-    fn await_parcels(loc: &Locality, parcels: usize) -> (usize, usize) {
-        let t0 = Instant::now();
-        let mut got = (0, 0);
-        while got.1 < parcels {
-            let (t, p) = drain_count(loc);
-            got = (got.0 + t, got.1 + p);
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "parcels never arrived"
-            );
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        got
-    }
-
     /// Ports with no cap but `max_batch_parcels`.
     fn cap(max_batch_parcels: usize) -> BatchPolicy {
         BatchPolicy {
@@ -700,33 +675,11 @@ mod tests {
         }
     }
 
-    /// A fresh wire over a 10 µs line with `n` parcels sent toward
-    /// locality 1 inside one hold. The hold is a constant, so a test
-    /// thread preempted mid-burst — a deadline may have cut the burst —
-    /// reruns it on a fresh wire instead.
-    fn burst(policy: BatchPolicy, n: usize) -> (Arc<Vec<Arc<Locality>>>, Wire) {
-        let p = noop_parcel(LocalityId(1));
-        loop {
-            let locs = test_localities(2);
-            let wire = test_wire(
-                WireModel::with_latency(Duration::from_micros(10)),
-                &locs,
-                policy,
-            );
-            let t0 = Instant::now();
-            for _ in 0..n {
-                wire.send_parcel(LocalityId(1), p.clone());
-            }
-            if t0.elapsed() < FLUSH_INTERVAL {
-                return (locs, wire);
-            }
-        }
-    }
-
     #[test]
     fn batch_flushes_on_parcel_count() {
-        let (locs, _wire) = burst(cap(4), 8);
-        assert_eq!(await_parcels(&locs[1], 8), (2, 8), "two frames of four");
+        let (locs, clock, _wire) = burst(cap(4), 8);
+        clock.advance(LATENCY);
+        assert_eq!(drain_count(&locs[1]), (2, 8), "two frames of four");
         assert_eq!(locs[1].counters.frames_sent.get(), 2);
         assert_eq!(locs[1].counters.batch_flush_full.get(), 2);
         assert_eq!(
@@ -738,67 +691,68 @@ mod tests {
 
     #[test]
     fn batch_flushes_on_byte_budget() {
-        let locs = test_localities(2);
-        let wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(50)),
-            &locs,
-            BatchPolicy {
-                max_batch_parcels: usize::MAX,
-                max_batch_bytes: 64,
-            },
-        );
-        let p = noop_parcel(LocalityId(1));
-        for _ in 0..4 {
-            wire.send_parcel(LocalityId(1), p.clone());
-        }
-        await_parcels(&locs[1], 1);
+        let budget = BatchPolicy {
+            max_batch_parcels: usize::MAX,
+            max_batch_bytes: 64,
+        };
+        let (locs, clock, _wire) = burst(budget, 4);
+        clock.advance(LATENCY);
+        assert_eq!(drain_count(&locs[1]).1, 4);
         assert!(locs[1].counters.batch_flush_full.get() >= 1);
     }
 
+    /// A lone record leaves at the line's next pass: the kick's pull is
+    /// due at once, so over a 50 µs line the record arrives when the
+    /// clock has moved exactly 50 µs.
     #[test]
-    fn a_deadline_ships_stragglers() {
+    fn a_lone_record_leaves_at_the_lines_next_pass() {
+        let latency = Duration::from_micros(50);
         let locs = test_localities(2);
-        let wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
-            &locs,
-            cap(1000),
-        );
-        let t0 = Instant::now();
+        let (clock, wire) = stepped_wire(latency, &locs, cap(1000));
         wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
-        assert_eq!(await_parcels(&locs[1], 1), (1, 1));
-        assert!(t0.elapsed() >= FLUSH_INTERVAL, "shipped before the hold");
-        assert_eq!(locs[1].counters.batch_flush_timer.get(), 1);
+        clock.advance(latency - Duration::from_nanos(1));
+        assert_eq!(drain_count(&locs[1]), (0, 0), "still on the wire");
+        assert_eq!(locs[1].counters.batch_flush_pulled.get(), 1, "pulled");
+        clock.advance(Duration::from_nanos(1));
+        assert_eq!(drain_count(&locs[1]), (1, 1));
     }
 
-    /// A deadline ships only the records that armed it. The shape of
-    /// `examples/batched_transport` — 4 096 parcels, cap 32, a 50 µs
-    /// line — from a sender that fills a frame well inside the hold:
-    /// every frame's opening arms a deadline that falls due among
-    /// younger records, and a deadline that shipped those would cut
-    /// most frames short.
+    /// Records that land between two passes ride one frame: the first
+    /// one's kick arms the pull, and the rest find the port open.
     #[test]
-    fn a_deadline_ships_only_the_records_that_armed_it() {
-        let locs = test_localities(2);
-        let mut wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(50)),
-            &locs,
-            BatchPolicy::new(32),
-        );
-        let p = noop_parcel(LocalityId(1));
-        for _ in 0..4096 {
-            wire.send_parcel(LocalityId(1), p.clone());
+    fn records_that_land_between_two_passes_ride_one_frame() {
+        let (locs, clock, wire) = burst(cap(1000), 5);
+        clock.advance(LATENCY);
+        assert_eq!(drain_count(&locs[1]), (1, 5));
+        for _ in 0..3 {
+            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
         }
-        wire.shutdown();
-        assert_eq!(drain_count(&locs[1]).1, 4096);
+        clock.advance(LATENCY);
+        assert_eq!(drain_count(&locs[1]), (1, 3));
         let c = &locs[1].counters;
-        let (frames, full) = (c.frames_sent.get(), c.batch_flush_full.get());
-        assert!(4 * full >= 3 * frames, "{full} of {frames} frames full");
+        assert_eq!((c.frames_sent.get(), c.batch_flush_pulled.get()), (2, 2));
+        assert_eq!(c.coalesced_parcels.get(), 4 + 2);
     }
 
-    /// `NetRtt` means the same on both backends: a frame a deadline
-    /// pulled is timed from its oldest record's landing in the port, so
-    /// a straggler alone in its port reads at least the hold plus the
-    /// line's latency.
+    /// An in-process pull ships only the frame that kicked it: a later
+    /// frame has a kick of its own, and a pull that waited out a busy port
+    /// must not chase the sender into it one record at a time.
+    #[test]
+    fn a_pull_ships_only_the_frame_that_kicked_it() {
+        let stale = Instant::now();
+        let (locs, _clock, wire) = burst(cap(1000), 1);
+        let (ports, dest) = (wire.ports.as_ref().unwrap(), LocalityId(1));
+        let mut shipped = 0;
+        assert!(ports.pull(dest, &locs[1], Some(stale), |_, _, _| shipped += 1));
+        assert_eq!(shipped, 0, "the frame opened after that kick");
+        assert!(ports.pull(dest, &locs[1], Some(Instant::now()), |_, _, _| shipped += 1));
+        assert_eq!(shipped, 1);
+    }
+
+    /// `NetRtt` means the same on both backends: a pulled frame is timed
+    /// from its oldest record's landing in the port, so a straggler alone
+    /// in its port reads at least the line's latency. On the real clock:
+    /// the stamps are real time.
     #[test]
     fn a_pulled_frame_is_timed_from_its_oldest_record() {
         let locs: Arc<Vec<Arc<Locality>>> = Arc::new(
@@ -811,19 +765,19 @@ mod tests {
                 .collect(),
         );
         let latency = Duration::from_micros(50);
-        let wire = test_wire(
-            WireModel::with_latency(latency),
-            &locs,
-            BatchPolicy::new(16),
-        );
+        let wire = test_wire(latency, &locs, BatchPolicy::new(16), &Clock::Real);
         for _ in 0..50 {
             wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
-            await_parcels(&locs[1], 1);
+            let t0 = Instant::now();
+            while drain_count(&locs[1]).1 == 0 {
+                assert!(t0.elapsed() < Duration::from_secs(5), "never arrived");
+                std::thread::sleep(Duration::from_micros(50));
+            }
         }
         let metrics = locs[1].metrics.as_ref().unwrap().snapshot();
         let rtt = metrics.get(crate::metrics::Instrument::NetRtt);
         assert_eq!(rtt.count, 50);
-        let floor = (FLUSH_INTERVAL + latency).as_nanos() as u64;
+        let floor = latency.as_nanos() as u64;
         assert!(rtt.quantile(0.5) >= floor, "p50 {} ns", rtt.quantile(0.5));
     }
 
@@ -831,26 +785,16 @@ mod tests {
     /// shutdown leaves in one frame each, booked `Pulled`.
     #[test]
     fn shutdown_drains_ports() {
-        for _ in 0..100 {
-            let (locs, mut wire) = burst(cap(1000), 3);
-            wire.shutdown();
-            assert_eq!(drain_count(&locs[1]), (1, 3), "one frame, every parcel");
-            // Rerun when the deadline beat the drain to it.
-            if locs[1].counters.batch_flush_pulled.get() == 1 {
-                return;
-            }
-        }
-        panic!("the deadline shipped the port every time: the drain never ran");
+        let (locs, _clock, mut wire) = burst(cap(1000), 3);
+        wire.shutdown();
+        assert_eq!(drain_count(&locs[1]), (1, 3), "one frame, every parcel");
+        assert_eq!(locs[1].counters.batch_flush_pulled.get(), 1);
     }
 
     #[test]
     fn staged_and_plain_parcels_batch_separately() {
         let locs = test_localities(2);
-        let mut wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
-            &locs,
-            cap(1000),
-        );
+        let (_clock, mut wire) = stepped_wire(LATENCY, &locs, cap(1000));
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
@@ -869,11 +813,7 @@ mod tests {
     #[test]
     fn unbatched_policy_sends_single_parcels() {
         let locs = test_localities(2);
-        let mut wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
-            &locs,
-            BatchPolicy::new(1),
-        );
+        let (_clock, mut wire) = stepped_wire(LATENCY, &locs, BatchPolicy::new(1));
         let p = noop_parcel(LocalityId(1));
         let n = wire.send_parcel(LocalityId(1), p.clone());
         assert_eq!(n, p.encode().len());
@@ -893,7 +833,7 @@ mod tests {
     /// in-process wire.
     #[test]
     fn inproc_frames_are_bit_identical_to_frame_buf() {
-        let (locs, mut wire) = burst(cap(1000), 3);
+        let (locs, _clock, mut wire) = burst(cap(1000), 3);
         wire.shutdown();
         let p = noop_parcel(LocalityId(1));
         let mut expected = px_wire::FrameBuf::new();

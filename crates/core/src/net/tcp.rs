@@ -1093,7 +1093,6 @@ mod tests {
         let sent = &locs_a[1].counters;
         let (full, pulled) = (sent.batch_flush_full.get(), sent.batch_flush_pulled.get());
         assert!(full > 0 && pulled > 0, "{full} full, {pulled} pulled");
-        assert_eq!(sent.batch_flush_timer.get(), 0, "no timer runs over TCP");
         wire.shutdown();
         b.shutdown();
     }

@@ -8,10 +8,10 @@
 //! the bootstrap barrier and the failure semantics).
 
 use super::{Park, TcpShared, SEND_QUEUE_BYTES};
+use crate::clock::Timers;
 use crate::error::FaultCause;
 use px_poll::{Event, Interest, WAKE_TOKEN};
 use px_wire::stream::{self, msg_kind, StreamAssembler, WriteBatch};
-use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -85,7 +85,6 @@ struct InConn {
 }
 
 /// Timed work folded into the poll timeout (never a sleep).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
     /// Retry the outbound connect to a peer (bootstrap only).
     Retry(u16),
@@ -105,7 +104,7 @@ pub(super) struct IoLoop {
     peers: Vec<Option<PeerIo>>,
     inbound: Vec<Option<InConn>>,
     inbound_seq: u64,
-    timers: BinaryHeap<std::cmp::Reverse<(Instant, TimerKind)>>,
+    timers: Timers<TimerKind>,
     /// Barrier state: which peers have handshaked in.
     seen_in: Vec<bool>,
     heard: usize,
@@ -150,7 +149,7 @@ impl IoLoop {
             peers,
             inbound: Vec::new(),
             inbound_seq: 0,
-            timers: BinaryHeap::new(),
+            timers: Timers::new(),
             seen_in: vec![false; n],
             heard: 0,
             barrier: None,
@@ -166,7 +165,7 @@ impl IoLoop {
             io.fail_bootstrap("tcp: registering the listener failed".into());
             return io;
         }
-        io.arm_timer(bootstrap_deadline, TimerKind::Bootstrap);
+        io.timers.push(bootstrap_deadline, TimerKind::Bootstrap);
         // Kick off the outbound mesh: every peer starts connecting now.
         for j in 0..io.peers.len() as u16 {
             if io.peers[j as usize].is_some() {
@@ -203,8 +202,7 @@ impl IoLoop {
     /// all.
     fn wait(&mut self, block: bool) {
         let timeout = if block && !self.again {
-            let next = self.timers.peek();
-            next.map(|std::cmp::Reverse((at, _))| at.saturating_duration_since(Instant::now()))
+            self.timers.timeout(Instant::now())
         } else {
             Some(Duration::ZERO)
         };
@@ -255,17 +253,9 @@ impl IoLoop {
 
     // -- timers -------------------------------------------------------------
 
-    fn arm_timer(&mut self, at: Instant, kind: TimerKind) {
-        self.timers.push(std::cmp::Reverse((at, kind)));
-    }
-
     fn fire_due_timers(&mut self) {
         let now = Instant::now();
-        while let Some(std::cmp::Reverse((at, _))) = self.timers.peek() {
-            if *at > now {
-                break;
-            }
-            let std::cmp::Reverse((_, kind)) = self.timers.pop().expect("peeked");
+        while let Some(kind) = self.timers.pop_due(now) {
             match kind {
                 TimerKind::Retry(j) => {
                     if self.barrier.is_none() && matches!(self.peer_io(j).conn, Conn::Backoff) {
@@ -320,11 +310,11 @@ impl IoLoop {
         let out_ready = self.peers.iter().flatten().filter(|p| p.hello_done).count();
         if self.heard == n - 1 && out_ready == n - 1 {
             self.barrier = Some(Ok(()));
-            // Every connection is up: what is left on the heap for
+            // Every connection is up: what is left on the queue for
             // dialling and for the barrier is moot, and a loop with
             // nothing to time blocks untimed.
             self.timers
-                .retain(|std::cmp::Reverse((_, kind))| matches!(kind, TimerKind::HelloTimeout(..)));
+                .retain(|kind| matches!(kind, TimerKind::HelloTimeout(..)));
         }
     }
 
@@ -358,7 +348,7 @@ impl IoLoop {
                     Ok(()) => {
                         io.conn = Conn::Connecting(stream);
                         io.registered = Some(Interest::WRITABLE);
-                        self.arm_timer(
+                        self.timers.push(
                             Instant::now() + CONNECT_ATTEMPT_TIMEOUT,
                             TimerKind::ConnectTimeout(j, seq),
                         );
@@ -384,7 +374,8 @@ impl IoLoop {
         let io = self.peer_io(j);
         io.registered = None;
         io.conn = Conn::Backoff;
-        self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
+        self.timers
+            .push(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
     }
 
     /// The one failure transition: a connection to or from `j` is gone,
@@ -646,7 +637,7 @@ impl IoLoop {
                         self.inbound[idx] = None;
                         continue;
                     }
-                    self.arm_timer(
+                    self.timers.push(
                         Instant::now() + HANDSHAKE_TIMEOUT,
                         TimerKind::HelloTimeout(idx, self.inbound_seq),
                     );
@@ -775,7 +766,7 @@ impl IoLoop {
     pub(super) fn shut_down(mut self) {
         self.fail_bootstrap("tcp bootstrap aborted by shutdown".into());
         let deadline = Instant::now() + SHUTDOWN_DRAIN;
-        self.arm_timer(deadline, TimerKind::Drain);
+        self.timers.push(deadline, TimerKind::Drain);
         // Pull whatever was queued before the queues closed.
         self.pump_sends();
         while self.pending() && Instant::now() < deadline {

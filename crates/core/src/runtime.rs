@@ -20,6 +20,7 @@ pub use crate::ctx::Ctx;
 
 use crate::action::{Action, ActionRegistry, Value};
 use crate::agas::Agas;
+use crate::clock::{Clock, Line, Thread};
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
@@ -36,7 +37,7 @@ use crate::sys;
 use parking_lot::{Mutex, RwLock};
 use serde::{de::DeserializeOwned, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -237,6 +238,8 @@ pub struct RuntimeBuilder {
     errors: Vec<PxError>,
     dead_letter: Option<DeadLetterHook>,
     dead_letter_traced: Option<TracedDeadLetterHook>,
+    /// The real clock, except in tests that step it (`stepped`).
+    clock: Clock,
 }
 
 impl RuntimeBuilder {
@@ -248,6 +251,7 @@ impl RuntimeBuilder {
             errors: Vec::new(),
             dead_letter: None,
             dead_letter_traced: None,
+            clock: Clock::Real,
         }
     }
 
@@ -346,6 +350,7 @@ impl RuntimeBuilder {
             TransportKind::InProc => Arc::new(crate::net::inproc::InProcTransport::new(
                 self.config.wire,
                 localities.clone(),
+                &self.clock,
             )),
             TransportKind::Tcp(tcp) => Arc::new(crate::net::tcp::TcpTransport::bootstrap(
                 tcp,
@@ -395,28 +400,14 @@ impl RuntimeBuilder {
         for (li, rings) in rings.into_iter().enumerate() {
             for (wi, ring) in rings.into_iter().enumerate() {
                 let rt = inner.clone();
-                joins.push(
-                    std::thread::Builder::new()
-                        .name(format!("px-L{li}-w{wi}"))
-                        .spawn(move || crate::sched::worker_main(rt, li, wi, ring))
-                        .expect("spawn worker"),
-                );
+                let worker = move || crate::sched::worker_main(rt, li, wi, ring);
+                joins.push(crate::clock::spawn(Thread::Worker(li, wi), worker));
             }
         }
-        // The balancer pulse: one thread closing the telemetry → placement
+        // The balancer pulse: one line closing the telemetry → placement
         // loop for all localities (decisions still read only per-locality
         // gossip state; see `crate::balance`).
-        let balancer = if inner.config.balance.is_some() {
-            let (stop_tx, stop_rx) = sync_channel::<()>(1);
-            let rt = inner.clone();
-            let handle = std::thread::Builder::new()
-                .name("px-balancer".into())
-                .spawn(move || crate::balance::balancer_main(rt, stop_rx))
-                .expect("spawn balancer thread");
-            Some((stop_tx, handle))
-        } else {
-            None
-        };
+        let balancer = crate::balance::pulse(&inner, &self.clock);
         Ok(Runtime {
             inner,
             joins: Mutex::new(Some(joins)),
@@ -429,7 +420,7 @@ impl RuntimeBuilder {
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     joins: Mutex<Option<Vec<JoinHandle<()>>>>,
-    balancer: Mutex<Option<(SyncSender<()>, JoinHandle<()>)>>,
+    balancer: Mutex<Option<Line<crate::balance::Pulse>>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -621,12 +612,9 @@ impl Runtime {
     /// dropped a parcel it had taken charge of ([`crate::parcel`]).
     pub fn shutdown(&self) {
         // Stop the balancer first so no new gossip/shed traffic races the
-        // worker teardown (closing the channel stops the thread).
+        // worker teardown (dropping its line stops it; no round runs after).
         let balancer = self.balancer.lock().take();
-        if let Some((stop, handle)) = balancer {
-            drop(stop);
-            let _ = handle.join();
-        }
+        drop(balancer);
         let joins = self.joins.lock().take();
         if let Some(joins) = joins {
             // SeqCst, then notify: a worker either is found announced by
@@ -914,6 +902,15 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
 
+    impl RuntimeBuilder {
+        /// Run the runtime's lines (the delay line, the balancer pulse) on
+        /// a stepped clock the test advances.
+        pub(crate) fn stepped(mut self, clock: &crate::clock::stepped::Stepper) -> Self {
+            self.clock = Clock::Stepped(clock.clone());
+            self
+        }
+    }
+
     #[test]
     fn boot_and_shutdown() {
         let rt = RuntimeBuilder::new(Config::small(2, 2)).build().unwrap();
@@ -1029,8 +1026,8 @@ mod tests {
             .with_latency(Duration::from_micros(200))
             .with_max_batch_parcels(8);
         let rt = RuntimeBuilder::new(cfg).build().unwrap();
-        // 20 triggers cross the wire to an and-gate at locality 1: two
-        // full frames of 8 plus a timer-flushed straggler frame of 4.
+        // 20 triggers cross the wire to an and-gate at locality 1: full
+        // frames of 8, and what the delay line's passes pull in between.
         let gate = rt.new_and_gate(LocalityId(1), 20);
         for _ in 0..20 {
             rt.trigger(gate, &()).unwrap();

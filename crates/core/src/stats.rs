@@ -159,13 +159,13 @@ counters! {
     coalesced_parcels,
     /// Frames flushed because they hit `max_batch_parcels`/`max_batch_bytes`.
     batch_flush_full,
-    /// Frames the in-process hold shipped: the delay line's thread pulled
-    /// the port at the deadline its first record armed. No hold over
-    /// TCP: zero there.
+    /// Always 0: neither backend holds a port on a timer (both pull it
+    /// at their next pass). A dead row, kept because pxmark's
+    /// `net.flush_timer_share` reads it.
     batch_flush_timer,
-    /// Frames a pass of the TCP event loop pulled out of a port after a
-    /// sender's kick — whatever gathered since the last pass — or that
-    /// the shutdown drain took (either backend).
+    /// Frames a backend's pass pulled out of a port after a sender's kick
+    /// — whatever gathered since the last pass, at the TCP event loop's
+    /// or the in-process delay line's — or that the shutdown drain took.
     batch_flush_pulled,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the

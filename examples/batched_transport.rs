@@ -33,11 +33,11 @@ fn run(label: &str, max_batch_parcels: usize) -> f64 {
     let pps = PARCELS as f64 / elapsed.as_secs_f64();
     println!(
         "{label:>9}: {PARCELS} parcels in {elapsed:>8.2?}  ({pps:>9.0} parcels/s)  \
-         frames {:>4}  parcels/frame {:>5.1}  flush full/timer {}/{}",
+         frames {:>4}  parcels/frame {:>5.1}  flush full/pulled {}/{}",
         total.frames_recv,
         total.parcels_per_frame(),
         total.batch_flush_full,
-        total.batch_flush_timer,
+        total.batch_flush_pulled,
     );
     rt.shutdown();
     pps

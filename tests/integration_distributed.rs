@@ -591,6 +591,9 @@ fn count_threads_as_rank_zero() {
                 .expect("remote result within the bound");
             assert_eq!(got, u64::from(r) * u64::from(r));
         }
+        // The balancer takes no part in the round trip: under load it may
+        // not have run, and so named itself, yet.
+        voluntary_switches("px-balancer");
         assert_eq!(
             px_threads(),
             ["px-L0-w0", "px-balancer"],
@@ -705,7 +708,7 @@ fn idle_as_rank_zero() {
 }
 
 /// Idle is quiet in-process too, on one thread: the delay line is that
-/// wire's only clock — a port's hold is a deadline on its heap — and with
+/// wire's only thread — a kick puts a port pull on its heap — and with
 /// nothing pending it blocks until a submission. Here because the counts
 /// need a process of their own (`idle-inproc` mode), like the thread
 /// counts above.
@@ -731,13 +734,13 @@ fn idle_in_process() {
     std::thread::sleep(Duration::from_millis(100));
     let woke = wakeups_while_idle("px-delay-line");
     assert!(woke <= 1, "woke {woke} times before any traffic");
-    // One parcel in an otherwise empty port: only its deadline ships it.
+    // One parcel in an otherwise empty port: the line's next pass pulls it.
     let fut = rt.new_future::<u64>(LocalityId(0));
     let to = Gid::locality_root(LocalityId(1));
     rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
         .unwrap();
     assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(25));
-    assert!(rt.stats().total().batch_flush_timer >= 1);
+    assert!(rt.stats().total().batch_flush_pulled >= 1);
     // Counted after the round trip, which every thread took part in (a
     // thread names itself once it runs).
     assert_eq!(

@@ -1,6 +1,6 @@
-//! Two conventions about atomics that no compiler or clippy lint can hold
-//! (none gates on an `Ordering` argument), kept by reading the source as
-//! lines of text — no lexer:
+//! Three conventions no compiler or clippy lint can hold, kept by
+//! reading the source as lines of text — no lexer. Two are about atomics
+//! (no lint gates on an `Ordering` argument):
 //!
 //! * `Ordering::Relaxed` is justified where it is written. A statistic is
 //!   a `px_core::stats::Counter`, relaxed by construction with the reason
@@ -13,6 +13,10 @@
 //! * The `TraceRing` seqlock keeps its four legs, pinned as the text they
 //!   are written in: weakening or rewording one is a decision made here
 //!   too.
+//!
+//! The third is px-core's one clock: its product code spells a sleep, a
+//! timed channel wait, a thread spawn or a `BinaryHeap` only in
+//! `crates/core/src/clock.rs`, the seam for timers and threads.
 //!
 //! A file's trailing `#[cfg(test)] mod` and test/bench directories are
 //! exempt.
@@ -29,14 +33,20 @@ fn says_relaxed(comment: &str) -> bool {
     comment.to_ascii_lowercase().contains("relaxed")
 }
 
-/// 1-based numbers of the lines of `src` that spell `Ordering::Relaxed`
-/// without a justification (see the module docs).
-fn unjustified_relaxed(src: &str) -> Vec<usize> {
+/// The lines of `src` as (code, comment), up to its trailing test module.
+fn product_lines(src: &str) -> Vec<(&str, &str)> {
     let mut lines: Vec<(&str, &str)> = src.lines().map(split).collect();
     let tests_at = lines
         .windows(2)
         .position(|w| w[0].0 == "#[cfg(test)]" && w[1].0.starts_with("mod "));
     lines.truncate(tests_at.unwrap_or(lines.len()));
+    lines
+}
+
+/// 1-based numbers of the lines of `src` that spell `Ordering::Relaxed`
+/// without a justification (see the module docs).
+fn unjustified_relaxed(src: &str) -> Vec<usize> {
+    let lines = product_lines(src);
     let relaxed = |code: &str| code.contains("Ordering::Relaxed");
     let justified = |at: usize| {
         if says_relaxed(lines[at].1) {
@@ -82,6 +92,18 @@ fn missing_seqlock_legs(src: &str) -> Vec<&'static str> {
     missing.copied().collect()
 }
 
+/// 1-based numbers of the lines of `src` whose code spells what px-core
+/// spells only in its clock module.
+fn timers_outside_the_clock(src: &str) -> Vec<usize> {
+    let words = "thread::sleep recv_timeout thread::spawn thread::Builder BinaryHeap";
+    let spelled = |code: &str| words.split(' ').any(|word| code.contains(word));
+    let lines = product_lines(src).into_iter().enumerate();
+    lines
+        .filter(|(_, line)| spelled(line.0))
+        .map(|(at, _)| at + 1)
+        .collect()
+}
+
 fn walk(dir: &Path, visit: &mut dyn FnMut(&Path, &str)) {
     for entry in std::fs::read_dir(dir).unwrap().map(Result::unwrap) {
         let (path, name) = (entry.path(), entry.file_name());
@@ -124,7 +146,38 @@ fn the_trace_ring_seqlock_keeps_its_four_legs() {
     assert_eq!(missing_seqlock_legs(&src), Vec::<&str>::new());
 }
 
-// ---- the scan itself, on fixture strings --------------------------------
+#[test]
+fn px_core_keeps_its_timers_and_threads_in_its_clock() {
+    let (root, mut found) = (Path::new(env!("CARGO_MANIFEST_DIR")), Vec::new());
+    walk(&root.join("crates/core/src"), &mut |path, src| {
+        let lines = timers_outside_the_clock(src).into_iter();
+        found.extend(lines.map(|n| format!("{}:{n}", path.display())));
+    });
+    assert!(found.len() >= 3, "the scan lost its subject: {found:?}");
+    found.retain(|at| !at.contains("/clock.rs:"));
+    assert!(
+        found.is_empty(),
+        "a timer outside `clock.rs`:\n{}",
+        found.join("\n")
+    );
+}
+
+// ---- the scans themselves, on fixture strings ----------------------------
+
+#[test]
+fn a_timer_or_thread_outside_the_clock_is_caught() {
+    let src = "\
+fn poll(rx: &Receiver<()>, q: BinaryHeap<u8>) {
+    let _ = rx.recv_timeout(TICK); // a hand-rolled timer
+    // std::thread::spawn named in a comment is fine, and so is yield_now
+    std::thread::Builder::new().spawn(f);
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::thread::sleep(TICK); }
+}";
+    assert_eq!(timers_outside_the_clock(src), [1, 2, 4]);
+}
 
 #[test]
 fn unjustified_relaxed_is_flagged() {
