@@ -34,7 +34,7 @@
 //! `run()` prints the transport table, the 8- and 16-rank mesh table and
 //! the E12-over-TCP table ([`crate::e12_tcp`]).
 
-use crate::mesh::{join_peers, reserve_addrs, spawn_peers};
+use crate::mesh::{join_peers, launch};
 use crate::table::{f2, print_table};
 use px_core::prelude::*;
 use px_core::stats::TransportStats;
@@ -117,15 +117,13 @@ pub struct MeshRow {
 
 /// This experiment's runtime at `rank` of the mesh at `addrs`: rank 0
 /// in the measuring process, ranks 1..n via [`crate::mesh::maybe_child`].
-pub(crate) fn rank_runtime(rank: u16, addrs: Vec<String>) -> Runtime {
+pub(crate) fn rank_builder(rank: u16, addrs: Vec<String>) -> RuntimeBuilder {
     let cfg = Config::small(addrs.len(), 1)
         .with_tcp(rank, addrs)
         .with_max_batch_parcels(16);
     RuntimeBuilder::new(cfg)
         .register::<Sq>()
         .register::<Threads>()
-        .build()
-        .expect("mesh rank bootstrap")
 }
 
 /// Run the workload against an already-built runtime.
@@ -178,12 +176,10 @@ fn inproc_rt(latency: Duration) -> Runtime {
     RuntimeBuilder::new(cfg).register::<Sq>().build().unwrap()
 }
 
-/// Run the TCP leg: reserve ports, re-execute ourselves as rank 1,
-/// measure, tear down. Returns the row and rank 0's transport stats.
+/// Run the TCP leg: bind, re-execute ourselves as rank 1, measure, tear
+/// down. Returns the row and rank 0's transport stats.
 fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, TransportStats) {
-    let addrs = reserve_addrs(2);
-    let peers = spawn_peers(&addrs, "e14", child_args);
-    let rt = rank_runtime(0, addrs);
+    let (rt, peers) = launch(2, "e14", child_args, |addrs| rank_builder(0, addrs));
     let row = measure(&rt, "tcp-2proc", p);
     let stats = rt.stats();
     assert_eq!(
@@ -200,9 +196,7 @@ fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, TransportStats) {
 /// spawned peers, spawn/await traffic round-robined across every peer,
 /// thread counts collected in-band via the `Threads` action.
 fn mesh_leg(ranks: usize, p: Params, child_args: &[&str]) -> MeshRow {
-    let addrs = reserve_addrs(ranks);
-    let peers = spawn_peers(&addrs, "e14", child_args);
-    let rt = rank_runtime(0, addrs);
+    let (rt, peers) = launch(ranks, "e14", child_args, |addrs| rank_builder(0, addrs));
 
     // Pipelined: every parcel in flight at once, spread over all peers.
     let t0 = Instant::now();

@@ -1,11 +1,12 @@
 //! The self-exec TCP mesh launcher shared by E14 and E12-over-TCP.
 //!
-//! Rank 0 is the experiment's own process; ranks 1..n are re-executions
-//! of the same binary that find their rank, the address list and the
-//! role they serve in the environment, build that role's runtime, serve
-//! until the parent closes their stdin, and exit.
+//! Rank 0 is the experiment's own process, bound before any other rank
+//! starts; ranks 1..n are re-executions of the same binary that find
+//! their rank, rank 0's address, the rank count and the role they serve
+//! in the environment, bind a port the kernel picks, build that role's
+//! runtime, serve until the parent closes their stdin, and exit.
 
-use px_core::prelude::Runtime;
+use px_core::prelude::{Runtime, RuntimeBuilder};
 use std::io::Read;
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -13,8 +14,10 @@ use std::process::{Child, Command, Stdio};
 /// The environment variable that turns an invocation of this binary
 /// into a serving rank of a mesh.
 pub const RANK_ENV: &str = "PX_MESH_RANK";
-const ADDRS_ENV: &str = "PX_MESH_ADDRS";
-/// Which experiment's peer to build: see [`maybe_child`].
+/// Rank 0's address, the rank count, and which experiment's peer to
+/// build (see [`maybe_child`]).
+const RANK0_ENV: &str = "PX_MESH_RANK0";
+const RANKS_ENV: &str = "PX_MESH_RANKS";
 const ROLE_ENV: &str = "PX_MESH_ROLE";
 
 /// Arguments that route a re-executed *libtest* binary to the test that
@@ -29,51 +32,59 @@ pub fn maybe_child() {
     let Ok(rank) = std::env::var(RANK_ENV) else {
         return;
     };
+    let var = |name: &str| std::env::var(name).expect("a mesh peer's environment");
     let rank: u16 = rank.parse().expect("numeric rank");
-    let addrs: Vec<String> = std::env::var(ADDRS_ENV)
-        .expect("mesh peers need the address list")
-        .split(',')
-        .map(String::from)
-        .collect();
-    let role = std::env::var(ROLE_ENV).expect("mesh peers need a role");
-    let rt: Runtime = match role.as_str() {
-        "e14" => crate::e14_distributed::rank_runtime(rank, addrs),
+    let ranks = var(RANKS_ENV).parse().expect("numeric rank count");
+    let addrs = addrs(var(RANK0_ENV), ranks);
+    let builder = match var(ROLE_ENV).as_str() {
+        "e14" => crate::e14_distributed::rank_builder(rank, addrs),
         "e12tcp-off" => crate::e12_tcp::peer(rank, addrs, false),
         "e12tcp-adaptive" => crate::e12_tcp::peer(rank, addrs, true),
         other => panic!("unknown mesh role {other:?}"),
     };
+    let rt = builder.build().expect("mesh rank bootstrap");
     let mut sink = String::new();
     let _ = std::io::stdin().read_to_string(&mut sink);
     rt.shutdown();
     std::process::exit(0);
 }
 
-/// Reserve `n` loopback listen addresses.
-pub fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-        })
-        .collect()
+/// Every rank's address list: where rank 0 listens, then a port the
+/// kernel picks for each other rank.
+fn addrs(rank0: String, ranks: usize) -> Vec<String> {
+    let mut addrs = vec!["127.0.0.1:0".to_string(); ranks];
+    addrs[0] = rank0;
+    addrs
 }
 
-/// Re-execute this binary as ranks 1..n serving `role`.
-pub fn spawn_peers(addrs: &[String], role: &str, child_args: &[&str]) -> Vec<Child> {
+/// Bind rank 0 of a `ranks`-wide mesh, re-execute this binary as ranks
+/// 1..n serving `role`, and build rank 0 from `rank0`'s builder, given
+/// the mesh's address list.
+pub fn launch(
+    ranks: usize,
+    role: &str,
+    child_args: &[&str],
+    rank0: impl FnOnce(Vec<String>) -> RuntimeBuilder,
+) -> (Runtime, Vec<Child>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind rank 0");
+    let at = listener.local_addr().expect("rank 0's address").to_string();
     let exe = std::env::current_exe().expect("own path");
-    (1..addrs.len())
+    let peers = (1..ranks)
         .map(|rank| {
             Command::new(&exe)
                 .args(child_args)
                 .env(RANK_ENV, rank.to_string())
-                .env(ADDRS_ENV, addrs.join(","))
+                .env(RANK0_ENV, &at)
+                .env(RANKS_ENV, ranks.to_string())
                 .env(ROLE_ENV, role)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::null())
                 .spawn()
                 .expect("spawn mesh peer")
         })
-        .collect()
+        .collect();
+    let builder = rank0(addrs(at, ranks)).tcp_listener(listener);
+    (builder.build().expect("rank 0 bootstrap"), peers)
 }
 
 /// Close the peers' stdin (their exit signal) and reap them.

@@ -110,10 +110,12 @@ impl Config {
     }
 
     /// Run over TCP as one locality of a multi-process system (builder
-    /// style): this process owns locality `rank`; `addrs[i]` is the
-    /// listen address of locality `i`. `localities` is set to
-    /// `addrs.len()` — one process per locality. See the README's
-    /// "Distributed deployment".
+    /// style): this process owns locality `rank`. `localities` is set to
+    /// `addrs.len()` — one process per locality — and two entries are
+    /// read: `addrs[0]`, where rank 0 listens, and `addrs[rank]`, where
+    /// this process binds (port 0 allowed; see
+    /// [`crate::net::TcpConfig::addrs`]). The other ranks' addresses are
+    /// learned at bootstrap. See the README's "Distributed deployment".
     pub fn with_tcp(mut self, rank: u16, addrs: Vec<String>) -> Config {
         self.localities = addrs.len();
         self.transport = TransportKind::Tcp(TcpConfig::new(rank, addrs));

@@ -265,10 +265,7 @@ mod tests {
     /// stubs, so it is refused. (A one-rank TCP "mesh" boots alone.)
     #[test]
     fn trees_are_refused_on_a_distributed_runtime() {
-        let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", port.local_addr().unwrap().port());
-        drop(port);
-        let cfg = Config::small(1, 1).with_tcp(0, vec![addr]);
+        let cfg = Config::small(1, 1).with_tcp(0, vec!["127.0.0.1:0".into()]);
         let rt = RuntimeBuilder::new(cfg).build().unwrap();
         let refused = create_tree(&rt, LocalityId(0), 2, &0u64);
         assert!(matches!(refused, Err(PxError::BadConfig(_))), "{refused:?}");

@@ -5,9 +5,9 @@
 //! Each process owns exactly one locality (its *rank*) and peers with
 //! every other over plain TCP sockets. The byte protocol is
 //! [`px_wire::stream`]: a fixed handshake (`magic ++ version ++
-//! locality id`), then length-prefixed messages whose bodies are the
-//! *same* encoded parcels and (checksummed, version-2) frames the
-//! in-process wire carries. The coalescing ports, batching policy, and
+//! locality id ++ listen port`), then length-prefixed messages whose
+//! bodies are the *same* encoded parcels and (checksummed, version-2)
+//! frames the in-process wire carries. The coalescing ports, batching policy, and
 //! control-plane lane all sit above the `Transport` seam and work
 //! unchanged.
 //!
@@ -80,12 +80,24 @@
 //! multiplexing and no duplex framing races — same-peer traffic rides
 //! one ordered byte stream.
 //!
+//! Only rank 0's address is known in advance, and rank 0 keeps the
+//! address table. Every other rank dials rank 0 at start, and its hello
+//! says which port it listens on; rank 0 records the rank at the IP the
+//! connection came from and that port — one rule, whatever address the
+//! rank bound — and dials it back. Once every rank has said hello, rank 0
+//! sends each the table (`msg_kind::TABLE`, behind the hello on its
+//! connection), and each rank dials every peer it has not heard from. A
+//! rank dials a peer once, the first time it learns the peer's address,
+//! from its hello or from the table; so every dial but the one to rank 0
+//! targets a listener that is already bound, and a rank that starts before
+//! rank 0 has bound is the only one that waits out a connect retry.
+//!
 //! `TcpTransport::bootstrap` returns only once this process has
 //! connected *to* every peer (handshake flushed) **and** accepted a
 //! handshake *from* every peer — so when every rank's
-//! `RuntimeBuilder::build` returns, the full N-process mesh exists: a
-//! barrier, without a coordinator. Connect attempts retry on a timer
-//! until `TcpConfig::bootstrap_timeout` (peers boot in any order).
+//! `RuntimeBuilder::build` returns, the full N-process mesh exists.
+//! Connect attempts retry on a timer until `TcpConfig::bootstrap_timeout`
+//! (peers boot in any order).
 //!
 //! ## Failure semantics
 //!
@@ -138,7 +150,7 @@ use parking_lot::{Condvar, Mutex};
 use px_poll::Poller;
 use px_wire::stream::msg_kind;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -153,14 +165,17 @@ use std::time::{Duration, Instant};
 const SEND_QUEUE_BYTES: usize = 4 * 1024 * 1024;
 
 /// Configuration of the TCP backend: which locality this process *is*
-/// and where every locality listens.
+/// and where rank 0 listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpConfig {
     /// The locality id owned by this OS process.
     pub rank: u16,
-    /// Listen address of every locality, indexed by locality id
-    /// (`addrs[rank]` is this process's bind address). Length must equal
-    /// `Config::localities`.
+    /// Indexed by locality id; length must equal `Config::localities`.
+    /// Two entries are read: `addrs[0]`, where rank 0 listens (every
+    /// other rank dials it), and `addrs[rank]`, where this process binds
+    /// (port 0 picks a free one) unless `RuntimeBuilder::tcp_listener`
+    /// hands it a bound listener. Every other rank's address is learned
+    /// at bootstrap, from rank 0's table.
     pub addrs: Vec<String>,
     /// How long `RuntimeBuilder::build` may wait for the full mesh
     /// (connects out + handshakes in) before failing loudly.
@@ -168,8 +183,8 @@ pub struct TcpConfig {
 }
 
 impl TcpConfig {
-    /// Config for `rank` in a system whose localities listen at `addrs`
-    /// (default 30 s bootstrap timeout).
+    /// Config for `rank` in a system whose rank 0 listens at `addrs[0]`
+    /// (see [`TcpConfig::addrs`]; default 30 s bootstrap timeout).
     pub fn new(rank: u16, addrs: Vec<String>) -> TcpConfig {
         TcpConfig {
             rank,
@@ -253,7 +268,6 @@ impl PeerSlot {
 /// State shared between submitters and the loop.
 struct TcpShared {
     rank: u16,
-    resolved: Vec<Option<SocketAddr>>,
     localities: Arc<Vec<Arc<Locality>>>,
     /// Indexed by locality id; `None` at `rank` (no self-peering).
     peers: Vec<Option<PeerSlot>>,
@@ -644,33 +658,37 @@ pub(crate) struct TcpTransport {
     shared: Arc<TcpShared>,
 }
 
+/// Bind `cfg.addrs[cfg.rank]`: this rank's listener, when the caller
+/// did not hand one in.
+pub(crate) fn bind(cfg: &TcpConfig) -> PxResult<TcpListener> {
+    let at = &cfg.addrs[cfg.rank as usize];
+    TcpListener::bind(at).map_err(|e| PxError::BadConfig(format!("tcp: bind {at}: {e}")))
+}
+
 impl TcpTransport {
-    /// Bind and run the event loop on this thread until the full mesh
-    /// exists (connected + handshake flushed to every peer, handshake
-    /// accepted from every peer). Fails loudly after
+    /// Run the event loop on this thread, listening on `listener`,
+    /// until the full mesh exists (connected + handshake flushed to every
+    /// peer, handshake accepted from every peer). Fails loudly after
     /// `cfg.bootstrap_timeout`.
     pub(crate) fn bootstrap(
         cfg: &TcpConfig,
+        listener: TcpListener,
         localities: Arc<Vec<Arc<Locality>>>,
     ) -> PxResult<TcpTransport> {
         let n = localities.len();
         let rank = cfg.rank;
-        let mut resolved: Vec<Option<SocketAddr>> = Vec::with_capacity(n);
-        for (j, addr) in cfg.addrs.iter().enumerate() {
-            if j == rank as usize {
-                resolved.push(None);
-                continue;
+        let own = (listener.local_addr())
+            .map_err(|e| PxError::BadConfig(format!("tcp: listener address: {e}")))?;
+        let rank0 = match rank {
+            0 => own,
+            _ => {
+                let addr = &cfg.addrs[0];
+                (addr.to_socket_addrs())
+                    .map_err(|e| PxError::BadConfig(format!("tcp: resolve {addr}: {e}")))?
+                    .next()
+                    .ok_or_else(|| PxError::BadConfig(format!("tcp: {addr} resolves to nothing")))?
             }
-            let sa = addr
-                .to_socket_addrs()
-                .map_err(|e| PxError::BadConfig(format!("tcp: resolve {addr}: {e}")))?
-                .next()
-                .ok_or_else(|| PxError::BadConfig(format!("tcp: {addr} resolves to no address")))?;
-            resolved.push(Some(sa));
-        }
-        let listen_addr = &cfg.addrs[rank as usize];
-        let listener = TcpListener::bind(listen_addr)
-            .map_err(|e| PxError::BadConfig(format!("tcp: bind {listen_addr}: {e}")))?;
+        };
         listener
             .set_nonblocking(true)
             .map_err(|e| PxError::BadConfig(format!("tcp: nonblocking listener: {e}")))?;
@@ -690,7 +708,6 @@ impl TcpTransport {
             .collect();
         let shared = Arc::new(TcpShared {
             rank,
-            resolved,
             localities,
             peers,
             rt: OnceLock::new(),
@@ -704,7 +721,7 @@ impl TcpTransport {
         let poller = shared.poller.clone();
         shared.own().sleep.drive_poller(move || poller.wake());
         let deadline = Instant::now() + cfg.bootstrap_timeout;
-        let mut io = io::IoLoop::new(shared.clone(), listener, deadline);
+        let mut io = io::IoLoop::new(shared.clone(), listener, own.port(), rank0, deadline);
         let barrier = io.bootstrap();
         *shared.io.lock() = Some(io);
         let mut transport = TcpTransport { shared };
@@ -825,15 +842,33 @@ mod tests {
         )
     }
 
-    /// Reserve loopback addresses. (Bind-then-drop: the tiny reuse
-    /// race is acceptable in tests.)
-    fn free_addrs(n: usize) -> Vec<String> {
+    /// `n` loopback listeners, on ports the kernel picks.
+    fn loopback(n: usize) -> Vec<TcpListener> {
         (0..n)
-            .map(|_| {
-                let l = TcpListener::bind("127.0.0.1:0").unwrap();
-                format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-            })
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
             .collect()
+    }
+
+    /// Boot a mesh in this process, rank `i` listening on `listeners[i]`
+    /// and told only rank 0's address: rank 0 on this thread, every other
+    /// rank on a thread of its own, joined before this returns.
+    fn boot(listeners: Vec<TcpListener>) -> Vec<TcpTransport> {
+        let n = listeners.len();
+        let addrs = vec![listeners[0].local_addr().unwrap().to_string(); n];
+        let mut listeners = listeners.into_iter().enumerate();
+        let (_, rank0) = listeners.next().unwrap();
+        let others: Vec<_> = listeners
+            .map(|(rank, listener)| {
+                let cfg = TcpConfig::new(rank as u16, addrs.clone());
+                std::thread::spawn(move || {
+                    TcpTransport::bootstrap(&cfg, listener, test_localities(n)).unwrap()
+                })
+            })
+            .collect();
+        let cfg = TcpConfig::new(0, addrs);
+        let mut mesh = vec![TcpTransport::bootstrap(&cfg, rank0, test_localities(n)).unwrap()];
+        mesh.extend(others.into_iter().map(|h| h.join().unwrap()));
+        mesh
     }
 
     /// The spend check on the other shape the lexical rule declared out
@@ -865,20 +900,14 @@ mod tests {
     }
 
     fn boot_pair() -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
-        let addrs = free_addrs(2);
-        let locs_a = test_localities(2);
-        let locs_b = test_localities(2);
-        let cfg_a = TcpConfig::new(0, addrs.clone());
-        let cfg_b = TcpConfig::new(1, addrs);
-        // Bootstrap blocks until both sides are up: run one side on a
-        // helper thread.
-        let b = std::thread::spawn({
-            let locs_b = locs_b.clone();
-            move || TcpTransport::bootstrap(&cfg_b, locs_b).unwrap()
-        });
-        let a = TcpTransport::bootstrap(&cfg_a, locs_a).unwrap();
-        let b = b.join().unwrap();
-        (a, b, locs_b)
+        pair(loopback(2))
+    }
+
+    fn pair(listeners: Vec<TcpListener>) -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
+        let mut mesh = boot(listeners);
+        let b = mesh.pop().expect("rank 1");
+        let locs_b = b.shared.localities.clone();
+        (mesh.pop().expect("rank 0"), b, locs_b)
     }
 
     fn noop_parcel(dest: LocalityId) -> Vec<u8> {
@@ -1003,17 +1032,18 @@ mod tests {
         drop(a);
     }
 
-    /// After rank 1 goes away and something else takes its address, rank
-    /// 0 must not find it: the peer is dead, nothing dials, and every
-    /// later submission dies loudly instead of landing in a stranger's
-    /// socket.
+    /// After rank 1 goes away, rank 0 must not find whoever listens at
+    /// its address: the peer is dead, nothing dials, and every later
+    /// submission dies loudly instead of landing in a stranger's socket.
+    /// The impostor is rank 1's own listening socket, kept open past rank
+    /// 1's shutdown, so no other process can take the port meanwhile.
     #[test]
     fn a_lost_connection_is_a_dead_peer() {
-        let (a, mut b, _locs_b) = boot_pair();
-        let addr = a.shared.resolved[1].expect("peer address");
+        let listeners = loopback(2);
+        let impostor = listeners[1].try_clone().unwrap();
+        let (a, mut b, _locs_b) = pair(listeners);
         b.shutdown();
         drop(b);
-        let impostor = TcpListener::bind(addr).expect("take the dead rank's address");
         impostor.set_nonblocking(true).unwrap();
         let peer = a.shared.peer(1);
         wait_for(
@@ -1154,13 +1184,14 @@ mod tests {
         drop(a);
     }
 
+    /// Rank 0 reads no address: nobody dials it, so it waits out the
+    /// barrier's deadline.
     #[test]
     fn bootstrap_times_out_without_peer() {
-        let addrs = free_addrs(2);
-        let mut cfg = TcpConfig::new(0, addrs);
+        let mut cfg = TcpConfig::new(0, vec![String::new(); 2]);
         cfg.bootstrap_timeout = Duration::from_millis(300);
         let locs = test_localities(2);
-        let Err(err) = TcpTransport::bootstrap(&cfg, locs) else {
+        let Err(err) = TcpTransport::bootstrap(&cfg, loopback(1).remove(0), locs) else {
             panic!("bootstrap without a peer must time out");
         };
         assert!(matches!(err, PxError::BadConfig(_)));
@@ -1218,19 +1249,7 @@ mod tests {
         // A 4-rank mesh, all in this process: each rank bootstraps on a
         // thread of this test's own, joined before the count.
         let n = 4;
-        let addrs = free_addrs(n);
-        let handles: Vec<_> = (1..n as u16)
-            .map(|rank| {
-                let addrs = addrs.clone();
-                std::thread::spawn(move || {
-                    TcpTransport::bootstrap(&TcpConfig::new(rank, addrs), test_localities(n))
-                        .unwrap()
-                })
-            })
-            .collect();
-        let t0 = TcpTransport::bootstrap(&TcpConfig::new(0, addrs), test_localities(n)).unwrap();
-        let mut transports = vec![t0];
-        transports.extend(handles.into_iter().map(|h| h.join().unwrap()));
+        let transports = boot(loopback(n));
         // Traffic on every connection, carried by this thread's passes.
         for (i, t) in transports.iter().enumerate() {
             for j in (0..n).filter(|&j| j != i) {
@@ -1248,6 +1267,67 @@ mod tests {
         assert_eq!(threads(), before, "the backend started a thread");
         for mut t in transports {
             t.shutdown();
+        }
+    }
+
+    /// Each rank's connect attempts per peer, once every rank has its
+    /// table.
+    fn attempts_with_tables(mesh: &[TcpTransport]) -> Vec<Vec<u64>> {
+        let all: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        let attempts = |t: &TcpTransport| t.shared.io.lock().as_ref()?.attempts();
+        wait_for(
+            &all,
+            || mesh.iter().map(attempts).collect(),
+            "every rank's table",
+        )
+    }
+
+    /// No retry on the common path, by count: with rank 0 bound before any
+    /// other rank starts, every connection of a 2- and a 4-rank mesh comes
+    /// up on its first attempt — to rank 0, back from it, and (at 4 ranks)
+    /// between ranks that learned each other from the table or a hello.
+    #[test]
+    fn every_connection_comes_up_on_its_first_attempt() {
+        for n in [2, 4] {
+            let mesh = boot(loopback(n));
+            assert_eq!(
+                attempts_with_tables(&mesh),
+                vec![vec![1; n - 1]; n],
+                "{n} ranks"
+            );
+        }
+    }
+
+    /// Only rank 0 sends a table, and only once. A table on another
+    /// rank's connection (forged to rank 0 as rank 1), or a second one
+    /// (forged to rank 1 as rank 0), desynchronizes that stream: the
+    /// peer is lost, the event counts as a `Decode` death, and nothing is
+    /// dialled.
+    #[test]
+    fn a_stray_table_is_a_desynchronized_stream() {
+        use px_wire::stream::{encode_handshake, encode_msg_header, encode_table};
+        use std::io::Write;
+        for (at, claims) in [(0usize, 1u16), (1, 0)] {
+            let listeners = loopback(2);
+            let addr = listeners[at].local_addr().unwrap();
+            let mesh = boot(listeners);
+            let before = attempts_with_tables(&mesh);
+            let table = encode_table(&[addr; 2]);
+            let mut forger = std::net::TcpStream::connect(addr).unwrap();
+            forger.write_all(&encode_handshake(claims, 0)).unwrap();
+            let header = encode_msg_header(msg_kind::TABLE, table.len() as u32);
+            forger.write_all(&[&header[..], &table].concat()).unwrap();
+            let own = mesh[at].shared.own();
+            let all: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+            let refused = || (own.counters.dead_decode.get() == 1).then_some(());
+            wait_for(&all, refused, "the stray table refused");
+            let lost = mesh[at].shared.peer(claims).dead.load(Ordering::Acquire);
+            assert!(lost, "rank {at} still trusts rank {claims}");
+            assert_eq!(
+                attempts_with_tables(&mesh),
+                before,
+                "a stray table was learned"
+            );
         }
     }
 }

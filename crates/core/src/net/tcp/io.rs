@@ -1,7 +1,7 @@
 //! The event loop of the TCP backend: the listener, every outbound and
-//! inbound connection, bootstrap connect retries and handshake
-//! deadlines, multiplexed on one poller. It is a value, not a thread:
-//! whoever holds it runs [`IoLoop::pass`] — bootstrap and shutdown on
+//! inbound connection, the address table, bootstrap connect retries and
+//! handshake deadlines, multiplexed on one poller. It is a value, not a
+//! thread: whoever holds it runs [`IoLoop::pass`] — bootstrap and shutdown on
 //! their caller's thread, and in between ([`IoLoop::drive`]) an idle
 //! worker, a busy one every few dozen tasks, or a sender blocked on a
 //! peer's byte bound (see the parent module's docs for the thread model,
@@ -13,7 +13,7 @@ use crate::error::FaultCause;
 use px_poll::{Event, Interest, WAKE_TOKEN};
 use px_wire::stream::{self, msg_kind, StreamAssembler, WriteBatch};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -44,16 +44,17 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 const TOKEN_OUT_BASE: u64 = 1 << 32;
 const TOKEN_IN_BASE: u64 = 2 << 32;
 
-/// Outbound connection state for one peer. `Connecting` and `Backoff`
+/// Outbound connection state for one peer. `Waiting` and `Connecting`
 /// exist only while the mesh bootstraps; afterwards a connection is `Up`
 /// until it is lost, and `Down` for good.
 enum Conn {
+    /// Not dialling: the peer's address is not learned yet, or a
+    /// bootstrap retry timer is pending.
+    Waiting,
     /// Nonblocking connect in flight (completion = writability).
     Connecting(TcpStream),
     /// Connected; handshake and queued messages flow.
     Up(TcpStream),
-    /// Bootstrap retry timer pending.
-    Backoff,
     /// The peer is dead to this process (see [`IoLoop::peer_lost`]).
     Down,
 }
@@ -63,19 +64,23 @@ struct PeerIo {
     conn: Conn,
     /// Queued wire bytes with partial-write carry-over.
     batch: WriteBatch,
-    /// Unsent prefix of the connection handshake (empty once flushed).
+    /// Unsent handshake bytes, written ahead of any traffic and not
+    /// counted as traffic: the hello, and on rank 0 the table after it.
     hello: Vec<u8>,
     /// Interest currently registered for the outbound socket.
     registered: Option<Interest>,
     /// Guards stale `ConnectTimeout` timers across attempts.
     attempt_seq: u64,
-    /// Outbound half of the bootstrap barrier: hello fully flushed once.
+    /// Outbound half of the bootstrap barrier: handshake fully flushed
+    /// once.
     hello_done: bool,
 }
 
 /// One accepted inbound connection (peer unknown until its handshake).
 struct InConn {
     stream: TcpStream,
+    /// Where the connection came from: the peer listens at this IP.
+    from: SocketAddr,
     peer: Option<u16>,
     asm: StreamAssembler,
     hello: [u8; stream::HANDSHAKE_LEN],
@@ -101,6 +106,10 @@ enum TimerKind {
 pub(super) struct IoLoop {
     shared: Arc<TcpShared>,
     listener: TcpListener,
+    /// Where each rank listens, as far as this rank has learned (see
+    /// [`IoLoop::learn`]); this rank's own entry is set once the table is
+    /// in, on rank 0 from the start.
+    addrs: Vec<Option<SocketAddr>>,
     peers: Vec<Option<PeerIo>>,
     inbound: Vec<Option<InConn>>,
     inbound_seq: u64,
@@ -124,19 +133,23 @@ pub(super) struct IoLoop {
 
 impl IoLoop {
     /// The loop for `shared`'s rank, already at work: the listener
-    /// registered, every peer being dialled, the barrier's deadline armed.
+    /// (bound at `port`) registered, rank 0 (at `rank0`) being dialled
+    /// from any other rank, the barrier's deadline armed.
     pub(super) fn new(
         shared: Arc<TcpShared>,
         listener: TcpListener,
+        port: u16,
+        rank0: SocketAddr,
         bootstrap_deadline: Instant,
     ) -> IoLoop {
         let n = shared.localities.len();
+        let hello = stream::encode_handshake(shared.rank, port);
         let peers = (0..n as u16)
             .map(|j| {
                 (j != shared.rank).then(|| PeerIo {
-                    conn: Conn::Backoff,
+                    conn: Conn::Waiting,
                     batch: WriteBatch::new(),
-                    hello: Vec::new(),
+                    hello: hello.to_vec(),
                     registered: None,
                     attempt_seq: 0,
                     hello_done: false,
@@ -146,6 +159,7 @@ impl IoLoop {
         let mut io = IoLoop {
             shared,
             listener,
+            addrs: vec![None; n],
             peers,
             inbound: Vec::new(),
             inbound_seq: 0,
@@ -166,12 +180,9 @@ impl IoLoop {
             return io;
         }
         io.timers.push(bootstrap_deadline, TimerKind::Bootstrap);
-        // Kick off the outbound mesh: every peer starts connecting now.
-        for j in 0..io.peers.len() as u16 {
-            if io.peers[j as usize].is_some() {
-                io.start_connect(j);
-            }
-        }
+        // Rank 0's address is the one known in advance: any other rank
+        // dials it now, and every other peer once it is learned.
+        io.learn(0, rank0);
         io.check_barrier();
         io
     }
@@ -258,7 +269,7 @@ impl IoLoop {
         while let Some(kind) = self.timers.pop_due(now) {
             match kind {
                 TimerKind::Retry(j) => {
-                    if self.barrier.is_none() && matches!(self.peer_io(j).conn, Conn::Backoff) {
+                    if self.barrier.is_none() && matches!(self.peer_io(j).conn, Conn::Waiting) {
                         self.start_connect(j);
                     }
                 }
@@ -318,6 +329,52 @@ impl IoLoop {
         }
     }
 
+    // -- the address table -------------------------------------------------
+
+    /// Rank `j` listens at `addr`: the first time this rank learns it,
+    /// record it and dial `j` (unless `j` is this rank). A peer is
+    /// learned from its hello (the IP its connection came from, the port
+    /// it reported) or from rank 0's table, whichever comes first.
+    fn learn(&mut self, j: u16, addr: SocketAddr) {
+        if self.addrs[j as usize].is_some() {
+            return;
+        }
+        self.addrs[j as usize] = Some(addr);
+        if j != self.shared.rank {
+            self.start_connect(j);
+        }
+    }
+
+    /// Rank 0, with every peer's hello heard (so every rank learned):
+    /// queue the table behind the hello on every outbound connection.
+    fn send_table(&mut self) {
+        let table: Vec<SocketAddr> = self.addrs.iter().flatten().copied().collect();
+        let body = stream::encode_table(&table);
+        let header = stream::encode_msg_header(msg_kind::TABLE, body.len() as u32);
+        for j in 0..self.peers.len() as u16 {
+            if let Some(io) = self.peers[j as usize].as_mut() {
+                io.hello.extend([&header[..], &body].concat());
+                self.flush_peer(j);
+            }
+        }
+    }
+
+    /// A table arrived from peer `from`. Only rank 0 sends one, once: on
+    /// any other connection, or a second time, it is a desynchronized
+    /// stream (`false`), and nothing of it is learned.
+    fn learn_table(&mut self, from: u16, body: &[u8]) -> bool {
+        let first = from == 0 && self.addrs[self.shared.rank as usize].is_none();
+        match stream::decode_table(body, self.addrs.len()) {
+            Ok(table) if first => {
+                for (j, addr) in table.into_iter().enumerate() {
+                    self.learn(j as u16, addr);
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
     // -- outbound -----------------------------------------------------------
 
     fn peer_io(&mut self, j: u16) -> &mut PeerIo {
@@ -332,7 +389,7 @@ impl IoLoop {
 
     /// Begin a nonblocking connect attempt toward `j`.
     fn start_connect(&mut self, j: u16) {
-        let addr = self.shared.resolved[j as usize].expect("peer addr resolved at bootstrap");
+        let addr = self.addrs[j as usize].expect("a peer is dialled once learned");
         let io = self.peer_io(j);
         io.attempt_seq += 1;
         let seq = io.attempt_seq;
@@ -373,7 +430,7 @@ impl IoLoop {
         }
         let io = self.peer_io(j);
         io.registered = None;
-        io.conn = Conn::Backoff;
+        io.conn = Conn::Waiting;
         self.timers
             .push(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
     }
@@ -409,10 +466,8 @@ impl IoLoop {
                 }
                 match px_poll::take_socket_error(stream) {
                     Ok(()) => {
-                        // Connected: queue the handshake.
-                        let rank = self.shared.rank;
+                        // Connected: the handshake goes first.
                         let io = self.peer_io(j);
-                        io.hello = stream::encode_handshake(rank).to_vec();
                         let Conn::Connecting(stream) = std::mem::replace(&mut io.conn, Conn::Down)
                         else {
                             unreachable!("matched Connecting above");
@@ -429,7 +484,7 @@ impl IoLoop {
                 }
                 self.drain_outbound_read(j);
             }
-            Conn::Backoff | Conn::Down => {}
+            Conn::Waiting | Conn::Down => {}
         }
     }
 
@@ -466,7 +521,7 @@ impl IoLoop {
             return;
         };
         let mut failed = false;
-        // Handshake bytes go first, unvectored (seven bytes, once).
+        // Handshake bytes go first, unvectored (once).
         while !io.hello.is_empty() {
             match stream.write(&io.hello) {
                 Ok(n) => {
@@ -603,7 +658,7 @@ impl IoLoop {
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
+                Ok((stream, from)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -612,6 +667,7 @@ impl IoLoop {
                     self.inbound_seq += 1;
                     let conn = InConn {
                         stream,
+                        from,
                         peer: None,
                         asm: StreamAssembler::new(),
                         hello: [0u8; stream::HANDSHAKE_LEN],
@@ -654,7 +710,8 @@ impl IoLoop {
     }
 
     /// Readiness on inbound connection `idx`: finish the handshake if
-    /// pending, then drain stream messages into the local queues.
+    /// pending, then drain stream messages into the local queues — all but
+    /// the table, which is learned.
     fn inbound_ready(&mut self, idx: usize) {
         let Some(conn) = self.inbound.get_mut(idx).and_then(Option::as_mut) else {
             return;
@@ -671,13 +728,9 @@ impl IoLoop {
                     if conn.hello_got < stream::HANDSHAKE_LEN {
                         continue;
                     }
-                    let peer = match stream::decode_handshake(&conn.hello) {
-                        Ok(p)
-                            if (p as usize) < self.shared.localities.len()
-                                && p != self.shared.rank =>
-                        {
-                            p
-                        }
+                    let n = self.shared.localities.len();
+                    let (peer, port) = match stream::decode_handshake(&conn.hello) {
+                        Ok((p, port)) if (p as usize) < n && p != self.shared.rank => (p, port),
                         // Stranger, bad hello, or impossible id: drop it
                         // before it touches any runtime state.
                         _ => {
@@ -686,16 +739,16 @@ impl IoLoop {
                         }
                     };
                     conn.peer = Some(peer);
+                    let from = SocketAddr::new(conn.from.ip(), port);
                     if !self.seen_in[peer as usize] {
                         self.seen_in[peer as usize] = true;
                         self.heard += 1;
+                        self.learn(peer, from);
+                        if self.shared.rank == 0 && self.heard == n - 1 {
+                            self.send_table();
+                        }
                         self.check_barrier();
                     }
-                    // Re-borrow (check_barrier needed &mut self).
-                    let Some(c) = self.inbound.get_mut(idx).and_then(Option::as_mut) else {
-                        return;
-                    };
-                    let _ = c.stream.set_nodelay(true);
                     return self.inbound_ready(idx);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -707,24 +760,16 @@ impl IoLoop {
             }
         }
         let peer = conn.peer.expect("handshaked above");
+        let c = &self.shared.peer(peer).counters;
         let mut reads = 0;
-        let why = 'conn: loop {
-            if reads == READS_PER_PASS {
-                return;
-            }
-            reads += 1;
-            let n = match conn.stream.read(&mut self.read_chunk) {
-                Ok(0) => break "connection closed",
-                Ok(n) => n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break "read failed",
-            };
-            let c = &self.shared.peer(peer).counters;
-            c.bytes_recv.add(n as u64);
-            conn.asm.feed(&self.read_chunk[..n]);
+        // What stops the reading: a table to learn, a stream that does not
+        // parse (`Ok(None)`), or a lost connection.
+        let stopped = 'conn: loop {
+            // What is buffered first: messages read behind a table wait
+            // in the assembler until it is learned.
             loop {
                 match conn.asm.next_msg() {
+                    Ok(Some((msg_kind::TABLE, table))) => break 'conn Ok(Some(table)),
                     Ok(Some((kind, body))) => {
                         c.msgs_recv.add(1);
                         self.shared.trace_stream_msg(
@@ -736,18 +781,34 @@ impl IoLoop {
                         self.shared.deliver_local(kind, body);
                     }
                     Ok(None) => break,
-                    Err(_) => {
-                        // Desynchronized stream: unrecoverable for a
-                        // length-prefixed protocol. Count it; the peer
-                        // is lost like any other dropped connection.
-                        self.shared
-                            .own()
-                            .counters
-                            .count_death(FaultCause::Decode, 1);
-                        break 'conn "stream desynchronized";
-                    }
+                    Err(_) => break 'conn Ok(None),
                 }
             }
+            if reads == READS_PER_PASS {
+                return;
+            }
+            reads += 1;
+            let n = match conn.stream.read(&mut self.read_chunk) {
+                Ok(0) => break Err("connection closed"),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break Err("read failed"),
+            };
+            c.bytes_recv.add(n as u64);
+            conn.asm.feed(&self.read_chunk[..n]);
+        };
+        let why = match stopped {
+            Ok(Some(table)) if self.learn_table(peer, &table) => return self.inbound_ready(idx),
+            // Desynchronized, by a bad prefix or a table that is not rank
+            // 0's first: unrecoverable for a length-prefixed protocol.
+            // Count it; the peer is lost like any other dropped connection.
+            Ok(_) => {
+                let own = self.shared.own();
+                own.counters.count_death(FaultCause::Decode, 1);
+                "stream desynchronized"
+            }
+            Err(why) => why,
         };
         self.drop_inbound(idx);
         // During shutdown the peer closing its sending half is the
@@ -783,5 +844,13 @@ impl IoLoop {
         let live = self.peers.iter().flatten();
         live.filter(|io| matches!(io.conn, Conn::Up(_)))
             .any(|io| !(io.hello.is_empty() && io.batch.is_empty()))
+    }
+
+    /// Connect attempts made toward each peer, once this rank has its
+    /// table (rank 0 from the start).
+    #[cfg(test)]
+    pub(super) fn attempts(&self) -> Option<Vec<u64>> {
+        let seqs = self.peers.iter().flatten().map(|io| io.attempt_seq);
+        self.addrs[self.shared.rank as usize].map(|_| seqs.collect())
     }
 }

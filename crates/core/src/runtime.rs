@@ -36,6 +36,7 @@ use crate::stats::Counter;
 use crate::sys;
 use parking_lot::{Mutex, RwLock};
 use serde::{de::DeserializeOwned, Serialize};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -240,6 +241,8 @@ pub struct RuntimeBuilder {
     dead_letter_traced: Option<TracedDeadLetterHook>,
     /// The real clock, except in tests that step it (`stepped`).
     clock: Clock,
+    /// This rank's listener, bound by the caller (`tcp_listener`).
+    listener: Option<TcpListener>,
 }
 
 impl RuntimeBuilder {
@@ -252,7 +255,18 @@ impl RuntimeBuilder {
             dead_letter: None,
             dead_letter_traced: None,
             clock: Clock::Real,
+            listener: None,
         }
+    }
+
+    /// Listen on `listener`, already bound, instead of binding
+    /// `TcpConfig::addrs[rank]` at [`RuntimeBuilder::build`] (TCP only:
+    /// an in-process runtime drops it). A launcher binds rank 0 first
+    /// and hands every rank it starts the real address: each of them
+    /// then dials a listener that is up.
+    pub fn tcp_listener(mut self, listener: TcpListener) -> Self {
+        self.listener = Some(listener);
+        self
     }
 
     /// Register a typed action (duplicates are reported at
@@ -352,10 +366,11 @@ impl RuntimeBuilder {
                 localities.clone(),
                 &self.clock,
             )),
-            TransportKind::Tcp(tcp) => Arc::new(crate::net::tcp::TcpTransport::bootstrap(
-                tcp,
-                localities.clone(),
-            )?),
+            TransportKind::Tcp(tcp) => {
+                use crate::net::tcp::{bind, TcpTransport};
+                let listener = self.listener.map_or_else(|| bind(tcp), Ok)?;
+                Arc::new(TcpTransport::bootstrap(tcp, listener, localities.clone())?)
+            }
         };
         let policy = BatchPolicy::new(self.config.max_batch_parcels);
         let wire = Wire::new(transport, localities.clone(), policy);

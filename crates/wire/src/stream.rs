@@ -25,25 +25,36 @@
 //! ## Connection handshake
 //!
 //! The first bytes on every connection are a fixed-size hello:
-//! `MAGIC (u32 LE) ++ STREAM_VERSION (u8) ++ locality id (u16 LE)`,
-//! built/parsed by [`encode_handshake`]/[`decode_handshake`]. The magic
-//! rejects strangers (port scanners, misconfigured peers) before any
-//! runtime state is touched; the locality id tells the acceptor which
-//! peer this inbound byte stream belongs to.
+//! `MAGIC (u32 LE) ++ STREAM_VERSION (u8) ++ locality id (u16 LE) ++
+//! listen port (u16 LE)`, built/parsed by
+//! [`encode_handshake`]/[`decode_handshake`]. The magic rejects strangers
+//! (port scanners, misconfigured peers) and the version a peer of another
+//! protocol version, before any runtime state is touched; the locality id
+//! tells the acceptor which peer this inbound byte stream belongs to, and
+//! the port where that peer listens (at the IP the connection came from).
+//!
+//! Only rank 0's address is known in advance. Rank 0 learns every other
+//! rank's from its hello, and once all have said hello it sends each a
+//! [`msg_kind::TABLE`] ([`encode_table`]/[`decode_table`]) — the one
+//! message after the hello that is not runtime traffic — from which the
+//! ranks dial each other.
 
+use crate::buf::{WireReader, WireWriter};
 use crate::error::{WireError, WireResult};
+use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 
 /// Stream protocol magic: `"PXS1"` little-endian.
 pub const STREAM_MAGIC: u32 = 0x3153_5850;
 
 /// Stream protocol version (bumped on any header/handshake change).
-pub const STREAM_VERSION: u8 = 1;
+pub const STREAM_VERSION: u8 = 2;
 
 /// Bytes of the per-message header (`kind` + `len`).
 pub const MSG_HEADER_LEN: usize = 1 + 4;
 
-/// Bytes of the connection handshake (`magic` + `version` + `locality`).
-pub const HANDSHAKE_LEN: usize = 4 + 1 + 2;
+/// Bytes of the connection handshake (`magic` + `version` + `locality` +
+/// `listen port`).
+pub const HANDSHAKE_LEN: usize = 4 + 1 + 2 + 2;
 
 /// Upper bound on a single stream message body. Far above any real frame
 /// (ports cap frames at `max_batch_bytes`); its job is to turn a
@@ -64,8 +75,11 @@ pub mod msg_kind {
     /// Control-plane parcel (balancer gossip): delivered to the
     /// destination's priority control queue, never coalesced.
     pub const CONTROL: u8 = 4;
+    /// The address table, from rank 0 once per connection, at bootstrap
+    /// ([`super::encode_table`]); never delivered to the runtime.
+    pub const TABLE: u8 = 5;
     /// Highest kind a decoder of this version understands.
-    pub const MAX: u8 = CONTROL;
+    pub const MAX: u8 = TABLE;
 }
 
 /// Encode a message header for a body of `len` bytes.
@@ -76,17 +90,20 @@ pub fn encode_msg_header(kind: u8, len: u32) -> [u8; MSG_HEADER_LEN] {
     h
 }
 
-/// Encode the connection hello for `locality`.
-pub fn encode_handshake(locality: u16) -> [u8; HANDSHAKE_LEN] {
+/// Encode the connection hello of `locality`, which listens on
+/// `listen_port`.
+pub fn encode_handshake(locality: u16, listen_port: u16) -> [u8; HANDSHAKE_LEN] {
     let mut h = [0u8; HANDSHAKE_LEN];
     h[0..4].copy_from_slice(&STREAM_MAGIC.to_le_bytes());
     h[4] = STREAM_VERSION;
     h[5..7].copy_from_slice(&locality.to_le_bytes());
+    h[7..9].copy_from_slice(&listen_port.to_le_bytes());
     h
 }
 
-/// Validate a connection hello; returns the peer's locality id.
-pub fn decode_handshake(bytes: &[u8; HANDSHAKE_LEN]) -> WireResult<u16> {
+/// Validate a connection hello; returns the peer's locality id and
+/// listen port.
+pub fn decode_handshake(bytes: &[u8; HANDSHAKE_LEN]) -> WireResult<(u16, u16)> {
     let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
     if magic != STREAM_MAGIC {
         return Err(WireError::Message(format!(
@@ -99,7 +116,44 @@ pub fn decode_handshake(bytes: &[u8; HANDSHAKE_LEN]) -> WireResult<u16> {
             bytes[4]
         )));
     }
-    Ok(u16::from_le_bytes(bytes[5..7].try_into().unwrap()))
+    let field = |at: usize| u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+    Ok((field(5), field(7)))
+}
+
+/// Bytes of one address-table entry: the address as IPv6 (an IPv4 one
+/// mapped, `::ffff:a.b.c.d`; u128 LE), then the port (u16 LE).
+const TABLE_ENTRY_LEN: usize = 16 + 2;
+
+/// Encode the address table, one entry per rank in rank order.
+pub fn encode_table(table: &[SocketAddr]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(table.len() * TABLE_ENTRY_LEN);
+    for addr in table {
+        let ip = match addr.ip() {
+            IpAddr::V4(ip) => ip.to_ipv6_mapped(),
+            IpAddr::V6(ip) => ip,
+        };
+        w.put_u128(ip.into());
+        w.put_u16(addr.port());
+    }
+    w.into_bytes()
+}
+
+/// Decode a table of exactly `n` entries (a mapped IPv4 address comes
+/// back as IPv4); a body of any other length is an error, so nothing is
+/// allocated for more than `n` entries.
+pub fn decode_table(body: &[u8], n: usize) -> WireResult<Vec<SocketAddr>> {
+    if Some(body.len()) != n.checked_mul(TABLE_ENTRY_LEN) {
+        return Err(WireError::Message(format!(
+            "a table of {} bytes does not hold {n} entries",
+            body.len()
+        )));
+    }
+    let (mut r, mut table) = (WireReader::new(body), Vec::with_capacity(n));
+    for _ in 0..n {
+        let ip = Ipv6Addr::from(r.get_u128()?).to_canonical();
+        table.push(SocketAddr::new(ip, r.get_u16()?));
+    }
+    Ok(table)
 }
 
 /// Incremental reassembler for the message stream.
@@ -419,13 +473,30 @@ mod tests {
 
     #[test]
     fn handshake_roundtrip_and_rejection() {
-        let h = encode_handshake(42);
-        assert_eq!(decode_handshake(&h).unwrap(), 42);
+        let h = encode_handshake(42, 7100);
+        assert_eq!(decode_handshake(&h).unwrap(), (42, 7100));
         let mut bad = h;
         bad[0] ^= 0xff;
         assert!(decode_handshake(&bad).is_err());
         let mut wrong_version = h;
         wrong_version[4] = 99;
         assert!(decode_handshake(&wrong_version).is_err());
+        let mut v1 = h;
+        v1[4] = 1;
+        assert!(decode_handshake(&v1).is_err(), "a v1 peer is refused");
+    }
+
+    #[test]
+    fn table_roundtrip_and_rejection() {
+        let table: Vec<SocketAddr> = ["127.0.0.1:7100", "[::1]:7101", "10.0.0.2:0"]
+            .map(|a| a.parse().unwrap())
+            .to_vec();
+        let body = encode_table(&table);
+        assert_eq!(decode_table(&body, 3).unwrap(), table);
+        assert!(decode_table(&body, 2).is_err(), "trailing entry");
+        assert!(decode_table(&body, 4).is_err(), "missing entry");
+        assert!(decode_table(&body[..body.len() - 1], 3).is_err());
+        // A claimed size far beyond the body allocates nothing.
+        assert!(decode_table(&[], usize::MAX).is_err());
     }
 }

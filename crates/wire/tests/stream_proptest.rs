@@ -3,11 +3,17 @@
 //! byte boundaries across reads, many messages per read, one byte per
 //! read — must reassemble to exactly the messages the whole-buffer feed
 //! yields, and checksummed frames carried as message bodies must decode
-//! identically to whole-frame decode.
+//! identically to whole-frame decode. Hostile bytes never panic the
+//! assembler, the hello or the address table, and the table decoder
+//! allocates for no more entries than it is told to expect.
 
 use proptest::prelude::*;
-use px_wire::stream::{encode_msg_header, msg_kind, StreamAssembler};
+use px_wire::stream::{
+    decode_handshake, decode_table, encode_handshake, encode_msg_header, encode_table, msg_kind,
+    StreamAssembler, HANDSHAKE_LEN,
+};
 use px_wire::{FrameBuf, FrameView, FRAME_VERSION_CHECKSUM};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 /// Encode `(kind, body)` messages into one contiguous byte stream.
 fn encode_stream(msgs: &[(u8, Vec<u8>)]) -> Vec<u8> {
@@ -41,6 +47,17 @@ fn reassemble_chunked(bytes: &[u8], cuts: &[usize]) -> Vec<(u8, Vec<u8>)> {
     }
     assert_eq!(a.pending_bytes(), 0, "no residue after a complete stream");
     out
+}
+
+fn arb_table() -> impl Strategy<Value = Vec<SocketAddr>> {
+    let addr = (any::<bool>(), any::<u128>(), any::<u16>()).prop_map(|(v4, bits, port)| {
+        let ip = match v4 {
+            true => IpAddr::from(Ipv4Addr::from(bits as u32)),
+            false => IpAddr::from(Ipv6Addr::from(bits)),
+        };
+        SocketAddr::new(ip, port)
+    });
+    proptest::collection::vec(addr, 0..20)
 }
 
 fn arb_msgs() -> impl Strategy<Value = Vec<(u8, Vec<u8>)>> {
@@ -100,5 +117,62 @@ proptest! {
             .map(|r| r.expect("record ok").to_vec())
             .collect();
         prop_assert_eq!(split, records);
+    }
+
+    /// Any bytes fed to the assembler yield messages or an error, never a
+    /// panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_assembler(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut a = StreamAssembler::new();
+        a.feed(&bytes);
+        while let Ok(Some(_)) = a.next_msg() {}
+    }
+
+    /// A hello is this version's magic and version, or it is refused.
+    #[test]
+    fn arbitrary_hellos_decode_or_are_refused(
+        bytes in proptest::collection::vec(any::<u8>(), HANDSHAKE_LEN..HANDSHAKE_LEN + 1),
+        valid_prefix in any::<bool>(),
+    ) {
+        let mut bytes: [u8; HANDSHAKE_LEN] = bytes.try_into().unwrap();
+        if valid_prefix {
+            bytes[..5].copy_from_slice(&encode_handshake(0, 0)[..5]);
+        }
+        match decode_handshake(&bytes) {
+            Ok((locality, port)) => prop_assert_eq!(encode_handshake(locality, port), bytes),
+            Err(_) => prop_assert_ne!(&bytes[..5], &encode_handshake(0, 0)[..5]),
+        }
+    }
+
+    /// Whatever count it is told, the table decoder accepts exactly that
+    /// many entries, canonically encoded, and allocates for no more.
+    #[test]
+    fn arbitrary_tables_decode_exactly_n_or_are_refused(
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+        n in prop_oneof![0usize..12, any::<usize>()],
+    ) {
+        if let Ok(table) = decode_table(&body, n) {
+            prop_assert_eq!(table.len(), n);
+            prop_assert_eq!(table.capacity(), n);
+            prop_assert_eq!(encode_table(&table), body);
+        }
+    }
+
+    /// A table round-trips at its own size, and a wrong size or a cut
+    /// body is refused.
+    #[test]
+    fn tables_roundtrip_and_refuse_the_wrong_count(table in arb_table(), cut in any::<usize>()) {
+        let body = encode_table(&table);
+        let canonical: Vec<SocketAddr> = (table.iter())
+            .map(|a| SocketAddr::new(a.ip().to_canonical(), a.port()))
+            .collect();
+        prop_assert_eq!(decode_table(&body, table.len()).unwrap(), canonical);
+        prop_assert!(decode_table(&body, table.len() + 1).is_err());
+        if !table.is_empty() {
+            prop_assert!(decode_table(&body, table.len() - 1).is_err());
+            prop_assert!(decode_table(&body[..cut % body.len()], table.len()).is_err());
+        }
     }
 }

@@ -3,6 +3,8 @@
 //!
 //! The example spawns *itself* as the second rank (`PX_DIST_RANK=1`), so
 //! one `cargo run --example distributed` demonstrates the whole story:
+//! rank 0 binds first and hands the child its address (the only one
+//! either rank is given; the child binds a port the kernel picks), the
 //! bootstrap barrier, action parcels spawning threads at the remote
 //! rank, continuation parcels carrying results back, batched checksummed
 //! frames, and per-peer transport counters.
@@ -33,14 +35,13 @@ impl Action for Square {
     }
 }
 
-fn build(rank: u16, addrs: Vec<String>) -> Runtime {
-    let cfg = Config::small(addrs.len(), 1)
-        .with_tcp(rank, addrs)
+/// Rank `rank` of a system of two whose rank 0 listens at `rank0`.
+/// Rank 1 binds a port the kernel picks; rank 0 is handed its listener.
+fn builder(rank: u16, rank0: String) -> RuntimeBuilder {
+    let cfg = Config::small(2, 1)
+        .with_tcp(rank, vec![rank0, "127.0.0.1:0".into()])
         .with_max_batch_parcels(16);
-    RuntimeBuilder::new(cfg)
-        .register::<Square>()
-        .build()
-        .expect("bootstrap the mesh")
+    RuntimeBuilder::new(cfg).register::<Square>()
 }
 
 fn main() {
@@ -53,12 +54,8 @@ fn main() {
 
 /// Rank 1: serve parcels until the parent closes our stdin.
 fn child(rank: u16) {
-    let addrs: Vec<String> = std::env::var("PX_DIST_ADDRS")
-        .expect("PX_DIST_ADDRS")
-        .split(',')
-        .map(String::from)
-        .collect();
-    let rt = build(rank, addrs);
+    let rank0 = std::env::var("PX_DIST_ADDR").expect("PX_DIST_ADDR");
+    let rt = builder(rank, rank0).build().expect("bootstrap the mesh");
     eprintln!("[rank {rank}] mesh up, serving");
     let mut sink = String::new();
     let _ = std::io::stdin().read_to_string(&mut sink);
@@ -68,22 +65,19 @@ fn child(rank: u16) {
 
 /// Rank 0: spawn the child, run the spawn/await workload, print stats.
 fn parent() {
-    // Reserve two loopback ports (bind-then-drop).
-    let addrs: Vec<String> = (0..2)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-        })
-        .collect();
-    println!("[rank 0] system of 2 processes: {addrs:?}");
+    // Bound before rank 1 starts: its first dial finds rank 0 up.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let rank0 = listener.local_addr().unwrap().to_string();
+    println!("[rank 0] system of 2 processes, rank 0 at {rank0}");
     let mut peer = Command::new(std::env::current_exe().unwrap())
         .env("PX_DIST_RANK", "1")
-        .env("PX_DIST_ADDRS", addrs.join(","))
+        .env("PX_DIST_ADDR", &rank0)
         .stdin(Stdio::piped())
         .spawn()
         .expect("spawn rank 1");
 
-    let rt = build(0, addrs);
+    let rt = builder(0, rank0).tcp_listener(listener).build();
+    let rt = rt.expect("bootstrap the mesh");
     println!("[rank 0] bootstrap barrier passed; mesh up");
 
     // Spawn/await workload: parcels spawn Square threads at rank 1, the

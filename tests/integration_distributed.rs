@@ -150,15 +150,20 @@ fn store_sizes(rt: &Runtime) -> Vec<u64> {
     rt.stats().localities.iter().map(|l| l.objects).collect()
 }
 
-/// Reserve loopback addresses by binding ephemeral ports and dropping
-/// the listeners (the tiny reuse race is acceptable in tests).
-fn free_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            format!("127.0.0.1:{}", l.local_addr().unwrap().port())
-        })
-        .collect()
+/// Rank 0's listener of a `ranks`-wide mesh, bound before any child
+/// starts (each dials an address that is up), and the mesh's addresses.
+fn rank0(ranks: usize) -> (TcpListener, Vec<String>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addrs = mesh_addrs(listener.local_addr().unwrap().to_string(), ranks);
+    (listener, addrs)
+}
+
+/// The address list of every rank: where rank 0 listens. Every other
+/// rank binds a port the kernel picks and learns the rest at bootstrap.
+fn mesh_addrs(rank0: String, ranks: usize) -> Vec<String> {
+    let mut addrs = vec!["127.0.0.1:0".to_string(); ranks];
+    addrs[0] = rank0;
+    addrs
 }
 
 /// Return this rank's slice of a trace: every locally recorded event of
@@ -174,7 +179,7 @@ impl Action for Slice {
     }
 }
 
-fn build_rt(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered: bool) -> Runtime {
+fn rt_config(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered: bool) -> Config {
     let mut cfg = Config::small(addrs.len(), 1).with_tcp(rank, addrs);
     if batched {
         // Batching exercises coalesced checksummed frames over the
@@ -190,60 +195,49 @@ fn build_rt(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered:
     if metered {
         cfg = cfg.with_metrics(true);
     }
-    build(cfg)
+    cfg
 }
 
-/// A rank that coalesces up to `cap` parcels per frame and runs nothing
+/// A rank that coalesces up to 16 parcels per frame and runs nothing
 /// else in the background: no balancer, so no gossip wakes an idle mesh
 /// or dies toward a dead peer.
-fn build_batched(rank: u16, addrs: Vec<String>, cap: usize) -> Runtime {
-    build(
-        Config::small(addrs.len(), 1)
-            .with_tcp(rank, addrs)
-            .with_max_batch_parcels(cap),
-    )
+fn batched_config(rank: u16, addrs: Vec<String>) -> Config {
+    let cfg = Config::small(addrs.len(), 1).with_tcp(rank, addrs);
+    cfg.with_max_batch_parcels(16)
 }
 
-fn build(cfg: Config) -> Runtime {
-    RuntimeBuilder::new(cfg)
+/// A runtime of `cfg`, on `listener` if one is given (rank 0).
+fn build(cfg: Config, listener: Option<TcpListener>) -> Runtime {
+    let mut builder = RuntimeBuilder::new(cfg)
         .register::<Square>()
         .register::<Slice>()
         .register::<Access>()
         .register::<Busy>()
         .register::<Sink>()
         .register::<Flood>()
-        .register::<Switches>()
-        .build()
-        .unwrap()
+        .register::<Switches>();
+    if let Some(listener) = listener {
+        builder = builder.tcp_listener(listener);
+    }
+    builder.build().unwrap()
 }
 
 fn spawn_child(mode: &str, addrs: &[String]) -> Child {
-    spawn_child_at(mode, addrs, 1)
+    spawn_child_at(mode, addrs, 1, Stdio::null())
 }
 
-/// Like [`spawn_child`], but with the child's stdout piped back so the
-/// parent can read what it publishes (the `names` mode).
-fn spawn_child_piped(mode: &str, addrs: &[String]) -> Child {
+/// Start rank `rank` of the mesh at `addrs` serving `mode` (no mesh for
+/// a mode that runs its own): it is told rank 0's address and the rank
+/// count.
+fn spawn_child_at(mode: &str, addrs: &[String], rank: u16, stdout: Stdio) -> Child {
     Command::new(std::env::current_exe().unwrap())
         .args(["dist_child_entry", "--exact", "--nocapture"])
         .env("PX_DIST_MODE", mode)
-        .env("PX_DIST_ADDRS", addrs.join(","))
-        .env("PX_DIST_RANK", "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn child rank")
-}
-
-fn spawn_child_at(mode: &str, addrs: &[String], rank: u16) -> Child {
-    Command::new(std::env::current_exe().unwrap())
-        .args(["dist_child_entry", "--exact", "--nocapture"])
-        .env("PX_DIST_MODE", mode)
-        .env("PX_DIST_ADDRS", addrs.join(","))
+        .env("PX_DIST_ADDR", addrs.first().map_or("", String::as_str))
+        .env("PX_DIST_RANKS", addrs.len().to_string())
         .env("PX_DIST_RANK", rank.to_string())
         .stdin(Stdio::piped())
-        .stdout(Stdio::null())
+        .stdout(stdout)
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn child rank")
@@ -262,25 +256,19 @@ fn dist_child_entry() {
         "idle-inproc" => return idle_in_process(),
         _ => {}
     }
-    let addrs: Vec<String> = std::env::var("PX_DIST_ADDRS")
-        .expect("child needs PX_DIST_ADDRS")
-        .split(',')
-        .map(String::from)
-        .collect();
-    let rank: u16 = std::env::var("PX_DIST_RANK")
-        .map(|r| r.parse().expect("numeric rank"))
-        .unwrap_or(1);
-    let rt = match mode.as_str() {
-        "quiet" | "soak" | "switches" => build_batched(rank, addrs, 16),
-        "two-workers" => build(Config::small(addrs.len(), 2).with_tcp(rank, addrs)),
-        _ => build_rt(
-            rank,
-            addrs,
-            mode.starts_with("serve"),
-            mode == "serve-trace",
-            mode == "serve-metrics",
-        ),
+    let var = |name: &str| std::env::var(name).expect("a child rank's environment");
+    let rank: u16 = var("PX_DIST_RANK").parse().expect("numeric rank");
+    let ranks = var("PX_DIST_RANKS").parse().expect("numeric rank count");
+    let addrs = mesh_addrs(var("PX_DIST_ADDR"), ranks);
+    let cfg = match mode.as_str() {
+        "quiet" | "soak" | "switches" => batched_config(rank, addrs),
+        "two-workers" => Config::small(ranks, 2).with_tcp(rank, addrs),
+        _ => {
+            let (batched, traced) = (mode.starts_with("serve"), mode == "serve-trace");
+            rt_config(rank, addrs, batched, traced, mode == "serve-metrics")
+        }
     };
+    let rt = build(cfg, None);
     match mode.as_str() {
         // Vanish right after the barrier, without shutdown: sockets die
         // with the process, like a crashed node.
@@ -373,9 +361,9 @@ fn drive_from_rank_one(rt: &Runtime) {
 /// run in the child.
 #[test]
 fn calls_from_a_nonzero_ranks_driver_are_delivered() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("drive", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let status = child.wait().unwrap();
     assert!(status.success(), "rank 1's driver lost a call: {status:?}");
     rt.shutdown();
@@ -386,9 +374,9 @@ fn calls_from_a_nonzero_ranks_driver_are_delivered() {
 /// futures await the results, the continuation parcels cross back.
 #[test]
 fn two_process_spawn_await_workload_completes() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
-    let rt = build_rt(0, addrs, true, false, false);
+    let rt = build(rt_config(0, addrs, true, false, false), Some(listener));
     const N: u64 = 200;
     let futs: Vec<(u64, FutureRef<u64>)> = (0..N)
         .map(|i| {
@@ -448,9 +436,9 @@ fn two_process_spawn_await_workload_completes() {
 /// its own rank, and merging adds bucket counts, not timestamps.
 #[test]
 fn two_process_cluster_metrics_merges_per_rank_histograms() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve-metrics", &addrs);
-    let rt = build_rt(0, addrs, true, false, true);
+    let rt = build(rt_config(0, addrs, true, false, true), Some(listener));
     const N: u64 = 64;
     for i in 0..N {
         let fut = rt.new_future::<u64>(LocalityId(0));
@@ -502,11 +490,11 @@ fn two_process_cluster_metrics_merges_per_rank_histograms() {
 /// `PxError::Fault` (`FaultCause::Transport`) in bounded time.
 #[test]
 fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("crash", &addrs);
     // The barrier passes (the child builds its runtime before exiting);
     // right after, the peer is gone.
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let deadline = Instant::now() + BOUND;
     let fault = loop {
         let fut = rt.new_future::<u64>(LocalityId(0));
@@ -557,7 +545,7 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 /// runs nothing else.
 #[test]
 fn thread_count_stays_flat_from_one_peer_to_seven() {
-    let mut child = spawn_child_at("thread-count", &[], 0);
+    let mut child = spawn_child_at("thread-count", &[], 0, Stdio::null());
     drop(child.stdin.take());
     assert!(
         child.wait().unwrap().success(),
@@ -572,11 +560,11 @@ fn count_threads_as_rank_zero() {
     // every peer so all connections are live when we count.
     let mut counts = Vec::new();
     for ranks in [2usize, 8] {
-        let addrs = free_addrs(ranks);
+        let (listener, addrs) = rank0(ranks);
         let mut children: Vec<Child> = (1..ranks as u16)
-            .map(|r| spawn_child_at("serve", &addrs, r))
+            .map(|r| spawn_child_at("serve", &addrs, r, Stdio::null()))
             .collect();
-        let rt = build_rt(0, addrs, true, false, false);
+        let rt = build(rt_config(0, addrs, true, false, false), Some(listener));
         for r in 1..ranks as u16 {
             let fut = rt.new_future::<u64>(LocalityId(0));
             rt.send_action::<Square>(
@@ -682,7 +670,7 @@ fn wakeups_while_idle(name: &str) -> u64 {
 /// Measured in a child that runs nothing but rank 0 (`idle-tcp` mode).
 #[test]
 fn an_idle_batched_mesh_makes_no_wakeups() {
-    let mut child = spawn_child_at("idle-tcp", &[], 0);
+    let mut child = spawn_child_at("idle-tcp", &[], 0, Stdio::null());
     drop(child.stdin.take());
     assert!(
         child.wait().unwrap().success(),
@@ -692,9 +680,9 @@ fn an_idle_batched_mesh_makes_no_wakeups() {
 
 /// Body of the `idle-tcp` child: rank 0 of a live 2-rank batched mesh.
 fn idle_as_rank_zero() {
-    let addrs = free_addrs(2);
-    let mut peer = spawn_child_at("quiet", &addrs, 1);
-    let rt = build_batched(0, addrs, 16);
+    let (listener, addrs) = rank0(2);
+    let mut peer = spawn_child("quiet", &addrs);
+    let rt = build(batched_config(0, addrs), Some(listener));
     let fut = rt.new_future::<u64>(LocalityId(0));
     let to = Gid::locality_root(LocalityId(1));
     rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
@@ -714,7 +702,7 @@ fn idle_as_rank_zero() {
 /// counts above.
 #[test]
 fn an_idle_in_process_wire_makes_no_wakeups() {
-    let mut child = spawn_child_at("idle-inproc", &[], 0);
+    let mut child = spawn_child_at("idle-inproc", &[], 0, Stdio::null());
     drop(child.stdin.take());
     assert!(
         child.wait().unwrap().success(),
@@ -728,7 +716,7 @@ fn idle_in_process() {
     let cfg = Config::small(2, 1)
         .with_latency(Duration::from_micros(5))
         .with_max_batch_parcels(16);
-    let rt = build(cfg);
+    let rt = build(cfg, None);
     // Thread start-up blocks a time or two (the allocator, the first
     // look at the channel): let it settle before the window opens.
     std::thread::sleep(Duration::from_millis(100));
@@ -763,9 +751,9 @@ fn idle_in_process() {
 #[test]
 fn parcels_left_in_a_port_toward_a_dead_peer_all_die_loudly() {
     const K: u64 = 5;
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("quiet", &addrs);
-    let rt = build_batched(0, addrs, 16);
+    let rt = build(batched_config(0, addrs), Some(listener));
     let to = Gid::locality_root(LocalityId(1));
     let ask = |n: u64| {
         let fut = rt.new_future::<u64>(LocalityId(0));
@@ -802,13 +790,14 @@ fn parcels_left_in_a_port_toward_a_dead_peer_all_die_loudly() {
 /// drains.
 #[test]
 fn remote_closure_spawn_dies_loudly() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
     let observed = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     let seen = observed.clone();
     let mut cfg = Config::small(2, 1).with_tcp(0, addrs);
     cfg.wire = WireModel::instant();
     let rt = RuntimeBuilder::new(cfg)
+        .tcp_listener(listener)
         .register::<Square>()
         .on_dead_letter(move |f| {
             if f.cause == FaultCause::Transport {
@@ -838,9 +827,9 @@ fn remote_closure_spawn_dies_loudly() {
 /// object served at every instant, so neither read can miss.
 #[test]
 fn cross_rank_migrate_data_round_trip() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let payload = vec![0xAB; 512];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
 
@@ -878,9 +867,9 @@ fn cross_rank_migrate_data_round_trip() {
 /// one-shot reply futures too, freed when they fire.
 #[test]
 fn remote_reads_and_migrations_leave_the_origin_store_flat() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let payload = vec![0xC3; 64];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     rt.migrate_data(gid, LocalityId(1))
@@ -909,7 +898,7 @@ fn remote_reads_and_migrations_leave_the_origin_store_flat() {
 /// where it began: the store holds what is in flight, not what has been.
 #[test]
 fn soak_in_process_accesses_leave_every_store_flat() {
-    let rt = build(Config::small(2, 1));
+    let rt = build(Config::small(2, 1), None);
     let home = |i: usize| LocalityId((i % 2) as u16);
     let objs: Vec<Gid> = (0..16)
         .map(|i| rt.new_data_at(home(i), vec![0; OBJECT_BYTES]))
@@ -942,9 +931,9 @@ fn soak_in_process_accesses_leave_every_store_flat() {
 /// fails its exit status otherwise).
 #[test]
 fn soak_two_process_requests_leave_every_store_flat() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("soak", &addrs);
-    let rt = build_batched(0, addrs, 16);
+    let rt = build(batched_config(0, addrs), Some(listener));
     let initial = store_sizes(&rt)[0];
     let to = Gid::locality_root(LocalityId(1));
     pipelined(&rt, SOAK, |i| {
@@ -972,9 +961,9 @@ fn soak_two_process_requests_leave_every_store_flat() {
 #[test]
 fn process_scoped_names_resolve_across_ranks() {
     use std::io::BufRead;
-    let addrs = free_addrs(2);
-    let mut child = spawn_child_piped("names", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let (listener, addrs) = rank0(2);
+    let mut child = spawn_child_at("names", &addrs, 1, Stdio::piped());
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     // The child is a libtest binary: its harness chatter shares stdout
     // (and even the same line — libtest prints `test ... ` without a
     // newline before running), so scan for the published `/proc/` path.
@@ -1014,9 +1003,9 @@ fn process_scoped_names_resolve_across_ranks() {
 /// scheduler, and the object stays readable afterwards.
 #[test]
 fn concurrent_cross_rank_migrations_of_same_object_settle() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let payload = b"contended".to_vec();
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     std::thread::scope(|s| {
@@ -1058,9 +1047,9 @@ fn concurrent_cross_rank_migrations_of_same_object_settle() {
 /// so nothing blocks forever on a dead owner.
 #[test]
 fn killing_the_owner_faults_reads_and_migrations_in_bounded_time() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let gid = rt.new_data_at(LocalityId(0), vec![7; 32]);
     rt.migrate_data(gid, LocalityId(1))
         .expect("move to the doomed rank");
@@ -1113,9 +1102,9 @@ fn killing_the_owner_faults_reads_and_migrations_in_bounded_time() {
 /// causally ordered without ever comparing clocks across processes.
 #[test]
 fn killed_peer_leaves_a_causally_ordered_cross_rank_trace() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve-trace", &addrs);
-    let rt = build_rt(0, addrs, false, true, false);
+    let rt = build(rt_config(0, addrs, false, true, false), Some(listener));
 
     // One explicitly traced request, answered by the remote rank.
     let trace = rt.new_trace_id().expect("tracing is on");
@@ -1264,9 +1253,9 @@ fn flood(rt: &Runtime, me: LocalityId, peer: LocalityId) {
 /// queue or read the peer's bytes — its own passes do both.
 #[test]
 fn single_worker_ranks_flooding_each_other_both_complete() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("flood", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     flood(&rt, LocalityId(0), LocalityId(1));
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success(), "rank 1's flood failed");
@@ -1279,9 +1268,9 @@ fn single_worker_ranks_flooding_each_other_both_complete() {
 /// and a request to that rank is answered before the task ends.
 #[test]
 fn a_remote_request_is_answered_while_a_sibling_worker_is_busy() {
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("two-workers", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let root = Gid::locality_root(LocalityId(1));
     let started = rt.new_future::<()>(LocalityId(0));
     let busy = rt.new_future::<u64>(LocalityId(0));
@@ -1316,9 +1305,9 @@ fn a_peer_that_stops_reading_is_held_to_two_byte_bounds() {
     /// `net::tcp`'s per-peer byte bound.
     const SEND_QUEUE_BYTES: u64 = 4 << 20;
     const CHUNKS: u64 = 1024; // 64 MiB
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("plain", &addrs);
-    let rt = build_rt(0, addrs, false, false, false);
+    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
     let root = Gid::locality_root(LocalityId(1));
     rt.send_action::<Busy>(root, (1000, None), Continuation::none())
         .unwrap();
@@ -1348,9 +1337,9 @@ fn a_peer_that_stops_reading_is_held_to_two_byte_bounds() {
 #[test]
 fn a_served_request_costs_the_serving_rank_one_block() {
     const REQUESTS: u64 = 2_000;
-    let addrs = free_addrs(2);
+    let (listener, addrs) = rank0(2);
     let mut child = spawn_child("switches", &addrs);
-    let rt = build_batched(0, addrs, 16);
+    let rt = build(batched_config(0, addrs), Some(listener));
     let root = Gid::locality_root(LocalityId(1));
     let ask = |n: u64| {
         let fut = rt.new_future::<u64>(LocalityId(0));
