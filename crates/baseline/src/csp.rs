@@ -1,13 +1,13 @@
 //! Ranks, blocking message passing, barriers, and the remote store.
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use px_core::net::{DelayLine, WireModel};
+use px_core::net::WireModel;
 use serde::{de::DeserializeOwned, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Reserved tag space: user tags must stay below this.
 pub const SYS_TAG_BASE: u32 = 0xffff_0000;
@@ -31,53 +31,61 @@ pub struct Envelope {
     pub payload: Vec<u8>,
 }
 
+/// Envelopes, each with the instant it is due.
+type Queue = VecDeque<(Instant, Envelope)>;
+
 /// Blocking mailbox with `(from, tag)` matching (MPI-style out-of-order
-/// matching: a recv takes the oldest message satisfying the filter).
+/// matching: a recv takes the oldest arrived message satisfying the
+/// filter). A message arrives at the instant it is stamped due: the wire
+/// is the mailbox holding it until then.
 #[derive(Debug, Default)]
 pub struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
 }
 
 impl Mailbox {
-    fn deliver(&self, env: Envelope) {
+    fn deliver(&self, env: Envelope, due: Instant) {
         let mut q = self.queue.lock();
-        q.push_back(env);
+        q.push_back((due, env));
         self.cv.notify_all();
+    }
+
+    /// When the matching message due first (ties: sent first) is due,
+    /// and where it is.
+    fn first(q: &Queue, from: Option<usize>, tag: u32) -> Option<(Instant, usize)> {
+        let hit = |e: &Envelope| e.tag == tag && from.is_none_or(|f| e.from == f);
+        let hits = q.iter().enumerate().filter(|(_, (_, e))| hit(e));
+        hits.map(|(pos, &(due, _))| (due, pos)).min()
     }
 
     /// Blocking matched receive.
     fn recv(&self, from: Option<usize>, tag: u32) -> Envelope {
         let mut q = self.queue.lock();
         loop {
-            if let Some(pos) = q
-                .iter()
-                .position(|e| e.tag == tag && from.is_none_or(|f| e.from == f))
-            {
-                return q.remove(pos).expect("position valid");
+            match Self::first(&q, from, tag) {
+                Some((due, pos)) if due <= Instant::now() => {
+                    return q.remove(pos).expect("position valid").1;
+                }
+                Some((due, _)) => drop(self.cv.wait_until(&mut q, due)),
+                None => self.cv.wait(&mut q),
             }
-            self.cv.wait(&mut q);
         }
     }
 
     /// Non-blocking matched receive.
     fn try_recv(&self, from: Option<usize>, tag: u32) -> Option<Envelope> {
         let mut q = self.queue.lock();
-        q.iter()
-            .position(|e| e.tag == tag && from.is_none_or(|f| e.from == f))
-            .and_then(|pos| q.remove(pos))
+        let (due, pos) = Self::first(&q, from, tag)?;
+        (due <= Instant::now()).then(|| q.remove(pos).expect("position valid").1)
     }
-}
-
-struct Routed {
-    to: usize,
-    env: Envelope,
 }
 
 /// Shared world state.
 pub struct WorldInner {
     mailboxes: Vec<Arc<Mailbox>>,
-    line: DelayLine<Routed>,
+    /// Remote-store requests, due-stamped, for the responder thread.
+    requests: SyncSender<(Instant, Envelope)>,
     /// Per-rank remote-store shards: key → bytes.
     store: Vec<RwLock<std::collections::HashMap<u64, Vec<u8>>>>,
     /// Messages sent (diagnostics).
@@ -93,7 +101,15 @@ impl WorldInner {
         self.messages.fetch_add(1, Ordering::Relaxed);
         let size = env.payload.len() + 16; // header estimate, matches parcels
         self.bytes.fetch_add(size as u64, Ordering::Relaxed); // Relaxed: as above
-        self.line.send(Routed { to, env }, size);
+        let due = Instant::now() + self.model.delay_for(size);
+        if env.tag == TAG_STORE_REQ {
+            // Route the owner rank through the tag field of the diverted
+            // envelope: the responder needs (owner, requester).
+            let tag = to as u32;
+            let _ = self.requests.send((due, Envelope { tag, ..env }));
+        } else {
+            self.mailboxes[to].deliver(env, due);
+        }
     }
 }
 
@@ -111,26 +127,10 @@ impl World {
     {
         assert!(n >= 1);
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::default())).collect();
-        // Responder channel: store requests are diverted to the responder
-        // thread instead of the rank mailbox.
-        let (req_tx, req_rx) = sync_channel::<Envelope>(65536);
-        let sink_mailboxes = mailboxes.clone();
-        let sink: Arc<dyn Fn(Routed) + Send + Sync> = Arc::new(move |r| {
-            if r.env.tag == TAG_STORE_REQ {
-                let _ = req_tx.send(Envelope {
-                    from: r.env.from,
-                    // Route the owner rank through the tag field of the
-                    // diverted envelope: responder needs (owner, requester).
-                    tag: r.to as u32,
-                    payload: r.env.payload,
-                });
-            } else {
-                sink_mailboxes[r.to].deliver(r.env);
-            }
-        });
+        let (requests, req_rx) = sync_channel(65536);
         let inner = Arc::new(WorldInner {
             mailboxes,
-            line: DelayLine::new(model, sink),
+            requests,
             store: (0..n).map(|_| RwLock::new(Default::default())).collect(),
             messages: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -139,8 +139,8 @@ impl World {
 
         // Responder thread: serves GET requests, paying wire costs on the
         // reply but no rank compute (generous to the baseline). It holds
-        // only a Weak reference — a strong one would keep the delay line
-        // (and therefore its own request channel) alive forever.
+        // only a Weak reference — a strong one would keep its own request
+        // channel alive forever.
         let responder_inner = Arc::downgrade(&inner);
         let responder = std::thread::Builder::new()
             .name("csp-responder".into())
@@ -166,17 +166,18 @@ impl World {
                 Err(e) => std::panic::resume_unwind(e),
             })
             .collect();
-        // Ranks done: drop the world's delay line by dropping inner refs.
+        // Ranks done: close the request channel by dropping inner refs.
         drop(inner);
         let _ = responder.join();
         results
     }
 }
 
-fn responder_loop(rx: Receiver<Envelope>, inner: std::sync::Weak<WorldInner>) {
-    // Exits when all senders disconnect (delay line dropped) or the world
-    // is gone.
-    while let Ok(env) = rx.recv() {
+fn responder_loop(rx: Receiver<(Instant, Envelope)>, inner: std::sync::Weak<WorldInner>) {
+    // Exits when all senders disconnect (the world dropped) or the world
+    // is gone. A request is served once due.
+    while let Ok((due, env)) = rx.recv() {
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
         let Some(inner) = inner.upgrade() else {
             return;
         };

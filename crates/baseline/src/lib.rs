@@ -15,10 +15,11 @@
 //!   the *owner* no compute — deliberately generous to the baseline, so
 //!   the latency-hiding wins measured for ParalleX are conservative.
 //!
-//! Crucially, all messages travel through the same
-//! [`px_core::net::DelayLine`] mechanism with the same [`WireModel`]
-//! arithmetic as the ParalleX runtime: the experiments compare execution
-//! models, not transport implementations.
+//! Crucially, every message pays the same [`WireModel`] arithmetic as the
+//! ParalleX runtime's in-process wire: it is stamped due `latency +
+//! bytes·per_byte` after its send, and the receiving mailbox holds it
+//! until then. The experiments compare execution models, not transport
+//! implementations.
 //!
 //! ```
 //! use px_baseline::csp::World;

@@ -7,15 +7,19 @@
 //! locality (sibling work stealing). This module adds the cross-locality
 //! half, runtime-directed and barrier-free:
 //!
-//! 1. **Sample** — each round, every locality's [`px_balance::LoadMonitor`]
-//!    records queue depth, park delta, and staging backlog.
-//! 2. **Gossip** — each locality sends its whole
-//!    [`px_balance::PeerView`] to one rotating peer as a
-//!    `__sys/balance_gossip` parcel on the ordinary (batched) transport.
-//!    After `n − 1` rounds everyone has heard from everyone.
-//! 3. **Act** — per locality, the configured
-//!    [`px_balance::BalancePolicy`] decides, from that locality's own
-//!    gossiped view only:
+//! Each owned locality runs its own pulse: a task on its own timer heap
+//! (`Locality::timers`), due one gossip interval on, that its workers
+//! queue on the control lane once due and run like any other. A round
+//! does three things for its locality alone, then re-arms itself:
+//!
+//! 1. **Sample** — the locality's [`px_balance::LoadMonitor`] records
+//!    queue depth, park delta, and staging backlog.
+//! 2. **Gossip** — the locality sends its whole [`px_balance::PeerView`]
+//!    to one rotating peer as a `__sys/balance_gossip` parcel on the
+//!    ordinary (batched) transport. After `n − 1` rounds everyone has
+//!    heard from everyone.
+//! 3. **Act** — the configured [`px_balance::BalancePolicy`] decides, from
+//!    the locality's own gossiped view only:
 //!    * *work diffusion*: shed queued closure tasks to the least-loaded
 //!      peer (parcel-addressed tasks stay — they are bound to objects
 //!      resident here);
@@ -27,17 +31,17 @@
 //!      owners, via the same store-move + directory-update + bounded
 //!      forwarding chase as a manual `migrate_data`.
 //!
-//! One pulse line serves all localities of the (simulated) machine, but
-//! every *decision* reads only the deciding locality's own monitor and
+//! Every decision reads only the deciding locality's own monitor and
 //! gossip view — the information flow between localities is parcels, so
-//! the design transplants directly onto a distributed AGAS.
+//! the design transplants directly onto a distributed AGAS. Shutdown
+//! stops the pulse where it stands: a round that finds the runtime
+//! stopping neither runs nor re-arms.
 
 use crate::action::Value;
 use crate::agas::MigrationCause;
-use crate::clock::{Clock, Later, Line, Thread};
 use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::locality::{Locality, NO_SPAWN_TARGET};
+use crate::locality::{BalanceState, Due, Lane, Locality, NO_SPAWN_TARGET};
 use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::RuntimeInner;
@@ -47,147 +51,144 @@ use crate::sys;
 use px_balance::{BalanceConfig, LoadSample, PlacementQuery, ShedQuery};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// When shedding, give up after putting back this many non-sheddable
 /// tasks in a row (the queue head is parcel-bound work; keep the pulse
 /// cheap instead of trawling the whole injector).
 const PUTBACK_LIMIT: usize = 32;
 
-/// The pulse line's one item: the last round run and the park counts it
-/// saw. Each round re-arms it one gossip interval on.
-pub(crate) type Pulse = (u64, Vec<u64>);
-
-/// The balancer pulse, when configured: a line whose round re-arms itself
-/// until the line closes (`Runtime::shutdown`, before the workers stop).
-pub(crate) fn pulse(rt: &Arc<RuntimeInner>, clock: &Clock) -> Option<Line<Pulse>> {
-    let cfg = rt.config.balance.clone()?;
-    let (n, every, rt) = (rt.localities.len(), cfg.gossip_interval, rt.clone());
-    let round = move |(round, mut last_parks): Pulse, later: &mut Later<'_, Pulse>| {
-        if later.closing {
-            return; // stopping: no round, and no re-arm for the flush to chase
-        }
-        let round = round + 1;
-        sample_all(&rt, round, &mut last_parks);
-        if n > 1 {
-            gossip_round(&rt, round, n);
-            // Acting is live over TCP too: each rank decides for its own
-            // localities from the gossiped view. Cross-rank levers differ
-            // from in-process ones — sheds ship locality-root-addressed
-            // *parcels* (closures do not serialize), spawn redirects
-            // publish only owned targets, and heat pulls go through the
-            // split-phase `__sys/agas_migrate` protocol against the
-            // distributed home directory.
-            act_round(&rt, &cfg);
-        }
-        (later.after)(every, (round, last_parks));
+/// Arm every owned locality's first pulse, one gossip interval on, when
+/// the balancer is configured.
+pub(crate) fn start(rt: &Arc<RuntimeInner>) {
+    let Some(cfg) = &rt.config.balance else {
+        return;
     };
-    let line = Line::new(clock, Thread::Balancer, Arc::new(round));
-    line.send_in((0, vec![0; n]), every);
-    Some(line)
-}
-
-/// Record one load sample per locality and self-observe the new score.
-fn sample_all(rt: &Arc<RuntimeInner>, round: u64, last_parks: &mut [u64]) {
-    for (i, loc) in rt.localities.iter().enumerate() {
-        if !rt.owns(crate::gid::LocalityId(i as u16)) {
-            // Another OS process samples that locality.
-            continue;
-        }
-        let Some(b) = &loc.balance else { continue };
-        let parks_now = loc.counters.parks.get();
-        let sample = LoadSample {
-            queue_depth: loc.queue_depth() as u64,
-            // Parks are untimed: a worker starved for the whole round
-            // parks zero times in it, and is counted as parked instead.
-            parks: parks_now.saturating_sub(last_parks[i]) + loc.sleep.sleeping(),
-            backlog: loc.staging_depth() as u64,
-        };
-        last_parks[i] = parks_now;
-        let score = {
-            let mut m = b.monitor.lock();
-            m.record(sample);
-            m.score()
-        };
-        b.peers.lock().observe(i, score, round);
-        bump!(loc.counters.gossip_rounds);
+    for loc in rt.localities.iter().filter(|loc| rt.owns(loc.id)) {
+        arm(loc, loc.timers.now() + cfg.gossip_interval, 0, 0);
     }
 }
 
-/// Each locality sends its view to one rotating peer. The offset walks
-/// `1..n`, so over `n − 1` rounds every ordered pair gossips once.
-fn gossip_round(rt: &Arc<RuntimeInner>, round: u64, n: usize) {
+/// Put `loc`'s next pulse on its heap, due at `at`: round `round` ran
+/// last and saw `parks` parks.
+fn arm(loc: &Locality, at: Instant, round: u64, parks: u64) {
+    let pulse = move |ctx: &mut crate::runtime::Ctx<'_>| {
+        pulse(ctx.rt_inner(), ctx.locality(), at, round, parks);
+    };
+    let task = Box::new(Task::new(Work::Thread(Box::new(pulse))));
+    loc.arm(at, Lane::Control, Due::Task(task), None);
+}
+
+/// One round of `loc`'s pulse, due at `due`, then the next one armed an
+/// interval on — at once if this one ran more than an interval late.
+fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64, last_parks: u64) {
+    // SeqCst: the flag `Runtime::shutdown` stores before it wakes the
+    // workers; a round that misses it runs once more, harmlessly.
+    let stopping = rt.shutdown.load(Ordering::SeqCst);
+    let (Some(cfg), Some(b), false) = (&rt.config.balance, &loc.balance, stopping) else {
+        return; // stopping: no round, and no re-arm
+    };
+    let (round, n) = (round + 1, rt.localities.len());
+    let parks = sample(loc, b, round, last_parks);
+    if n > 1 {
+        gossip(rt, loc, b, round, n);
+        // Acting is live over TCP too: each rank decides for its own
+        // localities from the gossiped view. Cross-rank levers differ
+        // from in-process ones — sheds ship locality-root-addressed
+        // *parcels* (closures do not serialize), spawn redirects publish
+        // only owned targets, and heat pulls go through the split-phase
+        // `__sys/agas_migrate` protocol against the distributed home
+        // directory.
+        act(rt, cfg, loc, b);
+    }
+    let next = (due + cfg.gossip_interval).max(loc.timers.now());
+    arm(loc, next, round, parks);
+}
+
+/// Record one load sample and self-observe the new score; returns the
+/// park count the next round measures from.
+fn sample(loc: &Locality, b: &BalanceState, round: u64, last_parks: u64) -> u64 {
+    let parks_now = loc.counters.parks.get();
+    let sample = LoadSample {
+        queue_depth: loc.queue_depth() as u64,
+        // Parks are untimed: a worker starved for the whole round
+        // parks zero times in it, and is counted as parked instead.
+        parks: parks_now.saturating_sub(last_parks) + loc.sleep.sleeping(),
+        backlog: loc.staging_depth() as u64,
+    };
+    let score = {
+        let mut m = b.monitor.lock();
+        m.record(sample);
+        m.score()
+    };
+    b.peers.lock().observe(loc.id.0 as usize, score, round);
+    bump!(loc.counters.gossip_rounds);
+    parks_now
+}
+
+/// Send `loc`'s view to one rotating peer. The offset walks `1..n`, so
+/// over `n − 1` rounds every ordered pair gossips once.
+fn gossip(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, b: &BalanceState, round: u64, n: usize) {
     let offset = 1 + (round as usize - 1) % (n - 1);
-    for (i, loc) in rt.localities.iter().enumerate() {
-        if !rt.owns(crate::gid::LocalityId(i as u16)) {
-            continue;
-        }
-        let Some(b) = &loc.balance else { continue };
-        let peer = LocalityId(((i + offset) % n) as u16);
-        let payload = b.peers.lock().encode_gossip();
-        let p = Parcel::new(
-            Gid::locality_root(peer),
-            sys::BALANCE_GOSSIP,
-            Value::from_bytes(payload),
-            Continuation::none(),
-        );
-        Origin::at(rt, loc).send(p);
-    }
+    let peer = LocalityId(((loc.id.0 as usize + offset) % n) as u16);
+    let payload = b.peers.lock().encode_gossip();
+    let p = Parcel::new(
+        Gid::locality_root(peer),
+        sys::BALANCE_GOSSIP,
+        Value::from_bytes(payload),
+        Continuation::none(),
+    );
+    Origin::at(rt, loc).send(p);
 }
 
-/// Run the policy for every locality: spawn redirect, shed, pulls.
-fn act_round(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig) {
-    for (i, loc) in rt.localities.iter().enumerate() {
-        if !rt.owns(LocalityId(i as u16)) {
-            // Another OS process's balancer decides for that locality.
-            continue;
+/// Run the policy for `loc`: spawn redirect, shed, pulls.
+fn act(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, loc: &Arc<Locality>, b: &BalanceState) {
+    let i = loc.id.0 as usize;
+    let (my_score, least) = {
+        let peers = b.peers.lock();
+        (peers.score_of(i).unwrap_or(0.0), peers.least_loaded(i))
+    };
+    let Some((least_idx, least_score)) = least else {
+        // No gossip heard yet: nothing to compare against.
+        // Relaxed: the target is an advisory hint — a stale read
+        // routes one spawn suboptimally, nothing more.
+        b.spawn_target.store(NO_SPAWN_TARGET, Ordering::Relaxed);
+        return;
+    };
+    // Diffusion decisions use min(windowed, instantaneous) load: a spike
+    // must persist a while before we shed (no knee-jerk on one burst),
+    // and a freshly-drained queue stops shedding immediately instead of
+    // lagging a full window behind (which would over-shed and ping-pong
+    // the excess back).
+    let inst = (loc.queue_depth() + loc.staging_depth()) as f64;
+    let sq = ShedQuery {
+        local_score: my_score.min(inst),
+        least_score,
+        queue_depth: loc.queue_depth() as u64,
+        max_shed: cfg.max_shed_per_round,
+    };
+    // Redirected spawns are closures, so the published target must live
+    // in this OS process; an unowned least-loaded peer still receives
+    // work through parcel sheds below.
+    let target = if cfg.policy.redirect_spawn(&sq) && rt.owns(LocalityId(least_idx as u16)) {
+        least_idx as u32
+    } else {
+        NO_SPAWN_TARGET
+    };
+    // Relaxed: advisory hint, republished every round (see above).
+    b.spawn_target.store(target, Ordering::Relaxed);
+    let want = cfg.policy.shed(&sq);
+    if want > 0 {
+        let shed = shed_tasks(rt, loc, LocalityId(least_idx as u16), want);
+        if shed > 0 {
+            // Optimistic update: the peer just gained `shed` tasks.
+            // Without this the stale gossiped score invites repeated
+            // dumping (and the excess ping-pongs back).
+            b.peers.lock().bump_score(least_idx, shed as f64);
         }
-        let Some(b) = &loc.balance else { continue };
-        let (my_score, least) = {
-            let peers = b.peers.lock();
-            (peers.score_of(i).unwrap_or(0.0), peers.least_loaded(i))
-        };
-        let Some((least_idx, least_score)) = least else {
-            // No gossip heard yet: nothing to compare against.
-            // Relaxed: the target is an advisory hint — a stale read
-            // routes one spawn suboptimally, nothing more.
-            b.spawn_target.store(NO_SPAWN_TARGET, Ordering::Relaxed);
-            continue;
-        };
-        // Diffusion decisions use min(windowed, instantaneous) load: a
-        // spike must persist a while before we shed (no knee-jerk on one
-        // burst), and a freshly-drained queue stops shedding immediately
-        // instead of lagging a full window behind (which would over-shed
-        // and ping-pong the excess back).
-        let inst = (loc.queue_depth() + loc.staging_depth()) as f64;
-        let sq = ShedQuery {
-            local_score: my_score.min(inst),
-            least_score,
-            queue_depth: loc.queue_depth() as u64,
-            max_shed: cfg.max_shed_per_round,
-        };
-        // Redirected spawns are closures, so the published target must
-        // live in this OS process; an unowned least-loaded peer still
-        // receives work through parcel sheds below.
-        let target = if cfg.policy.redirect_spawn(&sq) && rt.owns(LocalityId(least_idx as u16)) {
-            least_idx as u32
-        } else {
-            NO_SPAWN_TARGET
-        };
-        // Relaxed: advisory hint, republished every round (see above).
-        b.spawn_target.store(target, Ordering::Relaxed);
-        let want = cfg.policy.shed(&sq);
-        if want > 0 {
-            let shed = shed_tasks(rt, loc, LocalityId(least_idx as u16), want);
-            if shed > 0 {
-                // Optimistic update: the peer just gained `shed` tasks.
-                // Without this the stale gossiped score invites repeated
-                // dumping (and the excess ping-pongs back).
-                b.peers.lock().bump_score(least_idx, shed as f64);
-            }
-        }
-        if cfg.policy.uses_heat() {
-            pull_hot(rt, cfg, loc, b, my_score);
-        }
+    }
+    if cfg.policy.uses_heat() {
+        pull_hot(rt, cfg, loc, b, my_score);
     }
 }
 
@@ -250,7 +251,9 @@ pub(crate) fn shed_tasks(
                         0,
                         u64::from(dest.0),
                     );
-                    rt.wire.send(crate::net::WireMsg::Task { dest, task }, 64);
+                    rt.wire
+                        .transport
+                        .submit(crate::net::WireMsg::Task { dest, task }, 64);
                     shed += 1;
                 } else {
                     putback.push(task);
@@ -271,7 +274,7 @@ fn pull_hot(
     rt: &Arc<RuntimeInner>,
     cfg: &BalanceConfig,
     loc: &Arc<Locality>,
-    b: &crate::locality::BalanceState,
+    b: &BalanceState,
     my_score: f64,
 ) {
     let heat = rt.agas.drain_heat(loc.id);
@@ -395,36 +398,66 @@ mod tests {
             if ok() {
                 return true;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         ok()
     }
 
-    /// On a stepped clock: each advance of one gossip interval runs
-    /// exactly one round — a sample at each of the three localities — and
-    /// no test sleeps to let rounds pass.
+    /// How many localities `loc`'s balancer has heard about.
+    fn known(loc: &Locality) -> usize {
+        loc.balance.as_ref().unwrap().peers.lock().known()
+    }
+
+    /// Three balanced localities on a stepped clock, advanced `k` gossip
+    /// intervals: after each, the round that fell due at each locality
+    /// runs — on its workers, not the test thread.
+    fn stepped(k: u64) -> (crate::clock::stepped::Stepper, Runtime) {
+        let clock = crate::clock::stepped::Stepper::default();
+        let cfg = balanced_config(3, BalanceConfig::adaptive());
+        let rt = RuntimeBuilder::new(cfg).stepped(&clock).build().unwrap();
+        for k in 1..=k {
+            clock.advance(GOSSIP);
+            let ran = || rt.stats().total().gossip_rounds >= 3 * k;
+            assert!(wait_until(Duration::from_secs(10), ran), "round {k}");
+        }
+        (clock, rt)
+    }
+
+    /// On a stepped clock each locality's pulse is its own, and no test
+    /// sleeps to let rounds pass.
     #[test]
     fn gossip_fills_peer_views() {
-        let clock = crate::clock::stepped::Stepper::default();
-        let rt = RuntimeBuilder::new(balanced_config(3, BalanceConfig::adaptive()))
-            .stepped(&clock)
-            .build()
-            .unwrap();
-        for k in 1..=4 {
-            clock.advance(GOSSIP);
-            assert_eq!(rt.stats().total().gossip_rounds, 3 * k);
-        }
+        let (_clock, rt) = stepped(4);
         // Two rounds sent each view to both peers; every locality has
         // heard about every other once its worker merged them.
-        for loc in rt.inner().localities.iter() {
-            let b = loc.balance.as_ref().unwrap();
-            assert!(
-                wait_until(Duration::from_secs(5), || b.peers.lock().known() == 3),
-                "locality {} view incomplete",
-                loc.id
-            );
-        }
+        let locs = &rt.inner().localities;
+        let heard = || locs.iter().all(|l| known(l) == 3);
+        assert!(
+            wait_until(Duration::from_secs(5), heard),
+            "a view incomplete"
+        );
         rt.shutdown();
+    }
+
+    /// k intervals give exactly n·k rounds; after `shutdown` the clock
+    /// fires nothing; and shutdown does not wait out an interval — one of
+    /// an hour, on the real clock.
+    #[test]
+    fn pulses_run_once_per_interval_and_stop_at_shutdown() {
+        let (clock, rt) = stepped(5);
+        let rounds = || rt.stats().total().gossip_rounds;
+        assert_eq!(rounds(), 15, "exactly n·k");
+        rt.shutdown();
+        clock.advance(10 * GOSSIP);
+        assert_eq!(rounds(), 15, "a round after shutdown");
+        let hourly = Config::small(2, 1).with_balance(BalanceConfig {
+            gossip_interval: Duration::from_secs(3600),
+            ..BalanceConfig::adaptive()
+        });
+        let rt = RuntimeBuilder::new(hourly).build().unwrap();
+        let t0 = Instant::now();
+        rt.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(60), "{:?}", t0.elapsed());
     }
 
     #[test]
@@ -450,11 +483,16 @@ mod tests {
         rt.shutdown();
     }
 
+    /// On a stepped clock, so the heat of all 600 reads is there for the
+    /// first round that acts: a wall-clock round saw only the reads of its
+    /// 500 µs, under the threshold on a loaded host.
     #[test]
     fn hot_object_is_pulled_toward_caller() {
         let mut cfg = BalanceConfig::adaptive();
         cfg.heat_threshold = 8;
+        let clock = crate::clock::stepped::Stepper::default();
         let rt = RuntimeBuilder::new(balanced_config(2, cfg))
+            .stepped(&clock)
             .build()
             .unwrap();
         let obj = rt.new_data_at(LocalityId(0), vec![1, 2, 3]);
@@ -474,6 +512,12 @@ mod tests {
         });
         let fut: FutureRef<()> = FutureRef::from_gid(done);
         rt.wait_future(fut).unwrap();
+        // Round 1 gossips; round 2, with the peer's view merged, acts.
+        clock.advance(GOSSIP);
+        let locs = &rt.inner().localities;
+        let heard = || locs.iter().all(|l| known(l) == 2);
+        assert!(wait_until(Duration::from_secs(5), heard), "no gossip");
+        clock.advance(GOSSIP);
         let migrated = wait_until(Duration::from_secs(5), || {
             rt.inner().agas.authoritative_owner(obj) == LocalityId(1)
         });
@@ -561,11 +605,15 @@ mod tests {
 
     #[test]
     fn balancer_off_runs_clean() {
-        // No balance config: none of the new counters may move.
+        // No balance config: no pulse is armed, so none of the new
+        // counters may move, however long the runtime runs.
         let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
         let v = rt.run_blocking(LocalityId(1), |ctx| ctx.here().0);
         assert_eq!(v, 1);
-        std::thread::sleep(Duration::from_millis(5));
+        for loc in rt.inner().localities.iter() {
+            assert!(loc.timers.pop().is_none(), "a pulse on {}", loc.id);
+            assert!(!loc.sleep.polls(), "nothing timed: the workers never drive");
+        }
         let t = rt.stats().total();
         assert_eq!(t.gossip_rounds, 0);
         assert_eq!(t.gossip_parcels, 0);

@@ -1,34 +1,35 @@
 //! The rank's one clock: px-core's seam for timers and threads.
 //!
 //! [`Timers`] is the one deadline queue; the TCP event loop arms its
-//! bootstrap, connect, handshake and drain timers on one. A [`Line`] is a
-//! queue fired on a thread of its own: the delay line, and the balancer
-//! pulse (one item that re-arms itself). Idle, a line blocks untimed; on
-//! shutdown it fires what is left once due, and what its sink schedules
-//! meanwhile. [`spawn`] is the one place px-core starts a thread, so the
-//! thread set is a table, [`Thread`]:
+//! bootstrap, connect, handshake and drain timers on one. Each locality
+//! has a [`Heap`], a `Timers` of tasks due there later: the in-process
+//! wire's arrivals and the balancer pulse. Any thread arms it; the holder
+//! of the locality's poller (`queue::Sleep`) fires it at the start of
+//! every pass and parks with its earliest deadline as the timeout —
+//! in-process on the heap's own timed park ([`Heap::park`]), over TCP in
+//! `epoll_wait`. [`spawn`] is the one place px-core starts a thread, so
+//! the thread set is a table of one row:
 //!
 //! | Thread | Runs | Started by |
 //! |---|---|---|
 //! | `px-L{l}-w{w}` | worker `w` of locality `l` | `RuntimeBuilder::build`, per worker of an owned locality |
-//! | `px-delay-line` | a delay line's [`Line`] | a `DelayLine` with a non-instant model (the in-process wire, px-baseline) |
-//! | `px-balancer` | the balancer pulse's [`Line`] | `RuntimeBuilder::build` with a balance config |
 //!
-//! A TCP rank's workers drive its sockets: that backend starts no thread.
-//! In test builds a line can run on a stepped [`Clock`] instead: no
-//! thread, and its items fire on the thread that advances the clock.
+//! In test builds a heap can run on a stepped [`Clock`] instead: time
+//! moves only when a test advances it, and an advance rings every heap's
+//! park so its holder looks again.
 //!
 //! Outside the seam, each for a reason: `queue.rs`'s paced spin is
 //! wall-clock by nature, and a stepped run does not spin. Measurement
 //! stamps (busy and idle ns in `sched.rs`, metrics and trace stamps,
-//! `NetRtt`'s `submitted`, a port's `opened_at` and a kick's stamp) read
-//! time and never wait for it. `ExtSlot::wait_timeout` and the debug build's sliced
-//! `wait_lco` are a driver's OS thread waiting in real time. The TCP
-//! loop's `Instant::now` serves real sockets; its queue is a [`Timers`].
+//! `NetRtt`'s `submitted`, a port's `opened_at`) read time and never wait
+//! for it. `ExtSlot::wait_timeout` and the debug build's sliced
+//! `wait_lco` are a driver's OS thread waiting in real time, and a TCP
+//! sender blocked on a peer's byte bound waits for room. The TCP loop's
+//! `Instant::now` serves real sockets; its queue is a [`Timers`].
 
+use parking_lot::{Condvar, Mutex};
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -86,158 +87,157 @@ impl<T> Timers<T> {
         Some(PeekMut::pop(earliest).2)
     }
 
+    /// The earliest item, due or not.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|due| due.2)
+    }
+
     /// Disarm every item `keep` refuses.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         self.heap.retain(|due| keep(&due.2));
     }
 }
 
-/// Every thread px-core starts (the table in the module docs).
-pub(crate) enum Thread {
-    /// Worker `.1` of locality `.0`.
-    Worker(usize, usize),
-    DelayLine,
-    Balancer,
-}
-
-/// Start `thread` running `body`.
-pub(crate) fn spawn(thread: Thread, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    let name = match thread {
-        Thread::Worker(l, w) => format!("px-L{l}-w{w}"),
-        Thread::DelayLine => "px-delay-line".into(),
-        Thread::Balancer => "px-balancer".into(),
-    };
-    let builder = std::thread::Builder::new().name(name);
+/// Start worker `w` of locality `l` running `body` (the table in the
+/// module docs).
+pub(crate) fn spawn(l: usize, w: usize, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let builder = std::thread::Builder::new().name(format!("px-L{l}-w{w}"));
     builder.spawn(body).expect("spawn a px-core thread")
 }
 
-/// What a [`Line`] keeps time by.
-#[derive(Clone, Default)]
+/// What a [`Heap`] keeps time by.
+#[derive(Clone)]
 pub(crate) enum Clock {
-    #[default]
     Real,
     #[cfg(test)]
     Stepped(stepped::Stepper),
 }
 
-/// Where a line hands each item that falls due.
-pub(crate) type Sink<T> = dyn Fn(T, &mut Later<'_, T>) + Send + Sync;
-
-/// A sink's hold on its own line: `after` puts an item on it, due after a
-/// delay. `closing` is set while the line shuts down: it still fires all
-/// it holds, so an item that re-arms itself must stop.
-pub(crate) struct Later<'a, T> {
-    pub(crate) after: &'a mut dyn FnMut(Duration, T),
-    pub(crate) closing: bool,
-}
-
-/// A timed line: items go in with a delay and reach the sink once due.
-pub(crate) enum Line<T: Send + 'static> {
-    /// Everything is due at once: the sender runs the sink.
-    Inline(Arc<Sink<T>>),
-    /// A [`Timers`] on its own thread, fed through a channel.
-    Threaded(Option<SyncSender<(T, Instant)>>, Option<JoinHandle<()>>),
-    #[cfg(test)]
-    Stepped(Arc<stepped::Heap<T>>),
-}
-
-impl<T: Send + 'static> Line<T> {
-    /// A line on `clock` delivering into `sink`, run by `thread` unless
-    /// the clock is stepped.
-    pub(crate) fn new(clock: &Clock, thread: Thread, sink: Arc<Sink<T>>) -> Line<T> {
-        match clock {
-            Clock::Real => {
-                let (tx, rx) = sync_channel(65536);
-                let handle = spawn(thread, move || run(&rx, &*sink));
-                Line::Threaded(Some(tx), Some(handle))
-            }
-            #[cfg(test)]
-            Clock::Stepped(clock) => Line::Stepped(clock.heap(sink)),
-        }
-    }
-
-    /// Put `item` on the line, due `delay` from now; a no-op once the
-    /// line is shut down (runtime teardown).
-    pub(crate) fn send_in(&self, item: T, delay: Duration) {
+impl Clock {
+    fn now(&self) -> Instant {
         match self {
-            Line::Inline(sink) => inline(&**sink, item),
-            Line::Threaded(Some(tx), _) => {
-                let _ = tx.send((item, Instant::now() + delay));
-            }
-            Line::Threaded(None, _) => {}
+            Clock::Real => Instant::now(),
             #[cfg(test)]
-            Line::Stepped(heap) => heap.send_in(item, delay),
-        }
-    }
-
-    /// Stop the line, firing what it holds first.
-    pub(crate) fn shutdown(&mut self) {
-        match self {
-            Line::Inline(_) => {}
-            Line::Threaded(tx, handle) => {
-                *tx = None; // a closed channel starts the thread's flush
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(test)]
-            Line::Stepped(heap) => heap.shutdown(),
+            Clock::Stepped(clock) => clock.now(),
         }
     }
 }
 
-impl<T: Send + 'static> Drop for Line<T> {
-    fn drop(&mut self) {
-        self.shutdown();
+/// What ends a [`Heap::park`] early. Sticky, like an eventfd: a ring
+/// before the park makes the park return at once.
+#[derive(Default)]
+pub(crate) struct Bell {
+    rung: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Bell {
+    pub(crate) fn ring(&self) {
+        *self.rung.lock() = true;
+        self.cv.notify_one();
     }
 }
 
-/// An inline line's delivery: whatever the sink schedules is due now.
-fn inline<T>(sink: &Sink<T>, item: T) {
-    let (after, closing) = (&mut |_, item| inline(sink, item), false);
-    sink(item, &mut Later { after, closing });
+/// A locality's timers: a [`Timers`] on a [`Clock`] that any thread arms
+/// and the holder of the locality's poller fires and parks on.
+pub(crate) struct Heap<T> {
+    clock: Clock,
+    timers: Mutex<Timers<T>>,
+    bell: Arc<Bell>,
 }
 
-/// A threaded line's body.
-fn run<T>(rx: &Receiver<(T, Instant)>, sink: &Sink<T>) {
-    let (mut timers, mut closing) = (Timers::new(), false);
-    loop {
-        // Fire what is due. What the sink schedules is stamped after
-        // `now`, so it waits for the next pass, after the channel.
-        let now = Instant::now();
-        while let Some(item) = timers.pop_due(now) {
-            let after = &mut |delay, item| timers.push(Instant::now() + delay, item);
-            sink(item, &mut Later { after, closing });
+impl<T> Heap<T> {
+    pub(crate) fn new(clock: &Clock) -> Heap<T> {
+        let bell = Arc::<Bell>::default();
+        #[cfg(test)]
+        if let Clock::Stepped(clock) = clock {
+            clock.0.lock().1.push(Arc::downgrade(&bell));
         }
-        // Wait for the next due item or submission, untimed with nothing
-        // pending (idle is quiet). Closing: sleep to the next due item,
-        // and exit once none is left.
-        let next = match (timers.timeout(Instant::now()), closing) {
-            (None, true) => return,
-            (Some(wait), true) => {
-                std::thread::sleep(wait);
-                continue;
-            }
-            (Some(wait), false) => rx.recv_timeout(wait),
-            (None, false) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        let (clock, timers) = (clock.clone(), Mutex::new(Timers::new()));
+        Heap {
+            clock,
+            timers,
+            bell,
+        }
+    }
+
+    /// True when the earliest item is due by `now`, a reading of the real
+    /// clock (a stepped heap reads its own): a busy worker's look after
+    /// each task, which never waits for the lock.
+    pub(crate) fn due_by(&self, now: Instant) -> bool {
+        #[cfg(test)]
+        let now = match self.clock {
+            Clock::Stepped(ref clock) => clock.now(),
+            Clock::Real => now,
         };
-        match next {
-            Ok((item, at)) => {
-                timers.push(at, item);
-                for (item, at) in rx.try_iter() {
-                    timers.push(at, item);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => closing = true,
+        let timers = self.timers.try_lock();
+        timers.is_some_and(|timers| timers.timeout(now) == Some(Duration::ZERO))
+    }
+
+    /// The heap's clock, read now.
+    pub(crate) fn now(&self) -> Instant {
+        self.clock.now()
+    }
+
+    /// Arm `item` to fall due at `at`. True when it is now the earliest:
+    /// a holder parked on a later deadline must look again.
+    pub(crate) fn arm(&self, at: Instant, item: T) -> bool {
+        let mut timers = self.timers.lock();
+        // A wait from `at` is zero long iff something falls due no later.
+        let earliest = timers.timeout(at) != Some(Duration::ZERO);
+        timers.push(at, item);
+        earliest
+    }
+
+    /// Every item that is due, earliest first: one look at the clock and
+    /// one lock, however many fell due.
+    pub(crate) fn take_due(&self) -> Vec<T> {
+        let (now, mut timers) = (self.clock.now(), self.timers.lock());
+        std::iter::from_fn(|| timers.pop_due(now)).collect()
+    }
+
+    /// The earliest item, due or not (shutdown).
+    pub(crate) fn pop(&self) -> Option<T> {
+        self.timers.lock().pop()
+    }
+
+    /// How long the holder may park: until the earliest item falls due,
+    /// or untimed with nothing armed. On a stepped clock only "due now"
+    /// is timed: an advance rings the park instead.
+    pub(crate) fn timeout(&self) -> Option<Duration> {
+        let timeout = self.timers.lock().timeout(self.clock.now());
+        match self.clock {
+            Clock::Real => timeout,
+            #[cfg(test)]
+            Clock::Stepped(_) => timeout.filter(|wait| wait.is_zero()),
         }
+    }
+
+    /// What ends the park: the in-process poller's waker.
+    pub(crate) fn bell(&self) -> Arc<Bell> {
+        self.bell.clone()
+    }
+
+    /// The holder's timed park: block until the bell rings or the earliest
+    /// item falls due. The deadline is read here, after the holder
+    /// announced itself (`Sleep::idle_polling`): an item armed earlier is
+    /// seen, and one armed later rings.
+    pub(crate) fn park(&self) {
+        let timeout = self.timeout();
+        let mut rung = self.bell.rung.lock();
+        if !*rung {
+            match timeout {
+                Some(wait) => drop(self.bell.cv.wait_for(&mut rung, wait)),
+                None => self.bell.cv.wait(&mut rung),
+            }
+        }
+        *rung = false;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -259,25 +259,25 @@ mod tests {
         assert_eq!(timers.timeout(t0), None, "untimed with nothing armed");
     }
 
-    /// On the real clock: an item arrives no earlier than due, and the
-    /// shutdown flush runs what the sink schedules while closing.
+    /// On the real clock: an item armed ahead of the earliest says so, a
+    /// park lasts until the earliest deadline, and only a ring ends a
+    /// park with nothing armed.
     #[test]
-    fn a_threaded_line_flushes_what_its_sink_schedules_while_closing() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let seen = log.clone();
-        let sink: Arc<Sink<(u32, Instant)>> = Arc::new(move |(n, sent), later| {
-            seen.lock().push((n, sent.elapsed()));
-            if n > 0 {
-                (later.after)(MS, (n - 1, Instant::now()));
-            }
-        });
-        let mut line = Line::new(&Clock::Real, Thread::DelayLine, sink);
-        line.send_in((3, Instant::now()), 2 * MS);
-        line.shutdown();
-        let log = log.lock();
-        let order: Vec<u32> = log.iter().map(|&(n, _)| n).collect();
-        assert_eq!(order, [3, 2, 1, 0]);
-        assert!(log[0].1 >= 2 * MS && log[1..].iter().all(|&(_, d)| d >= MS));
+    fn a_heap_parks_until_due_or_rung() {
+        let heap = Heap::new(&Clock::Real);
+        let t0 = heap.now();
+        assert!(heap.arm(t0 + 10 * MS, 'b'), "the first is the earliest");
+        assert!(!heap.arm(t0 + 20 * MS, 'c'));
+        assert!(heap.arm(t0 + 2 * MS, 'a'), "ahead of the earliest");
+        while heap.take_due().is_empty() {
+            heap.park();
+        }
+        assert!(t0.elapsed() >= 2 * MS, "fired {:?} early", t0.elapsed());
+        assert_eq!([heap.pop(), heap.pop()], [Some('b'), Some('c')]);
+        let bell = heap.bell();
+        let ringer = std::thread::spawn(move || bell.ring());
+        heap.park();
+        ringer.join().unwrap();
     }
 }
 
@@ -286,25 +286,16 @@ pub(crate) mod stepped {
     //! The stepped clock: the test fake that replaces sleeping with
     //! stepping.
 
-    use super::{Later, Sink, Timers};
+    use super::Bell;
     use parking_lot::Mutex;
     use std::sync::{Arc, Weak};
     use std::time::{Duration, Instant};
 
-    /// A manual clock. Time moves only when a test advances it, and the
-    /// items of every line on it fire on the advancing thread, in due
-    /// order, with the clock reading each one's due instant.
+    /// A manual clock. Time moves only when a test advances it; every
+    /// advance rings the park of each heap on the clock, so the holder of
+    /// its locality's poller fires what fell due.
     #[derive(Clone)]
-    pub(crate) struct Stepper(Arc<Mutex<(Instant, Lines)>>);
-
-    type Lines = Vec<Weak<dyn Fire>>;
-
-    /// A stepped line, as its clock sees it.
-    trait Fire: Send + Sync {
-        fn next_due(&self) -> Option<Instant>;
-        /// Fire every item due by `now`.
-        fn fire(&self, now: Instant);
-    }
+    pub(crate) struct Stepper(pub(super) Arc<Mutex<(Instant, Vec<Weak<Bell>>)>>);
 
     impl Default for Stepper {
         fn default() -> Stepper {
@@ -317,79 +308,15 @@ pub(crate) mod stepped {
             self.0.lock().0
         }
 
-        /// Move the clock `by` forward, firing every item that falls due
-        /// on the way (what fired items schedule included) at its instant.
+        /// Move the clock `by` forward and ring every heap's park.
         pub(crate) fn advance(&self, by: Duration) {
-            let to = self.now() + by;
-            while let Some((at, line)) = self.earliest().filter(|&(at, _)| at <= to) {
-                self.0.lock().0 = at;
-                line.fire(at);
-            }
-            self.0.lock().0 = to;
-        }
-
-        fn earliest(&self) -> Option<(Instant, Arc<dyn Fire>)> {
-            let lines: Vec<_> = self.0.lock().1.iter().filter_map(Weak::upgrade).collect();
-            let armed = lines.into_iter().filter_map(|l| Some((l.next_due()?, l)));
-            armed.min_by_key(|&(at, _)| at)
-        }
-
-        pub(super) fn heap<T: Send + 'static>(&self, sink: Arc<Sink<T>>) -> Arc<Heap<T>> {
-            let timers = Mutex::new((Timers::new(), false));
-            let heap = Arc::new(Heap {
-                clock: self.clone(),
-                timers,
-                sink,
-            });
-            self.0.lock().1.push(Arc::downgrade(&heap) as Weak<Heap<T>>);
-            heap
-        }
-    }
-
-    /// A stepped line: a [`Timers`] (and whether it is closing) that its
-    /// clock fires.
-    pub(crate) struct Heap<T> {
-        clock: Stepper,
-        timers: Mutex<(Timers<T>, bool)>,
-        sink: Arc<Sink<T>>,
-    }
-
-    impl<T: Send + 'static> Heap<T> {
-        pub(super) fn send_in(&self, item: T, delay: Duration) {
-            let at = self.clock.now() + delay;
-            let mut timers = self.timers.lock();
-            if !timers.1 {
-                timers.0.push(at, item);
-            }
-        }
-
-        /// Fire everything left, each item at its due instant (the clock
-        /// moves there), and what the sink schedules meanwhile.
-        pub(super) fn shutdown(&self) {
-            self.timers.lock().1 = true;
-            while let Some(at) = self.next_due() {
-                let now = self.clock.now().max(at);
-                self.clock.0.lock().0 = now;
-                self.fire(now);
-            }
-        }
-    }
-
-    impl<T: Send + 'static> Fire for Heap<T> {
-        fn next_due(&self) -> Option<Instant> {
-            self.timers.lock().0.heap.peek().map(|due| due.0)
-        }
-
-        fn fire(&self, now: Instant) {
-            loop {
-                // Not locked while the sink runs: it may send on this line.
-                let (item, closing) = {
-                    let mut timers = self.timers.lock();
-                    (timers.0.pop_due(now), timers.1)
-                };
-                let Some(item) = item else { return };
-                let after = &mut |delay, item| self.timers.lock().0.push(now + delay, item);
-                (self.sink)(item, &mut Later { after, closing });
+            let bells: Vec<Arc<Bell>> = {
+                let mut clock = self.0.lock();
+                clock.0 += by;
+                clock.1.iter().filter_map(Weak::upgrade).collect()
+            };
+            for bell in bells {
+                bell.ring();
             }
         }
     }

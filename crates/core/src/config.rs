@@ -9,9 +9,10 @@ use std::time::Duration;
 /// Which transport backend carries inter-locality traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportKind {
-    /// All localities share this OS process; messages are queue pushes
-    /// routed through a delay line with the configured [`WireModel`]
-    /// (the default, and the seed runtime's behavior, bit-for-bit).
+    /// All localities share this OS process; messages are queue pushes,
+    /// held on the destination's timer heap for the configured
+    /// [`WireModel`]'s delay (the default, and the seed runtime's
+    /// behavior, bit-for-bit).
     InProc,
     /// Each OS process owns one locality and peers over TCP sockets
     /// ([`crate::net::tcp`]). The [`WireModel`] is ignored — the
@@ -102,8 +103,9 @@ impl Config {
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
     /// disables batching). `n` is the cap: a coalescing port also flushes
     /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
-    /// leaves at the backend's next pass: the TCP event loop's, or
-    /// in-process the delay line's. None of that is configurable.
+    /// leaves at the next pass of the loop that carries it: the TCP event
+    /// loop's, or in-process the destination locality's. None of that is
+    /// configurable.
     pub fn with_max_batch_parcels(mut self, n: usize) -> Config {
         self.max_batch_parcels = n.max(1);
         self

@@ -14,24 +14,27 @@
 //! * **run queues**: a control-plane queue, a general injector, a
 //!   percolation staging queue, and one work-stealing ring per worker,
 //!   plus the eventcount its idle workers sleep on (the crate-private
-//!   `queue` module);
+//!   `queue` module), and a heap of tasks due later (the crate-private
+//!   `clock` module);
 //! * a pool of **worker threads** executing ephemeral PX-threads;
 //! * the locality's GID allocator and instrumentation counters.
 //!
 //! Localities interact only through parcels; nothing in this module hands
 //! out references to another locality's store.
 
+use crate::clock::{Clock, Heap};
 use crate::error::{PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidAllocator, GidKind, LocalityId};
 use crate::lco::LcoCore;
 use crate::queue::{Injector, Local, Sleep, Stealer};
-use crate::sched::Task;
+use crate::sched::{Task, Work};
 use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A first-class object resident in a locality's store.
 #[derive(Clone)]
@@ -100,6 +103,24 @@ impl BalanceState {
     }
 }
 
+/// A task due at a locality, a few words long while it waits (a heap
+/// moves its items): wire bytes become a task when they arrive.
+pub(crate) enum Due {
+    Parcel(Vec<u8>),
+    Frame(Vec<u8>),
+    Task(Box<Task>),
+}
+
+impl From<Due> for Task {
+    fn from(due: Due) -> Task {
+        match due {
+            Due::Parcel(bytes) => Task::new(Work::ParcelBytes(bytes)),
+            Due::Frame(bytes) => Task::new(Work::ParcelFrame(bytes)),
+            Due::Task(task) => *task,
+        }
+    }
+}
+
 /// Which of a locality's queues a task lands in: the one switch every
 /// producer — the scheduler's local short-circuit, both transports'
 /// delivery sides — goes through ([`Locality::deliver`]).
@@ -151,6 +172,9 @@ pub struct Locality {
     pub counters: LocalityCounters,
     /// The eventcount this locality's idle workers sleep on.
     pub(crate) sleep: Sleep,
+    /// Tasks due here later — wire arrivals, the balancer pulse — with
+    /// their lane and `NetRtt` stamp ([`Locality::fire_due`]).
+    pub(crate) timers: Heap<(Lane, Due, Option<Instant>)>,
     /// Workers prefer the staging queue (precious-resource policy, E4).
     pub staged_priority: bool,
     /// Balancer state; `None` unless `Config::balance` is set.
@@ -189,6 +213,7 @@ impl Locality {
             alloc: GidAllocator::new(id),
             counters: LocalityCounters::default(),
             sleep: Sleep::new(0),
+            timers: Heap::new(&Clock::Real),
             staged_priority,
             balance: None,
             trace: None,
@@ -197,13 +222,14 @@ impl Locality {
         }
     }
 
-    /// Create this locality's worker rings (called by the builder, before
-    /// the locality is shared): the stealers stay here, the owner ends go
-    /// to the worker threads.
-    pub(crate) fn attach_workers(&mut self, workers: usize) -> Vec<Local<Task>> {
+    /// Create this locality's worker rings, and its heap on `clock`
+    /// (called by the builder, before the locality is shared): the
+    /// stealers stay here, the owner ends go to the worker threads.
+    pub(crate) fn attach_workers(&mut self, workers: usize, clock: &Clock) -> Vec<Local<Task>> {
         let rings: Vec<Local<Task>> = (0..workers).map(|_| Local::new()).collect();
         self.stealers = rings.iter().map(Local::stealer).collect();
         self.sleep = Sleep::new(workers);
+        self.timers = Heap::new(clock);
         rings
     }
 
@@ -322,6 +348,27 @@ impl Locality {
     #[inline]
     pub(crate) fn push_task(&self, task: Task) {
         self.deliver(Lane::Run, task);
+    }
+
+    /// [`Locality::deliver`] of a wire message sent at `submitted`.
+    pub(crate) fn arrive(&self, lane: Lane, task: Task, submitted: Option<Instant>) {
+        self.metric_elapsed(crate::metrics::Instrument::NetRtt, submitted);
+        self.deliver(lane, task);
+    }
+
+    /// Put `task` on this locality's heap, due on `lane` at `at`, and
+    /// kick the poller's holder when it is the earliest.
+    pub(crate) fn arm(&self, at: Instant, lane: Lane, task: Due, submitted: Option<Instant>) {
+        if self.timers.arm(at, (lane, task, submitted)) {
+            self.sleep.kick();
+        }
+    }
+
+    /// Deliver every task on the heap that is due (the poller's holder).
+    pub(crate) fn fire_due(&self) {
+        for (lane, task, submitted) in self.timers.take_due() {
+            self.arrive(lane, task.into(), submitted);
+        }
     }
 
     // ---- object store ----------------------------------------------------

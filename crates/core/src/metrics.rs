@@ -112,7 +112,7 @@ instruments! {
     /// spawn→continuation-resolution latency of a split-phase request).
     SpawnResolve = "px_spawn_resolve_ns", "LCO creation to resolution (spawn to continuation)";
     /// Transport submit → drain onto the wire (TCP send-queue residence;
-    /// delay-line residence in-process). Local clock only.
+    /// timer-heap residence in-process). Local clock only.
     NetRtt = "px_net_rtt_ns", "transport submit to wire drain";
     /// Control-lane delivery: control-queue push → priority drain.
     ControlLane = "px_control_lane_ns", "control-lane delivery, push to priority drain";

@@ -9,23 +9,27 @@
 //!                    │    │                        ┌──────┴───────┐
 //!                    │    │                        ▼              ▼
 //!                    │    │                 InProcTransport  TcpTransport
-//!                    │    │                 (DelayLine +     (sockets, one
-//!                    │    │                  queue pushes)    peer/process)
-//!                    │    └─ the delay line's next pass ┘         │
-//!                    └── the event loop's next pass (a worker's) ─┘
+//!                    │    │                 (the dest's       (sockets, one
+//!                    │    │                  timer heap)       peer/process)
+//!                    │    └─ the destination's next pass ┘         │
+//!                    └── this rank's loop's next pass ─────────────┘
+//!        a pass: the worker holding the locality's poller (`drive`)
 //! ```
 //!
 //! Everything above the `Transport` trait — `WireMsg` submission, the
 //! control-plane priority lane, `BatchPolicy` coalescing ports, flush
 //! accounting — is backend-independent; a frame that did not fill is
-//! shipped by the backend's own means, the backend that adopted the
-//! ports (`Transport::adopt_ports`). Two backends exist:
+//! shipped by the next pass of the loop that carries it. The builder
+//! knows the backend, so it builds the ports for the backend's
+//! constructor, in the backend's frame version, or none for an instant
+//! in-process wire. Two backends exist:
 //!
 //! * `inproc::InProcTransport` (default): all localities share one OS
-//!   process; messages are queue pushes routed through a [`DelayLine`]
-//!   with injectable latency/bandwidth ([`WireModel`]). This is the seed
-//!   runtime's wire, preserved bit-for-bit: version-1 frames, identical
-//!   delay arithmetic, identical counters.
+//!   process; a message is a task put on the destination locality's
+//!   timer heap, due after the injectable latency/bandwidth of a
+//!   [`WireModel`], and queued there by that locality's own worker —
+//!   straight away on an instant wire. This is the seed runtime's wire:
+//!   version-1 frames, identical delay arithmetic, identical counters.
 //! * `tcp::TcpTransport`: each OS process owns one locality and peers
 //!   over TCP sockets carrying the same length-prefixed records inside
 //!   [`px_wire::stream`] messages, with checksummed (version-2) frames.
@@ -80,8 +84,11 @@
 //!    chase, but only if the loss is *visible* (counted, continuation
 //!    faulted) rather than silent.
 //! 3. **Submission is non-blocking-ish.** `submit` hands the message to
-//!    the backend and returns. Over TCP it queues the message and wakes
-//!    the event loop's holder; socket I/O happens on whichever thread
+//!    the backend and returns. In-process it arms the message on the
+//!    destination's timer heap and kicks the holder of that locality's
+//!    poller when it is the earliest; the holder queues it once due. Over
+//!    TCP it queues the message and wakes the event loop's holder; socket
+//!    I/O happens on whichever thread
 //!    runs the loop — a worker that ran out of work, a busy one every
 //!    few dozen tasks — and on a sender that is blocked on room: a
 //!    submit may block for backpressure (a bounded peer queue in
@@ -130,19 +137,18 @@
 //! `max_batch_parcels` records or [`MAX_BATCH_BYTES`] bytes (the sender
 //! does that itself). A frame that does not fill leaves by one rule on
 //! both backends: the sender whose record lands in an *empty* port kicks
-//! the backend, which pulls the port at its next pass — whatever gathered
-//! there meanwhile rides one frame. No timer: batching is paid for by
-//! load. Over TCP the kick wakes the event loop's holder (skipped when
-//! nobody holds it: whoever takes the loop next pulls first), and every
-//! send pass pulls both lanes' ports toward each peer under the port lock
-//! (port → peer queue, the nesting a sender's full flush takes, so
-//! same-peer order holds across both). In-process the kick puts a pull
-//! due at once on the delay line, whose thread ships the frame that
-//! kicked — if a sender holds the port it looks again, but never ships a
-//! later frame, which has a kick of its own — on the same `(time, seq)`
-//! queue after the wire's delay. Either way the wire
-//! runs no thread of its own, an idle runtime makes no wakeups, and the
-//! shutdown drain pulls every port.
+//! the loop that carries it — the destination locality's in-process,
+//! this rank's over TCP — and that loop's next pass pulls the port:
+//! whatever gathered there meanwhile rides one frame. No timer: batching
+//! is paid for by load. The kick wakes the loop's holder (skipped when
+//! nobody holds it: whoever takes the loop next pulls first). Every pass
+//! pulls both lanes' ports under the port lock (port → peer queue or
+//! heap, the nesting a sender's full flush takes, so same-destination
+//! order holds across both): over TCP toward each peer, in-process
+//! toward the destination whose worker runs it, which puts the frame on
+//! its own heap after the wire's delay. Either way the wire runs no
+//! thread of its own, an idle runtime makes no wakeups, and the shutdown
+//! drain pulls every port.
 //!
 //! The in-process delay model is applied per frame
 //! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
@@ -160,7 +166,7 @@
 //!   boundary (the old wire had the same property per *parcel*);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
 //!   ports — a task sent after a still-coalescing parcel can overtake it
-//!   while it waits for the line's next pass (in-process; closures do not
+//!   while it waits for the destination's next pass (in-process; closures do not
 //!   cross the TCP backend at all). Code that needs a parcel's effects
 //!   visible to a subsequently spawned closure must sequence through an
 //!   LCO, not through submission order.
@@ -168,7 +174,7 @@
 //! Over TCP both relaxations hold trivially (the network reorders
 //! nothing per connection, but frames and single parcels share one
 //! ordered byte stream per peer, so same-peer order is in fact *stronger*
-//! than the delay-line's). What is ordered is *delivery* into the
+//! than the timer heap's). What is ordered is *delivery* into the
 //! destination's queue; a worker's batch-steal runs what it takes newest
 //! first, on either backend.
 //!
@@ -178,11 +184,9 @@
 //! handoff of a depleted thread and are accounted with a nominal header
 //! size).
 
-pub mod delay;
 pub(crate) mod inproc;
 pub mod tcp;
 
-pub use delay::DelayLine;
 pub use tcp::TcpConfig;
 
 use crate::gid::LocalityId;
@@ -206,7 +210,7 @@ pub struct WireModel {
 }
 
 impl WireModel {
-    /// Zero-cost wire (direct delivery, no thread).
+    /// Zero-cost wire (direct delivery, nothing timed).
     pub fn instant() -> Self {
         WireModel {
             latency: Duration::ZERO,
@@ -222,7 +226,7 @@ impl WireModel {
         }
     }
 
-    /// True if messages can skip the delay line.
+    /// True if messages skip the timer heap.
     pub fn is_instant(&self) -> bool {
         self.latency.is_zero() && self.ns_per_byte == 0
     }
@@ -309,53 +313,32 @@ pub(crate) enum WireMsg {
 pub(crate) trait Transport: Send + Sync {
     /// Deliver `msg` toward its destination, charging `bytes` logical
     /// bytes to whatever latency/bandwidth physics the backend has.
+    /// Called by the wire: single parcels, full frames, tasks.
     fn submit(&self, msg: WireMsg, bytes: usize);
 
-    /// Offer the backend the wire's coalescing ports. `false`: this
-    /// backend gains nothing from coalescing, and the wire drops them (an
-    /// instant in-process wire: no per-message cost to amortize). `true`:
-    /// the backend kept a clone, and ships what does not fill whenever it
-    /// is [kicked](Transport::kick).
-    fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool;
-
-    /// A record landed in an empty port toward `dest`; the adopting
-    /// backend must pull it at its next pass. TCP wakes the thread holding
-    /// its event loop, if one does (many kicks before the pull count as
-    /// one); in-process puts a pull due at once on the delay line. Called
-    /// outside the port lock; never waits for a port.
-    fn kick(&self, dest: LocalityId);
-
-    /// Frame format version the ports should encode with
-    /// ([`px_wire::FRAME_VERSION`] in-process — bit-identical frames —
-    /// [`px_wire::FRAME_VERSION_CHECKSUM`] across process boundaries).
-    fn frame_version(&self) -> u8 {
-        px_wire::FRAME_VERSION
-    }
+    /// One pass of locality `at`'s loop on this thread, unless another
+    /// holds it (`false`): fire its due timers, pull the ports it carries
+    /// (toward `at` in-process, toward every peer over TCP) and over TCP
+    /// read and write. With `park`, then the loop's blocking wait, bounded
+    /// by the earliest timer. Called by `at`'s workers (`worker_main`):
+    /// an idle one with `park`, a busy one between tasks without.
+    fn drive(&self, at: LocalityId, park: Option<Park<'_>>) -> bool;
 
     /// Late-bind the runtime (needed for fault delivery: a transport is
-    /// constructed before the `RuntimeInner` that owns it).
+    /// constructed before the `RuntimeInner` that owns it). Called by
+    /// `RuntimeBuilder::build`.
     fn bind(&self, _rt: &Arc<crate::runtime::RuntimeInner>) {}
 
-    /// Per-peer transport statistics (empty for in-process).
+    /// Per-peer transport statistics (empty for in-process). Called by
+    /// `Runtime::stats`.
     fn transport_stats(&self) -> TransportStats {
         TransportStats::default()
     }
 
-    /// Run one pass of the backend's event loop on the calling thread —
-    /// handle what is ready, fire due timers, pull the ports and write
-    /// what is queued — unless another thread is running it. With `park`,
-    /// the pass then hands `park` the loop's blocking wait: a caller with
-    /// nothing else to do runs it, and what arrives meanwhile is handled
-    /// before this returns. `false`: there is no loop here (in-process),
-    /// or another thread holds it.
-    fn drive(&self, _park: Option<Park<'_>>) -> bool {
-        false
-    }
-
-    /// Stop the backend — the delay line's thread in-process; over TCP
-    /// the event loop, which flushes on the calling thread — flushing or
-    /// loudly killing pending messages first. Called with the ports
-    /// drained, by the wire — the transport's one holder.
+    /// Stop the backend, flushing or loudly killing pending messages
+    /// first: in-process the heaps' arrivals are queued at once, over TCP
+    /// the event loop flushes on the calling thread. Called by the wire —
+    /// the transport's one holder — with the ports drained.
     fn shutdown(&mut self);
 }
 
@@ -365,8 +348,8 @@ pub(crate) type Park<'a> = &'a mut dyn FnMut(&mut dyn FnMut());
 /// One coalescing queue: pending frame plus when its oldest record landed.
 struct Port {
     frame: FrameBuf,
-    /// Stamped when a record lands in the empty port: the frame's identity
-    /// to an in-process pull, and the `NetRtt` stamp of a pulled frame.
+    /// Stamped when a record lands in the empty port: the `NetRtt` stamp
+    /// of a pulled frame.
     opened_at: Option<Instant>,
 }
 
@@ -399,28 +382,13 @@ pub(crate) struct PortSet {
 }
 
 impl PortSet {
-    fn new(policy: BatchPolicy, localities: usize, frame_version: u8) -> PortSet {
-        PortSet {
-            policy,
-            ports: (0..localities * 2)
-                .map(|_| {
-                    Mutex::new(Port {
-                        frame: FrameBuf::with_version(frame_version),
-                        opened_at: None,
-                    })
-                })
-                .collect(),
-        }
-    }
-
     #[inline]
     fn port(&self, dest: LocalityId, lane: Lane) -> &Mutex<Port> {
         &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
     }
 
     /// The backend's half: hand `ship` whatever both lanes' ports toward
-    /// `dest` hold — only a frame opened by `opened_by`, when given — with
-    /// the stamp of each frame's oldest record, booked
+    /// `dest` hold, with the stamp of each frame's oldest record, booked
     /// `batch_flush_pulled`. `ship` runs under the port lock (the nesting
     /// a sender's full flush takes), so same-destination order holds.
     /// Never waits for a port: a sender may hold one while blocked on the
@@ -430,7 +398,6 @@ impl PortSet {
         &self,
         dest: LocalityId,
         dest_loc: &Locality,
-        opened_by: Option<Instant>,
         mut ship: impl FnMut(Lane, Vec<u8>, Option<Instant>),
     ) -> bool {
         let (mut all, pulled) = (true, &dest_loc.counters.batch_flush_pulled);
@@ -439,9 +406,6 @@ impl PortSet {
                 all = false;
                 continue;
             };
-            if opened_by.is_some_and(|by| port.opened_at.is_none_or(|t| t > by)) {
-                continue;
-            }
             if let Some((bytes, opened_at)) = port.take(pulled, dest_loc) {
                 ship(lane, bytes, opened_at);
             }
@@ -450,37 +414,57 @@ impl PortSet {
     }
 }
 
+impl BatchPolicy {
+    /// The ports for `localities` destinations, encoding frames of
+    /// `frame_version` ([`px_wire::FRAME_VERSION`] in-process — bit-identical
+    /// frames — [`px_wire::FRAME_VERSION_CHECKSUM`] across process
+    /// boundaries); none when the policy does not batch.
+    pub(crate) fn ports(self, localities: usize, frame_version: u8) -> Option<Arc<PortSet>> {
+        let frame = || FrameBuf::with_version(frame_version);
+        let port = |_| {
+            Mutex::new(Port {
+                frame: frame(),
+                opened_at: None,
+            })
+        };
+        let ports = (0..localities * 2).map(port).collect();
+        self.is_batching().then(|| {
+            Arc::new(PortSet {
+                policy: self,
+                ports,
+            })
+        })
+    }
+}
+
 /// The runtime's wire: coalescing ports in front of a `Transport`
-/// backend sinking into locality run queues (directly in-process, over
-/// sockets across OS processes).
+/// backend sinking into locality run queues (through the destination's
+/// timer heap in-process, over sockets across OS processes).
 pub(crate) struct Wire {
-    transport: Arc<dyn Transport>,
-    /// The ports, when the backend adopted them
-    /// ([`Transport::adopt_ports`]).
+    /// The backend: callers submit messages and drive loops on it.
+    pub(crate) transport: Arc<dyn Transport>,
+    /// The ports, when the policy batches (the backend holds them too).
     ports: Option<Arc<PortSet>>,
     localities: Arc<Vec<Arc<Locality>>>,
+    /// Over TCP, the locality whose loop carries all traffic; in-process
+    /// (`None`) each destination's loop pulls toward it.
+    owned: Option<LocalityId>,
 }
 
 impl Wire {
-    /// Build the wire over `transport` for `localities`, coalescing per
-    /// `policy`. Batching engages only when the policy asks for more than
-    /// one parcel per message and the backend adopts the ports.
+    /// Build the wire over `transport` for `localities`, with the ports
+    /// `transport` was built with.
     pub(crate) fn new(
         transport: Arc<dyn Transport>,
         localities: Arc<Vec<Arc<Locality>>>,
-        policy: BatchPolicy,
+        ports: Option<Arc<PortSet>>,
+        owned: Option<LocalityId>,
     ) -> Wire {
-        let ports = policy.is_batching().then(|| {
-            Arc::new(PortSet::new(
-                policy,
-                localities.len(),
-                transport.frame_version(),
-            ))
-        });
         Wire {
-            ports: ports.filter(|ports| transport.adopt_ports(ports)),
             transport,
+            ports,
             localities,
+            owned,
         }
     }
 
@@ -517,36 +501,15 @@ impl Wire {
                     .submit(WireMsg::Frame { dest, lane, bytes }, len);
             }
         } else if was_empty {
-            // The first record of an idle port: the backend hears of it
-            // now, outside the port lock. Later records ride on this
-            // kick — the port stays non-empty until the flush it causes.
+            // The first record of an idle port: the loop that carries it
+            // hears of it now, outside the port lock. Later records ride
+            // on this kick — the port stays non-empty until the flush it
+            // causes.
             drop(port);
-            self.transport.kick(dest);
+            let carrier = self.owned.unwrap_or(dest);
+            self.localities[carrier.0 as usize].sleep.kick();
         }
         n
-    }
-
-    /// Submit a non-parcel message (tasks; single parcels from callers
-    /// that bypass batching).
-    #[inline]
-    pub(crate) fn send(&self, msg: WireMsg, bytes: usize) {
-        self.transport.submit(msg, bytes);
-    }
-
-    /// Late-bind the runtime for transport-level fault delivery.
-    pub(crate) fn bind(&self, rt: &Arc<crate::runtime::RuntimeInner>) {
-        self.transport.bind(rt);
-    }
-
-    /// Per-peer transport statistics.
-    pub(crate) fn transport_stats(&self) -> TransportStats {
-        self.transport.transport_stats()
-    }
-
-    /// Drive the backend's event loop on this thread
-    /// ([`Transport::drive`]).
-    pub(crate) fn drive(&self, park: Option<Park<'_>>) -> bool {
-        self.transport.drive(park)
     }
 
     /// Drain the ports, stop the transport.
@@ -556,7 +519,7 @@ impl Wire {
             // one only for a moment.
             for (dest, dest_loc) in self.localities.iter().enumerate() {
                 let dest = LocalityId(dest as u16);
-                while !ports.pull(dest, dest_loc, None, |lane, bytes, _| {
+                while !ports.pull(dest, dest_loc, |lane, bytes, _| {
                     let n = bytes.len();
                     self.transport
                         .submit(WireMsg::Frame { dest, lane, bytes }, n);
@@ -601,46 +564,44 @@ mod tests {
         assert!(!m.is_instant());
     }
 
-    // ---- batching ---------------------------------------------------------
+    type Locs = Arc<Vec<Arc<Locality>>>;
 
-    fn test_localities(n: usize) -> Arc<Vec<Arc<Locality>>> {
-        Arc::new(
-            (0..n)
-                .map(|i| Arc::new(Locality::new(LocalityId(i as u16), false)))
-                .collect(),
-        )
+    /// `n` bare localities (no workers) whose heaps keep `clock`.
+    fn test_localities(n: usize, clock: &Clock) -> Locs {
+        let loc = |i| {
+            let mut loc = Locality::new(LocalityId(i as u16), false);
+            loc.attach_workers(0, clock);
+            Arc::new(loc)
+        };
+        Arc::new((0..n).map(loc).collect())
     }
 
-    fn test_wire(
-        latency: Duration,
-        locs: &Arc<Vec<Arc<Locality>>>,
-        policy: BatchPolicy,
-        clock: &Clock,
-    ) -> Wire {
-        let model = WireModel::with_latency(latency);
-        let transport = InProcTransport::new(model, locs.clone(), clock);
-        Wire::new(Arc::new(transport), locs.clone(), policy)
+    fn test_wire(model: WireModel, locs: &Locs, policy: BatchPolicy) -> Wire {
+        let ports = policy.ports(locs.len(), px_wire::FRAME_VERSION);
+        let transport = InProcTransport::new(model, locs.clone(), ports.clone());
+        Wire::new(Arc::new(transport), locs.clone(), ports, None)
     }
 
-    /// A wire whose line runs on a stepped clock: nothing moves until the
-    /// test advances it.
-    fn stepped_wire(
-        latency: Duration,
-        locs: &Arc<Vec<Arc<Locality>>>,
-        policy: BatchPolicy,
-    ) -> (Stepper, Wire) {
+    /// A wire between two localities on a stepped clock: nothing moves
+    /// until the test advances it and runs a pass.
+    fn stepped_wire(model: WireModel, policy: BatchPolicy) -> (Locs, Stepper, Wire) {
         let clock = Stepper::default();
-        let wire = test_wire(latency, locs, policy, &Clock::Stepped(clock.clone()));
-        (clock, wire)
+        let locs = test_localities(2, &Clock::Stepped(clock.clone()));
+        let wire = test_wire(model, &locs, policy);
+        (locs, clock, wire)
+    }
+
+    /// Locality 1's pass — the one a worker runs when kicked or woken.
+    fn pass(wire: &Wire) {
+        assert!(wire.transport.drive(LocalityId(1), None));
     }
 
     const LATENCY: Duration = Duration::from_micros(10);
 
-    /// A stepped wire over a 10 µs line with `n` parcels sent toward
-    /// locality 1, all before the line's next pass.
-    fn burst(policy: BatchPolicy, n: usize) -> (Arc<Vec<Arc<Locality>>>, Stepper, Wire) {
-        let locs = test_localities(2);
-        let (clock, wire) = stepped_wire(LATENCY, &locs, policy);
+    /// A stepped wire with a 10 µs latency and `n` parcels sent toward
+    /// locality 1, all before its next pass.
+    fn burst(policy: BatchPolicy, n: usize) -> (Locs, Stepper, Wire) {
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(LATENCY), policy);
         for _ in 0..n {
             wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
         }
@@ -675,10 +636,87 @@ mod tests {
         }
     }
 
+    // ---- the in-process wire's delays, on the destination's heap ---------
+
+    /// Parcel `n` toward locality 1, charged `bytes` on an unbatched wire.
+    fn send(wire: &Wire, n: u64, charge: usize) {
+        let mut p = noop_parcel(LocalityId(1));
+        p.payload = Value::encode(&n).unwrap();
+        let (dest, lane, bytes) = (LocalityId(1), Lane::Run, p.encode());
+        wire.transport
+            .submit(WireMsg::Parcel { dest, lane, bytes }, charge);
+    }
+
+    /// Advance the clock `by`, run locality 1's pass, and read the parcels
+    /// it queued, in order.
+    fn step(clock: &Stepper, wire: &Wire, locs: &[Arc<Locality>], by: Duration) -> Vec<u64> {
+        clock.advance(by);
+        pass(wire);
+        let n = |t: Task| match t.work {
+            crate::sched::Work::ParcelBytes(b) => Parcel::decode(&b).unwrap().payload,
+            _ => unreachable!("parcels only"),
+        };
+        let queued = std::iter::from_fn(|| locs[1].injector.steal());
+        queued.map(|t| n(t).decode().unwrap()).collect()
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn a_message_is_held_until_it_is_due() {
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(30 * MS), cap(1));
+        send(&wire, 7, 0);
+        let early = step(&clock, &wire, &locs, 30 * MS - Duration::from_nanos(1));
+        assert!(early.is_empty(), "must not arrive before its delay");
+        assert_eq!(step(&clock, &wire, &locs, Duration::from_nanos(1)), [7]);
+    }
+
+    #[test]
+    fn bandwidth_lets_a_small_message_overtake_a_large_one() {
+        let per_byte = WireModel {
+            latency: Duration::ZERO,
+            ns_per_byte: 20_000, // 20 µs per byte — exaggerated for test
+        };
+        let (locs, clock, wire) = stepped_wire(per_byte, cap(1));
+        send(&wire, 1, 1000); // 20 ms
+        send(&wire, 2, 10); // 200 µs: the small message overtakes
+        let small = step(&clock, &wire, &locs, Duration::from_micros(200));
+        assert_eq!(small, [2]);
+        assert_eq!(step(&clock, &wire, &locs, 20 * MS), [1]);
+    }
+
+    /// Same-latency messages submitted in order arrive in order: the
+    /// heap's `(time, seq)` order breaks ties by submission. Frames
+    /// inherit this discipline; records within a frame are strictly
+    /// ordered.
+    #[test]
+    fn equal_delays_keep_fifo_order() {
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(5 * MS), cap(1));
+        (0..50).for_each(|n| send(&wire, n, 0));
+        assert_eq!(
+            step(&clock, &wire, &locs, 5 * MS),
+            (0..50).collect::<Vec<_>>()
+        );
+    }
+
+    /// Shutdown does not wait for what is on the wire: it queues it, in
+    /// due order, for the queues' fate (contract point 4).
+    #[test]
+    fn shutdown_queues_what_is_pending() {
+        let (locs, clock, mut wire) = stepped_wire(WireModel::with_latency(10 * MS), cap(1));
+        (1..=2).for_each(|n| send(&wire, n, 0));
+        wire.shutdown();
+        assert_eq!(step(&clock, &wire, &locs, Duration::ZERO), [1, 2]);
+        assert!(locs[1].timers.pop().is_none(), "the heap is empty");
+    }
+
+    // ---- batching ---------------------------------------------------------
+
     #[test]
     fn batch_flushes_on_parcel_count() {
-        let (locs, clock, _wire) = burst(cap(4), 8);
+        let (locs, clock, wire) = burst(cap(4), 8);
         clock.advance(LATENCY);
+        pass(&wire);
         assert_eq!(drain_count(&locs[1]), (2, 8), "two frames of four");
         assert_eq!(locs[1].counters.frames_sent.get(), 2);
         assert_eq!(locs[1].counters.batch_flush_full.get(), 2);
@@ -695,63 +733,55 @@ mod tests {
             max_batch_parcels: usize::MAX,
             max_batch_bytes: 64,
         };
-        let (locs, clock, _wire) = burst(budget, 4);
+        let (locs, clock, wire) = burst(budget, 4);
+        pass(&wire);
         clock.advance(LATENCY);
+        pass(&wire);
         assert_eq!(drain_count(&locs[1]).1, 4);
         assert!(locs[1].counters.batch_flush_full.get() >= 1);
     }
 
-    /// A lone record leaves at the line's next pass: the kick's pull is
-    /// due at once, so over a 50 µs line the record arrives when the
-    /// clock has moved exactly 50 µs.
+    /// A lone record leaves at the destination's next pass — the one its
+    /// kick brings — and then waits out the wire's latency on that
+    /// locality's heap: over a 50 µs wire it arrives when the clock has
+    /// moved exactly 50 µs past the pull.
     #[test]
-    fn a_lone_record_leaves_at_the_lines_next_pass() {
+    fn a_lone_record_leaves_at_the_destinations_next_pass() {
         let latency = Duration::from_micros(50);
-        let locs = test_localities(2);
-        let (clock, wire) = stepped_wire(latency, &locs, cap(1000));
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(latency), cap(1000));
         wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
-        clock.advance(latency - Duration::from_nanos(1));
-        assert_eq!(drain_count(&locs[1]), (0, 0), "still on the wire");
+        pass(&wire);
         assert_eq!(locs[1].counters.batch_flush_pulled.get(), 1, "pulled");
+        clock.advance(latency - Duration::from_nanos(1));
+        pass(&wire);
+        assert_eq!(drain_count(&locs[1]), (0, 0), "still on the wire");
         clock.advance(Duration::from_nanos(1));
+        pass(&wire);
         assert_eq!(drain_count(&locs[1]), (1, 1));
     }
 
     /// Records that land between two passes ride one frame: the first
-    /// one's kick arms the pull, and the rest find the port open.
+    /// one's kick brings the pass, and the rest find the port open.
     #[test]
     fn records_that_land_between_two_passes_ride_one_frame() {
         let (locs, clock, wire) = burst(cap(1000), 5);
-        clock.advance(LATENCY);
-        assert_eq!(drain_count(&locs[1]), (1, 5));
-        for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+        for n in [5, 3] {
+            pass(&wire);
+            clock.advance(LATENCY);
+            pass(&wire);
+            assert_eq!(drain_count(&locs[1]), (1, n));
+            for _ in 0..3 {
+                wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+            }
         }
-        clock.advance(LATENCY);
-        assert_eq!(drain_count(&locs[1]), (1, 3));
         let c = &locs[1].counters;
         assert_eq!((c.frames_sent.get(), c.batch_flush_pulled.get()), (2, 2));
         assert_eq!(c.coalesced_parcels.get(), 4 + 2);
     }
 
-    /// An in-process pull ships only the frame that kicked it: a later
-    /// frame has a kick of its own, and a pull that waited out a busy port
-    /// must not chase the sender into it one record at a time.
-    #[test]
-    fn a_pull_ships_only_the_frame_that_kicked_it() {
-        let stale = Instant::now();
-        let (locs, _clock, wire) = burst(cap(1000), 1);
-        let (ports, dest) = (wire.ports.as_ref().unwrap(), LocalityId(1));
-        let mut shipped = 0;
-        assert!(ports.pull(dest, &locs[1], Some(stale), |_, _, _| shipped += 1));
-        assert_eq!(shipped, 0, "the frame opened after that kick");
-        assert!(ports.pull(dest, &locs[1], Some(Instant::now()), |_, _, _| shipped += 1));
-        assert_eq!(shipped, 1);
-    }
-
     /// `NetRtt` means the same on both backends: a pulled frame is timed
     /// from its oldest record's landing in the port, so a straggler alone
-    /// in its port reads at least the line's latency. On the real clock:
+    /// in its port reads at least the wire's latency. On the real clock:
     /// the stamps are real time.
     #[test]
     fn a_pulled_frame_is_timed_from_its_oldest_record() {
@@ -765,12 +795,17 @@ mod tests {
                 .collect(),
         );
         let latency = Duration::from_micros(50);
-        let wire = test_wire(latency, &locs, BatchPolicy::new(16), &Clock::Real);
+        let wire = test_wire(
+            WireModel::with_latency(latency),
+            &locs,
+            BatchPolicy::new(16),
+        );
         for _ in 0..50 {
             wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
             let t0 = Instant::now();
             while drain_count(&locs[1]).1 == 0 {
                 assert!(t0.elapsed() < Duration::from_secs(5), "never arrived");
+                pass(&wire);
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
@@ -793,8 +828,7 @@ mod tests {
 
     #[test]
     fn staged_and_plain_parcels_batch_separately() {
-        let locs = test_localities(2);
-        let (_clock, mut wire) = stepped_wire(LATENCY, &locs, cap(1000));
+        let (locs, _clock, mut wire) = burst(cap(1000), 0);
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
@@ -812,8 +846,7 @@ mod tests {
 
     #[test]
     fn unbatched_policy_sends_single_parcels() {
-        let locs = test_localities(2);
-        let (_clock, mut wire) = stepped_wire(LATENCY, &locs, BatchPolicy::new(1));
+        let (locs, _clock, mut wire) = burst(BatchPolicy::new(1), 0);
         let p = noop_parcel(LocalityId(1));
         let n = wire.send_parcel(LocalityId(1), p.clone());
         assert_eq!(n, p.encode().len());

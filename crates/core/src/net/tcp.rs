@@ -20,10 +20,11 @@
 //! multiplexed in one event loop (`io::IoLoop`), and the loop is a value,
 //! not a thread: at most one thread at a time holds it (the own
 //! locality's poller, `Sleep::try_poll`) and runs a *pass* — wait for
-//! readiness, handle it, fire due timers, pull the ports and drain the
+//! readiness, handle it, fire due timers (the loop's own, and the own
+//! locality's heap: the balancer pulse), pull the ports and drain the
 //! queues into writes. Retries are *timers* (poll timeouts), not
-//! sleep-loops, and once the mesh is up nothing is timed, so an idle
-//! mesh makes zero wakeups, batched or not
+//! sleep-loops, and once the mesh is up nothing but a balancer is timed,
+//! so an idle mesh makes zero wakeups, batched or not
 //! (`an_idle_batched_mesh_makes_no_wakeups`). A 64-rank mesh costs this
 //! process the same threads as a 2-rank mesh — none of the transport's
 //! own (asserted by integration test).
@@ -280,9 +281,9 @@ struct TcpShared {
     /// The event loop, run by whoever holds the own locality's poller
     /// (`Sleep::try_poll`); taken out at shutdown.
     io: Mutex<Option<io::IoLoop>>,
-    /// The wire's coalescing ports, once adopted: every pass pulls them
-    /// (see [`TcpShared::pull_ports`]).
-    ports: OnceLock<Arc<PortSet>>,
+    /// The wire's coalescing ports, when it batches: every pass pulls
+    /// them (see [`TcpShared::pull_ports`]).
+    ports: Option<Arc<PortSet>>,
 }
 
 impl TcpShared {
@@ -383,11 +384,11 @@ impl TcpShared {
     /// hold into its send queue, ahead of the drain that follows.
     /// Returns `false` when a port was held by a sender and skipped.
     fn pull_ports(&self, dest: LocalityId) -> bool {
-        let Some(ports) = self.ports.get() else {
+        let Some(ports) = &self.ports else {
             return true;
         };
         let dest_loc = &self.localities[dest.0 as usize];
-        ports.pull(dest, dest_loc, None, |lane, bytes, opened_at| {
+        ports.pull(dest, dest_loc, |lane, bytes, opened_at| {
             self.send_to_peer(dest, frame_kind(lane), bytes, By::Puller(opened_at));
         })
     }
@@ -476,18 +477,9 @@ impl TcpShared {
         // wake in flight (the eventfd coalesces) or is being drained
         // under this same lock right now.
         if was_empty && from_sender {
-            self.wake_poller();
-        }
-    }
-
-    /// Wake the thread that holds the loop, if one does: it may be
-    /// blocked in the poller's wait. With nobody holding it there is
-    /// nobody to wake, and whoever takes it next pulls and drains before
-    /// it blocks — the look [`crate::queue::Sleep::poller_held`] orders
-    /// after the caller's publication.
-    fn wake_poller(&self) {
-        if self.own().sleep.poller_held() {
-            self.poller.wake();
+            // With nobody holding the loop there is nobody to wake:
+            // whoever takes it next pulls and drains before it blocks.
+            self.own().sleep.kick();
         }
     }
 
@@ -669,11 +661,12 @@ impl TcpTransport {
     /// Run the event loop on this thread, listening on `listener`,
     /// until the full mesh exists (connected + handshake flushed to every
     /// peer, handshake accepted from every peer). Fails loudly after
-    /// `cfg.bootstrap_timeout`.
+    /// `cfg.bootstrap_timeout`. Every pass pulls `ports`.
     pub(crate) fn bootstrap(
         cfg: &TcpConfig,
         listener: TcpListener,
         localities: Arc<Vec<Arc<Locality>>>,
+        ports: Option<Arc<PortSet>>,
     ) -> PxResult<TcpTransport> {
         let n = localities.len();
         let rank = cfg.rank;
@@ -714,7 +707,7 @@ impl TcpTransport {
             shutting_down: AtomicBool::new(false),
             poller: Arc::new(poller),
             io: Mutex::new(None),
-            ports: OnceLock::new(),
+            ports,
         });
         // The rank's idle workers run the loop; one parked in it is woken
         // through the poller.
@@ -738,19 +731,6 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn submit(&self, msg: WireMsg, _bytes: usize) {
         self.shared.submit(msg);
-    }
-
-    fn adopt_ports(&self, ports: &Arc<PortSet>) -> bool {
-        let _ = self.shared.ports.set(ports.clone());
-        true
-    }
-
-    fn kick(&self, _dest: LocalityId) {
-        self.shared.wake_poller();
-    }
-
-    fn frame_version(&self) -> u8 {
-        px_wire::FRAME_VERSION_CHECKSUM
     }
 
     fn bind(&self, rt: &Arc<RuntimeInner>) {
@@ -787,7 +767,7 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn drive(&self, park: Option<Park<'_>>) -> bool {
+    fn drive(&self, _at: LocalityId, park: Option<Park<'_>>) -> bool {
         self.shared.drive(park)
     }
 
@@ -850,9 +830,10 @@ mod tests {
     }
 
     /// Boot a mesh in this process, rank `i` listening on `listeners[i]`
-    /// and told only rank 0's address: rank 0 on this thread, every other
-    /// rank on a thread of its own, joined before this returns.
-    fn boot(listeners: Vec<TcpListener>) -> Vec<TcpTransport> {
+    /// and told only rank 0's address: rank 0 — pulling `ports` — on this
+    /// thread, every other rank on a thread of its own, joined before
+    /// this returns.
+    fn boot(listeners: Vec<TcpListener>, ports: Option<Arc<PortSet>>) -> Vec<TcpTransport> {
         let n = listeners.len();
         let addrs = vec![listeners[0].local_addr().unwrap().to_string(); n];
         let mut listeners = listeners.into_iter().enumerate();
@@ -861,12 +842,13 @@ mod tests {
             .map(|(rank, listener)| {
                 let cfg = TcpConfig::new(rank as u16, addrs.clone());
                 std::thread::spawn(move || {
-                    TcpTransport::bootstrap(&cfg, listener, test_localities(n)).unwrap()
+                    TcpTransport::bootstrap(&cfg, listener, test_localities(n), None).unwrap()
                 })
             })
             .collect();
         let cfg = TcpConfig::new(0, addrs);
-        let mut mesh = vec![TcpTransport::bootstrap(&cfg, rank0, test_localities(n)).unwrap()];
+        let rank0 = TcpTransport::bootstrap(&cfg, rank0, test_localities(n), ports);
+        let mut mesh = vec![rank0.unwrap()];
         mesh.extend(others.into_iter().map(|h| h.join().unwrap()));
         mesh
     }
@@ -900,15 +882,22 @@ mod tests {
     }
 
     fn boot_pair() -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
-        pair(loopback(2))
+        pair(loopback(2), None)
     }
 
-    fn pair(listeners: Vec<TcpListener>) -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
-        let mut mesh = boot(listeners);
+    fn pair(
+        listeners: Vec<TcpListener>,
+        ports: Option<Arc<PortSet>>,
+    ) -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
+        let mut mesh = boot(listeners, ports);
         let b = mesh.pop().expect("rank 1");
         let locs_b = b.shared.localities.clone();
         (mesh.pop().expect("rank 0"), b, locs_b)
     }
+
+    /// The locality a test drives: over TCP a rank drives its own loop,
+    /// whichever it names.
+    const HERE: LocalityId = LocalityId(0);
 
     fn noop_parcel(dest: LocalityId) -> Vec<u8> {
         Parcel::new(
@@ -927,7 +916,7 @@ mod tests {
         let t0 = Instant::now();
         loop {
             for t in drive {
-                t.drive(None);
+                t.drive(HERE, None);
             }
             if let Some(v) = poll() {
                 return v;
@@ -1041,7 +1030,7 @@ mod tests {
     fn a_lost_connection_is_a_dead_peer() {
         let listeners = loopback(2);
         let impostor = listeners[1].try_clone().unwrap();
-        let (a, mut b, _locs_b) = pair(listeners);
+        let (a, mut b, _locs_b) = pair(listeners, None);
         b.shutdown();
         drop(b);
         impostor.set_nonblocking(true).unwrap();
@@ -1062,7 +1051,7 @@ mod tests {
         assert_eq!(dead_transport() - before, 50, "each dies loudly");
         let t0 = Instant::now();
         while t0.elapsed() < 10 * io::CONNECT_RETRY {
-            a.drive(None);
+            a.drive(HERE, None);
             assert!(impostor.accept().is_err(), "rank 0 dialled a dead peer");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1082,16 +1071,17 @@ mod tests {
     fn full_flushes_and_pulls_keep_submission_order() {
         use crate::net::{BatchPolicy, Wire};
         const N: u64 = 20_000;
-        let (a, mut b, locs_b) = boot_pair();
+        let ports = BatchPolicy::new(4).ports(2, px_wire::FRAME_VERSION_CHECKSUM);
+        let (a, mut b, locs_b) = pair(loopback(2), ports.clone());
         let locs_a = a.shared.localities.clone();
-        let mut wire = Wire::new(Arc::new(a), locs_a.clone(), BatchPolicy::new(4));
+        let mut wire = Wire::new(Arc::new(a), locs_a.clone(), ports, Some(HERE));
         let dest = LocalityId(1);
         let mut next = 0u64;
         let mut arrived_through = |sent: u64| {
             wait_for(
                 &[&b],
                 || {
-                    wire.drive(None);
+                    wire.transport.drive(HERE, None);
                     while let Some(task) = locs_b[1].injector.steal() {
                         let frame = task.frame_bytes().expect("batched: frames only");
                         let view = px_wire::FrameView::parse(frame).expect("intact frame");
@@ -1162,7 +1152,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         assert!(!sender.is_finished(), "a sender passed a full queue");
         assert!(
-            shared.own().sleep.poller_held(),
+            !shared.own().sleep.poller_free(),
             "the blocked sender runs the loop"
         );
         // Make the room the books withheld, and wake the sender out of the
@@ -1191,7 +1181,7 @@ mod tests {
         let mut cfg = TcpConfig::new(0, vec![String::new(); 2]);
         cfg.bootstrap_timeout = Duration::from_millis(300);
         let locs = test_localities(2);
-        let Err(err) = TcpTransport::bootstrap(&cfg, loopback(1).remove(0), locs) else {
+        let Err(err) = TcpTransport::bootstrap(&cfg, loopback(1).remove(0), locs, None) else {
             panic!("bootstrap without a peer must time out");
         };
         assert!(matches!(err, PxError::BadConfig(_)));
@@ -1249,7 +1239,7 @@ mod tests {
         // A 4-rank mesh, all in this process: each rank bootstraps on a
         // thread of this test's own, joined before the count.
         let n = 4;
-        let transports = boot(loopback(n));
+        let transports = boot(loopback(n), None);
         // Traffic on every connection, carried by this thread's passes.
         for (i, t) in transports.iter().enumerate() {
             for j in (0..n).filter(|&j| j != i) {
@@ -1289,7 +1279,7 @@ mod tests {
     #[test]
     fn every_connection_comes_up_on_its_first_attempt() {
         for n in [2, 4] {
-            let mesh = boot(loopback(n));
+            let mesh = boot(loopback(n), None);
             assert_eq!(
                 attempts_with_tables(&mesh),
                 vec![vec![1; n - 1]; n],
@@ -1310,7 +1300,7 @@ mod tests {
         for (at, claims) in [(0usize, 1u16), (1, 0)] {
             let listeners = loopback(2);
             let addr = listeners[at].local_addr().unwrap();
-            let mesh = boot(listeners);
+            let mesh = boot(listeners, None);
             let before = attempts_with_tables(&mesh);
             let table = encode_table(&[addr; 2]);
             let mut forger = std::net::TcpStream::connect(addr).unwrap();

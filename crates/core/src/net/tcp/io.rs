@@ -209,11 +209,13 @@ impl IoLoop {
     }
 
     /// Wait for readiness: with `block`, until something is ready or the
-    /// next timer falls due (untimed when none is armed); else not at
-    /// all.
+    /// next timer — the loop's own or the own locality's heap — falls due
+    /// (untimed when none is armed); else not at all.
     fn wait(&mut self, block: bool) {
         let timeout = if block && !self.again {
-            self.timers.timeout(Instant::now())
+            let heap = self.shared.own().timers.timeout();
+            let own = self.timers.timeout(Instant::now());
+            own.into_iter().chain(heap).min()
         } else {
             Some(Duration::ZERO)
         };
@@ -224,8 +226,9 @@ impl IoLoop {
         }
     }
 
-    /// Handle what the last wait reported, fire due timers, then pull the
-    /// ports and drain the queues into writes.
+    /// Handle what the last wait reported, fire due timers — the loop's,
+    /// then the own locality's heap — then pull the ports and drain the
+    /// queues into writes.
     fn handle(&mut self) {
         let events = std::mem::take(&mut self.events);
         for ev in &events {
@@ -241,6 +244,7 @@ impl IoLoop {
         }
         self.events = events;
         self.fire_due_timers();
+        self.shared.own().fire_due();
         self.pump_sends();
     }
 

@@ -27,13 +27,15 @@
 //!   this module sets, not the cache — so an item that arrives within a
 //!   hop's service time costs neither side a futex call.
 //!
-//!   Where the workers drive a poller (the TCP backend's event loop), the
-//!   same word carries who holds it. One idle worker at a time takes it
-//!   and parks *in* it: its park is the poller's blocking wait, and a
-//!   notifier that picks it wakes the poller instead of unparking the
-//!   thread. The others park as above, and a free poller is a reason for
-//!   them to be awake; whoever gives it back wakes one that parked while
-//!   it was held, so it is attended whenever anybody is idle.
+//!   Where the workers drive a poller (the TCP backend's event loop, or
+//!   the locality's timer heap in-process), the same word carries who
+//!   holds it. One idle worker at a time takes it and parks *in* it: its
+//!   park is the poller's blocking wait — `epoll_wait`, or the heap's
+//!   timed park, bounded by the earliest deadline — and a notifier that
+//!   picks it wakes the poller instead of unparking the thread. The
+//!   others park as above, and a free poller is a reason for them to be
+//!   awake; whoever gives it back wakes one that parked while it was
+//!   held, so it is attended whenever anybody is idle.
 //!
 //! # How a thief reads a slot without racing the owner
 //!
@@ -655,19 +657,25 @@ impl Sleep {
     /// thread holds it. The fence orders the claim before the holder's
     /// look at what it must carry: a producer that published, fenced and
     /// then found nobody holding the poller is seen by that look
-    /// ([`Sleep::poller_held`]).
+    /// ([`Sleep::kick`]).
     pub(crate) fn try_poll(&self) -> Option<PollerHeld<'_>> {
         let took = self.state.fetch_or(POLLER, Ordering::SeqCst) & POLLER == 0;
         fence(Ordering::SeqCst);
         took.then(|| PollerHeld(self))
     }
 
-    /// True while some thread holds the poller. Called after publishing
-    /// what the holder must carry: with nobody holding it, whoever takes
-    /// it next looks first, and a wake would have nobody to wake.
-    pub(crate) fn poller_held(&self) -> bool {
+    /// Wake the poller's holder, if some thread holds it. Called after
+    /// publishing what the holder must carry — a port record, a heap item:
+    /// with nobody holding it, whoever takes it next looks first. The
+    /// waker is sticky (an eventfd, the heap's bell): a holder not yet in
+    /// its wait returns from it at once.
+    pub(crate) fn kick(&self) {
         fence(Ordering::SeqCst);
-        self.state.load(Ordering::SeqCst) & POLLER != 0
+        if self.state.load(Ordering::SeqCst) & POLLER != 0 {
+            if let Some(wake) = self.poll_wake.get() {
+                wake();
+            }
+        }
     }
 
     /// True when this locality's workers drive a poller and nobody holds
@@ -738,32 +746,8 @@ impl Sleep {
         on_park: impl FnOnce(),
     ) -> Idle {
         let mut ready = || ready() || self.poller_free();
-        let me = &self.workers[w];
-        if self.spin && self.state.fetch_or(SPINNING, Ordering::SeqCst) & SPINNING == 0 {
-            let spin = SPIN.as_nanos() as u64;
-            let now = self.now_ns();
-            // Relaxed: only this thread touches its schedule.
-            let slot = (me.spin_due_ns.load(Ordering::Relaxed) + spin / POLLS_PER_SPIN)
-                .max(now.saturating_sub(MAX_LAG.as_nanos() as u64));
-            // Relaxed: as above.
-            me.spin_due_ns.store(slot, Ordering::Relaxed);
-            // The slots of one `SPIN` are all due when it begins.
-            let due = slot - slot % spin;
-            let deadline = due.max(now) + spin;
-            let found = loop {
-                let now = self.now_ns();
-                if now >= due && ready() {
-                    break true;
-                }
-                if now >= deadline {
-                    break false;
-                }
-                std::thread::yield_now();
-            };
-            self.state.fetch_and(!SPINNING, Ordering::SeqCst);
-            if found {
-                return Idle::Ready;
-            }
+        if self.spun(w, &mut ready) {
+            return Idle::Ready;
         }
         self.park(w, SLEEPING, ready, on_park, |me| {
             // A stale unpark token or a spurious return ends `park` early;
@@ -775,18 +759,55 @@ impl Sleep {
         })
     }
 
-    /// [`Sleep::idle`] for the worker that holds the poller. It does not
-    /// spin — it would not see the sockets — and its park is `wait`, the
+    /// The spin of [`Sleep::idle`]: true when `ready` turned true. Only
+    /// one worker of the locality spins at a time.
+    fn spun(&self, w: usize, ready: &mut impl FnMut() -> bool) -> bool {
+        let me = &self.workers[w];
+        if !self.spin || self.state.fetch_or(SPINNING, Ordering::SeqCst) & SPINNING != 0 {
+            return false;
+        }
+        let spin = SPIN.as_nanos() as u64;
+        let now = self.now_ns();
+        // Relaxed: only this thread touches its schedule.
+        let slot = (me.spin_due_ns.load(Ordering::Relaxed) + spin / POLLS_PER_SPIN)
+            .max(now.saturating_sub(MAX_LAG.as_nanos() as u64));
+        // Relaxed: as above.
+        me.spin_due_ns.store(slot, Ordering::Relaxed);
+        // The slots of one `SPIN` are all due when it begins.
+        let due = slot - slot % spin;
+        let deadline = due.max(now) + spin;
+        let found = loop {
+            let now = self.now_ns();
+            if now >= due && ready() {
+                break true;
+            }
+            if now >= deadline {
+                break false;
+            }
+            std::thread::yield_now();
+        };
+        self.state.fetch_and(!SPINNING, Ordering::SeqCst);
+        found
+    }
+
+    /// [`Sleep::idle`] for the worker that holds the poller. It spins
+    /// first only with `spin`: where `ready` sees all it waits for (the
+    /// heap's due items in-process), not over TCP, where it would not see
+    /// the sockets. Its park is `wait`, the
     /// poller's blocking wait, which a notifier ends through the waker
     /// [`Sleep::drive_poller`] installed. The worker is awake again once
     /// `wait` returns, whatever ended it.
     pub(crate) fn idle_polling(
         &self,
         w: usize,
-        ready: impl FnMut() -> bool,
+        spin: bool,
+        mut ready: impl FnMut() -> bool,
         on_park: impl FnOnce(),
         wait: impl FnOnce(),
     ) -> Idle {
+        if spin && self.spun(w, &mut ready) {
+            return Idle::Ready;
+        }
         self.park(w, POLLING, ready, on_park, |me| {
             wait();
             self.unannounce(me, POLLING);
@@ -1583,73 +1604,78 @@ mod tests {
     /// and park race every time.
     #[test]
     fn no_wake_up_is_lost_between_announce_and_commit() {
-        lost_wake_up_stress(false);
+        lost_wake_up_stress(Poll::No);
     }
 
     /// The same stress where the workers drive a poller, as a TCP rank's
-    /// do: whoever takes it parks in its blocking wait (a stand-in that
-    /// only the poll waker ends) and gives it back when it wakes; the
-    /// others park on their threads. Half the pushes notify the
-    /// eventcount, which must reach the worker in the poller too; the
-    /// other half wake the poller only if somebody holds it, as a TCP
-    /// send does, which must be enough because a worker that could not
-    /// take the poller is handed it when it comes free.
+    /// do: whoever takes it parks in its blocking wait (an empty heap's
+    /// untimed park, which only the poll waker ends, as an eventfd ends
+    /// `epoll_wait`) and gives it back when it wakes; the others park on
+    /// their threads. Half the pushes notify the eventcount, which must
+    /// reach the worker in the poller too; the other half only kick the
+    /// poller, as a TCP send does, which must be enough because a worker
+    /// that could not take the poller is handed it when it comes free.
     #[test]
     fn no_wake_up_is_lost_by_a_worker_parked_in_the_poller() {
-        lost_wake_up_stress(true);
+        lost_wake_up_stress(Poll::Poller);
     }
 
-    /// A poller's blocking wait, ended by `wake` as an eventfd ends
-    /// `epoll_wait`.
-    #[derive(Default)]
-    struct StandInPoller {
-        woken: Mutex<bool>,
-        cv: parking_lot::Condvar,
+    /// The same stress where the poller is a locality's timer heap, as an
+    /// in-process locality's is: producers arm items instead of pushing
+    /// them — half due at once, half 50 µs on — and kick the holder when
+    /// one is the heap's earliest; whoever holds the poller moves what is
+    /// due into the queue and parks on the heap, timed while anything is
+    /// armed and untimed when nothing is. Every armed item must fire.
+    #[test]
+    fn no_armed_item_is_lost_by_a_worker_parked_on_the_heap() {
+        lost_wake_up_stress(Poll::Heap);
     }
 
-    impl StandInPoller {
-        fn wait(&self) {
-            let mut woken = self.woken.lock();
-            while !*woken {
-                self.cv.wait(&mut woken);
-            }
-            *woken = false;
-        }
-
-        fn wake(&self) {
-            *self.woken.lock() = true;
-            self.cv.notify_one();
-        }
+    /// What the workers of [`lost_wake_up_stress`] drive.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Poll {
+        No,
+        Poller,
+        Heap,
     }
 
-    fn lost_wake_up_stress(poll: bool) {
+    /// A poller to park in: a heap on the real clock, as in-process.
+    fn poller(sleep: &Sleep) -> crate::clock::Heap<u64> {
+        let heap = crate::clock::Heap::new(&crate::clock::Clock::Real);
+        let bell = heap.bell();
+        sleep.drive_poller(move || bell.ring());
+        heap
+    }
+
+    fn lost_wake_up_stress(poll: Poll) {
         const PRODUCERS: u64 = 2;
         const WORKERS: usize = 3;
         const PUSHES: u64 = 100_000;
         struct Shared {
             inj: Injector<u64>,
             sleep: Sleep,
-            poller: Arc<StandInPoller>,
+            heap: crate::clock::Heap<u64>,
             /// Bumped by a worker after a re-check that found nothing.
             rechecks: AtomicU64,
             taken: AtomicU64,
             sum: AtomicU64,
         }
+        let sleep = Sleep {
+            spin: false,
+            ..Sleep::new(WORKERS)
+        };
+        let heap = match poll {
+            Poll::No => crate::clock::Heap::new(&crate::clock::Clock::Real),
+            Poll::Poller | Poll::Heap => poller(&sleep),
+        };
         let shared = Arc::new(Shared {
             inj: Injector::new(),
-            sleep: Sleep {
-                spin: false,
-                ..Sleep::new(WORKERS)
-            },
-            poller: Arc::default(),
+            heap,
+            sleep,
             rechecks: AtomicU64::new(0),
             taken: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         });
-        if poll {
-            let poller = shared.poller.clone();
-            shared.sleep.drive_poller(move || poller.wake());
-        }
         let (exited, exits) = mpsc::channel();
         for w in 0..WORKERS {
             let (shared, exited) = (shared.clone(), exited.clone());
@@ -1672,11 +1698,17 @@ mod tests {
                         }
                         ready
                     };
-                    let held = poll.then(|| shared.sleep.try_poll()).flatten();
+                    let held = (poll != Poll::No)
+                        .then(|| shared.sleep.try_poll())
+                        .flatten();
                     if held.is_some() {
                         shared
-                            .sleep
-                            .idle_polling(w, ready, || {}, || shared.poller.wait());
+                            .heap
+                            .take_due()
+                            .into_iter()
+                            .for_each(|i| shared.inj.push(i));
+                        let park = || shared.heap.park();
+                        shared.sleep.idle_polling(w, false, ready, || {}, park);
                     } else {
                         shared.sleep.idle(w, ready, || {});
                     }
@@ -1698,11 +1730,17 @@ mod tests {
                             }
                             std::thread::yield_now();
                         }
-                        shared.inj.push(p * PUSHES + i);
-                        if poll && i % 2 == 1 {
-                            if shared.sleep.poller_held() {
-                                shared.poller.wake();
+                        let item = p * PUSHES + i;
+                        if poll == Poll::Heap {
+                            let delay = Duration::from_micros(50 * (i % 2));
+                            if shared.heap.arm(shared.heap.now() + delay, item) {
+                                shared.sleep.kick();
                             }
+                            continue;
+                        }
+                        shared.inj.push(item);
+                        if poll == Poll::Poller && i % 2 == 1 {
+                            shared.sleep.kick();
                         } else {
                             shared.sleep.notify_one();
                         }
@@ -1772,9 +1810,7 @@ mod tests {
             spin: false,
             ..Sleep::new(3)
         });
-        let poller = Arc::new(StandInPoller::default());
-        let waker = poller.clone();
-        sleep.drive_poller(move || waker.wake());
+        let poller = Arc::new(poller(&sleep));
         let park = || panic!("a free poller is a reason to be awake");
         assert_eq!(sleep.idle(2, || false, park), Idle::Ready);
 
@@ -1782,7 +1818,7 @@ mod tests {
             let (sleep, poller) = (sleep.clone(), poller.clone());
             move || {
                 let _held = sleep.try_poll().expect("nobody holds it");
-                sleep.idle_polling(0, || false, || {}, || poller.wait())
+                sleep.idle_polling(0, false, || false, || {}, || poller.park())
             }
         });
         while sleep.sleeping() == 0 {

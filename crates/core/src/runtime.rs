@@ -1,7 +1,8 @@
 //! The runtime: boot, shared state, and the external driver API.
 //!
-//! A [`Runtime`] owns `localities × workers` OS threads plus (when the
-//! wire model is not instant) one delay-line thread. It is built once via
+//! A [`Runtime`] owns `localities × workers` OS threads and nothing else:
+//! the wire's delays and the balancer pulse are timers its workers fire.
+//! It is built once via
 //! [`RuntimeBuilder`] — the action registry freezes at build so parcel
 //! dispatch never locks — and torn down with [`Runtime::shutdown`] (or on
 //! drop).
@@ -20,13 +21,13 @@ pub use crate::ctx::Ctx;
 
 use crate::action::{Action, ActionRegistry, Value};
 use crate::agas::Agas;
-use crate::clock::{Clock, Line, Thread};
+use crate::clock::Clock;
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::lco::{surface_fault, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
 use crate::locality::Locality;
-use crate::net::{BatchPolicy, Wire};
+use crate::net::{BatchPolicy, Transport, Wire};
 use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
@@ -354,26 +355,43 @@ impl RuntimeBuilder {
                         loc.mark_remote_stub();
                         rings.push(Vec::new());
                     } else {
-                        rings.push(loc.attach_workers(self.config.workers_per_locality));
+                        let workers = self.config.workers_per_locality;
+                        rings.push(loc.attach_workers(workers, &self.clock));
                     }
                     Arc::new(loc)
                 })
                 .collect(),
         );
-        let transport: Arc<dyn crate::net::Transport> = match &self.config.transport {
-            TransportKind::InProc => Arc::new(crate::net::inproc::InProcTransport::new(
-                self.config.wire,
-                localities.clone(),
-                &self.clock,
-            )),
+        let policy = BatchPolicy::new(self.config.max_batch_parcels);
+        let (transport, ports): (Arc<dyn Transport>, _) = match &self.config.transport {
+            TransportKind::InProc => {
+                use crate::net::inproc::InProcTransport;
+                let wire = self.config.wire;
+                // An instant wire has no per-message cost to amortize, and
+                // no pass to pull a port.
+                let ports = policy.ports(n, px_wire::FRAME_VERSION);
+                let ports = ports.filter(|_| !wire.is_instant());
+                let transport = InProcTransport::new(wire, localities.clone(), ports.clone());
+                // Each locality's workers fire its heap where anything is
+                // timed; a kick rings the holder's park.
+                if !wire.is_instant() || self.config.balance.is_some() {
+                    for loc in localities.iter() {
+                        let bell = loc.timers.bell();
+                        loc.sleep.drive_poller(move || bell.ring());
+                    }
+                }
+                (Arc::new(transport), ports)
+            }
             TransportKind::Tcp(tcp) => {
                 use crate::net::tcp::{bind, TcpTransport};
                 let listener = self.listener.map_or_else(|| bind(tcp), Ok)?;
-                Arc::new(TcpTransport::bootstrap(tcp, listener, localities.clone())?)
+                let ports = policy.ports(n, px_wire::FRAME_VERSION_CHECKSUM);
+                let transport =
+                    TcpTransport::bootstrap(tcp, listener, localities.clone(), ports.clone());
+                (Arc::new(transport?), ports)
             }
         };
-        let policy = BatchPolicy::new(self.config.max_batch_parcels);
-        let wire = Wire::new(transport, localities.clone(), policy);
+        let wire = Wire::new(transport, localities.clone(), ports, owned);
         let track_heat = self
             .config
             .balance
@@ -406,7 +424,7 @@ impl RuntimeBuilder {
         });
         // Late-bind the runtime into the transport so undeliverable
         // messages can be killed loudly (fault to continuation).
-        inner.wire.bind(&inner);
+        inner.wire.transport.bind(&inner);
 
         // Boot workers. In a multi-process system only the owned rank has
         // rings (see `attach_workers` above); the other locality structs
@@ -416,17 +434,15 @@ impl RuntimeBuilder {
             for (wi, ring) in rings.into_iter().enumerate() {
                 let rt = inner.clone();
                 let worker = move || crate::sched::worker_main(rt, li, wi, ring);
-                joins.push(crate::clock::spawn(Thread::Worker(li, wi), worker));
+                joins.push(crate::clock::spawn(li, wi, worker));
             }
         }
-        // The balancer pulse: one line closing the telemetry → placement
-        // loop for all localities (decisions still read only per-locality
-        // gossip state; see `crate::balance`).
-        let balancer = crate::balance::pulse(&inner, &self.clock);
+        // The balancer pulse: one per owned locality, on its own heap
+        // (see `crate::balance`).
+        crate::balance::start(&inner);
         Ok(Runtime {
             inner,
             joins: Mutex::new(Some(joins)),
-            balancer: Mutex::new(balancer),
         })
     }
 }
@@ -435,7 +451,6 @@ impl RuntimeBuilder {
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     joins: Mutex<Option<Vec<JoinHandle<()>>>>,
-    balancer: Mutex<Option<Line<crate::balance::Pulse>>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -465,7 +480,7 @@ impl Runtime {
             processes_created: self.inner.processes_created.get(),
             processes_cancelled: self.inner.processes_cancelled.get(),
             processes_reaped: self.inner.processes_reaped.get(),
-            transport: self.inner.wire.transport_stats(),
+            transport: self.inner.wire.transport.transport_stats(),
         }
     }
 
@@ -626,10 +641,6 @@ impl Runtime {
     /// contract point 4). A debug build panics here if the runtime
     /// dropped a parcel it had taken charge of ([`crate::parcel`]).
     pub fn shutdown(&self) {
-        // Stop the balancer first so no new gossip/shed traffic races the
-        // worker teardown (dropping its line stops it; no round runs after).
-        let balancer = self.balancer.lock().take();
-        drop(balancer);
         let joins = self.joins.lock().take();
         if let Some(joins) = joins {
             // SeqCst, then notify: a worker either is found announced by
@@ -918,8 +929,8 @@ mod tests {
     use super::*;
 
     impl RuntimeBuilder {
-        /// Run the runtime's lines (the delay line, the balancer pulse) on
-        /// a stepped clock the test advances.
+        /// Run the localities' heaps (the wire's delays, the balancer
+        /// pulse) on a stepped clock the test advances.
         pub(crate) fn stepped(mut self, clock: &crate::clock::stepped::Stepper) -> Self {
             self.clock = Clock::Stepped(clock.clone());
             self
@@ -1042,7 +1053,7 @@ mod tests {
             .with_max_batch_parcels(8);
         let rt = RuntimeBuilder::new(cfg).build().unwrap();
         // 20 triggers cross the wire to an and-gate at locality 1: full
-        // frames of 8, and what the delay line's passes pull in between.
+        // frames of 8, and what locality 1's passes pull in between.
         let gate = rt.new_and_gate(LocalityId(1), 20);
         for _ in 0..20 {
             rt.trigger(gate, &()).unwrap();

@@ -123,10 +123,12 @@ impl Task {
     }
 }
 
-/// Tasks a busy worker runs between two passes of the rank's event loop
-/// (TCP, `net/tcp.rs`): a rank whose workers never run dry still reads
-/// its sockets and writes its queues. A constant, as in other runtimes
-/// whose workers drive their I/O.
+/// Tasks a busy worker runs between two passes of its locality's loop
+/// (`Transport::drive`): a locality whose workers never run dry still
+/// pulls its ports, and over TCP reads its sockets and writes its queues.
+/// A constant, as in other runtimes whose workers drive their I/O. A
+/// timer falling due brings the pass sooner: after the task that ran
+/// past its deadline (`clock::Heap::due_by`).
 const EVENT_INTERVAL: u32 = 61;
 
 /// Worker thread body. One per `(locality, worker index)`.
@@ -137,8 +139,9 @@ pub(crate) fn worker_main(
     local: Local<Task>,
 ) {
     let loc = rt.localities[loc_idx].clone();
-    // Over TCP the rank's sockets are read and written by its workers: an
-    // idle one runs the event loop and parks in it (`net/tcp.rs`).
+    // Where something is timed — a TCP rank's sockets, an in-process
+    // wire's latency, a balancer — the locality's workers run its loop: an
+    // idle one takes it and parks in it (`net/mod.rs`, `clock.rs`).
     let drives = loc.sleep.polls();
     let mut since_pass = 0u32;
     let mut search_started = Instant::now();
@@ -169,9 +172,10 @@ pub(crate) fn worker_main(
                 search_started = done;
                 if drives {
                     since_pass += 1;
-                    if since_pass == EVENT_INTERVAL {
+                    // A due timer does not wait out the interval.
+                    if since_pass == EVENT_INTERVAL || loc.timers.due_by(done) {
                         since_pass = 0;
-                        rt.wire.drive(None);
+                        rt.wire.transport.drive(loc.id, None);
                     }
                 }
             }
@@ -194,15 +198,22 @@ pub(crate) fn worker_main(
                         search_started.elapsed().as_nanos() as u64
                     );
                 };
-                // The poller, when nobody holds it: a pass that reads,
-                // pulls and writes, then its blocking wait as the park.
+                // The poller, when nobody holds it: a pass that fires due
+                // timers and pulls (over TCP also reads and writes), then
+                // its blocking wait as the park, bounded by the earliest
+                // deadline. In-process its holder sees all it waits for —
+                // the queues, the heap's due items — so it spins first like
+                // any idle worker; over TCP it would not see the sockets.
                 let mut parked = Idle::Ready;
                 let polled = drives
-                    && rt.wire.drive(Some(&mut |wait| {
-                        parked = loc
-                            .sleep
-                            .idle_polling(worker_idx, &mut ready, on_park, wait);
-                    }));
+                    && rt.wire.transport.drive(
+                        loc.id,
+                        Some(&mut |wait| {
+                            let due = || ready() || loc.timers.due_by(Instant::now());
+                            let spin = !rt.distributed();
+                            parked = (loc.sleep).idle_polling(worker_idx, spin, due, on_park, wait);
+                        }),
+                    );
                 if polled {
                     since_pass = 0;
                 } else {
@@ -758,7 +769,8 @@ impl RuntimeInner {
             let n = bytes.len();
             let (dest, lane) = (owner, Lane::Control);
             self.wire
-                .send(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
+                .transport
+                .submit(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
             bump!(from_loc.counters.bytes_sent, n as u64);
             return;
         }
@@ -801,7 +813,9 @@ impl RuntimeInner {
         }
         bump!(from_loc.counters.parcels_sent);
         bump!(from_loc.counters.bytes_sent, 64);
-        self.wire.send(crate::net::WireMsg::Task { dest, task }, 64);
+        self.wire
+            .transport
+            .submit(crate::net::WireMsg::Task { dest, task }, 64);
     }
 }
 
@@ -915,6 +929,45 @@ mod tests {
         }
         assert_eq!((data, waits(QueueWait)), (8, 8));
         assert!(!loc.has_work());
+    }
+
+    /// A busy destination delivers a due message without waiting out
+    /// `EVENT_INTERVAL` tasks, counted in tasks: a chain at locality 1,
+    /// each link spawning the next so its one worker never runs dry, arms
+    /// a probe due at once on its own heap, and the probe — on the
+    /// control lane, run as soon as it is queued — reads how many links
+    /// ran meanwhile: none, the pass follows the link that armed it.
+    #[test]
+    fn a_busy_destination_delivers_a_due_message_within_event_interval_tasks() {
+        use crate::runtime::{Config, Ctx, RuntimeBuilder};
+        use std::sync::atomic::AtomicU32;
+        // Links run so far, and how many had run when the probe ran.
+        static RAN: AtomicU32 = AtomicU32::new(0);
+        static SEEN_AT: AtomicU32 = AtomicU32::new(0);
+        const ARMED_AT: u32 = 10;
+        fn link(ctx: &mut Ctx<'_>) {
+            if RAN.fetch_add(1, Ordering::SeqCst) + 1 == ARMED_AT {
+                let probe =
+                    |_: &mut Ctx<'_>| SEEN_AT.store(RAN.load(Ordering::SeqCst), Ordering::SeqCst);
+                let probe = Box::new(Task::new(Work::Thread(Box::new(probe))));
+                let (loc, probe) = (ctx.locality(), crate::locality::Due::Task(probe));
+                loc.arm(loc.timers.now(), Lane::Control, probe, None);
+            }
+            if SEEN_AT.load(Ordering::SeqCst) == 0 {
+                ctx.spawn(link);
+            }
+        }
+        let cfg = Config::small(2, 1).with_latency(Duration::from_micros(50));
+        let rt = RuntimeBuilder::new(cfg).build().unwrap();
+        rt.spawn_at(LocalityId(1), link);
+        let t0 = Instant::now();
+        while SEEN_AT.load(Ordering::SeqCst) == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "no probe");
+            std::thread::yield_now();
+        }
+        let waited = SEEN_AT.load(Ordering::SeqCst) - ARMED_AT;
+        assert_eq!(waited, 0, "links run before the due probe");
+        rt.shutdown();
     }
 
     #[test]

@@ -165,7 +165,7 @@ counters! {
     batch_flush_timer,
     /// Frames a backend's pass pulled out of a port after a sender's kick
     /// — whatever gathered since the last pass, at the TCP event loop's
-    /// or the in-process delay line's — or that the shutdown drain took.
+    /// or the in-process destination's — or that the shutdown drain took.
     batch_flush_pulled,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the

@@ -1,7 +1,7 @@
 //! Multi-parcel frames: the batched transport's wire unit.
 //!
 //! A frame carries zero or more length-prefixed records (encoded parcels)
-//! between localities so that per-message transport costs — delay-line
+//! between localities so that per-message transport costs — wire
 //! submissions, heap operations, run-queue pushes, wakeups — are paid once
 //! per frame instead of once per parcel.
 //!

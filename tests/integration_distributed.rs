@@ -536,8 +536,9 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 /// The event-loop transport's headline invariant, measured across real
 /// OS processes: this rank's thread count is **flat** as the mesh grows
 /// from 1 peer to 7 — the transport runs no thread at all, the rank's
-/// workers read and write its sockets — and a batched TCP rank runs no
-/// thread for its coalescing ports either: the loop's passes pull them.
+/// workers read and write its sockets — and a batched, balanced TCP rank
+/// runs no thread for its coalescing ports or its balancer pulse either:
+/// the loop's passes pull the ports and fire the pulse.
 ///
 /// `/proc/self/task` is process-wide and sibling tests in this binary
 /// run TCP runtimes of their own, so rank 0 of the measured meshes is a
@@ -579,14 +580,11 @@ fn count_threads_as_rank_zero() {
                 .expect("remote result within the bound");
             assert_eq!(got, u64::from(r) * u64::from(r));
         }
-        // The balancer takes no part in the round trip: under load it may
-        // not have run, and so named itself, yet.
-        voluntary_switches("px-balancer");
         assert_eq!(
             px_threads(),
-            ["px-L0-w0", "px-balancer"],
-            "one worker, the balancer, and nothing for the transport or \
-             the ports at {ranks} ranks"
+            ["px-L0-w0"],
+            "one worker, and nothing for the transport, the ports or the \
+             balancer at {ranks} ranks"
         );
         counts.push(threads().len());
         for child in &mut children {
@@ -695,11 +693,12 @@ fn idle_as_rank_zero() {
     rt.shutdown();
 }
 
-/// Idle is quiet in-process too, on one thread: the delay line is that
-/// wire's only thread — a kick puts a port pull on its heap — and with
-/// nothing pending it blocks until a submission. Here because the counts
-/// need a process of their own (`idle-inproc` mode), like the thread
-/// counts above.
+/// Idle is quiet in-process too: each locality's worker holds its
+/// loop, and with nothing on its heap it parks untimed until a kick.
+/// And an in-process runtime runs its workers and nothing else, whatever
+/// its wire and with the balancer on. Here because the counts need a
+/// process of their own (`idle-inproc` mode), like the thread counts
+/// above.
 #[test]
 fn an_idle_in_process_wire_makes_no_wakeups() {
     let mut child = spawn_child_at("idle-inproc", &[], 0, Stdio::null());
@@ -711,34 +710,45 @@ fn an_idle_in_process_wire_makes_no_wakeups() {
 }
 
 /// Body of the `idle-inproc` child: a batched two-locality runtime over
-/// a 5 µs delay line, idle before its first parcel and again after it.
+/// a 5 µs wire, idle before its first parcel and again after it; then a
+/// balanced one over a 50 µs wire, counting its threads.
 fn idle_in_process() {
     let cfg = Config::small(2, 1)
         .with_latency(Duration::from_micros(5))
         .with_max_batch_parcels(16);
     let rt = build(cfg, None);
     // Thread start-up blocks a time or two (the allocator, the first
-    // look at the channel): let it settle before the window opens.
+    // park): let it settle before the window opens.
     std::thread::sleep(Duration::from_millis(100));
-    let woke = wakeups_while_idle("px-delay-line");
-    assert!(woke <= 1, "woke {woke} times before any traffic");
-    // One parcel in an otherwise empty port: the line's next pass pulls it.
-    let fut = rt.new_future::<u64>(LocalityId(0));
-    let to = Gid::locality_root(LocalityId(1));
-    rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
-        .unwrap();
-    assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(25));
+    let workers = ["px-L0-w0", "px-L1-w0"];
+    let quiet = |when: &str| {
+        let woke = workers.map(wakeups_while_idle);
+        assert!(woke.iter().all(|&w| w <= 1), "woke {woke:?} times {when}");
+    };
+    quiet("before any traffic");
+    // One parcel in an otherwise empty port: locality 1's pass pulls it.
+    let square = |rt: &Runtime| {
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        let to = Gid::locality_root(LocalityId(1));
+        rt.send_action::<Square>(to, 5, Continuation::set(fut.gid()))
+            .unwrap();
+        assert_eq!(fut.wait_timeout(rt, BOUND).unwrap(), Some(25));
+    };
+    square(&rt);
     assert!(rt.stats().total().batch_flush_pulled >= 1);
+    quiet("after the ports emptied");
+    rt.shutdown();
+    let cfg = Config::small(2, 1).with_balance(BalanceConfig::adaptive());
+    let rt = build(cfg.with_latency(Duration::from_micros(50)), None);
+    square(&rt);
     // Counted after the round trip, which every thread took part in (a
     // thread names itself once it runs).
     assert_eq!(
         px_threads(),
-        ["px-L0-w0", "px-L1-w0", "px-delay-line"],
-        "one worker per locality and the delay line: the wire runs no \
-         thread of its own"
+        workers,
+        "one worker per locality: neither the wire nor the balancer runs \
+         a thread of its own"
     );
-    let woke = wakeups_while_idle("px-delay-line");
-    assert!(woke <= 1, "woke {woke} times after the ports emptied");
     rt.shutdown();
 }
 

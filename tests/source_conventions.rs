@@ -15,7 +15,7 @@
 //!   too.
 //!
 //! The third is px-core's one clock: its product code spells a sleep, a
-//! timed channel wait, a thread spawn or a `BinaryHeap` only in
+//! timed channel wait or park, a thread spawn or a `BinaryHeap` only in
 //! `crates/core/src/clock.rs`, the seam for timers and threads.
 //!
 //! A file's trailing `#[cfg(test)] mod` and test/bench directories are
@@ -95,7 +95,7 @@ fn missing_seqlock_legs(src: &str) -> Vec<&'static str> {
 /// 1-based numbers of the lines of `src` whose code spells what px-core
 /// spells only in its clock module.
 fn timers_outside_the_clock(src: &str) -> Vec<usize> {
-    let words = "thread::sleep recv_timeout thread::spawn thread::Builder BinaryHeap";
+    let words = "thread::sleep recv_timeout park_timeout thread::spawn thread::Builder BinaryHeap";
     let spelled = |code: &str| words.split(' ').any(|word| code.contains(word));
     let lines = product_lines(src).into_iter().enumerate();
     lines
@@ -171,12 +171,13 @@ fn poll(rx: &Receiver<()>, q: BinaryHeap<u8>) {
     let _ = rx.recv_timeout(TICK); // a hand-rolled timer
     // std::thread::spawn named in a comment is fine, and so is yield_now
     std::thread::Builder::new().spawn(f);
+    std::thread::park_timeout(TICK);
 }
 #[cfg(test)]
 mod tests {
     fn t() { std::thread::sleep(TICK); }
 }";
-    assert_eq!(timers_outside_the_clock(src), [1, 2, 4]);
+    assert_eq!(timers_outside_the_clock(src), [1, 2, 4, 5]);
 }
 
 #[test]
