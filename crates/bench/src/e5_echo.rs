@@ -43,24 +43,25 @@ pub const UPDATES: usize = 20;
 pub struct Row {
     /// Protocol name.
     pub mode: &'static str,
-    /// Time until all reader iterations completed.
+    /// Time until every commit resolved (the makespan).
     pub elapsed: Duration,
+    /// Time until every reader finished its iterations: the latency the
+    /// readers see.
+    pub readers_done: Duration,
     /// Commits validated as current.
     pub ok: u64,
     /// Commits found stale (recomputed with the fresh value).
     pub stale: u64,
-    /// Most validations in flight at once, over all readers: more than
-    /// one per reader only when readers compute while they validate.
-    pub peak_in_flight: u64,
 }
 
-/// Validations in flight now, and the most there ever were.
-type Flight = Arc<[AtomicU64; 2]>;
+/// When a run started, and when its last reader finished (ns after).
+type Done = Arc<(Instant, AtomicU64)>;
 
-/// A validation leaves.
-fn issued(flight: &Flight) {
-    let now = flight[0].fetch_add(1, Ordering::SeqCst) + 1;
-    flight[1].fetch_max(now, Ordering::SeqCst);
+/// A reader finished its iterations.
+fn finished(done: &Done) {
+    // Relaxed: read after the gate fires, which needs the calling task's
+    // commit to resolve; a reader's one worker resolves it after this task.
+    (done.1).fetch_max(done.0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Echo split-phase protocol.
@@ -71,13 +72,13 @@ pub fn run_echo() -> Row {
     let tree = echo::create_tree(&rt, LocalityId(0), 2, &0u64).unwrap();
     let gate = rt.new_and_gate(LocalityId(0), ((LOCALITIES - 1) * ITERS) as u64);
     let gate_fut: FutureRef<()> = FutureRef::from_gid(gate);
-    let flight = Flight::default();
 
     let t0 = Instant::now();
+    let done: Done = Arc::new((t0, AtomicU64::new(0)));
     for l in 1..LOCALITIES {
         let node = tree.local_node(LocalityId(l as u16));
         let root = tree.root;
-        let flight = flight.clone();
+        let done = done.clone();
         rt.spawn_at(LocalityId(l as u16), move |ctx| {
             fn iterate(
                 ctx: &mut Ctx<'_>,
@@ -85,7 +86,7 @@ pub fn run_echo() -> Row {
                 root: Gid,
                 gate: Gid,
                 left: usize,
-                flight: Flight,
+                done: Done,
             ) {
                 if left == 0 {
                     return;
@@ -96,16 +97,16 @@ pub fn run_echo() -> Row {
                 spin_for_ns(GRAIN_NS);
                 // Split-phase commit: issue validation, then continue into
                 // the next iteration immediately (the overlap).
-                issued(&flight);
-                let landed = flight.clone();
                 echo::commit::<u64, _>(ctx, root, version, move |ctx, _outcome| {
-                    landed[0].fetch_sub(1, Ordering::SeqCst);
                     ctx.trigger_value(gate, px_core::action::Value::unit());
                 })
                 .unwrap();
-                ctx.spawn(move |ctx| iterate(ctx, node, root, gate, left - 1, flight));
+                if left == 1 {
+                    finished(&done);
+                }
+                ctx.spawn(move |ctx| iterate(ctx, node, root, gate, left - 1, done));
             }
-            iterate(ctx, node, root, gate, ITERS, flight);
+            iterate(ctx, node, root, gate, ITERS, done);
         });
     }
     // Writer: periodic root updates.
@@ -130,9 +131,10 @@ pub fn run_echo() -> Row {
     Row {
         mode: "echo split-phase",
         elapsed,
+        // Relaxed: every reader finished before the gate fired (`finished`).
+        readers_done: Duration::from_nanos(done.1.load(Ordering::Relaxed)),
         ok,
         stale,
-        peak_in_flight: flight[1].load(Ordering::SeqCst),
     }
 }
 
@@ -145,30 +147,31 @@ pub fn run_validate_first() -> Row {
     let tree = echo::create_tree(&rt, LocalityId(0), 2, &0u64).unwrap();
     let gate = rt.new_and_gate(LocalityId(0), ((LOCALITIES - 1) * ITERS) as u64);
     let gate_fut: FutureRef<()> = FutureRef::from_gid(gate);
-    let flight = Flight::default();
 
     let t0 = Instant::now();
+    let done: Done = Arc::new((t0, AtomicU64::new(0)));
     for l in 1..LOCALITIES {
         let root = tree.root;
-        let flight = flight.clone();
+        let done = done.clone();
         rt.spawn_at(LocalityId(l as u16), move |ctx| {
-            fn iterate(ctx: &mut Ctx<'_>, root: Gid, gate: Gid, left: usize, flight: Flight) {
+            fn iterate(ctx: &mut Ctx<'_>, root: Gid, gate: Gid, left: usize, done: Done) {
                 if left == 0 {
                     return;
                 }
                 // Coherent read: validation round trip *before* compute
                 // (used version 0 never matches, so the root returns the
                 // current value — a fetch).
-                issued(&flight);
                 echo::commit::<u64, _>(ctx, root, 0, move |ctx, _outcome| {
-                    flight[0].fetch_sub(1, Ordering::SeqCst);
                     spin_for_ns(GRAIN_NS);
+                    if left == 1 {
+                        finished(&done);
+                    }
                     ctx.trigger_value(gate, px_core::action::Value::unit());
-                    ctx.spawn(move |ctx| iterate(ctx, root, gate, left - 1, flight));
+                    ctx.spawn(move |ctx| iterate(ctx, root, gate, left - 1, done));
                 })
                 .unwrap();
             }
-            iterate(ctx, root, gate, ITERS, flight);
+            iterate(ctx, root, gate, ITERS, done);
         });
     }
     rt.wait_future(gate_fut).unwrap();
@@ -178,9 +181,10 @@ pub fn run_validate_first() -> Row {
     Row {
         mode: "validate-first",
         elapsed,
+        // Relaxed: every reader finished before the gate fired (`finished`).
+        readers_done: Duration::from_nanos(done.1.load(Ordering::Relaxed)),
         ok,
         stale,
-        peak_in_flight: flight[1].load(Ordering::SeqCst),
     }
 }
 
@@ -197,20 +201,20 @@ pub fn run() -> Vec<Row> {
         "E5 — echo split-phase commit vs validate-first (coherent read)",
         &[
             "protocol",
+            "readers done ms",
             "makespan ms",
             "valid commits",
             "stale commits",
-            "peak in flight",
         ],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r.mode.to_string(),
+                    ms(r.readers_done),
                     ms(r.elapsed),
                     r.ok.to_string(),
                     r.stale.to_string(),
-                    r.peak_in_flight.to_string(),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -222,17 +226,21 @@ pub fn run() -> Vec<Row> {
 mod tests {
     use super::*;
 
-    /// The overlap, counted rather than timed: a split-phase reader
-    /// computes its next iteration while a validation is in flight (a
-    /// round trip, ≥ 50 µs, outlasts a 25 µs iteration), so more are in
-    /// flight at once than there are readers; validate-first never has
-    /// more than one per reader.
+    /// The claim is the latency the readers see. The makespan is not
+    /// asserted: both protocols also wait for the root to answer every
+    /// validation, which on a two-core host, unoptimised, takes as long
+    /// as validate-first's round trips.
     #[test]
     fn split_phase_overlaps_validation() {
-        let (echo, blocking) = (run_echo(), run_validate_first());
-        let readers = (LOCALITIES - 1) as u64;
-        assert!(echo.peak_in_flight > readers, "{echo:?}");
-        assert!(blocking.peak_in_flight <= readers, "{blocking:?}");
+        let _gate = crate::TIMING_GATE.lock();
+        let echo = run_echo();
+        let blocking = run_validate_first();
+        // validate-first serializes an RTT (≥ 50 µs) into each of 100
+        // iterations per reader: ≥ 5 ms over the echo run.
+        assert!(
+            blocking.readers_done > echo.readers_done + Duration::from_millis(3),
+            "blocking {blocking:?} vs echo {echo:?}",
+        );
         // All commits resolve one way or the other.
         assert_eq!(echo.ok + echo.stale, ((LOCALITIES - 1) * ITERS) as u64);
     }

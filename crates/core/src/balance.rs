@@ -41,7 +41,7 @@ use crate::action::Value;
 use crate::agas::MigrationCause;
 use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::locality::{BalanceState, Due, Lane, Locality, NO_SPAWN_TARGET};
+use crate::locality::{BalanceState, Lane, Locality, NO_SPAWN_TARGET};
 use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::RuntimeInner;
@@ -75,8 +75,8 @@ fn arm(loc: &Locality, at: Instant, round: u64, parks: u64) {
     let pulse = move |ctx: &mut crate::runtime::Ctx<'_>| {
         pulse(ctx.rt_inner(), ctx.locality(), at, round, parks);
     };
-    let task = Box::new(Task::new(Work::Thread(Box::new(pulse))));
-    loc.arm(at, Lane::Control, Due::Task(task), None);
+    let task = Task::new(Work::Thread(Box::new(pulse)));
+    loc.arm(at, Lane::Control, task, None);
 }
 
 /// One round of `loc`'s pulse, due at `due`, then the next one armed an

@@ -7,8 +7,10 @@
 //! of the locality's poller (`queue::Sleep`) fires it at the start of
 //! every pass and parks with its earliest deadline as the timeout —
 //! in-process on the heap's own timed park ([`Heap::park`]), over TCP in
-//! `epoll_wait`. [`spawn`] is the one place px-core starts a thread, so
-//! the thread set is a table of one row:
+//! `epoll_wait`. A ring ([`Heap::ring`]) asks for a pass sooner: it ends
+//! the park, or a busy holder's look after its task finds it. [`spawn`]
+//! is the one place px-core starts a thread, so the thread set is a table
+//! of one row:
 //!
 //! | Thread | Runs | Started by |
 //! |---|---|---|
@@ -124,7 +126,8 @@ impl Clock {
 }
 
 /// What ends a [`Heap::park`] early. Sticky, like an eventfd: a ring
-/// before the park makes the park return at once.
+/// before the park makes the park return at once, and until a pass
+/// answers it ([`Heap::answer`]) it asks for one ([`Heap::due_by`]).
 #[derive(Default)]
 pub(crate) struct Bell {
     rung: Mutex<bool>,
@@ -161,17 +164,30 @@ impl<T> Heap<T> {
         }
     }
 
-    /// True when the earliest item is due by `now`, a reading of the real
-    /// clock (a stepped heap reads its own): a busy worker's look after
-    /// each task, which never waits for the lock.
+    /// True when a pass is due by `now`, a reading of the real clock (a
+    /// stepped heap reads its own): the heap was rung since the last pass
+    /// began ([`Heap::ring`]), or its earliest item is due. A busy
+    /// worker's look after each task, which never waits for a lock.
     pub(crate) fn due_by(&self, now: Instant) -> bool {
         #[cfg(test)]
         let now = match self.clock {
             Clock::Stepped(ref clock) => clock.now(),
             Clock::Real => now,
         };
+        let rung = self.bell.rung.try_lock().is_some_and(|rung| *rung);
         let timers = self.timers.try_lock();
-        timers.is_some_and(|timers| timers.timeout(now) == Some(Duration::ZERO))
+        rung || timers.is_some_and(|timers| timers.timeout(now) == Some(Duration::ZERO))
+    }
+
+    /// Ask for a pass: end the holder's park, or, with the holder busy,
+    /// make its next look ([`Heap::due_by`]) run one.
+    pub(crate) fn ring(&self) {
+        self.bell.ring();
+    }
+
+    /// A pass begins: it answers every ring so far.
+    pub(crate) fn answer(&self) {
+        *self.bell.rung.lock() = false;
     }
 
     /// The heap's clock, read now.

@@ -28,7 +28,7 @@ use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidAllocator, GidKind, LocalityId};
 use crate::lco::LcoCore;
 use crate::queue::{Injector, Local, Sleep, Stealer};
-use crate::sched::{Task, Work};
+use crate::sched::Task;
 use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
@@ -103,24 +103,6 @@ impl BalanceState {
     }
 }
 
-/// A task due at a locality, a few words long while it waits (a heap
-/// moves its items): wire bytes become a task when they arrive.
-pub(crate) enum Due {
-    Parcel(Vec<u8>),
-    Frame(Vec<u8>),
-    Task(Box<Task>),
-}
-
-impl From<Due> for Task {
-    fn from(due: Due) -> Task {
-        match due {
-            Due::Parcel(bytes) => Task::new(Work::ParcelBytes(bytes)),
-            Due::Frame(bytes) => Task::new(Work::ParcelFrame(bytes)),
-            Due::Task(task) => *task,
-        }
-    }
-}
-
 /// Which of a locality's queues a task lands in: the one switch every
 /// producer — the scheduler's local short-circuit, both transports'
 /// delivery sides — goes through ([`Locality::deliver`]).
@@ -174,7 +156,7 @@ pub struct Locality {
     pub(crate) sleep: Sleep,
     /// Tasks due here later — wire arrivals, the balancer pulse — with
     /// their lane and `NetRtt` stamp ([`Locality::fire_due`]).
-    pub(crate) timers: Heap<(Lane, Due, Option<Instant>)>,
+    pub(crate) timers: Heap<(Lane, Task, Option<Instant>)>,
     /// Workers prefer the staging queue (precious-resource policy, E4).
     pub staged_priority: bool,
     /// Balancer state; `None` unless `Config::balance` is set.
@@ -358,7 +340,7 @@ impl Locality {
 
     /// Put `task` on this locality's heap, due on `lane` at `at`, and
     /// kick the poller's holder when it is the earliest.
-    pub(crate) fn arm(&self, at: Instant, lane: Lane, task: Due, submitted: Option<Instant>) {
+    pub(crate) fn arm(&self, at: Instant, lane: Lane, task: Task, submitted: Option<Instant>) {
         if self.timers.arm(at, (lane, task, submitted)) {
             self.sleep.kick();
         }
@@ -367,7 +349,7 @@ impl Locality {
     /// Deliver every task on the heap that is due (the poller's holder).
     pub(crate) fn fire_due(&self) {
         for (lane, task, submitted) in self.timers.take_due() {
-            self.arrive(lane, task.into(), submitted);
+            self.arrive(lane, task, submitted);
         }
     }
 

@@ -13,12 +13,15 @@
 //!
 //! With batching on, a destination's pass also pulls the ports toward it
 //! (`super`, Batching) and puts each frame on its own heap, due after the
-//! frame's delay. The wire starts no thread, and an idle locality's
-//! holder parks untimed while its heap is empty.
+//! frame's delay; a record landing in an empty port rings that heap, so
+//! the pass comes at once, or after the running task on a busy
+//! destination. The wire starts no thread, and an idle locality's holder
+//! parks untimed while its heap is empty.
 
 use super::{Park, PortSet, Transport, WireModel, WireMsg};
 use crate::gid::LocalityId;
-use crate::locality::{Due, Lane, Locality};
+use crate::locality::{Lane, Locality};
+use crate::sched::{Task, Work};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,21 +57,21 @@ impl InProcTransport {
 impl Transport for InProcTransport {
     fn submit(&self, msg: WireMsg, bytes: usize) {
         let submitted = self.metrics_on.then(Instant::now);
-        let (dest, lane, due) = match msg {
-            WireMsg::Parcel { dest, lane, bytes } => (dest, lane, Due::Parcel(bytes)),
-            WireMsg::Frame { dest, lane, bytes } => (dest, lane, Due::Frame(bytes)),
-            WireMsg::Task { dest, task } if self.model.is_instant() => {
-                let loc = &self.localities[dest.0 as usize];
-                return loc.arrive(Lane::Run, task, submitted);
+        let (dest, lane, task) = match msg {
+            WireMsg::Parcel { dest, lane, bytes } => {
+                (dest, lane, Task::new(Work::ParcelBytes(bytes)))
             }
-            WireMsg::Task { dest, task } => (dest, Lane::Run, Due::Task(Box::new(task))),
+            WireMsg::Frame { dest, lane, bytes } => {
+                (dest, lane, Task::new(Work::ParcelFrame(bytes)))
+            }
+            WireMsg::Task { dest, task } => (dest, Lane::Run, task),
         };
         let loc = &self.localities[dest.0 as usize];
         if self.model.is_instant() {
-            loc.arrive(lane, due.into(), submitted);
+            loc.arrive(lane, task, submitted);
         } else {
             let at = loc.timers.now() + self.model.delay_for(bytes);
-            loc.arm(at, lane, due, submitted);
+            loc.arm(at, lane, task, submitted);
         }
     }
 
@@ -77,13 +80,16 @@ impl Transport for InProcTransport {
         let Some(_held) = loc.sleep.try_poll() else {
             return false;
         };
-        // The ports toward here: each frame goes on this heap, due after
-        // its delay, timed from its oldest record. No kick: the holder
-        // reads its deadline when it parks.
+        // The ports toward here, after answering the rings that asked for
+        // this pass: each frame goes on this heap, due after its delay,
+        // timed from its oldest record. No kick: the holder reads its
+        // deadline when it parks.
+        loc.timers.answer();
         let pulled_all = self.ports.as_ref().is_none_or(|ports| {
             ports.pull(at, loc, |lane, bytes, opened_at| {
                 let at = loc.timers.now() + self.model.delay_for(bytes.len());
-                loc.timers.arm(at, (lane, Due::Frame(bytes), opened_at));
+                let frame = Task::new(Work::ParcelFrame(bytes));
+                loc.timers.arm(at, (lane, frame, opened_at));
             })
         });
         loc.fire_due();
@@ -100,7 +106,7 @@ impl Transport for InProcTransport {
         // is abandoned with the queues (contract point 4).
         for loc in self.localities.iter() {
             while let Some((lane, task, _)) = loc.timers.pop() {
-                loc.deliver(lane, task.into());
+                loc.deliver(lane, task);
             }
         }
     }

@@ -141,8 +141,11 @@
 //! this rank's over TCP — and that loop's next pass pulls the port:
 //! whatever gathered there meanwhile rides one frame. No timer: batching
 //! is paid for by load. The kick wakes the loop's holder (skipped when
-//! nobody holds it: whoever takes the loop next pulls first). Every pass
-//! pulls both lanes' ports under the port lock (port → peer queue or
+//! nobody holds it: whoever takes the loop next pulls first). In-process
+//! it rings the destination's heap instead, which also reaches a
+//! destination too busy to hold its loop: its worker runs the pass after
+//! the task it is running (`clock::Heap::due_by`). Every pass pulls
+//! both lanes' ports under the port lock (port → peer queue or
 //! heap, the nesting a sender's full flush takes, so same-destination
 //! order holds across both): over TCP toward each peer, in-process
 //! toward the destination whose worker runs it, which puts the frame on
@@ -420,18 +423,16 @@ impl BatchPolicy {
     /// frames — [`px_wire::FRAME_VERSION_CHECKSUM`] across process
     /// boundaries); none when the policy does not batch.
     pub(crate) fn ports(self, localities: usize, frame_version: u8) -> Option<Arc<PortSet>> {
-        let frame = || FrameBuf::with_version(frame_version);
         let port = |_| {
             Mutex::new(Port {
-                frame: frame(),
+                frame: FrameBuf::with_version(frame_version),
                 opened_at: None,
             })
         };
-        let ports = (0..localities * 2).map(port).collect();
         self.is_batching().then(|| {
             Arc::new(PortSet {
                 policy: self,
-                ports,
+                ports: (0..localities * 2).map(port).collect(),
             })
         })
     }
@@ -504,10 +505,13 @@ impl Wire {
             // The first record of an idle port: the loop that carries it
             // hears of it now, outside the port lock. Later records ride
             // on this kick — the port stays non-empty until the flush it
-            // causes.
+            // causes. In-process the destination's heap is rung, so a
+            // busy destination runs its pass after its next task.
             drop(port);
-            let carrier = self.owned.unwrap_or(dest);
-            self.localities[carrier.0 as usize].sleep.kick();
+            match self.owned {
+                Some(own) => self.localities[own.0 as usize].sleep.kick(),
+                None => dest_loc.timers.ring(),
+            }
         }
         n
     }

@@ -1828,11 +1828,14 @@ mod tests {
         assert_eq!(joined(parked_in_poller, "the notify"), Idle::Parked);
 
         let held = sleep.try_poll().expect("given back");
+        // Given back only once the worker is past its re-check: before
+        // it, the free poller is a reason not to park at all.
+        let parking = Arc::new(AtomicBool::new(false));
         let parked_on_thread = std::thread::spawn({
-            let sleep = sleep.clone();
-            move || sleep.idle(1, || false, || {})
+            let (sleep, parking) = (sleep.clone(), parking.clone());
+            move || sleep.idle(1, || false, || parking.store(true, Ordering::SeqCst))
         });
-        while sleep.sleeping() == 0 {
+        while !parking.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         drop(held);

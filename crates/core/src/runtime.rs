@@ -369,8 +369,8 @@ impl RuntimeBuilder {
                 let wire = self.config.wire;
                 // An instant wire has no per-message cost to amortize, and
                 // no pass to pull a port.
-                let ports = policy.ports(n, px_wire::FRAME_VERSION);
-                let ports = ports.filter(|_| !wire.is_instant());
+                let ports = (!wire.is_instant()).then(|| policy.ports(n, px_wire::FRAME_VERSION));
+                let ports = ports.flatten();
                 let transport = InProcTransport::new(wire, localities.clone(), ports.clone());
                 // Each locality's workers fire its heap where anything is
                 // timed; a kick rings the holder's park.

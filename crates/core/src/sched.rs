@@ -127,8 +127,9 @@ impl Task {
 /// (`Transport::drive`): a locality whose workers never run dry still
 /// pulls its ports, and over TCP reads its sockets and writes its queues.
 /// A constant, as in other runtimes whose workers drive their I/O. A
-/// timer falling due brings the pass sooner: after the task that ran
-/// past its deadline (`clock::Heap::due_by`).
+/// timer falling due, or in-process a record landing in an empty port,
+/// brings the pass sooner: after the task during which it happened
+/// (`clock::Heap::due_by`).
 const EVENT_INTERVAL: u32 = 61;
 
 /// Worker thread body. One per `(locality, worker index)`.
@@ -172,7 +173,7 @@ pub(crate) fn worker_main(
                 search_started = done;
                 if drives {
                     since_pass += 1;
-                    // A due timer does not wait out the interval.
+                    // A due timer or a ring does not wait out the interval.
                     if since_pass == EVENT_INTERVAL || loc.timers.due_by(done) {
                         since_pass = 0;
                         rt.wire.transport.drive(loc.id, None);
@@ -931,42 +932,61 @@ mod tests {
         assert!(!loc.has_work());
     }
 
-    /// A busy destination delivers a due message without waiting out
-    /// `EVENT_INTERVAL` tasks, counted in tasks: a chain at locality 1,
-    /// each link spawning the next so its one worker never runs dry, arms
-    /// a probe due at once on its own heap, and the probe — on the
-    /// control lane, run as soon as it is queued — reads how many links
-    /// ran meanwhile: none, the pass follows the link that armed it.
+    /// A busy destination runs its pass after the task during which
+    /// something asked for one, not `EVENT_INTERVAL` tasks on, counted in
+    /// tasks. A chain at locality 1, each link spawning the next so its
+    /// one worker never runs dry, arms a probe due at once on its own
+    /// heap; the probe — on the control lane, run as soon as it is queued
+    /// — reads how many links ran meanwhile: none. A later link puts a
+    /// parcel in the batching port toward its own locality, and the next
+    /// link finds the port pulled.
     #[test]
     fn a_busy_destination_delivers_a_due_message_within_event_interval_tasks() {
         use crate::runtime::{Config, Ctx, RuntimeBuilder};
         use std::sync::atomic::AtomicU32;
-        // Links run so far, and how many had run when the probe ran.
+        // Links run so far, and how many had run when the probe ran and
+        // when a link first found the port pulled.
         static RAN: AtomicU32 = AtomicU32::new(0);
         static SEEN_AT: AtomicU32 = AtomicU32::new(0);
+        static PULLED_AT: AtomicU32 = AtomicU32::new(0);
         const ARMED_AT: u32 = 10;
+        const SENT_AT: u32 = 20;
         fn link(ctx: &mut Ctx<'_>) {
-            if RAN.fetch_add(1, Ordering::SeqCst) + 1 == ARMED_AT {
+            let (ran, loc) = (RAN.fetch_add(1, Ordering::SeqCst) + 1, ctx.locality());
+            if loc.counters.batch_flush_pulled.get() > 0 {
+                return PULLED_AT.store(ran, Ordering::SeqCst);
+            }
+            if ran == ARMED_AT {
                 let probe =
                     |_: &mut Ctx<'_>| SEEN_AT.store(RAN.load(Ordering::SeqCst), Ordering::SeqCst);
-                let probe = Box::new(Task::new(Work::Thread(Box::new(probe))));
-                let (loc, probe) = (ctx.locality(), crate::locality::Due::Task(probe));
+                let probe = Task::new(Work::Thread(Box::new(probe)));
                 loc.arm(loc.timers.now(), Lane::Control, probe, None);
             }
-            if SEEN_AT.load(Ordering::SeqCst) == 0 {
-                ctx.spawn(link);
+            if ran == SENT_AT {
+                let (to, noop) = (Gid::locality_root(loc.id), sys::NOOP);
+                let p = Parcel::new(to, noop, Value::unit(), Continuation::none());
+                ctx.rt_inner().wire.send_parcel(loc.id, p);
             }
+            ctx.spawn(link);
         }
-        let cfg = Config::small(2, 1).with_latency(Duration::from_micros(50));
+        let latency = Duration::from_micros(50);
+        let cfg = Config::small(2, 1)
+            .with_latency(latency)
+            .with_max_batch_parcels(32);
         let rt = RuntimeBuilder::new(cfg).build().unwrap();
         rt.spawn_at(LocalityId(1), link);
         let t0 = Instant::now();
-        while SEEN_AT.load(Ordering::SeqCst) == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(10), "no probe");
+        while PULLED_AT.load(Ordering::SeqCst) == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never pulled");
             std::thread::yield_now();
         }
-        let waited = SEEN_AT.load(Ordering::SeqCst) - ARMED_AT;
-        assert_eq!(waited, 0, "links run before the due probe");
+        let at = |links: &AtomicU32| links.load(Ordering::SeqCst);
+        let (seen, pulled) = (at(&SEEN_AT), at(&PULLED_AT));
+        assert_eq!(
+            (seen, pulled),
+            (ARMED_AT, SENT_AT + 1),
+            "links run before each pass"
+        );
         rt.shutdown();
     }
 
