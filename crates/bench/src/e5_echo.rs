@@ -64,17 +64,37 @@ fn finished(done: &Done) {
     (done.1).fetch_max(done.0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// Echo split-phase protocol.
-pub fn run_echo() -> Row {
+/// A run's runtime, its echo tree rooted at L0, the and-gate every
+/// commit triggers, and its start.
+fn setup() -> (Runtime, echo::EchoTreeRef, Gid, Done) {
     let rt = RuntimeBuilder::new(Config::small(LOCALITIES, 1).with_latency(LATENCY))
         .build()
         .unwrap();
     let tree = echo::create_tree(&rt, LocalityId(0), 2, &0u64).unwrap();
     let gate = rt.new_and_gate(LocalityId(0), ((LOCALITIES - 1) * ITERS) as u64);
-    let gate_fut: FutureRef<()> = FutureRef::from_gid(gate);
+    let done = Arc::new((Instant::now(), AtomicU64::new(0)));
+    (rt, tree, gate, done)
+}
 
-    let t0 = Instant::now();
-    let done: Done = Arc::new((t0, AtomicU64::new(0)));
+/// Wait for every commit to resolve, then tally the run.
+fn tally(mode: &'static str, rt: Runtime, root: Gid, gate: Gid, done: &Done) -> Row {
+    rt.wait_future(FutureRef::<()>::from_gid(gate)).unwrap();
+    let elapsed = done.0.elapsed();
+    let (ok, stale) = echo::validation_stats(&rt, root).unwrap();
+    rt.shutdown();
+    Row {
+        mode,
+        elapsed,
+        // Relaxed: every reader finished before the gate fired (`finished`).
+        readers_done: Duration::from_nanos(done.1.load(Ordering::Relaxed)),
+        ok,
+        stale,
+    }
+}
+
+/// Echo split-phase protocol.
+pub fn run_echo() -> Row {
+    let (rt, tree, gate, done) = setup();
     for l in 1..LOCALITIES {
         let node = tree.local_node(LocalityId(l as u16));
         let root = tree.root;
@@ -123,33 +143,13 @@ pub fn run_echo() -> Row {
         }
         tick(ctx, writer_root, rt_inner_updates);
     });
-
-    rt.wait_future(gate_fut).unwrap();
-    let elapsed = t0.elapsed();
-    let (ok, stale) = echo::validation_stats(&rt, tree.root).unwrap();
-    rt.shutdown();
-    Row {
-        mode: "echo split-phase",
-        elapsed,
-        // Relaxed: every reader finished before the gate fired (`finished`).
-        readers_done: Duration::from_nanos(done.1.load(Ordering::Relaxed)),
-        ok,
-        stale,
-    }
+    tally("echo split-phase", rt, tree.root, gate, &done)
 }
 
 /// Validate-first protocol: a coherent read (root fetch) before every
 /// compute.
 pub fn run_validate_first() -> Row {
-    let rt = RuntimeBuilder::new(Config::small(LOCALITIES, 1).with_latency(LATENCY))
-        .build()
-        .unwrap();
-    let tree = echo::create_tree(&rt, LocalityId(0), 2, &0u64).unwrap();
-    let gate = rt.new_and_gate(LocalityId(0), ((LOCALITIES - 1) * ITERS) as u64);
-    let gate_fut: FutureRef<()> = FutureRef::from_gid(gate);
-
-    let t0 = Instant::now();
-    let done: Done = Arc::new((t0, AtomicU64::new(0)));
+    let (rt, tree, gate, done) = setup();
     for l in 1..LOCALITIES {
         let root = tree.root;
         let done = done.clone();
@@ -174,18 +174,7 @@ pub fn run_validate_first() -> Row {
             iterate(ctx, root, gate, ITERS, done);
         });
     }
-    rt.wait_future(gate_fut).unwrap();
-    let elapsed = t0.elapsed();
-    let (ok, stale) = echo::validation_stats(&rt, tree.root).unwrap();
-    rt.shutdown();
-    Row {
-        mode: "validate-first",
-        elapsed,
-        // Relaxed: every reader finished before the gate fired (`finished`).
-        readers_done: Duration::from_nanos(done.1.load(Ordering::Relaxed)),
-        ok,
-        stale,
-    }
+    tally("validate-first", rt, tree.root, gate, &done)
 }
 
 /// Print the E5 table.
@@ -226,21 +215,29 @@ pub fn run() -> Vec<Row> {
 mod tests {
     use super::*;
 
-    /// The claim is the latency the readers see. The makespan is not
-    /// asserted: both protocols also wait for the root to answer every
-    /// validation, which on a two-core host, unoptimised, takes as long
-    /// as validate-first's round trips.
+    /// The claim is the latency the readers see, and with it the
+    /// makespan. Both need a core per locality: echo's readers and its
+    /// writer spin 11.5 ms between them, which on fewer cores queue for
+    /// the CPU while validate-first's readers wait on the wire.
     #[test]
     fn split_phase_overlaps_validation() {
         let _gate = crate::TIMING_GATE.lock();
         let echo = run_echo();
         let blocking = run_validate_first();
-        // validate-first serializes an RTT (≥ 50 µs) into each of 100
-        // iterations per reader: ≥ 5 ms over the echo run.
-        assert!(
-            blocking.readers_done > echo.readers_done + Duration::from_millis(3),
-            "blocking {blocking:?} vs echo {echo:?}",
-        );
+        if crate::has_cores(LOCALITIES) {
+            // validate-first serializes an RTT (≥ 50 µs) into each of 100
+            // iterations per reader: ≥ 5 ms over the echo run.
+            assert!(
+                blocking.readers_done > echo.readers_done + Duration::from_millis(3),
+                "blocking {blocking:?} vs echo {echo:?}",
+            );
+            assert!(
+                blocking.elapsed > echo.elapsed + Duration::from_millis(3),
+                "blocking {:?} vs echo {:?}",
+                blocking.elapsed,
+                echo.elapsed
+            );
+        }
         // All commits resolve one way or the other.
         assert_eq!(echo.ok + echo.stale, ((LOCALITIES - 1) * ITERS) as u64);
     }

@@ -392,9 +392,10 @@ mod tests {
         })
     }
 
-    fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
+    /// True once `ok` holds, looking for up to 10 s.
+    fn wait_until(mut ok: impl FnMut() -> bool) -> bool {
         let t0 = Instant::now();
-        while t0.elapsed() < deadline {
+        while t0.elapsed() < Duration::from_secs(10) {
             if ok() {
                 return true;
             }
@@ -418,7 +419,7 @@ mod tests {
         for k in 1..=k {
             clock.advance(GOSSIP);
             let ran = || rt.stats().total().gossip_rounds >= 3 * k;
-            assert!(wait_until(Duration::from_secs(10), ran), "round {k}");
+            assert!(wait_until(ran), "round {k}");
         }
         (clock, rt)
     }
@@ -432,10 +433,7 @@ mod tests {
         // heard about every other once its worker merged them.
         let locs = &rt.inner().localities;
         let heard = || locs.iter().all(|l| known(l) == 3);
-        assert!(
-            wait_until(Duration::from_secs(5), heard),
-            "a view incomplete"
-        );
+        assert!(wait_until(heard), "a view incomplete");
         rt.shutdown();
     }
 
@@ -516,11 +514,9 @@ mod tests {
         clock.advance(GOSSIP);
         let locs = &rt.inner().localities;
         let heard = || locs.iter().all(|l| known(l) == 2);
-        assert!(wait_until(Duration::from_secs(5), heard), "no gossip");
+        assert!(wait_until(heard), "no gossip");
         clock.advance(GOSSIP);
-        let migrated = wait_until(Duration::from_secs(5), || {
-            rt.inner().agas.authoritative_owner(obj) == LocalityId(1)
-        });
+        let migrated = wait_until(|| rt.inner().agas.authoritative_owner(obj) == LocalityId(1));
         let (manual, balancer) = rt.inner().agas.migrations_by_cause();
         assert!(
             migrated && balancer >= 1,

@@ -127,7 +127,7 @@ impl Clock {
 
 /// What ends a [`Heap::park`] early. Sticky, like an eventfd: a ring
 /// before the park makes the park return at once, and until a pass
-/// answers it ([`Heap::answer`]) it asks for one ([`Heap::due_by`]).
+/// answers it ([`Heap::answer`]) it asks for one ([`Heap::due`]).
 #[derive(Default)]
 pub(crate) struct Bell {
     rung: Mutex<bool>,
@@ -156,31 +156,24 @@ impl<T> Heap<T> {
         if let Clock::Stepped(clock) = clock {
             clock.0.lock().1.push(Arc::downgrade(&bell));
         }
-        let (clock, timers) = (clock.clone(), Mutex::new(Timers::new()));
         Heap {
-            clock,
-            timers,
+            clock: clock.clone(),
+            timers: Mutex::new(Timers::new()),
             bell,
         }
     }
 
-    /// True when a pass is due by `now`, a reading of the real clock (a
-    /// stepped heap reads its own): the heap was rung since the last pass
+    /// True when a pass is due: the heap was rung since the last pass
     /// began ([`Heap::ring`]), or its earliest item is due. A busy
     /// worker's look after each task, which never waits for a lock.
-    pub(crate) fn due_by(&self, now: Instant) -> bool {
-        #[cfg(test)]
-        let now = match self.clock {
-            Clock::Stepped(ref clock) => clock.now(),
-            Clock::Real => now,
-        };
+    pub(crate) fn due(&self) -> bool {
         let rung = self.bell.rung.try_lock().is_some_and(|rung| *rung);
         let timers = self.timers.try_lock();
-        rung || timers.is_some_and(|timers| timers.timeout(now) == Some(Duration::ZERO))
+        rung || timers.is_some_and(|timers| timers.timeout(self.now()) == Some(Duration::ZERO))
     }
 
     /// Ask for a pass: end the holder's park, or, with the holder busy,
-    /// make its next look ([`Heap::due_by`]) run one.
+    /// make its next look ([`Heap::due`]) run one.
     pub(crate) fn ring(&self) {
         self.bell.ring();
     }

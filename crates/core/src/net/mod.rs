@@ -88,19 +88,18 @@
 //!    destination's timer heap and kicks the holder of that locality's
 //!    poller when it is the earliest; the holder queues it once due. Over
 //!    TCP it queues the message and wakes the event loop's holder; socket
-//!    I/O happens on whichever thread
-//!    runs the loop — a worker that ran out of work, a busy one every
-//!    few dozen tasks — and on a sender that is blocked on room: a
-//!    submit may block for backpressure (a bounded peer queue in
-//!    *bytes*; the control lane is exempt so gossip never waits behind
-//!    the backlog it reports), and while it does, it runs the loop
-//!    itself if nobody else is, because it is the thread that makes the
-//!    room. It must never deadlock against the port locks: fault delivery
-//!    triggered *inside* `submit` is deferred to a scheduler task,
-//!    because the caller may hold the coalescing-port lock of the very
-//!    destination a fault continuation routes back to. Peer-loss faults
-//!    therefore surface *after* `submit` returns, in bounded time — not
-//!    as a submit error.
+//!    I/O happens on whichever thread runs the loop — a worker that ran
+//!    out of work, a busy one every few dozen tasks — and on a sender
+//!    that is blocked on room: a submit may block for backpressure (a
+//!    bounded peer queue in *bytes*; the control lane is exempt so gossip
+//!    never waits behind the backlog it reports), and while it does, it
+//!    runs the loop itself if nobody else is, because it is the thread
+//!    that makes the room. It must never deadlock against the port
+//!    locks: fault delivery triggered *inside* `submit` is deferred to a
+//!    scheduler task, because the caller may hold the coalescing-port
+//!    lock of the very destination a fault continuation routes back to.
+//!    Peer-loss faults therefore surface *after* `submit` returns, in
+//!    bounded time — not as a submit error.
 //! 4. **Shutdown flushes the wire and abandons the rest.** Pending
 //!    messages are delivered (or killed loudly) before the transport's
 //!    `shutdown` returns; afterwards `submit` is a silent no-op so
@@ -140,18 +139,16 @@
 //! the loop that carries it — the destination locality's in-process,
 //! this rank's over TCP — and that loop's next pass pulls the port:
 //! whatever gathered there meanwhile rides one frame. No timer: batching
-//! is paid for by load. The kick wakes the loop's holder (skipped when
-//! nobody holds it: whoever takes the loop next pulls first). In-process
-//! it rings the destination's heap instead, which also reaches a
-//! destination too busy to hold its loop: its worker runs the pass after
-//! the task it is running (`clock::Heap::due_by`). Every pass pulls
-//! both lanes' ports under the port lock (port → peer queue or
-//! heap, the nesting a sender's full flush takes, so same-destination
-//! order holds across both): over TCP toward each peer, in-process
-//! toward the destination whose worker runs it, which puts the frame on
-//! its own heap after the wire's delay. Either way the wire runs no
-//! thread of its own, an idle runtime makes no wakeups, and the shutdown
-//! drain pulls every port.
+//! is paid for by load. Over TCP the kick wakes the loop's holder
+//! (skipped when nobody holds it: whoever takes the loop next pulls
+//! first); in-process it rings the destination's heap, which a busy
+//! destination's worker sees after its running task (`clock::Heap::due`).
+//! Every pass pulls both lanes' ports under the port lock (port → peer
+//! queue or heap, the nesting a sender's full flush takes, so
+//! same-destination order holds across both): over TCP toward each peer,
+//! in-process toward its own locality, each frame going on its heap after
+//! the wire's delay. Either way the wire runs no thread of its own, an
+//! idle runtime makes no wakeups, and the shutdown drain pulls every port.
 //!
 //! The in-process delay model is applied per frame
 //! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
@@ -799,11 +796,8 @@ mod tests {
                 .collect(),
         );
         let latency = Duration::from_micros(50);
-        let wire = test_wire(
-            WireModel::with_latency(latency),
-            &locs,
-            BatchPolicy::new(16),
-        );
+        let model = WireModel::with_latency(latency);
+        let wire = test_wire(model, &locs, BatchPolicy::new(16));
         for _ in 0..50 {
             wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
             let t0 = Instant::now();

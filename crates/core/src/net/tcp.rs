@@ -881,10 +881,6 @@ mod tests {
         rt.shutdown();
     }
 
-    fn boot_pair() -> (TcpTransport, TcpTransport, Arc<Vec<Arc<Locality>>>) {
-        pair(loopback(2), None)
-    }
-
     fn pair(
         listeners: Vec<TcpListener>,
         ports: Option<Arc<PortSet>>,
@@ -928,7 +924,7 @@ mod tests {
 
     #[test]
     fn mesh_delivers_parcels_frames_and_control() {
-        let (a, mut b, locs_b) = boot_pair();
+        let (a, mut b, locs_b) = pair(loopback(2), None);
         let bytes = noop_parcel(LocalityId(1));
         a.submit(
             WireMsg::Parcel {
@@ -1004,7 +1000,7 @@ mod tests {
 
     #[test]
     fn dead_peer_kills_submissions_loudly() {
-        let (a, mut b, _locs_b) = boot_pair();
+        let (a, mut b, _locs_b) = pair(loopback(2), None);
         b.shutdown();
         drop(b);
         // A's loop observes the EOF and marks peer 1 dead; submissions
@@ -1124,7 +1120,7 @@ mod tests {
     /// blocked sender's own passes write what was queued.
     #[test]
     fn the_puller_never_waits_on_the_queue_it_drains() {
-        let (a, mut b, _locs_b) = boot_pair();
+        let (a, mut b, _locs_b) = pair(loopback(2), None);
         let shared = a.shared.clone();
         let dest = LocalityId(1);
         // Full by the books while holding nothing: a drain subtracts only
@@ -1189,7 +1185,7 @@ mod tests {
 
     #[test]
     fn closure_tasks_cannot_cross_processes() {
-        let (a, b, _locs_b) = boot_pair();
+        let (a, b, _locs_b) = pair(loopback(2), None);
         a.submit(
             WireMsg::Task {
                 dest: LocalityId(1),

@@ -1698,15 +1698,11 @@ mod tests {
                         }
                         ready
                     };
-                    let held = (poll != Poll::No)
-                        .then(|| shared.sleep.try_poll())
-                        .flatten();
-                    if held.is_some() {
-                        shared
-                            .heap
-                            .take_due()
-                            .into_iter()
-                            .for_each(|i| shared.inj.push(i));
+                    let held = (poll != Poll::No).then(|| shared.sleep.try_poll());
+                    if let Some(Some(_held)) = held {
+                        for item in shared.heap.take_due() {
+                            shared.inj.push(item);
+                        }
                         let park = || shared.heap.park();
                         shared.sleep.idle_polling(w, false, ready, || {}, park);
                     } else {

@@ -126,10 +126,9 @@ impl Task {
 /// Tasks a busy worker runs between two passes of its locality's loop
 /// (`Transport::drive`): a locality whose workers never run dry still
 /// pulls its ports, and over TCP reads its sockets and writes its queues.
-/// A constant, as in other runtimes whose workers drive their I/O. A
-/// timer falling due, or in-process a record landing in an empty port,
-/// brings the pass sooner: after the task during which it happened
-/// (`clock::Heap::due_by`).
+/// A constant, as in other runtimes whose workers drive their I/O. A due
+/// timer or a ring (`clock::Heap::due`) brings the pass sooner: after
+/// the task during which it happened.
 const EVENT_INTERVAL: u32 = 61;
 
 /// Worker thread body. One per `(locality, worker index)`.
@@ -173,8 +172,7 @@ pub(crate) fn worker_main(
                 search_started = done;
                 if drives {
                     since_pass += 1;
-                    // A due timer or a ring does not wait out the interval.
-                    if since_pass == EVENT_INTERVAL || loc.timers.due_by(done) {
+                    if since_pass == EVENT_INTERVAL || loc.timers.due() {
                         since_pass = 0;
                         rt.wire.transport.drive(loc.id, None);
                     }
@@ -199,18 +197,17 @@ pub(crate) fn worker_main(
                         search_started.elapsed().as_nanos() as u64
                     );
                 };
-                // The poller, when nobody holds it: a pass that fires due
-                // timers and pulls (over TCP also reads and writes), then
-                // its blocking wait as the park, bounded by the earliest
-                // deadline. In-process its holder sees all it waits for —
-                // the queues, the heap's due items — so it spins first like
+                // The poller, when nobody holds it: a pass (fire due timers,
+                // pull; over TCP also read and write), then its blocking wait
+                // as the park, bounded by the earliest deadline. In-process
+                // the holder sees all it waits for, so it spins first like
                 // any idle worker; over TCP it would not see the sockets.
                 let mut parked = Idle::Ready;
                 let polled = drives
                     && rt.wire.transport.drive(
                         loc.id,
                         Some(&mut |wait| {
-                            let due = || ready() || loc.timers.due_by(Instant::now());
+                            let due = || ready() || loc.timers.due();
                             let spin = !rt.distributed();
                             parked = (loc.sleep).idle_polling(worker_idx, spin, due, on_park, wait);
                         }),
@@ -969,24 +966,18 @@ mod tests {
             }
             ctx.spawn(link);
         }
-        let latency = Duration::from_micros(50);
-        let cfg = Config::small(2, 1)
-            .with_latency(latency)
-            .with_max_batch_parcels(32);
-        let rt = RuntimeBuilder::new(cfg).build().unwrap();
+        let cfg = Config::small(2, 1).with_max_batch_parcels(32);
+        let rt = RuntimeBuilder::new(cfg.with_latency(Duration::from_micros(50)))
+            .build()
+            .unwrap();
         rt.spawn_at(LocalityId(1), link);
         let t0 = Instant::now();
         while PULLED_AT.load(Ordering::SeqCst) == 0 {
             assert!(t0.elapsed() < Duration::from_secs(10), "never pulled");
             std::thread::yield_now();
         }
-        let at = |links: &AtomicU32| links.load(Ordering::SeqCst);
-        let (seen, pulled) = (at(&SEEN_AT), at(&PULLED_AT));
-        assert_eq!(
-            (seen, pulled),
-            (ARMED_AT, SENT_AT + 1),
-            "links run before each pass"
-        );
+        let seen = [&SEEN_AT, &PULLED_AT].map(|links| links.load(Ordering::SeqCst));
+        assert_eq!(seen, [ARMED_AT, SENT_AT + 1], "links run before each pass");
         rt.shutdown();
     }
 

@@ -693,12 +693,11 @@ fn idle_as_rank_zero() {
     rt.shutdown();
 }
 
-/// Idle is quiet in-process too: each locality's worker holds its
-/// loop, and with nothing on its heap it parks untimed until a kick.
-/// And an in-process runtime runs its workers and nothing else, whatever
-/// its wire and with the balancer on. Here because the counts need a
-/// process of their own (`idle-inproc` mode), like the thread counts
-/// above.
+/// Idle is quiet in-process too: each locality's worker holds its loop,
+/// and with nothing on its heap it parks untimed until a kick. And an
+/// in-process runtime runs its workers and nothing else, whatever its
+/// wire and with the balancer on. Here because the counts need a process
+/// of their own (`idle-inproc` mode), like the thread counts above.
 #[test]
 fn an_idle_in_process_wire_makes_no_wakeups() {
     let mut child = spawn_child_at("idle-inproc", &[], 0, Stdio::null());
