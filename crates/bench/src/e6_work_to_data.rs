@@ -14,6 +14,8 @@
 //!
 //! With bandwidth cost on the wire, the crossover sits where
 //! `B / bandwidth` exceeds one extra hop of latency; the sweep shows it.
+//! The verdict counts the bytes each plan puts on the wire (`bytes_sent`)
+//! and prices them with the wire model; the measured times are printed.
 
 use crate::table::{f2, ms, print_table};
 use px_core::prelude::*;
@@ -59,6 +61,19 @@ pub struct Row {
     pub move_work: Duration,
     /// move_data / move_work (> 1 ⇒ moving work wins).
     pub ratio: f64,
+    /// Bytes the move-data plan put on the wire.
+    pub data_bytes: u64,
+    /// Bytes the move-work plan put on the wire.
+    pub work_bytes: u64,
+    /// The wire model's price of `data_bytes` over that of `work_bytes`,
+    /// each plan paying one round trip per operation.
+    pub wire_ratio: f64,
+}
+
+/// What the wire model charges a plan of [`OPS`] round trips that moves
+/// `bytes` in all.
+fn wire_cost(bytes: u64) -> Duration {
+    LATENCY * (2 * OPS as u32) + Duration::from_nanos(bytes * NS_PER_BYTE)
 }
 
 /// Measure one block size.
@@ -68,7 +83,9 @@ pub fn measure(bytes: usize) -> Row {
     let expect = bytes as u64;
 
     // Both plans driven identically by a PX-thread at L0.
-    let run_plan = |move_work: bool| -> Duration {
+    let run_plan = |move_work: bool| -> (Duration, u64) {
+        let sent = || rt.stats().total().bytes_sent;
+        let sent_before = sent();
         let done = rt.new_future::<u64>(LocalityId(0));
         let done_gid = done.gid();
         let t0 = Instant::now();
@@ -102,16 +119,19 @@ pub fn measure(bytes: usize) -> Row {
         });
         let total = done.wait(&rt).unwrap();
         assert_eq!(total, expect * OPS as u64, "checksum mismatch");
-        t0.elapsed()
+        (t0.elapsed(), sent() - sent_before)
     };
 
-    let move_data = run_plan(false);
-    let move_work = run_plan(true);
+    let (move_data, data_bytes) = run_plan(false);
+    let (move_work, work_bytes) = run_plan(true);
     let row = Row {
         bytes,
         move_data,
         move_work,
         ratio: move_data.as_secs_f64() / move_work.as_secs_f64(),
+        data_bytes,
+        work_bytes,
+        wire_ratio: wire_cost(data_bytes).as_secs_f64() / wire_cost(work_bytes).as_secs_f64(),
     };
     rt.shutdown();
     row
@@ -133,7 +153,15 @@ pub fn run() -> Vec<Row> {
     );
     print_table(
         "E6 — move data vs move work (parcel) crossover",
-        &["block B", "move-data ms", "move-work ms", "data/work"],
+        &[
+            "block B",
+            "move-data ms",
+            "move-work ms",
+            "data/work",
+            "data B/op",
+            "work B/op",
+            "wire data/work",
+        ],
         &rows
             .iter()
             .map(|r| {
@@ -142,6 +170,9 @@ pub fn run() -> Vec<Row> {
                     ms(r.move_data),
                     ms(r.move_work),
                     f2(r.ratio),
+                    (r.data_bytes / OPS as u64).to_string(),
+                    (r.work_bytes / OPS as u64).to_string(),
+                    f2(r.wire_ratio),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -158,16 +189,22 @@ mod tests {
         let _gate = crate::TIMING_GATE.lock();
         let small = measure(1 << 10); // 1 KiB: 2 µs transfer < 15 µs hop
         let large = measure(1 << 18); // 256 KiB: 524 µs transfer >> hop
+        for r in [small, large] {
+            // Moving data ships the block every operation; moving work
+            // ships a parcel and an 8-byte sum, tens of bytes each.
+            assert!(r.data_bytes >= (OPS * r.bytes) as u64, "{r:?}");
+            assert!(r.work_bytes < (OPS * 256) as u64, "{r:?}");
+        }
         assert!(
-            large.ratio > 1.5,
+            large.wire_ratio > 1.5,
             "moving work must win for large blocks: ratio {}",
-            large.ratio
+            large.wire_ratio
         );
         assert!(
-            small.ratio < large.ratio,
+            small.wire_ratio < large.wire_ratio,
             "ratio must grow with size: {} vs {}",
-            small.ratio,
-            large.ratio
+            small.wire_ratio,
+            large.wire_ratio
         );
     }
 }

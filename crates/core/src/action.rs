@@ -57,11 +57,15 @@ impl Value {
         }
     }
 
-    /// Encode a serializable value.
+    /// Encode a serializable value: one allocation, the value's own. The
+    /// encoding runs in this thread's scratch writer
+    /// ([`px_wire::with_scratch`], which keeps at most 64 KiB between
+    /// uses, so a larger value also regrows it) and is copied once into
+    /// the value's `Arc<[u8]>`.
     pub fn encode<T: Serialize>(v: &T) -> PxResult<Value> {
-        Ok(Value {
-            bytes: px_wire::to_bytes(v)?.into(),
-            fault: false,
+        px_wire::with_scratch(|w| {
+            px_wire::to_writer(w, v)?;
+            Ok(Value::from_slice(w.as_slice(), false))
         })
     }
 
@@ -73,11 +77,12 @@ impl Value {
         }
     }
 
-    /// Wrap already-encoded bytes with an explicit fault flag (the parcel
-    /// wire-decode path, which carries the flag in the header).
-    pub(crate) fn from_bytes_flagged(bytes: Vec<u8>, fault: bool) -> Value {
+    /// Copy already-encoded bytes, with an explicit fault flag, in one
+    /// allocation (the decode paths, which borrow the bytes from a frame;
+    /// a parcel carries the flag in its header).
+    pub(crate) fn from_slice(bytes: &[u8], fault: bool) -> Value {
         Value {
-            bytes: bytes.into(),
+            bytes: Arc::from(bytes),
             fault,
         }
     }
@@ -302,7 +307,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_bytes_still_fault() {
-        let v = Value::from_bytes_flagged(vec![1, 2], true);
+        let v = Value::from_slice(&[1, 2], true);
         let f = v.fault().unwrap();
         assert_eq!(f.cause, crate::error::FaultCause::Decode);
         assert!(v.decode::<u64>().is_err());

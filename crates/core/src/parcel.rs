@@ -391,8 +391,16 @@ impl Parcel {
         } else {
             None
         };
-        let n = r.get_varint()? as usize;
-        let mut steps = Vec::with_capacity(n);
+        // A step is at least 9 bytes: a count the rest of the input cannot
+        // hold is corrupt, and must not size an allocation.
+        let n = r.get_varint()?;
+        if n > (r.remaining() / 9) as u64 {
+            return Err(px_wire::WireError::LengthExceedsInput {
+                len: n,
+                remaining: r.remaining(),
+            });
+        }
+        let mut steps = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let tag = r.get_u8()?;
             steps.push(match tag {
@@ -404,7 +412,7 @@ impl Parcel {
                 _ => ContStep::Contribute(Gid(r.get_u64()?)),
             });
         }
-        let payload = Value::from_bytes_flagged(r.get_len_bytes()?.to_vec(), payload_fault);
+        let payload = Value::from_slice(r.get_len_bytes()?, payload_fault);
         Ok(Parcel {
             dest,
             action,
@@ -581,7 +589,7 @@ mod tests {
         let mut p = Parcel::new(
             Gid::new(LocalityId(3), GidKind::Data, 42),
             ActionId::of("test/action"),
-            Value::from_bytes(vec![0xde, 0xad]),
+            Value::encode(&vec![0xdeu8, 0xad]).unwrap(),
             Continuation::set(Gid::new(LocalityId(1), GidKind::Lco, 7)),
         );
         p.src = LocalityId(5);
@@ -596,9 +604,11 @@ mod tests {
         expected.push(1); // one continuation step
         expected.push(0); // SetLco tag
         expected.extend_from_slice(&Gid::new(LocalityId(1), GidKind::Lco, 7).0.to_le_bytes());
-        expected.push(2); // payload length varint
-        expected.extend_from_slice(&[0xde, 0xad]);
+        expected.push(3); // payload length varint
+        expected.extend_from_slice(&[2, 0xde, 0xad]); // the Vec<u8> payload
         assert_eq!(p.encode(), expected, "pid-less layout drifted");
+        let back = Parcel::decode(&expected).unwrap();
+        assert_eq!(back.payload.decode::<Vec<u8>>().unwrap(), [0xde, 0xad]);
 
         // Attaching a pid changes exactly two things: the HAS_PID flag
         // bit and eight pid bytes after the flags byte.

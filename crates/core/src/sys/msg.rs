@@ -19,9 +19,10 @@ pub(crate) trait Wire: Sized {
 
     /// The encoding as a parcel payload or reply value.
     fn encode(&self) -> Value {
-        let mut w = WireWriter::new();
-        self.put(&mut w);
-        Value::from_bytes(w.into_bytes())
+        px_wire::with_scratch(|w| {
+            self.put(w);
+            Value::from_slice(w.as_slice(), false)
+        })
     }
 
     /// Decode from a payload's bytes.
@@ -63,7 +64,7 @@ wire! {
     Vec<u8>: |v, w| w.put_len_bytes(v), |r| Ok(r.get_len_bytes()?.to_vec());
     // A value is the rest of the payload, so it comes last.
     Value: |v, w| w.put_bytes(v.bytes()), |r| {
-        Ok(Value::from_bytes(r.get_bytes(r.remaining())?.to_vec()))
+        Ok(Value::from_slice(r.get_bytes(r.remaining())?, false))
     };
 }
 

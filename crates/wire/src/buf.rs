@@ -4,6 +4,31 @@
 //! header in `px-core` uses them to avoid serde overhead on the hot path).
 
 use crate::error::{WireError, WireResult};
+use std::cell::Cell;
+
+/// The most capacity a thread's scratch writer keeps between uses: one
+/// large encode does not pin its buffer for the thread's lifetime.
+const SCRATCH_CAP: usize = 64 * 1024;
+
+thread_local! {
+    static SCRATCH: Cell<WireWriter> = const { Cell::new(WireWriter::new()) };
+}
+
+/// Run `f` on this thread's scratch writer, empty on entry, so an encode
+/// whose result is copied out (`to_bytes`, px-core's `Value::encode`)
+/// writes into a buffer that has already grown instead of regrowing a new
+/// one by doubling. Capacity above 64 KiB (`SCRATCH_CAP`) is released on
+/// the way out. The writer is taken out of its slot while `f` runs, so a
+/// re-entrant call (an encode inside `f`), like one during thread
+/// teardown, starts from a fresh writer.
+pub fn with_scratch<R>(f: impl FnOnce(&mut WireWriter) -> R) -> R {
+    let mut w = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    let out = f(&mut w);
+    w.buf.clear();
+    w.buf.shrink_to(SCRATCH_CAP);
+    let _ = SCRATCH.try_with(|slot| slot.set(w));
+    out
+}
 
 /// Growable little-endian byte writer.
 ///
@@ -16,7 +41,7 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// New empty writer.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self { buf: Vec::new() }
     }
 
@@ -419,5 +444,33 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.buf.capacity(), cap);
+    }
+
+    #[test]
+    fn scratch_is_reused_nests_and_keeps_at_most_its_cap() {
+        let kept = || {
+            SCRATCH.with(|slot| {
+                let w = slot.take();
+                let cap = w.buf.capacity();
+                slot.set(w);
+                cap
+            })
+        };
+        with_scratch(|w| w.put_bytes(&[7; 1000]));
+        assert!(kept() >= 1000);
+        let inner = with_scratch(|outer| {
+            outer.put_u8(1);
+            let inner = with_scratch(|w| {
+                assert!(w.is_empty());
+                w.put_u8(2);
+                w.as_slice().to_vec()
+            });
+            assert_eq!(outer.as_slice(), [1]);
+            inner
+        });
+        assert_eq!(inner, [2]);
+        with_scratch(|w| w.put_bytes(&vec![0; 4 * SCRATCH_CAP]));
+        assert!(kept() <= SCRATCH_CAP);
+        assert!(with_scratch(|w| w.is_empty()));
     }
 }

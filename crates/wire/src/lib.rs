@@ -32,10 +32,19 @@
 //! | `f32`/`f64` | IEEE-754 bits, little-endian |
 //! | `char` | `u32` scalar value |
 //! | `str`, `bytes` | LEB128 length + raw bytes |
+//! | `[u8; N]` | the `N` raw bytes |
 //! | `Option` | `0` = None, `1` + value = Some |
 //! | seq/map | LEB128 length + elements (length required) |
 //! | tuple/struct | elements back to back, no framing |
 //! | enum | LEB128 variant index + payload |
+//!
+//! `Vec<u8>` and `[u8]` are the `bytes` row, and `[u8; N]` is the same
+//! without the length. `u8` overrides the vendored serde's element hooks
+//! (`serialize_elems`, `deserialize_elems`), so a byte sequence is
+//! written with one `extend_from_slice`, and a `Vec<u8>` is read with one
+//! copy out of the borrowed input. An array is read one element at a
+//! time, on the stack, as are other element types, through the seq and
+//! tuple/struct rows.
 //!
 //! The format is not self-describing: reader and writer must agree on the
 //! schema, which is always true for parcels because the action registry
@@ -53,7 +62,7 @@ mod histogram;
 mod ser;
 pub mod stream;
 
-pub use buf::{WireReader, WireWriter};
+pub use buf::{with_scratch, WireReader, WireWriter};
 pub use de::{from_bytes, Deserializer};
 pub use error::{WireError, WireResult};
 pub use fault::WireFault;
@@ -199,26 +208,30 @@ mod tests {
     /// bytes equal a hand-written layout.
     #[test]
     fn derived_struct_layout_is_positional() {
-        #[derive(Serialize)]
+        #[derive(Serialize, Deserialize, PartialEq, Debug)]
         struct Row {
             policy: String,
             makespan_ms: f64,
             shed: u64,
+            data: Vec<u8>,
             on_time: bool,
         }
-        let bytes = to_bytes(&Row {
+        let row = Row {
             policy: "x".into(),
             makespan_ms: 1.5,
             shed: 2,
+            data: vec![0xaa, 0xbb],
             on_time: true,
-        })
-        .unwrap();
+        };
+        let bytes = to_bytes(&row).unwrap();
         let mut expected = vec![1u8]; // "x" length varint
         expected.extend_from_slice(b"x");
         expected.extend_from_slice(&1.5f64.to_le_bytes());
         expected.extend_from_slice(&2u64.to_le_bytes());
+        expected.extend_from_slice(&[2, 0xaa, 0xbb]);
         expected.push(1);
         assert_eq!(bytes, expected);
+        assert_eq!(roundtrip(&row), row);
     }
 
     #[test]
@@ -241,5 +254,25 @@ mod tests {
         // A Vec<u8> of length 100 should cost ~1 length byte + 100 payload.
         let v = vec![0u8; 100];
         assert_eq!(to_bytes(&v).unwrap().len(), 101);
+
+        // Byte sequences pinned by hand, both ways: a LEB128 length, then
+        // the raw bytes (no length for a fixed-size array).
+        fn golden<T>(value: &T, bytes: &[u8])
+        where
+            T: Serialize + for<'a> Deserialize<'a> + PartialEq + std::fmt::Debug,
+        {
+            assert_eq!(to_bytes(value).unwrap(), bytes, "{value:?}");
+            assert_eq!(&from_bytes::<T>(bytes).unwrap(), value);
+        }
+        golden(&vec![1u8, 2, 3], &[3, 1, 2, 3]);
+        golden(&Vec::<u8>::new(), &[0]);
+        // 200 needs a two-byte LEB128 length: 200 = 0b1_1001000.
+        let long: Vec<u8> = (0..200).map(|i| i as u8).collect();
+        golden(&long, &[&[0xc8, 0x01], &long[..]].concat());
+        assert_eq!(to_bytes(&&[9u8, 8][..]).unwrap(), [2, 9, 8]);
+        golden(&[0xdeu8, 0xad, 0xbe, 0xef], &[0xde, 0xad, 0xbe, 0xef]);
+        golden(&Some(vec![7u8, 7]), &[1, 2, 7, 7]);
+        golden(&Option::<Vec<u8>>::None, &[0]);
+        golden(&vec![vec![1u8], vec![], vec![2, 3]], &[3, 1, 1, 0, 2, 2, 3]);
     }
 }

@@ -1,14 +1,17 @@
 //! serde `Serializer` for the wire format.
 
-use crate::buf::WireWriter;
+use crate::buf::{with_scratch, WireWriter};
 use crate::error::{WireError, WireResult};
 use serde::ser::{Serialize, Serializer as SerdeSerializer};
 
-/// Serialize `value` into a fresh byte vector.
+/// Serialize `value` into a fresh byte vector of exactly its length: the
+/// encoding runs in this thread's scratch writer ([`with_scratch`]), so
+/// the vector is the one allocation.
 pub fn to_bytes<T: Serialize>(value: &T) -> WireResult<Vec<u8>> {
-    let mut w = WireWriter::new();
-    to_writer(&mut w, value)?;
-    Ok(w.into_bytes())
+    with_scratch(|w| {
+        to_writer(w, value)?;
+        Ok(w.as_slice().to_vec())
+    })
 }
 
 /// Serialize `value` into an existing [`WireWriter`] (buffer reuse).
@@ -119,6 +122,12 @@ impl SerdeSerializer for Serializer<'_> {
     #[inline]
     fn put_str(&mut self, v: &str) -> WireResult<()> {
         self.out.put_len_bytes(v.as_bytes());
+        Ok(())
+    }
+
+    #[inline]
+    fn put_raw(&mut self, v: &[u8]) -> WireResult<()> {
+        self.out.put_bytes(v);
         Ok(())
     }
 
