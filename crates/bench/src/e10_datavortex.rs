@@ -75,19 +75,16 @@ pub fn run() -> Vec<Row> {
         &[
             "load", "vortex", "defl/pkt", "crossbar", "torus", "q-ev/pkt",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f2(r.load),
-                    f2(r.vortex.mean_latency()),
-                    f2(r.vortex.deflections as f64 / r.vortex.delivered.max(1) as f64),
-                    f2(r.crossbar.mean_latency()),
-                    f2(r.torus.mean_latency()),
-                    f2(r.torus.deflections as f64 / r.torus.delivered.max(1) as f64),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                f2(r.load),
+                f2(r.vortex.mean_latency()),
+                f2(r.vortex.deflections as f64 / r.vortex.delivered.max(1) as f64),
+                f2(r.crossbar.mean_latency()),
+                f2(r.torus.mean_latency()),
+                f2(r.torus.deflections as f64 / r.torus.delivered.max(1) as f64),
+            ]
+        }),
     );
 
     let hot = hotspot_row(0.3, 0.5, 0xda7a);
@@ -99,7 +96,7 @@ pub fn run() -> Vec<Row> {
             "delivered frac",
             "throughput pkt/cyc",
         ],
-        &[
+        [
             vec![
                 "vortex".into(),
                 f2(hot.vortex.mean_latency()),
@@ -127,7 +124,6 @@ pub fn run() -> Vec<Row> {
 mod tests {
     #[test]
     fn vortex_latency_flat_then_rises() {
-        let _gate = crate::TIMING_GATE.lock();
         let rows = super::sweep(&[0.05, 0.45], 3);
         let lo = &rows[0].vortex;
         let hi = &rows[1].vortex;
@@ -145,7 +141,6 @@ mod tests {
 
     #[test]
     fn crossbar_bounds_vortex() {
-        let _gate = crate::TIMING_GATE.lock();
         // The ideal output-queued crossbar lower-bounds any real switch
         // fabric of the same port latency; the torus is excluded from the
         // claim because its average hop distance (~2 on 4×4) can undercut

@@ -14,18 +14,18 @@
 //! * **work-queue spray** — tasks are dealt round-robin through parcels
 //!   (the message-driven work-queue model; affinity traded for balance).
 //!
-//! The table reports makespan and the idle fraction of the starved
-//! localities.
+//! The table reports makespan, the idle fraction of the starved
+//! localities, and the busiest locality's share of the threads executed
+//! — the split the placement controls.
 
-use crate::table::{f2, ms, print_table};
+use crate::table::{busiest_share, f2, ms, print_table};
 use px_core::prelude::*;
 use px_workloads::synth::{spin_for_ns, zipf_assign};
 use std::time::{Duration, Instant};
 
 /// Localities. Sized to small physical-core counts: with many more
 /// spinning workers than cores, OS fair-share scheduling launders the
-/// imbalance this experiment exists to expose (and per-worker wall-clock
-/// busy/idle accounting stops meaning anything).
+/// makespan contrast the table shows.
 pub const LOCALITIES: usize = 2;
 /// Tasks injected.
 pub const TASKS: usize = 3_000;
@@ -45,9 +45,13 @@ pub struct Row {
     pub spray_ms: Duration,
     /// Spray mean idle fraction.
     pub spray_idle: f64,
+    /// Threads each locality executed under static affinity.
+    pub static_split: [u64; LOCALITIES],
+    /// Threads each locality executed under the work-queue spray.
+    pub spray_split: [u64; LOCALITIES],
 }
 
-fn run_placement(homes: &[u32], spray: bool) -> (Duration, f64) {
+fn run_placement(homes: &[u32], spray: bool) -> (Duration, f64, [u64; LOCALITIES]) {
     let rt = RuntimeBuilder::new(Config::small(LOCALITIES, 1))
         .build()
         .unwrap();
@@ -90,11 +94,13 @@ fn run_placement(homes: &[u32], spray: bool) -> (Duration, f64) {
         }
     }
     let elapsed = t0.elapsed();
-    let after = rt.stats();
-    let d = after.delta_from(&before);
-    let idle = 1.0 - d.mean_busy_fraction();
+    let idle = 1.0 - rt.stats().delta_from(&before).mean_busy_fraction();
+    // Counted after shutdown: a worker counts a thread once it has run
+    // it, which for the last one is after its gate fired.
     rt.shutdown();
-    (elapsed, idle)
+    let d = rt.stats().delta_from(&before);
+    let split = std::array::from_fn(|l| d.localities[l].threads_executed);
+    (elapsed, idle, split)
 }
 
 /// Sweep skews.
@@ -103,14 +109,16 @@ pub fn sweep(skews: &[f64]) -> Vec<Row> {
         .iter()
         .map(|&skew| {
             let homes = zipf_assign(TASKS, LOCALITIES, skew, 0xcafe);
-            let (static_ms, static_idle) = run_placement(&homes, false);
-            let (spray_ms, spray_idle) = run_placement(&homes, true);
+            let (static_ms, static_idle, static_split) = run_placement(&homes, false);
+            let (spray_ms, spray_idle, spray_split) = run_placement(&homes, true);
             Row {
                 skew,
                 static_ms,
                 static_idle,
                 spray_ms,
                 spray_idle,
+                static_split,
+                spray_split,
             }
         })
         .collect()
@@ -133,43 +141,42 @@ pub fn run() -> Vec<Row> {
             "work-queue ms",
             "work-queue idle",
             "speedup",
+            "static busiest",
+            "work-queue busiest",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f2(r.skew),
-                    ms(r.static_ms),
-                    f2(r.static_idle),
-                    ms(r.spray_ms),
-                    f2(r.spray_idle),
-                    f2(r.static_ms.as_secs_f64() / r.spray_ms.as_secs_f64()),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                f2(r.skew),
+                ms(r.static_ms),
+                f2(r.static_idle),
+                ms(r.spray_ms),
+                f2(r.spray_idle),
+                f2(r.static_ms.as_secs_f64() / r.spray_ms.as_secs_f64()),
+                f2(busiest_share(&r.static_split)),
+                f2(busiest_share(&r.spray_split)),
+            ]
+        }),
     );
     rows
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// Skew 3.0 puts ~89% of the tasks' homes on one of the two
+    /// localities. Static affinity runs them there and the other
+    /// locality starves; the work queue deals them evenly. Counted in the
+    /// threads each locality executed; the makespans and idle fractions
+    /// are `px-bench e11`'s table.
     #[test]
     fn work_queue_beats_static_under_skew() {
-        if !crate::has_cores(super::LOCALITIES) {
-            return; // no physical parallelism: both placements serialize
-        }
-        let _gate = crate::TIMING_GATE.lock();
-        // Skew 3.0 puts ~89% of the work on one of the two localities —
-        // beyond what fair-share scheduling can repair: under static
-        // placement the other locality starves, and the workers' own
-        // busy/idle counters show it. The makespans are `px-bench e11`'s
-        // table.
-        let r = super::sweep(&[3.0])[0];
-        assert!(
-            r.static_idle > r.spray_idle,
-            "static idle {:.3} vs spray idle {:.3}",
-            r.static_idle,
-            r.spray_idle
-        );
+        let r = sweep(&[3.0])[0];
+        let homes = zipf_assign(TASKS, LOCALITIES, 3.0, 0xcafe);
+        let at_home = |l| homes.iter().filter(|&&h| h as usize == l).count() as u64;
+        assert_eq!(r.static_split, std::array::from_fn(at_home), "{r:?}");
+        assert!(busiest_share(&r.static_split) > 0.8, "{r:?}");
+        let even = (TASKS / LOCALITIES) as u64;
+        assert_eq!(r.spray_split, [even; LOCALITIES], "{r:?}");
     }
 }

@@ -331,24 +331,21 @@ fn print_rows(title: &str, rows: &[Row]) {
             "remote rounds",
             "at caller",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workload.clone(),
-                    r.ranks.to_string(),
-                    r.policy.clone(),
-                    ms(Duration::from_secs_f64(r.makespan_ms / 1e3)),
-                    f2(r.speedup_vs_off),
-                    r.tasks_shed.to_string(),
-                    r.migrations_balancer.to_string(),
-                    r.dir_lookups_remote.to_string(),
-                    r.dir_repairs.to_string(),
-                    r.remote_rounds.to_string(),
-                    r.at_caller.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.workload.clone(),
+                r.ranks.to_string(),
+                r.policy.clone(),
+                ms(Duration::from_secs_f64(r.makespan_ms / 1e3)),
+                f2(r.speedup_vs_off),
+                r.tasks_shed.to_string(),
+                r.migrations_balancer.to_string(),
+                r.dir_lookups_remote.to_string(),
+                r.dir_repairs.to_string(),
+                r.remote_rounds.to_string(),
+                r.at_caller.to_string(),
+            ]
+        }),
     );
 }
 
@@ -409,7 +406,6 @@ mod tests {
     /// off's. The makespan ratio is `px-bench e12tcp`'s table.
     #[test]
     fn adaptive_beats_off_2x_on_hot_objects_over_tcp() {
-        let _gate = crate::TIMING_GATE.lock();
         let p = Params {
             tasks: 0,
             grain_ns: 0,
@@ -437,7 +433,6 @@ mod tests {
     /// makespan is `px-bench e12tcp`'s table.
     #[test]
     fn skewed_spawn_sheds_parcels_across_ranks() {
-        let _gate = crate::TIMING_GATE.lock();
         let p = Params {
             tasks: 300,
             grain_ns: 150_000,

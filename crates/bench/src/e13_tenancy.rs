@@ -21,7 +21,8 @@
 //!
 //! The isolation win is the makespan ratio: on-time tenants are served at
 //! the same cost, and the deadline bounds how much a straggler can drag
-//! everyone's wall clock. Healthy runs (a deadline no tenant misses)
+//! everyone's wall clock. The test counts its cause: the tasks the
+//! cancelled stragglers never run. Healthy runs (a deadline no tenant misses)
 //! must report **zero** cancellations — the subsystem is free until used.
 
 use crate::table::{f2, ms, print_table};
@@ -205,20 +206,17 @@ fn print_rows(title: &str, rows: &[Row]) {
             "tasks killed",
             "faults",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.clone(),
-                    ms(Duration::from_secs_f64(r.makespan_ms / 1e3)),
-                    r.tenants_completed.to_string(),
-                    r.tenants_cancelled.to_string(),
-                    r.tasks_executed.to_string(),
-                    r.tasks_cancelled.to_string(),
-                    r.faults_observed.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.mode.clone(),
+                ms(Duration::from_secs_f64(r.makespan_ms / 1e3)),
+                r.tenants_completed.to_string(),
+                r.tenants_cancelled.to_string(),
+                r.tasks_executed.to_string(),
+                r.tasks_cancelled.to_string(),
+                r.faults_observed.to_string(),
+            ]
+        }),
     );
 }
 
@@ -262,7 +260,6 @@ mod tests {
     /// criterion's "free until used" guarantee).
     #[test]
     fn healthy_runs_report_zero_cancellations() {
-        let _gate = crate::TIMING_GATE.lock();
         let p = Params {
             tenants: 4,
             tasks: 60,
@@ -279,35 +276,29 @@ mod tests {
         }
     }
 
-    /// The isolation claim: with a straggler-heavy Zipf split, deadline
-    /// cancellation bounds the makespan below run-to-completion, every
-    /// missed tenant resolves with `FaultCause::Cancelled`, and no
-    /// tenant hangs.
+    /// The isolation claim, counted: with a straggler-heavy Zipf split,
+    /// the deadline cancels the stragglers, every cancelled tenant's
+    /// waiter sees `FaultCause::Cancelled`, no tenant hangs, and the
+    /// stragglers' queued work is dropped instead of run. The makespans
+    /// are `px-bench e13`'s table.
     #[test]
-    fn deadline_cancellation_bounds_the_makespan() {
-        let _gate = crate::TIMING_GATE.lock();
+    fn deadline_cancellation_drops_the_stragglers_work() {
         let p = Params {
             tenants: 8,
             tasks: 600,
             grain_ns: 150_000,
             deadline: Duration::from_millis(12),
         };
-        let mut last = String::new();
-        for _ in 0..3 {
-            let full = run_fleet(p, None);
-            let cut = run_fleet(p, Some(p.deadline));
-            let ratio = full.makespan_ms / cut.makespan_ms;
-            let clean = cut.tenants_cancelled > 0
-                && cut.faults_observed == cut.tenants_cancelled
-                && cut.tenants_completed + cut.tenants_cancelled == p.tenants as u64;
-            if ratio >= 1.3 && clean {
-                return;
-            }
-            last = format!(
-                "full {:.1}ms vs cut {:.1}ms (ratio {ratio:.2}); cut row {cut:?}",
-                full.makespan_ms, cut.makespan_ms
-            );
-        }
-        panic!("{last}");
+        let full = run_fleet(p, None);
+        let cut = run_fleet(p, Some(p.deadline));
+        assert_eq!(full.tasks_executed, p.tasks as u64, "{full:?}");
+        assert!(cut.tenants_cancelled > 0, "{cut:?}");
+        assert_eq!(cut.faults_observed, cut.tenants_cancelled, "{cut:?}");
+        assert_eq!(
+            cut.tenants_completed + cut.tenants_cancelled,
+            p.tenants as u64,
+            "{cut:?}"
+        );
+        assert!(cut.tasks_executed < full.tasks_executed, "{cut:?}");
     }
 }

@@ -265,16 +265,13 @@ fn transports(p: Params) -> Vec<Row> {
     print_table(
         "E14 — distributed transport: spawn/await throughput and latency",
         &["transport", "pipelined/s", "serial RTT µs"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.transport.clone(),
-                    format!("{:.0}", r.pipelined_per_s),
-                    f2(r.serial_rtt_us),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.transport.clone(),
+                format!("{:.0}", r.pipelined_per_s),
+                f2(r.serial_rtt_us),
+            ]
+        }),
     );
     let penalty = rows[0].pipelined_per_s / rows[2].pipelined_per_s;
     println!("tcp pipelined penalty vs in-proc instant: {}x", f2(penalty));
@@ -285,17 +282,14 @@ fn print_mesh_table(mesh: &[MeshRow]) {
     print_table(
         "E14 — mesh scaling: threads stay flat as ranks grow",
         &["ranks", "pipelined/s", "threads rank0", "threads max peer"],
-        &mesh
-            .iter()
-            .map(|m| {
-                vec![
-                    m.ranks.to_string(),
-                    format!("{:.0}", m.pipelined_per_s),
-                    m.threads_rank0.to_string(),
-                    m.threads_max_peer.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        mesh.iter().map(|m| {
+            vec![
+                m.ranks.to_string(),
+                format!("{:.0}", m.pipelined_per_s),
+                m.threads_rank0.to_string(),
+                m.threads_max_peer.to_string(),
+            ]
+        }),
     );
 }
 
@@ -343,7 +337,6 @@ mod tests {
     /// and reports per-peer traffic (the E14 smoke in miniature).
     #[test]
     fn tcp_leg_completes_and_counts() {
-        let _gate = crate::TIMING_GATE.lock();
         let (row, stats) = tcp_leg(
             Params {
                 msgs: 300,
@@ -361,7 +354,6 @@ mod tests {
     /// observable per-rank thread counts (the mesh leg in miniature).
     #[test]
     fn mesh_leg_spreads_work_and_counts_threads() {
-        let _gate = crate::TIMING_GATE.lock();
         let row = mesh_leg(
             4,
             Params {

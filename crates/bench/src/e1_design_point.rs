@@ -47,7 +47,7 @@ pub fn run() -> Vec<String> {
     print_table(
         "E1a — Gilgamesh II design point (paper §3.2 vs model)",
         &["quantity", "paper claim", "model"],
-        &[
+        [
             vec![
                 "chip structure".into(),
                 "accel + 16 PIM × 32 MIND".into(),
@@ -103,18 +103,15 @@ pub fn run() -> Vec<String> {
     print_table(
         "E1b — design-point sweep over chip count",
         &["chips", "EFLOPS", "MIND nodes", "HW threads", "MW"],
-        &sweep
-            .iter()
-            .map(|r| {
-                vec![
-                    r.chips.to_string(),
-                    format!("{:.3}", r.exaflops),
-                    r.mind_nodes.to_string(),
-                    r.threads.to_string(),
-                    f2(r.megawatts),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        sweep.iter().map(|r| {
+            vec![
+                r.chips.to_string(),
+                format!("{:.3}", r.exaflops),
+                r.mind_nodes.to_string(),
+                r.threads.to_string(),
+                f2(r.megawatts),
+            ]
+        }),
     );
 
     // Figure 1 structure, executed: one chip's PIM fabric under a
@@ -146,7 +143,7 @@ pub fn run() -> Vec<String> {
             "E1c — one-chip PIM fabric simulation ({PIM_MODULES} modules, {NODES_PER_CHIP} MIND nodes, 16 threads each)"
         ),
         &["skew", "makespan (cyc)", "tasks/kcyc", "util", "imbalance", "queue p95"],
-        &rows,
+        rows,
     );
 
     let violations = check_paper_claims(&dp);
@@ -162,13 +159,11 @@ pub fn run() -> Vec<String> {
 mod tests {
     #[test]
     fn e1_reproduces_paper_claims() {
-        let _gate = crate::TIMING_GATE.lock();
         assert!(super::run().is_empty());
     }
 
     #[test]
     fn sweep_monotone() {
-        let _gate = crate::TIMING_GATE.lock();
         let rows = super::chip_sweep(&[1000, 2000, 4000]);
         assert!(rows[1].exaflops > rows[0].exaflops);
         assert!(rows[2].threads == 2 * rows[1].threads);

@@ -174,19 +174,16 @@ pub fn run() -> Vec<Row> {
             "BSP bound ms",
             "BSP/PX",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f2(r.cv),
-                    ms(r.px),
-                    ms(r.bsp),
-                    ms(r.px_bound),
-                    ms(r.bsp_bound),
-                    f2(r.ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                f2(r.cv),
+                ms(r.px),
+                ms(r.bsp),
+                ms(r.px_bound),
+                ms(r.bsp_bound),
+                f2(r.ratio),
+            ]
+        }),
     );
     rows
 }

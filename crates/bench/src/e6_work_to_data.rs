@@ -162,20 +162,17 @@ pub fn run() -> Vec<Row> {
             "work B/op",
             "wire data/work",
         ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.bytes.to_string(),
-                    ms(r.move_data),
-                    ms(r.move_work),
-                    f2(r.ratio),
-                    (r.data_bytes / OPS as u64).to_string(),
-                    (r.work_bytes / OPS as u64).to_string(),
-                    f2(r.wire_ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.bytes.to_string(),
+                ms(r.move_data),
+                ms(r.move_work),
+                f2(r.ratio),
+                (r.data_bytes / OPS as u64).to_string(),
+                (r.work_bytes / OPS as u64).to_string(),
+                f2(r.wire_ratio),
+            ]
+        }),
     );
     rows
 }
@@ -186,7 +183,6 @@ mod tests {
 
     #[test]
     fn crossover_favors_work_for_large_blocks() {
-        let _gate = crate::TIMING_GATE.lock();
         let small = measure(1 << 10); // 1 KiB: 2 µs transfer < 15 µs hop
         let large = measure(1 << 18); // 256 KiB: 524 µs transfer >> hop
         for r in [small, large] {

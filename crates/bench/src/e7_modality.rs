@@ -24,26 +24,23 @@ pub fn run() -> Vec<ModalityRow> {
     print_table(
         "E7 — ops/cycle vs temporal locality θ (two-modality crossover)",
         &["theta", "LRU hit rate", "cached", "MIND", "accel", "winner"],
-        &rows
-            .iter()
-            .map(|r| {
-                let winner = if r.accel >= r.mind && r.accel >= r.cached {
-                    "accel"
-                } else if r.mind >= r.cached {
-                    "MIND"
-                } else {
-                    "cached"
-                };
-                vec![
-                    f2(r.theta),
-                    f3(r.hit_rate),
-                    f3(r.cached),
-                    f3(r.mind),
-                    f3(r.accel),
-                    winner.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            let winner = if r.accel >= r.mind && r.accel >= r.cached {
+                "accel"
+            } else if r.mind >= r.cached {
+                "MIND"
+            } else {
+                "cached"
+            };
+            vec![
+                f2(r.theta),
+                f3(r.hit_rate),
+                f3(r.cached),
+                f3(r.mind),
+                f3(r.accel),
+                winner.to_string(),
+            ]
+        }),
     );
     rows
 }
@@ -52,7 +49,6 @@ pub fn run() -> Vec<ModalityRow> {
 mod tests {
     #[test]
     fn crossover_exists() {
-        let _gate = crate::TIMING_GATE.lock();
         let rows = super::sweep();
         let first = rows.first().unwrap();
         let last = rows.last().unwrap();

@@ -233,16 +233,13 @@ pub fn run() -> Vec<Row> {
     print_table(
         "E9 — LITL-X construct overheads",
         &["construct", "ops", "ns/op"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.construct.to_string(),
-                    r.ops.to_string(),
-                    r.per_op.as_nanos().to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        rows.iter().map(|r| {
+            vec![
+                r.construct.to_string(),
+                r.ops.to_string(),
+                r.per_op.as_nanos().to_string(),
+            ]
+        }),
     );
     rows
 }
@@ -251,7 +248,6 @@ pub fn run() -> Vec<Row> {
 mod tests {
     #[test]
     fn every_construct_runs_its_op_count() {
-        let _gate = crate::TIMING_GATE.lock();
         // Each bench returns only once its completion gate or future has
         // seen every op, so returning at all is the claim; what an op
         // costs is `px-bench e9`'s table and pxmark's probes.

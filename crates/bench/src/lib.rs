@@ -2,10 +2,9 @@
 //!
 //! The ParalleX paper is a model paper: its quantitative artifacts are the
 //! §3.2 design point and the performance claims of §2. Each module here
-//! regenerates one experiment (see DESIGN.md §4 for the full index); the
-//! bench targets under `benches/` are thin `harness = false` wrappers
-//! that print the tables, so `cargo bench --workspace` reproduces the
-//! whole evaluation.
+//! regenerates one experiment, and the `px-bench` binary prints its
+//! table: `px-bench e4` (any of `e1` … `e14`, `e12tcp`, `e14mesh`; add
+//! `--smoke` for the scaled-down run CI makes).
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -24,10 +23,13 @@
 //! | [`e13_tenancy`] | §2.2 process trees: tenant isolation via cancellation |
 //! | [`e14_distributed`] | §2.2 parcels over a real network: TCP multi-process |
 //!
-//! All experiments are functions returning plain row structs so tests can
-//! assert the qualitative shapes (who wins, where crossovers fall) that
-//! EXPERIMENTS.md records. Nothing here is a committed number: speeds
-//! are measured by `pxmark` (`benchmark/`), the repo's one harness.
+//! All experiments are functions returning plain row structs. The tables
+//! print times; the tests assert counts — fetches in flight, staged
+//! executions, bytes moved, threads executed per locality, remote
+//! touches — that the mechanism under test controls, so a verdict holds
+//! on any core count and under any load. Nothing here is a committed
+//! number: speeds are measured by `pxmark` (`benchmark/`), the repo's one
+//! harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,20 +52,27 @@ pub mod e9_litlx_overhead;
 pub mod mesh;
 pub mod table;
 
-/// Serializes wall-clock experiments: unit tests run concurrently by
-/// default and would contend for cores, inverting timing comparisons.
-/// Every timing-sensitive test takes this lock first.
-pub static TIMING_GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+/// Operations issued and not yet answered, and the most ever
+/// outstanding at once: the per-run count a verdict reads when its claim
+/// is overlap (fetches in flight, commits awaiting validation).
+#[derive(Debug, Default)]
+pub struct InFlight(parking_lot::Mutex<(u64, u64)>);
 
-/// True when the host exposes at least `n` hardware threads. Comparative
-/// wall-clock experiments (barrier vs dataflow, static vs work-queue)
-/// need real parallelism: on a single core every placement serializes to
-/// the same makespan and the contrast they measure does not exist. Tests
-/// asserting those contrasts skip (pass vacuously) below their core
-/// floor; the experiment binaries still run and print whatever the host
-/// yields.
-pub fn has_cores(n: usize) -> bool {
-    std::thread::available_parallelism()
-        .map(|p| p.get() >= n)
-        .unwrap_or(false)
+impl InFlight {
+    /// One more operation is outstanding.
+    pub fn issue(&self) {
+        let mut n = self.0.lock();
+        n.0 += 1;
+        n.1 = n.1.max(n.0);
+    }
+
+    /// An outstanding operation was answered.
+    pub fn answered(&self) {
+        self.0.lock().0 -= 1;
+    }
+
+    /// The most operations outstanding at once so far.
+    pub fn peak(&self) -> u64 {
+        self.0.lock().1
+    }
 }

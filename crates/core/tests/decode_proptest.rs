@@ -1,13 +1,25 @@
 //! Hostile bytes for the byte-sequence decoders: arbitrary input, and
 //! valid encodings cut short or with one byte overwritten, fed to
-//! `Parcel::decode` and to `px_wire::from_bytes`. A decoder may refuse
-//! any of it, but must not panic, and must not hand back more bytes than
-//! it was given: every length is checked against the input before the
-//! one copy it sizes.
+//! `Parcel::decode`, to `px_wire::from_bytes` and to
+//! `MetricsSnapshot::decode`. A decoder may refuse any of it, but must
+//! not panic, and must not hand back more than it was given: every
+//! length is checked against the input before the one copy it sizes, and
+//! a claimed histogram cell count sizes at most the decoder's cap.
 
 use proptest::prelude::*;
+use px_core::metrics::{Instrument, MetricsRegistry, MetricsSnapshot, CELLS};
 use px_core::{ActionId, Continuation, Gid, Parcel, Value};
-use px_wire::{WireError, WireWriter};
+use px_wire::{WireError, WireReader, WireWriter};
+
+mod common {
+    pub mod alloc;
+}
+
+/// `f`'s result, and the largest single allocation it made on this thread.
+fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let (out, _, largest) = common::alloc::counted(f);
+    (out, largest)
+}
 
 type Mixed = (u64, Vec<u8>, Option<[u8; 4]>);
 
@@ -90,6 +102,46 @@ proptest! {
         }
         let _ = px_wire::from_bytes::<[u8; 16]>(&noise);
         let _ = px_wire::from_bytes::<[f64; 3]>(&noise);
+    }
+
+    /// A metrics pull reply: nothing accepted is dropped or altered (a
+    /// full registry's worth re-encodes as the bytes it came from), a
+    /// cell past the dense form or a cell count past the input is an
+    /// error, and no claimed cell count sizes an allocation past the cap.
+    #[test]
+    fn metrics_decode_survives_hostile_bytes(
+        samples in proptest::collection::vec((0..Instrument::ALL.len(), any::<u64>()), 0..32),
+        idx in CELLS as u32..,
+        claim in 2u64..,
+        (noise, pick, cut, at, with) in damage(),
+    ) {
+        let registry = MetricsRegistry::default();
+        for &(i, v) in &samples {
+            registry.record(Instrument::ALL[i], v);
+        }
+        // The most a histogram decode reserves before reading its cells.
+        let cap = 4096 * std::mem::size_of::<(u32, u64)>();
+        let input = hostile(registry.snapshot().encode(), noise, pick, cut, at, with);
+        let (decoded, largest) = largest_alloc(|| MetricsSnapshot::decode(&input));
+        prop_assert!(largest <= cap, "{largest} B");
+        if let Ok(s) = decoded {
+            if WireReader::new(&input).get_varint() == Ok(Instrument::ALL.len() as u64) {
+                prop_assert!(input.starts_with(&s.encode()));
+            }
+        }
+        // One histogram: one cell, at `idx` or claimed as `claim` cells.
+        for (idx, cells) in [(idx, 1), (0, claim)] {
+            let mut w = WireWriter::new();
+            w.put_varint(1);
+            w.put_u64(1);
+            w.put_u64(1);
+            w.put_varint(cells);
+            w.put_u32(idx);
+            w.put_u64(1);
+            let input = w.into_bytes();
+            let (decoded, largest) = largest_alloc(|| MetricsSnapshot::decode(&input));
+            prop_assert!(decoded.is_err() && largest <= cap, "{largest} B");
+        }
     }
 
     /// A length prefix past the end of the input is refused as such by

@@ -4,47 +4,16 @@
 //! The counter is per thread: sibling tests allocate on their own.
 
 use px_core::{ActionId, Continuation, Gid, Parcel, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+mod common {
+    pub mod alloc;
 }
-
-// SAFETY: every call forwards to `System` unchanged; the count is a
-// const-initialised thread-local `Cell` with no destructor, so touching it
-// never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract for `dealloc` is passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract for `realloc` is passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Allocations (and reallocations) `f` makes on this thread, after one
 /// warm-up call.
 fn allocs<R>(mut f: impl FnMut() -> R) -> usize {
     drop(f());
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    let n = ALLOCS.with(Cell::get) - before;
+    let (out, n, _) = common::alloc::counted(f);
     drop(out);
     n
 }
