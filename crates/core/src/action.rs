@@ -42,19 +42,27 @@ impl fmt::Debug for ActionId {
 /// (see [`crate::error::Fault`]). Fault-ness is a flag beside the bytes,
 /// not inside them, so an ordinary payload can never be mistaken for a
 /// fault; the parcel header preserves the flag across the wire.
+///
+/// An empty value holds no `Arc`, so the unit value, `Default` and an
+/// empty decode allocate nothing (and share no refcount between threads).
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Value {
-    bytes: Arc<[u8]>,
+    /// `None` when empty, never `Some` of zero bytes: the derived
+    /// equality compares contents.
+    bytes: Option<Arc<[u8]>>,
     fault: bool,
 }
 
 impl Value {
     /// The unit value (zero bytes).
     pub fn unit() -> Value {
-        Value {
-            bytes: Arc::from(&[][..]),
-            fault: false,
-        }
+        Value::default()
+    }
+
+    /// `bytes` and `fault` as a value, holding no allocation when empty.
+    fn new(bytes: impl AsRef<[u8]> + Into<Arc<[u8]>>, fault: bool) -> Value {
+        let bytes = (!bytes.as_ref().is_empty()).then(|| bytes.into());
+        Value { bytes, fault }
     }
 
     /// Encode a serializable value: one allocation, the value's own. The
@@ -71,28 +79,19 @@ impl Value {
 
     /// Wrap already-encoded bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Value {
-        Value {
-            bytes: bytes.into(),
-            fault: false,
-        }
+        Value::new(bytes, false)
     }
 
-    /// Copy already-encoded bytes, with an explicit fault flag, in one
-    /// allocation (the decode paths, which borrow the bytes from a frame;
-    /// a parcel carries the flag in its header).
+    /// Copy already-encoded bytes, with an explicit fault flag, in at
+    /// most one allocation (the decode paths, which borrow the bytes from
+    /// a frame; a parcel carries the flag in its header).
     pub(crate) fn from_slice(bytes: &[u8], fault: bool) -> Value {
-        Value {
-            bytes: Arc::from(bytes),
-            fault,
-        }
+        Value::new(bytes, fault)
     }
 
     /// Build a fault value carrying `f` (see [`crate::error::Fault`]).
     pub fn error(f: &crate::error::Fault) -> Value {
-        Value {
-            bytes: f.to_wire().encode().into(),
-            fault: true,
-        }
+        Value::new(f.to_wire().encode(), true)
     }
 
     /// True when this value is a fault rather than a payload.
@@ -109,7 +108,7 @@ impl Value {
         if !self.fault {
             return None;
         }
-        Some(match px_wire::WireFault::decode(&self.bytes) {
+        Some(match px_wire::WireFault::decode(self.bytes()) {
             Ok(w) => crate::error::Fault::from_wire(&w),
             Err(e) => crate::error::Fault::new(
                 crate::error::FaultCause::Decode,
@@ -128,34 +127,34 @@ impl Value {
         if let Some(f) = self.fault() {
             return Err(PxError::Fault(f));
         }
-        Ok(px_wire::from_bytes(&self.bytes)?)
+        Ok(px_wire::from_bytes(self.bytes())?)
     }
 
     /// Raw encoded bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        self.bytes.as_deref().unwrap_or_default()
     }
 
     /// Encoded length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.bytes().len()
     }
 
     /// True if the value has no bytes (the unit value).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.bytes.is_none()
     }
 }
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.fault {
-            write!(f, "Value(fault, {} bytes)", self.bytes.len())
+            write!(f, "Value(fault, {} bytes)", self.len())
         } else {
-            write!(f, "Value({} bytes)", self.bytes.len())
+            write!(f, "Value({} bytes)", self.len())
         }
     }
 }
@@ -276,11 +275,31 @@ mod tests {
         assert_eq!(v.bytes().as_ptr(), w.bytes().as_ptr());
     }
 
+    /// Every empty value is the unit value, however it was made, and
+    /// holds no allocation.
     #[test]
     fn unit_value() {
         let v = Value::unit();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
+        assert!(v.bytes.is_none());
+        let empties = [
+            Value::default(),
+            Value::from_bytes(Vec::new()),
+            Value::from_slice(&[], false),
+            Value::encode(&()).unwrap(),
+        ];
+        for e in empties {
+            assert_eq!(e, v);
+            assert!(e.bytes.is_none());
+        }
+        v.decode::<()>().unwrap();
+        assert_ne!(
+            Value::from_slice(&[], true),
+            v,
+            "the fault flag still counts"
+        );
+        assert_ne!(Value::from_bytes(vec![0]), v);
     }
 
     #[test]

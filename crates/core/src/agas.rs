@@ -4,8 +4,9 @@
 //!
 //! Resolution is **home-based with caching**:
 //!
-//! 1. A GID's default home is its *birthplace* (packed in the GID itself),
-//!    so un-migrated objects resolve with zero lookups.
+//! 1. A GID's default home is its *birthplace* (packed in the GID itself).
+//!    Only data objects migrate, so every other name (LCOs, processes,
+//!    echo nodes, locality roots) resolves there with no lookup at all.
 //! 2. Objects that migrate get an entry in the sharded **directory**; the
 //!    entry is authoritative.
 //! 3. Each locality keeps a **resolution cache**. Stale cache entries are
@@ -33,7 +34,7 @@
 
 use crate::error::{PxError, PxResult};
 use crate::fxmap::{FxHashMap, FxHashSet};
-use crate::gid::{Gid, LocalityId};
+use crate::gid::{Gid, GidKind, LocalityId};
 use crate::stats::Counter;
 use parking_lot::{Mutex, RwLock};
 
@@ -130,10 +131,15 @@ impl Agas {
     }
 
     /// Resolve the current owner of `gid` as seen from locality `from`.
-    ///
-    /// `hit_counters` distinguishes cache hits from directory lookups for
-    /// the ablation bench (`micro_agas`).
+    /// Only data objects migrate, so any other name resolves to its
+    /// birthplace without touching a cache or the directory.
     pub fn resolve(&self, from: LocalityId, gid: Gid) -> Resolution {
+        if gid.kind() != GidKind::Data {
+            return Resolution {
+                owner: gid.birthplace(),
+                source: ResolutionSource::Birthplace,
+            };
+        }
         if let Some(&owner) = self.caches[from.0 as usize].read().get(&gid) {
             return Resolution {
                 owner,
@@ -354,22 +360,26 @@ impl Agas {
 }
 
 impl Agas {
-    /// Resolve with instrumentation: counts cache hits and misses (split
-    /// into directory lookups and birthplace fallbacks) on the asking
-    /// locality. Backs the `micro_agas` ablation and the
-    /// [`crate::stats::LocalityStats::agas_hit_rate`] ratio.
+    /// Resolve with instrumentation: counts a data object's cache hits
+    /// and misses (split into directory lookups and birthplace fallbacks)
+    /// on the asking locality. Backs the
+    /// [`crate::stats::LocalityStats::agas_hit_rate`] ratio. Any other
+    /// name cannot move: it resolves to its birthplace, uncounted.
     pub fn resolve_counted(&self, from: &crate::locality::Locality, gid: Gid) -> LocalityId {
+        if gid.kind() != GidKind::Data {
+            return gid.birthplace();
+        }
         let r = self.resolve(from.id, gid);
         match r.source {
             ResolutionSource::Cache => {
-                crate::stats::bump!(from.counters.agas_cache_hits);
+                crate::stats::bump!(from.counters().agas_cache_hits);
             }
             ResolutionSource::Directory => {
-                crate::stats::bump!(from.counters.agas_cache_misses);
-                crate::stats::bump!(from.counters.agas_directory_lookups);
+                crate::stats::bump!(from.counters().agas_cache_misses);
+                crate::stats::bump!(from.counters().agas_directory_lookups);
             }
             ResolutionSource::Birthplace => {
-                crate::stats::bump!(from.counters.agas_cache_misses);
+                crate::stats::bump!(from.counters().agas_cache_misses);
             }
         }
         r.owner
@@ -399,7 +409,6 @@ pub struct Resolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gid::GidKind;
 
     fn gid_at(loc: u16, seq: u64) -> Gid {
         Gid::new(LocalityId(loc), GidKind::Data, seq)
@@ -463,17 +472,47 @@ mod tests {
         let g = gid_at(2, 5);
         // Birthplace resolution: a miss (no cache entry exists).
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_hits.get(), 0);
-        assert_eq!(loc.counters.agas_cache_misses.get(), 1);
+        assert_eq!(loc.stats().agas_cache_hits, 0);
+        assert_eq!(loc.stats().agas_cache_misses, 1);
         // Migrated object: first resolve consults the directory (miss),
         // second hits the freshly filled cache.
         agas.record_migration(g, LocalityId(3));
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_misses.get(), 2);
-        assert_eq!(loc.counters.agas_directory_lookups.get(), 1);
+        assert_eq!(loc.stats().agas_cache_misses, 2);
+        assert_eq!(loc.stats().agas_directory_lookups, 1);
         agas.resolve_counted(&loc, g);
-        assert_eq!(loc.counters.agas_cache_hits.get(), 1);
-        assert_eq!(loc.counters.agas_cache_misses.get(), 2);
+        assert_eq!(loc.stats().agas_cache_hits, 1);
+        assert_eq!(loc.stats().agas_cache_misses, 2);
+    }
+
+    /// A name that cannot move resolves to its birthplace from any
+    /// locality, even with a directory entry planted against it, and
+    /// neither fills a cache entry nor counts a resolution.
+    #[test]
+    fn names_that_cannot_move_resolve_to_their_birthplace() {
+        let agas = Agas::new(4);
+        let loc = crate::locality::Locality::new(LocalityId(0), false);
+        let kinds = [
+            GidKind::Lco,
+            GidKind::Process,
+            GidKind::Echo,
+            GidKind::Hardware,
+            GidKind::User,
+        ];
+        for (seq, kind) in kinds.into_iter().enumerate() {
+            let g = Gid::new(LocalityId(2), kind, seq as u64);
+            agas.note_owner(g, LocalityId(3));
+            for from in 0..4 {
+                let r = agas.resolve(LocalityId(from), g);
+                assert_eq!(r.owner, LocalityId(2), "{kind:?}");
+                assert_eq!(r.source, ResolutionSource::Birthplace);
+            }
+            assert_eq!(agas.resolve_counted(&loc, g), LocalityId(2));
+        }
+        assert!(agas.caches.iter().all(|c| c.read().is_empty()));
+        let s = loc.stats();
+        assert_eq!((s.agas_cache_hits, s.agas_cache_misses), (0, 0));
+        assert_eq!(s.agas_directory_lookups, 0);
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64, 
 /// Record one load sample and self-observe the new score; returns the
 /// park count the next round measures from.
 fn sample(loc: &Locality, b: &BalanceState, round: u64, last_parks: u64) -> u64 {
-    let parks_now = loc.counters.parks.get();
+    let parks_now = loc.stats().parks;
     let sample = LoadSample {
         queue_depth: loc.queue_depth() as u64,
         // Parks are untimed: a worker starved for the whole round
@@ -122,7 +122,7 @@ fn sample(loc: &Locality, b: &BalanceState, round: u64, last_parks: u64) -> u64 
         m.score()
     };
     b.peers.lock().observe(loc.id.0 as usize, score, round);
-    bump!(loc.counters.gossip_rounds);
+    bump!(loc.counters().gossip_rounds);
     parks_now
 }
 
@@ -222,8 +222,8 @@ pub(crate) fn shed_tasks(
                         let Work::Parcel(p) = task.work else {
                             unreachable!("sheddable matched Work::Parcel")
                         };
-                        bump!(loc.counters.tasks_shed);
-                        bump!(loc.counters.parcels_sent);
+                        bump!(loc.counters().tasks_shed);
+                        bump!(loc.counters().parcels_sent);
                         loc.trace_event(
                             trace,
                             crate::trace::TraceEventKind::BalanceShed,
@@ -231,7 +231,7 @@ pub(crate) fn shed_tasks(
                             u64::from(dest.0),
                         );
                         let n = rt.wire.send_parcel(dest, p);
-                        bump!(loc.counters.bytes_sent, n as u64);
+                        bump!(loc.counters().bytes_sent, n as u64);
                         shed += 1;
                     } else {
                         putback.push(task);
@@ -242,9 +242,9 @@ pub(crate) fn shed_tasks(
                     // size. Process accounting moves with the task: it
                     // was counted started at spawn and completes at the
                     // destination.
-                    bump!(loc.counters.tasks_shed);
-                    bump!(loc.counters.parcels_sent);
-                    bump!(loc.counters.bytes_sent, 64);
+                    bump!(loc.counters().tasks_shed);
+                    bump!(loc.counters().parcels_sent);
+                    bump!(loc.counters().bytes_sent, 64);
                     loc.trace_event(
                         task.trace,
                         crate::trace::TraceEventKind::BalanceShed,
@@ -309,7 +309,7 @@ fn pull_hot(
         }
         if rt.owns(owner) {
             if migrate_object(rt, gid, owner, loc.id, MigrationCause::Balancer).is_ok() {
-                bump!(loc.counters.balance_pulls);
+                bump!(loc.counters().balance_pulls);
                 pulls += 1;
             }
         } else {
@@ -324,7 +324,7 @@ fn pull_hot(
                 cause: MigrationCause::Balancer,
             };
             Origin::at(rt, loc).send(pull.parcel(gid, None));
-            bump!(loc.counters.balance_pulls);
+            bump!(loc.counters().balance_pulls);
             pulls += 1;
         }
     }
@@ -557,6 +557,32 @@ mod tests {
             vec![owner.0],
             "exactly the owner holds the object"
         );
+        rt.shutdown();
+    }
+
+    /// `__sys/agas_migrate` is a public action id, so a raw parcel can
+    /// aim it at any name. Only a data object moves: an LCO's migrate
+    /// parcel faults its continuation, and the LCO stays at its
+    /// birthplace, where AGAS resolves it without a lookup.
+    #[test]
+    fn a_raw_migrate_parcel_moves_only_data() {
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let lco = rt.inner().localities[0].new_future_lco();
+        let to = LocalityId(1);
+        let migrate = sys::msg::Migrate {
+            to,
+            cause: MigrationCause::Manual,
+        };
+        match rt.sys_rpc(migrate.parcel(lco, None)) {
+            Err(PxError::Fault(f)) => {
+                assert_eq!(f.cause, FaultCause::HandlerError);
+                assert_eq!(f.action, sys::AGAS_MIGRATE);
+            }
+            other => panic!("expected a fault, got {other:?}"),
+        }
+        assert!(rt.inner().localities[0].contains(lco));
+        assert!(!rt.inner().localities[1].contains(lco));
+        assert_eq!(rt.stats().migrations_manual, 0);
         rt.shutdown();
     }
 

@@ -24,7 +24,10 @@
 //! wall-clock by nature, and a stepped run does not spin. Measurement
 //! stamps (busy and idle ns in `sched.rs`, metrics and trace stamps,
 //! `NetRtt`'s `submitted`, a port's `opened_at`) read time and never wait
-//! for it. `ExtSlot::wait_timeout` and the debug build's sliced
+//! for it. A worker reads the clock once per task, at its end, plus once
+//! where a task ends an idle search; its look at its heap after a task
+//! ([`Heap::due`]) reads the heap's clock only while something is armed.
+//! `ExtSlot::wait_timeout` and the debug build's sliced
 //! `wait_lco` are a driver's OS thread waiting in real time, and a TCP
 //! sender blocked on a peer's byte bound waits for room. The TCP loop's
 //! `Instant::now` serves real sockets; its queue is a [`Timers`].
@@ -165,11 +168,12 @@ impl<T> Heap<T> {
 
     /// True when a pass is due: the heap was rung since the last pass
     /// began ([`Heap::ring`]), or its earliest item is due. A busy
-    /// worker's look after each task, which never waits for a lock.
+    /// worker's look after each task, which never waits for a lock and
+    /// reads the clock only when something is armed.
     pub(crate) fn due(&self) -> bool {
         let rung = self.bell.rung.try_lock().is_some_and(|rung| *rung);
         let timers = self.timers.try_lock();
-        rung || timers.is_some_and(|timers| timers.timeout(self.now()) == Some(Duration::ZERO))
+        rung || timers.is_some_and(|t| t.heap.peek().is_some_and(|due| due.0 <= self.now()))
     }
 
     /// Ask for a pass: end the holder's park, or, with the holder busy,

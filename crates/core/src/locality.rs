@@ -32,9 +32,18 @@ use crate::sched::Task;
 use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
+use std::cell::Cell;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::Instant;
+
+thread_local! {
+    /// Which counter row this thread writes, and where: a locality's
+    /// address and the row's index, set once by each worker
+    /// ([`Locality::work_here`]). A worker outlives no locality it works
+    /// for, since it holds the runtime that owns it.
+    static ROW: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
 
 /// A first-class object resident in a locality's store.
 #[derive(Clone)]
@@ -150,8 +159,10 @@ pub struct Locality {
     store: RwLock<FxHashMap<Gid, Stored>>,
     /// GID allocator for objects born here.
     pub alloc: GidAllocator,
-    /// Instrumentation.
-    pub counters: LocalityCounters,
+    /// Instrumentation: the shared row, then one row per worker
+    /// ([`Locality::counters`] picks the caller's, [`Locality::stats`]
+    /// sums them).
+    counters: Box<[LocalityCounters]>,
     /// The eventcount this locality's idle workers sleep on.
     pub(crate) sleep: Sleep,
     /// Tasks due here later — wire arrivals, the balancer pulse — with
@@ -193,7 +204,7 @@ impl Locality {
             stealers: Box::default(),
             store: RwLock::new(FxHashMap::default()),
             alloc: GidAllocator::new(id),
-            counters: LocalityCounters::default(),
+            counters: Box::new([LocalityCounters::default()]),
             sleep: Sleep::new(0),
             timers: Heap::new(&Clock::Real),
             staged_priority,
@@ -210,6 +221,7 @@ impl Locality {
     pub(crate) fn attach_workers(&mut self, workers: usize, clock: &Clock) -> Vec<Local<Task>> {
         let rings: Vec<Local<Task>> = (0..workers).map(|_| Local::new()).collect();
         self.stealers = rings.iter().map(Local::stealer).collect();
+        self.counters = (0..=workers).map(|_| LocalityCounters::default()).collect();
         self.sleep = Sleep::new(workers);
         self.timers = Heap::new(clock);
         rings
@@ -274,19 +286,37 @@ impl Locality {
     ) {
         if let (Some(ring), Some(t)) = (&self.trace, trace) {
             let dropped = ring.record(t, kind, gid, aux);
-            crate::stats::bump!(self.counters.trace_events_recorded);
+            crate::stats::bump!(self.counters().trace_events_recorded);
             if dropped {
-                crate::stats::bump!(self.counters.trace_events_dropped);
+                crate::stats::bump!(self.counters().trace_events_dropped);
             }
         }
     }
 
-    /// This locality's counters, with what is sampled rather than counted
-    /// filled in: searching is counted by the workers, but parked time is
-    /// read off the sleep clock (a worker starved for the whole run still
-    /// shows as idle), and the gauges are read now.
+    /// Make the calling thread worker `w` here: from now on its bumps at
+    /// this locality go to row `w + 1` ([`Locality::counters`]). Called
+    /// once, at the top of the worker's loop.
+    pub(crate) fn work_here(&self, w: usize) {
+        ROW.set((self as *const Locality as usize, w + 1));
+    }
+
+    /// The counter row the calling thread bumps here: its own if it is
+    /// one of this locality's workers, the shared row otherwise. Read a
+    /// counter through [`Locality::stats`]: one row holds only part of it.
+    #[inline]
+    pub(crate) fn counters(&self) -> &LocalityCounters {
+        let (at, row) = ROW.get();
+        let own = at == self as *const Locality as usize;
+        &self.counters[if own { row } else { 0 }]
+    }
+
+    /// This locality's counters, every row summed, with what is sampled
+    /// rather than counted filled in: searching is counted by the
+    /// workers, but parked time is read off the sleep clock (a worker
+    /// starved for the whole run still shows as idle), and the gauges are
+    /// read now.
     pub(crate) fn stats(&self) -> LocalityStats {
-        let mut s = self.counters.snapshot();
+        let mut s = LocalityCounters::sum(&self.counters);
         s.idle_ns += self.sleep.parked_ns();
         s.objects = self.object_count() as u64;
         s
@@ -502,6 +532,63 @@ mod tests {
         let loc = Locality::new(LocalityId(0), false);
         let bogus = Gid::new(LocalityId(0), GidKind::Lco, 12345);
         assert!(matches!(loc.get_lco(bogus), Err(PxError::NoSuchObject(_))));
+    }
+
+    /// Counter rows sum exactly. N closure threads run on locality 0's
+    /// two workers, each counted in its own row. Then the driver sends M
+    /// NOOPs from locality 0 (its shared row) and a worker of locality 1
+    /// sends M more (its row there); locality 0's workers run all 2M.
+    #[test]
+    fn counter_rows_sum_exactly() {
+        use crate::origin::Caller;
+        use crate::runtime::{Config, RuntimeBuilder};
+        use crate::{stats::StatsSnapshot, sys};
+        const N: u64 = 2_000;
+        const M: u64 = 300;
+        let rt = RuntimeBuilder::new(Config::small(2, 2)).build().unwrap();
+        let noop = || sys::bare(Gid::locality_root(LocalityId(0)), sys::NOOP);
+        let settled = |ok: &dyn Fn(&StatsSnapshot) -> bool| {
+            let t0 = Instant::now();
+            while !ok(&rt.stats()) {
+                assert!(t0.elapsed().as_secs() < 10, "{:?}", rt.stats().localities);
+                std::thread::yield_now();
+            }
+        };
+        for _ in 0..N {
+            rt.spawn_at(LocalityId(0), |_| {});
+        }
+        settled(&|s| s.localities[0].threads_executed == N);
+        let phase1 = rt.stats();
+        for _ in 0..M {
+            rt.origin().send(noop());
+        }
+        rt.spawn_at(LocalityId(1), move |ctx| {
+            for _ in 0..M {
+                ctx.send_parcel(noop());
+            }
+        });
+        settled(&|s| s.localities[0].parcels_recv == 2 * M);
+        rt.shutdown();
+        let d = rt.stats().delta_from(&phase1);
+        let (l0, l1) = (&d.localities[0], &d.localities[1]);
+        assert_eq!(
+            (l0.threads_executed, l0.parcels_sent, l0.parcels_recv),
+            (0, M, 2 * M)
+        );
+        assert_eq!(
+            (l1.threads_executed, l1.parcels_sent, l1.parcels_recv),
+            (1, M, 0)
+        );
+        assert_eq!(d.total().parcels_sent, 2 * M);
+
+        // Only workers run tasks, so the shared row counts none; the
+        // driver's sends are all it holds of `parcels_sent`.
+        let rows = &rt.inner().localities[0].counters;
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].threads_executed.get(), 0);
+        assert_eq!(rows[0].parcels_sent.get(), M);
+        let executed: u64 = rows[1..].iter().map(|r| r.threads_executed.get()).sum();
+        assert_eq!(executed, N);
     }
 
     #[test]

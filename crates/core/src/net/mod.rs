@@ -364,10 +364,10 @@ impl Port {
             return None;
         }
         let records = u64::from(self.frame.record_count());
-        bump!(dest_loc.counters.frames_sent);
+        bump!(dest_loc.counters().frames_sent);
         // Counted at flush, under the port lock, so coalesced_parcels and
         // frames_sent advance together and their ratio never exceeds the cap.
-        bump!(dest_loc.counters.coalesced_parcels, records - 1);
+        bump!(dest_loc.counters().coalesced_parcels, records - 1);
         bump!(cause);
         Some((self.frame.take(), self.opened_at.take()))
     }
@@ -400,7 +400,7 @@ impl PortSet {
         dest_loc: &Locality,
         mut ship: impl FnMut(Lane, Vec<u8>, Option<Instant>),
     ) -> bool {
-        let (mut all, pulled) = (true, &dest_loc.counters.batch_flush_pulled);
+        let (mut all, pulled) = (true, &dest_loc.counters().batch_flush_pulled);
         for lane in [Lane::Run, Lane::Staged] {
             let Some(mut port) = self.port(dest, lane).try_lock() else {
                 all = false;
@@ -493,7 +493,7 @@ impl Wire {
         if port.frame.record_count() as usize >= policy.max_batch_parcels
             || port.frame.len() >= policy.max_batch_bytes
         {
-            if let Some((bytes, _)) = port.take(&dest_loc.counters.batch_flush_full, dest_loc) {
+            if let Some((bytes, _)) = port.take(&dest_loc.counters().batch_flush_full, dest_loc) {
                 let len = bytes.len();
                 self.transport
                     .submit(WireMsg::Frame { dest, lane, bytes }, len);
@@ -719,10 +719,10 @@ mod tests {
         clock.advance(LATENCY);
         pass(&wire);
         assert_eq!(drain_count(&locs[1]), (2, 8), "two frames of four");
-        assert_eq!(locs[1].counters.frames_sent.get(), 2);
-        assert_eq!(locs[1].counters.batch_flush_full.get(), 2);
+        assert_eq!(locs[1].stats().frames_sent, 2);
+        assert_eq!(locs[1].stats().batch_flush_full, 2);
         assert_eq!(
-            locs[1].counters.coalesced_parcels.get(),
+            locs[1].stats().coalesced_parcels,
             6,
             "three of each four shared a frame"
         );
@@ -739,7 +739,7 @@ mod tests {
         clock.advance(LATENCY);
         pass(&wire);
         assert_eq!(drain_count(&locs[1]).1, 4);
-        assert!(locs[1].counters.batch_flush_full.get() >= 1);
+        assert!(locs[1].stats().batch_flush_full >= 1);
     }
 
     /// A lone record leaves at the destination's next pass — the one its
@@ -752,7 +752,7 @@ mod tests {
         let (locs, clock, wire) = stepped_wire(WireModel::with_latency(latency), cap(1000));
         wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
         pass(&wire);
-        assert_eq!(locs[1].counters.batch_flush_pulled.get(), 1, "pulled");
+        assert_eq!(locs[1].stats().batch_flush_pulled, 1, "pulled");
         clock.advance(latency - Duration::from_nanos(1));
         pass(&wire);
         assert_eq!(drain_count(&locs[1]), (0, 0), "still on the wire");
@@ -775,9 +775,9 @@ mod tests {
                 wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
             }
         }
-        let c = &locs[1].counters;
-        assert_eq!((c.frames_sent.get(), c.batch_flush_pulled.get()), (2, 2));
-        assert_eq!(c.coalesced_parcels.get(), 4 + 2);
+        let c = locs[1].stats();
+        assert_eq!((c.frames_sent, c.batch_flush_pulled), (2, 2));
+        assert_eq!(c.coalesced_parcels, 4 + 2);
     }
 
     /// `NetRtt` means the same on both backends: a pulled frame is timed
@@ -821,7 +821,7 @@ mod tests {
         let (locs, _clock, mut wire) = burst(cap(1000), 3);
         wire.shutdown();
         assert_eq!(drain_count(&locs[1]), (1, 3), "one frame, every parcel");
-        assert_eq!(locs[1].counters.batch_flush_pulled.get(), 1);
+        assert_eq!(locs[1].stats().batch_flush_pulled, 1);
     }
 
     #[test]
@@ -852,7 +852,7 @@ mod tests {
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1));
         assert_eq!(
-            locs[1].counters.frames_sent.get(),
+            locs[1].stats().frames_sent,
             0,
             "no frames on the single-parcel path"
         );

@@ -313,7 +313,7 @@ impl TcpShared {
             msg_kind::FRAME_STAGED => (Lane::Staged, Work::ParcelFrame(body)),
             msg_kind::CONTROL => (Lane::Control, Work::ParcelBytes(body)),
             // StreamAssembler rejects unknown kinds before this point.
-            _ => return self.own().counters.count_death(FaultCause::Decode, 1),
+            _ => return self.own().counters().count_death(FaultCause::Decode, 1),
         };
         self.own().deliver(lane, Task::new(work));
     }
@@ -355,7 +355,7 @@ impl TcpShared {
                 // Closures do not serialize: this is work the transport
                 // cannot carry. Die loudly (counted + dead-letter) so the
                 // mistake is visible instead of a silent hang.
-                self.own().counters.count_death(FaultCause::Transport, 1);
+                self.own().counters().count_death(FaultCause::Transport, 1);
                 if let Some(rt) = self.rt() {
                     let fault = Fault::new(
                         FaultCause::Transport,
@@ -578,7 +578,7 @@ impl TcpShared {
             for_each_record(*kind, body, |_| records += 1);
         }
         self.own()
-            .counters
+            .counters()
             .count_death(FaultCause::Transport, records);
     }
 }
@@ -639,7 +639,7 @@ fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Option<&[u8]>, 
             // rank.
             crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why.to_string());
         }
-        _ => loc.counters.count_death(FaultCause::Decode, 1),
+        _ => loc.counters().count_death(FaultCause::Decode, 1),
     }
 }
 
@@ -872,7 +872,7 @@ mod tests {
                         crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why);
                     } // the bug: an untraced `p` is dropped here
                 }
-                Err(_) => loc.counters.count_death(FaultCause::Decode, 1),
+                Err(_) => loc.counters().count_death(FaultCause::Decode, 1),
             }
         }
         let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
@@ -1011,7 +1011,7 @@ mod tests {
             let bytes = noop_parcel(LocalityId(1));
             let (dest, lane, n) = (LocalityId(1), Lane::Run, bytes.len());
             a.submit(WireMsg::Parcel { dest, lane, bytes }, n);
-            (own.counters.dead_transport.get() > 0).then_some(())
+            (own.stats().dead_transport > 0).then_some(())
         };
         wait_for(&[&a], submit, "peer death resolving submissions");
         drop(a);
@@ -1037,7 +1037,7 @@ mod tests {
             "rank 0 to declare rank 1 dead",
         );
         let own = a.shared.own();
-        let dead_transport = || own.counters.dead_transport.get();
+        let dead_transport = || own.stats().dead_transport;
         let before = dead_transport();
         for _ in 0..50 {
             let bytes = noop_parcel(LocalityId(1));
@@ -1106,8 +1106,8 @@ mod tests {
             }
         }
         arrived_through(N);
-        let sent = &locs_a[1].counters;
-        let (full, pulled) = (sent.batch_flush_full.get(), sent.batch_flush_pulled.get());
+        let sent = locs_a[1].stats();
+        let (full, pulled) = (sent.batch_flush_full, sent.batch_flush_pulled);
         assert!(full > 0 && pulled > 0, "{full} full, {pulled} pulled");
         wire.shutdown();
         b.shutdown();
@@ -1194,7 +1194,7 @@ mod tests {
             64,
         );
         assert_eq!(
-            a.shared.own().counters.dead_transport.get(),
+            a.shared.own().stats().dead_transport,
             1,
             "closure transfer must die loudly"
         );
@@ -1305,7 +1305,7 @@ mod tests {
             forger.write_all(&[&header[..], &table].concat()).unwrap();
             let own = mesh[at].shared.own();
             let all: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
-            let refused = || (own.counters.dead_decode.get() == 1).then_some(());
+            let refused = || (own.stats().dead_decode == 1).then_some(());
             wait_for(&all, refused, "the stray table refused");
             let lost = mesh[at].shared.peer(claims).dead.load(Ordering::Acquire);
             assert!(lost, "rank {at} still trusts rank {claims}");

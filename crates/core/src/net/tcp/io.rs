@@ -809,7 +809,7 @@ impl IoLoop {
             // Count it; the peer is lost like any other dropped connection.
             Ok(_) => {
                 let own = self.shared.own();
-                own.counters.count_death(FaultCause::Decode, 1);
+                own.counters().count_death(FaultCause::Decode, 1);
                 "stream desynchronized"
             }
             Err(why) => why,

@@ -215,7 +215,7 @@ impl<'a> Origin<'a> {
         let Some(fault) = cancelled else {
             return false;
         };
-        bump!(self.rt.locality(dest).counters.tasks_cancelled);
+        bump!(self.rt.locality(dest).counters().tasks_cancelled);
         self.rt.notify_dead_letter(&fault, None);
         true
     }

@@ -544,6 +544,8 @@ mod tests {
         assert_eq!(q.wire_size(), q.encode().len());
     }
 
+    /// A unit payload is one zero length byte on the wire, and decodes
+    /// back to the unit value.
     #[test]
     fn minimal_parcel_roundtrip() {
         let p = Parcel::new(
@@ -552,9 +554,17 @@ mod tests {
             Value::unit(),
             Continuation::none(),
         );
-        let q = Parcel::decode(&p.encode()).unwrap();
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&p.dest.0.to_le_bytes());
+        expected.extend_from_slice(&p.action.0.to_le_bytes());
+        expected.extend_from_slice(&[0, 0, 0, 0]); // src, hops, flags
+        expected.extend_from_slice(&[0, 0]); // no continuation, no payload
+        assert_eq!(p.encode(), expected, "unit layout drifted");
+        let q = Parcel::decode(&expected).unwrap();
         assert!(q.cont.is_none());
         assert!(q.payload.is_empty());
+        assert_eq!(q.payload, Value::unit());
+        assert_eq!(q.payload, Value::default());
         assert_eq!(q.process, None);
         assert_eq!(q.trace, None);
     }

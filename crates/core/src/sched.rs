@@ -139,6 +139,7 @@ pub(crate) fn worker_main(
     local: Local<Task>,
 ) {
     let loc = rt.localities[loc_idx].clone();
+    loc.work_here(worker_idx);
     // Where something is timed — a TCP rank's sockets, an in-process
     // wire's latency, a balancer — the locality's workers run its loop: an
     // idle one takes it and parks in it (`net/mod.rs`, `clock.rs`).
@@ -151,23 +152,29 @@ pub(crate) fn worker_main(
     loop {
         match find_task(&loc, &local, worker_idx) {
             Some(task) => {
+                let was_idle = std::mem::take(&mut was_idle);
                 // Producers skip the wake while a worker spins, trusting
                 // it to find their task. It found one; if that was not
                 // all, the rest needs another pair of hands — and a
                 // poller this worker left behind needs an idle one.
-                if std::mem::take(&mut was_idle) && (loc.has_work() || loc.sleep.poller_free()) {
+                if was_idle && (loc.has_work() || loc.sleep.poller_free()) {
                     loc.sleep.notify_one();
                 }
-                let found = Instant::now();
-                bump!(
-                    loc.counters.idle_ns,
-                    found.duration_since(search_started).as_nanos() as u64
-                );
+                // A task found at the first look after the last one is
+                // busy from that one's end: one clock read per task.
+                let mut started = search_started;
+                if was_idle {
+                    started = Instant::now();
+                    bump!(
+                        loc.counters().idle_ns,
+                        started.duration_since(search_started).as_nanos() as u64
+                    );
+                }
                 execute(&rt, &loc, &local, task);
                 let done = Instant::now();
                 bump!(
-                    loc.counters.busy_ns,
-                    done.duration_since(found).as_nanos() as u64
+                    loc.counters().busy_ns,
+                    done.duration_since(started).as_nanos() as u64
                 );
                 search_started = done;
                 if drives {
@@ -188,12 +195,12 @@ pub(crate) fn worker_main(
                 was_idle = true;
                 let mut ready = || loc.has_work() || stop();
                 let on_park = || {
-                    bump!(loc.counters.parks);
+                    bump!(loc.counters().parks);
                     // The search ends here. The park is timed by `sleep`,
                     // whose clock can be read while this worker is still
                     // parked (a starved worker never wakes to report it).
                     bump!(
-                        loc.counters.idle_ns,
+                        loc.counters().idle_ns,
                         search_started.elapsed().as_nanos() as u64
                     );
                 };
@@ -252,7 +259,7 @@ fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize) -> Option<T
     let n = loc.stealers.len();
     for k in 1..n {
         if let Some(t) = loc.stealers[(worker_idx + k) % n].steal() {
-            bump!(loc.counters.steals);
+            bump!(loc.counters().steals);
             return Some(dequeued(loc, QueueWait, t));
         }
     }
@@ -296,7 +303,7 @@ pub(crate) fn execute(
     if let Some(pgid) = process {
         if matches!(task.work, Work::Thread(_)) {
             if let Some(fault) = rt.process_cancel_fault(pgid) {
-                bump!(loc.counters.tasks_cancelled);
+                bump!(loc.counters().tasks_cancelled);
                 rt.notify_dead_letter(&fault, None);
                 rt.process_task_done(pgid);
                 return;
@@ -311,19 +318,19 @@ pub(crate) fn execute(
             if let Err(msg) = run_guarded(loc, || f(&mut ctx)) {
                 report_thread_panic(rt, loc, msg);
             }
-            bump!(loc.counters.threads_executed);
+            bump!(loc.counters().threads_executed);
         }
         Work::Resume(f, v) => {
             let mut ctx = Ctx::new(rt, loc, local, process, trace);
             if let Err(msg) = run_guarded(loc, || f(&mut ctx, v)) {
                 report_thread_panic(rt, loc, msg);
             }
-            bump!(loc.counters.resumes);
-            bump!(loc.counters.threads_executed);
+            bump!(loc.counters().resumes);
+            bump!(loc.counters().threads_executed);
         }
         Work::ParcelBytes(bytes) => run_wire_parcel(rt, loc, local, &bytes),
         Work::ParcelFrame(bytes) => {
-            bump!(loc.counters.frames_recv);
+            bump!(loc.counters().frames_recv);
             match px_wire::FrameView::parse(&bytes) {
                 Ok(view) => {
                     let mut seen = 0u32;
@@ -385,7 +392,7 @@ fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Ta
 /// them and tell the hook — once per record, so its fault count stays a
 /// superset of `dead_parcels`.
 fn undecodable(rt: &RuntimeInner, loc: &Locality, records: u32, msg: String) {
-    loc.counters
+    loc.counters()
         .count_death(FaultCause::Decode, u64::from(records));
     let root = Gid::locality_root(loc.id);
     let fault = Fault::new(FaultCause::Decode, ActionId(0), root, msg);
@@ -402,7 +409,7 @@ fn run_guarded<T>(loc: &Locality, f: impl FnOnce() -> T) -> Result<T, String> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(v) => Ok(v),
         Err(payload) => {
-            bump!(loc.counters.panics);
+            bump!(loc.counters().panics);
             let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
                 (*s).to_string()
             } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -470,7 +477,7 @@ pub(crate) fn complete(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parce
 /// Execute a parcel: ownership check (with forwarding), then system or
 /// registry dispatch, then continuation application.
 fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, p: Parcel) {
-    bump!(loc.counters.parcels_recv);
+    bump!(loc.counters().parcels_recv);
     loc.trace_event(
         p.trace,
         crate::trace::TraceEventKind::ParcelDispatch,
@@ -478,7 +485,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
         p.action.0,
     );
     if p.staged {
-        bump!(loc.counters.staged_executed);
+        bump!(loc.counters().staged_executed);
     }
 
     // Cancellation gate, kept to one branch when no process is attached:
@@ -502,12 +509,12 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
             // Stale resolution at the sender: forward the parcel (chase)
             // and repair the sender's cache so the next one routes right.
             if p.hops >= MAX_HOPS {
-                bump!(loc.counters.chase_cap_violations);
+                bump!(loc.counters().chase_cap_violations);
                 let msg = format!("chase exhausted after {MAX_HOPS} hops (object at {owner})");
                 kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
                 return;
             }
-            bump!(loc.counters.parcels_forwarded);
+            bump!(loc.counters().parcels_forwarded);
             if rt.owns(p.src) {
                 rt.agas.repair_cache(p.src, p.dest, owner);
             } else {
@@ -519,7 +526,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
                 Origin::at(rt, loc).send(hint.parcel(Gid::locality_root(p.src), None));
             }
             if !rt.owns(owner) {
-                bump!(loc.counters.dir_forwards);
+                bump!(loc.counters().dir_forwards);
             }
             let mut fwd = p;
             fwd.hops += 1;
@@ -540,8 +547,8 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     }
     // Chase accounting: this parcel is home; record how far it wandered.
     if p.hops > 0 {
-        bump!(loc.counters.chased_parcels);
-        bump!(loc.counters.chase_hops_total, u64::from(p.hops));
+        bump!(loc.counters().chased_parcels);
+        bump!(loc.counters().chase_hops_total, u64::from(p.hops));
     }
 
     // A fault payload short-circuits execution: the fault an upstream
@@ -575,7 +582,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
             let exec_start = loc.metrics_now();
             let result = run_guarded(loc, || handler(&mut ctx, p.dest, p.payload.bytes()));
             loc.metric_elapsed(crate::metrics::Instrument::ExecuteUser, exec_start);
-            bump!(loc.counters.threads_executed);
+            bump!(loc.counters().threads_executed);
             match result {
                 Ok(Ok(v)) => complete(rt, loc, p, v),
                 Ok(Err(e)) => {
@@ -600,7 +607,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
 /// chase; a genuinely freed object exhausts the hop budget and dies.
 pub(crate) fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     if p.hops >= MAX_HOPS {
-        bump!(loc.counters.chase_cap_violations);
+        bump!(loc.counters().chase_cap_violations);
         let msg = format!("retry budget exhausted after {MAX_HOPS} hops (object absent — freed?)");
         kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
         return;
@@ -625,10 +632,10 @@ pub(crate) fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>,
         u64::from(next.0),
     );
     if ask_home {
-        bump!(loc.counters.dir_lookups_remote);
+        bump!(loc.counters().dir_lookups_remote);
         sys::agas::remote_dir_lookup(rt, loc, retry);
     } else {
-        bump!(loc.counters.dir_lookups_local);
+        bump!(loc.counters().dir_lookups_local);
         rt.route_parcel(loc.id, next, retry);
     }
 }
@@ -697,7 +704,7 @@ impl RuntimeInner {
         trace: Option<u64>,
     ) -> Fault {
         let fault = Fault::new(cause, action, dest, message);
-        at.counters.count_death(cause, 1);
+        at.counters().count_death(cause, 1);
         // Record the death before notifying, so a traced dead-letter
         // hook's captured slice includes this very event.
         at.trace_event(
@@ -733,10 +740,9 @@ impl RuntimeInner {
     /// Route a parcel to a known owner locality.
     pub(crate) fn route_parcel(self: &Arc<Self>, from: LocalityId, owner: LocalityId, p: Parcel) {
         let from_loc = &self.localities[from.0 as usize];
-        bump!(from_loc.counters.parcels_sent);
+        bump!(from_loc.counters().parcels_sent);
         if owner == from {
-            // Same locality: no wire, no encoding; direct enqueue.
-            bump!(from_loc.counters.bytes_sent, 0);
+            // Same locality: no wire, no encoding, no bytes; direct enqueue.
             let (lane, process) = (Lane::of_parcel(p.staged), p.process);
             let task = Task::new(Work::Parcel(p)).with_process(process);
             if let Some(pg) = process {
@@ -769,7 +775,7 @@ impl RuntimeInner {
             self.wire
                 .transport
                 .submit(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
-            bump!(from_loc.counters.bytes_sent, n as u64);
+            bump!(from_loc.counters().bytes_sent, n as u64);
             return;
         }
         // Parcel-borne process accounting: the receiving worker decrements
@@ -778,7 +784,7 @@ impl RuntimeInner {
         // frame (see `net::BatchPolicy`); either way it reports the
         // encoded size for accounting.
         let n = self.wire.send_parcel(owner, p);
-        bump!(from_loc.counters.bytes_sent, n as u64);
+        bump!(from_loc.counters().bytes_sent, n as u64);
     }
 
     /// Transfer a closure task to another locality (convenience spawn; see
@@ -791,7 +797,7 @@ impl RuntimeInner {
         // instead of a task rotting on an unowned stub's queue.
         if !self.owns(dest) {
             let own = self.locality(self.origin);
-            own.counters
+            own.counters()
                 .count_death(crate::error::FaultCause::Transport, 1);
             let fault = Fault::new(
                 crate::error::FaultCause::Transport,
@@ -809,8 +815,8 @@ impl RuntimeInner {
             from_loc.push_task(task);
             return;
         }
-        bump!(from_loc.counters.parcels_sent);
-        bump!(from_loc.counters.bytes_sent, 64);
+        bump!(from_loc.counters().parcels_sent);
+        bump!(from_loc.counters().bytes_sent, 64);
         self.wire
             .transport
             .submit(crate::net::WireMsg::Task { dest, task }, 64);
@@ -886,8 +892,8 @@ mod tests {
         loc.push_task(Task::new(Work::ParcelFrame(bytes)));
         let t0 = Instant::now();
         loop {
-            let dead = loc.counters.dead_parcels.get();
-            let recv = loc.counters.parcels_recv.get();
+            let dead = loc.stats().dead_parcels;
+            let recv = loc.stats().parcels_recv;
             if dead == 3 && recv == 2 {
                 break;
             }
@@ -950,7 +956,7 @@ mod tests {
         const SENT_AT: u32 = 20;
         fn link(ctx: &mut Ctx<'_>) {
             let (ran, loc) = (RAN.fetch_add(1, Ordering::SeqCst) + 1, ctx.locality());
-            if loc.counters.batch_flush_pulled.get() > 0 {
+            if loc.stats().batch_flush_pulled > 0 {
                 return PULLED_AT.store(ran, Ordering::SeqCst);
             }
             if ran == ARMED_AT {

@@ -1,10 +1,15 @@
 //! Instrumentation: the efficiency factors the paper names (§2.1) —
 //! latency exposure, overhead, starvation — made measurable.
 //!
-//! Every locality keeps lock-free counters updated by its workers; a
-//! [`StatsSnapshot`] is a consistent-enough copy for experiment output
-//! (individual counters are exact; cross-counter skew is bounded by the
-//! snapshot interval, which is fine for the ratios the experiments report).
+//! Every locality keeps lock-free counters in rows: one per worker, which
+//! only that worker writes, and one shared by every other thread (driver
+//! threads, a TCP loop run off the workers, other localities' workers).
+//! The rows are summed when a snapshot is taken (`Locality::stats`, the
+//! one way to read them), so a [`LocalityStats`] total means what it
+//! would with a single row. A [`StatsSnapshot`] is a consistent-enough
+//! copy for experiment output (individual counters are exact;
+//! cross-counter skew is bounded by the snapshot interval, which is fine
+//! for the ratios the experiments report).
 
 /// A monotone statistic: an event count, a running total, or a ticket
 /// dispenser. Every `counters!` row, histogram cell, AGAS, process and
@@ -56,8 +61,13 @@ macro_rules! counters {
         ; gauges:
         $($(#[$gdoc:meta])* $gauge:ident,)*
     ) => {
-        /// Per-locality counters (all monotone).
+        /// One row of per-locality counters (all monotone). A locality
+        /// keeps one row per worker plus one shared row, and sums them
+        /// when a snapshot is taken (`Locality::stats`): a worker's
+        /// per-task bumps write only its own row, which starts on its own
+        /// cache lines, so no line is written by every worker.
         #[derive(Debug, Default)]
+        #[repr(align(128))]
         pub struct LocalityCounters {
             $($(#[$doc])* pub $name: Counter,)*
         }
@@ -73,8 +83,14 @@ macro_rules! counters {
         impl LocalityCounters {
             /// Copy current values (gauges read 0 until sampled).
             pub fn snapshot(&self) -> LocalityStats {
+                Self::sum(std::slice::from_ref(self))
+            }
+
+            /// The element-wise sum of `rows` (gauges read 0 until
+            /// sampled): one locality's counters.
+            pub fn sum(rows: &[LocalityCounters]) -> LocalityStats {
                 LocalityStats {
-                    $($name: self.$name.get(),)*
+                    $($name: rows.iter().map(|r| r.$name.get()).sum(),)*
                     $($gauge: 0,)*
                 }
             }
@@ -134,18 +150,24 @@ counters! {
     steals,
     /// Times a worker went to sleep with no work (starvation events).
     parks,
-    /// Nanoseconds workers spent executing tasks.
+    /// Nanoseconds workers spent executing tasks. A task a worker finds
+    /// at its first look after the last one is timed from that one's
+    /// end (one clock read per task), so the look, and a loop pass run
+    /// between the two, count as busy.
     busy_ns,
-    /// Nanoseconds workers spent idle (searching or parked).
+    /// Nanoseconds workers spent idle: searching after a look that found
+    /// nothing, or parked.
     idle_ns,
     /// LCO events processed (triggers, contributions, slot fills).
     lco_events,
     /// Percolated (prestaged) tasks executed.
     staged_executed,
-    /// AGAS resolutions served from the local cache.
+    /// AGAS resolutions served from the local cache. Only data objects
+    /// migrate, so only their resolutions are counted: every other name
+    /// resolves to its birthplace without a lookup.
     agas_cache_hits,
-    /// AGAS resolutions *not* served from the local cache (directory
-    /// lookups plus birthplace fallbacks).
+    /// AGAS resolutions of data objects *not* served from the local cache
+    /// (directory lookups plus birthplace fallbacks).
     agas_cache_misses,
     /// AGAS resolutions that consulted the directory.
     agas_directory_lookups,

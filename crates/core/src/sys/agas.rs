@@ -11,7 +11,7 @@ use super::reply;
 use crate::action::Value;
 use crate::agas::MigrationCause;
 use crate::error::{FaultCause, PxError, PxResult};
-use crate::gid::{Gid, LocalityId};
+use crate::gid::{Gid, GidKind, LocalityId};
 use crate::locality::{DataObject, Locality, Stored};
 use crate::origin::Origin;
 use crate::parcel::Parcel;
@@ -87,9 +87,15 @@ fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
 /// destinations reduce to the in-process move; cross-rank destinations
 /// run the split-phase protocol: pin the GID (write freeze) → snapshot
 /// bytes → `DIR_INSTALL` at dest → `DIR_UPDATE` at the home rank → remove
-/// the source copy → unpin and drain parked writes.
+/// the source copy → unpin and drain parked writes. Only a data object
+/// moves, as with [`crate::runtime::Runtime::migrate_data`]: AGAS resolves
+/// every other name to its birthplace without a lookup.
 pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: Migrate) {
     let Migrate { to, cause } = m;
+    if p.dest.kind() != GidKind::Data {
+        let e = PxError::NotMigratable(p.dest);
+        return reply(rt, loc, p, Err(e));
+    }
     if to.0 as usize >= rt.localities.len() {
         let msg = format!("migrate destination {to} out of range");
         return kill_parcel(rt, loc, p, FaultCause::HandlerError, msg);
@@ -253,12 +259,12 @@ pub(super) fn dir_install(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
 pub(super) fn dir_update(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirUpdate) {
     rt.agas.note_owner(m.gid, m.owner);
     rt.agas.repair_cache(loc.id, m.gid, m.owner);
-    bump!(loc.counters.dir_repairs);
+    bump!(loc.counters().dir_repairs);
     complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirLookup) {
-    bump!(loc.counters.dir_lookups_local);
+    bump!(loc.counters().dir_lookups_local);
     let owner = rt.agas.authoritative_owner(m.gid);
     complete(rt, loc, p, owner.encode());
 }
@@ -267,7 +273,7 @@ pub(super) fn dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel,
 /// lost hint only costs the sender another bounded chase.
 pub(super) fn dir_repair(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirRepair) {
     rt.agas.repair_cache(loc.id, m.gid, m.owner);
-    bump!(loc.counters.dir_repairs);
+    bump!(loc.counters().dir_repairs);
     complete(rt, loc, p, Value::unit());
 }
 
@@ -322,7 +328,7 @@ pub(crate) fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, ret
         match LocalityId::decode(v.bytes()) {
             Ok(owner) => {
                 rt.agas.repair_cache(loc.id, gid, owner);
-                bump!(loc.counters.dir_repairs);
+                bump!(loc.counters().dir_repairs);
                 rt.route_parcel(loc.id, owner, retry);
             }
             Err(e) => {

@@ -31,7 +31,7 @@ pub(crate) fn lco_sys_op(
     trace: Option<u64>,
     op: impl FnOnce(&mut LcoCore) -> PxResult<Activations>,
 ) -> PxResult<()> {
-    bump!(loc.counters.lco_events);
+    bump!(loc.counters().lco_events);
     let lco = loc.get_lco(gid)?;
     // Harvest the creation stamp exactly once, at the event that resolved
     // the LCO (fire or poison) — the spawn→resolution latency, on this

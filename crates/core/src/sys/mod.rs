@@ -200,7 +200,7 @@ fn ping(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
 /// Merge a peer's load view. With the balancer off there is nothing to
 /// merge into, and the (counted) parcel completes all the same.
 fn balance_gossip(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    bump!(loc.counters.gossip_parcels);
+    bump!(loc.counters().gossip_parcels);
     if let Some(b) = &loc.balance {
         match px_balance::decode_gossip(p.payload.bytes()) {
             Ok(entries) => b.peers.lock().merge(&entries),
