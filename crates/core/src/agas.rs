@@ -18,6 +18,20 @@
 //! The symbolic name service ("hierarchical naming structure") maps
 //! path-style strings (`"/app/mesh/block7"`) to GIDs.
 //!
+//! ## Moves and the hop bound
+//!
+//! Every move of an object, in-process or across ranks, pins its GID
+//! ([`Agas::begin_migration`]) from its first step to its last. A parcel
+//! that does not find its object where it lands follows one rule
+//! (`sys::agas::not_here`): it is forwarded when the directory names
+//! another locality, parks on the pin when a move is in flight, and dies
+//! at once when an authoritative directory says the object is absent —
+//! freed, or never created. Only a forward costs a hop, and a forward
+//! follows a directory entry some completed move wrote, so on both
+//! backends **a parcel's hops are at most the moves of its object that
+//! complete while it travels**. The 16-hop cap is reached only by a
+//! migration storm.
+//!
 //! ## Distributed operation
 //!
 //! Over TCP every OS process holds one `Agas` instance, but only the
@@ -28,9 +42,8 @@
 //! by the same bounded forwarding chase used in-process (the chasing
 //! parcel carries its hop count; the home rank is consulted via
 //! `__sys/dir_lookup` on the control lane when the chase needs an
-//! authoritative answer). Cross-rank migrations additionally pin the
-//! moving GID in the [`Agas::begin_migration`] freeze set so the
-//! multi-RTT protocol never holds `migrate_lock` across the wire.
+//! authoritative answer). A cross-rank move holds its pin across the
+//! protocol's round trips; no lock is ever held across the wire.
 
 use crate::error::{PxError, PxResult};
 use crate::fxmap::{FxHashMap, FxHashSet};
@@ -52,8 +65,8 @@ pub enum MigrationCause {
 }
 
 /// State behind [`Agas::begin_migration`]/[`Agas::end_migration`]: which
-/// GIDs have a cross-rank migration protocol in flight, and the parcels
-/// parked against each until the protocol settles.
+/// GIDs have a move in flight, and the parcels parked against each until
+/// the move settles.
 #[derive(Default)]
 struct MigrationSync {
     in_flight: FxHashSet<Gid>,
@@ -74,20 +87,14 @@ pub struct Agas {
     heat: Vec<Mutex<FxHashMap<Gid, u64>>>,
     /// Symbolic names (global, rarely written).
     names: RwLock<FxHashMap<String, Gid>>,
-    /// Serializes whole migrations (store move + directory update).
-    /// Without it, two concurrent migrations of the same object can both
-    /// read the same `from`, insert at different destinations, and leave
-    /// a stale resident copy wherever the directory loser inserted.
-    /// Migrations are rare (manual calls + capped balancer pulls), so one
-    /// global lock is cheaper than per-object machinery.
-    migrate_lock: Mutex<()>,
-    /// Cross-rank migration synchronization. The distributed protocol
-    /// spans two remote RTTs (install at dest, then update the home
-    /// directory), so it cannot hold `migrate_lock` for its duration;
-    /// instead each migration pins its GID in `in_flight` for the whole
-    /// protocol and concurrent starters park their parcels in
-    /// `deferred`. The lock only guards set/map membership — it is
-    /// never held across a wire operation.
+    /// Move serialization, one pin per GID. Every move pins its GID in
+    /// `in_flight` for its whole run — the in-process store move and the
+    /// cross-rank protocol's round trips alike — so two moves of one
+    /// object never interleave (both could otherwise read the same
+    /// source and leave a stale copy at the directory loser), and
+    /// parcels that find the object absent meanwhile park in `deferred`.
+    /// The lock only guards set/map membership — it is never held
+    /// across a wire operation.
     migration_sync: Mutex<MigrationSync>,
     /// Monotone count of migrations (diagnostics).
     migrations: Counter,
@@ -116,7 +123,6 @@ impl Agas {
             caches: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
             heat: (0..n).map(|_| Mutex::new(FxHashMap::default())).collect(),
             names: RwLock::new(FxHashMap::default()),
-            migrate_lock: Mutex::new(()),
             migration_sync: Mutex::new(MigrationSync::default()),
             migrations: Counter::default(),
             migrations_manual: Counter::default(),
@@ -213,16 +219,10 @@ impl Agas {
         self.migrations.get()
     }
 
-    /// Hold the migration lock for the duration of a store move +
-    /// directory update (see `migrate_lock`).
-    pub fn migration_guard(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.migrate_lock.lock()
-    }
-
-    /// Pin `gid` for a cross-rank migration. Returns `false` (and pins
-    /// nothing) when a migration of the same GID is already in flight —
-    /// the caller must park its request via
-    /// [`Agas::defer_during_migration`] rather than race the protocol.
+    /// Pin `gid` for a move. Returns `false` (and pins nothing) when a
+    /// move of the same GID is already in flight — the caller must not
+    /// race it: it parks its request via [`Agas::defer_during_migration`]
+    /// or reports the object gone.
     /// Pair every `true` return with exactly one [`Agas::end_migration`],
     /// including on every failure path.
     pub fn begin_migration(&self, gid: Gid) -> bool {
@@ -244,24 +244,34 @@ impl Agas {
         sync.deferred.remove(&gid).unwrap_or_default()
     }
 
-    /// Park `p` until the in-flight migration of `gid` settles. Returns
-    /// the parcel back when no migration is in flight (the race resolved
-    /// before the lock was taken) — the caller re-sends it immediately.
-    pub fn defer_during_migration(
+    /// Park `p` until the move of `gid` in flight settles, and return
+    /// `None`. With no move in flight, run `look` under the same lock and
+    /// hand the parcel back with its answer: no move of `gid` can start
+    /// or end meanwhile, so what `look` reads of the directory and the
+    /// stores is one consistent state.
+    pub fn defer_during_migration<T>(
         &self,
         gid: Gid,
         p: crate::parcel::Parcel,
-    ) -> Option<crate::parcel::Parcel> {
+        look: impl FnOnce() -> T,
+    ) -> Option<(crate::parcel::Parcel, T)> {
         let mut sync = self.migration_sync.lock();
         if sync.in_flight.contains(&gid) {
             sync.deferred.entry(gid).or_default().push(p);
             None
         } else {
-            Some(p)
+            Some((p, look()))
         }
     }
 
-    /// Whether a cross-rank migration of `gid` is currently in flight.
+    /// How many parcels are parked on `gid`'s pin.
+    #[cfg(test)]
+    pub(crate) fn parked(&self, gid: Gid) -> usize {
+        let sync = self.migration_sync.lock();
+        sync.deferred.get(&gid).map_or(0, Vec::len)
+    }
+
+    /// Whether a move of `gid` is currently in flight.
     pub fn migration_in_flight(&self, gid: Gid) -> bool {
         self.migration_sync.lock().in_flight.contains(&gid)
     }
@@ -564,14 +574,15 @@ mod tests {
             crate::action::Value::unit(),
             crate::parcel::Continuation::none(),
         );
-        assert!(agas.defer_during_migration(a, park).is_none());
+        assert!(agas.defer_during_migration(a, park, || ()).is_none());
         let free = crate::parcel::Parcel::new(
             gid_at(0, 3),
             crate::action::ActionId::of("test/free"),
             crate::action::Value::unit(),
             crate::parcel::Continuation::none(),
         );
-        assert!(agas.defer_during_migration(gid_at(0, 3), free).is_some());
+        let back = agas.defer_during_migration(gid_at(0, 3), free, || 7);
+        assert!(matches!(back, Some((_, 7))), "back, with the look's answer");
 
         let drained = agas.end_migration(a);
         assert_eq!(drained.len(), 1, "unpin returns the parked parcels");

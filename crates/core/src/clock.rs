@@ -272,20 +272,27 @@ mod tests {
         assert_eq!(timers.timeout(t0), None, "untimed with nothing armed");
     }
 
-    /// On the real clock: an item armed ahead of the earliest says so, a
-    /// park lasts until the earliest deadline, and only a ring ends a
-    /// park with nothing armed.
+    /// On the stepped clock: an item armed ahead of the earliest says
+    /// so; a park with nothing due lasts until an advance rings it, after
+    /// which 'a' is due and 'b' is not; a park with an item due returns at
+    /// once; and only a ring ends a park with nothing armed.
     #[test]
     fn a_heap_parks_until_due_or_rung() {
-        let heap = Heap::new(&Clock::Real);
+        let clock = stepped::Stepper::default();
+        let heap = Heap::new(&Clock::Stepped(clock.clone()));
         let t0 = heap.now();
         assert!(heap.arm(t0 + 10 * MS, 'b'), "the first is the earliest");
         assert!(!heap.arm(t0 + 20 * MS, 'c'));
         assert!(heap.arm(t0 + 2 * MS, 'a'), "ahead of the earliest");
-        while heap.take_due().is_empty() {
-            heap.park();
-        }
-        assert!(t0.elapsed() >= 2 * MS, "fired {:?} early", t0.elapsed());
+        assert!(heap.take_due().is_empty(), "nothing due at the start");
+        let stepper = std::thread::spawn(move || clock.advance(5 * MS));
+        heap.park();
+        stepper.join().unwrap();
+        assert_eq!(heap.take_due(), ['a'], "'a' due, 'b' not");
+        assert!(!heap.due(), "the advance's ring was answered by the park");
+        assert!(heap.arm(t0, 'z'), "an item already due");
+        heap.park();
+        assert_eq!(heap.take_due(), ['z']);
         assert_eq!([heap.pop(), heap.pop()], [Some('b'), Some('c')]);
         let bell = heap.bell();
         let ringer = std::thread::spawn(move || bell.ring());

@@ -77,8 +77,8 @@ macro_rules! fault_causes {
 }
 
 fault_causes! {
-    /// The forwarding/retry hop budget was exhausted chasing a migrating
-    /// or freed object.
+    /// The forwarding hop budget was exhausted chasing an object through
+    /// a migration storm.
     HopCap = 0, "hop-cap exhausted", dead_hop_cap;
     /// The parcel named an action absent from the registry.
     UnknownAction = 1, "unknown action", dead_unknown_action;

@@ -410,10 +410,14 @@ impl LcoCore {
 
     /// Poison the LCO: a producer it was waiting on died. Every current
     /// waiter — value waiters *and* queued semaphore acquirers — is
-    /// released exactly once with the fault, and every future waiter
-    /// receives it immediately on registration. Poisoning an LCO that has
-    /// already fired (or is already poisoned) is a no-op: its waiters
-    /// were satisfied, and the fault was counted where it was raised.
+    /// released exactly once with the fault. A shared LCO hands it to
+    /// every later waiter too, on registration. A one-shot LCO has one
+    /// reader, fault or value: the fault goes to that reader — now, or on
+    /// registration if none waits yet — and the read frees the LCO, so a
+    /// later reader finds it gone (`NoSuchObject`, as any freed object).
+    /// Poisoning an LCO that has already fired (or is already poisoned)
+    /// is a no-op: its waiters were satisfied, and the fault was counted
+    /// where it was raised.
     pub fn poison(&mut self, fault: Fault) -> Activations {
         match &mut self.state {
             LcoState::Ready(_) | LcoState::Poisoned(_) => Vec::new(),

@@ -655,8 +655,10 @@ mod tests {
     /// The two nestings the lexical lock-order rule knew of, on the
     /// dynamic check's record once they have run: a directory shard over
     /// a resolution cache (`Agas::resolve`), the process table over a
-    /// child list (`ProcessRef::children`). A class is where its lock is
-    /// built.
+    /// child list (`ProcessRef::children`). And the one rule for an
+    /// absent object's parcel (`sys::agas::not_here`): the migration-sync
+    /// lock over a directory shard and a locality's store. A class is
+    /// where its lock is built.
     #[cfg(debug_assertions)]
     #[test]
     fn the_known_lock_nestings_are_on_record() {
@@ -668,12 +670,15 @@ mod tests {
         let parent = rt.create_process(LocalityId(0));
         parent.create_subprocess(&rt, LocalityId(1)).unwrap();
         assert_eq!(parent.children(&rt).len(), 1);
+        let never = Gid::new(LocalityId(1), GidKind::Data, 0xFEED);
+        assert!(rt.read_data(never).is_err());
         let nested = |held: &str, taken: &str| {
             parking_lot::acquired_before()
                 .iter()
                 .any(|(h, t)| h != t && h.file().ends_with(held) && t.file().ends_with(taken))
         };
         assert!(nested("agas.rs", "agas.rs"), "shard -> caches");
+        assert!(nested("agas.rs", "locality.rs"), "migration_sync -> store");
         assert!(
             nested("runtime.rs", "process.rs"),
             "process_table -> children"

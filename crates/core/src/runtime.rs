@@ -779,29 +779,13 @@ impl Runtime {
         self.origin().new_data(loc, bytes)
     }
 
-    /// Read a data object wherever it lives (driver-side shortcut; inside
-    /// PX-threads use parcels or [`Ctx::fetch_data`]). In-process, owner
-    /// lookup and store access happen under the migration guard, so a
-    /// concurrent migration (manual or balancer) cannot yield a spurious
-    /// `NoSuchObject` between the two. Across ranks the read is a
-    /// `DATA_GET` parcel round-trip instead — no lock is ever held across
-    /// the RTT, and the bounded chase (not the guard) absorbs races with
-    /// concurrent migrations.
+    /// Read a data object wherever it lives (driver-side shortcut for
+    /// verification; inside PX-threads use parcels or
+    /// [`Ctx::fetch_data`]). One `DATA_GET` round trip on both backends:
+    /// a concurrent migration parks or forwards the request like any
+    /// other parcel, and a missing object — freed or never created —
+    /// returns `Err(PxError::Fault)`.
     pub fn read_data(&self, gid: Gid) -> PxResult<Vec<u8>> {
-        // In-process every owner is owned: the parcel path below is the
-        // distributed runtime's alone.
-        let rt = &self.inner;
-        if rt.owns(rt.agas.authoritative_owner(gid)) {
-            let _guard = self.inner.agas.migration_guard();
-            let owner = self.inner.agas.authoritative_owner(gid);
-            if self.inner.owns(owner) {
-                let d = self.inner.locality(owner).get_data(gid)?;
-                let g = d.read();
-                return Ok(g.bytes.clone());
-            }
-            // Re-homed between the two lookups: fall through to the
-            // parcel path (guard dropped first).
-        }
         self.sys_rpc(sys::bare(gid, sys::DATA_GET))?
             .decode::<Vec<u8>>()
     }
@@ -814,11 +798,14 @@ impl Runtime {
         self.wait_value(self.origin().request(p))
     }
 
-    /// Migrate a data object to `to`. In-process, the object is inserted
-    /// at the destination before it is removed from the source (both
-    /// stores briefly alias the same `Arc`), so a racing parcel never
-    /// finds it nowhere; parcels routed on stale caches are forwarded
-    /// (bounded chase) by the scheduler. Across ranks the same no-window
+    /// Migrate a data object to `to`. Every move pins the object's GID
+    /// for its whole run, so moves of one object never interleave: a
+    /// call that finds another move in flight (or the object gone)
+    /// returns `Err(PxError::NoSuchObject)` in-process. In-process, the
+    /// object is inserted at the destination before it is removed from
+    /// the source (both stores briefly alias the same `Arc`), so a racing
+    /// parcel never finds it nowhere; parcels routed on stale caches are
+    /// forwarded (bounded chase). Across ranks the same no-window
     /// ordering runs as a split-phase `__sys` protocol — install at dest,
     /// flip the home directory, then remove at source — driven by an
     /// `AGAS_MIGRATE` parcel that chases the object to its current
@@ -841,7 +828,7 @@ impl Runtime {
         if from == to {
             return Ok(());
         }
-        crate::balance::migrate_object(
+        sys::agas::migrate_object(
             &self.inner,
             gid,
             from,

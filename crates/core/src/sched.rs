@@ -33,10 +33,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Maximum forward hops before a parcel is declared dead (covers races
-/// between migration and in-flight parcels; real losses are user bugs).
-const MAX_HOPS: u8 = 16;
-
 pub(crate) enum Work {
     /// Fresh PX-thread.
     Thread(Box<dyn FnOnce(&mut Ctx<'_>) + Send + 'static>),
@@ -474,8 +470,9 @@ pub(crate) fn complete(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parce
     apply_continuation(rt, loc, p.cont, value, p.trace);
 }
 
-/// Execute a parcel: ownership check (with forwarding), then system or
-/// registry dispatch, then continuation application.
+/// Execute a parcel: ownership check (an absent object's parcel goes to
+/// `sys::agas::not_here`), then system or registry dispatch, then
+/// continuation application.
 fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, p: Parcel) {
     bump!(loc.counters().parcels_recv);
     loc.trace_event(
@@ -504,46 +501,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     // locality root, the staging buffer) are always "here" by construction:
     // the sender routed on the GID's locality field.
     if !p.dest.is_hardware() && !loc.contains(p.dest) {
-        let owner = rt.agas.authoritative_owner(p.dest);
-        if owner != loc.id {
-            // Stale resolution at the sender: forward the parcel (chase)
-            // and repair the sender's cache so the next one routes right.
-            if p.hops >= MAX_HOPS {
-                bump!(loc.counters().chase_cap_violations);
-                let msg = format!("chase exhausted after {MAX_HOPS} hops (object at {owner})");
-                kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
-                return;
-            }
-            bump!(loc.counters().parcels_forwarded);
-            if rt.owns(p.src) {
-                rt.agas.repair_cache(p.src, p.dest, owner);
-            } else {
-                // The sender lives in another OS process: its cache is not
-                // writable from here, so ship the hint as a control-lane
-                // parcel instead (fire-and-forget: a lost hint only costs
-                // another chase).
-                let hint = sys::msg::DirRepair { gid: p.dest, owner };
-                Origin::at(rt, loc).send(hint.parcel(Gid::locality_root(p.src), None));
-            }
-            if !rt.owns(owner) {
-                bump!(loc.counters().dir_forwards);
-            }
-            let mut fwd = p;
-            fwd.hops += 1;
-            loc.trace_event(
-                fwd.trace,
-                crate::trace::TraceEventKind::ParcelForward,
-                fwd.dest.0,
-                u64::from(fwd.hops),
-            );
-            rt.route_parcel(loc.id, owner, fwd);
-            return;
-        }
-        // We are the authoritative owner but the object is absent: either
-        // it is mid-migration (retry; the wire acts as backoff) or it was
-        // freed (bounded by MAX_HOPS, then dead).
-        retry_after_migration(rt, loc, p);
-        return;
+        return sys::agas::not_here(rt, loc, p);
     }
     // Chase accounting: this parcel is home; record how far it wandered.
     if p.hops > 0 {
@@ -600,46 +558,6 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     }
 }
 
-/// Re-route a parcel whose target object is absent from the locality the
-/// directory pointed at — mid-migration (including the final remove
-/// interleaving with a check-then-get in a data handler). The directory
-/// already knows the current owner, so this is the ordinary bounded
-/// chase; a genuinely freed object exhausts the hop budget and dies.
-pub(crate) fn retry_after_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    if p.hops >= MAX_HOPS {
-        bump!(loc.counters().chase_cap_violations);
-        let msg = format!("retry budget exhausted after {MAX_HOPS} hops (object absent — freed?)");
-        kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
-        return;
-    }
-    // When the GID's home is another rank, this rank's directory claims
-    // ownership but the object is gone — our view is stale and only the
-    // home rank's entry is authoritative: ask it where the object went
-    // (control lane) and re-route on the answer.
-    let home = p.dest.birthplace();
-    let ask_home = rt.distributed() && !rt.owns(home);
-    let next = if ask_home {
-        home
-    } else {
-        rt.agas.authoritative_owner(p.dest)
-    };
-    let mut retry = p;
-    retry.hops += 1;
-    loc.trace_event(
-        retry.trace,
-        crate::trace::TraceEventKind::Chase,
-        retry.dest.0,
-        u64::from(next.0),
-    );
-    if ask_home {
-        bump!(loc.counters().dir_lookups_remote);
-        sys::agas::remote_dir_lookup(rt, loc, retry);
-    } else {
-        bump!(loc.counters().dir_lookups_local);
-        rt.route_parcel(loc.id, next, retry);
-    }
-}
-
 /// Apply a continuation specifier with the result value. Local LCO steps
 /// run immediately; remote steps and calls become parcels. The causing
 /// parcel's trace id rides along every step.
@@ -669,7 +587,8 @@ impl RuntimeInner {
     /// become system parcels (carrying `trace`, so the chain survives the
     /// hop). LCOs never migrate, so one owned here but absent was freed —
     /// a one-shot future already read — and the event dies in place as a
-    /// counted `NoSuchObject` instead of chasing it to the hop cap.
+    /// counted `NoSuchObject`, as a parcel for it does at its owner
+    /// (`sys::agas::not_here`).
     pub(crate) fn lco_route(
         self: &Arc<Self>,
         from: &Arc<Locality>,

@@ -193,8 +193,7 @@ counters! {
     /// counters below). Every death also raises a fault delivered to the
     /// parcel's continuation — see the "Failure semantics" README section.
     dead_parcels,
-    /// Deaths: forwarding/retry hop budget exhausted (migration storm or
-    /// freed object).
+    /// Deaths: forwarding hop budget exhausted (a migration storm).
     dead_hop_cap,
     /// Deaths: action absent from the registry.
     dead_unknown_action,
@@ -225,16 +224,16 @@ counters! {
     tasks_shed,
     /// Objects migrated *to* here by the balancer (heat-driven pulls).
     balance_pulls,
-    /// Hops accumulated by parcels that ultimately executed here — both
-    /// forward hops after a stale resolution and owner-but-absent retry
-    /// hops during a migration window (every hop is a routing cost paid
-    /// to find the object). AGAS chase length numerator; divide by
+    /// Hops accumulated by parcels that ultimately executed here: the
+    /// forwards that followed stale resolutions (a hop is a routing cost
+    /// paid to find the object; parking on a move's pin costs none).
+    /// AGAS chase length numerator; divide by
     /// [`LocalityStats::chased_parcels`].
     chase_hops_total,
-    /// Parcels executed here after at least one forward or retry hop.
+    /// Parcels executed here after at least one forward.
     chased_parcels,
     /// Parcels killed here by the forwarding hop cap (chase budget
-    /// exhausted: migration storm or a freed object).
+    /// exhausted: a migration storm).
     chase_cap_violations,
     /// Causal-trace events recorded into this locality's ring (zero
     /// unless `Config::trace` is enabled).

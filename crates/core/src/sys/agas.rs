@@ -1,10 +1,11 @@
 //! The global address space as system actions: data get/put on an object
-//! wherever it lives, cross-rank migration (split-phase: install at the
-//! destination → flip the home directory → remove at the source →
-//! commit), the home-directory lookups and repairs that keep the chase
-//! bounded, and cluster-visible names. No lock is held across a round
-//! trip and no worker blocks on one: each ack resumes as a depleted
-//! thread (`Origin::request_then`).
+//! wherever it lives, migration (in-process: one pinned store move;
+//! cross-rank, split-phase: install at the destination → flip the home
+//! directory → remove at the source → commit), the one rule for a parcel
+//! that does not find its object, the home-directory lookups and repairs
+//! that keep the chase bounded, and cluster-visible names. No lock is
+//! held across a round trip and no worker blocks on one: each ack resumes
+//! as a depleted thread (`Origin::request_then`).
 
 use super::msg::{DirCommit, DirInstall, DirLookup, DirRepair, DirUpdate, Migrate, Wire};
 use super::reply;
@@ -16,19 +17,93 @@ use crate::locality::{DataObject, Locality, Stored};
 use crate::origin::Origin;
 use crate::parcel::Parcel;
 use crate::runtime::{Ctx, RuntimeInner};
-use crate::sched::{complete, kill_parcel, retry_after_migration};
+use crate::sched::{cause_of, complete, kill_parcel};
 use crate::stats::bump;
 use crate::trace::TraceEventKind;
 use std::sync::Arc;
 
+/// Forwards a parcel may make before it dies as [`FaultCause::HopCap`].
+/// Each forward follows a move that completed while the parcel
+/// travelled, so only a migration storm reaches the cap.
+const MAX_HOPS: u8 = 16;
+
+/// The one rule for a parcel whose object `loc` does not hold, whether
+/// dispatch's residency check or a handler's store access found it
+/// missing. Under the migration-sync lock, with no move of the object in
+/// flight, the directory and the store read here are one consistent
+/// state; so the parcel is
+///
+/// * parked on the pin while a move is in flight (no hop; it keeps its
+///   process active until [`end_migration`] re-sends it);
+/// * forwarded when the directory names another locality — a hop, and
+///   the only kind;
+/// * run here after all when the object arrived meanwhile;
+/// * killed at once when this rank's directory is authoritative for the
+///   GID (in-process, or the GID's home rank): the object was freed or
+///   never created, the same `NoSuchObject` death `lco_route` gives an
+///   event for a freed LCO;
+/// * otherwise re-routed on the answer of the GID's home rank.
+pub(crate) fn not_here(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
+    let (gid, process) = (p.dest, p.process);
+    if let Some(pg) = process {
+        rt.process_task_started(pg, loc.id);
+    }
+    let look = || (rt.agas.authoritative_owner(gid), loc.contains(gid));
+    let Some((p, (owner, resident))) = rt.agas.defer_during_migration(gid, p, look) else {
+        return; // parked, still holding the token taken above
+    };
+    if let Some(pg) = process {
+        rt.process_task_done(pg);
+    }
+    if owner != loc.id {
+        forward(rt, loc, p, owner);
+    } else if resident {
+        rt.route_parcel(loc.id, loc.id, p);
+    } else if !rt.distributed() || rt.owns(gid.birthplace()) {
+        bump!(loc.counters().dir_lookups_local);
+        let e = PxError::NoSuchObject(gid);
+        kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
+    } else {
+        remote_dir_lookup(rt, loc, p);
+    }
+}
+
+/// Send `p` on toward `owner`, which the directory names in place of
+/// `loc`, and repair the sender's cache so its next parcel routes right.
+/// The one site that spends a hop, and the one that checks the budget.
+fn forward(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parcel, owner: LocalityId) {
+    if p.hops >= MAX_HOPS {
+        bump!(loc.counters().chase_cap_violations);
+        let msg = format!("chase exhausted after {MAX_HOPS} hops (object at {owner})");
+        return kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
+    }
+    bump!(loc.counters().parcels_forwarded);
+    if rt.owns(p.src) {
+        rt.agas.repair_cache(p.src, p.dest, owner);
+    } else {
+        // The sender lives in another OS process: its cache is not
+        // writable from here, so ship the hint as a control-lane parcel
+        // instead (fire-and-forget: a lost hint only costs another chase).
+        let hint = DirRepair { gid: p.dest, owner };
+        Origin::at(rt, loc).send(hint.parcel(Gid::locality_root(p.src), None));
+    }
+    if !rt.owns(owner) {
+        bump!(loc.counters().dir_forwards);
+    }
+    p.hops += 1;
+    let kind = TraceEventKind::ParcelForward;
+    loc.trace_event(p.trace, kind, p.dest.0, u64::from(p.hops));
+    rt.route_parcel(loc.id, owner, p);
+}
+
 /// [`reply`] for an op on a data object: one that left between the
 /// residency check and the store access (a migration's final remove
-/// interleaved) is chased rather than stranding the continuation.
-/// Wrong-kind targets are a user bug and fail fast — retrying cannot fix
-/// them.
+/// interleaved) goes through [`not_here`] rather than stranding the
+/// continuation. Wrong-kind targets are a user bug and fail fast —
+/// retrying cannot fix them.
 fn reply_or_chase(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, r: PxResult<Value>) {
     match r {
-        Err(PxError::NoSuchObject(_)) => retry_after_migration(rt, loc, p),
+        Err(PxError::NoSuchObject(_)) => not_here(rt, loc, p),
         r => reply(rt, loc, p, r),
     }
 }
@@ -54,10 +129,12 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     // migration pins the GID *before* reading its snapshot, and that read
     // blocks on this lock — so an unfrozen put seen here is ordered
     // before the snapshot, never silently after it. A frozen put is
-    // parked and re-sent toward the new owner on drain.
+    // parked and re-sent toward the new owner on drain. In-process a move
+    // copies nothing (both stores alias one `Arc`), so a put lands on
+    // the moving object itself and no freeze is needed.
     if rt.distributed() && rt.agas.migration_in_flight(p.dest) {
         drop(g);
-        return park_during_migration(rt, loc, p);
+        return not_here(rt, loc, p);
     }
     g.bytes = bytes;
     g.version += 1;
@@ -65,22 +142,59 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     complete(rt, loc, p, Value::unit());
 }
 
-/// Park `p` against its target's in-flight migration: it lives in the
-/// migration-sync map until `end_migration` drains and re-sends it. If
-/// the protocol settled before we could park, chase the object to
-/// wherever it landed.
-fn park_during_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    if let Some(back) = rt.agas.defer_during_migration(p.dest, p) {
-        retry_after_migration(rt, loc, back);
+/// Unpin `gid` and re-send the parcels parked under the pin; they
+/// re-resolve against the directory as it now stands. Each gives back the
+/// process token [`not_here`] took for it once it is on its way.
+fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
+    for parked in rt.agas.end_migration(gid) {
+        let process = parked.process;
+        Origin::at(rt, loc).send(parked);
+        if let Some(pg) = process {
+            rt.process_task_done(pg);
+        }
     }
 }
 
-/// Unpin `gid` and re-send the parcels parked under the pin; they
-/// re-resolve against the directory as it now stands.
-fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
-    for parked in rt.agas.end_migration(gid) {
-        Origin::at(rt, loc).send(parked);
+/// The in-process move of `gid` from `from` to `to`, pinned like every
+/// move: insert at the destination → directory update → remove at the
+/// source, then unpin and re-send what parked meanwhile. Stored objects
+/// are `Arc`s, so during the overlap both stores alias the *same* object:
+/// nothing is copied, and there is no instant at which a racing parcel
+/// finds it nowhere. A move that loses the pin to another, or finds the
+/// object no longer at `from`, reports `NoSuchObject` — as a move that
+/// ran after the winner would.
+pub(crate) fn migrate_object(
+    rt: &Arc<RuntimeInner>,
+    gid: Gid,
+    from: LocalityId,
+    to: LocalityId,
+    cause: MigrationCause,
+) -> PxResult<()> {
+    if !rt.agas.begin_migration(gid) {
+        return Err(PxError::NoSuchObject(gid));
     }
+    let source = rt.locality(from);
+    let object = source
+        .get(gid)
+        .filter(|_| rt.agas.authoritative_owner(gid) == from);
+    let moved = match object {
+        None => Err(PxError::NoSuchObject(gid)),
+        Some(_) if from == to => Ok(()),
+        Some(object) => {
+            rt.locality(to).insert_at(gid, object);
+            rt.agas.record_migration_caused(gid, to, cause);
+            source.remove(gid);
+            // Migrations are driver- or balancer-initiated (no parcel, no
+            // trace id); record under the never-sampled id 0 so a dump
+            // still shows the moves that the chase events around them
+            // refer to.
+            let to_id = u64::from(to.0);
+            source.trace_event(Some(0), TraceEventKind::Migrate, gid.0, to_id);
+            Ok(())
+        }
+    };
+    end_migration(rt, source, gid);
+    moved
 }
 
 /// `AGAS_MIGRATE` at the object's current resident rank. Same-rank
@@ -106,16 +220,15 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
         return complete(rt, loc, p, Value::unit());
     }
     if rt.owns(to) {
-        // Destination shares this OS process: the serialized in-process
-        // move suffices (no RTT, so holding `migrate_lock` is fine).
-        let r = crate::balance::migrate_object(rt, gid, loc.id, to, cause);
+        // Destination shares this OS process: the in-process move.
+        let r = migrate_object(rt, gid, loc.id, to, cause);
         return reply_or_chase(rt, loc, p, r.map(|()| Value::unit()));
     }
     if !rt.agas.begin_migration(gid) {
         // Another migration of this object is mid-protocol: park the
         // request; the drain re-sends it once the store settles (it then
         // chases to wherever the object landed).
-        return park_during_migration(rt, loc, p);
+        return not_here(rt, loc, p);
     }
     // Snapshot under the pin: parked DATA_PUTs can no longer change the
     // bytes, so the installed copy is the authoritative image.
@@ -307,15 +420,18 @@ pub(super) fn name_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
     }
 }
 
-/// Split-phase remote directory lookup for a parcel (already charged its
-/// hop) that this rank's stale directory stranded: ask the GID's home
-/// rank for the authoritative owner and re-route on the answer. A dead
-/// home rank poisons the reply through the transport dead-letter path,
-/// which resolves the parcel as a counted `Transport` fault in bounded
-/// time.
-pub(crate) fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, retry: Parcel) {
+/// Split-phase remote directory lookup for a parcel that this rank's
+/// stale directory stranded: ask the GID's home rank for the
+/// authoritative owner and forward on the answer (the hop is spent
+/// there). A dead home rank poisons the reply through the transport
+/// dead-letter path, which resolves the parcel as a counted `Transport`
+/// fault in bounded time.
+fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, retry: Parcel) {
     let gid = retry.dest;
     let home = gid.birthplace();
+    bump!(loc.counters().dir_lookups_remote);
+    let kind = TraceEventKind::Chase;
+    loc.trace_event(retry.trace, kind, gid.0, u64::from(home.0));
     let stamp = loc.metrics_now();
     let ask = DirLookup { gid }.parcel(Gid::locality_root(home), retry.trace);
     Origin::at(rt, loc).request_then(ask, move |ctx, v| {
@@ -329,7 +445,7 @@ pub(crate) fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, ret
             Ok(owner) => {
                 rt.agas.repair_cache(loc.id, gid, owner);
                 bump!(loc.counters().dir_repairs);
-                rt.route_parcel(loc.id, owner, retry);
+                forward(rt, loc, retry, owner);
             }
             Err(e) => {
                 let msg = format!("undecodable dir_lookup reply: {e}");
@@ -337,4 +453,101 @@ pub(crate) fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, ret
             }
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use std::time::{Duration, Instant};
+
+    const BOUND: Duration = Duration::from_secs(10);
+
+    /// True once `ok` holds, looking for up to `BOUND`.
+    fn wait_until(mut ok: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while t0.elapsed() < BOUND {
+            if ok() {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        ok()
+    }
+
+    /// One locality holding a data object `[9]` that is pinned and, as
+    /// mid-move, absent from its owner's store; the object is returned
+    /// for the test to put back.
+    fn pinned_and_absent() -> (Runtime, Gid, Stored) {
+        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
+        let x = rt.new_data_at(LocalityId(0), vec![9]);
+        assert!(rt.inner().agas.begin_migration(x));
+        let object = rt.inner().localities[0].remove(x).unwrap();
+        (rt, x, object)
+    }
+
+    /// Put `object` back under `x` and end the move: the parked parcels
+    /// are re-sent.
+    fn settle(rt: &Runtime, x: Gid, object: Stored) {
+        let loc = &rt.inner().localities[0];
+        loc.insert_at(x, object);
+        end_migration(rt.inner(), loc, x);
+    }
+
+    /// A `DATA_GET` for a pinned object absent at its owner parks on the
+    /// pin: dispatched once, then not again until the move ends, and
+    /// completed after it with no hop spent.
+    #[test]
+    fn a_pinned_absent_object_parks_its_parcel_until_the_move_ends() {
+        let (rt, x, object) = pinned_and_absent();
+        let fut = rt.run_blocking(LocalityId(0), move |ctx| ctx.fetch_data(x));
+        assert!(
+            wait_until(|| rt.inner().agas.parked(x) == 1),
+            "never parked"
+        );
+        let dispatched = || rt.stats().localities[0].parcels_recv;
+        assert_eq!(dispatched(), 1);
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(dispatched(), 1, "a parked parcel is not dispatched again");
+        settle(&rt, x, object);
+        assert_eq!(rt.wait_future_timeout(fut, BOUND).unwrap(), Some(vec![9]));
+        assert_eq!(rt.inner().agas.parked(x), 0);
+        let s = rt.stats().total();
+        assert_eq!(s.parcels_recv, 2, "once parked, once re-sent");
+        assert_eq!((s.parcels_forwarded, s.chased_parcels), (0, 0));
+        assert_eq!((s.chase_hops_total, s.dead_parcels), (0, 0));
+        rt.shutdown();
+    }
+
+    /// A process's parcel parked on a pin keeps the process active: it
+    /// cannot quiesce until the parcel is re-sent and run.
+    #[test]
+    fn a_parked_process_parcel_keeps_its_process_active() {
+        let (rt, x, object) = pinned_and_absent();
+        let proc = rt.create_process(LocalityId(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        proc.spawn_at(&rt, LocalityId(0), move |ctx| {
+            // A raw send is the thread's own work, accounted to its
+            // process (`fetch_data` sends a system parcel, which is not).
+            let fut = ctx.new_future::<Vec<u8>>();
+            let cont = Continuation::set(fut.gid());
+            ctx.send_parcel(Parcel::new(x, crate::sys::DATA_GET, Value::unit(), cont));
+            tx.send(fut).unwrap();
+        });
+        proc.finish_root(&rt);
+        let fut = rx.recv_timeout(BOUND).unwrap();
+        assert!(
+            wait_until(|| rt.inner().agas.parked(x) == 1),
+            "never parked"
+        );
+        let done = proc.done_future();
+        let early = done.wait_timeout(&rt, Duration::from_millis(20)).unwrap();
+        assert!(early.is_none(), "quiescent with a parcel parked");
+        assert!(proc.active(&rt) >= 1);
+        settle(&rt, x, object);
+        assert_eq!(rt.wait_future_timeout(fut, BOUND).unwrap(), Some(vec![9]));
+        assert!(done.wait_timeout(&rt, BOUND).unwrap().is_some());
+        assert_eq!(proc.active(&rt), 0);
+        rt.shutdown();
+    }
 }

@@ -1,7 +1,7 @@
 //! Failure semantics: dead parcels fail loudly instead of hanging waiters.
 //!
-//! Every way a parcel can die — panicking action, unknown action,
-//! exhausted chase after a freed object, undecodable payload — produces a
+//! Every way a parcel can die — panicking action, unknown action, a
+//! freed or never-created object, undecodable payload — produces a
 //! first-class *fault* delivered along the parcel's continuation chain:
 //! futures poison, waiters resolve with `PxError::Fault`, and a
 //! dead-letter hook sees every death with its cause.
@@ -74,14 +74,15 @@ fn main() {
         other => panic!("expected a fault, got {other:?}"),
     }
 
-    // 3. A freed/never-created object: the bounded chase exhausts its hop
-    //    budget and the fault names the cause.
+    // 3. A freed/never-created object: its owner's directory says it is
+    //    absent, so the parcel dies at once, as a handler error naming
+    //    the missing object.
     let bogus = Gid::new(LocalityId(0), GidKind::Data, 0xDEAD);
     let fetch = rt.run_blocking(LocalityId(1), move |ctx| ctx.fetch_data(bogus));
     match rt.wait_future_timeout(fetch, Duration::from_secs(5)) {
         Err(PxError::Fault(f)) => {
-            assert_eq!(f.cause, FaultCause::HopCap);
-            println!("exhausted chase surfaced: {f}");
+            assert_eq!((f.cause, f.dest), (FaultCause::HandlerError, bogus));
+            println!("missing object surfaced: {f}");
         }
         other => panic!("expected a fault, got {other:?}"),
     }

@@ -1005,8 +1005,8 @@ fn process_scoped_names_resolve_across_ranks() {
     rt.shutdown();
 }
 
-/// Regression for the cross-rank migration deadlock: `migrate_lock` is
-/// never held across an RTT, so concurrent migrations of the SAME
+/// Regression for the cross-rank migration deadlock: no lock is ever
+/// held across an RTT, so concurrent migrations of the SAME
 /// object from several driver threads — deliberately ping-ponging the
 /// object between the ranks — all complete instead of wedging the
 /// scheduler, and the object stays readable afterwards.

@@ -48,25 +48,44 @@ fn expect_fault<T: std::fmt::Debug>(r: PxResult<Option<T>>) -> Fault {
     }
 }
 
+/// A parcel whose object is absent at an owner whose directory is
+/// authoritative dies at once, without a chase: a fetch of a data GID
+/// that was never created, and a late `LCO_SET` to a one-shot future its
+/// one read freed, each fault their waiter after one dispatch at the
+/// owner, as the `NoSuchObject` handler error a freed LCO's local event
+/// dies of.
 #[test]
-fn hop_cap_exhausted_chase_faults_the_waiter() {
+fn an_absent_object_faults_its_waiter_after_one_dispatch() {
     let rt = rt(2);
-    // A data GID that was never created: the chase retries at the
-    // birthplace until the hop budget dies, then must poison the future.
+    let dispatched = |rt: &Runtime| rt.stats().localities[0].parcels_recv;
     let bogus = Gid::new(LocalityId(0), GidKind::Data, 0x00C0FFEE);
     let fut = rt.run_blocking(LocalityId(1), move |ctx| ctx.fetch_data(bogus));
     let f = expect_fault(rt.wait_future_timeout(fut, BOUND));
-    assert_eq!(f.cause, FaultCause::HopCap);
-    assert_eq!(f.dest, bogus);
+    assert_eq!((f.cause, f.dest), (FaultCause::HandlerError, bogus));
+    assert_eq!(dispatched(&rt), 1);
+
+    let freed = rt.new_future::<u64>(LocalityId(0));
+    rt.set_future(freed, &1).unwrap();
+    assert_eq!(rt.wait_future_timeout(freed, BOUND).unwrap(), Some(1));
+    let waiter = rt.new_future::<()>(LocalityId(1));
+    let cont = Continuation::set(waiter.gid());
+    rt.run_blocking(LocalityId(1), move |ctx| {
+        let set = ActionId::of("__sys/lco_set");
+        ctx.send_parcel(Parcel::new(freed.gid(), set, Value::unit(), cont))
+    });
+    let f = expect_fault(rt.wait_future_timeout(waiter, BOUND));
+    assert_eq!((f.cause, f.dest), (FaultCause::HandlerError, freed.gid()));
+    assert_eq!(dispatched(&rt), 2);
+
     let total = rt.stats().total();
-    assert!(total.dead_hop_cap >= 1, "{total:?}");
-    assert!(total.chase_cap_violations >= 1);
+    assert_eq!((total.dead_parcels, total.dead_handler_error), (2, 2));
+    assert_eq!((total.chase_hops_total, total.dead_hop_cap), (0, 0));
     assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
     rt.shutdown();
 }
 
-/// The other hop-cap site: a parcel whose budget is spent reaches a rank
-/// that a stale cache still names, and dies there instead of forwarding.
+/// The hop cap: a parcel whose budget is spent reaches a rank that a
+/// stale cache still names, and dies there instead of forwarding.
 #[test]
 fn a_parcel_out_of_hops_dies_at_the_stale_owner() {
     let rt = rt(3);
@@ -421,65 +440,64 @@ fn zero_count_gates_fire_immediately() {
     rt.shutdown();
 }
 
-/// Satellite regression for the tracing tentpole: a hop-cap death must
-/// hand the traced dead-letter hook its full chase history — every
-/// bounced hop, causally ordered, ending in the kill itself. Before
-/// causal tracing the fault carried only the final "budget exhausted"
-/// message with no way to see *where* the parcel wandered.
+/// A death hands the traced dead-letter hook the route its parcel took:
+/// a fetch sent on a stale cache is forwarded once, to the object's
+/// home, where the object was freed, and dies there — the send at the
+/// caller, the forward (hop 1) at the stale owner and the kill, with its
+/// cause code, at the home, under the dying trace alone.
 #[test]
-fn traced_hop_cap_death_reports_its_chase_history() {
+fn traced_death_of_a_freed_object_reports_its_route() {
     let captured: Arc<Mutex<Option<(Fault, TraceDump)>>> = Arc::new(Mutex::new(None));
     let sink = captured.clone();
-    let rt = RuntimeBuilder::new(Config::small(2, 1).with_trace_sampling(1))
+    let rt = RuntimeBuilder::new(Config::small(3, 1).with_trace_sampling(1))
         .on_dead_letter_traced(move |f, d| {
-            if f.cause == FaultCause::HopCap {
-                *sink.lock() = Some((f.clone(), d.clone()));
-            }
+            sink.lock().get_or_insert_with(|| (f.clone(), d.clone()));
         })
         .build()
         .unwrap();
-    let bogus = Gid::new(LocalityId(0), GidKind::Data, 0x00C0FFEE);
-    let fut = rt.run_blocking(LocalityId(1), move |ctx| ctx.fetch_data(bogus));
+    let (l0, l1, l2) = (LocalityId(0), LocalityId(1), LocalityId(2));
+    let x = rt.new_data_at(l0, vec![1]);
+    rt.migrate_data(x, l1).unwrap();
+    // Locality 2 learns "x is at 1"; x moves home and is freed there.
+    let read = rt.run_blocking(l2, move |ctx| ctx.fetch_data(x));
+    assert_eq!(rt.wait_future_timeout(read, BOUND).unwrap(), Some(vec![1]));
+    rt.migrate_data(x, l0).unwrap();
+    assert!(rt.run_blocking(l0, move |ctx| ctx.locality().remove(x).is_some()));
+    let fut = rt.run_blocking(l2, move |ctx| ctx.fetch_data(x));
     expect_fault(rt.wait_future_timeout(fut, BOUND));
     let (fault, dump) = captured
         .lock()
         .take()
-        .expect("traced dead-letter hook observed the hop-cap death");
-    assert_eq!(fault.cause, FaultCause::HopCap);
+        .expect("traced dead-letter hook observed the death");
+    assert_eq!((fault.cause, fault.dest), (FaultCause::HandlerError, x));
     assert_eq!(
         dump.trace_ids().len(),
         1,
         "the captured slice is exactly the dying trace: {}",
         dump.render()
     );
-    let chases = dump
+    let route: Vec<(TraceEventKind, u16, u64)> = dump
         .events
         .iter()
         .filter(|e| {
             matches!(
                 e.kind,
-                TraceEventKind::Chase | TraceEventKind::ParcelForward
+                TraceEventKind::ParcelSend
+                    | TraceEventKind::ParcelForward
+                    | TraceEventKind::ParcelKill
             )
         })
-        .count();
-    assert!(
-        chases >= 8,
-        "the full chase history must be visible, got {chases} hops:\n{}",
-        dump.render()
-    );
-    let last = dump.events.last().expect("non-empty slice");
-    assert_eq!(
-        last.kind,
-        TraceEventKind::ParcelKill,
-        "the kill is the causally last captured event:\n{}",
-        dump.render()
-    );
-    assert_eq!(last.gid, bogus.0, "the kill names the chased gid");
-    assert_eq!(
-        last.aux,
-        u64::from(FaultCause::HopCap.code()),
-        "the kill carries the cause code"
-    );
+        .map(|e| (e.kind, e.locality, e.aux))
+        .collect();
+    let kill = u64::from(FaultCause::HandlerError.code());
+    for step in [
+        (TraceEventKind::ParcelSend, 2, 1),
+        (TraceEventKind::ParcelForward, 1, 1),
+        (TraceEventKind::ParcelKill, 0, kill),
+    ] {
+        assert!(route.contains(&step), "{step:?}:\n{}", dump.render());
+    }
+    assert_eq!(route.len(), 3, "one send, one forward, one kill");
     rt.shutdown();
 }
 

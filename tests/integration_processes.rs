@@ -301,7 +301,8 @@ fn cancel_kills_in_flight_parcels_loudly() {
 /// future that is *not* the process's, at the other locality. The cancel
 /// resumes the continuation — once, with the cancellation fault — through
 /// the pending reply, which the process owns; the reply is freed, and the
-/// remote future's late trigger finds nothing to fill and dies counted.
+/// remote future's late trigger finds nothing to fill and dies counted,
+/// at once: a freed object's parcel makes no chase.
 #[test]
 fn cancel_resumes_a_thread_suspended_on_a_remote_future_once() {
     let rt = rt(2);
@@ -321,8 +322,8 @@ fn cancel_resumes_a_thread_suspended_on_a_remote_future_once() {
     expect_cancelled(resumed_rx.recv_timeout(BOUND).unwrap().map(Some));
     expect_cancelled(proc.done_future().wait_timeout(&rt, BOUND));
     assert_eq!(store(&rt), initial, "the pending reply was freed");
-    // The late trigger's continuation chases the freed reply future to
-    // the hop cap and is dead-lettered: counted, not lost, not re-run.
+    // The late trigger's continuation finds the reply future freed at
+    // its owner and is dead-lettered there: counted, not lost, not re-run.
     rt.set_future(remote, &5).unwrap();
     let t0 = std::time::Instant::now();
     while rt.stats().total().dead_parcels == 0 {
@@ -330,7 +331,8 @@ fn cancel_resumes_a_thread_suspended_on_a_remote_future_once() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let total = rt.stats().total();
-    assert_eq!((total.dead_parcels, total.dead_hop_cap), (1, 1));
+    assert_eq!((total.dead_parcels, total.dead_hop_cap), (1, 0));
+    assert_eq!(total.dead_handler_error, 1);
     assert_eq!(total.deaths_by_cause_total(), total.dead_parcels);
     assert!(resumed_rx.try_recv().is_err(), "the continuation ran twice");
     assert_eq!(store(&rt), initial);

@@ -379,7 +379,9 @@ proptest! {
     /// Cancelling a process releases every waiter kind exactly once with
     /// the cancellation fault: external OS threads blocked on owned
     /// futures, depleted threads suspended on them, and done-future
-    /// waiters — no waiter hangs and none fires twice.
+    /// waiters — no waiter hangs and none fires twice. A one-shot future
+    /// has one reader, fault or value, so each reader waits on a
+    /// process-owned future of its own.
     #[test]
     fn cancel_releases_every_waiter_kind_exactly_once(
         externals in 1usize..4,
@@ -396,22 +398,24 @@ proptest! {
         let resumed = Arc::new(AtomicU64::new(0));
         let (tx, rx) = std::sync::mpsc::channel();
         let r2 = resumed.clone();
-        let n_dep = depleted;
+        let (n_ext, n_dep) = (externals, depleted);
         proc.spawn_at(&rt, LocalityId(0), move |ctx| {
-            let fut = ctx.new_future::<u64>(); // process-owned
             for _ in 0..n_dep {
+                let fut = ctx.new_future::<u64>(); // process-owned
                 let r = r2.clone();
                 ctx.when_resolved(fut, move |_ctx, out| {
                     assert!(out.is_err(), "cancel delivers a fault, not a value");
                     r.fetch_add(1, Ordering::SeqCst);
                 });
             }
-            tx.send(fut).unwrap();
+            let ext: Vec<FutureRef<u64>> = (0..n_ext).map(|_| ctx.new_future()).collect();
+            tx.send(ext).unwrap();
         });
-        let fut = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let futs = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         proc.finish_root(&rt);
-        let ext: Vec<_> = (0..externals)
-            .map(|_| {
+        let ext: Vec<_> = futs
+            .into_iter()
+            .map(|fut| {
                 let rt = rt.clone();
                 std::thread::spawn(move || fut.wait_timeout(&rt, Duration::from_secs(10)))
             })
