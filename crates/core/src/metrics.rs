@@ -111,9 +111,12 @@ instruments! {
     /// LCO lifetime to resolution: creation → fire (the
     /// spawn→continuation-resolution latency of a split-phase request).
     SpawnResolve = "px_spawn_resolve_ns", "LCO creation to resolution (spawn to continuation)";
-    /// Transport submit → drain onto the wire (TCP send-queue residence;
-    /// timer-heap residence in-process). Local clock only.
-    NetRtt = "px_net_rtt_ns", "transport submit to wire drain";
+    /// Hold plus drain, not a round trip: a message sent whole, from
+    /// transport submit to its drain onto the wire; a coalesced frame,
+    /// from when its port opened (its oldest record landed) to the drain
+    /// (TCP send-queue residence; timer-heap residence in-process). Local
+    /// clock only.
+    NetRtt = "px_net_rtt_ns", "port hold plus transport submit to wire drain";
     /// Control-lane delivery: control-queue push → priority drain.
     ControlLane = "px_control_lane_ns", "control-lane delivery, push to priority drain";
     /// Remote directory lookup: `__sys/dir_lookup` request sent → owner

@@ -3,7 +3,7 @@
 //! backend runs no thread.
 //!
 //! Each process owns exactly one locality (its *rank*) and peers with
-//! every other over plain TCP sockets. The byte protocol is
+//! every other over one plain TCP socket per pair. The byte protocol is
 //! [`px_wire::stream`]: a fixed handshake (`magic ++ version ++
 //! locality id ++ listen port`), then length-prefixed messages whose
 //! bodies are the *same* encoded parcels and (checksummed, version-2)
@@ -15,8 +15,8 @@
 //!
 //! Every socket is nonblocking and registered with one epoll-based
 //! poller ([`px_poll::Poller`] — vendored direct libc declarations, like
-//! the other offline stand-ins). The listener, all outbound and inbound
-//! connections, bootstrap connect retries and handshake deadlines are
+//! the other offline stand-ins). The listener, every peer's connection,
+//! bootstrap connect retries and handshake deadlines are
 //! multiplexed in one event loop (`io::IoLoop`), and the loop is a value,
 //! not a thread: at most one thread at a time holds it (the own
 //! locality's poller, `Sleep::try_poll`) and runs a *pass* — wait for
@@ -75,39 +75,41 @@
 //!
 //! ## Topology and bootstrap barrier
 //!
-//! The mesh uses one **simplex** connection per ordered peer pair:
-//! process `i`'s outgoing connection to `j` carries only `i → j`
-//! traffic; `j` reads it as one of its inbound connections. No
-//! multiplexing and no duplex framing races — same-peer traffic rides
-//! one ordered byte stream.
+//! The mesh keeps **one duplex connection per rank pair**, dialled by the
+//! higher rank: rank `r` dials every rank below it and accepts from
+//! every rank above it, and both directions of the pair's traffic share
+//! that socket — same-peer traffic each way rides one ordered byte
+//! stream. The loop keeps one state per peer that reads and writes it.
 //!
 //! Only rank 0's address is known in advance, and rank 0 keeps the
 //! address table. Every other rank dials rank 0 at start, and its hello
-//! says which port it listens on; rank 0 records the rank at the IP the
-//! connection came from and that port — one rule, whatever address the
-//! rank bound — and dials it back. Once every rank has said hello, rank 0
-//! sends each the table (`msg_kind::TABLE`, behind the hello on its
-//! connection), and each rank dials every peer it has not heard from. A
-//! rank dials a peer once, the first time it learns the peer's address,
-//! from its hello or from the table; so every dial but the one to rank 0
-//! targets a listener that is already bound, and a rank that starts before
-//! rank 0 has bound is the only one that waits out a connect retry.
+//! (written by the dialer, first) says which port it listens on; rank 0
+//! records the rank at the IP the connection came from and that port —
+//! one rule, whatever address the rank bound. The acceptor reads exactly
+//! the hello and writes none: it adopts the connection as that rank's
+//! only if the rank is higher than its own and not connected yet, and
+//! drops anything else unread. Once every rank has said hello, rank 0
+//! writes each the table (`msg_kind::TABLE`, the first message on the
+//! connection), and each rank dials every rank between 0 and itself. A
+//! rank dials a peer once, when it learns the peer's address; so every
+//! dial but the one to rank 0 targets a listener that is already bound,
+//! and a rank that starts before rank 0 has bound is the only one that
+//! waits out a connect retry.
 //!
-//! `TcpTransport::bootstrap` returns only once this process has
-//! connected *to* every peer (handshake flushed) **and** accepted a
-//! handshake *from* every peer — so when every rank's
-//! `RuntimeBuilder::build` returns, the full N-process mesh exists.
+//! `TcpTransport::bootstrap` returns only once this process is connected
+//! to every peer, every handshake byte (the hellos it writes, and on rank
+//! 0 the tables) is flushed, and it has the table — so rank 0 has heard
+//! every hello before any rank's `RuntimeBuilder::build` returns.
 //! Connect attempts retry on a timer until `TcpConfig::bootstrap_timeout`
 //! (peers boot in any order).
 //!
 //! ## Failure semantics
 //!
-//! **A lost connection is a dead peer.** After bootstrap there is one
-//! failure transition, `IoLoop::peer_lost`, and both ways of noticing a
-//! loss take it: EOF, error or a desynchronized stream on the inbound
-//! connection from the peer, and a write error or hang-up on the
-//! outbound one. It closes the peer's send queue, drops the outbound
-//! socket, marks the peer **dead** (the dead-letter hook observes one
+//! **A lost connection is a dead peer.** There is one failure
+//! transition, `IoLoop::peer_lost`, and every way of noticing a loss
+//! takes it: EOF, a read or write error, or a desynchronized stream on the
+//! peer's connection. It closes the peer's send queue, drops the socket,
+//! marks the peer **dead** (the dead-letter hook observes one
 //! `FaultCause::Transport` fault for the transition), and kills every
 //! message still queued or batched — and every one submitted later —
 //! *loudly* in `kill_parcel` style: counted under `dead_transport`, with
@@ -115,12 +117,13 @@
 //! with `PxError::Fault` in bounded time instead of hanging. Fault
 //! delivery is deferred to a scheduler task on the own locality because
 //! `submit` may be called under a coalescing-port lock that a fault
-//! continuation would need to re-take.
+//! continuation would need to re-take. During shutdown the same
+//! transition only counts the leftovers.
 //!
-//! The loop never re-dials: whoever answers on a dead peer's address
-//! later is not the process whose state the queued parcels were
-//! addressed to. A later inbound connection from the peer is still
-//! *read* (its parcels execute), but nothing is sent back;
+//! The loop never re-dials, and never adopts a second connection for a
+//! rank: whoever answers on a dead peer's address later, or dials in
+//! claiming a rank already connected or dead, is not the process whose
+//! state the queued parcels were addressed to, and is dropped unread;
 //! rejoin-after-restart is membership, which the ROADMAP parks. What a
 //! loss cannot account for is a message the kernel had already accepted
 //! in full: it counts as sent, and whether the peer read it before the
@@ -179,7 +182,8 @@ pub struct TcpConfig {
     /// at bootstrap, from rank 0's table.
     pub addrs: Vec<String>,
     /// How long `RuntimeBuilder::build` may wait for the full mesh
-    /// (connects out + handshakes in) before failing loudly.
+    /// (every peer connected, every handshake flushed) before failing
+    /// loudly.
     pub bootstrap_timeout: Duration,
 }
 
@@ -659,8 +663,8 @@ pub(crate) fn bind(cfg: &TcpConfig) -> PxResult<TcpListener> {
 
 impl TcpTransport {
     /// Run the event loop on this thread, listening on `listener`,
-    /// until the full mesh exists (connected + handshake flushed to every
-    /// peer, handshake accepted from every peer). Fails loudly after
+    /// until the full mesh exists (see the module docs' bootstrap
+    /// barrier). Fails loudly after
     /// `cfg.bootstrap_timeout`. Every pass pulls `ports`.
     pub(crate) fn bootstrap(
         cfg: &TcpConfig,
@@ -1017,42 +1021,43 @@ mod tests {
         drop(a);
     }
 
-    /// After rank 1 goes away, rank 0 must not find whoever listens at
-    /// its address: the peer is dead, nothing dials, and every later
-    /// submission dies loudly instead of landing in a stranger's socket.
-    /// The impostor is rank 1's own listening socket, kept open past rank
-    /// 1's shutdown, so no other process can take the port meanwhile.
+    /// After rank 0 goes away, rank 1 — the rank that dialled it — must
+    /// not find whoever listens at its address: the peer is dead, nothing
+    /// dials, and every later submission dies loudly instead of landing in
+    /// a stranger's socket. The impostor is rank 0's own listening socket,
+    /// kept open past rank 0's shutdown, so no other process can take the
+    /// port meanwhile.
     #[test]
     fn a_lost_connection_is_a_dead_peer() {
         let listeners = loopback(2);
-        let impostor = listeners[1].try_clone().unwrap();
-        let (a, mut b, _locs_b) = pair(listeners, None);
-        b.shutdown();
-        drop(b);
+        let impostor = listeners[0].try_clone().unwrap();
+        let (mut a, b, _locs_b) = pair(listeners, None);
+        a.shutdown();
+        drop(a);
         impostor.set_nonblocking(true).unwrap();
-        let peer = a.shared.peer(1);
+        let peer = b.shared.peer(0);
         wait_for(
-            &[&a],
+            &[&b],
             || peer.dead.load(Ordering::Acquire).then_some(()),
-            "rank 0 to declare rank 1 dead",
+            "rank 1 to declare rank 0 dead",
         );
-        let own = a.shared.own();
+        let own = b.shared.own();
         let dead_transport = || own.stats().dead_transport;
         let before = dead_transport();
         for _ in 0..50 {
-            let bytes = noop_parcel(LocalityId(1));
-            let (dest, lane, n) = (LocalityId(1), Lane::Run, bytes.len());
-            a.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+            let bytes = noop_parcel(LocalityId(0));
+            let (dest, lane, n) = (LocalityId(0), Lane::Run, bytes.len());
+            b.submit(WireMsg::Parcel { dest, lane, bytes }, n);
         }
         assert_eq!(dead_transport() - before, 50, "each dies loudly");
         let t0 = Instant::now();
         while t0.elapsed() < 10 * io::CONNECT_RETRY {
-            a.drive(HERE, None);
-            assert!(impostor.accept().is_err(), "rank 0 dialled a dead peer");
+            b.drive(HERE, None);
+            assert!(impostor.accept().is_err(), "rank 1 dialled a dead peer");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let p1 = a.transport_stats().peers[0];
-        assert_eq!((p1.reconnects, p1.msgs_sent), (0, 0));
+        let p0 = b.transport_stats().peers[0];
+        assert_eq!((p0.reconnects, p0.msgs_sent), (0, 0));
     }
 
     /// Same-peer submission order holds across the two ways a frame
@@ -1204,7 +1209,9 @@ mod tests {
 
     /// The TCP backend starts no thread: a rank's sockets are read and
     /// written by whoever runs its loop — the bootstrapping thread, then
-    /// the workers — however many peers the mesh has.
+    /// the workers — however many peers the mesh has. And it opens one
+    /// connection per rank pair: a socket per listener, and two ends per
+    /// pair.
     ///
     /// `/proc/self/task` is process-wide and sibling tests run transports
     /// of their own, so the count is taken in a child: this test binary
@@ -1231,7 +1238,13 @@ mod tests {
                 .expect("linux procfs")
                 .count()
         };
-        let before = threads();
+        let sockets = || {
+            let fds = std::fs::read_dir("/proc/self/fd").expect("linux procfs");
+            let fds = fds.filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok());
+            fds.filter(|to| to.to_string_lossy().starts_with("socket:"))
+                .count()
+        };
+        let (before, sockets_before) = (threads(), sockets());
         // A 4-rank mesh, all in this process: each rank bootstraps on a
         // thread of this test's own, joined before the count.
         let n = 4;
@@ -1251,6 +1264,11 @@ mod tests {
         };
         wait_for(&all, delivered, "a message on every connection");
         assert_eq!(threads(), before, "the backend started a thread");
+        assert_eq!(
+            sockets() - sockets_before,
+            n + n * (n - 1),
+            "{n} listeners and two ends per rank pair"
+        );
         for mut t in transports {
             t.shutdown();
         }
@@ -1270,50 +1288,125 @@ mod tests {
 
     /// No retry on the common path, by count: with rank 0 bound before any
     /// other rank starts, every connection of a 2- and a 4-rank mesh comes
-    /// up on its first attempt — to rank 0, back from it, and (at 4 ranks)
-    /// between ranks that learned each other from the table or a hello.
+    /// up on its first attempt, made by the higher rank — to rank 0, and
+    /// (at 4 ranks) to each lower rank learned from the table. No rank
+    /// dials a higher one.
     #[test]
     fn every_connection_comes_up_on_its_first_attempt() {
         for n in [2, 4] {
             let mesh = boot(loopback(n), None);
-            assert_eq!(
-                attempts_with_tables(&mesh),
-                vec![vec![1; n - 1]; n],
-                "{n} ranks"
-            );
+            let dials = |r: usize| {
+                (0..n)
+                    .filter(move |&j| j != r)
+                    .map(move |j| u64::from(j < r))
+            };
+            let want: Vec<Vec<u64>> = (0..n).map(|r| dials(r).collect()).collect();
+            assert_eq!(attempts_with_tables(&mesh), want, "{n} ranks");
         }
     }
 
+    /// Write `table` onto `to` as one stream message.
+    fn write_table(to: &mut std::net::TcpStream, table: &[std::net::SocketAddr]) {
+        use px_wire::stream::{encode_msg_header, encode_table};
+        use std::io::Write;
+        let body = encode_table(table);
+        let header = encode_msg_header(msg_kind::TABLE, body.len() as u32);
+        to.write_all(&[&header[..], &body].concat()).unwrap();
+    }
+
     /// Only rank 0 sends a table, and only once. A table on another
-    /// rank's connection (forged to rank 0 as rank 1), or a second one
-    /// (forged to rank 1 as rank 0), desynchronizes that stream: the
+    /// rank's connection (from a fake rank 1 that rank 0 adopted at
+    /// bootstrap), or a second one (from a fake rank 0 that accepted rank
+    /// 1's dial and sent a valid first), desynchronizes that stream: the
     /// peer is lost, the event counts as a `Decode` death, and nothing is
-    /// dialled.
+    /// learned.
     #[test]
     fn a_stray_table_is_a_desynchronized_stream() {
-        use px_wire::stream::{encode_handshake, encode_msg_header, encode_table};
-        use std::io::Write;
-        for (at, claims) in [(0usize, 1u16), (1, 0)] {
-            let listeners = loopback(2);
-            let addr = listeners[at].local_addr().unwrap();
-            let mesh = boot(listeners, None);
-            let before = attempts_with_tables(&mesh);
-            let table = encode_table(&[addr; 2]);
-            let mut forger = std::net::TcpStream::connect(addr).unwrap();
-            forger.write_all(&encode_handshake(claims, 0)).unwrap();
-            let header = encode_msg_header(msg_kind::TABLE, table.len() as u32);
-            forger.write_all(&[&header[..], &table].concat()).unwrap();
-            let own = mesh[at].shared.own();
-            let all: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        use px_wire::stream::{encode_handshake, HANDSHAKE_LEN};
+        use std::io::{Read, Write};
+        use std::net::{SocketAddr, TcpStream};
+        let booting = |rank: u16, rank0: SocketAddr, listener: TcpListener| {
+            let cfg = TcpConfig::new(rank, vec![rank0.to_string(); 2]);
+            std::thread::spawn(move || {
+                TcpTransport::bootstrap(&cfg, listener, test_localities(2), None).unwrap()
+            })
+        };
+        // (a) A fake rank 1 dials rank 0.
+        let listener = loopback(1).remove(0);
+        let at0 = listener.local_addr().unwrap();
+        let rank0 = booting(0, at0, listener);
+        let mut fake1 = TcpStream::connect(at0).unwrap();
+        fake1.write_all(&encode_handshake(1, 0)).unwrap();
+        let rank0 = rank0.join().unwrap();
+        // (b) A fake rank 0 accepts rank 1's dial and sends a valid table.
+        let fake0 = loopback(1).remove(0);
+        let at0 = fake0.local_addr().unwrap();
+        let listener = loopback(1).remove(0);
+        let table = [at0, listener.local_addr().unwrap()];
+        let rank1 = booting(1, at0, listener);
+        let (mut to1, _) = fake0.accept().unwrap();
+        to1.read_exact(&mut [0; HANDSHAKE_LEN]).unwrap();
+        write_table(&mut to1, &table);
+        let rank1 = rank1.join().unwrap();
+        for (t, mut forger, claims) in [(rank0, fake1, 1), (rank1, to1, 0)] {
+            let before = attempts_with_tables(std::slice::from_ref(&t));
+            write_table(&mut forger, &table);
+            let own = t.shared.own();
             let refused = || (own.stats().dead_decode == 1).then_some(());
-            wait_for(&all, refused, "the stray table refused");
-            let lost = mesh[at].shared.peer(claims).dead.load(Ordering::Acquire);
-            assert!(lost, "rank {at} still trusts rank {claims}");
+            wait_for(&[&t], refused, "the stray table refused");
+            let lost = t.shared.peer(claims).dead.load(Ordering::Acquire);
+            assert!(lost, "rank {} still trusts rank {claims}", t.shared.rank);
             assert_eq!(
-                attempts_with_tables(&mesh),
+                attempts_with_tables(std::slice::from_ref(&t)),
                 before,
                 "a stray table was learned"
             );
         }
+    }
+
+    /// A connection that claims a rank already connected is dropped
+    /// unread. A forger dials rank 0 as rank 1 — a valid hello, then a
+    /// parcel and a table: rank 0 closes it without reading past the
+    /// hello (a close with bytes unread resets), keeps rank 1, counts no
+    /// decode death and runs nothing of the forger's, and the real rank
+    /// 1's parcels still arrive.
+    #[test]
+    fn a_forged_hello_for_a_connected_rank_is_dropped_unread() {
+        use px_wire::stream::{encode_handshake, encode_msg_header};
+        use std::io::{ErrorKind, Read, Write};
+        let listeners = loopback(2);
+        let at0 = listeners[0].local_addr().unwrap();
+        let (a, b, _locs_b) = pair(listeners, None);
+        let mut forger = std::net::TcpStream::connect(at0).unwrap();
+        let parcel = noop_parcel(LocalityId(0));
+        let header = encode_msg_header(msg_kind::PARCEL, parcel.len() as u32);
+        let hello = encode_handshake(1, 0);
+        forger
+            .write_all(&[&hello[..], &header, &parcel].concat())
+            .unwrap();
+        write_table(&mut forger, &[at0; 2]);
+        forger.set_nonblocking(true).unwrap();
+        let closed = || match forger.read(&mut [0; 64]) {
+            Ok(0) => Some(()),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => Some(()),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => None,
+            other => panic!("the forger was answered: {other:?}"),
+        };
+        wait_for(&[&a], closed, "rank 0 to drop the forger");
+        let own = a.shared.own();
+        assert!(
+            !a.shared.peer(1).dead.load(Ordering::Acquire),
+            "a forger killed rank 1"
+        );
+        assert_eq!(own.stats().dead_decode, 0, "the forger's stream was read");
+        assert_eq!(own.injector.len(), 0, "the forger's parcel was delivered");
+        let bytes = noop_parcel(LocalityId(0));
+        let (dest, lane, n) = (LocalityId(0), Lane::Run, bytes.len());
+        b.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+        let both: [&dyn Transport; 2] = [&a, &b];
+        let arrived = || own.injector.steal().map(drop);
+        wait_for(&both, arrived, "rank 1's parcel");
+        let p1 = a.transport_stats().peers[0];
+        assert_eq!(p1.msgs_recv, 1, "one message, from rank 1");
     }
 }

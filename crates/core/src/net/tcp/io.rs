@@ -1,6 +1,6 @@
-//! The event loop of the TCP backend: the listener, every outbound and
-//! inbound connection, the address table, bootstrap connect retries and
-//! handshake deadlines, multiplexed on one poller. It is a value, not a
+//! The event loop of the TCP backend: the listener, one connection per
+//! peer, the address table, bootstrap connect retries and handshake
+//! deadlines, multiplexed on one poller. It is a value, not a
 //! thread: whoever holds it runs [`IoLoop::pass`] — bootstrap and shutdown on
 //! their caller's thread, and in between ([`IoLoop::drive`]) an idle
 //! worker, a busy one every few dozen tasks, or a sender blocked on a
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 /// I/O slices per `write_vectored` call (well under any `IOV_MAX`).
 const MAX_WRITE_SLICES: usize = 64;
-/// Read chunk size for inbound connections.
+/// Read chunk size for a connection.
 const READ_CHUNK: usize = 64 * 1024;
 /// Reads of one connection per pass: a worker that holds the loop goes
 /// back to running what it read, and a peer that keeps sending is read
@@ -32,57 +32,57 @@ const READS_PER_PASS: usize = 16;
 pub(super) const CONNECT_RETRY: Duration = Duration::from_millis(25);
 /// Deadline for one nonblocking connect attempt to become writable.
 const CONNECT_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(5);
-/// Deadline for an accepted connection to produce its handshake — a
-/// silent stranger (port scanner, health checker) is dropped then.
+/// Deadline for an accepted connection to produce its hello — a silent
+/// stranger (port scanner, health checker) is dropped then.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long shutdown keeps the loop alive to flush pending writes
 /// before counting the leftovers as transport deaths.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// Poll token namespaces (`u64::MAX` is the poller's wake token).
+/// Poll tokens: a peer's connection is keyed by the peer's rank, and an
+/// accepted connection still owing its hello by `TOKEN_HELLO` plus its
+/// slot (`u64::MAX` is the poller's wake token).
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
-const TOKEN_OUT_BASE: u64 = 1 << 32;
-const TOKEN_IN_BASE: u64 = 2 << 32;
+const TOKEN_HELLO: u64 = 1 << 32;
 
-/// Outbound connection state for one peer. `Waiting` and `Connecting`
-/// exist only while the mesh bootstraps; afterwards a connection is `Up`
-/// until it is lost, and `Down` for good.
+/// The connection to one peer. `Waiting` and `Connecting` exist only
+/// while the mesh bootstraps; afterwards a connection is `Up` until it is
+/// lost, and `Down` for good.
 enum Conn {
-    /// Not dialling: the peer's address is not learned yet, or a
-    /// bootstrap retry timer is pending.
+    /// Not connected: a lower rank's address is not learned yet or a
+    /// bootstrap retry timer is pending; a higher rank has not dialled.
     Waiting,
     /// Nonblocking connect in flight (completion = writability).
     Connecting(TcpStream),
-    /// Connected; handshake and queued messages flow.
+    /// Connected: both directions share the socket.
     Up(TcpStream),
     /// The peer is dead to this process (see [`IoLoop::peer_lost`]).
     Down,
 }
 
-/// Loop-owned per-peer state (the submit side lives in [`PeerSlot`]).
+/// Loop-owned per-peer state (the submit side lives in [`PeerSlot`]):
+/// one socket, read and written by the same passes.
 struct PeerIo {
     conn: Conn,
     /// Queued wire bytes with partial-write carry-over.
     batch: WriteBatch,
+    /// Bytes read but not yet whole messages.
+    asm: StreamAssembler,
     /// Unsent handshake bytes, written ahead of any traffic and not
-    /// counted as traffic: the hello, and on rank 0 the table after it.
-    hello: Vec<u8>,
-    /// Interest currently registered for the outbound socket.
+    /// counted as traffic: toward a lower rank this rank's hello, and
+    /// from rank 0 the table.
+    handshake: Vec<u8>,
+    /// Interest currently registered for the socket.
     registered: Option<Interest>,
     /// Guards stale `ConnectTimeout` timers across attempts.
     attempt_seq: u64,
-    /// Outbound half of the bootstrap barrier: handshake fully flushed
-    /// once.
-    hello_done: bool,
 }
 
-/// One accepted inbound connection (peer unknown until its handshake).
-struct InConn {
+/// An accepted connection that has not said which rank it is.
+struct Pending {
     stream: TcpStream,
     /// Where the connection came from: the peer listens at this IP.
     from: SocketAddr,
-    peer: Option<u16>,
-    asm: StreamAssembler,
     hello: [u8; stream::HANDSHAKE_LEN],
     hello_got: usize,
     /// Guards stale `HelloTimeout` timers across slab-slot reuse.
@@ -91,11 +91,11 @@ struct InConn {
 
 /// Timed work folded into the poll timeout (never a sleep).
 enum TimerKind {
-    /// Retry the outbound connect to a peer (bootstrap only).
+    /// Retry the connect to a lower rank (bootstrap only).
     Retry(u16),
     /// A connect attempt (identified by seq) ran out of time.
     ConnectTimeout(u16, u64),
-    /// An inbound connection (slab idx, seq) never sent its handshake.
+    /// An accepted connection (slab idx, seq) never sent its hello.
     HelloTimeout(usize, u64),
     /// The bootstrap barrier ran out of time.
     Bootstrap,
@@ -111,12 +111,9 @@ pub(super) struct IoLoop {
     /// in, on rank 0 from the start.
     addrs: Vec<Option<SocketAddr>>,
     peers: Vec<Option<PeerIo>>,
-    inbound: Vec<Option<InConn>>,
-    inbound_seq: u64,
+    pending: Vec<Option<Pending>>,
+    pending_seq: u64,
     timers: Timers<TimerKind>,
-    /// Barrier state: which peers have handshaked in.
-    seen_in: Vec<bool>,
-    heard: usize,
     /// The bootstrap barrier: `None` while the mesh comes up, then how
     /// that went. Until it resolves, connect attempts retry (its deadline
     /// bounds them); afterwards nothing dials.
@@ -126,15 +123,16 @@ pub(super) struct IoLoop {
     /// A sender held a port this loop pulled: the next wait does not
     /// block, so what the sender leaves there is pulled without a wake.
     again: bool,
-    /// Read buffer shared by every inbound connection (one is drained at
-    /// a time).
+    /// Read buffer shared by every connection (one is drained at a
+    /// time).
     read_chunk: Vec<u8>,
 }
 
 impl IoLoop {
     /// The loop for `shared`'s rank, already at work: the listener
     /// (bound at `port`) registered, rank 0 (at `rank0`) being dialled
-    /// from any other rank, the barrier's deadline armed.
+    /// from any other rank, the barrier's deadline armed. The hello goes
+    /// only toward lower ranks: those are the ones this rank dials.
     pub(super) fn new(
         shared: Arc<TcpShared>,
         listener: TcpListener,
@@ -149,10 +147,14 @@ impl IoLoop {
                 (j != shared.rank).then(|| PeerIo {
                     conn: Conn::Waiting,
                     batch: WriteBatch::new(),
-                    hello: hello.to_vec(),
+                    asm: StreamAssembler::new(),
+                    handshake: if j < shared.rank {
+                        hello.to_vec()
+                    } else {
+                        Vec::new()
+                    },
                     registered: None,
                     attempt_seq: 0,
-                    hello_done: false,
                 })
             })
             .collect();
@@ -161,11 +163,9 @@ impl IoLoop {
             listener,
             addrs: vec![None; n],
             peers,
-            inbound: Vec::new(),
-            inbound_seq: 0,
+            pending: Vec::new(),
+            pending_seq: 0,
             timers: Timers::new(),
-            seen_in: vec![false; n],
-            heard: 0,
             barrier: None,
             events: Vec::new(),
             again: false,
@@ -181,7 +181,7 @@ impl IoLoop {
         }
         io.timers.push(bootstrap_deadline, TimerKind::Bootstrap);
         // Rank 0's address is the one known in advance: any other rank
-        // dials it now, and every other peer once it is learned.
+        // dials it now, and every lower rank once the table is in.
         io.learn(0, rank0);
         io.check_barrier();
         io
@@ -235,11 +235,8 @@ impl IoLoop {
             match ev.token {
                 WAKE_TOKEN => {} // queues scanned below
                 TOKEN_LISTENER => self.accept_ready(),
-                t if t >= TOKEN_IN_BASE => self.inbound_ready((t - TOKEN_IN_BASE) as usize),
-                t if t >= TOKEN_OUT_BASE => {
-                    self.outbound_ready((t - TOKEN_OUT_BASE) as u16, ev.writable())
-                }
-                _ => {}
+                t if t >= TOKEN_HELLO => self.hello_ready((t - TOKEN_HELLO) as usize),
+                j => self.peer_ready(j as u16, ev),
             }
         }
         self.events = events;
@@ -284,23 +281,20 @@ impl IoLoop {
                     }
                 }
                 TimerKind::HelloTimeout(idx, seq) => {
-                    let stale = match self.inbound.get(idx).and_then(Option::as_ref) {
-                        Some(c) => c.seq != seq || c.peer.is_some(),
-                        None => true,
-                    };
-                    if !stale {
+                    let slot = &mut self.pending[idx];
+                    if slot.as_ref().is_some_and(|p| p.seq == seq) {
                         // Silent stranger: drop before it touches any
                         // runtime state (we never learned who it was).
-                        self.drop_inbound(idx);
+                        *slot = None;
                     }
                 }
                 TimerKind::Bootstrap => {
                     if self.barrier.is_none() {
-                        let n = self.shared.localities.len();
+                        let up = self.peers.iter().flatten();
+                        let up = up.filter(|io| matches!(io.conn, Conn::Up(_))).count();
                         self.fail_bootstrap(format!(
-                            "tcp bootstrap barrier timed out: {} of {} peers handshaked",
-                            self.heard,
-                            n - 1
+                            "tcp bootstrap barrier timed out: {up} of {} peers connected",
+                            self.peers.len() - 1
                         ));
                     }
                 }
@@ -317,13 +311,15 @@ impl IoLoop {
         self.barrier.get_or_insert(Err(why));
     }
 
+    /// The barrier holds once every peer is connected, every handshake
+    /// byte is flushed and this rank has the table (rank 0 from the start;
+    /// any other rank's table means rank 0 heard every hello).
     fn check_barrier(&mut self) {
-        if self.barrier.is_some() {
+        if self.barrier.is_some() || self.addrs[self.shared.rank as usize].is_none() {
             return;
         }
-        let n = self.shared.localities.len();
-        let out_ready = self.peers.iter().flatten().filter(|p| p.hello_done).count();
-        if self.heard == n - 1 && out_ready == n - 1 {
+        let mut peers = self.peers.iter().flatten();
+        if peers.all(|io| matches!(io.conn, Conn::Up(_)) && io.handshake.is_empty()) {
             self.barrier = Some(Ok(()));
             // Every connection is up: what is left on the queue for
             // dialling and for the barrier is moot, and a loop with
@@ -336,30 +332,31 @@ impl IoLoop {
     // -- the address table -------------------------------------------------
 
     /// Rank `j` listens at `addr`: the first time this rank learns it,
-    /// record it and dial `j` (unless `j` is this rank). A peer is
-    /// learned from its hello (the IP its connection came from, the port
-    /// it reported) or from rank 0's table, whichever comes first.
+    /// record it, and dial `j` if it is a lower rank. A peer is learned
+    /// from its hello (the IP its connection came from, the port it
+    /// reported) or from rank 0's table, whichever comes first; a rank
+    /// that said hello is higher, so it is never dialled.
     fn learn(&mut self, j: u16, addr: SocketAddr) {
         if self.addrs[j as usize].is_some() {
             return;
         }
         self.addrs[j as usize] = Some(addr);
-        if j != self.shared.rank {
+        if j < self.shared.rank {
             self.start_connect(j);
         }
     }
 
-    /// Rank 0, with every peer's hello heard (so every rank learned):
-    /// queue the table behind the hello on every outbound connection.
+    /// Rank 0, with every peer connected (so every rank's address heard):
+    /// the table is the first message on every connection.
     fn send_table(&mut self) {
         let table: Vec<SocketAddr> = self.addrs.iter().flatten().copied().collect();
         let body = stream::encode_table(&table);
         let header = stream::encode_msg_header(msg_kind::TABLE, body.len() as u32);
-        for j in 0..self.peers.len() as u16 {
-            if let Some(io) = self.peers[j as usize].as_mut() {
-                io.hello.extend([&header[..], &body].concat());
-                self.flush_peer(j);
-            }
+        for io in self.peers.iter_mut().flatten() {
+            io.handshake.extend([&header[..], &body].concat());
+        }
+        for j in 1..self.peers.len() as u16 {
+            self.flush_peer(j);
         }
     }
 
@@ -373,22 +370,19 @@ impl IoLoop {
                 for (j, addr) in table.into_iter().enumerate() {
                     self.learn(j as u16, addr);
                 }
+                self.check_barrier();
                 true
             }
             _ => false,
         }
     }
 
-    // -- outbound -----------------------------------------------------------
+    // -- connections --------------------------------------------------------
 
     fn peer_io(&mut self, j: u16) -> &mut PeerIo {
         self.peers[j as usize]
             .as_mut()
             .expect("peer io exists for every non-self locality")
-    }
-
-    fn out_token(j: u16) -> u64 {
-        TOKEN_OUT_BASE + u64::from(j)
     }
 
     /// Begin a nonblocking connect attempt toward `j`.
@@ -401,7 +395,7 @@ impl IoLoop {
             Ok(stream) => {
                 let register = self.shared.poller.register(
                     stream.as_raw_fd(),
-                    Self::out_token(j),
+                    u64::from(j),
                     Interest::WRITABLE,
                 );
                 let io = self.peer_io(j);
@@ -439,16 +433,17 @@ impl IoLoop {
             .push(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
     }
 
-    /// The one failure transition: a connection to or from `j` is gone,
-    /// so `j` is dead to this process. Close its send queue and the
-    /// outbound socket, kill everything batched or queued loudly, and
-    /// never dial again — whoever listens on that address later is not
-    /// the peer these parcels were addressed to.
+    /// The one failure transition: the connection to `j` is gone — an
+    /// EOF, a read or write error, a desynchronized stream — so `j` is
+    /// dead to this process. Close its send queue and the socket, kill
+    /// everything batched or queued loudly, and never dial again —
+    /// whoever listens on that address later is not the peer these
+    /// parcels were addressed to.
     fn peer_lost(&mut self, j: u16, why: &str) {
         let io = self.peer_io(j);
         io.conn = Conn::Down;
         io.registered = None;
-        io.hello.clear();
+        io.handshake.clear();
         let mut dead = io.batch.drain_msgs();
         self.shared.peer(j).set_unwritten(0);
         dead.extend(self.shared.close_peer(j, why));
@@ -461,63 +456,39 @@ impl IoLoop {
         }
     }
 
-    /// Readiness on the outbound socket of peer `j`.
-    fn outbound_ready(&mut self, j: u16, writable: bool) {
+    /// Readiness on the socket of peer `j`: a dial completing, room to
+    /// write, bytes (or EOF) to read.
+    fn peer_ready(&mut self, j: u16, ev: &Event) {
         match &self.peer_io(j).conn {
             Conn::Connecting(stream) => {
-                if !writable {
+                if !ev.writable() {
                     return;
                 }
-                match px_poll::take_socket_error(stream) {
-                    Ok(()) => {
-                        // Connected: the handshake goes first.
-                        let io = self.peer_io(j);
-                        let Conn::Connecting(stream) = std::mem::replace(&mut io.conn, Conn::Down)
-                        else {
-                            unreachable!("matched Connecting above");
-                        };
-                        io.conn = Conn::Up(stream);
-                        self.flush_peer(j);
-                    }
-                    Err(_) => self.connect_attempt_failed(j, "connect refused"),
+                if px_poll::take_socket_error(stream).is_err() {
+                    return self.connect_attempt_failed(j, "connect refused");
                 }
+                // Connected: the hello goes first.
+                let io = self.peer_io(j);
+                if let Conn::Connecting(stream) = std::mem::replace(&mut io.conn, Conn::Down) {
+                    io.conn = Conn::Up(stream);
+                }
+                self.flush_peer(j);
             }
             Conn::Up(_) => {
-                if writable {
+                if ev.writable() {
                     self.flush_peer(j);
                 }
-                self.drain_outbound_read(j);
+                if ev.readable() {
+                    self.read_peer(j);
+                }
             }
             Conn::Waiting | Conn::Down => {}
         }
     }
 
-    /// The peer never writes on our outbound (simplex) connection, so
-    /// any read readiness is EOF/RST — the only way to notice a dropped
-    /// peer between writes.
-    fn drain_outbound_read(&mut self, j: u16) {
-        let mut probe = [0u8; 512];
-        let lost = {
-            let Conn::Up(stream) = &mut self.peer_io(j).conn else {
-                return;
-            };
-            loop {
-                match stream.read(&mut probe) {
-                    Ok(0) => break true,
-                    Ok(_) => continue, // protocol garbage; discard
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
-                }
-            }
-        };
-        if lost {
-            self.peer_lost(j, "connection closed by peer");
-        }
-    }
-
-    /// Write the hello and batched messages toward `j` until done or the
-    /// socket fills; adjust epoll interest to match what remains.
+    /// Write the handshake bytes and batched messages toward `j` until
+    /// done or the socket fills; adjust epoll interest to match what
+    /// remains.
     fn flush_peer(&mut self, j: u16) {
         let shared = self.shared.clone();
         let io = self.peer_io(j);
@@ -526,13 +497,10 @@ impl IoLoop {
         };
         let mut failed = false;
         // Handshake bytes go first, unvectored (once).
-        while !io.hello.is_empty() {
-            match stream.write(&io.hello) {
+        while !io.handshake.is_empty() {
+            match stream.write(&io.handshake) {
                 Ok(n) => {
-                    io.hello.drain(..n);
-                    if io.hello.is_empty() {
-                        io.hello_done = true;
-                    }
+                    io.handshake.drain(..n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -543,7 +511,7 @@ impl IoLoop {
             }
         }
         let c = &shared.peer(j).counters;
-        while !failed && io.hello.is_empty() && !io.batch.is_empty() {
+        while !failed && io.handshake.is_empty() && !io.batch.is_empty() {
             let mut slices = Vec::with_capacity(MAX_WRITE_SLICES);
             io.batch.unwritten_slices(&mut slices, MAX_WRITE_SLICES);
             match stream.write_vectored(&slices) {
@@ -572,25 +540,21 @@ impl IoLoop {
         self.check_barrier();
     }
 
-    /// Keep the outbound socket's epoll interest in sync: writable only
-    /// while there are bytes to push (level-triggered OUT on an idle
-    /// socket would spin the loop).
+    /// Keep the socket's epoll interest in sync: always readable,
+    /// writable only while there are bytes to push (level-triggered OUT
+    /// on an idle socket would spin the loop).
     fn update_interest(&mut self, j: u16) {
         let shared = self.shared.clone();
         let io = self.peer_io(j);
         let Conn::Up(stream) = &io.conn else { return };
-        let want = if io.hello.is_empty() && io.batch.is_empty() {
+        let want = if io.handshake.is_empty() && io.batch.is_empty() {
             Interest::READABLE
         } else {
             Interest::BOTH
         };
         if io.registered != Some(want) {
             let fd = stream.as_raw_fd();
-            let res = match io.registered {
-                Some(_) => shared.poller.reregister(fd, Self::out_token(j), want),
-                None => shared.poller.register(fd, Self::out_token(j), want),
-            };
-            if res.is_ok() {
+            if shared.poller.reregister(fd, u64::from(j), want).is_ok() {
                 io.registered = Some(want);
             }
         }
@@ -657,7 +621,7 @@ impl IoLoop {
         }
     }
 
-    // -- inbound ------------------------------------------------------------
+    // -- accepting ----------------------------------------------------------
 
     fn accept_ready(&mut self) {
         loop {
@@ -668,103 +632,103 @@ impl IoLoop {
                     }
                     let _ = stream.set_nodelay(true);
                     let fd = stream.as_raw_fd();
-                    self.inbound_seq += 1;
-                    let conn = InConn {
+                    self.pending_seq += 1;
+                    let conn = Pending {
                         stream,
                         from,
-                        peer: None,
-                        asm: StreamAssembler::new(),
                         hello: [0u8; stream::HANDSHAKE_LEN],
                         hello_got: 0,
-                        seq: self.inbound_seq,
+                        seq: self.pending_seq,
                     };
-                    let idx = match self.inbound.iter().position(Option::is_none) {
+                    let idx = match self.pending.iter().position(Option::is_none) {
                         Some(i) => {
-                            self.inbound[i] = Some(conn);
+                            self.pending[i] = Some(conn);
                             i
                         }
                         None => {
-                            self.inbound.push(Some(conn));
-                            self.inbound.len() - 1
+                            self.pending.push(Some(conn));
+                            self.pending.len() - 1
                         }
                     };
                     if self
                         .shared
                         .poller
-                        .register(fd, TOKEN_IN_BASE + idx as u64, Interest::READABLE)
+                        .register(fd, TOKEN_HELLO + idx as u64, Interest::READABLE)
                         .is_err()
                     {
-                        self.inbound[idx] = None;
+                        self.pending[idx] = None;
                         continue;
                     }
                     self.timers.push(
                         Instant::now() + HANDSHAKE_TIMEOUT,
-                        TimerKind::HelloTimeout(idx, self.inbound_seq),
+                        TimerKind::HelloTimeout(idx, self.pending_seq),
                     );
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => return,
             }
         }
     }
 
-    fn drop_inbound(&mut self, idx: usize) {
-        // Dropping the stream closes the fd, which deregisters it.
-        self.inbound[idx] = None;
-    }
-
-    /// Readiness on inbound connection `idx`: finish the handshake if
-    /// pending, then drain stream messages into the local queues — all but
-    /// the table, which is learned.
-    fn inbound_ready(&mut self, idx: usize) {
-        let Some(conn) = self.inbound.get_mut(idx).and_then(Option::as_mut) else {
+    /// Readiness on accepted connection `idx`: read exactly the hello,
+    /// never beyond, and adopt the connection as the rank it names only
+    /// if that rank is higher than this one and not connected yet. Any
+    /// other connection is dropped unread, before it touches runtime
+    /// state: a stranger, a bad hello, a lower or impossible rank, or a
+    /// rank already up or dead.
+    fn hello_ready(&mut self, idx: usize) {
+        let Some(conn) = self.pending.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        // Handshake phase: read exactly the hello, never beyond.
-        while conn.peer.is_none() {
+        while conn.hello_got < stream::HANDSHAKE_LEN {
             match conn.stream.read(&mut conn.hello[conn.hello_got..]) {
-                Ok(0) => {
-                    self.drop_inbound(idx);
-                    return;
-                }
-                Ok(n) => {
-                    conn.hello_got += n;
-                    if conn.hello_got < stream::HANDSHAKE_LEN {
-                        continue;
-                    }
-                    let n = self.shared.localities.len();
-                    let (peer, port) = match stream::decode_handshake(&conn.hello) {
-                        Ok((p, port)) if (p as usize) < n && p != self.shared.rank => (p, port),
-                        // Stranger, bad hello, or impossible id: drop it
-                        // before it touches any runtime state.
-                        _ => {
-                            self.drop_inbound(idx);
-                            return;
-                        }
-                    };
-                    conn.peer = Some(peer);
-                    let from = SocketAddr::new(conn.from.ip(), port);
-                    if !self.seen_in[peer as usize] {
-                        self.seen_in[peer as usize] = true;
-                        self.heard += 1;
-                        self.learn(peer, from);
-                        if self.shared.rank == 0 && self.heard == n - 1 {
-                            self.send_table();
-                        }
-                        self.check_barrier();
-                    }
-                    return self.inbound_ready(idx);
-                }
+                Ok(0) => return self.pending[idx] = None,
+                Ok(n) => conn.hello_got += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.drop_inbound(idx);
-                    return;
-                }
+                Err(_) => return self.pending[idx] = None,
             }
         }
-        let peer = conn.peer.expect("handshaked above");
-        let c = &self.shared.peer(peer).counters;
+        // Dropping the stream closes the fd, which deregisters it.
+        let conn = self.pending[idx].take().expect("read above");
+        let n = self.peers.len() as u16;
+        let rank = self.shared.rank;
+        let (peer, port) = match stream::decode_handshake(&conn.hello) {
+            Ok((p, port)) if (rank + 1..n).contains(&p) => (p, port),
+            _ => return,
+        };
+        if !matches!(self.peer_io(peer).conn, Conn::Waiting) {
+            return;
+        }
+        let fd = conn.stream.as_raw_fd();
+        if (self.shared.poller)
+            .reregister(fd, u64::from(peer), Interest::READABLE)
+            .is_err()
+        {
+            return;
+        }
+        let io = self.peer_io(peer);
+        io.conn = Conn::Up(conn.stream);
+        io.registered = Some(Interest::READABLE);
+        self.learn(peer, SocketAddr::new(conn.from.ip(), port));
+        let mut peers = self.peers.iter().flatten();
+        if rank == 0 && peers.all(|io| matches!(io.conn, Conn::Up(_))) {
+            self.send_table();
+        }
+        self.check_barrier();
+    }
+
+    // -- reading ------------------------------------------------------------
+
+    /// Drain the socket of peer `j` into the local queues — all but the
+    /// table, which is learned.
+    fn read_peer(&mut self, j: u16) {
+        let Some(io) = self.peers[j as usize].as_mut() else {
+            return;
+        };
+        let Conn::Up(stream) = &mut io.conn else {
+            return;
+        };
+        let c = &self.shared.peer(j).counters;
         let mut reads = 0;
         // What stops the reading: a table to learn, a stream that does not
         // parse (`Ok(None)`), or a lost connection.
@@ -772,7 +736,7 @@ impl IoLoop {
             // What is buffered first: messages read behind a table wait
             // in the assembler until it is learned.
             loop {
-                match conn.asm.next_msg() {
+                match io.asm.next_msg() {
                     Ok(Some((msg_kind::TABLE, table))) => break 'conn Ok(Some(table)),
                     Ok(Some((kind, body))) => {
                         c.msgs_recv.add(1);
@@ -780,7 +744,7 @@ impl IoLoop {
                             crate::trace::TraceEventKind::NetRecv,
                             kind,
                             &body,
-                            peer,
+                            j,
                         );
                         self.shared.deliver_local(kind, body);
                     }
@@ -792,7 +756,7 @@ impl IoLoop {
                 return;
             }
             reads += 1;
-            let n = match conn.stream.read(&mut self.read_chunk) {
+            let n = match stream.read(&mut self.read_chunk) {
                 Ok(0) => break Err("connection closed"),
                 Ok(n) => n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -800,10 +764,10 @@ impl IoLoop {
                 Err(_) => break Err("read failed"),
             };
             c.bytes_recv.add(n as u64);
-            conn.asm.feed(&self.read_chunk[..n]);
+            io.asm.feed(&self.read_chunk[..n]);
         };
         let why = match stopped {
-            Ok(Some(table)) if self.learn_table(peer, &table) => return self.inbound_ready(idx),
+            Ok(Some(table)) if self.learn_table(j, &table) => return self.read_peer(j),
             // Desynchronized, by a bad prefix or a table that is not rank
             // 0's first: unrecoverable for a length-prefixed protocol.
             // Count it; the peer is lost like any other dropped connection.
@@ -814,12 +778,7 @@ impl IoLoop {
             }
             Err(why) => why,
         };
-        self.drop_inbound(idx);
-        // During shutdown the peer closing its sending half is the
-        // cluster stopping, not a failure: keep flushing toward it.
-        if !self.shared.shutting_down.load(Ordering::Acquire) {
-            self.peer_lost(peer, why);
-        }
+        self.peer_lost(j, why);
     }
 
     // -- shutdown -----------------------------------------------------------
@@ -847,7 +806,7 @@ impl IoLoop {
     fn pending(&self) -> bool {
         let live = self.peers.iter().flatten();
         live.filter(|io| matches!(io.conn, Conn::Up(_)))
-            .any(|io| !(io.hello.is_empty() && io.batch.is_empty()))
+            .any(|io| !(io.handshake.is_empty() && io.batch.is_empty()))
     }
 
     /// Connect attempts made toward each peer, once this rank has its

@@ -117,6 +117,7 @@ messages! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use MigrationCause::{Balancer, Manual};
 
     /// `decode(encode(x)) == x`, the bytes are exactly `layout` (what the
@@ -193,6 +194,39 @@ mod tests {
                 owner: rank,
             };
             check(commit, &cat(&[&g, &[u8::from(keep), 0x0B, 0x0A]]), 11);
+        }
+    }
+
+    /// Every row's decode over hostile payloads: arbitrary bytes, cut at
+    /// every length, decode to an error or to a message that re-encodes
+    /// within the bytes it was read from — never a panic — and a cut
+    /// shorter than the row's fixed part is an error.
+    fn refuses_hostile<T: Wire>(bytes: &[u8], fixed: usize) {
+        for cut in 0..=bytes.len() {
+            if let Ok(x) = T::decode(&bytes[..cut]) {
+                prop_assert!(cut >= fixed, "decoded {cut} bytes of a {fixed}-byte layout");
+                prop_assert!(
+                    x.encode().bytes().len() <= cut,
+                    "re-encoded past {cut} bytes"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn every_row_refuses_hostile_payloads(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            refuses_hostile::<SetSlot>(&bytes, 4);
+            refuses_hostile::<Migrate>(&bytes, 3);
+            // gid, version, and at least a one-byte length prefix.
+            refuses_hostile::<DirInstall>(&bytes, 17);
+            refuses_hostile::<DirUpdate>(&bytes, 11);
+            refuses_hostile::<DirLookup>(&bytes, 8);
+            refuses_hostile::<DirRepair>(&bytes, 10);
+            refuses_hostile::<DirCommit>(&bytes, 11);
+            refuses_hostile::<EchoProp>(&bytes, 8);
+            refuses_hostile::<EchoValidate>(&bytes, 8);
+            refuses_hostile::<EchoVerdict>(&bytes, 9);
         }
     }
 

@@ -155,13 +155,16 @@ pub struct TraceEvent {
     /// Comparable within one OS process only — cross-rank ordering uses
     /// causal matching, not clocks.
     pub at_ns: u64,
-    /// Recording-order sequence number within the ring (ties on `at_ns`).
+    /// Ticket of the recording ring: each locality's ring numbers its
+    /// events on its own, so `seq` orders events of one ring only (and
+    /// breaks ties on `at_ns`).
     pub seq: u64,
     /// Recording locality.
     pub locality: u16,
     /// Recording rank (one causality domain per OS process): events with
-    /// equal `domain` are totally ordered by `seq`; events across domains
-    /// only by send/recv matching.
+    /// equal `domain` are ordered by `(at_ns, seq)` — every ring of a
+    /// runtime shares one epoch; events across domains only by send/recv
+    /// matching.
     pub domain: u16,
 }
 
@@ -344,14 +347,16 @@ impl TraceDump {
     }
 
     /// Order events causally: within a domain (one OS process) by
-    /// recording order; across domains, a [`TraceEventKind::NetRecv`] of
+    /// timestamp, `seq` breaking ties — the rings of one runtime share an
+    /// epoch and stamp an event after claiming its slot, whereas their
+    /// tickets are per ring; across domains, a [`TraceEventKind::NetRecv`] of
     /// trace `t` from rank `r` is placed after a matching
     /// [`TraceEventKind::NetSubmit`] of `t` sent from `r` — clocks are
     /// never compared across domains. If ring overwrites leave a receive
     /// unmatched, the ordering degrades gracefully to timestamp order for
     /// the stuck fronts rather than stalling.
     pub fn order_causally(&mut self) {
-        // Per-domain queues in recording order.
+        // Per-domain queues in time order.
         let mut domains: HashMap<u16, Vec<TraceEvent>> = HashMap::new();
         for e in self.events.drain(..) {
             domains.entry(e.domain).or_default().push(e);
@@ -359,7 +364,7 @@ impl TraceDump {
         let mut queues: Vec<(Vec<TraceEvent>, usize)> = domains
             .into_values()
             .map(|mut v| {
-                v.sort_by_key(|e| e.seq);
+                v.sort_by_key(|e| (e.at_ns, e.seq));
                 (v, 0usize)
             })
             .collect();

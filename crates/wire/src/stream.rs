@@ -24,20 +24,23 @@
 //!
 //! ## Connection handshake
 //!
-//! The first bytes on every connection are a fixed-size hello:
-//! `MAGIC (u32 LE) ++ STREAM_VERSION (u8) ++ locality id (u16 LE) ++
-//! listen port (u16 LE)`, built/parsed by
+//! A peer pair shares one connection, dialled by the higher rank, and
+//! both directions ride it. The dialer's first bytes are a fixed-size
+//! hello: `MAGIC (u32 LE) ++ STREAM_VERSION (u8) ++ locality id (u16 LE)
+//! ++ listen port (u16 LE)`, built/parsed by
 //! [`encode_handshake`]/[`decode_handshake`]. The magic rejects strangers
 //! (port scanners, misconfigured peers) and the version a peer of another
 //! protocol version, before any runtime state is touched; the locality id
-//! tells the acceptor which peer this inbound byte stream belongs to, and
-//! the port where that peer listens (at the IP the connection came from).
+//! tells the acceptor which peer the connection belongs to, and the port
+//! where that peer listens (at the IP the connection came from). The
+//! acceptor writes no hello: its messages follow the dialer's hello on
+//! the same connection.
 //!
 //! Only rank 0's address is known in advance. Rank 0 learns every other
-//! rank's from its hello, and once all have said hello it sends each a
-//! [`msg_kind::TABLE`] ([`encode_table`]/[`decode_table`]) — the one
-//! message after the hello that is not runtime traffic — from which the
-//! ranks dial each other.
+//! rank's from its hello, and once all have said hello it writes each a
+//! [`msg_kind::TABLE`] ([`encode_table`]/[`decode_table`]) as the first
+//! message on the connection — the one message that is not runtime
+//! traffic — from which each rank dials the ranks below it.
 
 use crate::buf::{WireReader, WireWriter};
 use crate::error::{WireError, WireResult};
@@ -46,8 +49,11 @@ use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 /// Stream protocol magic: `"PXS1"` little-endian.
 pub const STREAM_MAGIC: u32 = 0x3153_5850;
 
-/// Stream protocol version (bumped on any header/handshake change).
-pub const STREAM_VERSION: u8 = 2;
+/// Stream protocol version (bumped on any header/handshake change). 3:
+/// one duplex connection per rank pair, on which the acceptor writes too
+/// — a version-2 peer, which expects the simplex mesh, is refused at the
+/// hello.
+pub const STREAM_VERSION: u8 = 3;
 
 /// Bytes of the per-message header (`kind` + `len`).
 pub const MSG_HEADER_LEN: usize = 1 + 4;
@@ -75,8 +81,9 @@ pub mod msg_kind {
     /// Control-plane parcel (balancer gossip): delivered to the
     /// destination's priority control queue, never coalesced.
     pub const CONTROL: u8 = 4;
-    /// The address table, from rank 0 once per connection, at bootstrap
-    /// ([`super::encode_table`]); never delivered to the runtime.
+    /// The address table, from rank 0 once per connection, at bootstrap,
+    /// as the connection's first message ([`super::encode_table`]); never
+    /// delivered to the runtime.
     pub const TABLE: u8 = 5;
     /// Highest kind a decoder of this version understands.
     pub const MAX: u8 = TABLE;
@@ -481,9 +488,14 @@ mod tests {
         let mut wrong_version = h;
         wrong_version[4] = 99;
         assert!(decode_handshake(&wrong_version).is_err());
-        let mut v1 = h;
-        v1[4] = 1;
-        assert!(decode_handshake(&v1).is_err(), "a v1 peer is refused");
+        for old in [1, 2] {
+            let mut older = h;
+            older[4] = old;
+            assert!(
+                decode_handshake(&older).is_err(),
+                "a v{old} peer is refused"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Property tests for the multi-parcel frame format: arbitrary record
 //! sets round-trip through `FrameBuf` encode → `FrameView` decode,
 //! covering empty batches, single records, and frames at the size caps
-//! the transport uses.
+//! the transport uses; and hostile bytes — arbitrary input, and valid
+//! frames of either version cut short or with one byte overwritten —
+//! never panic the parser or the record iterator.
 
 use proptest::prelude::*;
-use px_wire::{FrameBuf, FrameView, FRAME_HEADER_LEN, RECORD_HEADER_LEN};
+use px_wire::{
+    FrameBuf, FrameView, FRAME_HEADER_LEN, FRAME_TRAILER_LEN, FRAME_VERSION,
+    FRAME_VERSION_CHECKSUM, RECORD_HEADER_LEN,
+};
 
 fn roundtrip(records: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let mut f = FrameBuf::new();
@@ -26,7 +31,60 @@ fn roundtrip(records: &[Vec<u8>]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// What a parse of hostile `bytes` may do: refuse them, or claim no more
+/// records than their length prefixes could fit, and iterate at most
+/// that many, stopping at the first error.
+fn parses_within_its_input(bytes: &[u8]) {
+    let Ok(view) = FrameView::parse(bytes) else {
+        return;
+    };
+    let claimed = view.record_count() as usize;
+    let trailer = match bytes[0] {
+        FRAME_VERSION_CHECKSUM => FRAME_TRAILER_LEN,
+        _ => 0,
+    };
+    prop_assert!(
+        claimed * RECORD_HEADER_LEN <= bytes.len() - FRAME_HEADER_LEN - trailer,
+        "{claimed} records claimed in {} bytes",
+        bytes.len()
+    );
+    let items: Vec<_> = view.records().collect();
+    prop_assert!(items.len() <= claimed, "{} of {claimed}", items.len());
+    if let Some(first) = items.iter().position(Result::is_err) {
+        prop_assert_eq!(first, items.len() - 1, "iterated past an error");
+    }
+}
+
 proptest! {
+    #[test]
+    fn arbitrary_bytes_parse_within_their_input(
+        version in prop_oneof![Just(FRAME_VERSION), Just(FRAME_VERSION_CHECKSUM), any::<u8>()],
+        noise in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        // Led by a version byte, so the header checks past it run too.
+        parses_within_its_input(&[&[version][..], &noise].concat());
+    }
+
+    #[test]
+    fn damaged_frames_parse_within_their_input(
+        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..8),
+        checksummed in any::<bool>(),
+        cut in any::<usize>(),
+        at in any::<usize>(),
+        with in any::<u8>(),
+    ) {
+        let version = if checksummed { FRAME_VERSION_CHECKSUM } else { FRAME_VERSION };
+        let mut f = FrameBuf::with_version(version);
+        for r in &records {
+            f.push_record(r);
+        }
+        let mut bytes = f.take();
+        parses_within_its_input(&bytes[..cut % (bytes.len() + 1)]);
+        let i = at % bytes.len();
+        bytes[i] = with;
+        parses_within_its_input(&bytes);
+    }
+
     #[test]
     fn arbitrary_batches_roundtrip(
         records in proptest::collection::vec(

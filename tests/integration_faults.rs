@@ -444,7 +444,8 @@ fn zero_count_gates_fire_immediately() {
 /// a fetch sent on a stale cache is forwarded once, to the object's
 /// home, where the object was freed, and dies there — the send at the
 /// caller, the forward (hop 1) at the stale owner and the kill, with its
-/// cause code, at the home, under the dying trace alone.
+/// cause code, at the home, under the dying trace alone — in that order
+/// in the dump, although three localities' rings recorded them.
 #[test]
 fn traced_death_of_a_freed_object_reports_its_route() {
     let captured: Arc<Mutex<Option<(Fault, TraceDump)>>> = Arc::new(Mutex::new(None));
@@ -490,14 +491,16 @@ fn traced_death_of_a_freed_object_reports_its_route() {
         .map(|e| (e.kind, e.locality, e.aux))
         .collect();
     let kill = u64::from(FaultCause::HandlerError.code());
-    for step in [
-        (TraceEventKind::ParcelSend, 2, 1),
-        (TraceEventKind::ParcelForward, 1, 1),
-        (TraceEventKind::ParcelKill, 0, kill),
-    ] {
-        assert!(route.contains(&step), "{step:?}:\n{}", dump.render());
-    }
-    assert_eq!(route.len(), 3, "one send, one forward, one kill");
+    assert_eq!(
+        route,
+        [
+            (TraceEventKind::ParcelSend, 2, 1),
+            (TraceEventKind::ParcelForward, 1, 1),
+            (TraceEventKind::ParcelKill, 0, kill),
+        ],
+        "one send, one forward, one kill, in dump order:\n{}",
+        dump.render()
+    );
     rt.shutdown();
 }
 
