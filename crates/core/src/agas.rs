@@ -2,60 +2,59 @@
 //! "efficient address translation … in the presence of dynamic object
 //! distribution" (§2.1 requirement; §2.2 "global name space").
 //!
+//! Every locality is an AGAS rank: it holds one [`Agas`] of its own, on
+//! both backends, and one protocol runs between them — the same between
+//! two localities of one OS process as between two processes over TCP.
 //! Resolution is **home-based with caching**:
 //!
 //! 1. A GID's default home is its *birthplace* (packed in the GID itself).
 //!    Only data objects migrate, so every other name (LCOs, processes,
 //!    echo nodes, locality roots) resolves there with no lookup at all.
-//! 2. Objects that migrate get an entry in the sharded **directory**; the
-//!    entry is authoritative.
+//! 2. Objects that migrate get an entry in the sharded **directory**. Only
+//!    the directory of a GID's home locality is authoritative for it;
+//!    another locality's entries are advisory fast paths, filled when an
+//!    object is installed there or leaves from there.
 //! 3. Each locality keeps a **resolution cache**. Stale cache entries are
 //!    possible immediately after a migration; the parcel layer repairs
 //!    them by *forwarding* the mis-delivered parcel (bounded chase) and
-//!    sending a cache-repair hint to the sender. This mirrors the classic
-//!    home-forwarding AGAS design the ParalleX model assumes.
+//!    sending a `__sys/dir_repair` hint to the sender. A locality whose
+//!    directory cannot answer asks the home with `__sys/dir_lookup`.
+//!    This mirrors the classic home-forwarding AGAS design the ParalleX
+//!    model assumes.
 //!
-//! The symbolic name service ("hierarchical naming structure") maps
-//! path-style strings (`"/app/mesh/block7"`) to GIDs.
+//! The symbolic name service ("hierarchical naming structure",
+//! [`Names`]) maps path-style strings (`"/app/mesh/block7"`) to GIDs: one
+//! table per OS process, with `/proc/...` names looked up at the
+//! process's home rank across processes.
 //!
 //! ## Moves and the hop bound
 //!
-//! Every move of an object, in-process or across ranks, pins its GID
-//! ([`Agas::begin_migration`]) from its first step to its last. A parcel
-//! that does not find its object where it lands follows one rule
+//! Every move of an object is the split-phase protocol of
+//! `sys::agas::migrate`: install at the destination → update the home
+//! directory → remove at the source → commit. It pins its GID
+//! ([`Agas::begin_migration`]) at the source from its first step to its
+//! last, and at the destination from the install to the commit; no lock
+//! is held across a round trip. A parcel that does not find its object
+//! where it lands, or finds it pinned, follows one rule
 //! (`sys::agas::not_here`): it is forwarded when the directory names
-//! another locality, parks on the pin when a move is in flight, and dies
-//! at once when an authoritative directory says the object is absent —
-//! freed, or never created. Only a forward costs a hop, and a forward
-//! follows a directory entry some completed move wrote, so on both
-//! backends **a parcel's hops are at most the moves of its object that
-//! complete while it travels**. The 16-hop cap is reached only by a
-//! migration storm.
-//!
-//! ## Distributed operation
-//!
-//! Over TCP every OS process holds one `Agas` instance, but only the
-//! directory shards on a GID's **home rank** (its birthplace) are
-//! cluster-authoritative. Other ranks' directory shards and caches are
-//! advisory fast paths: they are filled by `__sys/dir_repair` hints and
-//! by migration acknowledgements, and a stale answer is always repaired
-//! by the same bounded forwarding chase used in-process (the chasing
-//! parcel carries its hop count; the home rank is consulted via
-//! `__sys/dir_lookup` on the control lane when the chase needs an
-//! authoritative answer). A cross-rank move holds its pin across the
-//! protocol's round trips; no lock is ever held across the wire.
+//! another locality, parks on the pin while a move is in flight (so work
+//! dispatched to a moving object runs where the object lands), dies at
+//! once when the home's directory says the object is absent (freed, or
+//! never created), and asks the home otherwise. Only a forward costs a hop, and a forward follows a
+//! directory entry some completed move wrote, so **a parcel's hops are at
+//! most the moves of its object that complete while it travels**. The
+//! 16-hop cap is reached only by a migration storm.
 
 use crate::error::{PxError, PxResult};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::stats::Counter;
 use parking_lot::{Mutex, RwLock};
 
 const DIR_SHARDS: usize = 16;
 
-/// Who initiated a migration (surfaced in
-/// [`crate::stats::StatsSnapshot`] so balancer churn is distinguishable
-/// from application-directed placement).
+/// Who asked for a migration (counted by the `migrations_manual` and
+/// `migrations_balancer` rows, so balancer churn is distinguishable from
+/// application-directed placement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationCause {
     /// Explicit `migrate_data` call by the application/driver.
@@ -73,7 +72,9 @@ struct MigrationSync {
     deferred: FxHashMap<Gid, Vec<crate::parcel::Parcel>>,
 }
 
-/// The AGAS service shared by all localities of a runtime.
+/// One locality's AGAS: its directory (authoritative for the GIDs born
+/// there), its resolution cache, its outgoing access heat and the pins of
+/// the moves it takes part in.
 pub struct Agas {
     /// Directory of migrated objects (authoritative). Sharded to keep
     /// write contention off the resolution fast path.
@@ -85,36 +86,24 @@ pub struct Agas {
     /// map. Only written when balancing is enabled (the send path gates
     /// the hook), so the un-balanced fast path never touches these locks.
     heat: Vec<Mutex<FxHashMap<Gid, u64>>>,
-    /// Symbolic names (global, rarely written).
-    names: RwLock<FxHashMap<String, Gid>>,
     /// Move serialization, one pin per GID. Every move pins its GID in
-    /// `in_flight` for its whole run — the in-process store move and the
-    /// cross-rank protocol's round trips alike — so two moves of one
+    /// `in_flight` across the protocol's round trips, so two moves of one
     /// object never interleave (both could otherwise read the same
     /// source and leave a stale copy at the directory loser), and
     /// parcels that find the object absent meanwhile park in `deferred`.
     /// The lock only guards set/map membership — it is never held
     /// across a wire operation.
     migration_sync: Mutex<MigrationSync>,
-    /// Monotone count of migrations (diagnostics).
-    migrations: Counter,
-    /// Migrations recorded with [`MigrationCause::Manual`].
-    migrations_manual: Counter,
-    /// Migrations recorded with [`MigrationCause::Balancer`].
-    migrations_balancer: Counter,
 }
 
 impl std::fmt::Debug for Agas {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Agas")
-            .field("migrations", &self.migrations.get())
-            .field("names", &self.names.read().len())
-            .finish()
+        f.debug_struct("Agas").finish_non_exhaustive()
     }
 }
 
 impl Agas {
-    /// AGAS for `n` localities.
+    /// One locality's AGAS, in a system of `n` localities.
     pub fn new(n: usize) -> Self {
         Agas {
             directory: (0..DIR_SHARDS)
@@ -122,11 +111,7 @@ impl Agas {
                 .collect(),
             caches: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
             heat: (0..n).map(|_| Mutex::new(FxHashMap::default())).collect(),
-            names: RwLock::new(FxHashMap::default()),
             migration_sync: Mutex::new(MigrationSync::default()),
-            migrations: Counter::default(),
-            migrations_manual: Counter::default(),
-            migrations_balancer: Counter::default(),
         }
     }
 
@@ -165,8 +150,8 @@ impl Agas {
         }
     }
 
-    /// Authoritative owner (directory, then birthplace) — used by a
-    /// locality that received a parcel for an object it no longer owns.
+    /// The directory's owner of `gid` (its entry, else the birthplace):
+    /// authoritative at the GID's home locality, advisory elsewhere.
     pub fn authoritative_owner(&self, gid: Gid) -> LocalityId {
         self.shard(gid)
             .read()
@@ -175,31 +160,11 @@ impl Agas {
             .unwrap_or_else(|| gid.birthplace())
     }
 
-    /// Record a migration: `gid` now lives at `to`. Attributed to
-    /// [`MigrationCause::Manual`]; the balancer uses
-    /// [`Agas::record_migration_caused`].
+    /// Record a migration in the directory: `gid` now lives at `to`. Each
+    /// locality that takes part in a move writes its own directory — the
+    /// destination at install, the home at its update, the source at
+    /// remove — and the move is counted once, where it completes.
     pub fn record_migration(&self, gid: Gid, to: LocalityId) {
-        self.record_migration_caused(gid, to, MigrationCause::Manual);
-    }
-
-    /// Record a migration with an explicit cause.
-    pub fn record_migration_caused(&self, gid: Gid, to: LocalityId, cause: MigrationCause) {
-        // Tallies only: the directory write below is what synchronizes
-        // the move itself.
-        self.migrations.add(1);
-        match cause {
-            MigrationCause::Manual => self.migrations_manual.add(1),
-            MigrationCause::Balancer => self.migrations_balancer.add(1),
-        };
-        self.note_owner(gid, to);
-    }
-
-    /// Directory write without migration accounting: the `__sys`
-    /// directory ops use this at the destination and home ranks (the
-    /// rank that *initiated* the move already counted the migration;
-    /// counting it again at every participating rank would inflate the
-    /// per-rank migration totals).
-    pub fn note_owner(&self, gid: Gid, to: LocalityId) {
         let mut shard = self.shard(gid).write();
         if to == gid.birthplace() {
             // Back home: the directory entry is redundant.
@@ -212,11 +177,6 @@ impl Agas {
     /// Repair one locality's cache entry (forwarding hint).
     pub fn repair_cache(&self, at: LocalityId, gid: Gid, owner: LocalityId) {
         self.caches[at.0 as usize].write().insert(gid, owner);
-    }
-
-    /// Total migrations recorded.
-    pub fn migrations(&self) -> u64 {
-        self.migrations.get()
     }
 
     /// Pin `gid` for a move. Returns `false` (and pins nothing) when a
@@ -276,11 +236,6 @@ impl Agas {
         self.migration_sync.lock().in_flight.contains(&gid)
     }
 
-    /// Migrations split by cause: `(manual, balancer)`.
-    pub fn migrations_by_cause(&self) -> (u64, u64) {
-        (self.migrations_manual.get(), self.migrations_balancer.get())
-    }
-
     // ---- access heat -------------------------------------------------------
 
     /// Note that locality `from` addressed a parcel at remote object
@@ -304,72 +259,6 @@ impl Agas {
         v
     }
 
-    // ---- symbolic names ---------------------------------------------------
-
-    /// Bind a hierarchical name to a GID. Names are write-once.
-    pub fn register_name(&self, name: &str, gid: Gid) -> PxResult<()> {
-        let mut names = self.names.write();
-        if names.contains_key(name) {
-            return Err(PxError::DuplicateName(name.to_string()));
-        }
-        names.insert(name.to_string(), gid);
-        Ok(())
-    }
-
-    /// Resolve a hierarchical name.
-    pub fn lookup_name(&self, name: &str) -> PxResult<Gid> {
-        self.names
-            .read()
-            .get(name)
-            .copied()
-            .ok_or_else(|| PxError::UnknownName(name.to_string()))
-    }
-
-    /// Remove a name binding, returning the GID it named.
-    pub fn unregister_name(&self, name: &str) -> PxResult<Gid> {
-        self.names
-            .write()
-            .remove(name)
-            .ok_or_else(|| PxError::UnknownName(name.to_string()))
-    }
-
-    /// Remove every name under `prefix` in one pass, returning the
-    /// removed bindings sorted by name. This is the bulk-teardown half of
-    /// hierarchical naming: process exits (and any caller that registers
-    /// then drops a family of names) use it instead of leaking entries
-    /// into the global table one `unregister_name` miss at a time.
-    pub fn unregister_names_under(&self, prefix: &str) -> Vec<(String, Gid)> {
-        let mut names = self.names.write();
-        let keys: Vec<String> = names
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        let mut out: Vec<(String, Gid)> = keys
-            .into_iter()
-            .map(|k| {
-                let gid = names.remove(&k).expect("key collected under lock");
-                (k, gid)
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// List names under a prefix (hierarchy browsing).
-    pub fn names_under(&self, prefix: &str) -> Vec<(String, Gid)> {
-        let names = self.names.read();
-        let mut out: Vec<(String, Gid)> = names
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-impl Agas {
     /// Resolve with instrumentation: counts a data object's cache hits
     /// and misses (split into directory lookups and birthplace fallbacks)
     /// on the asking locality. Backs the
@@ -393,6 +282,74 @@ impl Agas {
             }
         }
         r.owner
+    }
+}
+
+/// The symbolic name table of one OS process (global, rarely written).
+#[derive(Debug, Default)]
+pub struct Names(RwLock<FxHashMap<String, Gid>>);
+
+impl Names {
+    /// Bind a hierarchical name to a GID. Names are write-once.
+    pub fn register_name(&self, name: &str, gid: Gid) -> PxResult<()> {
+        let mut names = self.0.write();
+        if names.contains_key(name) {
+            return Err(PxError::DuplicateName(name.to_string()));
+        }
+        names.insert(name.to_string(), gid);
+        Ok(())
+    }
+
+    /// Resolve a hierarchical name.
+    pub fn lookup_name(&self, name: &str) -> PxResult<Gid> {
+        self.0
+            .read()
+            .get(name)
+            .copied()
+            .ok_or_else(|| PxError::UnknownName(name.to_string()))
+    }
+
+    /// Remove a name binding, returning the GID it named.
+    pub fn unregister_name(&self, name: &str) -> PxResult<Gid> {
+        self.0
+            .write()
+            .remove(name)
+            .ok_or_else(|| PxError::UnknownName(name.to_string()))
+    }
+
+    /// Remove every name under `prefix` in one pass, returning the
+    /// removed bindings sorted by name. This is the bulk-teardown half of
+    /// hierarchical naming: process exits (and any caller that registers
+    /// then drops a family of names) use it instead of leaking entries
+    /// into the global table one `unregister_name` miss at a time.
+    pub fn unregister_names_under(&self, prefix: &str) -> Vec<(String, Gid)> {
+        let mut names = self.0.write();
+        let keys: Vec<String> = names
+            .keys()
+            .filter(|k| k.starts_with(prefix))
+            .cloned()
+            .collect();
+        let mut out: Vec<(String, Gid)> = keys
+            .into_iter()
+            .map(|k| {
+                let gid = names.remove(&k).expect("key collected under lock");
+                (k, gid)
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// List names under a prefix (hierarchy browsing).
+    pub fn names_under(&self, prefix: &str) -> Vec<(String, Gid)> {
+        let names = self.0.read();
+        let mut out: Vec<(String, Gid)> = names
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 }
 
@@ -444,7 +401,6 @@ mod tests {
         // Second resolve hits the cache.
         let r2 = agas.resolve(LocalityId(0), g);
         assert_eq!(r2.source, ResolutionSource::Cache);
-        assert_eq!(agas.migrations(), 1);
     }
 
     #[test]
@@ -478,7 +434,7 @@ mod tests {
     #[test]
     fn resolve_counted_tracks_hits_and_misses() {
         let agas = Agas::new(4);
-        let loc = crate::locality::Locality::new(LocalityId(0), false);
+        let loc = crate::locality::Locality::new(LocalityId(0), false, 1);
         let g = gid_at(2, 5);
         // Birthplace resolution: a miss (no cache entry exists).
         agas.resolve_counted(&loc, g);
@@ -501,7 +457,7 @@ mod tests {
     #[test]
     fn names_that_cannot_move_resolve_to_their_birthplace() {
         let agas = Agas::new(4);
-        let loc = crate::locality::Locality::new(LocalityId(0), false);
+        let loc = crate::locality::Locality::new(LocalityId(0), false, 1);
         let kinds = [
             GidKind::Lco,
             GidKind::Process,
@@ -511,7 +467,7 @@ mod tests {
         ];
         for (seq, kind) in kinds.into_iter().enumerate() {
             let g = Gid::new(LocalityId(2), kind, seq as u64);
-            agas.note_owner(g, LocalityId(3));
+            agas.record_migration(g, LocalityId(3));
             for from in 0..4 {
                 let r = agas.resolve(LocalityId(from), g);
                 assert_eq!(r.owner, LocalityId(2), "{kind:?}");
@@ -523,18 +479,6 @@ mod tests {
         let s = loc.stats();
         assert_eq!((s.agas_cache_hits, s.agas_cache_misses), (0, 0));
         assert_eq!(s.agas_directory_lookups, 0);
-    }
-
-    #[test]
-    fn migrations_attributed_by_cause() {
-        let agas = Agas::new(4);
-        let g = gid_at(0, 9);
-        agas.record_migration(g, LocalityId(1));
-        agas.record_migration_caused(g, LocalityId(2), MigrationCause::Balancer);
-        agas.record_migration_caused(g, LocalityId(3), MigrationCause::Balancer);
-        assert_eq!(agas.migrations(), 3);
-        assert_eq!(agas.migrations_by_cause(), (1, 2));
-        assert_eq!(agas.authoritative_owner(g), LocalityId(3));
     }
 
     #[test]
@@ -595,43 +539,45 @@ mod tests {
 
     #[test]
     fn symbolic_names() {
-        let agas = Agas::new(1);
+        let names = Names::default();
         let g = gid_at(0, 1);
-        agas.register_name("/app/mesh/block0", g).unwrap();
-        assert_eq!(agas.lookup_name("/app/mesh/block0").unwrap(), g);
+        names.register_name("/app/mesh/block0", g).unwrap();
+        assert_eq!(names.lookup_name("/app/mesh/block0").unwrap(), g);
         assert!(matches!(
-            agas.register_name("/app/mesh/block0", g),
+            names.register_name("/app/mesh/block0", g),
             Err(PxError::DuplicateName(_))
         ));
         assert!(matches!(
-            agas.lookup_name("/nope"),
+            names.lookup_name("/nope"),
             Err(PxError::UnknownName(_))
         ));
     }
 
     #[test]
     fn hierarchical_prefix_listing() {
-        let agas = Agas::new(1);
-        agas.register_name("/a/x", gid_at(0, 1)).unwrap();
-        agas.register_name("/a/y", gid_at(0, 2)).unwrap();
-        agas.register_name("/b/z", gid_at(0, 3)).unwrap();
-        let under_a = agas.names_under("/a/");
+        let names = Names::default();
+        names.register_name("/a/x", gid_at(0, 1)).unwrap();
+        names.register_name("/a/y", gid_at(0, 2)).unwrap();
+        names.register_name("/b/z", gid_at(0, 3)).unwrap();
+        let under_a = names.names_under("/a/");
         assert_eq!(under_a.len(), 2);
         assert_eq!(under_a[0].0, "/a/x");
-        let all = agas.names_under("/");
+        let all = names.names_under("/");
         assert_eq!(all.len(), 3);
     }
 
     #[test]
     fn unregister_names_under_prefix() {
-        let agas = Agas::new(1);
-        agas.register_name("/proc/1f/counter", gid_at(0, 1))
+        let names = Names::default();
+        names
+            .register_name("/proc/1f/counter", gid_at(0, 1))
             .unwrap();
-        agas.register_name("/proc/1f/log", gid_at(0, 2)).unwrap();
-        agas.register_name("/proc/2a/counter", gid_at(0, 3))
+        names.register_name("/proc/1f/log", gid_at(0, 2)).unwrap();
+        names
+            .register_name("/proc/2a/counter", gid_at(0, 3))
             .unwrap();
-        agas.register_name("/global", gid_at(0, 4)).unwrap();
-        let removed = agas.unregister_names_under("/proc/1f/");
+        names.register_name("/global", gid_at(0, 4)).unwrap();
+        let removed = names.unregister_names_under("/proc/1f/");
         assert_eq!(
             removed,
             vec![
@@ -640,24 +586,25 @@ mod tests {
             ]
         );
         // Removed names are gone; unrelated names survive.
-        assert!(agas.lookup_name("/proc/1f/counter").is_err());
-        assert_eq!(agas.lookup_name("/proc/2a/counter").unwrap(), gid_at(0, 3));
-        assert_eq!(agas.lookup_name("/global").unwrap(), gid_at(0, 4));
+        assert!(names.lookup_name("/proc/1f/counter").is_err());
+        assert_eq!(names.lookup_name("/proc/2a/counter").unwrap(), gid_at(0, 3));
+        assert_eq!(names.lookup_name("/global").unwrap(), gid_at(0, 4));
         // The freed names can be re-registered (no tombstones), and a
         // second bulk pass removes nothing.
-        assert!(agas.unregister_names_under("/proc/1f/").is_empty());
-        agas.register_name("/proc/1f/counter", gid_at(0, 9))
+        assert!(names.unregister_names_under("/proc/1f/").is_empty());
+        names
+            .register_name("/proc/1f/counter", gid_at(0, 9))
             .unwrap();
-        assert_eq!(agas.lookup_name("/proc/1f/counter").unwrap(), gid_at(0, 9));
+        assert_eq!(names.lookup_name("/proc/1f/counter").unwrap(), gid_at(0, 9));
     }
 
     #[test]
     fn unregister() {
-        let agas = Agas::new(1);
+        let names = Names::default();
         let g = gid_at(0, 1);
-        agas.register_name("/tmp", g).unwrap();
-        assert_eq!(agas.unregister_name("/tmp").unwrap(), g);
-        assert!(agas.lookup_name("/tmp").is_err());
-        assert!(agas.unregister_name("/tmp").is_err());
+        names.register_name("/tmp", g).unwrap();
+        assert_eq!(names.unregister_name("/tmp").unwrap(), g);
+        assert!(names.lookup_name("/tmp").is_err());
+        assert!(names.unregister_name("/tmp").is_err());
     }
 }

@@ -26,10 +26,13 @@
 //!    * *spawn redirect*: publish the peer as this round's
 //!      [`crate::locality::BalanceState::spawn_target`] so `Ctx::spawn`
 //!      diffuses a share of fresh work at creation time;
-//!    * *heat-driven migration*: pull objects this locality has been
-//!      hammering (per [`crate::agas::Agas::drain_heat`]) off busier
-//!      owners, via the same pinned move (`sys::agas::migrate_object`)
-//!      and bounded forwarding chase as a manual `migrate_data`.
+//!    * *heat-driven migration*: ask busier owners to move objects this
+//!      locality has been hammering (per [`crate::agas::Agas::drain_heat`])
+//!      here. A pull is a request, not a move: a fire-and-forget
+//!      `__sys/agas_migrate` parcel that chases the object to its owner,
+//!      which runs the same split-phase move as a manual `migrate_data`.
+//!      `balance_pulls` counts the requests sent; the moves they cause
+//!      are counted where they complete (`migrations_balancer`).
 //!
 //! Every decision reads only the deciding locality's own monitor and
 //! gossip view — the information flow between localities is parcels, so
@@ -92,12 +95,11 @@ fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64, 
     if n > 1 {
         gossip(rt, loc, b, round, n);
         // Acting is live over TCP too: each rank decides for its own
-        // localities from the gossiped view. Cross-rank levers differ
-        // from in-process ones — sheds ship locality-root-addressed
-        // *parcels* (closures do not serialize), spawn redirects publish
-        // only owned targets, and heat pulls go through the split-phase
-        // `__sys/agas_migrate` protocol against the distributed home
-        // directory.
+        // localities from the gossiped view. Across OS processes sheds
+        // ship locality-root-addressed *parcels* (closures do not
+        // serialize) and spawn redirects publish only owned targets; heat
+        // pulls are the same `__sys/agas_migrate` request on both
+        // backends.
         act(rt, cfg, loc, b);
     }
     let next = (due + cfg.gossip_interval).max(loc.timers.now());
@@ -267,8 +269,9 @@ pub(crate) fn shed_tasks(
     shed
 }
 
-/// Heat-driven migration: pull this round's hottest remote objects toward
-/// the locality that keeps addressing them, when the policy approves.
+/// Heat-driven migration: ask for this round's hottest remote objects to
+/// move to the locality that keeps addressing them, when the policy
+/// approves.
 fn pull_hot(
     rt: &Arc<RuntimeInner>,
     cfg: &BalanceConfig,
@@ -276,7 +279,7 @@ fn pull_hot(
     b: &BalanceState,
     my_score: f64,
 ) {
-    let heat = rt.agas.drain_heat(loc.id);
+    let heat = loc.agas.drain_heat(loc.id);
     if heat.is_empty() {
         return;
     }
@@ -292,7 +295,9 @@ fn pull_hot(
         if gid.kind() != GidKind::Data {
             continue;
         }
-        let owner = rt.agas.authoritative_owner(gid);
+        // The owner as this locality's sends see it: the cache the
+        // chase repairs, then the directory.
+        let owner = loc.agas.resolve(loc.id, gid).owner;
         if owner == loc.id {
             continue;
         }
@@ -306,27 +311,17 @@ fn pull_hot(
         if !cfg.policy.pull_data(&q) {
             continue;
         }
-        if rt.owns(owner) {
-            let cause = MigrationCause::Balancer;
-            if sys::agas::migrate_object(rt, gid, owner, loc.id, cause).is_ok() {
-                bump!(loc.counters().balance_pulls);
-                pulls += 1;
-            }
-        } else {
-            // Data-to-work over TCP: ask the object's resident rank to
-            // run the split-phase migration protocol toward us. The
-            // parcel chases the object like any other, so a stale owner
-            // here still finds it.
-            // Fire-and-forget: a lost or refused pull only means the
-            // object stays put and heat re-accumulates next round.
-            let pull = sys::msg::Migrate {
-                to: loc.id,
-                cause: MigrationCause::Balancer,
-            };
-            Origin::at(rt, loc).send(pull.parcel(gid, None));
-            bump!(loc.counters().balance_pulls);
-            pulls += 1;
-        }
+        // Data to work: ask the object's owner to run the move toward us.
+        // The parcel chases the object like any other, so a stale owner
+        // here still finds it. Fire-and-forget: a lost or refused pull
+        // only means the object stays put and heat re-accumulates.
+        let pull = sys::msg::Migrate {
+            to: loc.id,
+            cause: MigrationCause::Balancer,
+        };
+        Origin::at(rt, loc).send(pull.parcel(gid, None));
+        bump!(loc.counters().balance_pulls);
+        pulls += 1;
     }
 }
 
@@ -469,8 +464,10 @@ mod tests {
         let heard = || locs.iter().all(|l| known(l) == 2);
         assert!(wait_until(heard), "no gossip");
         clock.advance(GOSSIP);
-        let migrated = wait_until(|| rt.inner().agas.authoritative_owner(obj) == LocalityId(1));
-        let (manual, balancer) = rt.inner().agas.migrations_by_cause();
+        let home = &rt.inner().localities[0];
+        let migrated = wait_until(|| home.agas.authoritative_owner(obj) == LocalityId(1));
+        let s = rt.stats();
+        let (manual, balancer) = (s.migrations_manual, s.migrations_balancer);
         assert!(
             migrated && balancer >= 1,
             "object never pulled: manual={manual} balancer={balancer}"
@@ -482,9 +479,10 @@ mod tests {
 
     /// Regression: concurrent migrations of the same object (e.g. a
     /// manual `migrate_data` racing a balancer pull) must serialize —
-    /// without the per-GID pin and the ownership re-check under it, both
-    /// could read the same source, insert at different destinations, and
-    /// leave a stale resident copy at the directory loser forever.
+    /// without the per-GID pin, both could read the same source, install
+    /// at different destinations, and leave a stale resident copy at the
+    /// directory loser forever. A call that races another move waits
+    /// for it, so every call succeeds.
     #[test]
     fn concurrent_migrations_leave_single_resident() {
         let rt = RuntimeBuilder::new(Config::small(3, 1)).build().unwrap();
@@ -494,14 +492,12 @@ mod tests {
                 let rt = &rt;
                 s.spawn(move || {
                     for _ in 0..300 {
-                        // Losing a race is fine (NoSuchObject); diverging
-                        // state is not.
-                        let _ = rt.migrate_data(obj, LocalityId(dest));
+                        rt.migrate_data(obj, LocalityId(dest)).unwrap();
                     }
                 });
             }
         });
-        let owner = rt.inner().agas.authoritative_owner(obj);
+        let owner = rt.inner().localities[0].agas.authoritative_owner(obj);
         let resident: Vec<u16> = (0..3u16)
             .filter(|&i| rt.inner().localities[i as usize].contains(obj))
             .collect();

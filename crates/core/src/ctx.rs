@@ -250,7 +250,7 @@ impl<'a> Ctx<'a> {
     /// the request, from the local and the remote arm alike.
     pub fn when_ready(&mut self, gid: Gid, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) {
         if self.resident(gid) {
-            self.from.suspend_on(gid, f);
+            self.from.suspend_on(gid, false, f);
         } else {
             self.from.request_then(sys::bare(gid, sys::LCO_GET), f);
         }
@@ -370,11 +370,11 @@ impl<'a> Ctx<'a> {
 
     /// Bind a symbolic name.
     pub fn register_name(&mut self, name: &str, gid: Gid) -> PxResult<()> {
-        self.from.rt().agas.register_name(name, gid)
+        self.from.rt().names.register_name(name, gid)
     }
 
     /// Resolve a symbolic name.
     pub fn lookup_name(&self, name: &str) -> PxResult<Gid> {
-        self.from.rt().agas.lookup_name(name)
+        self.from.rt().names.lookup_name(name)
     }
 }

@@ -114,6 +114,10 @@ pub(crate) fn surface_fault(v: Value) -> PxResult<Value> {
 pub enum Waiter {
     /// Suspended PX-thread resumed at the LCO's locality.
     Depleted(DepletedThread),
+    /// Suspended PX-thread resumed at the LCO's locality on the control
+    /// lane: the requester of a control-lane request, whose reply rode
+    /// that lane too (`Origin::request_then`).
+    Control(DepletedThread),
     /// Remote continuation specifier applied with the value.
     Cont(crate::parcel::Continuation),
     /// External OS thread.
@@ -124,6 +128,7 @@ impl std::fmt::Debug for Waiter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Waiter::Depleted(_) => f.write_str("Waiter::Depleted"),
+            Waiter::Control(_) => f.write_str("Waiter::Control"),
             Waiter::Cont(c) => write!(f, "Waiter::Cont({} steps)", c.steps.len()),
             Waiter::External(_) => f.write_str("Waiter::External"),
         }

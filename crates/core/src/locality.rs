@@ -22,6 +22,7 @@
 //! Localities interact only through parcels; nothing in this module hands
 //! out references to another locality's store.
 
+use crate::agas::Agas;
 use crate::clock::{Clock, Heap};
 use crate::error::{PxError, PxResult};
 use crate::fxmap::FxHashMap;
@@ -157,6 +158,9 @@ pub struct Locality {
     /// the locality is shared (empty where no workers run).
     pub(crate) stealers: Box<[Stealer<Task>]>,
     store: RwLock<FxHashMap<Gid, Stored>>,
+    /// This locality's AGAS: the directory home of the GIDs born here,
+    /// and its own cache, heat and move pins (`crate::agas`).
+    pub(crate) agas: Agas,
     /// GID allocator for objects born here.
     pub alloc: GidAllocator,
     /// Instrumentation: the shared row, then one row per worker
@@ -194,8 +198,8 @@ impl std::fmt::Debug for Locality {
 }
 
 impl Locality {
-    /// Create an empty locality.
-    pub fn new(id: LocalityId, staged_priority: bool) -> Self {
+    /// Create an empty locality, one of `n`.
+    pub fn new(id: LocalityId, staged_priority: bool, n: usize) -> Self {
         Locality {
             id,
             injector: Injector::new(),
@@ -203,6 +207,7 @@ impl Locality {
             control: Injector::new(),
             stealers: Box::default(),
             store: RwLock::new(FxHashMap::default()),
+            agas: Agas::new(n),
             alloc: GidAllocator::new(id),
             counters: Box::new([LocalityCounters::default()]),
             sleep: Sleep::new(0),
@@ -501,7 +506,7 @@ mod tests {
 
     #[test]
     fn store_insert_get_remove() {
-        let loc = Locality::new(LocalityId(0), false);
+        let loc = Locality::new(LocalityId(0), false, 1);
         let gid = loc.insert(GidKind::Data, |_| {
             Stored::Data(Arc::new(RwLock::new(DataObject {
                 bytes: vec![1, 2, 3],
@@ -518,7 +523,7 @@ mod tests {
 
     #[test]
     fn kind_mismatch_is_error() {
-        let loc = Locality::new(LocalityId(0), false);
+        let loc = Locality::new(LocalityId(0), false, 1);
         let gid = loc.new_future_lco();
         assert!(matches!(
             loc.get_data(gid),
@@ -529,7 +534,7 @@ mod tests {
 
     #[test]
     fn missing_object_is_error() {
-        let loc = Locality::new(LocalityId(0), false);
+        let loc = Locality::new(LocalityId(0), false, 1);
         let bogus = Gid::new(LocalityId(0), GidKind::Lco, 12345);
         assert!(matches!(loc.get_lco(bogus), Err(PxError::NoSuchObject(_))));
     }
@@ -593,7 +598,7 @@ mod tests {
 
     #[test]
     fn gids_are_born_here() {
-        let loc = Locality::new(LocalityId(9), false);
+        let loc = Locality::new(LocalityId(9), false, 10);
         let gid = loc.new_future_lco();
         assert_eq!(gid.birthplace(), LocalityId(9));
         assert_eq!(gid.kind(), GidKind::Lco);

@@ -70,14 +70,15 @@
 //!    are how a rank observes a struggling peer, so a backend may not
 //!    drop or delay them under data-lane backpressure — the moments the
 //!    data lane is saturated are exactly the moments the observability
-//!    plane must still answer. The distributed AGAS directory rides the
-//!    same lane (`__sys/dir_lookup`, `dir_update`, `dir_repair`,
-//!    `dir_commit` — see `crate::sys`): a chase that must ask an
-//!    object's home rank, the departure write that repoints the home
-//!    entry mid-migration, and the commit that unpins the destination
-//!    copy are all on the critical path of every parcel *stuck behind*
-//!    the data backlog, so queueing them with the data they unblock
-//!    would deadlock the hot path against its own repair traffic. The
+//!    plane must still answer. The distributed AGAS rides the same lane
+//!    — every leg of a move (`__sys/agas_migrate`, `dir_install`,
+//!    `dir_update`, `dir_commit`), `dir_lookup`, `dir_repair`, and the
+//!    reply to each (see `crate::sys`): a chase that must ask an
+//!    object's home, the legs of a move that holds every parcel for its
+//!    object parked, and the commit that unpins the destination copy are
+//!    all on the critical path of every parcel *stuck behind* the data
+//!    backlog, so queueing them with the data they unblock would
+//!    deadlock the hot path against its own repair traffic. The
 //!    directory ops are idempotent and individually small; what the
 //!    backend owes them is ordering-free prompt delivery and the same
 //!    loud-death rule — a lost `dir_update` is repaired by the next
@@ -570,7 +571,7 @@ mod tests {
     /// `n` bare localities (no workers) whose heaps keep `clock`.
     fn test_localities(n: usize, clock: &Clock) -> Locs {
         let loc = |i| {
-            let mut loc = Locality::new(LocalityId(i as u16), false);
+            let mut loc = Locality::new(LocalityId(i as u16), false, n);
             loc.attach_workers(0, clock);
             Arc::new(loc)
         };
@@ -789,7 +790,7 @@ mod tests {
         let locs: Arc<Vec<Arc<Locality>>> = Arc::new(
             (0..2)
                 .map(|i| {
-                    let mut loc = Locality::new(LocalityId(i), false);
+                    let mut loc = Locality::new(LocalityId(i), false, 2);
                     loc.enable_metrics(Arc::default());
                     Arc::new(loc)
                 })

@@ -821,7 +821,7 @@ mod tests {
     fn test_localities(n: usize) -> Arc<Vec<Arc<Locality>>> {
         Arc::new(
             (0..n)
-                .map(|i| Arc::new(Locality::new(LocalityId(i as u16), false)))
+                .map(|i| Arc::new(Locality::new(LocalityId(i as u16), false, n)))
                 .collect(),
         )
     }

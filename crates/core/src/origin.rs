@@ -16,7 +16,7 @@ use crate::action::{Action, ActionId, Value};
 use crate::ctx::Ctx;
 use crate::error::{PxError, PxResult};
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::lco::{Activations, LcoCore, Waiter};
+use crate::lco::{Activations, DepletedThread, LcoCore, Waiter};
 use crate::locality::{DataObject, Locality, Stored};
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::{Runtime, RuntimeInner};
@@ -128,13 +128,15 @@ impl<'a> Origin<'a> {
     /// place a parcel gets its sender, owning process and trace, and
     /// pays the wire when it crosses localities.
     pub(crate) fn send(self, p: Parcel) {
-        self.send_toward(None, p);
+        self.send_toward(None, false, p);
     }
 
     /// [`Origin::send`], routed to `site` instead of the target's owner
     /// when one is given (percolation targets hardware, not the object's
-    /// home).
-    pub(crate) fn send_toward(self, site: Option<LocalityId>, mut p: Parcel) {
+    /// home), and on the control lane when `control` is set, whatever the
+    /// action (the reply to a control-lane request rides the lane its
+    /// request did).
+    pub(crate) fn send_toward(self, site: Option<LocalityId>, control: bool, mut p: Parcel) {
         let (rt, here) = (self.rt, self.loc.id);
         p.arm(rt);
         p.src = here;
@@ -148,14 +150,14 @@ impl<'a> Origin<'a> {
                 p.trace = ts.maybe_sample();
             }
         }
-        let owner = site.unwrap_or_else(|| rt.agas.resolve_counted(self.loc, p.dest));
+        let owner = site.unwrap_or_else(|| self.loc.agas.resolve_counted(self.loc, p.dest));
         // Balancer heat hook: remember that we keep addressing this
         // remote object, so the balancer can pull it toward us (heat is
         // drained every gossip round; see `crate::balance`). Gated on
         // `track_heat` so the default send path — and any policy that
         // never migrates — skips the lock entirely.
         if rt.track_heat && owner != here && p.dest.kind() == GidKind::Data {
-            rt.agas.note_access(here, p.dest);
+            self.loc.agas.note_access(here, p.dest);
         }
         self.loc.trace_event(
             p.trace,
@@ -163,7 +165,7 @@ impl<'a> Origin<'a> {
             p.dest.0,
             u64::from(owner.0),
         );
-        rt.route_parcel(here, owner, p);
+        rt.route_parcel(here, owner, control, p);
     }
 
     /// [`Origin::send`] for a system parcel — an LCO event, a data get or
@@ -280,7 +282,8 @@ impl<'a> Origin<'a> {
     /// Route the event `action` with `value` to LCO `gid`, wherever it
     /// lives, under this origin's trace.
     pub(crate) fn lco_event(self, gid: Gid, action: ActionId, value: Value) {
-        self.rt.lco_route(self.loc, gid, action, value, self.trace);
+        self.rt
+            .lco_route(self.loc, gid, action, value, self.trace, false);
     }
 
     /// Perform `op` on the LCO `gid` at this origin's locality, under its
@@ -294,9 +297,20 @@ impl<'a> Origin<'a> {
     }
 
     /// Suspend on the LCO `gid` at this origin's locality: `f` resumes
-    /// with its value, as this origin ([`Origin::depleted`]).
-    pub(crate) fn suspend_on(self, gid: Gid, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) {
-        let w = self.depleted(f);
+    /// with its value, as this origin ([`Origin::depleted`]), on the
+    /// control lane when `control` is set.
+    pub(crate) fn suspend_on(
+        self,
+        gid: Gid,
+        control: bool,
+        f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
+    ) {
+        let f = self.depleted(f);
+        let w = if control {
+            Waiter::Control(f)
+        } else {
+            Waiter::Depleted(f)
+        };
         self.deposit(gid, crate::sys::LCO_GET, w, |l, w| Ok(l.add_waiter(w)));
     }
 
@@ -305,22 +319,25 @@ impl<'a> Origin<'a> {
     /// and as work of the origin's process from now until it has run: the
     /// completion is issued by the continuation itself, because the
     /// waiter-scheduling path has no process context when the LCO fires.
-    pub(crate) fn depleted(self, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) -> Waiter {
+    pub(crate) fn depleted(
+        self,
+        f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
+    ) -> DepletedThread {
         let (process, trace) = (self.process, self.trace);
         if process.is_none() && trace.is_none() {
-            return Waiter::Depleted(Box::new(f));
+            return Box::new(f);
         }
         if let Some(pg) = process {
             self.rt.process_task_started(pg, self.loc.id);
         }
-        Waiter::Depleted(Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
+        Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
             ctx.from.process = process;
             ctx.from.trace = trace.or(ctx.from.trace);
             f(ctx, v);
             if let Some(pg) = process {
                 ctx.from.rt.process_task_done(pg);
             }
-        }))
+        })
     }
 
     /// Deposit `w` on the LCO `gid` at this origin's locality through

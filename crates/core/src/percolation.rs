@@ -55,7 +55,7 @@ pub fn percolate<A: Action>(
     p.staged = true;
     // Route explicitly to the staging destination: percolation targets
     // *hardware* (the locality), not the object's home.
-    from.origin().send_toward(Some(dest), p);
+    from.origin().send_toward(Some(dest), false, p);
     Ok(())
 }
 

@@ -153,7 +153,7 @@ impl ProcessInner {
         // Boundary-terminated: a raw starts_with on the bare prefix would
         // also match a *different* process whose gid hex string extends
         // this one's (registration always inserts the '/', see `scoped`).
-        rt.agas
+        rt.names
             .unregister_names_under(&format!("{}/", prefix_of(self.gid)));
         if let Some(parent) = self.parent {
             rt.process_task_done(parent);
@@ -434,7 +434,7 @@ impl ProcessRef {
     /// [`Runtime::lookup_name`]).
     pub fn register_name(&self, from: &impl Caller, name: &str, gid: Gid) -> PxResult<String> {
         let full = self.scoped(name);
-        from.origin().rt().agas.register_name(&full, gid)?;
+        from.origin().rt().names.register_name(&full, gid)?;
         Ok(full)
     }
 
@@ -449,7 +449,7 @@ impl ProcessRef {
     /// All names currently registered under this process's prefix.
     pub fn names(&self, from: &impl Caller) -> Vec<(String, Gid)> {
         let under = format!("{}/", self.prefix());
-        from.origin().rt().agas.names_under(&under)
+        from.origin().rt().names.names_under(&under)
     }
 
     fn scoped(&self, name: &str) -> String {
@@ -666,7 +666,8 @@ mod tests {
         let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
         let data = rt.new_data_at(LocalityId(0), vec![1]);
         rt.migrate_data(data, LocalityId(1)).unwrap();
-        rt.inner().agas.resolve(LocalityId(0), data);
+        // The home's directory answers for a locality whose cache is cold.
+        rt.inner().localities[0].agas.resolve(LocalityId(1), data);
         let parent = rt.create_process(LocalityId(0));
         parent.create_subprocess(&rt, LocalityId(1)).unwrap();
         assert_eq!(parent.children(&rt).len(), 1);

@@ -20,7 +20,7 @@ pub use crate::config::{Config, TransportKind};
 pub use crate::ctx::Ctx;
 
 use crate::action::{Action, ActionRegistry, Value};
-use crate::agas::Agas;
+use crate::agas::Names;
 use crate::clock::Clock;
 use crate::error::{Fault, PxError, PxResult};
 use crate::fxmap::FxHashMap;
@@ -50,8 +50,9 @@ pub struct RuntimeInner {
     pub config: Config,
     /// All localities, indexed by id.
     pub localities: Arc<Vec<Arc<Locality>>>,
-    /// The global address space service.
-    pub agas: Agas,
+    /// The symbolic names of this OS process (each locality holds its own
+    /// [`crate::agas::Agas`]).
+    pub names: Names,
     /// Frozen action dispatch table.
     pub registry: ActionRegistry,
     pub(crate) wire: Wire,
@@ -327,7 +328,7 @@ impl RuntimeBuilder {
                 .map(|i| {
                     let id = LocalityId(i as u16);
                     let accel = self.config.accelerators.contains(&id);
-                    let mut loc = Locality::new(id, accel);
+                    let mut loc = Locality::new(id, accel, n);
                     if self.config.balance.is_some() {
                         loc.enable_balance(n);
                     }
@@ -399,7 +400,7 @@ impl RuntimeBuilder {
             .is_some_and(|b| b.policy.uses_heat());
         let origin = owned.unwrap_or(LocalityId(0));
         let inner = Arc::new(RuntimeInner {
-            agas: Agas::new(n),
+            names: Names::default(),
             registry: self.registry,
             wire,
             shutdown: AtomicBool::new(false),
@@ -472,11 +473,12 @@ impl Runtime {
 
     /// Snapshot all locality counters.
     pub fn stats(&self) -> crate::stats::StatsSnapshot {
-        let (migrations_manual, migrations_balancer) = self.inner.agas.migrations_by_cause();
+        let localities: Vec<_> = self.inner.localities.iter().map(|l| l.stats()).collect();
+        let moved = |row: fn(&crate::stats::LocalityStats) -> u64| localities.iter().map(row).sum();
         crate::stats::StatsSnapshot {
-            localities: self.inner.localities.iter().map(|l| l.stats()).collect(),
-            migrations_manual,
-            migrations_balancer,
+            migrations_manual: moved(|l| l.migrations_manual),
+            migrations_balancer: moved(|l| l.migrations_balancer),
+            localities,
             processes_created: self.inner.processes_created.get(),
             processes_cancelled: self.inner.processes_cancelled.get(),
             processes_reaped: self.inner.processes_reaped.get(),
@@ -612,12 +614,6 @@ impl Runtime {
         t.for_each(|name, value| {
             let _ = writeln!(out, "px_{name}{{}} {value}");
         });
-        let _ = writeln!(out, "px_migrations_manual{{}} {}", stats.migrations_manual);
-        let _ = writeln!(
-            out,
-            "px_migrations_balancer{{}} {}",
-            stats.migrations_balancer
-        );
         let _ = writeln!(out, "px_processes_created{{}} {}", stats.processes_created);
         let _ = writeln!(
             out,
@@ -798,62 +794,43 @@ impl Runtime {
         self.wait_value(self.origin().request(p))
     }
 
-    /// Migrate a data object to `to`. Every move pins the object's GID
-    /// for its whole run, so moves of one object never interleave: a
-    /// call that finds another move in flight (or the object gone)
-    /// returns `Err(PxError::NoSuchObject)` in-process. In-process, the
-    /// object is inserted at the destination before it is removed from
-    /// the source (both stores briefly alias the same `Arc`), so a racing
-    /// parcel never finds it nowhere; parcels routed on stale caches are
-    /// forwarded (bounded chase). Across ranks the same no-window
-    /// ordering runs as a split-phase `__sys` protocol — install at dest,
-    /// flip the home directory, then remove at source — driven by an
-    /// `AGAS_MIGRATE` parcel that chases the object to its current
-    /// resident rank. A peer dying mid-protocol resolves this call as
-    /// `Err(PxError::Fault)` in bounded time; the object stays served at
-    /// the source.
+    /// Migrate a data object to `to`: one `AGAS_MIGRATE` round trip, on
+    /// both backends. The request chases the object to its current
+    /// owner, which runs the split-phase move — install at `to`, update
+    /// the home directory, remove at the source — so the object is served
+    /// at every instant, and parcels routed on stale caches are forwarded
+    /// (bounded chase). Every move pins the object's GID for its whole
+    /// run: a call that races another move of the same object waits for
+    /// it, then moves the object from wherever that one left it. A
+    /// missing object — freed, or never created — or a peer dying
+    /// mid-protocol returns `Err(PxError::Fault)` in bounded time; in
+    /// the second case the object stays served at the source.
     pub fn migrate_data(&self, gid: Gid, to: LocalityId) -> PxResult<()> {
-        if gid.kind() != GidKind::Data {
+        if gid.kind() != GidKind::Data || to.0 as usize >= self.inner.localities.len() {
             return Err(PxError::NotMigratable(gid));
         }
-        if to.0 as usize >= self.inner.localities.len() {
-            return Err(PxError::NotMigratable(gid));
-        }
-        if self.inner.distributed() {
-            let cause = crate::agas::MigrationCause::Manual;
-            self.sys_rpc(sys::msg::Migrate { to, cause }.parcel(gid, None))?;
-            return Ok(());
-        }
-        let from = self.inner.agas.authoritative_owner(gid);
-        if from == to {
-            return Ok(());
-        }
-        sys::agas::migrate_object(
-            &self.inner,
-            gid,
-            from,
-            to,
-            crate::agas::MigrationCause::Manual,
-        )
+        let cause = crate::agas::MigrationCause::Manual;
+        self.sys_rpc(sys::msg::Migrate { to, cause }.parcel(gid, None))?;
+        Ok(())
     }
 
     // ---- names & processes -------------------------------------------------
 
     /// Bind a hierarchical symbolic name.
     pub fn register_name(&self, name: &str, gid: Gid) -> PxResult<()> {
-        self.inner.agas.register_name(name, gid)
+        self.inner.names.register_name(name, gid)
     }
 
     /// Resolve a symbolic name. Process-scoped names (`/proc/<gid>/...`)
-    /// are cluster-visible: on a local miss in a multi-process system,
-    /// the lookup is forwarded as a `__sys/name_lookup` RPC to the
+    /// are cluster-visible: on a local miss for a process homed in
+    /// another OS process, the lookup is forwarded as a `__sys/name_lookup` RPC to the
     /// owning process's home rank (the rank that registered them), so a
     /// GID published under a process on one rank resolves from any
     /// other. A dead home rank or an unbound name resolves as
     /// `Err(PxError::Fault)` in bounded time rather than hanging.
     pub fn lookup_name(&self, name: &str) -> PxResult<Gid> {
-        let local = self.inner.agas.lookup_name(name);
-        let (Err(PxError::UnknownName(_)), true) = (&local, self.inner.distributed()) else {
+        let local = self.inner.names.lookup_name(name);
+        let Err(PxError::UnknownName(_)) = &local else {
             return local;
         };
         let Some(home) = process_name_home(name) else {

@@ -20,7 +20,7 @@
 
 use crate::action::{ActionId, Value};
 use crate::error::{Fault, FaultCause, PxError};
-use crate::gid::{Gid, LocalityId};
+use crate::gid::{Gid, GidKind, LocalityId};
 use crate::lco::{DepletedThread, Waiter};
 use crate::locality::{Lane, Locality};
 use crate::origin::Origin;
@@ -467,7 +467,8 @@ pub(crate) fn kill_parcel(
 /// to get wrong.
 pub(crate) fn complete(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parcel, value: Value) {
     p.spend();
-    apply_continuation(rt, loc, p.cont, value, p.trace);
+    let control = sys::is_control(p.action);
+    apply_continuation(rt, loc, p.cont, value, p.trace, control);
 }
 
 /// Execute a parcel: ownership check (an absent object's parcel goes to
@@ -499,8 +500,12 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
 
     // Ownership check for object-addressed parcels. Hardware names (the
     // locality root, the staging buffer) are always "here" by construction:
-    // the sender routed on the GID's locality field.
-    if !p.dest.is_hardware() && !loc.contains(p.dest) {
+    // the sender routed on the GID's locality field. A data object with a
+    // move in flight serves nothing here: its parcel parks on the move's
+    // pin and runs where the move leaves the object.
+    let dest = p.dest;
+    let moving = || dest.kind() == GidKind::Data && loc.agas.migration_in_flight(dest);
+    if !dest.is_hardware() && (!loc.contains(dest) || moving()) {
         return sys::agas::not_here(rt, loc, p);
     }
     // Chase accounting: this parcel is home; record how far it wandered.
@@ -560,19 +565,25 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
 
 /// Apply a continuation specifier with the result value. Local LCO steps
 /// run immediately; remote steps and calls become parcels. The causing
-/// parcel's trace id rides along every step.
+/// parcel's trace id rides along every step, and so does its lane: the
+/// LCO events that answer a control-lane parcel are sent on that lane
+/// (`control`), so a reply never queues behind the backlog its request
+/// outran. A call is a parcel of its own action, on that action's lane.
 fn apply_continuation(
     rt: &Arc<RuntimeInner>,
     loc: &Arc<Locality>,
     cont: Continuation,
     value: Value,
     trace: Option<u64>,
+    control: bool,
 ) {
     for step in cont.steps {
         match step {
-            ContStep::SetLco(g) => rt.lco_route(loc, g, sys::LCO_SET, value.clone(), trace),
+            ContStep::SetLco(g) => {
+                rt.lco_route(loc, g, sys::LCO_SET, value.clone(), trace, control)
+            }
             ContStep::Contribute(g) => {
-                rt.lco_route(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace)
+                rt.lco_route(loc, g, sys::LCO_CONTRIBUTE, value.clone(), trace, control)
             }
             ContStep::Call { action, target } => {
                 let p = Parcel::new(target, action, value.clone(), Continuation::none());
@@ -585,9 +596,10 @@ fn apply_continuation(
 impl RuntimeInner {
     /// Route an LCO event: local objects are handled in place, remote ones
     /// become system parcels (carrying `trace`, so the chain survives the
-    /// hop). LCOs never migrate, so one owned here but absent was freed —
-    /// a one-shot future already read — and the event dies in place as a
-    /// counted `NoSuchObject`, as a parcel for it does at its owner
+    /// hop; on the control lane when `control` is set). LCOs never
+    /// migrate, so one owned here but absent was freed — a one-shot
+    /// future already read — and the event dies in place as a counted
+    /// `NoSuchObject`, as a parcel for it does at its owner
     /// (`sys::agas::not_here`).
     pub(crate) fn lco_route(
         self: &Arc<Self>,
@@ -596,8 +608,9 @@ impl RuntimeInner {
         action: ActionId,
         value: Value,
         trace: Option<u64>,
+        control: bool,
     ) {
-        let owner = self.agas.resolve_counted(from, gid);
+        let owner = from.agas.resolve_counted(from, gid);
         if owner == from.id {
             if let Err(e) = sys::lco::deliver(self, from, gid, action, &value, trace) {
                 // No continuation to notify: the error ends here.
@@ -605,7 +618,9 @@ impl RuntimeInner {
             }
         } else {
             let p = Parcel::new(gid, action, value, Continuation::none());
-            Origin::at(self, from).with_trace(trace).send(p);
+            Origin::at(self, from)
+                .with_trace(trace)
+                .send_toward(None, control, p);
         }
     }
 
@@ -650,14 +665,25 @@ impl RuntimeInner {
                 Waiter::Depleted(f) => {
                     loc.push_task(Task::new(Work::Resume(f, v)).with_trace(trace))
                 }
-                Waiter::Cont(c) => apply_continuation(self, loc, c, v, trace),
+                Waiter::Control(f) => {
+                    let task = Task::new(Work::Resume(f, v)).with_trace(trace);
+                    loc.deliver(Lane::Control, task);
+                }
+                Waiter::Cont(c) => apply_continuation(self, loc, c, v, trace, false),
                 Waiter::External(slot) => slot.fill(v),
             }
         }
     }
 
-    /// Route a parcel to a known owner locality.
-    pub(crate) fn route_parcel(self: &Arc<Self>, from: LocalityId, owner: LocalityId, p: Parcel) {
+    /// Route a parcel to a known owner locality: on the control lane when
+    /// its action is a control row or `control` is set.
+    pub(crate) fn route_parcel(
+        self: &Arc<Self>,
+        from: LocalityId,
+        owner: LocalityId,
+        control: bool,
+        p: Parcel,
+    ) {
         let from_loc = &self.localities[from.0 as usize];
         bump!(from_loc.counters().parcels_sent);
         if owner == from {
@@ -682,12 +708,13 @@ impl RuntimeInner {
                 self.process_task_started(pg, owner);
             }
         }
-        // Control traffic (balancer gossip, metrics pulls, directory
-        // lookups/updates/repairs) bypasses the coalescing ports and
-        // lands in the destination's control queue: it must outrun the
-        // very backlog it reports on or repairs, and may not be dropped
-        // or delayed under data-lane backpressure.
-        if sys::is_control(p.action) {
+        // Control traffic (balancer gossip, metrics pulls, every leg of
+        // a move, directory lookups and repairs, and their replies)
+        // bypasses the coalescing ports and lands in the destination's
+        // control queue: it must outrun the very backlog it reports on or
+        // repairs, and may not be dropped or delayed under data-lane
+        // backpressure.
+        if control || sys::is_control(p.action) {
             let bytes = p.into_wire();
             let n = bytes.len();
             let (dest, lane) = (owner, Lane::Control);
@@ -832,7 +859,7 @@ mod tests {
     #[test]
     fn control_outruns_data_with_the_balancer_off() {
         use crate::metrics::Instrument::{ControlLane, QueueWait};
-        let mut loc = Locality::new(LocalityId(0), false);
+        let mut loc = Locality::new(LocalityId(0), false, 1);
         let reg = Arc::new(crate::metrics::MetricsRegistry::default());
         loc.enable_metrics(reg.clone());
         assert!(loc.balance.is_none());

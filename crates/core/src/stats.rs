@@ -222,8 +222,17 @@ counters! {
     gossip_parcels,
     /// Queued tasks shed from here to a less-loaded peer (work diffusion).
     tasks_shed,
-    /// Objects migrated *to* here by the balancer (heat-driven pulls).
+    /// Balancer pull requests sent from here: `AGAS_MIGRATE` parcels
+    /// asking an object's owner to move it here (heat-driven; a request
+    /// the owner refuses or loses still counts).
     balance_pulls,
+    /// Moves asked for by [`crate::runtime::Runtime::migrate_data`] that
+    /// completed with this locality as their source (counted once per
+    /// move, where it completes).
+    migrations_manual,
+    /// Moves asked for by the balancer's pulls that completed with this
+    /// locality as their source.
+    migrations_balancer,
     /// Hops accumulated by parcels that ultimately executed here: the
     /// forwards that followed stale resolutions (a hop is a routing cost
     /// paid to find the object; parking on a move's pin costs none).
@@ -247,11 +256,12 @@ counters! {
     /// Directory lookups sent to a remote home rank as `__sys/dir_lookup`
     /// parcels (request counted at the asking rank).
     dir_lookups_remote,
-    /// Parcels forwarded because the local resolution named a rank that
-    /// was not this one (the cross-rank share of `parcels_forwarded`).
+    /// Parcels forwarded because the local resolution named another
+    /// locality (`parcels_forwarded` less the forwards to this locality
+    /// itself, on a home's answer that raced the object's arrival).
     dir_forwards,
-    /// Cache-repair hints applied here (`__sys/dir_repair` deliveries
-    /// plus in-process chase repairs).
+    /// Directory and cache repairs applied here: `__sys/dir_repair`
+    /// hints, home-directory updates and the answers of remote lookups.
     dir_repairs,
     ; gauges:
     /// Objects resident in this locality's store — data, LCOs, echo
@@ -364,9 +374,12 @@ pub struct TransportStats {
 pub struct StatsSnapshot {
     /// Per-locality stats, indexed by locality id.
     pub localities: Vec<LocalityStats>,
-    /// AGAS migrations recorded by explicit [`crate::runtime::Runtime::migrate_data`] calls.
+    /// Completed moves asked for by
+    /// [`crate::runtime::Runtime::migrate_data`]: the localities'
+    /// `migrations_manual` rows, summed.
     pub migrations_manual: u64,
-    /// AGAS migrations initiated by the balancer (heat-driven pulls).
+    /// Completed moves asked for by the balancer: the localities'
+    /// `migrations_balancer` rows, summed.
     pub migrations_balancer: u64,
     /// Parallel processes created over the runtime's lifetime (roots and
     /// subprocesses).

@@ -1,11 +1,13 @@
-//! The global address space as system actions: data get/put on an object
-//! wherever it lives, migration (in-process: one pinned store move;
-//! cross-rank, split-phase: install at the destination → flip the home
-//! directory → remove at the source → commit), the one rule for a parcel
-//! that does not find its object, the home-directory lookups and repairs
-//! that keep the chase bounded, and cluster-visible names. No lock is
-//! held across a round trip and no worker blocks on one: each ack resumes
-//! as a depleted thread (`Origin::request_then`).
+//! The global address space as system actions, one protocol between any
+//! two localities, in one OS process or across TCP: data get/put on an
+//! object wherever it lives; the split-phase move (install at the
+//! destination → update the home directory → remove at the source →
+//! commit); the one rule for a parcel that does not find its object; the
+//! home-directory lookups and repairs that keep the chase bounded; and
+//! cluster-visible names. No lock is held across a round trip and no
+//! worker blocks on one: each ack resumes as a depleted thread
+//! (`Origin::request_then`), on the control lane like every leg of a
+//! move.
 
 use super::msg::{DirCommit, DirInstall, DirLookup, DirRepair, DirUpdate, Migrate, Wire};
 use super::reply;
@@ -27,10 +29,10 @@ use std::sync::Arc;
 /// travelled, so only a migration storm reaches the cap.
 const MAX_HOPS: u8 = 16;
 
-/// The one rule for a parcel whose object `loc` does not hold, whether
-/// dispatch's residency check or a handler's store access found it
-/// missing. Under the migration-sync lock, with no move of the object in
-/// flight, the directory and the store read here are one consistent
+/// The one rule for a parcel whose object `loc` does not hold, or holds
+/// pinned by a move in flight, whether dispatch's residency check or a
+/// handler's store access found it so. Under the migration-sync lock, with no move of the object in
+/// flight here, `loc`'s directory and store read here are one consistent
 /// state; so the parcel is
 ///
 /// * parked on the pin while a move is in flight (no hop; it keeps its
@@ -38,18 +40,17 @@ const MAX_HOPS: u8 = 16;
 /// * forwarded when the directory names another locality — a hop, and
 ///   the only kind;
 /// * run here after all when the object arrived meanwhile;
-/// * killed at once when this rank's directory is authoritative for the
-///   GID (in-process, or the GID's home rank): the object was freed or
-///   never created, the same `NoSuchObject` death `lco_route` gives an
-///   event for a freed LCO;
-/// * otherwise re-routed on the answer of the GID's home rank.
+/// * killed at once when `loc` is the GID's home, whose directory is
+///   authoritative: the object was freed or never created, the same
+///   `NoSuchObject` death `lco_route` gives an event for a freed LCO;
+/// * otherwise re-routed on the answer of the GID's home.
 pub(crate) fn not_here(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     let (gid, process) = (p.dest, p.process);
     if let Some(pg) = process {
         rt.process_task_started(pg, loc.id);
     }
-    let look = || (rt.agas.authoritative_owner(gid), loc.contains(gid));
-    let Some((p, (owner, resident))) = rt.agas.defer_during_migration(gid, p, look) else {
+    let look = || (loc.agas.authoritative_owner(gid), loc.contains(gid));
+    let Some((p, (owner, resident))) = loc.agas.defer_during_migration(gid, p, look) else {
         return; // parked, still holding the token taken above
     };
     if let Some(pg) = process {
@@ -58,8 +59,8 @@ pub(crate) fn not_here(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     if owner != loc.id {
         forward(rt, loc, p, owner);
     } else if resident {
-        rt.route_parcel(loc.id, loc.id, p);
-    } else if !rt.distributed() || rt.owns(gid.birthplace()) {
+        rt.route_parcel(loc.id, loc.id, false, p);
+    } else if gid.birthplace() == loc.id {
         bump!(loc.counters().dir_lookups_local);
         let e = PxError::NoSuchObject(gid);
         kill_parcel(rt, loc, p, cause_of(&e), e.to_string());
@@ -78,22 +79,21 @@ fn forward(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parcel, owner: Lo
         return kill_parcel(rt, loc, p, FaultCause::HopCap, msg);
     }
     bump!(loc.counters().parcels_forwarded);
-    if rt.owns(p.src) {
-        rt.agas.repair_cache(p.src, p.dest, owner);
+    if p.src == loc.id {
+        loc.agas.repair_cache(loc.id, p.dest, owner);
     } else {
-        // The sender lives in another OS process: its cache is not
-        // writable from here, so ship the hint as a control-lane parcel
-        // instead (fire-and-forget: a lost hint only costs another chase).
+        // The sender's cache is its own: ship the hint as a control-lane
+        // parcel (fire-and-forget: a lost hint only costs another chase).
         let hint = DirRepair { gid: p.dest, owner };
         Origin::at(rt, loc).send(hint.parcel(Gid::locality_root(p.src), None));
     }
-    if !rt.owns(owner) {
+    if owner != loc.id {
         bump!(loc.counters().dir_forwards);
     }
     p.hops += 1;
     let kind = TraceEventKind::ParcelForward;
     loc.trace_event(p.trace, kind, p.dest.0, u64::from(p.hops));
-    rt.route_parcel(loc.id, owner, p);
+    rt.route_parcel(loc.id, owner, false, p);
 }
 
 /// [`reply`] for an op on a data object: one that left between the
@@ -125,14 +125,12 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         Err(e) => return reply_or_chase(rt, loc, p, Err(e)),
     };
     let mut g = d.write();
-    // Write freeze, checked under the object's write lock: a cross-rank
-    // migration pins the GID *before* reading its snapshot, and that read
-    // blocks on this lock — so an unfrozen put seen here is ordered
-    // before the snapshot, never silently after it. A frozen put is
-    // parked and re-sent toward the new owner on drain. In-process a move
-    // copies nothing (both stores alias one `Arc`), so a put lands on
-    // the moving object itself and no freeze is needed.
-    if rt.distributed() && rt.agas.migration_in_flight(p.dest) {
+    // Write freeze, checked under the object's write lock: a move pins
+    // the GID *before* reading its snapshot, and that read blocks on this
+    // lock — so an unfrozen put seen here is ordered before the snapshot,
+    // never silently after it. A frozen put is parked and re-sent toward
+    // the new owner on drain.
+    if loc.agas.migration_in_flight(p.dest) {
         drop(g);
         return not_here(rt, loc, p);
     }
@@ -146,7 +144,7 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
 /// re-resolve against the directory as it now stands. Each gives back the
 /// process token [`not_here`] took for it once it is on its way.
 fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
-    for parked in rt.agas.end_migration(gid) {
+    for parked in loc.agas.end_migration(gid) {
         let process = parked.process;
         Origin::at(rt, loc).send(parked);
         if let Some(pg) = process {
@@ -155,53 +153,12 @@ fn end_migration(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, gid: Gid) {
     }
 }
 
-/// The in-process move of `gid` from `from` to `to`, pinned like every
-/// move: insert at the destination → directory update → remove at the
-/// source, then unpin and re-send what parked meanwhile. Stored objects
-/// are `Arc`s, so during the overlap both stores alias the *same* object:
-/// nothing is copied, and there is no instant at which a racing parcel
-/// finds it nowhere. A move that loses the pin to another, or finds the
-/// object no longer at `from`, reports `NoSuchObject` — as a move that
-/// ran after the winner would.
-pub(crate) fn migrate_object(
-    rt: &Arc<RuntimeInner>,
-    gid: Gid,
-    from: LocalityId,
-    to: LocalityId,
-    cause: MigrationCause,
-) -> PxResult<()> {
-    if !rt.agas.begin_migration(gid) {
-        return Err(PxError::NoSuchObject(gid));
-    }
-    let source = rt.locality(from);
-    let object = source
-        .get(gid)
-        .filter(|_| rt.agas.authoritative_owner(gid) == from);
-    let moved = match object {
-        None => Err(PxError::NoSuchObject(gid)),
-        Some(_) if from == to => Ok(()),
-        Some(object) => {
-            rt.locality(to).insert_at(gid, object);
-            rt.agas.record_migration_caused(gid, to, cause);
-            source.remove(gid);
-            // Migrations are driver- or balancer-initiated (no parcel, no
-            // trace id); record under the never-sampled id 0 so a dump
-            // still shows the moves that the chase events around them
-            // refer to.
-            let to_id = u64::from(to.0);
-            source.trace_event(Some(0), TraceEventKind::Migrate, gid.0, to_id);
-            Ok(())
-        }
-    };
-    end_migration(rt, source, gid);
-    moved
-}
-
-/// `AGAS_MIGRATE` at the object's current resident rank. Same-rank
-/// destinations reduce to the in-process move; cross-rank destinations
-/// run the split-phase protocol: pin the GID (write freeze) → snapshot
-/// bytes → `DIR_INSTALL` at dest → `DIR_UPDATE` at the home rank → remove
-/// the source copy → unpin and drain parked writes. Only a data object
+/// `AGAS_MIGRATE` at the object's current owner: the split-phase move.
+/// Pin the GID (write freeze) → snapshot bytes → `DIR_INSTALL` at the
+/// destination → `DIR_UPDATE` at the home → remove the source copy →
+/// unpin and drain parked parcels → `DIR_COMMIT` at the destination. A
+/// request that finds another move of the object in flight parks on its
+/// pin and chases the object once that move settles. Only a data object
 /// moves, as with [`crate::runtime::Runtime::migrate_data`]: AGAS resolves
 /// every other name to its birthplace without a lookup.
 pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: Migrate) {
@@ -219,12 +176,7 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
         // Already here: the move is a no-op, ack immediately.
         return complete(rt, loc, p, Value::unit());
     }
-    if rt.owns(to) {
-        // Destination shares this OS process: the in-process move.
-        let r = migrate_object(rt, gid, loc.id, to, cause);
-        return reply_or_chase(rt, loc, p, r.map(|()| Value::unit()));
-    }
-    if !rt.agas.begin_migration(gid) {
+    if !loc.agas.begin_migration(gid) {
         // Another migration of this object is mid-protocol: park the
         // request; the drain re-sends it once the store settles (it then
         // chases to wherever the object landed).
@@ -260,7 +212,7 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
     );
 }
 
-/// A cross-rank migration between its acks, at the source rank.
+/// A move between its acks, at the source.
 struct Migration {
     /// The `migrate` request itself — addressed at the object, carrying
     /// the requester's continuation and trace — kept until the protocol
@@ -272,14 +224,15 @@ struct Migration {
 
 impl Migration {
     /// The install ack landed. If the destination now holds the object,
-    /// flip the authoritative home-directory entry — remotely, unless
-    /// this rank is the home — before removing the source copy (the
-    /// no-window ordering: at every instant at least one rank serves the
-    /// GID).
+    /// flip the authoritative home-directory entry before removing the
+    /// source copy (the no-window ordering: at every instant at least one
+    /// locality serves the GID). A home that is the destination wrote its
+    /// entry at the install, and a home that is this source writes it at
+    /// the remove: only a third home is sent a `DIR_UPDATE`.
     fn installed(self, ctx: &mut Ctx<'_>, ack: Value) {
         let gid = self.request.dest;
         let home = gid.birthplace();
-        if ack.is_fault() || ctx.rt_inner().owns(home) {
+        if ack.is_fault() || home == ctx.here() || home == self.to {
             return self.updated(ctx, ack);
         }
         let update = DirUpdate {
@@ -316,12 +269,15 @@ impl Migration {
             return complete(rt, loc, self.request, ack);
         }
         // Retire the source copy, repair the local cache, unpin and
-        // release parked writes (they chase to the new owner). Counted at
-        // the initiating rank only; the destination and home ranks wrote
-        // their directories via `note_owner` (no tallies).
-        rt.agas.record_migration_caused(gid, to, self.cause);
+        // release parked writes (they chase to the new owner). Counted
+        // here, where the move completes, and nowhere else.
+        match self.cause {
+            MigrationCause::Manual => bump!(loc.counters().migrations_manual),
+            MigrationCause::Balancer => bump!(loc.counters().migrations_balancer),
+        }
+        loc.agas.record_migration(gid, to);
         loc.remove(gid);
-        rt.agas.repair_cache(loc.id, gid, to);
+        loc.agas.repair_cache(loc.id, gid, to);
         end_migration(rt, loc, gid);
         // The source copy is gone: release the destination's install-time
         // pin so it drains parked writes and migration requests.
@@ -341,21 +297,21 @@ impl Migration {
     }
 }
 
-/// `DIR_INSTALL` at a migration's destination rank: adopt the object
-/// image into the local store and point the local directory shard at
-/// ourselves before acking (a parcel arriving between the ack and the
-/// home update must already find the object here).
+/// `DIR_INSTALL` at a move's destination: adopt the object image into
+/// the local store and point the local directory shard at ourselves
+/// before acking (a parcel arriving between the ack and the home update
+/// must already find the object here).
 pub(super) fn dir_install(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirInstall) {
     let gid = m.gid;
     // Pin the GID *before* the copy becomes visible: until the source's
-    // `DIR_COMMIT` arrives, this rank may serve reads from the installed
+    // `DIR_COMMIT` arrives, this locality may serve reads from the installed
     // image but must park writes and — crucially — migration requests.
     // Without the pin, a second migration could start here while the
     // source is still finalizing the first, and the source's
     // remove-at-source would then delete the copy the second migration
     // just installed: the object would vanish with both directories
     // pointing at each other.
-    rt.agas.begin_migration(gid);
+    loc.agas.begin_migration(gid);
     let object = DataObject {
         bytes: m.bytes,
         version: m.version,
@@ -364,28 +320,28 @@ pub(super) fn dir_install(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
         gid,
         Stored::Data(Arc::new(parking_lot::RwLock::new(object))),
     );
-    rt.agas.note_owner(gid, loc.id);
-    rt.agas.repair_cache(loc.id, gid, loc.id);
+    loc.agas.record_migration(gid, loc.id);
+    loc.agas.repair_cache(loc.id, gid, loc.id);
     complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_update(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirUpdate) {
-    rt.agas.note_owner(m.gid, m.owner);
-    rt.agas.repair_cache(loc.id, m.gid, m.owner);
+    loc.agas.record_migration(m.gid, m.owner);
+    loc.agas.repair_cache(loc.id, m.gid, m.owner);
     bump!(loc.counters().dir_repairs);
     complete(rt, loc, p, Value::unit());
 }
 
 pub(super) fn dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirLookup) {
     bump!(loc.counters().dir_lookups_local);
-    let owner = rt.agas.authoritative_owner(m.gid);
+    let owner = loc.agas.authoritative_owner(m.gid);
     complete(rt, loc, p, owner.encode());
 }
 
 /// Repair hints are advisory control traffic, sent fire-and-forget: a
 /// lost hint only costs the sender another bounded chase.
 pub(super) fn dir_repair(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m: DirRepair) {
-    rt.agas.repair_cache(loc.id, m.gid, m.owner);
+    loc.agas.repair_cache(loc.id, m.gid, m.owner);
     bump!(loc.counters().dir_repairs);
     complete(rt, loc, p, Value::unit());
 }
@@ -397,10 +353,10 @@ pub(super) fn dir_commit(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel,
         // orphan copy and point back at the source, which never removed
         // its own.
         loc.remove(gid);
-        rt.agas.note_owner(gid, owner);
-        rt.agas.repair_cache(loc.id, gid, owner);
+        loc.agas.record_migration(gid, owner);
+        loc.agas.repair_cache(loc.id, gid, owner);
     }
-    if rt.agas.migration_in_flight(gid) {
+    if loc.agas.migration_in_flight(gid) {
         end_migration(rt, loc, gid);
     }
     complete(rt, loc, p, Value::unit());
@@ -410,7 +366,7 @@ pub(super) fn name_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
     let resolved = std::str::from_utf8(p.payload.bytes())
         .map_err(|_| "non-UTF-8 name_lookup payload".to_string())
         .and_then(|name| {
-            rt.agas
+            rt.names
                 .lookup_name(name)
                 .map_err(|_| format!("name not bound at this rank: {name}"))
         });
@@ -420,12 +376,11 @@ pub(super) fn name_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel
     }
 }
 
-/// Split-phase remote directory lookup for a parcel that this rank's
-/// stale directory stranded: ask the GID's home rank for the
-/// authoritative owner and forward on the answer (the hop is spent
-/// there). A dead home rank poisons the reply through the transport
-/// dead-letter path, which resolves the parcel as a counted `Transport`
-/// fault in bounded time.
+/// Split-phase remote directory lookup for a parcel that this locality's
+/// advisory directory stranded: ask the GID's home for the authoritative
+/// owner and forward on the answer (the hop is spent there). A dead home
+/// rank poisons the reply through the transport dead-letter path, which
+/// resolves the parcel as a counted `Transport` fault in bounded time.
 fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, retry: Parcel) {
     let gid = retry.dest;
     let home = gid.birthplace();
@@ -443,7 +398,7 @@ fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, retry: Parcel)
         }
         match LocalityId::decode(v.bytes()) {
             Ok(owner) => {
-                rt.agas.repair_cache(loc.id, gid, owner);
+                loc.agas.repair_cache(loc.id, gid, owner);
                 bump!(loc.counters().dir_repairs);
                 forward(rt, loc, retry, owner);
             }
@@ -458,7 +413,9 @@ fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, retry: Parcel)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::origin::Caller;
     use crate::prelude::*;
+    use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
     const BOUND: Duration = Duration::from_secs(10);
@@ -481,8 +438,9 @@ mod tests {
     fn pinned_and_absent() -> (Runtime, Gid, Stored) {
         let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
         let x = rt.new_data_at(LocalityId(0), vec![9]);
-        assert!(rt.inner().agas.begin_migration(x));
-        let object = rt.inner().localities[0].remove(x).unwrap();
+        let loc = &rt.inner().localities[0];
+        assert!(loc.agas.begin_migration(x));
+        let object = loc.remove(x).unwrap();
         (rt, x, object)
     }
 
@@ -494,6 +452,132 @@ mod tests {
         end_migration(rt.inner(), loc, x);
     }
 
+    /// Each locality's `(parcels_recv, dir_repairs)`, once no locality
+    /// holds a pin on `x`: every leg of its last move has run.
+    fn legs(rt: &Runtime, x: Gid) -> Vec<(u64, u64)> {
+        let locs = &rt.inner().localities;
+        let settled = || locs.iter().all(|l| !l.agas.migration_in_flight(x));
+        assert!(wait_until(settled), "a move of {x} never settled");
+        let s = rt.stats();
+        s.localities
+            .iter()
+            .map(|l| (l.parcels_recv, l.dir_repairs))
+            .collect()
+    }
+
+    /// What each locality received and repaired over one move of `x`.
+    fn move_legs(rt: &Runtime, x: Gid, to: LocalityId) -> Vec<(u64, u64)> {
+        let before = legs(rt, x);
+        rt.migrate_data(x, to).unwrap();
+        let after = legs(rt, x);
+        let diff = |(a, b): (&(u64, u64), &(u64, u64))| (b.0 - a.0, b.1 - a.1);
+        before.iter().zip(&after).map(diff).collect()
+    }
+
+    /// A move to or from an object's home is an install and a commit, with
+    /// no `DIR_UPDATE`: a home that is the source writes its entry at the
+    /// remove, one that is the destination at the install, and neither
+    /// counts a repair. The source receives the request and the install's
+    /// ack, the destination the install and the commit — and, away from
+    /// the driver's locality, the driver its reply.
+    #[test]
+    fn a_move_home_sends_no_directory_update() {
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let x = rt.new_data_at(LocalityId(0), vec![1]);
+        assert_eq!(move_legs(&rt, x, LocalityId(1)), [(2, 0), (2, 0)]);
+        assert_eq!(move_legs(&rt, x, LocalityId(0)), [(3, 0), (2, 0)]);
+        assert!(rt.inner().localities[0].contains(x));
+        assert!(!rt.inner().localities[1].contains(x));
+        rt.shutdown();
+    }
+
+    /// A move between two localities that are not the object's home sends
+    /// the home one `DIR_UPDATE` — its one repair — and leaves every
+    /// directory naming the new owner.
+    #[test]
+    fn a_move_between_strangers_updates_the_home_once() {
+        let rt = RuntimeBuilder::new(Config::small(3, 1)).build().unwrap();
+        let x = rt.new_data_at(LocalityId(0), vec![2; 8]);
+        rt.migrate_data(x, LocalityId(1)).unwrap();
+        let legs = move_legs(&rt, x, LocalityId(2));
+        // Home: the update and the driver's reply. Source: the request and
+        // two acks. Destination: the install and the commit.
+        assert_eq!(legs, [(2, 1), (3, 0), (2, 0)]);
+        for loc in rt.inner().localities.iter() {
+            assert_eq!(loc.agas.authoritative_owner(x), LocalityId(2), "{}", loc.id);
+        }
+        assert_eq!(rt.read_data(x).unwrap(), vec![2; 8]);
+        rt.shutdown();
+    }
+
+    /// A put that arrives while its object moves is frozen, like every
+    /// parcel for a pinned object: it parks on the source's pin, is
+    /// re-sent when the move ends, and lands once, at the new owner — one
+    /// version past the image the move carried.
+    #[test]
+    fn a_put_during_a_move_lands_once_at_the_new_owner() {
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let (src, dst) = (&rt.inner().localities[0], &rt.inner().localities[1]);
+        let x = rt.new_data_at(src.id, vec![1; 4]);
+        // Hold the destination's one worker, so the move stops at its
+        // install with the source pinned.
+        let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let latch = (held.clone(), release.clone());
+        rt.spawn_at(dst.id, move |_| {
+            latch.0.wait();
+            latch.1.wait();
+        });
+        held.wait();
+        let migrate = Migrate {
+            to: dst.id,
+            cause: MigrationCause::Manual,
+        };
+        let moved = rt.origin().request(migrate.parcel(x, None));
+        assert!(wait_until(|| src.agas.migration_in_flight(x)));
+        let bytes = Value::encode(&vec![7u8; 4]).unwrap();
+        let put = Parcel::new(x, crate::sys::DATA_PUT, bytes, Continuation::none());
+        let put = rt.origin().request(put);
+        assert!(
+            wait_until(|| src.agas.parked(x) == 1),
+            "the put never parked"
+        );
+        release.wait();
+        let inner = rt.inner();
+        assert!(inner.wait_lco(moved, Some(BOUND)).unwrap().is_some());
+        assert!(inner.wait_lco(put, Some(BOUND)).unwrap().is_some());
+        assert!(!src.contains(x));
+        let object = dst.get_data(x).unwrap();
+        let object = object.read();
+        assert_eq!(
+            (object.bytes.as_slice(), object.version),
+            (&[7u8; 4][..], 1)
+        );
+        assert_eq!(rt.stats().total().dead_parcels, 0);
+        rt.shutdown();
+    }
+
+    /// A locality that is not an object's home, and whose advisory
+    /// directory names itself for an object it does not hold — the entry
+    /// a lost `DIR_COMMIT` leaves — asks the home once, and the read is
+    /// forwarded on the answer.
+    #[test]
+    fn a_stale_entry_away_from_home_asks_the_home_once() {
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let (home, stale) = (LocalityId(0), LocalityId(1));
+        let x = rt.new_data_at(home, vec![5]);
+        rt.inner().locality(stale).agas.record_migration(x, stale);
+        let fut = rt.run_blocking(stale, move |ctx| ctx.fetch_data(x));
+        assert_eq!(rt.wait_future_timeout(fut, BOUND).unwrap(), Some(vec![5]));
+        let s = rt.stats();
+        let (h, st) = (&s.localities[0], &s.localities[1]);
+        assert_eq!((st.dir_lookups_remote, h.dir_lookups_local), (1, 1));
+        assert_eq!((st.parcels_forwarded, h.chased_parcels), (1, 1));
+        assert_eq!(s.total().dead_parcels, 0);
+        let cached = rt.inner().locality(stale).agas.resolve(stale, x);
+        assert_eq!(cached.owner, home);
+        rt.shutdown();
+    }
+
     /// A `DATA_GET` for a pinned object absent at its owner parks on the
     /// pin: dispatched once, then not again until the move ends, and
     /// completed after it with no hop spent.
@@ -502,7 +586,7 @@ mod tests {
         let (rt, x, object) = pinned_and_absent();
         let fut = rt.run_blocking(LocalityId(0), move |ctx| ctx.fetch_data(x));
         assert!(
-            wait_until(|| rt.inner().agas.parked(x) == 1),
+            wait_until(|| rt.inner().localities[0].agas.parked(x) == 1),
             "never parked"
         );
         let dispatched = || rt.stats().localities[0].parcels_recv;
@@ -511,7 +595,7 @@ mod tests {
         assert_eq!(dispatched(), 1, "a parked parcel is not dispatched again");
         settle(&rt, x, object);
         assert_eq!(rt.wait_future_timeout(fut, BOUND).unwrap(), Some(vec![9]));
-        assert_eq!(rt.inner().agas.parked(x), 0);
+        assert_eq!(rt.inner().localities[0].agas.parked(x), 0);
         let s = rt.stats().total();
         assert_eq!(s.parcels_recv, 2, "once parked, once re-sent");
         assert_eq!((s.parcels_forwarded, s.chased_parcels), (0, 0));
@@ -537,7 +621,7 @@ mod tests {
         proc.finish_root(&rt);
         let fut = rx.recv_timeout(BOUND).unwrap();
         assert!(
-            wait_until(|| rt.inner().agas.parked(x) == 1),
+            wait_until(|| rt.inner().localities[0].agas.parked(x) == 1),
             "never parked"
         );
         let done = proc.done_future();

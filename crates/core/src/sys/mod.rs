@@ -65,9 +65,9 @@ macro_rules! sys_actions {
 
         /// Whether `a` rides the control priority lane (see the
         /// transport contract in `net/mod.rs`): balancer gossip,
-        /// metrics pulls, and the small directory ops.
-        /// [`DIR_INSTALL`] is a `data` row — it carries object bytes
-        /// and belongs under data-lane backpressure.
+        /// metrics pulls, name lookups, and every leg of a move and of
+        /// the directory protocol. The reply to a control-lane request
+        /// rides it too, as an ordinary [`LCO_SET`] (`sched::complete`).
         pub fn is_control(a: ActionId) -> bool {
             $((sys_actions!(@control $lane) && a == $name))||*
         }
@@ -132,13 +132,15 @@ sys_actions! {
     /// Migrate the target data object: payload = `u16` destination
     /// locality ++ `u8` cause code (0 manual, 1 balancer). Addressed at
     /// the *object* (not a locality root) so the ordinary chase delivers
-    /// it to the current resident rank; continuation receives unit on
-    /// completion.
-    AGAS_MIGRATE = "__sys/agas_migrate", data, agas::migrate, msg::Migrate;
-    /// Install a migrating object's bytes at the destination rank:
-    /// payload = `u64` gid ++ `u64` version ++ length-prefixed bytes.
-    /// Carries object payload, so it rides the *data* lane.
-    DIR_INSTALL = "__sys/dir_install", data, agas::dir_install, msg::DirInstall;
+    /// it to the current owner; continuation receives unit on
+    /// completion. Control lane, like every leg of a move: a balancer
+    /// pull must not queue behind the backlog of the owner it relieves.
+    AGAS_MIGRATE = "__sys/agas_migrate", control, agas::migrate, msg::Migrate;
+    /// Install a migrating object's bytes at the destination: payload =
+    /// `u64` gid ++ `u64` version ++ length-prefixed bytes. Control lane:
+    /// the move holds its pin, and parks every parcel for the object,
+    /// until this leg and its ack are back.
+    DIR_INSTALL = "__sys/dir_install", control, agas::dir_install, msg::DirInstall;
     /// Flip a GID's authoritative home-directory entry: payload =
     /// `u64` gid ++ `u16` owner ++ `u8` cause code. Control lane.
     DIR_UPDATE = "__sys/dir_update", control, agas::dir_update, msg::DirUpdate;
@@ -235,10 +237,11 @@ mod tests {
     fn sys_ids_distinct() {
         let set: std::collections::HashSet<u64> = ALL.iter().map(|i| i.0).collect();
         assert_eq!(set.len(), ALL.len());
-        // The lane column: small directory ops ride the control lane, the
-        // object-bearing install does not, and no user action ever does.
-        assert!(is_control(DIR_LOOKUP));
-        assert!(!is_control(DIR_INSTALL));
+        // The lane column: every leg of a move and the directory ops ride
+        // the control lane, an LCO event only as a control request's
+        // reply, and no user action ever does.
+        assert!(is_control(DIR_LOOKUP) && is_control(AGAS_MIGRATE));
+        assert!(is_control(DIR_INSTALL) && !is_control(LCO_SET));
         assert!(!is_control(ActionId::of("user/action")));
         // The handler column: the dispatcher consumes every row's id —
         // here with an empty payload, which each handler must survive

@@ -40,12 +40,15 @@ impl Origin<'_> {
     /// remote ack, the caller resumes in `on_reply` — a depleted thread
     /// of this origin (its process, its trace) on one of its locality's
     /// workers, run with the reply once reading it has freed the future.
+    /// A control-lane request is answered on that lane and resumes on it
+    /// too, so neither waits behind the data backlog at either end.
     pub(crate) fn request_then(
         self,
         p: Parcel,
         on_reply: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
     ) {
-        self.suspend_on(self.request(p), on_reply);
+        let control = crate::sys::is_control(p.action);
+        self.suspend_on(self.request(p), control, on_reply);
     }
 }
 
@@ -227,6 +230,41 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A control-lane request is answered on that lane and resumes its
+    /// requester there: behind a one-worker locality's backlog of `N`
+    /// closures, the resumption runs after the closure that was running
+    /// when the reply landed, not after all `N`. The first closure to run
+    /// holds the worker until the reply is queued here, whichever lane it
+    /// took.
+    #[test]
+    fn a_control_request_resumes_ahead_of_the_backlog() {
+        const N: u64 = 16;
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        rt.spawn_at(LocalityId(0), move |ctx| {
+            let ran = Arc::new(crate::stats::Counter::default());
+            for _ in 0..N {
+                let (loc, ran) = (ctx.locality().clone(), ran.clone());
+                ctx.spawn(move |_| {
+                    let landed = || !loc.control.is_empty() || !loc.injector.is_empty();
+                    let t0 = std::time::Instant::now();
+                    while ran.get() == 0 && !landed() && t0.elapsed() < Duration::from_secs(10) {
+                        std::thread::yield_now();
+                    }
+                    ran.add(1);
+                });
+            }
+            let ask = sys::bare(Gid::locality_root(LocalityId(1)), sys::METRICS_PULL);
+            ctx.origin().request_then(ask, move |_, v| {
+                let _ = tx.send((v.is_fault(), ran.get()));
+            });
+        });
+        let (fault, ran) = rx.recv_timeout(Duration::from_secs(20)).unwrap();
+        assert!(!fault);
+        assert!(ran <= 2, "the resumption waited for {ran} of {N} closures");
+        rt.shutdown();
+    }
+
     #[test]
     fn a_failed_fan_out_still_takes_every_reply() {
         let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
@@ -242,9 +280,16 @@ mod tests {
             futs[0],
             "peer lost",
         );
-        inner.lco_route(loc, futs[0], sys::LCO_SET, Value::error(&fault), None);
+        inner.lco_route(
+            loc,
+            futs[0],
+            sys::LCO_SET,
+            Value::error(&fault),
+            None,
+            false,
+        );
         for &fut in &futs[1..] {
-            inner.lco_route(loc, fut, sys::LCO_SET, Value::unit(), None);
+            inner.lco_route(loc, fut, sys::LCO_SET, Value::unit(), None, false);
         }
         match inner.take_replies(&futs, None) {
             Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::Transport),

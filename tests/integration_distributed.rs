@@ -829,29 +829,44 @@ fn remote_closure_spawn_dies_loudly() {
     rt.shutdown();
 }
 
-/// Tentpole acceptance: `migrate_data` across real OS processes — create
-/// at rank 0, migrate to rank 1, read the bytes back over the wire,
-/// migrate home, read locally again. The split-phase protocol (install
-/// at dest → flip the home directory → remove at source) keeps the
-/// object served at every instant, so neither read can miss.
-#[test]
-fn cross_rank_migrate_data_round_trip() {
+/// Run `body` as rank 0 of a two-process mesh whose rank 1 serves.
+fn across_two_processes(body: fn(&Runtime)) {
     let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve", &addrs);
     let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
+    body(&rt);
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+    rt.shutdown();
+}
+
+/// Run `body` on two localities of one OS process: the same AGAS
+/// protocol, between two ranks that share a process.
+fn in_one_process(body: fn(&Runtime)) {
+    let rt = build(Config::small(2, 1), None);
+    body(&rt);
+    rt.shutdown();
+}
+
+/// `migrate_data` there and back — create at locality 0, migrate to 1,
+/// read the bytes back, migrate home, read again. The split-phase
+/// protocol (install at dest → flip the home directory → remove at
+/// source) keeps the object served at every instant, so neither read can
+/// miss.
+fn migrate_data_round_trip(rt: &Runtime) {
     let payload = vec![0xAB; 512];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
 
-    // Outbound: rank 0 initiates, rank 1 installs the bytes.
+    // Outbound: locality 0 runs the move, locality 1 installs the bytes.
     rt.migrate_data(gid, LocalityId(1))
         .expect("outbound migration");
     assert_eq!(
         rt.read_data(gid).expect("remote read"),
         payload,
-        "DATA_GET over TCP after the move"
+        "DATA_GET after the move"
     );
 
-    // Inbound: the AGAS_MIGRATE chases to rank 1, which runs the same
+    // Inbound: the AGAS_MIGRATE chases to locality 1, which runs the same
     // protocol back toward the birthplace.
     rt.migrate_data(gid, LocalityId(0))
         .expect("inbound migration");
@@ -860,25 +875,30 @@ fn cross_rank_migrate_data_round_trip() {
     let stats = rt.stats();
     assert!(
         stats.migrations_manual >= 1,
-        "rank 0 initiated the outbound move: {}",
+        "locality 0 ran the outbound move: {}",
         stats.migrations_manual
     );
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
-    rt.shutdown();
 }
 
-/// Driver-side RPCs (`read_data`, `migrate_data`, `lookup_name` over TCP)
-/// park their reply on a fresh future at the origin locality; that
-/// future is freed once the reply is taken, so a driver polling a remote
-/// object does not grow its own store. Neither does the migration
-/// protocol it drives: the source rank's install/update acks are
-/// one-shot reply futures too, freed when they fire.
+/// Tentpole acceptance: [`migrate_data_round_trip`] across real OS
+/// processes.
 #[test]
-fn remote_reads_and_migrations_leave_the_origin_store_flat() {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("serve", &addrs);
-    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
+fn cross_rank_migrate_data_round_trip() {
+    across_two_processes(migrate_data_round_trip);
+}
+
+#[test]
+fn migrate_data_round_trip_in_process() {
+    in_one_process(migrate_data_round_trip);
+}
+
+/// Driver-side RPCs (`read_data`, `migrate_data`) park their reply on a
+/// fresh future at the origin locality; that future is freed once the
+/// reply is taken, so a driver polling a remote object does not grow its
+/// own store. Neither does the migration protocol it drives: the source's
+/// install/update acks are one-shot reply futures too, freed when they
+/// fire.
+fn reads_and_migrations_leave_the_origin_store_flat(rt: &Runtime) {
     let payload = vec![0xC3; 64];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     rt.migrate_data(gid, LocalityId(1))
@@ -894,9 +914,16 @@ fn remote_reads_and_migrations_leave_the_origin_store_flat() {
         rt.migrate_data(gid, LocalityId(1)).expect("outbound leg");
     }
     assert_eq!(objects(), before, "one install ack leaked per outbound leg");
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
-    rt.shutdown();
+}
+
+#[test]
+fn remote_reads_and_migrations_leave_the_origin_store_flat() {
+    across_two_processes(reads_and_migrations_leave_the_origin_store_flat);
+}
+
+#[test]
+fn reads_and_migrations_leave_the_origin_store_flat_in_process() {
+    in_one_process(reads_and_migrations_leave_the_origin_store_flat);
 }
 
 /// Soak, in one process: pxmark's `agas_mix` shape, `SOAK` times. A
@@ -1006,20 +1033,15 @@ fn process_scoped_names_resolve_across_ranks() {
 }
 
 /// Regression for the cross-rank migration deadlock: no lock is ever
-/// held across an RTT, so concurrent migrations of the SAME
-/// object from several driver threads — deliberately ping-ponging the
-/// object between the ranks — all complete instead of wedging the
-/// scheduler, and the object stays readable afterwards.
-#[test]
-fn concurrent_cross_rank_migrations_of_same_object_settle() {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("serve", &addrs);
-    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
+/// held across an RTT, so concurrent migrations of the SAME object from
+/// several driver threads — deliberately ping-ponging the object between
+/// the two localities — all complete instead of wedging the scheduler,
+/// and the object stays readable afterwards.
+fn concurrent_migrations_of_same_object_settle(rt: &Runtime) {
     let payload = b"contended".to_vec();
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     std::thread::scope(|s| {
         for t in 0..4u16 {
-            let rt = &rt;
             s.spawn(move || {
                 for i in 0..6u16 {
                     // Alternating destinations exercise the pin, the
@@ -1044,9 +1066,16 @@ fn concurrent_cross_rank_migrations_of_same_object_settle() {
         rt.read_data(gid).expect("readable after the storm"),
         payload
     );
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
-    rt.shutdown();
+}
+
+#[test]
+fn concurrent_cross_rank_migrations_of_same_object_settle() {
+    across_two_processes(concurrent_migrations_of_same_object_settle);
+}
+
+#[test]
+fn concurrent_migrations_of_same_object_settle_in_process() {
+    in_one_process(concurrent_migrations_of_same_object_settle);
 }
 
 /// Satellite acceptance: killing the rank that serves an object

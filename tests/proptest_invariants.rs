@@ -502,9 +502,9 @@ proptest! {
         let mut owner = home;
         for (to, hints) in moves {
             if to != owner {
-                ranks[to as usize].note_owner(g, LocalityId(to)); // install
-                ranks[owner as usize].note_owner(g, LocalityId(to)); // finalize
-                ranks[home as usize].note_owner(g, LocalityId(to)); // DIR_UPDATE
+                ranks[to as usize].record_migration(g, LocalityId(to)); // install
+                ranks[owner as usize].record_migration(g, LocalityId(to)); // finalize
+                ranks[home as usize].record_migration(g, LocalityId(to)); // DIR_UPDATE
                 owner = to;
             }
             for (r, hint) in hints.iter().enumerate() {
