@@ -37,7 +37,6 @@
 use crate::mesh::{join_peers, launch};
 use crate::table::{f2, print_table};
 use px_core::prelude::*;
-use px_core::stats::TransportStats;
 use std::time::{Duration, Instant};
 
 /// Experiment sizes (shrunk by `smoke`).
@@ -177,8 +176,8 @@ fn inproc_rt(latency: Duration) -> Runtime {
 }
 
 /// Run the TCP leg: bind, re-execute ourselves as rank 1, measure, tear
-/// down. Returns the row and rank 0's transport stats.
-fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, TransportStats) {
+/// down. Returns the row and rank 0's stats.
+fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, StatsSnapshot) {
     let (rt, peers) = launch(2, "e14", child_args, |addrs| rank_builder(0, addrs));
     let row = measure(&rt, "tcp-2proc", p);
     let stats = rt.stats();
@@ -189,7 +188,7 @@ fn tcp_leg(p: Params, child_args: &[&str]) -> (Row, TransportStats) {
     );
     join_peers(peers);
     rt.shutdown();
-    (row, stats.transport)
+    (row, stats)
 }
 
 /// Run one N-rank mesh leg: rank 0 (this process) plus `ranks - 1`
@@ -345,9 +344,11 @@ mod tests {
             TEST_CHILD,
         );
         assert!(row.pipelined_per_s > 0.0);
-        let peer = stats.peers.iter().find(|p| p.peer == 1).unwrap();
+        let peer = stats.transport.peers.iter().find(|p| p.peer == 1).unwrap();
         assert!(peer.msgs_sent > 0 && peer.msgs_recv > 0);
-        assert!(peer.frames_sent > 0, "batched run should coalesce");
+        let total = stats.total();
+        let flushed = total.batch_flush_full + total.batch_flush_pulled;
+        assert!(flushed > 0, "batched run should ship port frames");
     }
 
     /// A 4-rank mesh completes a round-robined workload and reports

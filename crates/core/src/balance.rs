@@ -224,15 +224,13 @@ pub(crate) fn shed_tasks(
                             unreachable!("sheddable matched Work::Parcel")
                         };
                         bump!(loc.counters().tasks_shed);
-                        bump!(loc.counters().parcels_sent);
                         loc.trace_event(
                             trace,
                             crate::trace::TraceEventKind::BalanceShed,
                             0,
                             u64::from(dest.0),
                         );
-                        let n = rt.wire.send_parcel(dest, p);
-                        bump!(loc.counters().bytes_sent, n as u64);
+                        rt.wire.send_parcel(loc.id, dest, Lane::Run, p);
                         shed += 1;
                     } else {
                         putback.push(task);
@@ -244,17 +242,13 @@ pub(crate) fn shed_tasks(
                     // was counted started at spawn and completes at the
                     // destination.
                     bump!(loc.counters().tasks_shed);
-                    bump!(loc.counters().parcels_sent);
-                    bump!(loc.counters().bytes_sent, 64);
                     loc.trace_event(
                         task.trace,
                         crate::trace::TraceEventKind::BalanceShed,
                         0,
                         u64::from(dest.0),
                     );
-                    rt.wire
-                        .transport
-                        .submit(crate::net::WireMsg::Task { dest, task }, 64);
+                    rt.wire.send_task(loc.id, dest, task);
                     shed += 1;
                 } else {
                     putback.push(task);

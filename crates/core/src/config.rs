@@ -9,10 +9,10 @@ use std::time::Duration;
 /// Which transport backend carries inter-locality traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportKind {
-    /// All localities share this OS process; messages are queue pushes,
-    /// held on the destination's timer heap for the configured
-    /// [`WireModel`]'s delay (the default, and the seed runtime's
-    /// behavior, bit-for-bit).
+    /// All localities share this OS process (the default); messages —
+    /// parcel frames without the integrity trailer, and closure tasks —
+    /// are queue pushes, held on the destination's timer heap for the
+    /// configured [`WireModel`]'s delay.
     InProc,
     /// Each OS process owns one locality and peers over TCP sockets
     /// ([`crate::net::tcp`]). The [`WireModel`] is ignored — the
@@ -33,8 +33,8 @@ pub struct Config {
     /// Transport backend selection (defaults to [`TransportKind::InProc`]).
     pub transport: TransportKind,
     /// Parcels coalesced per wire message and destination (see
-    /// [`Config::with_max_batch_parcels`]). Defaults to 1: one parcel per
-    /// message, no added latency.
+    /// [`Config::with_max_batch_parcels`]). Defaults to 1: each parcel a
+    /// frame of one, no added latency.
     pub max_batch_parcels: usize,
     /// Localities that drain their percolation staging buffer at top
     /// priority (the "precious resources" of §2.2).
@@ -101,7 +101,7 @@ impl Config {
     }
 
     /// Coalesce up to `n` parcels per wire message (builder style; `1`
-    /// disables batching). `n` is the cap: a coalescing port also flushes
+    /// disables batching: each parcel leaves at once, a frame of one). `n` is the cap: a coalescing port also flushes
     /// at [`crate::net::MAX_BATCH_BYTES`], and a frame that does not fill
     /// leaves at the next pass of the loop that carries it: the TCP event
     /// loop's, or in-process the destination locality's. None of that is

@@ -1,15 +1,17 @@
-//! The in-process transport backend: the seed runtime's wire, unchanged.
+//! The in-process transport backend: every locality in one OS process.
 //!
-//! All localities live in one OS process; "delivery" is a push onto the
-//! destination locality's run queue (general, staging, or control). On a
-//! non-instant [`WireModel`] a message is first put on the destination's
-//! timer heap (`Locality::timers`), due after `delay_for(bytes)`, so the
+//! "Delivery" is a push onto the destination locality's run queue
+//! (general, staging, or control). On a non-instant [`WireModel`] a
+//! message is first put on the destination's timer heap
+//! (`Locality::timers`), due after `delay_for` its size — a frame's
+//! length, a task's nominal [`super::TASK_BYTES`] — so the
 //! latency/overhead/starvation phenomena of a real interconnect stay
 //! measurable; the holder of that locality's poller — one of its own
 //! workers — queues it once due, as the TCP event loop queues what it
-//! reads. This backend is the behavioral baseline the `Transport`
-//! refactor is pinned against: version-1 frames, identical delay
-//! arithmetic, identical queue discipline, zero added bytes.
+//! reads. Parcels cross as version-1 frames (no integrity trailer: the
+//! bytes never leave the process), a parcel sent alone as a frame of
+//! one, which costs it 9 bytes of framing and one frame parse at the
+//! destination.
 //!
 //! With batching on, a destination's pass also pulls the ports toward it
 //! (`super`, Batching) and puts each frame on its own heap, due after the
@@ -18,7 +20,7 @@
 //! destination. The wire starts no thread, and an idle locality's holder
 //! parks untimed while its heap is empty.
 
-use super::{Park, PortSet, Transport, WireModel, WireMsg};
+use super::{Park, PortSet, Transport, WireModel, WireMsg, TASK_BYTES};
 use crate::gid::LocalityId;
 use crate::locality::{Lane, Locality};
 use crate::sched::{Task, Work};
@@ -55,16 +57,14 @@ impl InProcTransport {
 }
 
 impl Transport for InProcTransport {
-    fn submit(&self, msg: WireMsg, bytes: usize) {
+    fn submit(&self, msg: WireMsg) {
         let submitted = self.metrics_on.then(Instant::now);
-        let (dest, lane, task) = match msg {
-            WireMsg::Parcel { dest, lane, bytes } => {
-                (dest, lane, Task::new(Work::ParcelBytes(bytes)))
-            }
+        let (dest, lane, task, bytes) = match msg {
             WireMsg::Frame { dest, lane, bytes } => {
-                (dest, lane, Task::new(Work::ParcelFrame(bytes)))
+                let n = bytes.len();
+                (dest, lane, Task::new(Work::ParcelFrame(bytes)), n)
             }
-            WireMsg::Task { dest, task } => (dest, Lane::Run, task),
+            WireMsg::Task { dest, task } => (dest, Lane::Run, task, TASK_BYTES),
         };
         let loc = &self.localities[dest.0 as usize];
         if self.model.is_instant() {

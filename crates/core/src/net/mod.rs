@@ -4,21 +4,24 @@
 //! ## Architecture
 //!
 //! ```text
-//!  send_parcel ──► PortSet (per-dest coalescing) ──► Transport::submit
-//!                    ▲    ▲     full frames               │
-//!                    │    │                        ┌──────┴───────┐
-//!                    │    │                        ▼              ▼
-//!                    │    │                 InProcTransport  TcpTransport
-//!                    │    │                 (the dest's       (sockets, one
-//!                    │    │                  timer heap)       peer/process)
-//!                    │    └─ the destination's next pass ┘         │
-//!                    └── this rank's loop's next pass ─────────────┘
+//!  send_parcel ─┬─ control lane, or unbatched: a frame of one ──┐
+//!               └► PortSet (per-dest coalescing) ─ full frames ─┼─► Transport::submit
+//!  send_task ───── closure task ────────────────────────────────┘           │
+//!                    ▲    ▲                                          ┌──────┴───────┐
+//!                    │    │                                          ▼              ▼
+//!                    │    │                                   InProcTransport TcpTransport
+//!                    │    │                                     (the dest's   (sockets, one
+//!                    │    │                                     timer heap)   peer/process)
+//!                    │    └─ the destination's next pass ────────────┘              │
+//!                    └── this rank's loop's next pass ──────────────────────────────┘
 //!        a pass: the worker holding the locality's poller (`drive`)
 //! ```
 //!
-//! Everything above the `Transport` trait — `WireMsg` submission, the
-//! control-plane priority lane, `BatchPolicy` coalescing ports, flush
-//! accounting — is backend-independent; a frame that did not fill is
+//! Everything above the `Transport` trait — the frame every parcel
+//! crosses in, the control-plane priority lane, `BatchPolicy` coalescing
+//! ports, send and flush accounting — is backend-independent, and
+//! `Wire` is the only caller of `Transport::submit` (its `transport`
+//! is private): a parcel leaves one way. A frame that did not fill is
 //! shipped by the next pass of the loop that carries it. The builder
 //! knows the backend, so it builds the ports for the backend's
 //! constructor, in the backend's frame version, or none for an instant
@@ -27,12 +30,12 @@
 //! * `inproc::InProcTransport` (default): all localities share one OS
 //!   process; a message is a task put on the destination locality's
 //!   timer heap, due after the injectable latency/bandwidth of a
-//!   [`WireModel`], and queued there by that locality's own worker —
-//!   straight away on an instant wire. This is the seed runtime's wire:
-//!   version-1 frames, identical delay arithmetic, identical counters.
+//!   [`WireModel`] charged on the frame's length, and queued there by
+//!   that locality's own worker — straight away on an instant wire.
+//!   Frames are version 1: no integrity trailer.
 //! * `tcp::TcpTransport`: each OS process owns one locality and peers
-//!   over TCP sockets carrying the same length-prefixed records inside
-//!   [`px_wire::stream`] messages, with checksummed (version-2) frames.
+//!   over TCP sockets carrying the same frames inside [`px_wire::stream`]
+//!   messages, checksummed (version 2).
 //!
 //! ## The `Transport` contract
 //!
@@ -47,8 +50,8 @@
 //!    resolve with `PxError::Fault` instead of hanging. A parcel has
 //!    three ends and no others — `sched::complete` (its value goes to its
 //!    continuation), `sched::kill_parcel` (a counted fault goes there),
-//!    or a by-value encode onto the wire (`Wire::send_parcel`,
-//!    `Parcel::into_wire`) that makes it the next rank's — and debug
+//!    or a by-value encode onto the wire (`Parcel::ship_into`, called by
+//!    `Wire::send_parcel` alone) that makes it the next rank's — and debug
 //!    builds fail the driver of a runtime that drops one it had taken
 //!    charge of anywhere else (the spend obligation, [`crate::parcel`]).
 //!    A lost connection is a dead peer: it kills everything still queued toward
@@ -59,9 +62,9 @@
 //!    before the loss counts as sent, whether or not the peer read it;
 //!    that in-flight window is for the deterministic-simulation item's
 //!    accounting to check, not for the transport to guess at.
-//! 2. **Queue discipline at the destination.** `WireMsg::Parcel`/`Frame`
-//!    land in the queue their `Lane` names: the general run queue, the
-//!    staging buffer, or — single parcels only, never coalesced and never
+//! 2. **Queue discipline at the destination.** A `WireMsg::Frame` lands
+//!    in the queue its `Lane` names: the general run queue, the
+//!    staging buffer, or — frames of one, never coalesced and never
 //!    behind data backlog — the priority control queue, which every
 //!    locality has whether or not the balancer runs; `WireMsg::Task` is
 //!    an in-memory closure handoff — backends that cross address spaces
@@ -117,7 +120,7 @@
 //!    `Runtime::shutdown` has joined the workers
 //!    (`shutdown_runs_what_is_queued_and_abandons_what_arrives_after`).
 //! 5. **Parcel bytes are opaque — including trace extensions.** A
-//!    backend carries encoded parcels and frame records verbatim: it
+//!    backend carries frames and their parcel records verbatim: it
 //!    must not strip, reorder, or re-encode the flags byte or the
 //!    optional extensions it gates (the owning pid and the
 //!    `parcel_flags::HAS_TRACE` trace id — see [`crate::trace`]).
@@ -157,14 +160,14 @@
 //! batch.
 //!
 //! Ordering: under a pure-latency model, parcels to the same destination
-//! stay in submission order within and across frames (frames ride the
-//! same `(time, seq)` queue the single-parcel path uses). Two
+//! stay in submission order within and across frames (a port's frames
+//! ride the same `(time, seq)` queue the frames of one do). Two
 //! relaxations, both of the "simultaneous messages are unordered, like a
 //! real network" kind the pre-batching wire already documented:
 //!
 //! * with a nonzero `ns_per_byte` the delay is size-dependent, so a
 //!   small frame submitted after a large one can overtake it at a frame
-//!   boundary (the old wire had the same property per *parcel*);
+//!   boundary (unbatched, every parcel is a frame of its own);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
 //!   ports — a task sent after a still-coalescing parcel can overtake it
 //!   while it waits for the destination's next pass (in-process; closures do not
@@ -173,17 +176,17 @@
 //!   LCO, not through submission order.
 //!
 //! Over TCP both relaxations hold trivially (the network reorders
-//! nothing per connection, but frames and single parcels share one
-//! ordered byte stream per peer, so same-peer order is in fact *stronger*
+//! nothing per connection, but every frame toward a peer shares one
+//! ordered byte stream, so same-peer order is in fact *stronger*
 //! than the timer heap's). What is ordered is *delivery* into the
 //! destination's queue; a worker's batch-steal runs what it takes newest
 //! first, on either backend.
 //!
-//! Messages are encoded parcels (the normal case — they pay the
-//! serialization cost honestly), multi-parcel frames, or boxed tasks
-//! (closure transfers used by `spawn_at`, which model the in-memory
-//! handoff of a depleted thread and are accounted with a nominal header
-//! size).
+//! Messages are frames — a port's, or a frame of one parcel (they pay
+//! the serialization cost honestly, plus 9 bytes of framing: the 5-byte
+//! frame header and a record's 4-byte length) — or boxed tasks (closure
+//! transfers used by `spawn_at`, which model the in-memory handoff of a
+//! depleted thread and are charged a nominal `TASK_BYTES`).
 
 pub(crate) mod inproc;
 pub mod tcp;
@@ -245,7 +248,7 @@ pub const MAX_BATCH_BYTES: usize = 32 * 1024;
 /// Flush policy for the per-destination coalescing ports.
 ///
 /// The runtime sets one value, [`crate::runtime::Config::max_batch_parcels`]
-/// (default 1: batching off, every parcel ships in its own message, so
+/// (default 1: batching off, every parcel ships in a frame of one, so
 /// latency-sensitive request/response chains see no added delay); the
 /// byte budget is [`MAX_BATCH_BYTES`]. Both are fields so the port unit
 /// tests can isolate one `Full` cause by disabling the other.
@@ -278,21 +281,13 @@ impl BatchPolicy {
 
 /// A message in flight between localities.
 pub(crate) enum WireMsg {
-    /// Single encoded parcel: the unbatched data path, and all control
-    /// traffic — latency-sensitive by nature, so never coalesced.
-    Parcel {
-        /// Destination locality.
-        dest: LocalityId,
-        /// The destination queue it lands in.
-        lane: Lane,
-        /// Encoded parcel bytes.
-        bytes: Vec<u8>,
-    },
-    /// Multi-parcel frame from a coalescing port.
+    /// A frame of encoded parcels: a coalescing port's, or a frame of one
+    /// — a control-lane parcel, or any parcel when the policy does not
+    /// batch.
     Frame {
         /// Destination locality.
         dest: LocalityId,
-        /// The destination queue it lands in (never the control lane).
+        /// The destination queue it lands in.
         lane: Lane,
         /// Encoded frame bytes (see [`px_wire::FrameBuf`]).
         bytes: Vec<u8>,
@@ -308,14 +303,18 @@ pub(crate) enum WireMsg {
     },
 }
 
+/// Bytes a closure task is charged on the wire: a nominal header.
+pub(crate) const TASK_BYTES: usize = 64;
+
 /// The backend seam of the wire layer. See the module docs for the full
 /// contract (loud failure, queue discipline, deferred fault delivery,
 /// flush-on-shutdown).
 pub(crate) trait Transport: Send + Sync {
-    /// Deliver `msg` toward its destination, charging `bytes` logical
-    /// bytes to whatever latency/bandwidth physics the backend has.
-    /// Called by the wire: single parcels, full frames, tasks.
-    fn submit(&self, msg: WireMsg, bytes: usize);
+    /// Deliver `msg` toward its destination, charging whatever
+    /// latency/bandwidth physics the backend has by the message's size (a
+    /// frame's length, [`TASK_BYTES`] for a task). Called by the wire
+    /// alone: frames of one, full frames, tasks.
+    fn submit(&self, msg: WireMsg);
 
     /// One pass of locality `at`'s loop on this thread, unless another
     /// holds it (`false`): fire its due timers, pull the ports it carries
@@ -438,12 +437,16 @@ impl BatchPolicy {
 
 /// The runtime's wire: coalescing ports in front of a `Transport`
 /// backend sinking into locality run queues (through the destination's
-/// timer heap in-process, over sockets across OS processes).
+/// timer heap in-process, over sockets across OS processes), and the only
+/// way onto it: [`Wire::send_parcel`] and [`Wire::send_task`] each book
+/// their sender's `parcels_sent` and `bytes_sent` once.
 pub(crate) struct Wire {
-    /// The backend: callers submit messages and drive loops on it.
-    pub(crate) transport: Arc<dyn Transport>,
+    transport: Arc<dyn Transport>,
     /// The ports, when the policy batches (the backend holds them too).
     ports: Option<Arc<PortSet>>,
+    /// The frame version the backend carries: [`px_wire::FRAME_VERSION`]
+    /// in-process, [`px_wire::FRAME_VERSION_CHECKSUM`] over TCP.
+    version: u8,
     localities: Arc<Vec<Arc<Locality>>>,
     /// Over TCP, the locality whose loop carries all traffic; in-process
     /// (`None`) each destination's loop pulls toward it.
@@ -452,52 +455,55 @@ pub(crate) struct Wire {
 
 impl Wire {
     /// Build the wire over `transport` for `localities`, with the ports
-    /// `transport` was built with.
+    /// `transport` was built with, shipping frames of `version`.
     pub(crate) fn new(
         transport: Arc<dyn Transport>,
         localities: Arc<Vec<Arc<Locality>>>,
         ports: Option<Arc<PortSet>>,
+        version: u8,
         owned: Option<LocalityId>,
     ) -> Wire {
         Wire {
             transport,
             ports,
+            version,
             localities,
             owned,
         }
     }
 
-    /// Encode and submit one parcel toward `dest`, batching according to
-    /// the policy. The parcel ends here, by value: its bytes are the
-    /// transport's from now on. Returns the encoded size for accounting.
-    pub(crate) fn send_parcel(&self, dest: LocalityId, p: Parcel) -> usize {
-        let lane = Lane::of_parcel(p.staged);
-        let Some(ports) = &self.ports else {
-            // Unbatched path: identical to the pre-batching wire.
-            let bytes = p.into_wire();
-            let n = bytes.len();
-            self.transport
-                .submit(WireMsg::Parcel { dest, lane, bytes }, n);
-            return n;
-        };
+    /// Encode one parcel from `from` toward `dest`'s `lane`. The parcel
+    /// ends here, by value (`Parcel::ship_into`): its bytes are the
+    /// transport's from now on. A control-lane parcel, and any parcel
+    /// when the policy does not batch, leaves at once as a frame of one;
+    /// the rest coalesce in the destination's port.
+    pub(crate) fn send_parcel(&self, from: LocalityId, dest: LocalityId, lane: Lane, p: Parcel) {
+        let counters = self.localities[from.0 as usize].counters();
+        bump!(counters.parcels_sent);
         let dest_loc = &self.localities[dest.0 as usize];
+        let ports = self.ports.as_ref().filter(|_| lane != Lane::Control);
+        let Some(ports) = ports else {
+            let bytes = FrameBuf::of_one(self.version, p.wire_size(), |w| p.ship_into(w));
+            bump!(counters.bytes_sent, bytes.len() as u64);
+            bump!(dest_loc.counters().frames_sent);
+            return self.transport.submit(WireMsg::Frame { dest, lane, bytes });
+        };
         let mut port = ports.port(dest, lane).lock();
         let was_empty = port.frame.is_empty();
         if was_empty {
             port.opened_at = Some(Instant::now());
         }
-        // Report the record's full wire footprint (parcel + length
-        // prefix) so `bytes_sent` tracks what the delay model charges; of
-        // the frame, only the fixed 5-byte header goes unattributed.
+        // Book the record's full wire footprint (parcel + length prefix)
+        // so `bytes_sent` tracks what the delay model charges; of the
+        // frame, only the fixed 5-byte header goes unattributed.
         let n = port.frame.push_record_with(|w| p.ship_into(w)) + px_wire::RECORD_HEADER_LEN;
+        bump!(counters.bytes_sent, n as u64);
         let policy = &ports.policy;
         if port.frame.record_count() as usize >= policy.max_batch_parcels
             || port.frame.len() >= policy.max_batch_bytes
         {
             if let Some((bytes, _)) = port.take(&dest_loc.counters().batch_flush_full, dest_loc) {
-                let len = bytes.len();
-                self.transport
-                    .submit(WireMsg::Frame { dest, lane, bytes }, len);
+                self.transport.submit(WireMsg::Frame { dest, lane, bytes });
             }
         } else if was_empty {
             // The first record of an idle port: the loop that carries it
@@ -511,7 +517,31 @@ impl Wire {
                 None => dest_loc.timers.ring(),
             }
         }
-        n
+    }
+
+    /// Hand a closure task from `from` to `dest`'s run queue, booked as
+    /// one message of [`TASK_BYTES`]. A backend that crosses address
+    /// spaces kills it loudly.
+    pub(crate) fn send_task(&self, from: LocalityId, dest: LocalityId, task: Task) {
+        let counters = self.localities[from.0 as usize].counters();
+        bump!(counters.parcels_sent);
+        bump!(counters.bytes_sent, TASK_BYTES as u64);
+        self.transport.submit(WireMsg::Task { dest, task });
+    }
+
+    /// [`Transport::drive`] on the backend.
+    pub(crate) fn drive(&self, at: LocalityId, park: Option<Park<'_>>) -> bool {
+        self.transport.drive(at, park)
+    }
+
+    /// [`Transport::bind`] on the backend.
+    pub(crate) fn bind(&self, rt: &Arc<crate::runtime::RuntimeInner>) {
+        self.transport.bind(rt);
+    }
+
+    /// [`Transport::transport_stats`] of the backend.
+    pub(crate) fn transport_stats(&self) -> TransportStats {
+        self.transport.transport_stats()
     }
 
     /// Drain the ports, stop the transport.
@@ -522,9 +552,7 @@ impl Wire {
             for (dest, dest_loc) in self.localities.iter().enumerate() {
                 let dest = LocalityId(dest as u16);
                 while !ports.pull(dest, dest_loc, |lane, bytes, _| {
-                    let n = bytes.len();
-                    self.transport
-                        .submit(WireMsg::Frame { dest, lane, bytes }, n);
+                    self.transport.submit(WireMsg::Frame { dest, lane, bytes });
                 }) {
                     std::thread::yield_now();
                 }
@@ -581,7 +609,13 @@ mod tests {
     fn test_wire(model: WireModel, locs: &Locs, policy: BatchPolicy) -> Wire {
         let ports = policy.ports(locs.len(), px_wire::FRAME_VERSION);
         let transport = InProcTransport::new(model, locs.clone(), ports.clone());
-        Wire::new(Arc::new(transport), locs.clone(), ports, None)
+        Wire::new(
+            Arc::new(transport),
+            locs.clone(),
+            ports,
+            px_wire::FRAME_VERSION,
+            None,
+        )
     }
 
     /// A wire between two localities on a stepped clock: nothing moves
@@ -595,7 +629,15 @@ mod tests {
 
     /// Locality 1's pass — the one a worker runs when kicked or woken.
     fn pass(wire: &Wire) {
-        assert!(wire.transport.drive(LocalityId(1), None));
+        assert!(wire.drive(LocalityId(1), None));
+    }
+
+    /// The locality every test parcel is sent from.
+    const SENDER: LocalityId = LocalityId(0);
+
+    /// Send `p` from locality 0 toward locality 1's run queue.
+    fn send_to_1(wire: &Wire, p: Parcel) {
+        wire.send_parcel(SENDER, LocalityId(1), Lane::Run, p);
     }
 
     const LATENCY: Duration = Duration::from_micros(10);
@@ -605,7 +647,7 @@ mod tests {
     fn burst(policy: BatchPolicy, n: usize) -> (Locs, Stepper, Wire) {
         let (locs, clock, wire) = stepped_wire(WireModel::with_latency(LATENCY), policy);
         for _ in 0..n {
-            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+            send_to_1(&wire, noop_parcel(LocalityId(1)));
         }
         (locs, clock, wire)
     }
@@ -640,26 +682,31 @@ mod tests {
 
     // ---- the in-process wire's delays, on the destination's heap ---------
 
-    /// Parcel `n` toward locality 1, charged `bytes` on an unbatched wire.
-    fn send(wire: &Wire, n: u64, charge: usize) {
+    /// Parcel `n` toward locality 1 on an unbatched wire, its payload
+    /// `size` bytes long, each of them `n`. Returns the bytes the wire
+    /// booked for it: its frame's length, which the delay is charged on.
+    fn send(wire: &Wire, locs: &[Arc<Locality>], n: u8, size: usize) -> usize {
         let mut p = noop_parcel(LocalityId(1));
-        p.payload = Value::encode(&n).unwrap();
-        let (dest, lane, bytes) = (LocalityId(1), Lane::Run, p.encode());
-        wire.transport
-            .submit(WireMsg::Parcel { dest, lane, bytes }, charge);
+        p.payload = Value::encode(&vec![n; size]).unwrap();
+        let before = locs[SENDER.0 as usize].stats().bytes_sent;
+        send_to_1(wire, p);
+        (locs[SENDER.0 as usize].stats().bytes_sent - before) as usize
     }
 
     /// Advance the clock `by`, run locality 1's pass, and read the parcels
     /// it queued, in order.
-    fn step(clock: &Stepper, wire: &Wire, locs: &[Arc<Locality>], by: Duration) -> Vec<u64> {
+    fn step(clock: &Stepper, wire: &Wire, locs: &[Arc<Locality>], by: Duration) -> Vec<u8> {
         clock.advance(by);
         pass(wire);
-        let n = |t: Task| match t.work {
-            crate::sched::Work::ParcelBytes(b) => Parcel::decode(&b).unwrap().payload,
-            _ => unreachable!("parcels only"),
-        };
-        let queued = std::iter::from_fn(|| locs[1].injector.steal());
-        queued.map(|t| n(t).decode().unwrap()).collect()
+        let mut queued = Vec::new();
+        while let Some(t) = locs[1].injector.steal() {
+            let frame = t.frame_bytes().expect("frames only");
+            for rec in px_wire::FrameView::parse(frame).unwrap().records() {
+                let payload = Parcel::decode(rec.unwrap()).unwrap().payload;
+                queued.push(payload.decode::<Vec<u8>>().unwrap()[0]);
+            }
+        }
+        queued
     }
 
     const MS: Duration = Duration::from_millis(1);
@@ -667,7 +714,7 @@ mod tests {
     #[test]
     fn a_message_is_held_until_it_is_due() {
         let (locs, clock, wire) = stepped_wire(WireModel::with_latency(30 * MS), cap(1));
-        send(&wire, 7, 0);
+        send(&wire, &locs, 7, 1);
         let early = step(&clock, &wire, &locs, 30 * MS - Duration::from_nanos(1));
         assert!(early.is_empty(), "must not arrive before its delay");
         assert_eq!(step(&clock, &wire, &locs, Duration::from_nanos(1)), [7]);
@@ -680,11 +727,15 @@ mod tests {
             ns_per_byte: 20_000, // 20 µs per byte — exaggerated for test
         };
         let (locs, clock, wire) = stepped_wire(per_byte, cap(1));
-        send(&wire, 1, 1000); // 20 ms
-        send(&wire, 2, 10); // 200 µs: the small message overtakes
-        let small = step(&clock, &wire, &locs, Duration::from_micros(200));
-        assert_eq!(small, [2]);
-        assert_eq!(step(&clock, &wire, &locs, 20 * MS), [1]);
+        let large = per_byte.delay_for(send(&wire, &locs, 1, 1000)); // ~20 ms
+        let small = per_byte.delay_for(send(&wire, &locs, 2, 10)); // ~0.8 ms
+        assert!(small < large, "{small:?} vs {large:?}");
+        assert_eq!(
+            step(&clock, &wire, &locs, small),
+            [2],
+            "the small one overtakes"
+        );
+        assert_eq!(step(&clock, &wire, &locs, large - small), [1]);
     }
 
     /// Same-latency messages submitted in order arrive in order: the
@@ -694,7 +745,9 @@ mod tests {
     #[test]
     fn equal_delays_keep_fifo_order() {
         let (locs, clock, wire) = stepped_wire(WireModel::with_latency(5 * MS), cap(1));
-        (0..50).for_each(|n| send(&wire, n, 0));
+        for n in 0..50 {
+            send(&wire, &locs, n, 1);
+        }
         assert_eq!(
             step(&clock, &wire, &locs, 5 * MS),
             (0..50).collect::<Vec<_>>()
@@ -706,7 +759,9 @@ mod tests {
     #[test]
     fn shutdown_queues_what_is_pending() {
         let (locs, clock, mut wire) = stepped_wire(WireModel::with_latency(10 * MS), cap(1));
-        (1..=2).for_each(|n| send(&wire, n, 0));
+        for n in 1..=2 {
+            send(&wire, &locs, n, 1);
+        }
         wire.shutdown();
         assert_eq!(step(&clock, &wire, &locs, Duration::ZERO), [1, 2]);
         assert!(locs[1].timers.pop().is_none(), "the heap is empty");
@@ -751,7 +806,7 @@ mod tests {
     fn a_lone_record_leaves_at_the_destinations_next_pass() {
         let latency = Duration::from_micros(50);
         let (locs, clock, wire) = stepped_wire(WireModel::with_latency(latency), cap(1000));
-        wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+        send_to_1(&wire, noop_parcel(LocalityId(1)));
         pass(&wire);
         assert_eq!(locs[1].stats().batch_flush_pulled, 1, "pulled");
         clock.advance(latency - Duration::from_nanos(1));
@@ -773,7 +828,7 @@ mod tests {
             pass(&wire);
             assert_eq!(drain_count(&locs[1]), (1, n));
             for _ in 0..3 {
-                wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+                send_to_1(&wire, noop_parcel(LocalityId(1)));
             }
         }
         let c = locs[1].stats();
@@ -800,7 +855,7 @@ mod tests {
         let model = WireModel::with_latency(latency);
         let wire = test_wire(model, &locs, BatchPolicy::new(16));
         for _ in 0..50 {
-            wire.send_parcel(LocalityId(1), noop_parcel(LocalityId(1)));
+            send_to_1(&wire, noop_parcel(LocalityId(1)));
             let t0 = Instant::now();
             while drain_count(&locs[1]).1 == 0 {
                 assert!(t0.elapsed() < Duration::from_secs(5), "never arrived");
@@ -831,8 +886,8 @@ mod tests {
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
-        wire.send_parcel(LocalityId(1), plain);
-        wire.send_parcel(LocalityId(1), staged);
+        wire.send_parcel(SENDER, LocalityId(1), Lane::Run, plain);
+        wire.send_parcel(SENDER, LocalityId(1), Lane::Staged, staged);
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1), "plain frame in the injector");
@@ -843,20 +898,42 @@ mod tests {
         assert_eq!(staged_tasks, 1, "staged frame in the staging buffer");
     }
 
+    /// With batching off a parcel leaves at once as a frame of one: one
+    /// frame, nothing coalesced or flushed, and the sender books the
+    /// frame's full length.
     #[test]
-    fn unbatched_policy_sends_single_parcels() {
+    fn unbatched_policy_sends_frames_of_one() {
         let (locs, _clock, mut wire) = burst(BatchPolicy::new(1), 0);
         let p = noop_parcel(LocalityId(1));
-        let n = wire.send_parcel(LocalityId(1), p.clone());
-        assert_eq!(n, p.encode().len());
+        send_to_1(&wire, p.clone());
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1));
+        let framing = px_wire::FRAME_HEADER_LEN + px_wire::RECORD_HEADER_LEN;
+        let sent = locs[0].stats();
         assert_eq!(
-            locs[1].stats().frames_sent,
-            0,
-            "no frames on the single-parcel path"
+            (sent.parcels_sent, sent.bytes_sent),
+            (1, (framing + p.encode().len()) as u64)
         );
+        let c = locs[1].stats();
+        assert_eq!((c.frames_sent, c.coalesced_parcels), (1, 0));
+        assert_eq!((c.batch_flush_full, c.batch_flush_pulled), (0, 0));
+    }
+
+    /// A control-lane parcel never waits in a port: on a batching wire it
+    /// still leaves at once, a frame of one, and lands in the control
+    /// queue.
+    #[test]
+    fn control_parcels_leave_at_once_as_frames_of_one() {
+        let (locs, clock, wire) = burst(cap(1000), 0);
+        let p = noop_parcel(LocalityId(1));
+        wire.send_parcel(SENDER, LocalityId(1), Lane::Control, p);
+        clock.advance(LATENCY);
+        pass(&wire);
+        let control = locs[1].control.steal().expect("on the control queue");
+        assert_eq!(control.parcel_records(), 1);
+        let c = locs[1].stats();
+        assert_eq!((c.frames_sent, c.batch_flush_pulled), (1, 0));
     }
 
     /// Acceptance pin: the in-process backend ships version-1 frames

@@ -6,8 +6,11 @@
 //! every other over one plain TCP socket per pair. The byte protocol is
 //! [`px_wire::stream`]: a fixed handshake (`magic ++ version ++
 //! locality id ++ listen port`), then length-prefixed messages whose
-//! bodies are the *same* encoded parcels and (checksummed, version-2)
-//! frames the in-process wire carries. The coalescing ports, batching policy, and
+//! bodies are parcel frames — the wire's one message shape, a port's or a
+//! frame of one — in the checksummed version 2, so every parcel that
+//! crosses a socket is covered by the frame's FNV-1a trailer. The
+//! message kind names only the destination queue (`FRAME`,
+//! `FRAME_STAGED`, `CONTROL`). The coalescing ports, batching policy, and
 //! control-plane lane all sit above the `Transport` seam and work
 //! unchanged.
 //!
@@ -204,7 +207,6 @@ impl TcpConfig {
 struct PeerCounters {
     msgs_sent: Counter,
     bytes_sent: Counter,
-    frames_sent: Counter,
     msgs_recv: Counter,
     bytes_recv: Counter,
 }
@@ -236,7 +238,7 @@ enum By {
 struct SendQueue {
     /// Control lane: drained ahead of data, never backpressured.
     control: VecDeque<OutMsg>,
-    /// Data lane: parcels and frames, in submission order.
+    /// Data lane: frames, in submission order.
     data: VecDeque<OutMsg>,
     /// Bytes across both lanes (bodies only; headers are a fixed tax).
     queued_bytes: usize,
@@ -307,19 +309,20 @@ impl TcpShared {
         self.rt.get().and_then(Weak::upgrade)
     }
 
-    /// Deliver a received (or locally-addressed) stream message into the
-    /// own locality's queues, honoring the control-plane priority lane.
+    /// Deliver a received (or locally-addressed) stream message — a
+    /// frame — into the own locality's queue its kind names, honoring the
+    /// control-plane priority lane.
     fn deliver_local(&self, kind: u8, body: Vec<u8>) {
-        let (lane, work) = match kind {
-            msg_kind::PARCEL => (Lane::Run, Work::ParcelBytes(body)),
-            msg_kind::PARCEL_STAGED => (Lane::Staged, Work::ParcelBytes(body)),
-            msg_kind::FRAME => (Lane::Run, Work::ParcelFrame(body)),
-            msg_kind::FRAME_STAGED => (Lane::Staged, Work::ParcelFrame(body)),
-            msg_kind::CONTROL => (Lane::Control, Work::ParcelBytes(body)),
-            // StreamAssembler rejects unknown kinds before this point.
+        let lane = match kind {
+            msg_kind::FRAME => Lane::Run,
+            msg_kind::FRAME_STAGED => Lane::Staged,
+            msg_kind::CONTROL => Lane::Control,
+            // StreamAssembler rejects kinds past `msg_kind::MAX`; what is
+            // left is a reserved kind — a bare parcel from a peer of
+            // another version — which no frame parse can read.
             _ => return self.own().counters().count_death(FaultCause::Decode, 1),
         };
-        self.own().deliver(lane, Task::new(work));
+        self.own().deliver(lane, Task::new(Work::ParcelFrame(body)));
     }
 
     /// Record a transport trace event for every traced parcel record
@@ -339,7 +342,7 @@ impl TcpShared {
         if loc.trace.is_none() || msg == msg_kind::CONTROL {
             return;
         }
-        for_each_record(msg, body, |rec| {
+        for_each_record(body, |rec| {
             if let Some(rec) = rec {
                 trace_record(loc, kind, rec, peer);
             }
@@ -351,6 +354,9 @@ impl TcpShared {
             return;
         }
         match msg {
+            WireMsg::Frame { dest, lane, bytes } => {
+                self.send_to_peer(dest, frame_kind(lane), bytes, By::Sender);
+            }
             WireMsg::Task { dest, task } => {
                 if dest.0 == self.rank {
                     self.own().push_task(task);
@@ -369,17 +375,6 @@ impl TcpShared {
                     );
                     rt.notify_dead_letter(&fault, None);
                 }
-            }
-            WireMsg::Parcel { dest, lane, bytes } => {
-                let kind = match lane {
-                    Lane::Run => msg_kind::PARCEL,
-                    Lane::Staged => msg_kind::PARCEL_STAGED,
-                    Lane::Control => msg_kind::CONTROL,
-                };
-                self.send_to_peer(dest, kind, bytes, By::Sender);
-            }
-            WireMsg::Frame { dest, lane, bytes } => {
-                self.send_to_peer(dest, frame_kind(lane), bytes, By::Sender);
             }
         }
     }
@@ -562,8 +557,8 @@ impl TcpShared {
             None => self.count_deaths(&msgs),
             Some(_) => {
                 let kill = move |ctx: &mut crate::runtime::Ctx<'_>| {
-                    for (kind, body) in msgs {
-                        for_each_record(kind, &body, |rec| {
+                    for (_, body) in msgs {
+                        for_each_record(&body, |rec| {
                             kill_record(ctx.rt_inner(), ctx.locality(), rec, &why)
                         });
                     }
@@ -578,8 +573,8 @@ impl TcpShared {
     /// continuations to fault).
     fn count_deaths(&self, msgs: &[(u8, Vec<u8>)]) {
         let mut records = 0;
-        for (kind, body) in msgs {
-            for_each_record(*kind, body, |_| records += 1);
+        for (_, body) in msgs {
+            for_each_record(body, |_| records += 1);
         }
         self.own()
             .counters()
@@ -587,23 +582,20 @@ impl TcpShared {
     }
 }
 
-/// The stream message kind of a coalesced frame bound for `lane`.
+/// The stream message kind of a frame bound for `lane`.
 fn frame_kind(lane: Lane) -> u8 {
     match lane {
+        Lane::Run => msg_kind::FRAME,
         Lane::Staged => msg_kind::FRAME_STAGED,
-        // Control traffic is never coalesced.
-        Lane::Run | Lane::Control => msg_kind::FRAME,
+        Lane::Control => msg_kind::CONTROL,
     }
 }
 
-/// The one reading of "a stream message is one parcel record or a frame
-/// of them": call `f` once per record the message carries — `None` for a
-/// frame that does not parse, a record whose length prefix is corrupt,
-/// and each record the header counted behind that prefix.
-fn for_each_record(kind: u8, body: &[u8], mut f: impl FnMut(Option<&[u8]>)) {
-    if !matches!(kind, msg_kind::FRAME | msg_kind::FRAME_STAGED) {
-        return f(Some(body));
-    }
+/// The one reading of "a stream message is a frame of parcel records":
+/// call `f` once per record it carries — `None` for a frame that does not
+/// parse, a record whose length prefix is corrupt, and each record the
+/// header counted behind that prefix.
+fn for_each_record(body: &[u8], mut f: impl FnMut(Option<&[u8]>)) {
     let Ok(view) = px_wire::FrameView::parse(body) else {
         return f(None);
     };
@@ -733,7 +725,7 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn submit(&self, msg: WireMsg, _bytes: usize) {
+    fn submit(&self, msg: WireMsg) {
         self.shared.submit(msg);
     }
 
@@ -759,7 +751,6 @@ impl Transport for TcpTransport {
                         peer: id as u16,
                         msgs_sent: c.msgs_sent.get(),
                         bytes_sent: c.bytes_sent.get(),
-                        frames_sent: c.frames_sent.get(),
                         msgs_recv: c.msgs_recv.get(),
                         bytes_recv: c.bytes_recv.get(),
                         reconnects: 0,
@@ -899,14 +890,27 @@ mod tests {
     /// whichever it names.
     const HERE: LocalityId = LocalityId(0);
 
-    fn noop_parcel(dest: LocalityId) -> Vec<u8> {
+    fn noop_parcel(dest: LocalityId) -> Parcel {
         Parcel::new(
             Gid::locality_root(dest),
             crate::sys::NOOP,
             Value::unit(),
             Continuation::none(),
         )
-        .encode()
+    }
+
+    /// A noop parcel toward `dest` in a checksummed frame of one: what the
+    /// wire submits for a parcel sent on its own.
+    fn noop_frame(dest: LocalityId) -> Vec<u8> {
+        let p = noop_parcel(dest);
+        let version = px_wire::FRAME_VERSION_CHECKSUM;
+        px_wire::FrameBuf::of_one(version, p.wire_size(), |w| p.encode_into(w))
+    }
+
+    /// Submit a noop frame of one toward `dest`'s `lane`.
+    fn send(t: &TcpTransport, dest: LocalityId, lane: Lane) {
+        let bytes = noop_frame(dest);
+        t.submit(WireMsg::Frame { dest, lane, bytes });
     }
 
     /// Poll until `poll` answers, running a nonblocking pass of each of
@@ -927,48 +931,21 @@ mod tests {
     }
 
     #[test]
-    fn mesh_delivers_parcels_frames_and_control() {
+    fn mesh_delivers_frames_on_every_lane() {
         let (a, mut b, locs_b) = pair(loopback(2), None);
-        let bytes = noop_parcel(LocalityId(1));
-        a.submit(
-            WireMsg::Parcel {
-                dest: LocalityId(1),
-                lane: Lane::Run,
-                bytes: bytes.clone(),
-            },
-            bytes.len(),
-        );
+        let dest = LocalityId(1);
+        send(&a, dest, Lane::Run);
         let mut frame = px_wire::FrameBuf::with_version(px_wire::FRAME_VERSION_CHECKSUM);
-        frame.push_record(&bytes);
-        frame.push_record(&bytes);
-        let fb = frame.take();
-        a.submit(
-            WireMsg::Frame {
-                dest: LocalityId(1),
-                lane: Lane::Run,
-                bytes: fb.clone(),
-            },
-            fb.len(),
-        );
-        a.submit(
-            WireMsg::Parcel {
-                dest: LocalityId(1),
-                lane: Lane::Control,
-                bytes: bytes.clone(),
-            },
-            bytes.len(),
-        );
-        a.submit(
-            WireMsg::Parcel {
-                dest: LocalityId(1),
-                lane: Lane::Staged,
-                bytes: bytes.clone(),
-            },
-            bytes.len(),
-        );
-        // Each lane's queue gets its own: parcel + frame on the general
-        // queue, the control parcel on the control queue (no balance
-        // state on the test locality — the lane does not need one).
+        frame.push_record(&noop_parcel(dest).encode());
+        frame.push_record(&noop_parcel(dest).encode());
+        let (lane, bytes) = (Lane::Run, frame.take());
+        a.submit(WireMsg::Frame { dest, lane, bytes });
+        send(&a, dest, Lane::Control);
+        send(&a, dest, Lane::Staged);
+        // Each lane's queue gets its own: the frame of one and the
+        // two-record frame on the general queue, the control frame on the
+        // control queue (no balance state on the test locality — the lane
+        // does not need one).
         let own = &locs_b[1];
         let mut records = 0usize;
         let mut tasks = 0usize;
@@ -984,14 +961,14 @@ mod tests {
             },
             "general-queue messages",
         );
-        assert_eq!(tasks, 2, "parcel + frame");
+        assert_eq!(tasks, 2, "frame of one + frame of two");
         assert_eq!(records, 3, "1 + 2 records");
-        let control = wait_for(&both, || own.control.steal(), "control parcel");
+        let control = wait_for(&both, || own.control.steal(), "control frame");
         assert_eq!(control.parcel_records(), 1);
-        wait_for(&both, || own.staging.steal().map(drop), "staged parcel");
+        wait_for(&both, || own.staging.steal().map(drop), "staged frame");
         let stats = a.transport_stats();
         let p1 = stats.peers.iter().find(|p| p.peer == 1).unwrap();
-        assert_eq!((p1.msgs_sent, p1.frames_sent), (4, 1));
+        assert_eq!(p1.msgs_sent, 4);
         assert!(p1.bytes_sent > 0);
         assert!(p1.queue_bytes_hwm > 0, "messages were queued");
         // Receive-side counters live on B.
@@ -1012,9 +989,7 @@ mod tests {
         // this unit test).
         let own = a.shared.own().clone();
         let submit = || {
-            let bytes = noop_parcel(LocalityId(1));
-            let (dest, lane, n) = (LocalityId(1), Lane::Run, bytes.len());
-            a.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+            send(&a, LocalityId(1), Lane::Run);
             (own.stats().dead_transport > 0).then_some(())
         };
         wait_for(&[&a], submit, "peer death resolving submissions");
@@ -1045,9 +1020,7 @@ mod tests {
         let dead_transport = || own.stats().dead_transport;
         let before = dead_transport();
         for _ in 0..50 {
-            let bytes = noop_parcel(LocalityId(0));
-            let (dest, lane, n) = (LocalityId(0), Lane::Run, bytes.len());
-            b.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+            send(&b, LocalityId(0), Lane::Run);
         }
         assert_eq!(dead_transport() - before, 50, "each dies loudly");
         let t0 = Instant::now();
@@ -1075,14 +1048,15 @@ mod tests {
         let ports = BatchPolicy::new(4).ports(2, px_wire::FRAME_VERSION_CHECKSUM);
         let (a, mut b, locs_b) = pair(loopback(2), ports.clone());
         let locs_a = a.shared.localities.clone();
-        let mut wire = Wire::new(Arc::new(a), locs_a.clone(), ports, Some(HERE));
+        let version = px_wire::FRAME_VERSION_CHECKSUM;
+        let mut wire = Wire::new(Arc::new(a), locs_a.clone(), ports, version, Some(HERE));
         let dest = LocalityId(1);
         let mut next = 0u64;
         let mut arrived_through = |sent: u64| {
             wait_for(
                 &[&b],
                 || {
-                    wire.transport.drive(HERE, None);
+                    wire.drive(HERE, None);
                     while let Some(task) = locs_b[1].injector.steal() {
                         let frame = task.frame_bytes().expect("batched: frames only");
                         let view = px_wire::FrameView::parse(frame).expect("intact frame");
@@ -1105,7 +1079,7 @@ mod tests {
                 payload,
                 Continuation::none(),
             );
-            wire.send_parcel(dest, p);
+            wire.send_parcel(HERE, dest, Lane::Run, p);
             if n % 1001 == 1000 {
                 arrived_through(n + 1);
             }
@@ -1132,8 +1106,8 @@ mod tests {
         // what it moves.
         shared.peer(1).queue.lock().queued_bytes = SEND_QUEUE_BYTES;
         let t0 = Instant::now();
-        let bytes = noop_parcel(dest);
-        shared.send_to_peer(dest, msg_kind::PARCEL, bytes, By::Puller(None));
+        let bytes = noop_frame(dest);
+        shared.send_to_peer(dest, msg_kind::FRAME, bytes, By::Puller(None));
         // A blocked sender never gives up.
         assert!(
             t0.elapsed() < Duration::from_millis(50),
@@ -1141,7 +1115,7 @@ mod tests {
         );
         let sender = std::thread::spawn({
             let shared = shared.clone();
-            move || shared.send_to_peer(dest, msg_kind::PARCEL, noop_parcel(dest), By::Sender)
+            move || shared.send_to_peer(dest, msg_kind::FRAME, noop_frame(dest), By::Sender)
         });
         // Nobody else runs rank 0's loop: the blocked sender does, and its
         // pass writes the pulled message.
@@ -1191,13 +1165,8 @@ mod tests {
     #[test]
     fn closure_tasks_cannot_cross_processes() {
         let (a, b, _locs_b) = pair(loopback(2), None);
-        a.submit(
-            WireMsg::Task {
-                dest: LocalityId(1),
-                task: Task::new(Work::Thread(Box::new(|_| {}))),
-            },
-            64,
-        );
+        let (dest, task) = (LocalityId(1), Task::new(Work::Thread(Box::new(|_| {}))));
+        a.submit(WireMsg::Task { dest, task });
         assert_eq!(
             a.shared.own().stats().dead_transport,
             1,
@@ -1252,9 +1221,7 @@ mod tests {
         // Traffic on every connection, carried by this thread's passes.
         for (i, t) in transports.iter().enumerate() {
             for j in (0..n).filter(|&j| j != i) {
-                let (dest, lane) = (LocalityId(j as u16), Lane::Run);
-                let bytes = noop_parcel(dest);
-                t.submit(WireMsg::Parcel { dest, lane, bytes }, 0);
+                send(t, LocalityId(j as u16), Lane::Run);
             }
         }
         let all: Vec<&dyn Transport> = transports.iter().map(|t| t as &dyn Transport).collect();
@@ -1378,11 +1345,11 @@ mod tests {
         let at0 = listeners[0].local_addr().unwrap();
         let (a, b, _locs_b) = pair(listeners, None);
         let mut forger = std::net::TcpStream::connect(at0).unwrap();
-        let parcel = noop_parcel(LocalityId(0));
-        let header = encode_msg_header(msg_kind::PARCEL, parcel.len() as u32);
+        let frame = noop_frame(LocalityId(0));
+        let header = encode_msg_header(msg_kind::FRAME, frame.len() as u32);
         let hello = encode_handshake(1, 0);
         forger
-            .write_all(&[&hello[..], &header, &parcel].concat())
+            .write_all(&[&hello[..], &header, &frame].concat())
             .unwrap();
         write_table(&mut forger, &[at0; 2]);
         forger.set_nonblocking(true).unwrap();
@@ -1400,13 +1367,102 @@ mod tests {
         );
         assert_eq!(own.stats().dead_decode, 0, "the forger's stream was read");
         assert_eq!(own.injector.len(), 0, "the forger's parcel was delivered");
-        let bytes = noop_parcel(LocalityId(0));
-        let (dest, lane, n) = (LocalityId(0), Lane::Run, bytes.len());
-        b.submit(WireMsg::Parcel { dest, lane, bytes }, n);
+        send(&b, LocalityId(0), Lane::Run);
         let both: [&dyn Transport; 2] = [&a, &b];
         let arrived = || own.injector.steal().map(drop);
         wait_for(&both, arrived, "rank 1's parcel");
         let p1 = a.transport_stats().peers[0];
         assert_eq!(p1.msgs_recv, 1, "one message, from rank 1");
+    }
+
+    /// Rank 0 of a two-rank mesh, a runtime with one worker, whose rank 1
+    /// is a stream this test dialled and said hello on, and the messages
+    /// of every fault its dead-letter hook saw.
+    fn runtime_with_a_forged_peer() -> (
+        crate::runtime::Runtime,
+        std::net::TcpStream,
+        Arc<Mutex<Vec<String>>>,
+    ) {
+        use crate::runtime::{Config, RuntimeBuilder};
+        use std::io::Write;
+        let listener = loopback(1).remove(0);
+        let at0 = listener.local_addr().unwrap();
+        let faults = Arc::new(Mutex::new(Vec::new()));
+        let seen = faults.clone();
+        let builder =
+            RuntimeBuilder::new(Config::small(2, 1).with_tcp(0, vec![at0.to_string(); 2]))
+                .tcp_listener(listener)
+                .on_dead_letter(move |f| seen.lock().push(f.message.clone()));
+        let rank0 = std::thread::spawn(move || builder.build().unwrap());
+        let mut peer = std::net::TcpStream::connect(at0).unwrap();
+        peer.write_all(&px_wire::stream::encode_handshake(1, 0))
+            .unwrap();
+        (rank0.join().unwrap(), peer, faults)
+    }
+
+    /// Write one stream message of `kind` onto `to`.
+    fn forge(to: &mut std::net::TcpStream, kind: u8, body: &[u8]) {
+        use std::io::Write;
+        let header = px_wire::stream::encode_msg_header(kind, body.len() as u32);
+        to.write_all(&[&header[..], body].concat()).unwrap();
+    }
+
+    /// Poll `done` every millisecond for up to ten seconds.
+    fn until(what: &str, mut done: impl FnMut() -> bool) {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Every parcel a peer sends is checksummed, the control lane's too: a
+    /// `CONTROL` message carries a frame of one, which runs; the same
+    /// frame with one payload byte flipped dies once, as `Decode`, at the
+    /// frame's checksum — nothing of it runs — and the stream stays in
+    /// step, so the next intact frame runs.
+    #[test]
+    fn a_flipped_byte_in_a_control_frame_dies_at_the_checksum() {
+        let (rt, mut peer, faults) = runtime_with_a_forged_peer();
+        let stats = || rt.stats().localities[0];
+        let frame = noop_frame(LocalityId(0));
+        forge(&mut peer, msg_kind::CONTROL, &frame);
+        until("the intact control frame", || stats().parcels_recv == 1);
+        let mut flipped = frame.clone();
+        // The action id's first byte, inside the one record.
+        flipped[px_wire::FRAME_HEADER_LEN + px_wire::RECORD_HEADER_LEN + 8] ^= 0x01;
+        forge(&mut peer, msg_kind::CONTROL, &flipped);
+        until("the flipped frame's death", || stats().dead_parcels == 1);
+        forge(&mut peer, msg_kind::CONTROL, &frame);
+        until("the next intact frame", || stats().parcels_recv == 2);
+        let s = stats();
+        assert_eq!(
+            (s.dead_parcels, s.dead_decode),
+            (1, 1),
+            "one death, as Decode"
+        );
+        let faults = faults.lock().clone();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert!(faults[0].contains("checksum"), "{faults:?}");
+        rt.shutdown();
+    }
+
+    /// `PARCEL` is a reserved kind: a bare parcel from a peer of another
+    /// version dies as `Decode` where it is delivered, runs nothing, and
+    /// leaves the stream in step.
+    #[test]
+    fn a_bare_parcel_kind_dies_as_decode() {
+        let (rt, mut peer, _faults) = runtime_with_a_forged_peer();
+        let stats = || rt.stats().localities[0];
+        forge(
+            &mut peer,
+            msg_kind::PARCEL,
+            &noop_parcel(LocalityId(0)).encode(),
+        );
+        until("the bare parcel's death", || stats().dead_decode == 1);
+        forge(&mut peer, msg_kind::FRAME, &noop_frame(LocalityId(0)));
+        until("the frame behind it", || stats().parcels_recv == 1);
+        assert_eq!(stats().dead_parcels, 1, "nothing else died");
+        rt.shutdown();
     }
 }

@@ -518,11 +518,8 @@ impl IoLoop {
                 Ok(n) => {
                     drop(slices);
                     c.bytes_sent.add(n as u64);
-                    io.batch.advance_with(n, |kind| {
+                    io.batch.advance_with(n, |_| {
                         c.msgs_sent.add(1);
-                        if kind == msg_kind::FRAME || kind == msg_kind::FRAME_STAGED {
-                            c.frames_sent.add(1);
-                        }
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,

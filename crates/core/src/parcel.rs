@@ -19,9 +19,10 @@
 //! has taken charge of has three ends and no others: `sched::complete`
 //! (the action's value goes to the continuation), `sched::kill_parcel` (a
 //! counted, reported fault goes there instead), or a by-value encode onto
-//! the wire (`Parcel::into_wire`, `Parcel::ship_into`) that makes it the
-//! next rank's. In between it only changes hands: a run queue, the
-//! migration park, a protocol step that keeps it until its ack.
+//! the wire (`Parcel::ship_into`, into the frame `net::Wire::send_parcel`
+//! ships — a port's, or a frame of one) that makes it the next rank's. In
+//! between it only changes hands: a run queue, the migration park, a
+//! protocol step that keeps it until its ack.
 //!
 //! Debug builds (`cfg(debug_assertions)`; nothing else selects it) hold
 //! every executed path to that. A parcel is *unarmed* as built by
@@ -269,7 +270,7 @@ impl Parcel {
     }
 
     /// This parcel has reached an end. Only `complete`, `kill_parcel`,
-    /// the by-value encodes below and the LCO waiter handoff call it.
+    /// the by-value encode below and the LCO waiter handoff call it.
     #[inline]
     pub(crate) fn spend(&mut self) {
         #[cfg(debug_assertions)]
@@ -278,14 +279,8 @@ impl Parcel {
         }
     }
 
-    /// Encode onto the wire, ending the parcel here: the next rank
-    /// decodes and arms its own.
-    pub(crate) fn into_wire(mut self) -> Vec<u8> {
-        self.spend();
-        self.encode()
-    }
-
-    /// [`Parcel::into_wire`] into a coalescing port's frame.
+    /// Encode onto the wire — into the frame that carries it — ending the
+    /// parcel here: the next rank decodes and arms its own.
     pub(crate) fn ship_into(mut self, w: &mut WireWriter) {
         self.spend();
         self.encode_into(w);
@@ -307,9 +302,9 @@ impl Parcel {
         w.into_bytes()
     }
 
-    /// Encode into a caller-provided buffer — the batched transport path,
-    /// where parcels append directly to a per-destination
-    /// [`px_wire::FrameBuf`] and no per-parcel `Vec` is allocated.
+    /// Encode into a caller-provided buffer — the wire's path, where a
+    /// parcel is encoded straight into the [`px_wire::FrameBuf`] that
+    /// carries it and no per-parcel `Vec` is allocated.
     pub fn encode_into(&self, w: &mut WireWriter) {
         use px_wire::parcel_flags as pf;
         w.put_u64(self.dest.0);

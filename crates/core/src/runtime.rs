@@ -364,13 +364,14 @@ impl RuntimeBuilder {
                 .collect(),
         );
         let policy = BatchPolicy::new(self.config.max_batch_parcels);
-        let (transport, ports): (Arc<dyn Transport>, _) = match &self.config.transport {
+        // Frames that never leave the process carry no integrity trailer.
+        let (transport, ports, version): (Arc<dyn Transport>, _, _) = match &self.config.transport {
             TransportKind::InProc => {
                 use crate::net::inproc::InProcTransport;
-                let wire = self.config.wire;
+                let (wire, version) = (self.config.wire, px_wire::FRAME_VERSION);
                 // An instant wire has no per-message cost to amortize, and
                 // no pass to pull a port.
-                let ports = (!wire.is_instant()).then(|| policy.ports(n, px_wire::FRAME_VERSION));
+                let ports = (!wire.is_instant()).then(|| policy.ports(n, version));
                 let ports = ports.flatten();
                 let transport = InProcTransport::new(wire, localities.clone(), ports.clone());
                 // Each locality's workers fire its heap where anything is
@@ -381,18 +382,19 @@ impl RuntimeBuilder {
                         loc.sleep.drive_poller(move || bell.ring());
                     }
                 }
-                (Arc::new(transport), ports)
+                (Arc::new(transport), ports, version)
             }
             TransportKind::Tcp(tcp) => {
                 use crate::net::tcp::{bind, TcpTransport};
                 let listener = self.listener.map_or_else(|| bind(tcp), Ok)?;
-                let ports = policy.ports(n, px_wire::FRAME_VERSION_CHECKSUM);
+                let version = px_wire::FRAME_VERSION_CHECKSUM;
+                let ports = policy.ports(n, version);
                 let transport =
                     TcpTransport::bootstrap(tcp, listener, localities.clone(), ports.clone());
-                (Arc::new(transport?), ports)
+                (Arc::new(transport?), ports, version)
             }
         };
-        let wire = Wire::new(transport, localities.clone(), ports, owned);
+        let wire = Wire::new(transport, localities.clone(), ports, version, owned);
         let track_heat = self
             .config
             .balance
@@ -425,7 +427,7 @@ impl RuntimeBuilder {
         });
         // Late-bind the runtime into the transport so undeliverable
         // messages can be killed loudly (fault to continuation).
-        inner.wire.transport.bind(&inner);
+        inner.wire.bind(&inner);
 
         // Boot workers. In a multi-process system only the owned rank has
         // rings (see `attach_workers` above); the other locality structs
@@ -482,7 +484,7 @@ impl Runtime {
             processes_created: self.inner.processes_created.get(),
             processes_cancelled: self.inner.processes_cancelled.get(),
             processes_reaped: self.inner.processes_reaped.get(),
-            transport: self.inner.wire.transport.transport_stats(),
+            transport: self.inner.wire.transport_stats(),
         }
     }
 

@@ -40,10 +40,9 @@ pub(crate) enum Work {
     Resume(DepletedThread, Value),
     /// Decoded parcel.
     Parcel(Parcel),
-    /// Parcel as delivered by the wire; decoded on the worker.
-    ParcelBytes(Vec<u8>),
-    /// Multi-parcel frame from a coalescing port: one injector push per
-    /// frame, each record decoded lazily as it executes.
+    /// A frame of parcels as delivered by the wire — a coalescing port's,
+    /// or a frame of one: one queue push per frame, each record decoded
+    /// lazily on the worker as it executes.
     ParcelFrame(Vec<u8>),
 }
 
@@ -67,7 +66,6 @@ impl std::fmt::Debug for Task {
             Work::Thread(_) => "Thread",
             Work::Resume(..) => "Resume",
             Work::Parcel(_) => "Parcel",
-            Work::ParcelBytes(_) => "ParcelBytes",
             Work::ParcelFrame(_) => "ParcelFrame",
         };
         write!(f, "Task::{kind}")
@@ -89,7 +87,7 @@ impl Task {
     #[cfg(test)]
     pub(crate) fn parcel_records(&self) -> usize {
         match &self.work {
-            Work::Parcel(_) | Work::ParcelBytes(_) => 1,
+            Work::Parcel(_) => 1,
             Work::ParcelFrame(bytes) => px_wire::FrameView::parse(bytes)
                 .map(|v| v.record_count() as usize)
                 .unwrap_or(0),
@@ -177,7 +175,7 @@ pub(crate) fn worker_main(
                     since_pass += 1;
                     if since_pass == EVENT_INTERVAL || loc.timers.due() {
                         since_pass = 0;
-                        rt.wire.transport.drive(loc.id, None);
+                        rt.wire.drive(loc.id, None);
                     }
                 }
             }
@@ -207,7 +205,7 @@ pub(crate) fn worker_main(
                 // any idle worker; over TCP it would not see the sockets.
                 let mut parked = Idle::Ready;
                 let polled = drives
-                    && rt.wire.transport.drive(
+                    && rt.wire.drive(
                         loc.id,
                         Some(&mut |wait| {
                             let due = || ready() || loc.timers.due();
@@ -324,7 +322,6 @@ pub(crate) fn execute(
             bump!(loc.counters().resumes);
             bump!(loc.counters().threads_executed);
         }
-        Work::ParcelBytes(bytes) => run_wire_parcel(rt, loc, local, &bytes),
         Work::ParcelFrame(bytes) => {
             bump!(loc.counters().frames_recv);
             match px_wire::FrameView::parse(&bytes) {
@@ -685,8 +682,8 @@ impl RuntimeInner {
         p: Parcel,
     ) {
         let from_loc = &self.localities[from.0 as usize];
-        bump!(from_loc.counters().parcels_sent);
         if owner == from {
+            bump!(from_loc.counters().parcels_sent);
             // Same locality: no wire, no encoding, no bytes; direct enqueue.
             let (lane, process) = (Lane::of_parcel(p.staged), p.process);
             let task = Task::new(Work::Parcel(p)).with_process(process);
@@ -713,30 +710,20 @@ impl RuntimeInner {
         // bypasses the coalescing ports and lands in the destination's
         // control queue: it must outrun the very backlog it reports on or
         // repairs, and may not be dropped or delayed under data-lane
-        // backpressure.
-        if control || sys::is_control(p.action) {
-            let bytes = p.into_wire();
-            let n = bytes.len();
-            let (dest, lane) = (owner, Lane::Control);
-            self.wire
-                .transport
-                .submit(crate::net::WireMsg::Parcel { dest, lane, bytes }, n);
-            bump!(from_loc.counters().bytes_sent, n as u64);
-            return;
-        }
-        // Parcel-borne process accounting: the receiving worker decrements
-        // via the decoded parcel's process field. The wire either ships
-        // the parcel alone or coalesces it into the destination's port
-        // frame (see `net::BatchPolicy`); either way it reports the
-        // encoded size for accounting.
-        let n = self.wire.send_parcel(owner, p);
-        bump!(from_loc.counters().bytes_sent, n as u64);
+        // backpressure. Parcel-borne process accounting: the receiving
+        // worker decrements via the decoded parcel's process field.
+        let lane = if control || sys::is_control(p.action) {
+            Lane::Control
+        } else {
+            Lane::of_parcel(p.staged)
+        };
+        self.wire.send_parcel(from, owner, lane, p);
     }
 
     /// Transfer a closure task to another locality (convenience spawn; see
-    /// module docs — pays wire latency with a nominal 64-byte size).
+    /// module docs — pays wire latency with a nominal size,
+    /// `net::TASK_BYTES`).
     pub(crate) fn send_task(self: &Arc<Self>, from: LocalityId, dest: LocalityId, task: Task) {
-        let from_loc = &self.localities[from.0 as usize];
         // Closures cannot cross an OS-process boundary (they do not
         // serialize). Die loudly here — before any queue push — so a
         // `spawn_at` to a remote rank is a counted, reported failure
@@ -758,18 +745,13 @@ impl RuntimeInner {
             self.process_task_started(pg, dest);
         }
         if dest == from {
-            from_loc.push_task(task);
-            return;
+            return self.localities[from.0 as usize].push_task(task);
         }
-        bump!(from_loc.counters().parcels_sent);
-        bump!(from_loc.counters().bytes_sent, 64);
-        self.wire
-            .transport
-            .submit(crate::net::WireMsg::Task { dest, task }, 64);
+        self.wire.send_task(from, dest, task);
     }
 }
 
-// Parcels executed from `Work::Parcel`/`Work::ParcelBytes` carry their
+// Parcels executed from `Work::Parcel`/`Work::ParcelFrame` carry their
 // process tag inside the parcel; `execute` sees it via `Task::process` for
 // local short-circuits, but wire deliveries decode late. Account those
 // here: when a parcel with a process tag is decoded and run, the matching
@@ -866,10 +848,10 @@ mod tests {
         for _ in 0..8 {
             loc.deliver(Lane::Run, Task::new(Work::Thread(Box::new(|_| {}))));
         }
-        loc.deliver(Lane::Control, Task::new(Work::ParcelBytes(vec![])));
+        loc.deliver(Lane::Control, Task::new(Work::ParcelFrame(vec![])));
         let local = Local::new();
         let first = find_task(&loc, &local, 0).expect("nine tasks queued");
-        assert_eq!(format!("{first:?}"), "Task::ParcelBytes", "control first");
+        assert_eq!(format!("{first:?}"), "Task::ParcelFrame", "control first");
         let waits = |inst| reg.snapshot().get(inst).count;
         assert_eq!((waits(ControlLane), waits(QueueWait)), (1, 0));
         let mut data = 0;
@@ -914,7 +896,9 @@ mod tests {
             if ran == SENT_AT {
                 let (to, noop) = (Gid::locality_root(loc.id), sys::NOOP);
                 let p = Parcel::new(to, noop, Value::unit(), Continuation::none());
-                ctx.rt_inner().wire.send_parcel(loc.id, p);
+                ctx.rt_inner()
+                    .wire
+                    .send_parcel(loc.id, loc.id, Lane::Run, p);
             }
             ctx.spawn(link);
         }
@@ -937,7 +921,7 @@ mod tests {
     fn task_debug_names() {
         let thread = Task::new(Work::Thread(Box::new(|_| {})));
         assert_eq!(format!("{thread:?}"), "Task::Thread");
-        let bytes = Task::new(Work::ParcelBytes(vec![]));
-        assert_eq!(format!("{bytes:?}"), "Task::ParcelBytes");
+        let frame = Task::new(Work::ParcelFrame(vec![]));
+        assert_eq!(format!("{frame:?}"), "Task::ParcelFrame");
     }
 }

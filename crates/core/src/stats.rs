@@ -171,8 +171,8 @@ counters! {
     agas_cache_misses,
     /// AGAS resolutions that consulted the directory.
     agas_directory_lookups,
-    /// Parcel frames flushed toward this locality by the coalescing ports
-    /// (sender side, aggregated over all senders).
+    /// Parcel frames sent toward this locality — a port's flush, or a
+    /// frame of one (sender side, aggregated over all senders).
     frames_sent,
     /// Parcel frames received and executed here.
     frames_recv,
@@ -292,10 +292,10 @@ impl LocalityStats {
         }
     }
 
-    /// Mean parcels per flushed frame (1.0 = no coalescing benefit).
-    /// Computed from the send-side counters, which advance together under
-    /// the port lock, so the ratio is consistent even while frames are in
-    /// flight.
+    /// Mean parcels per frame sent (1.0 = no coalescing benefit: every
+    /// parcel a frame of one). Computed from the send-side counters, which
+    /// a port's flush advances together under its lock, so the ratio is
+    /// consistent even while frames are in flight.
     pub fn parcels_per_frame(&self) -> f64 {
         if self.frames_sent == 0 {
             0.0
@@ -333,13 +333,11 @@ impl LocalityStats {
 pub struct PeerStats {
     /// The peer's locality id.
     pub peer: u16,
-    /// Stream messages written toward the peer (parcels + frames +
-    /// control).
+    /// Stream messages written toward the peer: one frame each (a port's
+    /// or a frame of one, data or control).
     pub msgs_sent: u64,
     /// Bytes written toward the peer (bodies + stream headers).
     pub bytes_sent: u64,
-    /// Multi-parcel frames among `msgs_sent`.
-    pub frames_sent: u64,
     /// Stream messages received from the peer.
     pub msgs_recv: u64,
     /// Raw bytes read from the peer's connection.
@@ -439,7 +437,6 @@ impl StatsSnapshot {
                         peer: now.peer,
                         msgs_sent: now.msgs_sent - then.msgs_sent,
                         bytes_sent: now.bytes_sent - then.bytes_sent,
-                        frames_sent: now.frames_sent - then.frames_sent,
                         msgs_recv: now.msgs_recv - then.msgs_recv,
                         bytes_recv: now.bytes_recv - then.bytes_recv,
                         reconnects: now.reconnects - then.reconnects,

@@ -1,6 +1,6 @@
 //! Hostile bytes for the byte-sequence decoders: arbitrary input, and
 //! valid encodings cut short or with one byte overwritten, fed to
-//! `Parcel::decode`, to `px_wire::from_bytes` and to
+//! `Parcel::decode`, to `px_wire::from_bytes`, to `Value::decode` and to
 //! `MetricsSnapshot::decode`. A decoder may refuse any of it, but must
 //! not panic, and must not hand back more than it was given: every
 //! length is checked against the input before the one copy it sizes, and
@@ -8,8 +8,11 @@
 
 use proptest::prelude::*;
 use px_core::metrics::{Instrument, MetricsRegistry, MetricsSnapshot, CELLS};
-use px_core::{ActionId, Continuation, Gid, Parcel, Value};
+use px_core::prelude::{TraceEvent, TraceEventKind};
+use px_core::{ActionId, Continuation, Gid, Parcel, PxError, Value};
 use px_wire::{WireError, WireReader, WireWriter};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 
 mod common {
     pub mod alloc;
@@ -38,6 +41,49 @@ fn hostile(valid: Vec<u8>, noise: Vec<u8>, pick: u8, cut: usize, at: usize, with
             v
         }
     }
+}
+
+/// `valid`, damaged as [`hostile`] says, decoded as a `T` argument
+/// through `Value::decode`: no panic, no single allocation past
+/// `per_byte` bytes for each input byte, and a refusal that is a
+/// `PxError::Wire` — the error `sched::cause_of` books as a `Decode`
+/// death.
+fn value_decode_holds<T: Serialize + DeserializeOwned>(
+    valid: &T,
+    per_byte: usize,
+    (noise, pick, cut, at, with): (Vec<u8>, u8, usize, usize, u8),
+) {
+    let input = hostile(
+        Value::encode(valid).unwrap().bytes().to_vec(),
+        noise,
+        pick,
+        cut,
+        at,
+        with,
+    );
+    let len = input.len();
+    let value = Value::from_bytes(input);
+    let (decoded, largest) = largest_alloc(|| value.decode::<T>());
+    prop_assert!(largest <= per_byte * len, "{largest} B from {len} B");
+    if let Err(e) = decoded {
+        prop_assert!(matches!(e, PxError::Wire(_)), "{e}");
+    }
+}
+
+fn trace_event() -> impl Strategy<Value = TraceEvent> {
+    let words = proptest::collection::vec(any::<u64>(), 5..6);
+    (words, any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(w, code, locality, domain)| {
+        TraceEvent {
+            trace: w[0],
+            kind: TraceEventKind::from_code(code % 32).unwrap_or(TraceEventKind::ParcelDispatch),
+            gid: w[1],
+            aux: w[2],
+            at_ns: w[3],
+            seq: w[4],
+            locality,
+            domain,
+        }
+    })
 }
 
 fn bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -102,6 +148,25 @@ proptest! {
         }
         let _ = px_wire::from_bytes::<[u8; 16]>(&noise);
         let _ = px_wire::from_bytes::<[f64; 3]>(&noise);
+    }
+
+    /// The argument types this repo's actions decode through `Value`: a
+    /// tuple of names and a tag, which allocates nothing; a string and an
+    /// optional byte vector, at most their input; and trace events, a
+    /// vector of at most one element per input byte, each
+    /// `size_of::<TraceEvent>()` bytes in memory.
+    #[test]
+    fn value_decode_survives_hostile_bytes(
+        (from, tag, to) in (any::<u64>(), any::<Option<u8>>(), any::<u64>()),
+        text in proptest::collection::vec(any::<char>(), 0..16),
+        blob in proptest::option::of(bytes()),
+        events in proptest::collection::vec(trace_event(), 0..4),
+        damage in damage(),
+    ) {
+        value_decode_holds(&(Gid(from), tag, Gid(to)), 0, damage.clone());
+        value_decode_holds(&text.into_iter().collect::<String>(), 1, damage.clone());
+        value_decode_holds(&blob, 1, damage.clone());
+        value_decode_holds(&events, std::mem::size_of::<TraceEvent>(), damage);
     }
 
     /// A metrics pull reply: nothing accepted is dropped or altered (a

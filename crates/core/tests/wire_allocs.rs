@@ -51,3 +51,27 @@ fn decoding_a_byte_vector_allocates_only_the_vector() {
         0
     );
 }
+
+/// A parcel sent on its own crosses the wire as a frame of one, its
+/// buffer sized from `Parcel::wire_size` (trailer included): one
+/// allocation in either frame version, what encoding the bare parcel
+/// costs — also for a parcel with every optional header field.
+#[test]
+fn a_frame_of_one_allocates_once() {
+    let payload = Value::encode(&vec![0u8; 4096]).unwrap();
+    let plain = Parcel::new(Gid(1), ActionId(2), payload, Continuation::set(Gid(3)));
+    assert_eq!(allocs(|| plain.encode()), 1);
+    let mut full = plain.clone();
+    full.process = Some(Gid(4));
+    full.trace = Some(5);
+    full.cont = full.cont.then(px_core::parcel::ContStep::Call {
+        action: ActionId(6),
+        target: Gid(7),
+    });
+    for p in [&plain, &full] {
+        for version in [px_wire::FRAME_VERSION, px_wire::FRAME_VERSION_CHECKSUM] {
+            let frame = || px_wire::FrameBuf::of_one(version, p.wire_size(), |w| p.encode_into(w));
+            assert_eq!(allocs(frame), 1, "version {version}");
+        }
+    }
+}

@@ -1,9 +1,10 @@
-//! Multi-parcel frames: the batched transport's wire unit.
+//! Parcel frames: the one shape in which parcels cross the wire.
 //!
 //! A frame carries zero or more length-prefixed records (encoded parcels)
-//! between localities so that per-message transport costs — wire
-//! submissions, heap operations, run-queue pushes, wakeups — are paid once
-//! per frame instead of once per parcel.
+//! between localities. A coalescing port fills one so that per-message
+//! transport costs — wire submissions, heap operations, run-queue pushes,
+//! wakeups — are paid once per frame instead of once per parcel; a parcel
+//! that leaves alone leaves as a frame of one ([`FrameBuf::of_one`]).
 //!
 //! ## Layout
 //!
@@ -30,7 +31,8 @@
 //! Frames that leave the process boundary (the TCP transport) use
 //! version [`FRAME_VERSION_CHECKSUM`]: the same layout plus a 4-byte
 //! FNV-1a trailer over header + records, appended when the frame is
-//! shipped ([`FrameBuf::take`]) and verified by [`FrameView::parse`]. A
+//! shipped ([`FrameBuf::take`], [`FrameBuf::of_one`]) and verified by
+//! [`FrameView::parse`]. A
 //! corrupt frame then dies loudly at the decode layer instead of
 //! misparsing records. The checksum is *version-gated*: version-1 frames
 //! (the in-process transport) carry no trailer and their bytes are
@@ -90,12 +92,7 @@ impl FrameBuf {
     /// New empty version-1 frame (no integrity trailer; the bit-identical
     /// in-process format).
     pub fn new() -> FrameBuf {
-        FrameBuf::with_capacity(0)
-    }
-
-    /// New empty version-1 frame with reserved capacity.
-    pub fn with_capacity(cap: usize) -> FrameBuf {
-        FrameBuf::with_capacity_version(cap, FRAME_VERSION)
+        FrameBuf::with_version(FRAME_VERSION)
     }
 
     /// New empty frame of `version` ([`FRAME_VERSION`] or
@@ -177,7 +174,12 @@ impl FrameBuf {
     /// empty frame of the same version sized like the one just taken.
     pub fn take(&mut self) -> Vec<u8> {
         let fresh = FrameBuf::with_capacity_version(self.w.len(), self.version);
-        let mut w = std::mem::replace(self, fresh).w;
+        std::mem::replace(self, fresh).finish()
+    }
+
+    /// The encoded bytes, with the trailer on version-2 frames.
+    fn finish(self) -> Vec<u8> {
+        let mut w = self.w;
         if self.version == FRAME_VERSION_CHECKSUM {
             let sum = frame_checksum(w.as_slice());
             w.put_u32(sum);
@@ -185,12 +187,15 @@ impl FrameBuf {
         w.into_bytes()
     }
 
-    /// Drop all records, retaining the allocation and version.
-    pub fn clear(&mut self) {
-        self.w.clear();
-        self.w.put_u8(self.version);
-        self.w.put_u32(0);
-        self.count = 0;
+    /// A frame of `version` holding one record of `record_len` bytes,
+    /// encoded in place by `encode`: a message sent on its own. Sized
+    /// exactly, trailer included: one allocation.
+    pub fn of_one(version: u8, record_len: usize, encode: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let trailer = usize::from(version == FRAME_VERSION_CHECKSUM) * FRAME_TRAILER_LEN;
+        let cap = FRAME_HEADER_LEN + RECORD_HEADER_LEN + record_len + trailer;
+        let mut frame = FrameBuf::with_capacity_version(cap, version);
+        frame.push_record_with(encode);
+        frame.finish()
     }
 }
 
@@ -351,15 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_retains_capacity() {
-        let mut f = FrameBuf::with_capacity(1024);
-        f.push_record(&[7u8; 100]);
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.len(), FRAME_HEADER_LEN);
-    }
-
-    #[test]
     fn as_bytes_valid_mid_fill() {
         let mut f = FrameBuf::new();
         f.push_record(b"one");
@@ -414,6 +410,19 @@ mod tests {
         assert_eq!(f2.take(), expected_v2, "v2 layout drifted");
     }
 
+    /// A frame of one is the frame a `FrameBuf` ships holding that one
+    /// record, in both versions.
+    #[test]
+    fn a_frame_of_one_is_a_one_record_frame() {
+        for version in [FRAME_VERSION, FRAME_VERSION_CHECKSUM] {
+            let mut f = FrameBuf::with_version(version);
+            f.push_record(b"alpha");
+            let one = FrameBuf::of_one(version, 5, |w| w.put_bytes(b"alpha"));
+            assert_eq!(one, f.take(), "version {version}");
+            assert_eq!(collect(&one), vec![b"alpha".to_vec()]);
+        }
+    }
+
     #[test]
     fn checksummed_frame_roundtrips() {
         let mut f = FrameBuf::with_version(FRAME_VERSION_CHECKSUM);
@@ -441,18 +450,6 @@ mod tests {
         );
         // Too-short v2 input is rejected before touching the trailer.
         assert!(FrameView::parse(&[FRAME_VERSION_CHECKSUM, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn clear_retains_version() {
-        let mut f = FrameBuf::with_version(FRAME_VERSION_CHECKSUM);
-        f.push_record(b"x");
-        f.clear();
-        assert!(f.is_empty());
-        f.push_record(b"y");
-        let bytes = f.take();
-        assert_eq!(bytes[0], FRAME_VERSION_CHECKSUM);
-        assert_eq!(collect(&bytes), vec![b"y".to_vec()]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Byte-stream message framing: what ParalleX TCP peers speak.
 //!
-//! A socket delivers a *byte stream*; the runtime's wire units (encoded
-//! parcels and multi-parcel frames) must be re-framed on top of it. Each
+//! A socket delivers a *byte stream*; the runtime's wire unit, the parcel
+//! frame (checksummed, version 2), must be re-framed on top of it. Each
 //! stream message is
 //!
 //! ```text
@@ -11,8 +11,8 @@
 //! +-----------+------------+---------+
 //! ```
 //!
-//! where `kind` is one of [`msg_kind`] and `body` is the encoded parcel
-//! or frame exactly as the in-process transport would have carried it —
+//! where `kind` is one of [`msg_kind`] and `body` is the encoded frame —
+//! a port's, or a frame of one — exactly as the runtime's wire built it:
 //! the stream layer adds framing, never re-encodes.
 //!
 //! [`StreamAssembler`] is the receive half: feed it the arbitrary chunks
@@ -49,11 +49,10 @@ use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 /// Stream protocol magic: `"PXS1"` little-endian.
 pub const STREAM_MAGIC: u32 = 0x3153_5850;
 
-/// Stream protocol version (bumped on any header/handshake change). 3:
-/// one duplex connection per rank pair, on which the acceptor writes too
-/// — a version-2 peer, which expects the simplex mesh, is refused at the
-/// hello.
-pub const STREAM_VERSION: u8 = 3;
+/// Stream protocol version (bumped on any header/handshake change). 4:
+/// every parcel crosses in a checksummed frame, a control parcel too (a
+/// frame of one), so a version-3 peer is refused at the hello.
+pub const STREAM_VERSION: u8 = 4;
 
 /// Bytes of the per-message header (`kind` + `len`).
 pub const MSG_HEADER_LEN: usize = 1 + 4;
@@ -68,18 +67,21 @@ pub const HANDSHAKE_LEN: usize = 4 + 1 + 2 + 2;
 /// an attempted multi-gigabyte allocation.
 pub const MAX_MSG_LEN: usize = 256 * 1024 * 1024;
 
-/// Message kinds carried over a peer stream.
+/// Message kinds carried over a peer stream. Each kind that carries
+/// parcels carries a frame ([`crate::FrameBuf`]) and names its queue.
 pub mod msg_kind {
-    /// One encoded parcel, for the destination's general run queue.
+    /// Reserved: a bare parcel (stream versions up to 3). A version-4
+    /// runtime sends none and counts one it receives as undecodable.
     pub const PARCEL: u8 = 0;
-    /// One encoded parcel, for the percolation staging buffer.
+    /// Reserved: a bare staged parcel, refused like [`PARCEL`].
     pub const PARCEL_STAGED: u8 = 1;
-    /// A multi-parcel frame ([`crate::FrameBuf`]), general run queue.
+    /// A frame for the general run queue: a port's, or a frame of one.
     pub const FRAME: u8 = 2;
-    /// A multi-parcel frame, percolation staging buffer.
+    /// A frame for the percolation staging buffer.
     pub const FRAME_STAGED: u8 = 3;
-    /// Control-plane parcel (balancer gossip): delivered to the
-    /// destination's priority control queue, never coalesced.
+    /// A frame of one control-plane parcel (gossip, metrics pulls, AGAS
+    /// legs and their replies): delivered to the destination's priority
+    /// control queue, never coalesced.
     pub const CONTROL: u8 = 4;
     /// The address table, from rank 0 once per connection, at bootstrap,
     /// as the connection's first message ([`super::encode_table`]); never

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Pushes the same parcel stream through an injected-latency wire with
-//! batching off (`max_batch_parcels = 1`, the classic one-message-per-
-//! parcel path) and on (`max_batch_parcels = 32`), and prints the frame /
-//! coalescing counters so the mechanism is visible, not just faster.
+//! batching off (`max_batch_parcels = 1`: each parcel leaves at once as a
+//! frame of one, so parcels/frame reads 1.0) and on
+//! (`max_batch_parcels = 32`), and prints the frame / coalescing counters
+//! so the mechanism is visible, not just faster.
 
 use parallex::core::prelude::*;
 use std::time::{Duration, Instant};

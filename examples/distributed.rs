@@ -127,8 +127,8 @@ fn parent() {
     let stats = rt.stats();
     for p in &stats.transport.peers {
         println!(
-            "[rank 0] peer {}: {} msgs / {} B out ({} frames), {} msgs / {} B in",
-            p.peer, p.msgs_sent, p.bytes_sent, p.frames_sent, p.msgs_recv, p.bytes_recv
+            "[rank 0] peer {}: {} msgs / {} B out, {} msgs / {} B in",
+            p.peer, p.msgs_sent, p.bytes_sent, p.msgs_recv, p.bytes_recv
         );
     }
     assert_eq!(stats.total().dead_parcels, 0, "healthy run, no deaths");

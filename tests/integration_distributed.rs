@@ -409,9 +409,10 @@ fn two_process_spawn_await_workload_completes() {
     assert!(peer.msgs_sent > 0, "outbound messages: {}", peer.msgs_sent);
     assert!(peer.msgs_recv > 0, "continuations came back over TCP");
     assert!(peer.bytes_sent > 0 && peer.bytes_recv > 0);
+    let total = stats.total();
     assert!(
-        peer.frames_sent > 0,
-        "a batched run should have coalesced frames"
+        total.batch_flush_full + total.batch_flush_pulled > 0,
+        "a batched run should have shipped port frames"
     );
     assert_eq!(stats.total().dead_parcels, 0, "healthy run, no deaths");
     // Balancer gossip from the peer rank arrives over the TCP control
