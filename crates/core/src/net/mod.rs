@@ -18,8 +18,8 @@
 //! ```
 //!
 //! Everything above the `Transport` trait — the frame every parcel
-//! crosses in, the control-plane priority lane, `BatchPolicy` coalescing
-//! ports, send and flush accounting — is backend-independent, and
+//! crosses in, the control-plane priority lane, the coalescing ports
+//! (`PortSet`), send and flush accounting — is backend-independent, and
 //! `Wire` is the only caller of `Transport::submit` (its `transport`
 //! is private): a parcel leaves one way. A frame that did not fill is
 //! shipped by the next pass of the loop that carries it. The builder
@@ -42,49 +42,54 @@
 //! A backend implements `Transport` and must honor, in order of
 //! importance:
 //!
-//! 1. **No silent loss.** A message that cannot be delivered (peer gone,
-//!    closure task addressed across an OS-process boundary) must die
-//!    *loudly*: count the death (`FaultCause::Transport`
-//!    / `dead_transport`), notify the dead-letter hook, and deliver the
-//!    fault to each dead parcel's continuation so downstream waiters
-//!    resolve with `PxError::Fault` instead of hanging. A parcel has
-//!    three ends and no others — `sched::complete` (its value goes to its
+//! 1. **No silent loss.** A message that cannot be delivered (peer gone)
+//!    must die *loudly*: each of its parcels through
+//!    `RuntimeInner::record_death`, which counts the death
+//!    (`FaultCause::Transport` / `dead_transport`) and tells the
+//!    dead-letter hook in one call, with the fault delivered to its
+//!    continuation so downstream waiters resolve with `PxError::Fault`
+//!    instead of hanging; bytes that do not read as parcels die the same
+//!    way, as `Decode`. Only with no runtime to tell (none bound, or
+//!    teardown) does a backend count a death alone. A closure task bound
+//!    for another OS process dies once, in `RuntimeInner::send_task`,
+//!    before the wire: no backend ever sees one. A parcel has three ends
+//!    and no others — `sched::complete` (its value goes to its
 //!    continuation), `sched::kill_parcel` (a counted fault goes there),
 //!    or a by-value encode onto the wire (`Parcel::ship_into`, called by
 //!    `Wire::send_parcel` alone) that makes it the next rank's — and debug
 //!    builds fail the driver of a runtime that drops one it had taken
 //!    charge of anywhere else (the spend obligation, [`crate::parcel`]).
-//!    A lost connection is a dead peer: it kills everything still queued toward
-//!    that peer and everything submitted afterwards, and a backend never
-//!    re-establishes it on its own — a resend cannot tell what the peer
+//!    A lost connection is a dead peer: it kills everything still queued
+//!    toward that peer and everything submitted afterwards, and a backend
+//!    never re-establishes it on its own — a resend cannot tell what the peer
 //!    already consumed, and whoever answers at the old address need not
 //!    be the peer. Still open: a message handed to the kernel in full
 //!    before the loss counts as sent, whether or not the peer read it;
 //!    that in-flight window is for the deterministic-simulation item's
 //!    accounting to check, not for the transport to guess at.
 //! 2. **Queue discipline at the destination.** A `WireMsg::Frame` lands
-//!    in the queue its `Lane` names: the general run queue, the
-//!    staging buffer, or — frames of one, never coalesced and never
-//!    behind data backlog — the priority control queue, which every
-//!    locality has whether or not the balancer runs; `WireMsg::Task` is
-//!    an in-memory closure handoff — backends that cross address spaces
-//!    must reject it loudly rather than pretend. The control lane
-//!    carries balancer gossip *and* `__sys/metrics_pull` requests: both
-//!    are how a rank observes a struggling peer, so a backend may not
-//!    drop or delay them under data-lane backpressure — the moments the
-//!    data lane is saturated are exactly the moments the observability
-//!    plane must still answer. The distributed AGAS rides the same lane
-//!    — every leg of a move (`__sys/agas_migrate`, `dir_install`,
-//!    `dir_update`, `dir_commit`), `dir_lookup`, `dir_repair`, and the
-//!    reply to each (see `crate::sys`): a chase that must ask an
-//!    object's home, the legs of a move that holds every parcel for its
-//!    object parked, and the commit that unpins the destination copy are
-//!    all on the critical path of every parcel *stuck behind* the data
-//!    backlog, so queueing them with the data they unblock would
-//!    deadlock the hot path against its own repair traffic. The
-//!    directory ops are idempotent and individually small; what the
-//!    backend owes them is ordering-free prompt delivery and the same
-//!    loud-death rule — a lost `dir_update` is repaired by the next
+//!    in the queue its `Lane` names: the general run queue, the staging
+//!    buffer, or — frames of one, never coalesced and never behind data
+//!    backlog — the priority control queue, which every locality has
+//!    whether or not the balancer runs; `WireMsg::Task` is an in-memory
+//!    closure handoff to another locality of this process, which a
+//!    backend that crosses address spaces is never handed. The control
+//!    lane carries balancer gossip *and* `__sys/metrics_pull` requests:
+//!    both are how a rank observes a struggling peer, so a backend may
+//!    not drop or delay them under data-lane backpressure — the moments
+//!    the data lane is saturated are exactly the moments the
+//!    observability plane must still answer. The distributed AGAS rides
+//!    the same lane — every leg of a move (`__sys/agas_migrate`,
+//!    `dir_install`, `dir_update`, `dir_commit`), `dir_lookup`,
+//!    `dir_repair`, and the reply to each (see `crate::sys`): a chase
+//!    that must ask an object's home, the legs of a move that holds every
+//!    parcel for its object parked, and the commit that unpins the
+//!    destination copy are all on the critical path of every parcel
+//!    *stuck behind* the data backlog, so queueing them with the data
+//!    they unblock would deadlock the hot path against its own repair
+//!    traffic. The directory ops are idempotent and individually small;
+//!    what the backend owes them is ordering-free prompt delivery and the
+//!    same loud-death rule — a lost `dir_update` is repaired by the next
 //!    chase, but only if the loss is *visible* (counted, continuation
 //!    faulted) rather than silent.
 //! 3. **Submission is non-blocking-ish.** `submit` hands the message to
@@ -128,7 +133,7 @@
 //!    bit-identical at the destination; a backend that wants to observe
 //!    it peeks ([`Parcel::peek_trace`]) rather than decodes.
 //!
-//! ## Batching (`BatchPolicy`, `PortSet`)
+//! ## Batching (`PortSet`)
 //!
 //! Per-parcel transport overhead — a `Vec` allocation, a channel or
 //! socket submission, an injector push, and a worker wakeup for every
@@ -199,7 +204,7 @@ use crate::parcel::Parcel;
 use crate::sched::Task;
 use crate::stats::{bump, Counter, TransportStats};
 use parking_lot::Mutex;
-use px_wire::FrameBuf;
+use px_wire::{FrameBuf, WireError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -245,45 +250,10 @@ impl WireModel {
 /// Byte budget of a coalesced frame: a port flushes on reaching it.
 pub const MAX_BATCH_BYTES: usize = 32 * 1024;
 
-/// Flush policy for the per-destination coalescing ports.
-///
-/// The runtime sets one value, [`crate::runtime::Config::max_batch_parcels`]
-/// (default 1: batching off, every parcel ships in a frame of one, so
-/// latency-sensitive request/response chains see no added delay); the
-/// byte budget is [`MAX_BATCH_BYTES`]. Both are fields so the port unit
-/// tests can isolate one `Full` cause by disabling the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchPolicy {
-    /// Flush a port when its frame holds this many parcels (1 disables
-    /// batching).
-    pub max_batch_parcels: usize,
-    /// Flush a port when its frame reaches this many bytes.
-    pub max_batch_bytes: usize,
-}
-
-impl BatchPolicy {
-    /// The runtime's policy: up to `max_batch_parcels` per frame under
-    /// the fixed byte budget.
-    pub(crate) fn new(max_batch_parcels: usize) -> BatchPolicy {
-        BatchPolicy {
-            max_batch_parcels,
-            max_batch_bytes: MAX_BATCH_BYTES,
-        }
-    }
-
-    /// True when coalescing is enabled: `max_batch_parcels` is the
-    /// on/off switch.
-    #[inline]
-    pub fn is_batching(&self) -> bool {
-        self.max_batch_parcels > 1
-    }
-}
-
 /// A message in flight between localities.
 pub(crate) enum WireMsg {
     /// A frame of encoded parcels: a coalescing port's, or a frame of one
-    /// — a control-lane parcel, or any parcel when the policy does not
-    /// batch.
+    /// — a control-lane parcel, or any parcel when batching is off.
     Frame {
         /// Destination locality.
         dest: LocalityId,
@@ -292,15 +262,39 @@ pub(crate) enum WireMsg {
         /// Encoded frame bytes (see [`px_wire::FrameBuf`]).
         bytes: Vec<u8>,
     },
-    /// Direct task transfer (closure crossing localities in-process; a
-    /// cross-process backend must reject it loudly — closures do not
-    /// serialize).
+    /// Direct task transfer between localities of one OS process
+    /// (closures do not serialize: `RuntimeInner::send_task` kills one
+    /// bound for another process before the wire).
     Task {
         /// Destination locality.
         dest: LocalityId,
         /// The task to enqueue.
         task: Task,
     },
+}
+
+/// One parcel record of a frame, or the error that hid it.
+pub(crate) type Record<'a> = Result<&'a [u8], &'a WireError>;
+
+/// The one reading of "a wire message is a frame of parcel records":
+/// call `f` once per record the frame carries. A frame that does not
+/// parse is one call with its error; a corrupt length prefix is one call
+/// for its record and one for each record the header counted behind it,
+/// all with the prefix's error.
+#[inline]
+pub(crate) fn for_each_record(frame: &[u8], mut f: impl FnMut(Record<'_>)) {
+    let view = match px_wire::FrameView::parse(frame) {
+        Ok(view) => view,
+        Err(e) => return f(Err(&e)),
+    };
+    let mut left = view.record_count();
+    for rec in view.records() {
+        left -= 1;
+        match rec {
+            Ok(rec) => f(Ok(rec)),
+            Err(e) => return (0..=left).for_each(|_| f(Err(&e))),
+        }
+    }
 }
 
 /// Bytes a closure task is charged on the wire: a nominal header.
@@ -377,11 +371,39 @@ impl Port {
 /// `dest * 2 + staged`), so percolation traffic batches separately from
 /// general parcels and a frame is homogeneous in its delivery queue.
 pub(crate) struct PortSet {
-    policy: BatchPolicy,
+    /// A port flushes when its frame holds this many parcels
+    /// ([`crate::runtime::Config::max_batch_parcels`]).
+    max_batch_parcels: usize,
     ports: Vec<Mutex<Port>>,
 }
 
 impl PortSet {
+    /// The ports for `localities` destinations, flushing at
+    /// `max_batch_parcels` records (or [`MAX_BATCH_BYTES`]) and encoding
+    /// frames of `frame_version` ([`px_wire::FRAME_VERSION`] in-process —
+    /// bit-identical frames — [`px_wire::FRAME_VERSION_CHECKSUM`] across
+    /// process boundaries); none when `max_batch_parcels` is 1 — batching
+    /// off, every parcel ships in a frame of one, so latency-sensitive
+    /// request/response chains see no added delay.
+    pub(crate) fn new(
+        max_batch_parcels: usize,
+        localities: usize,
+        frame_version: u8,
+    ) -> Option<Arc<PortSet>> {
+        let port = |_| {
+            Mutex::new(Port {
+                frame: FrameBuf::with_version(frame_version),
+                opened_at: None,
+            })
+        };
+        (max_batch_parcels > 1).then(|| {
+            Arc::new(PortSet {
+                max_batch_parcels,
+                ports: (0..localities * 2).map(port).collect(),
+            })
+        })
+    }
+
     #[inline]
     fn port(&self, dest: LocalityId, lane: Lane) -> &Mutex<Port> {
         &self.ports[dest.0 as usize * 2 + usize::from(lane == Lane::Staged)]
@@ -414,27 +436,6 @@ impl PortSet {
     }
 }
 
-impl BatchPolicy {
-    /// The ports for `localities` destinations, encoding frames of
-    /// `frame_version` ([`px_wire::FRAME_VERSION`] in-process — bit-identical
-    /// frames — [`px_wire::FRAME_VERSION_CHECKSUM`] across process
-    /// boundaries); none when the policy does not batch.
-    pub(crate) fn ports(self, localities: usize, frame_version: u8) -> Option<Arc<PortSet>> {
-        let port = |_| {
-            Mutex::new(Port {
-                frame: FrameBuf::with_version(frame_version),
-                opened_at: None,
-            })
-        };
-        self.is_batching().then(|| {
-            Arc::new(PortSet {
-                policy: self,
-                ports: (0..localities * 2).map(port).collect(),
-            })
-        })
-    }
-}
-
 /// The runtime's wire: coalescing ports in front of a `Transport`
 /// backend sinking into locality run queues (through the destination's
 /// timer heap in-process, over sockets across OS processes), and the only
@@ -442,7 +443,7 @@ impl BatchPolicy {
 /// their sender's `parcels_sent` and `bytes_sent` once.
 pub(crate) struct Wire {
     transport: Arc<dyn Transport>,
-    /// The ports, when the policy batches (the backend holds them too).
+    /// The ports, when the wire batches (the backend holds them too).
     ports: Option<Arc<PortSet>>,
     /// The frame version the backend carries: [`px_wire::FRAME_VERSION`]
     /// in-process, [`px_wire::FRAME_VERSION_CHECKSUM`] over TCP.
@@ -498,9 +499,8 @@ impl Wire {
         // frame, only the fixed 5-byte header goes unattributed.
         let n = port.frame.push_record_with(|w| p.ship_into(w)) + px_wire::RECORD_HEADER_LEN;
         bump!(counters.bytes_sent, n as u64);
-        let policy = &ports.policy;
-        if port.frame.record_count() as usize >= policy.max_batch_parcels
-            || port.frame.len() >= policy.max_batch_bytes
+        if port.frame.record_count() as usize >= ports.max_batch_parcels
+            || port.frame.len() >= MAX_BATCH_BYTES
         {
             if let Some((bytes, _)) = port.take(&dest_loc.counters().batch_flush_full, dest_loc) {
                 self.transport.submit(WireMsg::Frame { dest, lane, bytes });
@@ -520,8 +520,8 @@ impl Wire {
     }
 
     /// Hand a closure task from `from` to `dest`'s run queue, booked as
-    /// one message of [`TASK_BYTES`]. A backend that crosses address
-    /// spaces kills it loudly.
+    /// one message of [`TASK_BYTES`]. Both are localities of this OS
+    /// process (`RuntimeInner::send_task` sees to that).
     pub(crate) fn send_task(&self, from: LocalityId, dest: LocalityId, task: Task) {
         let counters = self.localities[from.0 as usize].counters();
         bump!(counters.parcels_sent);
@@ -606,8 +606,8 @@ mod tests {
         Arc::new((0..n).map(loc).collect())
     }
 
-    fn test_wire(model: WireModel, locs: &Locs, policy: BatchPolicy) -> Wire {
-        let ports = policy.ports(locs.len(), px_wire::FRAME_VERSION);
+    fn test_wire(model: WireModel, locs: &Locs, max_batch_parcels: usize) -> Wire {
+        let ports = PortSet::new(max_batch_parcels, locs.len(), px_wire::FRAME_VERSION);
         let transport = InProcTransport::new(model, locs.clone(), ports.clone());
         Wire::new(
             Arc::new(transport),
@@ -620,10 +620,10 @@ mod tests {
 
     /// A wire between two localities on a stepped clock: nothing moves
     /// until the test advances it and runs a pass.
-    fn stepped_wire(model: WireModel, policy: BatchPolicy) -> (Locs, Stepper, Wire) {
+    fn stepped_wire(model: WireModel, max_batch_parcels: usize) -> (Locs, Stepper, Wire) {
         let clock = Stepper::default();
         let locs = test_localities(2, &Clock::Stepped(clock.clone()));
-        let wire = test_wire(model, &locs, policy);
+        let wire = test_wire(model, &locs, max_batch_parcels);
         (locs, clock, wire)
     }
 
@@ -644,8 +644,9 @@ mod tests {
 
     /// A stepped wire with a 10 µs latency and `n` parcels sent toward
     /// locality 1, all before its next pass.
-    fn burst(policy: BatchPolicy, n: usize) -> (Locs, Stepper, Wire) {
-        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(LATENCY), policy);
+    fn burst(max_batch_parcels: usize, n: usize) -> (Locs, Stepper, Wire) {
+        let latency = WireModel::with_latency(LATENCY);
+        let (locs, clock, wire) = stepped_wire(latency, max_batch_parcels);
         for _ in 0..n {
             send_to_1(&wire, noop_parcel(LocalityId(1)));
         }
@@ -672,19 +673,11 @@ mod tests {
         (tasks, parcels)
     }
 
-    /// Ports with no cap but `max_batch_parcels`.
-    fn cap(max_batch_parcels: usize) -> BatchPolicy {
-        BatchPolicy {
-            max_batch_parcels,
-            max_batch_bytes: usize::MAX,
-        }
-    }
-
     // ---- the in-process wire's delays, on the destination's heap ---------
 
-    /// Parcel `n` toward locality 1 on an unbatched wire, its payload
-    /// `size` bytes long, each of them `n`. Returns the bytes the wire
-    /// booked for it: its frame's length, which the delay is charged on.
+    /// Parcel `n` toward locality 1, its payload `size` bytes long, each
+    /// of them `n`. Returns the bytes the wire booked for it: on an
+    /// unbatched wire its frame's length, which the delay is charged on.
     fn send(wire: &Wire, locs: &[Arc<Locality>], n: u8, size: usize) -> usize {
         let mut p = noop_parcel(LocalityId(1));
         p.payload = Value::encode(&vec![n; size]).unwrap();
@@ -713,7 +706,7 @@ mod tests {
 
     #[test]
     fn a_message_is_held_until_it_is_due() {
-        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(30 * MS), cap(1));
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(30 * MS), 1);
         send(&wire, &locs, 7, 1);
         let early = step(&clock, &wire, &locs, 30 * MS - Duration::from_nanos(1));
         assert!(early.is_empty(), "must not arrive before its delay");
@@ -726,7 +719,7 @@ mod tests {
             latency: Duration::ZERO,
             ns_per_byte: 20_000, // 20 µs per byte — exaggerated for test
         };
-        let (locs, clock, wire) = stepped_wire(per_byte, cap(1));
+        let (locs, clock, wire) = stepped_wire(per_byte, 1);
         let large = per_byte.delay_for(send(&wire, &locs, 1, 1000)); // ~20 ms
         let small = per_byte.delay_for(send(&wire, &locs, 2, 10)); // ~0.8 ms
         assert!(small < large, "{small:?} vs {large:?}");
@@ -744,7 +737,7 @@ mod tests {
     /// ordered.
     #[test]
     fn equal_delays_keep_fifo_order() {
-        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(5 * MS), cap(1));
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(5 * MS), 1);
         for n in 0..50 {
             send(&wire, &locs, n, 1);
         }
@@ -758,7 +751,7 @@ mod tests {
     /// due order, for the queues' fate (contract point 4).
     #[test]
     fn shutdown_queues_what_is_pending() {
-        let (locs, clock, mut wire) = stepped_wire(WireModel::with_latency(10 * MS), cap(1));
+        let (locs, clock, mut wire) = stepped_wire(WireModel::with_latency(10 * MS), 1);
         for n in 1..=2 {
             send(&wire, &locs, n, 1);
         }
@@ -771,7 +764,7 @@ mod tests {
 
     #[test]
     fn batch_flushes_on_parcel_count() {
-        let (locs, clock, wire) = burst(cap(4), 8);
+        let (locs, clock, wire) = burst(4, 8);
         clock.advance(LATENCY);
         pass(&wire);
         assert_eq!(drain_count(&locs[1]), (2, 8), "two frames of four");
@@ -784,18 +777,26 @@ mod tests {
         );
     }
 
+    /// A port also flushes at [`MAX_BATCH_BYTES`], whatever its parcel
+    /// cap: four parcels of a quarter of the budget each fill a frame past
+    /// it, and the fifth opens the next frame.
     #[test]
     fn batch_flushes_on_byte_budget() {
-        let budget = BatchPolicy {
-            max_batch_parcels: usize::MAX,
-            max_batch_bytes: 64,
-        };
-        let (locs, clock, wire) = burst(budget, 4);
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(LATENCY), usize::MAX);
+        for n in 0..5 {
+            send(&wire, &locs, n, MAX_BATCH_BYTES / 4);
+        }
+        assert_eq!(locs[1].stats().batch_flush_full, 1, "one frame filled");
+        clock.advance(LATENCY);
         pass(&wire);
         clock.advance(LATENCY);
         pass(&wire);
-        assert_eq!(drain_count(&locs[1]).1, 4);
-        assert!(locs[1].stats().batch_flush_full >= 1);
+        assert_eq!(
+            drain_count(&locs[1]),
+            (2, 5),
+            "the full frame and the pulled one"
+        );
+        assert_eq!(locs[1].stats().batch_flush_pulled, 1);
     }
 
     /// A lone record leaves at the destination's next pass — the one its
@@ -805,7 +806,7 @@ mod tests {
     #[test]
     fn a_lone_record_leaves_at_the_destinations_next_pass() {
         let latency = Duration::from_micros(50);
-        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(latency), cap(1000));
+        let (locs, clock, wire) = stepped_wire(WireModel::with_latency(latency), 1000);
         send_to_1(&wire, noop_parcel(LocalityId(1)));
         pass(&wire);
         assert_eq!(locs[1].stats().batch_flush_pulled, 1, "pulled");
@@ -821,7 +822,7 @@ mod tests {
     /// one's kick brings the pass, and the rest find the port open.
     #[test]
     fn records_that_land_between_two_passes_ride_one_frame() {
-        let (locs, clock, wire) = burst(cap(1000), 5);
+        let (locs, clock, wire) = burst(1000, 5);
         for n in [5, 3] {
             pass(&wire);
             clock.advance(LATENCY);
@@ -853,7 +854,7 @@ mod tests {
         );
         let latency = Duration::from_micros(50);
         let model = WireModel::with_latency(latency);
-        let wire = test_wire(model, &locs, BatchPolicy::new(16));
+        let wire = test_wire(model, &locs, 16);
         for _ in 0..50 {
             send_to_1(&wire, noop_parcel(LocalityId(1)));
             let t0 = Instant::now();
@@ -874,7 +875,7 @@ mod tests {
     /// shutdown leaves in one frame each, booked `Pulled`.
     #[test]
     fn shutdown_drains_ports() {
-        let (locs, _clock, mut wire) = burst(cap(1000), 3);
+        let (locs, _clock, mut wire) = burst(1000, 3);
         wire.shutdown();
         assert_eq!(drain_count(&locs[1]), (1, 3), "one frame, every parcel");
         assert_eq!(locs[1].stats().batch_flush_pulled, 1);
@@ -882,7 +883,7 @@ mod tests {
 
     #[test]
     fn staged_and_plain_parcels_batch_separately() {
-        let (locs, _clock, mut wire) = burst(cap(1000), 0);
+        let (locs, _clock, mut wire) = burst(1000, 0);
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
@@ -903,7 +904,7 @@ mod tests {
     /// frame's full length.
     #[test]
     fn unbatched_policy_sends_frames_of_one() {
-        let (locs, _clock, mut wire) = burst(BatchPolicy::new(1), 0);
+        let (locs, _clock, mut wire) = burst(1, 0);
         let p = noop_parcel(LocalityId(1));
         send_to_1(&wire, p.clone());
         wire.shutdown();
@@ -925,7 +926,7 @@ mod tests {
     /// queue.
     #[test]
     fn control_parcels_leave_at_once_as_frames_of_one() {
-        let (locs, clock, wire) = burst(cap(1000), 0);
+        let (locs, clock, wire) = burst(1000, 0);
         let p = noop_parcel(LocalityId(1));
         wire.send_parcel(SENDER, LocalityId(1), Lane::Control, p);
         clock.advance(LATENCY);
@@ -942,7 +943,7 @@ mod tests {
     /// in-process wire.
     #[test]
     fn inproc_frames_are_bit_identical_to_frame_buf() {
-        let (locs, _clock, mut wire) = burst(cap(1000), 3);
+        let (locs, _clock, mut wire) = burst(1000, 3);
         wire.shutdown();
         let p = noop_parcel(LocalityId(1));
         let mut expected = px_wire::FrameBuf::new();

@@ -115,13 +115,19 @@
 //! marks the peer **dead** (the dead-letter hook observes one
 //! `FaultCause::Transport` fault for the transition), and kills every
 //! message still queued or batched — and every one submitted later —
-//! *loudly* in `kill_parcel` style: counted under `dead_transport`, with
-//! the fault delivered to each parcel's continuation so waiters resolve
-//! with `PxError::Fault` in bounded time instead of hanging. Fault
-//! delivery is deferred to a scheduler task on the own locality because
-//! `submit` may be called under a coalescing-port lock that a fault
-//! continuation would need to re-take. During shutdown the same
-//! transition only counts the leftovers.
+//! *loudly*, each parcel through `kill_parcel`: counted under
+//! `dead_transport` and told to the hook, with the fault delivered to its
+//! continuation so waiters resolve with `PxError::Fault` in bounded time
+//! instead of hanging. Fault delivery is deferred to a scheduler task on
+//! the own locality because `submit` may be called under a coalescing-port
+//! lock that a fault continuation would need to re-take.
+//!
+//! What the backend cannot read dies as `Decode` through the same
+//! `RuntimeInner::record_death`: a reserved kind, a desynchronized stream
+//! (beside the peer's loss), a killed message's undecodable record; a
+//! frame that does not read dies where it runs (`sched::execute`). With no
+//! runtime to tell — none bound yet, or at teardown — `count_deaths` only
+//! counts: a loss at teardown counts its leftovers, and no hook hears.
 //!
 //! The loop never re-dials, and never adopts a second connection for a
 //! rank: whoever answers on a dead peer's address later, or dials in
@@ -137,14 +143,15 @@
 //! owning pid for cancellation context only; hierarchical quiescence
 //! meters work within each process.
 //!
-//! What this backend **cannot** do is deliver `WireMsg::Task` closures
-//! to another process — closures do not serialize. Those die loudly at
-//! submission with the same transport fault; distributed work moves via
-//! action parcels, as the model intends.
+//! What this backend **cannot** carry is a closure — closures do not
+//! serialize. One spawned toward another rank dies once, as `Transport`,
+//! in `RuntimeInner::send_task`, before the wire, and this backend is
+//! never handed one; distributed work moves via action parcels, as the
+//! model intends.
 
 mod io;
 
-use super::{Park, PortSet, Transport, WireMsg};
+use super::{for_each_record, Park, PortSet, Record, Transport, WireMsg};
 use crate::action::ActionId;
 use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
@@ -309,9 +316,9 @@ impl TcpShared {
         self.rt.get().and_then(Weak::upgrade)
     }
 
-    /// Deliver a received (or locally-addressed) stream message — a
-    /// frame — into the own locality's queue its kind names, honoring the
-    /// control-plane priority lane.
+    /// Deliver a received stream message — a frame — into the own
+    /// locality's queue its kind names, honoring the control-plane
+    /// priority lane.
     fn deliver_local(&self, kind: u8, body: Vec<u8>) {
         let lane = match kind {
             msg_kind::FRAME => Lane::Run,
@@ -320,7 +327,7 @@ impl TcpShared {
             // StreamAssembler rejects kinds past `msg_kind::MAX`; what is
             // left is a reserved kind — a bare parcel from a peer of
             // another version — which no frame parse can read.
-            _ => return self.own().counters().count_death(FaultCause::Decode, 1),
+            _ => return self.decode_death(format!("reserved stream message kind {kind}")),
         };
         self.own().deliver(lane, Task::new(Work::ParcelFrame(body)));
     }
@@ -343,7 +350,7 @@ impl TcpShared {
             return;
         }
         for_each_record(body, |rec| {
-            if let Some(rec) = rec {
+            if let Ok(rec) = rec {
                 trace_record(loc, kind, rec, peer);
             }
         });
@@ -357,25 +364,10 @@ impl TcpShared {
             WireMsg::Frame { dest, lane, bytes } => {
                 self.send_to_peer(dest, frame_kind(lane), bytes, By::Sender);
             }
-            WireMsg::Task { dest, task } => {
-                if dest.0 == self.rank {
-                    self.own().push_task(task);
-                    return;
-                }
-                // Closures do not serialize: this is work the transport
-                // cannot carry. Die loudly (counted + dead-letter) so the
-                // mistake is visible instead of a silent hang.
-                self.own().counters().count_death(FaultCause::Transport, 1);
-                if let Some(rt) = self.rt() {
-                    let fault = Fault::new(
-                        FaultCause::Transport,
-                        ActionId(0),
-                        Gid::locality_root(dest),
-                        "closure task cannot cross an OS-process boundary; use action parcels",
-                    );
-                    rt.notify_dead_letter(&fault, None);
-                }
-            }
+            WireMsg::Task { .. } => unreachable!(
+                "RuntimeInner::send_task runs a closure for this rank itself \
+                 and kills one bound for another rank before the wire"
+            ),
         }
     }
 
@@ -397,11 +389,6 @@ impl TcpShared {
     /// peer's queue is at its byte bound; the control lane and a pass's
     /// own pulls never do.
     fn send_to_peer(&self, dest: LocalityId, kind: u8, bytes: Vec<u8>, by: By) {
-        if dest.0 == self.rank {
-            // Defensive: same-locality traffic short-circuits upstream.
-            self.deliver_local(kind, bytes);
-            return;
-        }
         // Submission intent is recorded before the dead check: a message
         // toward a lost peer shows NetSubmit followed by its NetFault.
         self.trace_stream_msg(
@@ -546,15 +533,15 @@ impl TcpShared {
     /// `submit` may hold a coalescing-port lock that the fault
     /// continuations need — where each parcel dies via `kill_parcel`
     /// (counted, dead-letter, fault to continuation, process token
-    /// released). Without one (tests, boot races) the deaths are counted
-    /// directly.
+    /// released). Without one (a bare transport) the deaths are only
+    /// counted.
     fn kill_undeliverable(&self, peer: u16, msgs: Vec<(u8, Vec<u8>)>) {
         if msgs.is_empty() {
             return;
         }
         let why = format!("transport to locality {peer} lost");
         match self.rt() {
-            None => self.count_deaths(&msgs),
+            None => self.count_deaths(FaultCause::Transport, records(&msgs)),
             Some(_) => {
                 let kill = move |ctx: &mut crate::runtime::Ctx<'_>| {
                     for (_, body) in msgs {
@@ -569,17 +556,37 @@ impl TcpShared {
         }
     }
 
-    /// Count per-parcel transport deaths without a runtime (no
-    /// continuations to fault).
-    fn count_deaths(&self, msgs: &[(u8, Vec<u8>)]) {
-        let mut records = 0;
-        for (_, body) in msgs {
-            for_each_record(body, |_| records += 1);
+    /// The death of a stream message this backend cannot read — a
+    /// reserved kind, a desynchronized stream — as `Decode`: recorded by
+    /// the bound runtime, or only counted without one.
+    fn decode_death(&self, why: String) {
+        match self.rt() {
+            Some(rt) => {
+                let root = Gid::locality_root(LocalityId(self.rank));
+                rt.record_death(self.own(), root, ActionId(0), FaultCause::Decode, why, None);
+            }
+            None => self.count_deaths(FaultCause::Decode, 1),
         }
-        self.own()
-            .counters()
-            .count_death(FaultCause::Transport, records);
     }
+
+    /// Count `n` deaths of `cause` at the own locality, and nothing more:
+    /// the one death px-core counts outside `RuntimeInner::record_death`,
+    /// for when there is no runtime to tell — none bound (a bare
+    /// transport, or the bootstrap before the build binds one), or
+    /// teardown, when the scheduler may be gone. No hook hears of these
+    /// deaths and no continuation is faulted.
+    fn count_deaths(&self, cause: FaultCause, n: u64) {
+        self.own().counters().count_death(cause, n);
+    }
+}
+
+/// Parcel records carried by `msgs`, each unreadable one included.
+fn records(msgs: &[(u8, Vec<u8>)]) -> u64 {
+    let mut n = 0;
+    for (_, body) in msgs {
+        for_each_record(body, |_| n += 1);
+    }
+    n
 }
 
 /// The stream message kind of a frame bound for `lane`.
@@ -589,22 +596,6 @@ fn frame_kind(lane: Lane) -> u8 {
         Lane::Staged => msg_kind::FRAME_STAGED,
         Lane::Control => msg_kind::CONTROL,
     }
-}
-
-/// The one reading of "a stream message is a frame of parcel records":
-/// call `f` once per record it carries — `None` for a frame that does not
-/// parse, a record whose length prefix is corrupt, and each record the
-/// header counted behind that prefix.
-fn for_each_record(body: &[u8], mut f: impl FnMut(Option<&[u8]>)) {
-    let Ok(view) = px_wire::FrameView::parse(body) else {
-        return f(None);
-    };
-    let mut seen = 0;
-    for rec in view.records() {
-        seen += 1;
-        f(rec.ok());
-    }
-    (seen..view.record_count()).for_each(|_| f(None));
 }
 
 /// Record one transport event for a single encoded parcel record, if the
@@ -619,23 +610,18 @@ fn trace_record(loc: &Locality, kind: crate::trace::TraceEventKind, bytes: &[u8]
     }
 }
 
-/// Kill one parcel record of an undeliverable stream message (`None`: a
-/// record [`for_each_record`] could not read — counted, nothing to fault).
-fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Option<&[u8]>, why: &str) {
-    match rec.map(Parcel::decode) {
-        Some(Ok(mut p)) => {
-            p.arm(rt);
-            // The transport flavor of this death, under the parcel's own
-            // trace id (kill_parcel adds the ParcelKill right after).
-            loc.trace_event(p.trace, crate::trace::TraceEventKind::NetFault, p.dest.0, 0);
-            // No activity token to release: cross-rank parcels are not
-            // accounted to their process at the sender (tokens never
-            // cross an OS-process boundary — see `route_parcel`), and
-            // every message this transport kills was bound for another
-            // rank.
-            crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why.to_string());
-        }
-        _ => loc.counters().count_death(FaultCause::Decode, 1),
+/// Kill one parcel record of an undeliverable stream message; one that
+/// cannot be read dies as `Decode` instead (`sched::decode_record`).
+fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Record, why: &str) {
+    if let Some(p) = crate::sched::decode_record(rt, loc, rec) {
+        // The transport flavor of this death, under the parcel's own
+        // trace id (kill_parcel adds the ParcelKill right after).
+        loc.trace_event(p.trace, crate::trace::TraceEventKind::NetFault, p.dest.0, 0);
+        // No activity token to release: cross-rank parcels are not
+        // accounted to their process at the sender (tokens never cross an
+        // OS-process boundary — see `route_parcel`), and every message
+        // this transport kills was bound for another rank.
+        crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why.to_string());
     }
 }
 
@@ -850,9 +836,9 @@ mod tests {
 
     /// The spend check on the other shape the lexical rule declared out
     /// of scope: a parcel bound by a pattern (`Ok(mut p) =>`), as
-    /// [`kill_record`] binds the ones it decodes, with an arm that lets it
-    /// fall out of scope. An in-process runtime: the check is the type's,
-    /// not the transport's.
+    /// `sched::decode_record` binds the ones it decodes, with an arm that
+    /// lets it fall out of scope. An in-process runtime: the check is the
+    /// type's, not the transport's.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "parcel lost: ")]
@@ -867,7 +853,7 @@ mod tests {
                         crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why);
                     } // the bug: an untraced `p` is dropped here
                 }
-                Err(_) => loc.counters().count_death(FaultCause::Decode, 1),
+                Err(e) => panic!("{e}"),
             }
         }
         let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
@@ -1043,9 +1029,9 @@ mod tests {
     /// takes newest first).
     #[test]
     fn full_flushes_and_pulls_keep_submission_order() {
-        use crate::net::{BatchPolicy, Wire};
+        use crate::net::Wire;
         const N: u64 = 20_000;
-        let ports = BatchPolicy::new(4).ports(2, px_wire::FRAME_VERSION_CHECKSUM);
+        let ports = PortSet::new(4, 2, px_wire::FRAME_VERSION_CHECKSUM);
         let (a, mut b, locs_b) = pair(loopback(2), ports.clone());
         let locs_a = a.shared.localities.clone();
         let version = px_wire::FRAME_VERSION_CHECKSUM;
@@ -1160,20 +1146,6 @@ mod tests {
             panic!("bootstrap without a peer must time out");
         };
         assert!(matches!(err, PxError::BadConfig(_)));
-    }
-
-    #[test]
-    fn closure_tasks_cannot_cross_processes() {
-        let (a, b, _locs_b) = pair(loopback(2), None);
-        let (dest, task) = (LocalityId(1), Task::new(Work::Thread(Box::new(|_| {}))));
-        a.submit(WireMsg::Task { dest, task });
-        assert_eq!(
-            a.shared.own().stats().dead_transport,
-            1,
-            "closure transfer must die loudly"
-        );
-        drop(a);
-        drop(b);
     }
 
     /// The TCP backend starts no thread: a rank's sockets are read and
@@ -1376,12 +1348,12 @@ mod tests {
     }
 
     /// Rank 0 of a two-rank mesh, a runtime with one worker, whose rank 1
-    /// is a stream this test dialled and said hello on, and the messages
-    /// of every fault its dead-letter hook saw.
+    /// is a stream this test dialled and said hello on, and every fault
+    /// its dead-letter hook saw.
     fn runtime_with_a_forged_peer() -> (
         crate::runtime::Runtime,
         std::net::TcpStream,
-        Arc<Mutex<Vec<String>>>,
+        Arc<Mutex<Vec<Fault>>>,
     ) {
         use crate::runtime::{Config, RuntimeBuilder};
         use std::io::Write;
@@ -1392,7 +1364,7 @@ mod tests {
         let builder =
             RuntimeBuilder::new(Config::small(2, 1).with_tcp(0, vec![at0.to_string(); 2]))
                 .tcp_listener(listener)
-                .on_dead_letter(move |f| seen.lock().push(f.message.clone()));
+                .on_dead_letter(move |f| seen.lock().push(f.clone()));
         let rank0 = std::thread::spawn(move || builder.build().unwrap());
         let mut peer = std::net::TcpStream::connect(at0).unwrap();
         peer.write_all(&px_wire::stream::encode_handshake(1, 0))
@@ -1443,16 +1415,17 @@ mod tests {
         );
         let faults = faults.lock().clone();
         assert_eq!(faults.len(), 1, "{faults:?}");
-        assert!(faults[0].contains("checksum"), "{faults:?}");
+        assert!(faults[0].message.contains("checksum"), "{faults:?}");
         rt.shutdown();
     }
 
     /// `PARCEL` is a reserved kind: a bare parcel from a peer of another
-    /// version dies as `Decode` where it is delivered, runs nothing, and
-    /// leaves the stream in step.
+    /// version dies as `Decode` where it is delivered — counted once and
+    /// told to the dead-letter hook once, naming the kind — runs nothing,
+    /// and leaves the stream in step.
     #[test]
     fn a_bare_parcel_kind_dies_as_decode() {
-        let (rt, mut peer, _faults) = runtime_with_a_forged_peer();
+        let (rt, mut peer, faults) = runtime_with_a_forged_peer();
         let stats = || rt.stats().localities[0];
         forge(
             &mut peer,
@@ -1463,6 +1436,49 @@ mod tests {
         forge(&mut peer, msg_kind::FRAME, &noop_frame(LocalityId(0)));
         until("the frame behind it", || stats().parcels_recv == 1);
         assert_eq!(stats().dead_parcels, 1, "nothing else died");
+        let faults = faults.lock().clone();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        let kind = format!("kind {}", msg_kind::PARCEL);
+        let (cause, message) = (faults[0].cause, &faults[0].message);
+        assert_eq!(cause, FaultCause::Decode, "{faults:?}");
+        assert!(message.contains(&kind), "{faults:?}");
+        rt.shutdown();
+    }
+
+    /// A stream that desynchronizes — here a table on a connection that is
+    /// not rank 0's — dies once as `Decode`, and the dead-letter hook
+    /// hears of it as it hears of every counted death, beside the
+    /// `Transport` fault of the peer's loss.
+    #[test]
+    fn a_desynchronized_stream_is_a_decode_death_and_a_lost_peer() {
+        let (rt, mut peer, faults) = runtime_with_a_forged_peer();
+        let table = px_wire::stream::encode_table(&[peer.peer_addr().unwrap(); 2]);
+        forge(&mut peer, msg_kind::TABLE, &table);
+        until("the death and the peer's loss", || faults.lock().len() == 2);
+        let s = rt.stats().localities[0];
+        assert_eq!((s.dead_parcels, s.dead_decode), (1, 1));
+        let faults = faults.lock().clone();
+        let causes: Vec<_> = faults.iter().map(|f| f.cause).collect();
+        let want = [FaultCause::Decode, FaultCause::Transport];
+        assert_eq!(causes, want, "{faults:?}");
+        rt.shutdown();
+    }
+
+    /// A closure spawned toward another rank dies once, before the wire —
+    /// counted as `Transport` and told to the dead-letter hook — and never
+    /// reaches the backend.
+    #[test]
+    fn closure_tasks_cannot_cross_processes() {
+        let (rt, _peer, faults) = runtime_with_a_forged_peer();
+        rt.spawn_at(LocalityId(1), |_| unreachable!("a closure crossed"));
+        let s = rt.stats().localities[0];
+        assert_eq!((s.dead_parcels, s.dead_transport), (1, 1), "one death");
+        let faults = faults.lock().clone();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert_eq!(faults[0].cause, FaultCause::Transport);
+        assert!(faults[0].message.contains("closure"), "{faults:?}");
+        let sent = rt.stats().transport.peers[0].msgs_sent;
+        assert_eq!(sent, 0, "nothing went out");
         rt.shutdown();
     }
 }

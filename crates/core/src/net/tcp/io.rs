@@ -450,7 +450,7 @@ impl IoLoop {
         if self.shared.shutting_down.load(Ordering::Acquire) {
             // No runtime task at teardown (the scheduler may be gone):
             // a connection lost now just counts its leftovers.
-            self.shared.count_deaths(&dead);
+            (self.shared).count_deaths(FaultCause::Transport, super::records(&dead));
         } else {
             self.shared.kill_undeliverable(j, dead);
         }
@@ -766,11 +766,10 @@ impl IoLoop {
         let why = match stopped {
             Ok(Some(table)) if self.learn_table(j, &table) => return self.read_peer(j),
             // Desynchronized, by a bad prefix or a table that is not rank
-            // 0's first: unrecoverable for a length-prefixed protocol.
-            // Count it; the peer is lost like any other dropped connection.
+            // 0's first: unrecoverable for a length-prefixed protocol. It
+            // dies as `Decode`; the peer is lost like any dropped one.
             Ok(_) => {
-                let own = self.shared.own();
-                own.counters().count_death(FaultCause::Decode, 1);
+                (self.shared).decode_death(format!("stream from locality {j} desynchronized"));
                 "stream desynchronized"
             }
             Err(why) => why,
@@ -795,7 +794,7 @@ impl IoLoop {
         }
         for io in self.peers.iter_mut().flatten() {
             let leftovers = io.batch.drain_msgs();
-            self.shared.count_deaths(&leftovers);
+            (self.shared).count_deaths(FaultCause::Transport, super::records(&leftovers));
         }
     }
 

@@ -27,7 +27,7 @@ use crate::fxmap::FxHashMap;
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::lco::{surface_fault, ExtSlot, FutureRef, LcoCore, ReduceFn, Waiter};
 use crate::locality::Locality;
-use crate::net::{BatchPolicy, Transport, Wire};
+use crate::net::{PortSet, Transport, Wire};
 use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
@@ -95,13 +95,15 @@ pub struct RuntimeInner {
 /// every fault. Keep it cheap and non-blocking; it runs on the hot path
 /// of a dying parcel. Registered via [`RuntimeBuilder::on_dead_letter`].
 ///
-/// The hook sees a superset of the `dead_parcels` counters: parcel
-/// deaths and dead-ended LCO errors (counted by cause), plus two
-/// uncounted classes with no parcel to count — panics in closure
-/// threads ([`Ctx::spawn`]/[`Ctx::when_ready`] bodies, visible in the
-/// `panics` counter only) and [`Ctx::acquire`] continuations dropped
-/// because no permit can be granted (a poisoned semaphore, or a target
-/// that is not a semaphore — that error is itself counted first).
+/// The hook sees a superset of the `dead_parcels` counters: each counted
+/// death is counted and reported in one call (`record_death`), plus
+/// faults with no parcel to count — panics in closure threads
+/// ([`Ctx::spawn`]/[`Ctx::when_ready`] bodies, visible in the `panics`
+/// counter only), a lost TCP peer, and [`Ctx::acquire`] continuations
+/// dropped because no permit can be granted (a poisoned semaphore, or a
+/// target that is not a semaphore — that error is itself counted first).
+/// One exemption: the TCP backend only counts what dies with no runtime
+/// to tell — during `Runtime::shutdown`, or before `build` returns.
 pub type DeadLetterHook = Arc<dyn Fn(&Fault) + Send + Sync + 'static>;
 
 /// Trace-aware dead-letter observer, registered via
@@ -363,7 +365,7 @@ impl RuntimeBuilder {
                 })
                 .collect(),
         );
-        let policy = BatchPolicy::new(self.config.max_batch_parcels);
+        let batch = self.config.max_batch_parcels;
         // Frames that never leave the process carry no integrity trailer.
         let (transport, ports, version): (Arc<dyn Transport>, _, _) = match &self.config.transport {
             TransportKind::InProc => {
@@ -371,7 +373,7 @@ impl RuntimeBuilder {
                 let (wire, version) = (self.config.wire, px_wire::FRAME_VERSION);
                 // An instant wire has no per-message cost to amortize, and
                 // no pass to pull a port.
-                let ports = (!wire.is_instant()).then(|| policy.ports(n, version));
+                let ports = (!wire.is_instant()).then(|| PortSet::new(batch, n, version));
                 let ports = ports.flatten();
                 let transport = InProcTransport::new(wire, localities.clone(), ports.clone());
                 // Each locality's workers fire its heap where anything is
@@ -388,7 +390,7 @@ impl RuntimeBuilder {
                 use crate::net::tcp::{bind, TcpTransport};
                 let listener = self.listener.map_or_else(|| bind(tcp), Ok)?;
                 let version = px_wire::FRAME_VERSION_CHECKSUM;
-                let ports = policy.ports(n, version);
+                let ports = PortSet::new(batch, n, version);
                 let transport =
                     TcpTransport::bootstrap(tcp, listener, localities.clone(), ports.clone());
                 (Arc::new(transport?), ports, version)

@@ -23,6 +23,7 @@ use crate::error::{Fault, FaultCause, PxError};
 use crate::gid::{Gid, GidKind, LocalityId};
 use crate::lco::{DepletedThread, Waiter};
 use crate::locality::{Lane, Locality};
+use crate::net::Record;
 use crate::origin::Origin;
 use crate::parcel::{ContStep, Continuation, Parcel};
 use crate::queue::{Idle, Local};
@@ -324,30 +325,7 @@ pub(crate) fn execute(
         }
         Work::ParcelFrame(bytes) => {
             bump!(loc.counters().frames_recv);
-            match px_wire::FrameView::parse(&bytes) {
-                Ok(view) => {
-                    let mut seen = 0u32;
-                    for record in view.records() {
-                        seen += 1;
-                        match record {
-                            Ok(rec) => run_wire_parcel(rt, loc, local, rec),
-                            Err(e) => undecodable(rt, loc, 1, format!("corrupt frame record: {e}")),
-                        }
-                    }
-                    // A corrupt length prefix ends iteration early; the
-                    // records it hid are lost with it — account every one
-                    // (their process tags and continuations are unreadable,
-                    // like any corrupt parcel's, so neither quiescence nor
-                    // fault delivery can be repaired for them).
-                    let lost = view.record_count().saturating_sub(seen);
-                    if lost > 0 {
-                        let msg =
-                            format!("record hidden behind a corrupt frame prefix ({lost} lost)");
-                        undecodable(rt, loc, lost, msg);
-                    }
-                }
-                Err(e) => undecodable(rt, loc, 1, format!("corrupt frame: {e}")),
-            }
+            crate::net::for_each_record(&bytes, |rec| run_wire_parcel(rt, loc, local, rec));
         }
         Work::Parcel(p) => run_parcel(rt, loc, local, p),
     }
@@ -359,39 +337,39 @@ pub(crate) fn execute(
 /// Decode and run one wire-delivered parcel record. Wire deliveries carry
 /// the process tag inside the parcel (`Task::process` is `None`); the
 /// completion is accounted here.
-fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, bytes: &[u8]) {
-    match Parcel::decode(bytes) {
-        Ok(mut p) => {
-            p.arm(rt);
-            let proc_gid = p.process;
-            run_parcel(rt, loc, local, p);
-            // Mirror of the send-side gate in `route_parcel`: in a
-            // distributed runtime every wire delivery crossed an
-            // OS-process boundary, so no token was taken in *this*
-            // process for it — decrementing would drain someone else's
-            // counter to a premature quiescence.
-            if let Some(pg) = proc_gid {
-                if !rt.distributed() {
-                    rt.process_task_done(pg);
-                }
-            }
+fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, rec: Record) {
+    let Some(p) = decode_record(rt, loc, rec) else {
+        return;
+    };
+    let proc_gid = p.process;
+    run_parcel(rt, loc, local, p);
+    // Mirror of the send-side gate in `route_parcel`: in a distributed
+    // runtime every wire delivery crossed an OS-process boundary, so no
+    // token was taken in *this* process for it — decrementing would drain
+    // someone else's counter to a premature quiescence.
+    if let Some(pg) = proc_gid {
+        if !rt.distributed() {
+            rt.process_task_done(pg);
         }
-        Err(e) => undecodable(rt, loc, 1, format!("undecodable parcel: {e}")),
     }
 }
 
-/// The death of `records` parcel records that could not be decoded. They
-/// cannot name their continuations, so no fault can be delivered: count
-/// them and tell the hook — once per record, so its fault count stays a
-/// superset of `dead_parcels`.
-fn undecodable(rt: &RuntimeInner, loc: &Locality, records: u32, msg: String) {
-    loc.counters()
-        .count_death(FaultCause::Decode, u64::from(records));
+/// One record a frame reader (`net::for_each_record`) yielded, decoded and
+/// armed — or its death, as `Decode`, at `loc`: a record that cannot be
+/// read cannot name its continuation, so the hook is all there is to tell.
+#[inline]
+pub(crate) fn decode_record(rt: &Arc<RuntimeInner>, loc: &Locality, rec: Record) -> Option<Parcel> {
+    let why = match rec.map(Parcel::decode) {
+        Ok(Ok(mut p)) => {
+            p.arm(rt);
+            return Some(p);
+        }
+        Ok(Err(e)) => format!("undecodable parcel: {e}"),
+        Err(e) => format!("corrupt frame: {e}"),
+    };
     let root = Gid::locality_root(loc.id);
-    let fault = Fault::new(FaultCause::Decode, ActionId(0), root, msg);
-    for _ in 0..records {
-        rt.notify_dead_letter(&fault, None);
-    }
+    rt.record_death(loc, root, ActionId(0), FaultCause::Decode, why, None);
+    None
 }
 
 /// Panic isolation: a panicking PX-thread kills neither the worker nor the
@@ -625,6 +603,9 @@ impl RuntimeInner {
     /// and by cause), trace it, tell the dead-letter hook, and return the
     /// fault for whoever can still be told — a killed parcel's
     /// continuation, a waiter handed back by a failed local LCO event.
+    /// The one place a death is counted: the TCP backend's count-only
+    /// path, for when it has no runtime to tell, is the one exemption
+    /// (`net::tcp`, `TcpShared::count_deaths`).
     pub(crate) fn record_death(
         &self,
         at: &Locality,
@@ -729,16 +710,10 @@ impl RuntimeInner {
         // `spawn_at` to a remote rank is a counted, reported failure
         // instead of a task rotting on an unowned stub's queue.
         if !self.owns(dest) {
-            let own = self.locality(self.origin);
-            own.counters()
-                .count_death(crate::error::FaultCause::Transport, 1);
-            let fault = Fault::new(
-                crate::error::FaultCause::Transport,
-                ActionId(0),
-                Gid::locality_root(dest),
-                "closure task cannot cross an OS-process boundary; use action parcels",
-            );
-            self.notify_dead_letter(&fault, None);
+            let (own, to) = (self.locality(self.origin), Gid::locality_root(dest));
+            let why = "closure task cannot cross an OS-process boundary; use action parcels";
+            let cause = FaultCause::Transport;
+            self.record_death(own, to, ActionId(0), cause, why.into(), task.trace);
             return;
         }
         if let Some(pg) = task.process {

@@ -568,18 +568,31 @@ mod tests {
     }
 
     #[test]
-    fn wake_interrupts_wait_and_coalesces() {
+    fn a_wake_interrupts_a_blocked_wait() {
         let p = std::sync::Arc::new(Poller::new().unwrap());
         let p2 = p.clone();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             p2.wake();
-            p2.wake();
-            p2.wake();
         });
         let mut evs = Vec::new();
         p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap();
         h.join().unwrap();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].token, WAKE_TOKEN);
+    }
+
+    /// Wakes made before the wait coalesce: the wait sees one event, and
+    /// drains them all. (Made from another thread, wakes could straddle
+    /// the first wait's return and leave one for the second.)
+    #[test]
+    fn wakes_before_a_wait_coalesce_into_one_event() {
+        let p = Poller::new().unwrap();
+        for _ in 0..3 {
+            p.wake();
+        }
+        let mut evs = Vec::new();
+        p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].token, WAKE_TOKEN);
         // Drained: the next wait sees nothing.
