@@ -42,7 +42,8 @@
 //! once when the home's directory says the object is absent (freed, or
 //! never created), and asks the home otherwise. Only a forward costs a hop, and a forward follows a
 //! directory entry some completed move wrote, so **a parcel's hops are at
-//! most the moves of its object that complete while it travels**. The
+//! most the moves of its object completed since the locality its sender
+//! resolved last held it** (`sys::agas`'s seeded chase checks it). The
 //! 16-hop cap is reached only by a migration storm.
 
 use crate::error::{PxError, PxResult};

@@ -323,6 +323,7 @@ fn pull_hot(
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use crate::runtime::stepped::Stepped;
     use std::time::{Duration, Instant};
 
     const GOSSIP: Duration = Duration::from_micros(500);
@@ -334,62 +335,42 @@ mod tests {
         })
     }
 
-    /// True once `ok` holds, looking for up to 10 s.
-    fn wait_until(mut ok: impl FnMut() -> bool) -> bool {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(10) {
-            if ok() {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        ok()
-    }
-
     /// How many localities `loc`'s balancer has heard about.
     fn known(loc: &Locality) -> usize {
         loc.balance.as_ref().unwrap().peers.lock().known()
     }
 
-    /// Three balanced localities on a stepped clock, advanced `k` gossip
-    /// intervals: after each, the round that fell due at each locality
-    /// runs — on its workers, not the test thread.
-    fn stepped(k: u64) -> (crate::clock::stepped::Stepper, Runtime) {
-        let clock = crate::clock::stepped::Stepper::default();
+    /// Three balanced localities, stepped until `k` gossip intervals have
+    /// passed and every round due by then has run.
+    fn stepped(k: u32) -> Stepped {
         let cfg = balanced_config(3, BalanceConfig::adaptive());
-        let rt = RuntimeBuilder::new(cfg).stepped(&clock).build().unwrap();
-        for k in 1..=k {
-            clock.advance(GOSSIP);
-            let ran = || rt.stats().total().gossip_rounds >= 3 * k;
-            assert!(wait_until(ran), "round {k}");
-        }
-        (clock, rt)
+        let mut s = RuntimeBuilder::new(cfg).stepped(0);
+        let loc = s.rt.inner().localities[0].clone();
+        let end = loc.timers.now() + k * GOSSIP;
+        s.run_until("k intervals", |_| loc.timers.now() >= end);
+        s
     }
 
-    /// On a stepped clock each locality's pulse is its own, and no test
-    /// sleeps to let rounds pass.
+    /// Each locality's pulse is its own, and no test sleeps to let rounds
+    /// pass: two rounds sent each view to both peers, and every locality
+    /// has heard about every other once its worker merged them.
     #[test]
     fn gossip_fills_peer_views() {
-        let (_clock, rt) = stepped(4);
-        // Two rounds sent each view to both peers; every locality has
-        // heard about every other once its worker merged them.
-        let locs = &rt.inner().localities;
-        let heard = || locs.iter().all(|l| known(l) == 3);
-        assert!(wait_until(heard), "a view incomplete");
-        rt.shutdown();
+        let s = stepped(4);
+        assert!(s.rt.inner().localities.iter().all(|l| known(l) == 3));
     }
 
-    /// k intervals give exactly n·k rounds; after `shutdown` the clock
-    /// fires nothing; and shutdown does not wait out an interval — one of
-    /// an hour, on the real clock.
+    /// k intervals give exactly n·k rounds; after `shutdown` a due pulse
+    /// runs no round and arms no other; and shutdown does not wait out an
+    /// interval — one of an hour, on the real clock.
     #[test]
     fn pulses_run_once_per_interval_and_stop_at_shutdown() {
-        let (clock, rt) = stepped(5);
-        let rounds = || rt.stats().total().gossip_rounds;
-        assert_eq!(rounds(), 15, "exactly n·k");
-        rt.shutdown();
-        clock.advance(10 * GOSSIP);
-        assert_eq!(rounds(), 15, "a round after shutdown");
+        let mut s = stepped(5);
+        let rounds = |s: &Stepped| s.rt.stats().total().gossip_rounds;
+        assert_eq!(rounds(&s), 15, "exactly n·k");
+        s.rt.shutdown();
+        s.settle();
+        assert_eq!(rounds(&s), 15, "a round after shutdown");
         let hourly = Config::small(2, 1).with_balance(BalanceConfig {
             gossip_interval: Duration::from_secs(3600),
             ..BalanceConfig::adaptive()
@@ -423,23 +404,20 @@ mod tests {
         rt.shutdown();
     }
 
-    /// On a stepped clock, so the heat of all 600 reads is there for the
-    /// first round that acts: a wall-clock round saw only the reads of its
-    /// 500 µs, under the threshold on a loaded host.
+    /// Stepped, so the heat of all 600 reads is there for the first round
+    /// that acts: the clock moves only once the reads are done. (A
+    /// wall-clock round saw only the reads of its 500 µs, under the
+    /// threshold on a loaded host.)
     #[test]
     fn hot_object_is_pulled_toward_caller() {
         let mut cfg = BalanceConfig::adaptive();
         cfg.heat_threshold = 8;
-        let clock = crate::clock::stepped::Stepper::default();
-        let rt = RuntimeBuilder::new(balanced_config(2, cfg))
-            .stepped(&clock)
-            .build()
-            .unwrap();
-        let obj = rt.new_data_at(LocalityId(0), vec![1, 2, 3]);
+        let mut s = RuntimeBuilder::new(balanced_config(2, cfg)).stepped(0);
+        let obj = s.rt.new_data_at(LocalityId(0), vec![1, 2, 3]);
         // Locality 1 hammers the object with reads; the balancer should
         // migrate it there.
-        let done = rt.new_and_gate(LocalityId(1), 1);
-        rt.spawn_at(LocalityId(1), move |ctx| {
+        let done = s.rt.new_and_gate(LocalityId(1), 1);
+        s.rt.spawn_at(LocalityId(1), move |ctx| {
             fn pump(ctx: &mut Ctx<'_>, obj: Gid, done: Gid, left: u32) {
                 if left == 0 {
                     ctx.trigger_value(done, Value::unit());
@@ -451,56 +429,25 @@ mod tests {
             pump(ctx, obj, done, 600);
         });
         let fut: FutureRef<()> = FutureRef::from_gid(done);
-        rt.wait_future(fut).unwrap();
-        // Round 1 gossips; round 2, with the peer's view merged, acts.
-        clock.advance(GOSSIP);
-        let locs = &rt.inner().localities;
-        let heard = || locs.iter().all(|l| known(l) == 2);
-        assert!(wait_until(heard), "no gossip");
-        clock.advance(GOSSIP);
-        let home = &rt.inner().localities[0];
-        let migrated = wait_until(|| home.agas.authoritative_owner(obj) == LocalityId(1));
-        let s = rt.stats();
-        let (manual, balancer) = (s.migrations_manual, s.migrations_balancer);
-        assert!(
-            migrated && balancer >= 1,
-            "object never pulled: manual={manual} balancer={balancer}"
-        );
-        assert_eq!(manual, 0);
-        assert!(rt.stats().localities[1].balance_pulls >= 1);
-        rt.shutdown();
-    }
-
-    /// Regression: concurrent migrations of the same object (e.g. a
-    /// manual `migrate_data` racing a balancer pull) must serialize —
-    /// without the per-GID pin, both could read the same source, install
-    /// at different destinations, and leave a stale resident copy at the
-    /// directory loser forever. A call that races another move waits
-    /// for it, so every call succeeds.
-    #[test]
-    fn concurrent_migrations_leave_single_resident() {
-        let rt = RuntimeBuilder::new(Config::small(3, 1)).build().unwrap();
-        let obj = rt.new_data_at(LocalityId(0), vec![1]);
-        std::thread::scope(|s| {
-            for dest in [1u16, 2u16] {
-                let rt = &rt;
-                s.spawn(move || {
-                    for _ in 0..300 {
-                        rt.migrate_data(obj, LocalityId(dest)).unwrap();
-                    }
-                });
-            }
-        });
-        let owner = rt.inner().localities[0].agas.authoritative_owner(obj);
-        let resident: Vec<u16> = (0..3u16)
-            .filter(|&i| rt.inner().localities[i as usize].contains(obj))
-            .collect();
+        s.run_until("600 reads", |s| s.take(fut).is_some());
         assert_eq!(
-            resident,
-            vec![owner.0],
-            "exactly the owner holds the object"
+            s.rt.stats().total().gossip_rounds,
+            0,
+            "a round before the reads ended"
         );
-        rt.shutdown();
+        // Round 1 gossips; round 2, with the peer's view merged, acts.
+        let home = s.rt.inner().localities[0].clone();
+        s.run_until("the pull", |_| {
+            home.agas.authoritative_owner(obj) == LocalityId(1)
+        });
+        let stats = s.rt.stats();
+        assert_eq!((stats.migrations_manual, stats.migrations_balancer), (0, 1));
+        assert_eq!(
+            stats.total().gossip_rounds,
+            4,
+            "two rounds at each locality"
+        );
+        assert_eq!(stats.localities[1].balance_pulls, 1);
     }
 
     /// `__sys/agas_migrate` is a public action id, so a raw parcel can

@@ -16,9 +16,9 @@
 //! |---|---|---|
 //! | `px-L{l}-w{w}` | worker `w` of locality `l` | `RuntimeBuilder::build`, per worker of an owned locality |
 //!
-//! In test builds a heap can run on a stepped [`Clock`] instead: time
-//! moves only when a test advances it, and an advance rings every heap's
-//! park so its holder looks again.
+//! In test builds a runtime can run thread-free on a stepped [`Clock`]
+//! (`runtime::stepped`): time moves only when every locality is idle,
+//! and nothing parks on a stepped heap.
 //!
 //! Outside the seam, each for a reason: `queue.rs`'s paced spin is
 //! wall-clock by nature, and a stepped run does not spin. Measurement
@@ -154,15 +154,10 @@ pub(crate) struct Heap<T> {
 
 impl<T> Heap<T> {
     pub(crate) fn new(clock: &Clock) -> Heap<T> {
-        let bell = Arc::<Bell>::default();
-        #[cfg(test)]
-        if let Clock::Stepped(clock) = clock {
-            clock.0.lock().1.push(Arc::downgrade(&bell));
-        }
         Heap {
             clock: clock.clone(),
             timers: Mutex::new(Timers::new()),
-            bell,
+            bell: Arc::default(),
         }
     }
 
@@ -215,15 +210,9 @@ impl<T> Heap<T> {
     }
 
     /// How long the holder may park: until the earliest item falls due,
-    /// or untimed with nothing armed. On a stepped clock only "due now"
-    /// is timed: an advance rings the park instead.
+    /// or untimed with nothing armed.
     pub(crate) fn timeout(&self) -> Option<Duration> {
-        let timeout = self.timers.lock().timeout(self.clock.now());
-        match self.clock {
-            Clock::Real => timeout,
-            #[cfg(test)]
-            Clock::Stepped(_) => timeout.filter(|wait| wait.is_zero()),
-        }
+        self.timers.lock().timeout(self.clock.now())
     }
 
     /// What ends the park: the in-process poller's waker.
@@ -273,9 +262,9 @@ mod tests {
     }
 
     /// On the stepped clock: an item armed ahead of the earliest says
-    /// so; a park with nothing due lasts until an advance rings it, after
-    /// which 'a' is due and 'b' is not; a park with an item due returns at
-    /// once; and only a ring ends a park with nothing armed.
+    /// so; the timeout reads the distance to the earliest, which an
+    /// advance makes due ('a') while 'b' is not; a park with an item due
+    /// returns at once; and only a ring ends a park with nothing armed.
     #[test]
     fn a_heap_parks_until_due_or_rung() {
         let clock = stepped::Stepper::default();
@@ -285,15 +274,16 @@ mod tests {
         assert!(!heap.arm(t0 + 20 * MS, 'c'));
         assert!(heap.arm(t0 + 2 * MS, 'a'), "ahead of the earliest");
         assert!(heap.take_due().is_empty(), "nothing due at the start");
-        let stepper = std::thread::spawn(move || clock.advance(5 * MS));
-        heap.park();
-        stepper.join().unwrap();
+        assert_eq!(heap.timeout(), Some(2 * MS));
+        clock.advance(5 * MS);
+        assert!(heap.due());
         assert_eq!(heap.take_due(), ['a'], "'a' due, 'b' not");
-        assert!(!heap.due(), "the advance's ring was answered by the park");
+        assert!(!heap.due());
         assert!(heap.arm(t0, 'z'), "an item already due");
         heap.park();
         assert_eq!(heap.take_due(), ['z']);
         assert_eq!([heap.pop(), heap.pop()], [Some('b'), Some('c')]);
+        assert_eq!(heap.timeout(), None, "untimed with nothing armed");
         let bell = heap.bell();
         let ringer = std::thread::spawn(move || bell.ring());
         heap.park();
@@ -306,38 +296,28 @@ pub(crate) mod stepped {
     //! The stepped clock: the test fake that replaces sleeping with
     //! stepping.
 
-    use super::Bell;
     use parking_lot::Mutex;
-    use std::sync::{Arc, Weak};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// A manual clock. Time moves only when a test advances it; every
-    /// advance rings the park of each heap on the clock, so the holder of
-    /// its locality's poller fires what fell due.
+    /// A manual clock: time moves only when a test advances it.
     #[derive(Clone)]
-    pub(crate) struct Stepper(pub(super) Arc<Mutex<(Instant, Vec<Weak<Bell>>)>>);
+    pub(crate) struct Stepper(Arc<Mutex<Instant>>);
 
     impl Default for Stepper {
         fn default() -> Stepper {
-            Stepper(Arc::new(Mutex::new((Instant::now(), Vec::new()))))
+            Stepper(Arc::new(Mutex::new(Instant::now())))
         }
     }
 
     impl Stepper {
         pub(crate) fn now(&self) -> Instant {
-            self.0.lock().0
+            *self.0.lock()
         }
 
-        /// Move the clock `by` forward and ring every heap's park.
+        /// Move the clock `by` forward.
         pub(crate) fn advance(&self, by: Duration) {
-            let bells: Vec<Arc<Bell>> = {
-                let mut clock = self.0.lock();
-                clock.0 += by;
-                clock.1.iter().filter_map(Weak::upgrade).collect()
-            };
-            for bell in bells {
-                bell.ring();
-            }
+            *self.0.lock() += by;
         }
     }
 }

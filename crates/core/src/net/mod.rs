@@ -314,7 +314,7 @@ pub(crate) trait Transport: Send + Sync {
     /// holds it (`false`): fire its due timers, pull the ports it carries
     /// (toward `at` in-process, toward every peer over TCP) and over TCP
     /// read and write. With `park`, then the loop's blocking wait, bounded
-    /// by the earliest timer. Called by `at`'s workers (`worker_main`):
+    /// by the earliest timer. Called by `at`'s workers (`sched::Worker`):
     /// an idle one with `park`, a busy one between tasks without.
     fn drive(&self, at: LocalityId, park: Option<Park<'_>>) -> bool;
 

@@ -32,7 +32,7 @@ use crate::origin::Caller;
 use crate::parcel::{Continuation, Parcel};
 use crate::process::{ProcessInner, ProcessRef};
 use crate::queue::Local;
-use crate::sched::Task;
+use crate::sched::{Task, Worker};
 use crate::stats::Counter;
 use crate::sys;
 use parking_lot::{Mutex, RwLock};
@@ -43,6 +43,9 @@ use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+#[cfg(test)]
+pub(crate) mod stepped;
 
 /// Shared runtime state (everything workers need).
 pub struct RuntimeInner {
@@ -243,8 +246,6 @@ pub struct RuntimeBuilder {
     errors: Vec<PxError>,
     dead_letter: Option<DeadLetterHook>,
     dead_letter_traced: Option<TracedDeadLetterHook>,
-    /// The real clock, except in tests that step it (`stepped`).
-    clock: Clock,
     /// This rank's listener, bound by the caller (`tcp_listener`).
     listener: Option<TcpListener>,
 }
@@ -258,7 +259,6 @@ impl RuntimeBuilder {
             errors: Vec::new(),
             dead_letter: None,
             dead_letter_traced: None,
-            clock: Clock::Real,
             listener: None,
         }
     }
@@ -306,6 +306,15 @@ impl RuntimeBuilder {
 
     /// Validate, construct, and boot the runtime.
     pub fn build(self) -> PxResult<Runtime> {
+        let (inner, workers) = self.assemble(&Clock::Real)?;
+        let joins = workers.into_iter().map(crate::sched::spawn).collect();
+        let joins = Mutex::new(Some(joins));
+        Ok(Runtime { inner, joins })
+    }
+
+    /// The runtime, its heaps on `clock`, and its workers to run (only
+    /// the owned rank's in a multi-process system).
+    fn assemble(self, clock: &Clock) -> PxResult<(Arc<RuntimeInner>, Vec<Worker>)> {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
         }
@@ -359,7 +368,7 @@ impl RuntimeBuilder {
                         rings.push(Vec::new());
                     } else {
                         let workers = self.config.workers_per_locality;
-                        rings.push(loc.attach_workers(workers, &self.clock));
+                        rings.push(loc.attach_workers(workers, clock));
                     }
                     Arc::new(loc)
                 })
@@ -430,25 +439,15 @@ impl RuntimeBuilder {
         // Late-bind the runtime into the transport so undeliverable
         // messages can be killed loudly (fault to continuation).
         inner.wire.bind(&inner);
-
-        // Boot workers. In a multi-process system only the owned rank has
-        // rings (see `attach_workers` above); the other locality structs
-        // are reached via the transport.
-        let mut joins = Vec::new();
-        for (li, rings) in rings.into_iter().enumerate() {
-            for (wi, ring) in rings.into_iter().enumerate() {
-                let rt = inner.clone();
-                let worker = move || crate::sched::worker_main(rt, li, wi, ring);
-                joins.push(crate::clock::spawn(li, wi, worker));
-            }
-        }
         // The balancer pulse: one per owned locality, on its own heap
         // (see `crate::balance`).
         crate::balance::start(&inner);
-        Ok(Runtime {
-            inner,
-            joins: Mutex::new(Some(joins)),
-        })
+        let mut workers = Vec::new();
+        for (l, rings) in rings.into_iter().enumerate() {
+            let worker = |(w, ring)| Worker::new(&inner, l, w, ring);
+            workers.extend(rings.into_iter().enumerate().map(worker));
+        }
+        Ok((inner, workers))
     }
 }
 
@@ -808,9 +807,10 @@ impl Runtime {
     /// it, then moves the object from wherever that one left it. A
     /// missing object — freed, or never created — or a peer dying
     /// mid-protocol returns `Err(PxError::Fault)` in bounded time; in
-    /// the second case the object stays served at the source.
+    /// the second case the object stays served at the source. So does a
+    /// `to` that names no locality: the move's owner refuses it.
     pub fn migrate_data(&self, gid: Gid, to: LocalityId) -> PxResult<()> {
-        if gid.kind() != GidKind::Data || to.0 as usize >= self.inner.localities.len() {
+        if gid.kind() != GidKind::Data {
             return Err(PxError::NotMigratable(gid));
         }
         let cause = crate::agas::MigrationCause::Manual;
@@ -895,15 +895,6 @@ impl Drop for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl RuntimeBuilder {
-        /// Run the localities' heaps (the wire's delays, the balancer
-        /// pulse) on a stepped clock the test advances.
-        pub(crate) fn stepped(mut self, clock: &crate::clock::stepped::Stepper) -> Self {
-            self.clock = Clock::Stepped(clock.clone());
-            self
-        }
-    }
 
     #[test]
     fn boot_and_shutdown() {

@@ -32,6 +32,7 @@ use crate::stats::bump;
 use crate::sys;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub(crate) enum Work {
@@ -84,27 +85,6 @@ impl Task {
         }
     }
 
-    /// Number of parcel records this task carries (tests and diagnostics).
-    #[cfg(test)]
-    pub(crate) fn parcel_records(&self) -> usize {
-        match &self.work {
-            Work::Parcel(_) => 1,
-            Work::ParcelFrame(bytes) => px_wire::FrameView::parse(bytes)
-                .map(|v| v.record_count() as usize)
-                .unwrap_or(0),
-            _ => 0,
-        }
-    }
-
-    /// Raw frame bytes carried by this task, if it is a frame (tests).
-    #[cfg(test)]
-    pub(crate) fn frame_bytes(&self) -> Option<&[u8]> {
-        match &self.work {
-            Work::ParcelFrame(bytes) => Some(bytes),
-            _ => None,
-        }
-    }
-
     /// Attach process accounting.
     pub(crate) fn with_process(mut self, p: Option<Gid>) -> Task {
         self.process = p;
@@ -126,104 +106,128 @@ impl Task {
 /// the task during which it happened.
 const EVENT_INTERVAL: u32 = 61;
 
-/// Worker thread body. One per `(locality, worker index)`.
-pub(crate) fn worker_main(
+/// One worker of a locality: its ring and its state between turns. A
+/// worker thread turns it until shutdown ([`spawn`]); a stepped test, one
+/// turn at a time on the test's thread (`Worker::step`).
+pub(crate) struct Worker {
     rt: Arc<RuntimeInner>,
-    loc_idx: usize,
-    worker_idx: usize,
+    loc: Arc<Locality>,
     local: Local<Task>,
-) {
-    let loc = rt.localities[loc_idx].clone();
-    loc.work_here(worker_idx);
-    // Where something is timed — a TCP rank's sockets, an in-process
-    // wire's latency, a balancer — the locality's workers run its loop: an
-    // idle one takes it and parks in it (`net/mod.rs`, `clock.rs`).
-    let drives = loc.sleep.polls();
-    let mut since_pass = 0u32;
-    let mut search_started = Instant::now();
-    // Set when this worker went idle: the next task it finds ends a
-    // search, and the searcher passes the search on (below).
-    let mut was_idle = false;
-    loop {
-        match find_task(&loc, &local, worker_idx) {
-            Some(task) => {
-                let was_idle = std::mem::take(&mut was_idle);
-                // Producers skip the wake while a worker spins, trusting
-                // it to find their task. It found one; if that was not
-                // all, the rest needs another pair of hands — and a
-                // poller this worker left behind needs an idle one.
-                if was_idle && (loc.has_work() || loc.sleep.poller_free()) {
-                    loc.sleep.notify_one();
-                }
-                // A task found at the first look after the last one is
-                // busy from that one's end: one clock read per task.
-                let mut started = search_started;
-                if was_idle {
-                    started = Instant::now();
-                    bump!(
-                        loc.counters().idle_ns,
-                        started.duration_since(search_started).as_nanos() as u64
-                    );
-                }
-                execute(&rt, &loc, &local, task);
-                let done = Instant::now();
-                bump!(
-                    loc.counters().busy_ns,
-                    done.duration_since(started).as_nanos() as u64
-                );
-                search_started = done;
-                if drives {
-                    since_pass += 1;
-                    if since_pass == EVENT_INTERVAL || loc.timers.due() {
-                        since_pass = 0;
-                        rt.wire.drive(loc.id, None);
-                    }
-                }
-            }
-            None => {
-                // SeqCst: the re-check inside `idle` must see a shutdown
-                // flag stored before `Runtime::shutdown` notified.
-                let stop = || rt.shutdown.load(Ordering::SeqCst);
-                if stop() {
-                    return;
-                }
-                was_idle = true;
-                let mut ready = || loc.has_work() || stop();
-                let on_park = || {
-                    bump!(loc.counters().parks);
-                    // The search ends here. The park is timed by `sleep`,
-                    // whose clock can be read while this worker is still
-                    // parked (a starved worker never wakes to report it).
-                    bump!(
-                        loc.counters().idle_ns,
-                        search_started.elapsed().as_nanos() as u64
-                    );
-                };
-                // The poller, when nobody holds it: a pass (fire due timers,
-                // pull; over TCP also read and write), then its blocking wait
-                // as the park, bounded by the earliest deadline. In-process
-                // the holder sees all it waits for, so it spins first like
-                // any idle worker; over TCP it would not see the sockets.
-                let mut parked = Idle::Ready;
-                let polled = drives
-                    && rt.wire.drive(
-                        loc.id,
-                        Some(&mut |wait| {
-                            let due = || ready() || loc.timers.due();
-                            let spin = !rt.distributed();
-                            parked = (loc.sleep).idle_polling(worker_idx, spin, due, on_park, wait);
-                        }),
-                    );
-                if polled {
-                    since_pass = 0;
-                } else {
-                    parked = loc.sleep.idle(worker_idx, &mut ready, on_park);
-                }
-                if parked == Idle::Parked {
-                    search_started = Instant::now();
-                }
+    idx: usize,
+    since_pass: u32,
+    /// When the search for the next task began, on the locality's clock.
+    search_started: Instant,
+    /// Set when this worker went idle: the next task it finds ends a
+    /// search, and the searcher passes the search on.
+    was_idle: bool,
+}
+
+/// Start worker `w`'s thread, which turns it until shutdown.
+pub(crate) fn spawn(mut w: Worker) -> JoinHandle<()> {
+    crate::clock::spawn(usize::from(w.loc.id.0), w.idx, move || {
+        w.loc.work_here(w.idx);
+        while w.turn(Worker::idle) {}
+    })
+}
+
+impl Worker {
+    /// Worker `idx` of locality `l`, owning `local`.
+    pub(crate) fn new(rt: &Arc<RuntimeInner>, l: usize, idx: usize, local: Local<Task>) -> Worker {
+        let loc = rt.localities[l].clone();
+        let (rt, since_pass, search_started) = (rt.clone(), 0, loc.timers.now());
+        Worker {
+            rt,
+            loc,
+            local,
+            idx,
+            since_pass,
+            search_started,
+            was_idle: false,
+        }
+    }
+
+    /// One turn: the next task, run; with none queued, `idle`'s turn —
+    /// the thread's park ([`Worker::idle`]) or a test's pass. True when
+    /// a task ran or `idle` says go on.
+    fn turn(&mut self, idle: impl FnOnce(&mut Worker) -> bool) -> bool {
+        let Some(task) = find_task(&self.loc, &self.local, self.idx) else {
+            return idle(self);
+        };
+        let (rt, loc) = (&self.rt, &self.loc);
+        let was_idle = std::mem::take(&mut self.was_idle);
+        // Producers skip the wake while a worker spins, trusting it to
+        // find their task. It found one; if that was not all, the rest
+        // needs another pair of hands — and a poller this worker left
+        // behind needs an idle one.
+        if was_idle && (loc.has_work() || loc.sleep.poller_free()) {
+            loc.sleep.notify_one();
+        }
+        // A task found at the first look after the last one is busy from
+        // that one's end: one clock read per task.
+        let mut started = self.search_started;
+        if was_idle {
+            started = loc.timers.now();
+            let idle = started.duration_since(self.search_started);
+            bump!(loc.counters().idle_ns, idle.as_nanos() as u64);
+        }
+        execute(rt, loc, &self.local, task);
+        self.search_started = loc.timers.now();
+        let busy = self.search_started.duration_since(started);
+        bump!(loc.counters().busy_ns, busy.as_nanos() as u64);
+        // Where something is timed — a TCP rank's sockets, an in-process
+        // wire's latency, a balancer — the workers run the loop
+        // (`net/mod.rs`, `clock.rs`): a busy one between tasks.
+        if loc.sleep.polls() {
+            self.since_pass += 1;
+            if self.since_pass == EVENT_INTERVAL || loc.timers.due() {
+                self.since_pass = 0;
+                rt.wire.drive(loc.id, None);
             }
         }
+        true
+    }
+
+    /// The thread's turn with no task queued: park until there is a
+    /// reason to look again. False at shutdown.
+    fn idle(&mut self) -> bool {
+        let (rt, loc, w, search_started) = (&self.rt, &self.loc, self.idx, self.search_started);
+        // SeqCst: the re-check inside `idle` must see a shutdown flag
+        // stored before `Runtime::shutdown` notified.
+        let stop = || rt.shutdown.load(Ordering::SeqCst);
+        if stop() {
+            return false;
+        }
+        self.was_idle = true;
+        let mut ready = || loc.has_work() || stop();
+        let on_park = || {
+            bump!(loc.counters().parks);
+            // The search ends here. The park is timed by `sleep`, whose
+            // clock can be read while this worker is still parked (a
+            // starved worker never wakes to report it).
+            let searched = loc.timers.now().duration_since(search_started);
+            bump!(loc.counters().idle_ns, searched.as_nanos() as u64);
+        };
+        // The loop, where the workers run one and nobody holds it: a
+        // pass (fire due timers, pull; over TCP also read and write), then
+        // its blocking wait as the park, bounded by the earliest deadline.
+        // In-process the holder sees all it waits for, so it spins first
+        // like any idle worker; over TCP it would not see the sockets.
+        let mut parked = Idle::Ready;
+        let mut park = |wait: &mut dyn FnMut()| {
+            let due = || ready() || loc.timers.due();
+            parked = loc
+                .sleep
+                .idle_polling(w, !rt.distributed(), due, on_park, wait);
+        };
+        if loc.sleep.polls() && rt.wire.drive(loc.id, Some(&mut park)) {
+            self.since_pass = 0;
+        } else {
+            parked = loc.sleep.idle(w, &mut ready, on_park);
+        }
+        if parked == Idle::Parked {
+            self.search_started = loc.timers.now();
+        }
+        true
     }
 }
 
@@ -769,11 +773,51 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    impl Task {
+        /// Number of parcel records this task carries.
+        pub(crate) fn parcel_records(&self) -> usize {
+            match &self.work {
+                Work::Parcel(_) => 1,
+                Work::ParcelFrame(bytes) => px_wire::FrameView::parse(bytes)
+                    .map(|v| v.record_count() as usize)
+                    .unwrap_or(0),
+                _ => 0,
+            }
+        }
+
+        /// Raw frame bytes carried by this task, if it is a frame.
+        pub(crate) fn frame_bytes(&self) -> Option<&[u8]> {
+            match &self.work {
+                Work::ParcelFrame(bytes) => Some(bytes),
+                _ => None,
+            }
+        }
+    }
+
+    impl Worker {
+        /// One turn on the calling thread, which never parks: the next
+        /// task, or with none queued one pass of the locality's loop (its
+        /// due timers fire, the ports toward it are pulled). True when a
+        /// task ran.
+        pub(crate) fn step(&mut self) -> bool {
+            self.turn(|w| {
+                w.rt.wire.drive(w.loc.id, None);
+                false
+            })
+        }
+
+        /// True when this worker's locality has something to do: a task
+        /// queued, or a timer due or a ring on its heap.
+        pub(crate) fn ready(&self) -> bool {
+            self.loc.has_work() || self.loc.timers.due()
+        }
+    }
+
     #[test]
     fn corrupt_frame_counts_every_lost_record() {
         use crate::parcel::{Continuation, Parcel};
         use crate::runtime::{Config, RuntimeBuilder};
-        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
+        let mut s = RuntimeBuilder::new(Config::small(1, 1)).stepped(0);
         let p = Parcel::new(
             crate::gid::Gid::locality_root(crate::gid::LocalityId(0)),
             sys::NOOP,
@@ -791,22 +835,11 @@ mod tests {
         bytes.truncate(
             px_wire::FRAME_HEADER_LEN + 2 * (px_wire::RECORD_HEADER_LEN + record.len()) + 2,
         );
-        let loc = rt.inner().localities[0].clone();
+        let loc = s.rt.inner().localities[0].clone();
         loc.push_task(Task::new(Work::ParcelFrame(bytes)));
-        let t0 = Instant::now();
-        loop {
-            let dead = loc.stats().dead_parcels;
-            let recv = loc.stats().parcels_recv;
-            if dead == 3 && recv == 2 {
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "counters never settled: dead={dead} recv={recv}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        rt.shutdown();
+        s.settle();
+        let stats = loc.stats();
+        assert_eq!((stats.dead_parcels, stats.parcels_recv), (3, 2));
     }
 
     /// Contract point 2 of `net/mod.rs` with no balancer: a control-lane
@@ -878,18 +911,11 @@ mod tests {
             ctx.spawn(link);
         }
         let cfg = Config::small(2, 1).with_max_batch_parcels(32);
-        let rt = RuntimeBuilder::new(cfg.with_latency(Duration::from_micros(50)))
-            .build()
-            .unwrap();
-        rt.spawn_at(LocalityId(1), link);
-        let t0 = Instant::now();
-        while PULLED_AT.load(Ordering::SeqCst) == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(10), "never pulled");
-            std::thread::yield_now();
-        }
+        let mut s = RuntimeBuilder::new(cfg.with_latency(Duration::from_micros(50))).stepped(0);
+        s.rt.spawn_at(LocalityId(1), link);
+        s.run_until("the port pulled", |_| PULLED_AT.load(Ordering::SeqCst) != 0);
         let seen = [&SEEN_AT, &PULLED_AT].map(|links| links.load(Ordering::SeqCst));
         assert_eq!(seen, [ARMED_AT, SENT_AT + 1], "links run before each pass");
-        rt.shutdown();
     }
 
     #[test]

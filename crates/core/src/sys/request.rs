@@ -87,6 +87,7 @@ mod tests {
     use crate::gid::LocalityId;
     use crate::origin::Caller;
     use crate::runtime::{Config, Runtime, RuntimeBuilder};
+    use crate::stats::Counter;
     use crate::sys;
 
     fn at_rank_1(action: ActionId, payload: Value) -> Parcel {
@@ -233,36 +234,30 @@ mod tests {
     /// A control-lane request is answered on that lane and resumes its
     /// requester there: behind a one-worker locality's backlog of `N`
     /// closures, the resumption runs after the closure that was running
-    /// when the reply landed, not after all `N`. The first closure to run
-    /// holds the worker until the reply is queued here, whichever lane it
-    /// took.
+    /// when the reply landed, not after all `N`.
     #[test]
     fn a_control_request_resumes_ahead_of_the_backlog() {
         const N: u64 = 16;
-        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        rt.spawn_at(LocalityId(0), move |ctx| {
-            let ran = Arc::new(crate::stats::Counter::default());
+        let mut s = RuntimeBuilder::new(Config::small(2, 1)).stepped(0);
+        let (ran, (tx, rx)) = (Arc::new(Counter::default()), std::sync::mpsc::channel());
+        let backlog = ran.clone();
+        s.rt.spawn_at(LocalityId(0), move |ctx| {
             for _ in 0..N {
-                let (loc, ran) = (ctx.locality().clone(), ran.clone());
+                let ran = backlog.clone();
                 ctx.spawn(move |_| {
-                    let landed = || !loc.control.is_empty() || !loc.injector.is_empty();
-                    let t0 = std::time::Instant::now();
-                    while ran.get() == 0 && !landed() && t0.elapsed() < Duration::from_secs(10) {
-                        std::thread::yield_now();
-                    }
                     ran.add(1);
                 });
             }
             let ask = sys::bare(Gid::locality_root(LocalityId(1)), sys::METRICS_PULL);
             ctx.origin().request_then(ask, move |_, v| {
-                let _ = tx.send((v.is_fault(), ran.get()));
+                tx.send((v.is_fault(), backlog.get())).unwrap();
             });
         });
-        let (fault, ran) = rx.recv_timeout(Duration::from_secs(20)).unwrap();
-        assert!(!fault);
-        assert!(ran <= 2, "the resumption waited for {ran} of {N} closures");
-        rt.shutdown();
+        // The request leaves; one closure runs while it is served.
+        assert!(s.turn(0) && s.turn(0) && s.turn(1));
+        s.settle();
+        assert_eq!(rx.try_recv().unwrap(), (false, 1));
+        assert_eq!(ran.get(), N);
     }
 
     #[test]

@@ -261,7 +261,7 @@ fn dist_child_entry() {
     let ranks = var("PX_DIST_RANKS").parse().expect("numeric rank count");
     let addrs = mesh_addrs(var("PX_DIST_ADDR"), ranks);
     let cfg = match mode.as_str() {
-        "quiet" | "soak" | "switches" => batched_config(rank, addrs),
+        "quiet" | "switches" => batched_config(rank, addrs),
         "two-workers" => Config::small(ranks, 2).with_tcp(rank, addrs),
         _ => {
             let (batched, traced) = (mode.starts_with("serve"), mode == "serve-trace");
@@ -301,16 +301,6 @@ fn dist_child_entry() {
             flood(&rt, LocalityId(rank), LocalityId(0));
             let mut sink = String::new();
             let _ = std::io::stdin().read_to_string(&mut sink);
-            rt.shutdown();
-        }
-        // Serve the soak, then check this rank's store came back to
-        // where it started (the exit status tells the parent).
-        "soak" => {
-            let here = usize::from(rank);
-            let initial = store_sizes(&rt)[here];
-            let mut sink = String::new();
-            let _ = std::io::stdin().read_to_string(&mut sink);
-            assert_eq!(store_sizes(&rt)[here], initial, "rank {rank}'s store grew");
             rt.shutdown();
         }
         // Serve parcels until the parent closes our stdin.
@@ -830,31 +820,14 @@ fn remote_closure_spawn_dies_loudly() {
     rt.shutdown();
 }
 
-/// Run `body` as rank 0 of a two-process mesh whose rank 1 serves.
-fn across_two_processes(body: fn(&Runtime)) {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("serve", &addrs);
-    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
-    body(&rt);
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
-    rt.shutdown();
-}
-
-/// Run `body` on two localities of one OS process: the same AGAS
-/// protocol, between two ranks that share a process.
-fn in_one_process(body: fn(&Runtime)) {
+/// `migrate_data` there and back in one process — create at locality
+/// 0, migrate to 1, read the bytes back, migrate home, read again. The
+/// split-phase protocol (install at dest → flip the home directory →
+/// remove at source) keeps the object served at every instant, so
+/// neither read can miss.
+#[test]
+fn migrate_data_round_trip_in_process() {
     let rt = build(Config::small(2, 1), None);
-    body(&rt);
-    rt.shutdown();
-}
-
-/// `migrate_data` there and back — create at locality 0, migrate to 1,
-/// read the bytes back, migrate home, read again. The split-phase
-/// protocol (install at dest → flip the home directory → remove at
-/// source) keeps the object served at every instant, so neither read can
-/// miss.
-fn migrate_data_round_trip(rt: &Runtime) {
     let payload = vec![0xAB; 512];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
 
@@ -879,18 +852,7 @@ fn migrate_data_round_trip(rt: &Runtime) {
         "locality 0 ran the outbound move: {}",
         stats.migrations_manual
     );
-}
-
-/// Tentpole acceptance: [`migrate_data_round_trip`] across real OS
-/// processes.
-#[test]
-fn cross_rank_migrate_data_round_trip() {
-    across_two_processes(migrate_data_round_trip);
-}
-
-#[test]
-fn migrate_data_round_trip_in_process() {
-    in_one_process(migrate_data_round_trip);
+    rt.shutdown();
 }
 
 /// Driver-side RPCs (`read_data`, `migrate_data`) park their reply on a
@@ -899,7 +861,9 @@ fn migrate_data_round_trip_in_process() {
 /// own store. Neither does the migration protocol it drives: the source's
 /// install/update acks are one-shot reply futures too, freed when they
 /// fire.
-fn reads_and_migrations_leave_the_origin_store_flat(rt: &Runtime) {
+#[test]
+fn reads_and_migrations_leave_the_origin_store_flat_in_process() {
+    let rt = build(Config::small(2, 1), None);
     let payload = vec![0xC3; 64];
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     rt.migrate_data(gid, LocalityId(1))
@@ -915,16 +879,7 @@ fn reads_and_migrations_leave_the_origin_store_flat(rt: &Runtime) {
         rt.migrate_data(gid, LocalityId(1)).expect("outbound leg");
     }
     assert_eq!(objects(), before, "one install ack leaked per outbound leg");
-}
-
-#[test]
-fn remote_reads_and_migrations_leave_the_origin_store_flat() {
-    across_two_processes(reads_and_migrations_leave_the_origin_store_flat);
-}
-
-#[test]
-fn reads_and_migrations_leave_the_origin_store_flat_in_process() {
-    in_one_process(reads_and_migrations_leave_the_origin_store_flat);
+    rt.shutdown();
 }
 
 /// Soak, in one process: pxmark's `agas_mix` shape, `SOAK` times. A
@@ -958,35 +913,6 @@ fn soak_in_process_accesses_leave_every_store_flat() {
     }
     assert_eq!(store_sizes(&rt), initial, "a locality's store grew");
     assert_eq!(rt.stats().total().dead_parcels, 0);
-    rt.shutdown();
-}
-
-/// Soak, across two OS processes: pxmark's `tcp_open` shape, `SOAK`
-/// times — a driver future at rank 0, filled by a `Square` at rank 1
-/// whose reply crosses the socket back. Rank 0's `objects` gauge ends
-/// where it began, and so does rank 1's (checked in the child, which
-/// fails its exit status otherwise).
-#[test]
-fn soak_two_process_requests_leave_every_store_flat() {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("soak", &addrs);
-    let rt = build(batched_config(0, addrs), Some(listener));
-    let initial = store_sizes(&rt)[0];
-    let to = Gid::locality_root(LocalityId(1));
-    pipelined(&rt, SOAK, |i| {
-        let fut = rt.new_future::<u64>(LocalityId(0));
-        let n = i % 1000;
-        rt.send_action::<Square>(to, n, Continuation::set(fut.gid()))
-            .unwrap();
-        (fut, n * n)
-    });
-    assert_eq!(store_sizes(&rt)[0], initial, "rank 0's store grew");
-    assert_eq!(rt.stats().total().dead_parcels, 0);
-    drop(child.stdin.take());
-    assert!(
-        child.wait().unwrap().success(),
-        "rank 1's soak check failed (its panic is on stderr)"
-    );
     rt.shutdown();
 }
 
@@ -1038,7 +964,9 @@ fn process_scoped_names_resolve_across_ranks() {
 /// several driver threads — deliberately ping-ponging the object between
 /// the two localities — all complete instead of wedging the scheduler,
 /// and the object stays readable afterwards.
-fn concurrent_migrations_of_same_object_settle(rt: &Runtime) {
+#[test]
+fn concurrent_migrations_of_same_object_settle_in_process() {
+    let rt = &build(Config::small(2, 1), None);
     let payload = b"contended".to_vec();
     let gid = rt.new_data_at(LocalityId(0), payload.clone());
     std::thread::scope(|s| {
@@ -1067,16 +995,7 @@ fn concurrent_migrations_of_same_object_settle(rt: &Runtime) {
         rt.read_data(gid).expect("readable after the storm"),
         payload
     );
-}
-
-#[test]
-fn concurrent_cross_rank_migrations_of_same_object_settle() {
-    across_two_processes(concurrent_migrations_of_same_object_settle);
-}
-
-#[test]
-fn concurrent_migrations_of_same_object_settle_in_process() {
-    in_one_process(concurrent_migrations_of_same_object_settle);
+    rt.shutdown();
 }
 
 /// Satellite acceptance: killing the rank that serves an object
@@ -1092,6 +1011,11 @@ fn killing_the_owner_faults_reads_and_migrations_in_bounded_time() {
     let gid = rt.new_data_at(LocalityId(0), vec![7; 32]);
     rt.migrate_data(gid, LocalityId(1))
         .expect("move to the doomed rank");
+    // While the owner lives, every leg of the protocol crosses the socket
+    // both ways: a remote read, a move home that rank 1 runs, and back.
+    assert_eq!(rt.read_data(gid).expect("remote read"), vec![7; 32]);
+    rt.migrate_data(gid, LocalityId(0)).expect("inbound move");
+    rt.migrate_data(gid, LocalityId(1)).expect("outbound move");
     child.kill().expect("kill owner rank");
     let _ = child.wait();
     // Drive the dead socket until the transport notices (a request
