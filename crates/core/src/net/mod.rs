@@ -42,31 +42,31 @@
 //! A backend implements `Transport` and must honor, in order of
 //! importance:
 //!
-//! 1. **No silent loss.** A message that cannot be delivered (peer gone)
-//!    must die *loudly*: each of its parcels through
-//!    `RuntimeInner::record_death`, which counts the death
-//!    (`FaultCause::Transport` / `dead_transport`) and tells the
-//!    dead-letter hook in one call, with the fault delivered to its
-//!    continuation so downstream waiters resolve with `PxError::Fault`
-//!    instead of hanging; bytes that do not read as parcels die the same
-//!    way, as `Decode`. Only with no runtime to tell (none bound, or
-//!    teardown) does a backend count a death alone. A closure task bound
-//!    for another OS process dies once, in `RuntimeInner::send_task`,
-//!    before the wire: no backend ever sees one. A parcel has three ends
-//!    and no others — `sched::complete` (its value goes to its
-//!    continuation), `sched::kill_parcel` (a counted fault goes there),
-//!    or a by-value encode onto the wire (`Parcel::ship_into`, called by
-//!    `Wire::send_parcel` alone) that makes it the next rank's — and debug
-//!    builds fail the driver of a runtime that drops one it had taken
-//!    charge of anywhere else (the spend obligation, [`crate::parcel`]).
-//!    A lost connection is a dead peer: it kills everything still queued
-//!    toward that peer and everything submitted afterwards, and a backend
-//!    never re-establishes it on its own — a resend cannot tell what the peer
-//!    already consumed, and whoever answers at the old address need not
-//!    be the peer. Still open: a message handed to the kernel in full
-//!    before the loss counts as sent, whether or not the peer read it;
-//!    that in-flight window is for the deterministic-simulation item's
-//!    accounting to check, not for the transport to guess at.
+//! 1. **No silent loss.** A parcel that cannot be delivered dies
+//!    *loudly*, through `RuntimeInner::record_death`, which counts it
+//!    (by cause) and tells the dead-letter hook in one call, its fault
+//!    delivered to its continuation so waiters resolve with
+//!    `PxError::Fault` instead of hanging; bytes that do not read as
+//!    parcels die the same way, as `Decode`. Only with no runtime to tell
+//!    (none bound, or teardown) does a backend count a death alone. A
+//!    parcel has three ends and no others — `sched::complete`,
+//!    `sched::kill_parcel`, or a by-value encode onto the wire
+//!    (`Parcel::ship_into`, called by `Wire::send_parcel` alone) — and
+//!    debug builds fail the driver of a runtime that drops one it had
+//!    taken charge of anywhere else (the spend obligation,
+//!    [`crate::parcel`]). A lost rank is one transition, above the seam,
+//!    for both backends: `Wire::lose`. The hook hears of the rank once;
+//!    every record handed over dies as `Transport`; from then on a parcel
+//!    or closure task for the rank dies at its sender, before the wire.
+//!    Over TCP a lost connection is a dead peer (`peer_lost` hands over
+//!    its queue and write batch), never re-established: a resend cannot
+//!    tell what the peer consumed, and whoever answers at the old address
+//!    need not be the peer. In-process only a stepped test kills a
+//!    locality (`Stepped::kill`, handing over the frames on its heap and
+//!    the ports toward it, and killing the closures on its heap). Still
+//!    open: a message handed to the kernel in full
+//!    counts as sent, read or not; the stepped twin of that window is
+//!    what the killed locality's own queues held, abandoned with it.
 //! 2. **Queue discipline at the destination.** A `WireMsg::Frame` lands
 //!    in the queue its `Lane` names: the general run queue, the staging
 //!    buffer, or — frames of one, never coalesced and never behind data
@@ -198,13 +198,18 @@ pub mod tcp;
 
 pub use tcp::TcpConfig;
 
-use crate::gid::LocalityId;
+use crate::action::ActionId;
+use crate::error::{Fault, FaultCause};
+use crate::gid::{Gid, LocalityId};
 use crate::locality::{Lane, Locality};
 use crate::parcel::Parcel;
-use crate::sched::Task;
+use crate::runtime::{Ctx, RuntimeInner};
+use crate::sched::{decode_record, kill_parcel, Task, Work};
 use crate::stats::{bump, Counter, TransportStats};
+use crate::trace::TraceEventKind;
 use parking_lot::Mutex;
 use px_wire::{FrameBuf, WireError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -452,6 +457,8 @@ pub(crate) struct Wire {
     /// Over TCP, the locality whose loop carries all traffic; in-process
     /// (`None`) each destination's loop pulls toward it.
     owned: Option<LocalityId>,
+    /// One flag per rank, set for good by [`Wire::lose`].
+    lost: Vec<AtomicBool>,
 }
 
 impl Wire {
@@ -464,12 +471,14 @@ impl Wire {
         version: u8,
         owned: Option<LocalityId>,
     ) -> Wire {
+        let lost = localities.iter().map(|_| AtomicBool::new(false)).collect();
         Wire {
             transport,
             ports,
             version,
             localities,
             owned,
+            lost,
         }
     }
 
@@ -477,10 +486,17 @@ impl Wire {
     /// ends here, by value (`Parcel::ship_into`): its bytes are the
     /// transport's from now on. A control-lane parcel, and any parcel
     /// when the policy does not batch, leaves at once as a frame of one;
-    /// the rest coalesce in the destination's port.
+    /// the rest coalesce in the destination's port. A parcel for a lost
+    /// rank is not encoded: it dies as itself, in a task of the sender's
+    /// (the caller may hold a port lock its continuation needs).
     pub(crate) fn send_parcel(&self, from: LocalityId, dest: LocalityId, lane: Lane, p: Parcel) {
-        let counters = self.localities[from.0 as usize].counters();
+        let sender = &self.localities[from.0 as usize];
+        let counters = sender.counters();
         bump!(counters.parcels_sent);
+        if self.is_lost(dest) {
+            let kill = move |ctx: &mut Ctx<'_>| kill_lost(ctx, p, dest);
+            return sender.push_task(Task::new(Work::Thread(Box::new(kill))));
+        }
         let dest_loc = &self.localities[dest.0 as usize];
         let ports = self.ports.as_ref().filter(|_| lane != Lane::Control);
         let Some(ports) = ports else {
@@ -544,6 +560,60 @@ impl Wire {
         self.transport.transport_stats()
     }
 
+    /// True once `rank` is lost ([`Wire::lose`]).
+    #[inline]
+    pub(crate) fn is_lost(&self, rank: LocalityId) -> bool {
+        self.lost[rank.0 as usize].load(Ordering::Acquire)
+    }
+
+    /// The one loss transition: `rank` is gone for good. The first call
+    /// marks it lost, traces `NetFault` under the never-sampled id 0,
+    /// tells the dead-letter hook, and takes what the ports toward it hold
+    /// (one that a sender holds is left for the pass that pulls it). Every
+    /// call kills each record of `frames` and of those ports as
+    /// `Transport`, under the parcel's own trace id, in one task deferred
+    /// on the locality that saw the loss (the own rank over TCP,
+    /// in-process the first live one): the caller may hold a port lock a
+    /// fault continuation needs.
+    pub(crate) fn lose(
+        &self,
+        rt: &Arc<RuntimeInner>,
+        rank: LocalityId,
+        why: &str,
+        mut frames: Vec<Vec<u8>>,
+    ) {
+        let newly = !self.lost[rank.0 as usize].swap(true, Ordering::AcqRel);
+        let mut live = self.localities.iter().filter(|l| !self.is_lost(l.id));
+        let at = match self.owned {
+            Some(own) => &self.localities[own.0 as usize],
+            None => live.next().expect("a locality outlives the loss"),
+        };
+        if newly {
+            at.trace_event(Some(0), TraceEventKind::NetFault, 0, u64::from(rank.0));
+            let (root, why) = (
+                Gid::locality_root(rank),
+                format!("peer {rank} unreachable: {why}"),
+            );
+            let fault = Fault::new(FaultCause::Transport, ActionId(0), root, why);
+            rt.notify_dead_letter(&fault, None);
+            if let Some(ports) = &self.ports {
+                let dest_loc = &self.localities[rank.0 as usize];
+                ports.pull(rank, dest_loc, |_, frame, _| frames.push(frame));
+            }
+        }
+        let kill = move |ctx: &mut Ctx<'_>| {
+            for frame in frames {
+                // A record that cannot be read dies as `Decode` instead.
+                for_each_record(&frame, |rec| {
+                    if let Some(p) = decode_record(ctx.rt_inner(), ctx.locality(), rec) {
+                        kill_lost(ctx, p, rank);
+                    }
+                });
+            }
+        };
+        at.push_task(Task::new(Work::Thread(Box::new(kill))));
+    }
+
     /// Drain the ports, stop the transport.
     pub(crate) fn shutdown(&mut self) {
         if let Some(ports) = &self.ports {
@@ -561,6 +631,21 @@ impl Wire {
         if let Some(transport) = Arc::get_mut(&mut self.transport) {
             transport.shutdown();
         }
+    }
+}
+
+/// Kill `p`, a parcel for the lost `rank`, as `Transport`: its `NetFault`
+/// under its own trace id (`kill_parcel` adds the `ParcelKill`), and the
+/// activity token its send took, if it took one — only toward a locality
+/// of this process (`RuntimeInner::route_parcel`).
+fn kill_lost(ctx: &mut Ctx<'_>, p: Parcel, rank: LocalityId) {
+    let (rt, loc) = (ctx.rt_inner(), ctx.locality());
+    loc.trace_event(p.trace, TraceEventKind::NetFault, p.dest.0, 0);
+    let token = p.process.filter(|_| rt.owns(rank));
+    let why = format!("transport to locality {} lost", rank.0);
+    kill_parcel(rt, loc, p, FaultCause::Transport, why);
+    if let Some(pg) = token {
+        rt.process_task_done(pg);
     }
 }
 
@@ -961,5 +1046,173 @@ mod tests {
             );
         }
         assert_eq!(frames, 1);
+    }
+
+    // ---- a lost locality, on the stepped runtime --------------------------
+
+    use crate::error::PxError;
+    use crate::origin::{Caller, Origin};
+    use crate::runtime::stepped::{for_seeds, Stepped};
+    use crate::runtime::{Config, RuntimeBuilder};
+
+    /// A request to move data object `x` to `to`.
+    fn migrate(x: Gid, to: LocalityId) -> Parcel {
+        use crate::sys::msg::Migrate;
+        let cause = crate::agas::MigrationCause::Manual;
+        Migrate { to, cause }.parcel(x, None)
+    }
+
+    /// What the crash of locality `l` abandoned in its queues, taken
+    /// out: their parcel records, their closures, and how many of those a
+    /// process owns.
+    fn abandoned(s: &Stepped, l: usize) -> (usize, usize, u64) {
+        let loc = &s.rt.inner().localities[l];
+        let queues = [&loc.control, &loc.staging, &loc.injector];
+        let queued = queues.map(|q| std::iter::from_fn(|| q.steal()));
+        let rings = loc
+            .stealers
+            .iter()
+            .flat_map(|q| std::iter::from_fn(|| q.steal()));
+        let tasks: Vec<Task> = queued.into_iter().flatten().chain(rings).collect();
+        let closures = tasks.iter().filter(|t| matches!(t.work, Work::Thread(_)));
+        let owned = closures.clone().filter(|t| t.process.is_some()).count();
+        let records = tasks.iter().map(|t| t.parcel_records()).sum();
+        (records, closures.count(), owned as u64)
+    }
+
+    /// One seeded run: three localities over a 10 µs wire that coalesces
+    /// four parcels a frame, every parcel traced. An object born at L0
+    /// lives at `dead` (L1 or L2); at turns the seed draws, L0 and the
+    /// other live locality ping any root and read the object, and `dead`
+    /// is killed at one of them. At a turn no later than the kill, a task
+    /// at L0 sends `dead` two closures over the wire, one a process's.
+    /// Then toward it: a ping, a read, a move, a traced ping, a process's
+    /// parcel and a closure. Once settled, the hook heard the loss once; a
+    /// request toward a live locality was answered, one toward `dead`
+    /// answered (before the kill), faulted as `Transport`, or — left
+    /// before the kill — pending, as many as the crash abandoned; what the
+    /// kill found, and all sent after it, faulted a request once, and
+    /// those are all the `Transport` deaths with the process's parcel and
+    /// the closures that neither ran nor were abandoned; the process
+    /// quiesced unless the crash abandoned one of its closures; the traced
+    /// fault precedes its waiter's poisoning; and each live store holds
+    /// what it did, plus a future per pending request.
+    fn a_kill(seed: u64) {
+        let faults = Arc::new(Mutex::new(Vec::<Fault>::new()));
+        let cfg = Config::small(3, 1).with_latency(LATENCY);
+        let cfg = cfg.with_max_batch_parcels(4).with_trace_sampling(1);
+        let log = faults.clone();
+        let mut s = RuntimeBuilder::new(cfg)
+            .on_dead_letter(move |f| log.lock().push(f.clone()))
+            .stepped(seed);
+        let dead = 1 + s.draw(2);
+        let (live, at) = ([0, 3 - dead], LocalityId(dead as u16));
+        let x = s.rt.new_data_at(LocalityId(0), vec![7; 8]);
+        let moved = s.rt.origin().request(migrate(x, at));
+        s.settle();
+        s.reply(moved).unwrap();
+        let proc = s.rt.create_process(LocalityId(0));
+        let sizes = s.store_sizes();
+        // Each request's reply future, where it lives, and — toward the
+        // dead locality — whether it left after the kill.
+        let mut asks = Vec::new();
+        let mut ask = |s: &Stepped, from: usize, p: Parcel, after_kill: Option<bool>| {
+            let loc = &s.rt.inner().localities[from];
+            asks.push((Origin::at(s.rt.inner(), loc).request(p), from, after_kill));
+        };
+        let ping = |to: usize| {
+            crate::sys::bare(Gid::locality_root(LocalityId(to as u16)), crate::sys::PING)
+        };
+        let read = || Parcel::new(x, crate::sys::DATA_GET, Value::unit(), Continuation::none());
+        let ran = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let closure = |ran: &Arc<std::sync::atomic::AtomicU64>| {
+            let ran = ran.clone();
+            move |ctx: &mut Ctx<'_>| {
+                ctx.spawn_at(at, move |_| _ = ran.fetch_add(1, Ordering::Relaxed));
+            }
+        };
+        let kill_at = s.draw(24);
+        let spawn_at = s.draw(kill_at + 1);
+        for turn in 0..32 {
+            if turn == spawn_at {
+                s.rt.spawn_at(LocalityId(0), closure(&ran));
+                proc.spawn_at(&s.rt, LocalityId(0), closure(&ran));
+            }
+            if turn == kill_at {
+                s.kill(dead);
+            }
+            let (from, after) = (live[s.draw(2)], turn >= kill_at);
+            match s.draw(3) {
+                0 => {
+                    let to = s.draw(3);
+                    ask(&s, from, ping(to), (to == dead).then_some(after));
+                }
+                1 => ask(&s, from, read(), Some(after)),
+                _ => {}
+            }
+            s.step();
+        }
+        s.kill(dead); // no news: the hook heard of the loss already
+        ask(&s, 0, ping(dead), Some(true));
+        ask(&s, live[1], read(), Some(true));
+        ask(&s, 0, migrate(x, LocalityId(0)), Some(true));
+        let trace = s.rt.new_trace_id();
+        ask(&s, 0, ping(dead).with_trace(trace), Some(true));
+        let send = move |ctx: &mut Ctx<'_>| ctx.send_parcel(noop_parcel(at));
+        proc.spawn_at(&s.rt, LocalityId(0), send);
+        proc.finish_root(&s.rt);
+        s.rt.spawn_at(at, |_| unreachable!("a closure ran at a killed locality"));
+        s.settle();
+
+        let (mut faulted, mut pending) = (0, [0u64; 3]);
+        for (fut, from, toward_dead) in asks {
+            let fate = s.rt.inner().wait_lco(fut, Some(Duration::ZERO));
+            match (fate, toward_dead) {
+                (Ok(Some(_)), None | Some(false)) => {}
+                (Err(PxError::Fault(f)), Some(_)) if f.cause == FaultCause::Transport => {
+                    faulted += 1
+                }
+                (Ok(None), Some(false)) => pending[from] += 1,
+                (fate, _) => panic!("{fate:?} for a request toward the dead: {toward_dead:?}"),
+            }
+        }
+        // What the crash abandoned is all that hangs: every record the kill
+        // found on the heap or in a port, and every one sent later, died;
+        // so did each closure toward `dead` that neither ran nor hangs.
+        let (records, closures, owned) = abandoned(&s, dead);
+        assert_eq!(pending.iter().sum::<u64>(), records as u64);
+        let ran = ran.load(Ordering::Relaxed);
+        let closure_deaths = 2 - ran - closures as u64;
+        let faults = faults.lock().clone();
+        let lost = faults.iter().filter(|f| f.message.contains("unreachable"));
+        assert_eq!(lost.count(), 1, "the hook hears the loss once");
+        let transport = faults.iter().filter(|f| f.cause == FaultCause::Transport);
+        // The process's parcel, the closure after the kill, and the two
+        // before it that died.
+        let deaths = faulted + 2 + closure_deaths;
+        assert_eq!(transport.count() as u64, deaths + 1, "{faults:?}");
+        assert_eq!(faults.len() as u64, deaths + 1, "{faults:?}");
+        assert_eq!(s.rt.stats().total().dead_transport, deaths);
+        assert_eq!(
+            proc.active(&s.rt),
+            owned,
+            "every token but an abandoned one came back"
+        );
+        let done = s.take(proc.done_future());
+        assert_eq!(done.is_some(), owned == 0);
+        let events = s.rt.trace_dump_for(trace.expect("traced")).events;
+        let pos = |kind| events.iter().position(|e| e.kind == kind).expect("traced");
+        let fault_then_poison = pos(TraceEventKind::NetFault) < pos(TraceEventKind::LcoPoison);
+        assert!(fault_then_poison, "{events:?}");
+        let now = s.store_sizes();
+        for l in live {
+            assert_eq!(now[l], sizes[l] + pending[l], "L{l}'s store");
+        }
+    }
+
+    /// The kill on 1 000 seeds.
+    #[test]
+    fn a_killed_locality_loses_every_record_once_and_strands_no_waiter() {
+        for_seeds(1000, a_kill);
     }
 }

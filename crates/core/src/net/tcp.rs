@@ -108,35 +108,24 @@
 //!
 //! ## Failure semantics
 //!
-//! **A lost connection is a dead peer.** There is one failure
-//! transition, `IoLoop::peer_lost`, and every way of noticing a loss
-//! takes it: EOF, a read or write error, or a desynchronized stream on the
-//! peer's connection. It closes the peer's send queue, drops the socket,
-//! marks the peer **dead** (the dead-letter hook observes one
-//! `FaultCause::Transport` fault for the transition), and kills every
-//! message still queued or batched — and every one submitted later —
-//! *loudly*, each parcel through `kill_parcel`: counted under
-//! `dead_transport` and told to the hook, with the fault delivered to its
-//! continuation so waiters resolve with `PxError::Fault` in bounded time
-//! instead of hanging. Fault delivery is deferred to a scheduler task on
-//! the own locality because `submit` may be called under a coalescing-port
-//! lock that a fault continuation would need to re-take.
-//!
-//! What the backend cannot read dies as `Decode` through the same
-//! `RuntimeInner::record_death`: a reserved kind, a desynchronized stream
-//! (beside the peer's loss), a killed message's undecodable record; a
-//! frame that does not read dies where it runs (`sched::execute`). With no
-//! runtime to tell — none bound yet, or at teardown — `count_deaths` only
-//! counts: a loss at teardown counts its leftovers, and no hook hears.
+//! **A lost connection is a dead peer.** Every way of noticing a loss —
+//! EOF, a read or write error, a desynchronized stream — takes
+//! `IoLoop::peer_lost`. It drops the socket and drains the write batch;
+//! `TcpShared::lose` closes the peer's send queue and hands what both held
+//! to the wire's one loss transition, `net::Wire::lose`, shared with the
+//! in-process backend (the `net` contract's point 1): the dead-letter hook
+//! hears of the peer once, and every parcel dies loudly as `Transport`,
+//! its continuation faulted. From then on a parcel for the peer dies at
+//! its sender; one that raced the loss into the closed queue is handed to
+//! `lose` too. What the backend cannot read dies as `Decode`, through
+//! `RuntimeInner::record_death`. With no runtime to tell — none bound
+//! yet, or at teardown — `count_deaths` only counts, and no hook hears.
 //!
 //! The loop never re-dials, and never adopts a second connection for a
 //! rank: whoever answers on a dead peer's address later, or dials in
 //! claiming a rank already connected or dead, is not the process whose
 //! state the queued parcels were addressed to, and is dropped unread;
-//! rejoin-after-restart is membership, which the ROADMAP parks. What a
-//! loss cannot account for is a message the kernel had already accepted
-//! in full: it counts as sent, and whether the peer read it before the
-//! connection died is unknown to this side.
+//! rejoin-after-restart is membership, which the ROADMAP parks.
 //!
 //! Process accounting: activity tokens never cross an OS-process
 //! boundary (see `route_parcel`), so a cross-rank parcel carries its
@@ -151,9 +140,9 @@
 
 mod io;
 
-use super::{for_each_record, Park, PortSet, Record, Transport, WireMsg};
+use super::{for_each_record, Park, PortSet, Transport, WireMsg};
 use crate::action::ActionId;
-use crate::error::{Fault, FaultCause, PxError, PxResult};
+use crate::error::{FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
 use crate::locality::{Lane, Locality};
 use crate::parcel::Parcel;
@@ -253,8 +242,8 @@ struct SendQueue {
     /// bytes: all this side holds toward the peer (backpressure
     /// visibility).
     bytes_hwm: u64,
-    /// Closed: peer declared dead or transport shutting down. Submits
-    /// must not enqueue — the closing code drained the queues already.
+    /// Closed: peer lost or transport shutting down. Submits must not
+    /// enqueue — the closing code drained the queues already.
     closed: bool,
 }
 
@@ -263,9 +252,6 @@ struct PeerSlot {
     queue: Mutex<SendQueue>,
     /// Signalled when a pass drains room (or the queue closes).
     room: Condvar,
-    /// Peer declared unreachable (fast-path mirror of `queue.closed`
-    /// outside shutdown).
-    dead: AtomicBool,
     /// The write batch's unwritten bytes as the loop last left them, for
     /// `bytes_hwm`.
     unwritten: AtomicUsize,
@@ -389,8 +375,9 @@ impl TcpShared {
     /// peer's queue is at its byte bound; the control lane and a pass's
     /// own pulls never do.
     fn send_to_peer(&self, dest: LocalityId, kind: u8, bytes: Vec<u8>, by: By) {
-        // Submission intent is recorded before the dead check: a message
-        // toward a lost peer shows NetSubmit followed by its NetFault.
+        // Submission intent is recorded before the closed check: a message
+        // that raced the peer's loss shows NetSubmit followed by its
+        // NetFault.
         self.trace_stream_msg(
             crate::trace::TraceEventKind::NetSubmit,
             kind,
@@ -398,10 +385,6 @@ impl TcpShared {
             dest.0,
         );
         let slot = self.peer(dest.0);
-        if slot.dead.load(Ordering::Acquire) {
-            self.kill_undeliverable(dest.0, vec![(kind, bytes)]);
-            return;
-        }
         let control = kind == msg_kind::CONTROL;
         // Stamped before the backpressure wait so NetRtt charges the
         // full submit→drain latency, including time spent blocked on a
@@ -435,13 +418,13 @@ impl TcpShared {
                 continue;
             }
             if q.closed {
-                // Peer died (or shutdown raced) between the dead check
-                // and the lock: the closer already drained the queues, so
-                // this message is ours to kill (silently during
-                // shutdown — teardown races stay benign).
+                // The peer was lost (or shutdown raced) after the wire's
+                // check: the closer already drained the queues, so this
+                // message is ours to hand to the loss (silently dropped
+                // during shutdown — teardown races stay benign).
                 drop(q);
                 if !self.shutting_down.load(Ordering::Acquire) {
-                    self.kill_undeliverable(dest.0, vec![(kind, bytes)]);
+                    self.lose(dest.0, "send queue closed", vec![bytes]);
                 }
                 return;
             }
@@ -487,71 +470,30 @@ impl TcpShared {
         true
     }
 
-    /// Mark `peer` unreachable: close its queue (draining is the
-    /// caller's job — under the same lock, so no submit can slip
-    /// between), release blocked submitters, and tell the dead-letter
-    /// hook (once per transition). Per-message deaths are counted where
-    /// the messages are killed. Returns the drained queue contents.
-    fn close_peer(&self, peer: u16, why: &str) -> Vec<(u8, Vec<u8>)> {
+    /// `peer` is lost, and `frames` were bound for it. Close its send
+    /// queue — no submit slips in after — and release blocked submitters;
+    /// then hand `frames` and what the queue held to the wire's loss
+    /// transition (`Wire::lose`), or with no runtime to tell (none bound,
+    /// or teardown) only count their records.
+    fn lose(&self, peer: u16, why: &str, mut frames: Vec<Vec<u8>>) {
         let slot = self.peer(peer);
-        let drained: Vec<(u8, Vec<u8>)> = {
-            let mut q = slot.queue.lock();
-            q.closed = true;
-            q.queued_bytes = 0;
-            let control = q.control.drain(..);
-            // Field-split borrow: collect both lanes in priority order.
-            let mut out: Vec<(u8, Vec<u8>)> = control.map(|m| (m.kind, m.bytes)).collect();
-            out.extend(q.data.drain(..).map(|m| (m.kind, m.bytes)));
-            out
-        };
+        {
+            let q = &mut *slot.queue.lock();
+            (q.closed, q.queued_bytes) = (true, 0);
+            frames.extend(q.control.drain(..).chain(q.data.drain(..)).map(|m| m.bytes));
+        }
         slot.room.notify_all();
-        let newly_dead = !slot.dead.swap(true, Ordering::AcqRel);
-        if newly_dead && !self.shutting_down.load(Ordering::Acquire) {
-            // Peer-death transition under the never-sampled id 0: visible
-            // in full dumps even when no traced parcel was in flight.
-            self.own().trace_event(
-                Some(0),
-                crate::trace::TraceEventKind::NetFault,
-                0,
-                u64::from(peer),
-            );
-            if let Some(rt) = self.rt() {
-                let fault = Fault::new(
-                    FaultCause::Transport,
-                    ActionId(0),
-                    Gid::locality_root(LocalityId(peer)),
-                    format!("peer locality {peer} unreachable: {why}"),
-                );
-                rt.notify_dead_letter(&fault, None);
-            }
-        }
-        drained
-    }
-
-    /// Kill undeliverable stream messages loudly. With a bound runtime
-    /// the kill is deferred to a scheduler task on the own locality —
-    /// `submit` may hold a coalescing-port lock that the fault
-    /// continuations need — where each parcel dies via `kill_parcel`
-    /// (counted, dead-letter, fault to continuation, process token
-    /// released). Without one (a bare transport) the deaths are only
-    /// counted.
-    fn kill_undeliverable(&self, peer: u16, msgs: Vec<(u8, Vec<u8>)>) {
-        if msgs.is_empty() {
-            return;
-        }
-        let why = format!("transport to locality {peer} lost");
-        match self.rt() {
-            None => self.count_deaths(FaultCause::Transport, records(&msgs)),
-            Some(_) => {
-                let kill = move |ctx: &mut crate::runtime::Ctx<'_>| {
-                    for (_, body) in msgs {
-                        for_each_record(&body, |rec| {
-                            kill_record(ctx.rt_inner(), ctx.locality(), rec, &why)
-                        });
-                    }
-                };
-                self.own()
-                    .push_task(Task::new(Work::Thread(Box::new(kill))));
+        match self
+            .rt()
+            .filter(|_| !self.shutting_down.load(Ordering::Acquire))
+        {
+            Some(rt) => rt.wire.lose(&rt, LocalityId(peer), why, frames),
+            None => {
+                let mut records = 0;
+                frames
+                    .iter()
+                    .for_each(|f| for_each_record(f, |_| records += 1));
+                self.count_deaths(FaultCause::Transport, records);
             }
         }
     }
@@ -580,15 +522,6 @@ impl TcpShared {
     }
 }
 
-/// Parcel records carried by `msgs`, each unreadable one included.
-fn records(msgs: &[(u8, Vec<u8>)]) -> u64 {
-    let mut n = 0;
-    for (_, body) in msgs {
-        for_each_record(body, |_| n += 1);
-    }
-    n
-}
-
 /// The stream message kind of a frame bound for `lane`.
 fn frame_kind(lane: Lane) -> u8 {
     match lane {
@@ -607,21 +540,6 @@ fn trace_record(loc: &Locality, kind: crate::trace::TraceEventKind, bytes: &[u8]
             .get(..8)
             .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
         loc.trace_event(Some(t), kind, dest, u64::from(peer));
-    }
-}
-
-/// Kill one parcel record of an undeliverable stream message; one that
-/// cannot be read dies as `Decode` instead (`sched::decode_record`).
-fn kill_record(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Record, why: &str) {
-    if let Some(p) = crate::sched::decode_record(rt, loc, rec) {
-        // The transport flavor of this death, under the parcel's own
-        // trace id (kill_parcel adds the ParcelKill right after).
-        loc.trace_event(p.trace, crate::trace::TraceEventKind::NetFault, p.dest.0, 0);
-        // No activity token to release: cross-rank parcels are not
-        // accounted to their process at the sender (tokens never cross an
-        // OS-process boundary — see `route_parcel`), and every message
-        // this transport kills was bound for another rank.
-        crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why.to_string());
     }
 }
 
@@ -675,7 +593,6 @@ impl TcpTransport {
                 (j != rank).then(|| PeerSlot {
                     queue: Mutex::new(SendQueue::default()),
                     room: Condvar::new(),
-                    dead: AtomicBool::new(false),
                     unwritten: AtomicUsize::new(0),
                     counters: PeerCounters::default(),
                 })
@@ -793,6 +710,7 @@ impl Drop for TcpTransport {
 mod tests {
     use super::*;
     use crate::action::Value;
+    use crate::error::Fault;
     use crate::parcel::Continuation;
 
     fn test_localities(n: usize) -> Arc<Vec<Arc<Locality>>> {
@@ -834,34 +752,6 @@ mod tests {
         mesh
     }
 
-    /// The spend check on the other shape the lexical rule declared out
-    /// of scope: a parcel bound by a pattern (`Ok(mut p) =>`), as
-    /// `sched::decode_record` binds the ones it decodes, with an arm that
-    /// lets it fall out of scope. An in-process runtime: the check is the
-    /// type's, not the transport's.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "parcel lost: ")]
-    fn a_pattern_bound_parcel_dropped_on_one_arm_fails_shutdown() {
-        use crate::runtime::{Config, RuntimeBuilder};
-        fn kill_unless_traced(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: &[u8]) {
-            match Parcel::decode(rec) {
-                Ok(mut p) => {
-                    p.arm(rt);
-                    if p.trace.is_some() {
-                        let why = "peer lost".to_string();
-                        crate::sched::kill_parcel(rt, loc, p, FaultCause::Transport, why);
-                    } // the bug: an untraced `p` is dropped here
-                }
-                Err(e) => panic!("{e}"),
-            }
-        }
-        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
-        let rec = crate::sys::bare(Gid::locality_root(LocalityId(0)), crate::sys::NOOP).encode();
-        kill_unless_traced(rt.inner(), rt.inner().locality(LocalityId(0)), &rec);
-        rt.shutdown();
-    }
-
     fn pair(
         listeners: Vec<TcpListener>,
         ports: Option<Arc<PortSet>>,
@@ -870,6 +760,11 @@ mod tests {
         let b = mesh.pop().expect("rank 1");
         let locs_b = b.shared.localities.clone();
         (mesh.pop().expect("rank 0"), b, locs_b)
+    }
+
+    /// True once `t` has lost `peer`: its send queue is closed.
+    fn lost(t: &TcpTransport, peer: u16) -> bool {
+        t.shared.peer(peer).queue.lock().closed
     }
 
     /// The locality a test drives: over TCP a rank drives its own loop,
@@ -965,23 +860,6 @@ mod tests {
         drop(a);
     }
 
-    #[test]
-    fn dead_peer_kills_submissions_loudly() {
-        let (a, mut b, _locs_b) = pair(loopback(2), None);
-        b.shutdown();
-        drop(b);
-        // A's loop observes the EOF and marks peer 1 dead; submissions
-        // are then killed loudly (counted inline: no runtime is bound in
-        // this unit test).
-        let own = a.shared.own().clone();
-        let submit = || {
-            send(&a, LocalityId(1), Lane::Run);
-            (own.stats().dead_transport > 0).then_some(())
-        };
-        wait_for(&[&a], submit, "peer death resolving submissions");
-        drop(a);
-    }
-
     /// After rank 0 goes away, rank 1 — the rank that dialled it — must
     /// not find whoever listens at its address: the peer is dead, nothing
     /// dials, and every later submission dies loudly instead of landing in
@@ -996,10 +874,9 @@ mod tests {
         a.shutdown();
         drop(a);
         impostor.set_nonblocking(true).unwrap();
-        let peer = b.shared.peer(0);
         wait_for(
             &[&b],
-            || peer.dead.load(Ordering::Acquire).then_some(()),
+            || lost(&b, 0).then_some(()),
             "rank 1 to declare rank 0 dead",
         );
         let own = b.shared.own();
@@ -1293,8 +1170,8 @@ mod tests {
             let own = t.shared.own();
             let refused = || (own.stats().dead_decode == 1).then_some(());
             wait_for(&[&t], refused, "the stray table refused");
-            let lost = t.shared.peer(claims).dead.load(Ordering::Acquire);
-            assert!(lost, "rank {} still trusts rank {claims}", t.shared.rank);
+            let rank = t.shared.rank;
+            assert!(lost(&t, claims), "rank {rank} still trusts rank {claims}");
             assert_eq!(
                 attempts_with_tables(std::slice::from_ref(&t)),
                 before,
@@ -1333,10 +1210,7 @@ mod tests {
         };
         wait_for(&[&a], closed, "rank 0 to drop the forger");
         let own = a.shared.own();
-        assert!(
-            !a.shared.peer(1).dead.load(Ordering::Acquire),
-            "a forger killed rank 1"
-        );
+        assert!(!lost(&a, 1), "a forger killed rank 1");
         assert_eq!(own.stats().dead_decode, 0, "the forger's stream was read");
         assert_eq!(own.injector.len(), 0, "the forger's parcel was delivered");
         send(&b, LocalityId(0), Lane::Run);

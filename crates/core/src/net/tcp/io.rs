@@ -9,13 +9,11 @@
 
 use super::{Park, TcpShared, SEND_QUEUE_BYTES};
 use crate::clock::Timers;
-use crate::error::FaultCause;
 use px_poll::{Event, Interest, WAKE_TOKEN};
 use px_wire::stream::{self, msg_kind, StreamAssembler, WriteBatch};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -433,10 +431,10 @@ impl IoLoop {
             .push(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
     }
 
-    /// The one failure transition: the connection to `j` is gone — an
-    /// EOF, a read or write error, a desynchronized stream — so `j` is
-    /// dead to this process. Close its send queue and the socket, kill
-    /// everything batched or queued loudly, and never dial again —
+    /// Every way of noticing a loss ends here: the connection to `j` is
+    /// gone — an EOF, a read or write error, a desynchronized stream — so
+    /// `j` is dead to this process. Drop the socket, and hand what the
+    /// write batch held to the loss (`TcpShared::lose`). Never dial again:
     /// whoever listens on that address later is not the peer these
     /// parcels were addressed to.
     fn peer_lost(&mut self, j: u16, why: &str) {
@@ -444,16 +442,9 @@ impl IoLoop {
         io.conn = Conn::Down;
         io.registered = None;
         io.handshake.clear();
-        let mut dead = io.batch.drain_msgs();
+        let batch = io.batch.drain_msgs();
         self.shared.peer(j).set_unwritten(0);
-        dead.extend(self.shared.close_peer(j, why));
-        if self.shared.shutting_down.load(Ordering::Acquire) {
-            // No runtime task at teardown (the scheduler may be gone):
-            // a connection lost now just counts its leftovers.
-            (self.shared).count_deaths(FaultCause::Transport, super::records(&dead));
-        } else {
-            self.shared.kill_undeliverable(j, dead);
-        }
+        self.shared.lose(j, why, batch);
     }
 
     /// Readiness on the socket of peer `j`: a dial completing, room to
@@ -601,8 +592,8 @@ impl IoLoop {
             };
             if moved {
                 slot.room.notify_all();
-                // A dead peer's queue is closed and drained in one
-                // critical section (`close_peer`), so outside shutdown
+                // A lost peer's queue is closed and drained in one
+                // critical section (`TcpShared::lose`), so outside shutdown
                 // only a live connection has anything to drain; what
                 // shutdown drains toward a dead one is counted at exit.
                 self.flush_peer(j);
@@ -792,9 +783,10 @@ impl IoLoop {
         while self.pending() && Instant::now() < deadline {
             self.pass(true);
         }
-        for io in self.peers.iter_mut().flatten() {
-            let leftovers = io.batch.drain_msgs();
-            (self.shared).count_deaths(FaultCause::Transport, super::records(&leftovers));
+        for (j, io) in self.peers.iter_mut().enumerate() {
+            if let Some(io) = io {
+                (self.shared).lose(j as u16, "shut down", io.batch.drain_msgs());
+            }
         }
     }
 

@@ -102,7 +102,9 @@ pub struct RuntimeInner {
 /// death is counted and reported in one call (`record_death`), plus
 /// faults with no parcel to count — panics in closure threads
 /// ([`Ctx::spawn`]/[`Ctx::when_ready`] bodies, visible in the `panics`
-/// counter only), a lost TCP peer, and [`Ctx::acquire`] continuations
+/// counter only), a lost rank — once, from the wire's one loss
+/// transition (`net::Wire::lose`), on either backend — and
+/// [`Ctx::acquire`] continuations
 /// dropped because no permit can be granted (a poisoned semaphore, or a
 /// target that is not a semaphore — that error is itself counted first).
 /// One exemption: the TCP backend only counts what dies with no runtime

@@ -2,15 +2,18 @@
 //! locality at a time (`Worker::step`, a worker thread's own turn), drawn
 //! from a seed, and moves the stepped clock to the earliest deadline only
 //! when no locality has anything to do. A seed fixes the whole run: a
-//! failing one replays alone with `PX_SEED=<n>` ([`for_seeds`]).
+//! failing one replays alone with `PX_SEED=<n>` ([`for_seeds`]). A test
+//! can kill a locality between two turns ([`Stepped::kill`]), as a
+//! crashed process dies.
 
 use super::{Runtime, RuntimeBuilder};
 use crate::action::Value;
 use crate::clock::{stepped::Stepper, Clock};
 use crate::error::PxResult;
-use crate::gid::Gid;
+use crate::gid::{Gid, LocalityId};
 use crate::lco::FutureRef;
-use crate::sched::Worker;
+use crate::locality::Lane;
+use crate::sched::{Work, Worker};
 use parking_lot::Mutex;
 use serde::{de::DeserializeOwned, Serialize};
 use std::time::Duration;
@@ -73,8 +76,39 @@ impl Stepped {
     /// One turn of the first worker of the `l`-th locality, whatever the
     /// seed draws.
     pub(crate) fn turn(&mut self, l: usize) -> bool {
+        let lost = self.rt.inner.wire.is_lost(LocalityId(l as u16));
+        assert!(!lost, "L{l} was killed: it never turns again");
         let before = self.rt.inner.localities[..l].iter();
         self.workers[before.map(|loc| loc.stealers.len()).sum::<usize>()].step()
+    }
+
+    /// Kill locality `l` between two turns, as a crashed process dies. What
+    /// is on the wire toward it dies loudly: the frames on its heap go to
+    /// the wire's one loss transition (`Wire::lose`), which kills each
+    /// record, and those in the ports toward `l`; each closure on its heap
+    /// dies as `Transport` and gives back the process token its send took.
+    /// `l`'s own timers (a balancer pulse, armed on the control lane) die
+    /// with it. The driver never turns `l` again, so its run queues are
+    /// abandoned (`net` contract point 1). The one place the spend check
+    /// exempts them: an armed parcel there drops only with the runtime,
+    /// after `Runtime::shutdown` closed the check (as in point 4).
+    pub(crate) fn kill(&mut self, l: usize) {
+        let (inner, loc) = (&self.rt.inner, &self.rt.inner.localities[l]);
+        let (mut frames, mut closures) = (Vec::new(), Vec::new());
+        while let Some((lane, task, _)) = loc.timers.pop() {
+            match task.work {
+                Work::ParcelFrame(frame) => frames.push(frame),
+                Work::Thread(_) if lane == Lane::Run => closures.push(task),
+                _ => {}
+            }
+        }
+        inner.wire.lose(inner, loc.id, "killed", frames);
+        for task in closures {
+            inner.kill_task(loc.id, &task);
+            if let Some(pg) = task.process {
+                inner.process_task_done(pg);
+            }
+        }
     }
 
     /// Turn until `done` holds at a moment when no locality has anything
@@ -95,6 +129,12 @@ impl Stepped {
         while self.step() {
             assert!(turns.next().is_some(), "never settles");
         }
+    }
+
+    /// Every locality's store size, read off the `objects` gauge.
+    pub(crate) fn store_sizes(&self) -> Vec<u64> {
+        let stats = self.rt.stats();
+        stats.localities.iter().map(|l| l.objects).collect()
     }
 
     /// `fut`'s value if it has one, read (which frees the future), or

@@ -710,15 +710,12 @@ impl RuntimeInner {
     /// `net::TASK_BYTES`).
     pub(crate) fn send_task(self: &Arc<Self>, from: LocalityId, dest: LocalityId, task: Task) {
         // Closures cannot cross an OS-process boundary (they do not
-        // serialize). Die loudly here — before any queue push — so a
-        // `spawn_at` to a remote rank is a counted, reported failure
-        // instead of a task rotting on an unowned stub's queue.
-        if !self.owns(dest) {
-            let (own, to) = (self.locality(self.origin), Gid::locality_root(dest));
-            let why = "closure task cannot cross an OS-process boundary; use action parcels";
-            let cause = FaultCause::Transport;
-            self.record_death(own, to, ActionId(0), cause, why.into(), task.trace);
-            return;
+        // serialize), nor reach a lost locality. Die loudly here — before
+        // any queue push — so a `spawn_at` to a remote or lost rank is a
+        // counted, reported failure instead of a task rotting on a queue
+        // nobody drains.
+        if !self.owns(dest) || self.wire.is_lost(dest) {
+            return self.kill_task(dest, &task);
         }
         if let Some(pg) = task.process {
             self.process_task_started(pg, dest);
@@ -727,6 +724,15 @@ impl RuntimeInner {
             return self.localities[from.0 as usize].push_task(task);
         }
         self.wire.send_task(from, dest, task);
+    }
+
+    /// The one closure death: `task`, bound for `dest`, cannot get there —
+    /// another OS process, or a lost rank — and dies as `Transport`.
+    pub(crate) fn kill_task(&self, dest: LocalityId, task: &Task) {
+        let (own, to) = (self.locality(self.origin), Gid::locality_root(dest));
+        let why = format!("closure task cannot reach {dest}: use action parcels");
+        let cause = FaultCause::Transport;
+        self.record_death(own, to, ActionId(0), cause, why, task.trace);
     }
 }
 
@@ -807,9 +813,11 @@ mod tests {
         }
 
         /// True when this worker's locality has something to do: a task
-        /// queued, or a timer due or a ring on its heap.
+        /// queued, or a timer due or a ring on its heap — and is not lost
+        /// (`Stepped::kill`), whose queues are abandoned.
         pub(crate) fn ready(&self) -> bool {
-            self.loc.has_work() || self.loc.timers.due()
+            let live = !self.rt.wire.is_lost(self.loc.id);
+            live && (self.loc.has_work() || self.loc.timers.due())
         }
     }
 
@@ -916,6 +924,34 @@ mod tests {
         s.run_until("the port pulled", |_| PULLED_AT.load(Ordering::SeqCst) != 0);
         let seen = [&SEEN_AT, &PULLED_AT].map(|links| links.load(Ordering::SeqCst));
         assert_eq!(seen, [ARMED_AT, SENT_AT + 1], "links run before each pass");
+    }
+
+    /// The spend check on the other shape the lexical rule declared out
+    /// of scope: a parcel bound by a pattern (`Ok(mut p) =>`), as
+    /// `decode_record` binds the ones it decodes, with an arm that lets it
+    /// fall out of scope. An in-process runtime: the check is the type's,
+    /// not the transport's.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "parcel lost: ")]
+    fn a_pattern_bound_parcel_dropped_on_one_arm_fails_shutdown() {
+        use crate::runtime::{Config, RuntimeBuilder};
+        fn kill_unless_traced(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: &[u8]) {
+            match Parcel::decode(rec) {
+                Ok(mut p) => {
+                    p.arm(rt);
+                    if p.trace.is_some() {
+                        let why = "peer lost".to_string();
+                        kill_parcel(rt, loc, p, FaultCause::Transport, why);
+                    } // the bug: an untraced `p` is dropped here
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        let rt = RuntimeBuilder::new(Config::small(1, 1)).build().unwrap();
+        let rec = sys::bare(Gid::locality_root(LocalityId(0)), sys::NOOP).encode();
+        kill_unless_traced(rt.inner(), rt.inner().locality(LocalityId(0)), &rec);
+        rt.shutdown();
     }
 
     #[test]

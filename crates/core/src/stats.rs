@@ -207,7 +207,7 @@ counters! {
     /// Deaths: parcel belonged to a cancelled parallel process and was
     /// killed at dispatch.
     dead_cancelled,
-    /// Deaths: the transport could not deliver (peer connection dropped,
+    /// Deaths: the wire could not deliver (the destination rank was lost,
     /// or a closure task addressed across an OS-process boundary).
     dead_transport,
     /// Closure/resume PX-thread tasks dropped because their owning

@@ -609,6 +609,99 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A stepped runtime of three localities over a 10 µs wire, and
+    /// every fault its dead-letter hook hears.
+    fn lossy(seed: u64) -> (Stepped, Arc<parking_lot::Mutex<Vec<Fault>>>) {
+        let faults = Arc::<parking_lot::Mutex<Vec<Fault>>>::default();
+        let log = faults.clone();
+        let cfg = Config::small(3, 1).with_latency(std::time::Duration::from_micros(10));
+        let builder = RuntimeBuilder::new(cfg).on_dead_letter(move |f| log.lock().push(f.clone()));
+        (builder.stepped(seed), faults)
+    }
+
+    /// A read of `x` requested at locality `l`.
+    fn read_at(s: &Stepped, l: usize, x: Gid) -> Gid {
+        let loc = &s.rt.inner().localities[l];
+        Origin::at(s.rt.inner(), loc).request(crate::sys::bare(x, crate::sys::DATA_GET))
+    }
+
+    /// The dead-home arm of `remote_dir_lookup`: an object born at L1
+    /// lives at L2, L0's directory names L0 for it — the entry a lost
+    /// commit leaves — and L1, the object's home, is killed at a turn the
+    /// seed draws before its heap delivers anything. A read at L0 strands
+    /// there and asks the home: the ask dies once, and so does the read,
+    /// each as `Transport`, the read's waiter told the home is
+    /// unreachable; the hook hears of the loss once, and L0's and L2's
+    /// stores hold what they held before.
+    #[test]
+    fn a_parcel_stranded_away_from_a_dead_home_dies_once() {
+        for_seeds(1000, |seed| {
+            let (mut s, faults) = lossy(seed);
+            let x = s.rt.new_data_at(LocalityId(1), vec![4]);
+            call(&mut s, migrate(x, LocalityId(2))).unwrap();
+            let stale = &s.rt.inner().localities[0];
+            stale.agas.record_migration(x, stale.id);
+            let sizes = s.store_sizes();
+            let read = read_at(&s, 0, x);
+            let home = s.rt.inner().localities[1].clone();
+            for _ in 0..s.draw(8) {
+                if home.timers.due() || !s.step() {
+                    break;
+                }
+            }
+            s.kill(1);
+            s.settle();
+            let Err(PxError::Fault(f)) = s.reply(read) else {
+                panic!("the read was answered")
+            };
+            let why = "directory home L1 unreachable";
+            assert_eq!((f.cause, &*f.message), (FaultCause::Transport, why));
+            let t = s.rt.stats().localities[0];
+            let counts = (t.dir_lookups_remote, t.dead_parcels, t.dead_transport);
+            assert_eq!(counts, (1, 2, 2), "one lookup; the ask and the read died");
+            let faults = faults.lock().clone();
+            let messages: Vec<_> = faults.iter().map(|f| (f.cause, &*f.message)).collect();
+            let lost = (FaultCause::Transport, "peer L1 unreachable: killed");
+            let ask = (FaultCause::Transport, "transport to locality 1 lost");
+            assert_eq!(messages, [lost, ask, (FaultCause::Transport, why)]);
+            let now = s.store_sizes();
+            assert_eq!((now[0], now[2]), (sizes[0], sizes[2]));
+        });
+    }
+
+    /// The stranded destination pin, probed with a kill: L1 moves
+    /// the object it holds to L2, and dies once L2 has installed it —
+    /// resident and pinned — before the install's ack reaches it. No
+    /// commit will come, so L2's pin stays: a read sent there parks for
+    /// good, and so does the move's own request, while a read at the home
+    /// chases to the dead L1 and dies. An open defect (ROADMAP item 1);
+    /// this pins what happens today, on 1 000 seeds.
+    #[test]
+    fn a_source_killed_between_install_and_commit_strands_the_destination_pin() {
+        for_seeds(1000, |seed| {
+            let (mut s, _) = lossy(seed);
+            let (src, dst) = (LocalityId(1), LocalityId(2));
+            let x = s.rt.new_data_at(LocalityId(0), vec![6]);
+            call(&mut s, migrate(x, src)).unwrap();
+            let moved = s.rt.origin().request(migrate(x, dst));
+            let at_dst = s.rt.inner().locality(dst).clone();
+            while !at_dst.contains(x) {
+                assert!(s.step(), "the install never landed");
+            }
+            s.kill(1);
+            let (parked, chased) = (read_at(&s, 2, x), read_at(&s, 0, x));
+            s.settle();
+            assert!(at_dst.agas.migration_in_flight(x), "the pin was lifted");
+            assert_eq!(at_dst.agas.parked(x), 1, "the read at L2 parks");
+            let pending = |fut| s.rt.inner().wait_lco(fut, Some(std::time::Duration::ZERO));
+            assert!(matches!(pending(parked), Ok(None)) && matches!(pending(moved), Ok(None)));
+            let Err(PxError::Fault(f)) = s.reply(chased) else {
+                panic!("the home's read was answered")
+            };
+            assert_eq!(f.cause, FaultCause::Transport, "{f}");
+        });
+    }
+
     thread_local! {
         /// Touches that ran, and touches sent (with the sender), since the
         /// driver last looked: a stepped run turns on the test's thread.
@@ -696,10 +789,6 @@ mod tests {
         }
     }
 
-    fn store_sizes(rt: &Runtime) -> Vec<u64> {
-        rt.stats().localities.iter().map(|l| l.objects).collect()
-    }
-
     /// One seeded run: three localities; one object born at locality 0,
     /// moved up to seven times by requests from any locality, while eight
     /// threads of a process touch it from any locality. Checked after
@@ -712,7 +801,7 @@ mod tests {
     fn chase(seed: u64) -> Stepped {
         let s = stepped(3, seed);
         let x = s.rt.new_data_at(LocalityId(0), vec![1; 4]);
-        let (proc, sizes) = (s.rt.create_process(LocalityId(0)), store_sizes(&s.rt));
+        let (proc, sizes) = (s.rt.create_process(LocalityId(0)), s.store_sizes());
         let (owners, left, hops) = (vec![0], [(0, 0); 14], [None; 14]);
         let mut c = Chase {
             s,
@@ -765,7 +854,7 @@ mod tests {
         let repaired = [9, 11, 13].map(|k| c.hops[k]);
         assert_eq!(repaired, [Some(0); 3], "a repaired sender's touch chased");
         call(&mut c.s, migrate(x, LocalityId(0))).unwrap();
-        assert_eq!((c.residents(), store_sizes(&c.s.rt)), (vec![0], sizes));
+        assert_eq!((c.residents(), c.s.store_sizes()), (vec![0], sizes));
         c.s
     }
 

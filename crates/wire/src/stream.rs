@@ -349,12 +349,12 @@ impl WriteBatch {
         }
     }
 
-    /// Surrender every queued message (peer declared dead; the transport
-    /// kills each one loudly). The batch is empty afterwards.
-    pub fn drain_msgs(&mut self) -> Vec<(u8, Vec<u8>)> {
+    /// Surrender every queued message's body (peer declared dead; the
+    /// transport kills each parcel loudly). The batch is empty afterwards.
+    pub fn drain_msgs(&mut self) -> Vec<Vec<u8>> {
         self.offset = 0;
         self.remaining = 0;
-        self.msgs.drain(..).map(|(h, body)| (h[0], body)).collect()
+        self.msgs.drain(..).map(|(_, body)| body).collect()
     }
 }
 
@@ -475,7 +475,7 @@ mod tests {
         batch.push(msg_kind::CONTROL, b"bb".to_vec());
         batch.advance(MSG_HEADER_LEN + 1); // first fully written
         let dead = batch.drain_msgs();
-        assert_eq!(dead, vec![(msg_kind::CONTROL, b"bb".to_vec())]);
+        assert_eq!(dead, vec![b"bb".to_vec()]);
         assert!(batch.is_empty());
         assert_eq!(batch.remaining_bytes(), 0);
     }

@@ -3,8 +3,9 @@
 //! The test binary re-executes itself as the second rank
 //! (`dist_child_entry` is a no-op unless `PX_DIST_MODE` is set), so the
 //! "cluster" is real: two processes, one locality each, loopback TCP,
-//! the bootstrap barrier, and — in the kill test — a peer that vanishes
-//! mid-flight.
+//! the bootstrap barrier, and — in the trace test — a peer killed
+//! mid-flight (what a loss means to the protocol is checked on seeds:
+//! px-core's `net::tests::a_killed_locality_…`).
 
 use parallex::core::percolation::percolate;
 use parallex::core::prelude::*;
@@ -270,9 +271,6 @@ fn dist_child_entry() {
     };
     let rt = build(cfg, None);
     match mode.as_str() {
-        // Vanish right after the barrier, without shutdown: sockets die
-        // with the process, like a crashed node.
-        "crash" => std::process::exit(0),
         // Register a gid under a process-scoped name at this rank,
         // publish the full path on stdout, then serve until the parent
         // closes stdin.
@@ -474,53 +472,6 @@ fn two_process_cluster_metrics_merges_per_rank_histograms() {
     assert!(cluster.merged.get(Instrument::ExecuteUser).count >= N);
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success());
-    rt.shutdown();
-}
-
-/// Acceptance: killing one peer mid-flight resolves remote waiters with
-/// `PxError::Fault` (`FaultCause::Transport`) in bounded time.
-#[test]
-fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("crash", &addrs);
-    // The barrier passes (the child builds its runtime before exiting);
-    // right after, the peer is gone.
-    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
-    let deadline = Instant::now() + BOUND;
-    let fault = loop {
-        let fut = rt.new_future::<u64>(LocalityId(0));
-        rt.send_action::<Square>(
-            Gid::locality_root(LocalityId(1)),
-            7,
-            Continuation::set(fut.gid()),
-        )
-        .unwrap();
-        match rt.wait_future_timeout(fut, Duration::from_millis(200)) {
-            // The send raced the child's last breath and was answered,
-            // or the loss is not detected yet: keep the workload going.
-            Ok(Some(_)) | Ok(None) => {}
-            Err(PxError::Fault(f)) => break f,
-            Err(e) => panic!("unexpected error: {e:?}"),
-        }
-        assert!(
-            Instant::now() < deadline,
-            "peer death never resolved a waiter"
-        );
-    };
-    assert_eq!(fault.cause, FaultCause::Transport, "{fault}");
-    assert!(rt.stats().total().dead_transport > 0);
-    // The peer stays dead: a request issued after the loss dies the same
-    // loud way, and nothing has dialled the vanished rank again.
-    let fut = rt.new_future::<u64>(LocalityId(0));
-    let late = Continuation::set(fut.gid());
-    rt.send_action::<Square>(Gid::locality_root(LocalityId(1)), 7, late)
-        .unwrap();
-    match rt.wait_future_timeout(fut, BOUND) {
-        Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::Transport, "{f}"),
-        other => panic!("a request to a dead peer must fault: {other:?}"),
-    }
-    assert_eq!(rt.stats().transport.peers[0].reconnects, 0);
-    let _ = child.wait();
     rt.shutdown();
 }
 
@@ -742,49 +693,6 @@ fn idle_in_process() {
     rt.shutdown();
 }
 
-/// Nothing strands in a port. With the peer known dead, K parcels —
-/// fewer than the cap, so no `Full` flush will take them — sit in a
-/// coalescing port that no timer visits: the first one's kick has to
-/// bring the worker parked in the loop, whose pull finds the peer dead
-/// and kills each of them loudly. Every waiter faults, and exactly K
-/// deaths are counted.
-#[test]
-fn parcels_left_in_a_port_toward_a_dead_peer_all_die_loudly() {
-    const K: u64 = 5;
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("quiet", &addrs);
-    let rt = build(batched_config(0, addrs), Some(listener));
-    let to = Gid::locality_root(LocalityId(1));
-    let ask = |n: u64| {
-        let fut = rt.new_future::<u64>(LocalityId(0));
-        rt.send_action::<Square>(to, n, Continuation::set(fut.gid()))
-            .unwrap();
-        fut
-    };
-    assert_eq!(ask(3).wait_timeout(&rt, BOUND).unwrap(), Some(9));
-    child.kill().expect("kill rank 1");
-    let _ = child.wait();
-    // Probe until the loss is known here (a probe the kernel took before
-    // the peer died is lost without a diagnosis and never counted).
-    let deadline = Instant::now() + BOUND;
-    while !matches!(
-        ask(7).wait_timeout(&rt, Duration::from_millis(200)),
-        Err(PxError::Fault(_))
-    ) {
-        assert!(Instant::now() < deadline, "peer death never detected");
-    }
-    let before = rt.stats().total().dead_transport;
-    let waiters: Vec<FutureRef<u64>> = (0..K).map(ask).collect();
-    for fut in waiters {
-        match fut.wait_timeout(&rt, BOUND) {
-            Err(PxError::Fault(f)) => assert_eq!(f.cause, FaultCause::Transport, "{f}"),
-            other => panic!("a parcel stranded in its port: {other:?}"),
-        }
-    }
-    assert_eq!(rt.stats().total().dead_transport - before, K);
-    rt.shutdown();
-}
-
 /// Closure spawns cannot cross the process boundary: they die loudly
 /// (dead-letter + `dead_transport`) instead of hanging a queue nobody
 /// drains.
@@ -998,179 +906,44 @@ fn concurrent_migrations_of_same_object_settle_in_process() {
     rt.shutdown();
 }
 
-/// Satellite acceptance: killing the rank that serves an object
-/// resolves a remote read AND a migration attempt as `PxError::Fault`
-/// (`FaultCause::Transport`) in bounded time — the driver-side
-/// round-trips ride the same dead-letter path as every other parcel,
-/// so nothing blocks forever on a dead owner.
-#[test]
-fn killing_the_owner_faults_reads_and_migrations_in_bounded_time() {
-    let (listener, addrs) = rank0(2);
-    let mut child = spawn_child("serve", &addrs);
-    let rt = build(rt_config(0, addrs, false, false, false), Some(listener));
-    let gid = rt.new_data_at(LocalityId(0), vec![7; 32]);
-    rt.migrate_data(gid, LocalityId(1))
-        .expect("move to the doomed rank");
-    // While the owner lives, every leg of the protocol crosses the socket
-    // both ways: a remote read, a move home that rank 1 runs, and back.
-    assert_eq!(rt.read_data(gid).expect("remote read"), vec![7; 32]);
-    rt.migrate_data(gid, LocalityId(0)).expect("inbound move");
-    rt.migrate_data(gid, LocalityId(1)).expect("outbound move");
-    child.kill().expect("kill owner rank");
-    let _ = child.wait();
-    // Drive the dead socket until the transport notices (a request
-    // already written into the kernel buffer when the peer died is lost
-    // without a diagnosis — same retry pattern as the crash test).
-    let deadline = Instant::now() + BOUND;
-    loop {
-        let fut = rt.new_future::<u64>(LocalityId(0));
-        rt.send_action::<Square>(
-            Gid::locality_root(LocalityId(1)),
-            7,
-            Continuation::set(fut.gid()),
-        )
-        .unwrap();
-        match rt.wait_future_timeout(fut, Duration::from_millis(200)) {
-            Ok(Some(_)) | Ok(None) => {}
-            Err(PxError::Fault(_)) => break,
-            Err(e) => panic!("unexpected error: {e:?}"),
-        }
-        assert!(Instant::now() < deadline, "owner death never detected");
-    }
-    // The peer is known dead: the blocking driver calls fault promptly.
-    let t0 = Instant::now();
-    let read_fault = match rt.read_data(gid) {
-        Err(PxError::Fault(f)) => f,
-        other => panic!("read against a dead owner: {other:?}"),
-    };
-    assert_eq!(read_fault.cause, FaultCause::Transport, "{read_fault}");
-    let mig_fault = match rt.migrate_data(gid, LocalityId(0)) {
-        Err(PxError::Fault(f)) => f,
-        other => panic!("migration against a dead owner: {other:?}"),
-    };
-    assert_eq!(mig_fault.cause, FaultCause::Transport, "{mig_fault}");
-    assert!(
-        t0.elapsed() < BOUND,
-        "faults must resolve in bounded time, took {:?}",
-        t0.elapsed()
-    );
-    rt.shutdown();
-}
-
-/// Tentpole acceptance across real OS processes: one traced request is
-/// replayed end to end from BOTH ranks — the send and its network
-/// submission at rank 0, the receive and dispatch at rank 1 — and when
-/// rank 1 is then killed mid-flight, the same trace id captures the
-/// transport fault and the waiter's poisoning. The merged dump is
-/// causally ordered without ever comparing clocks across processes.
+/// What only sockets show of a lost peer, across real OS processes: one
+/// traced request replays end to end from both ranks — the send and its
+/// network submission at rank 0, the receive and dispatch at rank 1 —
+/// in causal order without comparing clocks; every leg of the move
+/// protocol and a driver's read cross the socket both ways; then the
+/// killed child is noticed by its EOF, a waiter on it faults as
+/// `Transport`, so does a read of the object it held, and nothing dials
+/// it or writes to it again.
 #[test]
 fn killed_peer_leaves_a_causally_ordered_cross_rank_trace() {
     let (listener, addrs) = rank0(2);
     let mut child = spawn_child("serve-trace", &addrs);
     let rt = build(rt_config(0, addrs, false, true, false), Some(listener));
+    let root = Gid::locality_root(LocalityId(1));
 
     // One explicitly traced request, answered by the remote rank.
     let trace = rt.new_trace_id().expect("tracing is on");
     let fut = rt.new_future::<u64>(LocalityId(0));
-    rt.send_action_traced::<Square>(
-        Gid::locality_root(LocalityId(1)),
-        9,
-        Continuation::set(fut.gid()),
-        trace,
-    )
-    .unwrap();
-    assert_eq!(
-        rt.wait_future_timeout(fut, BOUND)
-            .unwrap()
-            .expect("remote result within the bound"),
-        81
-    );
-
-    // Fetch rank 1's slice of the trace in-band (an untraced action so
-    // the fetch doesn't pollute the timeline). Recording races the
-    // reply, so retry until the remote dispatch has landed in the ring.
-    let deadline = Instant::now() + BOUND;
-    let remote = loop {
-        let fut = rt.new_future::<Vec<TraceEvent>>(LocalityId(0));
-        rt.send_action::<Slice>(
-            Gid::locality_root(LocalityId(1)),
-            trace,
-            Continuation::set(fut.gid()),
-        )
+    rt.send_action_traced::<Square>(root, 9, Continuation::set(fut.gid()), trace)
         .unwrap();
-        let events = rt
-            .wait_future_timeout(fut, BOUND)
-            .unwrap()
-            .expect("slice within the bound");
-        if events
-            .iter()
-            .any(|e| e.kind == TraceEventKind::ParcelDispatch)
-            && events.iter().any(|e| e.kind == TraceEventKind::NetRecv)
-        {
-            break events;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "remote slice never showed the dispatch: {events:?}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    };
+    assert_eq!(fut.wait_timeout(&rt, BOUND).unwrap(), Some(81));
+
+    // Rank 1's slice of the trace, fetched in-band (an untraced action,
+    // so the fetch does not pollute the timeline). Rank 1 recorded the
+    // receive and the dispatch before it ran the request, so before the
+    // reply left.
+    let slice = rt.new_future::<Vec<TraceEvent>>(LocalityId(0));
+    rt.send_action::<Slice>(root, trace, Continuation::set(slice.gid()))
+        .unwrap();
+    let remote = slice.wait_timeout(&rt, BOUND).unwrap().expect("a slice");
     assert!(
         remote.iter().all(|e| e.trace == trace && e.domain == 1),
         "the remote slice is rank 1's view of this trace: {remote:?}"
     );
-
-    // Kill the peer and drive the same trace id into the dead socket
-    // until the transport fault poisons a waiter.
-    child.kill().expect("kill child rank");
-    let _ = child.wait();
-    let deadline = Instant::now() + BOUND;
-    let fault = loop {
-        let fut = rt.new_future::<u64>(LocalityId(0));
-        rt.send_action_traced::<Square>(
-            Gid::locality_root(LocalityId(1)),
-            7,
-            Continuation::set(fut.gid()),
-            trace,
-        )
-        .unwrap();
-        match rt.wait_future_timeout(fut, Duration::from_millis(200)) {
-            Ok(Some(_)) | Ok(None) => {}
-            Err(PxError::Fault(f)) => break f,
-            Err(e) => panic!("unexpected error: {e:?}"),
-        }
-        assert!(
-            Instant::now() < deadline,
-            "peer death never resolved a waiter"
-        );
-    };
-    assert_eq!(fault.cause, FaultCause::Transport, "{fault}");
-
-    // Ring writes race the waiter's wakeup (recording is off the hot
-    // path): give the worker a bounded moment to land the fault events.
-    let deadline = Instant::now() + BOUND;
-    let local = loop {
-        let local = rt.trace_dump_for(trace);
-        let has = |kind| local.events.iter().any(|e: &TraceEvent| e.kind == kind);
-        if has(TraceEventKind::NetFault) && has(TraceEventKind::LcoPoison) {
-            break local;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fault events never landed:\n{}",
-            local.render()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    };
-
-    // Merge both ranks' slices: the replay must interleave the domains
-    // in causal order.
-    let merged = local.merge(TraceDump::new(remote));
+    let merged = rt.trace_dump_for(trace).merge(TraceDump::new(remote));
     let pos = |kind: TraceEventKind, domain: u16| {
-        merged
-            .events
-            .iter()
-            .position(|e| e.kind == kind && e.domain == domain)
+        let mut events = merged.events.iter();
+        events.position(|e| e.kind == kind && e.domain == domain)
     };
     let submit0 = pos(TraceEventKind::NetSubmit, 0).expect("rank 0 recorded the submission");
     let recv1 = pos(TraceEventKind::NetRecv, 1).expect("rank 1 recorded the receive");
@@ -1180,17 +953,43 @@ fn killed_peer_leaves_a_causally_ordered_cross_rank_trace() {
         "send -> recv -> dispatch across the process boundary:\n{}",
         merged.render()
     );
-    let fault0 = pos(TraceEventKind::NetFault, 0).expect("rank 0 recorded the transport fault");
-    let poison0 = pos(TraceEventKind::LcoPoison, 0).expect("rank 0 recorded the waiter poison");
-    assert!(
-        fault0 < poison0,
-        "the transport fault precedes the waiter's poisoning:\n{}",
-        merged.render()
-    );
-    assert!(
-        merged.events.iter().all(|e| e.trace == trace),
-        "one request, one id, both ranks"
-    );
+
+    // While the owner lives, the move protocol's `__sys` kinds cross the
+    // socket both ways: a move to rank 1, a driver's read there, a move
+    // home that rank 1 runs, and back.
+    let gid = rt.new_data_at(LocalityId(0), vec![7; 32]);
+    rt.migrate_data(gid, LocalityId(1)).expect("outbound move");
+    assert_eq!(rt.read_data(gid).expect("remote read"), vec![7; 32]);
+    rt.migrate_data(gid, LocalityId(0)).expect("inbound move");
+    rt.migrate_data(gid, LocalityId(1)).expect("outbound move");
+
+    // Kill the peer and keep asking until its EOF is read here (a request
+    // the kernel took before the peer died is lost without a diagnosis).
+    child.kill().expect("kill child rank");
+    let _ = child.wait();
+    let ask = || {
+        let fut = rt.new_future::<u64>(LocalityId(0));
+        rt.send_action::<Square>(root, 7, Continuation::set(fut.gid()))
+            .unwrap();
+        rt.wait_future_timeout(fut, Duration::from_millis(200))
+    };
+    let deadline = Instant::now() + BOUND;
+    let fault = loop {
+        match ask() {
+            Ok(_) => assert!(Instant::now() < deadline, "the EOF was never read"),
+            Err(PxError::Fault(f)) => break f,
+            Err(e) => panic!("unexpected error: {e:?}"),
+        }
+    };
+    assert_eq!(fault.cause, FaultCause::Transport, "{fault}");
+    // Lost for good: the next request dies before the socket, and the
+    // vanished rank is never dialled again.
+    let sent = rt.stats().transport.peers[0];
+    assert!(matches!(ask(), Err(PxError::Fault(f)) if f.cause == FaultCause::Transport));
+    let read = rt.read_data(gid);
+    assert!(matches!(read, Err(PxError::Fault(f)) if f.cause == FaultCause::Transport));
+    let peer = rt.stats().transport.peers[0];
+    assert_eq!((peer.msgs_sent, peer.reconnects), (sent.msgs_sent, 0));
     rt.shutdown();
 }
 
