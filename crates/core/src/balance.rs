@@ -230,7 +230,7 @@ pub(crate) fn shed_tasks(
                             0,
                             u64::from(dest.0),
                         );
-                        rt.wire.send_parcel(loc.id, dest, Lane::Run, p);
+                        rt.wire.send_parcel(loc.id, dest, Lane::Run, *p);
                         shed += 1;
                     } else {
                         putback.push(task);

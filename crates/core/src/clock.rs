@@ -24,9 +24,11 @@
 //! wall-clock by nature, and a stepped run does not spin. Measurement
 //! stamps (busy and idle ns in `sched.rs`, metrics and trace stamps,
 //! `NetRtt`'s `submitted`, a port's `opened_at`) read time and never wait
-//! for it. A worker reads the clock once per task, at its end, plus once
-//! where a task ends an idle search; its look at its heap after a task
-//! ([`Heap::due`]) reads the heap's clock only while something is armed.
+//! for it. A worker reads the clock once per busy stretch, not per task:
+//! where a task ends an idle search, and at the first look that finds
+//! nothing (its busy and idle time, `sched.rs`); its look at its heap
+//! after a task ([`Heap::due`]) reads the heap's clock only while
+//! something is armed.
 //! `ExtSlot::wait_timeout` and the debug build's sliced
 //! `wait_lco` are a driver's OS thread waiting in real time, and a TCP
 //! sender blocked on a peer's byte bound waits for room. The TCP loop's
@@ -297,27 +299,35 @@ pub(crate) mod stepped {
     //! stepping.
 
     use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// A manual clock: time moves only when a test advances it.
+    /// A manual clock: time moves only when a test advances it. It counts
+    /// its reads, so a test can tell how often a path looks at the time.
     #[derive(Clone)]
-    pub(crate) struct Stepper(Arc<Mutex<Instant>>);
+    pub(crate) struct Stepper(Arc<(Mutex<Instant>, AtomicU64)>);
 
     impl Default for Stepper {
         fn default() -> Stepper {
-            Stepper(Arc::new(Mutex::new(Instant::now())))
+            Stepper(Arc::new((Mutex::new(Instant::now()), AtomicU64::new(0))))
         }
     }
 
     impl Stepper {
         pub(crate) fn now(&self) -> Instant {
-            *self.0.lock()
+            self.0 .1.fetch_add(1, Ordering::Relaxed);
+            *self.0 .0.lock()
+        }
+
+        /// How many times the clock has been read ([`Stepper::now`]).
+        pub(crate) fn reads(&self) -> u64 {
+            self.0 .1.load(Ordering::Relaxed)
         }
 
         /// Move the clock `by` forward.
         pub(crate) fn advance(&self, by: Duration) {
-            *self.0.lock() += by;
+            *self.0 .0.lock() += by;
         }
     }
 }

@@ -10,7 +10,13 @@
 //! * an **object store** mapping GIDs to local first-class objects (data,
 //!   LCOs, echo nodes, processes) — compound atomic operations are
 //!   per-object locks, valid precisely because the objects never escape
-//!   the locality except by explicit migration;
+//!   the locality except by explicit migration. The store is split into
+//!   16 maps (`STORE_SHARDS`) by a GID's low bits, each behind its own
+//!   read-write lock on its own cache line, as the AGAS directory is
+//!   (`Agas::shard`): an insert or a remove waits only for its own
+//!   shard's readers, and an LCO event (`Locality::lco_op`) runs in
+//!   place under its shard's read lock and the object's mutex, with no
+//!   reference counted out of the store;
 //! * **run queues**: a control-plane queue, a general injector, a
 //!   percolation staging queue, and one work-stealing ring per worker,
 //!   plus the eventcount its idle workers sleep on (the crate-private
@@ -79,6 +85,14 @@ pub struct DataObject {
     /// Write count.
     pub version: u64,
 }
+
+/// Shards of a locality's object store: a GID's low bits pick one.
+pub(crate) const STORE_SHARDS: usize = 16;
+
+/// One shard of the object store, on a cache line of its own: a lock
+/// word every worker writes shares its line with no other shard's.
+#[repr(align(64))]
+struct Shard(RwLock<FxHashMap<Gid, Stored>>);
 
 /// Per-locality balancer state (present only when `Config::balance` is
 /// set, so the balanced and un-balanced runtimes differ by one `Option`
@@ -157,7 +171,8 @@ pub struct Locality {
     /// A stealer onto each worker's ring, set once by the builder before
     /// the locality is shared (empty where no workers run).
     pub(crate) stealers: Box<[Stealer<Task>]>,
-    store: RwLock<FxHashMap<Gid, Stored>>,
+    /// The object store, in [`STORE_SHARDS`] shards ([`Locality::shard`]).
+    store: [Shard; STORE_SHARDS],
     /// This locality's AGAS: the directory home of the GIDs born here,
     /// and its own cache, heat and move pins (`crate::agas`).
     pub(crate) agas: Agas,
@@ -192,7 +207,7 @@ impl std::fmt::Debug for Locality {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Locality")
             .field("id", &self.id)
-            .field("objects", &self.store.read().len())
+            .field("objects", &self.object_count())
             .finish()
     }
 }
@@ -206,7 +221,7 @@ impl Locality {
             staging: Injector::new(),
             control: Injector::new(),
             stealers: Box::default(),
-            store: RwLock::new(FxHashMap::default()),
+            store: std::array::from_fn(|_| Shard(RwLock::new(FxHashMap::default()))),
             agas: Agas::new(n),
             alloc: GidAllocator::new(id),
             counters: Box::new([LocalityCounters::default()]),
@@ -413,33 +428,39 @@ impl Locality {
                 l.lock().set_born(std::time::Instant::now());
             }
         }
-        self.store.write().insert(gid, obj);
+        self.shard(gid).write().insert(gid, obj);
         gid
+    }
+
+    /// The store shard `gid` lives in.
+    #[inline]
+    fn shard(&self, gid: Gid) -> &RwLock<FxHashMap<Gid, Stored>> {
+        &self.store[(gid.0 as usize) & (STORE_SHARDS - 1)].0
     }
 
     /// Insert an object under a caller-chosen GID (migration arrivals).
     pub fn insert_at(&self, gid: Gid, obj: Stored) {
-        self.store.write().insert(gid, obj);
+        self.shard(gid).write().insert(gid, obj);
     }
 
     /// Look up any object.
     pub fn get(&self, gid: Gid) -> Option<Stored> {
-        self.store.read().get(&gid).cloned()
+        self.shard(gid).read().get(&gid).cloned()
     }
 
     /// True if the object is resident here.
     pub fn contains(&self, gid: Gid) -> bool {
-        self.store.read().contains_key(&gid)
+        self.shard(gid).read().contains_key(&gid)
     }
 
     /// Remove an object (migration departure or explicit free).
     pub fn remove(&self, gid: Gid) -> Option<Stored> {
-        self.store.write().remove(&gid)
+        self.shard(gid).write().remove(&gid)
     }
 
-    /// Number of resident objects.
+    /// Number of resident objects: every shard's, summed.
     pub fn object_count(&self) -> usize {
-        self.store.read().len()
+        self.store.iter().map(|s| s.0.read().len()).sum()
     }
 
     /// Create an LCO here: `build` receives the fresh GID and returns
@@ -450,35 +471,36 @@ impl Locality {
         })
     }
 
-    /// Run `op` on a local LCO under its lock — the one way an event,
-    /// a waiter or a withdrawal reaches one. A one-shot LCO that `op` made
-    /// hand its value to a waiter has been read ([`crate::lco::FutureRef`]):
-    /// it leaves the store here, before the caller schedules that
+    /// Run `op` on the local LCO `gid` — the one way an event, a waiter
+    /// or a withdrawal reaches one. `op` runs in place, under its shard's
+    /// read lock and then the object's mutex (§2.2's per-object lock),
+    /// and must not call back into the runtime. A one-shot LCO that `op`
+    /// made hand its value to a waiter has been read
+    /// ([`crate::lco::FutureRef`]): it leaves the store here, once both
+    /// locks are released and before the caller schedules that
     /// activation, so nothing the reader does can find it again.
-    pub(crate) fn lco_op<R>(&self, lco: &Mutex<LcoCore>, op: impl FnOnce(&mut LcoCore) -> R) -> R {
-        let mut g = lco.lock();
-        let r = op(&mut g);
-        let (read, gid) = (g.is_read(), g.gid());
-        drop(g);
+    pub(crate) fn lco_op<R>(&self, gid: Gid, op: impl FnOnce(&mut LcoCore) -> R) -> PxResult<R> {
+        let shard = self.shard(gid).read();
+        let (r, read) = match shard.get(&gid) {
+            Some(Stored::Lco(lco)) => {
+                let mut g = lco.lock();
+                let r = op(&mut g);
+                (r, g.is_read())
+            }
+            Some(_) => return Err(PxError::WrongObjectKind(gid)),
+            None => return Err(PxError::NoSuchObject(gid)),
+        };
+        drop(shard);
         if read {
             self.remove(gid);
         }
-        r
+        Ok(r)
     }
 
     /// Create a future LCO here: a shared one (a process's done future),
     /// which no read frees.
     pub fn new_future_lco(&self) -> Gid {
         self.new_lco(LcoCore::new_future)
-    }
-
-    /// Look up an LCO, with kind checking.
-    pub fn get_lco(&self, gid: Gid) -> PxResult<Arc<Mutex<LcoCore>>> {
-        match self.get(gid) {
-            Some(Stored::Lco(l)) => Ok(l),
-            Some(_) => Err(PxError::WrongObjectKind(gid)),
-            None => Err(PxError::NoSuchObject(gid)),
-        }
     }
 
     /// Look up a data object, with kind checking.
@@ -503,22 +525,53 @@ impl Locality {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Value;
 
+    /// GIDs in every shard: each lands, is found and leaves in its own,
+    /// and `object_count` — every shard summed — stays exact throughout.
+    /// A one-shot future read through `lco_op` leaves the store once.
     #[test]
     fn store_insert_get_remove() {
         let loc = Locality::new(LocalityId(0), false, 1);
-        let gid = loc.insert(GidKind::Data, |_| {
-            Stored::Data(Arc::new(RwLock::new(DataObject {
-                bytes: vec![1, 2, 3],
-                version: 0,
-            })))
-        });
-        assert!(loc.contains(gid));
-        assert_eq!(loc.object_count(), 1);
-        let d = loc.get_data(gid).unwrap();
-        assert_eq!(d.read().bytes, vec![1, 2, 3]);
-        assert!(loc.remove(gid).is_some());
-        assert!(!loc.contains(gid));
+        let data = |i: u8| {
+            move |_| {
+                Stored::Data(Arc::new(RwLock::new(DataObject {
+                    bytes: vec![i],
+                    version: 0,
+                })))
+            }
+        };
+        let gids: Vec<Gid> = (0..2 * STORE_SHARDS as u8)
+            .map(|i| loc.insert(GidKind::Data, data(i)))
+            .collect();
+        let shards: std::collections::BTreeSet<usize> =
+            gids.iter().map(|g| g.0 as usize % STORE_SHARDS).collect();
+        assert_eq!(shards.len(), STORE_SHARDS, "every shard holds two");
+        assert_eq!(loc.object_count(), gids.len());
+        for (i, &gid) in gids.iter().enumerate() {
+            assert!(loc.contains(gid));
+            assert_eq!(loc.get_data(gid).unwrap().read().bytes, vec![i as u8]);
+        }
+        for (n, &gid) in gids.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+            assert!(loc.remove(gid).is_some());
+            assert!(!loc.contains(gid));
+            assert_eq!(loc.object_count(), gids.len() - n / 2 - 1);
+        }
+        assert_eq!(loc.object_count(), STORE_SHARDS);
+
+        let fut = loc.new_lco(|g| LcoCore::new_future(g).one_shot());
+        assert_eq!(loc.object_count(), STORE_SHARDS + 1);
+        let fired = loc.lco_op(fut, |l| l.trigger(Value::unit()));
+        assert!(fired.unwrap().unwrap().is_empty(), "no waiter to release");
+        assert!(loc.contains(fut), "fired, not read");
+        assert!(loc.lco_op(fut, LcoCore::read_now).unwrap().is_some());
+        assert!(!loc.contains(fut), "the read freed it");
+        assert_eq!(loc.object_count(), STORE_SHARDS);
+        assert!(matches!(
+            loc.lco_op(fut, LcoCore::read_now),
+            Err(PxError::NoSuchObject(_))
+        ));
+        assert_eq!(loc.object_count(), STORE_SHARDS);
     }
 
     #[test]
@@ -529,14 +582,22 @@ mod tests {
             loc.get_data(gid),
             Err(PxError::WrongObjectKind(_))
         ));
-        assert!(loc.get_lco(gid).is_ok());
+        assert!(loc.lco_op(gid, |_| ()).is_ok());
+        let data = loc.insert(GidKind::Data, |_| Stored::Data(Arc::default()));
+        assert!(matches!(
+            loc.lco_op(data, |_| ()),
+            Err(PxError::WrongObjectKind(_))
+        ));
     }
 
     #[test]
     fn missing_object_is_error() {
         let loc = Locality::new(LocalityId(0), false, 1);
         let bogus = Gid::new(LocalityId(0), GidKind::Lco, 12345);
-        assert!(matches!(loc.get_lco(bogus), Err(PxError::NoSuchObject(_))));
+        assert!(matches!(
+            loc.lco_op(bogus, |_| ()),
+            Err(PxError::NoSuchObject(_))
+        ));
     }
 
     /// Counter rows sum exactly. N closure threads run on locality 0's

@@ -265,12 +265,10 @@ impl<'a> Origin<'a> {
             // multi-tenant parent — tracks only LCOs a cancel could
             // still affect, not every future it ever made.
             Some(len) if len.is_multiple_of(PRUNE_EVERY) => {
-                p.prune_owned_lcos(|g| match self.rt.locality(g.birthplace()).get(*g) {
-                    Some(Stored::Lco(l)) => {
-                        let l = l.lock();
-                        !l.is_ready() && !l.is_poisoned()
-                    }
-                    _ => false,
+                p.prune_owned_lcos(|&g| {
+                    let pending = |l: &mut LcoCore| !l.is_ready() && !l.is_poisoned();
+                    let at = self.rt.locality(g.birthplace());
+                    at.lco_op(g, pending).unwrap_or(false)
                 });
             }
             Some(_) => {}
@@ -354,9 +352,10 @@ impl<'a> Origin<'a> {
         w: Waiter,
         op: impl FnOnce(&mut LcoCore, Waiter) -> Result<Activations, (PxError, Waiter)>,
     ) {
-        let deposited = match self.loc.get_lco(gid) {
-            Ok(lco) => self.loc.lco_op(&lco, |l| op(l, w)),
-            Err(e) => Err((e, w)),
+        let mut w = Some(w);
+        let deposited = match self.loc.lco_op(gid, |l| op(l, w.take().expect("run once"))) {
+            Ok(deposited) => deposited,
+            Err(e) => Err((e, w.take().expect("a failed lookup runs no op"))),
         };
         let acts = deposited.unwrap_or_else(|(e, w)| {
             let (cause, msg) = (cause_of(&e), e.to_string());

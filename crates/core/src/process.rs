@@ -657,8 +657,10 @@ mod tests {
     /// a resolution cache (`Agas::resolve`), the process table over a
     /// child list (`ProcessRef::children`). And the one rule for an
     /// absent object's parcel (`sys::agas::not_here`): the migration-sync
-    /// lock over a directory shard and a locality's store. A class is
-    /// where its lock is built.
+    /// lock over a directory shard and a locality's store. And the one way
+    /// an event reaches a local LCO (`Locality::lco_op`): a store shard's
+    /// read lock over the LCO's mutex, both built in `locality.rs`. A
+    /// class is where its lock is built.
     #[cfg(debug_assertions)]
     #[test]
     fn the_known_lock_nestings_are_on_record() {
@@ -680,6 +682,7 @@ mod tests {
         };
         assert!(nested("agas.rs", "agas.rs"), "shard -> caches");
         assert!(nested("agas.rs", "locality.rs"), "migration_sync -> store");
+        assert!(nested("locality.rs", "locality.rs"), "store shard -> LCO");
         assert!(
             nested("runtime.rs", "process.rs"),
             "process_table -> children"

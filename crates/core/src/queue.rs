@@ -39,12 +39,13 @@
 //!
 //! # How a thief reads a slot without racing the owner
 //!
-//! Items live in the slots themselves (a task is ~160 bytes; boxing each
-//! one so a slot could be a single atomic word cost more than the mutexes
-//! this module replaced). A slot is therefore plain memory and nobody may
-//! read it while the owner writes it. The classic deque lets a thief read
-//! first and compare-exchange afterwards, throwing the copy away if it
-//! lost — harmless for a word, a data race for a struct. Here a thief
+//! Items live in the slots themselves (a task is at most 96 bytes, its
+//! parcel boxed; boxing each whole task so a slot could be a single
+//! atomic word cost more than the mutexes this module replaced). A slot
+//! is therefore plain memory and nobody may read it while the owner
+//! writes it. The classic deque lets a thief read first and
+//! compare-exchange afterwards, throwing the copy away if it lost —
+//! harmless for a word, a data race for a struct. Here a thief
 //! *claims* an index first and reads second, and one word, `head`, holds
 //! two indices so the owner can tell the difference:
 //!

@@ -196,22 +196,26 @@ impl RuntimeInner {
         timeout: Option<Duration>,
     ) -> PxResult<Option<Value>> {
         let loc = self.locality(gid.birthplace());
-        let lco = loc.get_lco(gid)?;
         // Resolved already: read it here. Only a pending LCO needs a slot
         // to park on.
-        if let Some(v) = loc.lco_op(&lco, LcoCore::read_now) {
+        if let Some(v) = loc.lco_op(gid, LcoCore::read_now)? {
             return surface_fault(v).map(Some);
         }
         let slot = Arc::new(ExtSlot::default());
-        let acts = loc.lco_op(&lco, |l| l.add_waiter(Waiter::External(slot.clone())));
+        let acts = loc.lco_op(gid, |l| l.add_waiter(Waiter::External(slot.clone())))?;
         self.schedule_activations(loc, acts, None);
         match timeout {
             Some(t) => match slot.wait_timeout(t)? {
                 Some(v) => Ok(Some(v)),
-                None => loc
-                    .lco_op(&lco, |l| l.withdraw(&slot))
-                    .map(surface_fault)
-                    .transpose(),
+                None => match loc.lco_op(gid, |l| l.withdraw(&slot)) {
+                    Ok(v) => v.map(surface_fault).transpose(),
+                    // A one-shot leaves the store only once read, and
+                    // with this slot among its waiters only its firing
+                    // reads it: the activation that fills the slot is
+                    // under way.
+                    Err(PxError::NoSuchObject(_)) => slot.wait().map(Some),
+                    Err(e) => Err(e),
+                },
             },
             #[cfg(not(debug_assertions))]
             None => slot.wait().map(Some),

@@ -159,3 +159,33 @@ pub(crate) fn for_seeds(n: u64, scenario: impl Fn(u64)) {
         assert!(run.is_ok(), "seed {seed} failed (PX_SEED={seed})");
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::Config;
+
+    /// Busy time is counted per busy stretch, not per task: `n`
+    /// back-to-back tasks on one worker, each moving the clock by `D`,
+    /// add exactly `n·D` to `busy_ns` once a look finds nothing, and the
+    /// run reads the clock as often for 10 tasks as for 100.
+    #[test]
+    fn back_to_back_tasks_read_the_clock_per_stretch_not_per_task() {
+        const D: Duration = Duration::from_micros(3);
+        let run = |n: u32| {
+            let mut s = RuntimeBuilder::new(Config::small(1, 1)).stepped(0);
+            for _ in 0..n {
+                let clock = s.clock.clone();
+                s.rt.spawn_at(LocalityId(0), move |_| clock.advance(D));
+            }
+            let before = (s.clock.reads(), s.rt.stats().localities[0].busy_ns);
+            s.settle();
+            assert!(!s.turn(0), "a look that finds nothing closes the stretch");
+            let busy = s.rt.stats().localities[0].busy_ns - before.1;
+            assert_eq!(busy, (n * D).as_nanos() as u64);
+            s.clock.reads() - before.0
+        };
+        let (ten, hundred) = (run(10), run(100));
+        assert_eq!(ten, hundred, "clock reads grow with the tasks run");
+    }
+}

@@ -40,8 +40,9 @@ pub(crate) enum Work {
     Thread(Box<dyn FnOnce(&mut Ctx<'_>) + Send + 'static>),
     /// Resumption of a depleted thread with the LCO's value.
     Resume(DepletedThread, Value),
-    /// Decoded parcel.
-    Parcel(Parcel),
+    /// Decoded parcel, boxed: a parcel is most of a task's size, and
+    /// every push, pop and steal copies the whole slot.
+    Parcel(Box<Parcel>),
     /// A frame of parcels as delivered by the wire — a coalescing port's,
     /// or a frame of one: one queue push per frame, each record decoded
     /// lazily on the worker as it executes.
@@ -61,6 +62,11 @@ pub struct Task {
     /// the stamp never crosses an OS-process boundary).
     pub(crate) enqueued: Option<Instant>,
 }
+
+// A ring slot holds a task, and every push, pop and steal copies it: the
+// parcel it may carry is boxed to keep it within this bound.
+#[cfg(all(not(debug_assertions), target_pointer_width = "64"))]
+const _: () = assert!(size_of::<Task>() <= 96);
 
 impl std::fmt::Debug for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -115,11 +121,15 @@ pub(crate) struct Worker {
     local: Local<Task>,
     idx: usize,
     since_pass: u32,
+    /// When the current busy stretch began: the task that ended the last
+    /// search was found.
+    stretch_started: Instant,
     /// When the search for the next task began, on the locality's clock.
     search_started: Instant,
-    /// Set when this worker went idle: the next task it finds ends a
-    /// search, and the searcher passes the search on.
-    was_idle: bool,
+    /// Set while this worker searches: the next task it finds ends the
+    /// search, opens a busy stretch, and the searcher passes the search
+    /// on.
+    searching: bool,
 }
 
 /// Start worker `w`'s thread, which turns it until shutdown.
@@ -141,8 +151,9 @@ impl Worker {
             local,
             idx,
             since_pass,
+            stretch_started: search_started,
             search_started,
-            was_idle: false,
+            searching: true,
         }
     }
 
@@ -150,30 +161,32 @@ impl Worker {
     /// the thread's park ([`Worker::idle`]) or a test's pass. True when
     /// a task ran or `idle` says go on.
     fn turn(&mut self, idle: impl FnOnce(&mut Worker) -> bool) -> bool {
-        let Some(task) = find_task(&self.loc, &self.local, self.idx) else {
+        let (rt, loc) = (&self.rt, &self.loc);
+        let Some(task) = find_task(loc, &self.local, self.idx) else {
+            // The first look that finds nothing closes the busy stretch;
+            // its one clock read also starts the search.
+            if !std::mem::replace(&mut self.searching, true) {
+                self.search_started = loc.timers.now();
+                let busy = self.search_started.duration_since(self.stretch_started);
+                bump!(loc.counters().busy_ns, busy.as_nanos() as u64);
+            }
             return idle(self);
         };
-        let (rt, loc) = (&self.rt, &self.loc);
-        let was_idle = std::mem::take(&mut self.was_idle);
-        // Producers skip the wake while a worker spins, trusting it to
-        // find their task. It found one; if that was not all, the rest
-        // needs another pair of hands — and a poller this worker left
-        // behind needs an idle one.
-        if was_idle && (loc.has_work() || loc.sleep.poller_free()) {
-            loc.sleep.notify_one();
-        }
-        // A task found at the first look after the last one is busy from
-        // that one's end: one clock read per task.
-        let mut started = self.search_started;
-        if was_idle {
-            started = loc.timers.now();
-            let idle = started.duration_since(self.search_started);
+        if std::mem::take(&mut self.searching) {
+            // Producers skip the wake while a worker spins, trusting it
+            // to find their task. It found one; if that was not all, the
+            // rest needs another pair of hands — and a poller this worker
+            // left behind needs an idle one.
+            if loc.has_work() || loc.sleep.poller_free() {
+                loc.sleep.notify_one();
+            }
+            // The search ends and a busy stretch opens: the only clock
+            // read on the way to a task. Back-to-back tasks read none.
+            self.stretch_started = loc.timers.now();
+            let idle = self.stretch_started.duration_since(self.search_started);
             bump!(loc.counters().idle_ns, idle.as_nanos() as u64);
         }
         execute(rt, loc, &self.local, task);
-        self.search_started = loc.timers.now();
-        let busy = self.search_started.duration_since(started);
-        bump!(loc.counters().busy_ns, busy.as_nanos() as u64);
         // Where something is timed — a TCP rank's sockets, an in-process
         // wire's latency, a balancer — the workers run the loop
         // (`net/mod.rs`, `clock.rs`): a busy one between tasks.
@@ -197,7 +210,6 @@ impl Worker {
         if stop() {
             return false;
         }
-        self.was_idle = true;
         let mut ready = || loc.has_work() || stop();
         let on_park = || {
             bump!(loc.counters().parks);
@@ -331,7 +343,7 @@ pub(crate) fn execute(
             bump!(loc.counters().frames_recv);
             crate::net::for_each_record(&bytes, |rec| run_wire_parcel(rt, loc, local, rec));
         }
-        Work::Parcel(p) => run_parcel(rt, loc, local, p),
+        Work::Parcel(p) => run_parcel(rt, loc, local, *p),
     }
     if let Some(pgid) = process {
         rt.process_task_done(pgid);
@@ -671,7 +683,7 @@ impl RuntimeInner {
             bump!(from_loc.counters().parcels_sent);
             // Same locality: no wire, no encoding, no bytes; direct enqueue.
             let (lane, process) = (Lane::of_parcel(p.staged), p.process);
-            let task = Task::new(Work::Parcel(p)).with_process(process);
+            let task = Task::new(Work::Parcel(Box::new(p))).with_process(process);
             if let Some(pg) = process {
                 self.process_task_started(pg, owner);
             }

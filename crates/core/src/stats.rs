@@ -150,12 +150,13 @@ counters! {
     steals,
     /// Times a worker went to sleep with no work (starvation events).
     parks,
-    /// Nanoseconds workers spent executing tasks. A task a worker finds
-    /// at its first look after the last one is timed from that one's
-    /// end (one clock read per task), so the look, and a loop pass run
-    /// between the two, count as busy.
+    /// Nanoseconds workers spent executing tasks, counted per busy
+    /// stretch: from the clock read that ends a search (a task found) to
+    /// the one at the first look that finds nothing. Back-to-back tasks
+    /// read no clock, so the looks between them, and a loop pass run
+    /// there, count as busy. A stretch still open is not yet counted.
     busy_ns,
-    /// Nanoseconds workers spent idle: searching after a look that found
+    /// Nanoseconds workers spent idle: searching from a look that found
     /// nothing, or parked.
     idle_ns,
     /// LCO events processed (triggers, contributions, slot fills).

@@ -32,11 +32,10 @@ pub(crate) fn lco_sys_op(
     op: impl FnOnce(&mut LcoCore) -> PxResult<Activations>,
 ) -> PxResult<()> {
     bump!(loc.counters().lco_events);
-    let lco = loc.get_lco(gid)?;
     // Harvest the creation stamp exactly once, at the event that resolved
     // the LCO (fire or poison) — the spawn→resolution latency, on this
     // locality's clock.
-    let (acts, resolved) = loc.lco_op(&lco, |g| (op(g), g.take_resolve_latency()));
+    let (acts, resolved) = loc.lco_op(gid, |g| (op(g), g.take_resolve_latency()))?;
     if let (Some(reg), Some(d)) = (&loc.metrics, resolved) {
         reg.record_elapsed(crate::metrics::Instrument::SpawnResolve, d);
     }
