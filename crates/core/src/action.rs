@@ -34,42 +34,80 @@ impl fmt::Debug for ActionId {
 }
 
 /// An immutable, cheaply-cloneable serialized value (parcel payloads, LCO
-/// results). Cloning is an `Arc` bump, so one trigger can feed many
-/// waiting continuations without copying bytes.
+/// results). A value of up to [`Value::INLINE`] bytes — a `u64` reply, a
+/// `[f64; 3]`, the unit value — holds them in place: it is made, cloned
+/// and dropped with no allocation and no reference count another thread
+/// writes. A longer one shares its bytes behind an `Arc`, so one trigger
+/// can feed many waiting continuations without copying them.
 ///
 /// A value is either an ordinary payload or a **fault** — the encoded
 /// cause of death of a parcel, delivered along its continuation chain
 /// (see [`crate::error::Fault`]). Fault-ness is a flag beside the bytes,
 /// not inside them, so an ordinary payload can never be mistaken for a
 /// fault; the parcel header preserves the flag across the wire.
-///
-/// An empty value holds no `Arc`, so the unit value, `Default` and an
-/// empty decode allocate nothing (and share no refcount between threads).
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct Value {
-    /// `None` when empty, never `Some` of zero bytes: the derived
-    /// equality compares contents.
-    bytes: Option<Arc<[u8]>>,
-    fault: bool,
+#[derive(Clone)]
+pub struct Value(Repr);
+
+/// A [`Value`]'s bytes and fault flag: the flag sits in each variant, so
+/// the whole value is 32 bytes.
+#[derive(Clone)]
+enum Repr {
+    /// At most [`Value::INLINE`] bytes, the first `len` of `buf`.
+    Inline {
+        fault: bool,
+        len: u8,
+        buf: [u8; Value::INLINE],
+    },
+    /// More than [`Value::INLINE`] bytes, shared.
+    Shared { fault: bool, bytes: Arc<[u8]> },
 }
 
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<Value>() == 32);
+
+impl Default for Value {
+    fn default() -> Value {
+        Value::unit()
+    }
+}
+
+impl PartialEq for Value {
+    /// Equal bytes and the same fault flag, however each is held.
+    fn eq(&self, other: &Value) -> bool {
+        self.is_fault() == other.is_fault() && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Value {}
+
 impl Value {
+    /// The most bytes a value holds in place.
+    pub const INLINE: usize = 29;
+
     /// The unit value (zero bytes).
     pub fn unit() -> Value {
-        Value::default()
+        Value::new([], false)
     }
 
-    /// `bytes` and `fault` as a value, holding no allocation when empty.
+    /// `bytes` and `fault` as a value: in place when they fit, else in one
+    /// allocation.
     fn new(bytes: impl AsRef<[u8]> + Into<Arc<[u8]>>, fault: bool) -> Value {
-        let bytes = (!bytes.as_ref().is_empty()).then(|| bytes.into());
-        Value { bytes, fault }
+        let len = bytes.as_ref().len();
+        if len > Value::INLINE {
+            let bytes = bytes.into();
+            return Value(Repr::Shared { fault, bytes });
+        }
+        let mut buf = [0; Value::INLINE];
+        buf[..len].copy_from_slice(bytes.as_ref());
+        let len = len as u8;
+        Value(Repr::Inline { fault, len, buf })
     }
 
-    /// Encode a serializable value: one allocation, the value's own. The
-    /// encoding runs in this thread's scratch writer
-    /// ([`px_wire::with_scratch`], which keeps at most 64 KiB between
-    /// uses, so a larger value also regrows it) and is copied once into
-    /// the value's `Arc<[u8]>`.
+    /// Encode a serializable value. The encoding runs in this thread's
+    /// scratch writer ([`px_wire::with_scratch`], which keeps at most 64
+    /// KiB between uses, so a larger value also regrows it) and is copied
+    /// once into the value: in place when it fits, else into one
+    /// allocation, the value's own `Arc<[u8]>`.
     pub fn encode<T: Serialize>(v: &T) -> PxResult<Value> {
         px_wire::with_scratch(|w| {
             px_wire::to_writer(w, v)?;
@@ -97,7 +135,9 @@ impl Value {
     /// True when this value is a fault rather than a payload.
     #[inline]
     pub fn is_fault(&self) -> bool {
-        self.fault
+        match self.0 {
+            Repr::Inline { fault, .. } | Repr::Shared { fault, .. } => fault,
+        }
     }
 
     /// The fault carried by this value, if it is one. Corrupt fault bytes
@@ -105,7 +145,7 @@ impl Value {
     /// fault-ness comes from the flag, and a flagged value must never
     /// decode as a success.
     pub fn fault(&self) -> Option<crate::error::Fault> {
-        if !self.fault {
+        if !self.is_fault() {
             return None;
         }
         Some(match px_wire::WireFault::decode(self.bytes()) {
@@ -133,7 +173,10 @@ impl Value {
     /// Raw encoded bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_deref().unwrap_or_default()
+        match &self.0 {
+            Repr::Inline { len, buf, .. } => &buf[..usize::from(*len)],
+            Repr::Shared { bytes, .. } => bytes,
+        }
     }
 
     /// Encoded length in bytes.
@@ -145,13 +188,13 @@ impl Value {
     /// True if the value has no bytes (the unit value).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_none()
+        self.len() == 0
     }
 }
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.fault {
+        if self.is_fault() {
             write!(f, "Value(fault, {} bytes)", self.len())
         } else {
             write!(f, "Value({} bytes)", self.len())
@@ -268,21 +311,49 @@ mod tests {
         assert_eq!(s, "x");
     }
 
+    /// A value longer than [`Value::INLINE`] shares its bytes with its
+    /// clones; one that fits holds its own, in place.
     #[test]
     fn value_clone_shares_bytes() {
         let v = Value::encode(&vec![0u8; 1024]).unwrap();
         let w = v.clone();
+        assert!(matches!(v.0, Repr::Shared { .. }));
         assert_eq!(v.bytes().as_ptr(), w.bytes().as_ptr());
+        let small = Value::encode(&[1.0f64, 2.0, 3.0]).unwrap();
+        let copy = small.clone();
+        assert!(matches!(copy.0, Repr::Inline { len: 24, .. }));
+        assert_ne!(small.bytes().as_ptr(), copy.bytes().as_ptr());
+        assert_eq!(small, copy);
+    }
+
+    /// The bound between the two: `INLINE` bytes in place, one more
+    /// shared, and either equal to the same bytes held the other way.
+    #[test]
+    fn values_up_to_inline_bytes_are_held_in_place() {
+        for n in [Value::INLINE, Value::INLINE + 1] {
+            let bytes: Vec<u8> = (0..n as u8).collect();
+            let (a, b) = (
+                Value::from_bytes(bytes.clone()),
+                Value::from_slice(&bytes, false),
+            );
+            let inline = n <= Value::INLINE;
+            for v in [&a, &b] {
+                assert_eq!(matches!(v.0, Repr::Inline { .. }), inline, "{n} bytes");
+                assert_eq!(v.bytes(), &bytes[..]);
+            }
+            assert_eq!(a, b);
+            assert_ne!(a, Value::from_slice(&bytes, true), "the fault flag counts");
+        }
     }
 
     /// Every empty value is the unit value, however it was made, and
-    /// holds no allocation.
+    /// holds its nothing in place.
     #[test]
     fn unit_value() {
         let v = Value::unit();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
-        assert!(v.bytes.is_none());
+        assert!(matches!(v.0, Repr::Inline { len: 0, .. }));
         let empties = [
             Value::default(),
             Value::from_bytes(Vec::new()),
@@ -291,7 +362,7 @@ mod tests {
         ];
         for e in empties {
             assert_eq!(e, v);
-            assert!(e.bytes.is_none());
+            assert!(matches!(e.0, Repr::Inline { len: 0, .. }));
         }
         v.decode::<()>().unwrap();
         assert_ne!(

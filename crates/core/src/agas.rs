@@ -64,14 +64,9 @@ pub enum MigrationCause {
     Balancer,
 }
 
-/// State behind [`Agas::begin_migration`]/[`Agas::end_migration`]: which
-/// GIDs have a move in flight, and the parcels parked against each until
-/// the move settles.
-#[derive(Default)]
-struct MigrationSync {
-    in_flight: FxHashSet<Gid>,
-    deferred: FxHashMap<Gid, Vec<crate::parcel::Parcel>>,
-}
+/// The parcels parked against each pinned GID until its move settles
+/// ([`Agas::defer_during_migration`]).
+type Deferred = FxHashMap<Gid, Vec<crate::parcel::Parcel>>;
 
 /// One locality's AGAS: its directory (authoritative for the GIDs born
 /// there), its resolution cache, its outgoing access heat and the pins of
@@ -87,14 +82,19 @@ pub struct Agas {
     /// map. Only written when balancing is enabled (the send path gates
     /// the hook), so the un-balanced fast path never touches these locks.
     heat: Vec<Mutex<FxHashMap<Gid, u64>>>,
-    /// Move serialization, one pin per GID. Every move pins its GID in
-    /// `in_flight` across the protocol's round trips, so two moves of one
-    /// object never interleave (both could otherwise read the same
-    /// source and leave a stale copy at the directory loser), and
-    /// parcels that find the object absent meanwhile park in `deferred`.
-    /// The lock only guards set/map membership — it is never held
-    /// across a wire operation.
-    migration_sync: Mutex<MigrationSync>,
+    /// Parcels parked on a pin. A pin is taken and dropped under this
+    /// lock, so a park and a look ([`Agas::defer_during_migration`]) see
+    /// no pin change meanwhile.
+    deferred: Mutex<Deferred>,
+    /// Move serialization, one pin per GID. Every move pins its GID here
+    /// across the protocol's round trips, so two moves of one object
+    /// never interleave (both could otherwise read the same source and
+    /// leave a stale copy at the directory loser), and parcels that find
+    /// the object absent meanwhile park in `deferred`. Innermost: nothing
+    /// is locked while it is held, so `DATA_PUT`'s write freeze can ask
+    /// it under the object's own lock. Both locks guard membership only:
+    /// neither is held across a wire operation.
+    pins: Mutex<FxHashSet<Gid>>,
 }
 
 impl std::fmt::Debug for Agas {
@@ -112,7 +112,8 @@ impl Agas {
                 .collect(),
             caches: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
             heat: (0..n).map(|_| Mutex::new(FxHashMap::default())).collect(),
-            migration_sync: Mutex::new(MigrationSync::default()),
+            deferred: Mutex::new(Deferred::default()),
+            pins: Mutex::new(FxHashSet::default()),
         }
     }
 
@@ -187,7 +188,8 @@ impl Agas {
     /// Pair every `true` return with exactly one [`Agas::end_migration`],
     /// including on every failure path.
     pub fn begin_migration(&self, gid: Gid) -> bool {
-        self.migration_sync.lock().in_flight.insert(gid)
+        let _parks = self.deferred.lock();
+        self.pins.lock().insert(gid)
     }
 
     /// Release a pin taken by a successful [`Agas::begin_migration`] and
@@ -199,10 +201,10 @@ impl Agas {
     /// parcel; nothing can park forever.
     #[must_use = "re-send the parked parcels or their continuations hang"]
     pub fn end_migration(&self, gid: Gid) -> Vec<crate::parcel::Parcel> {
-        let mut sync = self.migration_sync.lock();
-        let removed = sync.in_flight.remove(&gid);
+        let mut parks = self.deferred.lock();
+        let removed = self.pins.lock().remove(&gid);
         debug_assert!(removed, "end_migration without begin_migration");
-        sync.deferred.remove(&gid).unwrap_or_default()
+        parks.remove(&gid).unwrap_or_default()
     }
 
     /// Park `p` until the move of `gid` in flight settles, and return
@@ -216,9 +218,9 @@ impl Agas {
         p: crate::parcel::Parcel,
         look: impl FnOnce() -> T,
     ) -> Option<(crate::parcel::Parcel, T)> {
-        let mut sync = self.migration_sync.lock();
-        if sync.in_flight.contains(&gid) {
-            sync.deferred.entry(gid).or_default().push(p);
+        let mut parks = self.deferred.lock();
+        if self.pins.lock().contains(&gid) {
+            parks.entry(gid).or_default().push(p);
             None
         } else {
             Some((p, look()))
@@ -228,13 +230,12 @@ impl Agas {
     /// How many parcels are parked on `gid`'s pin.
     #[cfg(test)]
     pub(crate) fn parked(&self, gid: Gid) -> usize {
-        let sync = self.migration_sync.lock();
-        sync.deferred.get(&gid).map_or(0, Vec::len)
+        self.deferred.lock().get(&gid).map_or(0, Vec::len)
     }
 
     /// Whether a move of `gid` is currently in flight.
     pub fn migration_in_flight(&self, gid: Gid) -> bool {
-        self.migration_sync.lock().in_flight.contains(&gid)
+        self.pins.lock().contains(&gid)
     }
 
     // ---- access heat -------------------------------------------------------

@@ -1,5 +1,5 @@
-//! The PX-thread view of the runtime: an [`Origin`] plus the worker's own
-//! ring.
+//! The PX-thread view of the runtime: an [`Origin`] on the worker's own
+//! locality.
 
 use crate::action::{Action, Value};
 use crate::error::{Fault, PxResult};
@@ -8,7 +8,6 @@ use crate::lco::{CombineFn, FutureRef, LcoCore, ReduceFn, Waiter};
 use crate::locality::Locality;
 use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
-use crate::queue::Local;
 use crate::runtime::RuntimeInner;
 use crate::sched::{Task, Work};
 use crate::sys;
@@ -25,19 +24,17 @@ pub struct Ctx<'a> {
     /// Where this thread's calls come from: the locality it serves, its
     /// process and its trace.
     pub(crate) from: Origin<'a>,
-    local: &'a Local<Task>,
 }
 
 impl<'a> Ctx<'a> {
     pub(crate) fn new(
         rt: &'a Arc<RuntimeInner>,
         loc: &'a Arc<Locality>,
-        local: &'a Local<Task>,
         process: Option<Gid>,
         trace: Option<u64>,
     ) -> Self {
         let from = Origin::at(rt, loc).with_process(process).with_trace(trace);
-        Ctx { from, local }
+        Ctx { from }
     }
 
     /// This rank's merged trace dump (empty when tracing is off) — the
@@ -83,8 +80,9 @@ impl<'a> Ctx<'a> {
 
     // ---- spawning ----------------------------------------------------------
 
-    /// Spawn a PX-thread on this locality (LIFO on the local ring — the
-    /// cache-friendly fast path). Inherits the current process.
+    /// Spawn a PX-thread on this locality (LIFO on the worker's own ring —
+    /// the cache-friendly fast path, `Locality::spawn_here`). Inherits
+    /// the current process.
     ///
     /// When the balancer is on and this locality is overloaded, every
     /// other spawn is diffused to the least-loaded gossip peer instead
@@ -115,9 +113,7 @@ impl<'a> Ctx<'a> {
         if let Some(p) = self.from.process {
             rt.process_task_started(p, loc.id);
         }
-        self.local.push(task, &loc.injector);
-        // A sibling may be parked while this worker fills its ring.
-        loc.sleep.notify_one();
+        loc.spawn_here(task);
     }
 
     /// Spawn a PX-thread at another locality (closure transfer paying
@@ -337,9 +333,7 @@ impl<'a> Ctx<'a> {
 
     /// Read a *local* data object.
     pub fn read_local_data(&self, gid: Gid) -> PxResult<Vec<u8>> {
-        let d = self.locality().get_data(gid)?;
-        let g = d.read();
-        Ok(g.bytes.clone())
+        self.locality().data_op(gid, |d| d.read().bytes.clone())
     }
 
     /// Fetch a possibly-remote data object into a local future

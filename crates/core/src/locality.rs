@@ -39,18 +39,9 @@ use crate::sched::Task;
 use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
-use std::cell::Cell;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::Instant;
-
-thread_local! {
-    /// Which counter row this thread writes, and where: a locality's
-    /// address and the row's index, set once by each worker
-    /// ([`Locality::work_here`]). A worker outlives no locality it works
-    /// for, since it holds the runtime that owns it.
-    static ROW: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
 
 /// A first-class object resident in a locality's store.
 #[derive(Clone)]
@@ -127,9 +118,11 @@ impl BalanceState {
     }
 }
 
-/// Which of a locality's queues a task lands in: the one switch every
-/// producer — the scheduler's local short-circuit, both transports'
-/// delivery sides — goes through ([`Locality::deliver`]).
+/// Which of a locality's queues a task handed here lands in: the one
+/// switch both transports' delivery sides, the control and staging
+/// lanes and the balancer's putback go through ([`Locality::deliver`]).
+/// A task made here goes on its worker's ring instead
+/// ([`Locality::spawn_here`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
     /// The general run queue.
@@ -313,11 +306,19 @@ impl Locality {
         }
     }
 
-    /// Make the calling thread worker `w` here: from now on its bumps at
-    /// this locality go to row `w + 1` ([`Locality::counters`]). Called
-    /// once, at the top of the worker's loop.
-    pub(crate) fn work_here(&self, w: usize) {
-        ROW.set((self as *const Locality as usize, w + 1));
+    /// The tag worker `w` lends its ring here under for a turn
+    /// (`queue::Local::lend`): this locality's address, which a push made
+    /// here matches ([`Locality::spawn_here`]), and the worker's counter
+    /// row ([`Locality::counters`]). A worker outlives no locality it
+    /// works for, since it holds the runtime that owns it.
+    pub(crate) fn worker_tag(&self, w: usize) -> (usize, usize) {
+        (self.key(), w + 1)
+    }
+
+    /// This locality's address: the owner key of its workers' turns.
+    #[inline]
+    fn key(&self) -> usize {
+        self as *const Locality as usize
     }
 
     /// The counter row the calling thread bumps here: its own if it is
@@ -325,9 +326,8 @@ impl Locality {
     /// counter through [`Locality::stats`]: one row holds only part of it.
     #[inline]
     pub(crate) fn counters(&self) -> &LocalityCounters {
-        let (at, row) = ROW.get();
-        let own = at == self as *const Locality as usize;
-        &self.counters[if own { row } else { 0 }]
+        let (at, row) = crate::queue::lent_tag();
+        &self.counters[if at == self.key() { row } else { 0 }]
     }
 
     /// This locality's counters, every row summed, with what is sampled
@@ -365,7 +365,8 @@ impl Locality {
             || self.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Enqueue a task on `lane` and wake a worker if one is parked.
+    /// Enqueue a task handed here on `lane` and wake a worker if one is
+    /// parked.
     pub(crate) fn deliver(&self, lane: Lane, mut task: Task) {
         task.enqueued = self.metrics_now();
         match lane {
@@ -380,6 +381,19 @@ impl Locality {
     #[inline]
     pub(crate) fn push_task(&self, task: Task) {
         self.deliver(Lane::Run, task);
+    }
+
+    /// Enqueue a task made here — a spawn, a same-locality parcel, a
+    /// released waiter — and wake a worker if one is parked. In a turn of
+    /// one of this locality's workers it goes on that worker's ring, LIFO,
+    /// where its data is still in cache; from any other thread (a driver,
+    /// a worker of another locality) into the injector.
+    pub(crate) fn spawn_here(&self, mut task: Task) {
+        task.enqueued = self.metrics_now();
+        if let Err(task) = Local::<Task>::push_lent(self.key(), task, &self.injector) {
+            self.injector.push(task);
+        }
+        self.sleep.notify_one();
     }
 
     /// [`Locality::deliver`] of a wire message sent at `submitted`.
@@ -503,10 +517,18 @@ impl Locality {
         self.new_lco(LcoCore::new_future)
     }
 
-    /// Look up a data object, with kind checking.
-    pub fn get_data(&self, gid: Gid) -> PxResult<Arc<RwLock<DataObject>>> {
-        match self.get(gid) {
-            Some(Stored::Data(d)) => Ok(d),
+    /// Run `op` on the local data object `gid`, as [`Locality::lco_op`]
+    /// runs one on an LCO: in place, under its shard's read lock, with no
+    /// reference counted out of the store. `op` takes the object's own
+    /// lock, read or write as it needs, and must not call back into the
+    /// runtime.
+    pub(crate) fn data_op<R>(
+        &self,
+        gid: Gid,
+        op: impl FnOnce(&RwLock<DataObject>) -> R,
+    ) -> PxResult<R> {
+        match self.shard(gid).read().get(&gid) {
+            Some(Stored::Data(d)) => Ok(op(d)),
             Some(_) => Err(PxError::WrongObjectKind(gid)),
             None => Err(PxError::NoSuchObject(gid)),
         }
@@ -550,7 +572,8 @@ mod tests {
         assert_eq!(loc.object_count(), gids.len());
         for (i, &gid) in gids.iter().enumerate() {
             assert!(loc.contains(gid));
-            assert_eq!(loc.get_data(gid).unwrap().read().bytes, vec![i as u8]);
+            let bytes = loc.data_op(gid, |d| d.read().bytes.clone());
+            assert_eq!(bytes.unwrap(), vec![i as u8]);
         }
         for (n, &gid) in gids.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
             assert!(loc.remove(gid).is_some());
@@ -579,7 +602,7 @@ mod tests {
         let loc = Locality::new(LocalityId(0), false, 1);
         let gid = loc.new_future_lco();
         assert!(matches!(
-            loc.get_data(gid),
+            loc.data_op(gid, |_| ()),
             Err(PxError::WrongObjectKind(_))
         ));
         assert!(loc.lco_op(gid, |_| ()).is_ok());

@@ -656,7 +656,7 @@ mod tests {
     /// dynamic check's record once they have run: a directory shard over
     /// a resolution cache (`Agas::resolve`), the process table over a
     /// child list (`ProcessRef::children`). And the one rule for an
-    /// absent object's parcel (`sys::agas::not_here`): the migration-sync
+    /// absent object's parcel (`sys::agas::not_here`): the parked-parcel
     /// lock over a directory shard and a locality's store. And the one way
     /// an event reaches a local LCO (`Locality::lco_op`): a store shard's
     /// read lock over the LCO's mutex, both built in `locality.rs`. A
@@ -681,7 +681,7 @@ mod tests {
                 .any(|(h, t)| h != t && h.file().ends_with(held) && t.file().ends_with(taken))
         };
         assert!(nested("agas.rs", "agas.rs"), "shard -> caches");
-        assert!(nested("agas.rs", "locality.rs"), "migration_sync -> store");
+        assert!(nested("agas.rs", "locality.rs"), "deferred -> store");
         assert!(nested("locality.rs", "locality.rs"), "store shard -> LCO");
         assert!(
             nested("runtime.rs", "process.rs"),

@@ -8,7 +8,12 @@
 //!   pushes and pops at the hot end (LIFO) and never waits for anybody;
 //!   thieves take one item at a time from the cold end (FIFO). When the
 //!   ring is full the owner moves the oldest half to the locality's
-//!   injector and carries on.
+//!   injector and carries on. For each of its turns a worker lends its
+//!   ring to its thread ([`Local::lend`]): the thread's worker context,
+//!   through which every task the turn makes for its own locality —
+//!   spawns, same-locality parcels, released waiters — goes on the ring
+//!   ([`Local::push_lent`], behind `Locality::spawn_here`), so a task
+//!   made and run on one worker touches no lock.
 //! * [`Injector`] — the locality's shared FIFO: every thread may push,
 //!   every worker (and the balancer) may take. It is a `VecDeque` behind a
 //!   mutex with a lock-free length, the same shape other work-stealing
@@ -71,6 +76,7 @@
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 use parking_lot::Mutex;
+use std::any::TypeId;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -286,6 +292,34 @@ pub(crate) struct Local<T, const CAP: usize = LOCAL_QUEUE_CAP> {
     _owner: PhantomData<Cell<()>>,
 }
 
+/// The calling thread's worker context: the ring lent to it for a turn
+/// ([`Local::lend`]), type-erased, and the tag its worker gave the turn.
+/// Empty outside a turn. One cell per field, so a read of the tag — every
+/// counter bump — reads nothing else.
+struct Lent {
+    /// The worker's tag: an owner key (`Locality`'s address) and a row.
+    tag: Cell<(usize, usize)>,
+    /// The lent `Local`'s address, and its type, which `push_lent` checks
+    /// (`()`'s when none is lent).
+    ring: Cell<(*const (), TypeId)>,
+}
+
+thread_local! {
+    static LENT: Lent = const {
+        Lent {
+            tag: Cell::new((0, 0)),
+            ring: Cell::new((std::ptr::null(), TypeId::of::<()>())),
+        }
+    };
+}
+
+/// The tag of the turn the calling thread is in ([`Local::lend`]);
+/// `(0, 0)` outside one.
+#[inline]
+pub(crate) fn lent_tag() -> (usize, usize) {
+    LENT.with(|l| l.tag.get())
+}
+
 /// A thief's handle onto another worker's ring.
 pub(crate) struct Stealer<T, const CAP: usize = LOCAL_QUEUE_CAP> {
     ring: Arc<Ring<T, CAP>>,
@@ -422,6 +456,47 @@ impl<T: Send, const CAP: usize> Local<T, CAP> {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         distance(self.ring.bottom.own(), self.ring.head.load().1).max(0) as usize
+    }
+}
+
+impl<T: Send + 'static, const CAP: usize> Local<T, CAP> {
+    /// Lend this ring to the calling thread under `tag` while `f` runs —
+    /// its owner's turn: meanwhile [`Local::push_lent`] for `tag.0` pushes
+    /// here and [`lent_tag`] reads `tag`. The context `f` replaced is back
+    /// when it returns or unwinds.
+    pub(crate) fn lend<R>(&self, tag: (usize, usize), f: impl FnOnce() -> R) -> R {
+        struct Restore((usize, usize), (*const (), TypeId));
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                LENT.with(|l| {
+                    l.tag.set(self.0);
+                    l.ring.set(self.1);
+                });
+            }
+        }
+        let ring = ((self as *const Self).cast(), TypeId::of::<Self>());
+        let _outer = LENT.with(|l| Restore(l.tag.replace(tag), l.ring.replace(ring)));
+        f()
+    }
+
+    /// Push `item` at the hot end of the ring lent to the calling thread
+    /// ([`Local::lend`]) when that lend's owner key is `owner`; hand the
+    /// item back otherwise.
+    #[inline]
+    pub(crate) fn push_lent(owner: usize, item: T, overflow: &Injector<T>) -> Result<(), T> {
+        let (tag, (ring, ty)) = LENT.with(|l| (l.tag.get(), l.ring.get()));
+        if tag.0 != owner || ty != TypeId::of::<Self>() {
+            return Err(item);
+        }
+        // SAFETY: `lend` stored the address of a `Self` (the type id says
+        // which), borrowed for as long as the slot holds it: the slot is
+        // this thread's, and the frame that borrowed the ring restores it
+        // before the borrow ends, unwinding too. The reference lives for
+        // this push only, on the thread the ring was lent to, and a push
+        // runs no code that could reach the ring again.
+        let ring = unsafe { &*ring.cast::<Self>() };
+        ring.push(item, overflow);
+        Ok(())
     }
 }
 
@@ -1129,6 +1204,33 @@ mod tests {
         assert_eq!(w.pop().as_ref(), Some(&2));
         assert_eq!(s.steal(), None);
         assert!(s.is_empty());
+    }
+
+    /// A lent ring takes the pushes made for its owner key while the lend
+    /// lasts, and only those; the context before it is back afterwards,
+    /// after a nested lend and after a panic alike.
+    #[test]
+    fn a_lent_ring_takes_its_owners_pushes_for_the_turn_only() {
+        let inj = Injector::new();
+        let (w, v) = (Ring4::new(), Ring4::new());
+        assert_eq!(Ring4::push_lent(7, 0, &inj), Err(0), "nothing lent");
+        w.lend((7, 1), || {
+            assert_eq!(lent_tag(), (7, 1));
+            assert_eq!(Ring4::push_lent(7, 1, &inj), Ok(()));
+            assert_eq!(Ring4::push_lent(8, 2, &inj), Err(2), "another owner");
+            assert_eq!(Local::<u64, 8>::push_lent(7, 3, &Injector::new()), Err(3));
+            v.lend((8, 2), || assert_eq!(Ring4::push_lent(8, 4, &inj), Ok(())));
+            assert_eq!(lent_tag(), (7, 1), "the inner lend gave it back");
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                v.lend((8, 2), || panic!("a turn that unwinds"))
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(Ring4::push_lent(7, 5, &inj), Ok(()));
+        });
+        assert_eq!((lent_tag(), Ring4::push_lent(7, 6, &inj)), ((0, 0), Err(6)));
+        assert_eq!((w.pop(), w.pop(), w.pop()), (Some(5), Some(1), None));
+        assert_eq!((v.pop(), v.pop()), (Some(4), None));
+        assert!(inj.is_empty());
     }
 
     #[test]

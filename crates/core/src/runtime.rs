@@ -196,14 +196,19 @@ impl RuntimeInner {
         timeout: Option<Duration>,
     ) -> PxResult<Option<Value>> {
         let loc = self.locality(gid.birthplace());
-        // Resolved already: read it here. Only a pending LCO needs a slot
-        // to park on.
-        if let Some(v) = loc.lco_op(gid, LcoCore::read_now)? {
-            return surface_fault(v).map(Some);
-        }
-        let slot = Arc::new(ExtSlot::default());
-        let acts = loc.lco_op(gid, |l| l.add_waiter(Waiter::External(slot.clone())))?;
-        self.schedule_activations(loc, acts, None);
+        // One op: a resolved LCO is read here; only a pending one gets a
+        // slot to park on, registered under the same lock.
+        let read = loc.lco_op(gid, |l| {
+            l.read_now().ok_or_else(|| {
+                let slot = Arc::new(ExtSlot::default());
+                l.add_waiter(Waiter::External(slot.clone()));
+                slot
+            })
+        })?;
+        let slot = match read {
+            Ok(v) => return surface_fault(v).map(Some),
+            Err(slot) => slot,
+        };
         match timeout {
             Some(t) => match slot.wait_timeout(t)? {
                 Some(v) => Ok(Some(v)),

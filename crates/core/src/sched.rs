@@ -10,13 +10,18 @@
 //! resources (execution locality) to operate via a work queue model."
 //!
 //! A [`Task`] is one PX-thread activation: a fresh closure, a resumed
-//! depleted thread, or a parcel (decoded lazily on a worker). Workers pull
-//! from, in priority order: the control lane, the staging buffer (on
-//! percolation-priority localities), their own ring, the locality
-//! injector, sibling rings
-//! (work stealing — *within* the locality only; cross-locality balancing is
-//! done with parcels, which is the model's point), and finally the staging
-//! buffer.
+//! depleted thread, or a parcel (decoded lazily on a worker). A task made
+//! on a locality's worker — a spawn, a same-locality parcel, a released
+//! waiter — goes on that worker's ring (`Locality::spawn_here`); one
+//! handed over from elsewhere — the wire, a driver — into a queue of the
+//! locality. Workers pull from, in priority order: the control lane, the
+//! staging buffer (on percolation-priority localities), their own ring,
+//! the locality injector, sibling rings (work stealing — *within* the
+//! locality only; cross-locality balancing is done with parcels, which is
+//! the model's point), and finally the staging buffer. Every
+//! `EVENT_INTERVAL`-th look tries the injector before the ring, so work
+//! a locality makes for itself cannot starve what the wire and the
+//! drivers queued.
 
 use crate::action::{ActionId, Value};
 use crate::error::{Fault, FaultCause, PxError};
@@ -109,18 +114,27 @@ impl Task {
 /// pulls its ports, and over TCP reads its sockets and writes its queues.
 /// A constant, as in other runtimes whose workers drive their I/O. A due
 /// timer or a ring (`clock::Heap::due`) brings the pass sooner: after
-/// the task during which it happened.
+/// the task during which it happened. Also how often a worker's look
+/// starts at the injector ([`find_task`]).
 const EVENT_INTERVAL: u32 = 61;
 
 /// One worker of a locality: its ring and its state between turns. A
 /// worker thread turns it until shutdown ([`spawn`]); a stepped test, one
 /// turn at a time on the test's thread (`Worker::step`).
 pub(crate) struct Worker {
+    /// The worker's own ring, lent to the thread for each turn.
+    ring: Local<Task>,
+    state: WorkerState,
+}
+
+/// A worker's state between turns, besides its ring.
+pub(crate) struct WorkerState {
     rt: Arc<RuntimeInner>,
     loc: Arc<Locality>,
-    local: Local<Task>,
     idx: usize,
     since_pass: u32,
+    /// Looks since the last one that started at the injector.
+    since_fair: u32,
     /// When the current busy stretch began: the task that ended the last
     /// search was found.
     stretch_started: Instant,
@@ -134,35 +148,51 @@ pub(crate) struct Worker {
 
 /// Start worker `w`'s thread, which turns it until shutdown.
 pub(crate) fn spawn(mut w: Worker) -> JoinHandle<()> {
-    crate::clock::spawn(usize::from(w.loc.id.0), w.idx, move || {
-        w.loc.work_here(w.idx);
-        while w.turn(Worker::idle) {}
+    crate::clock::spawn(usize::from(w.state.loc.id.0), w.state.idx, move || {
+        while w.turn(WorkerState::idle) {}
     })
 }
 
 impl Worker {
-    /// Worker `idx` of locality `l`, owning `local`.
-    pub(crate) fn new(rt: &Arc<RuntimeInner>, l: usize, idx: usize, local: Local<Task>) -> Worker {
+    /// Worker `idx` of locality `l`, owning `ring`.
+    pub(crate) fn new(rt: &Arc<RuntimeInner>, l: usize, idx: usize, ring: Local<Task>) -> Worker {
         let loc = rt.localities[l].clone();
         let (rt, since_pass, search_started) = (rt.clone(), 0, loc.timers.now());
-        Worker {
+        let state = WorkerState {
             rt,
             loc,
-            local,
             idx,
             since_pass,
+            since_fair: 0,
             stretch_started: search_started,
             search_started,
             searching: true,
-        }
+        };
+        Worker { ring, state }
     }
 
     /// One turn: the next task, run; with none queued, `idle`'s turn —
-    /// the thread's park ([`Worker::idle`]) or a test's pass. True when
-    /// a task ran or `idle` says go on.
-    fn turn(&mut self, idle: impl FnOnce(&mut Worker) -> bool) -> bool {
+    /// the thread's park ([`WorkerState::idle`]) or a test's pass. True
+    /// when a task ran or `idle` says go on. The turn runs with the ring
+    /// lent to the thread (`queue::Local::lend`), on a thread and stepped
+    /// alike: what its task makes here goes on the ring.
+    fn turn(&mut self, idle: impl FnOnce(&mut WorkerState) -> bool) -> bool {
+        let Worker { ring, state } = self;
+        let tag = state.loc.worker_tag(state.idx);
+        ring.lend(tag, || state.turn(ring, idle))
+    }
+}
+
+impl WorkerState {
+    /// [`Worker::turn`], with `ring` lent.
+    fn turn(&mut self, ring: &Local<Task>, idle: impl FnOnce(&mut WorkerState) -> bool) -> bool {
+        self.since_fair += 1;
+        let fair = self.since_fair == EVENT_INTERVAL;
+        if fair {
+            self.since_fair = 0;
+        }
         let (rt, loc) = (&self.rt, &self.loc);
-        let Some(task) = find_task(loc, &self.local, self.idx) else {
+        let Some(task) = find_task(loc, ring, self.idx, fair) else {
             // The first look that finds nothing closes the busy stretch;
             // its one clock read also starts the search.
             if !std::mem::replace(&mut self.searching, true) {
@@ -186,7 +216,7 @@ impl Worker {
             let idle = self.stretch_started.duration_since(self.search_started);
             bump!(loc.counters().idle_ns, idle.as_nanos() as u64);
         }
-        execute(rt, loc, &self.local, task);
+        execute(rt, loc, task);
         // Where something is timed — a TCP rank's sockets, an in-process
         // wire's latency, a balancer — the workers run the loop
         // (`net/mod.rs`, `clock.rs`): a busy one between tasks.
@@ -243,8 +273,11 @@ impl Worker {
     }
 }
 
-/// Pull the next task according to the locality's queue discipline.
-fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize) -> Option<Task> {
+/// Pull the next task according to the locality's queue discipline. A
+/// `fair` look tries the injector before the worker's own ring: a ring
+/// its own tasks keep refilling would otherwise hide the injector from
+/// this worker for good.
+fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize, fair: bool) -> Option<Task> {
     use crate::metrics::Instrument::{ControlLane, QueueWait};
     // Control plane first: gossip, metrics pulls and directory traffic
     // must not starve behind the data backlog they measure or repair.
@@ -255,6 +288,12 @@ fn find_task(loc: &Locality, local: &Local<Task>, worker_idx: usize) -> Option<T
     // percolation: the staged queue is what keeps the expensive unit busy).
     if loc.staged_priority {
         if let Some(t) = loc.staging.steal() {
+            return Some(dequeued(loc, QueueWait, t));
+        }
+    }
+    // A fair look: the injector first, once every `EVENT_INTERVAL`.
+    if fair {
+        if let Some(t) = loc.injector.steal_batch_and_pop(local) {
             return Some(dequeued(loc, QueueWait, t));
         }
     }
@@ -294,12 +333,7 @@ fn dequeued(loc: &Locality, inst: crate::metrics::Instrument, mut t: Task) -> Ta
 }
 
 /// Execute one task on the current worker.
-pub(crate) fn execute(
-    rt: &Arc<RuntimeInner>,
-    loc: &Arc<Locality>,
-    local: &Local<Task>,
-    task: Task,
-) {
+pub(crate) fn execute(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, task: Task) {
     let process = task.process;
     let trace = task.trace;
     // Cancellation gate (one branch when no process is attached): queued
@@ -323,7 +357,7 @@ pub(crate) fn execute(
     }
     match task.work {
         Work::Thread(f) => {
-            let mut ctx = Ctx::new(rt, loc, local, process, trace);
+            let mut ctx = Ctx::new(rt, loc, process, trace);
             // A closure thread has no continuation to notify; the panic
             // counter and dead-letter hook are its only observers.
             if let Err(msg) = run_guarded(loc, || f(&mut ctx)) {
@@ -332,7 +366,7 @@ pub(crate) fn execute(
             bump!(loc.counters().threads_executed);
         }
         Work::Resume(f, v) => {
-            let mut ctx = Ctx::new(rt, loc, local, process, trace);
+            let mut ctx = Ctx::new(rt, loc, process, trace);
             if let Err(msg) = run_guarded(loc, || f(&mut ctx, v)) {
                 report_thread_panic(rt, loc, msg);
             }
@@ -341,9 +375,9 @@ pub(crate) fn execute(
         }
         Work::ParcelFrame(bytes) => {
             bump!(loc.counters().frames_recv);
-            crate::net::for_each_record(&bytes, |rec| run_wire_parcel(rt, loc, local, rec));
+            crate::net::for_each_record(&bytes, |rec| run_wire_parcel(rt, loc, rec));
         }
-        Work::Parcel(p) => run_parcel(rt, loc, local, *p),
+        Work::Parcel(p) => run_parcel(rt, loc, *p),
     }
     if let Some(pgid) = process {
         rt.process_task_done(pgid);
@@ -353,12 +387,12 @@ pub(crate) fn execute(
 /// Decode and run one wire-delivered parcel record. Wire deliveries carry
 /// the process tag inside the parcel (`Task::process` is `None`); the
 /// completion is accounted here.
-fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, rec: Record) {
+fn run_wire_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, rec: Record) {
     let Some(p) = decode_record(rt, loc, rec) else {
         return;
     };
     let proc_gid = p.process;
-    run_parcel(rt, loc, local, p);
+    run_parcel(rt, loc, p);
     // Mirror of the send-side gate in `route_parcel`: in a distributed
     // runtime every wire delivery crossed an OS-process boundary, so no
     // token was taken in *this* process for it — decrementing would drain
@@ -465,7 +499,7 @@ pub(crate) fn complete(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, mut p: Parce
 /// Execute a parcel: ownership check (an absent object's parcel goes to
 /// `sys::agas::not_here`), then system or registry dispatch, then
 /// continuation application.
-fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, p: Parcel) {
+fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
     bump!(loc.counters().parcels_recv);
     loc.trace_event(
         p.trace,
@@ -531,7 +565,7 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Local<Task>, 
     // User action via the registry.
     match rt.registry.get(a) {
         Ok(handler) => {
-            let mut ctx = Ctx::new(rt, loc, local, p.process, p.trace);
+            let mut ctx = Ctx::new(rt, loc, p.process, p.trace);
             let handler = handler.clone();
             let exec_start = loc.metrics_now();
             let result = run_guarded(loc, || handler(&mut ctx, p.dest, p.payload.bytes()));
@@ -657,7 +691,7 @@ impl RuntimeInner {
         for (w, v) in acts {
             match w {
                 Waiter::Depleted(f) => {
-                    loc.push_task(Task::new(Work::Resume(f, v)).with_trace(trace))
+                    loc.spawn_here(Task::new(Work::Resume(f, v)).with_trace(trace))
                 }
                 Waiter::Control(f) => {
                     let task = Task::new(Work::Resume(f, v)).with_trace(trace);
@@ -682,12 +716,16 @@ impl RuntimeInner {
         if owner == from {
             bump!(from_loc.counters().parcels_sent);
             // Same locality: no wire, no encoding, no bytes; direct enqueue.
-            let (lane, process) = (Lane::of_parcel(p.staged), p.process);
+            let (staged, process) = (p.staged, p.process);
             let task = Task::new(Work::Parcel(Box::new(p))).with_process(process);
             if let Some(pg) = process {
                 self.process_task_started(pg, owner);
             }
-            from_loc.deliver(lane, task);
+            if staged {
+                from_loc.deliver(Lane::Staged, task);
+            } else {
+                from_loc.spawn_here(task);
+            }
             return;
         }
         // Process activity tokens never cross an OS-process boundary:
@@ -733,7 +771,7 @@ impl RuntimeInner {
             self.process_task_started(pg, dest);
         }
         if dest == from {
-            return self.localities[from.0 as usize].push_task(task);
+            return self.localities[from.0 as usize].spawn_here(task);
         }
         self.wire.send_task(from, dest, task);
     }
@@ -828,8 +866,8 @@ mod tests {
         /// queued, or a timer due or a ring on its heap — and is not lost
         /// (`Stepped::kill`), whose queues are abandoned.
         pub(crate) fn ready(&self) -> bool {
-            let live = !self.rt.wire.is_lost(self.loc.id);
-            live && (self.loc.has_work() || self.loc.timers.due())
+            let (rt, loc) = (&self.state.rt, &self.state.loc);
+            !rt.wire.is_lost(loc.id) && (loc.has_work() || loc.timers.due())
         }
     }
 
@@ -878,12 +916,12 @@ mod tests {
         }
         loc.deliver(Lane::Control, Task::new(Work::ParcelFrame(vec![])));
         let local = Local::new();
-        let first = find_task(&loc, &local, 0).expect("nine tasks queued");
+        let first = find_task(&loc, &local, 0, false).expect("nine tasks queued");
         assert_eq!(format!("{first:?}"), "Task::ParcelFrame", "control first");
         let waits = |inst| reg.snapshot().get(inst).count;
         assert_eq!((waits(ControlLane), waits(QueueWait)), (1, 0));
         let mut data = 0;
-        while let Some(t) = find_task(&loc, &local, 0) {
+        while let Some(t) = find_task(&loc, &local, 0, false) {
             assert_eq!(format!("{t:?}"), "Task::Thread");
             data += 1;
         }
@@ -936,6 +974,62 @@ mod tests {
         s.run_until("the port pulled", |_| PULLED_AT.load(Ordering::SeqCst) != 0);
         let seen = [&SEEN_AT, &PULLED_AT].map(|links| links.load(Ordering::SeqCst));
         assert_eq!(seen, [ARMED_AT, SENT_AT + 1], "links run before each pass");
+    }
+
+    /// Work a worker makes for its own locality goes on its ring: a task
+    /// that releases a local waiter and sends a same-locality parcel
+    /// leaves the injector empty, and the next two turns run both. A
+    /// driver's spawn is handed over from outside: it lands in the
+    /// injector.
+    #[test]
+    fn work_made_on_a_worker_stays_on_its_ring() {
+        use crate::runtime::{Config, RuntimeBuilder};
+        let mut s = RuntimeBuilder::new(Config::small(1, 1)).stepped(0);
+        let loc = s.rt.inner().localities[0].clone();
+        s.rt.spawn_at(LocalityId(0), |ctx| {
+            let fut = ctx.new_future::<u64>();
+            ctx.when_future(fut, |_, _| {});
+            ctx.set_future(fut, &7).unwrap();
+            ctx.send_parcel(sys::bare(Gid::locality_root(ctx.here()), sys::NOOP));
+        });
+        assert_eq!(loc.injector.len(), 1, "a driver's spawn is injected");
+        assert!(s.turn(0));
+        assert_eq!(
+            loc.injector.len(),
+            0,
+            "the resume and the parcel are on the ring"
+        );
+        let before = loc.stats();
+        assert!(s.turn(0) && s.turn(0));
+        let after = loc.stats();
+        let ran = |f: fn(&crate::stats::LocalityStats) -> u64| f(&after) - f(&before);
+        assert_eq!((ran(|l| l.resumes), ran(|l| l.parcels_recv)), (1, 1));
+        assert!(!loc.has_work());
+    }
+
+    /// A worker whose tasks keep making local work still runs what was
+    /// handed to its locality: a chain that spawns its next link on every
+    /// turn hides a driver's task for at most `EVENT_INTERVAL + 1` turns.
+    #[test]
+    fn a_chain_of_local_work_does_not_starve_the_injector() {
+        use crate::runtime::{Config, Ctx, RuntimeBuilder};
+        use std::sync::atomic::AtomicBool;
+        static PROBED: AtomicBool = AtomicBool::new(false);
+        fn link(ctx: &mut Ctx<'_>) {
+            if !PROBED.load(Ordering::SeqCst) {
+                ctx.spawn(link);
+            }
+        }
+        let mut s = RuntimeBuilder::new(Config::small(1, 1)).stepped(0);
+        s.rt.spawn_at(LocalityId(0), link);
+        assert!(s.turn(0), "the chain's first link");
+        s.rt.spawn_at(LocalityId(0), |_| PROBED.store(true, Ordering::SeqCst));
+        let mut turns = 0;
+        while !PROBED.load(Ordering::SeqCst) {
+            assert!(s.turn(0), "the chain runs while the probe waits");
+            turns += 1;
+            assert!(turns <= EVENT_INTERVAL + 1, "the probe starved");
+        }
     }
 
     /// The spend check on the other shape the lexical rule declared out

@@ -31,7 +31,8 @@ const MAX_HOPS: u8 = 16;
 
 /// The one rule for a parcel whose object `loc` does not hold, or holds
 /// pinned by a move in flight, whether dispatch's residency check or a
-/// handler's store access found it so. Under the migration-sync lock, with no move of the object in
+/// handler's store access found it so. Under the parked-parcel lock
+/// (`Agas::defer_during_migration`), with no move of the object in
 /// flight here, `loc`'s directory and store read here are one consistent
 /// state; so the parcel is
 ///
@@ -109,9 +110,9 @@ fn reply_or_chase(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, r: PxR
 }
 
 pub(super) fn data_get(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
-    let r = loc
-        .get_data(p.dest)
-        .map(|d| Value::encode(&d.read().bytes).expect("Vec<u8> encodes"));
+    let r = loc.data_op(p.dest, |d| {
+        Value::encode(&d.read().bytes).expect("Vec<u8> encodes")
+    });
     reply_or_chase(rt, loc, p, r);
 }
 
@@ -120,24 +121,25 @@ pub(super) fn data_put(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         Ok(bytes) => bytes,
         Err(e) => return kill_parcel(rt, loc, p, FaultCause::Decode, e.to_string()),
     };
-    let d = match loc.get_data(p.dest) {
-        Ok(d) => d,
-        Err(e) => return reply_or_chase(rt, loc, p, Err(e)),
-    };
-    let mut g = d.write();
-    // Write freeze, checked under the object's write lock: a move pins
-    // the GID *before* reading its snapshot, and that read blocks on this
-    // lock — so an unfrozen put seen here is ordered before the snapshot,
-    // never silently after it. A frozen put is parked and re-sent toward
-    // the new owner on drain.
-    if loc.agas.migration_in_flight(p.dest) {
-        drop(g);
-        return not_here(rt, loc, p);
+    let written = loc.data_op(p.dest, |d| {
+        let mut g = d.write();
+        // Write freeze, checked under the object's write lock: a move
+        // pins the GID *before* reading its snapshot, and that read blocks
+        // on this lock — so an unfrozen put seen here is ordered before
+        // the snapshot, never silently after it. A frozen put is parked
+        // and re-sent toward the new owner on drain.
+        let frozen = loc.agas.migration_in_flight(p.dest);
+        if !frozen {
+            g.bytes = bytes;
+            g.version += 1;
+        }
+        !frozen
+    });
+    match written {
+        Ok(true) => complete(rt, loc, p, Value::unit()),
+        Ok(false) => not_here(rt, loc, p),
+        Err(e) => reply_or_chase(rt, loc, p, Err(e)),
     }
-    g.bytes = bytes;
-    g.version += 1;
-    drop(g);
-    complete(rt, loc, p, Value::unit());
 }
 
 /// Unpin `gid` and re-send the parcels parked under the pin; they
@@ -184,7 +186,7 @@ pub(super) fn migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel, m:
     }
     // Snapshot under the pin: parked DATA_PUTs can no longer change the
     // bytes, so the installed copy is the authoritative image.
-    let snapshot = loc.get_data(gid).map(|d| {
+    let snapshot = loc.data_op(gid, |d| {
         let g = d.read();
         (g.bytes.clone(), g.version)
     });
@@ -524,12 +526,11 @@ mod tests {
         s.settle();
         assert!(s.reply(moved).is_ok() && s.reply(put).is_ok());
         assert!(!src_loc.contains(x));
-        let object = s.rt.inner().locality(dst).get_data(x).unwrap();
-        let object = object.read();
-        assert_eq!(
-            (object.bytes.as_slice(), object.version),
-            (&[7u8; 4][..], 1)
-        );
+        let object = s.rt.inner().locality(dst).data_op(x, |d| {
+            let g = d.read();
+            (g.bytes.clone(), g.version)
+        });
+        assert_eq!(object.unwrap(), (vec![7u8; 4], 1));
         assert_eq!(s.rt.stats().total().dead_parcels, 0);
     }
 

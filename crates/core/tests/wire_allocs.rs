@@ -24,6 +24,29 @@ fn encoding_a_value_allocates_only_the_value() {
     assert_eq!(allocs(|| Value::encode(&data).unwrap()), 1);
 }
 
+/// A value that fits in place — a `u64` reply, a `[f64; 3]`, the unit
+/// value — is encoded, decoded and dropped with no allocation.
+#[test]
+fn a_small_value_allocates_nothing() {
+    assert_eq!(allocs(|| Value::encode(&7u64).unwrap()), 0);
+    assert_eq!(allocs(|| Value::encode(&[1.0f64, 2.0, 3.0]).unwrap()), 0);
+    assert_eq!(allocs(|| Value::encode(&()).unwrap()), 0);
+    let v = Value::encode(&[1.0f64, 2.0, 3.0]).unwrap();
+    assert_eq!(allocs(|| v.decode::<[f64; 3]>().unwrap()), 0);
+}
+
+/// A clone copies a small value in place and shares a large one's bytes.
+#[test]
+fn cloning_a_value_allocates_nothing() {
+    for v in [
+        Value::unit(),
+        Value::encode(&7u64).unwrap(),
+        Value::encode(&vec![0u8; 4096]).unwrap(),
+    ] {
+        assert_eq!(allocs(|| v.clone()), 0, "{v:?}");
+    }
+}
+
 #[test]
 fn to_bytes_allocates_only_the_vector() {
     let data = vec![0u8; 4096];
@@ -36,6 +59,15 @@ fn decoding_a_parcel_allocates_its_payload_and_its_steps() {
     let p = Parcel::new(Gid(1), ActionId(2), payload, Continuation::set(Gid(3)));
     let bytes = p.encode();
     assert_eq!(allocs(|| Parcel::decode(&bytes).unwrap()), 2);
+}
+
+/// A small payload is decoded in place: only the steps allocate.
+#[test]
+fn decoding_a_parcel_with_a_small_payload_allocates_only_its_steps() {
+    let payload = Value::encode(&(7u64, 8u64)).unwrap();
+    let p = Parcel::new(Gid(1), ActionId(2), payload, Continuation::set(Gid(3)));
+    let bytes = p.encode();
+    assert_eq!(allocs(|| Parcel::decode(&bytes).unwrap()), 1);
 }
 
 #[test]

@@ -104,6 +104,8 @@ impl Node {
 pub struct Octree {
     /// Node arena; `nodes[0]` is the root.
     pub nodes: Vec<Node>,
+    /// Levels below the root: what sizes [`Octree::force_on`]'s stack.
+    depth: usize,
 }
 
 impl Octree {
@@ -130,12 +132,23 @@ impl Octree {
             * 1.0001;
         let mut tree = Octree {
             nodes: vec![Node::empty(center, half)],
+            depth: 0,
         };
         for (i, b) in bodies.iter().enumerate() {
             tree.insert(0, i as u32, bodies, b.pos);
         }
         tree.summarize(0, bodies);
+        tree.depth = tree.depth_below(0);
         tree
+    }
+
+    /// Levels below `node`.
+    fn depth_below(&self, node: u32) -> usize {
+        let children = self.nodes[node as usize].children.iter();
+        let below = children
+            .filter(|&&c| c != 0)
+            .map(|&c| self.depth_below(c) + 1);
+        below.max().unwrap_or(0)
     }
 
     fn octant(center: &[f64; 3], p: &[f64; 3]) -> usize {
@@ -242,7 +255,9 @@ impl Octree {
     /// the softened kernel; self-interaction contributes ~0).
     pub fn force_on(&self, pos: [f64; 3], theta: f64) -> [f64; 3] {
         let mut acc = [0.0; 3];
-        let mut stack = vec![0u32];
+        // Each level opened leaves at most seven siblings on the stack.
+        let mut stack = Vec::with_capacity(7 * self.depth + 1);
+        stack.push(0u32);
         while let Some(n) = stack.pop() {
             let node = &self.nodes[n as usize];
             if node.count == 0 || node.mass == 0.0 {
