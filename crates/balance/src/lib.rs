@@ -21,15 +21,15 @@
 //! Three pieces:
 //!
 //! * [`LoadMonitor`] — a cheap sliding window over per-locality
-//!   [`LoadSample`]s (queue depth, park rate, parcel backlog) reduced to a
+//!   [`LoadSample`]s (queued work, staging backlog) reduced to a
 //!   comparable load [`LoadMonitor::score`].
 //! * [`PeerView`] — what one locality believes about every other
 //!   locality's load, updated by gossip: each round a locality sends its
 //!   whole view to one rotating peer, and freshness is arbitrated by round
 //!   number. No global barrier, no central coordinator.
-//! * [`BalancePolicy`] — the pluggable decision trait with the three
-//!   stock implementations [`WorkToData`], [`DataToWork`], and
-//!   [`Adaptive`], configured through [`BalanceConfig`].
+//! * [`BalancePolicy`] — the decision: [`BalancePolicy::WorkToData`],
+//!   [`BalancePolicy::DataToWork`] or [`BalancePolicy::Adaptive`],
+//!   configured through [`BalanceConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +39,5 @@ pub mod policy;
 pub mod view;
 
 pub use monitor::{LoadMonitor, LoadSample, MONITOR_WINDOW};
-pub use policy::{
-    Adaptive, BalanceConfig, BalancePolicy, DataToWork, PlacementQuery, ShedQuery, WorkToData,
-    SHED_RATIO,
-};
+pub use policy::{BalanceConfig, BalancePolicy, PlacementQuery, ShedQuery, SHED_RATIO};
 pub use view::{decode_gossip, GossipEntry, PeerView};

@@ -11,11 +11,9 @@ use std::collections::VecDeque;
 /// One observation of a locality's instantaneous load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadSample {
-    /// Tasks waiting in the general run queue (injector).
+    /// Tasks waiting in the run queues: the injector and every worker's
+    /// ring.
     pub queue_depth: u64,
-    /// Worker park events since the previous sample (starvation signal:
-    /// parks mean workers found nothing to do).
-    pub parks: u64,
     /// Prestaged parcels waiting in the percolation staging buffer.
     pub backlog: u64,
 }
@@ -29,7 +27,6 @@ pub struct LoadMonitor {
     capacity: usize,
     window: VecDeque<LoadSample>,
     sum_depth: u64,
-    sum_parks: u64,
     sum_backlog: u64,
 }
 
@@ -41,7 +38,6 @@ impl LoadMonitor {
             capacity,
             window: VecDeque::with_capacity(capacity),
             sum_depth: 0,
-            sum_parks: 0,
             sum_backlog: 0,
         }
     }
@@ -54,11 +50,9 @@ impl LoadMonitor {
                 .pop_front()
                 .expect("window full implies nonempty");
             self.sum_depth -= old.queue_depth;
-            self.sum_parks -= old.parks;
             self.sum_backlog -= old.backlog;
         }
         self.sum_depth += s.queue_depth;
-        self.sum_parks += s.parks;
         self.sum_backlog += s.backlog;
         self.window.push_back(s);
     }
@@ -83,25 +77,12 @@ impl LoadMonitor {
         self.mean(self.sum_backlog)
     }
 
-    /// Mean park events per sample (per gossip round). High park rate with
-    /// an empty queue is the §2.1 starvation signature.
-    pub fn park_rate(&self) -> f64 {
-        self.mean(self.sum_parks)
-    }
-
     /// The comparable load score: mean waiting work (queue depth plus
-    /// staged backlog). Parks are deliberately *not* subtracted — a parked
-    /// locality already scores near zero, and keeping the score a plain
-    /// work measure keeps shed arithmetic (move half the difference)
-    /// meaningful in task units.
+    /// staged backlog). A plain work measure keeps shed arithmetic (move
+    /// half the difference) meaningful in task units, and a starving
+    /// locality scores near zero.
     pub fn score(&self) -> f64 {
         self.mean_queue_depth() + self.mean_backlog()
-    }
-
-    /// True when the window shows workers parking with nothing queued —
-    /// the locality is starving and a good shed target.
-    pub fn starving(&self) -> bool {
-        !self.is_empty() && self.park_rate() > 0.0 && self.score() < 1.0
     }
 
     fn mean(&self, sum: u64) -> f64 {
@@ -117,10 +98,9 @@ impl LoadMonitor {
 mod tests {
     use super::*;
 
-    fn s(queue_depth: u64, parks: u64, backlog: u64) -> LoadSample {
+    fn s(queue_depth: u64, backlog: u64) -> LoadSample {
         LoadSample {
             queue_depth,
-            parks,
             backlog,
         }
     }
@@ -130,54 +110,41 @@ mod tests {
         let m = LoadMonitor::new(4);
         assert!(m.is_empty());
         assert_eq!(m.score(), 0.0);
-        assert_eq!(m.park_rate(), 0.0);
-        assert!(!m.starving());
     }
 
     #[test]
     fn means_over_partial_window() {
         let mut m = LoadMonitor::new(8);
-        m.record(s(10, 0, 2));
-        m.record(s(20, 4, 0));
+        m.record(s(10, 2));
+        m.record(s(20, 0));
         assert_eq!(m.len(), 2);
         assert!((m.mean_queue_depth() - 15.0).abs() < 1e-12);
         assert!((m.mean_backlog() - 1.0).abs() < 1e-12);
-        assert!((m.park_rate() - 2.0).abs() < 1e-12);
         assert!((m.score() - 16.0).abs() < 1e-12);
     }
 
     #[test]
     fn window_evicts_oldest() {
         let mut m = LoadMonitor::new(2);
-        m.record(s(100, 0, 0));
-        m.record(s(10, 0, 0));
-        m.record(s(20, 0, 0)); // evicts the 100
+        m.record(s(100, 0));
+        m.record(s(10, 0));
+        m.record(s(20, 0)); // evicts the 100
         assert_eq!(m.len(), 2);
         assert!((m.mean_queue_depth() - 15.0).abs() < 1e-12);
         // Keep rolling: sums must track eviction exactly.
         for _ in 0..100 {
-            m.record(s(7, 1, 3));
+            m.record(s(7, 3));
         }
         assert!((m.mean_queue_depth() - 7.0).abs() < 1e-12);
-        assert!((m.park_rate() - 1.0).abs() < 1e-12);
         assert!((m.mean_backlog() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn capacity_floor_is_one() {
         let mut m = LoadMonitor::new(0);
-        m.record(s(5, 0, 0));
-        m.record(s(9, 0, 0));
+        m.record(s(5, 0));
+        m.record(s(9, 0));
         assert_eq!(m.len(), 1);
         assert!((m.score() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn starvation_signature() {
-        let mut m = LoadMonitor::new(4);
-        m.record(s(0, 3, 0));
-        assert!(m.starving(), "parking with an empty queue is starvation");
-        m.record(s(50, 0, 0));
-        assert!(!m.starving(), "a deep queue is not starvation");
     }
 }

@@ -1,26 +1,25 @@
 //! Balance policies: the decision layer between telemetry and placement.
 //!
 //! Every decision is a pure function of a small query struct, so policies
-//! are unit-testable without a runtime and custom policies can be plugged
-//! in through the [`BalancePolicy`] trait object carried by
-//! [`BalanceConfig`].
+//! are unit-testable without a runtime. [`BalanceConfig`] carries one
+//! [`BalancePolicy`].
 //!
-//! The three stock policies map onto the two movement directions §2.2 of
-//! the paper names — work chasing data ("moving the work, in essence, to
-//! the data") and data percolating toward where it is demanded — plus the
+//! The three policies map onto the two movement directions §2.2 of the
+//! paper names — work chasing data ("moving the work, in essence, to the
+//! data") and data percolating toward where it is demanded — plus the
 //! adaptive combination the comparative AMT studies (Cilk / Charm++ /
 //! ParalleX) argue wins on irregular workloads:
 //!
-//! * [`WorkToData`] — never migrates objects; rebalances purely by *work
-//!   diffusion*: an overloaded locality sheds queued tasks to the
-//!   least-loaded gossip peer and redirects fresh spawns there.
-//! * [`DataToWork`] — never sheds; objects whose access heat from one
-//!   caller locality crosses a threshold are migrated toward that caller.
-//! * [`Adaptive`] — both, each gated by relative load so the system sheds
-//!   when it is the bottleneck and pulls data only off busier owners.
+//! * [`BalancePolicy::WorkToData`] — never migrates objects; rebalances
+//!   purely by *work diffusion*: an overloaded locality sheds its oldest
+//!   queued tasks to the least-loaded gossip peer.
+//! * [`BalancePolicy::DataToWork`] — never sheds; objects whose access
+//!   heat from one caller locality crosses a threshold are migrated
+//!   toward that caller.
+//! * [`BalancePolicy::Adaptive`] — both, each gated by relative load so
+//!   the system sheds when it is the bottleneck and pulls data only off
+//!   busier owners.
 
-use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Overload factor against the least-loaded peer before shedding engages.
@@ -41,7 +40,7 @@ pub struct PlacementQuery {
 }
 
 /// Inputs to a work-diffusion decision: should this locality shed queued
-/// tasks (or redirect fresh spawns) to the least-loaded peer?
+/// tasks to the least-loaded peer?
 #[derive(Debug, Clone, Copy)]
 pub struct ShedQuery {
     /// This locality's own load score.
@@ -74,96 +73,52 @@ impl ShedQuery {
     }
 }
 
-/// A pluggable balance policy. Implementations must be cheap: `shed` and
-/// `redirect_spawn` run once per locality per gossip round, `pull_data`
-/// once per hot object per round.
-pub trait BalancePolicy: Send + Sync {
-    /// Short name used in config `Debug` output and bench tables.
-    fn name(&self) -> &'static str;
+/// A balance policy: which of the two movement directions the balancer
+/// takes. Each decision runs once per locality per gossip round
+/// (`pull_data` once per hot object per round).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BalancePolicy {
+    /// Pure work diffusion: tasks move, objects stay (the model's default
+    /// direction, made load-aware).
+    WorkToData,
+    /// Pure heat-driven migration: hot objects move toward their callers,
+    /// queued work stays put.
+    DataToWork,
+    /// Both directions, load-gated: shed like [`BalancePolicy::WorkToData`];
+    /// pull hot objects like [`BalancePolicy::DataToWork`] but only off
+    /// owners at least as loaded as we are (pulling from a starving owner
+    /// would trade one imbalance for another). Unknown owner load counts as
+    /// "at least as loaded" — fresh heat with no gossip yet usually means
+    /// the owner is swamped.
+    Adaptive,
+}
 
+impl BalancePolicy {
     /// Work diffusion: number of queued tasks to shed to the least-loaded
     /// peer this round (0 = none).
-    fn shed(&self, q: &ShedQuery) -> u64;
+    pub fn shed(self, q: &ShedQuery) -> u64 {
+        match self {
+            BalancePolicy::WorkToData | BalancePolicy::Adaptive => q.shed_amount(),
+            BalancePolicy::DataToWork => 0,
+        }
+    }
 
     /// Heat-driven migration: pull the object toward this caller?
-    fn pull_data(&self, q: &PlacementQuery) -> bool;
+    pub fn pull_data(self, q: &PlacementQuery) -> bool {
+        let hot = q.heat >= q.heat_threshold;
+        match self {
+            BalancePolicy::WorkToData => false,
+            BalancePolicy::DataToWork => hot,
+            BalancePolicy::Adaptive => hot && q.owner_score.is_none_or(|o| o >= q.local_score),
+        }
+    }
 
-    /// Spawn-time diffusion: route a share of fresh local spawns to the
-    /// least-loaded peer while overloaded?
-    fn redirect_spawn(&self, q: &ShedQuery) -> bool;
-
-    /// Whether this policy ever migrates data. Policies that return
-    /// `false` (like [`WorkToData`]) let the runtime skip heat tracking
-    /// entirely — no per-send heat-map updates, no per-round drains —
-    /// since no decision would ever consume the heat.
-    fn uses_heat(&self) -> bool {
-        true
-    }
-}
-
-/// Pure work diffusion: tasks move, objects stay (the model's default
-/// direction, made load-aware).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkToData;
-
-impl BalancePolicy for WorkToData {
-    fn name(&self) -> &'static str {
-        "work-to-data"
-    }
-    fn shed(&self, q: &ShedQuery) -> u64 {
-        q.shed_amount()
-    }
-    fn pull_data(&self, _q: &PlacementQuery) -> bool {
-        false
-    }
-    fn redirect_spawn(&self, q: &ShedQuery) -> bool {
-        q.overloaded()
-    }
-    fn uses_heat(&self) -> bool {
-        false
-    }
-}
-
-/// Pure heat-driven migration: hot objects move toward their callers,
-/// queued work stays put.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DataToWork;
-
-impl BalancePolicy for DataToWork {
-    fn name(&self) -> &'static str {
-        "data-to-work"
-    }
-    fn shed(&self, _q: &ShedQuery) -> u64 {
-        0
-    }
-    fn pull_data(&self, q: &PlacementQuery) -> bool {
-        q.heat >= q.heat_threshold
-    }
-    fn redirect_spawn(&self, _q: &ShedQuery) -> bool {
-        false
-    }
-}
-
-/// Both directions, load-gated: shed like [`WorkToData`]; pull hot objects
-/// like [`DataToWork`] but only off owners at least as loaded as we are
-/// (pulling from a starving owner would trade one imbalance for another).
-/// Unknown owner load counts as "at least as loaded" — fresh heat with no
-/// gossip yet usually means the owner is swamped.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Adaptive;
-
-impl BalancePolicy for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn shed(&self, q: &ShedQuery) -> u64 {
-        q.shed_amount()
-    }
-    fn pull_data(&self, q: &PlacementQuery) -> bool {
-        q.heat >= q.heat_threshold && q.owner_score.is_none_or(|o| o >= q.local_score)
-    }
-    fn redirect_spawn(&self, q: &ShedQuery) -> bool {
-        q.overloaded()
+    /// Whether this policy ever migrates data. [`BalancePolicy::WorkToData`]
+    /// does not, which lets the runtime skip heat tracking entirely — no
+    /// per-send heat-map updates, no per-round drains — since no decision
+    /// would ever consume the heat.
+    pub fn uses_heat(self) -> bool {
+        self != BalancePolicy::WorkToData
     }
 }
 
@@ -171,10 +126,10 @@ impl BalancePolicy for Adaptive {
 /// holds `Option<BalanceConfig>`; `None` (the default) disables every
 /// hook and keeps runtime behavior bit-identical to a balancer-less
 /// build.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct BalanceConfig {
     /// Decision policy.
-    pub policy: Arc<dyn BalancePolicy>,
+    pub policy: BalancePolicy,
     /// Balancer pulse: one load sample + one gossip parcel per locality
     /// per interval.
     pub gossip_interval: Duration,
@@ -188,21 +143,9 @@ pub struct BalanceConfig {
     pub max_pulls_per_round: u64,
 }
 
-impl fmt::Debug for BalanceConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BalanceConfig")
-            .field("policy", &self.policy.name())
-            .field("gossip_interval", &self.gossip_interval)
-            .field("max_shed_per_round", &self.max_shed_per_round)
-            .field("heat_threshold", &self.heat_threshold)
-            .field("max_pulls_per_round", &self.max_pulls_per_round)
-            .finish()
-    }
-}
-
 impl BalanceConfig {
     /// Defaults shared by the stock constructors.
-    pub fn with_policy(policy: Arc<dyn BalancePolicy>) -> BalanceConfig {
+    pub fn with_policy(policy: BalancePolicy) -> BalanceConfig {
         BalanceConfig {
             policy,
             gossip_interval: Duration::from_millis(1),
@@ -214,18 +157,18 @@ impl BalanceConfig {
 
     /// Work-diffusion-only configuration.
     pub fn work_to_data() -> BalanceConfig {
-        BalanceConfig::with_policy(Arc::new(WorkToData))
+        BalanceConfig::with_policy(BalancePolicy::WorkToData)
     }
 
     /// Migration-only configuration.
     pub fn data_to_work() -> BalanceConfig {
-        BalanceConfig::with_policy(Arc::new(DataToWork))
+        BalanceConfig::with_policy(BalancePolicy::DataToWork)
     }
 
     /// The adaptive configuration (recommended default when enabling the
     /// balancer).
     pub fn adaptive() -> BalanceConfig {
-        BalanceConfig::with_policy(Arc::new(Adaptive))
+        BalanceConfig::with_policy(BalancePolicy::Adaptive)
     }
 }
 
@@ -272,26 +215,24 @@ mod tests {
 
     #[test]
     fn work_to_data_sheds_never_pulls() {
-        let p = WorkToData;
+        let p = BalancePolicy::WorkToData;
         assert_eq!(p.shed(&sq(100.0, 0.0, 1000)), 32);
-        assert!(p.redirect_spawn(&sq(100.0, 0.0, 1000)));
         assert!(!p.pull_data(&pq(1_000_000, 0.0, Some(100.0))));
         assert!(!p.uses_heat(), "never pulls, so heat need not be tracked");
     }
 
     #[test]
     fn data_to_work_pulls_never_sheds() {
-        let p = DataToWork;
+        let p = BalancePolicy::DataToWork;
         assert!(p.uses_heat());
         assert_eq!(p.shed(&sq(100.0, 0.0, 1000)), 0);
-        assert!(!p.redirect_spawn(&sq(100.0, 0.0, 1000)));
         assert!(!p.pull_data(&pq(15, 0.0, Some(100.0))), "below threshold");
         assert!(p.pull_data(&pq(16, 100.0, Some(0.0))), "heat alone decides");
     }
 
     #[test]
     fn adaptive_gates_pulls_on_relative_load() {
-        let p = Adaptive;
+        let p = BalancePolicy::Adaptive;
         assert_eq!(p.shed(&sq(100.0, 0.0, 1000)), 32);
         assert!(p.pull_data(&pq(20, 1.0, Some(50.0))), "owner busier: pull");
         assert!(
@@ -304,10 +245,17 @@ mod tests {
 
     #[test]
     fn config_constructors_and_debug() {
-        assert_eq!(BalanceConfig::adaptive().policy.name(), "adaptive");
-        assert_eq!(BalanceConfig::work_to_data().policy.name(), "work-to-data");
-        assert_eq!(BalanceConfig::data_to_work().policy.name(), "data-to-work");
+        let policy = |c: BalanceConfig| c.policy;
+        assert_eq!(policy(BalanceConfig::adaptive()), BalancePolicy::Adaptive);
+        assert_eq!(
+            policy(BalanceConfig::work_to_data()),
+            BalancePolicy::WorkToData
+        );
+        assert_eq!(
+            policy(BalanceConfig::data_to_work()),
+            BalancePolicy::DataToWork
+        );
         let d = format!("{:?}", BalanceConfig::adaptive());
-        assert!(d.contains("adaptive") && d.contains("gossip_interval"));
+        assert!(d.contains("Adaptive") && d.contains("gossip_interval"));
     }
 }

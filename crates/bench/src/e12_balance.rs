@@ -6,8 +6,8 @@
 //!
 //! * **skewed-spawn** — the E11 starvation shape: `N` equal tasks whose
 //!   homes are Zipf-skewed over the localities, so one locality drowns
-//!   while the rest park. Only *work diffusion* (shedding + spawn
-//!   redirect) can fix this: there is no data to migrate.
+//!   while the rest park. Only *work diffusion* (shedding the oldest
+//!   queued tasks) can fix this: there is no data to migrate.
 //! * **hot-objects** — the inverse shape: work is spread evenly but every
 //!   task addresses an action at one of `K` data objects all born on
 //!   locality 0 (a load-phase artifact), with caller affinity (locality
@@ -331,6 +331,55 @@ mod tests {
         };
         let off = run_skewed_spawn(Setting::Off, p);
         let adaptive = run_skewed_spawn(Setting::Adaptive, p);
+        assert!(adaptive.tasks_shed > 0, "{adaptive:?}");
+        assert!(
+            busiest_share(&adaptive.threads) < busiest_share(&off.threads),
+            "adaptive {adaptive:?} vs off {off:?}"
+        );
+    }
+
+    /// Every task made by one task at locality 0 (`Ctx::spawn`), so all
+    /// the work waits on that locality's worker ring, not in its injector.
+    /// `threads` counts where these tasks ran, and nothing else (gossip
+    /// runs threads too).
+    fn run_spawned_at_one(setting: Setting, p: Params) -> Row {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        use std::sync::Arc;
+        let rt = RuntimeBuilder::new(setting.config(p.tasks))
+            .build()
+            .unwrap();
+        let gate = rt.new_and_gate(LocalityId(0), p.tasks as u64);
+        let ran: Arc<[AtomicU64; LOCALITIES]> = Arc::default();
+        let (tasks, grain, at) = (p.tasks, p.grain_ns, ran.clone());
+        rt.spawn_at(LocalityId(0), move |ctx| {
+            for _ in 0..tasks {
+                let at = at.clone();
+                ctx.spawn(move |ctx| {
+                    sleep_for_ns(grain);
+                    at[ctx.here().0 as usize].fetch_add(1, Relaxed);
+                    ctx.trigger_value(gate, Value::unit());
+                });
+            }
+        });
+        rt.wait_future(FutureRef::<()>::from_gid(gate)).unwrap();
+        rt.shutdown();
+        Row {
+            threads: std::array::from_fn(|l| ran[l].load(Relaxed)),
+            ..collect_row(setting, Duration::ZERO, &rt.stats())
+        }
+    }
+
+    /// Work that tasks make is diffused like work handed in: the adaptive
+    /// policy sheds the spawned tasks off their one locality, so it runs a
+    /// smaller share of the threads than with the balancer off.
+    #[test]
+    fn adaptive_sheds_the_work_a_task_spawns() {
+        let p = Params {
+            tasks: 400,
+            grain_ns: 150_000,
+        };
+        let off = run_spawned_at_one(Setting::Off, p);
+        let adaptive = run_spawned_at_one(Setting::Adaptive, p);
         assert!(adaptive.tasks_shed > 0, "{adaptive:?}");
         assert!(
             busiest_share(&adaptive.threads) < busiest_share(&off.threads),

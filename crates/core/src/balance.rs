@@ -13,19 +13,19 @@
 //! does three things for its locality alone, then re-arms itself:
 //!
 //! 1. **Sample** — the locality's [`px_balance::LoadMonitor`] records
-//!    queue depth, park delta, and staging backlog.
+//!    its queued work (`Locality::queue_depth`: the injector and every
+//!    worker's ring) and staging backlog.
 //! 2. **Gossip** — the locality sends its whole [`px_balance::PeerView`]
 //!    to one rotating peer as a `__sys/balance_gossip` parcel on the
 //!    ordinary (batched) transport. After `n − 1` rounds everyone has
 //!    heard from everyone.
 //! 3. **Act** — the configured [`px_balance::BalancePolicy`] decides, from
 //!    the locality's own gossiped view only:
-//!    * *work diffusion*: shed queued closure tasks to the least-loaded
-//!      peer (parcel-addressed tasks stay — they are bound to objects
-//!      resident here);
-//!    * *spawn redirect*: publish the peer as this round's
-//!      [`crate::locality::BalanceState::spawn_target`] so `Ctx::spawn`
-//!      diffuses a share of fresh work at creation time;
+//!    * *work diffusion*: shed the oldest queued closure tasks to the
+//!      least-loaded peer, from the injector and then (in-process) from
+//!      each worker ring's FIFO end, where tree-shaped work keeps its
+//!      largest subtrees (parcel-addressed tasks stay — they are bound
+//!      to objects resident here);
 //!    * *heat-driven migration*: ask busier owners to move objects this
 //!      locality has been hammering (per [`crate::agas::Agas::drain_heat`])
 //!      here. A pull is a request, not a move: a fire-and-forget
@@ -43,7 +43,7 @@
 use crate::action::Value;
 use crate::agas::MigrationCause;
 use crate::gid::{Gid, GidKind, LocalityId};
-use crate::locality::{BalanceState, Lane, Locality, NO_SPAWN_TARGET};
+use crate::locality::{BalanceState, Lane, Locality};
 use crate::origin::Origin;
 use crate::parcel::{Continuation, Parcel};
 use crate::runtime::RuntimeInner;
@@ -56,8 +56,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// When shedding, give up after putting back this many non-sheddable
-/// tasks in a row (the queue head is parcel-bound work; keep the pulse
-/// cheap instead of trawling the whole injector).
+/// tasks (the oldest work is parcel-bound; keep the pulse cheap instead
+/// of trawling every queue).
 const PUTBACK_LIMIT: usize = 32;
 
 /// Arm every owned locality's first pulse, one gossip interval on, when
@@ -67,15 +67,15 @@ pub(crate) fn start(rt: &Arc<RuntimeInner>) {
         return;
     };
     for loc in rt.localities.iter().filter(|loc| rt.owns(loc.id)) {
-        arm(loc, loc.timers.now() + cfg.gossip_interval, 0, 0);
+        arm(loc, loc.timers.now() + cfg.gossip_interval, 0);
     }
 }
 
 /// Put `loc`'s next pulse on its heap, due at `at`: round `round` ran
-/// last and saw `parks` parks.
-fn arm(loc: &Locality, at: Instant, round: u64, parks: u64) {
+/// last.
+fn arm(loc: &Locality, at: Instant, round: u64) {
     let pulse = move |ctx: &mut crate::runtime::Ctx<'_>| {
-        pulse(ctx.rt_inner(), ctx.locality(), at, round, parks);
+        pulse(ctx.rt_inner(), ctx.locality(), at, round);
     };
     let task = Task::new(Work::Thread(Box::new(pulse)));
     loc.arm(at, Lane::Control, task, None);
@@ -83,7 +83,7 @@ fn arm(loc: &Locality, at: Instant, round: u64, parks: u64) {
 
 /// One round of `loc`'s pulse, due at `due`, then the next one armed an
 /// interval on — at once if this one ran more than an interval late.
-fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64, last_parks: u64) {
+fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64) {
     // SeqCst: the flag `Runtime::shutdown` stores before it wakes the
     // workers; a round that misses it runs once more, harmlessly.
     let stopping = rt.shutdown.load(Ordering::SeqCst);
@@ -91,30 +91,24 @@ fn pulse(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, due: Instant, round: u64, 
         return; // stopping: no round, and no re-arm
     };
     let (round, n) = (round + 1, rt.localities.len());
-    let parks = sample(loc, b, round, last_parks);
+    sample(loc, b, round);
     if n > 1 {
         gossip(rt, loc, b, round, n);
         // Acting is live over TCP too: each rank decides for its own
         // localities from the gossiped view. Across OS processes sheds
         // ship locality-root-addressed *parcels* (closures do not
-        // serialize) and spawn redirects publish only owned targets; heat
-        // pulls are the same `__sys/agas_migrate` request on both
-        // backends.
+        // serialize); heat pulls are the same `__sys/agas_migrate`
+        // request on both backends.
         act(rt, cfg, loc, b);
     }
     let next = (due + cfg.gossip_interval).max(loc.timers.now());
-    arm(loc, next, round, parks);
+    arm(loc, next, round);
 }
 
-/// Record one load sample and self-observe the new score; returns the
-/// park count the next round measures from.
-fn sample(loc: &Locality, b: &BalanceState, round: u64, last_parks: u64) -> u64 {
-    let parks_now = loc.stats().parks;
+/// Record one load sample and self-observe the new score.
+fn sample(loc: &Locality, b: &BalanceState, round: u64) {
     let sample = LoadSample {
         queue_depth: loc.queue_depth() as u64,
-        // Parks are untimed: a worker starved for the whole round
-        // parks zero times in it, and is counted as parked instead.
-        parks: parks_now.saturating_sub(last_parks) + loc.sleep.sleeping(),
         backlog: loc.staging_depth() as u64,
     };
     let score = {
@@ -124,7 +118,6 @@ fn sample(loc: &Locality, b: &BalanceState, round: u64, last_parks: u64) -> u64 
     };
     b.peers.lock().observe(loc.id.0 as usize, score, round);
     bump!(loc.counters().gossip_rounds);
-    parks_now
 }
 
 /// Send `loc`'s view to one rotating peer. The offset walks `1..n`, so
@@ -142,7 +135,7 @@ fn gossip(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, b: &BalanceState, round: 
     Origin::at(rt, loc).send(p);
 }
 
-/// Run the policy for `loc`: spawn redirect, shed, pulls.
+/// Run the policy for `loc`: shed, then pulls.
 fn act(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, loc: &Arc<Locality>, b: &BalanceState) {
     let i = loc.id.0 as usize;
     let (my_score, least) = {
@@ -150,34 +143,21 @@ fn act(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, loc: &Arc<Locality>, b: &Bal
         (peers.score_of(i).unwrap_or(0.0), peers.least_loaded(i))
     };
     let Some((least_idx, least_score)) = least else {
-        // No gossip heard yet: nothing to compare against.
-        // Relaxed: the target is an advisory hint — a stale read
-        // routes one spawn suboptimally, nothing more.
-        b.spawn_target.store(NO_SPAWN_TARGET, Ordering::Relaxed);
-        return;
+        return; // No gossip heard yet: nothing to compare against.
     };
     // Diffusion decisions use min(windowed, instantaneous) load: a spike
     // must persist a while before we shed (no knee-jerk on one burst),
     // and a freshly-drained queue stops shedding immediately instead of
     // lagging a full window behind (which would over-shed and ping-pong
     // the excess back).
-    let inst = (loc.queue_depth() + loc.staging_depth()) as f64;
+    let depth = loc.queue_depth();
+    let inst = (depth + loc.staging_depth()) as f64;
     let sq = ShedQuery {
         local_score: my_score.min(inst),
         least_score,
-        queue_depth: loc.queue_depth() as u64,
+        queue_depth: depth as u64,
         max_shed: cfg.max_shed_per_round,
     };
-    // Redirected spawns are closures, so the published target must live
-    // in this OS process; an unowned least-loaded peer still receives
-    // work through parcel sheds below.
-    let target = if cfg.policy.redirect_spawn(&sq) && rt.owns(LocalityId(least_idx as u16)) {
-        least_idx as u32
-    } else {
-        NO_SPAWN_TARGET
-    };
-    // Relaxed: advisory hint, republished every round (see above).
-    b.spawn_target.store(target, Ordering::Relaxed);
     let want = cfg.policy.shed(&sq);
     if want > 0 {
         let shed = shed_tasks(rt, loc, LocalityId(least_idx as u16), want);
@@ -193,14 +173,16 @@ fn act(rt: &Arc<RuntimeInner>, cfg: &BalanceConfig, loc: &Arc<Locality>, b: &Bal
     }
 }
 
-/// Work diffusion: move up to `max` tasks from `loc`'s injector to
-/// `dest`. In-process, closure tasks ship whole; across ranks only
-/// locality-root-addressed parcels without process-accounting tokens
-/// travel — a root-addressed parcel executes wherever it lands, so it is
-/// the one queue entry that moves between OS processes without closure
-/// serialization or a chase back. Parcel-bound tasks addressed at
-/// resident objects and depleted-thread resumptions (their LCO state
-/// lives here) are put back. Returns the number shed.
+/// Work diffusion: move up to `max` of `loc`'s oldest queued tasks to
+/// `dest` — the injector's first, then, in-process, each worker ring's
+/// from its FIFO end, with the claim any thief makes. In-process, closure
+/// tasks ship whole; across ranks only locality-root-addressed parcels
+/// without process-accounting tokens travel — a root-addressed parcel
+/// executes wherever it lands, so it is the one queue entry that moves
+/// between OS processes without closure serialization or a chase back.
+/// Parcel-bound tasks addressed at resident objects and depleted-thread
+/// resumptions (their LCO state lives here) are put back, into the
+/// injector. Returns the number shed.
 pub(crate) fn shed_tasks(
     rt: &Arc<RuntimeInner>,
     loc: &Arc<Locality>,
@@ -208,54 +190,47 @@ pub(crate) fn shed_tasks(
     max: u64,
 ) -> u64 {
     let cross_rank = !rt.owns(dest);
+    // A ring holds work a task made here. Of that only closures move,
+    // and only in-process: a root-addressed parcel on a ring was sent to
+    // this locality by a task here — a caller's half of a round trip,
+    // say — and shipping it off moves the caller.
+    let rings = loc.stealers.iter().filter(|_| !cross_rank);
+    let mut oldest = std::iter::from_fn(|| loc.injector.steal())
+        .chain(rings.flat_map(|ring| std::iter::from_fn(move || ring.steal())));
     let mut shed = 0u64;
     let mut putback: Vec<Task> = Vec::new();
     while shed < max && putback.len() < PUTBACK_LIMIT {
-        match loc.injector.steal() {
-            Some(task) => {
-                if cross_rank {
-                    let sheddable = matches!(
-                        &task.work,
-                        Work::Parcel(p) if p.dest.is_hardware() && p.process.is_none() && !p.staged
-                    );
-                    if sheddable {
-                        let trace = task.trace;
-                        let Work::Parcel(p) = task.work else {
-                            unreachable!("sheddable matched Work::Parcel")
-                        };
-                        bump!(loc.counters().tasks_shed);
-                        loc.trace_event(
-                            trace,
-                            crate::trace::TraceEventKind::BalanceShed,
-                            0,
-                            u64::from(dest.0),
-                        );
-                        rt.wire.send_parcel(loc.id, dest, Lane::Run, *p);
-                        shed += 1;
-                    } else {
-                        putback.push(task);
-                    }
-                } else if matches!(task.work, Work::Thread(_)) {
-                    // Same transfer mechanism as a `spawn_at` closure —
-                    // the task crosses the wire with the nominal header
-                    // size. Process accounting moves with the task: it
-                    // was counted started at spawn and completes at the
-                    // destination.
-                    bump!(loc.counters().tasks_shed);
-                    loc.trace_event(
-                        task.trace,
-                        crate::trace::TraceEventKind::BalanceShed,
-                        0,
-                        u64::from(dest.0),
-                    );
-                    rt.wire.send_task(loc.id, dest, task);
-                    shed += 1;
-                } else {
-                    putback.push(task);
-                }
-            }
-            None => break,
+        let Some(task) = oldest.next() else {
+            break;
+        };
+        let sheddable = if cross_rank {
+            matches!(
+                &task.work,
+                Work::Parcel(p) if p.dest.is_hardware() && p.process.is_none() && !p.staged
+            )
+        } else {
+            matches!(task.work, Work::Thread(_))
+        };
+        if !sheddable {
+            putback.push(task);
+            continue;
         }
+        bump!(loc.counters().tasks_shed);
+        loc.trace_event(
+            task.trace,
+            crate::trace::TraceEventKind::BalanceShed,
+            0,
+            u64::from(dest.0),
+        );
+        match task.work {
+            Work::Parcel(p) if cross_rank => rt.wire.send_parcel(loc.id, dest, Lane::Run, *p),
+            // Same transfer mechanism as a `spawn_at` closure — the task
+            // crosses the wire with the nominal header size. Process
+            // accounting moves with the task: it was counted started at
+            // spawn and completes at the destination.
+            _ => rt.wire.send_task(loc.id, dest, task),
+        }
+        shed += 1;
     }
     for t in putback {
         loc.push_task(t);
@@ -381,27 +356,49 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(60), "{:?}", t0.elapsed());
     }
 
+    /// Work a task makes is shed too, oldest first. One task at locality
+    /// 0 queues a parcel, a released waiter and `N` children on its
+    /// worker's ring, in that order. `queue_depth` counts all of them;
+    /// shedding `K` to locality 1 puts the parcel and the resumption back
+    /// into the injector, ships the first `K` children and leaves the
+    /// rest where they were.
     #[test]
-    fn overload_sheds_to_starving_peer() {
-        let rt = RuntimeBuilder::new(balanced_config(2, BalanceConfig::adaptive()))
-            .build()
-            .unwrap();
-        let gate = rt.new_and_gate(LocalityId(0), 400);
-        let fut: FutureRef<()> = FutureRef::from_gid(gate);
-        for _ in 0..400 {
-            rt.spawn_at(LocalityId(0), move |ctx| {
-                std::thread::sleep(Duration::from_micros(200));
-                ctx.trigger_value(gate, Value::unit());
-            });
-        }
-        rt.wait_future(fut).unwrap();
-        let s = rt.stats();
-        assert!(
-            s.localities[0].tasks_shed > 0,
-            "overloaded locality never shed: {:?}",
-            s.total()
-        );
-        rt.shutdown();
+    fn shedding_takes_the_oldest_work_a_task_made() {
+        const N: usize = 40;
+        const K: usize = 15;
+        let mut s = RuntimeBuilder::new(Config::small(2, 1)).stepped(0);
+        let ran: Arc<parking_lot::Mutex<Vec<(u16, usize)>>> = Arc::default();
+        let log = ran.clone();
+        s.rt.spawn_at(LocalityId(0), move |ctx| {
+            ctx.send_parcel(sys::bare(Gid::locality_root(ctx.here()), sys::NOOP));
+            let fut = ctx.new_future::<u64>();
+            ctx.when_future(fut, |_, _| {});
+            ctx.set_future(fut, &7).unwrap();
+            for i in 0..N {
+                let log = log.clone();
+                ctx.spawn(move |ctx| log.lock().push((ctx.here().0, i)));
+            }
+        });
+        assert!(s.turn(0));
+        let rt = s.rt.inner().clone();
+        let l0 = rt.localities[0].clone();
+        assert_eq!(l0.injector.len(), 0, "all of it is on the ring");
+        assert_eq!(l0.queue_depth(), N + 2, "and all of it is counted");
+        assert_eq!(shed_tasks(&rt, &l0, LocalityId(1), K as u64), K as u64);
+        assert_eq!(l0.injector.len(), 2, "the parcel and the resumption");
+        assert_eq!(l0.queue_depth(), N + 2 - K);
+        s.settle();
+        let ran = ran.lock();
+        let at = |l: u16| {
+            let mut ran: Vec<usize> = ran.iter().filter(|r| r.0 == l).map(|r| r.1).collect();
+            ran.sort_unstable();
+            ran
+        };
+        assert_eq!(at(1), (0..K).collect::<Vec<_>>(), "the oldest K moved");
+        assert_eq!(at(0), (K..N).collect::<Vec<_>>(), "the newest stayed");
+        let stats = s.rt.stats();
+        let (l0, l1) = (&stats.localities[0], &stats.localities[1]);
+        assert_eq!((l0.tasks_shed, l0.resumes, l1.resumes), (K as u64, 1, 0));
     }
 
     /// Stepped, so the heat of all 600 reads is there for the first round

@@ -82,28 +82,11 @@ impl<'a> Ctx<'a> {
 
     /// Spawn a PX-thread on this locality (LIFO on the worker's own ring —
     /// the cache-friendly fast path, `Locality::spawn_here`). Inherits
-    /// the current process.
-    ///
-    /// When the balancer is on and this locality is overloaded, every
-    /// other spawn is diffused to the least-loaded gossip peer instead
-    /// (the target is republished each balancer round by the balancer
-    /// pulse; see the `balance` module).
+    /// the current process. When the balancer is on, an overloaded
+    /// locality sheds the oldest of these to a quieter peer (the
+    /// `balance` module).
     pub fn spawn(&mut self, f: impl FnOnce(&mut Ctx<'_>) + Send + 'static) {
         let (rt, loc) = (self.from.rt(), self.from.loc());
-        if let Some(b) = &loc.balance {
-            // Relaxed: advisory redirect hint republished every balancer
-            // round; a stale read routes one spawn suboptimally.
-            let t = b.spawn_target.load(std::sync::atomic::Ordering::Relaxed);
-            // Closures do not serialize, so a redirect may only target a
-            // locality in this OS process; the balancer publishes only
-            // owned targets, but the hint is advisory and re-checked here.
-            if t != crate::locality::NO_SPAWN_TARGET
-                && rt.owns(LocalityId(t as u16))
-                && b.spawn_seq.add(1) & 1 == 0
-            {
-                return self.spawn_at(LocalityId(t as u16), f);
-            }
-        }
         if self.from.spawn_rejected(loc.id) {
             return;
         }

@@ -101,7 +101,7 @@ pub mod prelude {
     pub use crate::runtime::{Config, Ctx, DeadLetterHook, Runtime, RuntimeBuilder, TransportKind};
     pub use crate::stats::StatsSnapshot;
     pub use crate::trace::{TraceConfig, TraceDump, TraceEvent, TraceEventKind};
-    pub use px_balance::{Adaptive, BalanceConfig, BalancePolicy, DataToWork, WorkToData};
+    pub use px_balance::{BalanceConfig, BalancePolicy};
 }
 
 pub use action::{Action, ActionId, Value};

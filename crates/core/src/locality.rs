@@ -39,7 +39,6 @@ use crate::sched::Task;
 use crate::stats::{LocalityCounters, LocalityStats};
 use parking_lot::{Mutex, RwLock};
 use px_balance::{LoadMonitor, PeerView};
-use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,25 +94,13 @@ pub(crate) struct BalanceState {
     /// gossip parcels; decisions read only this view, never another
     /// locality's state directly).
     pub(crate) peers: Mutex<PeerView>,
-    /// Spawn-redirect target for the current round (`u32::MAX` = none):
-    /// the balancer publishes the least-loaded peer here when the policy
-    /// wants fresh local spawns diffused.
-    pub(crate) spawn_target: AtomicU32,
-    /// Round-robin counter so only every other spawn is redirected
-    /// (full redirection would just move the hotspot).
-    pub(crate) spawn_seq: crate::stats::Counter,
 }
-
-/// Sentinel for "no spawn redirect this round".
-pub(crate) const NO_SPAWN_TARGET: u32 = u32::MAX;
 
 impl BalanceState {
     pub(crate) fn new(n_localities: usize) -> BalanceState {
         BalanceState {
             monitor: Mutex::new(LoadMonitor::new(px_balance::MONITOR_WINDOW)),
             peers: Mutex::new(PeerView::new(n_localities)),
-            spawn_target: AtomicU32::new(NO_SPAWN_TARGET),
-            spawn_seq: crate::stats::Counter::default(),
         }
     }
 }
@@ -342,11 +329,10 @@ impl Locality {
         s
     }
 
-    /// Tasks waiting in the general run queue (balancer telemetry; the
-    /// per-worker rings are not counted, which is fine — a deep ring
-    /// implies a busy worker feeding it).
+    /// Tasks waiting in the general run queue and on every worker's ring
+    /// (balancer telemetry): the work handed here and the work made here.
     pub fn queue_depth(&self) -> usize {
-        self.injector.len()
+        self.injector.len() + self.stealers.iter().map(Stealer::len).sum::<usize>()
     }
 
     /// Prestaged tasks waiting in the staging buffer.

@@ -539,10 +539,16 @@ impl<T: Send, const CAP: usize> Stealer<T, CAP> {
         }
     }
 
+    /// Items queued right now, as a thief sees them: a snapshot, which a
+    /// push, pop or steal may change before the caller acts on it.
+    pub(crate) fn len(&self) -> usize {
+        let (_, top) = self.ring.head.load();
+        distance(self.ring.bottom.load(), top).max(0) as usize
+    }
+
     /// True when there is nothing to steal right now.
     pub(crate) fn is_empty(&self) -> bool {
-        let (_, top) = self.ring.head.load();
-        distance(self.ring.bottom.load(), top) <= 0
+        self.len() == 0
     }
 }
 
@@ -765,7 +771,8 @@ impl Sleep {
     }
 
     /// Workers that have announced and not been woken: parked, or about
-    /// to be.
+    /// to be (tests).
+    #[cfg(test)]
     pub(crate) fn sleeping(&self) -> u64 {
         u64::from(self.state.load(Ordering::SeqCst) / SLEEPER)
     }
